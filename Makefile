@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race fault-smoke ec-smoke par-smoke obs-smoke pdes-smoke ckpt-smoke bench bench-all bench-diff figures figures-paper examples clean
+.PHONY: all build test vet lint race smoke bench-all figures figures-paper examples clean
 
-all: build vet lint test race fault-smoke ec-smoke par-smoke obs-smoke pdes-smoke ckpt-smoke
+all: build vet lint test race smoke
 
 build:
 	$(GO) build ./...
@@ -22,127 +22,40 @@ vet:
 lint:
 	$(GO) run ./cmd/stashlint ./...
 
+# bench/ is its own module (invisible to ./...) that compiles against
+# core.Link, sim.ExecReport and the network API, so it is vetted and tested
+# here too. The benchmark itself is `go run -C bench .` (BENCHMARK.json).
 test:
 	$(GO) test ./...
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
-# Race-detector pass (tier-1 alongside vet); the parallel executor and the
-# shared observability sinks (tracer) are the paths it guards. -short skips
+# Race-detector pass (tier-1 alongside vet); the executor's barrier
+# protocol, the partition-crossing link slabs and the shared observability
+# sinks (tracer, telemetry server) are the paths it guards. -short skips
 # the multi-minute simulation sweeps (they run unshortened in `make test`
-# and add no concurrency coverage), but internal/network's accumulated
-# scenario tests (now including the checkpoint resume-equality grid) run
-# ~15m under the ~10x race slowdown, so the per-package timeout is
-# raised well past the 10m default to keep headroom on loaded machines.
+# and add no concurrency coverage). Measured on a 2-CPU host: 12m38s for
+# the whole pass, of which internal/network — one test binary — takes 728 s
+# (632 s when run alone; its long single-partition scenario tests, not the
+# determinism grids, dominate). That is past go test's 10-minute default
+# per-package timeout, so the timeout stays raised.
 race:
 	$(GO) test -race -short -timeout 30m ./...
 
-# Fault-injection smoke: a short e2e run with per-link packet drops, the
-# invariant checker on, and a post-run drain that must end with every
-# injected packet delivered exactly once (nonzero exit otherwise). Guards
-# the recovery ladder (stash resend -> endpoint resend -> dedup) end to
-# end through the real CLI.
-fault-smoke:
-	$(GO) run ./cmd/stashsim -preset tiny -mode e2e -load 0.2 -warmup 0 \
-		-cycles 25000 -link-drop-rate 1e-3 -invariants \
-		-drain 150000 -assert-delivery -json > /dev/null
+# CLI-scale end-to-end smoke: TestCLISmoke runs the real flag sets in
+# process — drops with the recovery ladder (tiny), parity reconstruction
+# under staggered bank failures, four workers vs one, and a four-worker
+# checkpoint resumed by one worker — each under -invariants with a drain
+# that must end in exactly-once delivery, the multi-run rows diffing their
+# -json byte for byte.
+smoke:
+	$(GO) test -count=1 -run TestCLISmoke ./cmd/stashsim -smoke
 
-# Erasure-coding smoke: the paper-scale switch geometry (small preset keeps
-# it under a minute) with XOR parity groups over the stash banks, per-link
-# drops keeping retained copies alive, and staggered bank failures striking
-# mid-run. Exercises the reconstruction tier of the recovery ladder (retry
-# -> reconstruct -> retransmit) under the invariant checker's parity law,
-# and must still drain to exactly-once delivery.
-ec-smoke:
-	$(GO) run ./cmd/stashsim -preset small -mode e2e -load 0.2 -warmup 0 \
-		-cycles 8000 -seed 13 -link-drop-rate 5e-3 -stash-parity 4 \
-		-stash-fail "0.0@4000,0.1@4500,1.0@5000,1.1@5500,2.0@6000,2.1@6500" \
-		-invariants -drain 400000 -assert-delivery -json > /dev/null
-
-# Parallel-executor smoke: the race-enabled tests that step a fully
-# instrumented network with four workers and prove the serial/parallel
-# bit-identity, plus the CLI-level workers=1 vs workers=4 -json comparison.
-# Guards the executor's barrier protocol and the link inbox/shard design.
-par-smoke:
-	$(GO) test -race -count=1 -run 'TestParallelStepRace|TestParallelMatchesSerial' ./internal/network
-	$(GO) test -count=1 -run 'TestWorkersDeterminism' ./cmd/stashsim
-
-# Conservative-PDES smoke: the small preset (19 groups, 650-cycle global
-# lookahead) under drops + bank failures with four epoch-synchronized
-# group partitions, invariants auditing, and a drain that must end in
-# exactly-once delivery — then the identical run serially, with the two
-# -json summaries diffed byte-for-byte. Guards the epoch scheduler's
-# lookahead clamping and SPSC link handoff at a scale where epochs
-# actually free-run (tiny's 65-cycle lookahead is covered by par-smoke).
-pdes-smoke:
-	$(GO) run ./cmd/stashsim -preset small -mode e2e -load 0.2 -warmup 0 \
-		-cycles 8000 -seed 13 -link-drop-rate 1e-3 \
-		-stash-fail "0.0@4000,1.1@5500,2.0@6001" \
-		-epoch auto -workers 4 -invariants \
-		-drain 400000 -assert-delivery -json > /tmp/pdes_epoch.json
-	$(GO) run ./cmd/stashsim -preset small -mode e2e -load 0.2 -warmup 0 \
-		-cycles 8000 -seed 13 -link-drop-rate 1e-3 \
-		-stash-fail "0.0@4000,1.1@5500,2.0@6001" \
-		-epoch off -workers 1 -invariants \
-		-drain 400000 -assert-delivery -json > /tmp/pdes_serial.json
-	diff /tmp/pdes_epoch.json /tmp/pdes_serial.json
-
-# Checkpoint/restore smoke: the pdes-smoke scenario with a checkpoint
-# taken mid-run by the 4-worker epoch executor — between the first and
-# second scheduled bank failures, with drop recovery in flight — then
-# restored into a *serial* run. Both the checkpointing run and the
-# restored run must produce -json summaries byte-identical to a serial
-# straight-through run: one diff proves the snapshot is complete (every
-# RNG stream, timer and queue captured) and mode-canonical (epoch-built
-# bytes restore into the serial loop).
-ckpt-smoke:
-	$(GO) run ./cmd/stashsim -preset small -mode e2e -load 0.2 -warmup 0 \
-		-cycles 8000 -seed 13 -link-drop-rate 1e-3 \
-		-stash-fail "0.0@4000,1.1@5500,2.0@6001" \
-		-epoch auto -workers 4 -invariants \
-		-checkpoint /tmp/ckpt_smoke.snap@4700 \
-		-drain 400000 -assert-delivery -json > /tmp/ckpt_writer.json
-	$(GO) run ./cmd/stashsim -preset small -mode e2e -load 0.2 -warmup 0 \
-		-cycles 8000 -seed 13 -link-drop-rate 1e-3 \
-		-stash-fail "0.0@4000,1.1@5500,2.0@6001" \
-		-epoch off -workers 1 -invariants \
-		-restore /tmp/ckpt_smoke.snap \
-		-drain 400000 -assert-delivery -json > /tmp/ckpt_resumed.json
-	$(GO) run ./cmd/stashsim -preset small -mode e2e -load 0.2 -warmup 0 \
-		-cycles 8000 -seed 13 -link-drop-rate 1e-3 \
-		-stash-fail "0.0@4000,1.1@5500,2.0@6001" \
-		-epoch off -workers 1 -invariants \
-		-drain 400000 -assert-delivery -json > /tmp/ckpt_straight.json
-	diff /tmp/ckpt_writer.json /tmp/ckpt_straight.json
-	diff /tmp/ckpt_resumed.json /tmp/ckpt_straight.json
-
-# Observability smoke: the live telemetry server scraped from concurrent
-# goroutines while a two-worker profiled simulation runs, under the race
-# detector. Guards the lock-light snapshot path, the profiler's atomic
-# recording, and the watchdog/flight wiring end to end.
-obs-smoke:
-	$(GO) test -race -count=1 -run 'TestObsSmoke|TestServeDoesNotPerturbDeterminism' ./internal/telemetry
-
-# Hot-path benchmark grid: the parallel-executor scaling matrix and the
-# per-cycle steady-state cost, converted to BENCH_hotpath.json (the
-# committed perf-trajectory snapshot; regenerate and commit after any
-# intentional hot-path change). Raw text goes to stderr for benchstat use.
-# This host's clock is noisy (+/-30%); for before/after comparisons build
-# both binaries and interleave runs rather than trusting two single shots.
-bench:
-	$(GO) test -bench 'BenchmarkParallelExecutor|BenchmarkHotPathSteadyState' \
-		-benchmem -count=1 . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_hotpath.json
-
-# Full reduced-scale benchmark harness: one benchmark per table/figure plus
-# the ablations. Full datasets come from `make figures`.
+# Reduced-scale benchmark per table/figure plus the ablations. Full
+# datasets come from `make figures`; the judged end-to-end benchmark is
+# `go run -C bench .`.
 bench-all:
 	$(GO) test -bench=. -benchmem .
-
-# Compare a fresh hot-path bench run against the committed snapshot without
-# overwriting it: the table flags any allocs/op drift (real regressions) and
-# shows ns/op deltas (noisy on this host — see the `bench` comment).
-bench-diff:
-	$(GO) test -bench 'BenchmarkParallelExecutor|BenchmarkHotPathSteadyState' \
-		-benchmem -count=1 . | $(GO) run ./cmd/benchjson > /tmp/bench_new.json
-	$(GO) run ./cmd/benchjson -diff BENCH_hotpath.json /tmp/bench_new.json
 
 # Regenerate every table and figure on the scaled (342-endpoint) network.
 figures:

@@ -10,7 +10,6 @@ package stashsim
 // the two-bank port-memory model.
 
 import (
-	"fmt"
 	"testing"
 
 	"stashsim/internal/core"
@@ -19,7 +18,6 @@ import (
 	"stashsim/internal/network"
 	"stashsim/internal/proto"
 	"stashsim/internal/sim"
-	"stashsim/internal/topo"
 	"stashsim/internal/traffic"
 )
 
@@ -331,128 +329,6 @@ func BenchmarkInvariantOverhead(b *testing.B) {
 	b.Run("every1", func(b *testing.B) { run(b, 1) })
 }
 
-// BenchmarkParallelExecutor measures the cycle-level parallel executor
-// across worker counts on two scales: a 72-switch dragonfly and the
-// paper-scale 1056-switch dragonfly (a=32, h=1, p=2). EXPERIMENTS.md
-// records the resulting speedup table. On a single-CPU host the workers>1
-// rows measure pure synchronization overhead (the spinning barrier has no
-// second core to run on); the >=2x speedup claim needs a multi-core host.
-func BenchmarkParallelExecutor(b *testing.B) {
-	topos := []struct {
-		name    string
-		p, a, h int
-		settle  int64
-	}{
-		// Settle well past the freelist high-water mark before timing:
-		// a short settle lets pool growth leak into the timed region, and
-		// with b.N varying across worker counts the amortized allocs/op
-		// then differ (the once-mysterious 245 vs 257 in the committed
-		// snapshot) even though the steady-state cycle is allocation-free
-		// for every worker count (TestParallelSteadyStateAllocFree).
-		{"sw=72", 2, 8, 1, 3000},
-		{"sw=1056", 2, 32, 1, 400},
-	}
-	for _, tp := range topos {
-		for _, load := range []float64{0.1, 0.3} {
-			for _, workers := range []int{1, 2, 4} {
-				// Parallel rows run both synchronization schemes: the
-				// per-cycle barrier (sync=cycle) and the epoch scheduler
-				// (sync=epoch, lookahead = the 650-cycle global latency).
-				syncs := []string{"cycle"}
-				if workers > 1 {
-					syncs = []string{"cycle", "epoch"}
-				}
-				for _, sync := range syncs {
-					name := fmt.Sprintf("%s/load=%.0f%%/workers=%d", tp.name, load*100, workers)
-					if workers > 1 {
-						name += "/sync=" + sync
-					}
-					b.Run(name, func(b *testing.B) {
-						cfg := core.PaperConfig()
-						cfg.Topo = topo.Dragonfly{P: tp.p, A: tp.a, H: tp.h}
-						radix := cfg.Topo.Radix()
-						cfg.Rows, cfg.Cols = 4, 4
-						cfg.TileIn, cfg.TileOut = (radix+3)/4, (radix+3)/4
-						cfg.Mode = core.StashE2E
-						n, err := network.New(cfg)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if workers > 1 {
-							n.SetWorkers(workers)
-							if sync == "cycle" {
-								n.SetEpochPolicy(-1)
-							}
-							defer n.Close()
-						}
-						rng := sim.NewRNG(3)
-						for _, ep := range n.Endpoints {
-							ep.Gen = traffic.Uniform(rng.Derive(uint64(ep.ID)), len(n.Endpoints), nil,
-								load, n.ChannelRate(), proto.MaxPacketFlits, proto.ClassDefault, 0)
-						}
-						n.Run(tp.settle) // settle into steady state before timing
-						b.ReportAllocs()
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							n.Run(100)
-						}
-						b.ReportMetric(float64(len(n.Switches))*100, "switch-cycles/op")
-					})
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkHotPathSteadyState is the per-cycle cost of Network.Step on the
-// tiny network in steady state. The "loaded" variants keep the generators
-// attached (the honest per-cycle figure, injection included); the "inflight"
-// variant detaches them with traffic still circulating, which is the
-// configuration the zero-allocation guard measures. allocs/op must read 0
-// for all variants: the freelists recycle every per-packet structure, so a
-// steady-state cycle touches no allocator at any load.
-func BenchmarkHotPathSteadyState(b *testing.B) {
-	build := func(b *testing.B, load float64) *network.Network {
-		cfg := core.TinyConfig()
-		cfg.Mode = core.StashE2E
-		n, err := network.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rng := sim.NewRNG(11)
-		for _, ep := range n.Endpoints {
-			ep.Gen = traffic.Uniform(rng.Derive(uint64(ep.ID)), len(n.Endpoints), nil,
-				load, n.ChannelRate(), proto.MaxPacketFlits, proto.ClassDefault, 0)
-		}
-		n.Run(20000) // steady state: pools, rings, and freelists at high water
-		return n
-	}
-	for _, load := range []float64{0.1, 0.3} {
-		b.Run(fmt.Sprintf("loaded/load=%.0f%%", load*100), func(b *testing.B) {
-			n := build(b, load)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n.Step()
-			}
-			b.ReportMetric(float64(len(n.Switches)), "switch-cycles/op")
-		})
-	}
-	b.Run("inflight", func(b *testing.B) {
-		n := build(b, 0.3)
-		for _, ep := range n.Endpoints {
-			ep.Gen = nil
-		}
-		n.Run(50)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			n.Step()
-		}
-		b.ReportMetric(float64(len(n.Switches)), "switch-cycles/op")
-	})
-}
-
 // TestMetricsDisabledAllocFree is the hard form of the benchmark guard: a
 // steady-state simulation step with no observability attached must not
 // allocate at all, so the disabled path cannot regress silently.
@@ -477,17 +353,18 @@ func TestMetricsDisabledAllocFree(t *testing.T) {
 		ep.Gen = nil
 	}
 	n.Run(50)
+	// Step is Run(1): the loop trace replay drives, one epoch per call.
 	allocs := testing.AllocsPerRun(200, func() { n.Step() })
 	if allocs > 0 {
 		t.Fatalf("in-flight Step with metrics disabled allocates %.2f/op, want 0", allocs)
 	}
 }
 
-// TestParallelSteadyStateAllocFree extends the zero-allocation guard to the
-// parallel executor: a steady-state cycle with four workers must not touch
-// the allocator either. The workers park at the cycle-entry barrier between
-// Runs and the coordinator publishes each cycle with a plain atomic store,
-// so workers>1 costs synchronization time, never allocation. (AllocsPerRun
+// TestParallelSteadyStateAllocFree extends the zero-allocation guard to
+// four partitions: a steady-state epoch must not touch the allocator
+// either. The workers park at the epoch-entry barrier between Runs and the
+// coordinator publishes each span with plain atomic stores, so workers>1
+// costs synchronization time, never allocation. (AllocsPerRun
 // pins GOMAXPROCS to 1; the barrier spins with Gosched, so the worker
 // goroutines still make progress — slowly, which is fine for a guard.)
 func TestParallelSteadyStateAllocFree(t *testing.T) {
@@ -517,7 +394,7 @@ func TestParallelSteadyStateAllocFree(t *testing.T) {
 	// the free-running epoch loop and the cross-partition slab drains
 	// (tiny lookahead is 65, so 130 cycles is two full epochs per run).
 	if la := n.EpochLookahead(); la != 65 {
-		t.Fatalf("alloc guard expected the epoch executor (lookahead 65), got %d", la)
+		t.Fatalf("alloc guard expected group partitions (lookahead 65), got %d", la)
 	}
 	allocs = testing.AllocsPerRun(20, func() { n.Run(130) })
 	if allocs > 0 {

@@ -23,7 +23,6 @@ import (
 
 	"stashsim/internal/fault"
 	"stashsim/internal/harness"
-	"stashsim/internal/network"
 	"stashsim/internal/sim"
 	"stashsim/internal/stats"
 	"stashsim/internal/viz"
@@ -63,7 +62,6 @@ func main() {
 	stashFails := flag.String("stash-fail", "", "stash-bank failures (switch.port@cycle, comma separated) injected into every experiment network")
 	stashParity := flag.Int("stash-parity", 0, "erasure-code stash copies into XOR parity groups of this width on every e2e experiment network (0 = off)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "sweep-level worker pool fanning out independent design points (tables are identical for any value)")
-	epoch := flag.String("epoch", "auto", "cycle-level sync policy for experiment networks: auto, off, or an epoch-length cap in cycles (tables are identical for any value)")
 	checkpointSpec := flag.String("checkpoint", "", "write a warm snapshot of every design point as file@cycle (cycle inside each experiment's warmup window); files get .<experiment>.<point> suffixes")
 	restore := flag.String("restore", "", "resume every design point from the warm snapshots a previous -checkpoint run wrote with this file prefix; tables are byte-identical to a straight-through run")
 	profileExec := flag.Bool("profile-exec", false, "profile per-phase executor time across every experiment network; report to stderr and, with -out, exec_profile.json")
@@ -75,9 +73,6 @@ func main() {
 	case "", "tiny", "small", "paper":
 	default:
 		log.Fatalf("unknown preset %q (want tiny, small, or paper)", *preset)
-	}
-	if _, err := network.ParseEpochPolicy(*epoch); err != nil {
-		log.Fatalf("%v", err)
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -113,7 +108,6 @@ func main() {
 		InvariantsEvery: *invariantsEvery,
 		StashParity:     *stashParity,
 		Workers:         *workers,
-		Epoch:           *epoch,
 		RestorePath:     *restore,
 		Log: func(format string, args ...any) {
 			log.Printf(format, args...)

@@ -121,7 +121,6 @@ func main() {
 	flag.IntVar(&sp.StashParity, "stash-parity", 0, "erasure-code stash copies into XOR parity groups of this width (0 = off; e2e mode only)")
 	flag.Int64Var(&sp.Drain, "drain", 0, "after the measured window, run up to this many unloaded cycles until every packet settles")
 	flag.IntVar(&sp.Workers, "workers", runtime.GOMAXPROCS(0), "cycle-level worker goroutines stepping the network (1 = serial; results are identical either way)")
-	flag.StringVar(&sp.Epoch, "epoch", "auto", "parallel sync scheme: auto (group partitions free-run for lookahead-length epochs when workers allow), off (barrier every cycle), or a positive epoch-length cap in cycles; results are identical either way")
 	checkpointSpec := flag.String("checkpoint", "", "write a bit-exact checkpoint as file@cycle (absolute cycle; warmup counts); resuming from it with -restore reproduces the straight-through run byte for byte")
 	flag.StringVar(&sp.RestorePath, "restore", "", "resume from a checkpoint file; the other flags must rebuild the identical configuration and observers")
 	assertDelivery := flag.Bool("assert-delivery", false, "with -drain, exit nonzero unless every injected packet delivered exactly once")
@@ -388,22 +387,31 @@ func main() {
 	}
 
 	if *assertDelivery {
-		if sp.Drain <= 0 {
-			fatalf("-assert-delivery requires -drain (in-flight packets would fail the check)")
+		if err := sp.checkDelivery(s); err != nil {
+			fatalf("%v", err)
 		}
-		if s.Fault == nil {
-			fatalf("-assert-delivery requires fault injection or -retrans")
-		}
-		fs := s.Fault
-		if !fs.Drained {
-			fatalf("assert-delivery: network did not drain within %d cycles", sp.Drain)
-		}
-		if fs.DeliveredUnique != fs.InjectedPkts || fs.Abandoned != 0 {
-			fatalf("assert-delivery: injected %d, delivered %d, abandoned %d — not exactly-once",
-				fs.InjectedPkts, fs.DeliveredUnique, fs.Abandoned)
-		}
-		fmt.Fprintf(out, "assert-delivery: all %d packets delivered exactly once\n", fs.InjectedPkts)
+		fmt.Fprintf(out, "assert-delivery: all %d packets delivered exactly once\n", s.Fault.InjectedPkts)
 	}
+}
+
+// checkDelivery is -assert-delivery: after the drain, every injected
+// packet must have been delivered exactly once.
+func (sp *simSpec) checkDelivery(s *runSummary) error {
+	if sp.Drain <= 0 {
+		return fmt.Errorf("-assert-delivery requires -drain (in-flight packets would fail the check)")
+	}
+	fs := s.Fault
+	if fs == nil {
+		return fmt.Errorf("-assert-delivery requires fault injection or -retrans")
+	}
+	if !fs.Drained {
+		return fmt.Errorf("assert-delivery: network did not drain within %d cycles", sp.Drain)
+	}
+	if fs.DeliveredUnique != fs.InjectedPkts || fs.Abandoned != 0 {
+		return fmt.Errorf("assert-delivery: injected %d, delivered %d, abandoned %d — not exactly-once",
+			fs.InjectedPkts, fs.DeliveredUnique, fs.Abandoned)
+	}
+	return nil
 }
 
 // writeFileWith streams a writer-consuming export into a file.

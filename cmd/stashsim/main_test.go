@@ -17,7 +17,12 @@ func runJSON(t *testing.T, sp simSpec) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sp.run(n)
+	return marshalSummary(t, sp.run(n))
+}
+
+// marshalSummary renders a summary exactly as the -json flag would.
+func marshalSummary(t *testing.T, s *runSummary) []byte {
+	t.Helper()
 	b, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -67,14 +72,15 @@ func TestRunIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestWorkersDeterminism asserts that neither -workers nor -epoch ever
-// changes results: the -json summary from a serial run must be
-// byte-identical to every parallel run of the same spec across
-// workers ∈ {2, 4} × epoch ∈ {off, auto}, for the stashing,
-// fault-injection, parity-reconstruction, and ECN (congestion)
-// configurations. This is the user-visible contract behind the parallel
-// executor's sharded-collector / fixed-merge-order design and the epoch
-// scheduler's serial-event clamping.
+// TestWorkersDeterminism asserts that -workers never changes results: the
+// -json summary from a one-partition run must be byte-identical to every
+// parallel run of the same spec — 2 and 4 workers at full lookahead, 12
+// workers (more than tiny's 9 groups, so switch blocks with local links
+// crossing), and 4 workers with a flight recorder attached, which clamps
+// every epoch to one cycle — for the stashing, fault-injection,
+// parity-reconstruction, and ECN (congestion) configurations. This is the
+// user-visible contract behind the executor's sharded-collector /
+// fixed-merge-order design and its serial-event clamping.
 func TestWorkersDeterminism(t *testing.T) {
 	specs := map[string]simSpec{
 		"stashing-e2e": {
@@ -109,16 +115,23 @@ func TestWorkersDeterminism(t *testing.T) {
 			serial := sp
 			serial.Workers = 1
 			want := runJSON(t, serial)
-			for _, workers := range []int{2, 4} {
-				for _, epoch := range []string{"off", "auto"} {
-					parallel := sp
-					parallel.Workers = workers
-					parallel.Epoch = epoch
-					got := runJSON(t, parallel)
-					if !bytes.Equal(want, got) {
-						t.Fatalf("workers=%d epoch=%s summary differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
-							workers, epoch, want, got)
-					}
+			for _, pt := range []struct {
+				workers  int
+				perCycle bool
+			}{{2, false}, {4, false}, {12, false}, {4, true}} {
+				parallel := sp
+				parallel.Workers = pt.workers
+				n, err := parallel.build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pt.perCycle {
+					n.AttachFlight(16)
+				}
+				got := marshalSummary(t, parallel.run(n))
+				if !bytes.Equal(want, got) {
+					t.Fatalf("workers=%d per-cycle=%v summary differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
+						pt.workers, pt.perCycle, want, got)
 				}
 			}
 		})
@@ -178,13 +191,9 @@ func TestObservabilityNeutralDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	s := wiredSpec.run(n)
 	// The summary's metrics map is populated by main only when -metrics is
 	// set, so the structs compare cleanly here.
-	wired, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
+	wired := marshalSummary(t, wiredSpec.run(n))
 	if !bytes.Equal(bare, wired) {
 		t.Fatalf("observability wiring changed the summary:\n--- bare ---\n%s\n--- wired ---\n%s", bare, wired)
 	}

@@ -32,17 +32,11 @@ type simSpec struct {
 	ErrRate         float64
 	Invariants      bool
 	InvariantsEvery int64
-	// Workers selects the cycle-level execution mode: values above one
-	// drive endpoints and switches through the parallel executor. Epoch
-	// picks its synchronization scheme — "auto" (default) free-runs
-	// group partitions for lookahead-length epochs when the worker count
-	// allows it, "off" forces the per-cycle barrier, and a positive
-	// integer caps the epoch length. Results are bit-identical for any
-	// combination (enforced by TestRunIsDeterministic and
-	// TestWorkersDeterminism), so neither is part of the
+	// Workers is the number of partitions stepped concurrently (see
+	// network.SetWorkers). Results are bit-identical for any value
+	// (enforced by TestWorkersDeterminism), so it is not part of the
 	// outcome-determining contract above.
 	Workers int
-	Epoch   string
 
 	// Fault injection and recovery (see internal/fault). FaultPlanPath
 	// loads a JSON plan; the individual flags layer on top of (or replace)
@@ -190,11 +184,6 @@ func (sp *simSpec) build() (*network.Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	pol, err := network.ParseEpochPolicy(sp.Epoch)
-	if err != nil {
-		return nil, err
-	}
-	n.SetEpochPolicy(pol)
 	if sp.Invariants {
 		every := sp.InvariantsEvery
 		if every <= 0 {

@@ -7,10 +7,10 @@ import (
 )
 
 // phasecheck machine-checks the executor's two-phase concurrency contract
-// (DESIGN.md, "Concurrency contract"). Each simulation cycle has a
-// parallel phase — every component's Step runs concurrently, partitioned
-// across workers — fenced by serial PreCycle/PostCycle hooks that the
-// coordinator runs alone (plus the Run-after-Close serial fallback).
+// (DESIGN.md, "Concurrency contract"). Each epoch has a parallel phase —
+// every partition steps its components concurrently with the others —
+// fenced by serial PreCycle/PostCycle hooks that the coordinator runs
+// alone.
 // Declarations opt into the contract with //stashsim: directives
 // (directive.go); the analyzer then proves, by walking the parallel
 // phase's intra-package call-graph closure, that:
@@ -21,7 +21,7 @@ import (
 //     phase;
 //   - every field the parallel phase writes is accounted for: annotated
 //     owner-private (`owner worker|partition`), annotated parallel-safe
-//     (`phase parallel`: atomics, mutex-protected, parity inboxes), of a
+//     (`phase parallel`: atomics, mutex-protected, link staging slabs), of a
 //     sync/atomic type, or a local value;
 //   - a type implementing an interface whose method is annotated with a
 //     phase carries the same annotation on its own method, so the

@@ -11,28 +11,27 @@ import (
 // Link is one directed channel between two components (switch→switch,
 // endpoint→switch or switch→endpoint) together with its reverse credit
 // path. Flits written at cycle t become visible to the receiver at
-// t+Latency; credits likewise. Because Latency >= 1, a link may safely be
-// written by its producer and read by its consumer within the same parallel
-// simulation cycle (one-cycle lookahead).
+// t+Latency; credits likewise.
 //
-// Concretely, each direction is a single-producer single-consumer pair of
-// parity inboxes plus an owner-private ring. A push during cycle t appends
-// to inbox slot t&1; the ring's owner folds slot (t+1)&1 — everything the
-// remote side wrote during cycle t-1 — on its first access of cycle t. The
-// executor's inter-cycle barrier orders those cycle-t-1 writes before the
-// cycle-t fold, and the two sides never touch the same slot within a
-// cycle, so the link is race-free without locks. An entry pushed at t is
-// folded at t+1 and due at t+Latency >= t+1, so the fold is never late —
-// provided the owner touches the link every cycle, which every switch and
-// endpoint step does unconditionally: the active-set idle probes
-// (FlitPending, CreditPending) fold the inbox even when the rest of the
-// port's work is skipped. Sparse direct use (unit tests) instead merges
-// both slots by arrival time, which equals push order because Latency is
-// constant.
+// Each direction is a ring of in-flight entries in arrival order, owned by
+// its consumer. How a push reaches that ring is decided by the network's
+// partitioning (Stage), never by a user:
 //
-// Link fields are parallel-phase state by design: they ARE the inbox
-// mediation the rest of the contract leans on, race-free by the parity
-// protocol above rather than by ownership.
+//   - Both ends in one partition: the producer pushes straight onto the
+//     consumer's ring and sets the consumer switch's armed bit. One
+//     goroutine steps both ends, and because Latency >= 1 the entry is not
+//     due before the next cycle, so the consumer sees the same ring
+//     whichever end steps first.
+//   - Ends in different partitions: the producer stages the push in the
+//     slab of the current epoch's parity; the consumer's partition drains
+//     the other slab — everything staged last epoch — right after the
+//     epoch barrier (Switch.DrainEpochFlits/DrainEpochCredits). The two
+//     sides never touch the same slab between barriers, and an epoch is
+//     never longer than Latency, so an entry staged during epoch e is not
+//     due before epoch e+1 drains it.
+//
+// Link fields are parallel-phase state by design: race-free by the rules
+// above rather than by single ownership.
 //
 //stashsim:phase parallel
 type Link struct {
@@ -46,63 +45,49 @@ type Link struct {
 	Fault    *fault.LinkFault
 	Credited bool
 
-	// Forward path: producer appends to flitIn[now&1] (SendFlit); the
-	// consumer folds into flits and pops (RecvFlit/PeekFlit/DropFlit).
-	flits       buffer.TimedRing
-	flitIn      [2][]buffer.TimedFlit
-	flitDrained int64
+	// Forward path: in-flight flits, popped by the consumer
+	// (RecvFlit/PeekFlit/DropFlit).
+	flits buffer.TimedRing
 
-	// Reverse path: the forward-consumer appends to credIn[now&1]
-	// (SendCredit); the forward-producer folds into credits and pops
-	// (RecvCredit / RecvCreditsInto). Credits are carried as per-cycle
-	// batches — SendCredit coalesces every credit returned during one
-	// cycle into one entry of per-VC and shared counts — so a cycle costs
-	// one ring slot however many credits it returns, and the receiving
-	// side replenishes its counter with a handful of integer adds. synth
-	// carries the credits synthesized for faulted drops — pushed and
-	// popped by the forward-producer alone, so it needs no inbox.
-	credits     timedCreditRing
-	credIn      [2][]creditBatch
-	credDrained int64
-	synth       timedCreditRing
+	// Reverse path: credits returned by the forward-consumer, popped by
+	// the forward-producer (RecvCredit / RecvCreditsInto). Credits are
+	// carried as per-cycle batches — every credit returned during one
+	// cycle coalesces into one entry of per-VC and shared counts — so a
+	// cycle costs one ring slot however many credits it returns. synth
+	// carries the credits synthesized for faulted drops, pushed and popped
+	// by the forward-producer alone.
+	credits timedCreditRing
+	synth   timedCreditRing
 
 	// faultDropped counts flits destroyed on this link by injected
 	// faults, the per-edge destruction term of the conservation law.
 	faultDropped int64
 
-	// Wake boards let a consumer switch skip idle links entirely instead
-	// of probing each one every cycle. A producer push at cycle t raises
-	// the port's flag in slab t&1 of the consumer's board; the consumer
-	// scans and clears slab (t+1)&1 at cycle t — the slab producers are
-	// *not* writing this cycle — so the flags are race-free by the same
-	// parity argument as the inboxes, and pending-ness for a whole switch
-	// collapses into one consumer-owned cache line. Boards are wired by
-	// AttachInLink (flit side) and AttachOutLink (credit side); links used
-	// outside a switch (endpoint-consumed sides, unit tests) leave them
-	// nil and keep the probe-every-cycle discipline.
-	flitWake *[2][64]bool
-	flitPort uint8
-	credWake *[2][64]bool
-	credPort uint8
+	// Arm targets: a direct push ORs flitBit into the consumer switch's
+	// armedIn mask (credBit into the producer switch's armedCred), so the
+	// switch visits only ports with something on the wire. Wired by
+	// AttachInLink/AttachOutLink; nil on endpoint-consumed sides and bare
+	// links, whose owners probe every cycle.
+	flitArm *uint64
+	flitBit uint64
+	credArm *uint64
+	credBit uint64
 
-	// epochClock, when non-nil, switches the link into epoch-batched
-	// delivery for conservative-PDES partitioning (see EnableEpochDelivery):
-	// the producer stages pushes in slab epoch&1 and the consumer's
-	// partition drains slab (epoch-1)&1 once at the start of each epoch, so
-	// the two sides never touch the same slab between epoch barriers and no
-	// per-cycle fold or wake-board write crosses the partition boundary
-	// mid-epoch. The pointer itself is written only while the simulation is
-	// quiescent (executor wiring/teardown); the pointee is the executor's
-	// atomic epoch counter.
-	epochClock *atomic.Int64
+	// epoch, when non-nil, marks a partition-crossing link: pushes stage
+	// into slab epoch&1. The pointer is written only at a barrier (Stage);
+	// the pointee is the executor's atomic epoch counter.
+	epoch    *atomic.Int64
+	flitSlab [2][]buffer.TimedFlit
+	credSlab [2][]creditBatch
 }
 
-// NewLink builds a link with the given one-way latency in cycles.
+// NewLink builds a link with the given one-way latency in cycles, in the
+// direct (single-partition) form.
 func NewLink(latency int64) *Link {
 	if latency < 1 {
 		panic("core: link latency must be at least one cycle")
 	}
-	return &Link{Latency: latency, flitDrained: -1, credDrained: -1}
+	return &Link{Latency: latency}
 }
 
 // SendFlit transmits a flit at cycle now; it arrives at now+Latency.
@@ -112,6 +97,7 @@ func NewLink(latency int64) *Link {
 // so on credited links the credit the receiver would have returned is
 // synthesized at the time it would have come back (one round trip);
 // without it the producer's credit pool would leak one slot per drop.
+//
 //stashsim:noalloc
 func (l *Link) SendFlit(now int64, f proto.Flit) {
 	if l.Fault != nil && l.Fault.OnFlit(now, &f) {
@@ -121,250 +107,105 @@ func (l *Link) SendFlit(now int64, f proto.Flit) {
 		}
 		return
 	}
-	if c := l.epochClock; c != nil {
-		// Epoch mode: stage into the current epoch's slab and skip the
-		// wake board — the consumer lives in another partition and its
-		// board must not be written mid-epoch. The drain at the next
-		// epoch boundary arms the port instead.
-		s := c.Load() & 1
-		l.flitIn[s] = append(l.flitIn[s], buffer.TimedFlit{At: now + l.Latency, Flit: f})
+	t := buffer.TimedFlit{At: now + l.Latency, Flit: f}
+	if e := l.epoch; e != nil {
+		s := e.Load() & 1
+		l.flitSlab[s] = append(l.flitSlab[s], t)
 		return
 	}
-	s := now & 1
-	l.flitIn[s] = append(l.flitIn[s], buffer.TimedFlit{At: now + l.Latency, Flit: f})
-	if l.flitWake != nil {
-		l.flitWake[s][l.flitPort] = true
+	l.flits.Push(t)
+	if l.flitArm != nil {
+		*l.flitArm |= l.flitBit
 	}
 }
 
-// drainFlits folds arrived inbox entries into the consumer's ring, once
-// per cycle. The every-cycle fast path touches only the slot the producer
-// filled last cycle; the sparse path (owner skipped one or more cycles —
-// never under the executor) merges both slots by arrival time.
-//stashsim:noalloc
-func (l *Link) drainFlits(now int64) {
-	if now == l.flitDrained {
-		return
-	}
-	if now == l.flitDrained+1 {
-		prev := (now & 1) ^ 1
-		for i := range l.flitIn[prev] {
-			l.flits.Push(l.flitIn[prev][i])
-		}
-		l.flitIn[prev] = l.flitIn[prev][:0]
-	} else {
-		l.mergeFlitSlabs()
-	}
-	l.flitDrained = now
-}
-
-// mergeFlitSlabs folds both inbox slabs into the ring, merged by arrival
-// time. Callers must hold both slabs quiescent (sparse serial use, or the
-// epoch-mode enable/disable flush between runs).
+// SendCredit returns a credit to the link's producer; it arrives after the
+// same latency as the forward path. Credits sent during the same cycle
+// coalesce into one batch entry.
 //
 //stashsim:noalloc
-func (l *Link) mergeFlitSlabs() {
-	a, b := l.flitIn[0], l.flitIn[1]
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		if j == len(b) || (i < len(a) && a[i].At <= b[j].At) {
-			l.flits.Push(a[i])
-			i++
-		} else {
-			l.flits.Push(b[j])
-			j++
+func (l *Link) SendCredit(now int64, c proto.Credit) {
+	at := now + l.Latency
+	if e := l.epoch; e != nil {
+		s := e.Load() & 1
+		if n := len(l.credSlab[s]); n > 0 && l.credSlab[s][n-1].at == at {
+			l.credSlab[s][n-1].add(c)
+			return
 		}
-	}
-	l.flitIn[0], l.flitIn[1] = a[:0], b[:0]
-}
-
-// drainCredits is drainFlits for the reverse path.
-//
-//stashsim:noalloc
-func (l *Link) drainCredits(now int64) {
-	if now == l.credDrained {
+		l.credSlab[s] = append(l.credSlab[s], newCreditBatch(at, c))
 		return
 	}
-	if now == l.credDrained+1 {
-		prev := (now & 1) ^ 1
-		for i := range l.credIn[prev] {
-			l.credits.push(l.credIn[prev][i])
-		}
-		l.credIn[prev] = l.credIn[prev][:0]
-	} else {
-		l.mergeCredSlabs()
+	l.credits.add(at, c)
+	if l.credArm != nil {
+		*l.credArm |= l.credBit
 	}
-	l.credDrained = now
 }
 
-// mergeCredSlabs is mergeFlitSlabs for the reverse path.
-//
-//stashsim:noalloc
-func (l *Link) mergeCredSlabs() {
-	a, b := l.credIn[0], l.credIn[1]
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		if j == len(b) || (i < len(a) && a[i].at <= b[j].at) {
-			l.credits.push(a[i])
-			i++
-		} else {
-			l.credits.push(b[j])
-			j++
-		}
-	}
-	l.credIn[0], l.credIn[1] = a[:0], b[:0]
-}
-
-// foldFlits is the inline fast path of the once-per-cycle inbox fold: when
-// the owner touched the link last cycle and nothing arrived since, it
-// reduces to one flag store with no call. Every other case — entries to
-// fold, a repeated touch this cycle, or a sparse gap — falls through to
-// drainFlits, which handles them all.
-//stashsim:noalloc
-func (l *Link) foldFlits(now int64) {
-	if l.epochClock != nil {
-		return
-	}
-	if now != l.flitDrained+1 || len(l.flitIn[(now&1)^1]) != 0 {
-		l.drainFlits(now)
-		return
-	}
-	l.flitDrained = now
-}
-
-// foldCredits is foldFlits for the reverse path.
-//
-//stashsim:noalloc
-func (l *Link) foldCredits(now int64) {
-	if l.epochClock != nil {
-		return
-	}
-	if now != l.credDrained+1 || len(l.credIn[(now&1)^1]) != 0 {
-		l.drainCredits(now)
-		return
-	}
-	l.credDrained = now
-}
-
-// foldWakeFlits folds the foldable parity slot, tolerating arbitrarily
-// many skipped owner cycles. It is safe only for wake-gated owners: every
-// producer push raises the port's wake flag for the following cycle, so a
-// cycle the owner skipped provably had nothing to fold, and the opposite
-// slot — the one producers may be appending to right now — is never read.
-//stashsim:noalloc
-func (l *Link) foldWakeFlits(now int64) {
-	if l.epochClock != nil {
-		return
-	}
-	prev := (now + 1) & 1
-	if len(l.flitIn[prev]) != 0 {
-		for i := range l.flitIn[prev] {
-			l.flits.Push(l.flitIn[prev][i])
-		}
-		l.flitIn[prev] = l.flitIn[prev][:0]
-	}
-	l.flitDrained = now
-}
-
-// foldWakeCredits is foldWakeFlits for the reverse path.
-//
-//stashsim:noalloc
-func (l *Link) foldWakeCredits(now int64) {
-	if l.epochClock != nil {
-		return
-	}
-	prev := (now + 1) & 1
-	if len(l.credIn[prev]) != 0 {
-		for i := range l.credIn[prev] {
-			l.credits.push(l.credIn[prev][i])
-		}
-		l.credIn[prev] = l.credIn[prev][:0]
-	}
-	l.credDrained = now
-}
-
-// EnableEpochDelivery switches the link into epoch-batched delivery for
-// conservative-PDES partitioning: pushes go to inbox slab clock&1 without
-// raising wake boards, per-cycle folds become no-ops, and the consumer's
-// partition drains slab (epoch-1)&1 once at each epoch boundary
-// (DrainEpochFlits/DrainEpochCredits on the owning switch). Exactness
-// follows from the lookahead rule — every epoch is at most as long as this
-// link's Latency, so an entry staged during epoch e cannot become due
-// before epoch e+1 starts, and arrival times stay monotone across drains.
-// Call only while the simulation is quiescent (executor wiring); any
-// entries still staged from cycle-mode running are folded into the rings
-// first so nothing is stranded.
+// Stage selects the link's delivery form: a non-nil clock (the executor's
+// epoch counter) marks the link as partition-crossing, nil as internal to
+// one partition. Entries still staged under the previous form are flushed
+// into the rings first, so nothing is stranded and the rings stay in
+// arrival order. Call only at a barrier, when no component is stepping.
 //
 //stashsim:phase serial
-func (l *Link) EnableEpochDelivery(clock *atomic.Int64) {
-	l.mergeFlitSlabs()
-	l.mergeCredSlabs()
-	l.epochClock = clock
+func (l *Link) Stage(clock *atomic.Int64) {
+	for _, t := range staged(&l.flitSlab) {
+		l.flits.Push(t)
+	}
+	for _, b := range staged(&l.credSlab) {
+		l.credits.push(b)
+	}
+	l.dropStaged()
+	l.epoch = clock
 }
 
-// DisableEpochDelivery returns the link to per-cycle parity delivery.
-// resumeAt is the next cycle the simulation will run; the drained markers
-// are set so the first fold of that cycle takes the race-free fast path
-// (only the slab producers are not writing). Staged epoch entries are
-// folded into the rings first. Quiescent-only, like EnableEpochDelivery.
-//
-//stashsim:phase serial
-func (l *Link) DisableEpochDelivery(resumeAt int64) {
-	l.mergeFlitSlabs()
-	l.mergeCredSlabs()
-	l.epochClock = nil
-	l.flitDrained = resumeAt - 1
-	l.credDrained = resumeAt - 1
+// staged returns the entries still waiting in a direction's staging
+// slabs, in push (= arrival) order. Barrier-only: the consumer drained the
+// older slab when the last epoch began, so at most one slab is occupied
+// and its entries are all newer than the ring's.
+func staged[T any](slabs *[2][]T) []T {
+	if len(slabs[0]) > 0 && len(slabs[1]) > 0 {
+		panic("core: both link slabs staged at a barrier")
+	}
+	if len(slabs[0]) > 0 {
+		return slabs[0]
+	}
+	return slabs[1]
 }
 
-// EpochDelivery reports whether the link is in epoch-batched mode.
-func (l *Link) EpochDelivery() bool { return l.epochClock != nil }
+// dropStaged empties both staging slabs, keeping their capacity.
+func (l *Link) dropStaged() {
+	for s := range l.flitSlab {
+		l.flitSlab[s] = l.flitSlab[s][:0]
+		l.credSlab[s] = l.credSlab[s][:0]
+	}
+}
 
-// drainEpochFlits folds one parity slab into the consumer's ring at an
+// drainEpochFlits moves one staging slab onto the consumer's ring at an
 // epoch boundary. The caller (the consumer partition's drain, running
 // after the epoch barrier) passes the slab the producer filled during the
-// *previous* epoch; the producer is now staging into the other slab, so
-// the access is single-threaded by the same parity argument as the
-// per-cycle folds. Entries come out in push order, which is arrival-time
-// order because Latency is constant.
+// *previous* epoch; the producer is now staging into the other one.
+// Entries come out in push order, which is arrival order because Latency
+// is constant.
 //
 //stashsim:noalloc
 func (l *Link) drainEpochFlits(slab int) {
-	in := l.flitIn[slab]
+	in := l.flitSlab[slab]
 	for i := range in {
 		l.flits.Push(in[i])
 	}
-	l.flitIn[slab] = in[:0]
+	l.flitSlab[slab] = in[:0]
 }
 
 // drainEpochCredits is drainEpochFlits for the reverse path.
 //
 //stashsim:noalloc
 func (l *Link) drainEpochCredits(slab int) {
-	in := l.credIn[slab]
+	in := l.credSlab[slab]
 	for i := range in {
 		l.credits.push(in[i])
 	}
-	l.credIn[slab] = in[:0]
-}
-
-// FlitPending reports whether a flit is due for the consumer at now. It is
-// the consumer-side idle probe behind active-set scheduling: a few loads on
-// an idle link. Calling it also performs the once-per-cycle inbox fold, so a
-// port that consults it every cycle keeps the link on the race-free
-// fast-path fold even when the rest of its step is skipped.
-//stashsim:noalloc
-func (l *Link) FlitPending(now int64) bool {
-	l.foldFlits(now)
-	return l.flits.FrontDue(now)
-}
-
-// CreditPending is FlitPending for the reverse (credit) path.
-//
-//stashsim:noalloc
-func (l *Link) CreditPending(now int64) bool {
-	l.foldCredits(now)
-	return l.credits.frontDue(now) || l.synth.frontDue(now)
+	l.credSlab[slab] = in[:0]
 }
 
 // FaultDropped returns the number of flits destroyed on this link by
@@ -375,7 +216,6 @@ func (l *Link) FaultDropped() int64 { return l.faultDropped }
 //
 //stashsim:noalloc
 func (l *Link) RecvFlit(now int64) (proto.Flit, bool) {
-	l.foldFlits(now)
 	t, ok := l.flits.PopDue(now)
 	return t.Flit, ok
 }
@@ -386,46 +226,38 @@ func (l *Link) RecvFlit(now int64) (proto.Flit, bool) {
 //
 //stashsim:noalloc
 func (l *Link) PeekFlit(now int64) *proto.Flit {
-	l.foldFlits(now)
-	if l.flits.Empty() {
+	if !l.flits.FrontDue(now) {
 		return nil
 	}
-	front := l.flits.Front()
-	if front.At > now {
-		return nil
-	}
-	return &front.Flit
+	return &l.flits.Front().Flit
 }
 
 // DropFlit consumes the flit previously returned by PeekFlit.
 //
 //stashsim:noalloc
 func (l *Link) DropFlit(now int64) {
-	l.foldFlits(now)
 	if _, ok := l.flits.PopDue(now); !ok {
 		panic("core: DropFlit with no due flit")
 	}
 }
 
-// InFlightFlits returns the number of flits on the wire, folded or not.
-// Audit-only: call it only while no component is stepping (between runs,
-// or from the executor's serial PreCycle/PostCycle hooks).
+// InFlightFlits returns the number of flits on the wire, staged or not.
+// Audit-only: call it only at a barrier (between runs, or from the
+// executor's serial PreCycle/PostCycle hooks).
 func (l *Link) InFlightFlits() int {
-	return l.flits.Len() + len(l.flitIn[0]) + len(l.flitIn[1])
+	return l.flits.Len() + len(staged(&l.flitSlab))
 }
 
-// auditFlits calls fn for every flit currently on the wire, including
-// entries still in the parity inboxes. Used by the invariant checker only
-// (fn must not mutate the flit), under the same quiescence rule as
-// InFlightFlits; the visit order is deterministic but not arrival order.
+// auditFlits calls fn for every flit currently on the wire, in arrival
+// order. Used by the invariant checker only (fn must not mutate the
+// flit), under the same barrier rule as InFlightFlits.
 func (l *Link) auditFlits(fn func(*proto.Flit)) {
 	for i := 0; i < l.flits.Len(); i++ {
 		fn(&l.flits.At(i).Flit)
 	}
-	for s := range l.flitIn {
-		for i := range l.flitIn[s] {
-			fn(&l.flitIn[s][i].Flit)
-		}
+	stagedFlits := staged(&l.flitSlab)
+	for i := range stagedFlits {
+		fn(&stagedFlits[i].Flit)
 	}
 }
 
@@ -448,39 +280,10 @@ func (l *Link) auditCredits(fn func(proto.Credit)) {
 	for i := 0; i < l.synth.n; i++ {
 		audit(l.synth.at(i))
 	}
-	for s := range l.credIn {
-		for i := range l.credIn[s] {
-			audit(&l.credIn[s][i])
-		}
+	stagedCred := staged(&l.credSlab)
+	for i := range stagedCred {
+		audit(&stagedCred[i])
 	}
-}
-
-// SendCredit returns a credit to the link's producer; it arrives after the
-// same latency as the forward path. Credits sent during the same cycle
-// coalesce into one batch entry.
-//stashsim:noalloc
-func (l *Link) SendCredit(now int64, c proto.Credit) {
-	at := now + l.Latency
-	if ec := l.epochClock; ec != nil {
-		// Epoch mode: same staging rule as SendFlit — current epoch's
-		// slab, no cross-partition wake-board write.
-		s := ec.Load() & 1
-		if n := len(l.credIn[s]); n > 0 && l.credIn[s][n-1].at == at {
-			l.credIn[s][n-1].add(c)
-			return
-		}
-		l.credIn[s] = append(l.credIn[s], newCreditBatch(at, c))
-		return
-	}
-	s := now & 1
-	if l.credWake != nil {
-		l.credWake[s][l.credPort] = true
-	}
-	if n := len(l.credIn[s]); n > 0 && l.credIn[s][n-1].at == at {
-		l.credIn[s][n-1].add(c)
-		return
-	}
-	l.credIn[s] = append(l.credIn[s], newCreditBatch(at, c))
 }
 
 // RecvCredit returns the next credit whose arrival time has passed: the
@@ -488,12 +291,10 @@ func (l *Link) SendCredit(now int64, c proto.Credit) {
 // fault-drop credits, ties going to the receiver's. Within one batch
 // (one sending cycle) credits come out reserved-VC-ascending, then shared;
 // every consumer folds them into a commutative counter, so the intra-cycle
-// order carries no information. Due-time order across the two rings keeps
-// the result independent of how the two push sides interleave within a
-// cycle, which the parallel executor does not define.
+// order carries no information.
+//
 //stashsim:noalloc
 func (l *Link) RecvCredit(now int64) (proto.Credit, bool) {
-	l.foldCredits(now)
 	cf, cok := l.credits.front()
 	sf, sok := l.synth.front()
 	switch {
@@ -507,13 +308,12 @@ func (l *Link) RecvCredit(now int64) (proto.Credit, bool) {
 
 // RecvCreditsInto folds every due credit — receiver-returned and
 // fault-synthesized — into cc and returns how many were applied. This is
-// the hot-path form of RecvCredit: one inbox fold and a few integer adds
-// per sending cycle, instead of one ring pop per credit. Equivalent to
-// draining RecvCredit in a loop because CreditCounter.Return is
-// commutative.
+// the hot-path form of RecvCredit: a few integer adds per sending cycle
+// instead of one ring pop per credit. Equivalent to draining RecvCredit
+// in a loop because CreditCounter.Return is commutative.
+//
 //stashsim:noalloc
 func (l *Link) RecvCreditsInto(now int64, cc *buffer.CreditCounter) int {
-	l.foldCredits(now)
 	return l.credits.popDueInto(now, cc) + l.synth.popDueInto(now, cc)
 }
 
@@ -637,7 +437,7 @@ func (r *timedCreditRing) front() (*creditBatch, bool) {
 }
 
 // frontDue reports whether the front batch is due; small enough to inline
-// into the per-cycle CreditPending probe, and header-only via nextAt.
+// into Switch.Step's armedCred walk, and header-only via nextAt.
 //
 //stashsim:noalloc
 func (r *timedCreditRing) frontDue(now int64) bool {

@@ -148,7 +148,7 @@ func (s *Switch) stashArrival(now sim.Tick, op *outPort, f proto.Flit) {
 // link-level retention window has passed and — when the serialization
 // accumulator allows — transmit one flit, observing end-to-end ACKs at end
 // ports on the way out. Returned credits are folded into the counter by the
-// caller's CreditPending/RecvCreditsInto pair before this runs.
+// armedCred walk in Switch.Step (RecvCreditsInto) before this runs.
 //
 // Active-set scheduling may skip an idle port for whole stretches of
 // cycles, so the serialization accumulator advances by formula rather than

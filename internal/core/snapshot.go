@@ -9,9 +9,9 @@ import (
 )
 
 // Checkpoint hooks for the switch core. Everything here runs only at a
-// serial cycle barrier (the network forces one with a 1-cycle epoch when
-// checkpointing under the parallel executor), so every link inbox slab is
-// quiescent and every switch field is safe to walk.
+// serial cycle barrier (the network clamps an epoch to end on the
+// checkpoint cycle), so every link staging slab is quiescent and every
+// switch field is safe to walk.
 //
 // Link ownership: a Link is shared by its producer and consumer, so each
 // link must be captured exactly once. The convention is consumer-side:
@@ -21,55 +21,40 @@ import (
 // switches and endpoints in the same order as the checkpoint walk, so the
 // streams line up by construction.
 //
-// The link encoding is mode-canonical: entries still staged in the parity
-// (or epoch) inbox slabs are merged into the ring stream by arrival time,
-// slab 0 winning ties — exactly the order mergeFlitSlabs/mergeCredSlabs
-// would fold them, and, because at a barrier the slabs' entries are all
-// newer than the ring's, also exactly the order the per-cycle and epoch
-// drains would have produced. A checkpoint therefore serializes to the
-// same bytes whether the run was in per-cycle or epoch-batched delivery,
-// and restore always lands in the canonical "everything folded" state:
-// rings hold all in-flight entries, slabs are empty, and pending work is
-// re-announced from ring occupancy (ReannounceIn/ReannounceCred).
+// The link encoding is form-canonical: entries still staged in a
+// partition-crossing link's slab follow the ring's in the stream, which
+// is arrival order (at a barrier the staged entries are all newer than
+// the ring's — see staged in link.go) and therefore exactly the ring a
+// same-partition link would hold. A checkpoint serializes to the same
+// bytes under any partitioning, and restore always lands in the
+// canonical state: rings hold all in-flight entries, slabs are empty, and
+// the network's repartition re-arms pending work from ring occupancy.
 
 // EncodeState appends the link's in-flight flits, credits, synthesized
-// credits, and fault-destruction count. Non-mutating: inbox slabs are
-// merged into the output stream, not into the rings.
+// credits, and fault-destruction count. Non-mutating: staged entries are
+// appended to the output stream, not to the rings.
 //
-//stashsim:phase serial -- reads both inbox slabs; runs only at a cycle barrier
+//stashsim:phase serial -- reads the staging slabs; runs only at a cycle barrier
 func (l *Link) EncodeState(w *snapshot.Writer) {
 	w.Section("LINK")
-	w.Count(l.flits.Len() + len(l.flitIn[0]) + len(l.flitIn[1]))
+	stagedFlits := staged(&l.flitSlab)
+	w.Count(l.flits.Len() + len(stagedFlits))
 	for i := 0; i < l.flits.Len(); i++ {
 		t := l.flits.At(i)
 		w.I64(t.At)
 		w.Flit(&t.Flit)
 	}
-	a, b := l.flitIn[0], l.flitIn[1]
-	for i, j := 0, 0; i < len(a) || j < len(b); {
-		if j == len(b) || (i < len(a) && a[i].At <= b[j].At) {
-			w.I64(a[i].At)
-			w.Flit(&a[i].Flit)
-			i++
-		} else {
-			w.I64(b[j].At)
-			w.Flit(&b[j].Flit)
-			j++
-		}
+	for i := range stagedFlits {
+		w.I64(stagedFlits[i].At)
+		w.Flit(&stagedFlits[i].Flit)
 	}
-	w.Count(l.credits.n + len(l.credIn[0]) + len(l.credIn[1]))
+	stagedCred := staged(&l.credSlab)
+	w.Count(l.credits.n + len(stagedCred))
 	for i := 0; i < l.credits.n; i++ {
 		encodeCreditBatch(w, l.credits.at(i))
 	}
-	ca, cb := l.credIn[0], l.credIn[1]
-	for i, j := 0, 0; i < len(ca) || j < len(cb); {
-		if j == len(cb) || (i < len(ca) && ca[i].at <= cb[j].at) {
-			encodeCreditBatch(w, &ca[i])
-			i++
-		} else {
-			encodeCreditBatch(w, &cb[j])
-			j++
-		}
+	for i := range stagedCred {
+		encodeCreditBatch(w, &stagedCred[i])
 	}
 	w.Count(l.synth.n)
 	for i := 0; i < l.synth.n; i++ {
@@ -78,19 +63,16 @@ func (l *Link) EncodeState(w *snapshot.Writer) {
 	w.I64(l.faultDropped)
 }
 
-// DecodeState restores the link into the canonical folded state: every
-// in-flight entry in its ring, inbox slabs empty, drained markers set so
-// the first fold of cycle resumeAt takes the race-free fast path, and
-// per-cycle delivery mode (the epoch executor re-enables epoch delivery
-// when it is rebuilt).
+// DecodeState restores the link's traffic into the canonical state: every
+// in-flight entry in its ring, staging slabs empty. The delivery form is
+// left alone — it belongs to the network's partitioning, not the snapshot.
 //
 //stashsim:phase serial -- rewrites both paths; runs only before the restored run starts
-func (l *Link) DecodeState(rd *snapshot.Reader, resumeAt int64) {
+func (l *Link) DecodeState(rd *snapshot.Reader) {
 	rd.Section("LINK")
 	n := rd.Count(8 + 43)
 	l.flits = buffer.TimedRing{}
-	l.flitIn[0] = l.flitIn[0][:0]
-	l.flitIn[1] = l.flitIn[1][:0]
+	l.dropStaged()
 	for i := 0; i < n; i++ {
 		at := rd.I64()
 		f := rd.Flit()
@@ -101,8 +83,6 @@ func (l *Link) DecodeState(rd *snapshot.Reader, resumeAt int64) {
 	}
 	n = rd.Count(creditBatchWireSize)
 	l.credits = timedCreditRing{}
-	l.credIn[0] = l.credIn[0][:0]
-	l.credIn[1] = l.credIn[1][:0]
 	for i := 0; i < n; i++ {
 		b := decodeCreditBatch(rd)
 		if rd.Err() != nil {
@@ -120,9 +100,6 @@ func (l *Link) DecodeState(rd *snapshot.Reader, resumeAt int64) {
 		l.synth.push(b)
 	}
 	l.faultDropped = rd.I64()
-	l.flitDrained = resumeAt - 1
-	l.credDrained = resumeAt - 1
-	l.epochClock = nil
 }
 
 // creditBatchWireSize is the serialized size of one credit batch: due
@@ -149,10 +126,9 @@ func decodeCreditBatch(rd *snapshot.Reader) creditBatch {
 
 // EncodeState appends the switch's full dynamic state. Scratch that every
 // cycle recomputes from captured state is skipped: the allocator request
-// masks, the e2eEntry freelist, and the wake boards and armed masks —
-// after restore, pending link work is re-announced from ring occupancy
-// (ReannounceIn/ReannounceCred), which at a barrier is exactly what the
-// consumed wake flags and armed bits carried.
+// masks, the e2eEntry freelist, and the link arm masks — after restore
+// they are rebuilt from ring occupancy (Rearm), which at a barrier is
+// exactly what the armed bits carried.
 //
 //stashsim:phase serial -- walks every partition-owned structure; runs only at a cycle barrier
 func (s *Switch) EncodeState(w *snapshot.Writer) {
@@ -252,12 +228,10 @@ func (s *Switch) EncodeState(w *snapshot.Writer) {
 }
 
 // DecodeState restores the switch's dynamic state into a freshly built
-// switch of the identical configuration. resumeAt is the cycle the
-// restored run will execute next; it parameterizes the links' drained
-// markers.
+// switch of the identical configuration.
 //
 //stashsim:phase serial -- rewrites every partition-owned structure; runs only before the restored run starts
-func (s *Switch) DecodeState(rd *snapshot.Reader, resumeAt int64) {
+func (s *Switch) DecodeState(rd *snapshot.Reader) {
 	rd.Section("SWCH")
 	s.rng.SetState(rd.U64())
 	s.router.DecodeState(rd)
@@ -276,7 +250,7 @@ func (s *Switch) DecodeState(rd *snapshot.Reader, resumeAt int64) {
 	}
 	for p := 0; p < s.radix; p++ {
 		ip := &s.in[p]
-		ip.link.DecodeState(rd, resumeAt)
+		ip.link.DecodeState(rd)
 		ip.buf.DecodeState(rd)
 		for vc := range ip.latch {
 			decodeRouteLatch(rd, &ip.latch[vc])
@@ -640,7 +614,7 @@ func (c *Config) fingerprintPairs() [][2]string {
 		{"stash.capfrac", f("%g", c.StashCapFrac)},
 		{"stash.frac.endpoint", f("%g", c.StashFracEndpoint)},
 		{"stash.frac.local", f("%g", c.StashFracLocal)},
-		{"stash.banks", f("%d", c.Topo.P + c.Topo.A - 1)},
+		{"stash.banks", f("%d", c.Topo.P+c.Topo.A-1)},
 		{"ecn", f("%v/%g/%d/%d/%d:%d/%d", c.ECN.Enabled, c.ECN.CongestFrac, c.ECN.WindowMax,
 			c.ECN.WindowFloor, c.ECN.DecreaseNum, c.ECN.DecreaseDen, c.ECN.RecoverPeriod)},
 		{"route", f("%d/%d/%v", c.Route.Bias, c.Route.Threshold, c.Route.Adaptive)},

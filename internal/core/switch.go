@@ -234,14 +234,12 @@ type Switch struct {
 	inActive  uint64
 	outActive uint64
 
-	// Link wake state. flitWake and credWake are the parity wake boards the
-	// attached links' producers write into (see Link); Step scans slab
-	// (now+1)&1 each cycle — one cache line — instead of probing every link
-	// struct. armedIn and armedCred carry over the ports whose link rings
-	// still hold entries not yet due, which no future wake flag will
-	// re-announce.
-	flitWake  [2][64]bool
-	credWake  [2][64]bool
+	// Link arm masks: armedIn has a bit per input port whose link ring
+	// holds flits, armedCred a bit per output port whose link holds
+	// returned or synthesized credits. A same-partition producer sets the
+	// bit as it pushes (see Link), the epoch drain sets it for
+	// partition-crossing links, and Step keeps it while entries not yet due
+	// remain — so Step touches only links with something on the wire.
 	armedIn   uint64
 	armedCred uint64
 
@@ -340,30 +338,28 @@ func NewSwitch(id int, cfg *Config, rng *sim.RNG) *Switch {
 	return s
 }
 
-// AttachInLink wires the incoming link of input port p and registers this
-// switch's flit wake board with it, so the link's producer announces sends
+// AttachInLink wires the incoming link of input port p and hands the link
+// this switch's armedIn bit, so the link's producer announces sends
 // instead of the switch probing the link every cycle.
 func (s *Switch) AttachInLink(p int, l *Link) {
 	s.in[p].link = l
-	l.flitWake = &s.flitWake
-	l.flitPort = uint8(p)
+	l.flitArm, l.flitBit = &s.armedIn, 1<<uint(p)
 }
 
 // AttachOutLink wires the outgoing link of output port p. The credit
 // counter mirrors the downstream input buffer; pass zero capacity for
-// endpoint-facing ports (endpoints sink flits without credits). The
-// switch's credit wake board is registered with the link so the
-// downstream receiver announces credit returns.
+// endpoint-facing ports (endpoints sink flits without credits). The link
+// gets this switch's armedCred bit so the downstream receiver announces
+// credit returns.
 func (s *Switch) AttachOutLink(p int, l *Link, downstreamCap int) {
 	s.out[p].link = l
-	l.credWake = &s.credWake
-	l.credPort = uint8(p)
+	l.credArm, l.credBit = &s.armedCred, 1<<uint(p)
 	if downstreamCap > 0 {
 		s.out[p].credits = buffer.NewCreditCounter(downstreamCap, proto.NumNetVCs)
 	}
 }
 
-// DrainEpochFlits folds one epoch's staged arrivals on input port p into
+// DrainEpochFlits moves one epoch's staged arrivals on input port p onto
 // the port's ring and arms the port if anything is now pending. It runs on
 // the switch's owning partition worker at an epoch boundary, after the
 // epoch barrier ordered the remote producer's slab writes before this
@@ -381,9 +377,9 @@ func (s *Switch) DrainEpochFlits(p int, slab int) {
 }
 
 // DrainEpochCredits is DrainEpochFlits for the reverse path of output
-// port p: it folds the consumer's returned credits staged last epoch and
-// arms the credit scan if any credit (returned or fault-synthesized) is
-// outstanding.
+// port p: it delivers the consumer's returned credits staged last epoch
+// and arms the credit walk if any credit (returned or fault-synthesized)
+// is outstanding.
 //
 //stashsim:phase parallel
 //stashsim:noalloc
@@ -395,25 +391,21 @@ func (s *Switch) DrainEpochCredits(p int, slab int) {
 	}
 }
 
-// ReannounceIn arms input port p if its link ring holds undelivered flits.
-// Used when a link changes delivery mode between runs: wake flags raised
-// under the old mode may already be consumed, so pending work is
-// re-announced directly.
+// Rearm rebuilds both arm masks from ring occupancy. The network calls it
+// whenever entries reach the rings without a producer push — a
+// repartition flushing staging slabs, or a restore — which at a barrier
+// is exactly the state the pushes would have left.
 //
 //stashsim:phase serial
-func (s *Switch) ReannounceIn(p int) {
-	if s.in[p].link.flits.Len() > 0 {
-		s.armedIn |= 1 << uint(p)
-	}
-}
-
-// ReannounceCred is ReannounceIn for the credit path of output port p.
-//
-//stashsim:phase serial
-func (s *Switch) ReannounceCred(p int) {
-	l := s.out[p].link
-	if l.credits.n > 0 || l.synth.n > 0 {
-		s.armedCred |= 1 << uint(p)
+func (s *Switch) Rearm() {
+	s.armedIn, s.armedCred = 0, 0
+	for p := 0; p < s.radix; p++ {
+		if s.in[p].link.flits.Len() > 0 {
+			s.armedIn |= 1 << uint(p)
+		}
+		if l := s.out[p].link; l.credits.n > 0 || l.synth.n > 0 {
+			s.armedCred |= 1 << uint(p)
+		}
 	}
 }
 
@@ -640,10 +632,10 @@ var _ sim.Stepper = (*Switch)(nil)
 // retention-held flits, a non-empty retrieval queue — and costs nothing
 // otherwise, so an idle region of the network is skipped outright
 // (work-proportional stepping). Pending-ness is announced, not probed:
-// link producers raise parity wake flags (see Link) that Step scans as
-// one cache line per direction, the armed masks carry ports whose link
-// rings hold entries not yet due, and the activity masks are maintained
-// by the owner at every site that queues work for a port. Any per-cycle
+// link producers (or the epoch drain) set the port's armed bit as they
+// push (see Link), the bit stays set while the ring holds entries not yet
+// due, and the activity masks are maintained by the owner at every site
+// that queues work for a port. Any per-cycle
 // state a skipped stage would have advanced is reconstructed
 // deterministically on wake — the output serialization accumulator
 // catches up in stepOutput (accTick), and an idle input port's ECN
@@ -667,23 +659,14 @@ func (s *Switch) Step(now sim.Tick) {
 	if s.sideband.n > 0 {
 		s.stepSideband(now)
 	}
-	// Fold announced credit returns straight into the counters. The wake
-	// slab holds flags producers raised last cycle; the armed mask re-visits
-	// links whose folded batches are not yet due (future deadlines, synth).
-	cw := &s.credWake[(now+1)&1]
+	// Fold due credit returns straight into the counters; a link whose
+	// batches are not yet due (future deadlines, synth) stays armed.
 	cm := s.armedCred
-	for p := 0; p < s.radix; p++ {
-		if cw[p] {
-			cw[p] = false
-			cm |= 1 << uint(p)
-		}
-	}
 	s.armedCred = 0
 	for m := cm; m != 0; m &= m - 1 {
 		p := bits.TrailingZeros64(m)
 		op := &s.out[p]
 		l := op.link
-		l.foldWakeCredits(now)
 		if op.credits != nil && (l.credits.frontDue(now) || l.synth.frontDue(now)) {
 			l.RecvCreditsInto(now, op.credits)
 		}
@@ -724,23 +707,14 @@ func (s *Switch) Step(now sim.Tick) {
 			ip.congested = false
 		}
 	}
-	// Arrivals: announced sends plus armed links with flits still in
-	// flight. A port absent from both sets provably has an empty ring and
-	// an empty foldable inbox slot, so skipping its fold is safe.
-	fw := &s.flitWake[(now+1)&1]
+	// Arrivals: links with flits on the wire. An unarmed port provably
+	// has an empty ring, so skipping it is safe.
 	am := s.armedIn
-	for p := 0; p < s.radix; p++ {
-		if fw[p] {
-			fw[p] = false
-			am |= 1 << uint(p)
-		}
-	}
 	s.armedIn = 0
 	for m := am; m != 0; m &= m - 1 {
 		p := bits.TrailingZeros64(m)
 		ip := &s.in[p]
 		l := ip.link
-		l.foldWakeFlits(now)
 		if l.flits.FrontDue(now) {
 			s.stepArrivals(now, ip)
 			if ip.buf.Used() > 0 {

@@ -124,11 +124,10 @@ func (e *Endpoint) EncodeState(w *snapshot.Writer) {
 }
 
 // DecodeState restores the endpoint's dynamic state into a freshly built
-// endpoint of the identical configuration. resumeAt is the cycle the
-// restored run will execute next.
+// endpoint of the identical configuration.
 //
 //stashsim:phase serial -- rewrites partition-owned queues and maps; runs only before the restored run starts
-func (e *Endpoint) DecodeState(rd *snapshot.Reader, resumeAt int64) {
+func (e *Endpoint) DecodeState(rd *snapshot.Reader) {
 	rd.Section("ENDP")
 	e.rng.SetState(rd.U64())
 	hasGen := rd.Bool()
@@ -146,7 +145,7 @@ func (e *Endpoint) DecodeState(rd *snapshot.Reader, resumeAt int64) {
 	if hasGen {
 		e.GenRNG.SetState(rd.U64())
 	}
-	e.fromSw.DecodeState(rd, resumeAt)
+	e.fromSw.DecodeState(rd)
 	e.credits.DecodeState(rd)
 	e.acc = int(rd.I64())
 	e.rrIdx = int(rd.I64())

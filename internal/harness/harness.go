@@ -54,13 +54,6 @@ type Options struct {
 	// assembled in index order (see forEachPoint).
 	Workers int
 
-	// Epoch is the cycle-level synchronization policy applied to every
-	// experiment network (the -epoch flag of cmd/figures; see
-	// network.ParseEpochPolicy). Experiment networks currently run their
-	// cycles serially, so this only takes effect if an experiment opts a
-	// network into cycle-level workers; results are identical either way.
-	Epoch string
-
 	// CheckpointPath, when non-empty, writes a warm snapshot of every
 	// design point that runs a warmup window: at the serial barrier
 	// before cycle CheckpointAt — which must fall inside the warmup
@@ -198,11 +191,6 @@ func (o *Options) mustNet(cfg *core.Config) *network.Network {
 	if err != nil {
 		panic(fmt.Sprintf("harness: %v", err))
 	}
-	pol, err := network.ParseEpochPolicy(o.Epoch)
-	if err != nil {
-		panic(fmt.Sprintf("harness: %v", err))
-	}
-	n.SetEpochPolicy(pol)
 	if o.Invariants {
 		every := o.InvariantsEvery
 		if every <= 0 {

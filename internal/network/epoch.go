@@ -1,29 +1,31 @@
 package network
 
 import (
-	"fmt"
-	"strconv"
-
 	"stashsim/internal/core"
 	"stashsim/internal/sim"
 	"stashsim/internal/topo"
 )
 
-// Epoch-synchronized conservative execution (PDES with lookahead). The
-// dragonfly's own geometry supplies the lookahead: partitions are whole
-// groups, the only links crossing a partition boundary are global links,
-// and a global link costs hundreds of cycles — so partitions may free-run
-// for up to that many cycles between barriers without reordering any
-// delivery. Cross-partition links switch into epoch-batched delivery
-// (core.Link.EnableEpochDelivery): producers stage an epoch's flits and
-// credits into per-link SPSC parity slabs, and each partition's worker
-// drains the previous epoch's slab right after the epoch barrier. Serial
+// One execution model: the network is cut into partitions of switches
+// (each with its endpoints), every partition free-runs for an epoch, and
+// all meet at a barrier. The topology supplies the epoch length: nothing
+// sent over a link is due sooner than its latency, so partitions may run
+// apart by the smallest latency among the links that cross between them
+// without reordering any delivery. Those crossing links stage an epoch's
+// flits and credits in per-link parity slabs that the receiving partition
+// drains right after the barrier (core.Link.Stage); every other link has
+// both ends on one goroutine and pushes directly. A single partition has
+// no crossing links and no barrier — that is serial execution. Serial
 // per-cycle singletons (fault events, sampler, watchdog, invariants,
 // telemetry, flight recorder) keep their cycle-exact semantics because
 // epochs are additionally clamped to end on the next such event, which
-// then runs as a 1-cycle epoch bracketed by the usual hooks.
+// then runs as a 1-cycle epoch bracketed by the hooks.
 
-// epochPortRef names one (switch, port) side of an epoch-mode link.
+// unboundedLookahead is the executor lookahead when no link crosses a
+// partition: epochs then end only on serial events and the Run bound.
+const unboundedLookahead = 1 << 62
+
+// epochPortRef names one (switch, port) side of a partition-crossing link.
 //
 //stashsim:owner partition
 type epochPortRef struct {
@@ -31,23 +33,11 @@ type epochPortRef struct {
 	port int
 }
 
-// epochLink records one cross-partition link's wiring for teardown and
-// drain construction.
-type epochLink struct {
-	link     *core.Link
-	prod     *core.Switch
-	prodPort int
-	cons     *core.Switch
-	consPort int
-	prodPart int
-	consPart int
-}
-
-// partitionDrainer delivers one partition's share of the epoch-batched
-// traffic: the flit side of every cross-partition link whose consumer the
-// partition owns, and the credit side of every one whose producer it
-// owns. Both sides fold into rings owned by this partition's switches, so
-// the drain is single-writer by construction.
+// partitionDrainer delivers one partition's share of the staged traffic:
+// the flit side of every crossing link whose consumer the partition owns,
+// and the credit side of every one whose producer it owns. Both sides land
+// in rings owned by this partition's switches, so the drain is
+// single-writer by construction.
 //
 //stashsim:owner partition
 type partitionDrainer struct {
@@ -55,9 +45,9 @@ type partitionDrainer struct {
 	creds []epochPortRef
 }
 
-// DrainEpoch implements sim.EpochDrainer: fold the slab the remote sides
-// filled during the previous epoch ((epoch-1)&1 — producers now stage
-// into the other slab) and arm the owning switches' active sets.
+// DrainEpoch implements sim.EpochDrainer: deliver the slab the remote
+// sides filled during the previous epoch ((epoch-1)&1 — producers now
+// stage into the other slab) and arm the owning switches.
 //
 //stashsim:phase parallel
 //stashsim:noalloc
@@ -71,181 +61,115 @@ func (d *partitionDrainer) DrainEpoch(epoch int64) {
 	}
 }
 
-// ParseEpochPolicy parses the CLI-facing -epoch value into a policy for
-// SetEpochPolicy: "auto" (or empty) selects epoch sync whenever it
-// applies, "off" forces the per-cycle barrier, and a positive integer
-// caps the epoch length at that many cycles.
-func ParseEpochPolicy(s string) (int64, error) {
-	switch s {
-	case "", "auto":
-		return 0, nil
-	case "off":
-		return -1, nil
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || v < 1 {
-		return 0, fmt.Errorf("network: epoch policy %q is not auto, off, or a positive cycle count", s)
-	}
-	return v, nil
-}
+// EpochLookahead reports the epoch-length cap in force, in cycles: the
+// smallest latency among the links that cross between partitions. 0 means
+// no link crosses (a single partition), so nothing caps an epoch but
+// serial events and the Run bound.
+func (n *Network) EpochLookahead() int64 { return n.lookahead }
 
-// SetEpochPolicy selects the synchronization scheme for parallel runs:
-// v == 0 (the default) picks epoch synchronization automatically whenever
-// the worker count allows group-aligned partitions and the topology
-// grants a lookahead of at least two cycles; v < 0 forces the per-cycle
-// barrier; v > 0 additionally caps the epoch length at v cycles (still
-// clamped to the safe lookahead). Call before Run; changing the policy
-// tears down any built executor.
-func (n *Network) SetEpochPolicy(v int64) {
-	if v == n.epochPolicy {
-		return
-	}
-	n.teardownExec()
-	n.epochPolicy = v
-}
-
-// EpochLookahead reports the epoch length cap of the active executor in
-// cycles, forcing the lazy build; 0 means per-cycle synchronization
-// (serial, round-robin fallback, or epoch sync disabled/inapplicable).
-func (n *Network) EpochLookahead() int64 {
-	if n.workers > 1 {
-		n.executor()
-	}
-	return n.epochLookahead
-}
-
-// buildEpochExecutor constructs the group-partitioned epoch executor, or
-// returns nil when epoch sync does not apply: serial mode, policy off,
-// more workers than groups (round-robin remains the fallback for
-// non-group-aligned counts), or an effective lookahead below two cycles.
-func (n *Network) buildEpochExecutor() *sim.Executor {
-	if n.workers <= 1 || n.epochPolicy < 0 {
-		return nil
+// repartition cuts the network into n.workers partitions and rebuilds the
+// executor over them. It is the one routine behind SetWorkers, Close, the
+// profiler attach calls, New and Restore, and runs only at a barrier:
+// stop the old workers, flush every link's staged traffic into its ring,
+// mark each switch-to-switch link as crossing or internal under the new
+// cut, and re-arm every switch from ring occupancy — so a run continues
+// exactly where the previous partitioning stopped.
+//
+// Partition w owns a contiguous block of whole groups while there are
+// enough groups to go around, so only global links cross; with more
+// workers than groups it owns a contiguous block of switches instead and
+// local links cross too (a shorter lookahead, the same algorithm).
+// Endpoints stay with their switch, so endpoint links never cross.
+func (n *Network) repartition() {
+	if n.exec != nil {
+		n.exec.Close()
 	}
 	d := n.Cfg.Topo
-	W, G := n.workers, d.Groups()
-	if W > G {
-		return nil
+	W, units, unitOf := n.workers, d.Groups(), d.Group
+	if W > units {
+		units, unitOf = d.NumSwitches(), func(sw int) int { return sw }
+	}
+	// Unit u belongs to the w with w*units/W <= u < (w+1)*units/W.
+	partOf := func(sw int) int { return ((unitOf(sw)+1)*W - 1) / units }
+
+	// Per-partition component lists, endpoints first (the profiled
+	// phase-A/phase-B split), both in ID order.
+	parts := make([][]sim.Stepper, W)
+	aCounts := make([]int, W)
+	for i, ep := range n.Endpoints {
+		sw, _ := d.EndpointSwitch(i)
+		w := partOf(sw)
+		parts[w] = append(parts[w], ep)
+		aCounts[w]++
+	}
+	for sw, s := range n.Switches {
+		w := partOf(sw)
+		parts[w] = append(parts[w], s)
 	}
 
-	// Contiguous whole-group blocks: partition w owns groups
-	// [w*G/W, (w+1)*G/W). Every partition gets at least one group.
-	groupPart := make([]int, G)
-	for w := 0; w < W; w++ {
-		for g := w * G / W; g < (w+1)*G/W; g++ {
-			groupPart[g] = w
-		}
-	}
-	partOfSwitch := func(sw int) int { return groupPart[d.Group(sw)] }
-
-	// Enumerate cross-partition links (producer view, same walk as New).
-	// Only global links can cross — endpoints and local links stay inside
-	// one group — and the lookahead is the smallest latency among them.
-	var links []epochLink
-	lookahead := int64(0)
-	for sw := 0; sw < d.NumSwitches(); sw++ {
-		s := n.Switches[sw]
+	// Classify every switch-to-switch link (producer view, same walk as
+	// New). Internal links return to direct pushes at once; crossing ones
+	// are staged below, when the new executor's epoch clock exists.
+	var crossing []*core.Link
+	var drainers []partitionDrainer
+	n.lookahead = 0
+	for sw, s := range n.Switches {
 		for port := 0; port < d.Radix(); port++ {
 			if d.PortClass(port) == topo.Endpoint {
 				continue
 			}
 			nsw, nport := d.Neighbor(sw, port)
-			pp, cp := partOfSwitch(sw), partOfSwitch(nsw)
+			l := s.AuditOutLink(port)
+			pp, cp := partOf(sw), partOf(nsw)
 			if pp == cp {
+				l.Stage(nil)
 				continue
 			}
-			l := s.AuditOutLink(port)
-			links = append(links, epochLink{
-				link: l, prod: s, prodPort: port,
-				cons: n.Switches[nsw], consPort: nport,
-				prodPart: pp, consPart: cp,
-			})
-			if lookahead == 0 || l.Latency < lookahead {
-				lookahead = l.Latency
+			if drainers == nil {
+				drainers = make([]partitionDrainer, W)
+			}
+			crossing = append(crossing, l)
+			drainers[cp].flits = append(drainers[cp].flits, epochPortRef{n.Switches[nsw], nport})
+			drainers[pp].creds = append(drainers[pp].creds, epochPortRef{s, port})
+			if n.lookahead == 0 || l.Latency < n.lookahead {
+				n.lookahead = l.Latency
 			}
 		}
 	}
-	if cap := n.epochPolicy; cap > 0 && cap < lookahead {
-		lookahead = cap
+	if n.epochCap > 0 && (n.lookahead == 0 || n.epochCap < n.lookahead) {
+		n.lookahead = n.epochCap
 	}
-	if lookahead < 2 {
-		return nil
+	lookahead := sim.Tick(unboundedLookahead)
+	if n.lookahead > 0 {
+		lookahead = sim.Tick(n.lookahead)
 	}
-
-	// Per-partition component lists, endpoints first (the profiled
-	// phase-A/phase-B split), both in ID order for determinism of the
-	// profiling attribution; results are order-independent.
-	parts := make([][]sim.Stepper, W)
-	aCounts := make([]int, W)
-	for i, ep := range n.Endpoints {
-		sw, _ := d.EndpointSwitch(i)
-		w := partOfSwitch(sw)
-		parts[w] = append(parts[w], ep)
-		aCounts[w]++
-	}
-	for sw, s := range n.Switches {
-		parts[partOfSwitch(sw)] = append(parts[partOfSwitch(sw)], s)
-	}
-
-	drainers := make([]partitionDrainer, W)
-	for _, el := range links {
-		drainers[el.consPart].flits = append(drainers[el.consPart].flits, epochPortRef{el.cons, el.consPort})
-		drainers[el.prodPart].creds = append(drainers[el.prodPart].creds, epochPortRef{el.prod, el.prodPort})
-	}
-	drains := make([]sim.EpochDrainer, W)
+	var drains []sim.EpochDrainer
 	for w := range drainers {
-		drains[w] = &drainers[w]
+		drains = append(drains, &drainers[w])
 	}
 
-	exec := sim.NewPartitionedExecutor(parts, aCounts)
-	exec.PreCycle = n.preCycle
-	exec.PostCycle = n.postCycle
-	exec.PostEpoch = func(next sim.Tick) { n.cycleDone.Store(int64(next)) }
-	exec.Profiler = n.Profiler
-	exec.EnableEpochSync(sim.Tick(lookahead), n.nextSerialEvent, drains)
-
-	clock := exec.EpochClock()
-	for _, el := range links {
-		el.link.EnableEpochDelivery(clock)
-		// Wake flags raised under cycle mode may already be consumed;
-		// re-announce any traffic still riding the rings.
-		el.cons.ReannounceIn(el.consPort)
-		el.prod.ReannounceCred(el.prodPort)
+	n.exec = sim.NewPartitionedExecutor(parts, aCounts, lookahead, drains)
+	n.exec.NextEvent = n.nextSerialEvent
+	n.exec.PreCycle = n.preCycle
+	n.exec.PostCycle = n.postCycle
+	n.exec.PostEpoch = func(next sim.Tick) { n.cycleDone.Store(int64(next)) }
+	n.exec.Profiler = n.Profiler
+	for _, l := range crossing {
+		l.Stage(n.exec.EpochClock())
 	}
-	n.epochLinks = links
-	n.epochLookahead = lookahead
-	return exec
-}
-
-// teardownExec closes the worker pool, if any, and unwinds epoch-mode
-// link wiring: every cross-partition link returns to per-cycle parity
-// delivery (staged traffic folded through, owners re-armed) so a serial
-// or round-robin run picks up exactly where the epoch executor stopped.
-func (n *Network) teardownExec() {
-	if n.exec != nil {
-		n.exec.Close()
-		n.exec = nil
+	for _, s := range n.Switches {
+		s.Rearm()
 	}
-	if n.epochLinks == nil {
-		return
-	}
-	resume := int64(n.Now)
-	for _, el := range n.epochLinks {
-		el.link.DisableEpochDelivery(resume)
-		el.cons.ReannounceIn(el.consPort)
-		el.prod.ReannounceCred(el.prodPort)
-	}
-	n.epochLinks = nil
-	n.epochLookahead = 0
 }
 
 // nextSerialEvent returns the next cycle >= from on which a serial
 // singleton must run at the barrier: a due (or overdue) stash-bank
 // failure, a sampler / invariant-audit / telemetry interval boundary, a
 // watchdog window boundary, or — when a flight recorder is attached —
-// every cycle (it records per-cycle deltas). The epoch scheduler clamps
-// epochs to end on the returned cycle and runs it as a 1-cycle epoch with
-// the hooks, so every observer keeps its per-cycle-execution semantics.
+// every cycle (it records per-cycle deltas). The executor clamps epochs to
+// end on the returned cycle and runs it as a 1-cycle epoch with the hooks,
+// so every observer sees exactly the cycles it would under a per-cycle
+// loop.
 //
 //stashsim:phase serial -- reads observer schedules; runs on the coordinator between epochs
 func (n *Network) nextSerialEvent(from sim.Tick) sim.Tick {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
-	"time"
 
 	"stashsim/internal/core"
 	"stashsim/internal/fault"
@@ -39,6 +38,13 @@ func buildLoadedWith(t *testing.T, seed uint64, mutate func(cfg *core.Config)) *
 	return n
 }
 
+// setEpochCap applies the test-only epoch-length cap: 1 forces a barrier
+// every cycle, small values force short epochs.
+func setEpochCap(n *Network, cap int64) {
+	n.epochCap = cap
+	n.repartition()
+}
+
 // mustMatchSerial runs par and a serial twin for the same cycles and
 // fails on any observable divergence.
 func mustMatchSerial(t *testing.T, par *Network, seed uint64, mutate func(cfg *core.Config), warm, run int64) {
@@ -63,72 +69,84 @@ func mustMatchSerial(t *testing.T, par *Network, seed uint64, mutate func(cfg *c
 	}
 }
 
-// TestEpochMatchesSerial is the determinism claim for the epoch-synchronized
-// executor: group partitions free-running for full-lookahead epochs produce
-// bit-identical results to the serial network, at every group-aligned
-// worker count.
+// TestEpochMatchesSerial is the determinism claim for the partitioned
+// executor: partitions free-running for full-lookahead epochs produce
+// bit-identical results to the one-partition network, for group-aligned
+// worker counts (only global links cross: lookahead 65 on tiny), for more
+// workers than tiny's 9 groups (switch blocks, local links cross too:
+// lookahead 13), and with every epoch capped to one cycle.
 func TestEpochMatchesSerial(t *testing.T) {
-	for _, workers := range []int{2, 3, 4, 9} {
+	for _, pt := range []struct {
+		workers        int
+		cap, lookahead int64
+	}{{2, 0, 65}, {3, 0, 65}, {9, 0, 65}, {12, 0, 13}, {4, 1, 1}} {
 		par := buildLoadedWith(t, 5, nil)
-		par.SetWorkers(workers)
-		if la := par.EpochLookahead(); la != par.Cfg.Lat.Global {
-			t.Fatalf("workers=%d: lookahead %d, want global latency %d", workers, la, par.Cfg.Lat.Global)
+		par.SetWorkers(pt.workers)
+		setEpochCap(par, pt.cap)
+		if la := par.EpochLookahead(); la != pt.lookahead {
+			t.Fatalf("workers=%d cap=%d: lookahead %d, want %d", pt.workers, pt.cap, la, pt.lookahead)
 		}
 		mustMatchSerial(t, par, 5, nil, 500, 6000)
 		par.Close()
 	}
 }
 
-// TestEpochPolicyOffMatches pins the per-cycle fallback: with the policy
-// forced off the executor must report no lookahead and still match.
+// TestEpochPolicyOffMatches pins the per-cycle barrier as a degenerate
+// epoch schedule: capped to one cycle, four workers still match.
 func TestEpochPolicyOffMatches(t *testing.T) {
 	par := buildLoadedWith(t, 6, nil)
 	par.SetWorkers(4)
-	par.SetEpochPolicy(-1)
+	setEpochCap(par, 1)
 	defer par.Close()
-	if la := par.EpochLookahead(); la != 0 {
-		t.Fatalf("policy off: lookahead %d, want 0", la)
+	if la := par.EpochLookahead(); la != 1 {
+		t.Fatalf("cap 1: lookahead %d, want 1", la)
 	}
 	mustMatchSerial(t, par, 6, nil, 300, 3000)
 }
 
-// TestEpochPolicyCap pins the explicit epoch-length cap: a positive policy
-// bounds the epoch below the topological lookahead and stays exact.
+// TestEpochPolicyCap pins the epoch-length cap: it bounds the epoch below
+// the topological lookahead and stays exact.
 func TestEpochPolicyCap(t *testing.T) {
 	par := buildLoadedWith(t, 7, nil)
 	par.SetWorkers(4)
-	par.SetEpochPolicy(7)
+	setEpochCap(par, 7)
 	defer par.Close()
 	if la := par.EpochLookahead(); la != 7 {
-		t.Fatalf("policy 7: lookahead %d, want 7", la)
+		t.Fatalf("cap 7: lookahead %d, want 7", la)
 	}
 	mustMatchSerial(t, par, 7, nil, 300, 3000)
 }
 
 // TestEpochGlobalLatencyOneDegrades forces the degenerate topology where
-// the lookahead would be a single cycle: epoch sync must refuse (per-cycle
-// sync instead) and the run must stay identical to serial.
+// the lookahead is a single cycle: the same loop must degrade to a barrier
+// every cycle and the run must stay identical to serial.
 func TestEpochGlobalLatencyOneDegrades(t *testing.T) {
 	squash := func(cfg *core.Config) { cfg.Lat.Global = 1 }
 	par := buildLoadedWith(t, 8, squash)
 	par.SetWorkers(4)
 	defer par.Close()
-	if la := par.EpochLookahead(); la != 0 {
-		t.Fatalf("global latency 1: lookahead %d, want 0 (per-cycle sync)", la)
+	if la := par.EpochLookahead(); la != 1 {
+		t.Fatalf("global latency 1: lookahead %d, want 1", la)
 	}
 	mustMatchSerial(t, par, 8, squash, 300, 3000)
 }
 
-// TestEpochWorkersExceedGroups pins the round-robin fallback for worker
-// counts that cannot be group-aligned (tiny has 9 groups).
+// TestEpochWorkersExceedGroups pins the finer cut for worker counts past
+// the group count (tiny has 9 groups of 4 switches): blocks of switches,
+// so local links cross and set the lookahead; and a count past the switch
+// count is clamped to one switch per partition.
 func TestEpochWorkersExceedGroups(t *testing.T) {
 	par := buildLoadedWith(t, 9, nil)
 	par.SetWorkers(12)
 	defer par.Close()
-	if la := par.EpochLookahead(); la != 0 {
-		t.Fatalf("workers>groups: lookahead %d, want 0 (round-robin)", la)
+	if la := par.EpochLookahead(); la != par.Cfg.Lat.Local {
+		t.Fatalf("workers>groups: lookahead %d, want local latency %d", la, par.Cfg.Lat.Local)
 	}
 	mustMatchSerial(t, par, 9, nil, 300, 3000)
+	par.SetWorkers(1000)
+	if got, want := par.workers, len(par.Switches); got != want {
+		t.Fatalf("SetWorkers(1000) kept %d workers, want the switch count %d", got, want)
+	}
 }
 
 // TestEpochMidEpochFaultExact schedules stash-bank failures on cycles that
@@ -220,11 +238,11 @@ func TestEpochWatchdogStallExact(t *testing.T) {
 }
 
 // TestCloseFallsBackToSerial is the regression test for the silent
-// executor rebuild: Close promises serial fallback, but it used to keep
-// the worker count, so the next Run quietly re-spawned a fresh pool. After
-// the fix, a closed network must not grow its goroutine count on Run — and
-// the epoch-mode teardown must hand the in-flight traffic to the serial
-// path exactly (same results as an uninterrupted serial run).
+// executor rebuild: Close promises inline execution, but it used to keep
+// the worker count, so the next Run quietly re-spawned a fresh pool. A
+// closed network must not grow its goroutine count on Run — and the
+// repartition must hand the traffic staged on crossing links to the single
+// partition exactly (same results as an uninterrupted serial run).
 func TestCloseFallsBackToSerial(t *testing.T) {
 	serial := buildLoadedWith(t, 13, nil)
 	serial.Run(2400)
@@ -234,15 +252,8 @@ func TestCloseFallsBackToSerial(t *testing.T) {
 	par.Run(1200) // epoch executor active, traffic in flight
 	par.Close()
 
-	// Workers exit asynchronously after Close releases the barrier; wait
-	// for the count to settle before taking the baseline.
-	base := runtime.NumGoroutine()
-	for i := 0; i < 100 && base > runtime.NumGoroutine(); i++ {
-		time.Sleep(time.Millisecond)
-		base = runtime.NumGoroutine()
-	}
-
-	par.Run(1200) // must run serially on this goroutine
+	base := runtime.NumGoroutine() // Close has waited for the workers
+	par.Run(1200)                  // must run inline on this goroutine
 	if g := runtime.NumGoroutine(); g > base {
 		t.Fatalf("Run after Close spawned goroutines: %d -> %d", base, g)
 	}
@@ -254,9 +265,10 @@ func TestCloseFallsBackToSerial(t *testing.T) {
 	}
 }
 
-// TestSetWorkersMidRunExact covers the reverse hand-off: serial first
-// half, epoch second half, still bit-identical to an uninterrupted serial
-// run (the epoch build re-announces traffic already riding the links).
+// TestSetWorkersMidRunExact covers the reverse hand-off: one partition
+// for the first half, four for the second, still bit-identical to an
+// uninterrupted serial run (the repartition re-arms traffic already riding
+// the links).
 func TestSetWorkersMidRunExact(t *testing.T) {
 	serial := buildLoadedWith(t, 14, nil)
 	serial.Run(2400)
@@ -274,6 +286,37 @@ func TestSetWorkersMidRunExact(t *testing.T) {
 	}
 }
 
+// TestStepAfterParallelRunExact is the regression test for Step on a
+// network whose workers are live: Step used to walk every component on the
+// calling goroutine while crossing links were still in epoch delivery, so
+// nothing drained their slabs and the run silently diverged (FlitsSwitched
+// 114402 vs 114619 on this scenario). Step is Run(1) now — the pattern
+// trace.Replay drives — and must match an uninterrupted serial run.
+func TestStepAfterParallelRunExact(t *testing.T) {
+	serial := buildLoadedWith(t, 14, nil)
+	serial.Run(2400)
+
+	par := buildLoadedWith(t, 14, nil)
+	par.SetWorkers(4)
+	defer par.Close()
+	par.Run(1200)
+	for i := 0; i < 600; i++ {
+		par.Step()
+	}
+	par.Run(600)
+	if cs, cp := serial.Counters(), par.Counters(); cs != cp {
+		t.Fatalf("Step after a parallel Run diverged:\nserial %+v\npar    %+v", cs, cp)
+	}
+	is, ds, us, as := serial.DeliveryTotals()
+	ip, dp, up, ap := par.DeliveryTotals()
+	if is != ip || ds != dp || us != up || as != ap {
+		t.Fatalf("delivery totals diverged: serial %d/%d/%d/%d, par %d/%d/%d/%d", is, ds, us, as, ip, dp, up, ap)
+	}
+	if serial.Now != par.Now {
+		t.Fatalf("clock divergence: %d vs %d", serial.Now, par.Now)
+	}
+}
+
 // TestSetExecProfilerNilDetaches pins the nil contract: nil detaches
 // cleanly (no panic, profiling off) instead of dereferencing p.
 func TestSetExecProfilerNilDetaches(t *testing.T) {
@@ -285,7 +328,7 @@ func TestSetExecProfilerNilDetaches(t *testing.T) {
 	if n.Profiler != nil {
 		t.Fatal("nil attach left a profiler installed")
 	}
-	n.Run(100) // plain serial path; must not profile or panic
+	n.Run(100) // must not profile or panic
 	if n.Now != 100 {
 		t.Fatalf("run advanced %d cycles, want 100", n.Now)
 	}

@@ -12,7 +12,6 @@ import (
 	"stashsim/internal/endpoint"
 	"stashsim/internal/fault"
 	"stashsim/internal/metrics"
-	"stashsim/internal/proto"
 	"stashsim/internal/sim"
 	"stashsim/internal/telemetry"
 	"stashsim/internal/topo"
@@ -41,9 +40,7 @@ type Network struct {
 	Watchdog *metrics.Watchdog
 
 	// Profiler, when non-nil (EnableExecProfile / SetExecProfiler),
-	// receives per-worker per-phase executor timings; it also routes Run
-	// through the executor on the serial path so single-worker runs are
-	// profiled too.
+	// receives per-partition per-phase executor timings.
 	Profiler *sim.ExecProfiler
 
 	// Flight, when non-nil (AttachFlight), records per-cycle aggregate
@@ -65,37 +62,33 @@ type Network struct {
 
 	Now sim.Tick
 
-	// workers selects the cycle-level execution mode (SetWorkers); exec is
-	// the lazily built parallel executor over all endpoints and switches.
-	workers int
-	exec    *sim.Executor
-
-	// epochPolicy selects the parallel synchronization scheme
-	// (SetEpochPolicy): 0 auto, -1 per-cycle barrier, >0 epoch-length cap.
-	// epochLinks and epochLookahead describe the active epoch wiring —
-	// nil/0 unless the built executor runs epoch sync; teardownExec
-	// restores the links to per-cycle delivery.
-	epochPolicy    int64
-	epochLinks     []epochLink
-	epochLookahead int64
+	// workers is the partition count SetWorkers asked for (1 = the whole
+	// network stepped inline on the calling goroutine); exec is the
+	// executor over the current partitioning and lookahead the epoch-length
+	// cap it runs under, both rebuilt by repartition. epochCap, when
+	// positive, lowers that cap; only tests set it, to force 1-cycle and
+	// short epochs.
+	workers   int
+	exec      *sim.Executor
+	lookahead int64
+	epochCap  int64
 
 	// profOwned marks Profiler as built by EnableExecProfile (ring size
 	// profRing), which SetWorkers then resizes to follow the worker count.
 	profOwned bool
 	profRing  int
 
-	// cycleDone counts completed cycles, stored from the serial postCycle
-	// hook. Unlike Now — which the executor path writes back only when Run
-	// returns — it is current mid-run, and atomic so the SIGQUIT handler
-	// and telemetry snapshots read it from other goroutines safely.
+	// cycleDone counts completed cycles, stored at every epoch boundary.
+	// Unlike Now — written back only when Run returns — it advances
+	// mid-run, and it is atomic so the SIGQUIT handler and telemetry
+	// snapshots read it from other goroutines safely.
 	cycleDone atomic.Int64
 
 	// ckptFn, when non-nil, is the pending checkpoint action scheduled by
 	// ScheduleCheckpoint: preCycle invokes it once at the first cycle
 	// >= ckptAt, before any fault event or component step of that cycle.
-	// Under epoch synchronization, nextSerialEvent clamps an epoch to end
-	// there, so the hook runs at a true serial barrier in every execution
-	// mode and the snapshot equals the one a serial run would take.
+	// nextSerialEvent clamps an epoch to end there, so the hook runs at a
+	// true serial barrier under any partitioning.
 	ckptAt int64
 	ckptFn func(now sim.Tick)
 }
@@ -163,6 +156,8 @@ func New(cfg *core.Config) (*Network, error) {
 	if missing := n.Injector.UnmatchedOutages(); len(missing) > 0 {
 		return nil, fmt.Errorf("network: fault plan names links that do not exist: %v", missing)
 	}
+	n.workers = 1
+	n.repartition()
 	return n, nil
 }
 
@@ -364,9 +359,9 @@ func (n *Network) DumpNonIdle(w io.Writer) {
 }
 
 // preCycle applies the per-cycle singleton work that must precede any
-// component step: due stash-bank failure events. Under the parallel
-// executor it runs serially at the cycle barrier (the coordinator's
-// PreCycle hook).
+// component step: due stash-bank failure events. It is the executor's
+// PreCycle hook, run by the coordinator at the barrier before a cycle
+// nextSerialEvent named.
 //
 //stashsim:phase serial -- fault injection mutates arbitrary switches; only the coordinator may run it
 func (n *Network) preCycle(now sim.Tick) {
@@ -387,13 +382,12 @@ func (n *Network) preCycle(now sim.Tick) {
 }
 
 // postCycle runs the per-cycle singleton observers after every component
-// has stepped: sampler, watchdog, invariant audit. Under the parallel
-// executor it runs serially at the cycle barrier (the coordinator's
-// PostCycle hook), so the probes see a quiescent network.
+// has stepped: sampler, watchdog, invariant audit. It is the executor's
+// PostCycle hook, run by the coordinator at the barrier after a cycle
+// nextSerialEvent named, so the probes see a quiescent network.
 //
 //stashsim:phase serial -- the observers walk live state; only the coordinator may run it
 func (n *Network) postCycle(now sim.Tick) {
-	n.cycleDone.Store(int64(now) + 1)
 	n.Flight.Record(int64(now)) // before the watchdog so stall dumps include this cycle
 	n.Sampler.MaybeSample(now)
 	n.Watchdog.Observe(now)
@@ -401,110 +395,50 @@ func (n *Network) postCycle(now sim.Tick) {
 	n.Telemetry.MaybePublish(int64(now))
 }
 
-// Step advances the whole network one cycle on the calling goroutine.
-func (n *Network) Step() {
-	now := n.Now
-	n.preCycle(now)
-	for _, ep := range n.Endpoints {
-		ep.Step(now)
-	}
-	for _, s := range n.Switches {
-		s.Step(now)
-	}
-	n.postCycle(now)
-	n.Now++
-}
+// Step advances the whole network one cycle.
+func (n *Network) Step() { n.Run(1) }
 
-// SetWorkers selects the cycle-level execution mode for Run: workers <= 1
-// (the default) steps every component serially on the calling goroutine;
-// workers > 1 partitions endpoints and switches across that many
-// long-lived goroutines (by dragonfly group with epoch synchronization
-// when the count and topology allow it — see SetEpochPolicy — otherwise
-// round-robin with a per-cycle barrier; see sim.Executor). Components
-// communicate only over latency>=1 links, so intra-cycle step order is
-// irrelevant and results are bit-identical for any worker count and
-// either synchronization scheme. Call before Run; call Close when done
-// with a parallel network to release the worker goroutines.
+// SetWorkers selects how many partitions Run steps concurrently: 1 (the
+// default) steps every component inline on the calling goroutine;
+// workers > 1 splits endpoints and switches into that many contiguous
+// blocks, each on a long-lived goroutine, synchronized once per epoch (see
+// repartition and sim.Executor). Values outside [1, switches] are clamped.
+// Components communicate only over latency>=1 links and an epoch is never
+// longer than the shortest link between two partitions, so results are
+// bit-identical for any worker count. It may be called between runs at any
+// point of a simulation; call Close when done with a parallel network to
+// release the goroutines.
 //
 // A profiler the network built itself (EnableExecProfile) is resized to
 // the new worker count, so EnableExecProfile and SetWorkers compose in
 // either order; an externally attached profiler (SetExecProfiler) is
 // left alone and must already match.
 func (n *Network) SetWorkers(workers int) {
+	workers = max(1, min(workers, len(n.Switches)))
 	if workers == n.workers {
 		return
 	}
-	n.teardownExec()
 	n.workers = workers
-	if n.profOwned && n.Profiler != nil {
-		w := workers
-		if w < 1 {
-			w = 1
-		}
-		if n.Profiler.Workers() != w {
-			p := sim.NewExecProfiler(w, n.profRing)
-			p.SetPhaseLabels("endpoints", "switches")
-			n.Profiler = p
-		}
+	if n.profOwned && n.Profiler.Workers() != workers {
+		n.Profiler = sim.NewExecProfiler(workers, n.profRing)
+		n.Profiler.SetPhaseLabels("endpoints", "switches")
 	}
+	n.repartition()
 }
 
-// executor lazily builds the parallel executor over every endpoint and
-// switch, with the per-cycle singletons installed as barrier hooks.
-// Group-aligned worker counts get the epoch-synchronized partition
-// build; everything else falls back to round-robin per-cycle sync.
-func (n *Network) executor() *sim.Executor {
-	if n.exec == nil {
-		if e := n.buildEpochExecutor(); e != nil {
-			n.exec = e
-			return n.exec
-		}
-		comps := make([]sim.Stepper, 0, len(n.Endpoints)+len(n.Switches))
-		for _, ep := range n.Endpoints {
-			comps = append(comps, ep)
-		}
-		for _, s := range n.Switches {
-			comps = append(comps, s)
-		}
-		n.exec = sim.NewExecutor(comps, n.workers)
-		n.exec.PreCycle = n.preCycle
-		n.exec.PostCycle = n.postCycle
-		n.exec.SplitAt = len(n.Endpoints)
-		n.exec.Profiler = n.Profiler
-	}
-	return n.exec
-}
+// Close releases the worker goroutines, if any, by dropping the network
+// back to one inline partition; later runs step on the calling goroutine
+// until SetWorkers asks for a pool again.
+func (n *Network) Close() { n.SetWorkers(1) }
 
-// Close releases the parallel executor's worker goroutines, if any, and
-// drops the network back to serial execution: the worker count resets to
-// one, so later runs step on the calling goroutine until SetWorkers
-// re-enables a pool. (Closing used to keep the old worker count, so the
-// next Run silently rebuilt the executor and re-spawned the goroutines
-// this call had just released.)
-func (n *Network) Close() {
-	n.teardownExec()
-	if n.workers > 1 {
-		n.SetWorkers(1) // also resizes a network-owned profiler
-	}
-}
-
-// Run advances the network by the given number of cycles, using the
-// parallel executor when SetWorkers enabled it.
+// Run advances the network by the given number of cycles.
 func (n *Network) Run(cycles int64) {
 	if cycles <= 0 {
 		return
 	}
-	// A profiled serial run also routes through the executor, whose
-	// instrumented serial path times the hooks and both work sub-phases.
-	if n.workers > 1 || n.Profiler != nil {
-		from := n.Now
-		n.executor().Run(from, from+sim.Tick(cycles))
-		n.Now = from + sim.Tick(cycles)
-		return
-	}
-	for i := int64(0); i < cycles; i++ {
-		n.Step()
-	}
+	to := n.Now + sim.Tick(cycles)
+	n.exec.Run(n.Now, to)
+	n.Now = to
 }
 
 // RunUntil advances the network until done() reports true or the budget
@@ -669,8 +603,6 @@ func (n *Network) Describe() string {
 // it to catch flow-control leaks. It returns an error when an invariant is
 // violated.
 func (n *Network) SanityCheck() error {
-	cls := proto.NumClasses
-	_ = cls
 	for _, s := range n.Switches {
 		if used := s.StashUsed(); used < 0 || used > s.StashCapTotal() {
 			return fmt.Errorf("switch %d stash occupancy %d outside [0,%d]", s.ID, used, s.StashCapTotal())

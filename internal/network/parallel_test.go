@@ -71,7 +71,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 // TestParallelStepRace steps a fully instrumented network — metrics, tracer,
 // sampler, watchdog, invariants, and fault injection all live — with four
-// workers. Run under -race (make par-smoke / CI) it is the synchronization
+// workers. Run under -race (make race / CI) it is the synchronization
 // proof for the whole hot path; without -race it still covers the barrier
 // hooks firing alongside concurrent component steps.
 func TestParallelStepRace(t *testing.T) {

@@ -9,11 +9,11 @@ import (
 
 // Bit-exact checkpoint/restore. A checkpoint captures the complete
 // dynamic state of the simulated machine — switches, endpoints, links
-// (including traffic still staged in their inbox slabs), fault injector,
-// collectors, and the stateful observers — at a serial cycle barrier, so
-// a run restored from it continues byte-identically to one that never
-// stopped, in every execution mode (the link codec is mode-canonical; see
-// the core package's snapshot hooks).
+// (including traffic still staged in partition-crossing slabs), fault
+// injector, collectors, and the stateful observers — at a serial cycle
+// barrier, so a run restored from it continues byte-identically to one
+// that never stopped, under any partitioning (the link codec is
+// form-canonical; see the core package's snapshot hooks).
 //
 // Not captured: the tracer, flight recorder, telemetry publisher, and
 // executor profiler. They are debugging sinks whose output streams cannot
@@ -21,10 +21,10 @@ import (
 // but resume-equality of their outputs is out of scope.
 
 // ScheduleCheckpoint arranges for fn to run once, at the serial barrier
-// before the first cycle >= at is executed. Under the parallel executor
-// the epoch scheduler clamps an epoch to end there (nextSerialEvent), so
-// fn always observes a fully quiescent network. fn typically calls
-// Checkpoint and writes the bytes out. Call before Run.
+// before the first cycle >= at is executed. The executor clamps an epoch
+// to end there (nextSerialEvent), so fn always observes a fully quiescent
+// network. fn typically calls Checkpoint and writes the bytes out. Call
+// before Run.
 func (n *Network) ScheduleCheckpoint(at int64, fn func(now sim.Tick)) {
 	n.ckptAt = at
 	n.ckptFn = fn
@@ -76,12 +76,12 @@ func (n *Network) Checkpoint(now sim.Tick) []byte {
 // identical observers attached — the fingerprint and the per-subsystem
 // structural checks fail loudly on any mismatch. On success the network's
 // clock stands at the checkpointed cycle and Run continues the simulation
-// byte-identically, under any worker count and epoch policy.
+// byte-identically, under any worker count.
 //
 //stashsim:phase serial -- rewrites every component's private state; runs only before any Run
 func (n *Network) Restore(data []byte) error {
-	if n.Now != 0 || n.exec != nil {
-		return fmt.Errorf("network: restore requires a freshly built network (clock at 0, no executor)")
+	if n.Now != 0 {
+		return fmt.Errorf("network: restore requires a freshly built network (clock at 0)")
 	}
 	rd, err := snapshot.NewReader(data)
 	if err != nil {
@@ -103,13 +103,13 @@ func (n *Network) Restore(data []byte) error {
 		n.Injector.DecodeState(rd)
 	}
 	for _, s := range n.Switches {
-		s.DecodeState(rd, now)
+		s.DecodeState(rd)
 		if err := rd.Err(); err != nil {
 			return err
 		}
 	}
 	for _, ep := range n.Endpoints {
-		ep.DecodeState(rd, now)
+		ep.DecodeState(rd)
 		if err := rd.Err(); err != nil {
 			return err
 		}
@@ -142,17 +142,12 @@ func (n *Network) Restore(data []byte) error {
 
 	n.Now = sim.Tick(now)
 	n.cycleDone.Store(now)
-	// Wake flags consumed before the checkpoint are gone; re-announce all
-	// pending link work from ring occupancy (the codec folded every
-	// staged entry into the rings). The serial-singleton schedules need no
-	// rescheduling: they fire on absolute-cycle arithmetic (now%every,
-	// windowStart), which the restored clock and watchdog state satisfy.
-	for _, s := range n.Switches {
-		for p := 0; p < n.Cfg.Topo.Radix(); p++ {
-			s.ReannounceIn(p)
-			s.ReannounceCred(p)
-		}
-	}
+	// The codec put every in-flight entry into the rings; repartition
+	// re-arms the switches from ring occupancy. The serial-singleton
+	// schedules need no rescheduling: they fire on absolute-cycle
+	// arithmetic (now%every, windowStart), which the restored clock and
+	// watchdog state satisfy.
+	n.repartition()
 	return nil
 }
 

@@ -3,6 +3,7 @@ package network
 import (
 	"bytes"
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -108,13 +109,11 @@ func wireSnapTraffic(n *Network, cfg *core.Config, sc snapScenario) {
 	}
 }
 
-// runSnapNet advances the network to absolute cycle `upto` under the
-// given execution mode.
-func runSnapNet(n *Network, workers int, epoch int64, upto int64) {
-	n.SetEpochPolicy(epoch)
-	if workers > 1 {
-		n.SetWorkers(workers)
-	}
+// runSnapNet advances the network to absolute cycle `upto` with the
+// given worker count and test-only epoch cap (0 = full lookahead).
+func runSnapNet(n *Network, workers int, cap int64, upto int64) {
+	n.SetWorkers(workers)
+	setEpochCap(n, cap)
 	n.Run(upto - int64(n.Now))
 }
 
@@ -123,35 +122,37 @@ func finalState(n *Network) []byte {
 	return n.Checkpoint(n.Now)
 }
 
-// TestResumeEquality is the grid: presets x workers {1,4} x epoch
-// {off,auto} x {faults, parity, ecn}, each point checkpointing mid-run —
-// at a cycle chosen to land mid-epoch, mid-retry-backoff, and (for the
-// parity scenario) mid-reconstruction — and requiring the checkpointing
-// run and the restored run to finish byte-identical to straight-through.
-// The restored run deliberately executes under a different worker/epoch
+// TestResumeEquality is the grid: presets x workers {1, 4, 12 > tiny's 9
+// groups} x epochs {"off" = capped to one cycle, "auto" = full lookahead}
+// x {faults, parity, ecn}, each point checkpointing mid-run — at a cycle
+// chosen to land mid-epoch, mid-retry-backoff, and (for the parity
+// scenario) mid-reconstruction — and requiring the checkpointing run and
+// the restored run to finish byte-identical to straight-through. The
+// restored run deliberately executes under a different worker/cap
 // combination than the run that took the checkpoint: snapshots are
-// mode-canonical.
+// partition-canonical.
 func TestResumeEquality(t *testing.T) {
 	type point struct {
 		preset  string
 		workers int
-		epoch   int64 // -1 = off, 0 = auto
+		cap     int64 // 1 = "off": a barrier every cycle; 0 = "auto"
 	}
 	points := []point{
-		{"tiny", 1, -1},
-		{"tiny", 4, -1},
+		{"tiny", 1, 1},
+		{"tiny", 4, 1},
 		{"tiny", 1, 0},
 		{"tiny", 4, 0},
+		{"tiny", 12, 0},
 	}
 	if !testing.Short() {
-		points = append(points, point{"small", 4, 0}, point{"small", 1, -1})
+		points = append(points, point{"small", 4, 0}, point{"small", 1, 1})
 	}
 	const total, ckptAt = 3000, 1337 // odd cycle: never an epoch boundary
 	for _, pt := range points {
 		for _, sc := range snapScenarios(ckptAt) {
 			pt, sc := pt, sc
-			name := pt.preset + "/" + sc.name + "/w" + string(rune('0'+pt.workers))
-			if pt.epoch < 0 {
+			name := pt.preset + "/" + sc.name + "/w" + strconv.Itoa(pt.workers)
+			if pt.cap == 1 {
 				name += "/off"
 			} else {
 				name += "/auto"
@@ -162,7 +163,7 @@ func TestResumeEquality(t *testing.T) {
 
 				golden := buildSnapNet(t, cfg, sc)
 				defer golden.Close()
-				runSnapNet(golden, pt.workers, pt.epoch, total)
+				runSnapNet(golden, pt.workers, pt.cap, total)
 				want := finalState(golden)
 
 				// The checkpointing run: taking a snapshot must not
@@ -176,7 +177,7 @@ func TestResumeEquality(t *testing.T) {
 					}
 					snap = ck.Checkpoint(now)
 				})
-				runSnapNet(ck, pt.workers, pt.epoch, total)
+				runSnapNet(ck, pt.workers, pt.cap, total)
 				if snap == nil {
 					t.Fatal("checkpoint hook never fired")
 				}
@@ -184,13 +185,13 @@ func TestResumeEquality(t *testing.T) {
 					t.Fatalf("checkpointing run diverged from straight-through (%d vs %d state bytes)", len(got), len(want))
 				}
 
-				// The restored run, under the opposite execution mode.
-				rw, re := 4, int64(0)
-				if pt.workers == 4 {
+				// The restored run, under the opposite worker count and cap.
+				rw, rc := 4, int64(0)
+				if pt.workers > 1 {
 					rw = 1
 				}
-				if pt.epoch == 0 {
-					re = -1
+				if pt.cap == 0 {
+					rc = 1
 				}
 				rn := buildSnapNet(t, snapConfig(pt.preset, sc), sc)
 				defer rn.Close()
@@ -200,7 +201,7 @@ func TestResumeEquality(t *testing.T) {
 				if int64(rn.Now) != ckptAt {
 					t.Fatalf("restored clock at %d, want %d", rn.Now, ckptAt)
 				}
-				runSnapNet(rn, rw, re, total)
+				runSnapNet(rn, rw, rc, total)
 				if got := finalState(rn); !bytes.Equal(got, want) {
 					t.Fatalf("restored run diverged from straight-through (%d vs %d state bytes)", len(got), len(want))
 				}
@@ -211,25 +212,25 @@ func TestResumeEquality(t *testing.T) {
 
 // TestCheckpointRoundTrip: Checkpoint -> Restore -> Checkpoint produces
 // identical bytes, and a checkpoint of the same cycle is byte-identical
-// whether taken under the serial or the epoch-parallel executor (the
-// mode-canonical link encoding).
+// whether taken with one partition or four (the partition-canonical link
+// encoding).
 func TestCheckpointRoundTrip(t *testing.T) {
 	sc := snapScenarios(900)[0]
 	const ckptAt = 1111
 
-	take := func(workers int, epoch int64) []byte {
+	take := func(workers int, cap int64) []byte {
 		n := buildSnapNet(t, snapConfig("tiny", sc), sc)
 		defer n.Close()
 		var snap []byte
 		n.ScheduleCheckpoint(ckptAt, func(now sim.Tick) { snap = n.Checkpoint(now) })
-		runSnapNet(n, workers, epoch, ckptAt+1)
+		runSnapNet(n, workers, cap, ckptAt+1)
 		if snap == nil {
 			t.Fatal("checkpoint hook never fired")
 		}
 		return snap
 	}
 
-	serial := take(1, -1)
+	serial := take(1, 1)
 	epoch := take(4, 0)
 	if !bytes.Equal(serial, epoch) {
 		t.Fatalf("checkpoint bytes differ across executors: %d serial vs %d epoch", len(serial), len(epoch))
@@ -255,7 +256,7 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 	defer src.Close()
 	var snap []byte
 	src.ScheduleCheckpoint(500, func(now sim.Tick) { snap = src.Checkpoint(now) })
-	runSnapNet(src, 1, -1, 600)
+	runSnapNet(src, 1, 1, 600)
 	if snap == nil {
 		t.Fatal("checkpoint hook never fired")
 	}
@@ -357,7 +358,7 @@ func TestRestoreReschedulesSerialSingletons(t *testing.T) {
 	if err := rn.Restore(snap); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	runSnapNet(rn, 1, -1, total)
+	runSnapNet(rn, 1, 1, total)
 
 	if g, r := golden.Sampler.CSV(), rn.Sampler.CSV(); g != r {
 		t.Errorf("sampler rows diverged after restore:\n--- straight-through ---\n%s--- restored ---\n%s", g, r)

@@ -16,51 +16,37 @@ import (
 // EnableExecProfile creates and attaches an executor stall profiler sized
 // for the network's current worker count; a later SetWorkers resizes it,
 // so the call order does not matter. ringCycles > 0 additionally retains
-// the most recent ringCycles cycles of raw lane timings for the Chrome
-// trace export. Must be called before the first Run so the lazily built
-// executor picks it up.
+// the most recent ringCycles epochs of raw lane timings for the Chrome
+// trace export.
 func (n *Network) EnableExecProfile(ringCycles int) *sim.ExecProfiler {
-	w := n.workers
-	if w < 1 {
-		w = 1
-	}
-	p := sim.NewExecProfiler(w, ringCycles)
-	n.Profiler = p
-	n.profOwned = true
-	n.profRing = ringCycles
+	p := sim.NewExecProfiler(n.workers, ringCycles)
 	p.SetPhaseLabels("endpoints", "switches")
-	n.teardownExec()
+	n.Profiler, n.profOwned, n.profRing = p, true, ringCycles
+	n.repartition()
 	return p
 }
 
 // SetExecProfiler attaches an existing profiler (the figures harness
 // shares one across every sweep network so the totals aggregate), or
 // detaches profiling when p is nil. The profiler's worker lane count
-// must match a multi-worker network's worker count; a mismatch returns
-// an error instead of being silently dropped at Run time, as it once
-// was. Unlike EnableExecProfile, the attached profiler is caller-owned:
-// SetWorkers will not resize it.
+// must match the network's worker count; a mismatch returns an error
+// instead of being silently dropped at Run time, as it once was. Unlike
+// EnableExecProfile, the attached profiler is caller-owned: SetWorkers
+// will not resize it.
 func (n *Network) SetExecProfiler(p *sim.ExecProfiler) error {
-	if p == nil {
-		n.Profiler = nil
-		n.profOwned = false
-		n.teardownExec()
-		return nil
-	}
-	if n.workers > 1 && p.Workers() != n.workers {
+	if p != nil && p.Workers() != n.workers {
 		return fmt.Errorf("network: profiler sized for %d workers attached to a %d-worker network (size it with sim.NewExecProfiler(%d, ...) or use EnableExecProfile)",
 			p.Workers(), n.workers, n.workers)
 	}
-	n.Profiler = p
-	n.profOwned = false
 	p.SetPhaseLabels("endpoints", "switches")
-	n.teardownExec()
+	n.Profiler, n.profOwned = p, false
+	n.repartition()
 	return nil
 }
 
-// CyclesDone reports completed simulation cycles. It is safe to call
-// from any goroutine at any time, and — unlike Now, which the executor
-// path writes back only when Run returns — it is current mid-run.
+// CyclesDone reports completed simulation cycles as of the last epoch
+// boundary. It is safe to call from any goroutine at any time, and —
+// unlike Now, written back only when Run returns — it advances mid-run.
 func (n *Network) CyclesDone() int64 { return n.cycleDone.Load() }
 
 // TotalCreditStallCycles sums the always-on credit-stall tap across

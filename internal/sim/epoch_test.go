@@ -12,8 +12,8 @@ type epochDrainRec struct {
 
 func (d *epochDrainRec) DrainEpoch(epoch int64) { d.epochs = append(d.epochs, epoch) }
 
-// newEpochExecutor builds a 2-partition executor over countSteppers with
-// per-partition drain recorders.
+// newEpochExecutor builds a 2-partition, lookahead-7 executor over
+// countSteppers with per-partition drain recorders.
 func newEpochExecutor(perPart int) (*Executor, [][]*countStepper, []*epochDrainRec) {
 	cs := make([][]*countStepper, 2)
 	parts := make([][]Stepper, 2)
@@ -24,10 +24,22 @@ func newEpochExecutor(perPart int) (*Executor, [][]*countStepper, []*epochDrainR
 			parts[p] = append(parts[p], c)
 		}
 	}
-	e := NewPartitionedExecutor(parts, []int{1, 1})
 	drains := []*epochDrainRec{{}, {}}
+	e := NewPartitionedExecutor(parts, []int{1, 1}, 7, []EpochDrainer{drains[0], drains[1]})
 	return e, cs, drains
 }
+
+// every10 names every multiple of 10 as a serial-event cycle.
+func every10(from Tick) Tick {
+	if from%10 == 0 {
+		return from
+	}
+	return from + 10 - from%10
+}
+
+// everyCycle names every cycle as a serial-event cycle: the per-cycle
+// barrier as a degenerate epoch schedule.
+func everyCycle(from Tick) Tick { return from }
 
 // TestEpochExecutorStepsEveryCycle verifies the free-running epoch loop
 // preserves the fundamental contract: every component steps exactly once
@@ -35,8 +47,6 @@ func newEpochExecutor(perPart int) (*Executor, [][]*countStepper, []*epochDrainR
 // boundaries.
 func TestEpochExecutorStepsEveryCycle(t *testing.T) {
 	e, cs, recs := newEpochExecutor(3)
-	far := func(from Tick) Tick { return from + 1<<30 }
-	e.EnableEpochSync(7, far, []EpochDrainer{recs[0], recs[1]})
 	e.Run(0, 40)
 	e.Run(40, 53)
 	e.Close()
@@ -71,20 +81,13 @@ func TestEpochExecutorStepsEveryCycle(t *testing.T) {
 // run exactly on the cycles nextEvent names (as 1-cycle epochs), never in
 // between, and free-running epochs never cross one.
 func TestEpochExecutorSerialEventClamping(t *testing.T) {
-	e, _, recs := newEpochExecutor(2)
-	// Serial events on every multiple of 10.
-	every10 := func(from Tick) Tick {
-		if from%10 == 0 {
-			return from
-		}
-		return from + 10 - from%10
-	}
+	e, _, _ := newEpochExecutor(2)
 	var pre, post []Tick
 	var postEpoch []Tick
 	e.PreCycle = func(now Tick) { pre = append(pre, now) }
 	e.PostCycle = func(now Tick) { post = append(post, now) }
 	e.PostEpoch = func(next Tick) { postEpoch = append(postEpoch, next) }
-	e.EnableEpochSync(7, every10, []EpochDrainer{recs[0], recs[1]})
+	e.NextEvent = every10
 	e.Run(0, 50)
 	e.Close()
 
@@ -110,9 +113,9 @@ func TestEpochExecutorSerialEventClamping(t *testing.T) {
 	}
 }
 
-// TestEpochExecutorHookOrdering extends the two-phase barrier contract to
-// epoch mode: PreCycle sees all prior cycles complete, PostCycle sees its
-// own cycle complete, with work free-running in between.
+// TestEpochExecutorHookOrdering pins the barrier contract with sparse
+// events: PreCycle sees all prior cycles complete, PostCycle sees its own
+// cycle complete, with work free-running in between.
 func TestEpochExecutorHookOrdering(t *testing.T) {
 	const comps, cycles = 8, 60
 	var total atomic.Int64
@@ -120,7 +123,7 @@ func TestEpochExecutorHookOrdering(t *testing.T) {
 	for i := 0; i < comps; i++ {
 		parts[i%2] = append(parts[i%2], &tallyStepper{total: &total})
 	}
-	e := NewPartitionedExecutor(parts, []int{0, 0})
+	e := NewPartitionedExecutor(parts, []int{0, 0}, 7, nil)
 	var bad atomic.Int64
 	e.PreCycle = func(now Tick) {
 		if total.Load() != int64(now)*comps {
@@ -132,13 +135,7 @@ func TestEpochExecutorHookOrdering(t *testing.T) {
 			bad.Add(1)
 		}
 	}
-	every10 := func(from Tick) Tick {
-		if from%10 == 0 {
-			return from
-		}
-		return from + 10 - from%10
-	}
-	e.EnableEpochSync(7, every10, nil)
+	e.NextEvent = every10
 	e.Run(0, cycles)
 	e.Close()
 	if bad.Load() != 0 {
@@ -149,21 +146,32 @@ func TestEpochExecutorHookOrdering(t *testing.T) {
 	}
 }
 
-// TestEpochExecutorRunAfterClose: the serial fallback contract holds for
-// the partitioned executor too (epoch wiring is bypassed, hooks run every
-// cycle, all components still step).
+// TestEpochExecutorRunAfterClose: Close is terminal, and the run carries
+// on under a fresh executor over the same components and drainers (what
+// the network's repartition does): every component still steps every
+// cycle and both executors drain.
 func TestEpochExecutorRunAfterClose(t *testing.T) {
 	e, cs, recs := newEpochExecutor(2)
-	far := func(from Tick) Tick { return from + 1<<30 }
-	e.EnableEpochSync(7, far, []EpochDrainer{recs[0], recs[1]})
 	e.Run(0, 20)
 	e.Close()
-	e.Run(20, 30) // serial fallback
+	parts := make([][]Stepper, len(cs))
+	for p := range cs {
+		for _, c := range cs[p] {
+			parts[p] = append(parts[p], c)
+		}
+	}
+	e = NewPartitionedExecutor(parts, []int{1, 1}, 7, []EpochDrainer{recs[0], recs[1]})
+	e.Run(20, 30)
+	e.Close()
 	for p := range cs {
 		for i, c := range cs[p] {
 			if len(c.steps) != 30 {
 				t.Fatalf("partition %d component %d stepped %d cycles, want 30", p, i, len(c.steps))
 			}
+		}
+		// ceil(20/7) + ceil(10/7) epochs, drained on both sides of Close.
+		if got := len(recs[p].epochs); got != 5 {
+			t.Fatalf("partition %d drained %d epochs, want 5", p, got)
 		}
 	}
 }
@@ -178,34 +186,26 @@ func mustPanicSim(t *testing.T, name string, f func()) {
 	f()
 }
 
-// TestPartitionedExecutorValidation pins the constructor and
-// EnableEpochSync argument contracts.
+// TestPartitionedExecutorValidation pins the constructor's argument
+// contract.
 func TestPartitionedExecutorValidation(t *testing.T) {
 	part := func() []Stepper { return []Stepper{&countStepper{}, &countStepper{}} }
-	mustPanicSim(t, "single partition", func() {
-		NewPartitionedExecutor([][]Stepper{part()}, []int{1})
+	two := func() [][]Stepper { return [][]Stepper{part(), part()} }
+	mustPanicSim(t, "no partitions", func() {
+		NewPartitionedExecutor(nil, nil, 7, nil)
 	})
 	mustPanicSim(t, "aCounts length mismatch", func() {
-		NewPartitionedExecutor([][]Stepper{part(), part()}, []int{1})
+		NewPartitionedExecutor(two(), []int{1}, 7, nil)
 	})
 	mustPanicSim(t, "aCount out of range", func() {
-		NewPartitionedExecutor([][]Stepper{part(), part()}, []int{1, 3})
+		NewPartitionedExecutor(two(), []int{1, 3}, 7, nil)
 	})
-
-	far := func(from Tick) Tick { return from + 1<<30 }
-	e := NewPartitionedExecutor([][]Stepper{part(), part()}, []int{1, 1})
-	mustPanicSim(t, "lookahead < 2", func() { e.EnableEpochSync(1, far, nil) })
-	mustPanicSim(t, "nil nextEvent", func() { e.EnableEpochSync(7, nil, nil) })
+	mustPanicSim(t, "lookahead < 1", func() {
+		NewPartitionedExecutor(two(), []int{1, 1}, 0, nil)
+	})
 	mustPanicSim(t, "drains length mismatch", func() {
-		e.EnableEpochSync(7, far, []EpochDrainer{&epochDrainRec{}})
+		NewPartitionedExecutor(two(), []int{1, 1}, 7, []EpochDrainer{&epochDrainRec{}})
 	})
-	mustPanicSim(t, "round-robin executor", func() {
-		rr := NewExecutor(part(), 2)
-		rr.EnableEpochSync(7, far, nil)
-	})
-	e2 := NewPartitionedExecutor([][]Stepper{part(), part()}, []int{1, 1})
-	e2.EnableEpochSync(7, far, nil)
-	e2.Run(0, 10)
-	defer e2.Close()
-	mustPanicSim(t, "EnableEpochSync after Run", func() { e2.EnableEpochSync(7, far, nil) })
+	// One partition is the serial case and needs no drains.
+	NewPartitionedExecutor([][]Stepper{part()}, []int{1}, 7, nil).Run(0, 10)
 }

@@ -7,13 +7,15 @@ import (
 )
 
 // Stepper is a simulation component advanced once per cycle. Components may
-// communicate only through latency>=1 channels, which gives the parallel
-// executor one cycle of lookahead: values written at cycle t are never read
-// before cycle t+1, so disjoint partitions can step concurrently.
+// communicate only through latency>=1 channels: values written at cycle t
+// are never read before cycle t+1, so components may step in any order
+// within a cycle, and partitions whose connecting channels all have latency
+// >= L may run L cycles apart.
 type Stepper interface {
 	// Step advances the component one cycle. It runs concurrently with
-	// every other component's Step and must stay allocation-free in the
-	// steady state; both annotations propagate to implementations.
+	// the Step of components in other partitions and must stay
+	// allocation-free in the steady state; both annotations propagate to
+	// implementations.
 	//
 	//stashsim:phase parallel
 	//stashsim:noalloc
@@ -21,518 +23,258 @@ type Stepper interface {
 }
 
 // EpochDrainer delivers one partition's buffered cross-partition traffic
-// at an epoch boundary (the network implements it over the epoch-mode
-// links whose consumer side the partition owns). DrainEpoch runs on the
-// partition's worker goroutine immediately after the epoch-entry barrier,
-// before any component steps, with the epoch counter already advanced —
-// so it drains the slab the producers filled during the previous epoch.
+// at an epoch boundary (the network implements it over the staged links
+// whose consumer side the partition owns). DrainEpoch runs on the
+// partition's goroutine immediately after the epoch-entry barrier, before
+// any component steps, with the epoch counter already advanced — so it
+// drains the slab the producers filled during the previous epoch.
 type EpochDrainer interface {
-	// DrainEpoch folds the previous epoch's staged entries into the
-	// partition's owner-private rings.
+	// DrainEpoch moves the previous epoch's staged entries onto the
+	// partition's rings.
 	//
 	//stashsim:phase parallel
 	//stashsim:noalloc
 	DrainEpoch(epoch int64)
 }
 
-// Executor drives a set of components through simulated cycles, either
-// serially (deterministic, lowest overhead on a single core) or with a fixed
-// worker pool partitioned over the components.
+// Executor drives partitions of components through simulated cycles in
+// epochs: conservative parallel simulation with lookahead. Each barrier
+// round releases every partition into a span of cycles [now, now+L), which
+// it steps with no further synchronization; L is the lookahead — the
+// smallest latency of any channel between two partitions — clamped to the
+// Run bound and to the next serial event.
 //
-// Each cycle is bracketed by two barrier phases. The coordinator (the
-// goroutine calling Run) executes PreCycle, releases the workers into the
-// cycle at the first barrier, waits for them at the second, then executes
-// PostCycle. The hooks therefore always run serially, with every component
-// step of the cycle strictly between them — the place for per-cycle
-// singletons such as fault injection (pre) and samplers, watchdogs and
-// invariant audits (post). Both hooks are optional.
+// NextEvent names the cycles that carry a serial event (fault injection,
+// sampler, watchdog, invariants, telemetry, flight recorder). An epoch
+// never crosses one: it ends there, and the event's cycle runs as a
+// 1-cycle epoch bracketed by PreCycle and PostCycle on the goroutine
+// calling Run, with every component step of that cycle strictly between
+// them. Hook semantics are therefore cycle-exact whatever the epoch
+// length, and a NextEvent that names every cycle degrades the executor to
+// a per-cycle barrier.
 //
-// Between Runs the workers park at the cycle-entry barrier, so the steady
-// state is channel-free: the coordinator publishes the cycle number with an
-// atomic store, and the barrier's own release edge orders that store before
-// any worker reads it. No per-Run or per-cycle allocation occurs.
+// One partition runs inline on the calling goroutine: no goroutines, no
+// barrier. Two or more run on long-lived workers that park at the entry
+// barrier between epochs and between Runs; the coordinator publishes each
+// span with atomic stores that the barrier's release edge orders before
+// any worker reads them, so the steady state is channel- and
+// allocation-free.
 //
-// Results are identical to serial execution for any worker count: each
-// component is pinned to one partition (so its private state is touched by
-// exactly one goroutine), the one-cycle-lookahead rule makes intra-cycle
-// step order irrelevant, and the barriers order every hook with respect to
+// Results are identical for any partitioning: each component is pinned to
+// one partition (so its private state is touched by exactly one
+// goroutine), nothing a concurrent partition sends during an epoch is due
+// before the next one, and the barriers order every hook with respect to
 // every step.
 type Executor struct {
-	parts   [][]Stepper
-	barrier *Barrier
-	workers int
+	parts     [][]Stepper
+	aCounts   []int
+	drains    []EpochDrainer
+	lookahead Tick
+	barrier   *Barrier // nil with a single partition
 
-	// PreCycle, when non-nil, runs serially before any component steps in
-	// a cycle. Set before the first Run.
-	PreCycle func(now Tick)
-	// PostCycle, when non-nil, runs serially after every component has
-	// stepped a cycle. Set before the first Run.
+	// NextEvent, when non-nil, returns the next cycle >= from on which
+	// the PreCycle/PostCycle hooks must run; nil means never. Set before
+	// the first Run, like the hooks.
+	NextEvent func(from Tick) Tick
+	// PreCycle runs serially before any component steps an event cycle,
+	// PostCycle after every component has stepped it. Both optional.
+	PreCycle  func(now Tick)
 	PostCycle func(now Tick)
-
-	// SplitAt divides the component list into two profiled work
-	// sub-phases: components[:SplitAt] are phase A, the rest phase B (the
-	// network sets this to its endpoint count). Purely observational — it
-	// does not change step order. Set before the first Run; 0 means all
-	// work is phase B.
-	SplitAt int
-
-	// Profiler, when non-nil, receives per-worker per-phase cycle timings.
-	// Set before the first Run. A profiler sized for a different worker
-	// count than this executor's makes the parallel Run panic: silently
-	// dropping it produced unprofiled runs with no diagnostic (attach the
-	// profiler after SetWorkers, or resize it).
-	Profiler *ExecProfiler
-
-	// PostEpoch, when non-nil, runs serially after each barrier round with
-	// the first cycle the components have NOT yet stepped (from+1 per
-	// cycle on the per-cycle path, the next epoch's start on the epoch
-	// path). The network uses it to publish simulated progress. Set before
-	// the first Run.
+	// PostEpoch, when non-nil, runs serially after each epoch — before
+	// PostCycle, so its observers see it — with the first cycle the
+	// components have NOT yet stepped. The network uses it to publish
+	// simulated progress.
 	PostEpoch func(next Tick)
 
-	// serial fast path
-	all []Stepper
+	// Profiler, when non-nil, receives per-partition per-phase timings.
+	// Set before the first Run. A profiler sized for a different partition
+	// count makes Run panic rather than silently run unprofiled.
+	Profiler *ExecProfiler
 
-	// aCounts, when non-nil (partitioned executors), holds each
-	// partition's phase-A component count; otherwise aCount derives it
-	// from the round-robin layout.
-	aCounts []int
-
-	// Epoch synchronization (EnableEpochSync): partitions free-run for up
-	// to lookahead cycles per barrier round, clamped so any cycle with a
-	// serial event (nextEvent) still runs the hooks exactly on it.
-	lookahead Tick
-	nextEvent func(from Tick) Tick
-	drains    []EpochDrainer
-
-	cur    atomic.Int64 // first cycle the workers are released into
-	curLen atomic.Int64 // cycles in the released span (1 outside epoch mode)
+	cur    atomic.Int64 // first cycle of the released span
+	curLen atomic.Int64 // cycles in the released span
 	epoch  atomic.Int64 // barrier-round counter; parity picks link slabs
 	quit   atomic.Bool  // set by Close; workers observe it at the entry barrier
 
 	mu      sync.Mutex
-	started bool
-	closed  bool
-}
-
-// NewExecutor builds an executor over the given components. workers <= 1
-// selects the serial path; otherwise the components are partitioned
-// round-robin across min(workers, len(components)) long-lived goroutines.
-// Worker counts above GOMAXPROCS are honored (the spinning barrier yields
-// the processor, so oversubscribed workers still make progress); they buy
-// nothing but remain deterministic.
-func NewExecutor(components []Stepper, workers int) *Executor {
-	if workers > len(components) {
-		workers = len(components)
-	}
-	e := &Executor{workers: workers, all: components}
-	if workers > 1 {
-		e.parts = make([][]Stepper, workers)
-		for i, c := range components {
-			w := i % workers
-			e.parts[w] = append(e.parts[w], c)
-		}
-		e.barrier = NewBarrier(workers + 1)
-	}
-	return e
+	started bool           // workers spawned (by the first Run)
+	workers sync.WaitGroup // live worker goroutines; Close waits for them
 }
 
 // NewPartitionedExecutor builds an executor over caller-chosen partitions
-// (the network passes one dragonfly group block per partition). Each
+// (the network passes blocks of dragonfly groups or switches). Each
 // partition's components must lead with its aCounts[w] phase-A components
-// (endpoints); the serial fallback list is assembled all-A-first so
-// SplitAt profiling still splits cleanly. Partition layout is part of the
-// determinism contract only insofar as each component appears exactly
-// once; results are identical for any layout.
-func NewPartitionedExecutor(parts [][]Stepper, aCounts []int) *Executor {
-	if len(parts) < 2 {
-		panic("sim: partitioned executor needs at least two partitions")
+// (endpoints); the split is purely observational, for the profiler.
+// lookahead is the longest span partitions may run between barriers and
+// must not exceed the smallest latency among the channels that cross
+// partitions. drains[w], when drains is non-nil, delivers partition w's
+// buffered cross-partition traffic at each epoch entry.
+func NewPartitionedExecutor(parts [][]Stepper, aCounts []int, lookahead Tick, drains []EpochDrainer) *Executor {
+	if len(parts) == 0 {
+		panic("sim: executor needs at least one partition")
 	}
 	if len(aCounts) != len(parts) {
 		panic("sim: aCounts length must match partition count")
 	}
-	e := &Executor{workers: len(parts), parts: parts, aCounts: aCounts}
-	total, splitAt := 0, 0
 	for w, p := range parts {
 		if aCounts[w] < 0 || aCounts[w] > len(p) {
 			panic("sim: partition phase-A count out of range")
 		}
-		total += len(p)
-		splitAt += aCounts[w]
 	}
-	e.all = make([]Stepper, 0, total)
-	for w, p := range parts {
-		e.all = append(e.all, p[:aCounts[w]]...)
+	if lookahead < 1 {
+		panic("sim: epoch lookahead must be at least one cycle")
 	}
-	for w, p := range parts {
-		e.all = append(e.all, p[aCounts[w]:]...)
+	if drains != nil && len(drains) != len(parts) {
+		panic("sim: epoch drain list must match partition count")
 	}
-	e.SplitAt = splitAt
-	e.barrier = NewBarrier(len(parts) + 1)
+	e := &Executor{parts: parts, aCounts: aCounts, drains: drains, lookahead: lookahead}
+	if len(parts) > 1 {
+		e.barrier = NewBarrier(len(parts) + 1)
+	}
 	return e
 }
 
-// EnableEpochSync switches the parallel path to epoch-synchronized
-// conservative execution: each barrier round releases the partitions into
-// a span of up to `lookahead` cycles instead of one. nextEvent returns
-// the next cycle >= from on which a serial event (fault injection,
-// sampler, watchdog, invariants, telemetry, flight recorder) must run;
-// epochs are clamped to end at such cycles, and a cycle that *is* one
-// runs as a 1-cycle epoch with the PreCycle/PostCycle hooks — so hook
-// semantics stay cycle-exact. drains[w], when non-nil, delivers partition
-// w's buffered cross-partition traffic at each epoch entry. Call before
-// the first Run on a partitioned executor; lookahead must be at least the
-// smallest cross-partition link latency for results to stay exact (the
-// network derives it from the topology).
-//
-//stashsim:phase serial
-func (e *Executor) EnableEpochSync(lookahead Tick, nextEvent func(from Tick) Tick, drains []EpochDrainer) {
-	if e.aCounts == nil {
-		panic("sim: epoch sync requires a NewPartitionedExecutor (round-robin partitions are not causally isolated)")
-	}
-	if lookahead < 2 {
-		panic("sim: epoch lookahead must be at least two cycles")
-	}
-	if nextEvent == nil {
-		panic("sim: epoch sync requires a next-event function")
-	}
-	if drains != nil && len(drains) != e.workers {
-		panic("sim: epoch drain list must match partition count")
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.started {
-		panic("sim: EnableEpochSync after the first Run")
-	}
-	e.lookahead = lookahead
-	e.nextEvent = nextEvent
-	e.drains = drains
-}
-
-// EpochClock exposes the executor's barrier-round counter; epoch-mode
-// links index their staging slabs by its parity.
+// EpochClock exposes the executor's barrier-round counter; staged links
+// index their slabs by its parity.
 func (e *Executor) EpochClock() *atomic.Int64 { return &e.epoch }
 
-// aCount returns how many of partition w's components fall below SplitAt.
-// Caller-partitioned executors carry explicit counts; round-robin
-// partitioning preserves relative order, so a partition's phase-A
-// components are exactly its leading ones.
-func (e *Executor) aCount(w int) int {
-	if e.aCounts != nil {
-		return e.aCounts[w]
-	}
-	if e.SplitAt <= w {
-		return 0
-	}
-	return (e.SplitAt - w + e.workers - 1) / e.workers
-}
-
 // Run advances all components from cycle `from` (inclusive) to `to`
-// (exclusive). Within each cycle every component steps exactly once,
-// bracketed by the PreCycle and PostCycle hooks. After Close, Run falls
-// back to the serial path (same results, no worker pool).
+// (exclusive). Within each cycle every component steps exactly once; on
+// the cycles NextEvent names, bracketed by the PreCycle and PostCycle
+// hooks. This is the coordinator loop: one iteration per epoch.
 //
 //stashsim:phase serial
 func (e *Executor) Run(from, to Tick) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.workers <= 1 || e.closed {
-		e.runSerial(from, to)
-		return
-	}
 	prof := e.Profiler
-	if prof != nil && prof.Workers() != e.workers {
-		panic(fmt.Sprintf("sim: profiler sized for %d workers attached to a %d-worker executor; attach it after the worker count is final",
-			prof.Workers(), e.workers))
+	if prof != nil && prof.Workers() != len(e.parts) {
+		panic(fmt.Sprintf("sim: profiler sized for %d workers attached to a %d-partition executor; attach it after the worker count is final",
+			prof.Workers(), len(e.parts)))
 	}
-	if !e.started {
+	if e.quit.Load() {
+		panic("sim: Run on a closed executor")
+	}
+	if e.barrier != nil && !e.started {
 		e.started = true
-		epoch := e.lookahead > 1
-		for w := 0; w < e.workers; w++ {
-			if epoch {
-				var drain EpochDrainer
-				if e.drains != nil {
-					drain = e.drains[w]
-				}
-				go e.epochWorker(w, e.parts[w], e.aCount(w), drain, prof)
-			} else {
-				go e.worker(w, e.parts[w], e.aCount(w), prof)
-			}
+		e.workers.Add(len(e.parts))
+		for w := range e.parts {
+			go e.worker(w, prof)
 		}
 	}
-	if e.lookahead > 1 {
-		e.runEpochs(from, to, prof)
-		return
-	}
-	for now := from; now < to; now++ {
-		if prof == nil {
-			if e.PreCycle != nil {
-				e.PreCycle(now)
-			}
-			e.cur.Store(int64(now))
-			e.curLen.Store(1)
-			e.barrier.Wait() // release workers into cycle `now`
-			e.barrier.Wait() // every component has stepped `now`
-			if e.PostCycle != nil {
-				e.PostCycle(now)
-			}
-			if e.PostEpoch != nil {
-				e.PostEpoch(now + 1)
-			}
-			continue
-		}
-		t0 := nowNS()
-		if e.PreCycle != nil {
-			e.PreCycle(now)
-		}
-		t1 := nowNS()
-		e.cur.Store(int64(now))
-		e.curLen.Store(1)
-		e.barrier.Wait()
-		e.barrier.Wait()
-		t2 := nowNS()
-		if e.PostCycle != nil {
-			e.PostCycle(now)
-		}
-		if e.PostEpoch != nil {
-			e.PostEpoch(now + 1)
-		}
-		t3 := nowNS()
-		prof.recCoord(int64(now), t0, t1-t0, t2-t1, t3-t2)
-	}
-}
-
-// runEpochs is the epoch-synchronized coordinator loop. Every barrier
-// round covers [now, now+L): L is the lookahead clamped to the Run bound
-// and to the next serial event. A cycle carrying a serial event runs as a
-// 1-cycle epoch bracketed by the hooks, exactly as the per-cycle path
-// would run it; event-free stretches run hook-free at full lookahead.
-// The epoch counter advances before the entry barrier so workers and the
-// links' staging slabs agree on the round's parity.
-//
-//stashsim:phase serial
-func (e *Executor) runEpochs(from, to Tick, prof *ExecProfiler) {
 	for now := from; now < to; {
-		next := e.nextEvent(now)
-		hooks := next <= now
-		L := Tick(1)
-		if !hooks {
-			L = e.lookahead
-			if now+L > next {
+		hooks, L := false, to-now
+		if e.NextEvent != nil {
+			next := e.NextEvent(now)
+			if hooks = next <= now; hooks {
+				L = 1
+			} else if next-now < L {
 				L = next - now
 			}
-			if now+L > to {
-				L = to - now
-			}
 		}
-		if prof == nil {
-			if hooks && e.PreCycle != nil {
-				e.PreCycle(now)
-			}
-			e.cur.Store(int64(now))
-			e.curLen.Store(int64(L))
-			e.epoch.Add(1)
-			e.barrier.Wait() // release partitions into [now, now+L)
-			e.barrier.Wait() // every partition has stepped the span
-			if hooks && e.PostCycle != nil {
-				e.PostCycle(now)
-			}
-			if e.PostEpoch != nil {
-				e.PostEpoch(now + L)
-			}
-			now += L
-			continue
+		if L > e.lookahead {
+			L = e.lookahead
 		}
-		t0 := nowNS()
+		t0 := prof.clock()
 		if hooks && e.PreCycle != nil {
 			e.PreCycle(now)
 		}
-		t1 := nowNS()
-		e.cur.Store(int64(now))
-		e.curLen.Store(int64(L))
+		t1 := prof.clock()
 		e.epoch.Add(1)
-		e.barrier.Wait()
-		e.barrier.Wait()
-		t2 := nowNS()
-		if hooks && e.PostCycle != nil {
-			e.PostCycle(now)
+		var dDrain, dA, dB, t2 int64
+		if e.barrier == nil {
+			dDrain, dA, dB, t2 = e.span(0, now, now+L, prof, t1)
+		} else {
+			e.cur.Store(int64(now))
+			e.curLen.Store(int64(L))
+			e.barrier.Wait() // release partitions into [now, now+L)
+			e.barrier.Wait() // every partition has stepped the span
+			t2 = prof.clock()
 		}
 		if e.PostEpoch != nil {
 			e.PostEpoch(now + L)
 		}
-		t3 := nowNS()
+		if hooks && e.PostCycle != nil {
+			e.PostCycle(now)
+		}
+		// Record last, so the bookkeeping lands in no measured phase.
+		t3 := prof.clock()
+		if e.barrier == nil {
+			prof.recWorkerEpoch(int64(now), 0, t1, 0, dDrain, dA, dB, 0)
+		}
 		prof.recCoordEpoch(int64(now), t0, t1-t0, t2-t1, t3-t2, int64(L))
 		now += L
 	}
 }
 
-// runSerial is the single-goroutine path (workers <= 1, or after Close).
-//
-//stashsim:phase serial
-func (e *Executor) runSerial(from, to Tick) {
-	prof := e.Profiler
-	if prof == nil {
-		for now := from; now < to; now++ {
-			if e.PreCycle != nil {
-				e.PreCycle(now)
-			}
-			for _, c := range e.all {
-				c.Step(now)
-			}
-			if e.PostCycle != nil {
-				e.PostCycle(now)
-			}
-		}
-		return
-	}
-	split := e.SplitAt
-	if split < 0 {
-		split = 0
-	}
-	if split > len(e.all) {
-		split = len(e.all)
-	}
-	for now := from; now < to; now++ {
-		t0 := nowNS()
-		if e.PreCycle != nil {
-			e.PreCycle(now)
-		}
-		t1 := nowNS()
-		for _, c := range e.all[:split] {
-			c.Step(now)
-		}
-		t2 := nowNS()
-		for _, c := range e.all[split:] {
-			c.Step(now)
-		}
-		t3 := nowNS()
-		if e.PostCycle != nil {
-			e.PostCycle(now)
-		}
-		t4 := nowNS()
-		prof.recSerial(int64(now), t0, t1-t0, t2-t1, t3-t2, t4-t3)
-	}
-}
-
-// worker is the long-lived loop for one partition. It parks at the
-// cycle-entry barrier between cycles (and between Runs) and exits when
-// Close releases it with quit set. This is the parallel cycle loop: the
-// phasecheck closure and the zero-alloc steady-state contract both root
-// here.
+// worker is the long-lived loop of one partition when there are several:
+// park at the entry barrier (between epochs and between Runs), run the
+// released span, publish its writes at the exit barrier. It exits when
+// Close releases it with quit set.
 //
 //stashsim:phase parallel
 //stashsim:noalloc
-func (e *Executor) worker(lane int, mine []Stepper, aCount int, prof *ExecProfiler) {
+func (e *Executor) worker(lane int, prof *ExecProfiler) {
+	defer e.workers.Done()
 	for {
-		if prof == nil {
-			e.barrier.Wait() // wait for the coordinator's PreCycle
-			if e.quit.Load() {
-				return
-			}
-			now := Tick(e.cur.Load())
-			for _, c := range mine {
-				c.Step(now)
-			}
-			e.barrier.Wait() // publish this cycle's writes
-			continue
-		}
-		t0 := nowNS()
-		e.barrier.Wait()
-		if e.quit.Load() {
-			return
-		}
-		now := Tick(e.cur.Load())
-		t1 := nowNS()
-		for _, c := range mine[:aCount] {
-			c.Step(now)
-		}
-		t2 := nowNS()
-		for _, c := range mine[aCount:] {
-			c.Step(now)
-		}
-		t3 := nowNS()
-		e.barrier.Wait()
-		t4 := nowNS()
-		prof.recWorker(int64(now), lane, t0, t1-t0, t2-t1, t3-t2, t4-t3)
-	}
-}
-
-// epochWorker is the epoch-mode partition loop: park at the entry
-// barrier, drain the previous epoch's cross-partition traffic, then
-// free-run the partition through the released span with no further
-// synchronization. Determinism holds because the lookahead rule
-// guarantees nothing staged by a concurrent partition this epoch is due
-// before the next one, so every flit and credit is folded before its due
-// cycle, in per-link FIFO order, for any worker interleaving.
-//
-//stashsim:phase parallel
-//stashsim:noalloc
-func (e *Executor) epochWorker(lane int, mine []Stepper, aCount int, drain EpochDrainer, prof *ExecProfiler) {
-	for {
-		if prof == nil {
-			e.barrier.Wait() // wait for the coordinator's hooks
-			if e.quit.Load() {
-				return
-			}
-			now := Tick(e.cur.Load())
-			end := now + Tick(e.curLen.Load())
-			if drain != nil {
-				drain.DrainEpoch(e.epoch.Load())
-			}
-			for ; now < end; now++ {
-				for _, c := range mine {
-					c.Step(now)
-				}
-			}
-			e.barrier.Wait() // publish this epoch's writes
-			continue
-		}
-		t0 := nowNS()
-		e.barrier.Wait()
+		t0 := prof.clock()
+		e.barrier.Wait() // wait for the coordinator's hooks
 		if e.quit.Load() {
 			return
 		}
 		start := Tick(e.cur.Load())
-		end := start + Tick(e.curLen.Load())
-		t1 := nowNS()
-		if drain != nil {
-			drain.DrainEpoch(e.epoch.Load())
-		}
-		t2 := nowNS()
-		var dA, dB int64
-		for now := start; now < end; now++ {
-			u0 := nowNS()
-			for _, c := range mine[:aCount] {
-				c.Step(now)
-			}
-			u1 := nowNS()
-			for _, c := range mine[aCount:] {
-				c.Step(now)
-			}
-			dA += u1 - u0
-			dB += nowNS() - u1
-		}
-		t3 := nowNS()
-		e.barrier.Wait()
-		t4 := nowNS()
-		prof.recWorkerEpoch(int64(start), lane, t0, t1-t0, t2-t1, dA, dB, t4-t3)
+		t1 := prof.clock()
+		dDrain, dA, dB, tDone := e.span(lane, start, start+Tick(e.curLen.Load()), prof, t1)
+		e.barrier.Wait() // publish this epoch's writes
+		prof.recWorkerEpoch(int64(start), lane, t0, t1-t0, dDrain, dA, dB, prof.clock()-tDone)
 	}
 }
 
-// Close shuts down the worker goroutines. Calling Run after Close is safe:
-// it executes serially with identical results. Close is idempotent.
+// span runs one partition through one epoch [start, end): deliver the
+// previous epoch's cross-partition traffic, then free-run the components
+// with no synchronization. This is the one stepping loop — the phasecheck
+// closure and the zero-alloc steady-state contract both root here.
+// Determinism holds because nothing staged by a concurrent partition this
+// epoch is due before the next one, so every flit and credit reaches its
+// ring before its due cycle, in per-link FIFO order, for any interleaving.
+// For the profiler it takes the clock reading at entry and returns the
+// drain time, the two work sub-phase totals and the reading at exit; the
+// readings chain, so no time between phases goes unattributed.
+//
+//stashsim:phase parallel
+//stashsim:noalloc
+func (e *Executor) span(lane int, start, end Tick, prof *ExecProfiler, tIn int64) (dDrain, dA, dB, tOut int64) {
+	if e.drains != nil {
+		e.drains[lane].DrainEpoch(e.epoch.Load())
+	}
+	tOut = prof.clock()
+	dDrain = tOut - tIn
+	mine, a := e.parts[lane], e.aCounts[lane]
+	for now := start; now < end; now++ {
+		for _, c := range mine[:a] {
+			c.Step(now)
+		}
+		tA := prof.clock()
+		for _, c := range mine[a:] {
+			c.Step(now)
+		}
+		dA += tA - tOut
+		tOut = prof.clock()
+		dB += tOut - tA
+	}
+	return
+}
+
+// Close stops the worker goroutines, if any, and returns once they have
+// exited. It is terminal — to continue, build a new executor over the same
+// components — and idempotent.
 //
 //stashsim:phase serial
 func (e *Executor) Close() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
-		return
-	}
-	e.closed = true
-	if e.started {
-		e.quit.Store(true)
+	if !e.quit.Swap(true) && e.started {
 		e.barrier.Wait() // release parked workers; they observe quit and exit
-		e.started = false
+		e.workers.Wait()
 	}
 }

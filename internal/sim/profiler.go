@@ -48,10 +48,10 @@ const (
 	// PhaseWorkB is time spent stepping components at or above the phase
 	// split (the network maps these to switches).
 	PhaseWorkB
-	// PhaseBarrierRelease is a worker's wait at the cycle-entry barrier:
+	// PhaseBarrierRelease is a worker's wait at the epoch-entry barrier:
 	// the shadow of the coordinator's serial hooks plus scheduling delay.
 	PhaseBarrierRelease
-	// PhaseBarrierPublish is a worker's wait at the cycle-exit barrier
+	// PhaseBarrierPublish is a worker's wait at the epoch-exit barrier
 	// after finishing its own partition: pure straggler skew.
 	PhaseBarrierPublish
 	// PhasePreHook is the coordinator's serial PreCycle hook.
@@ -60,11 +60,11 @@ const (
 	// watchdog, invariants, flight recorder, telemetry publish).
 	PhasePostHook
 	// PhaseCycleSpan is the coordinator's span between releasing the
-	// workers and the last worker arriving: the parallel section of the
-	// cycle as the coordinator sees it.
+	// partitions and the last one finishing: the stepping section of the
+	// epoch as the coordinator sees it.
 	PhaseCycleSpan
-	// PhaseEpochDrain is a worker's time folding cross-partition link
-	// inboxes at an epoch boundary (epoch-synchronized executors only).
+	// PhaseEpochDrain is a partition's time delivering cross-partition
+	// link slabs at an epoch boundary.
 	PhaseEpochDrain
 	// NumPhases is the number of timed phases.
 	NumPhases
@@ -151,8 +151,8 @@ func (h *PhaseHist) P99NS() int64 {
 	return h.max.Load()
 }
 
-// ringLaneWords is the per-(cycle, lane) ring record: cycle, start
-// timestamp, and one duration per recorded sub-phase (worker lanes use
+// ringLaneWords is the per-(epoch, lane) ring record: first cycle, start
+// timestamp, and one duration per recorded sub-phase (partition lanes use
 // release/work-a/work-b/publish; the coordinator lane uses
 // pre/span/post and leaves the fourth zero).
 const ringLaneWords = 6
@@ -191,9 +191,9 @@ type RingRec struct {
 	Durs  [4]int64
 }
 
-// ExecProfiler collects per-worker, per-phase executor timings. Lanes
-// 0..workers-1 belong to the worker goroutines (or the single serial
-// lane); lane `workers` is the coordinator. Construct with
+// ExecProfiler collects per-partition, per-phase executor timings. Lanes
+// 0..workers-1 belong to the partitions (one lane when the executor runs
+// inline); lane `workers` is the coordinator. Construct with
 // NewExecProfiler and attach to Executor.Profiler before the first Run.
 // One profiler may be shared by several executors (the figures harness
 // attaches one to every sweep network): all recording is atomic, so the
@@ -203,14 +203,14 @@ type ExecProfiler struct {
 	lanes   [][NumPhases]PhaseHist
 	wallNS  atomic.Int64
 	cycles  atomic.Int64
-	epochs  atomic.Int64 // barrier synchronizations (== cycles when per-cycle)
+	epochs  atomic.Int64 // synchronizations; == cycles when every cycle is an epoch
 	ring    *profRing
 
 	labelA, labelB string
 }
 
 // NewExecProfiler returns a profiler for an executor with the given
-// worker count (values below one profile the serial path's single lane).
+// partition count (values below one mean one).
 // ringCycles > 0 retains the most recent ringCycles cycles of raw lane
 // timings for the Chrome trace export; 0 disables the ring.
 func NewExecProfiler(workers, ringCycles int) *ExecProfiler {
@@ -256,44 +256,31 @@ func (p *ExecProfiler) Hist(lane int, ph Phase) *PhaseHist {
 	return &p.lanes[lane][ph]
 }
 
-// recWorker records one worker cycle's four sub-phase durations plus the
-// ring entry.
+// clock reads the profiling clock, or returns 0 with no profiler attached
+// — the executor's one loop takes its timestamps through it, so an
+// unprofiled run pays a nil check instead of a clock read.
 //
 //stashsim:phase parallel
 //stashsim:noalloc
-func (p *ExecProfiler) recWorker(cycle int64, lane int, start, dRel, dA, dB, dPub int64) {
-	l := &p.lanes[lane]
-	l[PhaseBarrierRelease].rec(dRel)
-	l[PhaseWorkA].rec(dA)
-	l[PhaseWorkB].rec(dB)
-	l[PhaseBarrierPublish].rec(dPub)
-	p.ring.put(cycle, lane, start, dRel, dA, dB, dPub)
+func (p *ExecProfiler) clock() int64 {
+	if p == nil {
+		return 0
+	}
+	return nowNS()
 }
 
-// recCoord records one coordinator cycle: hooks, parallel span, wall.
-// A per-cycle barrier round is one synchronization, so epochs advances
-// alongside cycles.
-//
-//stashsim:phase serial
-func (p *ExecProfiler) recCoord(cycle int64, start, dPre, dSpan, dPost int64) {
-	l := &p.lanes[p.workers]
-	l[PhasePreHook].rec(dPre)
-	l[PhaseCycleSpan].rec(dSpan)
-	l[PhasePostHook].rec(dPost)
-	p.wallNS.Add(dPre + dSpan + dPost)
-	p.cycles.Add(1)
-	p.epochs.Add(1)
-	p.ring.put(cycle, p.workers, start, dPre, dSpan, dPost, 0)
-}
-
-// recWorkerEpoch records one worker epoch: entry-barrier wait, the epoch
-// drain, the accumulated work of the epoch's cycles, and the exit-barrier
-// wait. The ring entry folds the drain into the release slot to keep the
-// record four durations wide.
+// recWorkerEpoch records one partition epoch: entry-barrier wait, the
+// epoch drain, the accumulated work of the epoch's cycles, and the
+// exit-barrier wait (both waits are zero for a partition run inline). The
+// ring entry folds the drain into the release slot to keep the record four
+// durations wide.
 //
 //stashsim:phase parallel
 //stashsim:noalloc
 func (p *ExecProfiler) recWorkerEpoch(cycle int64, lane int, start, dRel, dDrain, dA, dB, dPub int64) {
+	if p == nil {
+		return
+	}
 	l := &p.lanes[lane]
 	l[PhaseBarrierRelease].rec(dRel)
 	l[PhaseEpochDrain].rec(dDrain)
@@ -304,10 +291,13 @@ func (p *ExecProfiler) recWorkerEpoch(cycle int64, lane int, start, dRel, dDrain
 }
 
 // recCoordEpoch records one coordinator epoch spanning `cycles` simulated
-// cycles with a single barrier round.
+// cycles with a single synchronization: hooks, parallel span, wall.
 //
 //stashsim:phase serial
 func (p *ExecProfiler) recCoordEpoch(cycle int64, start, dPre, dSpan, dPost, cycles int64) {
+	if p == nil {
+		return
+	}
 	l := &p.lanes[p.workers]
 	l[PhasePreHook].rec(dPre)
 	l[PhaseCycleSpan].rec(dSpan)
@@ -316,26 +306,6 @@ func (p *ExecProfiler) recCoordEpoch(cycle int64, start, dPre, dSpan, dPost, cyc
 	p.cycles.Add(cycles)
 	p.epochs.Add(1)
 	p.ring.put(cycle, p.workers, start, dPre, dSpan, dPost, 0)
-}
-
-// recSerial records one serial-path cycle on lane 0 plus the coordinator
-// hooks (no barrier phases exist on the serial path).
-//
-//stashsim:phase serial
-func (p *ExecProfiler) recSerial(cycle int64, start, dPre, dA, dB, dPost int64) {
-	l0 := &p.lanes[0]
-	l0[PhaseWorkA].rec(dA)
-	l0[PhaseWorkB].rec(dB)
-	lc := &p.lanes[p.workers]
-	lc[PhasePreHook].rec(dPre)
-	lc[PhaseCycleSpan].rec(dA + dB)
-	lc[PhasePostHook].rec(dPost)
-	p.wallNS.Add(dPre + dA + dB + dPost)
-	p.cycles.Add(1)
-	if p.workers == 1 {
-		p.ring.put(cycle, 0, start+dPre, 0, dA, dB, 0)
-		p.ring.put(cycle, 1, start, dPre, dA+dB, dPost, 0)
-	}
 }
 
 // Recent returns the retained ring records, oldest cycle first, skipping
@@ -531,7 +501,8 @@ func (p *ExecProfiler) Report() *ExecReport {
 		if p.workers > 1 {
 			a.AttributedPct = pct(sumAttr)
 		} else {
-			// Serial path: no barrier phases; wall = hooks + work + loop ε.
+			// Inline partition: no barrier waits shadow the hooks, so
+			// wall = hooks + work + loop ε.
 			a.AttributedPct = 100 * float64(sumAttr+preNS+postNS) / float64(r.WallNS)
 		}
 	}

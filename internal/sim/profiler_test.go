@@ -44,8 +44,8 @@ func TestExecProfilerSerial(t *testing.T) {
 	for i := 0; i < comps; i++ {
 		steppers = append(steppers, &countStepper{})
 	}
-	e := NewExecutor(steppers, 1)
-	e.SplitAt = 2
+	e := NewPartitionedExecutor([][]Stepper{steppers}, []int{2}, 1<<40, nil)
+	e.NextEvent = everyCycle
 	p := NewExecProfiler(1, 16)
 	p.SetPhaseLabels("endpoints", "switches")
 	e.Profiler = p
@@ -87,8 +87,9 @@ func TestExecProfilerParallel(t *testing.T) {
 	for i := 0; i < comps; i++ {
 		steppers = append(steppers, &countStepper{})
 	}
-	e := NewExecutor(steppers, workers)
-	e.SplitAt = 3
+	parts, _ := roundRobin(steppers, workers)
+	e := NewPartitionedExecutor(parts, []int{1, 1, 1, 0}, 7, nil)
+	e.NextEvent = everyCycle
 	p := NewExecProfiler(workers, 8)
 	e.Profiler = p
 	e.Run(0, cycles)
@@ -104,9 +105,9 @@ func TestExecProfilerParallel(t *testing.T) {
 			}
 		}
 	}
-	// aCount distribution: SplitAt=3 over 4 partitions means workers 0-2
-	// lead with one phase-A component, worker 3 with none — observational
-	// only, but the report must attribute nearly all wall time.
+	// Partitions 0-2 lead with one phase-A component, partition 3 with
+	// none — observational only, but the report must attribute nearly all
+	// wall time.
 	if a := r.Attribution; a.AttributedPct < 90 || a.AttributedPct > 120 {
 		t.Fatalf("parallel attribution %.1f%% outside sanity band", a.AttributedPct)
 	}
@@ -131,7 +132,8 @@ func TestExecProfilerMismatchedWorkersPanics(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		steppers = append(steppers, &countStepper{})
 	}
-	e := NewExecutor(steppers, 3)
+	parts, aCounts := roundRobin(steppers, 3)
+	e := NewPartitionedExecutor(parts, aCounts, 7, nil)
 	defer e.Close()
 	e.Profiler = NewExecProfiler(2, 0) // wrong worker count
 	defer func() {
@@ -147,8 +149,8 @@ func TestExecProfilerChromeEvents(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		steppers = append(steppers, &countStepper{})
 	}
-	e := NewExecutor(steppers, 2)
-	e.SplitAt = 2
+	parts, _ := roundRobin(steppers, 2)
+	e := NewPartitionedExecutor(parts, []int{1, 1}, 7, nil)
 	p := NewExecProfiler(2, 4)
 	p.SetPhaseLabels("endpoints", "switches")
 	e.Profiler = p

@@ -144,13 +144,25 @@ type countStepper struct {
 
 func (c *countStepper) Step(now Tick) { c.steps = append(c.steps, now) }
 
+// roundRobin deals steppers over n partitions with no phase-A split.
+func roundRobin(steppers []Stepper, n int) ([][]Stepper, []int) {
+	parts := make([][]Stepper, n)
+	for i, c := range steppers {
+		parts[i%n] = append(parts[i%n], c)
+	}
+	return parts, make([]int, n)
+}
+
+// TestExecutorSerial: one partition runs inline, stepping every component
+// every cycle in order, with no serial events to clamp the epochs.
 func TestExecutorSerial(t *testing.T) {
 	cs := []*countStepper{{}, {}, {}}
 	var steppers []Stepper
 	for _, c := range cs {
 		steppers = append(steppers, c)
 	}
-	e := NewExecutor(steppers, 1)
+	parts, aCounts := roundRobin(steppers, 1)
+	e := NewPartitionedExecutor(parts, aCounts, 1<<40, nil)
 	e.Run(0, 10)
 	e.Run(10, 15)
 	for _, c := range cs {
@@ -182,9 +194,9 @@ type tallyStepper struct {
 
 func (s *tallyStepper) Step(now Tick) { s.total.Add(1) }
 
-// TestExecutorHookOrdering verifies the two-phase barrier contract: within
-// every cycle, PreCycle runs strictly before any component step and
-// PostCycle strictly after all of them, for both execution modes.
+// TestExecutorHookOrdering verifies the barrier contract with an event on
+// every cycle: PreCycle runs strictly before any component step of its
+// cycle and PostCycle strictly after all of them, inline and with workers.
 func TestExecutorHookOrdering(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		const comps, cycles = 8, 40
@@ -193,7 +205,9 @@ func TestExecutorHookOrdering(t *testing.T) {
 		for i := range steppers {
 			steppers[i] = &tallyStepper{total: &total}
 		}
-		e := NewExecutor(steppers, workers)
+		parts, aCounts := roundRobin(steppers, workers)
+		e := NewPartitionedExecutor(parts, aCounts, 7, nil)
+		e.NextEvent = everyCycle
 		var bad atomic.Int64
 		e.PreCycle = func(now Tick) {
 			// Entering cycle `now`, exactly now*comps steps have happened.
@@ -218,21 +232,24 @@ func TestExecutorHookOrdering(t *testing.T) {
 	}
 }
 
-// TestExecutorRunAfterClose exercises the documented fallback: a closed
-// executor still runs, serially, with identical step counts.
+// TestExecutorRunAfterClose: Close is idempotent and terminal — a later
+// Run panics instead of deadlocking on a barrier nobody else will reach.
 func TestExecutorRunAfterClose(t *testing.T) {
-	var total atomic.Int64
-	steppers := make([]Stepper, 6)
-	for i := range steppers {
-		steppers[i] = &tallyStepper{total: &total}
-	}
-	e := NewExecutor(steppers, 3)
-	e.Run(0, 10)
-	e.Close()
-	e.Close() // idempotent
-	e.Run(10, 20)
-	if got := total.Load(); got != 6*20 {
-		t.Fatalf("%d steps after close-and-run, want %d", got, 6*20)
+	for _, workers := range []int{1, 3} {
+		var total atomic.Int64
+		steppers := make([]Stepper, 6)
+		for i := range steppers {
+			steppers[i] = &tallyStepper{total: &total}
+		}
+		parts, aCounts := roundRobin(steppers, workers)
+		e := NewPartitionedExecutor(parts, aCounts, 7, nil)
+		e.Run(0, 10)
+		e.Close()
+		e.Close() // idempotent
+		mustPanicSim(t, "Run after Close", func() { e.Run(10, 20) })
+		if got := total.Load(); got != 6*10 {
+			t.Fatalf("workers=%d: %d steps, want %d", workers, got, 6*10)
+		}
 	}
 }
 
@@ -265,7 +282,8 @@ func TestExecutorParallelCycleBoundary(t *testing.T) {
 		ss[i] = &atomicStepper{cur: &cur}
 		comps[i] = ss[i]
 	}
-	e := NewExecutor(comps, 4)
+	parts, aCounts := roundRobin(comps, 4)
+	e := NewPartitionedExecutor(parts, aCounts, 7, nil)
 	defer e.Close()
 	for c := Tick(0); c < 50; c++ {
 		cur.Store(int64(c))

@@ -191,15 +191,6 @@ func (l Latencies) Of(c LinkClass) int64 {
 	}
 }
 
-// CrossGroupLookahead returns the conservative-PDES lookahead, in cycles,
-// for partitions made of whole dragonfly groups: the smallest one-way
-// latency of any link that crosses a group boundary. Only global links
-// cross groups (endpoint and local links stay inside one), so this is the
-// global latency. A flit or credit staged on a cross-group link during an
-// epoch of at most this many cycles cannot become due before the next
-// epoch starts, which is what makes epoch-batched delivery exact.
-func (d Dragonfly) CrossGroupLookahead(l Latencies) int64 { return l.Global }
-
 // PaperLatencies converts the paper's one-way nanosecond latencies
 // (5/40/500 ns) into internal 1.3 GHz cycles, rounding up.
 func PaperLatencies() Latencies {

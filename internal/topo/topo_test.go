@@ -237,15 +237,3 @@ func TestGlobalLinkSelfPanics(t *testing.T) {
 	mustPanic("GlobalLinkTarget negative", func() { d.GlobalLinkTarget(3, -1) })
 	mustPanic("GlobalLinkTarget overflow", func() { d.GlobalLinkTarget(3, d.Groups()-1) })
 }
-
-// TestCrossGroupLookahead pins the PDES lookahead helper to the global
-// latency (the only link class that crosses a group boundary).
-func TestCrossGroupLookahead(t *testing.T) {
-	d := paperTopo()
-	if got := d.CrossGroupLookahead(PaperLatencies()); got != 650 {
-		t.Fatalf("paper lookahead %d, want 650", got)
-	}
-	if got := d.CrossGroupLookahead(Latencies{Endpoint: 7, Local: 13, Global: 65}); got != 65 {
-		t.Fatalf("tiny lookahead %d, want 65", got)
-	}
-}
