@@ -34,11 +34,15 @@ test:
 # protocol, the partition-crossing link slabs and the shared observability
 # sinks (tracer, telemetry server) are the paths it guards. -short skips
 # the multi-minute simulation sweeps (they run unshortened in `make test`
-# and add no concurrency coverage). Measured on a 2-CPU host: 12m38s for
-# the whole pass, of which internal/network — one test binary — takes 728 s
-# (632 s when run alone; its long single-partition scenario tests, not the
-# determinism grids, dominate). That is past go test's 10-minute default
-# per-package timeout, so the timeout stays raised.
+# and add no concurrency coverage). Measured on a 2-CPU host with
+# sleep/wake stepping in: 13m22s for the whole pass, of which
+# internal/network — one test binary — takes 782 s (769 s when run alone,
+# before the wake tests' checkpoint trails were thinned for -short). Its
+# long tests are loaded single-partition scenario tests (40-50 s each under
+# the detector) whose endpoints carry generators and therefore never
+# sleep, so stepping only what is due does not shorten them; the
+# determinism and wake grids are the smaller part. That is past go test's
+# 10-minute default per-package timeout, so the timeout stays raised.
 race:
 	$(GO) test -race -short -timeout 30m ./...
 

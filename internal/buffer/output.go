@@ -1,6 +1,10 @@
 package buffer
 
-import "stashsim/internal/proto"
+import (
+	"math"
+
+	"stashsim/internal/proto"
+)
 
 // OutBuf is a switch output buffer. Architecturally it provides link-level
 // retransmission: a transmitted flit is retained until the link-level
@@ -17,8 +21,49 @@ type OutBuf struct {
 	queues   []Ring // per-VC FIFOs awaiting transmission
 	capacity int    // normal-partition capacity in flits
 	queued   int    // flits awaiting transmission
-	inflight TimedRing
+	inflight deadlineRing
 	occupied uint32
+}
+
+// deadlineRing is a growable FIFO of non-decreasing release deadlines: the
+// retention window holds no flits, only the cycle each sent flit's space
+// comes back. nextAt mirrors the front so the per-cycle probe stays on the
+// header (see TimedRing).
+type deadlineRing struct {
+	buf    []int64
+	head   int
+	n      int
+	nextAt int64
+}
+
+//stashsim:noalloc
+func (r *deadlineRing) push(at int64) {
+	if r.n == len(r.buf) {
+		r.buf, r.head = growRing(r.buf, r.head, r.n), 0
+	}
+	if r.n == 0 {
+		r.nextAt = at
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = at
+	r.n++
+}
+
+// at returns the i-th oldest deadline (0 = front).
+//
+//stashsim:noalloc
+func (r *deadlineRing) at(i int) int64 { return r.buf[(r.head+i)&(len(r.buf)-1)] }
+
+// popDue drops every deadline that has passed.
+//
+//stashsim:noalloc
+func (r *deadlineRing) popDue(now int64) {
+	for r.n > 0 && r.nextAt <= now {
+		r.head = (r.head + 1) & (len(r.buf) - 1)
+		r.n--
+		if r.n > 0 {
+			r.nextAt = r.buf[r.head]
+		}
+	}
 }
 
 // NewOutBuf builds an output buffer with the given normal-partition
@@ -36,7 +81,7 @@ func (b *OutBuf) Capacity() int { return b.capacity }
 // Used returns the total occupancy: queued plus retained flits.
 //
 //stashsim:noalloc
-func (b *OutBuf) Used() int { return b.queued + b.inflight.Len() }
+func (b *OutBuf) Used() int { return b.queued + b.inflight.n }
 
 // Queued returns the number of flits awaiting transmission.
 //
@@ -48,7 +93,7 @@ func (b *OutBuf) Queued() int { return b.queued }
 // has nothing to do until new flits or credits arrive.
 //
 //stashsim:noalloc
-func (b *OutBuf) Retained() int { return b.inflight.Len() }
+func (b *OutBuf) Retained() int { return b.inflight.n }
 
 // Free returns the number of flits that can currently be accepted.
 //
@@ -92,20 +137,14 @@ func (b *OutBuf) Send(vc int, releaseAt int64) proto.Flit {
 	if b.queues[vc].Empty() {
 		b.occupied &^= 1 << uint(vc)
 	}
-	b.inflight.Push(TimedFlit{At: releaseAt, Flit: proto.Flit{}})
+	b.inflight.push(releaseAt)
 	return f
 }
 
 // Release frees the space of every retained flit whose deadline has passed.
 //
 //stashsim:noalloc
-func (b *OutBuf) Release(now int64) {
-	for {
-		if _, ok := b.inflight.PopDue(now); !ok {
-			return
-		}
-	}
-}
+func (b *OutBuf) Release(now int64) { b.inflight.popDue(now) }
 
 // ReleaseDue reports whether Release(now) would free anything: the
 // active-set probe that lets an otherwise idle output port skip its step
@@ -113,5 +152,16 @@ func (b *OutBuf) Release(now int64) {
 //
 //stashsim:noalloc
 func (b *OutBuf) ReleaseDue(now int64) bool {
-	return b.inflight.FrontDue(now)
+	return b.NextRelease() <= now
+}
+
+// NextRelease returns the earliest retention deadline, math.MaxInt64 when
+// nothing is retained: the cycle an otherwise idle port next has work.
+//
+//stashsim:noalloc
+func (b *OutBuf) NextRelease() int64 {
+	if b.inflight.n == 0 {
+		return math.MaxInt64
+	}
+	return b.inflight.nextAt
 }

@@ -6,7 +6,11 @@
 // architecture.
 package buffer
 
-import "stashsim/internal/proto"
+import (
+	"math"
+
+	"stashsim/internal/proto"
+)
 
 // Ring is a growable FIFO of flits. It grows geometrically on demand and
 // never shrinks, so steady-state operation performs no allocation.
@@ -72,18 +76,19 @@ func (r *Ring) At(i int) *proto.Flit {
 }
 
 //stashsim:noalloc
-func (r *Ring) grow() {
-	size := len(r.buf) * 2
-	if size == 0 {
-		size = 8
-	}
+func (r *Ring) grow() { r.buf, r.head = growRing(r.buf, r.head, r.n), 0 }
+
+// growRing returns a power-of-two ring's backing array doubled (8 slots to
+// start with), its n entries moved to the front in order.
+//
+//stashsim:noalloc
+func growRing[T any](buf []T, head, n int) []T {
 	//lint:allow allocfree -- amortized doubling; steady state stays within the high-water capacity
-	nb := make([]proto.Flit, size)
-	for i := 0; i < r.n; i++ {
-		nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+	nb := make([]T, max(8, 2*len(buf)))
+	for i := 0; i < n; i++ {
+		nb[i] = buf[(head+i)&(len(buf)-1)]
 	}
-	r.buf = nb
-	r.head = 0
+	return nb
 }
 
 // TimedFlit is a flit with an associated deadline, used by link pipelines
@@ -163,6 +168,17 @@ func (r *TimedRing) FrontDue(now int64) bool {
 	return r.n > 0 && r.nextAt <= now
 }
 
+// NextAt returns the front entry's deadline, math.MaxInt64 when empty:
+// the ring's term in its owner's "when is something next due" minimum.
+//
+//stashsim:noalloc
+func (r *TimedRing) NextAt() int64 {
+	if r.n == 0 {
+		return math.MaxInt64
+	}
+	return r.nextAt
+}
+
 // At returns a pointer to the i-th oldest entry (0 = front).
 //
 //stashsim:noalloc
@@ -174,16 +190,4 @@ func (r *TimedRing) At(i int) *TimedFlit {
 }
 
 //stashsim:noalloc
-func (r *TimedRing) grow() {
-	size := len(r.buf) * 2
-	if size == 0 {
-		size = 8
-	}
-	//lint:allow allocfree -- amortized doubling; steady state stays within the high-water capacity
-	nb := make([]TimedFlit, size)
-	for i := 0; i < r.n; i++ {
-		nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-	}
-	r.buf = nb
-	r.head = 0
-}
+func (r *TimedRing) grow() { r.buf, r.head = growRing(r.buf, r.head, r.n), 0 }

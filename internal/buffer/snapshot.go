@@ -94,9 +94,8 @@ func (c *CreditCounter) DecodeState(rd *snapshot.Reader) {
 	c.shared = int(rd.I64())
 }
 
-// EncodeState appends the output buffer's dynamic state. Retained
-// (in-flight) entries are placeholder flits carrying only a release
-// deadline, so only the deadlines are serialized.
+// EncodeState appends the output buffer's dynamic state; the retention
+// window is its release deadlines.
 func (b *OutBuf) EncodeState(w *snapshot.Writer) {
 	w.Section("OUTB")
 	w.Count(len(b.queues))
@@ -105,9 +104,9 @@ func (b *OutBuf) EncodeState(w *snapshot.Writer) {
 	}
 	w.I64(int64(b.queued))
 	w.U32(b.occupied)
-	w.Count(b.inflight.Len())
-	for i := 0; i < b.inflight.Len(); i++ {
-		w.I64(b.inflight.At(i).At)
+	w.Count(b.inflight.n)
+	for i := 0; i < b.inflight.n; i++ {
+		w.I64(b.inflight.at(i))
 	}
 }
 
@@ -126,9 +125,9 @@ func (b *OutBuf) DecodeState(rd *snapshot.Reader) {
 	b.queued = int(rd.I64())
 	b.occupied = rd.U32()
 	n := rd.Count(8)
-	b.inflight = TimedRing{}
+	b.inflight = deadlineRing{}
 	for i := 0; i < n; i++ {
-		b.inflight.Push(TimedFlit{At: rd.I64()})
+		b.inflight.push(rd.I64())
 	}
 }
 

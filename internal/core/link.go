@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync/atomic"
 
 	"stashsim/internal/buffer"
@@ -67,11 +68,15 @@ type Link struct {
 	// armedIn mask (credBit into the producer switch's armedCred), so the
 	// switch visits only ports with something on the wire. Wired by
 	// AttachInLink/AttachOutLink; nil on endpoint-consumed sides and bare
-	// links, whose owners probe every cycle.
-	flitArm *uint64
-	flitBit uint64
-	credArm *uint64
-	credBit uint64
+	// links, whose owners probe every cycle. flitWake and credWake are the
+	// wake-table slots (sim.Executor.WakeSlot) of the flits' and the
+	// credits' consumer: a direct push lowers the slot to its due cycle.
+	flitArm  *uint64
+	flitBit  uint64
+	credArm  *uint64
+	credBit  uint64
+	flitWake *int64
+	credWake *int64
 
 	// epoch, when non-nil, marks a partition-crossing link: pushes stage
 	// into slab epoch&1. The pointer is written only at a barrier (Stage);
@@ -117,6 +122,7 @@ func (l *Link) SendFlit(now int64, f proto.Flit) {
 	if l.flitArm != nil {
 		*l.flitArm |= l.flitBit
 	}
+	wakeBy(l.flitWake, t.At)
 }
 
 // SendCredit returns a credit to the link's producer; it arrives after the
@@ -139,7 +145,24 @@ func (l *Link) SendCredit(now int64, c proto.Credit) {
 	if l.credArm != nil {
 		*l.credArm |= l.credBit
 	}
+	wakeBy(l.credWake, at)
 }
+
+// WakeFlits and WakeCredits wire the wake slot of the flits' and of the
+// credits' consumer. Only direct pushes use them: a partition-crossing
+// link's consumer is woken by its own epoch drain. Barrier-only.
+func (l *Link) WakeFlits(w *int64)   { l.flitWake = w }
+func (l *Link) WakeCredits(w *int64) { l.credWake = w }
+
+// NextFlitAt returns the due cycle of the oldest flit on the ring,
+// NextCreditAt of the oldest returned or synthesized credit batch
+// (math.MaxInt64 when empty): the consumers' sim.Stepper.NextWake terms.
+//
+//stashsim:noalloc
+func (l *Link) NextFlitAt() int64 { return l.flits.NextAt() }
+
+//stashsim:noalloc
+func (l *Link) NextCreditAt() int64 { return min(l.credits.next(), l.synth.next()) }
 
 // Stage selects the link's delivery form: a non-nil clock (the executor's
 // epoch counter) marks the link as partition-crossing, nil as internal to
@@ -442,6 +465,16 @@ func (r *timedCreditRing) front() (*creditBatch, bool) {
 //stashsim:noalloc
 func (r *timedCreditRing) frontDue(now int64) bool {
 	return r.n > 0 && r.nextAt <= now
+}
+
+// next returns the front batch's due time, math.MaxInt64 when empty.
+//
+//stashsim:noalloc
+func (r *timedCreditRing) next() int64 {
+	if r.n == 0 {
+		return math.MaxInt64
+	}
+	return r.nextAt
 }
 
 // popOneDue removes a single credit from the front batch if it is due.

@@ -308,6 +308,7 @@ type reconRec struct {
 //
 //stashsim:phase serial -- fault injection runs from the harness between cycles, never inside Step
 func (s *Switch) FailStashBank(now sim.Tick, port int) (lost, reconstructed int) {
+	wakeBy(s.wake, now) // reconQ and the tracking entries change under a sleeping switch
 	pool := s.stash[port]
 	if s.parity != nil {
 		for _, pktID := range s.parity.FailCandidates(port) {

@@ -50,7 +50,7 @@ type Counters struct {
 // every handle method is nil-receiver-safe, so instrumentation sites cost
 // one predictable branch and zero allocations on the disabled path.
 type switchMetrics struct {
-	cycles          *metrics.Counter   // switch cycles stepped
+	cycles          *metrics.Counter   // switch cycles simulated (CreditCycles)
 	svcFlits        *metrics.Counter   // storage-VC flits crossing tile column channels
 	rvcFlits        *metrics.Counter   // retrieval-VC flits crossing tile column channels
 	colFlits        *metrics.Counter   // all flits crossing tile column channels
@@ -207,10 +207,13 @@ type Switch struct {
 	CreditStallCycles int64
 
 	radix int
-	in    []inPort
-	out   []outPort
-	tiles []tile              // Rows*Cols, row-major
-	stash []*buffer.StashPool // per port; nil-capacity pools allowed
+	// tileOutOf is cfg.TileOutOf per output port, tabulated so the tile
+	// allocator's candidate loop does not divide by a run-time value.
+	tileOutOf [64]uint8
+	in        []inPort
+	out       []outPort
+	tiles     []tile              // Rows*Cols, row-major
+	stash     []*buffer.StashPool // per port; nil-capacity pools allowed
 
 	sideband sbRing
 	track    []map[uint64]*e2eEntry // per end port
@@ -242,6 +245,11 @@ type Switch struct {
 	// remain — so Step touches only links with something on the wire.
 	armedIn   uint64
 	armedCred uint64
+
+	// wake is this switch's slot in its partition's wake table (see
+	// sim.Stepper.NextWake and SetWakeSlot); input that reaches the switch
+	// by any way other than a same-partition link push lowers it by hand.
+	wake *sim.Tick
 
 	// entryFree recycles settled e2eEntry records (LIFO), so steady-state
 	// tracking churn allocates nothing once the high-water mark is reached.
@@ -305,6 +313,7 @@ func NewSwitch(id int, cfg *Config, rng *sim.RNG) *Switch {
 		op.mem.Ideal = !cfg.BankModel
 		op.rtt = 2 * cfg.Lat.Of(class)
 		op.accTick = -1
+		s.tileOutOf[p] = uint8(cfg.TileOutOf(p))
 
 		s.stash[p] = buffer.NewStashPool(cfg.StashCap(class), cfg.RetainPayload)
 	}
@@ -359,6 +368,31 @@ func (s *Switch) AttachOutLink(p int, l *Link, downstreamCap int) {
 	}
 }
 
+// SetWakeSlot hands the switch its wake-table slot and wires it into every
+// attached link: flits arriving on an input link and credits returning on
+// an output link are this switch's input. Called by the network's
+// repartition, at a barrier.
+//
+//stashsim:phase serial
+func (s *Switch) SetWakeSlot(w *sim.Tick) {
+	s.wake = w
+	for p := 0; p < s.radix; p++ {
+		s.in[p].link.WakeFlits(w)
+		s.out[p].link.WakeCredits(w)
+	}
+}
+
+// wakeBy lowers a wake-table slot (nil: not wired) to at, if that is
+// sooner: what every hand-over of input to a possibly sleeping component
+// does — the link pushes, the epoch drains, the bank-failure hook.
+//
+//stashsim:noalloc
+func wakeBy(slot *sim.Tick, at sim.Tick) {
+	if slot != nil && at < *slot {
+		*slot = at
+	}
+}
+
 // DrainEpochFlits moves one epoch's staged arrivals on input port p onto
 // the port's ring and arms the port if anything is now pending. It runs on
 // the switch's owning partition worker at an epoch boundary, after the
@@ -373,6 +407,7 @@ func (s *Switch) DrainEpochFlits(p int, slab int) {
 	l.drainEpochFlits(slab)
 	if l.flits.Len() > 0 {
 		s.armedIn |= 1 << uint(p)
+		wakeBy(s.wake, l.flits.NextAt())
 	}
 }
 
@@ -388,6 +423,7 @@ func (s *Switch) DrainEpochCredits(p int, slab int) {
 	l.drainEpochCredits(slab)
 	if l.credits.n > 0 || l.synth.n > 0 {
 		s.armedCred |= 1 << uint(p)
+		wakeBy(s.wake, l.NextCreditAt())
 	}
 }
 
@@ -579,6 +615,14 @@ func (s *Switch) EnableMetrics(reg *metrics.Registry) {
 	}
 }
 
+// CreditCycles adds n simulated cycles to the "cycles" metric. The network
+// credits it from its clock at every epoch barrier, so the count (and
+// col.util's denominator) does not depend on how often Step ran: a switch
+// that slept through a cycle still simulated it.
+//
+//stashsim:phase serial
+func (s *Switch) CreditCycles(n int64) { s.m.cycles.Add(n) }
+
 // SetTracer attaches (or, with nil, detaches) the packet-lifecycle tracer.
 func (s *Switch) SetTracer(t *metrics.Tracer) { s.tracer = t }
 
@@ -651,7 +695,6 @@ var _ sim.Stepper = (*Switch)(nil)
 //stashsim:phase parallel
 //stashsim:noalloc
 func (s *Switch) Step(now sim.Tick) {
-	s.m.cycles.Inc()
 	s.stepRetry(now)
 	if len(s.reconQ) > 0 {
 		s.stepRecon(now)
@@ -725,6 +768,45 @@ func (s *Switch) Step(now sim.Tick) {
 			s.armedIn |= 1 << uint(p)
 		}
 	}
+}
+
+// NextWake implements sim.Stepper: the switch is busy next cycle while any
+// flit is queued in it (inputs, tiles, column or output buffers, stash
+// retrievals — those stages count stalls per cycle); otherwise Step is a
+// no-op until the earliest of the timed things it holds comes due: a
+// retention release, a credit batch or flit on an armed link, a side-band
+// message, a parity rebuild, or the next scan of armed retry timers.
+//
+//stashsim:phase parallel
+//stashsim:noalloc
+func (s *Switch) NextWake(now sim.Tick) sim.Tick {
+	if s.tileOcc|s.muxOcc|s.inActive != 0 {
+		return now + 1
+	}
+	w := sim.Never
+	for m := s.outActive; m != 0; m &= m - 1 {
+		b := s.out[bits.TrailingZeros64(m)].buf
+		if b.Queued() > 0 {
+			return now + 1
+		}
+		w = min(w, b.NextRelease())
+	}
+	for m := s.armedCred; m != 0; m &= m - 1 {
+		w = min(w, s.out[bits.TrailingZeros64(m)].link.NextCreditAt())
+	}
+	for m := s.armedIn; m != 0; m &= m - 1 {
+		w = min(w, s.in[bits.TrailingZeros64(m)].link.flits.NextAt())
+	}
+	if s.sideband.n > 0 {
+		w = min(w, s.sideband.buf[s.sideband.head].at)
+	}
+	for i := range s.reconQ {
+		w = min(w, s.reconQ[i].due)
+	}
+	if len(s.retryQ) > 0 {
+		w = min(w, s.cfg.Retrans.NextScan(now))
+	}
+	return max(w, now+1)
 }
 
 // newEntry takes a tracking entry from the freelist, or allocates one on a

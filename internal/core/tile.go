@@ -58,7 +58,7 @@ func (s *Switch) stepTile(now sim.Tick, t *tile) {
 			} else {
 				port = int(f.Out)
 			}
-			o := cfg.TileOutOf(port)
+			o := int(s.tileOutOf[port])
 			if t.reqScr[slot]&(1<<uint(o)) != 0 {
 				continue // an earlier stream in rotation already requests o
 			}
@@ -152,7 +152,7 @@ func (s *Switch) jsqPort(t *tile, size int) (int, bool) {
 		if s.stash[q].Capacity() == 0 {
 			continue
 		}
-		if t.outLock[cfg.TileOutOf(q)][proto.VCStore].active {
+		if t.outLock[s.tileOutOf[q]][proto.VCStore].active {
 			continue
 		}
 		if s.out[q].colBufs[t.row][proto.VCStore].Len() >= cfg.ColBufFlits {

@@ -145,8 +145,15 @@ type Endpoint struct {
 	rtxQ        []rtxItem
 	rtxHead     int
 
+	// wake is this endpoint's slot in its partition's wake table (see
+	// sim.Stepper.NextWake and SetWakeSlot).
+	wake *sim.Tick
+
 	// Gen, when non-nil, is invoked at the start of every cycle to
-	// generate traffic (assigned by the harness).
+	// generate traffic (assigned by the harness). An endpoint with a
+	// generator never sleeps: its random draws are per cycle. Assign it
+	// between runs only — every public run entry of the network starts
+	// with all components awake.
 	Gen func(now sim.Tick, e *Endpoint)
 
 	// GenRNG, when non-nil, is the RNG stream driving Gen's random draws.
@@ -218,6 +225,15 @@ func (e *Endpoint) Attach(toSw, fromSw *core.Link, inBufCap int) {
 	e.credits = buffer.NewCreditCounter(inBufCap, proto.NumNetVCs)
 }
 
+// SetWakeSlot hands the endpoint its wake-table slot and wires it into its
+// links: ejected flits and returning injection credits are its input.
+// Called by the network's repartition, at a barrier.
+func (e *Endpoint) SetWakeSlot(w *sim.Tick) {
+	e.wake = w
+	e.fromSw.WakeFlits(w)
+	e.toSw.WakeCredits(w)
+}
+
 // QueuedFlits returns the backlog awaiting injection in flits.
 func (e *Endpoint) QueuedFlits() int64 { return e.queuedFlits }
 
@@ -250,6 +266,9 @@ func (e *Endpoint) EnqueueMessage(dst int32, flits int, class proto.Class, msgID
 	if e.Collector != nil {
 		e.Collector.Offered(class, int64(flits))
 	}
+	if e.wake != nil {
+		*e.wake = 0 // new backlog: step at the next opportunity
+	}
 }
 
 // The endpoint is a sim.Stepper so the network can drive it through the
@@ -266,6 +285,23 @@ func (e *Endpoint) Step(now sim.Tick) {
 	e.stepRecv(now)
 	e.stepRetrans(now)
 	e.stepInject(now)
+}
+
+// NextWake implements sim.Stepper. The endpoint is busy next cycle while
+// it has a generator, anything to inject (a packet in progress, queued
+// ACKs, resends or messages) or a serialization accumulator still filling;
+// otherwise Step is a no-op until a flit or credit on its links comes due
+// or the next scan of armed ACK timers.
+func (e *Endpoint) NextWake(now sim.Tick) sim.Tick {
+	if e.Gen != nil || e.cur.active || e.ackHead < len(e.ackQ) || e.rtxHead < len(e.rtxQ) ||
+		len(e.active) > 0 || e.acc < e.cfg.RateDen {
+		return now + 1
+	}
+	w := min(e.fromSw.NextFlitAt(), e.toSw.NextCreditAt())
+	if len(e.outTimers) > 0 {
+		w = min(w, e.cfg.Retrans.NextScan(now))
+	}
+	return max(w, now+1)
 }
 
 func (e *Endpoint) stepRecv(now sim.Tick) {

@@ -96,15 +96,21 @@ func (n *Network) repartition() {
 	// phase-A/phase-B split), both in ID order.
 	parts := make([][]sim.Stepper, W)
 	aCounts := make([]int, W)
+	stepper := func(c component) sim.Stepper {
+		if n.allAwake {
+			return awake{c}
+		}
+		return c
+	}
 	for i, ep := range n.Endpoints {
 		sw, _ := d.EndpointSwitch(i)
 		w := partOf(sw)
-		parts[w] = append(parts[w], ep)
+		parts[w] = append(parts[w], stepper(ep))
 		aCounts[w]++
 	}
 	for sw, s := range n.Switches {
 		w := partOf(sw)
-		parts[w] = append(parts[w], s)
+		parts[w] = append(parts[w], stepper(s))
 	}
 
 	// Classify every switch-to-switch link (producer view, same walk as
@@ -152,7 +158,7 @@ func (n *Network) repartition() {
 	n.exec.NextEvent = n.nextSerialEvent
 	n.exec.PreCycle = n.preCycle
 	n.exec.PostCycle = n.postCycle
-	n.exec.PostEpoch = func(next sim.Tick) { n.cycleDone.Store(int64(next)) }
+	n.exec.PostEpoch = n.postEpoch
 	n.exec.Profiler = n.Profiler
 	for _, l := range crossing {
 		l.Stage(n.exec.EpochClock())
@@ -160,7 +166,28 @@ func (n *Network) repartition() {
 	for _, s := range n.Switches {
 		s.Rearm()
 	}
+	// The wake table is derived state like the arm masks: a fresh one is all
+	// awake, and each component wires its slot into the links that feed it.
+	for w, p := range parts {
+		for i, c := range p {
+			c.(component).SetWakeSlot(n.exec.WakeSlot(w, i))
+		}
+	}
 }
+
+// component is what the network steps: a switch or an endpoint.
+type component interface {
+	sim.Stepper
+	SetWakeSlot(*sim.Tick)
+}
+
+// awake wraps a component so that the executor steps it every cycle. Only
+// tests ask for it (Network.allAwake): the reference a sleeping run must equal.
+type awake struct{ component }
+
+//stashsim:phase parallel
+//stashsim:noalloc
+func (awake) NextWake(now sim.Tick) sim.Tick { return now + 1 }
 
 // nextSerialEvent returns the next cycle >= from on which a serial
 // singleton must run at the barrier: a due (or overdue) stash-bank

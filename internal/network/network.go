@@ -67,11 +67,13 @@ type Network struct {
 	// executor over the current partitioning and lookahead the epoch-length
 	// cap it runs under, both rebuilt by repartition. epochCap, when
 	// positive, lowers that cap; only tests set it, to force 1-cycle and
-	// short epochs.
+	// short epochs. allAwake, likewise test-only, makes every component
+	// step every cycle: the reference run of the sleep/wake invariant.
 	workers   int
 	exec      *sim.Executor
 	lookahead int64
 	epochCap  int64
+	allAwake  bool
 
 	// profOwned marks Profiler as built by EnableExecProfile (ring size
 	// profRing), which SetWorkers then resizes to follow the worker count.
@@ -395,7 +397,23 @@ func (n *Network) postCycle(now sim.Tick) {
 	n.Telemetry.MaybePublish(int64(now))
 }
 
-// Step advances the whole network one cycle.
+// postEpoch is the executor's PostEpoch hook: publish simulated progress
+// and credit the epoch's cycles to the switches' "cycles" metric (an
+// epoch starts where the last one, or Restore, left cycleDone).
+//
+//stashsim:phase serial
+func (n *Network) postEpoch(next sim.Tick) {
+	ran := int64(next) - n.cycleDone.Swap(int64(next))
+	if n.Metrics != nil {
+		for _, s := range n.Switches {
+			s.CreditCycles(ran)
+		}
+	}
+}
+
+// Step advances the whole network one cycle. A caller that advances many
+// cycles this way keeps every component awake (see Run); RunUntil with a
+// one-cycle check interval is the form that lets idle components sleep.
 func (n *Network) Step() { n.Run(1) }
 
 // SetWorkers selects how many partitions Run steps concurrently: 1 (the
@@ -431,8 +449,18 @@ func (n *Network) SetWorkers(workers int) {
 // until SetWorkers asks for a pool again.
 func (n *Network) Close() { n.SetWorkers(1) }
 
-// Run advances the network by the given number of cycles.
+// Run advances the network by the given number of cycles. Like every
+// public run entry it starts with all components awake, so whatever the
+// caller changed since the last run — a generator or delivery hook
+// assigned to an endpoint, a message enqueued — is seen on the first
+// cycle; components with nothing due go back to sleep after it.
 func (n *Network) Run(cycles int64) {
+	n.exec.WakeAll()
+	n.run(cycles)
+}
+
+// run is Run without the wake-up: the continuation of a run in progress.
+func (n *Network) run(cycles int64) {
 	if cycles <= 0 {
 		return
 	}
@@ -444,17 +472,20 @@ func (n *Network) Run(cycles int64) {
 // RunUntil advances the network until done() reports true or the budget
 // of cycles is exhausted, checking every checkEvery cycles (values below
 // one are clamped to one — a non-positive interval must not spin the loop
-// forever without advancing). It returns whether done() fired.
+// forever without advancing). It returns whether done() fired. It is one
+// run: done may read anything but must not change component state other
+// than through Endpoint.EnqueueMessage, or a sleeping component misses it.
 func (n *Network) RunUntil(budget, checkEvery int64, done func() bool) bool {
 	if checkEvery < 1 {
 		checkEvery = 1
 	}
+	n.exec.WakeAll()
 	for spent := int64(0); spent < budget; spent += checkEvery {
 		step := checkEvery
 		if rem := budget - spent; step > rem {
 			step = rem
 		}
-		n.Run(step)
+		n.run(step)
 		if done() {
 			return true
 		}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -20,7 +21,21 @@ type Stepper interface {
 	//stashsim:phase parallel
 	//stashsim:noalloc
 	Step(now Tick)
+
+	// NextWake is asked right after Step(now): absent new input, what is
+	// the first cycle after now at which Step can change the component's
+	// state (Never if none)? The executor skips the component until then,
+	// or until whatever hands it new input lowers its Executor.WakeSlot.
+	// Stepping a sleeping component must change no simulator state, so an
+	// early answer is always safe; only a late one is a bug.
+	//
+	//stashsim:phase parallel
+	//stashsim:noalloc
+	NextWake(now Tick) Tick
 }
+
+// Never is the NextWake answer of a component with nothing pending.
+const Never Tick = math.MaxInt64
 
 // EpochDrainer delivers one partition's buffered cross-partition traffic
 // at an epoch boundary (the network implements it over the staged links
@@ -66,8 +81,15 @@ type EpochDrainer interface {
 // before the next one, and the barriers order every hook with respect to
 // every step.
 type Executor struct {
-	parts     [][]Stepper
-	aCounts   []int
+	parts   [][]Stepper
+	aCounts []int
+	// wake[w][i] is the first cycle at which partition w must step its
+	// component i again: the component's own NextWake, lowered through
+	// WakeSlot by whatever hands it input. Derived state: zero (all awake)
+	// is always a correct table.
+	//
+	//stashsim:owner partition
+	wake      [][]Tick
 	drains    []EpochDrainer
 	lookahead Tick
 	barrier   *Barrier // nil with a single partition
@@ -127,7 +149,10 @@ func NewPartitionedExecutor(parts [][]Stepper, aCounts []int, lookahead Tick, dr
 	if drains != nil && len(drains) != len(parts) {
 		panic("sim: epoch drain list must match partition count")
 	}
-	e := &Executor{parts: parts, aCounts: aCounts, drains: drains, lookahead: lookahead}
+	e := &Executor{parts: parts, aCounts: aCounts, drains: drains, lookahead: lookahead, wake: make([][]Tick, len(parts))}
+	for w, p := range parts {
+		e.wake[w] = make([]Tick, len(p))
+	}
 	if len(parts) > 1 {
 		e.barrier = NewBarrier(len(parts) + 1)
 	}
@@ -137,6 +162,22 @@ func NewPartitionedExecutor(parts [][]Stepper, aCounts []int, lookahead Tick, dr
 // EpochClock exposes the executor's barrier-round counter; staged links
 // index their slabs by its parity.
 func (e *Executor) EpochClock() *atomic.Int64 { return &e.epoch }
+
+// WakeSlot returns the wake-table slot of partition w's component i, for
+// wiring into whatever hands that component input, which stores the due
+// cycle there if it is sooner than the slot's. Between Runs anyone may
+// write it; during one, only partition w's goroutine.
+func (e *Executor) WakeSlot(w, i int) *Tick { return &e.wake[w][i] }
+
+// WakeAll marks every component due now, for a caller that may have
+// changed component state between Runs.
+//
+//stashsim:phase serial
+func (e *Executor) WakeAll() {
+	for _, t := range e.wake {
+		clear(t)
+	}
+}
 
 // Run advances all components from cycle `from` (inclusive) to `to`
 // (exclusive). Within each cycle every component steps exactly once; on
@@ -232,8 +273,9 @@ func (e *Executor) worker(lane int, prof *ExecProfiler) {
 
 // span runs one partition through one epoch [start, end): deliver the
 // previous epoch's cross-partition traffic, then free-run the components
-// with no synchronization. This is the one stepping loop — the phasecheck
-// closure and the zero-alloc steady-state contract both root here.
+// that have something due (the wake table) with no synchronization. This
+// is the one stepping loop — the phasecheck closure and the zero-alloc
+// steady-state contract both root here.
 // Determinism holds because nothing staged by a concurrent partition this
 // epoch is due before the next one, so every flit and credit reaches its
 // ring before its due cycle, in per-link FIFO order, for any interleaving.
@@ -249,18 +291,35 @@ func (e *Executor) span(lane int, start, end Tick, prof *ExecProfiler, tIn int64
 	}
 	tOut = prof.clock()
 	dDrain = tOut - tIn
-	mine, a := e.parts[lane], e.aCounts[lane]
+	mine, wake, a := e.parts[lane], e.wake[lane], e.aCounts[lane]
+	var nA, nB int64
 	for now := start; now < end; now++ {
-		for _, c := range mine[:a] {
-			c.Step(now)
-		}
+		nA += stepDue(mine[:a], wake[:a], now)
 		tA := prof.clock()
-		for _, c := range mine[a:] {
-			c.Step(now)
-		}
+		nB += stepDue(mine[a:], wake[a:], now)
 		dA += tA - tOut
 		tOut = prof.clock()
 		dB += tOut - tA
+	}
+	prof.recSteps(lane, PhaseWorkA, nA, int64(end-start)*int64(a)-nA)
+	prof.recSteps(lane, PhaseWorkB, nB, int64(end-start)*int64(len(mine)-a)-nB)
+	return
+}
+
+// stepDue steps the components whose wake slot has come due, stores each
+// one's answer for when to come back, and returns how many it stepped. A
+// sender stepping later in the cycle may lower a slot again, never raise it.
+//
+//stashsim:phase parallel
+//stashsim:noalloc
+func stepDue(cs []Stepper, wake []Tick, now Tick) (stepped int64) {
+	for i, c := range cs {
+		if wake[i] > now {
+			continue
+		}
+		c.Step(now)
+		wake[i] = c.NextWake(now)
+		stepped++
 	}
 	return
 }

@@ -201,10 +201,13 @@ type RingRec struct {
 type ExecProfiler struct {
 	workers int
 	lanes   [][NumPhases]PhaseHist
-	wallNS  atomic.Int64
-	cycles  atomic.Int64
-	epochs  atomic.Int64 // synchronizations; == cycles when every cycle is an epoch
-	ring    *profRing
+	// steps[lane] counts component-cycles: a (stepped, asleep) pair per
+	// work phase.
+	steps  [][4]atomic.Int64
+	wallNS atomic.Int64
+	cycles atomic.Int64
+	epochs atomic.Int64 // synchronizations; == cycles when every cycle is an epoch
+	ring   *profRing
 
 	labelA, labelB string
 }
@@ -220,6 +223,7 @@ func NewExecProfiler(workers, ringCycles int) *ExecProfiler {
 	p := &ExecProfiler{
 		workers: workers,
 		lanes:   make([][NumPhases]PhaseHist, workers+1),
+		steps:   make([][4]atomic.Int64, workers),
 		labelA:  "work-a",
 		labelB:  "work-b",
 	}
@@ -290,6 +294,18 @@ func (p *ExecProfiler) recWorkerEpoch(cycle int64, lane int, start, dRel, dDrain
 	p.ring.put(cycle, lane, start, dRel+dDrain, dA, dB, dPub)
 }
 
+// recSteps adds one partition epoch's component-cycle counts for a work
+// phase: how many components were stepped and how many slept.
+//
+//stashsim:phase parallel
+//stashsim:noalloc
+func (p *ExecProfiler) recSteps(lane int, ph Phase, stepped, skipped int64) {
+	if p != nil {
+		p.steps[lane][2*ph].Add(stepped)
+		p.steps[lane][2*ph+1].Add(skipped)
+	}
+}
+
 // recCoordEpoch records one coordinator epoch spanning `cycles` simulated
 // cycles with a single synchronization: hooks, parallel span, wall.
 //
@@ -352,6 +368,8 @@ type PhaseReport struct {
 	MeanNS  float64 `json:"mean_ns"`
 	P99NS   int64   `json:"p99_ns"`
 	MaxNS   int64   `json:"max_ns"`
+	Stepped int64   `json:"stepped"` // work phases: component-cycles stepped
+	Skipped int64   `json:"skipped"` // and slept through
 }
 
 // LaneReport is one lane (worker or coordinator) of the report.
@@ -436,6 +454,9 @@ func (p *ExecProfiler) Report() *ExecReport {
 			}
 			if n > 0 {
 				pr.MeanNS = float64(total) / float64(n)
+			}
+			if ph <= PhaseWorkB {
+				pr.Stepped, pr.Skipped = p.steps[w][2*ph].Load(), p.steps[w][2*ph+1].Load()
 			}
 			lane.Phases = append(lane.Phases, pr)
 			sumAttr += total
@@ -532,8 +553,12 @@ func (r *ExecReport) Text() string {
 	for _, lane := range r.Lanes {
 		fmt.Fprintf(&b, "  lane %-6s work %.3f ms\n", lane.Lane, float64(lane.WorkNS)/1e6)
 		for _, ph := range lane.Phases {
-			fmt.Fprintf(&b, "    %-16s count %-9d total %10.3f ms  mean %8.0f ns  p99 %10d ns  max %10d ns\n",
+			fmt.Fprintf(&b, "    %-16s count %-9d total %10.3f ms  mean %8.0f ns  p99 %10d ns  max %10d ns",
 				ph.Phase, ph.Count, float64(ph.TotalNS)/1e6, ph.MeanNS, ph.P99NS, ph.MaxNS)
+			if all := ph.Stepped + ph.Skipped; all > 0 {
+				fmt.Fprintf(&b, "  stepped %d  skipped %d (%.1f%% asleep)", ph.Stepped, ph.Skipped, 100*float64(ph.Skipped)/float64(all))
+			}
+			b.WriteByte('\n')
 		}
 	}
 	return b.String()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -138,7 +139,13 @@ func TestBarrierSynchronizes(t *testing.T) {
 	}
 }
 
+// alwaysAwake is the NextWake of a test component that never sleeps.
+type alwaysAwake struct{}
+
+func (alwaysAwake) NextWake(now Tick) Tick { return now + 1 }
+
 type countStepper struct {
+	alwaysAwake
 	steps []Tick
 }
 
@@ -178,6 +185,7 @@ func TestExecutorSerial(t *testing.T) {
 }
 
 type atomicStepper struct {
+	alwaysAwake
 	cur   *atomic.Int64
 	fails atomic.Int64
 }
@@ -189,6 +197,7 @@ func (a *atomicStepper) Step(now Tick) {
 }
 
 type tallyStepper struct {
+	alwaysAwake
 	total *atomic.Int64
 }
 
@@ -293,5 +302,59 @@ func TestExecutorParallelCycleBoundary(t *testing.T) {
 		if s.fails.Load() != 0 {
 			t.Fatalf("component %d saw %d wrong cycles", i, s.fails.Load())
 		}
+	}
+}
+
+// napStepper sleeps `nap` cycles after every step.
+type napStepper struct {
+	nap   Tick
+	steps []Tick
+}
+
+func (s *napStepper) Step(now Tick)          { s.steps = append(s.steps, now) }
+func (s *napStepper) NextWake(now Tick) Tick { return now + s.nap }
+
+// TestExecutorSleepWake pins the wake table: a component is stepped on the
+// cycle it asked for and not before, a store into its WakeSlot brings that
+// forward, WakeAll makes everything due, a fresh executor starts all
+// awake, and the profiler counts the component-cycles stepped and slept
+// through per work phase.
+func TestExecutorSleepWake(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		a, b, never := &napStepper{nap: 4}, &napStepper{nap: 1}, &napStepper{nap: Never - 1000}
+		parts := [][]Stepper{{a, never}, {b}}
+		aCounts := []int{1, 0}
+		if workers == 1 {
+			parts, aCounts = [][]Stepper{{a, never, b}}, []int{1}
+		}
+		e := NewPartitionedExecutor(parts, aCounts, 3, nil)
+		e.Profiler = NewExecProfiler(workers, 0)
+		e.Run(0, 10)
+		if fmt.Sprint(a.steps) != "[0 4 8]" || len(b.steps) != 10 || fmt.Sprint(never.steps) != "[0]" {
+			t.Fatalf("workers=%d: steps %v / %d / %v, want [0 4 8] / 10 / [0]", workers, a.steps, len(b.steps), never.steps)
+		}
+		*e.WakeSlot(0, 0) = 10 // input for a, due before its own answer (12)
+		*e.WakeSlot(0, 1) = 11
+		e.Run(10, 12)
+		if fmt.Sprint(a.steps) != "[0 4 8 10]" || fmt.Sprint(never.steps) != "[0 11]" {
+			t.Fatalf("workers=%d: after slot stores, steps %v / %v", workers, a.steps, never.steps)
+		}
+		e.WakeAll()
+		e.Run(12, 13)
+		if a.steps[len(a.steps)-1] != 12 || never.steps[len(never.steps)-1] != 12 {
+			t.Fatalf("workers=%d: WakeAll did not make every component due: %v / %v", workers, a.steps, never.steps)
+		}
+		var stepped, skipped int64
+		for _, lane := range e.Profiler.Report().Lanes {
+			for _, ph := range lane.Phases {
+				stepped += ph.Stepped
+				skipped += ph.Skipped
+			}
+		}
+		if want := int64(len(a.steps) + len(b.steps) + len(never.steps)); stepped != want || stepped+skipped != 3*13 {
+			t.Fatalf("workers=%d: profiler counted %d stepped + %d skipped, want %d stepped of %d component-cycles",
+				workers, stepped, skipped, want, 3*13)
+		}
+		e.Close()
 	}
 }

@@ -135,12 +135,12 @@ func (r *Replay) Run(maxCycles int64) (int64, error) {
 	for rank := 0; rank < r.tr.Ranks; rank++ {
 		r.advance(int32(rank))
 	}
-	for !r.Done() {
-		if r.net.Now-start >= maxCycles {
-			return 0, fmt.Errorf("trace %s: incomplete after %d cycles (%d/%d ranks done, %d msgs outstanding)",
-				r.tr.Name, maxCycles, r.doneRanks, r.tr.Ranks, r.outstanding)
-		}
-		r.net.Step()
+	// One run with a stop check after every cycle, not a Step per cycle:
+	// each public run entry wakes every component, and most of a
+	// latency-bound replay is components with nothing due.
+	if !r.Done() && !r.net.RunUntil(maxCycles, 1, r.Done) {
+		return 0, fmt.Errorf("trace %s: incomplete after %d cycles (%d/%d ranks done, %d msgs outstanding)",
+			r.tr.Name, maxCycles, r.doneRanks, r.tr.Ranks, r.outstanding)
 	}
 	return r.net.Now - start, nil
 }
