@@ -12,13 +12,16 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-specific static analysis: one stashlint process runs all six
+# Project-specific static analysis: one stashlint process runs all seven
 # analyzers (determinism, nilsafe, panicstyle, phasecheck, atomiccheck,
-# allocfree) over the whole module, cmd/ included. The last three
-# machine-check the executor's concurrency & zero-alloc contract (see
-# DESIGN.md, "Concurrency contract"); the scopes live next to each
-# analyzer. Suppress a finding with `//lint:allow <analyzer> -- reason`;
-# `-json` emits findings as JSON for tooling.
+# allocfree, snapcheck) over the whole module, cmd/ included. phasecheck,
+# atomiccheck and allocfree machine-check the executor's concurrency &
+# zero-alloc contract (see DESIGN.md, "Concurrency contract"); snapcheck
+# checks that every field of a checkpointed struct is walked in its
+# package's snapshot.go or marked //stashsim:derived / //stashsim:transient
+# with a reason. The scopes live next to each analyzer. Suppress a finding
+# with `//lint:allow <analyzer> -- reason`; `-json` emits findings as JSON
+# for tooling.
 lint:
 	$(GO) run ./cmd/stashlint ./...
 
@@ -75,5 +78,10 @@ examples:
 	$(GO) run ./examples/congestion
 	$(GO) run ./examples/traces
 
+# Removes only untracked artefacts. results/README.md and the small/tiny
+# datasets under results/ are committed (EXPERIMENTS.md cites them), so
+# `clean` must not touch them; results/paper is the one regenerated-only
+# directory.
 clean:
-	rm -rf results
+	rm -rf bench/out results/paper
+	find . \( -name '*.test' -o -name '*.prof' \) -delete

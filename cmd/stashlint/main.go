@@ -2,8 +2,8 @@
 // internal/analysis) over the module: determinism for the simulation
 // packages, nilsafe for the metrics handles, panicstyle for every
 // internal package, phasecheck and atomiccheck for the executor's
-// concurrency contract, and allocfree for the //stashsim:noalloc hot
-// path.
+// concurrency contract, allocfree for the //stashsim:noalloc hot path,
+// and snapcheck for the completeness of the checkpoint state walks.
 //
 // Usage:
 //

@@ -22,6 +22,10 @@
 //   - allocfree: functions marked //stashsim:noalloc must not contain
 //     allocating constructs, and their in-scope callees must be marked
 //     too (see allocfree.go).
+//   - snapcheck: every field of a struct with a checkpoint state walk is
+//     selected in its package's snapshot.go or marked
+//     //stashsim:derived / //stashsim:transient with a reason (see
+//     snapcheck.go).
 //
 // A finding is suppressed by a directive comment on the same line or the
 // line immediately above it:
@@ -160,7 +164,7 @@ func (p *Pass) Diagnostics() []Diagnostic {
 
 // All returns the stashlint analyzer suite.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, NilSafe, PanicStyle, PhaseCheck, AtomicCheck, AllocFree}
+	return []*Analyzer{Determinism, NilSafe, PanicStyle, PhaseCheck, AtomicCheck, AllocFree, SnapCheck}
 }
 
 // pathIn reports whether relPath equals one of the listed package paths or

@@ -98,6 +98,17 @@ func TestAllocFreeClean(t *testing.T) {
 	runFixture(t, AllocFree, "allocfree_clean", "stashsim/internal/core/alloclean")
 }
 
+// TestSnapCheckFixture: a struct with a state walk in snapshot.go owes an
+// answer for every field — walked structs are found through receivers,
+// element-walk literals and by-value containment.
+func TestSnapCheckFixture(t *testing.T) {
+	runFixture(t, SnapCheck, "snapcheck", "stashsim/internal/snapfix")
+}
+
+func TestSnapCheckClean(t *testing.T) {
+	runFixture(t, SnapCheck, "snapcheck_clean", "stashsim/internal/snapcleanfix")
+}
+
 func TestScopes(t *testing.T) {
 	cases := []struct {
 		analyzer *Analyzer
@@ -131,6 +142,9 @@ func TestScopes(t *testing.T) {
 		{AllocFree, "internal/proto", true},
 		{AllocFree, "internal/metrics", false},
 		{AllocFree, "cmd/stashsim", false},
+		{SnapCheck, "internal/core", true},
+		{SnapCheck, "internal/network", true},
+		{SnapCheck, "cmd/stashsim", false},
 	}
 	for _, c := range cases {
 		if got := c.analyzer.Scope(c.rel); got != c.want {

@@ -21,6 +21,8 @@ import (
 //	//stashsim:owner worker      (types, fields)
 //	//stashsim:owner partition   (types, fields)
 //	//stashsim:noalloc           (funcs, interface methods)
+//	//stashsim:derived -- why    (fields)
+//	//stashsim:transient -- why  (fields)
 //
 // On a function, `phase serial` asserts it runs only in serial context
 // (the executor's PreCycle/PostCycle hooks, between Runs, or the
@@ -36,6 +38,10 @@ import (
 // attribute-by-attribute. `noalloc` asserts a function's steady-state
 // body allocates nothing; the allocfree analyzer requires its module
 // callees (within the checked packages) to carry the same annotation.
+// `derived` and `transient` are the snapcheck analyzer's exemptions for
+// fields of checkpointed structs that the state walk leaves out: rebuilt
+// on restore, or scratch a restored run starts without. Their reason is
+// mandatory.
 //
 // An optional trailing " -- reason" documents the annotation:
 //
@@ -49,6 +55,7 @@ type Annotation struct {
 	Phase   string // "", "serial" or "parallel"
 	Owner   string // "", "worker" or "partition"
 	NoAlloc bool
+	State   string // "", "derived" or "transient" (fields only; never inherited)
 }
 
 // merge overlays field-level a over type-level base, attribute by
@@ -67,7 +74,7 @@ func (a Annotation) merge(base Annotation) Annotation {
 
 // zero reports whether no directive applies.
 func (a Annotation) zero() bool {
-	return a.Phase == "" && a.Owner == "" && !a.NoAlloc
+	return a.Phase == "" && a.Owner == "" && !a.NoAlloc && a.State == ""
 }
 
 // badDirective is one malformed or misplaced //stashsim: comment.
@@ -233,6 +240,10 @@ func (f *Facts) check(pkg *Package, obj types.Object, what string, ann Annotatio
 				fmt.Sprintf("//stashsim:noalloc does not apply to %s; it marks functions", what)})
 		}
 	}
+	if _, isField := obj.(*types.Var); ann.State != "" && !isField {
+		f.bad[pkg.Path] = append(f.bad[pkg.Path], badDirective{pos,
+			fmt.Sprintf("//stashsim:%s does not apply to %s; it marks struct fields the state walk leaves out", ann.State, what)})
+	}
 	if ann.Phase == "serial" && ann.Owner != "" {
 		f.bad[pkg.Path] = append(f.bad[pkg.Path], badDirective{pos,
 			fmt.Sprintf("%s is annotated both phase serial and owner %s; serial state has no parallel-phase owner", what, ann.Owner)})
@@ -256,8 +267,9 @@ func parseDirectives(consumed map[*ast.CommentGroup]bool, groups ...*ast.Comment
 			}
 			body := strings.TrimPrefix(c.Text, directivePrefix)
 			// An optional trailing " -- reason" documents the annotation.
+			reason := ""
 			if i := strings.Index(body, " -- "); i >= 0 {
-				body = body[:i]
+				body, reason = body[:i], strings.TrimSpace(body[i+4:])
 			}
 			fields := strings.Fields(body)
 			if len(fields) == 0 {
@@ -286,9 +298,16 @@ func parseDirectives(consumed map[*ast.CommentGroup]bool, groups ...*ast.Comment
 					continue
 				}
 				ann.NoAlloc = true
+			case "derived", "transient":
+				if len(fields) != 1 || reason == "" {
+					bads = append(bads, badDirective{c.Pos(),
+						fmt.Sprintf("%q: //stashsim:%s takes no argument and needs a reason after \" -- \"", c.Text, fields[0])})
+					continue
+				}
+				ann.State = fields[0]
 			default:
 				bads = append(bads, badDirective{c.Pos(),
-					fmt.Sprintf("unknown stashsim directive %q (known: phase, owner, noalloc)", fields[0])})
+					fmt.Sprintf("unknown stashsim directive %q (known: phase, owner, noalloc, derived, transient)", fields[0])})
 			}
 		}
 	}

@@ -22,7 +22,8 @@ func encodeTracked(w *writer, track map[uint64]int) {
 
 // encodeTrackedSorted is the codec's required shape: collect keys, sort,
 // then emit in deterministic order. The collection loop documents itself
-// with the suppression the real codec uses.
+// with the suppression the real codec uses — at its one such site,
+// snapshot.Map.
 func encodeTrackedSorted(w *writer, track map[uint64]int) {
 	ids := make([]uint64, 0, len(track))
 	//lint:allow determinism -- map-key collection, sorted before use

@@ -76,10 +76,12 @@ func (r *RoundRobin) GrantMask(req uint64) int {
 // arbitration over the provisional grants. The result is a conflict-free
 // (partial) matching computed in one cycle.
 type Separable struct {
-	out  []RoundRobin // per-output arbiter over inputs
-	in   []RoundRobin // per-input arbiter over outputs
-	prov []int        // provisional winner per output (input index or -1)
-	won  []uint64     // per-input bitmask of provisionally granted outputs
+	out []RoundRobin // per-output arbiter over inputs
+	in  []RoundRobin // per-input arbiter over outputs
+	// prov (provisional winner per output: input index or -1) and won
+	// (per-input bitmask of provisionally granted outputs) are scratch.
+	prov []int    //stashsim:transient -- every Allocate call recomputes it
+	won  []uint64 //stashsim:transient -- every Allocate call recomputes it
 }
 
 // NewSeparable builds an allocator with numIn inputs and numOut outputs.

@@ -2,63 +2,33 @@ package arb
 
 import "stashsim/internal/snapshot"
 
-// Checkpoint hooks. Arbiter pointers are part of the deterministic
-// machine state: a restored switch must grant in exactly the order the
-// original would have, so every round-robin pointer is captured. The
-// Separable allocator's prov/won scratch is recomputed from scratch on
-// every Allocate call and is not state.
+// State walks. Arbiter pointers are part of the deterministic machine
+// state: a restored switch must grant in exactly the order the original
+// would have, so every round-robin pointer is walked. The Separable
+// allocator's prov/won scratch is recomputed from scratch on every
+// Allocate call and is not state.
 
-// EncodeState appends the arbiter's grant pointer (the requester count
-// is structural and comes from the rebuilt configuration).
-func (r *RoundRobin) EncodeState(w *snapshot.Writer) {
-	w.U32(uint32(r.next))
+// State walks the arbiter's grant pointer, checked against the arbiter's
+// structural size (the requester count comes from the rebuilt
+// configuration; a zero-requester arbiter keeps its pointer at 0).
+func (r *RoundRobin) State(c *snapshot.Codec) {
+	snapshot.Wire32(c, &r.next)
+	c.Bound("RoundRobin.next", r.next, 0, max(r.n, 1))
 }
 
-// DecodeState restores the grant pointer, validating it against the
-// arbiter's structural size.
-func (r *RoundRobin) DecodeState(rd *snapshot.Reader) {
-	v := rd.U32()
-	if rd.Err() != nil {
-		return
-	}
-	if int(v) >= r.n && !(r.n == 0 && v == 0) {
-		rd.Failf("arb: round-robin pointer %d out of range [0,%d)", v, r.n)
-		return
-	}
-	r.next = int(v)
-}
-
-// EncodeState appends every per-output and per-input arbiter pointer.
-func (s *Separable) EncodeState(w *snapshot.Writer) {
-	w.Count(len(s.out))
-	for i := range s.out {
-		s.out[i].EncodeState(w)
-	}
-	w.Count(len(s.in))
-	for i := range s.in {
-		s.in[i].EncodeState(w)
-	}
-}
-
-// DecodeState restores the arbiter pointers, validating the structural
-// shape against the rebuilt allocator.
-func (s *Separable) DecodeState(rd *snapshot.Reader) {
-	if n := rd.Count(4); rd.Err() == nil && n != len(s.out) {
-		rd.Failf("arb: separable allocator has %d outputs, snapshot has %d", len(s.out), n)
-	}
-	if rd.Err() != nil {
+// State walks every per-output and per-input arbiter pointer, checking
+// the structural shape against the rebuilt allocator.
+func (s *Separable) State(c *snapshot.Codec) {
+	if !c.Len("arb: separable allocator outputs", len(s.out), 4) {
 		return
 	}
 	for i := range s.out {
-		s.out[i].DecodeState(rd)
+		s.out[i].State(c)
 	}
-	if n := rd.Count(4); rd.Err() == nil && n != len(s.in) {
-		rd.Failf("arb: separable allocator has %d inputs, snapshot has %d", len(s.in), n)
-	}
-	if rd.Err() != nil {
+	if !c.Len("arb: separable allocator inputs", len(s.in), 4) {
 		return
 	}
 	for i := range s.in {
-		s.in[i].DecodeState(rd)
+		s.in[i].State(c)
 	}
 }

@@ -13,6 +13,8 @@ package buffer
 // Disabling it (Ideal) models 4-ported memory for the ablation study.
 type BankedMem struct {
 	// Ideal disables conflict modeling entirely; every access is granted.
+	//
+	//stashsim:derived -- configuration (BankModel), set when the switch is built
 	Ideal bool
 
 	parity [4]uint8 // next bank per stream

@@ -28,8 +28,8 @@ func Reserves(capacity, numVCs int) int {
 // deterministically so their views never diverge.
 type DAMQ struct {
 	queues   []Ring
-	capacity int
-	reserve  int // per-VC reserved quota
+	capacity int //stashsim:derived -- structural; rebuilt from the configuration
+	reserve  int //stashsim:derived -- structural: the per-VC reserved quota, rebuilt from the configuration
 	resvUsed []int
 	shared   int // shared slots in use
 	used     int
@@ -155,7 +155,7 @@ func (d *DAMQ) SharedUsed() int { return d.shared }
 // reserved-first policy, carried in the flit's FlagShared bit, so the
 // counters track the receiver exactly.
 type CreditCounter struct {
-	reserve  int
+	reserve  int //stashsim:derived -- structural; rebuilt from the configuration
 	resvFree []int
 	shared   int
 }

@@ -19,7 +19,7 @@ import (
 // network VCs.
 type OutBuf struct {
 	queues   []Ring // per-VC FIFOs awaiting transmission
-	capacity int    // normal-partition capacity in flits
+	capacity int    //stashsim:derived -- structural: the normal-partition capacity in flits, rebuilt from the configuration
 	queued   int    // flits awaiting transmission
 	inflight deadlineRing
 	occupied uint32
@@ -36,8 +36,15 @@ type deadlineRing struct {
 	nextAt int64
 }
 
+// Len returns the number of held deadlines.
+//
 //stashsim:noalloc
-func (r *deadlineRing) push(at int64) {
+func (r *deadlineRing) Len() int { return r.n }
+
+// Push appends a deadline.
+//
+//stashsim:noalloc
+func (r *deadlineRing) Push(at int64) {
 	if r.n == len(r.buf) {
 		r.buf, r.head = growRing(r.buf, r.head, r.n), 0
 	}
@@ -48,10 +55,10 @@ func (r *deadlineRing) push(at int64) {
 	r.n++
 }
 
-// at returns the i-th oldest deadline (0 = front).
+// At returns a pointer to the i-th oldest deadline (0 = front).
 //
 //stashsim:noalloc
-func (r *deadlineRing) at(i int) int64 { return r.buf[(r.head+i)&(len(r.buf)-1)] }
+func (r *deadlineRing) At(i int) *int64 { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
 
 // popDue drops every deadline that has passed.
 //
@@ -137,7 +144,7 @@ func (b *OutBuf) Send(vc int, releaseAt int64) proto.Flit {
 	if b.queues[vc].Empty() {
 		b.occupied &^= 1 << uint(vc)
 	}
-	b.inflight.push(releaseAt)
+	b.inflight.Push(releaseAt)
 	return f
 }
 

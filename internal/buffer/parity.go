@@ -52,7 +52,7 @@ type parityGroup struct {
 // mutated from the switch's Step and from the serial fault hooks, never
 // concurrently.
 type ParityTracker struct {
-	k     int
+	k     int //stashsim:derived -- structural; rebuilt from the configuration
 	pools []*StashPool
 
 	// groups is a recycled slab: freeG holds reusable indices, openG the
@@ -65,6 +65,7 @@ type ParityTracker struct {
 	sealQ  []int32
 	byPkt  map[uint64]int32
 
+	//stashsim:transient -- FailCandidates result buffer
 	scratch []uint64 // FailCandidates result buffer, reused across failures
 
 	// Cumulative event counts, read by telemetry and the audit.

@@ -15,8 +15,8 @@ import (
 // Ring is a growable FIFO of flits. It grows geometrically on demand and
 // never shrinks, so steady-state operation performs no allocation.
 type Ring struct {
-	buf  []proto.Flit
-	head int
+	buf  []proto.Flit //stashsim:derived -- storage layout; the walk goes through the ring's accessors
+	head int          //stashsim:derived -- storage layout; the walk goes through the ring's accessors
 	n    int
 }
 

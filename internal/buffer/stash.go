@@ -14,7 +14,7 @@ import (
 // arrive, and freed either by an explicit delete (end-to-end reliability)
 // or by FIFO retrieval (congestion mitigation).
 type StashPool struct {
-	capacity int
+	capacity int //stashsim:derived -- structural; rebuilt from the configuration
 	reserved int // flits reserved by granted but not fully arrived packets
 	used     int // flits physically present or committed
 
@@ -29,7 +29,7 @@ type StashPool struct {
 	arrived       map[uint64]uint8
 	store         map[uint64]*proto.PktBuf
 	partial       map[uint64]*proto.PktBuf
-	retainPayload bool
+	retainPayload bool //stashsim:derived -- structural; rebuilt from the configuration
 	bufs          proto.BufPool
 
 	// copies records the size of every live completed end-to-end copy,

@@ -265,7 +265,7 @@ func (s *Switch) moveFromInput(now sim.Tick, p *inPort, vc, row, slot int) {
 		}
 		f.OrigOut = lt.out
 		f.RestoreVC = lt.vc
-		f.Out = 0xFF // decided by JSQ at the tile
+		f.Out = proto.OutPending // decided by JSQ at the tile
 		f.VC = proto.VCStore
 		s.pushTile(s.tileAt(row, int(lt.stashCol)), f, slot, proto.VCStore)
 	} else {
@@ -278,7 +278,7 @@ func (s *Switch) moveFromInput(now sim.Tick, p *inPort, vc, row, slot int) {
 			// cycle into a second tile's storage VC.
 			cp := f
 			cp.Flags |= proto.FlagStashCopy
-			cp.Out = 0xFF
+			cp.Out = proto.OutPending
 			cp.VC = proto.VCStore
 			s.created++
 			s.pushTile(s.tileAt(row, int(lt.stashCol)), cp, slot, proto.VCStore)

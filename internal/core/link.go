@@ -36,15 +36,17 @@ import (
 //
 //stashsim:phase parallel
 type Link struct {
-	Latency int64
+	Latency int64 //stashsim:derived -- structural; rebuilt from the configuration
 
 	// Fault, when non-nil, screens every transmitted flit for injected
 	// drops, outages, and corruption. Credited marks links whose producer
 	// runs credit-based flow control (endpoint→switch and switch→switch);
 	// on those, a dropped flit's credit is synthesized onto the producer's
 	// private synth ring so the producer's credit count stays conserved.
+	//
+	//stashsim:derived -- wiring; the injector walks the fault state it handed out
 	Fault    *fault.LinkFault
-	Credited bool
+	Credited bool //stashsim:derived -- wiring
 
 	// Forward path: in-flight flits, popped by the consumer
 	// (RecvFlit/PeekFlit/DropFlit).
@@ -71,16 +73,20 @@ type Link struct {
 	// links, whose owners probe every cycle. flitWake and credWake are the
 	// wake-table slots (sim.Executor.WakeSlot) of the flits' and the
 	// credits' consumer: a direct push lowers the slot to its due cycle.
+	//
+	//stashsim:transient -- wiring; repartition re-arms and re-slots every link
 	flitArm  *uint64
-	flitBit  uint64
-	credArm  *uint64
-	credBit  uint64
-	flitWake *int64
-	credWake *int64
+	flitBit  uint64  //stashsim:transient -- wiring; repartition re-arms and re-slots every link
+	credArm  *uint64 //stashsim:transient -- wiring; repartition re-arms and re-slots every link
+	credBit  uint64  //stashsim:transient -- wiring; repartition re-arms and re-slots every link
+	flitWake *int64  //stashsim:transient -- wiring; repartition re-arms and re-slots every link
+	credWake *int64  //stashsim:transient -- wiring; repartition re-arms and re-slots every link
 
 	// epoch, when non-nil, marks a partition-crossing link: pushes stage
 	// into slab epoch&1. The pointer is written only at a barrier (Stage);
 	// the pointee is the executor's atomic epoch counter.
+	//
+	//stashsim:transient -- the delivery form belongs to the partitioning, not the snapshot
 	epoch    *atomic.Int64
 	flitSlab [2][]buffer.TimedFlit
 	credSlab [2][]creditBatch
@@ -176,7 +182,7 @@ func (l *Link) Stage(clock *atomic.Int64) {
 		l.flits.Push(t)
 	}
 	for _, b := range staged(&l.credSlab) {
-		l.credits.push(b)
+		l.credits.Push(b)
 	}
 	l.dropStaged()
 	l.epoch = clock
@@ -226,7 +232,7 @@ func (l *Link) drainEpochFlits(slab int) {
 func (l *Link) drainEpochCredits(slab int) {
 	in := l.credSlab[slab]
 	for i := range in {
-		l.credits.push(in[i])
+		l.credits.Push(in[i])
 	}
 	l.credSlab[slab] = in[:0]
 }
@@ -298,10 +304,10 @@ func (l *Link) auditCredits(fn func(proto.Credit)) {
 		}
 	}
 	for i := 0; i < l.credits.n; i++ {
-		audit(l.credits.at(i))
+		audit(l.credits.At(i))
 	}
 	for i := 0; i < l.synth.n; i++ {
-		audit(l.synth.at(i))
+		audit(l.synth.At(i))
 	}
 	stagedCred := staged(&l.credSlab)
 	for i := range stagedCred {
@@ -415,17 +421,17 @@ type timedCreditRing struct {
 //stashsim:noalloc
 func (r *timedCreditRing) add(at int64, c proto.Credit) {
 	if r.n > 0 {
-		tail := r.at(r.n - 1)
+		tail := r.At(r.n - 1)
 		if tail.at == at {
 			tail.add(c)
 			return
 		}
 	}
-	r.push(newCreditBatch(at, c))
+	r.Push(newCreditBatch(at, c))
 }
 
 //stashsim:noalloc
-func (r *timedCreditRing) push(t creditBatch) {
+func (r *timedCreditRing) Push(t creditBatch) {
 	if r.n == len(r.buf) {
 		size := len(r.buf) * 2
 		if size == 0 {
@@ -446,8 +452,15 @@ func (r *timedCreditRing) push(t creditBatch) {
 	r.n++
 }
 
+// Len returns the number of queued batches.
+//
 //stashsim:noalloc
-func (r *timedCreditRing) at(i int) *creditBatch {
+func (r *timedCreditRing) Len() int { return r.n }
+
+// At returns a pointer to the i-th oldest batch (0 = front).
+//
+//stashsim:noalloc
+func (r *timedCreditRing) At(i int) *creditBatch {
 	return &r.buf[(r.head+i)&(len(r.buf)-1)]
 }
 

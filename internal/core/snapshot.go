@@ -2,24 +2,23 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"stashsim/internal/buffer"
+	"stashsim/internal/proto"
 	"stashsim/internal/snapshot"
 )
 
-// Checkpoint hooks for the switch core. Everything here runs only at a
-// serial cycle barrier (the network clamps an epoch to end on the
-// checkpoint cycle), so every link staging slab is quiescent and every
-// switch field is safe to walk.
+// State walks for the switch core: each type's dynamic state is declared
+// once, over a bidirectional snapshot.Codec. Everything here runs only at
+// a serial cycle barrier (the network clamps an epoch to end on the
+// checkpoint cycle) or before a restored run starts, so every link staging
+// slab is quiescent and every switch field is safe to walk.
 //
 // Link ownership: a Link is shared by its producer and consumer, so each
-// link must be captured exactly once. The convention is consumer-side:
-// switch input ports encode their upstream links (covering endpoint->switch
-// and switch->switch edges) and endpoints encode their fromSw links
-// (covering switch->endpoint edges). The network's restore walk visits
-// switches and endpoints in the same order as the checkpoint walk, so the
-// streams line up by construction.
+// link must be walked exactly once. The convention is consumer-side:
+// switch input ports walk their upstream links (covering endpoint->switch
+// and switch->switch edges) and endpoints walk their fromSw links
+// (covering switch->endpoint edges).
 //
 // The link encoding is form-canonical: entries still staged in a
 // partition-crossing link's slab follow the ring's in the stream, which
@@ -30,567 +29,293 @@ import (
 // canonical state: rings hold all in-flight entries, slabs are empty, and
 // the network's repartition re-arms pending work from ring occupancy.
 
-// EncodeState appends the link's in-flight flits, credits, synthesized
-// credits, and fault-destruction count. Non-mutating: staged entries are
-// appended to the output stream, not to the rings.
+// arrivals is one link path as the walk sees it: the ring's entries, then
+// the ones still staged, which is arrival order. Decoding pushes onto the
+// ring alone.
+type arrivals[T any] struct {
+	snapshot.FIFO[T]
+	staged []T
+}
+
+func (a arrivals[T]) Len() int { return a.FIFO.Len() + len(a.staged) }
+
+func (a arrivals[T]) At(i int) *T {
+	if n := a.FIFO.Len(); i >= n {
+		return &a.staged[i-n]
+	}
+	return a.FIFO.At(i)
+}
+
+// State walks the link's in-flight flits, credits, synthesized credits
+// and fault-destruction count. Encoding does not mutate: staged entries
+// go to the stream, not to the rings. Decoding lands every entry in its
+// ring with the slabs empty; the delivery form is left alone — it belongs
+// to the network's partitioning, not the snapshot.
 //
-//stashsim:phase serial -- reads the staging slabs; runs only at a cycle barrier
-func (l *Link) EncodeState(w *snapshot.Writer) {
-	w.Section("LINK")
-	stagedFlits := staged(&l.flitSlab)
-	w.Count(l.flits.Len() + len(stagedFlits))
-	for i := 0; i < l.flits.Len(); i++ {
-		t := l.flits.At(i)
-		w.I64(t.At)
-		w.Flit(&t.Flit)
+//stashsim:phase serial -- reads the staging slabs and rewrites both paths; runs only at a cycle barrier or before the restored run starts
+func (l *Link) State(c *snapshot.Codec) {
+	c.Section("LINK")
+	if c.Decoding() {
+		l.flits, l.credits, l.synth = buffer.TimedRing{}, timedCreditRing{}, timedCreditRing{}
+		l.dropStaged()
 	}
-	for i := range stagedFlits {
-		w.I64(stagedFlits[i].At)
-		w.Flit(&stagedFlits[i].Flit)
-	}
-	stagedCred := staged(&l.credSlab)
-	w.Count(l.credits.n + len(stagedCred))
-	for i := 0; i < l.credits.n; i++ {
-		encodeCreditBatch(w, l.credits.at(i))
-	}
-	for i := range stagedCred {
-		encodeCreditBatch(w, &stagedCred[i])
-	}
-	w.Count(l.synth.n)
-	for i := 0; i < l.synth.n; i++ {
-		encodeCreditBatch(w, l.synth.at(i))
-	}
-	w.I64(l.faultDropped)
-}
-
-// DecodeState restores the link's traffic into the canonical state: every
-// in-flight entry in its ring, staging slabs empty. The delivery form is
-// left alone — it belongs to the network's partitioning, not the snapshot.
-//
-//stashsim:phase serial -- rewrites both paths; runs only before the restored run starts
-func (l *Link) DecodeState(rd *snapshot.Reader) {
-	rd.Section("LINK")
-	n := rd.Count(8 + 43)
-	l.flits = buffer.TimedRing{}
-	l.dropStaged()
-	for i := 0; i < n; i++ {
-		at := rd.I64()
-		f := rd.Flit()
-		if rd.Err() != nil {
-			return
+	snapshot.Ring(c, arrivals[buffer.TimedFlit]{&l.flits, staged(&l.flitSlab)}, 8+proto.FlitWireSize,
+		func(t *buffer.TimedFlit) { c.I64(&t.At); c.Flit(&t.Flit) })
+	// One batch on the wire: due time, per-VC reserved counts, shared count.
+	const batchWireSize = 8 + 2*len(creditBatch{}.resv) + 2
+	batch := func(b *creditBatch) {
+		c.I64(&b.at)
+		for vc := range b.resv {
+			c.U16(&b.resv[vc])
 		}
-		l.flits.Push(buffer.TimedFlit{At: at, Flit: f})
+		c.U16(&b.shared)
 	}
-	n = rd.Count(creditBatchWireSize)
-	l.credits = timedCreditRing{}
-	for i := 0; i < n; i++ {
-		b := decodeCreditBatch(rd)
-		if rd.Err() != nil {
-			return
-		}
-		l.credits.push(b)
-	}
-	n = rd.Count(creditBatchWireSize)
-	l.synth = timedCreditRing{}
-	for i := 0; i < n; i++ {
-		b := decodeCreditBatch(rd)
-		if rd.Err() != nil {
-			return
-		}
-		l.synth.push(b)
-	}
-	l.faultDropped = rd.I64()
+	snapshot.Ring(c, arrivals[creditBatch]{&l.credits, staged(&l.credSlab)}, batchWireSize, batch)
+	snapshot.Ring(c, &l.synth, batchWireSize, batch)
+	c.I64(&l.faultDropped)
 }
 
-// creditBatchWireSize is the serialized size of one credit batch: due
-// time, per-VC reserved counts, shared count.
-const creditBatchWireSize = 8 + 2*len(creditBatch{}.resv) + 2
-
-func encodeCreditBatch(w *snapshot.Writer, b *creditBatch) {
-	w.I64(b.at)
-	for vc := range b.resv {
-		w.U16(b.resv[vc])
-	}
-	w.U16(b.shared)
-}
-
-func decodeCreditBatch(rd *snapshot.Reader) creditBatch {
-	var b creditBatch
-	b.at = rd.I64()
-	for vc := range b.resv {
-		b.resv[vc] = rd.U16()
-	}
-	b.shared = rd.U16()
-	return b
-}
-
-// EncodeState appends the switch's full dynamic state. Scratch that every
-// cycle recomputes from captured state is skipped: the allocator request
-// masks, the e2eEntry freelist, and the link arm masks — after restore
-// they are rebuilt from ring occupancy (Rearm), which at a barrier is
+// State walks the switch's full dynamic state, into (when decoding) a
+// freshly built switch of the identical configuration. Scratch that every
+// cycle recomputes is not state and is marked where it is declared: the
+// allocator request masks, the e2eEntry freelist, and the link arm masks,
+// which repartition rebuilds from ring occupancy (Rearm) — at a barrier
 // exactly what the armed bits carried.
 //
-//stashsim:phase serial -- walks every partition-owned structure; runs only at a cycle barrier
-func (s *Switch) EncodeState(w *snapshot.Writer) {
-	w.Section("SWCH")
-	w.U64(s.rng.State())
-	s.router.EncodeState(w)
-	w.I64(s.CreditStallCycles)
-	w.I64(s.created)
-	encodeCounters(w, &s.Counters)
-	w.U64(s.tileOcc)
-	w.U64(s.muxOcc)
-	w.U64(s.inActive)
-	w.U64(s.outActive)
-	w.Count(s.radix)
-	for p := 0; p < s.radix; p++ {
-		ip := &s.in[p]
-		ip.link.EncodeState(w)
-		ip.buf.EncodeState(w)
-		for vc := range ip.latch {
-			encodeRouteLatch(w, &ip.latch[vc])
-		}
-		ip.arbiter.EncodeState(w)
-		w.Bool(ip.congested)
-		w.U8(uint8(ip.sVC))
-		ip.mem.EncodeState(w)
-
-		op := &s.out[p]
-		op.buf.EncodeState(w)
-		for r := range op.colBufs {
-			for vc := range op.colBufs[r] {
-				op.colBufs[r][vc].EncodeState(w)
-			}
-		}
-		w.I64(int64(op.colOcc))
-		w.U64(op.colMask)
-		for vc := range op.muxLock {
-			ml := &op.muxLock[vc]
-			w.U8(uint8(ml.row))
-			w.U64(ml.pkt)
-			w.Bool(ml.active)
-		}
-		op.muxArb.EncodeState(w)
-		op.sendArb.EncodeState(w)
-		if op.credits != nil {
-			op.credits.EncodeState(w)
-		}
-		w.I64(int64(op.acc))
-		w.I64(op.accTick)
-		op.mem.EncodeState(w)
-
-		s.stash[p].EncodeState(w)
-	}
-	w.Count(len(s.tiles))
-	for ti := range s.tiles {
-		encodeTile(w, &s.tiles[ti])
-	}
-	w.Count(s.sideband.n)
-	for i := 0; i < s.sideband.n; i++ {
-		m := &s.sideband.buf[(s.sideband.head+i)&(len(s.sideband.buf)-1)]
-		w.I64(m.at)
-		w.U8(uint8(m.kind))
-		w.U64(m.pktID)
-		w.U8(m.dst)
-		w.U8(m.aux)
-		w.U8(m.size)
-	}
-	w.Count(len(s.track))
-	for port := range s.track {
-		encodeTrackMap(w, s.track[port])
-	}
-	w.Count(len(s.retryQ))
-	for i := range s.retryQ {
-		r := &s.retryQ[i]
-		w.I64(r.deadline)
-		w.U64(r.pktID)
-		w.U8(r.port)
-	}
-	if s.parity != nil {
-		s.parity.EncodeState(w)
-	}
-	w.Count(len(s.reconQ))
-	for i := range s.reconQ {
-		r := &s.reconQ[i]
-		w.I64(r.due)
-		w.U64(r.pktID)
-		w.U8(r.size)
-		w.U8(r.origin)
-		w.U8(r.target)
-		w.Bool(r.buf != nil)
-		if r.buf != nil {
-			w.Count(len(r.buf.Flits))
-			for j := range r.buf.Flits {
-				w.Flit(&r.buf.Flits[j])
-			}
-		}
-	}
-}
-
-// DecodeState restores the switch's dynamic state into a freshly built
-// switch of the identical configuration.
-//
-//stashsim:phase serial -- rewrites every partition-owned structure; runs only before the restored run starts
-func (s *Switch) DecodeState(rd *snapshot.Reader) {
-	rd.Section("SWCH")
-	s.rng.SetState(rd.U64())
-	s.router.DecodeState(rd)
-	s.CreditStallCycles = rd.I64()
-	s.created = rd.I64()
-	decodeCounters(rd, &s.Counters)
-	s.tileOcc = rd.U64()
-	s.muxOcc = rd.U64()
-	s.inActive = rd.U64()
-	s.outActive = rd.U64()
-	if n := rd.Count(1); rd.Err() == nil && n != s.radix {
-		rd.Failf("core: switch %d has radix %d, snapshot has %d", s.ID, s.radix, n)
-	}
-	if rd.Err() != nil {
+//stashsim:phase serial -- walks every partition-owned structure; runs only at a cycle barrier or before the restored run starts
+func (s *Switch) State(c *snapshot.Codec) {
+	c.Section("SWCH")
+	c.RNG(s.rng)
+	s.router.State(c)
+	c.I64(&s.CreditStallCycles)
+	c.I64(&s.created)
+	s.Counters.state(c)
+	// Step walks the set bits of the active-set masks as tile and port
+	// indexes.
+	c.Mask("Switch.tileOcc", &s.tileOcc, len(s.tiles))
+	c.Mask("Switch.muxOcc", &s.muxOcc, s.radix)
+	c.Mask("Switch.inActive", &s.inActive, s.radix)
+	c.Mask("Switch.outActive", &s.outActive, s.radix)
+	if !c.Len("core: switch ports", s.radix, 1) {
 		return
 	}
-	for p := 0; p < s.radix; p++ {
-		ip := &s.in[p]
-		ip.link.DecodeState(rd)
-		ip.buf.DecodeState(rd)
-		for vc := range ip.latch {
-			decodeRouteLatch(rd, &ip.latch[vc])
-		}
-		ip.arbiter.DecodeState(rd)
-		ip.congested = rd.Bool()
-		ip.sVC = int8(rd.U8())
-		ip.mem.DecodeState(rd)
-
-		op := &s.out[p]
-		op.buf.DecodeState(rd)
-		for r := range op.colBufs {
-			for vc := range op.colBufs[r] {
-				op.colBufs[r][vc].DecodeState(rd)
-			}
-		}
-		op.colOcc = int(rd.I64())
-		op.colMask = rd.U64()
-		for vc := range op.muxLock {
-			ml := &op.muxLock[vc]
-			ml.row = int8(rd.U8())
-			ml.pkt = rd.U64()
-			ml.active = rd.Bool()
-		}
-		op.muxArb.DecodeState(rd)
-		op.sendArb.DecodeState(rd)
-		if op.credits != nil {
-			op.credits.DecodeState(rd)
-		}
-		op.acc = int(rd.I64())
-		op.accTick = rd.I64()
-		op.mem.DecodeState(rd)
-
-		s.stash[p].DecodeState(rd)
-		if rd.Err() != nil {
-			return
-		}
+	for p := 0; p < s.radix && c.Err() == nil; p++ {
+		s.in[p].state(c, s)
+		s.out[p].state(c, s)
+		s.stash[p].State(c)
 	}
-	if n := rd.Count(1); rd.Err() == nil && n != len(s.tiles) {
-		rd.Failf("core: switch %d has %d tiles, snapshot has %d", s.ID, len(s.tiles), n)
-	}
-	if rd.Err() != nil {
+	if !c.Len("core: switch tiles", len(s.tiles), 1) {
 		return
 	}
 	for ti := range s.tiles {
-		decodeTile(rd, &s.tiles[ti])
-		if rd.Err() != nil {
-			return
-		}
+		s.tiles[ti].state(c, s)
 	}
-	n := rd.Count(8 + 1 + 8 + 1 + 1 + 1)
-	s.sideband = sbRing{}
-	for i := 0; i < n; i++ {
-		var m sbMsg
-		m.at = rd.I64()
-		k := rd.U8()
-		m.pktID = rd.U64()
-		m.dst = rd.U8()
-		m.aux = rd.U8()
-		m.size = rd.U8()
-		if rd.Err() != nil {
-			return
-		}
-		if k > uint8(sbRetransmit) {
-			rd.Failf("core: invalid side-band message kind %d", k)
-			return
-		}
-		m.kind = sbKind(k)
-		s.sideband.push(m)
+	if c.Decoding() {
+		s.sideband = sbRing{}
 	}
-	if n := rd.Count(1); rd.Err() == nil && n != len(s.track) {
-		rd.Failf("core: switch %d tracks %d end ports, snapshot has %d", s.ID, len(s.track), n)
-	}
-	if rd.Err() != nil {
+	snapshot.Ring(c, &s.sideband, 8+1+8+1+1+1, func(m *sbMsg) { m.state(c, s) })
+	if !c.Len("core: switch end ports", len(s.track), 1) {
 		return
 	}
 	for port := range s.track {
-		s.decodeTrackMap(rd, s.track[port])
-		if rd.Err() != nil {
-			return
-		}
+		// Tracking entries in ascending packet-ID order, drawn from the
+		// entry freelist when decoding.
+		snapshot.Map(c, &s.track[port], 8+1+2+1+1+8+1+1+1, c.U64, func(e **e2eEntry) {
+			if c.Decoding() {
+				*e = s.newEntry()
+			}
+			(*e).state(c, s)
+		})
 	}
-	n = rd.Count(8 + 8 + 1)
-	s.retryQ = s.retryQ[:0]
-	for i := 0; i < n; i++ {
-		var r retryRec
-		r.deadline = rd.I64()
-		r.pktID = rd.U64()
-		r.port = rd.U8()
-		if rd.Err() != nil {
-			return
-		}
-		s.retryQ = append(s.retryQ, r)
-	}
+	snapshot.Slice(c, &s.retryQ, 8+8+1, func(r *retryRec) {
+		c.I64(&r.deadline)
+		c.U64(&r.pktID)
+		c.U8(&r.port)
+		c.Bound("retryRec.port", int(r.port), 0, len(s.track))
+	})
 	if s.parity != nil {
-		s.parity.DecodeState(rd)
-		if rd.Err() != nil {
-			return
+		s.parity.State(c)
+	}
+	snapshot.Slice(c, &s.reconQ, 8+8+1+1+1+1, func(r *reconRec) { r.state(c, s) })
+}
+
+func (c *Counters) state(w *snapshot.Codec) {
+	w.I64(&c.FlitsSwitched)
+	w.I64(&c.FlitsSent)
+	w.I64(&c.StashStores)
+	w.I64(&c.StashRetrieves)
+	w.I64(&c.ECNMarks)
+	w.I64(&c.CongestedCycles)
+	w.I64(&c.StashFullStalls)
+	w.I64(&c.E2ETracked)
+	w.I64(&c.E2EDeletes)
+	w.I64(&c.E2ERetransmits)
+	w.I64(&c.SidebandMsgs)
+	w.I64(&c.CongStashed)
+	w.I64(&c.CongStashedVict)
+	w.I64(&c.HoLAbsorbed)
+	w.I64(&c.RetryTimeouts)
+	w.I64(&c.RetryAbandoned)
+	w.I64(&c.StashCopiesLost)
+	w.I64(&c.StashBypassed)
+	w.I64(&c.StashReconstructed)
+	w.I64(&c.StashReconFailed)
+	w.I64(&c.ParityGroupsSealed)
+	w.I64(&c.StashDegradedReads)
+}
+
+func (ip *inPort) state(c *snapshot.Codec, s *Switch) {
+	ip.link.State(c)
+	ip.buf.State(c)
+	for vc := range ip.latch {
+		// The row bus indexes tiles by the latched output's column and the
+		// stash column, and stamps the latched VC on every flit it moves.
+		l := &ip.latch[vc]
+		c.Bool(&l.active)
+		c.Bool(&l.started)
+		c.Bool(&l.eject)
+		c.Bool(&l.redirect)
+		c.U8(&l.out)
+		c.Bound("routeLatch.out", int(l.out), 0, s.radix)
+		c.U8(&l.vc)
+		c.Bound("routeLatch.vc", int(l.vc), 0, proto.NumVCs)
+		snapshot.Wire8(c, &l.stashCol)
+		c.Bound("routeLatch.stashCol", int(l.stashCol), -1, s.cfg.Cols)
+	}
+	ip.arbiter.State(c)
+	c.Bool(&ip.congested)
+	snapshot.Wire8(c, &ip.sVC)
+	c.Bound("inPort.sVC", int(ip.sVC), -1, proto.NumNetVCs)
+	ip.mem.State(c)
+}
+
+func (op *outPort) state(c *snapshot.Codec, s *Switch) {
+	op.buf.State(c)
+	for r := range op.colBufs {
+		for vc := range op.colBufs[r] {
+			op.colBufs[r][vc].State(c)
 		}
 	}
-	n = rd.Count(8 + 8 + 1 + 1 + 1 + 1)
-	s.reconQ = s.reconQ[:0]
-	for i := 0; i < n; i++ {
-		var r reconRec
-		r.due = rd.I64()
-		r.pktID = rd.U64()
-		r.size = rd.U8()
-		r.origin = rd.U8()
-		r.target = rd.U8()
-		hasBuf := rd.Bool()
-		if rd.Err() != nil {
-			return
-		}
-		if int(r.target) >= s.radix {
-			rd.Failf("core: reconstruction target bank %d out of range [0,%d)", r.target, s.radix)
-			return
-		}
-		if hasBuf {
-			r.buf = s.stash[r.target].DecodeRetainedPayload(rd)
-			if rd.Err() != nil {
-				return
+	snapshot.Wire64(c, &op.colOcc)
+	c.U64(&op.colMask)
+	for vc := range op.muxLock {
+		ml := &op.muxLock[vc]
+		snapshot.Wire8(c, &ml.row)
+		c.Bound("muxLock.row", int(ml.row), 0, s.cfg.Rows)
+		c.U64(&ml.pkt)
+		c.Bool(&ml.active)
+	}
+	op.muxArb.State(c)
+	op.sendArb.State(c)
+	if op.credits != nil {
+		op.credits.State(c)
+	}
+	snapshot.Wire64(c, &op.acc)
+	c.I64(&op.accTick)
+	op.mem.State(c)
+}
+
+func (t *tile) state(c *snapshot.Codec, s *Switch) {
+	for i := range t.rowBufs {
+		for vc := range t.rowBufs[i] {
+			rb := &t.rowBufs[i][vc]
+			rb.State(c)
+			// Only the storage stream holds flits whose output is still
+			// pending; every other stream's Out indexes the tile outputs.
+			for k := 0; c.Decoding() && vc != proto.VCStore && k < rb.Len(); k++ {
+				c.Bound("row-buffer flit.Out", int(rb.At(k).Out), 0, s.radix)
 			}
 		}
-		s.reconQ = append(s.reconQ, r)
 	}
-}
-
-func encodeCounters(w *snapshot.Writer, c *Counters) {
-	w.I64(c.FlitsSwitched)
-	w.I64(c.FlitsSent)
-	w.I64(c.StashStores)
-	w.I64(c.StashRetrieves)
-	w.I64(c.ECNMarks)
-	w.I64(c.CongestedCycles)
-	w.I64(c.StashFullStalls)
-	w.I64(c.E2ETracked)
-	w.I64(c.E2EDeletes)
-	w.I64(c.E2ERetransmits)
-	w.I64(c.SidebandMsgs)
-	w.I64(c.CongStashed)
-	w.I64(c.CongStashedVict)
-	w.I64(c.HoLAbsorbed)
-	w.I64(c.RetryTimeouts)
-	w.I64(c.RetryAbandoned)
-	w.I64(c.StashCopiesLost)
-	w.I64(c.StashBypassed)
-	w.I64(c.StashReconstructed)
-	w.I64(c.StashReconFailed)
-	w.I64(c.ParityGroupsSealed)
-	w.I64(c.StashDegradedReads)
-}
-
-func decodeCounters(rd *snapshot.Reader, c *Counters) {
-	c.FlitsSwitched = rd.I64()
-	c.FlitsSent = rd.I64()
-	c.StashStores = rd.I64()
-	c.StashRetrieves = rd.I64()
-	c.ECNMarks = rd.I64()
-	c.CongestedCycles = rd.I64()
-	c.StashFullStalls = rd.I64()
-	c.E2ETracked = rd.I64()
-	c.E2EDeletes = rd.I64()
-	c.E2ERetransmits = rd.I64()
-	c.SidebandMsgs = rd.I64()
-	c.CongStashed = rd.I64()
-	c.CongStashedVict = rd.I64()
-	c.HoLAbsorbed = rd.I64()
-	c.RetryTimeouts = rd.I64()
-	c.RetryAbandoned = rd.I64()
-	c.StashCopiesLost = rd.I64()
-	c.StashBypassed = rd.I64()
-	c.StashReconstructed = rd.I64()
-	c.StashReconFailed = rd.I64()
-	c.ParityGroupsSealed = rd.I64()
-	c.StashDegradedReads = rd.I64()
-}
-
-func encodeRouteLatch(w *snapshot.Writer, l *routeLatch) {
-	w.Bool(l.active)
-	w.Bool(l.started)
-	w.Bool(l.eject)
-	w.Bool(l.redirect)
-	w.U8(l.out)
-	w.U8(l.vc)
-	w.U8(uint8(l.stashCol))
-}
-
-func decodeRouteLatch(rd *snapshot.Reader, l *routeLatch) {
-	l.active = rd.Bool()
-	l.started = rd.Bool()
-	l.eject = rd.Bool()
-	l.redirect = rd.Bool()
-	l.out = rd.U8()
-	l.vc = rd.U8()
-	l.stashCol = int8(rd.U8())
-}
-
-func encodeTile(w *snapshot.Writer, t *tile) {
-	for i := range t.rowBufs {
-		for vc := range t.rowBufs[i] {
-			t.rowBufs[i][vc].EncodeState(w)
-		}
-	}
-	t.alloc.EncodeState(w)
+	t.alloc.State(c)
 	for i := range t.vcNext {
-		w.I64(int64(t.vcNext[i]))
+		snapshot.Wire64(c, &t.vcNext[i])
+		c.Bound("tile.vcNext", t.vcNext[i], 0, proto.NumVCs)
 	}
 	for o := range t.outLock {
 		for vc := range t.outLock[o] {
-			w.U64(t.outLock[o][vc].pkt)
-			w.Bool(t.outLock[o][vc].active)
+			c.U64(&t.outLock[o][vc].pkt)
+			c.Bool(&t.outLock[o][vc].active)
 		}
 	}
 	for i := range t.sLatch {
-		w.U8(t.sLatch[i].port)
-		w.Bool(t.sLatch[i].active)
+		c.U8(&t.sLatch[i].port)
+		c.Bound("sLatch.port", int(t.sLatch[i].port), 0, s.radix)
+		c.Bool(&t.sLatch[i].active)
 	}
-	w.I64(int64(t.occupied))
+	snapshot.Wire64(c, &t.occupied)
 	for i := range t.slotOcc {
-		w.U16(t.slotOcc[i])
+		c.U16(&t.slotOcc[i])
 	}
 }
 
-func decodeTile(rd *snapshot.Reader, t *tile) {
-	for i := range t.rowBufs {
-		for vc := range t.rowBufs[i] {
-			t.rowBufs[i][vc].DecodeState(rd)
-		}
+// state walks one side-band message. dst indexes the tracking maps for a
+// location report (it names the originating end port) and the stash pools
+// for a delete or retransmit request; aux is a stash or end port.
+func (m *sbMsg) state(c *snapshot.Codec, s *Switch) {
+	c.I64(&m.at)
+	snapshot.Wire8(c, &m.kind)
+	c.Bound("sbMsg.kind", int(m.kind), 0, int(sbRetransmit)+1)
+	c.U64(&m.pktID)
+	c.U8(&m.dst)
+	if m.kind == sbLocation {
+		c.Bound("sbMsg.dst", int(m.dst), 0, len(s.track))
+	} else {
+		c.Bound("sbMsg.dst", int(m.dst), 0, s.radix)
 	}
-	t.alloc.DecodeState(rd)
-	for i := range t.vcNext {
-		t.vcNext[i] = int(rd.I64())
-	}
-	for o := range t.outLock {
-		for vc := range t.outLock[o] {
-			t.outLock[o][vc].pkt = rd.U64()
-			t.outLock[o][vc].active = rd.Bool()
-		}
-	}
-	for i := range t.sLatch {
-		t.sLatch[i].port = rd.U8()
-		t.sLatch[i].active = rd.Bool()
-	}
-	t.occupied = int(rd.I64())
-	for i := range t.slotOcc {
-		t.slotOcc[i] = rd.U16()
+	c.U8(&m.aux)
+	c.Bound("sbMsg.aux", int(m.aux), 0, s.radix)
+	c.U8(&m.size)
+}
+
+func (e *e2eEntry) state(c *snapshot.Codec, s *Switch) {
+	c.U8(&e.size)
+	snapshot.Wire16(c, &e.stashPort)
+	c.Bound("e2eEntry.stashPort", int(e.stashPort), -1, s.radix)
+	c.Bool(&e.acked)
+	c.Bool(&e.nacked)
+	c.I64(&e.deadline)
+	c.U8(&e.retries)
+	c.Bool(&e.lost)
+	c.Bool(&e.recon)
+}
+
+// state walks one in-flight reconstruction; a retained payload is rebuilt
+// into the target bank's pool.
+func (r *reconRec) state(c *snapshot.Codec, s *Switch) {
+	c.I64(&r.due)
+	c.U64(&r.pktID)
+	c.U8(&r.size)
+	c.U8(&r.origin)
+	c.Bound("reconRec.origin", int(r.origin), 0, len(s.track))
+	c.U8(&r.target)
+	c.Bound("reconRec.target", int(r.target), 0, s.radix)
+	has := r.buf != nil
+	if c.Bool(&has); has && c.Err() == nil {
+		s.stash[r.target].Payload(c, &r.buf)
 	}
 }
 
-// encodeTrackMap appends one end port's outstanding tracking entries in
-// ascending packet-ID order.
-func encodeTrackMap(w *snapshot.Writer, m map[uint64]*e2eEntry) {
-	ids := make([]uint64, 0, len(m))
-	//lint:allow determinism -- map-key collection, sorted before use
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	w.Count(len(ids))
-	for _, id := range ids {
-		e := m[id]
-		w.U64(id)
-		w.U8(e.size)
-		w.U16(uint16(e.stashPort))
-		w.Bool(e.acked)
-		w.Bool(e.nacked)
-		w.I64(e.deadline)
-		w.U8(e.retries)
-		w.Bool(e.lost)
-		w.Bool(e.recon)
-	}
-}
-
-// decodeTrackMap restores one end port's tracking entries, drawing
-// records from the entry freelist.
-func (s *Switch) decodeTrackMap(rd *snapshot.Reader, m map[uint64]*e2eEntry) {
-	n := rd.Count(8 + 1 + 2 + 1 + 1 + 8 + 1 + 1 + 1)
-	if rd.Err() != nil {
-		return
-	}
-	clear(m)
-	for i := 0; i < n; i++ {
-		id := rd.U64()
-		e := s.newEntry()
-		e.size = rd.U8()
-		e.stashPort = int16(rd.U16())
-		e.acked = rd.Bool()
-		e.nacked = rd.Bool()
-		e.deadline = rd.I64()
-		e.retries = rd.U8()
-		e.lost = rd.Bool()
-		e.recon = rd.Bool()
-		if rd.Err() != nil {
-			return
-		}
-		m[id] = e
-	}
-}
-
-// EncodeFingerprint appends the configuration fingerprint: a
-// self-describing (name, value) pair list covering every parameter that
-// shapes the simulated machine. Restore compares it positionally against
-// the restoring run's configuration and reports the first differing axis.
-func (c *Config) EncodeFingerprint(w *snapshot.Writer) {
+// Fingerprint walks the configuration fingerprint: a self-describing
+// (name, value) pair list covering every parameter that shapes the
+// simulated machine. Decoding compares it positionally against this
+// configuration and fails on the first differing axis, naming it.
+func (c *Config) Fingerprint(w *snapshot.Codec) {
 	w.Section("CONF")
 	pairs := c.fingerprintPairs()
-	w.Count(len(pairs))
-	for _, p := range pairs {
-		w.Str(p[0])
-		w.Str(p[1])
-	}
-}
-
-// CheckFingerprint verifies the snapshot's configuration fingerprint
-// against this configuration, failing the reader with a per-axis message
-// on the first mismatch.
-func (c *Config) CheckFingerprint(rd *snapshot.Reader) {
-	rd.Section("CONF")
-	pairs := c.fingerprintPairs()
-	n := rd.Count(2 * 4)
-	if rd.Err() != nil {
-		return
-	}
-	if n != len(pairs) {
-		rd.Failf("core: snapshot fingerprint has %d fields, this build compares %d — snapshot from a different build", n, len(pairs))
+	if !w.Len("core: snapshot from a different build: fingerprint fields", len(pairs), 2*4) {
 		return
 	}
 	for _, p := range pairs {
-		name := rd.Str()
-		val := rd.Str()
-		if rd.Err() != nil {
+		name, val := p[0], p[1]
+		w.Str(&name)
+		switch w.Str(&val); {
+		case w.Err() != nil:
 			return
-		}
-		if name != p[0] {
-			rd.Failf("core: snapshot fingerprint field %q where this build expects %q — snapshot from a different build", name, p[0])
-			return
-		}
-		if val != p[1] {
-			rd.Failf("core: config mismatch on %s: snapshot was taken with %s, this run has %s", name, val, p[1])
-			return
+		case name != p[0]:
+			w.Failf("core: snapshot fingerprint field %q where this build expects %q — snapshot from a different build", name, p[0])
+		case val != p[1]:
+			w.Failf("core: config mismatch on %s: snapshot was taken with %s, this run has %s", name, val, p[1])
 		}
 	}
 }

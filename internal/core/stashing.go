@@ -46,7 +46,7 @@ type sbRing struct {
 }
 
 //stashsim:noalloc
-func (r *sbRing) push(m sbMsg) {
+func (r *sbRing) Push(m sbMsg) {
 	if r.n == len(r.buf) {
 		size := len(r.buf) * 2
 		if size == 0 {
@@ -64,6 +64,16 @@ func (r *sbRing) push(m sbMsg) {
 	r.n++
 }
 
+// Len returns the number of queued messages.
+//
+//stashsim:noalloc
+func (r *sbRing) Len() int { return r.n }
+
+// At returns a pointer to the i-th oldest message (0 = front).
+//
+//stashsim:noalloc
+func (r *sbRing) At(i int) *sbMsg { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
+
 //stashsim:noalloc
 func (r *sbRing) popDue(now int64) (sbMsg, bool) {
 	if r.n == 0 || r.buf[r.head].at > now {
@@ -80,7 +90,7 @@ func (r *sbRing) popDue(now int64) (sbMsg, bool) {
 //
 //stashsim:noalloc
 func (s *Switch) sbSend(now sim.Tick, kind sbKind, pktID uint64, dst, aux, size uint8) {
-	s.sideband.push(sbMsg{at: now + s.cfg.SidebandLat, kind: kind, pktID: pktID, dst: dst, aux: aux, size: size})
+	s.sideband.Push(sbMsg{at: now + s.cfg.SidebandLat, kind: kind, pktID: pktID, dst: dst, aux: aux, size: size})
 	s.Counters.SidebandMsgs++
 }
 
@@ -290,9 +300,9 @@ type reconRec struct {
 	due    int64
 	pktID  uint64
 	size   uint8
-	origin uint8          // end port owning the tracking entry at begin time
-	target uint8          // bank receiving the rebuilt copy (space reserved)
-	buf    *proto.PktBuf  // retained payload extracted from the failed bank; may be nil
+	origin uint8         // end port owning the tracking entry at begin time
+	target uint8         // bank receiving the rebuilt copy (space reserved)
+	buf    *proto.PktBuf // retained payload extracted from the failed bank; may be nil
 }
 
 // FailStashBank injects a stash-bank failure at the given port. With

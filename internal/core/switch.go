@@ -82,15 +82,15 @@ type routeLatch struct {
 
 //stashsim:owner partition
 type inPort struct {
-	id        int
-	class     topo.LinkClass
-	isEnd     bool
+	id        int            //stashsim:derived -- structural; rebuilt from the configuration
+	class     topo.LinkClass //stashsim:derived -- structural; rebuilt from the configuration
+	isEnd     bool           //stashsim:derived -- structural; rebuilt from the configuration
 	link      *Link
 	buf       *buffer.DAMQ
 	latch     [proto.NumNetVCs]routeLatch
 	arbiter   arb.RoundRobin // NumNetVCs input VCs + 1 retrieval candidate
 	congested bool
-	congestAt int  // occupancy threshold in flits
+	congestAt int  //stashsim:derived -- structural: the ECN occupancy threshold in flits, from the configuration
 	sVC       int8 // input VC holding the storage stream (-1 free)
 	mem       buffer.BankedMem
 }
@@ -115,17 +115,17 @@ type stashLatch struct {
 
 //stashsim:owner partition
 type tile struct {
-	row, col int
+	row, col int             //stashsim:derived -- structural; rebuilt from the configuration
 	rowBufs  [][]buffer.Ring // [TileIn][NumVCs]
 	alloc    *arb.Separable
-	vcNext   []int        // per-slot stream rotation pointer
-	outLock  [][]tileLock // [TileOut][NumVCs]
-	sLatch   []stashLatch // per slot
-	occupied int          // total queued flits (activity gate)
-	slotOcc  []uint16     // per-slot bitmask of non-empty streams
-	reqScr   []uint64     // scratch request masks
-	candScr  [][]uint8    // scratch candidate stream per (slot, out)
-	grants   *metrics.Counter
+	vcNext   []int            // per-slot stream rotation pointer
+	outLock  [][]tileLock     // [TileOut][NumVCs]
+	sLatch   []stashLatch     // per slot
+	occupied int              // total queued flits (activity gate)
+	slotOcc  []uint16         // per-slot bitmask of non-empty streams
+	reqScr   []uint64         //stashsim:transient -- scratch request masks; stepTile recomputes them
+	candScr  [][]uint8        //stashsim:transient -- scratch candidate stream per (slot, out); stepTile recomputes it
+	grants   *metrics.Counter //stashsim:transient -- metrics handle; the registry walks the value
 }
 
 // muxLock serializes packets per output-buffer VC across the R column
@@ -140,10 +140,10 @@ type muxLock struct {
 
 //stashsim:owner partition
 type outPort struct {
-	id      int
-	class   topo.LinkClass
-	isEnd   bool
-	link    *Link
+	id      int            //stashsim:derived -- structural; rebuilt from the configuration
+	class   topo.LinkClass //stashsim:derived -- structural; rebuilt from the configuration
+	isEnd   bool           //stashsim:derived -- structural; rebuilt from the configuration
+	link    *Link          //stashsim:derived -- wiring; a link is walked by its consumer side
 	buf     *buffer.OutBuf
 	colBufs [][]buffer.Ring // [Rows][NumVCs]
 	colOcc  int             // total flits in column buffers (activity gate)
@@ -155,7 +155,7 @@ type outPort struct {
 	acc     int
 	accTick int64 // last cycle the serialization accumulator advanced
 	mem     buffer.BankedMem
-	rtt     int64
+	rtt     int64 //stashsim:derived -- structural; rebuilt from the configuration
 }
 
 // e2eEntry tracks one outstanding packet at its originating end port.
@@ -193,7 +193,7 @@ type retryRec struct {
 //
 //stashsim:owner partition
 type Switch struct {
-	ID     int
+	ID     int //stashsim:derived -- structural; rebuilt from the configuration
 	cfg    *Config
 	router *route.Router
 	rng    *sim.RNG
@@ -209,6 +209,8 @@ type Switch struct {
 	radix int
 	// tileOutOf is cfg.TileOutOf per output port, tabulated so the tile
 	// allocator's candidate loop does not divide by a run-time value.
+	//
+	//stashsim:derived -- structural; rebuilt from the configuration
 	tileOutOf [64]uint8
 	in        []inPort
 	out       []outPort
@@ -243,16 +245,22 @@ type Switch struct {
 	// bit as it pushes (see Link), the epoch drain sets it for
 	// partition-crossing links, and Step keeps it while entries not yet due
 	// remain — so Step touches only links with something on the wire.
+	//
+	//stashsim:derived -- rebuilt from ring occupancy by Rearm
 	armedIn   uint64
-	armedCred uint64
+	armedCred uint64 //stashsim:derived -- rebuilt from ring occupancy by Rearm
 
 	// wake is this switch's slot in its partition's wake table (see
 	// sim.Stepper.NextWake and SetWakeSlot); input that reaches the switch
 	// by any way other than a same-partition link push lowers it by hand.
+	//
+	//stashsim:transient -- wake-table slot; a restored run starts all awake
 	wake *sim.Tick
 
 	// entryFree recycles settled e2eEntry records (LIFO), so steady-state
 	// tracking churn allocates nothing once the high-water mark is reached.
+	//
+	//stashsim:transient -- freelist; decoding draws the tracked entries from it
 	entryFree []*e2eEntry
 
 	// created counts flits minted inside this switch: end-to-end stash
@@ -263,8 +271,8 @@ type Switch struct {
 
 	Counters Counters
 
-	m      switchMetrics
-	tracer *metrics.Tracer
+	m      switchMetrics   //stashsim:transient -- metrics handles; the registry walks the values
+	tracer *metrics.Tracer //stashsim:transient -- debugging sink; its output stream cannot resume mid-run
 }
 
 // NewSwitch builds switch id under the shared configuration. Links are

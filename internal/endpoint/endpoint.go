@@ -108,11 +108,11 @@ type Delivery struct {
 
 // Endpoint is one network endpoint.
 type Endpoint struct {
-	ID  int32
+	ID  int32 //stashsim:derived -- structural; rebuilt from the configuration
 	cfg *core.Config
 	rng *sim.RNG
 
-	toSw    *core.Link
+	toSw    *core.Link //stashsim:derived -- wiring; walked by the switch input port that consumes it
 	fromSw  *core.Link
 	credits *buffer.CreditCounter
 	acc     int
@@ -140,13 +140,15 @@ type Endpoint struct {
 	// settled outPkt records so the steady-state inject/ack cycle stops
 	// allocating one record per packet.
 	outstanding map[uint64]*outPkt
-	outFree     []*outPkt
+	outFree     []*outPkt //stashsim:transient -- freelist; decoding draws the outstanding records from it
 	outTimers   []epTimer
 	rtxQ        []rtxItem
 	rtxHead     int
 
 	// wake is this endpoint's slot in its partition's wake table (see
 	// sim.Stepper.NextWake and SetWakeSlot).
+	//
+	//stashsim:transient -- wake-table slot; a restored run starts all awake
 	wake *sim.Tick
 
 	// Gen, when non-nil, is invoked at the start of every cycle to
@@ -154,6 +156,8 @@ type Endpoint struct {
 	// generator never sleeps: its random draws are per cycle. Assign it
 	// between runs only — every public run entry of the network starts
 	// with all components awake.
+	//
+	//stashsim:transient -- closure rebuilt by the harness; its stream travels as GenRNG
 	Gen func(now sim.Tick, e *Endpoint)
 
 	// GenRNG, when non-nil, is the RNG stream driving Gen's random draws.
@@ -164,11 +168,15 @@ type Endpoint struct {
 
 	// OnDelivered, when non-nil, is invoked for every delivered data
 	// packet (used by the trace replay engine).
+	//
+	//stashsim:transient -- hook installed by the harness
 	OnDelivered func(d Delivery)
 
 	// Collector receives measurements. The network hands every endpoint
 	// its own CollectorSet shard, so recording stays single-writer even
 	// when the parallel executor steps endpoints concurrently.
+	//
+	//stashsim:derived -- wiring; the shard is walked by the CollectorSet
 	Collector *Collector
 
 	// SentFlits counts every flit injected (data and ACK), used by
@@ -195,6 +203,8 @@ type Endpoint struct {
 
 	// Tracer, when non-nil, receives packet-lifecycle events (inject,
 	// eject, ack) from this endpoint.
+	//
+	//stashsim:transient -- debugging sink; its output stream cannot resume mid-run
 	Tracer *metrics.Tracer
 }
 

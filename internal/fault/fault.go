@@ -146,7 +146,7 @@ func (s *Stats) merge(o Stats) {
 // producer), plus one coordinator-owned shard for stash-bank failures
 // applied at the cycle barrier. Snapshot merges the shards in wiring order.
 type Injector struct {
-	plan Plan
+	plan Plan //stashsim:derived -- configuration; the fingerprint covers it
 	// local is the coordinator-owned stats shard (stash-bank failures are
 	// applied serially between cycles).
 	local Stats
@@ -154,7 +154,7 @@ type Injector struct {
 	// the order Snapshot merges them in.
 	links []*LinkFault
 
-	matched  map[string]bool // outage link names seen at wiring time
+	matched  map[string]bool //stashsim:transient -- wiring-time bookkeeping: outage link names seen
 	fails    []StashFail     // sorted by At
 	failNext int
 }

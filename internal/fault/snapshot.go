@@ -2,80 +2,40 @@ package fault
 
 import "stashsim/internal/snapshot"
 
-// Checkpoint hooks. The fault plan itself is configuration (the network
+// State walks. The fault plan itself is configuration (the network
 // fingerprint covers it); the injector's dynamic state is the stats
 // shards, the stash-failure delivery cursor, and every per-link RNG
-// stream and wormhole drop latch. Links are captured in wiring order,
+// stream and wormhole drop latch. Links are walked in wiring order,
 // which the rebuilt network reproduces exactly.
 
-// encodeStats appends one stats shard.
-func encodeStats(w *snapshot.Writer, s *Stats) {
-	w.I64(s.PktsDropped)
-	w.I64(s.FlitsDropped)
-	w.I64(s.OutagePkts)
-	w.I64(s.FlitsCorrupted)
-	w.I64(s.StashCopiesLost)
-	w.I64(s.StashCopiesReconstructed)
+// state walks one stats shard.
+func (s *Stats) state(c *snapshot.Codec) {
+	c.I64(&s.PktsDropped)
+	c.I64(&s.FlitsDropped)
+	c.I64(&s.OutagePkts)
+	c.I64(&s.FlitsCorrupted)
+	c.I64(&s.StashCopiesLost)
+	c.I64(&s.StashCopiesReconstructed)
 }
 
-// decodeStats restores one stats shard.
-func decodeStats(r *snapshot.Reader, s *Stats) {
-	s.PktsDropped = r.I64()
-	s.FlitsDropped = r.I64()
-	s.OutagePkts = r.I64()
-	s.FlitsCorrupted = r.I64()
-	s.StashCopiesLost = r.I64()
-	s.StashCopiesReconstructed = r.I64()
-}
-
-// EncodeState appends the injector's dynamic state.
-//
-//stashsim:phase serial -- walks unsynchronized per-link shards; runs only at a cycle barrier
-func (in *Injector) EncodeState(w *snapshot.Writer) {
-	w.Section("FALT")
-	encodeStats(w, &in.local)
-	w.U32(uint32(in.failNext))
-	w.Count(len(in.links))
-	for _, lf := range in.links {
-		encodeStats(w, &lf.stats)
-		w.U64(lf.rng.State())
-		for vc := 0; vc < len(lf.dropPkt); vc++ {
-			w.U64(lf.dropPkt[vc])
-			w.Bool(lf.dropActive[vc])
-		}
-	}
-}
-
-// DecodeState restores the injector's dynamic state into an injector
+// State walks the injector's dynamic state; decoding expects an injector
 // built from the identical plan and wired in the identical order.
 //
-//stashsim:phase serial -- mutates unsynchronized per-link shards; runs only before the restored run starts
-func (in *Injector) DecodeState(r *snapshot.Reader) {
-	r.Section("FALT")
-	decodeStats(r, &in.local)
-	next := r.U32()
-	if r.Err() != nil {
-		return
-	}
-	if int(next) > len(in.fails) {
-		r.Failf("fault: stash-failure cursor %d beyond %d scheduled failures", next, len(in.fails))
-		return
-	}
-	in.failNext = int(next)
-	n := r.Count(57)
-	if r.Err() != nil {
-		return
-	}
-	if n != len(in.links) {
-		r.Failf("fault: snapshot has %d faulted links, wiring produced %d", n, len(in.links))
+//stashsim:phase serial -- walks unsynchronized per-link shards; runs only at a cycle barrier or before the restored run starts
+func (in *Injector) State(c *snapshot.Codec) {
+	c.Section("FALT")
+	in.local.state(c)
+	snapshot.Wire32(c, &in.failNext)
+	c.Bound("fault: stash-failure cursor", in.failNext, 0, len(in.fails)+1)
+	if !c.Len("fault: faulted links", len(in.links), 57) {
 		return
 	}
 	for _, lf := range in.links {
-		decodeStats(r, &lf.stats)
-		lf.rng.SetState(r.U64())
-		for vc := 0; vc < len(lf.dropPkt); vc++ {
-			lf.dropPkt[vc] = r.U64()
-			lf.dropActive[vc] = r.Bool()
+		lf.stats.state(c)
+		c.RNG(lf.rng)
+		for vc := range lf.dropPkt {
+			c.U64(&lf.dropPkt[vc])
+			c.Bool(&lf.dropActive[vc])
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 type Sampler struct {
 	every  int64
 	names  []string
-	fns    []func() float64
+	fns    []func() float64 //stashsim:transient -- probe closures, re-registered by the wiring
 	series []*stats.TimeSeries
 }
 

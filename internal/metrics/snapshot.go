@@ -2,172 +2,105 @@ package metrics
 
 import "stashsim/internal/snapshot"
 
-// Checkpoint hooks for the observability subsystem. A fresh network
+// State walks for the observability subsystem. A fresh network
 // re-registers the identical scope/metric names in the identical order,
-// so the codec walks the registration-order slices, verifies every name,
-// and transfers only values: the snapshot stays self-describing (a
-// wiring drift between recorder and restorer fails loudly on the first
+// so the walks follow the registration-order slices, verify every name,
+// and transfer only values: the snapshot stays self-describing (a wiring
+// drift between recorder and restorer fails loudly on the first
 // mismatched name) without serializing any wiring.
 
-// EncodeState appends every scope's counters and histograms in
-// registration order. Gauges are evaluated live and carry no state.
+// name walks one registered name: written on encode, compared on decode.
+// It reports whether the walk may go on.
+func name(c *snapshot.Codec, kind, want string) bool {
+	got := want
+	if c.Str(&got); c.Err() == nil && got != want {
+		c.Failf("metrics: %s %q in snapshot, this run registered %q", kind, got, want)
+	}
+	return c.Err() == nil
+}
+
+// State walks every scope's counters and histograms in registration
+// order. Gauges are evaluated live and carry no state.
 //
-//stashsim:phase serial -- cross-scope walk; runs only at a cycle barrier
-func (r *Registry) EncodeState(w *snapshot.Writer) {
+//stashsim:phase serial -- cross-scope walk; runs only at a cycle barrier or before the restored run starts
+func (r *Registry) State(c *snapshot.Codec) {
 	if r == nil {
 		return
 	}
-	w.Section("METR")
+	c.Section("METR")
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	w.Count(len(r.sorder))
+	if !c.Len("metrics: registry scopes", len(r.sorder), 8) {
+		return
+	}
 	for _, sn := range r.sorder {
 		s := r.scopes[sn]
-		w.Str(sn)
-		w.Count(len(s.corder))
-		for _, cn := range s.corder {
-			w.Str(cn)
-			w.I64(s.counters[cn].Value())
+		if !name(c, "scope", sn) || !c.Len("metrics: counters of a scope", len(s.corder), 12) {
+			return
 		}
-		w.Count(len(s.horder))
+		for _, cn := range s.corder {
+			if !name(c, "counter", cn) {
+				return
+			}
+			ctr := s.counters[cn]
+			v := ctr.v.Load()
+			if c.I64(&v); c.Decoding() {
+				ctr.v.Store(v)
+			}
+		}
+		if !c.Len("metrics: histograms of a scope", len(s.horder), 4) {
+			return
+		}
 		for _, hn := range s.horder {
-			w.Str(hn)
+			if !name(c, "histogram", hn) {
+				return
+			}
 			h := s.hists[hn]
 			h.mu.Lock()
-			h.h.EncodeState(w)
+			h.h.State(c)
 			h.mu.Unlock()
 		}
 	}
 }
 
-// DecodeState restores counter and histogram values into a registry
-// whose scopes and metrics were re-registered identically.
-//
-//stashsim:phase serial -- cross-scope walk; runs only before the restored run starts
-func (r *Registry) DecodeState(rd *snapshot.Reader) {
-	if r == nil {
-		return
-	}
-	rd.Section("METR")
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n := rd.Count(8); rd.Err() == nil && n != len(r.sorder) {
-		rd.Failf("metrics: registry has %d scopes, snapshot has %d", len(r.sorder), n)
-	}
-	if rd.Err() != nil {
-		return
-	}
-	for _, sn := range r.sorder {
-		s := r.scopes[sn]
-		if got := rd.Str(); rd.Err() == nil && got != sn {
-			rd.Failf("metrics: scope %q in snapshot, registry has %q", got, sn)
-		}
-		if n := rd.Count(12); rd.Err() == nil && n != len(s.corder) {
-			rd.Failf("metrics: scope %q has %d counters, snapshot has %d", sn, len(s.corder), n)
-		}
-		if rd.Err() != nil {
-			return
-		}
-		for _, cn := range s.corder {
-			if got := rd.Str(); rd.Err() == nil && got != cn {
-				rd.Failf("metrics: counter %q in snapshot, scope %q has %q", got, sn, cn)
-			}
-			if rd.Err() != nil {
-				return
-			}
-			s.counters[cn].v.Store(rd.I64())
-		}
-		if n := rd.Count(4); rd.Err() == nil && n != len(s.horder) {
-			rd.Failf("metrics: scope %q has %d histograms, snapshot has %d", sn, len(s.horder), n)
-		}
-		if rd.Err() != nil {
-			return
-		}
-		for _, hn := range s.horder {
-			if got := rd.Str(); rd.Err() == nil && got != hn {
-				rd.Failf("metrics: histogram %q in snapshot, scope %q has %q", got, sn, hn)
-			}
-			if rd.Err() != nil {
-				return
-			}
-			h := s.hists[hn]
-			h.mu.Lock()
-			h.h.DecodeState(rd)
-			h.mu.Unlock()
-		}
-	}
-}
-
-// EncodeState appends the sampler's accumulated probe series.
-func (s *Sampler) EncodeState(w *snapshot.Writer) {
+// State walks the sampler's accumulated probe series; decoding expects a
+// sampler re-registered with the identical probes and interval.
+func (s *Sampler) State(c *snapshot.Codec) {
 	if s == nil {
 		return
 	}
-	w.Section("SMPL")
-	w.I64(s.every)
-	w.Count(len(s.names))
-	for i, name := range s.names {
-		w.Str(name)
-		s.series[i].EncodeState(w)
+	c.Section("SMPL")
+	every := s.every
+	if c.I64(&every); c.Err() == nil && every != s.every {
+		c.Failf("metrics: sampler interval %d in snapshot, this run samples every %d", every, s.every)
 	}
-}
-
-// DecodeState restores the probe series into a sampler re-registered
-// with the identical probes and interval.
-func (s *Sampler) DecodeState(rd *snapshot.Reader) {
-	if s == nil {
+	if !c.Len("metrics: sampler probes", len(s.names), 4) {
 		return
 	}
-	rd.Section("SMPL")
-	if every := rd.I64(); rd.Err() == nil && every != s.every {
-		rd.Failf("metrics: sampler interval %d in snapshot, this run samples every %d", every, s.every)
-	}
-	if n := rd.Count(4); rd.Err() == nil && n != len(s.names) {
-		rd.Failf("metrics: sampler has %d probes, snapshot has %d", len(s.names), n)
-	}
-	if rd.Err() != nil {
-		return
-	}
-	for i, name := range s.names {
-		if got := rd.Str(); rd.Err() == nil && got != name {
-			rd.Failf("metrics: sampler probe %q in snapshot, this run has %q", got, name)
-		}
-		if rd.Err() != nil {
+	for i, pn := range s.names {
+		if !name(c, "sampler probe", pn) {
 			return
 		}
-		s.series[i].DecodeState(rd)
+		s.series[i].State(c)
 	}
 }
 
-// EncodeState appends the watchdog's window bookkeeping so a restored
-// run observes window boundaries on the same absolute cycles.
+// State walks the watchdog's window bookkeeping, so a restored run
+// observes window boundaries on the same absolute cycles.
 //
-//stashsim:phase serial -- reads the unsynchronized window bookkeeping at a cycle barrier
-func (w *Watchdog) EncodeState(sw *snapshot.Writer) {
+//stashsim:phase serial -- walks the unsynchronized window bookkeeping at a cycle barrier or before the restored run starts
+func (w *Watchdog) State(c *snapshot.Codec) {
 	if w == nil {
 		return
 	}
-	sw.Section("WDOG")
-	sw.Bool(w.started)
-	sw.I64(w.windowStart)
-	sw.I64(w.lastDelivered)
-	sw.Bool(w.stalled.Load())
-	sw.I64(w.Stalls)
-	sw.I64(w.Suppressed)
-}
-
-// DecodeState restores the watchdog's window bookkeeping.
-//
-//stashsim:phase serial -- mutates the unsynchronized window bookkeeping before the restored run starts
-func (w *Watchdog) DecodeState(rd *snapshot.Reader) {
-	if w == nil {
-		return
+	c.Section("WDOG")
+	c.Bool(&w.started)
+	c.I64(&w.windowStart)
+	c.I64(&w.lastDelivered)
+	stalled := w.stalled.Load()
+	if c.Bool(&stalled); c.Decoding() {
+		w.stalled.Store(stalled)
 	}
-	rd.Section("WDOG")
-	w.started = rd.Bool()
-	w.windowStart = rd.I64()
-	w.lastDelivered = rd.I64()
-	w.stalled.Store(rd.Bool())
-	w.Stalls = rd.I64()
-	w.Suppressed = rd.I64()
+	c.I64(&w.Stalls)
+	c.I64(&w.Suppressed)
 }

@@ -14,25 +14,39 @@ import (
 // *Watchdog is a no-op.
 type Watchdog struct {
 	// Window is the stall-detection window in cycles.
+	//
+	//stashsim:derived -- configuration, set by the wiring that attaches the watchdog
 	Window int64
 	// Out receives the diagnostic dumps.
+	//
+	//stashsim:derived -- configuration, set by the wiring that attaches the watchdog
 	Out io.Writer
 	// Delivered returns a monotone count of delivered flits/packets. It
 	// must advance whenever traffic makes end-to-end progress, and must
 	// not be gated by measurement warmup.
+	//
+	//stashsim:derived -- configuration, set by the wiring that attaches the watchdog
 	Delivered func() int64
 	// Pending reports whether undelivered work exists (queued or
 	// in-flight). A quiet network with nothing pending is not a stall.
+	//
+	//stashsim:derived -- configuration, set by the wiring that attaches the watchdog
 	Pending func() bool
 	// Dump writes the per-component diagnostic state (e.g. DumpState of
 	// every non-idle switch).
+	//
+	//stashsim:derived -- configuration, set by the wiring that attaches the watchdog
 	Dump func(w io.Writer)
 	// MaxDumps bounds how many stall dumps are written (0 = 3).
+	//
+	//stashsim:derived -- configuration, set by the wiring that attaches the watchdog
 	MaxDumps int
 	// Note, when non-nil, is consulted before declaring a stall: a
 	// nonempty string names a benign cause for the zero-delivery window
 	// (e.g. a fault plan's link outage), which is reported as a one-line
 	// note instead of a stall dump. The arguments are the window bounds.
+	//
+	//stashsim:derived -- configuration, set by the wiring that attaches the watchdog
 	Note func(from, to int64) string
 
 	windowStart   int64

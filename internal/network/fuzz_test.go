@@ -2,6 +2,7 @@ package network
 
 import (
 	"encoding/binary"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -33,8 +34,12 @@ func microSnapConfig() *core.Config {
 
 // microSnapNet builds the fuzz target network; every call produces an
 // identically configured fresh instance.
-func microSnapNet(t testing.TB) *Network {
-	n, err := New(microSnapConfig())
+func microSnapNet(t testing.TB) *Network { return microNet(t, microSnapConfig()) }
+
+// microNet builds a micro network for the given configuration, wired like
+// the fuzz target.
+func microNet(t testing.TB, cfg *core.Config) *Network {
+	n, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -45,11 +50,13 @@ func microSnapNet(t testing.TB) *Network {
 
 // microSnapshot runs the micro network past its scheduled bank failure
 // and returns a mid-run checkpoint.
-func microSnapshot(t testing.TB) []byte {
-	n := microSnapNet(t)
+func microSnapshot(t testing.TB) []byte { return checkpointAt(t, microSnapNet(t), 200) }
+
+// checkpointAt runs n past cycle at and returns the checkpoint taken there.
+func checkpointAt(t testing.TB, n *Network, at int64) []byte {
 	var snap []byte
-	n.ScheduleCheckpoint(200, func(now sim.Tick) { snap = n.Checkpoint(now) })
-	n.Run(260)
+	n.ScheduleCheckpoint(at, func(now sim.Tick) { snap = n.Checkpoint(now) })
+	n.Run(at + 60)
 	if snap == nil {
 		t.Fatal("checkpoint hook never fired")
 	}
@@ -60,13 +67,14 @@ func microSnapshot(t testing.TB) []byte {
 // input must produce a clean error or a fully consistent restore — never
 // a panic, and never an allocation driven past the input size (the
 // codec's Count guard). When a mutated snapshot is accepted, the restored
-// state must itself checkpoint and restore cleanly.
+// state must itself checkpoint and restore cleanly, and run 64 cycles
+// without a Go runtime error.
 func FuzzSnapshotDecode(f *testing.F) {
 	valid := microSnapshot(f)
 	f.Add(valid)
-	f.Add(valid[:len(valid)/2])  // truncated mid-body
-	f.Add(valid[:14])            // header only
-	f.Add([]byte{})              // empty
+	f.Add(valid[:len(valid)/2]) // truncated mid-body
+	f.Add(valid[:14])           // header only
+	f.Add([]byte{})             // empty
 	f.Add([]byte("STAS happens to start like a snapshot"))
 	skew := append([]byte(nil), valid...)
 	binary.LittleEndian.PutUint16(skew[4:], snapshot.Version+1)
@@ -82,12 +90,18 @@ func FuzzSnapshotDecode(f *testing.F) {
 			return
 		}
 		// Accepted: the restored state must be internally consistent
-		// enough to round-trip through the codec again.
+		// enough to round-trip through the codec again, and to step: it
+		// may stop on one of the simulator's own diagnostics, never on an
+		// index panic (see TestRestoreMutationSweep).
 		ck := n.Checkpoint(n.Now)
 		n2 := microSnapNet(t)
 		defer n2.Close()
 		if err := n2.Restore(ck); err != nil {
 			t.Fatalf("re-checkpoint of an accepted restore failed to decode: %v", err)
+		}
+		n.Invariants.Out = io.Discard
+		if msg, isRuntime := runAccepted(n, 64); isRuntime {
+			t.Fatalf("accepted restore hit a runtime error within 64 cycles: %s", msg)
 		}
 	})
 }

@@ -35,20 +35,26 @@ type Network struct {
 	// EnableMetrics/EnableTracing/AttachSampler/AttachWatchdog wiring
 	// helpers.
 	Metrics  *metrics.Registry
-	Tracer   *metrics.Tracer
+	Tracer   *metrics.Tracer //stashsim:transient -- debugging sink; its output stream cannot resume mid-run
 	Sampler  *metrics.Sampler
 	Watchdog *metrics.Watchdog
 
 	// Profiler, when non-nil (EnableExecProfile / SetExecProfiler),
 	// receives per-partition per-phase executor timings.
+	//
+	//stashsim:transient -- debugging sink; its output stream cannot resume mid-run
 	Profiler *sim.ExecProfiler
 
 	// Flight, when non-nil (AttachFlight), records per-cycle aggregate
 	// deltas into a ring dumped by the watchdog and SIGQUIT.
+	//
+	//stashsim:transient -- debugging sink; its output stream cannot resume mid-run
 	Flight *metrics.FlightRecorder
 
 	// Telemetry, when non-nil (AttachTelemetry), republishes a quiescent
 	// snapshot for the live HTTP server at its publication interval.
+	//
+	//stashsim:transient -- debugging sink; its output stream cannot resume mid-run
 	Telemetry *telemetry.Publisher
 
 	// Invariants, when non-nil (EnableInvariants), audits the
@@ -69,16 +75,20 @@ type Network struct {
 	// positive, lowers that cap; only tests set it, to force 1-cycle and
 	// short epochs. allAwake, likewise test-only, makes every component
 	// step every cycle: the reference run of the sleep/wake invariant.
+	//
+	//stashsim:transient -- executor wiring; snapshots are partition-canonical
 	workers   int
-	exec      *sim.Executor
-	lookahead int64
-	epochCap  int64
-	allAwake  bool
+	exec      *sim.Executor //stashsim:transient -- executor wiring; snapshots are partition-canonical
+	lookahead int64         //stashsim:transient -- executor wiring; snapshots are partition-canonical
+	epochCap  int64         //stashsim:transient -- executor wiring; snapshots are partition-canonical
+	allAwake  bool          //stashsim:transient -- executor wiring; snapshots are partition-canonical
 
 	// profOwned marks Profiler as built by EnableExecProfile (ring size
 	// profRing), which SetWorkers then resizes to follow the worker count.
+	//
+	//stashsim:transient -- debugging sink; its output stream cannot resume mid-run
 	profOwned bool
-	profRing  int
+	profRing  int //stashsim:transient -- debugging sink; its output stream cannot resume mid-run
 
 	// cycleDone counts completed cycles, stored at every epoch boundary.
 	// Unlike Now — written back only when Run returns — it advances

@@ -26,6 +26,9 @@ const (
 	// NumVCs is the total number of VC indexes in switch-internal
 	// structures (network VCs plus S and R).
 	NumVCs = NumNetVCs + 2
+	// OutPending is the Out of a storage-VC flit between the row bus and
+	// its tile: the stash port is chosen there, by join-shortest-queue.
+	OutPending = 0xFF
 )
 
 // Kind discriminates packet types.
@@ -135,10 +138,12 @@ type Flit struct {
 }
 
 // Head reports whether f is a head flit.
+//
 //stashsim:noalloc
 func (f *Flit) Head() bool { return f.Flags&FlagHead != 0 }
 
 // Tail reports whether f is a tail flit.
+//
 //stashsim:noalloc
 func (f *Flit) Tail() bool { return f.Flags&FlagTail != 0 }
 

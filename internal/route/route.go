@@ -61,8 +61,8 @@ type Decision struct {
 
 // Router routes packets over one dragonfly.
 type Router struct {
-	D      topo.Dragonfly
-	Params Params
+	D      topo.Dragonfly //stashsim:derived -- structural; rebuilt from the configuration
+	Params Params         //stashsim:derived -- structural; rebuilt from the configuration
 	rng    *sim.RNG
 }
 

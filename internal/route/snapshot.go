@@ -2,16 +2,7 @@ package route
 
 import "stashsim/internal/snapshot"
 
-// Checkpoint hooks. The router's only dynamic state is the RNG driving
-// Valiant intermediate-group choices; topology and params are structural
-// and rebuilt from the configuration.
-
-// EncodeState appends the router's RNG stream state.
-func (r *Router) EncodeState(w *snapshot.Writer) {
-	w.U64(r.rng.State())
-}
-
-// DecodeState restores the router's RNG stream state.
-func (r *Router) DecodeState(rd *snapshot.Reader) {
-	r.rng.SetState(rd.U64())
-}
+// State walks the router's only dynamic state, the RNG driving Valiant
+// intermediate-group choices; topology and params are structural and
+// rebuilt from the configuration.
+func (r *Router) State(c *snapshot.Codec) { c.RNG(r.rng) }

@@ -117,6 +117,13 @@ type Executor struct {
 	curLen atomic.Int64 // cycles in the released span
 	epoch  atomic.Int64 // barrier-round counter; parity picks link slabs
 	quit   atomic.Bool  // set by Close; workers observe it at the entry barrier
+	// The coordinator's profiling clock, published for the workers: epPub
+	// is its reading as the last epoch's exit barrier opened, epRel the
+	// reading the released epoch's release wait counts from (the previous
+	// epPub, or where this Run began). Workers cut their waits at these
+	// instead of at readings of their own, so each lane's phases tile the
+	// Run's wall whenever the worker happens to get scheduled.
+	epRel, epPub atomic.Int64
 
 	mu      sync.Mutex
 	started bool           // workers spawned (by the first Run)
@@ -203,6 +210,11 @@ func (e *Executor) Run(from, to Tick) {
 			go e.worker(w, prof)
 		}
 	}
+	// The readings chain — an epoch's wall slice begins where the last
+	// one's ended — so the loop's own time is wall too (it lands in the next
+	// pre-hook slice) and wall is exactly the Run's duration.
+	t0 := prof.clock()
+	rel := t0
 	for now := from; now < to; {
 		hooks, L := false, to-now
 		if e.NextEvent != nil {
@@ -216,7 +228,6 @@ func (e *Executor) Run(from, to Tick) {
 		if L > e.lookahead {
 			L = e.lookahead
 		}
-		t0 := prof.clock()
 		if hooks && e.PreCycle != nil {
 			e.PreCycle(now)
 		}
@@ -228,9 +239,11 @@ func (e *Executor) Run(from, to Tick) {
 		} else {
 			e.cur.Store(int64(now))
 			e.curLen.Store(int64(L))
+			e.epRel.Store(rel)
 			e.barrier.Wait() // release partitions into [now, now+L)
 			e.barrier.Wait() // every partition has stepped the span
 			t2 = prof.clock()
+			e.epPub.Store(t2)
 		}
 		if e.PostEpoch != nil {
 			e.PostEpoch(now + L)
@@ -238,13 +251,12 @@ func (e *Executor) Run(from, to Tick) {
 		if hooks && e.PostCycle != nil {
 			e.PostCycle(now)
 		}
-		// Record last, so the bookkeeping lands in no measured phase.
 		t3 := prof.clock()
 		if e.barrier == nil {
 			prof.recWorkerEpoch(int64(now), 0, t1, 0, dDrain, dA, dB, 0)
 		}
 		prof.recCoordEpoch(int64(now), t0, t1-t0, t2-t1, t3-t2, int64(L))
-		now += L
+		now, t0, rel = now+L, t3, t2
 	}
 }
 
@@ -253,21 +265,31 @@ func (e *Executor) Run(from, to Tick) {
 // released span, publish its writes at the exit barrier. It exits when
 // Close releases it with quit set.
 //
+// For the profiler, an epoch's release wait counts from the coordinator's
+// epRel and its publish wait up to the coordinator's epPub, so the record
+// is held until the next release (or Close) makes epPub known. A lane's
+// phases then sum to the Run's wall less its final post-hook, which
+// nothing waits on; time parked between Runs belongs to no lane.
+//
 //stashsim:phase parallel
 //stashsim:noalloc
 func (e *Executor) worker(lane int, prof *ExecProfiler) {
 	defer e.workers.Done()
-	for {
-		t0 := prof.clock()
+	var start Tick
+	var t0, dRel, dDrain, dA, dB, tDone int64
+	for held := false; ; held = true {
 		e.barrier.Wait() // wait for the coordinator's hooks
+		if held {
+			prof.recWorkerEpoch(int64(start), lane, t0, dRel, dDrain, dA, dB, e.epPub.Load()-tDone)
+		}
 		if e.quit.Load() {
 			return
 		}
-		start := Tick(e.cur.Load())
+		start, t0 = Tick(e.cur.Load()), e.epRel.Load()
 		t1 := prof.clock()
-		dDrain, dA, dB, tDone := e.span(lane, start, start+Tick(e.curLen.Load()), prof, t1)
+		dRel = t1 - t0
+		dDrain, dA, dB, tDone = e.span(lane, start, start+Tick(e.curLen.Load()), prof, t1)
 		e.barrier.Wait() // publish this epoch's writes
-		prof.recWorkerEpoch(int64(start), lane, t0, t1-t0, dDrain, dA, dB, prof.clock()-tDone)
 	}
 }
 

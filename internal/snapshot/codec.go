@@ -5,11 +5,11 @@
 // version-skewed, or hostile input (no panics, no unbounded allocation).
 //
 // The package deliberately depends only on the standard library and
-// internal/proto (for the canonical flit wire format): every stateful
-// package encodes its own unexported fields through per-package
-// EncodeState/DecodeState hooks that take a *snapshot.Writer /
-// *snapshot.Reader, and internal/network orchestrates the whole-network
-// capture. Higher layers never touch raw bytes.
+// internal/proto (for the canonical flit wire format). Writer and Reader
+// are the byte layer; every stateful package declares its own unexported
+// fields once, as a state walk over the bidirectional Codec that drives
+// them (walk.go), and internal/network orchestrates the whole-network
+// walk. Higher layers never touch raw bytes.
 //
 // Format: a 14-byte header — magic "STAS" (u32), version (u16), total
 // byte length including the header (u64) — followed by tagged sections.
@@ -158,7 +158,7 @@ func NewReader(data []byte) (*Reader, error) {
 // Err returns the first decode error, or nil.
 func (r *Reader) Err() error { return r.err }
 
-// Failf records a decode error (first one wins). Decode hooks use it to
+// Failf records a decode error (first one wins). State walks use it to
 // report semantic validation failures — out-of-range indexes, mismatched
 // structure — through the same sticky channel as codec-level failures.
 func (r *Reader) Failf(format string, args ...any) {

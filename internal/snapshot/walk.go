@@ -1,0 +1,350 @@
+package snapshot
+
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+
+	"stashsim/internal/proto"
+)
+
+// Codec is one bidirectional state walk over a Writer or a Reader. Every
+// stateful type declares its dynamic state once, as a single function
+// over a Codec: c.I64(&s.created) writes the field when the codec encodes
+// and reads it when it decodes, so the field list, its order and its wire
+// widths cannot drift between the two directions. Lines that only make
+// sense one way — validation, rebuilding derived state, drawing records
+// from a freelist — are gated on Decoding. Errors are the Reader's sticky
+// error: after the first failure every walker reads zeros, so a walk runs
+// straight through and its caller checks Err (or Close) once.
+type Codec struct {
+	w      *Writer
+	r      *Reader
+	Bounds FlitBounds        // enforced by Flit while decoding
+	flit   func(*proto.Flit) // c.Flit, bound once: Flits runs once per queue of the network
+}
+
+func newCodec(w *Writer, r *Reader) *Codec {
+	c := &Codec{w: w, r: r}
+	c.flit = c.Flit
+	return c
+}
+
+// NewEncoder returns a Codec that writes a fresh snapshot; Finish yields
+// the bytes.
+func NewEncoder() *Codec { return newCodec(NewWriter(), nil) }
+
+// NewDecoder validates the header of data and returns a Codec reading it.
+func NewDecoder(data []byte) (*Codec, error) {
+	r, err := NewReader(data)
+	if err != nil {
+		return nil, err
+	}
+	return newCodec(nil, r), nil
+}
+
+// Decoding reports whether the walk restores state (true) or captures it.
+func (c *Codec) Decoding() bool { return c.r != nil }
+
+// Err returns the first decode error; an encoding walk cannot fail.
+func (c *Codec) Err() error {
+	if c.r == nil {
+		return nil
+	}
+	return c.r.Err()
+}
+
+// Failf records a semantic decode failure (first one wins); a no-op while
+// encoding, so validation needs no Decoding gate of its own.
+func (c *Codec) Failf(format string, args ...any) {
+	if c.r != nil {
+		c.r.Failf(format, args...)
+	}
+}
+
+// Finish ends an encoding walk and returns the snapshot bytes.
+func (c *Codec) Finish() []byte { return c.w.Finish() }
+
+// Close ends a decoding walk: the whole input must have been consumed.
+func (c *Codec) Close() error { return c.r.Close() }
+
+// scalar walks one field through the byte layer's get/put pair for its
+// wire type: the direction branch of every scalar walker.
+func scalar[T any](c *Codec, p *T, get func(*Reader) T, put func(*Writer, T)) {
+	if c.r != nil {
+		*p = get(c.r)
+	} else {
+		put(c.w, *p)
+	}
+}
+
+// The scalar walkers, one per wire type of the byte layer.
+func (c *Codec) U8(p *uint8)    { scalar(c, p, (*Reader).U8, (*Writer).U8) }
+func (c *Codec) U16(p *uint16)  { scalar(c, p, (*Reader).U16, (*Writer).U16) }
+func (c *Codec) U32(p *uint32)  { scalar(c, p, (*Reader).U32, (*Writer).U32) }
+func (c *Codec) U64(p *uint64)  { scalar(c, p, (*Reader).U64, (*Writer).U64) }
+func (c *Codec) I32(p *int32)   { scalar(c, p, (*Reader).I32, (*Writer).I32) }
+func (c *Codec) I64(p *int64)   { scalar(c, p, (*Reader).I64, (*Writer).I64) }
+func (c *Codec) F64(p *float64) { scalar(c, p, (*Reader).F64, (*Writer).F64) }
+func (c *Codec) Bool(p *bool)   { scalar(c, p, (*Reader).Bool, (*Writer).Bool) }
+func (c *Codec) Str(p *string)  { scalar(c, p, (*Reader).Str, (*Writer).Str) }
+
+// Section walks a 4-character section tag: written, or consumed and
+// verified.
+func (c *Codec) Section(label string) {
+	if c.r != nil {
+		c.r.Section(label)
+	} else {
+		c.w.Section(label)
+	}
+}
+
+// FlitBounds are the topology limits a decoded flit's index-like fields
+// must respect. The proto wire codec validates what holds for any
+// network (kind, class, VC, size); the output port, endpoint IDs and
+// Valiant group index the switch and router code, and their ranges belong
+// to the restoring network: it sets Codec.Bounds before the walk. The
+// zero value checks nothing.
+type FlitBounds struct{ Ports, Nodes, Groups int }
+
+// Flit walks one flit in the canonical proto wire encoding.
+func (c *Codec) Flit(f *proto.Flit) {
+	if c.r == nil {
+		c.w.Flit(f)
+		return
+	}
+	*f = c.r.Flit()
+	if b := c.Bounds; b.Ports > 0 {
+		if f.Out != proto.OutPending || f.VC != proto.VCStore {
+			c.Bound("flit.Out", int(f.Out), 0, b.Ports)
+		}
+		c.Bound("flit.OrigOut", int(f.OrigOut), 0, b.Ports)
+		c.Bound("flit.Src", int(f.Src), 0, b.Nodes)
+		c.Bound("flit.Dst", int(f.Dst), 0, b.Nodes)
+		c.Bound("flit.MidGroup", int(f.MidGroup), -1, b.Groups)
+	}
+}
+
+// rng is the stream-state surface of sim.RNG (which this package cannot
+// import).
+type rng interface {
+	State() uint64
+	SetState(uint64)
+}
+
+// RNG walks one random stream's state.
+func (c *Codec) RNG(r rng) {
+	s := r.State()
+	c.U64(&s)
+	if c.r != nil {
+		r.SetState(s)
+	}
+}
+
+// Bound is the walk's range check for every decoded value the simulator
+// later uses as an index, shift or slice bound: decoding fails, naming
+// the field, unless lo <= v < hi. Such values are written by a correct
+// run and so are always in range in a genuine snapshot; the check exists
+// because Restore must turn damaged input into an error, never into an
+// index panic cycles later. No-op while encoding.
+func (c *Codec) Bound(field string, v, lo, hi int) {
+	if c.r != nil && (v < lo || v >= hi) {
+		c.outOfRange(field, v, lo, hi)
+	}
+}
+
+// Mask walks a bitmask whose set bits the simulator uses as indexes below
+// n: no bit at or above n may be set.
+func (c *Codec) Mask(field string, m *uint64, n int) {
+	c.U64(m)
+	c.Bound(field, bits.Len64(*m), 0, n+1)
+}
+
+// outOfRange is Bound's failure path, kept out of line so that the check
+// itself inlines into the walks (a paper-scale restore runs it millions
+// of times).
+func (c *Codec) outOfRange(field string, v, lo, hi int) {
+	c.r.Failf("%s = %d out of range [%d,%d)", field, v, lo, hi)
+}
+
+// Count walks the element count of a repeated group whose elements the
+// caller walks itself: n is written when encoding, and the count read —
+// validated against the bytes remaining, elemMin bytes each at least — is
+// returned when decoding.
+func (c *Codec) Count(n, elemMin int) int {
+	if c.r != nil {
+		return c.r.Count(elemMin)
+	}
+	c.w.Count(n)
+	return n
+}
+
+// Len walks the length of a structure the restoring side has already
+// rebuilt from its configuration (ports, VCs, tiles, shards): written on
+// encode, compared on decode. It reports whether the walk may go on into
+// the elements; a mismatch fails the decode with both lengths.
+func (c *Codec) Len(what string, have, elemMin int) bool {
+	if n := c.Count(have, elemMin); n != have && c.Err() == nil {
+		c.Failf("%s: this run has %d, snapshot has %d", what, have, n)
+	}
+	return c.Err() == nil
+}
+
+// Present walks the presence bit of optional state that follows from the
+// configuration or the attached observers, so both sides must agree on
+// it. It reports whether the state is there to walk; a disagreement fails
+// the decode, naming what.
+func (c *Codec) Present(what string, have bool) bool {
+	has := have
+	switch c.Bool(&has); {
+	case has && !have:
+		c.Failf("the checkpointed run had %s, this run does not", what)
+	case have && !has && c.Err() == nil:
+		c.Failf("this run has %s, the checkpointed run did not", what)
+	}
+	return has && have && c.Err() == nil
+}
+
+// Opt walks the presence bit of an optional sink the snapshot decides:
+// decoding allocates *p when the snapshot carries one and drops it
+// otherwise, so a restored run records into the shapes the checkpointed
+// run had. It reports whether *p is there to walk.
+func Opt[T any](c *Codec, p **T) bool {
+	has := *p != nil
+	c.Bool(&has)
+	if c.r != nil {
+		if !has {
+			*p = nil
+		} else if *p == nil {
+			*p = new(T)
+		}
+	}
+	return has
+}
+
+// integer is any integer field type a WireN walker can carry.
+type integer interface {
+	~int | ~int8 | ~int16 | ~int32 | ~int64 | ~uint8 | ~uint16 | ~uint32 | ~uint64
+}
+
+// wire walks an integer field whose Go type T is not its wire type W, as
+// its low bits.
+func wire[W, T integer](c *Codec, p *T, walk func(*Codec, *W)) {
+	v := W(*p)
+	if walk(c, &v); c.r != nil {
+		*p = T(v)
+	}
+}
+
+// Wire8 walks such a field through a one-byte slot: an int8 -1 travels as
+// 0xFF and comes back as -1; a field wider than the slot must hold a
+// value that fits. Wire16, Wire32 and Wire64 are the wider slots.
+func Wire8[T integer](c *Codec, p *T)  { wire(c, p, (*Codec).U8) }
+func Wire16[T integer](c *Codec, p *T) { wire(c, p, (*Codec).U16) }
+func Wire32[T integer](c *Codec, p *T) { wire(c, p, (*Codec).U32) }
+func Wire64[T integer](c *Codec, p *T) { wire(c, p, (*Codec).U64) }
+
+// Slice walks an append-built slice: a count, then the elements in order.
+// Decoding validates the count against the bytes remaining (elemMin bytes
+// each at least), truncates *s and appends, reusing its backing array.
+func Slice[T any](c *Codec, s *[]T, elemMin int, elem func(*T)) {
+	n := c.Count(len(*s), elemMin)
+	if c.r != nil {
+		*s = (*s)[:0]
+	}
+	for i := 0; i < n; i++ {
+		if c.r != nil {
+			var zero T
+			*s = append(*s, zero)
+		}
+		if elem(&(*s)[i]); c.Err() != nil {
+			*s = (*s)[:i]
+			return
+		}
+	}
+}
+
+// FIFO is the queue surface Ring walks; ring buffers keep their storage
+// layout to themselves, and only the queue order is state. At(i) is the
+// i-th oldest entry.
+type FIFO[T any] interface {
+	Len() int
+	At(i int) *T
+	Push(T)
+}
+
+// Ring walks a FIFO, oldest entry first: encoding reads its entries in
+// place, decoding pushes each decoded entry (the owner empties the queue
+// first). Most queues of a network are empty, so an empty one costs no
+// more than its count.
+func Ring[T any](c *Codec, q FIFO[T], elemMin int, elem func(*T)) {
+	n := c.Count(q.Len(), elemMin)
+	if n == 0 {
+		return
+	}
+	if c.r == nil {
+		for i := 0; i < n; i++ {
+			elem(q.At(i))
+		}
+		return
+	}
+	v := new(T) // one cell per walk: what elem does with its argument is opaque to escape analysis
+	for i := 0; i < n; i++ {
+		var zero T
+		*v = zero
+		if elem(v); c.r.Err() != nil {
+			return
+		}
+		q.Push(*v)
+	}
+}
+
+// Flits walks a FIFO of flits (see Ring): by far the most numerous queue
+// of a network, so it gets the one non-generic entry point.
+func (c *Codec) Flits(q FIFO[proto.Flit]) { Ring(c, q, proto.FlitWireSize, c.flit) }
+
+// Map walks a map in ascending key order, the one place checkpoint code
+// iterates a map: the bytes must be a function of the state, not of Go's
+// iteration order. Decoding clears *m (allocating it on the first entry,
+// so lazily-built maps stay nil while empty) and requires the keys to
+// ascend strictly, which rejects duplicates and keeps the encoding
+// canonical. val receives a zero V to fill when decoding.
+func Map[K cmp.Ordered, V any](c *Codec, m *map[K]V, elemMin int, key func(*K), val func(*V)) {
+	if c.r == nil {
+		keys := make([]K, 0, len(*m))
+		//lint:allow determinism -- map-key collection, sorted before use
+		for k := range *m {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		c.w.Count(len(keys))
+		for _, k := range keys {
+			v := (*m)[k]
+			key(&k)
+			val(&v)
+		}
+		return
+	}
+	n := c.r.Count(elemMin)
+	if clear(*m); n == 0 {
+		return
+	}
+	if *m == nil {
+		*m = make(map[K]V, n)
+	}
+	k, v := new(K), new(V) // see Ring
+	var prev K
+	for i := 0; i < n; i++ {
+		var zero V
+		*v = zero
+		key(k)
+		if val(v); c.r.Err() != nil {
+			return
+		}
+		if i > 0 && *k <= prev {
+			c.r.Failf("map keys out of order: %v after %v", *k, prev)
+			return
+		}
+		(*m)[*k], prev = *v, *k
+	}
+}

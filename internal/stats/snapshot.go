@@ -2,87 +2,51 @@ package stats
 
 import "stashsim/internal/snapshot"
 
-// Checkpoint hooks. Accumulators and histograms are captured exactly
+// State walks. Accumulators and histograms are captured exactly
 // (histograms as sparse non-zero buckets over the fixed bucket array),
 // so restored statistics continue bit-identically.
 
-// EncodeState appends the accumulator's state.
-func (a *Acc) EncodeState(w *snapshot.Writer) {
-	w.I64(a.N)
-	w.F64(a.Sum)
-	w.F64(a.Min)
-	w.F64(a.Max)
+// State walks the accumulator.
+func (a *Acc) State(c *snapshot.Codec) {
+	c.I64(&a.N)
+	c.F64(&a.Sum)
+	c.F64(&a.Min)
+	c.F64(&a.Max)
 }
 
-// DecodeState restores the accumulator's state.
-func (a *Acc) DecodeState(r *snapshot.Reader) {
-	a.N = r.I64()
-	a.Sum = r.F64()
-	a.Min = r.F64()
-	a.Max = r.F64()
-}
-
-// EncodeState appends the histogram's state: the accumulator plus every
-// non-zero bucket as (index, count) pairs in index order.
-func (h *Hist) EncodeState(w *snapshot.Writer) {
-	h.acc.EncodeState(w)
-	n := 0
-	for _, c := range h.buckets {
-		if c != 0 {
-			n++
-		}
-	}
-	w.Count(n)
-	for i := 0; i < numBuckets; i++ {
-		if h.buckets[i] != 0 {
-			w.U32(uint32(i))
-			w.I64(h.buckets[i])
-		}
-	}
-}
-
-// DecodeState restores the histogram's state, zeroing buckets the
+// State walks the histogram: the accumulator plus every non-zero bucket
+// as (index, count) pairs in index order. Decoding zeroes the buckets the
 // snapshot does not mention.
-func (h *Hist) DecodeState(r *snapshot.Reader) {
-	h.acc.DecodeState(r)
-	h.buckets = [numBuckets]int64{}
-	n := r.Count(12)
-	for k := 0; k < n; k++ {
-		i := r.U32()
-		if i >= numBuckets {
-			r.Failf("stats: histogram bucket index %d out of range [0,%d)", i, numBuckets)
+func (h *Hist) State(c *snapshot.Codec) {
+	h.acc.State(c)
+	live := 0
+	for _, n := range h.buckets {
+		if n != 0 {
+			live++
+		}
+	}
+	if c.Decoding() {
+		h.buckets = [numBuckets]int64{}
+	}
+	i := -1
+	for k := c.Count(live, 12); k > 0; k-- {
+		if !c.Decoding() {
+			for i++; h.buckets[i] == 0; i++ { // the next non-zero bucket
+			}
+		}
+		snapshot.Wire32(c, &i)
+		if c.Bound("Hist bucket index", i, 0, numBuckets); c.Err() != nil {
 			return
 		}
-		h.buckets[i] = r.I64()
+		c.I64(&h.buckets[i])
 	}
 }
 
-// EncodeState appends the time series' state.
-func (t *TimeSeries) EncodeState(w *snapshot.Writer) {
-	w.I64(t.BinWidth)
-	w.Count(len(t.bins))
-	for i := range t.bins {
-		t.bins[i].EncodeState(w)
+// State walks the time series; decoding replaces the bins.
+func (t *TimeSeries) State(c *snapshot.Codec) {
+	c.I64(&t.BinWidth)
+	if c.Decoding() && c.Err() == nil && t.BinWidth <= 0 {
+		c.Failf("stats: non-positive time-series bin width %d", t.BinWidth)
 	}
-}
-
-// DecodeState restores the time series' state, replacing the bins.
-func (t *TimeSeries) DecodeState(r *snapshot.Reader) {
-	bw := r.I64()
-	if r.Err() != nil {
-		return
-	}
-	if bw <= 0 {
-		r.Failf("stats: non-positive time-series bin width %d", bw)
-		return
-	}
-	n := r.Count(32)
-	if r.Err() != nil {
-		return
-	}
-	t.BinWidth = bw
-	t.bins = make([]Acc, n)
-	for i := range t.bins {
-		t.bins[i].DecodeState(r)
-	}
+	snapshot.Slice(c, &t.bins, 32, func(a *Acc) { a.State(c) })
 }
