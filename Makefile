@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race smoke bench-all figures figures-paper examples clean
+.PHONY: all build test vet lint race smoke figures figures-paper examples clean
 
 all: build vet lint test race smoke
 
@@ -57,12 +57,6 @@ race:
 # -json byte for byte.
 smoke:
 	$(GO) test -count=1 -run TestCLISmoke ./cmd/stashsim -smoke
-
-# Reduced-scale benchmark per table/figure plus the ablations. Full
-# datasets come from `make figures`; the judged end-to-end benchmark is
-# `go run -C bench .`.
-bench-all:
-	$(GO) test -bench=. -benchmem .
 
 # Regenerate every table and figure on the scaled (342-endpoint) network.
 figures:

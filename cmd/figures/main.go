@@ -21,6 +21,7 @@ import (
 	"strings"
 	"time"
 
+	"stashsim/internal/core"
 	"stashsim/internal/fault"
 	"stashsim/internal/harness"
 	"stashsim/internal/sim"
@@ -54,8 +55,11 @@ func main() {
 	out := flag.String("out", "", "directory for CSV output")
 	quick := flag.Bool("quick", false, "shortened runs (smoke test)")
 	seed := flag.Uint64("seed", 1, "master random seed")
-	invariants := flag.Bool("invariants", false, "audit runtime conservation invariants during the runs")
-	invariantsEvery := flag.Int64("invariants-every", 64, "invariant audit interval in cycles")
+	var invariants int64
+	flag.BoolFunc("invariants", "audit runtime conservation invariants every 64 cycles during the runs, or with -invariants=N every N", func(s string) (err error) {
+		invariants, err = core.ParseAuditEvery(s)
+		return err
+	})
 	faultPlan := flag.String("fault-plan", "", "JSON fault plan injected into every experiment network")
 	dropRate := flag.Float64("link-drop-rate", 0, "per-packet drop probability injected into every experiment network")
 	outages := flag.String("link-outage", "", "outage windows (link@start-end, comma separated) injected into every experiment network")
@@ -100,15 +104,14 @@ func main() {
 	}
 
 	o := &harness.Options{
-		Preset:          *preset,
-		OutDir:          *out,
-		Quick:           *quick,
-		Seed:            *seed,
-		Invariants:      *invariants,
-		InvariantsEvery: *invariantsEvery,
-		StashParity:     *stashParity,
-		Workers:         *workers,
-		RestorePath:     *restore,
+		Preset:      *preset,
+		OutDir:      *out,
+		Quick:       *quick,
+		Seed:        *seed,
+		Invariants:  invariants,
+		StashParity: *stashParity,
+		Workers:     *workers,
+		RestorePath: *restore,
 		Log: func(format string, args ...any) {
 			log.Printf(format, args...)
 		},

@@ -20,7 +20,7 @@ var goldenSpecs = []struct {
 		Preset: "tiny", Mode: "e2e", CapFrac: 1.0,
 		Load: 0.35, MsgPkts: 1,
 		Cycles: 4000, Warmup: 500, Seed: 42,
-		Invariants: true, InvariantsEvery: 64,
+		Invariants: 64,
 	}},
 	{"tiny-fault", simSpec{
 		Preset: "tiny", Mode: "e2e", CapFrac: 1.0,
@@ -28,7 +28,7 @@ var goldenSpecs = []struct {
 		Cycles: 4000, Warmup: 500, Seed: 13,
 		DropRate: 2e-3, CorruptRate: 1e-3, FaultSeed: 5,
 		Drain:      400000,
-		Invariants: true, InvariantsEvery: 64,
+		Invariants: 64,
 	}},
 	{"tiny-parity", simSpec{
 		Preset: "tiny", Mode: "e2e", CapFrac: 1.0,
@@ -38,7 +38,7 @@ var goldenSpecs = []struct {
 		StashFails:  "0.0@3000,0.1@3200,1.0@3400,1.1@3600,2.0@3800,2.1@4000",
 		StashParity: 4,
 		Drain:       400000,
-		Invariants:  true, InvariantsEvery: 64,
+		Invariants:  64,
 	}},
 	{"tiny-ecn", simSpec{
 		Preset: "tiny", Mode: "congestion", CapFrac: 1.0,
@@ -65,7 +65,7 @@ var goldenSpecs = []struct {
 		StashFails:  "0.0@1200,0.1@1300,1.0@1400,1.1@1500,2.0@1600,2.1@1700",
 		StashParity: 4,
 		Drain:       400000,
-		Invariants:  true, InvariantsEvery: 64,
+		Invariants:  64,
 	}},
 	{"small-ecn", simSpec{
 		Preset: "small", Mode: "congestion", CapFrac: 1.0,

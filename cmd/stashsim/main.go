@@ -30,6 +30,7 @@ import (
 
 	"stashsim/internal/core"
 	"stashsim/internal/metrics"
+	"stashsim/internal/network"
 	"stashsim/internal/sim"
 	"stashsim/internal/telemetry"
 )
@@ -53,15 +54,16 @@ type runSummary struct {
 		Packets int64   `json:"packets"`
 	} `json:"latency"`
 
-	Counters      core.Counters     `json:"counters"`
-	StashResident int               `json:"stash_resident_flits"`
-	Fault         *faultSummary     `json:"fault,omitempty"`
-	Metrics       map[string]int64  `json:"metrics,omitempty"`
-	TraceEvents   int               `json:"trace_events,omitempty"`
-	TraceDropped  int64             `json:"trace_dropped,omitempty"`
-	WatchdogStall int64             `json:"watchdog_stalls"`
-	ExecProfile   *sim.ExecReport   `json:"exec_profile,omitempty"`
-	Artifacts     map[string]string `json:"artifacts,omitempty"`
+	Counters      core.Counters      `json:"counters"`
+	StashResident int                `json:"stash_resident_flits"`
+	Fault         *faultSummary      `json:"fault,omitempty"`
+	Metrics       map[string]int64   `json:"metrics,omitempty"`
+	TraceEvents   int                `json:"trace_events,omitempty"`
+	TraceDropped  int64              `json:"trace_dropped,omitempty"`
+	WatchdogStall int64              `json:"watchdog_stalls"`
+	Exec          *network.ExecStats `json:"exec,omitempty"`
+	ExecProfile   *sim.ExecReport    `json:"exec_profile,omitempty"`
+	Artifacts     map[string]string  `json:"artifacts,omitempty"`
 }
 
 // faultSummary is the fault-injection and recovery section of the -json
@@ -91,82 +93,159 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
+// cliOpts are the flags that do not determine the simulation's outcome:
+// what to observe and where to write it.
+type cliOpts struct {
+	checkpoint             string
+	assertDelivery         bool
+	metrics, metricsFull   bool
+	traceOut, traceChrome  string
+	sampleEvery            int64
+	sampleOut              string
+	watchdog               int64
+	profileExec            bool
+	serve                  string
+	jsonOut                bool
+	cpuprofile, memprofile string
+}
+
+// defineFlags declares every flag, so that TestFlagCount can count them.
+func defineFlags(fs *flag.FlagSet, sp *simSpec, o *cliOpts) {
+	fs.StringVar(&sp.Preset, "preset", "small", "base preset: tiny, small, paper (overridden by -p/-a/-h)")
+	fs.IntVar(&sp.P, "p", 0, "endpoints per switch (custom topology)")
+	fs.IntVar(&sp.A, "a", 0, "switches per group (custom topology)")
+	fs.IntVar(&sp.H, "h", 0, "global links per switch (custom topology)")
+	fs.StringVar(&sp.Mode, "mode", "baseline", "switch mode: baseline, e2e, congestion")
+	fs.Float64Var(&sp.CapFrac, "cap", 1.0, "stash capacity fraction (1.0, 0.5, 0.25)")
+	fs.Float64Var(&sp.Load, "load", 0.5, "offered load as a fraction of channel capacity")
+	fs.IntVar(&sp.MsgPkts, "burst", 1, "message size in packets")
+	fs.IntVar(&sp.Hotspots, "hotspots", 0, "number of 4:1 hotspot aggressors (enables victim/aggressor classes)")
+	fs.Int64Var(&sp.Cycles, "cycles", 50000, "measured cycles (after warmup)")
+	fs.Int64Var(&sp.Warmup, "warmup", 10000, "warmup cycles")
+	fs.Uint64Var(&sp.Seed, "seed", 1, "random seed")
+	fs.BoolVar(&sp.ECN, "ecn", false, "enable ECN (implied by -mode congestion)")
+	fs.BoolVar(&sp.Banks, "banks", false, "model two-bank port memory conflicts")
+	fs.Float64Var(&sp.ErrRate, "errors", 0, "per-packet NACK probability (e2e retransmission)")
+	fs.BoolFunc("invariants", "audit runtime conservation invariants every 64 cycles, or with -invariants=N every N (1 = every cycle, which also means a barrier every cycle)", func(s string) (err error) {
+		sp.Invariants, err = core.ParseAuditEvery(s)
+		return err
+	})
+	fs.StringVar(&sp.FaultPlanPath, "fault-plan", "", "JSON fault plan file (see internal/fault); flags below layer on top")
+	fs.Uint64Var(&sp.FaultSeed, "fault-seed", 0, "fault RNG seed (overrides the plan's)")
+	fs.Float64Var(&sp.DropRate, "link-drop-rate", 0, "per-packet Bernoulli drop probability on every link")
+	fs.Float64Var(&sp.CorruptRate, "corrupt-rate", 0, "per-flit payload-corruption probability (caught by checksums)")
+	fs.StringVar(&sp.Outages, "link-outage", "", "outage windows, comma-separated link@start-end (e.g. sw0.3->sw1.2@1000-3000)")
+	fs.StringVar(&sp.StashFails, "stash-fail", "", "stash-bank failures, comma-separated switch.port@cycle (e.g. 0.1@5000)")
+	fs.BoolVar(&sp.Retrans, "retrans", false, "enable recovery timers (auto-enabled when a plan drops packets in e2e mode)")
+	fs.BoolVar(&sp.StashBypass, "stash-bypass", false, "forward packets uncovered when the stash is full instead of stalling (endpoint timers recover)")
+	fs.IntVar(&sp.StashParity, "stash-parity", 0, "erasure-code stash copies into XOR parity groups of this width (0 = off; e2e mode only)")
+	fs.Int64Var(&sp.Drain, "drain", 0, "after the measured window, run up to this many unloaded cycles until every packet settles")
+	fs.IntVar(&sp.Workers, "workers", runtime.GOMAXPROCS(0), "cycle-level worker goroutines stepping the network (1 = serial; results are identical either way)")
+	fs.StringVar(&o.checkpoint, "checkpoint", "", "write a bit-exact checkpoint as file@cycle (absolute cycle; warmup counts); resuming from it with -restore reproduces the straight-through run byte for byte")
+	fs.StringVar(&sp.RestorePath, "restore", "", "resume from a checkpoint file; the other flags must rebuild the identical configuration and observers")
+	fs.BoolVar(&o.assertDelivery, "assert-delivery", false, "with -drain, exit nonzero unless every injected packet delivered exactly once")
+
+	fs.BoolVar(&o.metrics, "metrics", false, "enable the switch metrics registry and print it")
+	fs.BoolVar(&o.metricsFull, "metrics-full", false, "with -metrics, print every per-switch/per-tile scope instead of totals")
+	fs.StringVar(&o.traceOut, "trace", "", "write the packet-lifecycle trace (a ring of the last 65536 events) as JSONL to this file")
+	fs.StringVar(&o.traceChrome, "trace-chrome", "", "write the packet-lifecycle trace as Chrome trace_event JSON to this file")
+	fs.Int64Var(&o.sampleEvery, "sample-every", 0, "occupancy sampling interval in cycles (0 = off)")
+	fs.StringVar(&o.sampleOut, "sample-out", "occupancy.csv", "occupancy sample CSV output file (with -sample-every)")
+	fs.Int64Var(&o.watchdog, "watchdog", 0, "zero-delivery stall window in cycles (0 = off); dumps the flight recorder (the last 4096 64-cycle intervals) and non-idle switch state, also on SIGQUIT")
+	fs.BoolVar(&o.profileExec, "profile-exec", false, "profile the cycle executor (per-worker phase/barrier timing); prints a report and adds exec_profile to -json")
+	fs.StringVar(&o.serve, "serve", "", "serve live telemetry on this address (/metrics, /snapshot, /healthz, /debug/pprof), e.g. :9100; attaches the flight recorder like -watchdog")
+	fs.BoolVar(&o.jsonOut, "json", false, "emit a machine-readable run summary as JSON on stdout")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file")
+}
+
+// observe attaches what the observability flags ask for and returns the
+// telemetry publisher (nil without -serve) and what shuts the live server
+// and the SIGQUIT handler down. None of it mutates simulation state, so
+// -json output stays byte-identical with or without it
+// (TestObservabilityNeutralDeterminism, TestWorkersDeterminism), and none
+// of it names a cycle the user did not ask for: the flight recorder and
+// the publisher share one 64-cycle interval. build has already set the
+// worker count, so the profiler sizes its lanes right.
+func (o *cliOpts) observe(n *network.Network, out io.Writer) (pub *telemetry.Publisher, stop func(), err error) {
+	if o.metrics {
+		n.EnableMetrics(metrics.NewRegistry())
+	}
+	if o.traceOut != "" || o.traceChrome != "" {
+		n.EnableTracing(metrics.NewTracer(1 << 16))
+	}
+	if o.sampleEvery > 0 {
+		n.AttachSampler(o.sampleEvery)
+	}
+	if o.profileExec {
+		ring := 0
+		if o.traceChrome != "" {
+			ring = 4096 // retain raw lane timings for the Chrome executor lanes
+		}
+		n.EnableExecProfile(ring)
+	}
+	// The flight recorder is on exactly when something can dump it. It
+	// goes on the schedule ahead of the watchdog so that a stall dump
+	// carries the interval that ends on the stall cycle.
+	stop = func() {}
+	if o.serve != "" || o.watchdog > 0 {
+		n.AttachFlight(4096)
+		stop = telemetry.NotifyDumps(os.Stderr, func(w io.Writer) {
+			fmt.Fprintf(w, "--- SIGQUIT dump at cycle %d ---\n", n.CyclesDone())
+			n.Flight.Dump(w, 64)
+			n.DumpNonIdle(w)
+		})
+	}
+	if o.watchdog > 0 {
+		n.AttachWatchdog(o.watchdog, os.Stderr)
+	}
+	if o.serve != "" {
+		pub = n.AttachTelemetry(metrics.FlightInterval)
+		srv := &telemetry.Server{Registry: n.Metrics, Publisher: pub, Watchdog: n.Watchdog}
+		addr, err := srv.Start(o.serve)
+		if err != nil {
+			stop()
+			return nil, nil, err
+		}
+		fmt.Fprintf(out, "telemetry: http://%s (/metrics /snapshot /healthz /debug/pprof)\n", addr)
+		stopDumps := stop
+		stop = func() { srv.Close(); stopDumps() }
+	}
+	return pub, stop, nil
+}
+
 func main() {
 	var sp simSpec
-	flag.StringVar(&sp.Preset, "preset", "small", "base preset: tiny, small, paper (overridden by -p/-a/-h)")
-	flag.IntVar(&sp.P, "p", 0, "endpoints per switch (custom topology)")
-	flag.IntVar(&sp.A, "a", 0, "switches per group (custom topology)")
-	flag.IntVar(&sp.H, "h", 0, "global links per switch (custom topology)")
-	flag.StringVar(&sp.Mode, "mode", "baseline", "switch mode: baseline, e2e, congestion")
-	flag.Float64Var(&sp.CapFrac, "cap", 1.0, "stash capacity fraction (1.0, 0.5, 0.25)")
-	flag.Float64Var(&sp.Load, "load", 0.5, "offered load as a fraction of channel capacity")
-	flag.IntVar(&sp.MsgPkts, "burst", 1, "message size in packets")
-	flag.IntVar(&sp.Hotspots, "hotspots", 0, "number of 4:1 hotspot aggressors (enables victim/aggressor classes)")
-	flag.Int64Var(&sp.Cycles, "cycles", 50000, "measured cycles (after warmup)")
-	flag.Int64Var(&sp.Warmup, "warmup", 10000, "warmup cycles")
-	flag.Uint64Var(&sp.Seed, "seed", 1, "random seed")
-	flag.BoolVar(&sp.ECN, "ecn", false, "enable ECN (implied by -mode congestion)")
-	flag.BoolVar(&sp.Banks, "banks", false, "model two-bank port memory conflicts")
-	flag.Float64Var(&sp.ErrRate, "errors", 0, "per-packet NACK probability (e2e retransmission)")
-	flag.BoolVar(&sp.Invariants, "invariants", false, "audit runtime conservation invariants during the run")
-	flag.Int64Var(&sp.InvariantsEvery, "invariants-every", 64, "invariant audit interval in cycles")
-	flag.StringVar(&sp.FaultPlanPath, "fault-plan", "", "JSON fault plan file (see internal/fault); flags below layer on top")
-	flag.Uint64Var(&sp.FaultSeed, "fault-seed", 0, "fault RNG seed (overrides the plan's)")
-	flag.Float64Var(&sp.DropRate, "link-drop-rate", 0, "per-packet Bernoulli drop probability on every link")
-	flag.Float64Var(&sp.CorruptRate, "corrupt-rate", 0, "per-flit payload-corruption probability (caught by checksums)")
-	flag.StringVar(&sp.Outages, "link-outage", "", "outage windows, comma-separated link@start-end (e.g. sw0.3->sw1.2@1000-3000)")
-	flag.StringVar(&sp.StashFails, "stash-fail", "", "stash-bank failures, comma-separated switch.port@cycle (e.g. 0.1@5000)")
-	flag.BoolVar(&sp.Retrans, "retrans", false, "enable recovery timers (auto-enabled when a plan drops packets in e2e mode)")
-	flag.BoolVar(&sp.StashBypass, "stash-bypass", false, "forward packets uncovered when the stash is full instead of stalling (endpoint timers recover)")
-	flag.IntVar(&sp.StashParity, "stash-parity", 0, "erasure-code stash copies into XOR parity groups of this width (0 = off; e2e mode only)")
-	flag.Int64Var(&sp.Drain, "drain", 0, "after the measured window, run up to this many unloaded cycles until every packet settles")
-	flag.IntVar(&sp.Workers, "workers", runtime.GOMAXPROCS(0), "cycle-level worker goroutines stepping the network (1 = serial; results are identical either way)")
-	checkpointSpec := flag.String("checkpoint", "", "write a bit-exact checkpoint as file@cycle (absolute cycle; warmup counts); resuming from it with -restore reproduces the straight-through run byte for byte")
-	flag.StringVar(&sp.RestorePath, "restore", "", "resume from a checkpoint file; the other flags must rebuild the identical configuration and observers")
-	assertDelivery := flag.Bool("assert-delivery", false, "with -drain, exit nonzero unless every injected packet delivered exactly once")
-
-	enableMetrics := flag.Bool("metrics", false, "enable the switch metrics registry and print it")
-	metricsFull := flag.Bool("metrics-full", false, "with -metrics, print every per-switch/per-tile scope instead of totals")
-	traceOut := flag.String("trace", "", "write the packet-lifecycle trace as JSONL to this file")
-	traceChrome := flag.String("trace-chrome", "", "write the packet-lifecycle trace as Chrome trace_event JSON to this file")
-	traceCap := flag.Int("trace-cap", 1<<16, "lifecycle tracer ring capacity in events")
-	sampleEvery := flag.Int64("sample-every", 0, "occupancy sampling interval in cycles (0 = off)")
-	sampleOut := flag.String("sample-out", "occupancy.csv", "occupancy sample CSV output file (with -sample-every)")
-	watchdog := flag.Int64("watchdog", 0, "zero-delivery stall window in cycles (0 = off); dumps non-idle switch state")
-	profileExec := flag.Bool("profile-exec", false, "profile the cycle executor (per-worker phase/barrier timing); prints a report and adds exec_profile to -json")
-	serveAddr := flag.String("serve", "", "serve live telemetry on this address (/metrics, /snapshot, /healthz, /debug/pprof), e.g. :9100")
-	flightRows := flag.Int("flight", 0, "flight recorder ring size in cycles (0 = off; auto 4096 with -serve or -watchdog); dumped on stalls and SIGQUIT")
-	jsonOut := flag.Bool("json", false, "emit a machine-readable run summary as JSON on stdout")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
+	var o cliOpts
+	defineFlags(flag.CommandLine, &sp, &o)
 	flag.Parse()
 
-	if *checkpointSpec != "" {
-		i := strings.LastIndex(*checkpointSpec, "@")
+	if o.checkpoint != "" {
+		i := strings.LastIndex(o.checkpoint, "@")
 		if i <= 0 {
-			fatalf("-checkpoint wants file@cycle, got %q", *checkpointSpec)
+			fatalf("-checkpoint wants file@cycle, got %q", o.checkpoint)
 		}
-		at, err := strconv.ParseInt((*checkpointSpec)[i+1:], 10, 64)
+		at, err := strconv.ParseInt(o.checkpoint[i+1:], 10, 64)
 		if err != nil || at < 0 {
-			fatalf("-checkpoint wants file@cycle with a non-negative cycle, got %q", *checkpointSpec)
+			fatalf("-checkpoint wants file@cycle with a non-negative cycle, got %q", o.checkpoint)
 		}
 		if at >= sp.Warmup+sp.Cycles {
 			fatalf("-checkpoint cycle %d is past the end of the run (warmup %d + cycles %d); the drain window is not checkpointable",
 				at, sp.Warmup, sp.Cycles)
 		}
-		sp.CheckpointPath = (*checkpointSpec)[:i]
+		sp.CheckpointPath = o.checkpoint[:i]
 		sp.CheckpointAt = at
 	}
 
 	// With -json, stdout carries exactly one JSON document; everything
 	// human-readable moves to stderr.
 	var out io.Writer = os.Stdout
-	if *jsonOut {
+	if o.jsonOut {
 		out = os.Stderr
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+	if o.cpuprofile != "" {
+		f, err := os.Create(o.cpuprofile)
 		if err != nil {
 			fatalf("cpuprofile: %v", err)
 		}
@@ -177,70 +256,21 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
+	// build starts the worker pool and this function alone closes it, after
+	// the final snapshot: Close drops to one worker, which would replace
+	// the profiler the snapshot reads with an empty one-lane one.
 	n, err := sp.build()
 	if err != nil {
 		fatalf("%v", err)
 	}
-	fmt.Fprintln(out, n.Describe())
-
-	var reg *metrics.Registry
-	if *enableMetrics {
-		reg = metrics.NewRegistry()
-		n.EnableMetrics(reg)
-	}
-	var tracer *metrics.Tracer
-	if *traceOut != "" || *traceChrome != "" {
-		tracer = metrics.NewTracer(*traceCap)
-		n.EnableTracing(tracer)
-	}
-	if *sampleEvery > 0 {
-		n.AttachSampler(*sampleEvery)
-	}
-	if *watchdog > 0 {
-		n.AttachWatchdog(*watchdog, os.Stderr)
-	}
-
-	// Observability extras. None of these mutate simulation state, so
-	// -json output stays byte-identical with or without them (enforced by
-	// TestServeDeterminism). The profiler must attach after SetWorkers so
-	// its lane count matches the executor's.
-	if sp.Workers > 1 {
-		n.SetWorkers(sp.Workers)
-	}
 	defer n.Close()
-	var prof *sim.ExecProfiler
-	if *profileExec {
-		ring := 0
-		if *traceChrome != "" {
-			ring = 4096 // retain raw lane timings for the Chrome executor lanes
-		}
-		prof = n.EnableExecProfile(ring)
+	fmt.Fprintln(out, n.Describe())
+	pub, stop, err := o.observe(n, out)
+	if err != nil {
+		fatalf("%v", err)
 	}
-	rows := *flightRows
-	if rows == 0 && (*serveAddr != "" || *watchdog > 0) {
-		rows = 4096
-	}
-	if rows > 0 {
-		n.AttachFlight(rows)
-		stopDumps := telemetry.NotifyDumps(os.Stderr, func(w io.Writer) {
-			fmt.Fprintf(w, "--- SIGQUIT dump at cycle %d ---\n", n.CyclesDone())
-			n.Flight.Dump(w, 64)
-			n.DumpNonIdle(w)
-		})
-		defer stopDumps()
-	}
-	var pub *telemetry.Publisher
-	var tsrv *telemetry.Server
-	if *serveAddr != "" {
-		pub = n.AttachTelemetry(64)
-		tsrv = &telemetry.Server{Registry: reg, Publisher: pub, Watchdog: n.Watchdog}
-		addr, err := tsrv.Start(*serveAddr)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer tsrv.Close()
-		fmt.Fprintf(out, "telemetry: http://%s (/metrics /snapshot /healthz /debug/pprof)\n", addr)
-	}
+	defer stop()
+	reg, tracer, prof := n.Metrics, n.Tracer, n.Profiler
 
 	s := sp.run(n)
 	pub.Publish() // final snapshot so late scrapes see the end-of-run state
@@ -273,6 +303,10 @@ func main() {
 	if n.Invariants != nil {
 		fmt.Fprintf(out, "invariants: %d audits, all laws held\n", n.Invariants.Checks)
 	}
+	if st := n.ExecStats(); st.Workers > 1 {
+		s.Exec = &st
+		fmt.Fprintf(out, "executor: %d workers, %d epochs, %.1f cycles/sync\n", st.Workers, st.Epochs, st.CyclesPerSync)
+	}
 	if s.Fault != nil {
 		fs := s.Fault
 		fmt.Fprintf(out, "faults: %d pkts dropped (%d by outage), %d flits corrupted, %d stash copies lost\n",
@@ -294,24 +328,24 @@ func main() {
 	}
 
 	if reg != nil {
-		if *metricsFull {
+		if o.metricsFull {
 			fmt.Fprintf(out, "\nmetrics (all scopes):\n%s", reg.Table())
 		} else {
 			fmt.Fprintf(out, "\nmetrics (totals across switches):\n%s", reg.TotalsTable())
 		}
 	}
 	if tracer != nil {
-		if *traceOut != "" {
-			if err := writeFileWith(*traceOut, tracer.WriteJSONL); err != nil {
+		if o.traceOut != "" {
+			if err := writeFileWith(o.traceOut, tracer.WriteJSONL); err != nil {
 				fatalf("trace: %v", err)
 			}
-			artifacts["trace_jsonl"] = *traceOut
-			fmt.Fprintf(out, "trace: %d events (%d dropped) -> %s\n", tracer.Len(), tracer.Dropped(), *traceOut)
+			artifacts["trace_jsonl"] = o.traceOut
+			fmt.Fprintf(out, "trace: %d events (%d dropped) -> %s\n", tracer.Len(), tracer.Dropped(), o.traceOut)
 		}
-		if *traceChrome != "" {
+		if o.traceChrome != "" {
 			// With -profile-exec, the executor's worker/phase lanes ride
 			// along in the same trace file (pid 2).
-			err := writeFileWith(*traceChrome, func(w io.Writer) error {
+			err := writeFileWith(o.traceChrome, func(w io.Writer) error {
 				if prof != nil {
 					return tracer.WriteChromeTraceWith(w, prof.ChromeEvents)
 				}
@@ -320,17 +354,17 @@ func main() {
 			if err != nil {
 				fatalf("trace-chrome: %v", err)
 			}
-			artifacts["trace_chrome"] = *traceChrome
+			artifacts["trace_chrome"] = o.traceChrome
 			fmt.Fprintf(out, "chrome trace: %d events -> %s (open in chrome://tracing or Perfetto)\n",
-				tracer.Len(), *traceChrome)
+				tracer.Len(), o.traceChrome)
 		}
 	}
 	if n.Sampler != nil {
-		if err := os.WriteFile(*sampleOut, []byte(n.Sampler.CSV()), 0o644); err != nil {
+		if err := os.WriteFile(o.sampleOut, []byte(n.Sampler.CSV()), 0o644); err != nil {
 			fatalf("sample-out: %v", err)
 		}
-		artifacts["occupancy_csv"] = *sampleOut
-		fmt.Fprintf(out, "occupancy samples (every %d cycles) -> %s\n", *sampleEvery, *sampleOut)
+		artifacts["occupancy_csv"] = o.sampleOut
+		fmt.Fprintf(out, "occupancy samples (every %d cycles) -> %s\n", o.sampleEvery, o.sampleOut)
 	}
 	if n.Watchdog != nil && n.Watchdog.Stalls > 0 {
 		fmt.Fprintf(out, "watchdog: %d zero-delivery window(s) detected\n", n.Watchdog.Stalls)
@@ -342,8 +376,8 @@ func main() {
 		fmt.Fprintf(out, "\n%s", prof.Report().Text())
 	}
 
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
+	if o.memprofile != "" {
+		f, err := os.Create(o.memprofile)
 		if err != nil {
 			fatalf("memprofile: %v", err)
 		}
@@ -352,13 +386,13 @@ func main() {
 			fatalf("memprofile: %v", err)
 		}
 		f.Close()
-		artifacts["memprofile"] = *memprofile
+		artifacts["memprofile"] = o.memprofile
 	}
-	if *cpuprofile != "" {
-		artifacts["cpuprofile"] = *cpuprofile
+	if o.cpuprofile != "" {
+		artifacts["cpuprofile"] = o.cpuprofile
 	}
 
-	if *jsonOut {
+	if o.jsonOut {
 		if reg != nil {
 			s.Metrics = map[string]int64{}
 			names, values := reg.Totals()
@@ -386,7 +420,7 @@ func main() {
 		}
 	}
 
-	if *assertDelivery {
+	if o.assertDelivery {
 		if err := sp.checkDelivery(s); err != nil {
 			fatalf("%v", err)
 		}

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"io"
 	"testing"
 
 	"stashsim/internal/metrics"
@@ -17,6 +19,7 @@ func runJSON(t *testing.T, sp simSpec) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer n.Close()
 	return marshalSummary(t, sp.run(n))
 }
 
@@ -40,7 +43,7 @@ func TestRunIsDeterministic(t *testing.T) {
 			Preset: "tiny", Mode: "e2e", CapFrac: 1.0,
 			Load: 0.4, MsgPkts: 1,
 			Cycles: 3000, Warmup: 500, Seed: 42,
-			Invariants: true, InvariantsEvery: 64,
+			Invariants: 64,
 		},
 		"congestion-hotspot": {
 			Preset: "tiny", Mode: "congestion", CapFrac: 1.0,
@@ -58,7 +61,7 @@ func TestRunIsDeterministic(t *testing.T) {
 			Cycles: 3000, Warmup: 500, Seed: 9,
 			DropRate: 2e-3, CorruptRate: 1e-3, FaultSeed: 5,
 			Drain:      400000,
-			Invariants: true, InvariantsEvery: 64,
+			Invariants: 64,
 		},
 	}
 	for name, sp := range specs {
@@ -76,18 +79,22 @@ func TestRunIsDeterministic(t *testing.T) {
 // -json summary from a one-partition run must be byte-identical to every
 // parallel run of the same spec — 2 and 4 workers at full lookahead, 12
 // workers (more than tiny's 9 groups, so switch blocks with local links
-// crossing), and 4 workers with a flight recorder attached, which clamps
-// every epoch to one cycle — for the stashing, fault-injection,
-// parity-reconstruction, and ECN (congestion) configurations. This is the
-// user-visible contract behind the executor's sharded-collector /
-// fixed-merge-order design and its serial-event clamping.
+// crossing), 4 workers under -invariants=1, the one schedule that names
+// every cycle, and 4 workers under the -watchdog + -serve wiring — for the
+// stashing, fault-injection, parity-reconstruction, and ECN (congestion)
+// configurations. This is the user-visible contract behind the executor's
+// sharded-collector / fixed-merge-order design and its barrier schedule.
+// The last two rows also pin what the exec block reports: a barrier every
+// cycle only where the user asked for one, and epochs near tiny's 65-cycle
+// lookahead (less the 64-cycle observer interval and the run boundaries)
+// while a run is being watched.
 func TestWorkersDeterminism(t *testing.T) {
 	specs := map[string]simSpec{
 		"stashing-e2e": {
 			Preset: "tiny", Mode: "e2e", CapFrac: 1.0,
 			Load: 0.35, MsgPkts: 1,
 			Cycles: 4000, Warmup: 500, Seed: 21,
-			Invariants: true, InvariantsEvery: 64,
+			Invariants: 64,
 		},
 		"faulted-drain": {
 			Preset: "tiny", Mode: "e2e", CapFrac: 1.0,
@@ -116,25 +123,98 @@ func TestWorkersDeterminism(t *testing.T) {
 			serial.Workers = 1
 			want := runJSON(t, serial)
 			for _, pt := range []struct {
-				workers  int
-				perCycle bool
-			}{{2, false}, {4, false}, {12, false}, {4, true}} {
+				workers          int
+				invariants       int64
+				watched          bool
+				syncMin, syncMax float64 // bounds on exec.cycles_per_sync; 0 = unchecked
+			}{
+				{workers: 2}, {workers: 4}, {workers: 12},
+				{workers: 4, invariants: 1, syncMax: 1},
+				{workers: 4, watched: true, syncMin: 40},
+			} {
 				parallel := sp
 				parallel.Workers = pt.workers
+				if pt.invariants > 0 {
+					parallel.Invariants = pt.invariants
+				}
 				n, err := parallel.build()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if pt.perCycle {
-					n.AttachFlight(16)
+				stop := func() {}
+				if pt.watched {
+					var err error
+					if _, stop, err = (&cliOpts{watchdog: 50000, serve: "127.0.0.1:0"}).observe(n, io.Discard); err != nil {
+						t.Fatal(err)
+					}
 				}
 				got := marshalSummary(t, parallel.run(n))
+				st := n.ExecStats()
+				stop()
+				n.Close()
 				if !bytes.Equal(want, got) {
-					t.Fatalf("workers=%d per-cycle=%v summary differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
-						pt.workers, pt.perCycle, want, got)
+					t.Fatalf("%+v: summary differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", pt, want, got)
+				}
+				if c := st.CyclesPerSync; c < pt.syncMin || (pt.syncMax > 0 && c > pt.syncMax) {
+					t.Fatalf("%+v: exec block reports %+v", pt, st)
 				}
 			}
 		})
+	}
+}
+
+// TestFinalSnapshotHasExecProfile is the regression test for the empty
+// exec profile in the last /snapshot of a -workers 2 -profile-exec -serve
+// run: run used to Close the network on its way out, and Close replaces
+// the network-owned profiler with a fresh one-lane one, so the snapshot
+// main published afterwards reported zero epochs.
+func TestFinalSnapshotHasExecProfile(t *testing.T) {
+	sp := simSpec{
+		Preset: "tiny", Mode: "e2e", CapFrac: 1.0, Load: 0.3, MsgPkts: 1,
+		Cycles: 1500, Warmup: 500, Seed: 3, Workers: 2,
+	}
+	n, err := sp.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	pub, stop, err := (&cliOpts{profileExec: true, serve: "127.0.0.1:0"}).observe(n, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	sp.run(n)
+	pub.Publish()
+	rep := pub.Latest().ExecProfile
+	if rep == nil || rep.Workers != 2 || rep.Cycles != 2000 || rep.Attribution.Epochs == 0 || rep.WallNS == 0 {
+		t.Fatalf("final snapshot's exec profile is empty or resized: %+v", rep)
+	}
+}
+
+// TestFlagCount pins the size of the flag surface: a new flag has to
+// argue its way past this number (simplicity-review, Options).
+func TestFlagCount(t *testing.T) {
+	var sp simSpec
+	fs := flag.NewFlagSet("stashsim", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	defineFlags(fs, &sp, new(cliOpts))
+	count := 0
+	fs.VisitAll(func(*flag.Flag) { count++ })
+	if count != 42 {
+		t.Fatalf("stashsim declares %d flags, want 42", count)
+	}
+	// -invariants is one flag with three forms.
+	for _, c := range []struct {
+		args []string
+		want int64
+	}{{nil, 0}, {[]string{"-invariants"}, 64}, {[]string{"-invariants=1"}, 1}, {[]string{"-invariants=false"}, 0}} {
+		sp.Invariants = 0
+		if err := fs.Parse(c.args); err != nil || sp.Invariants != c.want {
+			t.Fatalf("%v: interval %d (err %v), want %d", c.args, sp.Invariants, err, c.want)
+		}
+	}
+	if err := fs.Parse([]string{"-invariants=0"}); err == nil {
+		t.Fatal("-invariants=0 accepted; off is -invariants=false or no flag")
 	}
 }
 

@@ -17,21 +17,20 @@ import (
 // topology, mode, workload, duration, and seed. Two runs with equal
 // specs produce byte-identical summaries (enforced by TestRunIsDeterministic).
 type simSpec struct {
-	Preset          string
-	P, A, H         int // custom topology; all three > 0 to take effect
-	Mode            string
-	CapFrac         float64
-	Load            float64
-	MsgPkts         int
-	Hotspots        int
-	Cycles          int64
-	Warmup          int64
-	Seed            uint64
-	ECN             bool
-	Banks           bool
-	ErrRate         float64
-	Invariants      bool
-	InvariantsEvery int64
+	Preset     string
+	P, A, H    int // custom topology; all three > 0 to take effect
+	Mode       string
+	CapFrac    float64
+	Load       float64
+	MsgPkts    int
+	Hotspots   int
+	Cycles     int64
+	Warmup     int64
+	Seed       uint64
+	ECN        bool
+	Banks      bool
+	ErrRate    float64
+	Invariants int64 // audit interval in cycles; 0 = no checker
 	// Workers is the number of partitions stepped concurrently (see
 	// network.SetWorkers). Results are bit-identical for any value
 	// (enforced by TestWorkersDeterminism), so it is not part of the
@@ -174,7 +173,8 @@ func (sp *simSpec) victimClass() proto.Class {
 	return proto.ClassDefault
 }
 
-// build constructs the network and wires the synthetic workload.
+// build constructs the network, wires the synthetic workload and starts
+// the worker pool; the caller Closes the network when done with it.
 func (sp *simSpec) build() (*network.Network, error) {
 	cfg, err := sp.config()
 	if err != nil {
@@ -184,12 +184,8 @@ func (sp *simSpec) build() (*network.Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sp.Invariants {
-		every := sp.InvariantsEvery
-		if every <= 0 {
-			every = 64
-		}
-		n.EnableInvariants(every)
+	if sp.Invariants > 0 {
+		n.EnableInvariants(sp.Invariants)
 	}
 
 	rng := sim.NewRNG(sp.Seed + 77)
@@ -237,17 +233,13 @@ func (sp *simSpec) build() (*network.Network, error) {
 			sp.Load, rate, msgFlits, victims, 0)
 		ep.GenRNG = gen
 	}
+	n.SetWorkers(sp.Workers)
 	return n, nil
 }
 
 // run executes warmup plus the measured window and fills the summary's
 // simulation-determined fields (observability artifacts are the caller's).
 func (sp *simSpec) run(n *network.Network) *runSummary {
-	if sp.Workers > 1 {
-		n.SetWorkers(sp.Workers)
-		defer n.Close()
-	}
-
 	// Restore rewinds nothing: the network is freshly built, so loading
 	// the snapshot leaves the clock at the checkpointed cycle and the run
 	// below covers only the remaining warmup and measured cycles.

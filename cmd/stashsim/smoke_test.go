@@ -69,7 +69,7 @@ func TestCLISmoke(t *testing.T) {
 			var first []byte
 			for i, mutate := range row.variants {
 				sp := row.spec
-				sp.Invariants, sp.InvariantsEvery = true, 64
+				sp.Invariants = 64
 				sp.Workers = runtime.GOMAXPROCS(0) // the -workers default
 				mutate(&sp)
 				n, err := sp.build()

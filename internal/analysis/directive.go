@@ -25,7 +25,7 @@ import (
 //	//stashsim:transient -- why  (fields)
 //
 // On a function, `phase serial` asserts it runs only in serial context
-// (the executor's PreCycle/PostCycle hooks, between Runs, or the
+// (the executor's BeforeEpoch/AfterEpoch hooks, between Runs, or the
 // Run-after-Close fallback); `phase parallel` marks a parallel-phase
 // root: it (and everything it reaches) may run concurrently with other
 // components' steps. On a field, `phase serial` marks state that
@@ -45,7 +45,7 @@ import (
 //
 // An optional trailing " -- reason" documents the annotation:
 //
-//	//stashsim:phase serial -- runs from the PostCycle hook only
+//	//stashsim:phase serial -- runs from the AfterEpoch hook only
 
 // directivePrefix introduces every stashsim annotation comment.
 const directivePrefix = "//stashsim:"

@@ -9,7 +9,7 @@ import (
 // phasecheck machine-checks the executor's two-phase concurrency contract
 // (DESIGN.md, "Concurrency contract"). Each epoch has a parallel phase —
 // every partition steps its components concurrently with the others —
-// fenced by serial PreCycle/PostCycle hooks that the coordinator runs
+// fenced by serial BeforeEpoch/AfterEpoch hooks that the coordinator runs
 // alone.
 // Declarations opt into the contract with //stashsim: directives
 // (directive.go); the analyzer then proves, by walking the parallel

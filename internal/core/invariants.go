@@ -4,16 +4,18 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 
 	"stashsim/internal/buffer"
+	"stashsim/internal/metrics"
 	"stashsim/internal/proto"
 	"stashsim/internal/sim"
 )
 
 // Invariants is the runtime checker for the simulator's conservation
-// laws. It is always compiled in but costs a single nil check per cycle
-// when disabled; when enabled (the -invariants flag, or by default in
-// the network tests) it audits the global state every Every cycles:
+// laws. It is always compiled in and costs nothing until attached; when
+// enabled (the -invariants flag, or by default in the network tests) it
+// audits the global state every Every cycles:
 //
 //  1. Flit conservation: flits injected by endpoints plus flits minted
 //     inside switches (stash duplicates, retransmission copies) equal
@@ -70,6 +72,24 @@ type Invariants struct {
 	Checks int64
 }
 
+// ParseAuditEvery reads the -invariants[=N] flag of both CLIs (declared
+// with flag.BoolFunc, which hands the bare form over as "true") as an
+// audit interval in cycles, 0 for no checker. The bare flag means the
+// flight recorder's 64 cycles, so auditing a watched run adds no barrier
+// rounds; that costs about 1% of a run, every cycle about 44%.
+func ParseAuditEvery(s string) (int64, error) {
+	switch n, err := strconv.ParseInt(s, 10, 64); {
+	case s == "true":
+		return metrics.FlightInterval, nil
+	case s == "false":
+		return 0, nil
+	case err != nil || n < 1:
+		return 0, fmt.Errorf("want a positive audit interval in cycles, got %q", s)
+	default:
+		return n, nil
+	}
+}
+
 // CreditEdge is one credited link: the sender's credit counter, the wire
 // (carrying flits forward and credits back), and the receiver's DAMQ the
 // counter mirrors.
@@ -80,15 +100,18 @@ type CreditEdge struct {
 	Buf     *buffer.DAMQ
 }
 
-// Check runs one audit when now falls on the interval. A nil receiver is
-// the disabled fast path.
-func (iv *Invariants) Check(now sim.Tick) {
-	if iv == nil {
-		return
-	}
-	if iv.Every > 1 && int64(now)%iv.Every != 0 {
-		return
-	}
+// NextEventAt names the audit cycles: the multiples of Every. With
+// AtBarrier it makes the checker a barrier observer (network.Observer).
+//
+//stashsim:phase serial
+func (iv *Invariants) NextEventAt(from int64) int64 {
+	return sim.NextMultiple(from, iv.Every)
+}
+
+// AtBarrier runs one audit of the state after cycle now.
+//
+//stashsim:phase serial -- walks every switch, link and buffer
+func (iv *Invariants) AtBarrier(now int64) {
 	iv.Checks++
 	iv.checkConservation(now)
 	iv.checkCredits(now)

@@ -272,7 +272,7 @@ func (l *Link) DropFlit(now int64) {
 
 // InFlightFlits returns the number of flits on the wire, staged or not.
 // Audit-only: call it only at a barrier (between runs, or from the
-// executor's serial PreCycle/PostCycle hooks).
+// executor's serial BeforeEpoch/AfterEpoch hooks).
 func (l *Link) InFlightFlits() int {
 	return l.flits.Len() + len(staged(&l.flitSlab))
 }

@@ -203,7 +203,7 @@ type Switch struct {
 	// recorder (the metrics counter equivalent only exists when a registry
 	// is attached) and is deliberately NOT part of Counters, whose JSON
 	// shape is pinned by the golden tests. Written only by this switch's
-	// Step; read from the serial PostCycle hook.
+	// Step; read by barrier observers.
 	CreditStallCycles int64
 
 	radix int

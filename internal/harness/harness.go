@@ -31,12 +31,10 @@ type Options struct {
 	Seed uint64
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...any)
-	// Invariants enables the runtime invariant checker on every network
-	// the experiments build (the -invariants flag of cmd/figures).
-	Invariants bool
-	// InvariantsEvery is the audit interval in cycles; 0 means the
-	// default of 64.
-	InvariantsEvery int64
+	// Invariants, when positive, attaches the runtime invariant checker
+	// to every network the experiments build, auditing every that many
+	// cycles (the -invariants[=N] flag of cmd/figures).
+	Invariants int64
 	// FaultPlan, when non-nil, is injected into every experiment network
 	// (the -fault-* flags of cmd/figures), with the recovery timers
 	// enabled so dropped packets still deliver. The Faults experiment
@@ -191,12 +189,8 @@ func (o *Options) mustNet(cfg *core.Config) *network.Network {
 	if err != nil {
 		panic(fmt.Sprintf("harness: %v", err))
 	}
-	if o.Invariants {
-		every := o.InvariantsEvery
-		if every <= 0 {
-			every = 64
-		}
-		n.EnableInvariants(every)
+	if o.Invariants > 0 {
+		n.EnableInvariants(o.Invariants)
 	}
 	if o.ExecProfiler != nil {
 		if err := n.SetExecProfiler(o.ExecProfiler); err != nil {

@@ -12,7 +12,7 @@ func testOpts(t *testing.T) *Options {
 		Preset:     "tiny",
 		Quick:      true,
 		Seed:       1,
-		Invariants: true,
+		Invariants: 64,
 		Log:        func(format string, args ...any) { t.Logf(format, args...) },
 	}
 }
@@ -156,6 +156,37 @@ func TestFig6Shape(t *testing.T) {
 			if v := cell(t, row, i); v < 0.5 || v > 3.0 {
 				t.Fatalf("%s variant %d runtime ratio %.2f implausible", row[0], i, v)
 			}
+		}
+	}
+}
+
+// TestAblationsShape builds the ablation table at tiny scale: one row per
+// design choice, every variant still switching traffic at full offered
+// load, and the two choices that take bandwidth or space away (no internal
+// speedup, a quarter of the stash) accepting less than the reference.
+func TestAblationsShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweep")
+	}
+	tab, err := Ablations(testOpts(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != 7 {
+		t.Fatalf("%d ablation rows, want 7", len(tab.Rows))
+	}
+	for _, row := range tab.Rows {
+		if acc := cell(t, row, 1); acc <= 0.2 || acc > 1.05 {
+			t.Fatalf("%s: accepted throughput %.3f implausible at full load", row[0], acc)
+		}
+		if lat := cell(t, row, 2); lat <= 0 {
+			t.Fatalf("%s: mean latency %.3f us", row[0], lat)
+		}
+	}
+	ref := cell(t, tab.Rows[0], 1)
+	for _, i := range []int{2, 5} {
+		if row := tab.Rows[i]; cell(t, row, 1) >= ref {
+			t.Fatalf("%s accepted %s, no less than the reference's %.3f", row[0], row[1], ref)
 		}
 	}
 }

@@ -4,7 +4,14 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"stashsim/internal/sim"
 )
+
+// FlightInterval is the flight recorder's row interval in cycles: one row
+// per interval, so a ring of 4096 rows covers 262k cycles and recording
+// costs one barrier round per 64 cycles, not one per cycle.
+const FlightInterval = 64
 
 // FlightField is one column of the flight recorder: a named reader over
 // live simulation state. Counter fields (Gauge false) are recorded as
@@ -16,13 +23,13 @@ type FlightField struct {
 	Read  func() int64
 }
 
-// FlightRecorder retains the most recent per-cycle aggregate readings in
-// a preallocated ring, turning "the sim stalled" into "here are the last
-// N cycles of deliveries, stash traffic, credit stalls and occupancy".
-// Record is allocation-free; it is meant to be called from the serial
-// PostCycle hook (once per cycle, network quiescent), and Dump/Snapshot
-// may be called from the watchdog, a SIGQUIT handler, or the telemetry
-// snapshot path. A nil *FlightRecorder is a no-op.
+// FlightRecorder retains the most recent per-interval aggregate readings
+// in a preallocated ring, turning "the sim stalled" into "here are the
+// last N intervals of deliveries, stash traffic, credit stalls and
+// occupancy". It is a barrier observer (network.Observer) naming every
+// multiple of FlightInterval; recording is allocation-free, and
+// Dump/Snapshot may be called from the watchdog, a SIGQUIT handler, or the
+// telemetry snapshot path. A nil *FlightRecorder is a no-op.
 type FlightRecorder struct {
 	mu     sync.Mutex
 	fields []FlightField
@@ -46,11 +53,21 @@ func NewFlightRecorder(rows int, fields ...FlightField) *FlightRecorder {
 	}
 }
 
-// Record captures one row at cycle now: deltas for counter fields,
-// absolutes for gauges. It never allocates.
+// NextEventAt names the row cycles: the multiples of FlightInterval.
 //
-//stashsim:phase serial -- field readers walk live component state; runs from the PostCycle hook only
-func (f *FlightRecorder) Record(now int64) {
+//stashsim:phase serial
+func (f *FlightRecorder) NextEventAt(from int64) int64 {
+	if f == nil {
+		return sim.Never
+	}
+	return sim.NextMultiple(from, FlightInterval)
+}
+
+// AtBarrier captures one row after cycle now: deltas since the previous
+// row for counter fields, absolutes for gauges. It never allocates.
+//
+//stashsim:phase serial -- field readers walk live component state
+func (f *FlightRecorder) AtBarrier(now int64) {
 	if f == nil {
 		return
 	}
@@ -69,19 +86,6 @@ func (f *FlightRecorder) Record(now int64) {
 	}
 	f.n++
 	f.mu.Unlock()
-}
-
-// Len returns the number of retained rows (at most the ring size).
-func (f *FlightRecorder) Len() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.n < int64(f.rows) {
-		return int(f.n)
-	}
-	return f.rows
 }
 
 // FieldNames returns the column names after the leading "cycle" column.
@@ -134,7 +138,7 @@ func (f *FlightRecorder) Dump(w io.Writer, maxRows int) {
 		fmt.Fprintln(w, "flight recorder: empty")
 		return
 	}
-	fmt.Fprintf(w, "flight recorder: last %d cycles (counters are per-cycle deltas)\n", len(rows))
+	fmt.Fprintf(w, "flight recorder: last %d intervals of %d cycles (counters are per-interval deltas)\n", len(rows), FlightInterval)
 	fmt.Fprintf(w, "%12s", "cycle")
 	for _, fieldName := range f.FieldNames() {
 		fmt.Fprintf(w, " %14s", fieldName)

@@ -70,8 +70,8 @@ func TestNilFastPathNoAllocs(t *testing.T) {
 		_ = c.Value()
 		h.Observe(5)
 		tr.Record(1, EvInject, 42, 0, -1, 1, 2)
-		sp.MaybeSample(1000)
-		wd.Observe(1000)
+		sp.AtBarrier(1000)
+		wd.AtBarrier(1000)
 		_ = reg.Scope("sw0").Counter("x") // nil registry -> nil scope -> nil handle
 	})
 	if allocs != 0 {
@@ -171,6 +171,17 @@ func TestTracerChromeTraceValid(t *testing.T) {
 	}
 }
 
+// poll does on cycle now what the network's barrier schedule does with an
+// observer: call it only if it named the cycle.
+func poll(o interface {
+	NextEventAt(from int64) int64
+	AtBarrier(now int64)
+}, now int64) {
+	if o.NextEventAt(now) == now {
+		o.AtBarrier(now)
+	}
+}
+
 func TestSampler(t *testing.T) {
 	sp := NewSampler(5)
 	v := 0.0
@@ -178,7 +189,7 @@ func TestSampler(t *testing.T) {
 	sp.Probe("backlog", func() float64 { return 2 * v })
 	for now := int64(0); now <= 10; now++ {
 		v = float64(now)
-		sp.MaybeSample(now)
+		poll(sp, now)
 	}
 	ts := sp.Series("fill")
 	if ts == nil {
@@ -218,7 +229,7 @@ func TestWatchdog(t *testing.T) {
 		if now%10 == 0 {
 			delivered++
 		}
-		wd2.Observe(now)
+		poll(wd2, now)
 	}
 	if wd2.Stalls != 0 {
 		t.Fatalf("progressing run produced %d stalls, want 0", wd2.Stalls)
@@ -226,7 +237,7 @@ func TestWatchdog(t *testing.T) {
 
 	// Frozen deliveries with pending work: stalls fire and dump.
 	for now := int64(1001); now <= 1500; now++ {
-		wd2.Observe(now)
+		poll(wd2, now)
 	}
 	if wd2.Stalls == 0 {
 		t.Fatal("frozen run produced no stalls")
@@ -245,7 +256,7 @@ func TestWatchdog(t *testing.T) {
 	pending = false
 	idle := &Watchdog{Window: 100, Delivered: func() int64 { return delivered }, Pending: func() bool { return pending }}
 	for now := int64(0); now <= 1000; now++ {
-		idle.Observe(now)
+		poll(idle, now)
 	}
 	if idle.Stalls != 0 {
 		t.Fatalf("idle run produced %d stalls, want 0", idle.Stalls)
@@ -273,7 +284,7 @@ func TestWatchdogNoteSuppressesStall(t *testing.T) {
 		},
 	}
 	for now := int64(0); now <= 550; now++ {
-		wd.Observe(now)
+		poll(wd, now)
 	}
 	if wd.Stalls != 0 {
 		t.Fatalf("explained windows counted as %d stalls", wd.Stalls)
@@ -289,7 +300,7 @@ func TestWatchdogNoteSuppressesStall(t *testing.T) {
 	}
 	// Once the outage clears, an ongoing freeze is a real stall again.
 	for now := int64(551); now <= 1200; now++ {
-		wd.Observe(now)
+		poll(wd, now)
 	}
 	if wd.Stalls == 0 {
 		t.Fatal("post-outage freeze produced no stall")

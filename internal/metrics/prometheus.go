@@ -38,8 +38,8 @@ func (r *Registry) CounterSamples() []Sample {
 
 // GaugeSamples evaluates every registered gauge. Gauge functions read
 // live component state without synchronization, so this must only be
-// called while the simulation is quiescent (between cycles, from the
-// PostCycle hook, or after a run) — the telemetry snapshot path captures
+// called while the simulation is quiescent (between cycles, from a
+// barrier observer, or after a run) — the telemetry snapshot path captures
 // these into its published snapshot for exactly that reason.
 func (r *Registry) GaugeSamples() []Sample {
 	if r == nil {

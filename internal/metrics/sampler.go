@@ -3,14 +3,14 @@ package metrics
 import (
 	"fmt"
 
+	"stashsim/internal/sim"
 	"stashsim/internal/stats"
 )
 
-// Sampler polls a set of named probes at a fixed cycle interval from the
-// simulation loop, accumulating each probe into a stats.TimeSeries. A nil
-// *Sampler is a no-op, so the poll site can stay unconditional. Probes
-// are registered before the run; MaybeSample is called once per cycle by
-// the driving loop (single-threaded).
+// Sampler polls a set of named probes at a fixed cycle interval,
+// accumulating each probe into a stats.TimeSeries. It is a barrier
+// observer (network.Observer): it names the multiples of its interval and
+// is polled after each. Probes are registered before the run.
 type Sampler struct {
 	every  int64
 	names  []string
@@ -27,14 +27,6 @@ func NewSampler(every int64) *Sampler {
 	return &Sampler{every: every}
 }
 
-// Every returns the sampling interval in cycles.
-func (s *Sampler) Every() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.every
-}
-
 // Probe registers one named probe function.
 //
 //stashsim:phase serial -- probes are registered before the run starts
@@ -47,11 +39,21 @@ func (s *Sampler) Probe(name string, fn func() float64) {
 	s.series = append(s.series, stats.NewTimeSeries(s.every))
 }
 
-// MaybeSample polls every probe when now falls on the sampling interval.
+// NextEventAt names the sampling cycles: the multiples of the interval.
 //
-//stashsim:phase serial -- probes walk live component state; runs from the PostCycle hook only
-func (s *Sampler) MaybeSample(now int64) {
-	if s == nil || now%s.every != 0 {
+//stashsim:phase serial
+func (s *Sampler) NextEventAt(from int64) int64 {
+	if s == nil {
+		return sim.Never
+	}
+	return sim.NextMultiple(from, s.every)
+}
+
+// AtBarrier polls every probe after cycle now.
+//
+//stashsim:phase serial -- probes walk live component state
+func (s *Sampler) AtBarrier(now int64) {
+	if s == nil {
 		return
 	}
 	for i, fn := range s.fns {

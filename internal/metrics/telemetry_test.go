@@ -104,14 +104,11 @@ func TestFlightRecorderDeltasAndWrap(t *testing.T) {
 	for cycle := int64(0); cycle < 10; cycle++ {
 		total += cycle // deliver `cycle` flits this cycle
 		depth = 100 - cycle
-		f.Record(cycle)
-	}
-	if f.Len() != 4 {
-		t.Fatalf("len %d, want ring cap 4", f.Len())
+		f.AtBarrier(cycle)
 	}
 	rows := f.Snapshot(0)
 	if len(rows) != 4 {
-		t.Fatalf("%d rows, want 4", len(rows))
+		t.Fatalf("%d rows, want ring cap 4", len(rows))
 	}
 	// Oldest retained row is cycle 6: delta 6, gauge 94.
 	for i, row := range rows {
@@ -132,10 +129,10 @@ func TestFlightRecorderRecordAllocFree(t *testing.T) {
 	)
 	allocs := testing.AllocsPerRun(200, func() {
 		total += 3
-		f.Record(total)
+		f.AtBarrier(total)
 	})
 	if allocs != 0 {
-		t.Fatalf("Record allocates %.1f/op, want 0", allocs)
+		t.Fatalf("AtBarrier allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -146,12 +143,12 @@ func TestFlightRecorderDump(t *testing.T) {
 	)
 	for c := int64(0); c < 3; c++ {
 		total += 5
-		f.Record(c)
+		f.AtBarrier(c)
 	}
 	var buf bytes.Buffer
 	f.Dump(&buf, 0)
 	out := buf.String()
-	for _, want := range []string{"last 3 cycles", "delivered", "5"} {
+	for _, want := range []string{"last 3 intervals of 64 cycles", "delivered", "5"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("dump missing %q:\n%s", want, out)
 		}
@@ -159,7 +156,7 @@ func TestFlightRecorderDump(t *testing.T) {
 }
 
 // TestWatchdogFlightDump wires a flight recorder into a watchdog dump the
-// way the network does: a stall dump must carry the recent-cycle table.
+// way the network does: a stall dump must carry the recent-interval table.
 func TestWatchdogFlightDump(t *testing.T) {
 	var delivered int64
 	f := NewFlightRecorder(16,
@@ -176,8 +173,8 @@ func TestWatchdogFlightDump(t *testing.T) {
 		},
 	}
 	for now := int64(0); now <= 30; now++ {
-		f.Record(now)
-		w.Observe(now)
+		f.AtBarrier(now)
+		poll(w, now)
 	}
 	if w.Stalls == 0 {
 		t.Fatal("expected a stall")
@@ -191,7 +188,7 @@ func TestWatchdogFlightDump(t *testing.T) {
 	// Deliveries resume: the liveness signal must clear at the next window.
 	delivered = 50
 	for now := int64(31); now <= 45; now++ {
-		w.Observe(now)
+		poll(w, now)
 	}
 	if w.Stalled() {
 		t.Fatal("Stalled() must clear once deliveries resume")
@@ -200,8 +197,8 @@ func TestWatchdogFlightDump(t *testing.T) {
 
 func TestFlightRecorderNilSafe(t *testing.T) {
 	var f *FlightRecorder
-	f.Record(1)
-	if f.Len() != 0 || f.Snapshot(0) != nil || f.FieldNames() != nil {
+	f.AtBarrier(1)
+	if f.Snapshot(0) != nil || f.FieldNames() != nil {
 		t.Fatal("nil recorder accessors must be inert")
 	}
 	var buf bytes.Buffer

@@ -4,13 +4,19 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
+
+	"stashsim/internal/sim"
 )
+
+// maxStallDumps bounds how many stall dumps a watchdog writes: a hung run
+// repeats the same state every window.
+const maxStallDumps = 3
 
 // Watchdog detects zero-delivery windows: if a full Window of cycles
 // passes in which the network delivered nothing while work was pending,
 // it writes a diagnostic dump of every non-idle component instead of
-// letting the simulation spin silently. It is polled once per cycle by
-// the driving loop and does real work only at window boundaries. A nil
+// letting the simulation spin silently. It is a barrier observer
+// (network.Observer) that names only its window boundaries. A nil
 // *Watchdog is a no-op.
 type Watchdog struct {
 	// Window is the stall-detection window in cycles.
@@ -37,10 +43,6 @@ type Watchdog struct {
 	//
 	//stashsim:derived -- configuration, set by the wiring that attaches the watchdog
 	Dump func(w io.Writer)
-	// MaxDumps bounds how many stall dumps are written (0 = 3).
-	//
-	//stashsim:derived -- configuration, set by the wiring that attaches the watchdog
-	MaxDumps int
 	// Note, when non-nil, is consulted before declaring a stall: a
 	// nonempty string names a benign cause for the zero-delivery window
 	// (e.g. a fault plan's link outage), which is reported as a one-line
@@ -72,30 +74,25 @@ func (w *Watchdog) Stalled() bool {
 	return w.stalled.Load()
 }
 
-// NextEventAt returns the next cycle >= from on which Observe does real
-// work: the first call of a run (initialization) or a window boundary.
-// Between boundaries Observe is a strict no-op, so an epoch-synchronized
-// executor that runs its serial hooks exactly on the returned cycles
-// reproduces the per-cycle watchdog behavior bit-for-bit.
+// NextEventAt names the first cycle it is asked about (initialization)
+// and from then on each window boundary.
 //
 //stashsim:phase serial -- reads the unsynchronized window bookkeeping
 func (w *Watchdog) NextEventAt(from int64) int64 {
 	if w == nil {
-		return from + (1 << 62)
+		return sim.Never
 	}
-	if !w.started {
-		return from
-	}
-	if at := w.windowStart + w.Window; at > from {
-		return at
+	if w.started {
+		return max(from, w.windowStart+w.Window)
 	}
 	return from
 }
 
-// Observe advances the watchdog to cycle now.
+// AtBarrier closes the window that ends after cycle now (or, on the first
+// call, opens the first one).
 //
-//stashsim:phase serial -- window bookkeeping is unsynchronized; runs from the PostCycle hook only
-func (w *Watchdog) Observe(now int64) {
+//stashsim:phase serial -- window bookkeeping is unsynchronized
+func (w *Watchdog) AtBarrier(now int64) {
 	if w == nil {
 		return
 	}
@@ -103,9 +100,6 @@ func (w *Watchdog) Observe(now int64) {
 		w.started = true
 		w.windowStart = now
 		w.lastDelivered = w.Delivered()
-		return
-	}
-	if now-w.windowStart < w.Window {
 		return
 	}
 	d := w.Delivered()
@@ -128,11 +122,7 @@ func (w *Watchdog) Observe(now int64) {
 		}
 		w.Stalls++
 		w.stalled.Store(true)
-		max := w.MaxDumps
-		if max == 0 {
-			max = 3
-		}
-		if w.Out != nil && w.Stalls <= int64(max) {
+		if w.Out != nil && w.Stalls <= maxStallDumps {
 			fmt.Fprintf(w.Out, "watchdog: no deliveries in %d cycles at cycle %d with work pending (stall #%d); non-idle state:\n",
 				w.Window, now, w.Stalls)
 			if w.Dump != nil {

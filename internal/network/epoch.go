@@ -16,10 +16,9 @@ import (
 // drains right after the barrier (core.Link.Stage); every other link has
 // both ends on one goroutine and pushes directly. A single partition has
 // no crossing links and no barrier — that is serial execution. Serial
-// per-cycle singletons (fault events, sampler, watchdog, invariants,
-// telemetry, flight recorder) keep their cycle-exact semantics because
-// epochs are additionally clamped to end on the next such event, which
-// then runs as a 1-cycle epoch bracketed by the hooks.
+// singletons keep their cycle-exact semantics because epochs are
+// additionally cut on one schedule (beforeEpoch): after a cycle an
+// Observer named, before a cycle an action is due.
 
 // unboundedLookahead is the executor lookahead when no link crosses a
 // partition: epochs then end only on serial events and the Run bound.
@@ -66,6 +65,26 @@ func (d *partitionDrainer) DrainEpoch(epoch int64) {
 // no link crosses (a single partition), so nothing caps an epoch but
 // serial events and the Run bound.
 func (n *Network) EpochLookahead() int64 { return n.lookahead }
+
+// ExecStats is the -json "exec" block: how many partitions stepped the
+// network, how many barrier rounds they met at, and the mean cycles they
+// free-ran between rounds. cycles_per_sync near the lookahead means the
+// epoch executor ran unhindered; 1 means something named every cycle.
+type ExecStats struct {
+	Workers       int     `json:"workers"`
+	Epochs        int64   `json:"epochs"`
+	CyclesPerSync float64 `json:"cycles_per_sync"`
+}
+
+// ExecStats reports the epoch accounting since construction, under the
+// current worker count. Read it before Close, which drops to one worker.
+func (n *Network) ExecStats() ExecStats {
+	st := ExecStats{Workers: n.workers, Epochs: n.epochs}
+	if n.epochs > 0 {
+		st.CyclesPerSync = float64(n.epochCycles) / float64(n.epochs)
+	}
+	return st
+}
 
 // repartition cuts the network into n.workers partitions and rebuilds the
 // executor over them. It is the one routine behind SetWorkers, Close, the
@@ -155,10 +174,8 @@ func (n *Network) repartition() {
 	}
 
 	n.exec = sim.NewPartitionedExecutor(parts, aCounts, lookahead, drains)
-	n.exec.NextEvent = n.nextSerialEvent
-	n.exec.PreCycle = n.preCycle
-	n.exec.PostCycle = n.postCycle
-	n.exec.PostEpoch = n.postEpoch
+	n.exec.BeforeEpoch = n.beforeEpoch
+	n.exec.AfterEpoch = n.afterEpoch
 	n.exec.Profiler = n.Profiler
 	for _, l := range crossing {
 		l.Stage(n.exec.EpochClock())
@@ -189,67 +206,88 @@ type awake struct{ component }
 //stashsim:noalloc
 func (awake) NextWake(now sim.Tick) sim.Tick { return now + 1 }
 
-// nextSerialEvent returns the next cycle >= from on which a serial
-// singleton must run at the barrier: a due (or overdue) stash-bank
-// failure, a sampler / invariant-audit / telemetry interval boundary, a
-// watchdog window boundary, or — when a flight recorder is attached —
-// every cycle (it records per-cycle deltas). The executor clamps epochs to
-// end on the returned cycle and runs it as a 1-cycle epoch with the hooks,
-// so every observer sees exactly the cycles it would under a per-cycle
-// loop.
-//
-//stashsim:phase serial -- reads observer schedules; runs on the coordinator between epochs
-func (n *Network) nextSerialEvent(from sim.Tick) sim.Tick {
-	if n.Flight != nil {
-		return from
-	}
-	f := int64(from)
-	next := int64(1) << 62
-	if n.ckptFn != nil {
-		at := n.ckptAt
-		if at < f {
-			at = f
-		}
-		if at < next {
-			next = at
-		}
-	}
-	if at, ok := n.Injector.NextStashFailAt(f); ok && at < next {
-		next = at
-	}
-	if n.Sampler != nil {
-		if at := nextMultiple(f, n.Sampler.Every()); at < next {
-			next = at
-		}
-	}
-	if n.Invariants != nil {
-		every := n.Invariants.Every
-		if every <= 1 {
-			return from // audits every cycle
-		}
-		if at := nextMultiple(f, every); at < next {
-			next = at
-		}
-	}
-	if at := n.Watchdog.NextEventAt(f); at < next {
-		next = at
-	}
-	if n.Telemetry != nil {
-		if at := nextMultiple(f, n.Telemetry.Every()); at < next {
-			next = at
-		}
-	}
-	return sim.Tick(next)
+// Observer is a serial singleton that looks at the network between
+// cycles: the sampler, the watchdog, the flight recorder, the invariant
+// checker, the telemetry publisher — or a test's fake. The network asks
+// each one, before every epoch, for the next cycle it wants to see the end
+// of, cuts the epoch right after the earliest answer, and calls AtBarrier
+// on exactly the observers that named that cycle. An observer is never
+// polled on cycles it did not name, so it costs one barrier round per
+// firing and nothing in between.
+type Observer interface {
+	// NextEventAt returns the first cycle >= from after which AtBarrier
+	// must run (sim.Never if none). It must not change state: the network
+	// may ask any number of times.
+	//
+	//stashsim:phase serial
+	NextEventAt(from int64) int64
+
+	// AtBarrier runs after every component has stepped cycle now and
+	// before any steps now+1, on the goroutine calling Run.
+	//
+	//stashsim:phase serial
+	AtBarrier(now int64)
 }
 
-// nextMultiple returns the smallest multiple of every that is >= from
-// (the next firing cycle of a now%every==0 observer).
-func nextMultiple(from, every int64) int64 {
-	if every < 1 {
-		return from
+// Observe registers an observer for the rest of the network's life.
+// Observers that name the same cycle run in registration order. Call
+// between runs.
+func (n *Network) Observe(o Observer) { n.observers = append(n.observers, o) }
+
+// beforeEpoch is the executor's BeforeEpoch hook: run the actions due
+// before cycle now, then cut the epoch. Actions change simulation state
+// and so must precede a cycle; there are exactly two, the scheduled
+// checkpoint and the fault plan's stash-bank failures. Observers only read
+// it and so follow a cycle: the epoch ends right after the first cycle any
+// of them names, or right before the next action.
+//
+//stashsim:phase serial -- fault injection mutates arbitrary switches; only the coordinator may run it
+func (n *Network) beforeEpoch(now sim.Tick) (cut sim.Tick) {
+	// The checkpoint fires before due stash failures so an event scheduled
+	// at this cycle is still unfired in the snapshot and re-fires in the
+	// restored run's first beforeEpoch — the restored run replays this cycle.
+	if fn := n.ckptFn; fn != nil && int64(now) >= n.ckptAt {
+		n.ckptFn = nil
+		fn(now)
 	}
-	if r := from % every; r != 0 {
-		return from + every - r
+	for _, sf := range n.Injector.DueStashFails(int64(now)) {
+		lost, reconstructed := n.Switches[sf.Switch].FailStashBank(now, sf.Port)
+		n.Injector.AddStashCopiesLost(int64(lost))
+		n.Injector.AddStashReconstructed(int64(reconstructed))
 	}
-	return from
+	last := sim.Never - 1 // the last cycle this epoch may step
+	for _, o := range n.observers {
+		last = min(last, o.NextEventAt(int64(now)))
+	}
+	if n.ckptFn != nil {
+		last = min(last, n.ckptAt-1)
+	}
+	if at, ok := n.Injector.NextStashFailAt(int64(now)); ok {
+		last = min(last, at-1)
+	}
+	return last + 1
+}
+
+// afterEpoch is the executor's AfterEpoch hook: publish simulated
+// progress, credit the epoch's cycles to the switches' "cycles" metric (an
+// epoch starts where the last one, or Restore, left cycleDone), and run
+// the observers that named the epoch's last cycle. The components are
+// quiescent, so observers may walk live state.
+//
+//stashsim:phase serial -- the observers walk live state; only the coordinator may run it
+func (n *Network) afterEpoch(next sim.Tick) {
+	ran := int64(next) - n.cycleDone.Swap(int64(next))
+	n.epochs++
+	n.epochCycles += ran
+	if n.Metrics != nil {
+		for _, s := range n.Switches {
+			s.CreditCycles(ran)
+		}
+	}
+	last := int64(next) - 1
+	for _, o := range n.observers {
+		if o.NextEventAt(last) == last {
+			o.AtBarrier(last)
+		}
+	}
 }

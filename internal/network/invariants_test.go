@@ -138,7 +138,7 @@ func TestInvariantsCatchStashInStashlessSwitch(t *testing.T) {
 	n.Switches[0].PortStash(0).PutCongested(proto.Flit{VC: 0, Size: 1})
 	orig := n.Invariants.ExtCreated
 	n.Invariants.ExtCreated = func() int64 { return orig() + 1 }
-	expectViolation(t, "zero capacity", func() { n.Invariants.Check(n.Now) })
+	expectViolation(t, "zero capacity", func() { n.Invariants.AtBarrier(n.Now) })
 }
 
 func TestInvariantsCatchStashOverflow(t *testing.T) {
@@ -164,7 +164,7 @@ func TestInvariantsCatchStashOverflow(t *testing.T) {
 	orig := n.Invariants.ExtCreated
 	n.Invariants.ExtCreated = func() int64 { return orig() + 1 }
 	pool.Delete(0, -(pool.Capacity() - pool.Used() + 1))
-	expectViolation(t, "stash occupancy", func() { n.Invariants.Check(n.Now) })
+	expectViolation(t, "stash occupancy", func() { n.Invariants.AtBarrier(n.Now) })
 }
 
 func TestInvariantsCatchFreedBufInBank(t *testing.T) {
@@ -192,7 +192,7 @@ func TestInvariantsCatchFreedBufInBank(t *testing.T) {
 	pool.PutCopy(proto.Flit{PktID: 7, Size: 1})
 	orig := n.Invariants.ExtCreated
 	n.Invariants.ExtCreated = func() int64 { return orig() + 1 }
-	n.Invariants.Check(n.Now) // healthy retained copy passes the audit
+	n.Invariants.AtBarrier(n.Now) // healthy retained copy passes the audit
 	// Now corrupt it: drop the bank's reference behind the pool's back.
 	// TakeCopy hands us a second reference; releasing both frees the
 	// buffer to the freelist while the store entry still points at it —
@@ -203,14 +203,12 @@ func TestInvariantsCatchFreedBufInBank(t *testing.T) {
 	}
 	b.Release()
 	b.Release()
-	expectViolation(t, "stash liveness", func() { n.Invariants.Check(n.Now) })
+	expectViolation(t, "stash liveness", func() { n.Invariants.AtBarrier(n.Now) })
 }
 
-// TestInvariantsNilAndSparse covers the disabled fast path and the
-// sparse-audit interval.
+// TestInvariantsNilAndSparse covers the sparse-audit interval (a disabled
+// checker is simply not on the observer list).
 func TestInvariantsNilAndSparse(t *testing.T) {
-	var iv *core.Invariants
-	iv.Check(0) // nil receiver: no-op
 	n := buildChecked(t, core.StashOff)
 	n.Invariants.Every = 10
 	n.Run(100)

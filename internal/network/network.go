@@ -13,7 +13,6 @@ import (
 	"stashsim/internal/fault"
 	"stashsim/internal/metrics"
 	"stashsim/internal/sim"
-	"stashsim/internal/telemetry"
 	"stashsim/internal/topo"
 )
 
@@ -33,7 +32,9 @@ type Network struct {
 
 	// Observability sinks; all nil (disabled) by default. See the
 	// EnableMetrics/EnableTracing/AttachSampler/AttachWatchdog wiring
-	// helpers.
+	// helpers. Sampler, Watchdog, Flight and Invariants are handles for
+	// reporting and checkpointing; what schedules them is the observer
+	// list they were registered on (Observe).
 	Metrics  *metrics.Registry
 	Tracer   *metrics.Tracer //stashsim:transient -- debugging sink; its output stream cannot resume mid-run
 	Sampler  *metrics.Sampler
@@ -45,21 +46,21 @@ type Network struct {
 	//stashsim:transient -- debugging sink; its output stream cannot resume mid-run
 	Profiler *sim.ExecProfiler
 
-	// Flight, when non-nil (AttachFlight), records per-cycle aggregate
+	// Flight, when non-nil (AttachFlight), records per-interval aggregate
 	// deltas into a ring dumped by the watchdog and SIGQUIT.
 	//
 	//stashsim:transient -- debugging sink; its output stream cannot resume mid-run
 	Flight *metrics.FlightRecorder
 
-	// Telemetry, when non-nil (AttachTelemetry), republishes a quiescent
-	// snapshot for the live HTTP server at its publication interval.
-	//
-	//stashsim:transient -- debugging sink; its output stream cannot resume mid-run
-	Telemetry *telemetry.Publisher
-
 	// Invariants, when non-nil (EnableInvariants), audits the
-	// conservation laws at the end of each Step.
+	// conservation laws after the cycles its interval names.
 	Invariants *core.Invariants
+
+	// observers is the barrier schedule: everything beforeEpoch asks for
+	// its next cycle and afterEpoch calls on it (see Observer).
+	//
+	//stashsim:transient -- wiring, rebuilt by the Attach calls; the stateful observers are walked through their handles above
+	observers []Observer
 
 	// Injector, when non-nil (Cfg.Fault active), owns the fault schedule:
 	// the per-link fault states were handed out at wiring time, and the
@@ -96,11 +97,18 @@ type Network struct {
 	// snapshots read it from other goroutines safely.
 	cycleDone atomic.Int64
 
+	// epochs and epochCycles count the barrier rounds run and the cycles
+	// they covered, for ExecStats.
+	//
+	//stashsim:transient -- wall-side accounting of this process's run, not simulated state
+	epochs      int64
+	epochCycles int64 //stashsim:transient -- wall-side accounting of this process's run, not simulated state
+
 	// ckptFn, when non-nil, is the pending checkpoint action scheduled by
-	// ScheduleCheckpoint: preCycle invokes it once at the first cycle
-	// >= ckptAt, before any fault event or component step of that cycle.
-	// nextSerialEvent clamps an epoch to end there, so the hook runs at a
-	// true serial barrier under any partitioning.
+	// ScheduleCheckpoint: beforeEpoch invokes it once at the first cycle
+	// >= ckptAt, before any fault event or component step of that cycle,
+	// having cut the previous epoch to end there, so it runs at a true
+	// serial barrier under any partitioning.
 	ckptAt int64
 	ckptFn func(now sim.Tick)
 }
@@ -200,45 +208,26 @@ func (n *Network) EnableTracing(tr *metrics.Tracer) {
 // input/output buffer fill, and the endpoint injection backlog (flits).
 func (n *Network) AttachSampler(every int64) *metrics.Sampler {
 	sp := metrics.NewSampler(every)
-	sp.Probe("stash.fill", func() float64 {
-		used, cap := 0, 0
-		for _, s := range n.Switches {
-			used += s.StashUsed()
-			cap += s.StashCapTotal()
+	// fill probes the network-wide used/capacity ratio of one buffer kind.
+	fill := func(of func(s *core.Switch) (used, cap int)) func() float64 {
+		return func() float64 {
+			used, cap := 0, 0
+			for _, s := range n.Switches {
+				u, c := of(s)
+				used, cap = used+u, cap+c
+			}
+			if cap == 0 {
+				return 0
+			}
+			return float64(used) / float64(cap)
 		}
-		if cap == 0 {
-			return 0
-		}
-		return float64(used) / float64(cap)
-	})
-	sp.Probe("in.buf.fill", func() float64 {
-		used, cap := 0, 0
-		for _, s := range n.Switches {
-			u, c, _, _ := s.BufferFill()
-			used += u
-			cap += c
-		}
-		if cap == 0 {
-			return 0
-		}
-		return float64(used) / float64(cap)
-	})
-	sp.Probe("out.buf.fill", func() float64 {
-		used, cap := 0, 0
-		for _, s := range n.Switches {
-			_, _, u, c := s.BufferFill()
-			used += u
-			cap += c
-		}
-		if cap == 0 {
-			return 0
-		}
-		return float64(used) / float64(cap)
-	})
-	sp.Probe("inject.backlog", func() float64 {
-		return float64(n.TotalQueuedFlits())
-	})
+	}
+	sp.Probe("stash.fill", fill(func(s *core.Switch) (int, int) { return s.StashUsed(), s.StashCapTotal() }))
+	sp.Probe("in.buf.fill", fill(func(s *core.Switch) (int, int) { u, c, _, _ := s.BufferFill(); return u, c }))
+	sp.Probe("out.buf.fill", fill(func(s *core.Switch) (int, int) { _, _, u, c := s.BufferFill(); return u, c }))
+	sp.Probe("inject.backlog", func() float64 { return float64(n.TotalQueuedFlits()) })
 	n.Sampler = sp
+	n.Observe(sp)
 	return sp
 }
 
@@ -247,15 +236,9 @@ func (n *Network) AttachSampler(every int64) *metrics.Sampler {
 // of every non-idle switch to out instead of spinning silently.
 func (n *Network) AttachWatchdog(window int64, out io.Writer) *metrics.Watchdog {
 	w := &metrics.Watchdog{
-		Window: window,
-		Out:    out,
-		Delivered: func() int64 {
-			var total int64
-			for _, ep := range n.Endpoints {
-				total += ep.RecvFlits
-			}
-			return total
-		},
+		Window:    window,
+		Out:       out,
+		Delivered: n.TotalDeliveredFlits,
 		Pending: func() bool {
 			if n.TotalQueuedFlits() > 0 {
 				return true
@@ -291,6 +274,7 @@ func (n *Network) AttachWatchdog(window int64, out io.Writer) *metrics.Watchdog 
 		}
 	}
 	n.Watchdog = w
+	n.Observe(w)
 	return w
 }
 
@@ -322,13 +306,7 @@ func (n *Network) EnableInvariants(every int64) *core.Invariants {
 			}
 			return total
 		},
-		ExtDestroyed: func() int64 {
-			var total int64
-			for _, ep := range n.Endpoints {
-				total += ep.RecvFlits
-			}
-			return total
-		},
+		ExtDestroyed: n.TotalDeliveredFlits,
 	}
 	for _, ep := range n.Endpoints {
 		toSw, _ := ep.AuditLinks()
@@ -358,6 +336,7 @@ func (n *Network) EnableInvariants(every int64) *core.Invariants {
 		}
 	}
 	n.Invariants = iv
+	n.Observe(iv)
 	return iv
 }
 
@@ -366,57 +345,6 @@ func (n *Network) DumpNonIdle(w io.Writer) {
 	for _, s := range n.Switches {
 		if s.Busy() {
 			io.WriteString(w, s.DumpState())
-		}
-	}
-}
-
-// preCycle applies the per-cycle singleton work that must precede any
-// component step: due stash-bank failure events. It is the executor's
-// PreCycle hook, run by the coordinator at the barrier before a cycle
-// nextSerialEvent named.
-//
-//stashsim:phase serial -- fault injection mutates arbitrary switches; only the coordinator may run it
-func (n *Network) preCycle(now sim.Tick) {
-	// The checkpoint fires before due stash failures so an event scheduled
-	// at this cycle is still unfired in the snapshot and re-fires in the
-	// restored run's first preCycle — the restored run replays this cycle.
-	if fn := n.ckptFn; fn != nil && int64(now) >= n.ckptAt {
-		n.ckptFn = nil
-		fn(now)
-	}
-	if n.Injector.HasStashFails() {
-		for _, sf := range n.Injector.DueStashFails(int64(now)) {
-			lost, reconstructed := n.Switches[sf.Switch].FailStashBank(now, sf.Port)
-			n.Injector.AddStashCopiesLost(int64(lost))
-			n.Injector.AddStashReconstructed(int64(reconstructed))
-		}
-	}
-}
-
-// postCycle runs the per-cycle singleton observers after every component
-// has stepped: sampler, watchdog, invariant audit. It is the executor's
-// PostCycle hook, run by the coordinator at the barrier after a cycle
-// nextSerialEvent named, so the probes see a quiescent network.
-//
-//stashsim:phase serial -- the observers walk live state; only the coordinator may run it
-func (n *Network) postCycle(now sim.Tick) {
-	n.Flight.Record(int64(now)) // before the watchdog so stall dumps include this cycle
-	n.Sampler.MaybeSample(now)
-	n.Watchdog.Observe(now)
-	n.Invariants.Check(now)
-	n.Telemetry.MaybePublish(int64(now))
-}
-
-// postEpoch is the executor's PostEpoch hook: publish simulated progress
-// and credit the epoch's cycles to the switches' "cycles" metric (an
-// epoch starts where the last one, or Restore, left cycleDone).
-//
-//stashsim:phase serial
-func (n *Network) postEpoch(next sim.Tick) {
-	ran := int64(next) - n.cycleDone.Swap(int64(next))
-	if n.Metrics != nil {
-		for _, s := range n.Switches {
-			s.CreditCycles(ran)
 		}
 	}
 }

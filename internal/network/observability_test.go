@@ -194,7 +194,7 @@ func TestExecProfileAndFlightEndToEnd(t *testing.T) {
 	n.EnableMetrics(reg)
 	n.SetWorkers(2)
 	prof := n.EnableExecProfile(64)
-	flight := n.AttachFlight(512)
+	flight := n.AttachFlight(64)
 	n.AttachTelemetry(128)
 	n.Run(cycles)
 
@@ -215,12 +215,17 @@ func TestExecProfileAndFlightEndToEnd(t *testing.T) {
 		t.Fatal("profiler ring empty")
 	}
 
-	if flight.Len() != 512 {
-		t.Fatalf("flight retained %d rows, want 512", flight.Len())
-	}
+	// 8000 cycles are 125 full intervals: the 64-row ring has wrapped and
+	// ends on the last multiple of the interval the run stepped.
 	rows := flight.Snapshot(0)
+	if len(rows) != 64 {
+		t.Fatalf("flight retained %d rows, want 64", len(rows))
+	}
 	var deltaSum int64
-	for _, row := range rows {
+	for i, row := range rows {
+		if want := int64(7936 - metrics.FlightInterval*(63-i)); row[0] != want {
+			t.Fatalf("flight row %d is cycle %d, want %d", i, row[0], want)
+		}
 		deltaSum += row[1] // "delivered" column
 	}
 	if deltaSum <= 0 || deltaSum > n.TotalDeliveredFlits() {

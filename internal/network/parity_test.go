@@ -129,7 +129,7 @@ func TestInvariantsCatchParityMismatch(t *testing.T) {
 	pool.AddParity(1)
 	orig := n.Invariants.ExtCreated
 	n.Invariants.ExtCreated = func() int64 { return orig() + 1 }
-	expectViolation(t, "parity accounting", func() { n.Invariants.Check(n.Now) })
+	expectViolation(t, "parity accounting", func() { n.Invariants.AtBarrier(n.Now) })
 }
 
 // TestWatchdogNotesReconstruction: during a bank-failure drain the stall

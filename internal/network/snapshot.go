@@ -21,8 +21,8 @@ import (
 // but resume-equality of their outputs is out of scope.
 
 // ScheduleCheckpoint arranges for fn to run once, at the serial barrier
-// before the first cycle >= at is executed. The executor clamps an epoch
-// to end there (nextSerialEvent), so fn always observes a fully quiescent
+// before the first cycle >= at is executed. The epoch before is cut to
+// end there (beforeEpoch), so fn always observes a fully quiescent
 // network. fn typically calls Checkpoint and writes the bytes out. Call
 // before Run.
 func (n *Network) ScheduleCheckpoint(at int64, fn func(now sim.Tick)) {

@@ -70,27 +70,16 @@ func (n *Network) TotalDeliveredFlits() int64 {
 }
 
 // AttachFlight installs a flight recorder retaining the last `rows`
-// cycles of aggregate deltas: deliveries, stash stores/retrieves, credit
-// stalls (per-cycle deltas) and stash occupancy plus injection backlog
-// (absolute gauges). Recorded once per cycle from the serial PostCycle
-// hook; dumped by the watchdog on stalls and by SIGQUIT.
+// intervals (metrics.FlightInterval cycles each) of aggregate readings:
+// deliveries, stash stores/retrieves, credit stalls (per-interval deltas)
+// and stash occupancy plus injection backlog (absolute gauges). Dumped by
+// the watchdog on stalls and by SIGQUIT. Attach it before the watchdog and
+// a stall dump includes the interval that ends on the stall cycle.
 func (n *Network) AttachFlight(rows int) *metrics.FlightRecorder {
 	f := metrics.NewFlightRecorder(rows,
 		metrics.FlightField{Name: "delivered", Read: n.TotalDeliveredFlits},
-		metrics.FlightField{Name: "stash.stores", Read: func() int64 {
-			var t int64
-			for _, s := range n.Switches {
-				t += s.Counters.StashStores
-			}
-			return t
-		}},
-		metrics.FlightField{Name: "stash.retrieves", Read: func() int64 {
-			var t int64
-			for _, s := range n.Switches {
-				t += s.Counters.StashRetrieves
-			}
-			return t
-		}},
+		metrics.FlightField{Name: "stash.stores", Read: func() int64 { return n.Counters().StashStores }},
+		metrics.FlightField{Name: "stash.retrieves", Read: func() int64 { return n.Counters().StashRetrieves }},
 		metrics.FlightField{Name: "credit.stalls", Read: n.TotalCreditStallCycles},
 		metrics.FlightField{Name: "stash.used", Gauge: true, Read: func() int64 {
 			return int64(n.TotalStashUsed())
@@ -98,14 +87,15 @@ func (n *Network) AttachFlight(rows int) *metrics.FlightRecorder {
 		metrics.FlightField{Name: "inject.backlog", Gauge: true, Read: n.TotalQueuedFlits},
 	)
 	n.Flight = f
+	n.Observe(f)
 	return f
 }
 
 // TelemetrySnapshot captures the full quiescent view the live server
 // publishes: counters, delivery totals, fault and watchdog state, the
 // executor profile, every registered gauge, and the flight recorder
-// tail. Call only while the network is quiescent (the publisher's Build
-// hook runs in PostCycle; CLIs also call it after a run).
+// tail. Call only while the network is quiescent (the publisher runs it
+// at a barrier; CLIs also call it after a run).
 func (n *Network) TelemetrySnapshot() *telemetry.Snapshot {
 	s := &telemetry.Snapshot{
 		Cycle:             n.CyclesDone(),
@@ -143,10 +133,11 @@ func (n *Network) TelemetrySnapshot() *telemetry.Snapshot {
 }
 
 // AttachTelemetry creates and attaches a snapshot publisher over
-// TelemetrySnapshot, refreshed every `every` cycles from the PostCycle
-// hook. The returned publisher feeds a telemetry.Server.
+// TelemetrySnapshot, refreshed every `every` cycles. The returned
+// publisher feeds a telemetry.Server. Attach it last, so each snapshot
+// carries what the other observers recorded on the same cycle.
 func (n *Network) AttachTelemetry(every int64) *telemetry.Publisher {
 	p := telemetry.NewPublisher(n.TelemetrySnapshot, every)
-	n.Telemetry = p
+	n.Observe(p)
 	return p
 }

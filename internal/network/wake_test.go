@@ -547,10 +547,10 @@ func driveWakeGrid(n *Network, kind string) *wakeObs {
 
 // TestSpuriousWakeIsNoop is the invariant over the configurations the
 // goldens pin: presets x {e2e, congestion + ECN, faults + parity k=4} x
-// workers {1, 2, 12} x flight recorder {off, on = one-cycle epochs}. Each
+// workers {1, 2, 12} x epochs {free-running, capped to one cycle}. Each
 // point's sleeping run must be indistinguishable from the regime's
-// all-awake reference (one partition, no recorder: results do not depend
-// on either, which TestWorkersDeterminism pins separately and this grid
+// all-awake reference (one partition, uncapped: results do not depend on
+// either, which TestEpochMatchesSerial pins separately and this grid
 // re-checks for free).
 func TestSpuriousWakeIsNoop(t *testing.T) {
 	presets := []string{"tiny", "small"}
@@ -578,18 +578,18 @@ func TestSpuriousWakeIsNoop(t *testing.T) {
 				setAllAwake(ref)
 				want := driveWakeGrid(ref, kind.name)
 				for _, workers := range []int{1, 2, 12} {
-					for _, flight := range []bool{false, true} {
-						if testing.Short() && flight && workers != 2 {
+					for _, perCycle := range []bool{false, true} {
+						if testing.Short() && perCycle && workers != 2 {
 							continue
 						}
 						n := build()
 						n.SetWorkers(workers)
-						if flight {
-							n.AttachFlight(16)
+						if perCycle {
+							setEpochCap(n, 1)
 						}
 						got := driveWakeGrid(n, kind.name)
 						n.Close()
-						t.Logf("workers=%d flight=%v", workers, flight)
+						t.Logf("workers=%d perCycle=%v", workers, perCycle)
 						got.mustEqual(t, want)
 					}
 				}

@@ -29,17 +29,12 @@ func newEpochExecutor(perPart int) (*Executor, [][]*countStepper, []*epochDrainR
 	return e, cs, drains
 }
 
-// every10 names every multiple of 10 as a serial-event cycle.
-func every10(from Tick) Tick {
-	if from%10 == 0 {
-		return from
-	}
-	return from + 10 - from%10
-}
+// every10 names every multiple of 10.
+func every10(from Tick) Tick { return NextMultiple(from, 10) }
 
-// everyCycle names every cycle as a serial-event cycle: the per-cycle
+// everyCycle is the BeforeEpoch that cuts after every cycle: the per-cycle
 // barrier as a degenerate epoch schedule.
-func everyCycle(from Tick) Tick { return from }
+func everyCycle(now Tick) Tick { return now + 1 }
 
 // TestEpochExecutorStepsEveryCycle verifies the free-running epoch loop
 // preserves the fundamental contract: every component steps exactly once
@@ -77,45 +72,49 @@ func TestEpochExecutorStepsEveryCycle(t *testing.T) {
 	}
 }
 
-// TestEpochExecutorSerialEventClamping pins the clamping contract: hooks
-// run exactly on the cycles nextEvent names (as 1-cycle epochs), never in
-// between, and free-running epochs never cross one.
+// TestEpochExecutorSerialEventClamping pins the cut contract for both
+// kinds of serial work. Observed cycles (every multiple of 10) end an
+// epoch: AfterEpoch runs with the frontier right after each, and no epoch
+// carries one anywhere but last. Action cycles (33 and 34) start one:
+// BeforeEpoch runs with exactly that cycle. In between, epochs run the
+// full lookahead of 7, and nothing costs a second barrier round.
 func TestEpochExecutorSerialEventClamping(t *testing.T) {
 	e, _, _ := newEpochExecutor(2)
-	var pre, post []Tick
-	var postEpoch []Tick
-	e.PreCycle = func(now Tick) { pre = append(pre, now) }
-	e.PostCycle = func(now Tick) { post = append(post, now) }
-	e.PostEpoch = func(next Tick) { postEpoch = append(postEpoch, next) }
-	e.NextEvent = every10
+	actions := []Tick{33, 34}
+	var starts, frontier []Tick
+	e.BeforeEpoch = func(now Tick) Tick {
+		starts = append(starts, now)
+		cut := every10(now) + 1
+		for _, a := range actions {
+			if a > now {
+				cut = min(cut, a)
+			}
+		}
+		return cut
+	}
+	e.AfterEpoch = func(next Tick) { frontier = append(frontier, next) }
 	e.Run(0, 50)
 	e.Close()
 
-	want := []Tick{0, 10, 20, 30, 40}
-	if len(pre) != len(want) || len(post) != len(want) {
-		t.Fatalf("hooks ran %d/%d times, want %d (pre=%v post=%v)", len(pre), len(post), len(want), pre, post)
+	want := []Tick{1, 8, 11, 18, 21, 28, 31, 33, 34, 41, 48, 50}
+	if len(frontier) != len(want) {
+		t.Fatalf("epochs ended at %v, want %v", frontier, want)
 	}
 	for i, w := range want {
-		if pre[i] != w || post[i] != w {
-			t.Fatalf("hook %d ran at pre=%d post=%d, want %d", i, pre[i], post[i], w)
+		if frontier[i] != w {
+			t.Fatalf("epochs ended at %v, want %v", frontier, want)
 		}
-	}
-	// PostEpoch publishes a strictly increasing frontier ending at `to`.
-	last := Tick(0)
-	for i, v := range postEpoch {
-		if v <= last {
-			t.Fatalf("PostEpoch %d published %d after %d (not increasing)", i, v, last)
+		// Each epoch starts where the last one ended: the hooks alternate.
+		if i > 0 && starts[i] != want[i-1] {
+			t.Fatalf("epoch %d started at %d, want %d", i, starts[i], want[i-1])
 		}
-		last = v
-	}
-	if last != 50 {
-		t.Fatalf("final published frontier %d, want 50", last)
 	}
 }
 
 // TestEpochExecutorHookOrdering pins the barrier contract with sparse
-// events: PreCycle sees all prior cycles complete, PostCycle sees its own
-// cycle complete, with work free-running in between.
+// cuts: BeforeEpoch sees every cycle before its own complete and none of
+// its own begun, AfterEpoch sees every cycle before the frontier complete,
+// with work free-running in between.
 func TestEpochExecutorHookOrdering(t *testing.T) {
 	const comps, cycles = 8, 60
 	var total atomic.Int64
@@ -125,17 +124,17 @@ func TestEpochExecutorHookOrdering(t *testing.T) {
 	}
 	e := NewPartitionedExecutor(parts, []int{0, 0}, 7, nil)
 	var bad atomic.Int64
-	e.PreCycle = func(now Tick) {
+	e.BeforeEpoch = func(now Tick) Tick {
 		if total.Load() != int64(now)*comps {
 			bad.Add(1)
 		}
+		return every10(now) + 1
 	}
-	e.PostCycle = func(now Tick) {
-		if total.Load() != int64(now+1)*comps {
+	e.AfterEpoch = func(next Tick) {
+		if total.Load() != int64(next)*comps {
 			bad.Add(1)
 		}
 	}
-	e.NextEvent = every10
 	e.Run(0, cycles)
 	e.Close()
 	if bad.Load() != 0 {

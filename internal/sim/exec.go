@@ -37,6 +37,16 @@ type Stepper interface {
 // Never is the NextWake answer of a component with nothing pending.
 const Never Tick = math.MaxInt64
 
+// NextMultiple returns the smallest multiple of every that is >= from: the
+// next firing cycle of a fixed-interval schedule anchored at cycle 0. An
+// interval below one fires every cycle.
+func NextMultiple(from, every Tick) Tick {
+	if every < 1 {
+		return from
+	}
+	return (from + every - 1) / every * every
+}
+
 // EpochDrainer delivers one partition's buffered cross-partition traffic
 // at an epoch boundary (the network implements it over the staged links
 // whose consumer side the partition owns). DrainEpoch runs on the
@@ -54,19 +64,20 @@ type EpochDrainer interface {
 
 // Executor drives partitions of components through simulated cycles in
 // epochs: conservative parallel simulation with lookahead. Each barrier
-// round releases every partition into a span of cycles [now, now+L), which
-// it steps with no further synchronization; L is the lookahead — the
-// smallest latency of any channel between two partitions — clamped to the
-// Run bound and to the next serial event.
+// round releases every partition into a span of cycles [now, end), which
+// it steps with no further synchronization. A span is never longer than
+// the lookahead — the smallest latency of any channel between two
+// partitions — and ends at the Run bound or at the cut BeforeEpoch names,
+// whichever comes first.
 //
-// NextEvent names the cycles that carry a serial event (fault injection,
-// sampler, watchdog, invariants, telemetry, flight recorder). An epoch
-// never crosses one: it ends there, and the event's cycle runs as a
-// 1-cycle epoch bracketed by PreCycle and PostCycle on the goroutine
-// calling Run, with every component step of that cycle strictly between
-// them. Hook semantics are therefore cycle-exact whatever the epoch
-// length, and a NextEvent that names every cycle degrades the executor to
-// a per-cycle barrier.
+// Serial work happens only between spans, on the goroutine calling Run:
+// BeforeEpoch(now) runs with every cycle before now complete and none of
+// now begun, AfterEpoch(end) with every cycle before end complete. Work
+// that must precede cycle c therefore has BeforeEpoch cut at c and runs in
+// the next call; work that must follow cycle c has it cut at c+1 and runs
+// in AfterEpoch. Either is cycle-exact whatever the epoch length, and a
+// BeforeEpoch that always answers now+1 degrades the executor to a
+// per-cycle barrier.
 //
 // One partition runs inline on the calling goroutine: no goroutines, no
 // barrier. Two or more run on long-lived workers that park at the entry
@@ -94,19 +105,13 @@ type Executor struct {
 	lookahead Tick
 	barrier   *Barrier // nil with a single partition
 
-	// NextEvent, when non-nil, returns the next cycle >= from on which
-	// the PreCycle/PostCycle hooks must run; nil means never. Set before
-	// the first Run, like the hooks.
-	NextEvent func(from Tick) Tick
-	// PreCycle runs serially before any component steps an event cycle,
-	// PostCycle after every component has stepped it. Both optional.
-	PreCycle  func(now Tick)
-	PostCycle func(now Tick)
-	// PostEpoch, when non-nil, runs serially after each epoch — before
-	// PostCycle, so its observers see it — with the first cycle the
-	// components have NOT yet stepped. The network uses it to publish
-	// simulated progress.
-	PostEpoch func(next Tick)
+	// BeforeEpoch, when non-nil, runs serially before each epoch with its
+	// first cycle and returns the cut: the first cycle, after now, that the
+	// epoch must not step. Set before the first Run, like AfterEpoch.
+	BeforeEpoch func(now Tick) (cut Tick)
+	// AfterEpoch, when non-nil, runs serially after each epoch with the
+	// first cycle the components have NOT yet stepped.
+	AfterEpoch func(next Tick)
 
 	// Profiler, when non-nil, receives per-partition per-phase timings.
 	// Set before the first Run. A profiler sized for a different partition
@@ -187,9 +192,8 @@ func (e *Executor) WakeAll() {
 }
 
 // Run advances all components from cycle `from` (inclusive) to `to`
-// (exclusive). Within each cycle every component steps exactly once; on
-// the cycles NextEvent names, bracketed by the PreCycle and PostCycle
-// hooks. This is the coordinator loop: one iteration per epoch.
+// (exclusive). Within each cycle every component steps exactly once. This
+// is the coordinator loop: one iteration per epoch.
 //
 //stashsim:phase serial
 func (e *Executor) Run(from, to Tick) {
@@ -216,47 +220,37 @@ func (e *Executor) Run(from, to Tick) {
 	t0 := prof.clock()
 	rel := t0
 	for now := from; now < to; {
-		hooks, L := false, to-now
-		if e.NextEvent != nil {
-			next := e.NextEvent(now)
-			if hooks = next <= now; hooks {
-				L = 1
-			} else if next-now < L {
-				L = next - now
+		end := min(to, now+e.lookahead)
+		if e.BeforeEpoch != nil {
+			cut := e.BeforeEpoch(now)
+			if cut <= now {
+				panic(fmt.Sprintf("sim: BeforeEpoch(%d) cut the epoch at %d, before it could step a cycle", now, cut))
 			}
-		}
-		if L > e.lookahead {
-			L = e.lookahead
-		}
-		if hooks && e.PreCycle != nil {
-			e.PreCycle(now)
+			end = min(end, cut)
 		}
 		t1 := prof.clock()
 		e.epoch.Add(1)
 		var dDrain, dA, dB, t2 int64
 		if e.barrier == nil {
-			dDrain, dA, dB, t2 = e.span(0, now, now+L, prof, t1)
+			dDrain, dA, dB, t2 = e.span(0, now, end, prof, t1)
 		} else {
 			e.cur.Store(int64(now))
-			e.curLen.Store(int64(L))
+			e.curLen.Store(int64(end - now))
 			e.epRel.Store(rel)
-			e.barrier.Wait() // release partitions into [now, now+L)
+			e.barrier.Wait() // release partitions into [now, end)
 			e.barrier.Wait() // every partition has stepped the span
 			t2 = prof.clock()
 			e.epPub.Store(t2)
 		}
-		if e.PostEpoch != nil {
-			e.PostEpoch(now + L)
-		}
-		if hooks && e.PostCycle != nil {
-			e.PostCycle(now)
+		if e.AfterEpoch != nil {
+			e.AfterEpoch(end)
 		}
 		t3 := prof.clock()
 		if e.barrier == nil {
 			prof.recWorkerEpoch(int64(now), 0, t1, 0, dDrain, dA, dB, 0)
 		}
-		prof.recCoordEpoch(int64(now), t0, t1-t0, t2-t1, t3-t2, int64(L))
-		now, t0, rel = now+L, t3, t2
+		prof.recCoordEpoch(int64(now), t0, t1-t0, t2-t1, t3-t2, int64(end-now))
+		now, t0, rel = end, t3, t2
 	}
 }
 

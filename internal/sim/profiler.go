@@ -12,12 +12,12 @@ import (
 // The executor stall profiler answers "why doesn't parallel scale?": it
 // attributes every nanosecond of a Run's wall time to phase work (stepping
 // components), barrier waits (release wait — the shadow of the serial
-// hooks — and publish wait — straggler skew), or the serial PreCycle /
-// PostCycle hooks themselves. Recording is zero-allocation (fixed-size
+// hooks — and publish wait — straggler skew), or the serial BeforeEpoch /
+// AfterEpoch hooks themselves. Recording is zero-allocation (fixed-size
 // log2 histograms and a preallocated ring, all atomics), so a profiled
 // run differs from an unprofiled one only by clock reads, and the
 // profiler may be read concurrently with the run (the telemetry snapshot
-// path does exactly that from the PostCycle hook while workers record
+// path does exactly that from the AfterEpoch hook while workers record
 // their publish waits).
 //
 // Wall-clock time is inherently nondeterministic; it never feeds the
@@ -54,10 +54,11 @@ const (
 	// PhaseBarrierPublish is a worker's wait at the epoch-exit barrier
 	// after finishing its own partition: pure straggler skew.
 	PhaseBarrierPublish
-	// PhasePreHook is the coordinator's serial PreCycle hook.
+	// PhasePreHook is the coordinator's serial BeforeEpoch hook (the
+	// network's due actions and the epoch cut).
 	PhasePreHook
-	// PhasePostHook is the coordinator's serial PostCycle hook (sampler,
-	// watchdog, invariants, flight recorder, telemetry publish).
+	// PhasePostHook is the coordinator's serial AfterEpoch hook (progress
+	// and the network's due observers).
 	PhasePostHook
 	// PhaseCycleSpan is the coordinator's span between releasing the
 	// partitions and the last one finishing: the stepping section of the

@@ -45,13 +45,10 @@ func TestExecProfilerSerial(t *testing.T) {
 		steppers = append(steppers, &countStepper{})
 	}
 	e := NewPartitionedExecutor([][]Stepper{steppers}, []int{2}, 1<<40, nil)
-	e.NextEvent = everyCycle
+	e.BeforeEpoch = everyCycle
 	p := NewExecProfiler(1, 16)
 	p.SetPhaseLabels("endpoints", "switches")
 	e.Profiler = p
-	pre, post := 0, 0
-	e.PreCycle = func(Tick) { pre++ }
-	e.PostCycle = func(Tick) { post++ }
 	e.Run(0, cycles)
 	r := p.Report()
 	if r.Cycles != cycles {
@@ -89,7 +86,7 @@ func TestExecProfilerParallel(t *testing.T) {
 	}
 	parts, _ := roundRobin(steppers, workers)
 	e := NewPartitionedExecutor(parts, []int{1, 1, 1, 0}, 7, nil)
-	e.NextEvent = everyCycle
+	e.BeforeEpoch = everyCycle
 	p := NewExecProfiler(workers, 8)
 	e.Profiler = p
 	e.Run(0, cycles)

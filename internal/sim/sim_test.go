@@ -203,9 +203,9 @@ type tallyStepper struct {
 
 func (s *tallyStepper) Step(now Tick) { s.total.Add(1) }
 
-// TestExecutorHookOrdering verifies the barrier contract with an event on
-// every cycle: PreCycle runs strictly before any component step of its
-// cycle and PostCycle strictly after all of them, inline and with workers.
+// TestExecutorHookOrdering verifies the barrier contract with a cut after
+// every cycle: BeforeEpoch runs strictly before any component step of its
+// cycle and AfterEpoch strictly after all of them, inline and with workers.
 func TestExecutorHookOrdering(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		const comps, cycles = 8, 40
@@ -216,29 +216,41 @@ func TestExecutorHookOrdering(t *testing.T) {
 		}
 		parts, aCounts := roundRobin(steppers, workers)
 		e := NewPartitionedExecutor(parts, aCounts, 7, nil)
-		e.NextEvent = everyCycle
-		var bad atomic.Int64
-		e.PreCycle = func(now Tick) {
+		var bad, rounds atomic.Int64
+		e.BeforeEpoch = func(now Tick) Tick {
 			// Entering cycle `now`, exactly now*comps steps have happened.
 			if total.Load() != int64(now)*comps {
 				bad.Add(1)
 			}
+			return everyCycle(now)
 		}
-		e.PostCycle = func(now Tick) {
-			// Leaving cycle `now`, its comps steps are all complete.
-			if total.Load() != int64(now+1)*comps {
+		e.AfterEpoch = func(next Tick) {
+			// Leaving cycle next-1, its comps steps are all complete.
+			if total.Load() != int64(next)*comps {
 				bad.Add(1)
 			}
+			rounds.Add(1)
 		}
 		e.Run(0, cycles)
 		e.Close()
 		if bad.Load() != 0 {
 			t.Fatalf("workers=%d: %d hook-ordering violations", workers, bad.Load())
 		}
+		if rounds.Load() != cycles {
+			t.Fatalf("workers=%d: %d barrier rounds, want one per cycle (%d)", workers, rounds.Load(), cycles)
+		}
 		if total.Load() != comps*cycles {
 			t.Fatalf("workers=%d: %d total steps, want %d", workers, total.Load(), comps*cycles)
 		}
 	}
+}
+
+// TestExecutorRejectsEmptyCut: a BeforeEpoch that cuts the epoch at or
+// before its first cycle would spin the loop forever; Run panics instead.
+func TestExecutorRejectsEmptyCut(t *testing.T) {
+	e := NewPartitionedExecutor([][]Stepper{{&countStepper{}}}, []int{0}, 7, nil)
+	e.BeforeEpoch = func(now Tick) Tick { return now }
+	mustPanicSim(t, "cut at now", func() { e.Run(0, 10) })
 }
 
 // TestExecutorRunAfterClose: Close is idempotent and terminal — a later

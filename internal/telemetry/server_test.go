@@ -107,8 +107,8 @@ func TestHealthzStalled(t *testing.T) {
 		Delivered: func() int64 { return 0 },
 		Pending:   func() bool { return true },
 	}
-	for now := int64(0); now <= 10; now++ {
-		w.Observe(now)
+	for _, now := range []int64{0, 5, 10} { // open the first window, then two boundaries
+		w.AtBarrier(now)
 	}
 	if !w.Stalled() {
 		t.Fatal("watchdog should be stalled")

@@ -7,14 +7,14 @@
 // The design splits reads by safety class. Registry counters are atomic
 // and may be read at any instant, so /metrics reads them live. Gauges and
 // network aggregates walk unsynchronized component state, so they are
-// captured only from the serial PostCycle hook into an immutable Snapshot
-// published through an atomic pointer; the HTTP goroutine only ever loads
-// that pointer. The simulation therefore never blocks on a scrape, scrape
+// captured only at a cycle barrier into an immutable Snapshot published
+// through an atomic pointer; the HTTP goroutine only ever loads that
+// pointer. The simulation therefore never blocks on a scrape, scrape
 // results never tear, and determinism is untouched (the server performs
 // no writes into simulation state). This package is intentionally outside
 // the determinism-linted set: it may use goroutines, time and the
 // network, and must never be imported by component code on the hot path —
-// the network integrates with it only through nil-safe hook calls.
+// the network integrates with it only as one more barrier observer.
 package telemetry
 
 import (
@@ -39,9 +39,9 @@ type FlightTail struct {
 	Rows   [][]int64 `json:"rows"`
 }
 
-// Snapshot is one immutable published view of the simulation, built in
-// the serial PostCycle hook (network quiescent) and handed to readers by
-// pointer. Everything in it is a copy; readers never chase live state.
+// Snapshot is one immutable published view of the simulation, built at a
+// cycle barrier (network quiescent) and handed to readers by pointer.
+// Everything in it is a copy; readers never chase live state.
 type Snapshot struct {
 	Cycle             int64           `json:"cycle"`
 	Counters          core.Counters   `json:"counters"`
@@ -69,10 +69,9 @@ type GaugeSample struct {
 }
 
 // Publisher owns the snapshot hand-off between the simulation loop and
-// the HTTP goroutine. Build runs on the simulation side (PostCycle, so it
-// may walk live state freely); Latest is wait-free for readers. A nil
-// *Publisher is a no-op, so the network's hook call costs one branch when
-// telemetry is disabled.
+// the HTTP goroutine. It is a barrier observer (network.Observer) naming
+// the multiples of its interval, so build runs on the simulation side and
+// may walk live state freely; Latest is wait-free for readers.
 type Publisher struct {
 	build func() *Snapshot
 	every int64
@@ -80,32 +79,27 @@ type Publisher struct {
 }
 
 // NewPublisher returns a publisher that refreshes the snapshot every
-// `every` cycles (values below one are clamped to 64). It publishes an
-// initial snapshot immediately so readers never observe nil.
+// `every` cycles (values below one mean the flight recorder's interval).
+// It publishes an initial snapshot immediately so readers never observe
+// nil.
 func NewPublisher(build func() *Snapshot, every int64) *Publisher {
 	if every < 1 {
-		every = 64
+		every = metrics.FlightInterval
 	}
 	p := &Publisher{build: build, every: every}
 	p.cur.Store(build())
 	return p
 }
 
-// Every returns the publication interval in cycles.
-func (p *Publisher) Every() int64 { return p.every }
+// NextEventAt names the publication cycles: the multiples of the interval.
+//
+//stashsim:phase serial
+func (p *Publisher) NextEventAt(from int64) int64 { return sim.NextMultiple(from, p.every) }
 
-// MaybePublish refreshes the snapshot at the publication interval. Called
-// once per cycle from the serial PostCycle hook.
+// AtBarrier republishes the snapshot after cycle now.
 //
 //stashsim:phase serial -- build() walks live simulation state; only the coordinator may run it
-func (p *Publisher) MaybePublish(now int64) {
-	if p == nil {
-		return
-	}
-	if now%p.every == 0 {
-		p.cur.Store(p.build())
-	}
-}
+func (p *Publisher) AtBarrier(int64) { p.Publish() }
 
 // Publish forces an immediate refresh (end of run, signal dump).
 //
