@@ -73,10 +73,8 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
 	flag.Parse()
 
-	switch *preset {
-	case "", "tiny", "small", "paper":
-	default:
-		log.Fatalf("unknown preset %q (want tiny, small, or paper)", *preset)
+	if _, err := core.PresetConfig(*preset); err != nil {
+		log.Fatal(err)
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

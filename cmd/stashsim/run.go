@@ -104,16 +104,9 @@ func (sp *simSpec) faultPlan() (*fault.Plan, error) {
 
 // config materializes the spec's network configuration.
 func (sp *simSpec) config() (*core.Config, error) {
-	var cfg *core.Config
-	switch sp.Preset {
-	case "paper":
-		cfg = core.PaperConfig()
-	case "tiny":
-		cfg = core.TinyConfig()
-	case "", "small":
-		cfg = core.SmallConfig()
-	default:
-		return nil, fmt.Errorf("unknown preset %q", sp.Preset)
+	cfg, err := core.PresetConfig(sp.Preset)
+	if err != nil {
+		return nil, err
 	}
 	if sp.P > 0 && sp.A > 0 && sp.H > 0 {
 		cfg = core.PaperConfig()

@@ -187,7 +187,7 @@ func checkNoAllocCall(pass *Pass, facts *Facts, fd *ast.FuncDecl, call *ast.Call
 		return
 	}
 
-	callee, _ := obj.(*types.Func)
+	callee := calleeFunc(pass.Info, call)
 	if callee == nil {
 		// A dynamic call through a plain function value: the target is
 		// unverifiable, so the closure proof stops here.
@@ -246,9 +246,11 @@ func checkNoAllocConversion(pass *Pass, fd *ast.FuncDecl, call *ast.CallExpr, ta
 
 // checkBoxedArgs flags concrete values passed where the callee takes an
 // interface: the implicit conversion boxes and may allocate. panic and
-// error cold paths are expected to suppress with //lint:allow.
+// error cold paths are expected to suppress with //lint:allow. The
+// parameter types are the call site's — instantiated, where the callee is
+// generic: a T parameter takes its argument unboxed.
 func checkBoxedArgs(pass *Pass, fd *ast.FuncDecl, call *ast.CallExpr, callee *types.Func) {
-	sig, ok := callee.Type().(*types.Signature)
+	sig, ok := pass.Info.TypeOf(call.Fun).(*types.Signature)
 	if !ok {
 		return
 	}

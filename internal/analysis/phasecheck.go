@@ -182,7 +182,9 @@ func checkParallelWrite(pass *Pass, facts *Facts, fd *ast.FuncDecl, lhs ast.Expr
 }
 
 // calleeFunc resolves a call expression to the called function or method
-// object, or nil for dynamic calls, conversions and builtins.
+// as declared, or nil for dynamic calls, conversions and builtins. A method
+// of an instantiated generic type (buffer.Queue[proto.Flit].Push) is its own
+// object; directives and bodies hang off the declaration, hence Origin.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	fun := call.Fun
 	for {
@@ -199,15 +201,18 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	case *ast.SelectorExpr:
 		obj = info.Uses[f.Sel]
 	}
-	fn, _ := obj.(*types.Func)
-	return fn
+	if fn, ok := obj.(*types.Func); ok {
+		return fn.Origin()
+	}
+	return nil
 }
 
-// selectedField resolves a selector to the struct field it names, or nil.
+// selectedField resolves a selector to the struct field it names, as
+// declared (see calleeFunc), or nil.
 func selectedField(info *types.Info, sel *ast.SelectorExpr) *types.Var {
 	if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
 		if v, ok := s.Obj().(*types.Var); ok {
-			return v
+			return v.Origin()
 		}
 	}
 	return nil

@@ -139,8 +139,9 @@ func takesCodec(pass *Pass, ft *ast.FuncType) bool {
 	return false
 }
 
-// localStruct strips pointers from t and returns it when it is a named
-// struct type declared in the package under analysis.
+// localStruct strips pointers from t and returns it — as declared, when it
+// is an instance of a generic type — when it is a named struct type declared
+// in the package under analysis.
 func localStruct(pass *Pass, t types.Type) *types.Named {
 	for {
 		p, ok := t.(*types.Pointer)
@@ -156,7 +157,7 @@ func localStruct(pass *Pass, t types.Type) *types.Named {
 	if _, ok := n.Underlying().(*types.Struct); !ok {
 		return nil
 	}
-	return n
+	return n.Origin()
 }
 
 // heldByValue unwraps arrays and slices down to the element type a field

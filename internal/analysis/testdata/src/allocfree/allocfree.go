@@ -63,6 +63,21 @@ func warmGrow(n int) []entry {
 	return buf
 }
 
+// queue is generic: a call through an instance (queue[entry]) resolves to
+// the declared method, which is where the directive hangs.
+type queue[T any] struct{ buf []T }
+
+//stashsim:noalloc
+func (q *queue[T]) push(v T) { q.buf = append(q.buf, v) }
+
+func (q *queue[T]) trim() {}
+
+//stashsim:noalloc
+func throughInstance(q *queue[entry], e entry) {
+	q.push(e) // annotated on the declaration; the T parameter takes e unboxed
+	q.trim()  // want "calls trim, which is not annotated //stashsim:noalloc"
+}
+
 // coldPath is unannotated: it may allocate freely.
 func coldPath(n int) []entry {
 	return make([]entry, n)

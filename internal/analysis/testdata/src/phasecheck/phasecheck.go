@@ -40,6 +40,23 @@ func helper(s *state) {
 	scratch.plain = 2 // a local value: mutates a stack copy, no finding
 }
 
+// slot is generic: the closure follows a call on an instance (slot[int])
+// into the declared method's body.
+type slot[T any] struct {
+	//stashsim:owner partition
+	v T
+}
+
+func (b *slot[T]) set(s *state, v T) {
+	b.v = v
+	_ = s.serialCount // want "touches field serialCount"
+}
+
+//stashsim:phase parallel
+func stepThroughInstance(b *slot[int], s *state) {
+	b.set(s, 1)
+}
+
 //stashsim:phase parallel
 func stepAllowed(s *state) {
 	//lint:allow phasecheck -- quiescent read; workers are parked at the barrier here

@@ -9,6 +9,7 @@ func (p *port) state(c *snapshot.Codec) {
 		c.I64(&e.at)
 		c.U8(&e.size)
 	})
+	snapshot.Wire64(c, &p.recent.n)
 	for i := range p.latch {
 		c.U64(&p.latch[i].pkt)
 	}

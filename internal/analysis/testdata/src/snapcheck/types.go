@@ -5,10 +5,11 @@ package snapfix
 
 // port is a stateful component in the shape of the real switch ports.
 type port struct {
-	id      int     //stashsim:derived -- structural: rebuilt from the configuration
-	credits int     // walked
-	pending []entry // walked through an element walk
-	latch   [2]lock // held by value; the walk selects lock.pkt
+	id      int           //stashsim:derived -- structural: rebuilt from the configuration
+	credits int           // walked
+	pending []entry       // walked through an element walk
+	latch   [2]lock       // held by value; the walk selects lock.pkt
+	recent  window[entry] // a generic struct held by value; the walk selects window.n
 
 	// armed is rebuilt from pending after restore.
 	//
@@ -39,6 +40,14 @@ type entry struct {
 type lock struct {
 	pkt    uint64
 	active bool // want "field lock.active is not selected by the state walk"
+}
+
+// window is generic and held as window[entry]: its fields and their
+// directives are the declaration's, whatever the instance.
+type window[T any] struct {
+	slots []T //stashsim:derived -- storage layout; rebuilt by the pushes of the walk
+	n     int
+	hits  int // want "field window.hits is not selected by the state walk"
 }
 
 // plan is configuration: no walk takes it and none selects into it, so it

@@ -2,15 +2,12 @@ package snapcleanfix
 
 import "stashsim/internal/snapshot"
 
-func (r *ring) state(c *snapshot.Codec) {
-	if c.Decoding() {
-		*r = ring{}
-	}
-	snapshot.Ring(c, r, 8, c.I64)
+func (r *ring[T]) state(c *snapshot.Codec, elem func(*T)) {
+	snapshot.Ring(c, r, 8, elem)
 }
 
 func (t *tracker) state(c *snapshot.Codec) {
-	t.timers.state(c)
+	t.timers.state(c, c.I64)
 	snapshot.Map(c, &t.byID, 10, c.U64, func(r **rec) {
 		if c.Decoding() {
 			*r = &rec{}

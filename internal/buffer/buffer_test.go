@@ -12,7 +12,7 @@ func flit(seq int) proto.Flit {
 }
 
 func TestRingFIFO(t *testing.T) {
-	var r Ring
+	var r Queue[proto.Flit]
 	for i := 0; i < 100; i++ {
 		r.Push(flit(i % 250))
 	}
@@ -31,7 +31,7 @@ func TestRingFIFO(t *testing.T) {
 }
 
 func TestRingInterleavedPushPop(t *testing.T) {
-	var r Ring
+	var r Queue[proto.Flit]
 	next, expect := 0, 0
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 7; i++ {
@@ -55,7 +55,7 @@ func TestRingInterleavedPushPop(t *testing.T) {
 }
 
 func TestRingFrontAndAt(t *testing.T) {
-	var r Ring
+	var r Queue[proto.Flit]
 	for i := 0; i < 10; i++ {
 		r.Push(flit(i))
 	}
@@ -70,7 +70,7 @@ func TestRingFrontAndAt(t *testing.T) {
 }
 
 func TestRingPanics(t *testing.T) {
-	var r Ring
+	var r Queue[proto.Flit]
 	for _, f := range []func(){
 		func() { r.Pop() },
 		func() { r.Front() },
@@ -88,19 +88,19 @@ func TestRingPanics(t *testing.T) {
 }
 
 func TestTimedRingDelivery(t *testing.T) {
-	var r TimedRing
-	r.Push(TimedFlit{At: 10, Flit: flit(0)})
-	r.Push(TimedFlit{At: 12, Flit: flit(1)})
+	var r Timed[proto.Flit]
+	r.Push(10, flit(0))
+	r.Push(12, flit(1))
 	if _, ok := r.PopDue(9); ok {
 		t.Fatal("delivered early")
 	}
-	if f, ok := r.PopDue(10); !ok || f.Flit.Seq != 0 {
+	if f, ok := r.PopDue(10); !ok || f.Seq != 0 {
 		t.Fatal("first not delivered at deadline")
 	}
 	if _, ok := r.PopDue(11); ok {
 		t.Fatal("second delivered early")
 	}
-	if f, ok := r.PopDue(20); !ok || f.Flit.Seq != 1 {
+	if f, ok := r.PopDue(20); !ok || f.Seq != 1 {
 		t.Fatal("second not delivered late")
 	}
 }
@@ -522,7 +522,7 @@ func TestBankedMemWriteAvoidance(t *testing.T) {
 
 func TestRingQuickConservation(t *testing.T) {
 	if err := quick.Check(func(ops []uint8) bool {
-		var r Ring
+		var r Queue[proto.Flit]
 		pushed, popped := 0, 0
 		for _, op := range ops {
 			if op%3 != 0 {

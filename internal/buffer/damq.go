@@ -27,7 +27,7 @@ func Reserves(capacity, numVCs int) int {
 // CreditCounter; both make the reserved-first allocation decision
 // deterministically so their views never diverge.
 type DAMQ struct {
-	queues   []Ring
+	queues   []Queue[proto.Flit]
 	capacity int //stashsim:derived -- structural; rebuilt from the configuration
 	reserve  int //stashsim:derived -- structural: the per-VC reserved quota, rebuilt from the configuration
 	resvUsed []int
@@ -40,7 +40,7 @@ type DAMQ struct {
 // numVCs virtual channels.
 func NewDAMQ(capacity, numVCs int) *DAMQ {
 	return &DAMQ{
-		queues:   make([]Ring, numVCs),
+		queues:   make([]Queue[proto.Flit], numVCs),
 		capacity: capacity,
 		reserve:  Reserves(capacity, numVCs),
 		resvUsed: make([]int, numVCs),

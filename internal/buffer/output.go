@@ -1,10 +1,6 @@
 package buffer
 
-import (
-	"math"
-
-	"stashsim/internal/proto"
-)
+import "stashsim/internal/proto"
 
 // OutBuf is a switch output buffer. Architecturally it provides link-level
 // retransmission: a transmitted flit is retained until the link-level
@@ -18,66 +14,20 @@ import (
 // Like the input buffer, the normal partition is a DAMQ shared by the
 // network VCs.
 type OutBuf struct {
-	queues   []Ring // per-VC FIFOs awaiting transmission
-	capacity int    //stashsim:derived -- structural: the normal-partition capacity in flits, rebuilt from the configuration
-	queued   int    // flits awaiting transmission
-	inflight deadlineRing
+	queues   []Queue[proto.Flit] // per-VC FIFOs awaiting transmission
+	capacity int                 //stashsim:derived -- structural: the normal-partition capacity in flits, rebuilt from the configuration
+	queued   int                 // flits awaiting transmission
+	// inflight is the retention window. It holds no flits, only the cycle
+	// each sent flit's space comes back: 8 bytes an entry.
+	inflight Timed[struct{}]
 	occupied uint32
-}
-
-// deadlineRing is a growable FIFO of non-decreasing release deadlines: the
-// retention window holds no flits, only the cycle each sent flit's space
-// comes back. nextAt mirrors the front so the per-cycle probe stays on the
-// header (see TimedRing).
-type deadlineRing struct {
-	buf    []int64
-	head   int
-	n      int
-	nextAt int64
-}
-
-// Len returns the number of held deadlines.
-//
-//stashsim:noalloc
-func (r *deadlineRing) Len() int { return r.n }
-
-// Push appends a deadline.
-//
-//stashsim:noalloc
-func (r *deadlineRing) Push(at int64) {
-	if r.n == len(r.buf) {
-		r.buf, r.head = growRing(r.buf, r.head, r.n), 0
-	}
-	if r.n == 0 {
-		r.nextAt = at
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = at
-	r.n++
-}
-
-// At returns a pointer to the i-th oldest deadline (0 = front).
-//
-//stashsim:noalloc
-func (r *deadlineRing) At(i int) *int64 { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
-
-// popDue drops every deadline that has passed.
-//
-//stashsim:noalloc
-func (r *deadlineRing) popDue(now int64) {
-	for r.n > 0 && r.nextAt <= now {
-		r.head = (r.head + 1) & (len(r.buf) - 1)
-		r.n--
-		if r.n > 0 {
-			r.nextAt = r.buf[r.head]
-		}
-	}
 }
 
 // NewOutBuf builds an output buffer with the given normal-partition
 // capacity in flits, shared by numVCs virtual channels.
 func NewOutBuf(capacity, numVCs int) *OutBuf {
 	return &OutBuf{
-		queues:   make([]Ring, numVCs),
+		queues:   make([]Queue[proto.Flit], numVCs),
 		capacity: capacity,
 	}
 }
@@ -88,7 +38,7 @@ func (b *OutBuf) Capacity() int { return b.capacity }
 // Used returns the total occupancy: queued plus retained flits.
 //
 //stashsim:noalloc
-func (b *OutBuf) Used() int { return b.queued + b.inflight.n }
+func (b *OutBuf) Used() int { return b.queued + b.inflight.Len() }
 
 // Queued returns the number of flits awaiting transmission.
 //
@@ -100,7 +50,7 @@ func (b *OutBuf) Queued() int { return b.queued }
 // has nothing to do until new flits or credits arrive.
 //
 //stashsim:noalloc
-func (b *OutBuf) Retained() int { return b.inflight.n }
+func (b *OutBuf) Retained() int { return b.inflight.Len() }
 
 // Free returns the number of flits that can currently be accepted.
 //
@@ -144,31 +94,28 @@ func (b *OutBuf) Send(vc int, releaseAt int64) proto.Flit {
 	if b.queues[vc].Empty() {
 		b.occupied &^= 1 << uint(vc)
 	}
-	b.inflight.Push(releaseAt)
+	b.inflight.Push(releaseAt, struct{}{})
 	return f
 }
 
 // Release frees the space of every retained flit whose deadline has passed.
 //
 //stashsim:noalloc
-func (b *OutBuf) Release(now int64) { b.inflight.popDue(now) }
+func (b *OutBuf) Release(now int64) {
+	for b.inflight.FrontDue(now) {
+		b.inflight.PopDue(now)
+	}
+}
 
 // ReleaseDue reports whether Release(now) would free anything: the
 // active-set probe that lets an otherwise idle output port skip its step
 // while retention deadlines are still in the future.
 //
 //stashsim:noalloc
-func (b *OutBuf) ReleaseDue(now int64) bool {
-	return b.NextRelease() <= now
-}
+func (b *OutBuf) ReleaseDue(now int64) bool { return b.inflight.FrontDue(now) }
 
 // NextRelease returns the earliest retention deadline, math.MaxInt64 when
 // nothing is retained: the cycle an otherwise idle port next has work.
 //
 //stashsim:noalloc
-func (b *OutBuf) NextRelease() int64 {
-	if b.inflight.n == 0 {
-		return math.MaxInt64
-	}
-	return b.inflight.nextAt
-}
+func (b *OutBuf) NextRelease() int64 { return b.inflight.NextAt() }

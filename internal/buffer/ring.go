@@ -1,82 +1,85 @@
 // Package buffer implements the storage structures of the tiled switch:
-// growable flit rings, DAMQ-style shared-pool buffers with per-VC reserved
-// quotas, matching sender-side credit counters, the two-bank interleaved
-// port memory of the paper's Section III-B, the output (link-level
-// retransmission) buffer, and the per-port stash pool added by the stashing
-// architecture.
+// the two growable FIFOs everything else is built from, DAMQ-style
+// shared-pool buffers with per-VC reserved quotas, matching sender-side
+// credit counters, the two-bank interleaved port memory of the paper's
+// Section III-B, the output (link-level retransmission) buffer, and the
+// per-port stash pool added by the stashing architecture.
 package buffer
 
-import (
-	"math"
+import "math"
 
-	"stashsim/internal/proto"
-)
+// Queue and Timed are the simulator's only FIFOs: input VCs, row and column
+// buffers, retrieval and endpoint queues are Queues; link pipelines, the
+// retention window, the credit paths and the side band are Timeds. Both are
+// power-of-two rings that double on demand and never shrink, so steady-state
+// operation performs no allocation. Each owns its backing array and calls no
+// method on T: Timed is deliberately not a Queue of pairs, because the extra
+// call layer costs a third on the per-flit path (DESIGN.md §11).
 
-// Ring is a growable FIFO of flits. It grows geometrically on demand and
-// never shrinks, so steady-state operation performs no allocation.
-type Ring struct {
-	buf  []proto.Flit //stashsim:derived -- storage layout; the walk goes through the ring's accessors
-	head int          //stashsim:derived -- storage layout; the walk goes through the ring's accessors
+// Queue is a growable FIFO.
+type Queue[T any] struct {
+	buf  []T
+	head int
 	n    int
 }
 
-// Len returns the number of queued flits.
+// Len returns the number of queued entries.
 //
 //stashsim:noalloc
-func (r *Ring) Len() int { return r.n }
+func (q *Queue[T]) Len() int { return q.n }
 
-// Empty reports whether the ring holds no flits.
+// Empty reports whether the queue holds no entries.
 //
 //stashsim:noalloc
-func (r *Ring) Empty() bool { return r.n == 0 }
+func (q *Queue[T]) Empty() bool { return q.n == 0 }
 
-// Push appends a flit.
+// Reset empties the queue and drops its backing array.
+func (q *Queue[T]) Reset() { *q = Queue[T]{} }
+
+// Push appends an entry.
 //
 //stashsim:noalloc
-func (r *Ring) Push(f proto.Flit) {
-	if r.n == len(r.buf) {
-		r.grow()
+func (q *Queue[T]) Push(v T) {
+	if q.n == len(q.buf) {
+		q.buf, q.head = growRing(q.buf, q.head, q.n), 0
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = f
-	r.n++
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = v
+	q.n++
 }
 
-// Pop removes and returns the oldest flit. It panics when empty.
+// Pop removes and returns the oldest entry. It panics when empty.
 //
 //stashsim:noalloc
-func (r *Ring) Pop() proto.Flit {
-	if r.n == 0 {
-		panic("buffer: pop from empty ring")
+func (q *Queue[T]) Pop() T {
+	if q.n == 0 {
+		panic("buffer: pop from empty queue")
 	}
-	f := r.buf[r.head]
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return f
+	v := q.buf[q.head]
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return v
 }
 
-// Front returns a pointer to the oldest flit without removing it. The
+// Front returns a pointer to the oldest entry without removing it. The
 // pointer is invalidated by the next Push or Pop. It panics when empty.
 //
 //stashsim:noalloc
-func (r *Ring) Front() *proto.Flit {
-	if r.n == 0 {
-		panic("buffer: front of empty ring")
+func (q *Queue[T]) Front() *T {
+	if q.n == 0 {
+		panic("buffer: front of empty queue")
 	}
-	return &r.buf[r.head]
+	return &q.buf[q.head]
 }
 
-// At returns a pointer to the i-th oldest flit (0 = front).
+// At returns a pointer to the i-th oldest entry (0 = front).
 //
 //stashsim:noalloc
-func (r *Ring) At(i int) *proto.Flit {
-	if i < 0 || i >= r.n {
-		panic("buffer: ring index out of range")
+func (q *Queue[T]) At(i int) *T {
+	if i < 0 || i >= q.n {
+		panic("buffer: queue index out of range")
 	}
-	return &r.buf[(r.head+i)&(len(r.buf)-1)]
+	return &q.buf[(q.head+i)&(len(q.buf)-1)]
 }
-
-//stashsim:noalloc
-func (r *Ring) grow() { r.buf, r.head = growRing(r.buf, r.head, r.n), 0 }
 
 // growRing returns a power-of-two ring's backing array doubled (8 slots to
 // start with), its n entries moved to the front in order.
@@ -91,18 +94,21 @@ func growRing[T any](buf []T, head, n int) []T {
 	return nb
 }
 
-// TimedFlit is a flit with an associated deadline, used by link pipelines
-// (arrival time) and output buffers (release time).
-type TimedFlit struct {
-	At   int64
-	Flit proto.Flit
+// Entry is one element of a Timed queue: a value and the cycle it comes due.
+// V comes first so that a zero-size T costs nothing (Go pads a struct that
+// ends in a zero-size field): the retention window's Entry[struct{}] is 8
+// bytes.
+type Entry[T any] struct {
+	V  T
+	At int64
 }
 
-// TimedRing is a growable FIFO of TimedFlits. nextAt mirrors the front
-// entry's deadline so the per-cycle due probes read only the ring header,
-// never the backing array — one cache line instead of two.
-type TimedRing struct {
-	buf    []TimedFlit
+// Timed is a growable FIFO of entries in non-decreasing deadline order: a
+// fixed-latency pipeline. nextAt mirrors the front entry's deadline so the
+// per-cycle due probes read only the queue header, never the backing array —
+// one cache line instead of two.
+type Timed[T any] struct {
+	buf    []Entry[T]
 	head   int
 	n      int
 	nextAt int64
@@ -111,52 +117,42 @@ type TimedRing struct {
 // Len returns the number of queued entries.
 //
 //stashsim:noalloc
-func (r *TimedRing) Len() int { return r.n }
+func (q *Timed[T]) Len() int { return q.n }
 
-// Empty reports whether the ring holds no entries.
+// Reset empties the queue and drops its backing array.
+func (q *Timed[T]) Reset() { *q = Timed[T]{} }
+
+// Push appends an entry due at cycle at. Deadlines must be non-decreasing;
+// this holds for everything with a constant latency (links, the side band,
+// RTT retention).
 //
 //stashsim:noalloc
-func (r *TimedRing) Empty() bool { return r.n == 0 }
-
-// Push appends an entry. Deadlines must be monotonically non-decreasing;
-// this holds for link pipelines (fixed latency) and RTT retention queues.
-//
-//stashsim:noalloc
-func (r *TimedRing) Push(t TimedFlit) {
-	if r.n == len(r.buf) {
-		r.grow()
+func (q *Timed[T]) Push(at int64, v T) {
+	if q.n == len(q.buf) {
+		q.buf, q.head = growRing(q.buf, q.head, q.n), 0
 	}
-	if r.n == 0 {
-		r.nextAt = t.At
+	if q.n == 0 {
+		q.nextAt = at
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = t
-	r.n++
+	e := &q.buf[(q.head+q.n)&(len(q.buf)-1)]
+	e.V, e.At = v, at
+	q.n++
 }
 
-// PopDue removes and returns the front entry if its deadline is <= now.
+// PopDue removes and returns the front value if its deadline is <= now.
 //
 //stashsim:noalloc
-func (r *TimedRing) PopDue(now int64) (TimedFlit, bool) {
-	if r.n == 0 || r.nextAt > now {
-		return TimedFlit{}, false
+func (q *Timed[T]) PopDue(now int64) (v T, ok bool) {
+	if q.n == 0 || q.nextAt > now {
+		return v, false
 	}
-	t := r.buf[r.head]
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	if r.n > 0 {
-		r.nextAt = r.buf[r.head].At
+	v = q.buf[q.head].V
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	if q.n > 0 {
+		q.nextAt = q.buf[q.head].At
 	}
-	return t, true
-}
-
-// Front returns a pointer to the front entry; it panics when empty.
-//
-//stashsim:noalloc
-func (r *TimedRing) Front() *TimedFlit {
-	if r.n == 0 {
-		panic("buffer: front of empty timed ring")
-	}
-	return &r.buf[r.head]
+	return v, true
 }
 
 // FrontDue reports whether the front entry's deadline has passed; small
@@ -164,30 +160,36 @@ func (r *TimedRing) Front() *TimedFlit {
 // the nextAt mirror.
 //
 //stashsim:noalloc
-func (r *TimedRing) FrontDue(now int64) bool {
-	return r.n > 0 && r.nextAt <= now
+func (q *Timed[T]) FrontDue(now int64) bool {
+	return q.n > 0 && q.nextAt <= now
 }
 
 // NextAt returns the front entry's deadline, math.MaxInt64 when empty:
-// the ring's term in its owner's "when is something next due" minimum.
+// the queue's term in its owner's "when is something next due" minimum.
 //
 //stashsim:noalloc
-func (r *TimedRing) NextAt() int64 {
-	if r.n == 0 {
+func (q *Timed[T]) NextAt() int64 {
+	if q.n == 0 {
 		return math.MaxInt64
 	}
-	return r.nextAt
+	return q.nextAt
 }
+
+// Front returns a pointer to the oldest entry, Back to the newest; both
+// panic when empty. Callers may change V in place but not At.
+//
+//stashsim:noalloc
+func (q *Timed[T]) Front() *Entry[T] { return q.At(0) }
+
+//stashsim:noalloc
+func (q *Timed[T]) Back() *Entry[T] { return q.At(q.n - 1) }
 
 // At returns a pointer to the i-th oldest entry (0 = front).
 //
 //stashsim:noalloc
-func (r *TimedRing) At(i int) *TimedFlit {
-	if i < 0 || i >= r.n {
-		panic("buffer: timed ring index out of range")
+func (q *Timed[T]) At(i int) *Entry[T] {
+	if i < 0 || i >= q.n {
+		panic("buffer: timed queue index out of range")
 	}
-	return &r.buf[(r.head+i)&(len(r.buf)-1)]
+	return &q.buf[(q.head+i)&(len(q.buf)-1)]
 }
-
-//stashsim:noalloc
-func (r *TimedRing) grow() { r.buf, r.head = growRing(r.buf, r.head, r.n), 0 }

@@ -13,25 +13,25 @@ import (
 // walked. Flits travel in the canonical proto wire encoding, so every
 // decode inherits the proto codec's range validation.
 
-// State walks the ring's queued flits in FIFO order; decoding replaces
-// its contents.
-func (r *Ring) State(c *snapshot.Codec) {
-	if c.Decoding() {
-		*r = Ring{}
-	}
-	c.Flits(r)
-}
+// timedEntries presents a Timed queue as the FIFO of its entries.
+type timedEntries[T any] struct{ *Timed[T] }
+
+func (q timedEntries[T]) Push(e Entry[T]) { q.Timed.Push(e.At, e.V) }
+
+// Entries is the queue as snapshot.Ring walks it: each entry's deadline
+// travels first, then its value.
+func (q *Timed[T]) Entries() snapshot.FIFO[Entry[T]] { return timedEntries[T]{q} }
 
 // occupancy fails a decoding walk unless mask names exactly the non-empty
 // queues: the step path trusts the mask and dereferences the front of
 // every VC it names.
-func occupancy(c *snapshot.Codec, field string, mask uint32, qs []Ring) {
+func occupancy(c *snapshot.Codec, field string, mask uint32, qs []Queue[proto.Flit]) {
 	if !c.Decoding() {
 		return
 	}
 	for vc := range qs {
 		if (mask>>uint(vc)&1 != 0) == qs[vc].Empty() {
-			c.Failf("%s = %#b disagrees with queue %d holding %d flits", field, mask, vc, qs[vc].n)
+			c.Failf("%s = %#b disagrees with queue %d holding %d flits", field, mask, vc, qs[vc].Len())
 		}
 	}
 	c.Bound(field, bits.Len32(mask), 0, len(qs)+1)
@@ -45,7 +45,7 @@ func (d *DAMQ) State(c *snapshot.Codec) {
 		return
 	}
 	for vc := range d.queues {
-		d.queues[vc].State(c)
+		c.Flits(&d.queues[vc])
 	}
 	for vc := range d.resvUsed {
 		snapshot.Wire64(c, &d.resvUsed[vc])
@@ -75,15 +75,12 @@ func (b *OutBuf) State(c *snapshot.Codec) {
 		return
 	}
 	for vc := range b.queues {
-		b.queues[vc].State(c)
+		c.Flits(&b.queues[vc])
 	}
 	snapshot.Wire64(c, &b.queued)
 	c.U32(&b.occupied)
 	occupancy(c, "OutBuf.occupied", b.occupied, b.queues)
-	if c.Decoding() {
-		b.inflight = deadlineRing{}
-	}
-	snapshot.Ring(c, &b.inflight, 8, c.I64)
+	snapshot.Ring(c, b.inflight.Entries(), 8, func(e *Entry[struct{}]) { c.I64(&e.At) })
 }
 
 // Payload walks one retained payload — a flit count followed by canonical
@@ -117,7 +114,7 @@ func (p *StashPool) State(c *snapshot.Codec) {
 	payload := func(b **proto.PktBuf) { p.Payload(c, b) }
 	snapshot.Map(c, &p.store, 12, c.U64, payload)
 	snapshot.Map(c, &p.partial, 12, c.U64, payload)
-	p.retrQ.State(c)
+	c.Flits(&p.retrQ)
 }
 
 // State walks the parity tracker's dynamic state: the full group slab

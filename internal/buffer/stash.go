@@ -54,7 +54,7 @@ type StashPool struct {
 
 	// Congestion-mitigation bookkeeping: stashed packets queued for
 	// retrieval in FIFO order.
-	retrQ Ring
+	retrQ Queue[proto.Flit]
 
 	// Conservation bookkeeping for the invariant checker: retrCopies is
 	// the number of retransmission copies sitting in retrQ without owning

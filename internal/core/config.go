@@ -228,6 +228,7 @@ type Config struct {
 }
 
 // FaultActive reports whether an attached fault plan injects anything.
+//
 //stashsim:noalloc
 func (c *Config) FaultActive() bool { return c.Fault.Active() }
 
@@ -356,21 +357,39 @@ func (c *Config) SwitchStashCap() int {
 }
 
 // RowOf returns the tile row serving an input port.
+//
 //stashsim:noalloc
 func (c *Config) RowOf(in int) int { return in / c.TileIn }
 
 // SlotOf returns the tile-input slot of an input port within its row.
+//
 //stashsim:noalloc
 func (c *Config) SlotOf(in int) int { return in % c.TileIn }
 
 // ColOf returns the tile column serving an output port.
+//
 //stashsim:noalloc
 func (c *Config) ColOf(out int) int { return out / c.TileOut }
 
 // TileOutOf returns the tile-output index of an output port within its
 // column.
+//
 //stashsim:noalloc
 func (c *Config) TileOutOf(out int) int { return out % c.TileOut }
+
+// PresetConfig returns the base configuration a CLI's -preset names:
+// "tiny", "small" (also the empty name) or "paper".
+func PresetConfig(name string) (*Config, error) {
+	switch name {
+	case "paper":
+		return PaperConfig(), nil
+	case "tiny":
+		return TinyConfig(), nil
+	case "", "small":
+		return SmallConfig(), nil
+	}
+	return nil, fmt.Errorf("unknown preset %q (want tiny, small, or paper)", name)
+}
 
 // PaperConfig returns the full-scale configuration of Section V: a
 // 3080-node dragonfly of 20-port switches with 4×4 tiles of 5×5 crossbars.

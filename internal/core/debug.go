@@ -87,44 +87,3 @@ func (s *Switch) DumpState() string {
 	}
 	return b.String()
 }
-
-// DumpLocks renders every active wormhole lock and stash latch.
-func (s *Switch) DumpLocks() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "switch %d locks\n", s.ID)
-	for ti := range s.tiles {
-		t := &s.tiles[ti]
-		for o := range t.outLock {
-			for vc := range t.outLock[o] {
-				lk := &t.outLock[o][vc]
-				if lk.active {
-					fmt.Fprintf(&b, " tile(%d,%d) outLock[o=%d][vc=%d] pkt=%x\n", t.row, t.col, o, vc, lk.pkt)
-				}
-			}
-		}
-		for slot, sl := range t.sLatch {
-			if sl.active {
-				fmt.Fprintf(&b, " tile(%d,%d) sLatch[slot=%d] port=%d\n", t.row, t.col, slot, sl.port)
-			}
-		}
-	}
-	for p := range s.out {
-		op := &s.out[p]
-		for vc := range op.muxLock {
-			lk := &op.muxLock[vc]
-			if lk.active {
-				fmt.Fprintf(&b, " out%d muxLock[vc=%d] row=%d pkt=%x\n", p, vc, lk.row, lk.pkt)
-			}
-		}
-	}
-	for p := range s.in {
-		ip := &s.in[p]
-		for vc := range ip.latch {
-			lt := &ip.latch[vc]
-			if lt.active && lt.started {
-				fmt.Fprintf(&b, " in%d latch[vc=%d] out=%d ivc=%d redirect=%v stashCol=%d\n", p, vc, lt.out, lt.vc, lt.redirect, lt.stashCol)
-			}
-		}
-	}
-	return b.String()
-}

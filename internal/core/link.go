@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync/atomic"
 
 	"stashsim/internal/buffer"
@@ -50,7 +49,7 @@ type Link struct {
 
 	// Forward path: in-flight flits, popped by the consumer
 	// (RecvFlit/PeekFlit/DropFlit).
-	flits buffer.TimedRing
+	flits buffer.Timed[proto.Flit]
 
 	// Reverse path: credits returned by the forward-consumer, popped by
 	// the forward-producer (RecvCredit / RecvCreditsInto). Credits are
@@ -59,8 +58,8 @@ type Link struct {
 	// cycle costs one ring slot however many credits it returns. synth
 	// carries the credits synthesized for faulted drops, pushed and popped
 	// by the forward-producer alone.
-	credits timedCreditRing
-	synth   timedCreditRing
+	credits creditRing
+	synth   creditRing
 
 	// faultDropped counts flits destroyed on this link by injected
 	// faults, the per-edge destruction term of the conservation law.
@@ -88,7 +87,7 @@ type Link struct {
 	//
 	//stashsim:transient -- the delivery form belongs to the partitioning, not the snapshot
 	epoch    *atomic.Int64
-	flitSlab [2][]buffer.TimedFlit
+	flitSlab [2][]timedFlit
 	credSlab [2][]creditBatch
 }
 
@@ -118,17 +117,17 @@ func (l *Link) SendFlit(now int64, f proto.Flit) {
 		}
 		return
 	}
-	t := buffer.TimedFlit{At: now + l.Latency, Flit: f}
+	at := now + l.Latency
 	if e := l.epoch; e != nil {
 		s := e.Load() & 1
-		l.flitSlab[s] = append(l.flitSlab[s], t)
+		l.flitSlab[s] = append(l.flitSlab[s], timedFlit{At: at, V: f})
 		return
 	}
-	l.flits.Push(t)
+	l.flits.Push(at, f)
 	if l.flitArm != nil {
 		*l.flitArm |= l.flitBit
 	}
-	wakeBy(l.flitWake, t.At)
+	wakeBy(l.flitWake, at)
 }
 
 // SendCredit returns a credit to the link's producer; it arrives after the
@@ -139,12 +138,13 @@ func (l *Link) SendFlit(now int64, f proto.Flit) {
 func (l *Link) SendCredit(now int64, c proto.Credit) {
 	at := now + l.Latency
 	if e := l.epoch; e != nil {
-		s := e.Load() & 1
-		if n := len(l.credSlab[s]); n > 0 && l.credSlab[s][n-1].at == at {
-			l.credSlab[s][n-1].add(c)
-			return
+		slab := &l.credSlab[e.Load()&1]
+		n := len(*slab)
+		if n == 0 || (*slab)[n-1].At != at {
+			*slab = append(*slab, creditBatch{At: at})
+			n++
 		}
-		l.credSlab[s] = append(l.credSlab[s], newCreditBatch(at, c))
+		(*slab)[n-1].V.add(c)
 		return
 	}
 	l.credits.add(at, c)
@@ -168,7 +168,7 @@ func (l *Link) WakeCredits(w *int64) { l.credWake = w }
 func (l *Link) NextFlitAt() int64 { return l.flits.NextAt() }
 
 //stashsim:noalloc
-func (l *Link) NextCreditAt() int64 { return min(l.credits.next(), l.synth.next()) }
+func (l *Link) NextCreditAt() int64 { return min(l.credits.NextAt(), l.synth.NextAt()) }
 
 // Stage selects the link's delivery form: a non-nil clock (the executor's
 // epoch counter) marks the link as partition-crossing, nil as internal to
@@ -179,10 +179,10 @@ func (l *Link) NextCreditAt() int64 { return min(l.credits.next(), l.synth.next(
 //stashsim:phase serial
 func (l *Link) Stage(clock *atomic.Int64) {
 	for _, t := range staged(&l.flitSlab) {
-		l.flits.Push(t)
+		l.flits.Push(t.At, t.V)
 	}
 	for _, b := range staged(&l.credSlab) {
-		l.credits.Push(b)
+		l.credits.Push(b.At, b.V)
 	}
 	l.dropStaged()
 	l.epoch = clock
@@ -221,7 +221,7 @@ func (l *Link) dropStaged() {
 func (l *Link) drainEpochFlits(slab int) {
 	in := l.flitSlab[slab]
 	for i := range in {
-		l.flits.Push(in[i])
+		l.flits.Push(in[i].At, in[i].V)
 	}
 	l.flitSlab[slab] = in[:0]
 }
@@ -232,7 +232,7 @@ func (l *Link) drainEpochFlits(slab int) {
 func (l *Link) drainEpochCredits(slab int) {
 	in := l.credSlab[slab]
 	for i := range in {
-		l.credits.Push(in[i])
+		l.credits.Push(in[i].At, in[i].V)
 	}
 	l.credSlab[slab] = in[:0]
 }
@@ -244,10 +244,7 @@ func (l *Link) FaultDropped() int64 { return l.faultDropped }
 // RecvFlit returns the next flit whose arrival time has passed.
 //
 //stashsim:noalloc
-func (l *Link) RecvFlit(now int64) (proto.Flit, bool) {
-	t, ok := l.flits.PopDue(now)
-	return t.Flit, ok
-}
+func (l *Link) RecvFlit(now int64) (proto.Flit, bool) { return l.flits.PopDue(now) }
 
 // PeekFlit returns a pointer to the next arrived flit without consuming
 // it, or nil. Used when the receiver may have to stall the write (bank
@@ -258,7 +255,7 @@ func (l *Link) PeekFlit(now int64) *proto.Flit {
 	if !l.flits.FrontDue(now) {
 		return nil
 	}
-	return &l.flits.Front().Flit
+	return &l.flits.Front().V
 }
 
 // DropFlit consumes the flit previously returned by PeekFlit.
@@ -282,18 +279,18 @@ func (l *Link) InFlightFlits() int {
 // flit), under the same barrier rule as InFlightFlits.
 func (l *Link) auditFlits(fn func(*proto.Flit)) {
 	for i := 0; i < l.flits.Len(); i++ {
-		fn(&l.flits.At(i).Flit)
+		fn(&l.flits.At(i).V)
 	}
 	stagedFlits := staged(&l.flitSlab)
 	for i := range stagedFlits {
-		fn(&stagedFlits[i].Flit)
+		fn(&stagedFlits[i].V)
 	}
 }
 
 // auditCredits calls fn once per credit currently on the wire, expanding
 // the per-cycle batches.
 func (l *Link) auditCredits(fn func(proto.Credit)) {
-	audit := func(b *creditBatch) {
+	audit := func(b *creditCounts) {
 		for vc := range b.resv {
 			for k := uint16(0); k < b.resv[vc]; k++ {
 				fn(proto.Credit{VC: uint8(vc)})
@@ -303,15 +300,15 @@ func (l *Link) auditCredits(fn func(proto.Credit)) {
 			fn(proto.Credit{Shared: true})
 		}
 	}
-	for i := 0; i < l.credits.n; i++ {
-		audit(l.credits.At(i))
+	for i := 0; i < l.credits.Len(); i++ {
+		audit(&l.credits.At(i).V)
 	}
-	for i := 0; i < l.synth.n; i++ {
-		audit(l.synth.At(i))
+	for i := 0; i < l.synth.Len(); i++ {
+		audit(&l.synth.At(i).V)
 	}
 	stagedCred := staged(&l.credSlab)
 	for i := range stagedCred {
-		audit(&stagedCred[i])
+		audit(&stagedCred[i].V)
 	}
 }
 
@@ -324,13 +321,11 @@ func (l *Link) auditCredits(fn func(proto.Credit)) {
 //
 //stashsim:noalloc
 func (l *Link) RecvCredit(now int64) (proto.Credit, bool) {
-	cf, cok := l.credits.front()
-	sf, sok := l.synth.front()
-	switch {
-	case cok && cf.at <= now && (!sok || cf.at <= sf.at):
-		return l.credits.popOneDue(now)
-	case sok && sf.at <= now:
-		return l.synth.popOneDue(now)
+	switch c, s := l.credits.NextAt(), l.synth.NextAt(); {
+	case c <= now && c <= s:
+		return l.credits.takeDue(now), true
+	case s <= now:
+		return l.synth.takeDue(now), true
 	}
 	return proto.Credit{}, false
 }
@@ -343,28 +338,26 @@ func (l *Link) RecvCredit(now int64) (proto.Credit, bool) {
 //
 //stashsim:noalloc
 func (l *Link) RecvCreditsInto(now int64, cc *buffer.CreditCounter) int {
-	return l.credits.popDueInto(now, cc) + l.synth.popDueInto(now, cc)
+	return l.credits.foldDue(now, cc) + l.synth.foldDue(now, cc)
 }
 
-// creditBatch holds every credit that one cycle returned over a link: a
-// count per reserved VC plus a shared-pool count, all due at the same time.
+// creditCounts holds every credit that one cycle returned over a link: a
+// count per reserved VC plus a shared-pool count. A creditBatch is one such
+// cycle on the wire, due at its At.
 //
 //stashsim:phase parallel
-type creditBatch struct {
-	at     int64
+type creditCounts struct {
 	resv   [proto.NumNetVCs]uint16
 	shared uint16
 }
 
-//stashsim:noalloc
-func newCreditBatch(at int64, c proto.Credit) creditBatch {
-	b := creditBatch{at: at}
-	b.add(c)
-	return b
-}
+type (
+	timedFlit   = buffer.Entry[proto.Flit]
+	creditBatch = buffer.Entry[creditCounts]
+)
 
 //stashsim:noalloc
-func (b *creditBatch) add(c proto.Credit) {
+func (b *creditCounts) add(c proto.Credit) {
 	if c.Shared {
 		b.shared++
 		return
@@ -379,7 +372,7 @@ func (b *creditBatch) add(c proto.Credit) {
 // then shared) and reports whether the batch is now empty.
 //
 //stashsim:noalloc
-func (b *creditBatch) take() (proto.Credit, bool) {
+func (b *creditCounts) take() (proto.Credit, bool) {
 	total := b.shared
 	var c proto.Credit
 	taken := false
@@ -403,118 +396,46 @@ func (b *creditBatch) take() (proto.Credit, bool) {
 	return c, total == 0
 }
 
-// timedCreditRing is a growable FIFO of in-flight credit batches. nextAt
-// mirrors the front batch's due time so the per-cycle probes stay on the
-// ring header (see buffer.TimedRing).
+// creditRing is one credit path: in-flight batches in due order. Only what
+// is specific to credits lives here — coalescing into the newest batch,
+// taking one credit from or folding the whole of the oldest; the queue is
+// the embedded Timed.
 //
 //stashsim:phase parallel
-type timedCreditRing struct {
-	buf    []creditBatch
-	head   int
-	n      int
-	nextAt int64
+type creditRing struct {
+	buffer.Timed[creditCounts]
 }
 
-// add coalesces a credit into the tail batch when the due times match,
+// add coalesces a credit into the newest batch when the due times match,
 // otherwise appends a new batch.
 //
 //stashsim:noalloc
-func (r *timedCreditRing) add(at int64, c proto.Credit) {
-	if r.n > 0 {
-		tail := r.At(r.n - 1)
-		if tail.at == at {
-			tail.add(c)
-			return
-		}
+func (r *creditRing) add(at int64, c proto.Credit) {
+	if r.Len() == 0 || r.Back().At != at {
+		r.Push(at, creditCounts{})
 	}
-	r.Push(newCreditBatch(at, c))
+	r.Back().V.add(c)
 }
 
-//stashsim:noalloc
-func (r *timedCreditRing) Push(t creditBatch) {
-	if r.n == len(r.buf) {
-		size := len(r.buf) * 2
-		if size == 0 {
-			size = 16
-		}
-		//lint:allow allocfree -- amortized doubling; steady state stays within the high-water capacity
-		nb := make([]creditBatch, size)
-		for i := 0; i < r.n; i++ {
-			nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-		}
-		r.buf = nb
-		r.head = 0
-	}
-	if r.n == 0 {
-		r.nextAt = t.at
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = t
-	r.n++
-}
-
-// Len returns the number of queued batches.
+// takeDue removes a single credit from the front batch, which the caller
+// has found due.
 //
 //stashsim:noalloc
-func (r *timedCreditRing) Len() int { return r.n }
-
-// At returns a pointer to the i-th oldest batch (0 = front).
-//
-//stashsim:noalloc
-func (r *timedCreditRing) At(i int) *creditBatch {
-	return &r.buf[(r.head+i)&(len(r.buf)-1)]
-}
-
-//stashsim:noalloc
-func (r *timedCreditRing) front() (*creditBatch, bool) {
-	if r.n == 0 {
-		return nil, false
-	}
-	return &r.buf[r.head], true
-}
-
-// frontDue reports whether the front batch is due; small enough to inline
-// into Switch.Step's armedCred walk, and header-only via nextAt.
-//
-//stashsim:noalloc
-func (r *timedCreditRing) frontDue(now int64) bool {
-	return r.n > 0 && r.nextAt <= now
-}
-
-// next returns the front batch's due time, math.MaxInt64 when empty.
-//
-//stashsim:noalloc
-func (r *timedCreditRing) next() int64 {
-	if r.n == 0 {
-		return math.MaxInt64
-	}
-	return r.nextAt
-}
-
-// popOneDue removes a single credit from the front batch if it is due.
-//
-//stashsim:noalloc
-func (r *timedCreditRing) popOneDue(now int64) (proto.Credit, bool) {
-	if r.n == 0 || r.nextAt > now {
-		return proto.Credit{}, false
-	}
-	c, empty := r.buf[r.head].take()
+func (r *creditRing) takeDue(now int64) proto.Credit {
+	c, empty := r.Front().V.take()
 	if empty {
-		r.head = (r.head + 1) & (len(r.buf) - 1)
-		r.n--
-		if r.n > 0 {
-			r.nextAt = r.buf[r.head].at
-		}
+		r.PopDue(now)
 	}
-	return c, true
+	return c
 }
 
-// popDueInto folds every due batch into cc and returns the credit count.
+// foldDue folds every due batch into cc and returns the credit count.
 //
 //stashsim:noalloc
-func (r *timedCreditRing) popDueInto(now int64, cc *buffer.CreditCounter) int {
+func (r *creditRing) foldDue(now int64, cc *buffer.CreditCounter) int {
 	total := 0
-	for r.n > 0 && r.nextAt <= now {
-		b := &r.buf[r.head]
+	for r.FrontDue(now) {
+		b := &r.Front().V
 		for vc := range b.resv {
 			if n := int(b.resv[vc]); n > 0 {
 				cc.ReturnN(vc, n)
@@ -525,12 +446,7 @@ func (r *timedCreditRing) popDueInto(now int64, cc *buffer.CreditCounter) int {
 			cc.ReturnShared(n)
 			total += n
 		}
-		*b = creditBatch{}
-		r.head = (r.head + 1) & (len(r.buf) - 1)
-		r.n--
-		if r.n > 0 {
-			r.nextAt = r.buf[r.head].at
-		}
+		r.PopDue(now)
 	}
 	return total
 }

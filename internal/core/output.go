@@ -123,10 +123,7 @@ func (s *Switch) stashArrival(now sim.Tick, op *outPort, f proto.Flit) {
 			if s.parity != nil {
 				// The completed copy enrolls into a parity group; filling
 				// one mints its XOR parity flit run in another bank.
-				minted, sealed := s.parity.OnStore(f.PktID, f.Size, op.id)
-				s.created += int64(minted)
-				s.Counters.ParityGroupsSealed += int64(sealed)
-				s.m.paritySealed.Add(int64(sealed))
+				s.noteSealed(s.parity.OnStore(f.PktID, f.Size, op.id))
 			}
 			origin := int(f.Src) % s.cfg.Topo.P
 			s.sbSend(now, sbLocation, f.PktID, uint8(origin), uint8(op.id), f.Size)
@@ -213,7 +210,7 @@ func (s *Switch) stepOutput(now sim.Tick, op *outPort) {
 		f.Hops++
 	}
 	op.link.SendFlit(now, f)
-	if op.link.synth.n > 0 {
+	if op.link.synth.Len() > 0 {
 		// A fault drop synthesized a future credit on this link; keep the
 		// port in the credit-armed set until it drains (no wake flag will
 		// announce a producer-side synthesized credit).

@@ -56,22 +56,21 @@ func (a arrivals[T]) At(i int) *T {
 func (l *Link) State(c *snapshot.Codec) {
 	c.Section("LINK")
 	if c.Decoding() {
-		l.flits, l.credits, l.synth = buffer.TimedRing{}, timedCreditRing{}, timedCreditRing{}
 		l.dropStaged()
 	}
-	snapshot.Ring(c, arrivals[buffer.TimedFlit]{&l.flits, staged(&l.flitSlab)}, 8+proto.FlitWireSize,
-		func(t *buffer.TimedFlit) { c.I64(&t.At); c.Flit(&t.Flit) })
+	snapshot.Ring(c, arrivals[timedFlit]{l.flits.Entries(), staged(&l.flitSlab)}, 8+proto.FlitWireSize,
+		func(t *timedFlit) { c.I64(&t.At); c.Flit(&t.V) })
 	// One batch on the wire: due time, per-VC reserved counts, shared count.
-	const batchWireSize = 8 + 2*len(creditBatch{}.resv) + 2
+	const batchWireSize = 8 + 2*len(creditCounts{}.resv) + 2
 	batch := func(b *creditBatch) {
-		c.I64(&b.at)
-		for vc := range b.resv {
-			c.U16(&b.resv[vc])
+		c.I64(&b.At)
+		for vc := range b.V.resv {
+			c.U16(&b.V.resv[vc])
 		}
-		c.U16(&b.shared)
+		c.U16(&b.V.shared)
 	}
-	snapshot.Ring(c, arrivals[creditBatch]{&l.credits, staged(&l.credSlab)}, batchWireSize, batch)
-	snapshot.Ring(c, &l.synth, batchWireSize, batch)
+	snapshot.Ring(c, arrivals[creditBatch]{l.credits.Entries(), staged(&l.credSlab)}, batchWireSize, batch)
+	snapshot.Ring(c, l.synth.Entries(), batchWireSize, batch)
 	c.I64(&l.faultDropped)
 }
 
@@ -110,10 +109,10 @@ func (s *Switch) State(c *snapshot.Codec) {
 	for ti := range s.tiles {
 		s.tiles[ti].state(c, s)
 	}
-	if c.Decoding() {
-		s.sideband = sbRing{}
-	}
-	snapshot.Ring(c, &s.sideband, 8+1+8+1+1+1, func(m *sbMsg) { m.state(c, s) })
+	snapshot.Ring(c, s.sideband.Entries(), 8+1+8+1+1+1, func(m *buffer.Entry[sbMsg]) {
+		c.I64(&m.At)
+		m.V.state(c, s)
+	})
 	if !c.Len("core: switch end ports", len(s.track), 1) {
 		return
 	}
@@ -193,7 +192,7 @@ func (op *outPort) state(c *snapshot.Codec, s *Switch) {
 	op.buf.State(c)
 	for r := range op.colBufs {
 		for vc := range op.colBufs[r] {
-			op.colBufs[r][vc].State(c)
+			c.Flits(&op.colBufs[r][vc])
 		}
 	}
 	snapshot.Wire64(c, &op.colOcc)
@@ -219,7 +218,7 @@ func (t *tile) state(c *snapshot.Codec, s *Switch) {
 	for i := range t.rowBufs {
 		for vc := range t.rowBufs[i] {
 			rb := &t.rowBufs[i][vc]
-			rb.State(c)
+			c.Flits(rb)
 			// Only the storage stream holds flits whose output is still
 			// pending; every other stream's Out indexes the tile outputs.
 			for k := 0; c.Decoding() && vc != proto.VCStore && k < rb.Len(); k++ {
@@ -253,7 +252,6 @@ func (t *tile) state(c *snapshot.Codec, s *Switch) {
 // location report (it names the originating end port) and the stash pools
 // for a delete or retransmit request; aux is a stash or end port.
 func (m *sbMsg) state(c *snapshot.Codec, s *Switch) {
-	c.I64(&m.at)
 	snapshot.Wire8(c, &m.kind)
 	c.Bound("sbMsg.kind", int(m.kind), 0, int(sbRetransmit)+1)
 	c.U64(&m.pktID)

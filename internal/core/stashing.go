@@ -26,9 +26,11 @@ const (
 	sbRetransmit
 )
 
+// sbMsg is one message in flight on the side band, which is a buffer.Timed:
+// the entry's deadline is the delivery cycle.
+//
 //stashsim:owner partition
 type sbMsg struct {
-	at    int64
 	kind  sbKind
 	pktID uint64
 	dst   uint8 // destination port of the message
@@ -36,61 +38,12 @@ type sbMsg struct {
 	size  uint8
 }
 
-// sbRing is a growable FIFO of side-band messages.
-//
-//stashsim:owner partition
-type sbRing struct {
-	buf  []sbMsg
-	head int
-	n    int
-}
-
-//stashsim:noalloc
-func (r *sbRing) Push(m sbMsg) {
-	if r.n == len(r.buf) {
-		size := len(r.buf) * 2
-		if size == 0 {
-			size = 16
-		}
-		//lint:allow allocfree -- amortized doubling; steady state stays within the high-water capacity
-		nb := make([]sbMsg, size)
-		for i := 0; i < r.n; i++ {
-			nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-		}
-		r.buf = nb
-		r.head = 0
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = m
-	r.n++
-}
-
-// Len returns the number of queued messages.
-//
-//stashsim:noalloc
-func (r *sbRing) Len() int { return r.n }
-
-// At returns a pointer to the i-th oldest message (0 = front).
-//
-//stashsim:noalloc
-func (r *sbRing) At(i int) *sbMsg { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
-
-//stashsim:noalloc
-func (r *sbRing) popDue(now int64) (sbMsg, bool) {
-	if r.n == 0 || r.buf[r.head].at > now {
-		return sbMsg{}, false
-	}
-	m := r.buf[r.head]
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return m, true
-}
-
 // sbSend enqueues a side-band message for delivery after the configured
 // side-band latency.
 //
 //stashsim:noalloc
 func (s *Switch) sbSend(now sim.Tick, kind sbKind, pktID uint64, dst, aux, size uint8) {
-	s.sideband.Push(sbMsg{at: now + s.cfg.SidebandLat, kind: kind, pktID: pktID, dst: dst, aux: aux, size: size})
+	s.sideband.Push(now+s.cfg.SidebandLat, sbMsg{kind: kind, pktID: pktID, dst: dst, aux: aux, size: size})
 	s.Counters.SidebandMsgs++
 }
 
@@ -99,7 +52,7 @@ func (s *Switch) sbSend(now sim.Tick, kind sbKind, pktID uint64, dst, aux, size 
 //stashsim:noalloc
 func (s *Switch) stepSideband(now sim.Tick) {
 	for {
-		m, ok := s.sideband.popDue(now)
+		m, ok := s.sideband.PopDue(now)
 		if !ok {
 			return
 		}
@@ -110,10 +63,7 @@ func (s *Switch) stepSideband(now sim.Tick) {
 			if s.stash[m.dst].Delete(m.pktID, int(m.size)) && s.parity != nil {
 				// The freed member leaves its parity group; freed space
 				// may also let a deferred group seal.
-				minted, sealed := s.parity.OnDelete(m.pktID)
-				s.created += int64(minted)
-				s.Counters.ParityGroupsSealed += int64(sealed)
-				s.m.paritySealed.Add(int64(sealed))
+				s.noteSealed(s.parity.OnDelete(m.pktID))
 			}
 		case sbRetransmit:
 			s.retransmit(now, int(m.dst), m.pktID)
@@ -276,6 +226,16 @@ func (s *Switch) stepRetry(now sim.Tick) {
 	s.retryQ = append(s.retryQ[:w], s.retryQ[n:]...)
 }
 
+// noteSealed books what a parity-tracker call reports: minted parity flits
+// enter the flit-conservation count, sealed groups the counters.
+//
+//stashsim:noalloc
+func (s *Switch) noteSealed(minted, sealed int) {
+	s.created += int64(minted)
+	s.Counters.ParityGroupsSealed += int64(sealed)
+	s.m.paritySealed.Add(int64(sealed))
+}
+
 // findEntry locates the tracking entry of a packet across the end ports,
 // returning the entry and its port (-1 when untracked).
 //
@@ -354,9 +314,7 @@ func (s *Switch) FailStashBank(now sim.Tick, port int) (lost, reconstructed int)
 	for _, pktID := range lostIDs {
 		if s.parity != nil {
 			minted, sealed, protected := s.parity.OnCopyLost(pktID)
-			s.created += int64(minted)
-			s.Counters.ParityGroupsSealed += int64(sealed)
-			s.m.paritySealed.Add(int64(sealed))
+			s.noteSealed(minted, sealed)
 			if protected {
 				s.Counters.StashReconFailed++
 				s.m.reconFailed.Inc()
@@ -379,10 +337,7 @@ func (s *Switch) FailStashBank(now sim.Tick, port int) (lost, reconstructed int)
 	if s.parity != nil {
 		// Space freed by the failure may let deferred groups seal; retried
 		// only now so fresh parity was never placed into the failing bank.
-		minted, sealed := s.parity.RetrySeals()
-		s.created += int64(minted)
-		s.Counters.ParityGroupsSealed += int64(sealed)
-		s.m.paritySealed.Add(int64(sealed))
+		s.noteSealed(s.parity.RetrySeals())
 	}
 	lost = len(lostIDs) + reconstructed
 	s.Counters.StashCopiesLost += int64(lost)
@@ -431,10 +386,7 @@ func (s *Switch) finishRecon(now sim.Tick, rec reconRec) {
 	e.recon = false
 	s.stash[rec.target].InstallCopy(rec.pktID, int(rec.size), rec.buf)
 	s.created += int64(rec.size)
-	minted, sealed := s.parity.OnStore(rec.pktID, rec.size, int(rec.target))
-	s.created += int64(minted)
-	s.Counters.ParityGroupsSealed += int64(sealed)
-	s.m.paritySealed.Add(int64(sealed))
+	s.noteSealed(s.parity.OnStore(rec.pktID, rec.size, int(rec.target)))
 	s.sbSend(now, sbLocation, rec.pktID, rec.origin, rec.target, rec.size)
 }
 

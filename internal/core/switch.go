@@ -115,8 +115,8 @@ type stashLatch struct {
 
 //stashsim:owner partition
 type tile struct {
-	row, col int             //stashsim:derived -- structural; rebuilt from the configuration
-	rowBufs  [][]buffer.Ring // [TileIn][NumVCs]
+	row, col int                          //stashsim:derived -- structural; rebuilt from the configuration
+	rowBufs  [][]buffer.Queue[proto.Flit] // [TileIn][NumVCs]
 	alloc    *arb.Separable
 	vcNext   []int            // per-slot stream rotation pointer
 	outLock  [][]tileLock     // [TileOut][NumVCs]
@@ -145,9 +145,9 @@ type outPort struct {
 	isEnd   bool           //stashsim:derived -- structural; rebuilt from the configuration
 	link    *Link          //stashsim:derived -- wiring; a link is walked by its consumer side
 	buf     *buffer.OutBuf
-	colBufs [][]buffer.Ring // [Rows][NumVCs]
-	colOcc  int             // total flits in column buffers (activity gate)
-	colMask uint64          // bitmask of non-empty (row*NumVCs+vc) buffers
+	colBufs [][]buffer.Queue[proto.Flit] // [Rows][NumVCs]
+	colOcc  int                          // total flits in column buffers (activity gate)
+	colMask uint64                       // bitmask of non-empty (row*NumVCs+vc) buffers
 	muxLock [proto.NumVCs]muxLock
 	muxArb  arb.RoundRobin // Rows*NumVCs candidates
 	sendArb arb.RoundRobin // network VCs
@@ -217,7 +217,7 @@ type Switch struct {
 	tiles     []tile              // Rows*Cols, row-major
 	stash     []*buffer.StashPool // per port; nil-capacity pools allowed
 
-	sideband sbRing
+	sideband buffer.Timed[sbMsg]
 	track    []map[uint64]*e2eEntry // per end port
 	retryQ   []retryRec             // armed switch-side ACK timers
 
@@ -312,9 +312,9 @@ func NewSwitch(id int, cfg *Config, rng *sim.RNG) *Switch {
 		op.class = class
 		op.isEnd = class == topo.Endpoint
 		op.buf = buffer.NewOutBuf(cfg.NormalOutCap(class), proto.NumNetVCs)
-		op.colBufs = make([][]buffer.Ring, cfg.Rows)
+		op.colBufs = make([][]buffer.Queue[proto.Flit], cfg.Rows)
 		for r := range op.colBufs {
-			op.colBufs[r] = make([]buffer.Ring, proto.NumVCs)
+			op.colBufs[r] = make([]buffer.Queue[proto.Flit], proto.NumVCs)
 		}
 		op.muxArb = arb.NewRoundRobin(cfg.Rows * proto.NumVCs)
 		op.sendArb = arb.NewRoundRobin(proto.NumNetVCs)
@@ -329,10 +329,10 @@ func NewSwitch(id int, cfg *Config, rng *sim.RNG) *Switch {
 		for c := 0; c < cfg.Cols; c++ {
 			t := &s.tiles[r*cfg.Cols+c]
 			t.row, t.col = r, c
-			t.rowBufs = make([][]buffer.Ring, cfg.TileIn)
+			t.rowBufs = make([][]buffer.Queue[proto.Flit], cfg.TileIn)
 			t.candScr = make([][]uint8, cfg.TileIn)
 			for i := range t.rowBufs {
-				t.rowBufs[i] = make([]buffer.Ring, proto.NumVCs)
+				t.rowBufs[i] = make([]buffer.Queue[proto.Flit], proto.NumVCs)
 				t.candScr[i] = make([]uint8, cfg.TileOut)
 			}
 			t.alloc = arb.NewSeparable(cfg.TileIn, cfg.TileOut)
@@ -429,7 +429,7 @@ func (s *Switch) DrainEpochFlits(p int, slab int) {
 func (s *Switch) DrainEpochCredits(p int, slab int) {
 	l := s.out[p].link
 	l.drainEpochCredits(slab)
-	if l.credits.n > 0 || l.synth.n > 0 {
+	if l.credits.Len() > 0 || l.synth.Len() > 0 {
 		s.armedCred |= 1 << uint(p)
 		wakeBy(s.wake, l.NextCreditAt())
 	}
@@ -447,7 +447,7 @@ func (s *Switch) Rearm() {
 		if s.in[p].link.flits.Len() > 0 {
 			s.armedIn |= 1 << uint(p)
 		}
-		if l := s.out[p].link; l.credits.n > 0 || l.synth.n > 0 {
+		if l := s.out[p].link; l.credits.Len() > 0 || l.synth.Len() > 0 {
 			s.armedCred |= 1 << uint(p)
 		}
 	}
@@ -462,9 +462,6 @@ func (s *Switch) Config() *Config { return s.cfg }
 func (s *Switch) OutputQueue(port int) int {
 	return s.out[port].buf.Queued() + s.out[port].colOcc
 }
-
-// InputOccupancy returns the occupancy of an input port's normal buffer.
-func (s *Switch) InputOccupancy(port int) int { return s.in[port].buf.Used() }
 
 // Congested reports whether an input port is in the ECN congested state.
 func (s *Switch) Congested(port int) bool { return s.in[port].congested }
@@ -707,7 +704,7 @@ func (s *Switch) Step(now sim.Tick) {
 	if len(s.reconQ) > 0 {
 		s.stepRecon(now)
 	}
-	if s.sideband.n > 0 {
+	if s.sideband.Len() > 0 {
 		s.stepSideband(now)
 	}
 	// Fold due credit returns straight into the counters; a link whose
@@ -718,10 +715,10 @@ func (s *Switch) Step(now sim.Tick) {
 		p := bits.TrailingZeros64(m)
 		op := &s.out[p]
 		l := op.link
-		if op.credits != nil && (l.credits.frontDue(now) || l.synth.frontDue(now)) {
+		if op.credits != nil && (l.credits.FrontDue(now) || l.synth.FrontDue(now)) {
 			l.RecvCreditsInto(now, op.credits)
 		}
-		if l.credits.n > 0 || l.synth.n > 0 {
+		if l.credits.Len() > 0 || l.synth.Len() > 0 {
 			s.armedCred |= 1 << uint(p)
 		}
 	}
@@ -805,9 +802,7 @@ func (s *Switch) NextWake(now sim.Tick) sim.Tick {
 	for m := s.armedIn; m != 0; m &= m - 1 {
 		w = min(w, s.in[bits.TrailingZeros64(m)].link.flits.NextAt())
 	}
-	if s.sideband.n > 0 {
-		w = min(w, s.sideband.buf[s.sideband.head].at)
-	}
+	w = min(w, s.sideband.NextAt())
 	for i := range s.reconQ {
 		w = min(w, s.reconQ[i].due)
 	}

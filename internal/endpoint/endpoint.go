@@ -26,38 +26,6 @@ type pktDesc struct {
 	class proto.Class
 }
 
-// sendQ is the per-destination packet queue of a queue pair.
-type sendQ struct {
-	pkts []pktDesc
-	head int
-}
-
-func (q *sendQ) len() int { return len(q.pkts) - q.head }
-
-func (q *sendQ) push(p pktDesc) {
-	if q.head > 0 && len(q.pkts) == cap(q.pkts) {
-		// Reclaim the consumed prefix instead of growing: a queue that
-		// churns without ever fully draining would otherwise reallocate
-		// forever.
-		n := copy(q.pkts, q.pkts[q.head:])
-		q.pkts = q.pkts[:n]
-		q.head = 0
-	}
-	q.pkts = append(q.pkts, p)
-}
-
-func (q *sendQ) front() *pktDesc { return &q.pkts[q.head] }
-
-func (q *sendQ) pop() pktDesc {
-	p := q.pkts[q.head]
-	q.head++
-	if q.head == len(q.pkts) {
-		q.pkts = q.pkts[:0]
-		q.head = 0
-	}
-	return p
-}
-
 // window is one ECN transmission window (per destination).
 type window struct {
 	size     int // current window in flits
@@ -117,13 +85,12 @@ type Endpoint struct {
 	credits *buffer.CreditCounter
 	acc     int
 
-	queues      map[int32]*sendQ
+	queues      map[int32]*buffer.Queue[pktDesc] // a send queue per destination (queue pair)
 	active      []int32
 	rrIdx       int
 	queuedFlits int64
 	cur         curPkt
-	ackQ        []proto.Flit
-	ackHead     int
+	ackQ        buffer.Queue[proto.Flit]
 	pktSeq      uint32
 
 	windows map[int32]*window
@@ -142,8 +109,7 @@ type Endpoint struct {
 	outstanding map[uint64]*outPkt
 	outFree     []*outPkt //stashsim:transient -- freelist; decoding draws the outstanding records from it
 	outTimers   []epTimer
-	rtxQ        []rtxItem
-	rtxHead     int
+	rtxQ        buffer.Queue[rtxItem]
 
 	// wake is this endpoint's slot in its partition's wake table (see
 	// sim.Stepper.NextWake and SetWakeSlot).
@@ -214,7 +180,7 @@ func New(id int32, cfg *core.Config, rng *sim.RNG) *Endpoint {
 		ID:      id,
 		cfg:     cfg,
 		rng:     rng.Derive(0x45505453 ^ uint64(id)),
-		queues:  make(map[int32]*sendQ),
+		queues:  make(map[int32]*buffer.Queue[pktDesc]),
 		windows: make(map[int32]*window),
 	}
 	if cfg.DedupDelivery() {
@@ -262,12 +228,12 @@ func (e *Endpoint) EnqueueMessage(dst int32, flits int, class proto.Class, msgID
 	}
 	q := e.queues[dst]
 	if q == nil {
-		q = &sendQ{}
+		q = &buffer.Queue[pktDesc]{}
 		e.queues[dst] = q
 	}
-	wasEmpty := q.len() == 0
+	wasEmpty := q.Empty()
 	for _, size := range proto.Segment(flits) {
-		q.push(pktDesc{dst: dst, msgID: msgID, size: uint8(size), class: class})
+		q.Push(pktDesc{dst: dst, msgID: msgID, size: uint8(size), class: class})
 	}
 	e.queuedFlits += int64(flits)
 	if wasEmpty {
@@ -303,7 +269,7 @@ func (e *Endpoint) Step(now sim.Tick) {
 // otherwise Step is a no-op until a flit or credit on its links comes due
 // or the next scan of armed ACK timers.
 func (e *Endpoint) NextWake(now sim.Tick) sim.Tick {
-	if e.Gen != nil || e.cur.active || e.ackHead < len(e.ackQ) || e.rtxHead < len(e.rtxQ) ||
+	if e.Gen != nil || e.cur.active || !e.ackQ.Empty() || !e.rtxQ.Empty() ||
 		len(e.active) > 0 || e.acc < e.cfg.RateDen {
 		return now + 1
 	}
@@ -432,12 +398,7 @@ func (e *Endpoint) resend(now sim.Tick, pktID uint64, o *outPkt) {
 	o.retries++
 	o.deadline = now + fault.Backoff(e.cfg.Retrans.EndpointTimeout, int(o.retries))
 	e.outTimers = append(e.outTimers, epTimer{deadline: o.deadline, pktID: pktID})
-	if e.rtxHead > 0 && len(e.rtxQ) == cap(e.rtxQ) {
-		n := copy(e.rtxQ, e.rtxQ[e.rtxHead:])
-		e.rtxQ = e.rtxQ[:n]
-		e.rtxHead = 0
-	}
-	e.rtxQ = append(e.rtxQ, rtxItem{pktID: pktID, size: o.desc.size})
+	e.rtxQ.Push(rtxItem{pktID: pktID, size: o.desc.size})
 	e.queuedFlits += int64(o.desc.size)
 	e.Retransmits++
 	if e.Collector != nil {
@@ -508,12 +469,7 @@ func (e *Endpoint) pushAck(now sim.Tick, f *proto.Flit, nack bool) {
 	if e.cfg.VerifyChecksums() {
 		ack.Csum = proto.FlitSum(&ack)
 	}
-	if e.ackHead > 0 && len(e.ackQ) == cap(e.ackQ) {
-		n := copy(e.ackQ, e.ackQ[e.ackHead:])
-		e.ackQ = e.ackQ[:n]
-		e.ackHead = 0
-	}
-	e.ackQ = append(e.ackQ, ack)
+	e.ackQ.Push(ack)
 }
 
 func (e *Endpoint) stepInject(now sim.Tick) {
@@ -545,22 +501,11 @@ func (e *Endpoint) nextFlit(now sim.Tick) (proto.Flit, bool) {
 	if e.cur.active {
 		return e.emit(), true
 	}
-	if e.ackHead < len(e.ackQ) {
-		f := e.ackQ[e.ackHead]
-		e.ackHead++
-		if e.ackHead == len(e.ackQ) {
-			e.ackQ = e.ackQ[:0]
-			e.ackHead = 0
-		}
-		return f, true
+	if !e.ackQ.Empty() {
+		return e.ackQ.Pop(), true
 	}
-	for e.rtxHead < len(e.rtxQ) {
-		item := e.rtxQ[e.rtxHead]
-		e.rtxHead++
-		if e.rtxHead == len(e.rtxQ) {
-			e.rtxQ = e.rtxQ[:0]
-			e.rtxHead = 0
-		}
+	for !e.rtxQ.Empty() {
+		item := e.rtxQ.Pop()
 		o := e.outstanding[item.pktID]
 		if o == nil {
 			// Acknowledged or abandoned while queued; drop its backlog share.
@@ -600,7 +545,7 @@ func (e *Endpoint) startPacket(now sim.Tick) bool {
 		}
 		dst := e.active[k]
 		q := e.queues[dst]
-		desc := *q.front()
+		desc := *q.Front()
 		var w *window
 		if e.cfg.ECN.Enabled {
 			w = e.window(dst)
@@ -609,8 +554,8 @@ func (e *Endpoint) startPacket(now sim.Tick) bool {
 				continue
 			}
 		}
-		q.pop()
-		if q.len() == 0 {
+		q.Pop()
+		if q.Empty() {
 			// Swap-remove the drained queue from the active list.
 			e.active[k] = e.active[n-1]
 			e.active = e.active[:n-1]

@@ -213,7 +213,7 @@ func TestDuplicateDeliverySuppressed(t *testing.T) {
 			acks++
 		}
 	}
-	acks += len(h.ep.ackQ) - h.ep.ackHead
+	acks += h.ep.ackQ.Len()
 	if acks != 2 {
 		t.Fatalf("%d ACKs produced, want 2 (duplicate re-ACKed)", acks)
 	}
@@ -243,10 +243,10 @@ func TestCorruptDataIsNacked(t *testing.T) {
 	if h.ep.Collector.CorruptPkts != 1 {
 		t.Fatalf("CorruptPkts = %d, want 1", h.ep.Collector.CorruptPkts)
 	}
-	if got := len(h.ep.ackQ) - h.ep.ackHead; got != 1 {
+	if got := h.ep.ackQ.Len(); got != 1 {
 		t.Fatalf("%d ACKs queued, want 1 NACK", got)
 	}
-	if h.ep.ackQ[h.ep.ackHead].Flags&proto.FlagNack == 0 {
+	if h.ep.ackQ.Front().Flags&proto.FlagNack == 0 {
 		t.Fatal("corrupt arrival acknowledged positively")
 	}
 	// The clean copy then delivers normally.

@@ -3,6 +3,7 @@ package endpoint
 import (
 	"math"
 
+	"stashsim/internal/buffer"
 	"stashsim/internal/proto"
 	"stashsim/internal/snapshot"
 )
@@ -43,24 +44,17 @@ func (e *Endpoint) State(c *snapshot.Codec) {
 			if q != nil {
 				c.Failf("endpoint: destination %d listed twice among the active send queues", *dst)
 			}
-			q = &sendQ{}
+			q = &buffer.Queue[pktDesc]{}
 			e.queues[*dst] = q
 		}
-		pkts := q.pkts[q.head:]
-		snapshot.Slice(c, &pkts, 4+4+1+1, func(d *pktDesc) { d.state(c, e) })
-		c.Bound("sendQ length", len(pkts), 1, math.MaxInt)
-		if c.Decoding() {
-			q.pkts = pkts
-		}
+		snapshot.Ring(c, q, 4+4+1+1, func(d *pktDesc) { d.state(c, e) })
+		c.Bound("send queue length", q.Len(), 1, math.MaxInt)
 	})
 	c.Bound("Endpoint.rrIdx", e.rrIdx, 0, max(len(e.active), 1))
 
 	e.cur.state(c, e)
 
-	acks := e.ackQ[e.ackHead:]
-	if snapshot.Slice(c, &acks, proto.FlitWireSize, c.Flit); c.Decoding() {
-		e.ackQ, e.ackHead = acks, 0
-	}
+	c.Flits(&e.ackQ)
 
 	// ECN windows, ascending destination order.
 	snapshot.Map(c, &e.windows, 4+8+8+8, c.I32, func(w **window) {
@@ -95,14 +89,10 @@ func (e *Endpoint) State(c *snapshot.Codec) {
 		c.I64(&t.deadline)
 		c.U64(&t.pktID)
 	})
-	rtx := e.rtxQ[e.rtxHead:]
-	snapshot.Slice(c, &rtx, 8+1, func(it *rtxItem) {
+	snapshot.Ring(c, &e.rtxQ, 8+1, func(it *rtxItem) {
 		c.U64(&it.pktID)
 		c.U8(&it.size)
 	})
-	if c.Decoding() {
-		e.rtxQ, e.rtxHead = rtx, 0
-	}
 
 	c.I64(&e.SentFlits)
 	c.I64(&e.RecvFlits)

@@ -50,7 +50,10 @@ func Ablations(o *Options) (*stats.Table, error) {
 	rows := make([][]string, len(cases))
 	err := o.forEachPoint(len(cases), func(i int) error {
 		a := cases[i]
-		cfg := o.netConfig(core.StashE2E, 1.0, false)
+		cfg, err := o.netConfig(core.StashE2E, 1.0, false)
+		if err != nil {
+			return err
+		}
 		if a.mutate != nil {
 			a.mutate(cfg)
 		}

@@ -73,7 +73,10 @@ func Faults(o *Options) (*stats.Table, error) {
 		rate := rates[i/len(variants)]
 		v := variants[i%len(variants)]
 		{
-			cfg := o.netConfig(v.mode, 1.0, false)
+			cfg, err := o.netConfig(v.mode, 1.0, false)
+			if err != nil {
+				return err
+			}
 			cfg.Retrans = core.DefaultRetrans()
 			if v.mode == core.StashE2E {
 				cfg.RetainPayload = true

@@ -38,7 +38,10 @@ func Fig5(o *Options) (*stats.Table, *stats.Table, error) {
 	err := o.forEachPoint(len(cells), func(i int) error {
 		load := loads[i/len(variants)]
 		v := variants[i%len(variants)]
-		cfg := o.netConfig(v.mode, v.capFrac, false)
+		cfg, err := o.netConfig(v.mode, v.capFrac, false)
+		if err != nil {
+			return err
+		}
 		n := o.mustNet(cfg)
 		rng := sim.NewRNG(cfg.Seed + 1000)
 		rate := n.ChannelRate()

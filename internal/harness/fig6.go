@@ -25,7 +25,10 @@ func Fig6(o *Options) (*stats.Table, error) {
 	}
 
 	scale := tracegen.DefaultScale()
-	base := o.base()
+	base, err := o.base()
+	if err != nil {
+		return nil, err
+	}
 	scale.Ranks = base.Topo.NumEndpoints()
 	if o.Quick {
 		// Benchmark mode: smaller grids and fewer iterations.
@@ -51,10 +54,13 @@ func Fig6(o *Options) (*stats.Table, error) {
 		}
 	}
 	cycles := make([]int64, len(apps)*len(variants))
-	err := o.forEachPoint(len(cycles), func(i int) error {
+	err = o.forEachPoint(len(cycles), func(i int) error {
 		app := apps[i/len(variants)]
 		v := variants[i%len(variants)]
-		cfg := o.netConfig(v.mode, v.capFrac, false)
+		cfg, err := o.netConfig(v.mode, v.capFrac, false)
+		if err != nil {
+			return err
+		}
 		n := o.mustNet(cfg)
 		o.watchNet(n, budget/4)
 		rp, err := trace.NewReplay(traces[i/len(variants)], n, 0)

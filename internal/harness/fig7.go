@@ -127,7 +127,10 @@ func Fig7(o *Options) (*Fig7Result, error) {
 	err := o.forEachPoint(len(variants)+1, func(i int) error {
 		if i == len(variants) {
 			// No-aggressor reference for Fig 7b.
-			refCfg := o.netConfig(core.StashOff, 1.0, true)
+			refCfg, err := o.netConfig(core.StashOff, 1.0, true)
+			if err != nil {
+				return err
+			}
 			refSc := newHotspot(o, refCfg, 1<<62) // aggressor never starts
 			refSc.n.Collectors.WithHist(proto.ClassVictim)
 			refSc.n.Run(total)
@@ -135,7 +138,10 @@ func Fig7(o *Options) (*Fig7Result, error) {
 			return nil
 		}
 		v := variants[i]
-		cfg := o.netConfig(v.mode, v.capFrac, true)
+		cfg, err := o.netConfig(v.mode, v.capFrac, true)
+		if err != nil {
+			return err
+		}
 		sc := newHotspot(o, cfg, start)
 		n := sc.n
 		n.Collectors.WithHist(proto.ClassVictim)

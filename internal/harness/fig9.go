@@ -39,7 +39,10 @@ func Fig9(o *Options) (*stats.Table, error) {
 		b := bursts[i/len(variants)]
 		v := variants[i%len(variants)]
 		{
-			cfg := o.netConfig(v.mode, v.capFrac, true)
+			cfg, err := o.netConfig(v.mode, v.capFrac, true)
+			if err != nil {
+				return err
+			}
 			n := o.mustNet(cfg)
 			n.Collectors.WithHist(proto.ClassVictim)
 			rng := sim.NewRNG(cfg.Seed + 3000)

@@ -83,21 +83,17 @@ func (o *Options) logf(format string, args ...any) {
 	}
 }
 
-// base returns the preset's base configuration.
-func (o *Options) base() *core.Config {
-	var cfg *core.Config
-	switch o.Preset {
-	case "paper":
-		cfg = core.PaperConfig()
-	case "tiny":
-		cfg = core.TinyConfig()
-	default:
-		cfg = core.SmallConfig()
+// base returns the preset's base configuration; an unknown preset name is
+// an error.
+func (o *Options) base() (*core.Config, error) {
+	cfg, err := core.PresetConfig(o.Preset)
+	if err != nil {
+		return nil, err
 	}
 	if o.Seed != 0 {
 		cfg.Seed = o.Seed
 	}
-	return cfg
+	return cfg, nil
 }
 
 // usToCycles converts microseconds to internal cycles (1.3 cycles/ns).
@@ -138,8 +134,11 @@ func (o *Options) watchNet(n *network.Network, window int64) {
 
 // netConfig derives one of the experiment network variants from the base
 // configuration.
-func (o *Options) netConfig(mode core.StashMode, capFrac float64, ecn bool) *core.Config {
-	cfg := o.base()
+func (o *Options) netConfig(mode core.StashMode, capFrac float64, ecn bool) (*core.Config, error) {
+	cfg, err := o.base()
+	if err != nil {
+		return nil, err
+	}
 	cfg.Mode = mode
 	cfg.StashCapFrac = capFrac
 	if mode == core.StashE2E {
@@ -155,7 +154,7 @@ func (o *Options) netConfig(mode core.StashMode, capFrac float64, ecn bool) *cor
 			cfg.RetainPayload = true
 		}
 	}
-	return cfg
+	return cfg, nil
 }
 
 // variant labels one network configuration in an experiment.

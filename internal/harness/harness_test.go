@@ -201,3 +201,24 @@ func TestCSVOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUnknownPresetIsAnError: a misspelt preset used to fall through to
+// the small network silently; every experiment that builds a network must
+// refuse it instead, before building anything.
+func TestUnknownPresetIsAnError(t *testing.T) {
+	o := testOpts(t)
+	o.Preset = "smal"
+	exps := map[string]func() error{
+		"fig5":      func() error { _, _, err := Fig5(o); return err },
+		"fig6":      func() error { _, err := Fig6(o); return err },
+		"fig7":      func() error { _, err := Fig7(o); return err },
+		"fig9":      func() error { _, err := Fig9(o); return err },
+		"ablations": func() error { _, err := Ablations(o); return err },
+		"faults":    func() error { _, err := Faults(o); return err },
+	}
+	for name, run := range exps {
+		if err := run(); err == nil || !strings.Contains(err.Error(), `unknown preset "smal"`) {
+			t.Errorf("%s with preset %q: err = %v, want an unknown-preset error", name, o.Preset, err)
+		}
+	}
+}

@@ -21,6 +21,21 @@ import (
 // deliberate format change regenerates the corpus (see
 // TestWriteSnapshotFuzzCorpus) and bumps snapshot.Version.
 func TestSeedCorpusIsCurrent(t *testing.T) {
+	seed := committedSeed(t)
+	got := microSnapshot(t)
+	if !bytes.Equal(got, seed) {
+		at := 0
+		for at < len(got) && at < len(seed) && got[at] == seed[at] {
+			at++
+		}
+		t.Fatalf("micro snapshot (%d bytes) differs from the committed seed0 (%d bytes) at offset %d: the format changed",
+			len(got), len(seed), at)
+	}
+}
+
+// committedSeed returns the snapshot bytes of the committed seed0.
+func committedSeed(t *testing.T) []byte {
+	t.Helper()
 	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzSnapshotDecode", "seed0"))
 	if err != nil {
 		t.Fatal(err)
@@ -33,14 +48,25 @@ func TestSeedCorpusIsCurrent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("seed0 payload: %v", err)
 	}
-	got := microSnapshot(t)
-	if !bytes.Equal(got, []byte(seed)) {
-		at := 0
-		for at < len(got) && at < len(seed) && got[at] == seed[at] {
-			at++
-		}
-		t.Fatalf("micro snapshot (%d bytes) differs from the committed seed0 (%d bytes) at offset %d: the format changed",
-			len(got), len(seed), at)
+	return []byte(seed)
+}
+
+// TestSeedCorpusResumes is the other half of the cross-commit check: seed0
+// was written at cycle 200 by an earlier build, and restored by today's it
+// must carry on exactly as today's own straight-through run — through the
+// retry timers and drops still in flight in it — to a byte-identical full
+// state 300 cycles later.
+func TestSeedCorpusResumes(t *testing.T) {
+	const upto = 500
+	straight := microSnapNet(t)
+	straight.Run(upto)
+	resumed := microSnapNet(t)
+	if err := resumed.Restore(committedSeed(t)); err != nil {
+		t.Fatalf("Restore of the committed seed0: %v", err)
+	}
+	resumed.Run(upto - int64(resumed.Now))
+	if got, want := finalState(resumed), finalState(straight); !bytes.Equal(got, want) {
+		t.Fatalf("run resumed from the committed seed0 diverged from straight-through (%d vs %d state bytes)", len(got), len(want))
 	}
 }
 
@@ -144,7 +170,7 @@ func TestRestoreNamesOutOfRangeField(t *testing.T) {
 			"muxLock.row", "tile.vcNext", "sLatch.port",
 			"sbMsg.kind", "sbMsg.dst", "sbMsg.aux", "e2eEntry.stashPort", "retryRec.port",
 			"DAMQ.occupied", "OutBuf.occupied", "RoundRobin.next", "PktBuf.Flits length",
-			"Endpoint.rrIdx", "sendQ length", "pktDesc.dst", "pktDesc.size", "pktDesc.class", "curPkt.seq",
+			"Endpoint.rrIdx", "send queue length", "pktDesc.dst", "pktDesc.size", "pktDesc.class", "curPkt.seq",
 			"flit.Out", "flit.OrigOut", "flit.Src", "flit.Dst", "flit.MidGroup",
 			"fault: stash-failure cursor",
 		}},

@@ -155,7 +155,7 @@ func (h *PhaseHist) P99NS() int64 {
 // ringLaneWords is the per-(epoch, lane) ring record: first cycle, start
 // timestamp, and one duration per recorded sub-phase (partition lanes use
 // release/work-a/work-b/publish; the coordinator lane uses
-// pre/span/post and leaves the fourth zero).
+// pre/span/post and carries the epoch's cycle count in the fourth).
 const ringLaneWords = 6
 
 // profRing retains the most recent cycles' per-lane timings for the
@@ -322,7 +322,7 @@ func (p *ExecProfiler) recCoordEpoch(cycle int64, start, dPre, dSpan, dPost, cyc
 	p.wallNS.Add(dPre + dSpan + dPost)
 	p.cycles.Add(cycles)
 	p.epochs.Add(1)
-	p.ring.put(cycle, p.workers, start, dPre, dSpan, dPost, 0)
+	p.ring.put(cycle, p.workers, start, dPre, dSpan, dPost, cycles)
 }
 
 // Recent returns the retained ring records, oldest cycle first, skipping
@@ -580,9 +580,10 @@ func (r *ExecReport) JSON() []byte {
 // ChromeEvents emits the retained ring records as Chrome trace_event
 // JSON objects via emit (one object per call, no separators), matching
 // the packet tracer's timebase: one simulated cycle is one microsecond
-// of trace time, and each cycle's lane timings are scaled into its 1 µs
-// slot so executor lanes align with packet lifecycle events. Lanes land
-// on pid 2 ("executor"); args carry the unscaled nanosecond durations.
+// of trace time, and each epoch's lane timings are scaled into the slot of
+// the cycles it ran — [cycle, cycle+len) µs — so executor lanes align with
+// the packet lifecycle events of the same cycles. Lanes land on pid 2
+// ("executor"); args carry the unscaled nanosecond durations.
 func (p *ExecProfiler) ChromeEvents(emit func(format string, args ...any) error) error {
 	if p == nil || p.ring == nil {
 		return nil
@@ -600,36 +601,36 @@ func (p *ExecProfiler) ChromeEvents(emit func(format string, args ...any) error)
 		}
 	}
 	recs := p.Recent()
-	// Index the coordinator record per cycle: its span defines the cycle's
-	// wall width, against which worker phases are scaled.
-	coordStart := make(map[int64]int64)
-	coordTotal := make(map[int64]int64)
+	// Index the coordinator record per epoch (keyed by its first cycle):
+	// its span is the epoch's wall width and its fourth word the epoch's
+	// length in cycles, against which every lane's phases are scaled.
+	type epoch struct{ start, wall, cycles int64 }
+	epochs := make(map[int64]epoch)
 	for _, rec := range recs {
 		if rec.Lane == p.workers {
-			coordStart[rec.Cycle] = rec.Start
-			coordTotal[rec.Cycle] = rec.Durs[0] + rec.Durs[1] + rec.Durs[2] + rec.Durs[3]
+			epochs[rec.Cycle] = epoch{rec.Start, rec.Durs[0] + rec.Durs[1] + rec.Durs[2], rec.Durs[3]}
 		}
 	}
 	workerNames := [4]string{"barrier-release", p.labelA, p.labelB, "barrier-publish"}
 	coordNames := [4]string{"pre-hook", "cycle-span", "post-hook", ""}
 	for _, rec := range recs {
-		total := coordTotal[rec.Cycle]
-		t0 := coordStart[rec.Cycle]
-		if total <= 0 {
+		ep := epochs[rec.Cycle]
+		if ep.wall <= 0 {
 			continue
 		}
+		scale := float64(ep.cycles) / float64(ep.wall) // trace µs per wall ns
 		names := &workerNames
 		if rec.Lane == p.workers {
 			names = &coordNames
 		}
-		off := rec.Start - t0
+		off := rec.Start - ep.start
 		for i, d := range rec.Durs {
 			if d <= 0 || names[i] == "" {
 				off += d
 				continue
 			}
-			ts := float64(rec.Cycle) + float64(off)/float64(total)
-			dur := float64(d) / float64(total)
+			ts := float64(rec.Cycle) + float64(off)*scale
+			dur := float64(d) * scale
 			if err := emit(`{"name":%q,"cat":"executor","ph":"X","ts":%.6f,"dur":%.6f,"pid":2,"tid":%d,"args":{"ns":%d,"cycle":%d}}`,
 				names[i], ts, dur, rec.Lane, d, rec.Cycle); err != nil {
 				return err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -151,7 +152,7 @@ func TestExecProfilerChromeEvents(t *testing.T) {
 	p := NewExecProfiler(2, 4)
 	p.SetPhaseLabels("endpoints", "switches")
 	e.Profiler = p
-	e.Run(0, 6)
+	e.Run(0, 20) // lookahead 7: epochs [0,7) [7,14) [14,20)
 	e.Close()
 	var buf bytes.Buffer
 	err := p.ChromeEvents(func(format string, args ...any) error {
@@ -168,9 +169,40 @@ func TestExecProfilerChromeEvents(t *testing.T) {
 			t.Fatalf("chrome events missing %s in:\n%s", want, out)
 		}
 	}
+	// One simulated cycle is 1 µs of trace time, so an epoch's lanes must
+	// cover the cycles the epoch ran: the coordinator lane ends exactly at
+	// cycle+len, the partition lanes inside it (a partition's release wait
+	// starts when it published the previous epoch, a moment before the
+	// coordinator's post-hook ends that epoch — hence the half cycle).
+	ends := map[int64]int64{0: 7, 7: 14, 14: 20}
+	coordEnd := map[int64]float64{}
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		if !json.Valid([]byte(line)) {
-			t.Fatalf("invalid JSON event: %s", line)
+		var ev struct {
+			Ph      string
+			Ts, Dur float64
+			Tid     int
+			Args    struct{ Cycle int64 }
+		}
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("invalid JSON event: %s: %v", line, err)
+		}
+		if ev.Ph != "X" {
+			continue
+		}
+		end, ok := ends[ev.Args.Cycle]
+		if !ok {
+			t.Fatalf("event for an epoch that never started: %s", line)
+		}
+		if ev.Ts < float64(ev.Args.Cycle)-0.5 || ev.Ts+ev.Dur > float64(end)+1e-3 {
+			t.Errorf("event outside its epoch's cycles [%d,%d): %s", ev.Args.Cycle, end, line)
+		}
+		if ev.Tid == p.Workers() {
+			coordEnd[ev.Args.Cycle] = max(coordEnd[ev.Args.Cycle], ev.Ts+ev.Dur)
+		}
+	}
+	for cycle, end := range ends {
+		if got := coordEnd[cycle]; math.Abs(got-float64(end)) > 1e-3 {
+			t.Errorf("epoch at cycle %d: coordinator lane ends at %.4f µs, want %d (cycle+len)", cycle, got, end)
 		}
 	}
 }

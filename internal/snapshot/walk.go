@@ -271,13 +271,17 @@ type FIFO[T any] interface {
 	Len() int
 	At(i int) *T
 	Push(T)
+	Reset()
 }
 
 // Ring walks a FIFO, oldest entry first: encoding reads its entries in
-// place, decoding pushes each decoded entry (the owner empties the queue
-// first). Most queues of a network are empty, so an empty one costs no
-// more than its count.
+// place, decoding empties the queue and pushes each decoded entry. Most
+// queues of a network are empty, so an empty one costs no more than its
+// count.
 func Ring[T any](c *Codec, q FIFO[T], elemMin int, elem func(*T)) {
+	if c.r != nil {
+		q.Reset()
+	}
 	n := c.Count(q.Len(), elemMin)
 	if n == 0 {
 		return

@@ -23,6 +23,7 @@ type fifo []int64
 func (f *fifo) Len() int        { return len(*f) }
 func (f *fifo) At(i int) *int64 { return &(*f)[i] }
 func (f *fifo) Push(v int64)    { *f = append(*f, v) }
+func (f *fifo) Reset()          { *f = nil }
 
 func (s *walkState) state(c *Codec) {
 	c.Section("TEST")
@@ -33,9 +34,6 @@ func (s *walkState) state(c *Codec) {
 	Slice(c, &s.queue, 2, c.U16)
 	Map(c, &s.sizes, 9, c.U64, c.U8)
 	Map(c, &s.lazy, 9, c.U64, c.U8)
-	if c.Decoding() {
-		s.ring = nil
-	}
 	Ring(c, &s.ring, 8, c.I64)
 	if Opt(c, &s.hist) {
 		c.I64(&s.hist[0])
@@ -57,7 +55,7 @@ func TestCodecWalkRoundTrip(t *testing.T) {
 		t.Fatal("two encodings of one state differ")
 	}
 
-	dst := &walkState{queue: []uint16{1, 2, 3}, sizes: map[uint64]uint8{99: 9}}
+	dst := &walkState{queue: []uint16{1, 2, 3}, sizes: map[uint64]uint8{99: 9}, ring: fifo{4}}
 	dec, err := NewDecoder(data)
 	if err != nil {
 		t.Fatal(err)
