@@ -34,18 +34,22 @@ test:
 	$(GO) test -C bench ./...
 
 # Race-detector pass (tier-1 alongside vet); the executor's barrier
-# protocol, the partition-crossing link slabs and the shared observability
+# protocol, the worker-crossing link slabs and the shared observability
 # sinks (tracer, telemetry server) are the paths it guards. -short skips
 # the multi-minute simulation sweeps (they run unshortened in `make test`
 # and add no concurrency coverage). Measured on a 2-CPU host with
-# sleep/wake stepping in: 13m22s for the whole pass, of which
-# internal/network — one test binary — takes 782 s (769 s when run alone,
-# before the wake tests' checkpoint trails were thinned for -short). Its
-# long tests are loaded single-partition scenario tests (40-50 s each under
-# the detector) whose endpoints carry generators and therefore never
-# sleep, so stepping only what is due does not shorten them; the
-# determinism and wake grids are the smaller part. That is past go test's
-# 10-minute default per-package timeout, so the timeout stays raised.
+# time-blocked stepping in: 14m45s for the whole pass, of which
+# internal/network — one test binary — takes 825 s and cmd/stashsim 640 s
+# beside it on the other CPU (before blocking: 13m22s / 782 s; the block
+# grid, the trace-order test and the one-worker alloc guard add 24 s of
+# that). Time blocking does not shorten the pass: un-raced it took
+# `go test ./internal/network` from 147 s to 131 s plus 21 s of new grid,
+# but under the detector every access also touches shadow memory, a
+# group's working set no longer fits the cache it was blocked for, and
+# the instrumentation, not the misses, is the cost. The long tests are
+# still the loaded tiny scenario tests (40-50 s each under the detector).
+# That is past go test's 10-minute default per-package timeout, so the
+# timeout stays raised.
 race:
 	$(GO) test -race -short -timeout 30m ./...
 

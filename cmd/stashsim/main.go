@@ -147,7 +147,7 @@ func defineFlags(fs *flag.FlagSet, sp *simSpec, o *cliOpts) {
 
 	fs.BoolVar(&o.metrics, "metrics", false, "enable the switch metrics registry and print it")
 	fs.BoolVar(&o.metricsFull, "metrics-full", false, "with -metrics, print every per-switch/per-tile scope instead of totals")
-	fs.StringVar(&o.traceOut, "trace", "", "write the packet-lifecycle trace (a ring of the last 65536 events) as JSONL to this file")
+	fs.StringVar(&o.traceOut, "trace", "", "write the packet-lifecycle trace (a ring of the last 65536 events recorded, exported in time order) as JSONL to this file")
 	fs.StringVar(&o.traceChrome, "trace-chrome", "", "write the packet-lifecycle trace as Chrome trace_event JSON to this file")
 	fs.Int64Var(&o.sampleEvery, "sample-every", 0, "occupancy sampling interval in cycles (0 = off)")
 	fs.StringVar(&o.sampleOut, "sample-out", "occupancy.csv", "occupancy sample CSV output file (with -sample-every)")
@@ -303,9 +303,10 @@ func main() {
 	if n.Invariants != nil {
 		fmt.Fprintf(out, "invariants: %d audits, all laws held\n", n.Invariants.Checks)
 	}
-	if st := n.ExecStats(); st.Workers > 1 {
+	st := n.ExecStats()
+	fmt.Fprintf(out, "executor: %d blocks on %d workers, %d epochs, %.1f cycles/sync\n", st.Blocks, st.Workers, st.Epochs, st.CyclesPerSync)
+	if st.Workers > 1 {
 		s.Exec = &st
-		fmt.Fprintf(out, "executor: %d workers, %d epochs, %.1f cycles/sync\n", st.Workers, st.Epochs, st.CyclesPerSync)
 	}
 	if s.Fault != nil {
 		fs := s.Fault

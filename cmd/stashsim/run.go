@@ -31,7 +31,7 @@ type simSpec struct {
 	Banks      bool
 	ErrRate    float64
 	Invariants int64 // audit interval in cycles; 0 = no checker
-	// Workers is the number of partitions stepped concurrently (see
+	// Workers is the number of workers stepping the network's blocks (see
 	// network.SetWorkers). Results are bit-identical for any value
 	// (enforced by TestWorkersDeterminism), so it is not part of the
 	// outcome-determining contract above.

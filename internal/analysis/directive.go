@@ -32,8 +32,12 @@ import (
 // parallel-phase code must never touch, and `phase parallel` marks state
 // safe for concurrent-phase access by construction (atomics, parity
 // inboxes). `owner worker|partition` marks owner-private state: touched
-// only by the goroutine (worker) or component (partition) that owns it
-// during the parallel phase. A directive on a struct type applies to all
+// during the parallel phase only by the goroutine that owns it (worker),
+// or only by the worker that steps the owning component's block
+// (partition) — the component's own Step, and the direct link pushes of
+// components in that worker's other blocks, which write the consumer's
+// armedIn/armedCred bit and wake slot from the same goroutine an epoch
+// apart. A directive on a struct type applies to all
 // its fields; a field-level directive overrides the type-level one
 // attribute-by-attribute. `noalloc` asserts a function's steady-state
 // body allocates nothing; the allocfree analyzer requires its module

@@ -15,15 +15,20 @@ import (
 //
 // Each direction is a ring of in-flight entries in arrival order, owned by
 // its consumer. How a push reaches that ring is decided by the network's
-// partitioning (Stage), never by a user:
+// cut into blocks and workers (Stage), never by a user:
 //
-//   - Both ends in one partition: the producer pushes straight onto the
+//   - Both ends on one worker: the producer pushes straight onto the
 //     consumer's ring and sets the consumer switch's armed bit. One
 //     goroutine steps both ends, and because Latency >= 1 the entry is not
 //     due before the next cycle, so the consumer sees the same ring
-//     whichever end steps first.
-//   - Ends in different partitions: the producer stages the push in the
-//     slab of the current epoch's parity; the consumer's partition drains
+//     whichever end steps first. When the ends are in different blocks of
+//     that worker they are a whole epoch apart at most, not a cycle — one
+//     block runs the epoch through before the other starts — and the same
+//     holds with "epoch" for "cycle": an epoch is never longer than the
+//     Latency of a link between blocks, so the entry is not due before the
+//     next epoch, whichever block runs first.
+//   - Ends on different workers: the producer stages the push in the
+//     slab of the current epoch's parity; the consumer's worker drains
 //     the other slab — everything staged last epoch — right after the
 //     epoch barrier (Switch.DrainEpochFlits/DrainEpochCredits). The two
 //     sides never touch the same slab between barriers, and an epoch is
@@ -81,7 +86,7 @@ type Link struct {
 	flitWake *int64  //stashsim:transient -- wiring; repartition re-arms and re-slots every link
 	credWake *int64  //stashsim:transient -- wiring; repartition re-arms and re-slots every link
 
-	// epoch, when non-nil, marks a partition-crossing link: pushes stage
+	// epoch, when non-nil, marks a worker-crossing link: pushes stage
 	// into slab epoch&1. The pointer is written only at a barrier (Stage);
 	// the pointee is the executor's atomic epoch counter.
 	//
@@ -92,7 +97,7 @@ type Link struct {
 }
 
 // NewLink builds a link with the given one-way latency in cycles, in the
-// direct (single-partition) form.
+// direct (single-worker) form.
 func NewLink(latency int64) *Link {
 	if latency < 1 {
 		panic("core: link latency must be at least one cycle")
@@ -155,7 +160,7 @@ func (l *Link) SendCredit(now int64, c proto.Credit) {
 }
 
 // WakeFlits and WakeCredits wire the wake slot of the flits' and of the
-// credits' consumer. Only direct pushes use them: a partition-crossing
+// credits' consumer. Only direct pushes use them: a worker-crossing
 // link's consumer is woken by its own epoch drain. Barrier-only.
 func (l *Link) WakeFlits(w *int64)   { l.flitWake = w }
 func (l *Link) WakeCredits(w *int64) { l.credWake = w }
@@ -171,8 +176,8 @@ func (l *Link) NextFlitAt() int64 { return l.flits.NextAt() }
 func (l *Link) NextCreditAt() int64 { return min(l.credits.NextAt(), l.synth.NextAt()) }
 
 // Stage selects the link's delivery form: a non-nil clock (the executor's
-// epoch counter) marks the link as partition-crossing, nil as internal to
-// one partition. Entries still staged under the previous form are flushed
+// epoch counter) marks the link as worker-crossing, nil as internal to
+// one worker. Entries still staged under the previous form are flushed
 // into the rings first, so nothing is stranded and the rings stay in
 // arrival order. Call only at a barrier, when no component is stepping.
 //
@@ -187,6 +192,10 @@ func (l *Link) Stage(clock *atomic.Int64) {
 	l.dropStaged()
 	l.epoch = clock
 }
+
+// Staged reports whether the link is in the worker-crossing form.
+// Audit-only, like InFlightFlits.
+func (l *Link) Staged() bool { return l.epoch != nil }
 
 // staged returns the entries still waiting in a direction's staging
 // slabs, in push (= arrival) order. Barrier-only: the consumer drained the
@@ -211,7 +220,7 @@ func (l *Link) dropStaged() {
 }
 
 // drainEpochFlits moves one staging slab onto the consumer's ring at an
-// epoch boundary. The caller (the consumer partition's drain, running
+// epoch boundary. The caller (the consumer worker's drain, running
 // after the epoch barrier) passes the slab the producer filled during the
 // *previous* epoch; the producer is now staging into the other one.
 // Entries come out in push order, which is arrival order because Latency

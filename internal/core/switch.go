@@ -188,8 +188,10 @@ type retryRec struct {
 }
 
 // Switch is one tiled (optionally stashing) switch instance. All of its
-// state is private to the partition whose worker steps it; cross-switch
-// traffic goes through Link rings, never through another Switch's fields.
+// state is private to the worker that steps its block; cross-switch
+// traffic goes through Link rings, never through another Switch's fields
+// (but for the arm bits and the wake slot, which a direct Link push from a
+// switch of the same worker sets).
 //
 //stashsim:owner partition
 type Switch struct {
@@ -241,18 +243,18 @@ type Switch struct {
 
 	// Link arm masks: armedIn has a bit per input port whose link ring
 	// holds flits, armedCred a bit per output port whose link holds
-	// returned or synthesized credits. A same-partition producer sets the
+	// returned or synthesized credits. A same-worker producer sets the
 	// bit as it pushes (see Link), the epoch drain sets it for
-	// partition-crossing links, and Step keeps it while entries not yet due
+	// worker-crossing links, and Step keeps it while entries not yet due
 	// remain — so Step touches only links with something on the wire.
 	//
 	//stashsim:derived -- rebuilt from ring occupancy by Rearm
 	armedIn   uint64
 	armedCred uint64 //stashsim:derived -- rebuilt from ring occupancy by Rearm
 
-	// wake is this switch's slot in its partition's wake table (see
+	// wake is this switch's slot in its block's wake table (see
 	// sim.Stepper.NextWake and SetWakeSlot); input that reaches the switch
-	// by any way other than a same-partition link push lowers it by hand.
+	// by any way other than a same-worker link push lowers it by hand.
 	//
 	//stashsim:transient -- wake-table slot; a restored run starts all awake
 	wake *sim.Tick
@@ -403,7 +405,7 @@ func wakeBy(slot *sim.Tick, at sim.Tick) {
 
 // DrainEpochFlits moves one epoch's staged arrivals on input port p onto
 // the port's ring and arms the port if anything is now pending. It runs on
-// the switch's owning partition worker at an epoch boundary, after the
+// the switch's owning worker at an epoch boundary, after the
 // epoch barrier ordered the remote producer's slab writes before this
 // read (the slab index is (epoch-1)&1 — the slab producers are no longer
 // filling).

@@ -111,7 +111,7 @@ type Endpoint struct {
 	outTimers   []epTimer
 	rtxQ        buffer.Queue[rtxItem]
 
-	// wake is this endpoint's slot in its partition's wake table (see
+	// wake is this endpoint's slot in its block's wake table (see
 	// sim.Stepper.NextWake and SetWakeSlot).
 	//
 	//stashsim:transient -- wake-table slot; a restored run starts all awake

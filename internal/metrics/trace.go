@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"sort"
 	"sync"
 )
 
@@ -54,10 +55,17 @@ type Event struct {
 }
 
 // Tracer records packet-lifecycle events into a fixed-capacity ring,
-// keeping the most recent events and counting the overwritten ones. A nil
-// *Tracer is a no-op, so tracing can stay wired in permanently. Record is
-// mutex-protected: the tracer is the one observability sink shared across
-// switch scopes, and must stay safe under the parallel executor.
+// keeping the most recently recorded events and counting the overwritten
+// ones. A nil *Tracer is a no-op, so tracing can stay wired in permanently.
+// Record is mutex-protected: the tracer is the one observability sink
+// shared across switch scopes, and must stay safe under the parallel
+// executor.
+//
+// Record order is not simulated-time order: the executor steps one block
+// of the network through a whole epoch before the next, and several
+// workers record concurrently. The exports sort by Time; what the ring
+// evicts when it overflows is the oldest *recorded*, which within an epoch
+// may be later in simulated time than events it keeps.
 //
 //stashsim:phase parallel -- the ring is mutex-protected; this is the one sink deliberately shared across workers
 type Tracer struct {
@@ -103,21 +111,24 @@ func (t *Tracer) Record(time int64, kind EventKind, pktID uint64, node, aux, src
 	t.mu.Unlock()
 }
 
-// Events returns the retained events, oldest first.
+// Events returns the retained events in simulated-time order, oldest
+// first; events of one cycle keep the order they were recorded in.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	out := make([]Event, t.n)
 	for i := 0; i < t.n; i++ {
 		out[i] = t.buf[(t.head+i)%len(t.buf)]
 	}
+	t.mu.Unlock()
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Time < out[j].Time })
 	return out
 }
 
-// Dropped returns how many events were evicted by ring wraparound.
+// Dropped returns how many events were evicted by ring wraparound: the
+// ring keeps the last capacity events recorded.
 func (t *Tracer) Dropped() int64 {
 	if t == nil {
 		return 0

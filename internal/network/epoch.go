@@ -6,25 +6,25 @@ import (
 	"stashsim/internal/topo"
 )
 
-// One execution model: the network is cut into partitions of switches
-// (each with its endpoints), every partition free-runs for an epoch, and
-// all meet at a barrier. The topology supplies the epoch length: nothing
-// sent over a link is due sooner than its latency, so partitions may run
-// apart by the smallest latency among the links that cross between them
-// without reordering any delivery. Those crossing links stage an epoch's
-// flits and credits in per-link parity slabs that the receiving partition
-// drains right after the barrier (core.Link.Stage); every other link has
-// both ends on one goroutine and pushes directly. A single partition has
-// no crossing links and no barrier — that is serial execution. Serial
-// singletons keep their cycle-exact semantics because epochs are
-// additionally cut on one schedule (beforeEpoch): after a cycle an
-// Observer named, before a cycle an action is due.
+// One execution model: the network is cut into blocks — a dragonfly group's
+// switches and their endpoints — and time into epochs. The topology
+// supplies the epoch length: nothing sent over a link is due sooner than
+// its latency, so within a span of cycles no longer than the smallest
+// latency among the links that cross between blocks, no block needs
+// anything another sends, and the blocks may be stepped one after another,
+// each through the whole epoch, or on several workers at once (see
+// sim.Executor). The W workers each own a contiguous run of blocks. Links
+// that cross between workers stage an epoch's flits and credits in per-link
+// parity slabs that the receiving worker drains right after the barrier
+// (core.Link.Stage); every other link — inside a block or between two
+// blocks of one worker — has both ends on one goroutine and pushes
+// directly. One worker has no staged links and no barrier: that is serial
+// execution, and it steps block by block like any other. Serial singletons
+// keep their cycle-exact semantics because epochs are additionally cut on
+// one schedule (beforeEpoch): after a cycle an Observer named, before a
+// cycle an action is due.
 
-// unboundedLookahead is the executor lookahead when no link crosses a
-// partition: epochs then end only on serial events and the Run bound.
-const unboundedLookahead = 1 << 62
-
-// epochPortRef names one (switch, port) side of a partition-crossing link.
+// epochPortRef names one (switch, port) side of a worker-crossing link.
 //
 //stashsim:owner partition
 type epochPortRef struct {
@@ -32,11 +32,11 @@ type epochPortRef struct {
 	port int
 }
 
-// partitionDrainer delivers one partition's share of the staged traffic:
-// the flit side of every crossing link whose consumer the partition owns,
+// partitionDrainer delivers one worker's share of the staged traffic: the
+// flit side of every worker-crossing link whose consumer the worker owns,
 // and the credit side of every one whose producer it owns. Both sides land
-// in rings owned by this partition's switches, so the drain is
-// single-writer by construction.
+// in rings owned by this worker's switches, so the drain is single-writer
+// by construction.
 //
 //stashsim:owner partition
 type partitionDrainer struct {
@@ -61,80 +61,67 @@ func (d *partitionDrainer) DrainEpoch(epoch int64) {
 }
 
 // EpochLookahead reports the epoch-length cap in force, in cycles: the
-// smallest latency among the links that cross between partitions. 0 means
-// no link crosses (a single partition), so nothing caps an epoch but
-// serial events and the Run bound.
+// smallest latency among the links that cross between blocks. It applies
+// at every worker count, one included — a single worker also runs each
+// block through the epoch before the next, and that is only exact while
+// nothing sent during the epoch is due inside it.
 func (n *Network) EpochLookahead() int64 { return n.lookahead }
 
-// ExecStats is the -json "exec" block: how many partitions stepped the
-// network, how many barrier rounds they met at, and the mean cycles they
-// free-ran between rounds. cycles_per_sync near the lookahead means the
-// epoch executor ran unhindered; 1 means something named every cycle.
+// ExecStats is the executor's accounting: how many blocks the network was
+// cut into, how many workers stepped them, how many epochs they ran (one
+// barrier round each when there are several workers), and the mean cycles a
+// block ran before the next was touched. cycles_per_sync near the lookahead
+// means the epochs ran unhindered; 1 means something named every cycle, and
+// the blocks took turns cycle by cycle. It is the -json "exec" block when
+// workers > 1.
 type ExecStats struct {
+	Blocks        int     `json:"blocks"`
 	Workers       int     `json:"workers"`
 	Epochs        int64   `json:"epochs"`
 	CyclesPerSync float64 `json:"cycles_per_sync"`
 }
 
 // ExecStats reports the epoch accounting since construction, under the
-// current worker count. Read it before Close, which drops to one worker.
+// current blocking and worker count. Read it before Close, which drops to
+// one worker.
 func (n *Network) ExecStats() ExecStats {
-	st := ExecStats{Workers: n.workers, Epochs: n.epochs}
+	st := ExecStats{Blocks: n.blocks, Workers: n.workers, Epochs: n.epochs}
 	if n.epochs > 0 {
 		st.CyclesPerSync = float64(n.epochCycles) / float64(n.epochs)
 	}
 	return st
 }
 
-// repartition cuts the network into n.workers partitions and rebuilds the
-// executor over them. It is the one routine behind SetWorkers, Close, the
-// profiler attach calls, New and Restore, and runs only at a barrier:
-// stop the old workers, flush every link's staged traffic into its ring,
-// mark each switch-to-switch link as crossing or internal under the new
-// cut, and re-arm every switch from ring occupancy — so a run continues
-// exactly where the previous partitioning stopped.
+// repartition cuts the network into blocks, deals them to n.workers
+// workers and rebuilds the executor over them. It is the one routine behind
+// SetWorkers, Close, the profiler attach calls, New and Restore, and runs
+// only at a barrier: stop the old workers, flush every link's staged
+// traffic into its ring, mark each switch-to-switch link as crossing
+// workers or not under the new cut, and re-arm every switch from ring
+// occupancy — so a run continues exactly where the previous cut stopped.
 //
-// Partition w owns a contiguous block of whole groups while there are
-// enough groups to go around, so only global links cross; with more
-// workers than groups it owns a contiguous block of switches instead and
-// local links cross too (a shorter lookahead, the same algorithm).
+// A block is one dragonfly group, whatever the worker count, and worker w
+// steps a contiguous run of them (sim.WorkerOf), so only global links cross
+// blocks and only some of those cross workers. With more workers than
+// groups a block is instead a contiguous run of switches, one per worker,
+// and local links cross too (a shorter lookahead, the same algorithm).
 // Endpoints stay with their switch, so endpoint links never cross.
 func (n *Network) repartition() {
 	if n.exec != nil {
 		n.exec.Close()
 	}
 	d := n.Cfg.Topo
-	W, units, unitOf := n.workers, d.Groups(), d.Group
-	if W > units {
-		units, unitOf = d.NumSwitches(), func(sw int) int { return sw }
+	W, B, blockOf := n.workers, d.Groups(), d.Group
+	if W > B {
+		S := d.NumSwitches()
+		B, blockOf = W, func(sw int) int { return sim.WorkerOf(sw, S, W) }
 	}
-	// Unit u belongs to the w with w*units/W <= u < (w+1)*units/W.
-	partOf := func(sw int) int { return ((unitOf(sw)+1)*W - 1) / units }
-
-	// Per-partition component lists, endpoints first (the profiled
-	// phase-A/phase-B split), both in ID order.
-	parts := make([][]sim.Stepper, W)
-	aCounts := make([]int, W)
-	stepper := func(c component) sim.Stepper {
-		if n.allAwake {
-			return awake{c}
-		}
-		return c
-	}
-	for i, ep := range n.Endpoints {
-		sw, _ := d.EndpointSwitch(i)
-		w := partOf(sw)
-		parts[w] = append(parts[w], stepper(ep))
-		aCounts[w]++
-	}
-	for sw, s := range n.Switches {
-		w := partOf(sw)
-		parts[w] = append(parts[w], stepper(s))
-	}
+	workerOf := func(sw int) int { return sim.WorkerOf(blockOf(sw), B, W) }
 
 	// Classify every switch-to-switch link (producer view, same walk as
-	// New). Internal links return to direct pushes at once; crossing ones
-	// are staged below, when the new executor's epoch clock exists.
+	// New). A link between blocks caps the epoch; only one between workers
+	// is staged (below, when the new executor's epoch clock exists), the
+	// rest return to direct pushes at once.
 	var crossing []*core.Link
 	var drainers []partitionDrainer
 	n.lookahead = 0
@@ -145,8 +132,11 @@ func (n *Network) repartition() {
 			}
 			nsw, nport := d.Neighbor(sw, port)
 			l := s.AuditOutLink(port)
-			pp, cp := partOf(sw), partOf(nsw)
-			if pp == cp {
+			if blockOf(sw) != blockOf(nsw) && (n.lookahead == 0 || l.Latency < n.lookahead) {
+				n.lookahead = l.Latency
+			}
+			pw, cw := workerOf(sw), workerOf(nsw)
+			if pw == cw {
 				l.Stage(nil)
 				continue
 			}
@@ -154,26 +144,45 @@ func (n *Network) repartition() {
 				drainers = make([]partitionDrainer, W)
 			}
 			crossing = append(crossing, l)
-			drainers[cp].flits = append(drainers[cp].flits, epochPortRef{n.Switches[nsw], nport})
-			drainers[pp].creds = append(drainers[pp].creds, epochPortRef{s, port})
-			if n.lookahead == 0 || l.Latency < n.lookahead {
-				n.lookahead = l.Latency
-			}
+			drainers[cw].flits = append(drainers[cw].flits, epochPortRef{n.Switches[nsw], nport})
+			drainers[pw].creds = append(drainers[pw].creds, epochPortRef{s, port})
 		}
 	}
-	if n.epochCap > 0 && (n.lookahead == 0 || n.epochCap < n.lookahead) {
+	if n.epochCap > 0 && n.epochCap < n.lookahead {
 		n.lookahead = n.epochCap
-	}
-	lookahead := sim.Tick(unboundedLookahead)
-	if n.lookahead > 0 {
-		lookahead = sim.Tick(n.lookahead)
 	}
 	var drains []sim.EpochDrainer
 	for w := range drainers {
 		drains = append(drains, &drainers[w])
 	}
 
-	n.exec = sim.NewPartitionedExecutor(parts, aCounts, lookahead, drains)
+	// Per-block component lists, endpoints first (the profiled
+	// phase-A/phase-B split), both in ID order. The oneBlock reference
+	// keeps the cut's links and epochs and puts every component on one list.
+	listOf := blockOf
+	if n.blocks = B; n.oneBlock {
+		n.blocks, listOf = 1, func(int) int { return 0 }
+	}
+	blocks := make([][]sim.Stepper, n.blocks)
+	aCounts := make([]int, n.blocks)
+	stepper := func(c component) sim.Stepper {
+		if n.allAwake {
+			return awake{c}
+		}
+		return c
+	}
+	for i, ep := range n.Endpoints {
+		sw, _ := d.EndpointSwitch(i)
+		b := listOf(sw)
+		blocks[b] = append(blocks[b], stepper(ep))
+		aCounts[b]++
+	}
+	for sw, s := range n.Switches {
+		b := listOf(sw)
+		blocks[b] = append(blocks[b], stepper(s))
+	}
+
+	n.exec = sim.NewPartitionedExecutor(blocks, aCounts, W, sim.Tick(n.lookahead), drains)
 	n.exec.BeforeEpoch = n.beforeEpoch
 	n.exec.AfterEpoch = n.afterEpoch
 	n.exec.Profiler = n.Profiler
@@ -185,9 +194,9 @@ func (n *Network) repartition() {
 	}
 	// The wake table is derived state like the arm masks: a fresh one is all
 	// awake, and each component wires its slot into the links that feed it.
-	for w, p := range parts {
-		for i, c := range p {
-			c.(component).SetWakeSlot(n.exec.WakeSlot(w, i))
+	for b, cs := range blocks {
+		for i, c := range cs {
+			c.(component).SetWakeSlot(n.exec.WakeSlot(b, i))
 		}
 	}
 }

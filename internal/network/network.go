@@ -41,7 +41,7 @@ type Network struct {
 	Watchdog *metrics.Watchdog
 
 	// Profiler, when non-nil (EnableExecProfile / SetExecProfiler),
-	// receives per-partition per-phase executor timings.
+	// receives per-worker per-phase executor timings.
 	//
 	//stashsim:transient -- debugging sink; its output stream cannot resume mid-run
 	Profiler *sim.ExecProfiler
@@ -69,20 +69,25 @@ type Network struct {
 
 	Now sim.Tick
 
-	// workers is the partition count SetWorkers asked for (1 = the whole
-	// network stepped inline on the calling goroutine); exec is the
-	// executor over the current partitioning and lookahead the epoch-length
-	// cap it runs under, both rebuilt by repartition. epochCap, when
-	// positive, lowers that cap; only tests set it, to force 1-cycle and
-	// short epochs. allAwake, likewise test-only, makes every component
-	// step every cycle: the reference run of the sleep/wake invariant.
+	// workers is the worker count SetWorkers asked for (1 = the whole
+	// network stepped inline on the calling goroutine), blocks how many
+	// blocks they step; exec is the executor over the current cut and
+	// lookahead the epoch-length cap it runs under, all rebuilt by
+	// repartition. epochCap, when positive, lowers that cap; only tests set
+	// it, to force 1-cycle and short epochs. allAwake and oneBlock, likewise
+	// test-only, are the two reference runs: every component stepped every
+	// cycle (the sleep/wake invariant), and every component in one block at
+	// one worker — the cycle-by-cycle walk over the whole network that
+	// block-by-block stepping must equal.
 	//
 	//stashsim:transient -- executor wiring; snapshots are partition-canonical
 	workers   int
+	blocks    int           //stashsim:transient -- executor wiring; snapshots are partition-canonical
 	exec      *sim.Executor //stashsim:transient -- executor wiring; snapshots are partition-canonical
 	lookahead int64         //stashsim:transient -- executor wiring; snapshots are partition-canonical
 	epochCap  int64         //stashsim:transient -- executor wiring; snapshots are partition-canonical
 	allAwake  bool          //stashsim:transient -- executor wiring; snapshots are partition-canonical
+	oneBlock  bool          //stashsim:transient -- executor wiring; snapshots are partition-canonical
 
 	// profOwned marks Profiler as built by EnableExecProfile (ring size
 	// profRing), which SetWorkers then resizes to follow the worker count.
@@ -97,8 +102,8 @@ type Network struct {
 	// snapshots read it from other goroutines safely.
 	cycleDone atomic.Int64
 
-	// epochs and epochCycles count the barrier rounds run and the cycles
-	// they covered, for ExecStats.
+	// epochs and epochCycles count the epochs run and the cycles they
+	// covered, for ExecStats.
 	//
 	//stashsim:transient -- wall-side accounting of this process's run, not simulated state
 	epochs      int64
@@ -354,14 +359,14 @@ func (n *Network) DumpNonIdle(w io.Writer) {
 // one-cycle check interval is the form that lets idle components sleep.
 func (n *Network) Step() { n.Run(1) }
 
-// SetWorkers selects how many partitions Run steps concurrently: 1 (the
-// default) steps every component inline on the calling goroutine;
-// workers > 1 splits endpoints and switches into that many contiguous
-// blocks, each on a long-lived goroutine, synchronized once per epoch (see
-// repartition and sim.Executor). Values outside [1, switches] are clamped.
-// Components communicate only over latency>=1 links and an epoch is never
-// longer than the shortest link between two partitions, so results are
-// bit-identical for any worker count. It may be called between runs at any
+// SetWorkers selects how many workers Run steps the network's blocks on: 1
+// (the default) steps every block inline on the calling goroutine;
+// workers > 1 deals the blocks out in contiguous runs, each run on a
+// long-lived goroutine, synchronized once per epoch (see repartition and
+// sim.Executor). Values outside [1, switches] are clamped. Components
+// communicate only over latency>=1 links and an epoch is never longer than
+// the shortest link between two blocks, so results are bit-identical for
+// any worker count. It may be called between runs at any
 // point of a simulation; call Close when done with a parallel network to
 // release the goroutines.
 //
@@ -383,7 +388,7 @@ func (n *Network) SetWorkers(workers int) {
 }
 
 // Close releases the worker goroutines, if any, by dropping the network
-// back to one inline partition; later runs step on the calling goroutine
+// back to one inline worker; later runs step on the calling goroutine
 // until SetWorkers asks for a pool again.
 func (n *Network) Close() { n.SetWorkers(1) }
 

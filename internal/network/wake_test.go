@@ -39,6 +39,7 @@ type wakeObs struct {
 	final      []byte   // checkpoint bytes when the drive returned
 	summary    []byte   // the statistics the CLI's -json is made of
 	deliveries [][]endpoint.Delivery
+	perEP      [][2]int64 // each endpoint's InjectedPkts, DeliveredUnique
 }
 
 // observe starts recording n's deliveries and schedules a checkpoint at
@@ -82,6 +83,9 @@ func everyCycle(from, to int64) []int64 {
 // finish closes the observation with the final state and the summary.
 func (o *wakeObs) finish(n *Network) *wakeObs {
 	o.final = n.Checkpoint(n.Now)
+	for _, ep := range n.Endpoints {
+		o.perEP = append(o.perEP, [2]int64{ep.InjectedPkts, ep.DeliveredUnique})
+	}
 	col := n.Collector()
 	injected, delivered, dups, abandoned := n.DeliveryTotals()
 	sum := struct {
@@ -111,7 +115,8 @@ func (o *wakeObs) finish(n *Network) *wakeObs {
 	return o
 }
 
-// mustEqual fails the test at the first observable difference.
+// mustEqual fails the test at the first observable difference from the
+// reference run (all awake, one block, or both).
 func (o *wakeObs) mustEqual(t *testing.T, ref *wakeObs) {
 	t.Helper()
 	if fmt.Sprint(o.cycles) != fmt.Sprint(ref.cycles) {
@@ -119,20 +124,23 @@ func (o *wakeObs) mustEqual(t *testing.T, ref *wakeObs) {
 	}
 	for i := range o.trail {
 		if !bytes.Equal(o.trail[i], ref.trail[i]) {
-			t.Fatalf("machine state differs from the all-awake reference at cycle %d (checkpoint %d of %d): a component woke late",
+			t.Fatalf("machine state differs from the reference at cycle %d (checkpoint %d of %d): a component woke late, or met input out of its time",
 				o.cycles[i], i+1, len(o.trail))
 		}
 	}
 	if !bytes.Equal(o.summary, ref.summary) {
-		t.Fatalf("summary differs from the all-awake reference:\n--- sleeping ---\n%s\n--- all awake ---\n%s", o.summary, ref.summary)
+		t.Fatalf("summary differs from the reference:\n--- run ---\n%s\n--- reference ---\n%s", o.summary, ref.summary)
 	}
 	for i := range o.deliveries {
 		if fmt.Sprint(o.deliveries[i]) != fmt.Sprint(ref.deliveries[i]) {
-			t.Fatalf("endpoint %d deliveries differ from the all-awake reference:\n%v\n%v", i, o.deliveries[i], ref.deliveries[i])
+			t.Fatalf("endpoint %d deliveries differ from the reference:\n%v\n%v", i, o.deliveries[i], ref.deliveries[i])
+		}
+		if o.perEP[i] != ref.perEP[i] {
+			t.Fatalf("endpoint %d injected/delivered %v packets, reference %v", i, o.perEP[i], ref.perEP[i])
 		}
 	}
 	if !bytes.Equal(o.final, ref.final) {
-		t.Fatalf("final machine state differs from the all-awake reference")
+		t.Fatalf("final machine state differs from the reference")
 	}
 }
 
@@ -598,19 +606,22 @@ func TestSpuriousWakeIsNoop(t *testing.T) {
 	}
 }
 
-// FuzzWakeEquivalence searches for a configuration in which sleeping
-// shows: generated small dragonflies x load x fault plan x parity x the
-// way the run is chunked into public Run calls (each of which starts all
-// awake, so chunking moves where components fall asleep).
+// FuzzWakeEquivalence searches for a configuration in which sleeping or
+// block-by-block stepping shows: generated small dragonflies x load x
+// fault plan x parity x worker count x the way the run is chunked into
+// public Run calls (each of which starts all awake and ends an epoch, so
+// chunking moves where components fall asleep and where blocks take
+// turns). The reference is both references at once: every component in
+// one block, stepped every cycle.
 func FuzzWakeEquivalence(f *testing.F) {
-	f.Add(uint64(1), uint8(0), uint8(1), uint8(0), false, uint16(0))
-	f.Add(uint64(2), uint8(1), uint8(0), uint8(7), true, uint16(37))
-	f.Add(uint64(3), uint8(2), uint8(2), uint8(3), true, uint16(1))
-	f.Add(uint64(4), uint8(3), uint8(1), uint8(4), false, uint16(500))
-	f.Add(uint64(5), uint8(2), uint8(0), uint8(5), true, uint16(64))
+	f.Add(uint64(1), uint8(0), uint8(1), uint8(0), false, uint16(0), uint8(0))
+	f.Add(uint64(2), uint8(1), uint8(0), uint8(7), true, uint16(37), uint8(1))
+	f.Add(uint64(3), uint8(2), uint8(2), uint8(3), true, uint16(1), uint8(2))
+	f.Add(uint64(4), uint8(3), uint8(1), uint8(4), false, uint16(500), uint8(0))
+	f.Add(uint64(5), uint8(2), uint8(0), uint8(5), true, uint16(64), uint8(1))
 	topos := []topo.Dragonfly{{P: 1, A: 2, H: 1}, {P: 2, A: 2, H: 1}, {P: 2, A: 4, H: 2}, {P: 3, A: 3, H: 1}}
 	loads := []float64{0.03, 0.15, 0.45}
-	f.Fuzz(func(t *testing.T, seed uint64, topoSel, loadSel, faults uint8, parity bool, chunk uint16) {
+	f.Fuzz(func(t *testing.T, seed uint64, topoSel, loadSel, faults uint8, parity bool, chunk uint16, workers uint8) {
 		d := topos[int(topoSel)%len(topos)]
 		build := func() *Network {
 			cfg := core.TinyConfig()
@@ -675,9 +686,12 @@ func FuzzWakeEquivalence(f *testing.F) {
 			return o.finish(n)
 		}
 		ref := build()
+		ref.oneBlock = true
 		setAllAwake(ref)
 		want := drive(ref, 0)
 		n := build()
+		n.SetWorkers(1 + int(workers)%3)
+		defer n.Close()
 		drive(n, int64(chunk)).mustEqual(t, want)
 	})
 }

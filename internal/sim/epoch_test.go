@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 )
@@ -25,7 +26,7 @@ func newEpochExecutor(perPart int) (*Executor, [][]*countStepper, []*epochDrainR
 		}
 	}
 	drains := []*epochDrainRec{{}, {}}
-	e := NewPartitionedExecutor(parts, []int{1, 1}, 7, []EpochDrainer{drains[0], drains[1]})
+	e := NewPartitionedExecutor(parts, []int{1, 1}, len(parts), 7, []EpochDrainer{drains[0], drains[1]})
 	return e, cs, drains
 }
 
@@ -122,7 +123,7 @@ func TestEpochExecutorHookOrdering(t *testing.T) {
 	for i := 0; i < comps; i++ {
 		parts[i%2] = append(parts[i%2], &tallyStepper{total: &total})
 	}
-	e := NewPartitionedExecutor(parts, []int{0, 0}, 7, nil)
+	e := NewPartitionedExecutor(parts, []int{0, 0}, len(parts), 7, nil)
 	var bad atomic.Int64
 	e.BeforeEpoch = func(now Tick) Tick {
 		if total.Load() != int64(now)*comps {
@@ -159,7 +160,7 @@ func TestEpochExecutorRunAfterClose(t *testing.T) {
 			parts[p] = append(parts[p], c)
 		}
 	}
-	e = NewPartitionedExecutor(parts, []int{1, 1}, 7, []EpochDrainer{recs[0], recs[1]})
+	e = NewPartitionedExecutor(parts, []int{1, 1}, len(parts), 7, []EpochDrainer{recs[0], recs[1]})
 	e.Run(20, 30)
 	e.Close()
 	for p := range cs {
@@ -191,20 +192,118 @@ func TestPartitionedExecutorValidation(t *testing.T) {
 	part := func() []Stepper { return []Stepper{&countStepper{}, &countStepper{}} }
 	two := func() [][]Stepper { return [][]Stepper{part(), part()} }
 	mustPanicSim(t, "no partitions", func() {
-		NewPartitionedExecutor(nil, nil, 7, nil)
+		NewPartitionedExecutor(nil, nil, 1, 7, nil)
 	})
 	mustPanicSim(t, "aCounts length mismatch", func() {
-		NewPartitionedExecutor(two(), []int{1}, 7, nil)
+		NewPartitionedExecutor(two(), []int{1}, 2, 7, nil)
 	})
 	mustPanicSim(t, "aCount out of range", func() {
-		NewPartitionedExecutor(two(), []int{1, 3}, 7, nil)
+		NewPartitionedExecutor(two(), []int{1, 3}, 2, 7, nil)
 	})
 	mustPanicSim(t, "lookahead < 1", func() {
-		NewPartitionedExecutor(two(), []int{1, 1}, 0, nil)
+		NewPartitionedExecutor(two(), []int{1, 1}, 2, 0, nil)
 	})
 	mustPanicSim(t, "drains length mismatch", func() {
-		NewPartitionedExecutor(two(), []int{1, 1}, 7, []EpochDrainer{&epochDrainRec{}})
+		NewPartitionedExecutor(two(), []int{1, 1}, 2, 7, []EpochDrainer{&epochDrainRec{}})
 	})
-	// One partition is the serial case and needs no drains.
-	NewPartitionedExecutor([][]Stepper{part()}, []int{1}, 7, nil).Run(0, 10)
+	mustPanicSim(t, "no workers", func() {
+		NewPartitionedExecutor(two(), []int{1, 1}, 0, 7, nil)
+	})
+	mustPanicSim(t, "more workers than blocks", func() {
+		NewPartitionedExecutor(two(), []int{1, 1}, 3, 7, nil)
+	})
+	// One worker is the serial case and needs no drains, however many blocks.
+	NewPartitionedExecutor([][]Stepper{part()}, []int{1}, 1, 7, nil).Run(0, 10)
+	NewPartitionedExecutor(two(), []int{1, 1}, 1, 7, nil).Run(0, 10)
+}
+
+// blockLog records the order in which the executor steps (block, cycle)
+// pairs; poke, when set, is a slot in another block that the component
+// lowers the way a link push does, latency cycles ahead.
+type blockLog struct {
+	block   int
+	log     *[]string
+	poke    *Tick
+	latency Tick
+}
+
+func (s *blockLog) Step(now Tick) {
+	*s.log = append(*s.log, fmt.Sprintf("b%d@%d", s.block, now))
+	if s.poke != nil && now+s.latency < *s.poke {
+		*s.poke = now + s.latency
+	}
+}
+func (s *blockLog) NextWake(now Tick) Tick { return now + 1 }
+
+// TestBlocksRunEpochsBackToBack pins the loop order on one worker: each
+// block runs every cycle of the epoch before the next block starts, an
+// epoch is the lookahead or whatever is left of the Run, and a one-cycle
+// epoch is the cycle-by-cycle walk over every block.
+func TestBlocksRunEpochsBackToBack(t *testing.T) {
+	var log []string
+	blocks := [][]Stepper{{&blockLog{block: 0, log: &log}}, {&blockLog{block: 1, log: &log}}, {&blockLog{block: 2, log: &log}}}
+	e := NewPartitionedExecutor(blocks, []int{0, 0, 0}, 1, 2, nil)
+	e.Run(0, 3)
+	if got, want := fmt.Sprint(log), "[b0@0 b0@1 b1@0 b1@1 b2@0 b2@1 b0@2 b1@2 b2@2]"; got != want {
+		t.Fatalf("step order %v, want %v", got, want)
+	}
+	log = nil
+	e.BeforeEpoch = func(now Tick) Tick { return now + 1 }
+	e.Run(3, 5)
+	if got, want := fmt.Sprint(log), "[b0@3 b1@3 b2@3 b0@4 b1@4 b2@4]"; got != want {
+		t.Fatalf("one-cycle epochs stepped %v, want %v", got, want)
+	}
+}
+
+// TestWakeAcrossBlocks: a component asleep in one block is woken by a
+// store from another block of the same worker, whichever of the two ran
+// the epoch first — the store names a cycle at or past the epoch's end, so
+// an earlier block has not run past it and a later one has yet to get
+// there.
+func TestWakeAcrossBlocks(t *testing.T) {
+	const latency = 4 // == lookahead: the shortest channel between blocks
+	for _, sleeperFirst := range []bool{true, false} {
+		sleeper := &napStepper{nap: Never - 1000}
+		var log []string
+		poker := &blockLog{log: &log, latency: latency}
+		blocks := [][]Stepper{{sleeper}, {poker}}
+		if !sleeperFirst {
+			blocks = [][]Stepper{{poker}, {sleeper}}
+		}
+		e := NewPartitionedExecutor(blocks, []int{0, 0}, 1, latency, nil)
+		e.Run(0, 1) // the sleeper steps once and goes to sleep for good
+		sb := 0
+		if !sleeperFirst {
+			sb = 1
+		}
+		poker.poke = e.WakeSlot(sb, 0)
+		e.Run(1, 9) // epochs [1,5) [5,9): pokes at cycle 1 name cycle 5
+		if got := fmt.Sprint(sleeper.steps); got != "[0 5]" {
+			t.Fatalf("sleeperFirst=%v: sleeper stepped at %v, want [0 5]", sleeperFirst, got)
+		}
+	}
+}
+
+// TestWorkerOfDealsContiguousRuns: every worker gets a non-empty
+// contiguous run of blocks, in order, sizes within one of each other.
+func TestWorkerOfDealsContiguousRuns(t *testing.T) {
+	for blocks := 1; blocks <= 20; blocks++ {
+		for workers := 1; workers <= blocks; workers++ {
+			count := make([]int, workers)
+			prev := 0
+			for b := 0; b < blocks; b++ {
+				w := WorkerOf(b, blocks, workers)
+				if w < prev || w > prev+1 || w >= workers {
+					t.Fatalf("%d blocks on %d workers: block %d went to worker %d after %d", blocks, workers, b, w, prev)
+				}
+				count[w]++
+				prev = w
+			}
+			for w, c := range count {
+				if c < blocks/workers || c > blocks/workers+1 {
+					t.Fatalf("%d blocks on %d workers: worker %d got %d", blocks, workers, w, c)
+				}
+			}
+		}
+	}
 }

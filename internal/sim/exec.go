@@ -10,11 +10,11 @@ import (
 // Stepper is a simulation component advanced once per cycle. Components may
 // communicate only through latency>=1 channels: values written at cycle t
 // are never read before cycle t+1, so components may step in any order
-// within a cycle, and partitions whose connecting channels all have latency
-// >= L may run L cycles apart.
+// within a cycle, and blocks of components whose connecting channels all
+// have latency >= L may run L cycles apart.
 type Stepper interface {
 	// Step advances the component one cycle. It runs concurrently with
-	// the Step of components in other partitions and must stay
+	// the Step of components on other workers and must stay
 	// allocation-free in the steady state; both annotations propagate to
 	// implementations.
 	//
@@ -47,63 +47,64 @@ func NextMultiple(from, every Tick) Tick {
 	return (from + every - 1) / every * every
 }
 
-// EpochDrainer delivers one partition's buffered cross-partition traffic
-// at an epoch boundary (the network implements it over the staged links
-// whose consumer side the partition owns). DrainEpoch runs on the
-// partition's goroutine immediately after the epoch-entry barrier, before
-// any component steps, with the epoch counter already advanced — so it
-// drains the slab the producers filled during the previous epoch.
+// EpochDrainer delivers one worker's buffered cross-worker traffic at an
+// epoch boundary (the network implements it over the staged links whose
+// consumer side the worker owns). DrainEpoch runs on the worker's
+// goroutine immediately after the epoch-entry barrier, before any
+// component steps, with the epoch counter already advanced — so it drains
+// the slab the producers filled during the previous epoch.
 type EpochDrainer interface {
 	// DrainEpoch moves the previous epoch's staged entries onto the
-	// partition's rings.
+	// worker's rings.
 	//
 	//stashsim:phase parallel
 	//stashsim:noalloc
 	DrainEpoch(epoch int64)
 }
 
-// Executor drives partitions of components through simulated cycles in
-// epochs: conservative parallel simulation with lookahead. Each barrier
-// round releases every partition into a span of cycles [now, end), which
-// it steps with no further synchronization. A span is never longer than
-// the lookahead — the smallest latency of any channel between two
-// partitions — and ends at the Run bound or at the cut BeforeEpoch names,
-// whichever comes first.
+// Executor drives blocks of components through simulated cycles in epochs:
+// conservative simulation with lookahead. An epoch is a span of cycles
+// [now, end) never longer than the lookahead — the smallest latency of any
+// channel between two blocks — so nothing one block sends during an epoch
+// is due in another before the epoch ends, and the blocks of an epoch may
+// be stepped in any order, or at once.
 //
-// Serial work happens only between spans, on the goroutine calling Run:
+// The executor uses that freedom twice. A worker steps its blocks back to
+// back, each through the whole epoch before it touches the next
+// (`for block { for cycle { stepDue } }`), so a block's state stays in the
+// host's cache for the length of the epoch instead of being evicted by
+// every other block once a cycle. And several workers step their runs of
+// blocks concurrently, meeting at a barrier between epochs. The first is
+// independent of the second: one worker blocks time exactly like many.
+//
+// Serial work happens only between epochs, on the goroutine calling Run:
 // BeforeEpoch(now) runs with every cycle before now complete and none of
 // now begun, AfterEpoch(end) with every cycle before end complete. Work
 // that must precede cycle c therefore has BeforeEpoch cut at c and runs in
 // the next call; work that must follow cycle c has it cut at c+1 and runs
 // in AfterEpoch. Either is cycle-exact whatever the epoch length, and a
-// BeforeEpoch that always answers now+1 degrades the executor to a
-// per-cycle barrier.
+// BeforeEpoch that always answers now+1 degrades the executor to one cycle
+// per epoch: every block steps the cycle, then every block the next.
 //
-// One partition runs inline on the calling goroutine: no goroutines, no
-// barrier. Two or more run on long-lived workers that park at the entry
+// One worker runs inline on the calling goroutine: no goroutines, no
+// barrier. Two or more are long-lived goroutines that park at the entry
 // barrier between epochs and between Runs; the coordinator publishes each
 // span with atomic stores that the barrier's release edge orders before
 // any worker reads them, so the steady state is channel- and
 // allocation-free.
 //
-// Results are identical for any partitioning: each component is pinned to
-// one partition (so its private state is touched by exactly one
-// goroutine), nothing a concurrent partition sends during an epoch is due
-// before the next one, and the barriers order every hook with respect to
-// every step.
+// Results are identical for any blocking and any worker count: each
+// component is pinned to one block and each block to one worker (so its
+// private state is touched by exactly one goroutine), nothing another
+// block sends during an epoch is due before the next one, and the barriers
+// order every hook with respect to every step.
 type Executor struct {
-	parts   [][]Stepper
-	aCounts []int
-	// wake[w][i] is the first cycle at which partition w must step its
-	// component i again: the component's own NextWake, lowered through
-	// WakeSlot by whatever hands it input. Derived state: zero (all awake)
-	// is always a correct table.
-	//
-	//stashsim:owner partition
-	wake      [][]Tick
+	blocks []block
+	// first[w] is worker w's first block; its run ends at first[w+1].
+	first     []int
 	drains    []EpochDrainer
 	lookahead Tick
-	barrier   *Barrier // nil with a single partition
+	barrier   *Barrier // nil with a single worker
 
 	// BeforeEpoch, when non-nil, runs serially before each epoch with its
 	// first cycle and returns the cut: the first cycle, after now, that the
@@ -113,9 +114,9 @@ type Executor struct {
 	// first cycle the components have NOT yet stepped.
 	AfterEpoch func(next Tick)
 
-	// Profiler, when non-nil, receives per-partition per-phase timings.
-	// Set before the first Run. A profiler sized for a different partition
-	// count makes Run panic rather than silently run unprofiled.
+	// Profiler, when non-nil, receives per-worker per-phase timings. Set
+	// before the first Run. A profiler sized for a different worker count
+	// makes Run panic rather than silently run unprofiled.
 	Profiler *ExecProfiler
 
 	cur    atomic.Int64 // first cycle of the released span
@@ -135,38 +136,58 @@ type Executor struct {
 	workers sync.WaitGroup // live worker goroutines; Close waits for them
 }
 
-// NewPartitionedExecutor builds an executor over caller-chosen partitions
-// (the network passes blocks of dragonfly groups or switches). Each
-// partition's components must lead with its aCounts[w] phase-A components
+// block is the unit the stepping loop iterates: its components, the first
+// a of them phase A, and their dense wake table — wake[i] is the first
+// cycle at which component i must be stepped again: the component's own
+// NextWake, lowered through WakeSlot by whatever hands it input. Derived
+// state: zero (all awake) is always a correct table.
+//
+//stashsim:owner partition
+type block struct {
+	comps []Stepper
+	wake  []Tick
+	a     int
+}
+
+// WorkerOf is the executor's split of blocks over workers: contiguous
+// runs as even as they come, block b going to the worker w with
+// w*blocks/workers <= b < (w+1)*blocks/workers. Whoever wires the channels
+// between blocks (the network) asks it which of them cross workers.
+func WorkerOf(block, blocks, workers int) int { return ((block+1)*workers - 1) / blocks }
+
+// NewPartitionedExecutor builds an executor over caller-chosen blocks (the
+// network passes dragonfly groups) split over workers by WorkerOf. Each
+// block's components must lead with its aCounts[b] phase-A components
 // (endpoints); the split is purely observational, for the profiler.
-// lookahead is the longest span partitions may run between barriers and
-// must not exceed the smallest latency among the channels that cross
-// partitions. drains[w], when drains is non-nil, delivers partition w's
-// buffered cross-partition traffic at each epoch entry.
-func NewPartitionedExecutor(parts [][]Stepper, aCounts []int, lookahead Tick, drains []EpochDrainer) *Executor {
-	if len(parts) == 0 {
-		panic("sim: executor needs at least one partition")
+// lookahead is the longest span of cycles an epoch may cover and must not
+// exceed the smallest latency among the channels that cross blocks.
+// drains[w], when drains is non-nil, delivers worker w's buffered
+// cross-worker traffic at each epoch entry.
+func NewPartitionedExecutor(blocks [][]Stepper, aCounts []int, workers int, lookahead Tick, drains []EpochDrainer) *Executor {
+	if workers < 1 || workers > len(blocks) {
+		panic("sim: executor needs at least one worker and at least one block for each")
 	}
-	if len(aCounts) != len(parts) {
-		panic("sim: aCounts length must match partition count")
+	if len(aCounts) != len(blocks) {
+		panic("sim: aCounts length must match block count")
 	}
-	for w, p := range parts {
-		if aCounts[w] < 0 || aCounts[w] > len(p) {
-			panic("sim: partition phase-A count out of range")
+	for b, cs := range blocks {
+		if aCounts[b] < 0 || aCounts[b] > len(cs) {
+			panic("sim: block phase-A count out of range")
 		}
 	}
 	if lookahead < 1 {
 		panic("sim: epoch lookahead must be at least one cycle")
 	}
-	if drains != nil && len(drains) != len(parts) {
-		panic("sim: epoch drain list must match partition count")
+	if drains != nil && len(drains) != workers {
+		panic("sim: epoch drain list must match worker count")
 	}
-	e := &Executor{parts: parts, aCounts: aCounts, drains: drains, lookahead: lookahead, wake: make([][]Tick, len(parts))}
-	for w, p := range parts {
-		e.wake[w] = make([]Tick, len(p))
+	e := &Executor{blocks: make([]block, len(blocks)), drains: drains, lookahead: lookahead, first: make([]int, workers+1)}
+	for b, cs := range blocks {
+		e.blocks[b] = block{comps: cs, wake: make([]Tick, len(cs)), a: aCounts[b]}
+		e.first[WorkerOf(b, len(blocks), workers)+1] = b + 1
 	}
-	if len(parts) > 1 {
-		e.barrier = NewBarrier(len(parts) + 1)
+	if workers > 1 {
+		e.barrier = NewBarrier(workers + 1)
 	}
 	return e
 }
@@ -175,19 +196,20 @@ func NewPartitionedExecutor(parts [][]Stepper, aCounts []int, lookahead Tick, dr
 // index their slabs by its parity.
 func (e *Executor) EpochClock() *atomic.Int64 { return &e.epoch }
 
-// WakeSlot returns the wake-table slot of partition w's component i, for
+// WakeSlot returns the wake-table slot of block b's component i, for
 // wiring into whatever hands that component input, which stores the due
 // cycle there if it is sooner than the slot's. Between Runs anyone may
-// write it; during one, only partition w's goroutine.
-func (e *Executor) WakeSlot(w, i int) *Tick { return &e.wake[w][i] }
+// write it; during one, only the goroutine of the worker that steps block
+// b — which is also the only one that pushes directly into b's components.
+func (e *Executor) WakeSlot(b, i int) *Tick { return &e.blocks[b].wake[i] }
 
 // WakeAll marks every component due now, for a caller that may have
 // changed component state between Runs.
 //
 //stashsim:phase serial
 func (e *Executor) WakeAll() {
-	for _, t := range e.wake {
-		clear(t)
+	for b := range e.blocks {
+		clear(e.blocks[b].wake)
 	}
 }
 
@@ -200,17 +222,18 @@ func (e *Executor) Run(from, to Tick) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	prof := e.Profiler
-	if prof != nil && prof.Workers() != len(e.parts) {
-		panic(fmt.Sprintf("sim: profiler sized for %d workers attached to a %d-partition executor; attach it after the worker count is final",
-			prof.Workers(), len(e.parts)))
+	workers := len(e.first) - 1
+	if prof != nil && prof.Workers() != workers {
+		panic(fmt.Sprintf("sim: profiler sized for %d workers attached to a %d-worker executor; attach it after the worker count is final",
+			prof.Workers(), workers))
 	}
 	if e.quit.Load() {
 		panic("sim: Run on a closed executor")
 	}
 	if e.barrier != nil && !e.started {
 		e.started = true
-		e.workers.Add(len(e.parts))
-		for w := range e.parts {
+		e.workers.Add(workers)
+		for w := 0; w < workers; w++ {
 			go e.worker(w, prof)
 		}
 	}
@@ -237,8 +260,8 @@ func (e *Executor) Run(from, to Tick) {
 			e.cur.Store(int64(now))
 			e.curLen.Store(int64(end - now))
 			e.epRel.Store(rel)
-			e.barrier.Wait() // release partitions into [now, end)
-			e.barrier.Wait() // every partition has stepped the span
+			e.barrier.Wait() // release the workers into [now, end)
+			e.barrier.Wait() // every worker has stepped the span
 			t2 = prof.clock()
 			e.epPub.Store(t2)
 		}
@@ -254,7 +277,7 @@ func (e *Executor) Run(from, to Tick) {
 	}
 }
 
-// worker is the long-lived loop of one partition when there are several:
+// worker is the long-lived loop of one worker when there are several:
 // park at the entry barrier (between epochs and between Runs), run the
 // released span, publish its writes at the exit barrier. It exits when
 // Close releases it with quit set.
@@ -287,14 +310,22 @@ func (e *Executor) worker(lane int, prof *ExecProfiler) {
 	}
 }
 
-// span runs one partition through one epoch [start, end): deliver the
-// previous epoch's cross-partition traffic, then free-run the components
-// that have something due (the wake table) with no synchronization. This
-// is the one stepping loop — the phasecheck closure and the zero-alloc
+// span runs one worker through one epoch [start, end): deliver the previous
+// epoch's cross-worker traffic, then take the worker's blocks one at a
+// time, each through every cycle of the epoch, stepping the components that
+// have something due (the wake table) with no synchronization. This is the
+// one stepping loop — the phasecheck closure and the zero-alloc
 // steady-state contract both root here.
-// Determinism holds because nothing staged by a concurrent partition this
-// epoch is due before the next one, so every flit and credit reaches its
-// ring before its due cycle, in per-link FIFO order, for any interleaving.
+//
+// Stepping block by block is conservative, not approximate. The epoch is no
+// longer than the smallest latency between two blocks, so whatever a block
+// sends another at cycle t of the epoch is due at t+latency >= end: the
+// receiver needs it in no cycle of this epoch, whether it has already run
+// them (the entry waits on its ring for the next epoch) or has yet to (the
+// entry sits on the ring, not due, and Step ignores it). Channels have one
+// producer, so each ring still fills in due order. Across workers the same
+// argument runs through the epoch slabs: nothing staged by a concurrent
+// worker this epoch is due before the next one drains it.
 // For the profiler it takes the clock reading at entry and returns the
 // drain time, the two work sub-phase totals and the reading at exit; the
 // readings chain, so no time between phases goes unattributed.
@@ -307,24 +338,31 @@ func (e *Executor) span(lane int, start, end Tick, prof *ExecProfiler, tIn int64
 	}
 	tOut = prof.clock()
 	dDrain = tOut - tIn
-	mine, wake, a := e.parts[lane], e.wake[lane], e.aCounts[lane]
-	var nA, nB int64
-	for now := start; now < end; now++ {
-		nA += stepDue(mine[:a], wake[:a], now)
-		tA := prof.clock()
-		nB += stepDue(mine[a:], wake[a:], now)
-		dA += tA - tOut
-		tOut = prof.clock()
-		dB += tOut - tA
+	var nA, nB, allA, allB int64
+	mine := e.blocks[e.first[lane]:e.first[lane+1]]
+	for i := range mine {
+		blk := &mine[i]
+		a, b, wakeA, wakeB := blk.comps[:blk.a], blk.comps[blk.a:], blk.wake[:blk.a], blk.wake[blk.a:]
+		for now := start; now < end; now++ {
+			nA += stepDue(a, wakeA, now)
+			tA := prof.clock()
+			nB += stepDue(b, wakeB, now)
+			dA += tA - tOut
+			tOut = prof.clock()
+			dB += tOut - tA
+		}
+		allA += int64(len(a))
+		allB += int64(len(b))
 	}
-	prof.recSteps(lane, PhaseWorkA, nA, int64(end-start)*int64(a)-nA)
-	prof.recSteps(lane, PhaseWorkB, nB, int64(end-start)*int64(len(mine)-a)-nB)
+	prof.recSteps(lane, PhaseWorkA, nA, int64(end-start)*allA-nA)
+	prof.recSteps(lane, PhaseWorkB, nB, int64(end-start)*allB-nB)
 	return
 }
 
 // stepDue steps the components whose wake slot has come due, stores each
 // one's answer for when to come back, and returns how many it stepped. A
-// sender stepping later in the cycle may lower a slot again, never raise it.
+// sender stepping later — in the cycle, or in a later block of the epoch —
+// may lower a slot again, never raise it.
 //
 //stashsim:phase parallel
 //stashsim:noalloc

@@ -52,7 +52,7 @@ const (
 	// the shadow of the coordinator's serial hooks plus scheduling delay.
 	PhaseBarrierRelease
 	// PhaseBarrierPublish is a worker's wait at the epoch-exit barrier
-	// after finishing its own partition: pure straggler skew.
+	// after finishing its own blocks: pure straggler skew.
 	PhaseBarrierPublish
 	// PhasePreHook is the coordinator's serial BeforeEpoch hook (the
 	// network's due actions and the epoch cut).
@@ -61,10 +61,10 @@ const (
 	// and the network's due observers).
 	PhasePostHook
 	// PhaseCycleSpan is the coordinator's span between releasing the
-	// partitions and the last one finishing: the stepping section of the
+	// workers and the last one finishing: the stepping section of the
 	// epoch as the coordinator sees it.
 	PhaseCycleSpan
-	// PhaseEpochDrain is a partition's time delivering cross-partition
+	// PhaseEpochDrain is a worker's time delivering cross-worker
 	// link slabs at an epoch boundary.
 	PhaseEpochDrain
 	// NumPhases is the number of timed phases.
@@ -153,7 +153,7 @@ func (h *PhaseHist) P99NS() int64 {
 }
 
 // ringLaneWords is the per-(epoch, lane) ring record: first cycle, start
-// timestamp, and one duration per recorded sub-phase (partition lanes use
+// timestamp, and one duration per recorded sub-phase (worker lanes use
 // release/work-a/work-b/publish; the coordinator lane uses
 // pre/span/post and carries the epoch's cycle count in the fourth).
 const ringLaneWords = 6
@@ -192,9 +192,9 @@ type RingRec struct {
 	Durs  [4]int64
 }
 
-// ExecProfiler collects per-partition, per-phase executor timings. Lanes
-// 0..workers-1 belong to the partitions (one lane when the executor runs
-// inline); lane `workers` is the coordinator. Construct with
+// ExecProfiler collects per-worker, per-phase executor timings. Lanes
+// 0..workers-1 belong to the workers, each summing over the blocks it
+// steps (one lane when the executor runs inline); lane `workers` is the coordinator. Construct with
 // NewExecProfiler and attach to Executor.Profiler before the first Run.
 // One profiler may be shared by several executors (the figures harness
 // attaches one to every sweep network): all recording is atomic, so the
@@ -214,7 +214,7 @@ type ExecProfiler struct {
 }
 
 // NewExecProfiler returns a profiler for an executor with the given
-// partition count (values below one mean one).
+// worker count (values below one mean one).
 // ringCycles > 0 retains the most recent ringCycles cycles of raw lane
 // timings for the Chrome trace export; 0 disables the ring.
 func NewExecProfiler(workers, ringCycles int) *ExecProfiler {
@@ -274,9 +274,9 @@ func (p *ExecProfiler) clock() int64 {
 	return nowNS()
 }
 
-// recWorkerEpoch records one partition epoch: entry-barrier wait, the
+// recWorkerEpoch records one worker's epoch: entry-barrier wait, the
 // epoch drain, the accumulated work of the epoch's cycles, and the
-// exit-barrier wait (both waits are zero for a partition run inline). The
+// exit-barrier wait (both waits are zero for a worker run inline). The
 // ring entry folds the drain into the release slot to keep the record four
 // durations wide.
 //
@@ -295,7 +295,7 @@ func (p *ExecProfiler) recWorkerEpoch(cycle int64, lane int, start, dRel, dDrain
 	p.ring.put(cycle, lane, start, dRel+dDrain, dA, dB, dPub)
 }
 
-// recSteps adds one partition epoch's component-cycle counts for a work
+// recSteps adds one worker epoch's component-cycle counts for a work
 // phase: how many components were stepped and how many slept.
 //
 //stashsim:phase parallel
@@ -463,7 +463,7 @@ func (p *ExecProfiler) Report() *ExecReport {
 			sumAttr += total
 			switch ph {
 			case PhaseWorkA, PhaseWorkB, PhaseEpochDrain:
-				// The epoch drain delivers cross-partition flits — useful
+				// The epoch drain delivers cross-worker flits — useful
 				// work, not synchronization wait.
 				work += total
 			case PhaseBarrierRelease:
@@ -523,7 +523,7 @@ func (p *ExecProfiler) Report() *ExecReport {
 		if p.workers > 1 {
 			a.AttributedPct = pct(sumAttr)
 		} else {
-			// Inline partition: no barrier waits shadow the hooks, so
+			// Inline worker: no barrier waits shadow the hooks, so
 			// wall = hooks + work + loop ε.
 			a.AttributedPct = 100 * float64(sumAttr+preNS+postNS) / float64(r.WallNS)
 		}

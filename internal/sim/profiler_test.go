@@ -45,7 +45,7 @@ func TestExecProfilerSerial(t *testing.T) {
 	for i := 0; i < comps; i++ {
 		steppers = append(steppers, &countStepper{})
 	}
-	e := NewPartitionedExecutor([][]Stepper{steppers}, []int{2}, 1<<40, nil)
+	e := NewPartitionedExecutor([][]Stepper{steppers}, []int{2}, 1, 1<<40, nil)
 	e.BeforeEpoch = everyCycle
 	p := NewExecProfiler(1, 16)
 	p.SetPhaseLabels("endpoints", "switches")
@@ -86,7 +86,7 @@ func TestExecProfilerParallel(t *testing.T) {
 		steppers = append(steppers, &countStepper{})
 	}
 	parts, _ := roundRobin(steppers, workers)
-	e := NewPartitionedExecutor(parts, []int{1, 1, 1, 0}, 7, nil)
+	e := NewPartitionedExecutor(parts, []int{1, 1, 1, 0}, len(parts), 7, nil)
 	e.BeforeEpoch = everyCycle
 	p := NewExecProfiler(workers, 8)
 	e.Profiler = p
@@ -131,7 +131,7 @@ func TestExecProfilerMismatchedWorkersPanics(t *testing.T) {
 		steppers = append(steppers, &countStepper{})
 	}
 	parts, aCounts := roundRobin(steppers, 3)
-	e := NewPartitionedExecutor(parts, aCounts, 7, nil)
+	e := NewPartitionedExecutor(parts, aCounts, len(parts), 7, nil)
 	defer e.Close()
 	e.Profiler = NewExecProfiler(2, 0) // wrong worker count
 	defer func() {
@@ -148,7 +148,7 @@ func TestExecProfilerChromeEvents(t *testing.T) {
 		steppers = append(steppers, &countStepper{})
 	}
 	parts, _ := roundRobin(steppers, 2)
-	e := NewPartitionedExecutor(parts, []int{1, 1}, 7, nil)
+	e := NewPartitionedExecutor(parts, []int{1, 1}, len(parts), 7, nil)
 	p := NewExecProfiler(2, 4)
 	p.SetPhaseLabels("endpoints", "switches")
 	e.Profiler = p

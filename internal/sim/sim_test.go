@@ -169,7 +169,7 @@ func TestExecutorSerial(t *testing.T) {
 		steppers = append(steppers, c)
 	}
 	parts, aCounts := roundRobin(steppers, 1)
-	e := NewPartitionedExecutor(parts, aCounts, 1<<40, nil)
+	e := NewPartitionedExecutor(parts, aCounts, len(parts), 1<<40, nil)
 	e.Run(0, 10)
 	e.Run(10, 15)
 	for _, c := range cs {
@@ -215,7 +215,7 @@ func TestExecutorHookOrdering(t *testing.T) {
 			steppers[i] = &tallyStepper{total: &total}
 		}
 		parts, aCounts := roundRobin(steppers, workers)
-		e := NewPartitionedExecutor(parts, aCounts, 7, nil)
+		e := NewPartitionedExecutor(parts, aCounts, len(parts), 7, nil)
 		var bad, rounds atomic.Int64
 		e.BeforeEpoch = func(now Tick) Tick {
 			// Entering cycle `now`, exactly now*comps steps have happened.
@@ -248,7 +248,7 @@ func TestExecutorHookOrdering(t *testing.T) {
 // TestExecutorRejectsEmptyCut: a BeforeEpoch that cuts the epoch at or
 // before its first cycle would spin the loop forever; Run panics instead.
 func TestExecutorRejectsEmptyCut(t *testing.T) {
-	e := NewPartitionedExecutor([][]Stepper{{&countStepper{}}}, []int{0}, 7, nil)
+	e := NewPartitionedExecutor([][]Stepper{{&countStepper{}}}, []int{0}, 1, 7, nil)
 	e.BeforeEpoch = func(now Tick) Tick { return now }
 	mustPanicSim(t, "cut at now", func() { e.Run(0, 10) })
 }
@@ -263,7 +263,7 @@ func TestExecutorRunAfterClose(t *testing.T) {
 			steppers[i] = &tallyStepper{total: &total}
 		}
 		parts, aCounts := roundRobin(steppers, workers)
-		e := NewPartitionedExecutor(parts, aCounts, 7, nil)
+		e := NewPartitionedExecutor(parts, aCounts, len(parts), 7, nil)
 		e.Run(0, 10)
 		e.Close()
 		e.Close() // idempotent
@@ -304,7 +304,7 @@ func TestExecutorParallelCycleBoundary(t *testing.T) {
 		comps[i] = ss[i]
 	}
 	parts, aCounts := roundRobin(comps, 4)
-	e := NewPartitionedExecutor(parts, aCounts, 7, nil)
+	e := NewPartitionedExecutor(parts, aCounts, len(parts), 7, nil)
 	defer e.Close()
 	for c := Tick(0); c < 50; c++ {
 		cur.Store(int64(c))
@@ -339,7 +339,7 @@ func TestExecutorSleepWake(t *testing.T) {
 		if workers == 1 {
 			parts, aCounts = [][]Stepper{{a, never, b}}, []int{1}
 		}
-		e := NewPartitionedExecutor(parts, aCounts, 3, nil)
+		e := NewPartitionedExecutor(parts, aCounts, len(parts), 3, nil)
 		e.Profiler = NewExecProfiler(workers, 0)
 		e.Run(0, 10)
 		if fmt.Sprint(a.steps) != "[0 4 8]" || len(b.steps) != 10 || fmt.Sprint(never.steps) != "[0]" {
