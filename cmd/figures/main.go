@@ -21,8 +21,6 @@ import (
 	"strings"
 	"time"
 
-	"stashsim/internal/core"
-	"stashsim/internal/fault"
 	"stashsim/internal/harness"
 	"stashsim/internal/sim"
 	"stashsim/internal/stats"
@@ -49,35 +47,44 @@ func tableSeries(t *stats.Table, xCol int, yCols ...int) []viz.Series {
 	return out
 }
 
+// cliOpts are the flags that are not part of the run description.
+type cliOpts struct {
+	exp                    string
+	profileExec            bool
+	cpuprofile, memprofile string
+}
+
+// defineFlags declares every flag, so that TestFlagCount can count them:
+// the ten shared with cmd/stashsim land in o.Base, here applied to every
+// experiment network.
+func defineFlags(fs *flag.FlagSet, o *harness.Options, c *cliOpts) {
+	o.Base.BindFlags(fs)
+	fs.StringVar(&c.exp, "exp", "all", "experiment: table1,table2,fig5,fig6,fig7,fig8,fig9,ablations,faults or all (comma separated)")
+	fs.StringVar(&o.OutDir, "out", "", "directory for CSV output")
+	fs.BoolVar(&o.Quick, "quick", false, "shortened runs (smoke test)")
+	fs.IntVar(&o.Workers, "workers", runtime.GOMAXPROCS(0), "sweep-level worker pool fanning out independent design points (tables are identical for any value)")
+	fs.BoolVar(&c.profileExec, "profile-exec", false, "profile per-phase executor time across every experiment network; report to stderr and, with -out, exec_profile.json")
+	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&c.memprofile, "memprofile", "", "write a heap profile to this file")
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1,table2,fig5,fig6,fig7,fig8,fig9,ablations,faults or all (comma separated)")
-	preset := flag.String("preset", "small", "network scale: tiny, small, paper")
-	out := flag.String("out", "", "directory for CSV output")
-	quick := flag.Bool("quick", false, "shortened runs (smoke test)")
-	seed := flag.Uint64("seed", 1, "master random seed")
-	var invariants int64
-	flag.BoolFunc("invariants", "audit runtime conservation invariants every 64 cycles during the runs, or with -invariants=N every N", func(s string) (err error) {
-		invariants, err = core.ParseAuditEvery(s)
-		return err
-	})
-	faultPlan := flag.String("fault-plan", "", "JSON fault plan injected into every experiment network")
-	dropRate := flag.Float64("link-drop-rate", 0, "per-packet drop probability injected into every experiment network")
-	outages := flag.String("link-outage", "", "outage windows (link@start-end, comma separated) injected into every experiment network")
-	stashFails := flag.String("stash-fail", "", "stash-bank failures (switch.port@cycle, comma separated) injected into every experiment network")
-	stashParity := flag.Int("stash-parity", 0, "erasure-code stash copies into XOR parity groups of this width on every e2e experiment network (0 = off)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "sweep-level worker pool fanning out independent design points (tables are identical for any value)")
-	checkpointSpec := flag.String("checkpoint", "", "write a warm snapshot of every design point as file@cycle (cycle inside each experiment's warmup window); files get .<experiment>.<point> suffixes")
-	restore := flag.String("restore", "", "resume every design point from the warm snapshots a previous -checkpoint run wrote with this file prefix; tables are byte-identical to a straight-through run")
-	profileExec := flag.Bool("profile-exec", false, "profile per-phase executor time across every experiment network; report to stderr and, with -out, exec_profile.json")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
+	o := &harness.Options{Log: log.Printf}
+	var c cliOpts
+	defineFlags(flag.CommandLine, o, &c)
 	flag.Parse()
 
-	if _, err := core.PresetConfig(*preset); err != nil {
+	// Every experiment network gets the shared flags (-checkpoint writes a
+	// warm snapshot per design point, <file>.<experiment>.<point>, and the
+	// cycle must fall inside the experiment's window); a preset or fault
+	// plan that cannot be built is refused here, before table1 runs.
+	probe := o.Base
+	probe.Mode = "baseline"
+	if _, err := probe.Config(); err != nil {
 		log.Fatal(err)
 	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+	if c.cpuprofile != "" {
+		f, err := os.Create(c.cpuprofile)
 		if err != nil {
 			log.Fatalf("cpuprofile: %v", err)
 		}
@@ -87,9 +94,9 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memprofile != "" {
+	if c.memprofile != "" {
 		defer func() {
-			f, err := os.Create(*memprofile)
+			f, err := os.Create(c.memprofile)
 			if err != nil {
 				log.Fatalf("memprofile: %v", err)
 			}
@@ -100,68 +107,18 @@ func main() {
 			}
 		}()
 	}
-
-	o := &harness.Options{
-		Preset:      *preset,
-		OutDir:      *out,
-		Quick:       *quick,
-		Seed:        *seed,
-		Invariants:  invariants,
-		StashParity: *stashParity,
-		Workers:     *workers,
-		RestorePath: *restore,
-		Log: func(format string, args ...any) {
-			log.Printf(format, args...)
-		},
-	}
-	if *checkpointSpec != "" {
-		i := strings.LastIndex(*checkpointSpec, "@")
-		if i <= 0 {
-			log.Fatalf("-checkpoint wants file@cycle, got %q", *checkpointSpec)
-		}
-		at, err := strconv.ParseInt((*checkpointSpec)[i+1:], 10, 64)
-		if err != nil || at < 0 {
-			log.Fatalf("-checkpoint wants file@cycle with a non-negative cycle, got %q", *checkpointSpec)
-		}
-		o.CheckpointPath = (*checkpointSpec)[:i]
-		o.CheckpointAt = at
-	}
 	var prof *sim.ExecProfiler
-	if *profileExec {
+	if c.profileExec {
 		// One lane: experiment networks run serially (parallelism here is
 		// sweep-level), so a shared single-lane profiler aggregates phase
 		// time across every design point of every selected experiment.
 		prof = sim.NewExecProfiler(1, 0)
 		o.ExecProfiler = prof
 	}
-	if *faultPlan != "" || *dropRate > 0 || *outages != "" || *stashFails != "" {
-		plan := &fault.Plan{Seed: *seed}
-		if *faultPlan != "" {
-			p, err := fault.LoadPlan(*faultPlan)
-			if err != nil {
-				log.Fatalf("%v", err)
-			}
-			plan = &p
-		}
-		if *dropRate > 0 {
-			plan.LinkDropRate = *dropRate
-		}
-		ows, err := fault.ParseOutages(*outages)
-		if err != nil {
-			log.Fatalf("%v", err)
-		}
-		plan.Outages = append(plan.Outages, ows...)
-		sfs, err := fault.ParseStashFails(*stashFails)
-		if err != nil {
-			log.Fatalf("%v", err)
-		}
-		plan.StashFailures = append(plan.StashFailures, sfs...)
-		o.FaultPlan = plan
-	}
 	log.SetFlags(log.Ltime)
 
 	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
+	for _, e := range strings.Split(c.exp, ",") {
 		want[strings.TrimSpace(e)] = true
 	}
 	all := want["all"]
@@ -279,11 +236,11 @@ func main() {
 	if prof != nil {
 		rep := prof.Report()
 		fmt.Fprint(os.Stderr, rep.Text())
-		if *out != "" {
-			if err := os.MkdirAll(*out, 0o755); err != nil {
+		if o.OutDir != "" {
+			if err := os.MkdirAll(o.OutDir, 0o755); err != nil {
 				log.Fatalf("exec profile: %v", err)
 			}
-			path := filepath.Join(*out, "exec_profile.json")
+			path := filepath.Join(o.OutDir, "exec_profile.json")
 			if err := os.WriteFile(path, rep.JSON(), 0o644); err != nil {
 				log.Fatalf("exec profile: %v", err)
 			}

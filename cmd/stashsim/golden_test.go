@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"stashsim/internal/harness"
 )
 
 // goldenSpecs is the committed-results matrix: both cheap presets across the
@@ -14,15 +16,15 @@ import (
 // any simulation outcome fail TestGoldenResults before they reach a figure.
 var goldenSpecs = []struct {
 	name string
-	spec simSpec
+	spec harness.Spec
 }{
-	{"tiny-baseline", simSpec{
+	{"tiny-baseline", harness.Spec{
 		Preset: "tiny", Mode: "e2e", CapFrac: 1.0,
 		Load: 0.35, MsgPkts: 1,
 		Cycles: 4000, Warmup: 500, Seed: 42,
 		Invariants: 64,
 	}},
-	{"tiny-fault", simSpec{
+	{"tiny-fault", harness.Spec{
 		Preset: "tiny", Mode: "e2e", CapFrac: 1.0,
 		Load: 0.25, MsgPkts: 1,
 		Cycles: 4000, Warmup: 500, Seed: 13,
@@ -30,7 +32,7 @@ var goldenSpecs = []struct {
 		Drain:      400000,
 		Invariants: 64,
 	}},
-	{"tiny-parity", simSpec{
+	{"tiny-parity", harness.Spec{
 		Preset: "tiny", Mode: "e2e", CapFrac: 1.0,
 		Load: 0.25, MsgPkts: 1,
 		Cycles: 4000, Warmup: 500, Seed: 9,
@@ -40,24 +42,24 @@ var goldenSpecs = []struct {
 		Drain:       400000,
 		Invariants:  64,
 	}},
-	{"tiny-ecn", simSpec{
+	{"tiny-ecn", harness.Spec{
 		Preset: "tiny", Mode: "congestion", CapFrac: 1.0,
 		Load: 0.4, MsgPkts: 2, Hotspots: 2, ECN: true,
 		Cycles: 4000, Warmup: 500, Seed: 8,
 	}},
-	{"small-baseline", simSpec{
+	{"small-baseline", harness.Spec{
 		Preset: "small", Mode: "e2e", CapFrac: 1.0,
 		Load: 0.3, MsgPkts: 1,
 		Cycles: 1500, Warmup: 300, Seed: 42,
 	}},
-	{"small-fault", simSpec{
+	{"small-fault", harness.Spec{
 		Preset: "small", Mode: "e2e", CapFrac: 1.0,
 		Load: 0.2, MsgPkts: 1,
 		Cycles: 1500, Warmup: 300, Seed: 13,
 		DropRate: 2e-3, FaultSeed: 5,
 		Drain: 400000,
 	}},
-	{"small-parity", simSpec{
+	{"small-parity", harness.Spec{
 		Preset: "small", Mode: "e2e", CapFrac: 1.0,
 		Load: 0.2, MsgPkts: 1,
 		Cycles: 1500, Warmup: 300, Seed: 13,
@@ -67,7 +69,7 @@ var goldenSpecs = []struct {
 		Drain:       400000,
 		Invariants:  64,
 	}},
-	{"small-ecn", simSpec{
+	{"small-ecn", harness.Spec{
 		Preset: "small", Mode: "congestion", CapFrac: 1.0,
 		Load: 0.3, MsgPkts: 2, Hotspots: 2, ECN: true,
 		Cycles: 1500, Warmup: 300, Seed: 8,

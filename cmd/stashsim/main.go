@@ -25,68 +25,13 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 
 	"stashsim/internal/core"
+	"stashsim/internal/harness"
 	"stashsim/internal/metrics"
 	"stashsim/internal/network"
-	"stashsim/internal/sim"
 	"stashsim/internal/telemetry"
 )
-
-// runSummary is the -json output schema.
-type runSummary struct {
-	Network  string  `json:"network"`
-	Mode     string  `json:"mode"`
-	Seed     uint64  `json:"seed"`
-	Cycles   int64   `json:"cycles"`
-	Warmup   int64   `json:"warmup"`
-	Offered  float64 `json:"offered"`
-	Accepted float64 `json:"accepted"`
-
-	Latency struct {
-		MeanNS  float64 `json:"mean_ns"`
-		P50NS   float64 `json:"p50_ns"`
-		P90NS   float64 `json:"p90_ns"`
-		P99NS   float64 `json:"p99_ns"`
-		MaxNS   float64 `json:"max_ns"`
-		Packets int64   `json:"packets"`
-	} `json:"latency"`
-
-	Counters      core.Counters      `json:"counters"`
-	StashResident int                `json:"stash_resident_flits"`
-	Fault         *faultSummary      `json:"fault,omitempty"`
-	Metrics       map[string]int64   `json:"metrics,omitempty"`
-	TraceEvents   int                `json:"trace_events,omitempty"`
-	TraceDropped  int64              `json:"trace_dropped,omitempty"`
-	WatchdogStall int64              `json:"watchdog_stalls"`
-	Exec          *network.ExecStats `json:"exec,omitempty"`
-	ExecProfile   *sim.ExecReport    `json:"exec_profile,omitempty"`
-	Artifacts     map[string]string  `json:"artifacts,omitempty"`
-}
-
-// faultSummary is the fault-injection and recovery section of the -json
-// output, present whenever a fault plan or the recovery timers are active.
-type faultSummary struct {
-	PktsDropped          int64   `json:"pkts_dropped"`
-	FlitsDropped         int64   `json:"flits_dropped"`
-	OutagePkts           int64   `json:"outage_pkts"`
-	FlitsCorrupted       int64   `json:"flits_corrupted"`
-	StashCopiesLost      int64   `json:"stash_copies_lost"`
-	InjectedPkts         int64   `json:"injected_pkts"`
-	DeliveredUnique      int64   `json:"delivered_unique"`
-	DuplicatesSuppressed int64   `json:"duplicates_suppressed"`
-	Abandoned            int64   `json:"abandoned"`
-	StashResends         int64   `json:"stash_resends"`
-	EndpointResends      int64   `json:"endpoint_resends"`
-	CorruptPkts          int64   `json:"corrupt_pkts"`
-	RecoveredPkts        int64   `json:"recovered_pkts"`
-	RecoveryMeanNS       float64 `json:"recovery_mean_ns"`
-	StashReconstructed   int64   `json:"stash_copies_reconstructed"`
-	StashReconFailed     int64   `json:"stash_recon_failed"`
-	Drained              bool    `json:"drained"`
-}
 
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
@@ -96,8 +41,6 @@ func fatalf(format string, args ...any) {
 // cliOpts are the flags that do not determine the simulation's outcome:
 // what to observe and where to write it.
 type cliOpts struct {
-	checkpoint             string
-	assertDelivery         bool
 	metrics, metricsFull   bool
 	traceOut, traceChrome  string
 	sampleEvery            int64
@@ -109,10 +52,12 @@ type cliOpts struct {
 	cpuprofile, memprofile string
 }
 
-// defineFlags declares every flag, so that TestFlagCount can count them.
-func defineFlags(fs *flag.FlagSet, sp *simSpec, o *cliOpts) {
-	fs.StringVar(&sp.Preset, "preset", "small", "base preset: tiny, small, paper (overridden by -p/-a/-h)")
-	fs.IntVar(&sp.P, "p", 0, "endpoints per switch (custom topology)")
+// defineFlags declares every flag, so that TestFlagCount can count them:
+// the ten shared with cmd/figures, the rest of the run description, then
+// what to observe.
+func defineFlags(fs *flag.FlagSet, sp *harness.Spec, o *cliOpts) {
+	sp.BindFlags(fs)
+	fs.IntVar(&sp.P, "p", 0, "endpoints per switch (custom topology, overrides -preset)")
 	fs.IntVar(&sp.A, "a", 0, "switches per group (custom topology)")
 	fs.IntVar(&sp.H, "h", 0, "global links per switch (custom topology)")
 	fs.StringVar(&sp.Mode, "mode", "baseline", "switch mode: baseline, e2e, congestion")
@@ -122,28 +67,16 @@ func defineFlags(fs *flag.FlagSet, sp *simSpec, o *cliOpts) {
 	fs.IntVar(&sp.Hotspots, "hotspots", 0, "number of 4:1 hotspot aggressors (enables victim/aggressor classes)")
 	fs.Int64Var(&sp.Cycles, "cycles", 50000, "measured cycles (after warmup)")
 	fs.Int64Var(&sp.Warmup, "warmup", 10000, "warmup cycles")
-	fs.Uint64Var(&sp.Seed, "seed", 1, "random seed")
 	fs.BoolVar(&sp.ECN, "ecn", false, "enable ECN (implied by -mode congestion)")
 	fs.BoolVar(&sp.Banks, "banks", false, "model two-bank port memory conflicts")
 	fs.Float64Var(&sp.ErrRate, "errors", 0, "per-packet NACK probability (e2e retransmission)")
-	fs.BoolFunc("invariants", "audit runtime conservation invariants every 64 cycles, or with -invariants=N every N (1 = every cycle, which also means a barrier every cycle)", func(s string) (err error) {
-		sp.Invariants, err = core.ParseAuditEvery(s)
-		return err
-	})
-	fs.StringVar(&sp.FaultPlanPath, "fault-plan", "", "JSON fault plan file (see internal/fault); flags below layer on top")
 	fs.Uint64Var(&sp.FaultSeed, "fault-seed", 0, "fault RNG seed (overrides the plan's)")
-	fs.Float64Var(&sp.DropRate, "link-drop-rate", 0, "per-packet Bernoulli drop probability on every link")
 	fs.Float64Var(&sp.CorruptRate, "corrupt-rate", 0, "per-flit payload-corruption probability (caught by checksums)")
-	fs.StringVar(&sp.Outages, "link-outage", "", "outage windows, comma-separated link@start-end (e.g. sw0.3->sw1.2@1000-3000)")
-	fs.StringVar(&sp.StashFails, "stash-fail", "", "stash-bank failures, comma-separated switch.port@cycle (e.g. 0.1@5000)")
 	fs.BoolVar(&sp.Retrans, "retrans", false, "enable recovery timers (auto-enabled when a plan drops packets in e2e mode)")
 	fs.BoolVar(&sp.StashBypass, "stash-bypass", false, "forward packets uncovered when the stash is full instead of stalling (endpoint timers recover)")
-	fs.IntVar(&sp.StashParity, "stash-parity", 0, "erasure-code stash copies into XOR parity groups of this width (0 = off; e2e mode only)")
 	fs.Int64Var(&sp.Drain, "drain", 0, "after the measured window, run up to this many unloaded cycles until every packet settles")
 	fs.IntVar(&sp.Workers, "workers", runtime.GOMAXPROCS(0), "cycle-level worker goroutines stepping the network (1 = serial; results are identical either way)")
-	fs.StringVar(&o.checkpoint, "checkpoint", "", "write a bit-exact checkpoint as file@cycle (absolute cycle; warmup counts); resuming from it with -restore reproduces the straight-through run byte for byte")
-	fs.StringVar(&sp.RestorePath, "restore", "", "resume from a checkpoint file; the other flags must rebuild the identical configuration and observers")
-	fs.BoolVar(&o.assertDelivery, "assert-delivery", false, "with -drain, exit nonzero unless every injected packet delivered exactly once")
+	fs.BoolVar(&sp.AssertDelivery, "assert-delivery", false, "with -drain and faults or -retrans, exit nonzero unless every injected packet delivered exactly once")
 
 	fs.BoolVar(&o.metrics, "metrics", false, "enable the switch metrics registry and print it")
 	fs.BoolVar(&o.metricsFull, "metrics-full", false, "with -metrics, print every per-switch/per-tile scope instead of totals")
@@ -215,27 +148,10 @@ func (o *cliOpts) observe(n *network.Network, out io.Writer) (pub *telemetry.Pub
 }
 
 func main() {
-	var sp simSpec
+	var sp harness.Spec
 	var o cliOpts
 	defineFlags(flag.CommandLine, &sp, &o)
 	flag.Parse()
-
-	if o.checkpoint != "" {
-		i := strings.LastIndex(o.checkpoint, "@")
-		if i <= 0 {
-			fatalf("-checkpoint wants file@cycle, got %q", o.checkpoint)
-		}
-		at, err := strconv.ParseInt(o.checkpoint[i+1:], 10, 64)
-		if err != nil || at < 0 {
-			fatalf("-checkpoint wants file@cycle with a non-negative cycle, got %q", o.checkpoint)
-		}
-		if at >= sp.Warmup+sp.Cycles {
-			fatalf("-checkpoint cycle %d is past the end of the run (warmup %d + cycles %d); the drain window is not checkpointable",
-				at, sp.Warmup, sp.Cycles)
-		}
-		sp.CheckpointPath = o.checkpoint[:i]
-		sp.CheckpointAt = at
-	}
 
 	// With -json, stdout carries exactly one JSON document; everything
 	// human-readable moves to stderr.
@@ -256,10 +172,10 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	// build starts the worker pool and this function alone closes it, after
+	// Build starts the worker pool and this function alone closes it, after
 	// the final snapshot: Close drops to one worker, which would replace
 	// the profiler the snapshot reads with an empty one-lane one.
-	n, err := sp.build()
+	n, err := sp.Build()
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -272,7 +188,13 @@ func main() {
 	defer stop()
 	reg, tracer, prof := n.Metrics, n.Tracer, n.Profiler
 
-	s := sp.run(n)
+	if err := sp.Warm(n, sp.Warmup); err != nil {
+		fatalf("%v", err)
+	}
+	s, runErr := sp.Run(n)
+	if s == nil { // a failed -assert-delivery comes with the summary that shows it
+		fatalf("%v", runErr)
+	}
 	pub.Publish() // final snapshot so late scrapes see the end-of-run state
 
 	artifacts := map[string]string{}
@@ -421,32 +343,12 @@ func main() {
 		}
 	}
 
-	if o.assertDelivery {
-		if err := sp.checkDelivery(s); err != nil {
-			fatalf("%v", err)
-		}
+	if runErr != nil {
+		fatalf("%v", runErr)
+	}
+	if sp.AssertDelivery {
 		fmt.Fprintf(out, "assert-delivery: all %d packets delivered exactly once\n", s.Fault.InjectedPkts)
 	}
-}
-
-// checkDelivery is -assert-delivery: after the drain, every injected
-// packet must have been delivered exactly once.
-func (sp *simSpec) checkDelivery(s *runSummary) error {
-	if sp.Drain <= 0 {
-		return fmt.Errorf("-assert-delivery requires -drain (in-flight packets would fail the check)")
-	}
-	fs := s.Fault
-	if fs == nil {
-		return fmt.Errorf("-assert-delivery requires fault injection or -retrans")
-	}
-	if !fs.Drained {
-		return fmt.Errorf("assert-delivery: network did not drain within %d cycles", sp.Drain)
-	}
-	if fs.DeliveredUnique != fs.InjectedPkts || fs.Abandoned != 0 {
-		return fmt.Errorf("assert-delivery: injected %d, delivered %d, abandoned %d — not exactly-once",
-			fs.InjectedPkts, fs.DeliveredUnique, fs.Abandoned)
-	}
-	return nil
 }
 
 // writeFileWith streams a writer-consuming export into a file.

@@ -5,26 +5,45 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
+	"stashsim/internal/fault"
+	"stashsim/internal/harness"
 	"stashsim/internal/metrics"
+	"stashsim/internal/network"
 	"stashsim/internal/telemetry"
 )
 
 // runJSON builds and runs the spec and returns the summary marshalled
 // exactly as the -json flag would emit it.
-func runJSON(t *testing.T, sp simSpec) []byte {
+func runJSON(t *testing.T, sp harness.Spec) []byte {
 	t.Helper()
-	n, err := sp.build()
+	n, err := sp.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	return marshalSummary(t, sp.run(n))
+	return marshalSummary(t, run(t, &sp, n))
+}
+
+// run warms and runs a built network the way main does.
+func run(t *testing.T, sp *harness.Spec, n *network.Network) *harness.Summary {
+	t.Helper()
+	if err := sp.Warm(n, sp.Warmup); err != nil {
+		t.Fatal(err)
+	}
+	s, err := sp.Run(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // marshalSummary renders a summary exactly as the -json flag would.
-func marshalSummary(t *testing.T, s *runSummary) []byte {
+func marshalSummary(t *testing.T, s *harness.Summary) []byte {
 	t.Helper()
 	b, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
@@ -38,7 +57,7 @@ func marshalSummary(t *testing.T, s *runSummary) []byte {
 // determinism analyzer: any map-order, wall-clock, or global-rand
 // dependence in the simulation path shows up here as a diff.
 func TestRunIsDeterministic(t *testing.T) {
-	specs := map[string]simSpec{
+	specs := map[string]harness.Spec{
 		"e2e-uniform": {
 			Preset: "tiny", Mode: "e2e", CapFrac: 1.0,
 			Load: 0.4, MsgPkts: 1,
@@ -89,7 +108,7 @@ func TestRunIsDeterministic(t *testing.T) {
 // lookahead (less the 64-cycle observer interval and the run boundaries)
 // while a run is being watched.
 func TestWorkersDeterminism(t *testing.T) {
-	specs := map[string]simSpec{
+	specs := map[string]harness.Spec{
 		"stashing-e2e": {
 			Preset: "tiny", Mode: "e2e", CapFrac: 1.0,
 			Load: 0.35, MsgPkts: 1,
@@ -137,7 +156,7 @@ func TestWorkersDeterminism(t *testing.T) {
 				if pt.invariants > 0 {
 					parallel.Invariants = pt.invariants
 				}
-				n, err := parallel.build()
+				n, err := parallel.Build()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -148,7 +167,7 @@ func TestWorkersDeterminism(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				got := marshalSummary(t, parallel.run(n))
+				got := marshalSummary(t, run(t, &parallel, n))
 				st := n.ExecStats()
 				stop()
 				n.Close()
@@ -169,11 +188,11 @@ func TestWorkersDeterminism(t *testing.T) {
 // the network-owned profiler with a fresh one-lane one, so the snapshot
 // main published afterwards reported zero epochs.
 func TestFinalSnapshotHasExecProfile(t *testing.T) {
-	sp := simSpec{
+	sp := harness.Spec{
 		Preset: "tiny", Mode: "e2e", CapFrac: 1.0, Load: 0.3, MsgPkts: 1,
 		Cycles: 1500, Warmup: 500, Seed: 3, Workers: 2,
 	}
-	n, err := sp.build()
+	n, err := sp.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +202,7 @@ func TestFinalSnapshotHasExecProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stop()
-	sp.run(n)
+	run(t, &sp, n)
 	pub.Publish()
 	rep := pub.Latest().ExecProfile
 	if rep == nil || rep.Workers != 2 || rep.Cycles != 2000 || rep.Attribution.Epochs == 0 || rep.WallNS == 0 {
@@ -194,7 +213,7 @@ func TestFinalSnapshotHasExecProfile(t *testing.T) {
 // TestFlagCount pins the size of the flag surface: a new flag has to
 // argue its way past this number (simplicity-review, Options).
 func TestFlagCount(t *testing.T) {
-	var sp simSpec
+	var sp harness.Spec
 	fs := flag.NewFlagSet("stashsim", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	defineFlags(fs, &sp, new(cliOpts))
@@ -218,10 +237,53 @@ func TestFlagCount(t *testing.T) {
 	}
 }
 
+// TestFaultFlagsPlan: the fault flags shared with cmd/figures yield the
+// plans its test of the same name expects from the same spellings, and the
+// two only this CLI has layer on top: -fault-seed overrides the plan's
+// seed, -corrupt-rate its rate.
+func TestFaultFlagsPlan(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "plan.json")
+	if err := os.WriteFile(file, []byte(`{"seed": 9, "link_drop_rate": 0.5,
+		"outages": [{"link": "ep5->sw1.0", "start": 500, "end": 900}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	outage := fault.Outage{Link: "sw0.3->sw1.2", Start: 1000, End: 3000}
+	for _, c := range []struct {
+		args []string
+		want *fault.Plan
+	}{
+		{nil, nil},
+		{[]string{"-seed", "7", "-stash-parity", "4"}, nil},
+		{[]string{"-seed", "7", "-link-drop-rate", "1e-3"}, &fault.Plan{LinkDropRate: 1e-3}},
+		{[]string{"-link-outage", "sw0.3->sw1.2@1000-3000"}, &fault.Plan{Outages: []fault.Outage{outage}}},
+		{[]string{"-stash-fail", "0.1@5000,2.0@7"}, &fault.Plan{StashFailures: []fault.StashFail{{Switch: 0, Port: 1, At: 5000}, {Switch: 2, Port: 0, At: 7}}}},
+		{[]string{"-fault-plan", file}, &fault.Plan{Seed: 9, LinkDropRate: 0.5,
+			Outages: []fault.Outage{{Link: "ep5->sw1.0", Start: 500, End: 900}}}},
+		{[]string{"-fault-plan", file, "-link-drop-rate", "0.25", "-link-outage", "sw0.3->sw1.2@1000-3000", "-stash-fail", "1.1@10"},
+			&fault.Plan{Seed: 9, LinkDropRate: 0.25,
+				Outages:       []fault.Outage{{Link: "ep5->sw1.0", Start: 500, End: 900}, outage},
+				StashFailures: []fault.StashFail{{Switch: 1, Port: 1, At: 10}}}},
+		{[]string{"-fault-plan", file, "-fault-seed", "3", "-corrupt-rate", "1e-4"}, &fault.Plan{Seed: 3, LinkDropRate: 0.5, CorruptRate: 1e-4,
+			Outages: []fault.Outage{{Link: "ep5->sw1.0", Start: 500, End: 900}}}},
+		{[]string{"-fault-seed", "3", "-link-drop-rate", "1e-3"}, &fault.Plan{Seed: 3, LinkDropRate: 1e-3}},
+	} {
+		var sp harness.Spec
+		fs := flag.NewFlagSet("stashsim", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		defineFlags(fs, &sp, new(cliOpts))
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		if got, err := sp.FaultPlan(); err != nil || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%v: plan %+v (err %v), want %+v", c.args, got, err, c.want)
+		}
+	}
+}
+
 // TestBadModeRejected exercises the config error path.
 func TestBadModeRejected(t *testing.T) {
-	sp := simSpec{Preset: "tiny", Mode: "turbo"}
-	if _, err := sp.build(); err == nil {
+	sp := harness.Spec{Preset: "tiny", Mode: "turbo"}
+	if _, err := sp.Build(); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 }
@@ -229,13 +291,13 @@ func TestBadModeRejected(t *testing.T) {
 // TestBadPresetRejected guards against typos silently running the
 // default (small) preset.
 func TestBadPresetRejected(t *testing.T) {
-	sp := simSpec{Preset: "med1um", Mode: "e2e"}
-	if _, err := sp.build(); err == nil {
+	sp := harness.Spec{Preset: "med1um", Mode: "e2e"}
+	if _, err := sp.Build(); err == nil {
 		t.Fatal("unknown preset accepted")
 	}
 	for _, ok := range []string{"", "tiny", "small", "paper"} {
-		sp := simSpec{Preset: ok, Mode: "baseline"}
-		if _, err := sp.build(); err != nil {
+		sp := harness.Spec{Preset: ok, Mode: "baseline"}
+		if _, err := sp.Build(); err != nil {
 			t.Fatalf("preset %q rejected: %v", ok, err)
 		}
 	}
@@ -246,7 +308,7 @@ func TestBadPresetRejected(t *testing.T) {
 // and live HTTP server all attached must produce a -json summary
 // byte-identical to a bare serial run of the same spec.
 func TestObservabilityNeutralDeterminism(t *testing.T) {
-	sp := simSpec{
+	sp := harness.Spec{
 		Preset: "tiny", Mode: "e2e", CapFrac: 1.0,
 		Load: 0.35, MsgPkts: 1,
 		Cycles: 3000, Warmup: 500, Seed: 21,
@@ -255,7 +317,7 @@ func TestObservabilityNeutralDeterminism(t *testing.T) {
 
 	wiredSpec := sp
 	wiredSpec.Workers = 2
-	n, err := wiredSpec.build()
+	n, err := wiredSpec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +335,7 @@ func TestObservabilityNeutralDeterminism(t *testing.T) {
 	defer srv.Close()
 	// The summary's metrics map is populated by main only when -metrics is
 	// set, so the structs compare cleanly here.
-	wired := marshalSummary(t, wiredSpec.run(n))
+	wired := marshalSummary(t, run(t, &wiredSpec, n))
 	if !bytes.Equal(bare, wired) {
 		t.Fatalf("observability wiring changed the summary:\n--- bare ---\n%s\n--- wired ---\n%s", bare, wired)
 	}

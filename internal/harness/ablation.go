@@ -5,7 +5,6 @@ import (
 	"stashsim/internal/proto"
 	"stashsim/internal/sim"
 	"stashsim/internal/stats"
-	"stashsim/internal/traffic"
 )
 
 // Ablations quantifies the design choices DESIGN.md calls out, on the
@@ -50,23 +49,14 @@ func Ablations(o *Options) (*stats.Table, error) {
 	rows := make([][]string, len(cases))
 	err := o.forEachPoint(len(cases), func(i int) error {
 		a := cases[i]
-		cfg, err := o.netConfig(core.StashE2E, 1.0, false)
+		sp := o.point("ablations", i, core.StashE2E, 1.0, false)
+		sp.Load, sp.MsgPkts = 1.0, 1
+		n, err := o.network(&sp, a.mutate)
 		if err != nil {
 			return err
 		}
-		if a.mutate != nil {
-			a.mutate(cfg)
-		}
-		n := o.mustNet(cfg)
-		rng := sim.NewRNG(cfg.Seed + 4000)
-		rate := n.ChannelRate()
-		for _, ep := range n.Endpoints {
-			gen := rng.Derive(uint64(ep.ID))
-			ep.Gen = traffic.Uniform(gen, len(n.Endpoints), nil,
-				1.0, rate, proto.MaxPacketFlits, proto.ClassDefault, 0)
-			ep.GenRNG = gen
-		}
-		if err := o.warm(n, "ablations", i, warm); err != nil {
+		sp.Wire(n, sim.NewRNG(sp.Seed+4000))
+		if err := sp.Warm(n, warm); err != nil {
 			return err
 		}
 		n.Run(meas)
@@ -78,7 +68,7 @@ func Ablations(o *Options) (*stats.Table, error) {
 		// One internal cycle lasts RateNum/RateDen ns (the channel moves
 		// one 10-byte flit per ns): 1/1.3 ns at the paper's speedup,
 		// 1 ns at the 1.0x ablation.
-		nsPerCycle := float64(cfg.RateNum) / float64(cfg.RateDen)
+		nsPerCycle := float64(n.Cfg.RateNum) / float64(n.Cfg.RateDen)
 		rows[i] = []string{a.name,
 			fmtF(n.NormalizedAccepted(meas), 3),
 			fmtF(n.Collector().LatAcc[proto.ClassDefault].Mean()*nsPerCycle/1000, 3),

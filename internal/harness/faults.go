@@ -2,14 +2,11 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 
 	"stashsim/internal/core"
-	"stashsim/internal/fault"
-	"stashsim/internal/network"
-	"stashsim/internal/proto"
 	"stashsim/internal/sim"
 	"stashsim/internal/stats"
-	"stashsim/internal/traffic"
 )
 
 // Faults quantifies the recovery ladder of the fault-injection extension:
@@ -42,11 +39,11 @@ func Faults(o *Options) (*stats.Table, error) {
 
 	// Four bank failures on distinct switches, staggered through the
 	// middle of the measured window (every preset has >= 4 switches).
-	var fails []fault.StashFail
+	var fails []string
 	for i := 0; i < 4; i++ {
-		fails = append(fails, fault.StashFail{
-			Switch: i, Port: 0, At: warm + meas/4 + int64(i)*meas/8})
+		fails = append(fails, fmt.Sprintf("%d.0@%d", i, warm+meas/4+int64(i)*meas/8))
 	}
+	stashFails := strings.Join(fails, ",")
 
 	type variant struct {
 		name   string
@@ -72,54 +69,36 @@ func Faults(o *Options) (*stats.Table, error) {
 	err := o.forEachPoint(len(cells), func(i int) error {
 		rate := rates[i/len(variants)]
 		v := variants[i%len(variants)]
-		{
-			cfg, err := o.netConfig(v.mode, 1.0, false)
-			if err != nil {
-				return err
-			}
-			cfg.Retrans = core.DefaultRetrans()
-			if v.mode == core.StashE2E {
-				cfg.RetainPayload = true
-			}
-			cfg.StashParity = v.parity
-			cfg.Fault = &fault.Plan{Seed: cfg.Seed + 101, LinkDropRate: rate,
-				StashFailures: fails}
-			n := o.mustNet(cfg)
-			rng := sim.NewRNG(cfg.Seed + 2000)
-			chRate := n.ChannelRate()
-			for _, ep := range n.Endpoints {
-				gen := rng.Derive(uint64(ep.ID))
-				ep.Gen = traffic.Uniform(gen, len(n.Endpoints), nil,
-					0.2, chRate, proto.MaxPacketFlits, proto.ClassDefault, 0)
-				ep.GenRNG = gen
-			}
-			if err := o.warm(n, "faults", i, warm); err != nil {
-				return err
-			}
-			n.Run(meas)
-			for _, ep := range n.Endpoints {
-				ep.Gen = nil
-			}
-			if !n.Drain(drainBudget) {
-				return fmt.Errorf("faults: %s at rate %.0e did not drain in %d cycles",
-					v.name, rate, int64(drainBudget))
-			}
-			if err := assertExactlyOnce(n); err != nil {
-				return fmt.Errorf("faults: %s at rate %.0e: %w", v.name, rate, err)
-			}
-			c := n.Collector()
-			nc := n.Counters()
-			recUS := c.RecoveryAcc.Mean() / 1300 // cycles -> us
-			resends := nc.E2ERetransmits + c.EndpointRetransmits
-			cells[i] = [5]string{
-				fmtF(recUS, 2),
-				fmt.Sprintf("%d", c.RecoveredPkts),
-				fmt.Sprintf("%d", resends),
-				fmt.Sprintf("%d", c.DuplicatesSuppressed),
-				fmt.Sprintf("%d", nc.StashReconstructed)}
-			o.logf("faults rate=%.0e %s: recovered=%d recLat=%.2fus resends=%d recon=%d",
-				rate, v.name, c.RecoveredPkts, recUS, resends, nc.StashReconstructed)
+		// The sweep's own plan replaces whatever the options carry.
+		sp := o.point("faults", i, v.mode, 1.0, false)
+		sp.FaultPlanPath, sp.Outages, sp.CorruptRate = "", "", 0
+		sp.FaultSeed, sp.DropRate, sp.StashFails = sp.Seed+101, rate, stashFails
+		sp.Retrans, sp.StashParity = true, v.parity
+		sp.Load, sp.MsgPkts = 0.2, 1
+		sp.Warmup, sp.Cycles, sp.Drain, sp.AssertDelivery = warm, meas, drainBudget, true
+		n, err := o.network(&sp, nil)
+		if err != nil {
+			return err
 		}
+		sp.Wire(n, sim.NewRNG(sp.Seed+2000))
+		if err := sp.Warm(n, warm); err != nil {
+			return err
+		}
+		if _, err := sp.Run(n); err != nil {
+			return fmt.Errorf("faults: %s at rate %.0e: %w", v.name, rate, err)
+		}
+		c := n.Collector()
+		nc := n.Counters()
+		recUS := c.RecoveryAcc.Mean() / 1300 // cycles -> us
+		resends := nc.E2ERetransmits + c.EndpointRetransmits
+		cells[i] = [5]string{
+			fmtF(recUS, 2),
+			fmt.Sprintf("%d", c.RecoveredPkts),
+			fmt.Sprintf("%d", resends),
+			fmt.Sprintf("%d", c.DuplicatesSuppressed),
+			fmt.Sprintf("%d", nc.StashReconstructed)}
+		o.logf("faults rate=%.0e %s: recovered=%d recLat=%.2fus resends=%d recon=%d",
+			rate, v.name, c.RecoveredPkts, recUS, resends, nc.StashReconstructed)
 		return nil
 	})
 	if err != nil {
@@ -133,17 +112,4 @@ func Faults(o *Options) (*stats.Table, error) {
 		t.AddRow(row...)
 	}
 	return t, o.writeCSV("faults_recovery", t)
-}
-
-// assertExactlyOnce verifies the drained network delivered every injected
-// packet exactly once.
-func assertExactlyOnce(n *network.Network) error {
-	injected, delivered, _, abandoned := n.DeliveryTotals()
-	if abandoned != 0 {
-		return fmt.Errorf("%d packets abandoned", abandoned)
-	}
-	if delivered != injected {
-		return fmt.Errorf("injected %d but delivered %d", injected, delivered)
-	}
-	return nil
 }

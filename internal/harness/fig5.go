@@ -4,7 +4,6 @@ import (
 	"stashsim/internal/proto"
 	"stashsim/internal/sim"
 	"stashsim/internal/stats"
-	"stashsim/internal/traffic"
 )
 
 // Fig5 reproduces Figures 5a and 5b: uniform-random single-packet-message
@@ -23,7 +22,7 @@ func Fig5(o *Options) (*stats.Table, *stats.Table, error) {
 	warm := o.scaleDur(10000)
 	meas := o.scaleDur(25000)
 
-	variants := e2eVariants()
+	variants := e2eVariants
 	lat := &stats.Table{Header: []string{"OfferedLoad"}}
 	acc := &stats.Table{Header: []string{"OfferedLoad"}}
 	for _, v := range variants {
@@ -38,20 +37,14 @@ func Fig5(o *Options) (*stats.Table, *stats.Table, error) {
 	err := o.forEachPoint(len(cells), func(i int) error {
 		load := loads[i/len(variants)]
 		v := variants[i%len(variants)]
-		cfg, err := o.netConfig(v.mode, v.capFrac, false)
+		sp := o.point("fig5", i, v.mode, v.capFrac, false)
+		sp.Load, sp.MsgPkts = load, 1
+		n, err := o.network(&sp, nil)
 		if err != nil {
 			return err
 		}
-		n := o.mustNet(cfg)
-		rng := sim.NewRNG(cfg.Seed + 1000)
-		rate := n.ChannelRate()
-		for _, ep := range n.Endpoints {
-			gen := rng.Derive(uint64(ep.ID))
-			ep.Gen = traffic.Uniform(gen, len(n.Endpoints), nil,
-				load, rate, proto.MaxPacketFlits, proto.ClassDefault, 0)
-			ep.GenRNG = gen
-		}
-		if err := o.warm(n, "fig5", i, warm); err != nil {
+		sp.Wire(n, sim.NewRNG(sp.Seed+1000))
+		if err := sp.Warm(n, warm); err != nil {
 			return err
 		}
 		n.Run(meas)

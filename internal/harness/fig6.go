@@ -2,7 +2,9 @@ package harness
 
 import (
 	"fmt"
+	"os"
 
+	"stashsim/internal/core"
 	"stashsim/internal/stats"
 	"stashsim/internal/trace"
 	"stashsim/internal/tracegen"
@@ -20,12 +22,12 @@ import (
 // self-paces endpoints and softens congestion.
 func Fig6(o *Options) (*stats.Table, error) {
 	t := &stats.Table{Header: []string{"Trace", "Ranks"}}
-	for _, v := range e2eVariants() {
+	for _, v := range e2eVariants {
 		t.Header = append(t.Header, v.name)
 	}
 
 	scale := tracegen.DefaultScale()
-	base, err := o.base()
+	base, err := core.PresetConfig(o.Base.Preset)
 	if err != nil {
 		return nil, err
 	}
@@ -40,7 +42,7 @@ func Fig6(o *Options) (*stats.Table, error) {
 
 	budget := o.scaleDur(3_000_000)
 	apps := tracegen.Apps()
-	variants := e2eVariants()
+	variants := e2eVariants
 	// Generate each trace once up front; replays share it read-only (every
 	// Replay owns its bookkeeping maps), so all (app, variant) design
 	// points are independent and fan out over the sweep pool. Row i of the
@@ -57,12 +59,14 @@ func Fig6(o *Options) (*stats.Table, error) {
 	err = o.forEachPoint(len(cycles), func(i int) error {
 		app := apps[i/len(variants)]
 		v := variants[i%len(variants)]
-		cfg, err := o.netConfig(v.mode, v.capFrac, false)
+		sp := o.point("fig6", i, v.mode, v.capFrac, false)
+		n, err := o.network(&sp, nil)
 		if err != nil {
 			return err
 		}
-		n := o.mustNet(cfg)
-		o.watchNet(n, budget/4)
+		// A deadlocked replay dumps its non-idle switches instead of
+		// spinning silently until the budget runs out.
+		n.AttachWatchdog(budget/4, os.Stderr)
 		rp, err := trace.NewReplay(traces[i/len(variants)], n, 0)
 		if err != nil {
 			return err

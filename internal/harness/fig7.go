@@ -21,10 +21,13 @@ type hotspotScenario struct {
 	spotSw int // switch of the first hotspot destination
 }
 
-func newHotspot(o *Options, cfg *core.Config, start sim.Tick) *hotspotScenario {
-	n := o.mustNet(cfg)
-	d := cfg.Topo
-	rng := sim.NewRNG(cfg.Seed + 2000)
+func newHotspot(o *Options, sp *Spec, start sim.Tick) (*hotspotScenario, error) {
+	n, err := o.network(sp, nil)
+	if err != nil {
+		return nil, err
+	}
+	d := n.Cfg.Topo
+	rng := sim.NewRNG(sp.Seed + 2000)
 	// Scale the paper's 48-source/12-destination aggressor with network
 	// size: one hotspot destination per ~256 endpoints, at least 2.
 	spots := len(n.Endpoints) / 256
@@ -75,13 +78,15 @@ func newHotspot(o *Options, cfg *core.Config, start sim.Tick) *hotspotScenario {
 		case isDst[ep.ID]:
 			// Hotspot destinations only receive.
 		default:
-			ep.Gen = traffic.Uniform(rng.Derive(uint64(ep.ID)), len(n.Endpoints), nil,
+			gen := rng.Derive(uint64(ep.ID))
+			ep.Gen = traffic.Uniform(gen, len(n.Endpoints), nil,
 				0.4, rate, proto.MaxPacketFlits, proto.ClassVictim, 0)
+			ep.GenRNG = gen
 		}
 	}
 	o.logf("fig7 scenario: %d hotspots x %d sources on %d endpoints (spot switch %d)",
 		spots, srcPer, len(n.Endpoints), sc.spotSw)
-	return sc
+	return sc, nil
 }
 
 // Fig7Result carries the three outputs of the Figure 7/8 runs.
@@ -121,28 +126,28 @@ func Fig7(o *Options) (*Fig7Result, error) {
 	// The three ECN variants plus the no-aggressor reference are four
 	// independent design points; runs[i] holds variant i, the last point
 	// fills refHist.
-	variants := congVariants()
+	variants := congVariants
 	runs := make([]runOut, len(variants))
 	var refHist *stats.Hist
 	err := o.forEachPoint(len(variants)+1, func(i int) error {
 		if i == len(variants) {
 			// No-aggressor reference for Fig 7b.
-			refCfg, err := o.netConfig(core.StashOff, 1.0, true)
+			sp := o.point("fig7", i, core.StashOff, 1.0, true)
+			refSc, err := newHotspot(o, &sp, 1<<62) // aggressor never starts
 			if err != nil {
 				return err
 			}
-			refSc := newHotspot(o, refCfg, 1<<62) // aggressor never starts
 			refSc.n.Collectors.WithHist(proto.ClassVictim)
 			refSc.n.Run(total)
 			refHist = refSc.n.Collector().LatHist[proto.ClassVictim]
 			return nil
 		}
 		v := variants[i]
-		cfg, err := o.netConfig(v.mode, v.capFrac, true)
+		sp := o.point("fig7", i, v.mode, v.capFrac, true)
+		sc, err := newHotspot(o, &sp, start)
 		if err != nil {
 			return err
 		}
-		sc := newHotspot(o, cfg, start)
 		n := sc.n
 		n.Collectors.WithHist(proto.ClassVictim)
 		n.Collectors.WithSeries(proto.ClassVictim, bin)

@@ -27,7 +27,7 @@ func Fig9(o *Options) (*stats.Table, error) {
 	warm := o.scaleDur(usToCycles(8))
 	meas := o.scaleDur(usToCycles(25))
 
-	variants := congVariants()
+	variants := congVariants
 	t := &stats.Table{Header: []string{"BurstPkts"}}
 	for _, v := range variants {
 		t.Header = append(t.Header, v.name+" p90us")
@@ -38,50 +38,48 @@ func Fig9(o *Options) (*stats.Table, error) {
 	err := o.forEachPoint(len(cells), func(i int) error {
 		b := bursts[i/len(variants)]
 		v := variants[i%len(variants)]
-		{
-			cfg, err := o.netConfig(v.mode, v.capFrac, true)
-			if err != nil {
-				return err
-			}
-			n := o.mustNet(cfg)
-			n.Collectors.WithHist(proto.ClassVictim)
-			rng := sim.NewRNG(cfg.Seed + 3000)
-			rate := n.ChannelRate()
-			half := len(n.Endpoints) / 2
-			victims := make([]int32, 0, half)
-			aggressors := make([]int32, 0, half)
-			// Interleave halves so both classes spread over all switches.
-			for _, ep := range n.Endpoints {
-				if ep.ID%2 == 0 {
-					victims = append(victims, ep.ID)
-				} else {
-					aggressors = append(aggressors, ep.ID)
-				}
-			}
-			for _, ep := range n.Endpoints {
-				r := rng.Derive(uint64(ep.ID))
-				if ep.ID%2 == 0 {
-					ep.Gen = traffic.Uniform(r, len(n.Endpoints), victims,
-						0.4, rate, proto.MaxPacketFlits, proto.ClassVictim, 0)
-				} else {
-					ep.Gen = traffic.Saturating(r, len(n.Endpoints), aggressors,
-						b*proto.MaxPacketFlits, proto.ClassAggressor, 0, 0)
-				}
-				ep.GenRNG = r
-			}
-			if err := o.warm(n, "fig9", i, warm); err != nil {
-				return err
-			}
-			n.Run(meas)
-			c := n.Collector()
-			h := c.LatHist[proto.ClassVictim]
-			p90us := float64(h.Percentile(90)) / 1.3 / 1000
-			cells[i] = fmtF(p90us, 3)
-			o.logf("fig9 burst=%d %s: victim p90=%.3fus mean=%.3fus acceptedV=%.3f",
-				b, v.name, p90us,
-				c.LatAcc[proto.ClassVictim].Mean()/1.3/1000,
-				float64(c.DeliveredFlits[proto.ClassVictim])/float64(meas)/float64(half)/rate)
+		sp := o.point("fig9", i, v.mode, v.capFrac, true)
+		n, err := o.network(&sp, nil)
+		if err != nil {
+			return err
 		}
+		n.Collectors.WithHist(proto.ClassVictim)
+		rng := sim.NewRNG(sp.Seed + 3000)
+		rate := n.ChannelRate()
+		half := len(n.Endpoints) / 2
+		victims := make([]int32, 0, half)
+		aggressors := make([]int32, 0, half)
+		// Interleave halves so both classes spread over all switches.
+		for _, ep := range n.Endpoints {
+			if ep.ID%2 == 0 {
+				victims = append(victims, ep.ID)
+			} else {
+				aggressors = append(aggressors, ep.ID)
+			}
+		}
+		for _, ep := range n.Endpoints {
+			r := rng.Derive(uint64(ep.ID))
+			if ep.ID%2 == 0 {
+				ep.Gen = traffic.Uniform(r, len(n.Endpoints), victims,
+					0.4, rate, proto.MaxPacketFlits, proto.ClassVictim, 0)
+			} else {
+				ep.Gen = traffic.Saturating(r, len(n.Endpoints), aggressors,
+					b*proto.MaxPacketFlits, proto.ClassAggressor, 0, 0)
+			}
+			ep.GenRNG = r
+		}
+		if err := sp.Warm(n, warm); err != nil {
+			return err
+		}
+		n.Run(meas)
+		c := n.Collector()
+		h := c.LatHist[proto.ClassVictim]
+		p90us := float64(h.Percentile(90)) / 1.3 / 1000
+		cells[i] = fmtF(p90us, 3)
+		o.logf("fig9 burst=%d %s: victim p90=%.3fus mean=%.3fus acceptedV=%.3f",
+			b, v.name, p90us,
+			c.LatAcc[proto.ClassVictim].Mean()/1.3/1000,
+			float64(c.DeliveredFlits[proto.ClassVictim])/float64(meas)/float64(half)/rate)
 		return nil
 	})
 	if err != nil {

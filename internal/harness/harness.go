@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"stashsim/internal/core"
-	"stashsim/internal/fault"
 	"stashsim/internal/network"
 	"stashsim/internal/sim"
 	"stashsim/internal/stats"
@@ -19,50 +18,27 @@ import (
 
 // Options selects the scale and duration of the experiments.
 type Options struct {
-	// Preset selects the network scale: "tiny", "small" (default), or
-	// "paper" (the full 3080-node configuration of Section V).
-	Preset string
+	// Base is the run description every design point starts from: the
+	// preset ("tiny", "small", or "paper", the full 3080-node configuration
+	// of Section V), the master seed, the invariant checker, a fault plan
+	// and stash parity for every experiment network, and the warm-snapshot
+	// prefixes (the ten flags cmd/figures shares with cmd/stashsim). The
+	// experiments set what they sweep — mode, capacity, workload, windows —
+	// on their own copy (see point).
+	Base Spec
 	// OutDir, when non-empty, receives one CSV file per experiment.
 	OutDir string
 	// Quick shortens warmup/measurement windows (used by the benchmark
 	// harness so `go test -bench` finishes in minutes).
 	Quick bool
-	// Seed is the master random seed.
-	Seed uint64
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...any)
-	// Invariants, when positive, attaches the runtime invariant checker
-	// to every network the experiments build, auditing every that many
-	// cycles (the -invariants[=N] flag of cmd/figures).
-	Invariants int64
-	// FaultPlan, when non-nil, is injected into every experiment network
-	// (the -fault-* flags of cmd/figures), with the recovery timers
-	// enabled so dropped packets still deliver. The Faults experiment
-	// ignores it and builds its own sweep.
-	FaultPlan *fault.Plan
-	// StashParity, when >= 2, erasure-codes stash copies into XOR parity
-	// groups of that width on every StashE2E experiment network (the
-	// -stash-parity flag of cmd/figures). Non-e2e networks ignore it, and
-	// the Faults experiment overrides it per variant.
-	StashParity int
 	// Workers bounds the sweep-level worker pool that independent design
 	// points (one network, config, RNG and collector each) fan out over;
 	// 0 means GOMAXPROCS. Results are identical for any value: every
 	// point's output lands in an index-addressed slot and tables are
 	// assembled in index order (see forEachPoint).
 	Workers int
-
-	// CheckpointPath, when non-empty, writes a warm snapshot of every
-	// design point that runs a warmup window: at the serial barrier
-	// before cycle CheckpointAt — which must fall inside the warmup
-	// window — the network's full state goes to
-	// <CheckpointPath>.<experiment>.<point>. RestorePath resumes each
-	// such point from its matching file, paying only the remaining
-	// warmup cycles; measured tables are byte-identical either way (the
-	// -checkpoint/-restore flags of cmd/figures).
-	CheckpointPath string
-	CheckpointAt   int64
-	RestorePath    string
 
 	// ExecProfiler, when non-nil, is attached to every experiment network
 	// (the -profile-exec flag of cmd/figures). Experiment networks run
@@ -81,19 +57,6 @@ func (o *Options) logf(format string, args ...any) {
 		defer o.logMu.Unlock()
 		o.Log(format, args...)
 	}
-}
-
-// base returns the preset's base configuration; an unknown preset name is
-// an error.
-func (o *Options) base() (*core.Config, error) {
-	cfg, err := core.PresetConfig(o.Preset)
-	if err != nil {
-		return nil, err
-	}
-	if o.Seed != 0 {
-		cfg.Seed = o.Seed
-	}
-	return cfg, nil
 }
 
 // usToCycles converts microseconds to internal cycles (1.3 cycles/ns).
@@ -121,40 +84,52 @@ func (o *Options) writeCSV(name string, t *stats.Table) error {
 	return os.WriteFile(filepath.Join(o.OutDir, name+".csv"), []byte(t.CSV()), 0o644)
 }
 
-// watchNet attaches a stall watchdog to an experiment network: a
-// zero-delivery window of `window` cycles dumps every non-idle switch to
-// stderr, so a deadlocked run is diagnosable instead of silently spinning
-// until its budget runs out.
-func (o *Options) watchNet(n *network.Network, window int64) {
-	if window <= 0 {
-		return
+// point derives design point i of experiment exp from the base spec: a
+// variant's mode, stash capacity and ECN; parity only on the e2e networks
+// it applies to; the recovery timers on under any fault plan, so that
+// dropped packets still deliver in every mode; and the point's own warm
+// snapshot files, <prefix>.<experiment>.<point> — points are independent
+// simulations, so the names depend on the experiment and the index, never
+// on sweep scheduling. Spec.Warm refuses a checkpoint cycle outside the
+// window the experiment runs through its spec: the warm-up (and for Faults
+// the measured window, which Spec.Run executes). Tables are byte-identical
+// with or without snapshots.
+func (o *Options) point(exp string, i int, mode core.StashMode, capFrac float64, ecn bool) Spec {
+	sp := o.Base
+	sp.Mode, sp.CapFrac, sp.ECN = mode.String(), capFrac, ecn
+	if mode != core.StashE2E {
+		sp.StashParity = 0
 	}
-	n.AttachWatchdog(window, os.Stderr)
+	if plan, _ := sp.FaultPlan(); plan != nil { // a bad plan is Config's to report
+		sp.Retrans = true
+	}
+	if sp.CheckpointPath != "" {
+		sp.CheckpointPath = fmt.Sprintf("%s.%s.%03d", sp.CheckpointPath, exp, i)
+	}
+	if sp.RestorePath != "" {
+		sp.RestorePath = fmt.Sprintf("%s.%s.%03d", sp.RestorePath, exp, i)
+	}
+	return sp
 }
 
-// netConfig derives one of the experiment network variants from the base
-// configuration.
-func (o *Options) netConfig(mode core.StashMode, capFrac float64, ecn bool) (*core.Config, error) {
-	cfg, err := o.base()
+// network builds a design point's network from its spec, after mutate, when
+// non-nil, has edited the configuration (the ablations).
+func (o *Options) network(sp *Spec, mutate func(*core.Config)) (*network.Network, error) {
+	cfg, err := sp.Config()
 	if err != nil {
 		return nil, err
 	}
-	cfg.Mode = mode
-	cfg.StashCapFrac = capFrac
-	if mode == core.StashE2E {
-		cfg.StashParity = o.StashParity
+	if mutate != nil {
+		mutate(cfg)
 	}
-	if ecn {
-		cfg.ECN = core.DefaultECN()
+	n, err := sp.New(cfg)
+	if err != nil {
+		return nil, err
 	}
-	if o.FaultPlan != nil {
-		cfg.Fault = o.FaultPlan
-		cfg.Retrans = core.DefaultRetrans()
-		if mode == core.StashE2E {
-			cfg.RetainPayload = true
-		}
+	if o.ExecProfiler != nil {
+		err = n.SetExecProfiler(o.ExecProfiler)
 	}
-	return cfg, nil
+	return n, err
 }
 
 // variant labels one network configuration in an experiment.
@@ -165,86 +140,18 @@ type variant struct {
 }
 
 // e2eVariants are the four networks of Figures 5 and 6.
-func e2eVariants() []variant {
-	return []variant{
-		{"Baseline", core.StashOff, 1.0},
-		{"Stash 100% Cap.", core.StashE2E, 1.0},
-		{"Stash 50% Cap.", core.StashE2E, 0.5},
-		{"Stash 25% Cap.", core.StashE2E, 0.25},
-	}
+var e2eVariants = []variant{
+	{"Baseline", core.StashOff, 1.0},
+	{"Stash 100% Cap.", core.StashE2E, 1.0},
+	{"Stash 50% Cap.", core.StashE2E, 0.5},
+	{"Stash 25% Cap.", core.StashE2E, 0.25},
 }
 
 // congVariants are the three ECN networks of Figures 7-9.
-func congVariants() []variant {
-	return []variant{
-		{"Baseline ECN", core.StashOff, 1.0},
-		{"Stash 100% Cap.", core.StashCongestion, 1.0},
-		{"Stash 50% Cap.", core.StashCongestion, 0.5},
-	}
-}
-
-func (o *Options) mustNet(cfg *core.Config) *network.Network {
-	n, err := network.New(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("harness: %v", err))
-	}
-	if o.Invariants > 0 {
-		n.EnableInvariants(o.Invariants)
-	}
-	if o.ExecProfiler != nil {
-		if err := n.SetExecProfiler(o.ExecProfiler); err != nil {
-			panic(fmt.Sprintf("harness: %v", err))
-		}
-	}
-	return n
-}
-
-// snapFile names one design point's warm-snapshot file. Points are
-// independent simulations, so each gets its own file; the name depends
-// only on the experiment and point index, never on sweep scheduling.
-func snapFile(base, exp string, point int) string {
-	return fmt.Sprintf("%s.%s.%03d", base, exp, point)
-}
-
-// warm runs one design point's warmup window, writing or loading a warm
-// snapshot when the options ask for one. With RestorePath the network
-// resumes from its snapshot and only the remaining warmup cycles run;
-// with CheckpointPath a checkpoint of the full network state is taken at
-// the serial barrier before cycle CheckpointAt. Either way the measured
-// window that follows is byte-identical to a straight-through run.
-func (o *Options) warm(n *network.Network, exp string, point int, cycles int64) error {
-	done := int64(0)
-	if o.RestorePath != "" {
-		path := snapFile(o.RestorePath, exp, point)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("harness: restore: %w", err)
-		}
-		if err := n.Restore(data); err != nil {
-			return fmt.Errorf("harness: restore %s: %w", path, err)
-		}
-		done = int64(n.Now)
-		if done > cycles {
-			return fmt.Errorf("harness: %s was checkpointed at cycle %d, past this experiment's %d-cycle warmup window",
-				path, done, cycles)
-		}
-	}
-	var ckptErr error
-	if o.CheckpointPath != "" {
-		if o.CheckpointAt >= cycles {
-			return fmt.Errorf("harness: checkpoint cycle %d is outside %s's %d-cycle warmup window (figure checkpoints are warm snapshots)",
-				o.CheckpointAt, exp, cycles)
-		}
-		path := snapFile(o.CheckpointPath, exp, point)
-		n.ScheduleCheckpoint(o.CheckpointAt, func(now sim.Tick) {
-			ckptErr = os.WriteFile(path, n.Checkpoint(now), 0o644)
-		})
-	}
-	n.Warmup(cycles - done)
-	if ckptErr != nil {
-		return fmt.Errorf("harness: checkpoint: %w", ckptErr)
-	}
-	return nil
+var congVariants = []variant{
+	{"Baseline ECN", core.StashOff, 1.0},
+	{"Stash 100% Cap.", core.StashCongestion, 1.0},
+	{"Stash 50% Cap.", core.StashCongestion, 0.5},
 }
 
 // fmtF formats a float with the given precision.

@@ -9,11 +9,9 @@ import (
 func testOpts(t *testing.T) *Options {
 	t.Helper()
 	return &Options{
-		Preset:     "tiny",
-		Quick:      true,
-		Seed:       1,
-		Invariants: 64,
-		Log:        func(format string, args ...any) { t.Logf(format, args...) },
+		Base:  Spec{Preset: "tiny", Seed: 1, Invariants: 64},
+		Quick: true,
+		Log:   func(format string, args ...any) { t.Logf(format, args...) },
 	}
 }
 
@@ -207,7 +205,7 @@ func TestCSVOutput(t *testing.T) {
 // refuse it instead, before building anything.
 func TestUnknownPresetIsAnError(t *testing.T) {
 	o := testOpts(t)
-	o.Preset = "smal"
+	o.Base.Preset = "smal"
 	exps := map[string]func() error{
 		"fig5":      func() error { _, _, err := Fig5(o); return err },
 		"fig6":      func() error { _, err := Fig6(o); return err },
@@ -218,7 +216,7 @@ func TestUnknownPresetIsAnError(t *testing.T) {
 	}
 	for name, run := range exps {
 		if err := run(); err == nil || !strings.Contains(err.Error(), `unknown preset "smal"`) {
-			t.Errorf("%s with preset %q: err = %v, want an unknown-preset error", name, o.Preset, err)
+			t.Errorf("%s with preset %q: err = %v, want an unknown-preset error", name, o.Base.Preset, err)
 		}
 	}
 }

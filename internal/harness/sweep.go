@@ -28,7 +28,7 @@ func (o *Options) workers() int {
 // every table and CSV is byte-identical whether the sweep ran on one
 // worker or sixteen. Progress logging may interleave; output must not.
 //
-// A panicking point (o.mustNet on a bad config) is reported as that
+// A panicking point (an invariant violation, say) is reported as that
 // point's error instead of killing the process from a worker goroutine.
 func (o *Options) forEachPoint(n int, fn func(i int) error) error {
 	errs := make([]error, n)

@@ -118,35 +118,33 @@ func (n *Network) repartition() {
 	}
 	workerOf := func(sw int) int { return sim.WorkerOf(blockOf(sw), B, W) }
 
-	// Classify every switch-to-switch link (producer view, same walk as
-	// New). A link between blocks caps the epoch; only one between workers
-	// is staged (below, when the new executor's epoch clock exists), the
-	// rest return to direct pushes at once.
+	// Classify every switch-to-switch link of the table. A link between
+	// blocks caps the epoch; only one between workers is staged (below, when
+	// the new executor's epoch clock exists), the rest return to direct
+	// pushes at once.
 	var crossing []*core.Link
 	var drainers []partitionDrainer
 	n.lookahead = 0
-	for sw, s := range n.Switches {
-		for port := 0; port < d.Radix(); port++ {
-			if d.PortClass(port) == topo.Endpoint {
-				continue
-			}
-			nsw, nport := d.Neighbor(sw, port)
-			l := s.AuditOutLink(port)
-			if blockOf(sw) != blockOf(nsw) && (n.lookahead == 0 || l.Latency < n.lookahead) {
-				n.lookahead = l.Latency
-			}
-			pw, cw := workerOf(sw), workerOf(nsw)
-			if pw == cw {
-				l.Stage(nil)
-				continue
-			}
-			if drainers == nil {
-				drainers = make([]partitionDrainer, W)
-			}
-			crossing = append(crossing, l)
-			drainers[cw].flits = append(drainers[cw].flits, epochPortRef{n.Switches[nsw], nport})
-			drainers[pw].creds = append(drainers[pw].creds, epochPortRef{s, port})
+	for i := range n.edges {
+		e := &n.edges[i]
+		if e.class == topo.Endpoint {
+			continue
 		}
+		sw, nsw, l := int(e.from.sw), int(e.to.sw), e.link
+		if blockOf(sw) != blockOf(nsw) && (n.lookahead == 0 || l.Latency < n.lookahead) {
+			n.lookahead = l.Latency
+		}
+		pw, cw := workerOf(sw), workerOf(nsw)
+		if pw == cw {
+			l.Stage(nil)
+			continue
+		}
+		if drainers == nil {
+			drainers = make([]partitionDrainer, W)
+		}
+		crossing = append(crossing, l)
+		drainers[cw].flits = append(drainers[cw].flits, epochPortRef{n.Switches[nsw], int(e.to.port)})
+		drainers[pw].creds = append(drainers[pw].creds, epochPortRef{n.Switches[sw], int(e.from.port)})
 	}
 	if n.epochCap > 0 && n.epochCap < n.lookahead {
 		n.lookahead = n.epochCap

@@ -51,11 +51,11 @@ func buildFaulted(t *testing.T, plan *fault.Plan, load float64, mutate func(*cor
 	return n
 }
 
-// assertExactlyOnce stops traffic generation, drains the network, and
+// requireExactlyOnce stops traffic generation, drains the network, and
 // asserts the exactly-once delivery property: every injected packet was
 // delivered exactly once (no losses, no double deliveries) or explicitly
 // abandoned.
-func assertExactlyOnce(t *testing.T, n *Network, drainBudget int64) {
+func requireExactlyOnce(t *testing.T, n *Network, drainBudget int64) {
 	t.Helper()
 	for _, ep := range n.Endpoints {
 		ep.Gen = nil
@@ -89,7 +89,7 @@ func TestExactlyOnceUnderDrops(t *testing.T) {
 	plan := &fault.Plan{Seed: 21, LinkDropRate: 2e-3}
 	n := buildFaulted(t, plan, 0.2, nil)
 	n.Run(12000)
-	assertExactlyOnce(t, n, 600_000)
+	requireExactlyOnce(t, n, 600_000)
 	st := n.FaultStats()
 	if st.PktsDropped == 0 {
 		t.Fatal("fault plan injected no drops; the property was not exercised")
@@ -115,7 +115,7 @@ func TestExactlyOnceUnderOutage(t *testing.T) {
 	plan := &fault.Plan{Seed: 3, Outages: []fault.Outage{{Link: link, Start: 2000, End: 6000}}}
 	n := buildFaulted(t, plan, 0.25, nil)
 	n.Run(10000)
-	assertExactlyOnce(t, n, 600_000)
+	requireExactlyOnce(t, n, 600_000)
 	st := n.FaultStats()
 	if st.OutagePkts == 0 {
 		t.Fatalf("no packet crossed %s during the outage; widen the window", link)
@@ -130,7 +130,7 @@ func TestOutageOnInjectionLinkFallsBackToSource(t *testing.T) {
 	plan := &fault.Plan{Seed: 5, Outages: []fault.Outage{{Link: "ep0->sw0.0", Start: 500, End: 4500}}}
 	n := buildFaulted(t, plan, 0.15, nil)
 	n.Run(8000)
-	assertExactlyOnce(t, n, 600_000)
+	requireExactlyOnce(t, n, 600_000)
 	if n.FaultStats().OutagePkts == 0 {
 		t.Fatal("endpoint 0 injected nothing during its outage window")
 	}
@@ -153,7 +153,7 @@ func TestExactlyOnceUnderBankFailure(t *testing.T) {
 	}
 	n := buildFaulted(t, plan, 0.25, nil)
 	n.Run(9000)
-	assertExactlyOnce(t, n, 600_000)
+	requireExactlyOnce(t, n, 600_000)
 	if n.FaultStats().StashCopiesLost == 0 {
 		t.Fatal("bank failures invalidated no live copies; raise the load or delay the failure")
 	}
@@ -170,7 +170,7 @@ func TestCorruptionDetectedAndRecovered(t *testing.T) {
 	plan := &fault.Plan{Seed: 13, CorruptRate: 1e-3}
 	n := buildFaulted(t, plan, 0.2, nil)
 	n.Run(10000)
-	assertExactlyOnce(t, n, 600_000)
+	requireExactlyOnce(t, n, 600_000)
 	st := n.FaultStats()
 	if st.FlitsCorrupted == 0 {
 		t.Fatal("corruption rate injected nothing")

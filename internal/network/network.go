@@ -8,6 +8,7 @@ import (
 	"io"
 	"sync/atomic"
 
+	"stashsim/internal/buffer"
 	"stashsim/internal/core"
 	"stashsim/internal/endpoint"
 	"stashsim/internal/fault"
@@ -61,6 +62,13 @@ type Network struct {
 	//
 	//stashsim:transient -- wiring, rebuilt by the Attach calls; the stateful observers are walked through their handles above
 	observers []Observer
+
+	// edges is every directed link, recorded once by New in wiring order;
+	// EnableInvariants and repartition iterate it instead of walking the
+	// topology again.
+	//
+	//stashsim:derived -- the topology's link table, rebuilt by New
+	edges []edge
 
 	// Injector, when non-nil (Cfg.Fault active), owns the fault schedule:
 	// the per-link fault states were handed out at wiring time, and the
@@ -118,6 +126,31 @@ type Network struct {
 	ckptFn func(now sim.Tick)
 }
 
+// linkEnd is one side of a directed link: port `port` of switch `sw`, or,
+// when sw is negative, endpoint number `port`.
+type linkEnd struct{ sw, port int32 }
+
+func (e linkEnd) String() string {
+	if e.sw < 0 {
+		return fmt.Sprintf("ep%d", e.port)
+	}
+	return fmt.Sprintf("sw%d.%d", e.sw, e.port)
+}
+
+// edge is one directed link as New wired it: the link, its class, and the
+// producer and consumer it connects.
+type edge struct {
+	link     *core.Link
+	from, to linkEnd
+	class    topo.LinkClass
+}
+
+// name is the link's name in fault plans and invariant reports
+// ("sw0.3->sw1.2", "ep5->sw1.0", "sw1.0->ep5"). It is formatted when asked
+// for — a plan is being attached, the checker is being built — and never
+// stored: most networks have neither, and the paper's has 15 000 links.
+func (e *edge) name() string { return e.from.String() + "->" + e.to.String() }
+
 // New builds and wires a network from the configuration.
 func New(cfg *core.Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
@@ -150,21 +183,30 @@ func New(cfg *core.Config) (*Network, error) {
 			}
 		}
 	}
-	// Wire every directed link exactly once, as seen from its producer.
-	// Fault states are attached by the invariant checker's edge names;
-	// endpoint->switch and switch->switch links run credit flow control,
-	// so drops on them synthesize the lost credit.
+	// Wire every directed link exactly once, as seen from its producer, and
+	// record it. Fault states attach by edge name; endpoint->switch and
+	// switch->switch links run credit flow control, so drops on them
+	// synthesize the lost credit.
+	n.edges = make([]edge, 0, d.NumSwitches()*d.Radix()+d.NumEndpoints())
+	wire := func(l *core.Link, class topo.LinkClass, from, to linkEnd) {
+		e := edge{link: l, from: from, to: to, class: class}
+		if n.Injector != nil {
+			l.Fault = n.Injector.Link(e.name())
+		}
+		n.edges = append(n.edges, e)
+	}
 	for sw := 0; sw < d.NumSwitches(); sw++ {
 		s := n.Switches[sw]
 		for port := 0; port < d.Radix(); port++ {
 			class := d.PortClass(port)
+			here := linkEnd{int32(sw), int32(port)}
 			if class == topo.Endpoint {
 				ep := n.Endpoints[d.EndpointID(sw, port)]
 				up := core.NewLink(cfg.Lat.Endpoint)   // endpoint -> switch
 				down := core.NewLink(cfg.Lat.Endpoint) // switch -> endpoint
-				up.Fault = n.Injector.Link(fmt.Sprintf("ep%d->sw%d.%d", ep.ID, sw, port))
+				wire(up, class, linkEnd{-1, ep.ID}, here)
 				up.Credited = true
-				down.Fault = n.Injector.Link(fmt.Sprintf("sw%d.%d->ep%d", sw, port, ep.ID))
+				wire(down, class, here, linkEnd{-1, ep.ID})
 				s.AttachInLink(port, up)
 				s.AttachOutLink(port, down, 0)
 				ep.Attach(up, down, cfg.NormalInCap(topo.Endpoint))
@@ -172,7 +214,7 @@ func New(cfg *core.Config) (*Network, error) {
 			}
 			nsw, nport := d.Neighbor(sw, port)
 			l := core.NewLink(cfg.Lat.Of(class))
-			l.Fault = n.Injector.Link(fmt.Sprintf("sw%d.%d->sw%d.%d", sw, port, nsw, nport))
+			wire(l, class, here, linkEnd{int32(nsw), int32(nport)})
 			l.Credited = true
 			s.AttachOutLink(port, l, cfg.NormalInCap(d.PortClass(nport)))
 			n.Switches[nsw].AttachInLink(nport, l)
@@ -296,11 +338,10 @@ func (n *Network) PendingReconstructions() int {
 
 // EnableInvariants installs the runtime invariant checker, auditing the
 // conservation laws every `every` cycles (values below one audit every
-// cycle). It re-walks the topology to enumerate every credited edge:
-// switch→switch links paired with the downstream input buffer, and
-// endpoint→switch injection links paired with the end-port buffer.
+// cycle). The credited edges come from the link table: switch→switch links
+// paired with the downstream input buffer, and endpoint→switch injection
+// links paired with the end-port buffer.
 func (n *Network) EnableInvariants(every int64) *core.Invariants {
-	d := n.Cfg.Topo
 	iv := &core.Invariants{
 		Every:    every,
 		Switches: n.Switches,
@@ -317,28 +358,23 @@ func (n *Network) EnableInvariants(every int64) *core.Invariants {
 		toSw, _ := ep.AuditLinks()
 		iv.ExtLinks = append(iv.ExtLinks, toSw)
 	}
-	for sw := 0; sw < d.NumSwitches(); sw++ {
-		s := n.Switches[sw]
-		for port := 0; port < d.Radix(); port++ {
-			if d.PortClass(port) == topo.Endpoint {
-				ep := n.Endpoints[d.EndpointID(sw, port)]
-				toSw, _ := ep.AuditLinks()
-				iv.Edges = append(iv.Edges, core.CreditEdge{
-					Name:    fmt.Sprintf("ep%d->sw%d.%d", ep.ID, sw, port),
-					Credits: ep.AuditCredits(),
-					Link:    toSw,
-					Buf:     s.AuditInBuf(port),
-				})
-				continue
-			}
-			nsw, nport := d.Neighbor(sw, port)
-			iv.Edges = append(iv.Edges, core.CreditEdge{
-				Name:    fmt.Sprintf("sw%d.%d->sw%d.%d", sw, port, nsw, nport),
-				Credits: s.AuditOutCredits(port),
-				Link:    s.AuditOutLink(port),
-				Buf:     n.Switches[nsw].AuditInBuf(nport),
-			})
+	for i := range n.edges {
+		e := &n.edges[i]
+		if e.to.sw < 0 {
+			continue // delivery links return no credits
 		}
+		var credits *buffer.CreditCounter
+		if e.from.sw < 0 {
+			credits = n.Endpoints[e.from.port].AuditCredits()
+		} else {
+			credits = n.Switches[e.from.sw].AuditOutCredits(int(e.from.port))
+		}
+		iv.Edges = append(iv.Edges, core.CreditEdge{
+			Name:    e.name(),
+			Credits: credits,
+			Link:    e.link,
+			Buf:     n.Switches[e.to.sw].AuditInBuf(int(e.to.port)),
+		})
 	}
 	n.Invariants = iv
 	n.Observe(iv)

@@ -34,7 +34,7 @@ func TestReconstructionUnderBankFailure(t *testing.T) {
 	}
 	n := buildFaulted(t, plan, 0.25, withParity(4))
 	n.Run(9000)
-	assertExactlyOnce(t, n, 600_000)
+	requireExactlyOnce(t, n, 600_000)
 
 	st := n.FaultStats()
 	c := n.Counters()
@@ -94,7 +94,7 @@ func TestDegradedReadsWithBankModel(t *testing.T) {
 		cfg.BankModel = true
 	})
 	n.Run(10000)
-	assertExactlyOnce(t, n, 600_000)
+	requireExactlyOnce(t, n, 600_000)
 	// Degraded reads depend on a retransmission colliding with a busy
 	// bank, which the seed above does produce; the hard property is that
 	// they never break exactly-once delivery or the conservation laws.
