@@ -8,11 +8,12 @@
 //	stashsim -p 3 -a 7 -h 3 -mode baseline -load 0.8
 //	stashsim -preset tiny -mode e2e -metrics -trace trace.jsonl -sample-every 1000 -json
 //
-// Observability: -metrics prints the switch-level metric registry,
-// -trace/-trace-chrome export the packet-lifecycle ring buffer as JSONL
-// and Chrome trace_event JSON, -sample-every writes fixed-interval
-// occupancy samples as CSV, -watchdog dumps non-idle switch state on
-// zero-delivery windows, -invariants audits the conservation laws during
+// Observability: -metrics prints the switch-level metric registry
+// (-metrics=full every scope of it), -trace/-trace-chrome export the
+// packet-lifecycle ring buffer as JSONL and Chrome trace_event JSON,
+// -sample-every writes fixed-interval occupancy samples as CSV, -watchdog
+// dumps non-idle switch state on zero-delivery windows (and, at the next
+// barrier, on SIGQUIT), -invariants audits the conservation laws during
 // the run, and -json emits a machine-readable run summary on stdout
 // (human-readable output moves to stderr).
 package main
@@ -41,7 +42,7 @@ func fatalf(format string, args ...any) {
 // cliOpts are the flags that do not determine the simulation's outcome:
 // what to observe and where to write it.
 type cliOpts struct {
-	metrics, metricsFull   bool
+	metrics                string // "", "totals" or "full"
 	traceOut, traceChrome  string
 	sampleEvery            int64
 	sampleOut              string
@@ -50,6 +51,10 @@ type cliOpts struct {
 	serve                  string
 	jsonOut                bool
 	cpuprofile, memprofile string
+
+	// dumps is the SIGQUIT dump slot observe attached next to the flight
+	// recorder, nil without -watchdog or -serve.
+	dumps *telemetry.DumpRequest
 }
 
 // defineFlags declares every flag, so that TestFlagCount can count them:
@@ -78,15 +83,26 @@ func defineFlags(fs *flag.FlagSet, sp *harness.Spec, o *cliOpts) {
 	fs.IntVar(&sp.Workers, "workers", runtime.GOMAXPROCS(0), "cycle-level worker goroutines stepping the network (1 = serial; results are identical either way)")
 	fs.BoolVar(&sp.AssertDelivery, "assert-delivery", false, "with -drain and faults or -retrans, exit nonzero unless every injected packet delivered exactly once")
 
-	fs.BoolVar(&o.metrics, "metrics", false, "enable the switch metrics registry and print it")
-	fs.BoolVar(&o.metricsFull, "metrics-full", false, "with -metrics, print every per-switch/per-tile scope instead of totals")
+	fs.BoolFunc("metrics", "print the switch metrics registry, totals across switches, or with -metrics=full every per-switch/per-tile scope; -json gains a metrics block", func(s string) error {
+		switch s {
+		case "true":
+			o.metrics = "totals"
+		case "full":
+			o.metrics = "full"
+		case "false":
+			o.metrics = ""
+		default:
+			return fmt.Errorf("want -metrics or -metrics=full")
+		}
+		return nil
+	})
 	fs.StringVar(&o.traceOut, "trace", "", "write the packet-lifecycle trace (a ring of the last 65536 events recorded, exported in time order) as JSONL to this file")
 	fs.StringVar(&o.traceChrome, "trace-chrome", "", "write the packet-lifecycle trace as Chrome trace_event JSON to this file")
 	fs.Int64Var(&o.sampleEvery, "sample-every", 0, "occupancy sampling interval in cycles (0 = off)")
 	fs.StringVar(&o.sampleOut, "sample-out", "occupancy.csv", "occupancy sample CSV output file (with -sample-every)")
-	fs.Int64Var(&o.watchdog, "watchdog", 0, "zero-delivery stall window in cycles (0 = off); dumps the flight recorder (the last 4096 64-cycle intervals) and non-idle switch state, also on SIGQUIT")
+	fs.Int64Var(&o.watchdog, "watchdog", 0, "zero-delivery stall window in cycles (0 = off); dumps the flight recorder (the last 4096 64-cycle intervals) and non-idle switch state, also on SIGQUIT, at the next barrier")
 	fs.BoolVar(&o.profileExec, "profile-exec", false, "profile the cycle executor (per-worker phase/barrier timing); prints a report and adds exec_profile to -json")
-	fs.StringVar(&o.serve, "serve", "", "serve live telemetry on this address (/metrics, /snapshot, /healthz, /debug/pprof), e.g. :9100; attaches the flight recorder like -watchdog")
+	fs.StringVar(&o.serve, "serve", "", "serve live telemetry on this address (/metrics, /snapshot, /healthz, /debug/pprof), e.g. :9100, as of the last barrier snapshot; attaches the flight recorder and the SIGQUIT dump, served at the next barrier, like -watchdog")
 	fs.BoolVar(&o.jsonOut, "json", false, "emit a machine-readable run summary as JSON on stdout")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file")
@@ -101,7 +117,7 @@ func defineFlags(fs *flag.FlagSet, sp *harness.Spec, o *cliOpts) {
 // the publisher share one 64-cycle interval. build has already set the
 // worker count, so the profiler sizes its lanes right.
 func (o *cliOpts) observe(n *network.Network, out io.Writer) (pub *telemetry.Publisher, stop func(), err error) {
-	if o.metrics {
+	if o.metrics != "" {
 		n.EnableMetrics(metrics.NewRegistry())
 	}
 	if o.traceOut != "" || o.traceChrome != "" {
@@ -118,23 +134,29 @@ func (o *cliOpts) observe(n *network.Network, out io.Writer) (pub *telemetry.Pub
 		n.EnableExecProfile(ring)
 	}
 	// The flight recorder is on exactly when something can dump it. It
-	// goes on the schedule ahead of the watchdog so that a stall dump
-	// carries the interval that ends on the stall cycle.
+	// goes on the schedule ahead of the watchdog and the SIGQUIT dump so
+	// that a dump carries the interval that ends on its cycle. SIGQUIT only
+	// raises a flag: the dump walks live state, so the coordinator writes it
+	// at the next barrier (and main, once the run is over, lets requests
+	// serve themselves).
 	stop = func() {}
 	if o.serve != "" || o.watchdog > 0 {
 		n.AttachFlight(4096)
-		stop = telemetry.NotifyDumps(os.Stderr, func(w io.Writer) {
+		w := os.Stderr
+		o.dumps = telemetry.NewDumpRequest(func() {
 			fmt.Fprintf(w, "--- SIGQUIT dump at cycle %d ---\n", n.CyclesDone())
 			n.Flight.Dump(w, 64)
 			n.DumpNonIdle(w)
 		})
+		n.Observe(o.dumps)
+		stop = telemetry.NotifyDumps(o.dumps.Request)
 	}
 	if o.watchdog > 0 {
 		n.AttachWatchdog(o.watchdog, os.Stderr)
 	}
 	if o.serve != "" {
 		pub = n.AttachTelemetry(metrics.FlightInterval)
-		srv := &telemetry.Server{Registry: n.Metrics, Publisher: pub, Watchdog: n.Watchdog}
+		srv := &telemetry.Server{Publisher: pub}
 		addr, err := srv.Start(o.serve)
 		if err != nil {
 			stop()
@@ -195,7 +217,8 @@ func main() {
 	if s == nil { // a failed -assert-delivery comes with the summary that shows it
 		fatalf("%v", runErr)
 	}
-	pub.Publish() // final snapshot so late scrapes see the end-of-run state
+	pub.Publish()    // final snapshot so late scrapes see the end-of-run state
+	o.dumps.Finish() // no more barriers: a SIGQUIT from here on dumps at once
 
 	artifacts := map[string]string{}
 	cfg := n.Cfg
@@ -251,7 +274,7 @@ func main() {
 	}
 
 	if reg != nil {
-		if o.metricsFull {
+		if o.metrics == "full" {
 			fmt.Fprintf(out, "\nmetrics (all scopes):\n%s", reg.Table())
 		} else {
 			fmt.Fprintf(out, "\nmetrics (totals across switches):\n%s", reg.TotalsTable())

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"stashsim/internal/fault"
@@ -210,6 +212,84 @@ func TestFinalSnapshotHasExecProfile(t *testing.T) {
 	}
 }
 
+// TestDumpRequestServedAtBarrier drives the SIGQUIT dump through the real
+// wiring: the closure the handler calls only raises a flag, and the dump —
+// a walk over rings and buffers the workers are writing — is made by the
+// coordinator at a barrier. Calling it from a second goroutine while two
+// workers step a loaded network is a data race under -race if anything but
+// the coordinator does the walk. Before the first run a request waits for
+// the first barrier; after Finish it is served on the spot.
+func TestDumpRequestServedAtBarrier(t *testing.T) {
+	sp := harness.Spec{
+		Preset: "tiny", Mode: "e2e", CapFrac: 1.0, Load: 0.3, MsgPkts: 1,
+		Cycles: 1500, Warmup: 500, Seed: 3, Workers: 2,
+	}
+	n, err := sp.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	// The dumps go to the process's stderr; point it at a file to read them.
+	errFile, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer errFile.Close()
+	defer func(old *os.File) { os.Stderr = old }(os.Stderr)
+	os.Stderr = errFile
+	o := &cliOpts{watchdog: 50000}
+	_, stop, err := o.observe(n, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	dumps := func() []string {
+		b, err := os.ReadFile(errFile.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var headers []string
+		for _, line := range strings.Split(string(b), "\n") {
+			if strings.HasPrefix(line, "--- SIGQUIT dump") {
+				headers = append(headers, line)
+			}
+		}
+		return headers
+	}
+
+	o.dumps.Request()
+	if got := dumps(); len(got) != 0 {
+		t.Fatalf("a request before any barrier was served at once: %v", got)
+	}
+	stopAsking, asked := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(asked)
+		for {
+			select {
+			case <-stopAsking:
+				return
+			default:
+				o.dumps.Request()
+				runtime.Gosched()
+			}
+		}
+	}()
+	run(t, &sp, n)
+	close(stopAsking)
+	<-asked
+	served := dumps()
+	if len(served) < 2 || served[0] != "--- SIGQUIT dump at cycle 1 ---" {
+		t.Fatalf("dumps during the run: %d, first %q; want the early request served after cycle 0 and more after it", len(served), served)
+	}
+
+	o.dumps.Finish() // serves what the last requests left owed
+	before := len(dumps())
+	o.dumps.Request()
+	if got := dumps(); len(got) != before+1 || got[before] != "--- SIGQUIT dump at cycle 2000 ---" {
+		t.Fatalf("a request after Finish left %d dumps (had %d), last %q; want it served on the spot at cycle 2000", len(got), before, got[len(got)-1])
+	}
+}
+
 // TestFlagCount pins the size of the flag surface: a new flag has to
 // argue its way past this number (simplicity-review, Options).
 func TestFlagCount(t *testing.T) {
@@ -219,8 +299,8 @@ func TestFlagCount(t *testing.T) {
 	defineFlags(fs, &sp, new(cliOpts))
 	count := 0
 	fs.VisitAll(func(*flag.Flag) { count++ })
-	if count != 42 {
-		t.Fatalf("stashsim declares %d flags, want 42", count)
+	if count != 41 {
+		t.Fatalf("stashsim declares %d flags, want 41", count)
 	}
 	// -invariants is one flag with three forms.
 	for _, c := range []struct {
@@ -234,6 +314,22 @@ func TestFlagCount(t *testing.T) {
 	}
 	if err := fs.Parse([]string{"-invariants=0"}); err == nil {
 		t.Fatal("-invariants=0 accepted; off is -invariants=false or no flag")
+	}
+	// So is -metrics: the counters are always on, the flag says what to print.
+	for _, c := range []struct {
+		args []string
+		want string
+	}{{nil, ""}, {[]string{"-metrics"}, "totals"}, {[]string{"-metrics=full"}, "full"}, {[]string{"-metrics", "-metrics=false"}, ""}} {
+		o := new(cliOpts)
+		fs := flag.NewFlagSet("stashsim", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		defineFlags(fs, &sp, o)
+		if err := fs.Parse(c.args); err != nil || o.metrics != c.want {
+			t.Fatalf("%v: metrics %q (err %v), want %q", c.args, o.metrics, err, c.want)
+		}
+	}
+	if err := fs.Parse([]string{"-metrics=all"}); err == nil {
+		t.Fatal("-metrics=all accepted; the forms are -metrics and -metrics=full")
 	}
 }
 
@@ -328,7 +424,7 @@ func TestObservabilityNeutralDeterminism(t *testing.T) {
 	n.EnableExecProfile(128)
 	n.AttachFlight(1024)
 	pub := n.AttachTelemetry(64)
-	srv := &telemetry.Server{Registry: reg, Publisher: pub}
+	srv := &telemetry.Server{Publisher: pub}
 	if _, err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

@@ -5,13 +5,15 @@ import (
 )
 
 // NilSafe enforces the observability layer's free-when-off contract: a
-// nil metrics handle must behave as a no-op, so instrumentation can stay
-// compiled into the simulation hot path unconditionally. Concretely,
-// every exported method with a pointer receiver in internal/metrics must
-// begin with the nil-receiver guard —
+// sink that is not attached is a nil pointer, and calling through it must
+// be a no-op, so the tracer's Record can stay compiled into the simulation
+// hot path unconditionally and a network's Sampler, Watchdog, Flight and
+// Metrics handles need no guards at their call sites. Concretely, every
+// exported method with a pointer receiver in internal/metrics must begin
+// with the nil-receiver guard —
 //
-//	func (c *Counter) Inc() {
-//		if c == nil {
+//	func (t *Tracer) Record(...) {
+//		if t == nil {
 //			return
 //		}
 //		...
@@ -19,7 +21,7 @@ import (
 //
 // — as its first statement (an `if` whose condition checks the receiver
 // against nil, possibly || / && combined with more conditions). The
-// inverted form — the whole body wrapped in `if c != nil { ... }` — is
+// inverted form — the whole body wrapped in `if t != nil { ... }` — is
 // accepted too. Value receivers and unexported methods are exempt.
 var NilSafe = &Analyzer{
 	Name:  "nilsafe",

@@ -3,15 +3,15 @@
 // guard.
 package nsfix
 
-type Counter struct{ v int64 }
+type Handle struct{ v int64 }
 
 // Inc lacks the guard entirely.
-func (c *Counter) Inc() { // want "nil-receiver guard"
+func (c *Handle) Inc() { // want "nil-receiver guard"
 	c.v++
 }
 
 // Add has the canonical guard.
-func (c *Counter) Add(n int64) {
+func (c *Handle) Add(n int64) {
 	if c == nil {
 		return
 	}
@@ -19,7 +19,7 @@ func (c *Counter) Add(n int64) {
 }
 
 // Value guards with a combined condition; the nil check still leads.
-func (c *Counter) Value() int64 {
+func (c *Handle) Value() int64 {
 	if c == nil || c.v < 0 {
 		return 0
 	}
@@ -27,7 +27,7 @@ func (c *Counter) Value() int64 {
 }
 
 // Reversed spells the comparison nil-first; still a guard.
-func (c *Counter) Reversed() int64 {
+func (c *Handle) Reversed() int64 {
 	if nil == c {
 		return 0
 	}
@@ -35,14 +35,14 @@ func (c *Counter) Reversed() int64 {
 }
 
 // Wrapped uses the inverted guard: the whole body inside `c != nil`.
-func (c *Counter) Wrapped() {
+func (c *Handle) Wrapped() {
 	if c != nil {
 		c.v++
 	}
 }
 
 // Late guards, but not as the first statement.
-func (c *Counter) Late() int64 { // want "nil-receiver guard"
+func (c *Handle) Late() int64 { // want "nil-receiver guard"
 	v := int64(0)
 	if c == nil {
 		return v
@@ -51,13 +51,13 @@ func (c *Counter) Late() int64 { // want "nil-receiver guard"
 }
 
 // Snapshot has a value receiver: nil cannot reach it.
-func (c Counter) Snapshot() int64 { return c.v }
+func (c Handle) Snapshot() int64 { return c.v }
 
 // reset is unexported: internal callers own the nil handling.
-func (c *Counter) reset() { c.v = 0 }
+func (c *Handle) reset() { c.v = 0 }
 
 // Anonymous cannot name its receiver, so it cannot guard.
-func (*Counter) Anonymous() {} // want "unnamed pointer receiver"
+func (*Handle) Anonymous() {} // want "unnamed pointer receiver"
 
 //lint:allow nilsafe -- constructor-returned handle, documented never nil
-func (c *Counter) Bump() { c.v++ }
+func (c *Handle) Bump() { c.v++ }

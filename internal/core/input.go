@@ -161,7 +161,6 @@ func (s *Switch) stepRowBus(now sim.Tick, p *inPort) {
 						break
 					}
 					s.Counters.StashFullStalls++
-					s.m.stashFullStalls.Inc()
 				} else if normalOK && sFree {
 					lt.stashCol = int8(col)
 					ok = true
@@ -217,11 +216,9 @@ func (s *Switch) stepRowBus(now sim.Tick, p *inPort) {
 				return
 			}
 			s.Counters.StashDegradedReads++
-			s.m.degradedReads.Inc()
 		}
 		f := pool.RetrPop()
 		s.Counters.StashRetrieves++
-		s.m.stashRetrieves.Inc()
 		if f.Head() {
 			s.tracer.Record(now, metrics.EvStashRetrieve, f.PktID, int32(s.ID), int32(p.id), f.Src, f.Dst)
 		}
@@ -258,10 +255,7 @@ func (s *Switch) moveFromInput(now sim.Tick, p *inPort, vc, row, slot int) {
 		// later retrieval.
 		if f.Head() {
 			s.Counters.HoLAbsorbed++
-			s.m.holAbsorbed.Inc()
-			if s.m.jsqPick != nil {
-				s.m.jsqPick[lt.stashCol].Inc()
-			}
+			s.tally.jsqPick[lt.stashCol]++
 		}
 		f.OrigOut = lt.out
 		f.RestoreVC = lt.vc
@@ -293,9 +287,7 @@ func (s *Switch) moveFromInput(now sim.Tick, p *inPort, vc, row, slot int) {
 				}
 				s.track[p.id][f.PktID] = e
 				s.Counters.E2ETracked++
-				if s.m.jsqPick != nil {
-					s.m.jsqPick[lt.stashCol].Inc()
-				}
+				s.tally.jsqPick[lt.stashCol]++
 			}
 		} else if cfg.Mode == StashE2E && p.isEnd && f.Kind == proto.Data &&
 			f.Head() && s.track[p.id][f.PktID] == nil {

@@ -114,7 +114,6 @@ func (s *Switch) stepMux(now sim.Tick, op *outPort) {
 func (s *Switch) stashArrival(now sim.Tick, op *outPort, f proto.Flit) {
 	pool := s.stash[op.id]
 	s.Counters.StashStores++
-	s.m.stashStores.Inc()
 	if f.Head() {
 		s.tracer.Record(now, metrics.EvStashStore, f.PktID, int32(s.ID), int32(op.id), f.Src, f.Dst)
 	}
@@ -189,7 +188,6 @@ func (s *Switch) stepOutput(now sim.Tick, op *outPort) {
 		// Flits are queued but every occupied VC is blocked on downstream
 		// credits: a credit-stall cycle on this output.
 		s.CreditStallCycles++
-		s.m.creditStalls.Inc()
 		return
 	}
 	vc := op.sendArb.Grant(req[:])

@@ -233,7 +233,6 @@ func (s *Switch) stepRetry(now sim.Tick) {
 func (s *Switch) noteSealed(minted, sealed int) {
 	s.created += int64(minted)
 	s.Counters.ParityGroupsSealed += int64(sealed)
-	s.m.paritySealed.Add(int64(sealed))
 }
 
 // findEntry locates the tracking entry of a packet across the end ports,
@@ -317,7 +316,6 @@ func (s *Switch) FailStashBank(now sim.Tick, port int) (lost, reconstructed int)
 			s.noteSealed(minted, sealed)
 			if protected {
 				s.Counters.StashReconFailed++
-				s.m.reconFailed.Inc()
 			}
 		}
 		e, p := s.findEntry(pktID)
@@ -342,7 +340,6 @@ func (s *Switch) FailStashBank(now sim.Tick, port int) (lost, reconstructed int)
 	lost = len(lostIDs) + reconstructed
 	s.Counters.StashCopiesLost += int64(lost)
 	s.Counters.StashReconstructed += int64(reconstructed)
-	s.m.reconStarted.Add(int64(reconstructed))
 	return lost, reconstructed
 }
 

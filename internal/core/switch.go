@@ -45,25 +45,20 @@ type Counters struct {
 	StashDegradedReads int64 // stash read flits served via parity despite a busy bank
 }
 
-// switchMetrics holds the per-switch registry handles. It is a value
-// struct whose fields stay nil when metrics are disabled (the default):
-// every handle method is nil-receiver-safe, so instrumentation sites cost
-// one predictable branch and zero allocations on the disabled path.
-type switchMetrics struct {
-	cycles          *metrics.Counter   // switch cycles simulated (CreditCycles)
-	svcFlits        *metrics.Counter   // storage-VC flits crossing tile column channels
-	rvcFlits        *metrics.Counter   // retrieval-VC flits crossing tile column channels
-	colFlits        *metrics.Counter   // all flits crossing tile column channels
-	creditStalls    *metrics.Counter   // output cycles stalled with flits queued but no credits
-	holAbsorbed     *metrics.Counter   // packets absorbed by congestion stashing (HoL events)
-	stashStores     *metrics.Counter   // flits written into stash pools
-	stashRetrieves  *metrics.Counter   // flits read back out of stash pools
-	stashFullStalls *metrics.Counter   // cycles an input stalled on storage-path backpressure
-	reconStarted    *metrics.Counter   // parity reconstructions begun after bank failures
-	reconFailed     *metrics.Counter   // parity-protected copies lost without reconstruction
-	paritySealed    *metrics.Counter   // parity groups sealed
-	degradedReads   *metrics.Counter   // stash read flits served via parity on busy banks
-	jsqPick         []*metrics.Counter // JSQ column-pick distribution (per tile column)
+// tallies are the per-switch counts only the metrics registry reports
+// (EnableMetrics names them; Counters and CreditStallCycles are the ones
+// goldens and checkpoints pin). They are bumped like any counter, attached
+// registry or not, and EnableMetrics zeroes them, so a registry reads what
+// happened since it was attached. A checkpoint carries them through the
+// registry's walk, and so only when one is attached.
+//
+//stashsim:owner partition
+type tallies struct {
+	cycles   int64   // switch cycles simulated (CreditCycles)
+	svcFlits int64   // storage-VC flits crossing tile column channels
+	rvcFlits int64   // retrieval-VC flits crossing tile column channels
+	colFlits int64   // all flits crossing tile column channels
+	jsqPick  []int64 // JSQ column-pick distribution (per tile column)
 }
 
 // routeLatch is the per-(input,VC) wormhole state holding the routing
@@ -118,14 +113,14 @@ type tile struct {
 	row, col int                          //stashsim:derived -- structural; rebuilt from the configuration
 	rowBufs  [][]buffer.Queue[proto.Flit] // [TileIn][NumVCs]
 	alloc    *arb.Separable
-	vcNext   []int            // per-slot stream rotation pointer
-	outLock  [][]tileLock     // [TileOut][NumVCs]
-	sLatch   []stashLatch     // per slot
-	occupied int              // total queued flits (activity gate)
-	slotOcc  []uint16         // per-slot bitmask of non-empty streams
-	reqScr   []uint64         //stashsim:transient -- scratch request masks; stepTile recomputes them
-	candScr  [][]uint8        //stashsim:transient -- scratch candidate stream per (slot, out); stepTile recomputes it
-	grants   *metrics.Counter //stashsim:transient -- metrics handle; the registry walks the value
+	vcNext   []int        // per-slot stream rotation pointer
+	outLock  [][]tileLock // [TileOut][NumVCs]
+	sLatch   []stashLatch // per slot
+	occupied int          // total queued flits (activity gate)
+	slotOcc  []uint16     // per-slot bitmask of non-empty streams
+	reqScr   []uint64     //stashsim:transient -- scratch request masks; stepTile recomputes them
+	candScr  [][]uint8    //stashsim:transient -- scratch candidate stream per (slot, out); stepTile recomputes it
+	grants   int64        //stashsim:transient -- column-channel grants since EnableMetrics; the registry walks it
 }
 
 // muxLock serializes packets per output-buffer VC across the R column
@@ -201,11 +196,9 @@ type Switch struct {
 	rng    *sim.RNG
 
 	// CreditStallCycles counts output cycles stalled with flits queued but
-	// no downstream credits. It is a plain always-on tap for the flight
-	// recorder (the metrics counter equivalent only exists when a registry
-	// is attached) and is deliberately NOT part of Counters, whose JSON
-	// shape is pinned by the golden tests. Written only by this switch's
-	// Step; read by barrier observers.
+	// no downstream credits. It is deliberately NOT part of Counters, whose
+	// JSON shape is pinned by the golden tests. Written only by this
+	// switch's Step; read by barrier observers.
 	CreditStallCycles int64
 
 	radix int
@@ -273,7 +266,7 @@ type Switch struct {
 
 	Counters Counters
 
-	m      switchMetrics   //stashsim:transient -- metrics handles; the registry walks the values
+	tally  tallies         //stashsim:transient -- counted since EnableMetrics; the registry walks them
 	tracer *metrics.Tracer //stashsim:transient -- debugging sink; its output stream cannot resume mid-run
 }
 
@@ -296,6 +289,7 @@ func NewSwitch(id int, cfg *Config, rng *sim.RNG) *Switch {
 		tiles:  make([]tile, cfg.Rows*cfg.Cols),
 		stash:  make([]*buffer.StashPool, radix),
 		track:  make([]map[uint64]*e2eEntry, d.P),
+		tally:  tallies{jsqPick: make([]int64, cfg.Cols)},
 	}
 	for p := 0; p < radix; p++ {
 		class := d.PortClass(p)
@@ -568,47 +562,44 @@ func (s *Switch) BankConflicts() int64 {
 	return n
 }
 
-// EnableMetrics registers this switch's counters and gauges under scope
-// "sw<id>" (and per-tile "sw<id>.tile<r>.<c>" scopes) of the given
-// registry. A nil registry leaves all handles nil: the disabled fast path.
-// Call before the simulation starts; handles are resolved once.
+// EnableMetrics names this switch's counts and gauges in the given
+// registry, under scope "sw<id>" (and per-tile "sw<id>.tile<r>.<c>"
+// scopes), and zeroes the tallies only a registry reports. Call at a
+// barrier; a nil registry is a no-op.
 func (s *Switch) EnableMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
+	s.tally = tallies{jsqPick: make([]int64, s.cfg.Cols)}
+	c, t := &s.Counters, &s.tally
 	sc := reg.Scope(fmt.Sprintf("sw%d", s.ID))
-	s.m = switchMetrics{
-		cycles:          sc.Counter("cycles"),
-		svcFlits:        sc.Counter("svc.flits"),
-		rvcFlits:        sc.Counter("rvc.flits"),
-		colFlits:        sc.Counter("col.flits"),
-		creditStalls:    sc.Counter("credit.stall.cycles"),
-		holAbsorbed:     sc.Counter("hol.absorbed"),
-		stashStores:     sc.Counter("stash.stores"),
-		stashRetrieves:  sc.Counter("stash.retrieves"),
-		stashFullStalls: sc.Counter("stash.full.stalls"),
-		jsqPick:         make([]*metrics.Counter, s.cfg.Cols),
-	}
+	sc.Counter("cycles", &t.cycles)
+	sc.Counter("svc.flits", &t.svcFlits)
+	sc.Counter("rvc.flits", &t.rvcFlits)
+	sc.Counter("col.flits", &t.colFlits)
+	sc.Counter("credit.stall.cycles", &s.CreditStallCycles)
+	sc.Counter("hol.absorbed", &c.HoLAbsorbed)
+	sc.Counter("stash.stores", &c.StashStores)
+	sc.Counter("stash.retrieves", &c.StashRetrieves)
+	sc.Counter("stash.full.stalls", &c.StashFullStalls)
 	if s.parity != nil {
-		s.m.reconStarted = sc.Counter("stash.recon.started")
-		s.m.reconFailed = sc.Counter("stash.recon.failed")
-		s.m.paritySealed = sc.Counter("stash.parity.sealed")
-		s.m.degradedReads = sc.Counter("stash.degraded.reads")
+		sc.Counter("stash.recon.started", &c.StashReconstructed)
+		sc.Counter("stash.recon.failed", &c.StashReconFailed)
+		sc.Counter("stash.parity.sealed", &c.ParityGroupsSealed)
+		sc.Counter("stash.degraded.reads", &c.StashDegradedReads)
 	}
-	for c := range s.m.jsqPick {
-		s.m.jsqPick[c] = sc.Counter(fmt.Sprintf("jsq.pick.col%d", c))
+	for col := range t.jsqPick {
+		sc.Counter(fmt.Sprintf("jsq.pick.col%d", col), &t.jsqPick[col])
 	}
 	// Column-bandwidth utilization: fraction of tile->column channel slots
 	// that carried a flit. The denominator is the aggregate column channel
 	// capacity (one flit per tile output per row per cycle).
-	m := s.m
 	colChans := float64(s.cfg.Rows * s.cfg.Cols * s.cfg.TileOut)
 	sc.Gauge("col.util", func() float64 {
-		cyc := m.cycles.Value()
-		if cyc == 0 {
+		if t.cycles == 0 {
 			return 0
 		}
-		return float64(m.colFlits.Value()) / (float64(cyc) * colChans)
+		return float64(t.colFlits) / (float64(t.cycles) * colChans)
 	})
 	sc.Gauge("stash.fill", func() float64 {
 		if cap := s.StashCapTotal(); cap > 0 {
@@ -616,19 +607,20 @@ func (s *Switch) EnableMetrics(reg *metrics.Registry) {
 		}
 		return 0
 	})
-	for ti := range s.tiles {
-		t := &s.tiles[ti]
-		t.grants = reg.Scope(fmt.Sprintf("sw%d.tile%d.%d", s.ID, t.row, t.col)).Counter("grants")
+	for i := range s.tiles {
+		tile := &s.tiles[i]
+		tile.grants = 0
+		reg.Scope(fmt.Sprintf("sw%d.tile%d.%d", s.ID, tile.row, tile.col)).Counter("grants", &tile.grants)
 	}
 }
 
-// CreditCycles adds n simulated cycles to the "cycles" metric. The network
+// CreditCycles adds n simulated cycles to the "cycles" tally. The network
 // credits it from its clock at every epoch barrier, so the count (and
 // col.util's denominator) does not depend on how often Step ran: a switch
 // that slept through a cycle still simulated it.
 //
 //stashsim:phase serial
-func (s *Switch) CreditCycles(n int64) { s.m.cycles.Add(n) }
+func (s *Switch) CreditCycles(n int64) { s.tally.cycles += n }
 
 // SetTracer attaches (or, with nil, detaches) the packet-lifecycle tracer.
 func (s *Switch) SetTracer(t *metrics.Tracer) { s.tracer = t }

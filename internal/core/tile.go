@@ -83,14 +83,14 @@ func (s *Switch) stepTile(now sim.Tick, t *tile) {
 		if slot < 0 {
 			continue
 		}
-		t.grants.Inc()
-		s.m.colFlits.Inc()
+		t.grants++
+		s.tally.colFlits++
 		stream := int(t.candScr[slot][o])
 		switch stream {
 		case proto.VCStore:
-			s.m.svcFlits.Inc()
+			s.tally.svcFlits++
 		case proto.VCRetrieve:
-			s.m.rvcFlits.Inc()
+			s.tally.rvcFlits++
 		}
 		rb := &t.rowBufs[slot][stream]
 		f := rb.Pop()

@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"stashsim/internal/sim"
 )
@@ -13,26 +12,25 @@ import (
 // costs one barrier round per 64 cycles, not one per cycle.
 const FlightInterval = 64
 
-// FlightField is one column of the flight recorder: a named reader over
-// live simulation state. Counter fields (Gauge false) are recorded as
-// per-interval deltas of a monotone total; gauge fields are recorded as
-// absolute values.
+// FlightField is one column of the flight recorder. Counter fields (Gauge
+// false) are recorded as per-interval deltas of a monotone total; gauge
+// fields are recorded as absolute values.
 type FlightField struct {
 	Name  string
 	Gauge bool
-	Read  func() int64
 }
 
 // FlightRecorder retains the most recent per-interval aggregate readings
 // in a preallocated ring, turning "the sim stalled" into "here are the
 // last N intervals of deliveries, stash traffic, credit stalls and
 // occupancy". It is a barrier observer (network.Observer) naming every
-// multiple of FlightInterval; recording is allocation-free, and
-// Dump/Snapshot may be called from the watchdog, a SIGQUIT handler, or the
-// telemetry snapshot path. A nil *FlightRecorder is a no-op.
+// multiple of FlightInterval; recording is allocation-free. Dump and
+// Snapshot read the ring unsynchronized, so they too run only at a barrier:
+// from the watchdog, a served dump request, or the telemetry snapshot. A
+// nil *FlightRecorder is a no-op.
 type FlightRecorder struct {
-	mu     sync.Mutex
 	fields []FlightField
+	read   func(raw []int64)
 	rows   int
 	buf    []int64 // rows × (1 + len(fields)): cycle then one value per field
 	prev   []int64 // previous raw reading per counter field
@@ -40,13 +38,16 @@ type FlightRecorder struct {
 }
 
 // NewFlightRecorder returns a recorder retaining the last `rows` records
-// of the given fields. rows < 1 is clamped to 1.
-func NewFlightRecorder(rows int, fields ...FlightField) *FlightRecorder {
+// of the given fields. read fills in the current raw reading of every
+// field, in field order, in one pass over live simulation state. rows < 1
+// is clamped to 1.
+func NewFlightRecorder(rows int, read func(raw []int64), fields ...FlightField) *FlightRecorder {
 	if rows < 1 {
 		rows = 1
 	}
 	return &FlightRecorder{
 		fields: fields,
+		read:   read,
 		rows:   rows,
 		buf:    make([]int64, rows*(1+len(fields))),
 		prev:   make([]int64, len(fields)),
@@ -66,26 +67,21 @@ func (f *FlightRecorder) NextEventAt(from int64) int64 {
 // AtBarrier captures one row after cycle now: deltas since the previous
 // row for counter fields, absolutes for gauges. It never allocates.
 //
-//stashsim:phase serial -- field readers walk live component state
+//stashsim:phase serial -- the reader walks live component state
 func (f *FlightRecorder) AtBarrier(now int64) {
 	if f == nil {
 		return
 	}
-	f.mu.Lock()
 	stride := 1 + len(f.fields)
-	row := f.buf[int(f.n%int64(f.rows))*stride:]
+	row := f.buf[int(f.n%int64(f.rows))*stride:][:stride]
 	row[0] = now
+	f.read(row[1:])
 	for i := range f.fields {
-		v := f.fields[i].Read()
-		if f.fields[i].Gauge {
-			row[1+i] = v
-		} else {
-			row[1+i] = v - f.prev[i]
-			f.prev[i] = v
+		if !f.fields[i].Gauge {
+			row[1+i], f.prev[i] = row[1+i]-f.prev[i], row[1+i]
 		}
 	}
 	f.n++
-	f.mu.Unlock()
 }
 
 // FieldNames returns the column names after the leading "cycle" column.
@@ -102,12 +98,12 @@ func (f *FlightRecorder) FieldNames() []string {
 
 // Snapshot copies up to maxRows of the most recent records, oldest first,
 // each row as [cycle, field0, field1, ...]. maxRows <= 0 means all.
+//
+//stashsim:phase serial -- reads the ring AtBarrier writes
 func (f *FlightRecorder) Snapshot(maxRows int) [][]int64 {
 	if f == nil {
 		return nil
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	avail := int(f.n)
 	if avail > f.rows {
 		avail = f.rows
@@ -129,6 +125,8 @@ func (f *FlightRecorder) Snapshot(maxRows int) [][]int64 {
 // Dump writes up to maxRows of the most recent records as an aligned
 // table (oldest first), for watchdog stall dumps and SIGQUIT post-mortems.
 // maxRows <= 0 means all retained rows.
+//
+//stashsim:phase serial -- reads the ring AtBarrier writes
 func (f *FlightRecorder) Dump(w io.Writer, maxRows int) {
 	if f == nil {
 		return

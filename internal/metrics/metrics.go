@@ -1,242 +1,179 @@
 // Package metrics is the switch-level observability subsystem: a
-// zero-dependency registry of named counters, gauges and histograms with
-// per-switch and per-tile scopes, a fixed-interval occupancy sampler, an
-// opt-in ring-buffered packet-lifecycle tracer, and a stall watchdog.
+// zero-dependency registry of named counters and gauges with per-switch
+// and per-tile scopes, a fixed-interval occupancy sampler, an opt-in
+// ring-buffered packet-lifecycle tracer, a flight recorder, and a stall
+// watchdog.
 //
-// The registry is designed to stay compiled into the hot path: every
-// handle method is safe on a nil receiver and a nil handle is a single
-// predictable branch, so instrumentation sites need no build tags and the
-// disabled path (the default) performs no allocations and no map lookups.
-// Handles are resolved once at wiring time. Worker-safety under the
-// parallel executor comes from ownership sharding: each scope is owned by
-// the component that registered it (one switch, one tile), and the
-// executor pins every component to exactly one worker goroutine — so the
-// per-scope counters ARE the per-worker shards, and cross-scope reads
-// (Totals, Sum, Table) merge them at read time. Counter additionally uses
-// atomic adds so a handle that does leak across components cannot tear;
-// Hist serializes with a mutex for the same reason. Gauges are evaluated
-// only at snapshot time (between cycles or after a run), never while
-// components are stepping.
+// Two rules keep it out of the simulation's way. An event is counted once,
+// in a plain field of the component that sees it; the registry stores no
+// values, it names those fields (Scope.Counter takes a pointer) so they can
+// be listed, summed and exposed. And simulation state is read only at a
+// barrier, by the goroutine that runs the simulation: every reader in this
+// package is a serial-phase call, and what leaves for another goroutine is
+// the copy the telemetry publisher hands off. So nothing here is atomic or
+// locked but the tracer, the one sink components write to while they step.
 package metrics
 
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"stashsim/internal/stats"
 )
 
-// Counter is a monotonically increasing int64. The zero value is usable;
-// a nil *Counter is a no-op handle (the disabled fast path, zero
-// allocations). Increments are atomic: scope ownership already keeps each
-// counter single-writer under the parallel executor, the atomics are the
-// belt-and-suspenders for handles shared across components.
-type Counter struct{ v atomic.Int64 }
-
-// Inc adds one.
-//
-//stashsim:phase parallel -- atomic add; scope ownership keeps each counter single-writer anyway
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v.Add(1)
-	}
+// counter is one registered counter: the name of a component's field.
+type counter struct {
+	name string
+	v    *int64
 }
 
-// Add adds n.
-//
-//stashsim:phase parallel -- atomic add; scope ownership keeps each counter single-writer anyway
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
-// Value returns the current count (0 for a nil handle).
-//
-//stashsim:phase parallel -- atomic load
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Hist is a histogram handle wrapping stats.Hist; a nil *Hist is a no-op.
-// Observations serialize on an internal mutex (histogram handles are off
-// the per-cycle hot path).
-type Hist struct {
-	mu sync.Mutex
-	h  stats.Hist
-}
-
-// Observe records one observation.
-//
-//stashsim:phase parallel -- mutex-serialized; histogram handles may be shared across components
-func (h *Hist) Observe(v int64) {
-	if h != nil {
-		h.mu.Lock()
-		h.h.Add(v)
-		h.mu.Unlock()
-	}
-}
-
-// Snapshot copies the underlying histogram (nil for a nil handle).
-func (h *Hist) Snapshot() *stats.Hist {
-	if h == nil {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	c := h.h
-	return &c
+// gauge is one registered gauge: a value worked out when it is read.
+type gauge struct {
+	name string
+	fn   func() float64
 }
 
 // Scope is a named namespace of metrics (one per switch, one per tile).
-// A nil *Scope hands out nil handles, so a component wired without a
-// registry carries nil handles end to end.
+// Registering on a nil *Scope, as a nil *Registry hands out, does nothing.
 type Scope struct {
 	name     string
 	reg      *Registry
-	counters map[string]*Counter
-	corder   []string
-	gauges   map[string]func() float64
-	gorder   []string
-	hists    map[string]*Hist
-	horder   []string
+	counters []counter
+	gauges   []gauge
 }
 
-// Counter returns (creating on first use) the named counter handle.
+// Counter registers the field v counts in under the given name.
+// Re-registering a name points it at the new field.
 //
-//stashsim:phase serial -- handle resolution is wiring-time work, not hot-path work
-func (s *Scope) Counter(name string) *Counter {
+//stashsim:phase serial -- registration is wiring-time work
+func (s *Scope) Counter(name string, v *int64) {
 	if s == nil {
-		return nil
+		return
 	}
-	s.reg.mu.Lock()
-	defer s.reg.mu.Unlock()
-	c := s.counters[name]
-	if c == nil {
-		c = &Counter{}
-		s.counters[name] = c
-		s.corder = append(s.corder, name)
+	for i := range s.counters {
+		if s.counters[i].name == name {
+			s.counters[i].v = v
+			return
+		}
 	}
-	return c
+	s.counters = append(s.counters, counter{name, v})
+	s.reg.series = nil
 }
 
-// Gauge registers a gauge evaluated lazily at snapshot time. Re-registering
-// a name replaces the previous function.
+// Gauge registers a gauge evaluated when the registry is read.
+// Re-registering a name replaces the previous function.
 //
-//stashsim:phase serial -- handle resolution is wiring-time work, not hot-path work
+//stashsim:phase serial -- registration is wiring-time work
 func (s *Scope) Gauge(name string, fn func() float64) {
 	if s == nil {
 		return
 	}
-	s.reg.mu.Lock()
-	defer s.reg.mu.Unlock()
-	if _, ok := s.gauges[name]; !ok {
-		s.gorder = append(s.gorder, name)
+	for i := range s.gauges {
+		if s.gauges[i].name == name {
+			s.gauges[i].fn = fn
+			return
+		}
 	}
-	s.gauges[name] = fn
+	s.gauges = append(s.gauges, gauge{name, fn})
+	s.reg.series = nil
 }
 
-// Hist returns (creating on first use) the named histogram handle.
-//
-//stashsim:phase serial -- handle resolution is wiring-time work, not hot-path work
-func (s *Scope) Hist(name string) *Hist {
-	if s == nil {
-		return nil
-	}
-	s.reg.mu.Lock()
-	defer s.reg.mu.Unlock()
-	h := s.hists[name]
-	if h == nil {
-		h = &Hist{}
-		s.hists[name] = h
-		s.horder = append(s.horder, name)
-	}
-	return h
+// Series is one row of the registry's name table: a counter or gauge and
+// the scope it was registered in.
+type Series struct {
+	Scope   string
+	Name    string
+	IsGauge bool
 }
 
-// Registry holds all scopes of one simulation run. A nil *Registry hands
-// out nil scopes: the entire instrumentation tree degrades to no-ops.
+// Registry names the metrics of one simulation run. A nil *Registry — no
+// metrics attached — has no scopes and no series and sums to zero.
 type Registry struct {
-	mu     sync.Mutex
-	scopes map[string]*Scope
-	sorder []string
+	scopes []*Scope
+	byName map[string]*Scope //stashsim:derived -- index of scopes by name
+	series []Series          //stashsim:derived -- the name table, built on first use after a registration
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{scopes: make(map[string]*Scope)}
+	return &Registry{byName: make(map[string]*Scope)}
 }
 
 // Scope returns (creating on first use) the named scope.
 //
-//stashsim:phase serial -- handle resolution is wiring-time work, not hot-path work
+//stashsim:phase serial -- registration is wiring-time work
 func (r *Registry) Scope(name string) *Scope {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.scopes[name]
+	s := r.byName[name]
 	if s == nil {
-		s = &Scope{
-			name:     name,
-			reg:      r,
-			counters: make(map[string]*Counter),
-			gauges:   make(map[string]func() float64),
-			hists:    make(map[string]*Hist),
-		}
-		r.scopes[name] = s
-		r.sorder = append(r.sorder, name)
+		s = &Scope{name: name, reg: r}
+		r.byName[name] = s
+		r.scopes = append(r.scopes, s)
 	}
 	return s
 }
 
-// Each visits every counter and gauge as (scope, metric, value), scopes in
-// registration order, metrics in registration order within a scope.
+// Series returns the name table: every registered metric, scopes in
+// registration order, within a scope the counters and then the gauges in
+// registration order. The table is built once per wiring and shared by
+// every caller, who must not change it.
 //
-//stashsim:phase serial -- cross-scope merge; probes run while the workers are parked
-func (r *Registry) Each(fn func(scope, name string, value float64)) {
+//stashsim:phase serial -- builds the table on first use
+func (r *Registry) Series() []Series {
 	if r == nil {
-		return
+		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, sn := range r.sorder {
-		s := r.scopes[sn]
-		for _, cn := range s.corder {
-			fn(sn, cn, float64(s.counters[cn].Value()))
-		}
-		for _, gn := range s.gorder {
-			fn(sn, gn, s.gauges[gn]())
+	if r.series == nil {
+		for _, s := range r.scopes {
+			for _, c := range s.counters {
+				r.series = append(r.series, Series{Scope: s.name, Name: c.name})
+			}
+			for _, g := range s.gauges {
+				r.series = append(r.series, Series{Scope: s.name, Name: g.name, IsGauge: true})
+			}
 		}
 	}
+	return r.series
+}
+
+// Read returns the current value of every series, in table order.
+//
+//stashsim:phase serial -- reads component fields and evaluates gauges over live state
+func (r *Registry) Read() []float64 {
+	if r == nil {
+		return nil
+	}
+	out := make([]float64, 0, len(r.Series()))
+	for _, s := range r.scopes {
+		for _, c := range s.counters {
+			out = append(out, float64(*c.v))
+		}
+		for _, g := range s.gauges {
+			out = append(out, g.fn())
+		}
+	}
+	return out
 }
 
 // Totals sums every counter by metric name across all scopes (the
 // network-wide view), returned with sorted names.
 //
-//stashsim:phase serial -- cross-scope merge; probes run while the workers are parked
+//stashsim:phase serial -- reads component fields
 func (r *Registry) Totals() (names []string, values []int64) {
 	if r == nil {
 		return nil, nil
 	}
 	sums := make(map[string]int64)
-	r.mu.Lock()
-	for _, sn := range r.sorder {
-		s := r.scopes[sn]
-		for _, cn := range s.corder {
-			if _, ok := sums[cn]; !ok {
-				names = append(names, cn)
+	for _, s := range r.scopes {
+		for _, c := range s.counters {
+			if _, ok := sums[c.name]; !ok {
+				names = append(names, c.name)
 			}
-			sums[cn] += s.counters[cn].Value()
+			sums[c.name] += *c.v
 		}
 	}
-	r.mu.Unlock()
 	sort.Strings(names)
 	for _, n := range names {
 		values = append(values, sums[n])
@@ -246,48 +183,37 @@ func (r *Registry) Totals() (names []string, values []int64) {
 
 // Sum returns the total of one counter name across all scopes.
 //
-//stashsim:phase serial -- cross-scope merge; probes run while the workers are parked
+//stashsim:phase serial -- reads component fields
 func (r *Registry) Sum(name string) int64 {
 	if r == nil {
 		return 0
 	}
 	var total int64
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, sn := range r.sorder {
-		if c, ok := r.scopes[sn].counters[name]; ok {
-			total += c.Value()
+	for _, s := range r.scopes {
+		for _, c := range s.counters {
+			if c.name == name {
+				total += *c.v
+			}
 		}
 	}
 	return total
 }
 
-// Table renders every metric as a (scope, metric, value) table. Gauges are
-// formatted with 4 decimal places, counters as integers; histogram handles
-// contribute count/mean/p99 summary rows.
+// Table renders every metric as a (scope, metric, value) table. Whole
+// values are formatted as integers, the rest with 4 decimal places.
 //
-//stashsim:phase serial -- cross-scope merge; probes run while the workers are parked
+//stashsim:phase serial -- reads component fields and evaluates gauges over live state
 func (r *Registry) Table() *stats.Table {
 	if r == nil {
 		return &stats.Table{Header: []string{"scope", "metric", "value"}}
 	}
 	t := &stats.Table{Header: []string{"scope", "metric", "value"}}
-	r.Each(func(scope, name string, v float64) {
-		if v == float64(int64(v)) {
-			t.AddRow(scope, name, fmt.Sprintf("%d", int64(v)))
+	values := r.Read()
+	for i, s := range r.Series() {
+		if v := values[i]; v == float64(int64(v)) {
+			t.AddRow(s.Scope, s.Name, fmt.Sprintf("%d", int64(v)))
 		} else {
-			t.AddRow(scope, name, fmt.Sprintf("%.4f", v))
-		}
-	})
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, sn := range r.sorder {
-		s := r.scopes[sn]
-		for _, hn := range s.horder {
-			h := s.hists[hn].Snapshot()
-			t.AddRow(sn, hn+".count", fmt.Sprintf("%d", h.N()))
-			t.AddRow(sn, hn+".mean", fmt.Sprintf("%.2f", h.Mean()))
-			t.AddRow(sn, hn+".p99", fmt.Sprintf("%d", h.Percentile(99)))
+			t.AddRow(s.Scope, s.Name, fmt.Sprintf("%.4f", v))
 		}
 	}
 	return t
@@ -296,7 +222,7 @@ func (r *Registry) Table() *stats.Table {
 // TotalsTable renders the cross-scope counter sums (the compact view the
 // CLI prints by default).
 //
-//stashsim:phase serial -- cross-scope merge; probes run while the workers are parked
+//stashsim:phase serial -- reads component fields
 func (r *Registry) TotalsTable() *stats.Table {
 	if r == nil {
 		return &stats.Table{Header: []string{"metric", "total"}}

@@ -3,54 +3,61 @@ package metrics
 import (
 	"encoding/json"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 )
 
+// TestRegistryCountersGaugesHists: the registry stores no values. It names
+// the fields it is handed, reads them when asked, and lists them in one
+// table. (It has no histograms; the test keeps the name it is known by.)
 func TestRegistryCountersGaugesHists(t *testing.T) {
 	reg := NewRegistry()
 	sc := reg.Scope("sw0")
-	c := sc.Counter("stash.stores")
-	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Fatalf("counter value = %d, want 5", got)
-	}
-	if c2 := sc.Counter("stash.stores"); c2 != c {
-		t.Fatal("re-resolving a counter must return the same handle")
+	var stores, stores1, other int64
+	sc.Counter("stash.stores", &stores)
+	stores = 5
+	if got := reg.Sum("stash.stores"); got != 5 {
+		t.Fatalf("Sum = %d, want the field's 5", got)
 	}
 	sc.Gauge("fill", func() float64 { return 0.25 })
-	h := sc.Hist("lat")
-	h.Observe(10)
-	h.Observe(20)
-	if got := h.Snapshot().N(); got != 2 {
-		t.Fatalf("hist N = %d, want 2", got)
+	if reg.Scope("sw0") != sc {
+		t.Fatal("re-resolving a scope must return the same scope")
 	}
+	names := reg.Series()
 
-	reg.Scope("sw1").Counter("stash.stores").Add(7)
+	reg.Scope("sw1").Counter("stash.stores", &stores1)
+	stores1 = 7
 	if got := reg.Sum("stash.stores"); got != 12 {
 		t.Fatalf("Sum = %d, want 12", got)
 	}
-	names, values := reg.Totals()
-	if len(names) != 1 || names[0] != "stash.stores" || values[0] != 12 {
-		t.Fatalf("Totals = %v %v", names, values)
+	tn, tv := reg.Totals()
+	if len(tn) != 1 || tn[0] != "stash.stores" || tv[0] != 12 {
+		t.Fatalf("Totals = %v %v", tn, tv)
 	}
 
-	var sawGauge, sawCounter bool
-	reg.Each(func(scope, name string, v float64) {
-		if scope == "sw0" && name == "fill" && v == 0.25 {
-			sawGauge = true
-		}
-		if scope == "sw0" && name == "stash.stores" && v == 5 {
-			sawCounter = true
-		}
-	})
-	if !sawGauge || !sawCounter {
-		t.Fatalf("Each missed entries: gauge=%v counter=%v", sawGauge, sawCounter)
+	// A registration invalidates the name table; nothing else rebuilds it.
+	if len(names) != 2 || len(reg.Series()) != 3 {
+		t.Fatalf("name table has %d then %d rows, want 2 then 3", len(names), len(reg.Series()))
 	}
-	tbl := reg.Table()
-	if len(tbl.Rows) == 0 {
-		t.Fatal("Table returned no rows")
+	if a, b := reg.Series(), reg.Series(); &a[0] != &b[0] {
+		t.Fatal("Series rebuilt the name table without a registration in between")
+	}
+	want := []Series{{"sw0", "stash.stores", false}, {"sw0", "fill", true}, {"sw1", "stash.stores", false}}
+	if got := reg.Series(); !slices.Equal(got, want) {
+		t.Fatalf("Series = %v, want %v", got, want)
+	}
+	if got := reg.Read(); !slices.Equal(got, []float64{5, 0.25, 7}) {
+		t.Fatalf("Read = %v, want [5 0.25 7]", got)
+	}
+	// Re-registering a name points it at the new field, in place.
+	sc.Counter("stash.stores", &other)
+	other = 1
+	if got := reg.Read(); !slices.Equal(got, []float64{1, 0.25, 7}) {
+		t.Fatalf("Read after re-registration = %v, want [1 0.25 7]", got)
+	}
+	if tbl := reg.Table(); len(tbl.Rows) != 3 || tbl.Rows[1][2] != "0.2500" {
+		t.Fatalf("Table = %v", tbl.Rows)
 	}
 }
 
@@ -59,20 +66,16 @@ func TestRegistryCountersGaugesHists(t *testing.T) {
 // that leaving the instrumentation compiled in is free by default.
 func TestNilFastPathNoAllocs(t *testing.T) {
 	var reg *Registry
-	var c *Counter
-	var h *Hist
 	var tr *Tracer
 	var sp *Sampler
 	var wd *Watchdog
+	var v int64
 	allocs := testing.AllocsPerRun(1000, func() {
-		c.Inc()
-		c.Add(3)
-		_ = c.Value()
-		h.Observe(5)
 		tr.Record(1, EvInject, 42, 0, -1, 1, 2)
 		sp.AtBarrier(1000)
 		wd.AtBarrier(1000)
-		_ = reg.Scope("sw0").Counter("x") // nil registry -> nil scope -> nil handle
+		reg.Scope("sw0").Counter("x", &v) // nil registry -> nil scope -> nothing registered
+		_ = reg.Sum("x")
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled observability path allocated %.1f times per run, want 0", allocs)

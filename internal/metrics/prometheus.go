@@ -16,74 +16,12 @@ type Sample struct {
 	IsGauge bool
 }
 
-// CounterSamples reads every counter in the registry. Counter reads are
-// atomic, so this is safe to call from a scraping goroutine while the
-// simulation is mid-cycle (values may be torn *across* counters, never
-// within one).
-func (r *Registry) CounterSamples() []Sample {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []Sample
-	for _, sn := range r.sorder {
-		s := r.scopes[sn]
-		for _, cn := range s.corder {
-			out = append(out, Sample{Scope: sn, Name: cn, Value: float64(s.counters[cn].Value())})
-		}
-	}
-	return out
-}
-
-// GaugeSamples evaluates every registered gauge. Gauge functions read
-// live component state without synchronization, so this must only be
-// called while the simulation is quiescent (between cycles, from a
-// barrier observer, or after a run) — the telemetry snapshot path captures
-// these into its published snapshot for exactly that reason.
-func (r *Registry) GaugeSamples() []Sample {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []Sample
-	for _, sn := range r.sorder {
-		s := r.scopes[sn]
-		for _, gn := range s.gorder {
-			out = append(out, Sample{Scope: sn, Name: gn, Value: s.gauges[gn](), IsGauge: true})
-		}
-	}
-	return out
-}
-
-// HistSamples summarizes every histogram as _count/_mean/_p99 gauge
-// series. Histogram snapshots take the handle mutex, so this is safe at
-// any time.
-func (r *Registry) HistSamples() []Sample {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	type entry struct{ scope, name string }
-	var handles []entry
-	hs := make([]*Hist, 0)
-	for _, sn := range r.sorder {
-		s := r.scopes[sn]
-		for _, hn := range s.horder {
-			handles = append(handles, entry{sn, hn})
-			hs = append(hs, s.hists[hn])
-		}
-	}
-	r.mu.Unlock()
-	var out []Sample
-	for i, e := range handles {
-		snap := hs[i].Snapshot()
-		out = append(out,
-			Sample{Scope: e.scope, Name: e.name + "_count", Value: float64(snap.N()), IsGauge: true},
-			Sample{Scope: e.scope, Name: e.name + "_mean", Value: snap.Mean(), IsGauge: true},
-			Sample{Scope: e.scope, Name: e.name + "_p99", Value: float64(snap.Percentile(99)), IsGauge: true},
-		)
+// Samples pairs a name table with the values read against it: the
+// registry's own (Series, Read) or the copies a telemetry snapshot carries.
+func Samples(names []Series, values []float64) []Sample {
+	out := make([]Sample, len(names))
+	for i, n := range names {
+		out[i] = Sample{Scope: n.Scope, Name: n.Name, Value: values[i], IsGauge: n.IsGauge}
 	}
 	return out
 }

@@ -19,8 +19,12 @@ func name(c *snapshot.Codec, kind, want string) bool {
 	return c.Err() == nil
 }
 
-// State walks every scope's counters and histograms in registration
-// order. Gauges are evaluated live and carry no state.
+// State walks every scope's counters in registration order: for the
+// tallies only the registry reaches this is their one walk; for a name that
+// points at a field its component walks too it stores the same value again.
+// Gauges are worked out when read and carry no state. Each scope ends in a
+// histogram count, always zero: the format once had histograms, and
+// checkpoints written then still restore.
 //
 //stashsim:phase serial -- cross-scope walk; runs only at a cycle barrier or before the restored run starts
 func (r *Registry) State(c *snapshot.Codec) {
@@ -28,37 +32,21 @@ func (r *Registry) State(c *snapshot.Codec) {
 		return
 	}
 	c.Section("METR")
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !c.Len("metrics: registry scopes", len(r.sorder), 8) {
+	if !c.Len("metrics: registry scopes", len(r.scopes), 8) {
 		return
 	}
-	for _, sn := range r.sorder {
-		s := r.scopes[sn]
-		if !name(c, "scope", sn) || !c.Len("metrics: counters of a scope", len(s.corder), 12) {
+	for _, s := range r.scopes {
+		if !name(c, "scope", s.name) || !c.Len("metrics: counters of a scope", len(s.counters), 12) {
 			return
 		}
-		for _, cn := range s.corder {
-			if !name(c, "counter", cn) {
+		for _, ctr := range s.counters {
+			if !name(c, "counter", ctr.name) {
 				return
 			}
-			ctr := s.counters[cn]
-			v := ctr.v.Load()
-			if c.I64(&v); c.Decoding() {
-				ctr.v.Store(v)
-			}
+			c.I64(ctr.v)
 		}
-		if !c.Len("metrics: histograms of a scope", len(s.horder), 4) {
+		if !c.Len("metrics: histograms of a scope", 0, 4) {
 			return
-		}
-		for _, hn := range s.horder {
-			if !name(c, "histogram", hn) {
-				return
-			}
-			h := s.hists[hn]
-			h.mu.Lock()
-			h.h.State(c)
-			h.mu.Unlock()
 		}
 	}
 }
@@ -97,10 +85,7 @@ func (w *Watchdog) State(c *snapshot.Codec) {
 	c.Bool(&w.started)
 	c.I64(&w.windowStart)
 	c.I64(&w.lastDelivered)
-	stalled := w.stalled.Load()
-	if c.Bool(&stalled); c.Decoding() {
-		w.stalled.Store(stalled)
-	}
+	c.Bool(&w.stalled)
 	c.I64(&w.Stalls)
 	c.I64(&w.Suppressed)
 }

@@ -19,20 +19,21 @@ func TestPromGolden(t *testing.T) {
 	sw1 := r.Scope("sw1")
 	sw0 := r.Scope("sw0")
 	nasty := r.Scope("row\\0 \"hot\"\nspot")
-	sw1.Counter("stash.stores").Add(7)
-	sw1.Counter("delivered").Add(41)
-	sw0.Counter("stash.stores").Add(3)
-	sw0.Counter("credit-stalls").Add(9)
-	nasty.Counter("stash.stores").Add(1)
+	v := []int64{7, 41, 3, 9, 1}
+	sw1.Counter("stash.stores", &v[0])
+	sw1.Counter("delivered", &v[1])
+	sw0.Counter("stash.stores", &v[2])
+	sw0.Counter("credit-stalls", &v[3])
+	nasty.Counter("stash.stores", &v[4])
 	sw0.Gauge("occupancy%", func() float64 { return 12.5 })
-	sw1.Hist("queue.depth") // empty histogram still exposes summary series
-	sw1.Hist("queue.depth").Observe(4)
-	sw1.Hist("queue.depth").Observe(8)
 
 	var buf bytes.Buffer
-	samples := append(r.CounterSamples(), r.GaugeSamples()...)
-	samples = append(samples, r.HistSamples()...)
-	samples = append(samples, Sample{Name: "up", Value: 1, IsGauge: true})
+	samples := append(Samples(r.Series(), r.Read()),
+		// Three more gauge families, named as the summaries of a distribution are.
+		Sample{Scope: "sw1", Name: "queue.depth_count", Value: 2, IsGauge: true},
+		Sample{Scope: "sw1", Name: "queue.depth_mean", Value: 6, IsGauge: true},
+		Sample{Scope: "sw1", Name: "queue.depth_p99", Value: 8, IsGauge: true},
+		Sample{Name: "up", Value: 1, IsGauge: true})
 	if err := WriteProm(&buf, samples); err != nil {
 		t.Fatal(err)
 	}
@@ -97,10 +98,8 @@ func TestPromFamilyOrderingStable(t *testing.T) {
 
 func TestFlightRecorderDeltasAndWrap(t *testing.T) {
 	var total, depth int64
-	f := NewFlightRecorder(4,
-		FlightField{Name: "delivered", Read: func() int64 { return total }},
-		FlightField{Name: "queue", Gauge: true, Read: func() int64 { return depth }},
-	)
+	f := NewFlightRecorder(4, func(raw []int64) { raw[0], raw[1] = total, depth },
+		FlightField{Name: "delivered"}, FlightField{Name: "queue", Gauge: true})
 	for cycle := int64(0); cycle < 10; cycle++ {
 		total += cycle // deliver `cycle` flits this cycle
 		depth = 100 - cycle
@@ -124,9 +123,7 @@ func TestFlightRecorderDeltasAndWrap(t *testing.T) {
 
 func TestFlightRecorderRecordAllocFree(t *testing.T) {
 	var total int64
-	f := NewFlightRecorder(64,
-		FlightField{Name: "delivered", Read: func() int64 { return total }},
-	)
+	f := NewFlightRecorder(64, func(raw []int64) { raw[0] = total }, FlightField{Name: "delivered"})
 	allocs := testing.AllocsPerRun(200, func() {
 		total += 3
 		f.AtBarrier(total)
@@ -138,9 +135,7 @@ func TestFlightRecorderRecordAllocFree(t *testing.T) {
 
 func TestFlightRecorderDump(t *testing.T) {
 	var total int64
-	f := NewFlightRecorder(8,
-		FlightField{Name: "delivered", Read: func() int64 { return total }},
-	)
+	f := NewFlightRecorder(8, func(raw []int64) { raw[0] = total }, FlightField{Name: "delivered"})
 	for c := int64(0); c < 3; c++ {
 		total += 5
 		f.AtBarrier(c)
@@ -159,9 +154,7 @@ func TestFlightRecorderDump(t *testing.T) {
 // way the network does: a stall dump must carry the recent-interval table.
 func TestWatchdogFlightDump(t *testing.T) {
 	var delivered int64
-	f := NewFlightRecorder(16,
-		FlightField{Name: "delivered", Read: func() int64 { return delivered }},
-	)
+	f := NewFlightRecorder(16, func(raw []int64) { raw[0] = delivered }, FlightField{Name: "delivered"})
 	var out bytes.Buffer
 	w := &Watchdog{
 		Window:    10,

@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"stashsim/internal/sim"
 )
@@ -54,7 +53,7 @@ type Watchdog struct {
 	windowStart   int64
 	started       bool
 	lastDelivered int64
-	stalled       atomic.Bool
+	stalled       bool
 	// Stalls counts detected zero-delivery windows.
 	Stalls int64
 	// Suppressed counts zero-delivery windows explained away by Note.
@@ -62,16 +61,16 @@ type Watchdog struct {
 }
 
 // Stalled reports whether the most recent completed window was an
-// unexplained zero-delivery window. It is the /healthz liveness signal
-// and is safe to read from a scraping goroutine while the simulation
-// runs; it clears as soon as a window sees deliveries again.
+// unexplained zero-delivery window; it clears as soon as a window sees
+// deliveries again. The telemetry snapshot copies it at the barrier, and
+// that copy is the /healthz liveness signal.
 //
-//stashsim:phase parallel -- atomic load; the /healthz read side
+//stashsim:phase serial -- reads the unsynchronized window bookkeeping
 func (w *Watchdog) Stalled() bool {
 	if w == nil {
 		return false
 	}
-	return w.stalled.Load()
+	return w.stalled
 }
 
 // NextEventAt names the first cycle it is asked about (initialization)
@@ -104,13 +103,13 @@ func (w *Watchdog) AtBarrier(now int64) {
 	}
 	d := w.Delivered()
 	if d != w.lastDelivered || w.Pending == nil || !w.Pending() {
-		w.stalled.Store(false)
+		w.stalled = false
 	}
 	if d == w.lastDelivered && w.Pending != nil && w.Pending() {
 		if w.Note != nil {
 			if note := w.Note(w.windowStart, now); note != "" {
 				w.Suppressed++
-				w.stalled.Store(false)
+				w.stalled = false
 				if w.Out != nil {
 					fmt.Fprintf(w.Out, "watchdog: no deliveries in %d cycles at cycle %d, explained: %s\n",
 						w.Window, now, note)
@@ -121,7 +120,7 @@ func (w *Watchdog) AtBarrier(now int64) {
 			}
 		}
 		w.Stalls++
-		w.stalled.Store(true)
+		w.stalled = true
 		if w.Out != nil && w.Stalls <= maxStallDumps {
 			fmt.Fprintf(w.Out, "watchdog: no deliveries in %d cycles at cycle %d with work pending (stall #%d); non-idle state:\n",
 				w.Window, now, w.Stalls)

@@ -275,21 +275,20 @@ func (n *Network) beforeEpoch(now sim.Tick) (cut sim.Tick) {
 	return last + 1
 }
 
-// afterEpoch is the executor's AfterEpoch hook: publish simulated
-// progress, credit the epoch's cycles to the switches' "cycles" metric (an
+// afterEpoch is the executor's AfterEpoch hook: advance the barrier
+// clock, credit the epoch's cycles to the switches' "cycles" tally (an
 // epoch starts where the last one, or Restore, left cycleDone), and run
 // the observers that named the epoch's last cycle. The components are
 // quiescent, so observers may walk live state.
 //
 //stashsim:phase serial -- the observers walk live state; only the coordinator may run it
 func (n *Network) afterEpoch(next sim.Tick) {
-	ran := int64(next) - n.cycleDone.Swap(int64(next))
+	ran := int64(next) - n.cycleDone
+	n.cycleDone = int64(next)
 	n.epochs++
 	n.epochCycles += ran
-	if n.Metrics != nil {
-		for _, s := range n.Switches {
-			s.CreditCycles(ran)
-		}
+	for _, s := range n.Switches {
+		s.CreditCycles(ran)
 	}
 	last := int64(next) - 1
 	for _, o := range n.observers {

@@ -6,7 +6,6 @@ package network
 import (
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"stashsim/internal/buffer"
 	"stashsim/internal/core"
@@ -106,9 +105,8 @@ type Network struct {
 
 	// cycleDone counts completed cycles, stored at every epoch boundary.
 	// Unlike Now — written back only when Run returns — it advances
-	// mid-run, and it is atomic so the SIGQUIT handler and telemetry
-	// snapshots read it from other goroutines safely.
-	cycleDone atomic.Int64
+	// mid-run, which is what a barrier observer needs to read.
+	cycleDone int64
 
 	// epochs and epochCycles count the epochs run and the cycles they
 	// covered, for ExecStats.
@@ -228,9 +226,10 @@ func New(cfg *core.Config) (*Network, error) {
 	return n, nil
 }
 
-// EnableMetrics registers every switch's counters and gauges in reg and
-// remembers it on the network. Call before the run; pass the registry to
-// later reporting. A nil registry is a no-op.
+// EnableMetrics names every switch's counts and gauges in reg and
+// remembers it on the network; the tallies only a registry reports count
+// from this call. Call between runs; pass the registry to later
+// reporting. A nil registry is a no-op.
 func (n *Network) EnableMetrics(reg *metrics.Registry) {
 	n.Metrics = reg
 	for _, s := range n.Switches {

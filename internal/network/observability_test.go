@@ -14,10 +14,11 @@ import (
 
 // TestObservabilityEndToEnd runs a tiny e2e-mode network with the full
 // observability stack attached and checks that every sink captures what the
-// legacy counters say happened.
+// switches' own counters say happened.
 func TestObservabilityEndToEnd(t *testing.T) {
 	cfg := core.TinyConfig()
 	cfg.Mode = core.StashE2E
+	cfg.StashParity = 4 // registers the four parity names too
 	n, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -39,19 +40,40 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Fatalf("sanity: %v", err)
 	}
 
-	// Registry totals must mirror the legacy switch counters.
+	// Nine registry names are other names for fields the switches count in
+	// anyway; the rest are tallies only the registry reports.
 	cnt := n.Counters()
-	if cnt.StashStores == 0 {
-		t.Fatal("e2e run stashed nothing; test is vacuous")
+	if cnt.StashStores == 0 || cnt.ParityGroupsSealed == 0 {
+		t.Fatal("e2e run stashed or sealed nothing; test is vacuous")
 	}
-	if got := reg.Sum("stash.stores"); got != cnt.StashStores {
-		t.Fatalf("registry stash.stores = %d, legacy counter = %d", got, cnt.StashStores)
+	for _, c := range []struct {
+		name  string
+		field int64
+	}{
+		{"stash.stores", cnt.StashStores},
+		{"stash.retrieves", cnt.StashRetrieves},
+		{"stash.full.stalls", cnt.StashFullStalls},
+		{"hol.absorbed", cnt.HoLAbsorbed},
+		{"credit.stall.cycles", n.TotalCreditStallCycles()},
+		{"stash.recon.started", cnt.StashReconstructed},
+		{"stash.recon.failed", cnt.StashReconFailed},
+		{"stash.parity.sealed", cnt.ParityGroupsSealed},
+		{"stash.degraded.reads", cnt.StashDegradedReads},
+	} {
+		if got := reg.Sum(c.name); got != c.field {
+			t.Errorf("registry %s = %d, the switches' field sums to %d", c.name, got, c.field)
+		}
 	}
-	if got := reg.Sum("svc.flits"); got == 0 {
-		t.Fatal("no S-VC flit traversals recorded")
+	for _, name := range []string{"cycles", "col.flits", "svc.flits", "grants", "jsq.pick.col0"} {
+		if reg.Sum(name) == 0 {
+			t.Errorf("registry-only tally %s read zero", name)
+		}
 	}
-	if got := reg.Sum("cycles"); got == 0 {
-		t.Fatal("no cycles counted")
+	if got, want := reg.Sum("cycles"), int64(20000*len(n.Switches)); got != want {
+		t.Errorf("cycles = %d, want %d", got, want)
+	}
+	if col, grants := reg.Sum("col.flits"), reg.Sum("grants"); col != grants {
+		t.Errorf("col.flits = %d but the tiles granted %d", col, grants)
 	}
 
 	// Tracer must have seen the packet lifecycle ends.

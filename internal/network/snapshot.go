@@ -119,7 +119,7 @@ func (n *Network) Restore(data []byte) error {
 	}
 
 	n.Now = sim.Tick(now)
-	n.cycleDone.Store(now)
+	n.cycleDone = now
 	// The walk put every in-flight entry into the rings; repartition
 	// re-arms the switches from ring occupancy. The serial-singleton
 	// schedules need no rescheduling: they fire on absolute-cycle

@@ -8,10 +8,10 @@ import (
 	"stashsim/internal/telemetry"
 )
 
-// This file wires the observability-layer extras introduced with the
-// executor profiler and the live telemetry server: all opt-in, all nil
-// (disabled) by default, and none of them mutate simulation state — so
-// -json output is byte-identical with or without them.
+// This file wires the executor profiler, the flight recorder and the
+// telemetry publisher: all opt-in, all nil (disabled) by default, and none
+// of them mutate simulation state — so -json output is byte-identical with
+// or without them.
 
 // EnableExecProfile creates and attaches an executor stall profiler sized
 // for the network's current worker count; a later SetWorkers resizes it,
@@ -45,9 +45,10 @@ func (n *Network) SetExecProfiler(p *sim.ExecProfiler) error {
 }
 
 // CyclesDone reports completed simulation cycles as of the last epoch
-// boundary. It is safe to call from any goroutine at any time, and —
-// unlike Now, written back only when Run returns — it advances mid-run.
-func (n *Network) CyclesDone() int64 { return n.cycleDone.Load() }
+// boundary: unlike Now, written back only when Run returns, it advances
+// mid-run. Like all simulation state it is for barrier observers and the
+// goroutine that called Run.
+func (n *Network) CyclesDone() int64 { return n.cycleDone }
 
 // TotalCreditStallCycles sums the always-on credit-stall tap across
 // switches (output cycles with flits queued but no downstream credits).
@@ -72,19 +73,32 @@ func (n *Network) TotalDeliveredFlits() int64 {
 // AttachFlight installs a flight recorder retaining the last `rows`
 // intervals (metrics.FlightInterval cycles each) of aggregate readings:
 // deliveries, stash stores/retrieves, credit stalls (per-interval deltas)
-// and stash occupancy plus injection backlog (absolute gauges). Dumped by
-// the watchdog on stalls and by SIGQUIT. Attach it before the watchdog and
-// a stall dump includes the interval that ends on the stall cycle.
+// and stash occupancy plus injection backlog (absolute gauges). A row is
+// one pass over the endpoints and one over the switches. Dumped by the
+// watchdog on stalls and by SIGQUIT. Attach it before the watchdog and a
+// stall dump includes the interval that ends on the stall cycle.
 func (n *Network) AttachFlight(rows int) *metrics.FlightRecorder {
 	f := metrics.NewFlightRecorder(rows,
-		metrics.FlightField{Name: "delivered", Read: n.TotalDeliveredFlits},
-		metrics.FlightField{Name: "stash.stores", Read: func() int64 { return n.Counters().StashStores }},
-		metrics.FlightField{Name: "stash.retrieves", Read: func() int64 { return n.Counters().StashRetrieves }},
-		metrics.FlightField{Name: "credit.stalls", Read: n.TotalCreditStallCycles},
-		metrics.FlightField{Name: "stash.used", Gauge: true, Read: func() int64 {
-			return int64(n.TotalStashUsed())
-		}},
-		metrics.FlightField{Name: "inject.backlog", Gauge: true, Read: n.TotalQueuedFlits},
+		func(raw []int64) {
+			var delivered, stores, retrieves, stalls, used, backlog int64
+			for _, ep := range n.Endpoints {
+				delivered += ep.RecvFlits
+				backlog += ep.QueuedFlits()
+			}
+			for _, s := range n.Switches {
+				stores += s.Counters.StashStores
+				retrieves += s.Counters.StashRetrieves
+				stalls += s.CreditStallCycles
+				used += int64(s.StashUsed())
+			}
+			raw[0], raw[1], raw[2], raw[3], raw[4], raw[5] = delivered, stores, retrieves, stalls, used, backlog
+		},
+		metrics.FlightField{Name: "delivered"},
+		metrics.FlightField{Name: "stash.stores"},
+		metrics.FlightField{Name: "stash.retrieves"},
+		metrics.FlightField{Name: "credit.stalls"},
+		metrics.FlightField{Name: "stash.used", Gauge: true},
+		metrics.FlightField{Name: "inject.backlog", Gauge: true},
 	)
 	n.Flight = f
 	n.Observe(f)
@@ -93,7 +107,7 @@ func (n *Network) AttachFlight(rows int) *metrics.FlightRecorder {
 
 // TelemetrySnapshot captures the full quiescent view the live server
 // publishes: counters, delivery totals, fault and watchdog state, the
-// executor profile, every registered gauge, and the flight recorder
+// executor profile, every registered metric, and the flight recorder
 // tail. Call only while the network is quiescent (the publisher runs it
 // at a barrier; CLIs also call it after a run).
 func (n *Network) TelemetrySnapshot() *telemetry.Snapshot {
@@ -120,8 +134,11 @@ func (n *Network) TelemetrySnapshot() *telemetry.Snapshot {
 	if n.Profiler != nil {
 		s.ExecProfile = n.Profiler.Report()
 	}
-	for _, g := range n.Metrics.GaugeSamples() {
-		s.Gauges = append(s.Gauges, telemetry.GaugeSample{Scope: g.Scope, Name: g.Name, Value: g.Value})
+	s.Series, s.Values = n.Metrics.Series(), n.Metrics.Read()
+	for i, sr := range s.Series {
+		if sr.IsGauge {
+			s.Gauges = append(s.Gauges, telemetry.GaugeSample{Scope: sr.Scope, Name: sr.Name, Value: s.Values[i]})
+		}
 	}
 	if n.Flight != nil {
 		s.Flight = &telemetry.FlightTail{

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -14,18 +13,14 @@ import (
 	"stashsim/internal/metrics"
 )
 
-// Server is the live telemetry HTTP server. All fields are optional: a
-// zero Server serves an empty exposition, a healthy /healthz and pprof.
-// Start it once the simulation's sinks are wired; it only ever reads.
+// Server is the live telemetry HTTP server. It reads nothing but the
+// snapshot its publisher last handed off; a zero Server serves an empty
+// exposition, a healthy /healthz and pprof.
 type Server struct {
-	// Registry supplies live counter series for /metrics.
-	Registry *metrics.Registry
-	// Publisher supplies the quiescent snapshot for /snapshot and the
-	// gauge/run-level series of /metrics.
+	// Publisher supplies the barrier snapshot behind /snapshot, /metrics
+	// and /healthz (503 while the snapshot's watchdog reports an
+	// unexplained zero-delivery window).
 	Publisher *Publisher
-	// Watchdog drives /healthz: a current unexplained zero-delivery
-	// window reports 503.
-	Watchdog *metrics.Watchdog
 
 	srv *http.Server
 	ln  net.Listener
@@ -70,10 +65,7 @@ func (s *Server) Close() error {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	samples := []metrics.Sample{{Name: "up", Value: 1, IsGauge: true}}
-	samples = append(samples, s.Publisher.Latest().PromSamples()...)
-	samples = append(samples, s.Registry.CounterSamples()...)
-	samples = append(samples, s.Registry.HistSamples()...)
-	metrics.WriteProm(w, samples)
+	metrics.WriteProm(w, append(samples, s.Publisher.Latest().PromSamples()...))
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
@@ -88,32 +80,32 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	if s.Watchdog.Stalled() {
+	snap := s.Publisher.Latest()
+	if snap == nil {
+		snap = &Snapshot{}
+	}
+	if snap.Watchdog != nil && snap.Watchdog.Stalled {
 		http.Error(w, "stalled: zero-delivery window with work pending", http.StatusServiceUnavailable)
 		return
 	}
-	var cycle int64
-	if snap := s.Publisher.Latest(); snap != nil {
-		cycle = snap.Cycle
-	}
-	fmt.Fprintf(w, "ok cycle=%d\n", cycle)
+	fmt.Fprintf(w, "ok cycle=%d\n", snap.Cycle)
 }
 
-// NotifyDumps installs a SIGQUIT handler that writes dump(w) on each
-// signal and keeps the process running — a post-mortem peek at a live
-// sim. It returns a stop function restoring default signal behavior.
-func NotifyDumps(w io.Writer, dump func(io.Writer)) (stop func()) {
+// NotifyDumps installs a SIGQUIT handler that calls request (a
+// DumpRequest's Request) on each signal and keeps the process running — a
+// post-mortem peek at a live sim. It returns a stop function that restores
+// default signal behavior and returns once the handler goroutine, and so
+// any dump it was serving, is done.
+func NotifyDumps(request func()) (stop func()) {
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, syscall.SIGQUIT)
-	done := make(chan struct{})
+	done, exited := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(exited)
 		for {
 			select {
-			case _, ok := <-ch:
-				if !ok {
-					return
-				}
-				dump(w)
+			case <-ch:
+				request()
 			case <-done:
 				return
 			}
@@ -122,5 +114,6 @@ func NotifyDumps(w io.Writer, dump func(io.Writer)) (stop func()) {
 	return func() {
 		signal.Stop(ch)
 		close(done)
+		<-exited
 	}
 }

@@ -54,10 +54,11 @@ func get(t *testing.T, client *http.Client, url string) (int, string) {
 
 func TestHandlers(t *testing.T) {
 	reg := metrics.NewRegistry()
-	reg.Scope("sw0").Counter("stash.stores").Add(5)
-	snap := &telemetry.Snapshot{Cycle: 123, DeliveredPkts: 7}
+	stores := int64(5)
+	reg.Scope("sw0").Counter("stash.stores", &stores)
+	snap := &telemetry.Snapshot{Cycle: 123, DeliveredPkts: 7, Series: reg.Series(), Values: reg.Read()}
 	pub := telemetry.NewPublisher(func() *telemetry.Snapshot { return snap }, 64)
-	srv := &telemetry.Server{Registry: reg, Publisher: pub}
+	srv := &telemetry.Server{Publisher: pub}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -113,7 +114,12 @@ func TestHealthzStalled(t *testing.T) {
 	if !w.Stalled() {
 		t.Fatal("watchdog should be stalled")
 	}
-	srv := &telemetry.Server{Watchdog: w}
+	// /healthz reads the barrier snapshot's copy of the signal, never the
+	// watchdog.
+	pub := telemetry.NewPublisher(func() *telemetry.Snapshot {
+		return &telemetry.Snapshot{Watchdog: &telemetry.WatchdogState{Stalled: w.Stalled(), Stalls: w.Stalls}}
+	}, 64)
+	srv := &telemetry.Server{Publisher: pub}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	code, body := get(t, ts.Client(), ts.URL+"/healthz")
@@ -149,7 +155,7 @@ func TestObsSmoke(t *testing.T) {
 	n.SetWorkers(2)
 	n.EnableExecProfile(0)
 	pub := n.AttachTelemetry(64)
-	srv := &telemetry.Server{Registry: reg, Publisher: pub, Watchdog: n.Watchdog}
+	srv := &telemetry.Server{Publisher: pub}
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -200,6 +206,16 @@ func TestObsSmoke(t *testing.T) {
 	if !strings.Contains(body, "stashsim_delivered_flits_total") {
 		t.Fatalf("final /metrics missing delivered flits series")
 	}
+	// Registry series come out of the same snapshot.
+	for _, want := range []string{
+		`stashsim_cycles{scope="sw0"} 8000`,
+		fmt.Sprintf(`stashsim_stash_stores{scope="sw0"} %d`, n.Switches[0].Counters.StashStores),
+		`stashsim_stash_fill{scope="sw0"} `,
+	} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("final /metrics missing %q", want)
+		}
+	}
 	code, body = get(t, client, fmt.Sprintf("http://%s/healthz", addr))
 	if code != http.StatusOK {
 		t.Fatalf("/healthz after run = %d %q", code, body)
@@ -238,7 +254,7 @@ func TestServeDoesNotPerturbDeterminism(t *testing.T) {
 			n.AttachFlight(128)
 			n.EnableExecProfile(32)
 			pub := n.AttachTelemetry(32)
-			srv = &telemetry.Server{Registry: reg, Publisher: pub}
+			srv = &telemetry.Server{Publisher: pub}
 			addr, err := srv.Start("127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
@@ -286,12 +302,6 @@ func TestServeDoesNotPerturbDeterminism(t *testing.T) {
 }
 
 func TestNotifyDumpsStop(t *testing.T) {
-	var mu sync.Mutex
-	var dumped int
-	stop := telemetry.NotifyDumps(io.Discard, func(io.Writer) {
-		mu.Lock()
-		dumped++
-		mu.Unlock()
-	})
+	stop := telemetry.NotifyDumps(func() {})
 	stop() // must not hang or panic; double-stop safety is not required
 }

@@ -4,17 +4,20 @@
 // liveness, and pprof — the first concrete slice of simulation-as-a-
 // service.
 //
-// The design splits reads by safety class. Registry counters are atomic
-// and may be read at any instant, so /metrics reads them live. Gauges and
-// network aggregates walk unsynchronized component state, so they are
-// captured only at a cycle barrier into an immutable Snapshot published
-// through an atomic pointer; the HTTP goroutine only ever loads that
-// pointer. The simulation therefore never blocks on a scrape, scrape
-// results never tear, and determinism is untouched (the server performs
-// no writes into simulation state). This package is intentionally outside
-// the determinism-linted set: it may use goroutines, time and the
-// network, and must never be imported by component code on the hot path —
-// the network integrates with it only as one more barrier observer.
+// Nothing but the barrier snapshot ever leaves the simulation. Counters,
+// gauges and network aggregates all live in unsynchronized component
+// state, so they are captured only at a cycle barrier, by the goroutine
+// that runs the simulation, into an immutable Snapshot published through an
+// atomic pointer; the HTTP goroutine only ever loads that pointer. The
+// simulation therefore never blocks on a scrape, scrape results never
+// tear, and determinism is untouched (the server performs no writes into
+// simulation state). A request that arrives from outside — SIGQUIT asking
+// for a state dump — is the same hand-off in the other direction: a flag
+// the simulation looks at, at its next barrier (DumpRequest). This package
+// is intentionally outside the determinism-linted set: it may use
+// goroutines, time and the network, and must never be imported by
+// component code on the hot path — the network integrates with it only
+// through barrier observers.
 package telemetry
 
 import (
@@ -58,6 +61,13 @@ type Snapshot struct {
 	ExecProfile       *sim.ExecReport `json:"exec_profile,omitempty"`
 	Gauges            []GaugeSample   `json:"gauges,omitempty"`
 	Flight            *FlightTail     `json:"flight,omitempty"`
+
+	// Series is the metrics registry's name table and Values what each row
+	// read at the barrier. The table is built once, when the registry is
+	// wired, and every snapshot points at the same one; a snapshot adds only
+	// the values. /metrics serves them; the JSON form has just the gauges.
+	Series []metrics.Series `json:"-"`
+	Values []float64        `json:"-"`
 }
 
 // GaugeSample is one captured gauge value (JSON-friendly mirror of
@@ -122,9 +132,8 @@ func (p *Publisher) Latest() *Snapshot {
 	return p.cur.Load()
 }
 
-// PromSamples flattens a snapshot into run-level exposition series:
-// progress counters plus every captured gauge. Registry counters are NOT
-// included — the server reads those live.
+// PromSamples flattens a snapshot into exposition series: the run-level
+// progress counters, then every registry series as captured.
 func (s *Snapshot) PromSamples() []metrics.Sample {
 	if s == nil {
 		return nil
@@ -150,8 +159,70 @@ func (s *Snapshot) PromSamples() []metrics.Sample {
 			metrics.Sample{Name: "watchdog_stalls_total", Value: float64(s.Watchdog.Stalls)},
 		)
 	}
-	for _, g := range s.Gauges {
-		out = append(out, metrics.Sample{Scope: g.Scope, Name: g.Name, Value: g.Value, IsGauge: true})
+	return append(out, metrics.Samples(s.Series, s.Values)...)
+}
+
+// DumpRequest turns a request made on any goroutine (SIGQUIT, in the CLI)
+// for a dump of live simulation state into a read at a barrier. While the
+// simulation runs, Request only raises a flag; as a barrier observer the
+// DumpRequest names the current cycle for as long as the flag is up, so the
+// network stops at its next barrier — at most one epoch away — and the dump
+// is written there, by the goroutine running the simulation. Once that
+// goroutine has called Finish there are no more barriers and nothing left
+// that writes, and a request is served on the spot.
+type DumpRequest struct {
+	state atomic.Int32 // dumpIdle, dumpRequested or dumpDirect
+	dump  func()
+}
+
+const (
+	dumpIdle      = iota // nothing asked for; the simulation may be running
+	dumpRequested        // a dump is owed at the next barrier
+	dumpDirect           // the simulation is over: Request dumps at once
+)
+
+// NewDumpRequest returns a request slot for dump, which reads live
+// simulation state and is only ever called as described above.
+func NewDumpRequest(dump func()) *DumpRequest {
+	return &DumpRequest{dump: dump}
+}
+
+// Request asks for one dump. Requests made while one is already owed are
+// folded into it.
+//
+//stashsim:phase parallel -- one compare-and-swap; the signal goroutine's side
+func (d *DumpRequest) Request() {
+	if !d.state.CompareAndSwap(dumpIdle, dumpRequested) && d.state.Load() == dumpDirect {
+		d.dump()
 	}
-	return out
+}
+
+// NextEventAt names the cycle it is asked about while a dump is owed.
+//
+//stashsim:phase serial
+func (d *DumpRequest) NextEventAt(from int64) int64 {
+	if d.state.Load() == dumpRequested {
+		return from
+	}
+	return sim.Never
+}
+
+// AtBarrier writes the owed dump. The flag comes down first, so a request
+// made during the dump is owed the next barrier and not lost.
+//
+//stashsim:phase serial -- dump walks live simulation state; only the coordinator may run it
+func (d *DumpRequest) AtBarrier(int64) {
+	d.state.Store(dumpIdle)
+	d.dump()
+}
+
+// Finish says that the calling goroutine, the one that ran the simulation,
+// will run no more of it: it serves a dump still owed, and from here on
+// Request serves itself. A nil *DumpRequest is a no-op.
+//
+//stashsim:phase serial -- dump walks live simulation state; only the coordinator may run it
+func (d *DumpRequest) Finish() {
+	if d != nil && d.state.Swap(dumpDirect) == dumpRequested {
+		d.dump()
+	}
 }
