@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -47,6 +48,32 @@ func tableSeries(t *stats.Table, xCol int, yCols ...int) []viz.Series {
 	return out
 }
 
+// experiments are the names -exp accepts besides "all".
+var experiments = []string{"table1", "table2", "fig5", "fig6", "fig7", "fig8", "fig9", "ablations", "faults"}
+
+// selectExperiments parses -exp into the set of experiments to run. A name
+// that is not an experiment is an error, not an experiment that never runs.
+func selectExperiments(list string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, e := range strings.Split(list, ",") {
+		e = strings.TrimSpace(e)
+		switch {
+		case e == "all":
+			for _, each := range experiments {
+				want[each] = true
+			}
+		case slices.Contains(experiments, e):
+			want[e] = true
+		default:
+			return nil, fmt.Errorf("-exp: unknown experiment %q (valid: %s or all, comma separated)", e, strings.Join(experiments, ", "))
+		}
+	}
+	if want["fig8"] {
+		want["fig7"] = true // Fig 8 is produced by the Fig 7 runs
+	}
+	return want, nil
+}
+
 // cliOpts are the flags that are not part of the run description.
 type cliOpts struct {
 	exp                    string
@@ -59,7 +86,7 @@ type cliOpts struct {
 // experiment network.
 func defineFlags(fs *flag.FlagSet, o *harness.Options, c *cliOpts) {
 	o.Base.BindFlags(fs)
-	fs.StringVar(&c.exp, "exp", "all", "experiment: table1,table2,fig5,fig6,fig7,fig8,fig9,ablations,faults or all (comma separated)")
+	fs.StringVar(&c.exp, "exp", "all", "experiment: "+strings.Join(experiments, ",")+" or all (comma separated)")
 	fs.StringVar(&o.OutDir, "out", "", "directory for CSV output")
 	fs.BoolVar(&o.Quick, "quick", false, "shortened runs (smoke test)")
 	fs.IntVar(&o.Workers, "workers", runtime.GOMAXPROCS(0), "sweep-level worker pool fanning out independent design points (tables are identical for any value)")
@@ -73,6 +100,11 @@ func main() {
 	var c cliOpts
 	defineFlags(flag.CommandLine, o, &c)
 	flag.Parse()
+	want, err := selectExperiments(c.exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "figures:", err)
+		os.Exit(2)
+	}
 
 	// Every experiment network gets the shared flags (-checkpoint writes a
 	// warm snapshot per design point, <file>.<experiment>.<point>, and the
@@ -117,16 +149,11 @@ func main() {
 	}
 	log.SetFlags(log.Ltime)
 
-	want := map[string]bool{}
-	for _, e := range strings.Split(c.exp, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	all := want["all"]
 	show := func(title string, t *stats.Table) {
 		fmt.Printf("\n== %s ==\n%s", title, t)
 	}
 	run := func(name string, f func() error) {
-		if !all && !want[name] {
+		if !want[name] {
 			return
 		}
 		start := time.Now() //lint:allow determinism -- wall-clock progress logging only
@@ -189,9 +216,6 @@ func main() {
 		fmt.Println(viz.Bars("Fig 6 (shape)", labels, t.Header[2:], values, 40))
 		return nil
 	})
-	if want["fig8"] && !want["fig7"] && !all {
-		want["fig7"] = true // Fig 8 is produced by the Fig 7 runs
-	}
 	run("fig7", func() error {
 		r, err := harness.Fig7(o)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"stashsim/internal/fault"
@@ -88,6 +89,43 @@ func TestCheckpointFlag(t *testing.T) {
 	for _, bad := range []string{"warm", "@900", "warm@", "warm@-3", "warm@x"} {
 		if err := newFlags(new(harness.Options)).Parse([]string{"-checkpoint", bad}); err == nil {
 			t.Errorf("-checkpoint %q accepted", bad)
+		}
+	}
+}
+
+// TestSelectExperiments: every name in -exp is an experiment or "all";
+// anything else is refused before the first experiment starts, with the
+// valid names in the message (`-exp fig55` used to exit 0 having run
+// nothing).
+func TestSelectExperiments(t *testing.T) {
+	for _, c := range []struct {
+		exp  string
+		want []string // nil: refused
+	}{
+		{"all", experiments},
+		{"table1", []string{"table1"}},
+		{"fig5, faults", []string{"fig5", "faults"}},
+		{"fig8", []string{"fig7", "fig8"}},
+		{"fig9,all", experiments},
+		{"fig55", nil},
+		{"fig5,fig55", nil},
+		{"fig5,", nil},
+		{"", nil},
+		{"ALL", nil},
+	} {
+		got, err := selectExperiments(c.exp)
+		if c.want == nil {
+			if err == nil || !strings.Contains(err.Error(), strings.Join(experiments, ", ")) {
+				t.Errorf("-exp %q: got %v, err %v; want an error listing the valid names", c.exp, got, err)
+			}
+			continue
+		}
+		want := map[string]bool{}
+		for _, e := range c.want {
+			want[e] = true
+		}
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("-exp %q selected %v (err %v), want %v", c.exp, got, err, want)
 		}
 	}
 }

@@ -384,6 +384,27 @@ func TestBadModeRejected(t *testing.T) {
 	}
 }
 
+// TestBadBurstRejected: `-burst 0` on the real flag set is an error from
+// Build, the call main makes before anything runs — not a panic in the
+// first endpoint that generates a message (harness.TestConfigRefuses has
+// the whole table).
+func TestBadBurstRejected(t *testing.T) {
+	var sp harness.Spec
+	fs := flag.NewFlagSet("stashsim", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	defineFlags(fs, &sp, new(cliOpts))
+	if err := fs.Parse([]string{"-preset", "tiny", "-mode", "e2e", "-burst", "0"}); err != nil {
+		t.Fatal(err)
+	}
+	n, err := sp.Build()
+	if err == nil {
+		n.Close()
+	}
+	if err == nil || !strings.Contains(err.Error(), "burst 0") {
+		t.Fatalf("-burst 0: Build err = %v, want a refusal naming the burst", err)
+	}
+}
+
 // TestBadPresetRejected guards against typos silently running the
 // default (small) preset.
 func TestBadPresetRejected(t *testing.T) {

@@ -36,8 +36,8 @@ import (
 // or only by the worker that steps the owning component's block
 // (partition) — the component's own Step, and the direct link pushes of
 // components in that worker's other blocks, which write the consumer's
-// armedIn/armedCred bit and wake slot from the same goroutine an epoch
-// apart. A directive on a struct type applies to all
+// ring and wake slot from the same goroutine an epoch apart. A directive
+// on a struct type applies to all
 // its fields; a field-level directive overrides the type-level one
 // attribute-by-attribute. `noalloc` asserts a function's steady-state
 // body allocates nothing; the allocfree analyzer requires its module

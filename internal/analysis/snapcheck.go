@@ -17,7 +17,7 @@ import (
 // selected somewhere in that snapshot.go (walked, or consulted to
 // validate or rebuild what is walked) or say why it is not state:
 //
-//	//stashsim:derived -- rebuilt from ring occupancy by Rearm
+//	//stashsim:derived -- structural; rebuilt from the configuration
 //	//stashsim:transient -- per-cycle scratch, recomputed before use
 //
 // derived marks what restore rebuilds from the configuration or from

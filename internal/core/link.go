@@ -18,7 +18,7 @@ import (
 // cut into blocks and workers (Stage), never by a user:
 //
 //   - Both ends on one worker: the producer pushes straight onto the
-//     consumer's ring and sets the consumer switch's armed bit. One
+//     consumer's ring and lowers the consumer's wake slot. One
 //     goroutine steps both ends, and because Latency >= 1 the entry is not
 //     due before the next cycle, so the consumer sees the same ring
 //     whichever end steps first. When the ends are in different blocks of
@@ -30,7 +30,8 @@ import (
 //   - Ends on different workers: the producer stages the push in the
 //     slab of the current epoch's parity; the consumer's worker drains
 //     the other slab — everything staged last epoch — right after the
-//     epoch barrier (Switch.DrainEpochFlits/DrainEpochCredits). The two
+//     epoch barrier (DrainEpochFlits/DrainEpochCredits), which is when
+//     the consumer's wake slot is lowered. The two
 //     sides never touch the same slab between barriers, and an epoch is
 //     never longer than Latency, so an entry staged during epoch e is not
 //     due before epoch e+1 drains it.
@@ -70,21 +71,14 @@ type Link struct {
 	// faults, the per-edge destruction term of the conservation law.
 	faultDropped int64
 
-	// Arm targets: a direct push ORs flitBit into the consumer switch's
-	// armedIn mask (credBit into the producer switch's armedCred), so the
-	// switch visits only ports with something on the wire. Wired by
-	// AttachInLink/AttachOutLink; nil on endpoint-consumed sides and bare
-	// links, whose owners probe every cycle. flitWake and credWake are the
-	// wake-table slots (sim.Executor.WakeSlot) of the flits' and the
-	// credits' consumer: a direct push lowers the slot to its due cycle.
+	// flitWake and credWake are the wake-table slots (sim.Executor.WakeSlot)
+	// of the flits' and the credits' consumer, nil on a bare link. Whatever
+	// lands an entry on a ring — a direct push, the epoch drain — lowers the
+	// slot to the ring's due cycle: the one signal a link gives its consumer.
 	//
-	//stashsim:transient -- wiring; repartition re-arms and re-slots every link
-	flitArm  *uint64
-	flitBit  uint64  //stashsim:transient -- wiring; repartition re-arms and re-slots every link
-	credArm  *uint64 //stashsim:transient -- wiring; repartition re-arms and re-slots every link
-	credBit  uint64  //stashsim:transient -- wiring; repartition re-arms and re-slots every link
-	flitWake *int64  //stashsim:transient -- wiring; repartition re-arms and re-slots every link
-	credWake *int64  //stashsim:transient -- wiring; repartition re-arms and re-slots every link
+	//stashsim:transient -- wiring; repartition re-slots every link
+	flitWake *int64
+	credWake *int64 //stashsim:transient -- wiring; repartition re-slots every link
 
 	// epoch, when non-nil, marks a worker-crossing link: pushes stage
 	// into slab epoch&1. The pointer is written only at a barrier (Stage);
@@ -129,9 +123,6 @@ func (l *Link) SendFlit(now int64, f proto.Flit) {
 		return
 	}
 	l.flits.Push(at, f)
-	if l.flitArm != nil {
-		*l.flitArm |= l.flitBit
-	}
 	wakeBy(l.flitWake, at)
 }
 
@@ -153,15 +144,11 @@ func (l *Link) SendCredit(now int64, c proto.Credit) {
 		return
 	}
 	l.credits.add(at, c)
-	if l.credArm != nil {
-		*l.credArm |= l.credBit
-	}
 	wakeBy(l.credWake, at)
 }
 
 // WakeFlits and WakeCredits wire the wake slot of the flits' and of the
-// credits' consumer. Only direct pushes use them: a worker-crossing
-// link's consumer is woken by its own epoch drain. Barrier-only.
+// credits' consumer. Barrier-only.
 func (l *Link) WakeFlits(w *int64)   { l.flitWake = w }
 func (l *Link) WakeCredits(w *int64) { l.credWake = w }
 
@@ -219,31 +206,37 @@ func (l *Link) dropStaged() {
 	}
 }
 
-// drainEpochFlits moves one staging slab onto the consumer's ring at an
-// epoch boundary. The caller (the consumer worker's drain, running
-// after the epoch barrier) passes the slab the producer filled during the
-// *previous* epoch; the producer is now staging into the other one.
-// Entries come out in push order, which is arrival order because Latency
-// is constant.
+// DrainEpochFlits moves one staging slab onto the consumer's ring at an
+// epoch boundary and wakes the consumer for the ring's first due cycle. The
+// caller (the consumer worker's drain, running after the epoch barrier
+// ordered the remote producer's slab writes before this read) passes the
+// slab the producer filled during the *previous* epoch; the producer is now
+// staging into the other one. Entries come out in push order, which is
+// arrival order because Latency is constant.
 //
+//stashsim:phase parallel
 //stashsim:noalloc
-func (l *Link) drainEpochFlits(slab int) {
+func (l *Link) DrainEpochFlits(slab int) {
 	in := l.flitSlab[slab]
 	for i := range in {
 		l.flits.Push(in[i].At, in[i].V)
 	}
 	l.flitSlab[slab] = in[:0]
+	wakeBy(l.flitWake, l.NextFlitAt())
 }
 
-// drainEpochCredits is drainEpochFlits for the reverse path.
+// DrainEpochCredits is DrainEpochFlits for the reverse path, run by the
+// worker of the link's producer — the credits' consumer.
 //
+//stashsim:phase parallel
 //stashsim:noalloc
-func (l *Link) drainEpochCredits(slab int) {
+func (l *Link) DrainEpochCredits(slab int) {
 	in := l.credSlab[slab]
 	for i := range in {
 		l.credits.Push(in[i].At, in[i].V)
 	}
 	l.credSlab[slab] = in[:0]
+	wakeBy(l.credWake, l.NextCreditAt())
 }
 
 // FaultDropped returns the number of flits destroyed on this link by

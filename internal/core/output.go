@@ -144,7 +144,7 @@ func (s *Switch) stashArrival(now sim.Tick, op *outPort, f proto.Flit) {
 // link-level retention window has passed and — when the serialization
 // accumulator allows — transmit one flit, observing end-to-end ACKs at end
 // ports on the way out. Returned credits are folded into the counter by the
-// armedCred walk in Switch.Step (RecvCreditsInto) before this runs.
+// credit walk in Switch.Step (RecvCreditsInto) before this runs.
 //
 // Active-set scheduling may skip an idle port for whole stretches of
 // cycles, so the serialization accumulator advances by formula rather than
@@ -208,12 +208,6 @@ func (s *Switch) stepOutput(now sim.Tick, op *outPort) {
 		f.Hops++
 	}
 	op.link.SendFlit(now, f)
-	if op.link.synth.Len() > 0 {
-		// A fault drop synthesized a future credit on this link; keep the
-		// port in the credit-armed set until it drains (no wake flag will
-		// announce a producer-side synthesized credit).
-		s.armedCred |= 1 << uint(op.id)
-	}
 	op.acc -= cfg.RateDen
 	s.Counters.FlitsSent++
 }

@@ -26,8 +26,7 @@ import (
 // the ring's — see staged in link.go) and therefore exactly the ring a
 // same-partition link would hold. A checkpoint serializes to the same
 // bytes under any partitioning, and restore always lands in the
-// canonical state: rings hold all in-flight entries, slabs are empty, and
-// the network's repartition re-arms pending work from ring occupancy.
+// canonical state: rings hold all in-flight entries and slabs are empty.
 
 // arrivals is one link path as the walk sees it: the ring's entries, then
 // the ones still staged, which is arrival order. Decoding pushes onto the
@@ -77,9 +76,7 @@ func (l *Link) State(c *snapshot.Codec) {
 // State walks the switch's full dynamic state, into (when decoding) a
 // freshly built switch of the identical configuration. Scratch that every
 // cycle recomputes is not state and is marked where it is declared: the
-// allocator request masks, the e2eEntry freelist, and the link arm masks,
-// which repartition rebuilds from ring occupancy (Rearm) — at a barrier
-// exactly what the armed bits carried.
+// allocator request masks and the e2eEntry freelist.
 //
 //stashsim:phase serial -- walks every partition-owned structure; runs only at a cycle barrier or before the restored run starts
 func (s *Switch) State(c *snapshot.Codec) {

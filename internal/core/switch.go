@@ -234,20 +234,9 @@ type Switch struct {
 	inActive  uint64
 	outActive uint64
 
-	// Link arm masks: armedIn has a bit per input port whose link ring
-	// holds flits, armedCred a bit per output port whose link holds
-	// returned or synthesized credits. A same-worker producer sets the
-	// bit as it pushes (see Link), the epoch drain sets it for
-	// worker-crossing links, and Step keeps it while entries not yet due
-	// remain — so Step touches only links with something on the wire.
-	//
-	//stashsim:derived -- rebuilt from ring occupancy by Rearm
-	armedIn   uint64
-	armedCred uint64 //stashsim:derived -- rebuilt from ring occupancy by Rearm
-
 	// wake is this switch's slot in its block's wake table (see
 	// sim.Stepper.NextWake and SetWakeSlot); input that reaches the switch
-	// by any way other than a same-worker link push lowers it by hand.
+	// by any way other than a link lowers it by hand.
 	//
 	//stashsim:transient -- wake-table slot; a restored run starts all awake
 	wake *sim.Tick
@@ -351,22 +340,14 @@ func NewSwitch(id int, cfg *Config, rng *sim.RNG) *Switch {
 	return s
 }
 
-// AttachInLink wires the incoming link of input port p and hands the link
-// this switch's armedIn bit, so the link's producer announces sends
-// instead of the switch probing the link every cycle.
-func (s *Switch) AttachInLink(p int, l *Link) {
-	s.in[p].link = l
-	l.flitArm, l.flitBit = &s.armedIn, 1<<uint(p)
-}
+// AttachInLink wires the incoming link of input port p.
+func (s *Switch) AttachInLink(p int, l *Link) { s.in[p].link = l }
 
 // AttachOutLink wires the outgoing link of output port p. The credit
 // counter mirrors the downstream input buffer; pass zero capacity for
-// endpoint-facing ports (endpoints sink flits without credits). The link
-// gets this switch's armedCred bit so the downstream receiver announces
-// credit returns.
+// endpoint-facing ports (endpoints sink flits without credits).
 func (s *Switch) AttachOutLink(p int, l *Link, downstreamCap int) {
 	s.out[p].link = l
-	l.credArm, l.credBit = &s.armedCred, 1<<uint(p)
 	if downstreamCap > 0 {
 		s.out[p].credits = buffer.NewCreditCounter(downstreamCap, proto.NumNetVCs)
 	}
@@ -388,64 +369,12 @@ func (s *Switch) SetWakeSlot(w *sim.Tick) {
 
 // wakeBy lowers a wake-table slot (nil: not wired) to at, if that is
 // sooner: what every hand-over of input to a possibly sleeping component
-// does — the link pushes, the epoch drains, the bank-failure hook.
+// does — the link pushes and epoch drains, the bank-failure hook.
 //
 //stashsim:noalloc
 func wakeBy(slot *sim.Tick, at sim.Tick) {
 	if slot != nil && at < *slot {
 		*slot = at
-	}
-}
-
-// DrainEpochFlits moves one epoch's staged arrivals on input port p onto
-// the port's ring and arms the port if anything is now pending. It runs on
-// the switch's owning worker at an epoch boundary, after the
-// epoch barrier ordered the remote producer's slab writes before this
-// read (the slab index is (epoch-1)&1 — the slab producers are no longer
-// filling).
-//
-//stashsim:phase parallel
-//stashsim:noalloc
-func (s *Switch) DrainEpochFlits(p int, slab int) {
-	l := s.in[p].link
-	l.drainEpochFlits(slab)
-	if l.flits.Len() > 0 {
-		s.armedIn |= 1 << uint(p)
-		wakeBy(s.wake, l.flits.NextAt())
-	}
-}
-
-// DrainEpochCredits is DrainEpochFlits for the reverse path of output
-// port p: it delivers the consumer's returned credits staged last epoch
-// and arms the credit walk if any credit (returned or fault-synthesized)
-// is outstanding.
-//
-//stashsim:phase parallel
-//stashsim:noalloc
-func (s *Switch) DrainEpochCredits(p int, slab int) {
-	l := s.out[p].link
-	l.drainEpochCredits(slab)
-	if l.credits.Len() > 0 || l.synth.Len() > 0 {
-		s.armedCred |= 1 << uint(p)
-		wakeBy(s.wake, l.NextCreditAt())
-	}
-}
-
-// Rearm rebuilds both arm masks from ring occupancy. The network calls it
-// whenever entries reach the rings without a producer push — a
-// repartition flushing staging slabs, or a restore — which at a barrier
-// is exactly the state the pushes would have left.
-//
-//stashsim:phase serial
-func (s *Switch) Rearm() {
-	s.armedIn, s.armedCred = 0, 0
-	for p := 0; p < s.radix; p++ {
-		if s.in[p].link.flits.Len() > 0 {
-			s.armedIn |= 1 << uint(p)
-		}
-		if l := s.out[p].link; l.credits.Len() > 0 || l.synth.Len() > 0 {
-			s.armedCred |= 1 << uint(p)
-		}
 	}
 }
 
@@ -671,21 +600,19 @@ var _ sim.Stepper = (*Switch)(nil)
 // last so flits that land at cycle t first compete for the row bus at t+1.
 //
 // Each stage iterates only its active set: a port or tile is stepped when
-// an event is pending for it — a link wake flag or armed ring, queued or
-// retention-held flits, a non-empty retrieval queue — and costs nothing
-// otherwise, so an idle region of the network is skipped outright
-// (work-proportional stepping). Pending-ness is announced, not probed:
-// link producers (or the epoch drain) set the port's armed bit as they
-// push (see Link), the bit stays set while the ring holds entries not yet
-// due, and the activity masks are maintained by the owner at every site
-// that queues work for a port. Any per-cycle
-// state a skipped stage would have advanced is reconstructed
-// deterministically on wake — the output serialization accumulator
-// catches up in stepOutput (accTick), and an idle input port's ECN
-// congested flag is cleared when its activity bit clears, which is
-// exactly what stepRowBus would compute for an empty buffer. Skipped
-// stages are otherwise provably no-ops: every arbiter pointer advances
-// only on grants, and grants require a non-empty request set.
+// an event is pending for it — queued or retention-held flits, a non-empty
+// retrieval queue — and costs nothing otherwise; the activity masks are
+// maintained by the owner at every site that queues work for a port. Links
+// are not masked: the credit and arrival walks read every port's ring
+// header, one due time each, because idleness is decided one level up — a
+// switch with nothing due on a link and nothing queued is not stepped at
+// all (NextWake). Any per-cycle state a skipped stage would have advanced
+// is reconstructed deterministically on wake — the output serialization
+// accumulator catches up in stepOutput (accTick), and an idle input port's
+// ECN congested flag is cleared when its activity bit clears, which is
+// exactly what stepRowBus would compute for an empty buffer. Skipped stages
+// are otherwise provably no-ops: every arbiter pointer advances only on
+// grants, and grants require a non-empty request set.
 //
 // Step is the switch's parallel-phase entry: it runs concurrently with
 // every other component's Step and must stay allocation-free in the
@@ -701,19 +628,12 @@ func (s *Switch) Step(now sim.Tick) {
 	if s.sideband.Len() > 0 {
 		s.stepSideband(now)
 	}
-	// Fold due credit returns straight into the counters; a link whose
-	// batches are not yet due (future deadlines, synth) stays armed.
-	cm := s.armedCred
-	s.armedCred = 0
-	for m := cm; m != 0; m &= m - 1 {
-		p := bits.TrailingZeros64(m)
+	// Fold due credit returns, receiver-sent and fault-synthesized, straight
+	// into the counters.
+	for p := range s.out {
 		op := &s.out[p]
-		l := op.link
-		if op.credits != nil && (l.credits.FrontDue(now) || l.synth.FrontDue(now)) {
+		if l := op.link; op.credits != nil && (l.credits.FrontDue(now) || l.synth.FrontDue(now)) {
 			l.RecvCreditsInto(now, op.credits)
-		}
-		if l.credits.Len() > 0 || l.synth.Len() > 0 {
-			s.armedCred |= 1 << uint(p)
 		}
 	}
 	// Mask walks visit active ports/tiles in ascending index order — the
@@ -749,22 +669,14 @@ func (s *Switch) Step(now sim.Tick) {
 			ip.congested = false
 		}
 	}
-	// Arrivals: links with flits on the wire. An unarmed port provably
-	// has an empty ring, so skipping it is safe.
-	am := s.armedIn
-	s.armedIn = 0
-	for m := am; m != 0; m &= m - 1 {
-		p := bits.TrailingZeros64(m)
+	// Arrivals: links whose front flit is due.
+	for p := range s.in {
 		ip := &s.in[p]
-		l := ip.link
-		if l.flits.FrontDue(now) {
+		if ip.link.flits.FrontDue(now) {
 			s.stepArrivals(now, ip)
 			if ip.buf.Used() > 0 {
 				s.inActive |= 1 << uint(p)
 			}
-		}
-		if l.flits.Len() > 0 {
-			s.armedIn |= 1 << uint(p)
 		}
 	}
 }
@@ -773,7 +685,7 @@ func (s *Switch) Step(now sim.Tick) {
 // flit is queued in it (inputs, tiles, column or output buffers, stash
 // retrievals — those stages count stalls per cycle); otherwise Step is a
 // no-op until the earliest of the timed things it holds comes due: a
-// retention release, a credit batch or flit on an armed link, a side-band
+// retention release, a credit batch or flit on a link, a side-band
 // message, a parity rebuild, or the next scan of armed retry timers.
 //
 //stashsim:phase parallel
@@ -790,11 +702,8 @@ func (s *Switch) NextWake(now sim.Tick) sim.Tick {
 		}
 		w = min(w, b.NextRelease())
 	}
-	for m := s.armedCred; m != 0; m &= m - 1 {
-		w = min(w, s.out[bits.TrailingZeros64(m)].link.NextCreditAt())
-	}
-	for m := s.armedIn; m != 0; m &= m - 1 {
-		w = min(w, s.in[bits.TrailingZeros64(m)].link.flits.NextAt())
+	for p := range s.in {
+		w = min(w, s.in[p].link.NextFlitAt(), s.out[p].link.NextCreditAt())
 	}
 	w = min(w, s.sideband.NextAt())
 	for i := range s.reconQ {

@@ -153,6 +153,18 @@ func (sp *Spec) Config() (*core.Config, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Load 0 is valid — a network with no generators of the spec's own; fig7
+	// and fig9 install theirs. A negative load or window would run the same
+	// way and report an empty network's numbers, and a message of no
+	// packets panics in the first endpoint that generates one.
+	switch {
+	case !(sp.Load >= 0):
+		return nil, fmt.Errorf("load %v: want a non-negative fraction of channel capacity", sp.Load)
+	case sp.Load > 0 && sp.MsgPkts < 1:
+		return nil, fmt.Errorf("burst %d: a message is at least one packet", sp.MsgPkts)
+	case sp.Cycles < 0 || sp.Warmup < 0 || sp.Drain < 0:
+		return nil, fmt.Errorf("cycles %d, warmup %d, drain %d: none may be negative", sp.Cycles, sp.Warmup, sp.Drain)
+	}
 	if sp.P > 0 && sp.A > 0 && sp.H > 0 {
 		cfg = core.PaperConfig()
 		cfg.Topo = topo.Dragonfly{P: sp.P, A: sp.A, H: sp.H}

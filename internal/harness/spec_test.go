@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -174,6 +175,45 @@ func TestAssertDeliveryIsCheckedUpFront(t *testing.T) {
 		_, err := sp.Config()
 		if (c.want == "") != (err == nil) || (err != nil && !strings.Contains(err.Error(), c.want)) {
 			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestConfigRefuses: Config is the front door. A load, message size or
+// window that cannot mean anything is refused there, with the offending
+// value named, before a network exists to run it — a zero-packet message
+// would otherwise panic in a worker goroutine, and a negative load or
+// window would simulate an empty network and exit 0.
+func TestConfigRefuses(t *testing.T) {
+	base := Spec{Preset: "tiny", Mode: "e2e", CapFrac: 1.0, Load: 0.3, MsgPkts: 1, Cycles: 100, Warmup: 10}
+	for _, c := range []struct {
+		name string
+		set  func(*Spec)
+		want string // "" = accepted
+	}{
+		{"as is", func(*Spec) {}, ""},
+		{"burst 0", func(sp *Spec) { sp.MsgPkts = 0 }, "burst 0"},
+		{"burst -3", func(sp *Spec) { sp.MsgPkts = -3 }, "burst -3"},
+		{"load -0.1", func(sp *Spec) { sp.Load = -0.1 }, "load -0.1"},
+		{"load NaN", func(sp *Spec) { sp.Load = math.NaN() }, "load NaN"},
+		{"cycles -1", func(sp *Spec) { sp.Cycles = -1 }, "cycles -1"},
+		{"warmup -1", func(sp *Spec) { sp.Warmup = -1 }, "warmup -1"},
+		{"drain -1", func(sp *Spec) { sp.Drain = -1 }, "drain -1"},
+		// No generators of the spec's own: what fig7, fig9 and the figures
+		// CLI's probe build on, whatever the message size says.
+		{"load 0", func(sp *Spec) { sp.Load, sp.MsgPkts = 0, 0 }, ""},
+		{"nothing to run", func(sp *Spec) { sp.Cycles, sp.Warmup = 0, 0 }, ""},
+	} {
+		sp := base
+		c.set(&sp)
+		_, err := sp.Config()
+		if (c.want == "") != (err == nil) || (err != nil && !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+		if n, berr := sp.Build(); (berr == nil) != (err == nil) {
+			t.Errorf("%s: Build err = %v, Config err = %v", c.name, berr, err)
+		} else if n != nil {
+			n.Close()
 		}
 	}
 }

@@ -19,15 +19,10 @@ import (
 // dragonfly group — through a whole epoch before it touches the next; the
 // claim that makes that exact is "nothing a block is sent during an epoch
 // is due inside it". The reference is therefore a run that takes no such
-// liberty: every component in one block (the test-only Network.oneBlock),
-// walked cycle by cycle, which is the loop this executor had before it
-// blocked time. A blocked run must agree with it on everything observable.
-
-// setOneBlock turns the network into the one-block reference.
-func setOneBlock(n *Network) {
-	n.oneBlock = true
-	n.repartition()
-}
+// liberty: the network advanced one Run(1) at a time (see reference in
+// wake_test.go), every component through cycle c before any steps c+1,
+// which is the order this executor walked before it blocked time. A
+// blocked run must agree with it on everything observable.
 
 // blockGridKinds are the behaviour regimes of the block grid.
 var blockGridKinds = []wakeGridKind{
@@ -54,7 +49,7 @@ var blockGridKinds = []wakeGridKind{
 // epoch, so the chunking moves where the blocks take turns — then a
 // drain, with the machine state captured at two cycles that fall inside
 // an epoch on either preset (lookahead 65 and 650).
-func driveBlockGrid(n *Network, kind string, chunk int64) *wakeObs {
+func driveBlockGrid(n *Network, run runner, kind string, chunk int64) *wakeObs {
 	o := observe(n, 417, 1101)
 	rng := sim.NewRNG(n.Cfg.Seed + 77)
 	load := 0.25
@@ -75,13 +70,13 @@ func driveBlockGrid(n *Network, kind string, chunk int64) *wakeObs {
 		if chunk > 0 && chunk < step {
 			step = chunk
 		}
-		n.Run(step)
+		run.Run(step)
 		left -= step
 	}
 	for _, ep := range n.Endpoints {
 		ep.Gen = nil
 	}
-	n.Drain(400000)
+	run.Drain(400000)
 	return o.finish(n)
 }
 
@@ -89,8 +84,8 @@ func driveBlockGrid(n *Network, kind string, chunk int64) *wakeObs {
 // drops + parity 4 + bank failures, congestion + ECN + hotspots, baseline}
 // x workers {1, 2, 4} x Run chunkings {1, 7, 64, 650, 1000}: summary
 // statistics, every endpoint's delivery sequence and packet counts, and the
-// checkpoint bytes taken mid-epoch and at the end all equal the one-block
-// reference. One worker is the case only this test covers — with several,
+// checkpoint bytes taken mid-epoch and at the end all equal the reference
+// run's. One worker is the case only this test covers — with several,
 // blocks of different workers never shared a loop in the first place.
 func TestBlockedMatchesOneBlock(t *testing.T) {
 	presets := []string{"tiny", "small"}
@@ -117,11 +112,10 @@ func TestBlockedMatchesOneBlock(t *testing.T) {
 					return n
 				}
 				ref := build()
-				setOneBlock(ref)
-				if st := ref.ExecStats(); st.Blocks != 1 {
-					t.Fatalf("the reference runs %d blocks, want 1", st.Blocks)
+				want := driveBlockGrid(ref, reference{ref}, kind.name, 0)
+				if st := ref.ExecStats(); st.CyclesPerSync != 1 {
+					t.Fatalf("the reference ran %.2f cycles per epoch, want 1", st.CyclesPerSync)
 				}
-				want := driveBlockGrid(ref, kind.name, 0)
 				for _, workers := range workerCounts {
 					for _, chunk := range chunks {
 						n := build()
@@ -129,7 +123,7 @@ func TestBlockedMatchesOneBlock(t *testing.T) {
 						if st := n.ExecStats(); st.Blocks != n.Cfg.Topo.Groups() {
 							t.Fatalf("workers=%d: %d blocks, want one per group (%d)", workers, st.Blocks, n.Cfg.Topo.Groups())
 						}
-						got := driveBlockGrid(n, kind.name, chunk)
+						got := driveBlockGrid(n, n, kind.name, chunk)
 						n.Close()
 						t.Logf("workers=%d chunk=%d", workers, chunk)
 						got.mustEqual(t, want)
@@ -178,22 +172,24 @@ func TestBlocksIndependentOfWorkers(t *testing.T) {
 // TestTraceExportInTimeOrder: the tracer's ring fills in record order,
 // which under block-by-block stepping is not simulated-time order even on
 // one worker; the exports promise time order. Without overflow the blocked
-// run must also hold exactly the reference's events.
+// run must also hold exactly the events of the reference run, which records
+// in time order to begin with.
 func TestTraceExportInTimeOrder(t *testing.T) {
-	run := func(oneBlock bool) *metrics.Tracer {
+	run := func(cycleMajor bool) *metrics.Tracer {
 		cfg := core.SmallConfig()
 		cfg.Mode = core.StashE2E
 		n, err := New(cfg)
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		if oneBlock {
-			setOneBlock(n)
-		}
 		tr := metrics.NewTracer(1 << 20)
 		n.EnableTracing(tr)
 		wireSnapTraffic(n, cfg, snapScenario{load: 0.2})
-		n.Run(1500)
+		if cycleMajor {
+			reference{n}.Run(1500)
+		} else {
+			n.Run(1500)
+		}
 		if tr.Dropped() != 0 {
 			t.Fatalf("the ring overflowed (%d dropped): the test compares complete traces", tr.Dropped())
 		}
@@ -202,7 +198,7 @@ func TestTraceExportInTimeOrder(t *testing.T) {
 	tr, ref := run(false), run(true)
 	got, want := tr.Events(), ref.Events()
 	if len(got) == 0 || len(got) != len(want) {
-		t.Fatalf("blocked run traced %d events, one-block reference %d", len(got), len(want))
+		t.Fatalf("blocked run traced %d events, the reference run %d", len(got), len(want))
 	}
 	var jsonl bytes.Buffer
 	if err := tr.WriteJSONL(&jsonl); err != nil {

@@ -24,39 +24,31 @@ import (
 // one schedule (beforeEpoch): after a cycle an Observer named, before a
 // cycle an action is due.
 
-// epochPortRef names one (switch, port) side of a worker-crossing link.
-//
-//stashsim:owner partition
-type epochPortRef struct {
-	sw   *core.Switch
-	port int
-}
-
 // partitionDrainer delivers one worker's share of the staged traffic: the
 // flit side of every worker-crossing link whose consumer the worker owns,
 // and the credit side of every one whose producer it owns. Both sides land
-// in rings owned by this worker's switches, so the drain is single-writer
-// by construction.
+// in rings, and lower wake slots, owned by this worker's switches, so the
+// drain is single-writer by construction.
 //
 //stashsim:owner partition
 type partitionDrainer struct {
-	flits []epochPortRef
-	creds []epochPortRef
+	flits []*core.Link
+	creds []*core.Link
 }
 
 // DrainEpoch implements sim.EpochDrainer: deliver the slab the remote
 // sides filled during the previous epoch ((epoch-1)&1 — producers now
-// stage into the other slab) and arm the owning switches.
+// stage into the other slab), waking the owning switches.
 //
 //stashsim:phase parallel
 //stashsim:noalloc
 func (d *partitionDrainer) DrainEpoch(epoch int64) {
 	slab := int((epoch - 1) & 1)
-	for _, r := range d.flits {
-		r.sw.DrainEpochFlits(r.port, slab)
+	for _, l := range d.flits {
+		l.DrainEpochFlits(slab)
 	}
-	for _, r := range d.creds {
-		r.sw.DrainEpochCredits(r.port, slab)
+	for _, l := range d.creds {
+		l.DrainEpochCredits(slab)
 	}
 }
 
@@ -94,11 +86,12 @@ func (n *Network) ExecStats() ExecStats {
 
 // repartition cuts the network into blocks, deals them to n.workers
 // workers and rebuilds the executor over them. It is the one routine behind
-// SetWorkers, Close, the profiler attach calls, New and Restore, and runs
+// SetWorkers, Close, the profiler attach calls and New, and runs
 // only at a barrier: stop the old workers, flush every link's staged
 // traffic into its ring, mark each switch-to-switch link as crossing
-// workers or not under the new cut, and re-arm every switch from ring
-// occupancy — so a run continues exactly where the previous cut stopped.
+// workers or not under the new cut, and hand every component a slot of the
+// new executor's wake table — so a run continues exactly where the previous
+// cut stopped.
 //
 // A block is one dragonfly group, whatever the worker count, and worker w
 // steps a contiguous run of them (sim.WorkerOf), so only global links cross
@@ -143,11 +136,8 @@ func (n *Network) repartition() {
 			drainers = make([]partitionDrainer, W)
 		}
 		crossing = append(crossing, l)
-		drainers[cw].flits = append(drainers[cw].flits, epochPortRef{n.Switches[nsw], int(e.to.port)})
-		drainers[pw].creds = append(drainers[pw].creds, epochPortRef{n.Switches[sw], int(e.from.port)})
-	}
-	if n.epochCap > 0 && n.epochCap < n.lookahead {
-		n.lookahead = n.epochCap
+		drainers[cw].flits = append(drainers[cw].flits, l)
+		drainers[pw].creds = append(drainers[pw].creds, l)
 	}
 	var drains []sim.EpochDrainer
 	for w := range drainers {
@@ -155,29 +145,19 @@ func (n *Network) repartition() {
 	}
 
 	// Per-block component lists, endpoints first (the profiled
-	// phase-A/phase-B split), both in ID order. The oneBlock reference
-	// keeps the cut's links and epochs and puts every component on one list.
-	listOf := blockOf
-	if n.blocks = B; n.oneBlock {
-		n.blocks, listOf = 1, func(int) int { return 0 }
-	}
-	blocks := make([][]sim.Stepper, n.blocks)
-	aCounts := make([]int, n.blocks)
-	stepper := func(c component) sim.Stepper {
-		if n.allAwake {
-			return awake{c}
-		}
-		return c
-	}
+	// phase-A/phase-B split), both in ID order.
+	n.blocks = B
+	blocks := make([][]sim.Stepper, B)
+	aCounts := make([]int, B)
 	for i, ep := range n.Endpoints {
 		sw, _ := d.EndpointSwitch(i)
-		b := listOf(sw)
-		blocks[b] = append(blocks[b], stepper(ep))
+		b := blockOf(sw)
+		blocks[b] = append(blocks[b], ep)
 		aCounts[b]++
 	}
 	for sw, s := range n.Switches {
-		b := listOf(sw)
-		blocks[b] = append(blocks[b], stepper(s))
+		b := blockOf(sw)
+		blocks[b] = append(blocks[b], s)
 	}
 
 	n.exec = sim.NewPartitionedExecutor(blocks, aCounts, W, sim.Tick(n.lookahead), drains)
@@ -187,11 +167,8 @@ func (n *Network) repartition() {
 	for _, l := range crossing {
 		l.Stage(n.exec.EpochClock())
 	}
-	for _, s := range n.Switches {
-		s.Rearm()
-	}
-	// The wake table is derived state like the arm masks: a fresh one is all
-	// awake, and each component wires its slot into the links that feed it.
+	// The wake table is derived state: a fresh one is all awake, and each
+	// component wires its slot into the links that feed it.
 	for b, cs := range blocks {
 		for i, c := range cs {
 			c.(component).SetWakeSlot(n.exec.WakeSlot(b, i))
@@ -204,14 +181,6 @@ type component interface {
 	sim.Stepper
 	SetWakeSlot(*sim.Tick)
 }
-
-// awake wraps a component so that the executor steps it every cycle. Only
-// tests ask for it (Network.allAwake): the reference a sleeping run must equal.
-type awake struct{ component }
-
-//stashsim:phase parallel
-//stashsim:noalloc
-func (awake) NextWake(now sim.Tick) sim.Tick { return now + 1 }
 
 // Observer is a serial singleton that looks at the network between
 // cycles: the sampler, the watchdog, the flight recorder, the invariant

@@ -38,11 +38,22 @@ func buildLoadedWith(t *testing.T, seed uint64, mutate func(cfg *core.Config)) *
 	return n
 }
 
-// setEpochCap applies the test-only epoch-length cap: 1 forces a barrier
-// every cycle, small values force short epochs.
-func setEpochCap(n *Network, cap int64) {
-	n.epochCap = cap
-	n.repartition()
+// every is an Observer that names every k-th cycle and does nothing at it:
+// the way to hold a network to epochs of at most k cycles — 1 forces a
+// barrier after every cycle — from outside.
+type every int64
+
+func (k every) NextEventAt(from int64) int64 { return sim.NextMultiple(from, int64(k)) }
+func (k every) AtBarrier(int64)              {}
+
+// mustSyncWithin fails unless the network's epochs so far averaged at most
+// k cycles, the sign that an every(k) observer (or a k-cycle lookahead) was
+// in force for the run.
+func mustSyncWithin(t *testing.T, n *Network, k int64) {
+	t.Helper()
+	if st := n.ExecStats(); st.Epochs == 0 || st.CyclesPerSync > float64(k) {
+		t.Fatalf("%d epochs at %.2f cycles/sync, want at most %d", st.Epochs, st.CyclesPerSync, k)
+	}
 }
 
 // mustMatchSerial runs par and a serial twin for the same cycles and
@@ -74,47 +85,50 @@ func mustMatchSerial(t *testing.T, par *Network, seed uint64, mutate func(cfg *c
 // bit-identical results to the one-partition network, for group-aligned
 // worker counts (only global links cross: lookahead 65 on tiny), for more
 // workers than tiny's 9 groups (switch blocks, local links cross too:
-// lookahead 13), and with every epoch capped to one cycle.
+// lookahead 13), and with an observer holding every epoch to one cycle.
 func TestEpochMatchesSerial(t *testing.T) {
 	for _, pt := range []struct {
 		workers        int
 		cap, lookahead int64
-	}{{2, 0, 65}, {3, 0, 65}, {9, 0, 65}, {12, 0, 13}, {4, 1, 1}} {
+	}{{2, 0, 65}, {3, 0, 65}, {9, 0, 65}, {12, 0, 13}, {4, 1, 65}} {
 		par := buildLoadedWith(t, 5, nil)
 		par.SetWorkers(pt.workers)
-		setEpochCap(par, pt.cap)
 		if la := par.EpochLookahead(); la != pt.lookahead {
-			t.Fatalf("workers=%d cap=%d: lookahead %d, want %d", pt.workers, pt.cap, la, pt.lookahead)
+			t.Fatalf("workers=%d: lookahead %d, want %d", pt.workers, la, pt.lookahead)
+		}
+		sync := pt.lookahead
+		if pt.cap > 0 {
+			par.Observe(every(pt.cap))
+			sync = pt.cap
 		}
 		mustMatchSerial(t, par, 5, nil, 500, 6000)
+		mustSyncWithin(t, par, sync)
 		par.Close()
 	}
 }
 
 // TestEpochPolicyOffMatches pins the per-cycle barrier as a degenerate
-// epoch schedule: capped to one cycle, four workers still match.
+// epoch schedule: held to one cycle by an observer that names every cycle,
+// four workers still match.
 func TestEpochPolicyOffMatches(t *testing.T) {
 	par := buildLoadedWith(t, 6, nil)
 	par.SetWorkers(4)
-	setEpochCap(par, 1)
+	par.Observe(every(1))
 	defer par.Close()
-	if la := par.EpochLookahead(); la != 1 {
-		t.Fatalf("cap 1: lookahead %d, want 1", la)
-	}
 	mustMatchSerial(t, par, 6, nil, 300, 3000)
+	mustSyncWithin(t, par, 1)
 }
 
-// TestEpochPolicyCap pins the epoch-length cap: it bounds the epoch below
-// the topological lookahead and stays exact.
+// TestEpochPolicyCap pins short epochs: an observer naming every seventh
+// cycle bounds the epoch below the topological lookahead and the run stays
+// exact.
 func TestEpochPolicyCap(t *testing.T) {
 	par := buildLoadedWith(t, 7, nil)
 	par.SetWorkers(4)
-	setEpochCap(par, 7)
+	par.Observe(every(7))
 	defer par.Close()
-	if la := par.EpochLookahead(); la != 7 {
-		t.Fatalf("cap 7: lookahead %d, want 7", la)
-	}
 	mustMatchSerial(t, par, 7, nil, 300, 3000)
+	mustSyncWithin(t, par, 7)
 }
 
 // TestEpochGlobalLatencyOneDegrades forces the degenerate topology where

@@ -80,21 +80,13 @@ type Network struct {
 	// network stepped inline on the calling goroutine), blocks how many
 	// blocks they step; exec is the executor over the current cut and
 	// lookahead the epoch-length cap it runs under, all rebuilt by
-	// repartition. epochCap, when positive, lowers that cap; only tests set
-	// it, to force 1-cycle and short epochs. allAwake and oneBlock, likewise
-	// test-only, are the two reference runs: every component stepped every
-	// cycle (the sleep/wake invariant), and every component in one block at
-	// one worker — the cycle-by-cycle walk over the whole network that
-	// block-by-block stepping must equal.
+	// repartition.
 	//
 	//stashsim:transient -- executor wiring; snapshots are partition-canonical
 	workers   int
 	blocks    int           //stashsim:transient -- executor wiring; snapshots are partition-canonical
 	exec      *sim.Executor //stashsim:transient -- executor wiring; snapshots are partition-canonical
 	lookahead int64         //stashsim:transient -- executor wiring; snapshots are partition-canonical
-	epochCap  int64         //stashsim:transient -- executor wiring; snapshots are partition-canonical
-	allAwake  bool          //stashsim:transient -- executor wiring; snapshots are partition-canonical
-	oneBlock  bool          //stashsim:transient -- executor wiring; snapshots are partition-canonical
 
 	// profOwned marks Profiler as built by EnableExecProfile (ring size
 	// profRing), which SetWorkers then resizes to follow the worker count.
@@ -390,8 +382,11 @@ func (n *Network) DumpNonIdle(w io.Writer) {
 }
 
 // Step advances the whole network one cycle. A caller that advances many
-// cycles this way keeps every component awake (see Run); RunUntil with a
-// one-cycle check interval is the form that lets idle components sleep.
+// cycles this way takes none of the executor's liberties — every component
+// is awake on entry (see Run) and a one-cycle epoch lets no block run ahead
+// of another — which makes it the reference the tests hold every other way
+// of running to; RunUntil with a one-cycle check interval is the form that
+// lets idle components sleep.
 func (n *Network) Step() { n.Run(1) }
 
 // SetWorkers selects how many workers Run steps the network's blocks on: 1
@@ -553,14 +548,19 @@ func (n *Network) DeliveryTotals() (injected, delivered, dups, abandoned int64) 
 // whether the network fully drained. Fault-recovery experiments call it
 // after the measured window so delivery assertions cover in-flight and
 // timer-pending packets.
-func (n *Network) Drain(budget int64) bool {
-	return n.RunUntil(budget, 256, func() bool {
-		if n.TotalQueuedFlits() > 0 {
-			return false
-		}
-		injected, delivered, _, abandoned := n.DeliveryTotals()
-		return delivered+abandoned >= injected
-	})
+func (n *Network) Drain(budget int64) bool { return n.RunUntil(budget, drainCheckEvery, n.drained) }
+
+// drainCheckEvery is how often Drain looks whether the network has drained.
+const drainCheckEvery = 256
+
+// drained reports whether nothing is queued for injection and every
+// injected packet has been delivered or abandoned.
+func (n *Network) drained() bool {
+	if n.TotalQueuedFlits() > 0 {
+		return false
+	}
+	injected, delivered, _, abandoned := n.DeliveryTotals()
+	return delivered+abandoned >= injected
 }
 
 // FaultStats returns the injected-fault counts merged across the per-link

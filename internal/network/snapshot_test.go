@@ -110,10 +110,13 @@ func wireSnapTraffic(n *Network, cfg *core.Config, sc snapScenario) {
 }
 
 // runSnapNet advances the network to absolute cycle `upto` with the
-// given worker count and test-only epoch cap (0 = full lookahead).
+// given worker count, its epochs held to at most cap cycles by an observer
+// (0 = full lookahead).
 func runSnapNet(n *Network, workers int, cap int64, upto int64) {
 	n.SetWorkers(workers)
-	setEpochCap(n, cap)
+	if cap > 0 {
+		n.Observe(every(cap))
+	}
 	n.Run(upto - int64(n.Now))
 }
 

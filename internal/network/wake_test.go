@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"testing"
 
+	"stashsim/internal/buffer"
 	"stashsim/internal/core"
 	"stashsim/internal/endpoint"
 	"stashsim/internal/fault"
@@ -17,19 +18,60 @@ import (
 	"stashsim/internal/traffic"
 )
 
-// The sleep/wake oracle. The executor steps a component only when its wake
-// slot is due; the invariant that makes that safe is "a spurious wake is a
-// no-op", so a run in which every component is stepped every cycle (the
-// test-only Network.allAwake) is the reference, and a sleeping run must
-// agree with it on everything observable: the summary statistics -json
-// prints, every endpoint's delivery sequence, and the complete machine
-// state — checkpoint bytes — at chosen cycles. Waking early can never
-// show; waking late shows as the first checkpoint that differs.
+// The reference run. The executor takes two liberties: it steps a component
+// only when its wake slot is due, which is safe because "a spurious wake is
+// a no-op", and it runs one block through a whole epoch before it touches
+// the next, which is safe because "nothing a block is sent during an epoch
+// is due inside it". The public API already contains a run that takes
+// neither: every run entry starts all awake and no epoch outlasts the run,
+// so a network advanced one Run(1) at a time steps every component, every
+// cycle, the whole network through cycle c before any of it sees c+1. That
+// is the reference, and any other way of running must agree with it on
+// everything observable: the summary statistics -json prints, every
+// endpoint's delivery sequence, and the complete machine state —
+// checkpoint bytes — at chosen cycles. Waking early can never show; waking
+// late, or meeting input out of its time, shows as the first checkpoint
+// that differs.
 
-// setAllAwake turns the network into the all-awake reference.
-func setAllAwake(n *Network) {
-	n.allAwake = true
-	n.repartition()
+// runner is how a drive script advances its network: through the network's
+// own run entries, or through the reference's.
+type runner interface {
+	Run(cycles int64)
+	RunUntil(budget, checkEvery int64, done func() bool) bool
+	Warmup(cycles int64)
+	Drain(budget int64) bool
+}
+
+// reference advances a network one public Run(1) per cycle. RunUntil,
+// Warmup and Drain are the network's own, word for word, over that Run, so
+// stop checks and the drain's check schedule fall on the same cycles.
+type reference struct{ n *Network }
+
+func (r reference) Run(cycles int64) {
+	for ; cycles > 0; cycles-- {
+		r.n.Run(1)
+	}
+}
+
+func (r reference) RunUntil(budget, checkEvery int64, done func() bool) bool {
+	for spent := int64(0); spent < budget; spent += checkEvery {
+		r.Run(min(checkEvery, budget-spent))
+		if done() {
+			return true
+		}
+	}
+	return done()
+}
+
+func (r reference) Warmup(cycles int64) {
+	r.n.Collectors.SetEnabled(false)
+	r.Run(cycles)
+	r.n.Collectors.Reset()
+	r.n.Collectors.SetEnabled(true)
+}
+
+func (r reference) Drain(budget int64) bool {
+	return r.RunUntil(budget, drainCheckEvery, r.n.drained)
 }
 
 // wakeObs is everything a run lets an observer see.
@@ -116,7 +158,7 @@ func (o *wakeObs) finish(n *Network) *wakeObs {
 }
 
 // mustEqual fails the test at the first observable difference from the
-// reference run (all awake, one block, or both).
+// reference run.
 func (o *wakeObs) mustEqual(t *testing.T, ref *wakeObs) {
 	t.Helper()
 	if fmt.Sprint(o.cycles) != fmt.Sprint(ref.cycles) {
@@ -144,17 +186,17 @@ func (o *wakeObs) mustEqual(t *testing.T, ref *wakeObs) {
 	}
 }
 
-// mustMatchAwake drives a sleeping network and an all-awake twin through
-// the same script and requires them to be indistinguishable. drive must
-// observe() and finish().
-func mustMatchAwake(t *testing.T, build func() *Network, drive func(n *Network) *wakeObs) *wakeObs {
+// mustMatchAwake drives a sleeping network and a twin advanced as the
+// reference through the same script and requires them to be
+// indistinguishable. drive must observe() and finish(), and advance n only
+// through run.
+func mustMatchAwake(t *testing.T, build func() *Network, drive func(n *Network, run runner) *wakeObs) *wakeObs {
 	t.Helper()
 	ref := build()
-	setAllAwake(ref)
-	want := drive(ref)
+	want := drive(ref, reference{ref})
 	ref.Close()
 	n := build()
-	got := drive(n)
+	got := drive(n, n)
 	n.Close()
 	got.mustEqual(t, want)
 	return got
@@ -188,10 +230,10 @@ func farEndpoint(n *Network) int32 { return int32(len(n.Endpoints) - 1) }
 // delivered, without the credit store the returned credits sit on their
 // rings (the per-cycle checkpoints differ) until something else comes by.
 func TestWakeOnFlitAndCredit(t *testing.T) {
-	got := mustMatchAwake(t, func() *Network { return quietNet(t, nil) }, func(n *Network) *wakeObs {
+	got := mustMatchAwake(t, func() *Network { return quietNet(t, nil) }, func(n *Network, run runner) *wakeObs {
 		o := observe(n, everyCycle(1, 400)...)
 		n.Endpoints[0].EnqueueMessage(farEndpoint(n), 3*proto.MaxPacketFlits, proto.ClassDefault, 1)
-		n.Run(600)
+		run.Run(600)
 		return o.finish(n)
 	})
 	if d := got.deliveries[len(got.deliveries)-1]; len(d) != 3 {
@@ -199,30 +241,74 @@ func TestWakeOnFlitAndCredit(t *testing.T) {
 	}
 }
 
-// TestWakeOnSynthCredit: every flit endpoint 0 injects is dropped on its
-// link (an outage), so its credits come back only as synthesized entries
-// on its own synth ring, two link latencies later — when the endpoint has
-// long been idle. No retry timers are armed (baseline mode), so the synth
-// ring's due time in NextWake is the one thing that steps it then.
+// TestWakeOnSynthCredit: every flit a producer sends is dropped on its link
+// (an outage), so its credits come back only as synthesized entries on its
+// own synth ring, two link latencies later — when the producer has long
+// been idle. No retry timers are armed (baseline mode), so the synth ring's
+// due time in NextWake is the one thing that steps it then. The producer is
+// endpoint 0 in one case and its switch in the other: nothing announces a
+// producer-side credit to a switch but its own walk over every port.
 func TestWakeOnSynthCredit(t *testing.T) {
-	build := func() *Network {
-		return quietNet(t, func(cfg *core.Config) {
-			cfg.Mode = core.StashOff
-			cfg.Fault = &fault.Plan{Seed: 3, Outages: []fault.Outage{{Link: "ep0->sw0.0", Start: 0, End: 10000}}}
+	for _, side := range []string{"endpoint", "switch"} {
+		t.Run(side, func(t *testing.T) {
+			build := func() *Network {
+				return quietNet(t, func(cfg *core.Config) {
+					cfg.Mode = core.StashOff
+					links := []string{"ep0->sw0.0"}
+					if side == "switch" {
+						links = nil
+						for p, d := 0, cfg.Topo; p < d.Radix(); p++ {
+							if d.PortClass(p) != topo.Endpoint {
+								nsw, np := d.Neighbor(0, p)
+								links = append(links, fmt.Sprintf("sw0.%d->sw%d.%d", p, nsw, np))
+							}
+						}
+					}
+					cfg.Fault = &fault.Plan{Seed: 3}
+					for _, l := range links {
+						cfg.Fault.Outages = append(cfg.Fault.Outages, fault.Outage{Link: l, Start: 0, End: 10000})
+					}
+				})
+			}
+			// avail is the producer's view of its downstream buffers: what
+			// it may still send on each VC of each credited link.
+			avail := func(n *Network) (free []int) {
+				counters := []*buffer.CreditCounter{n.Endpoints[0].AuditCredits()}
+				if side == "switch" {
+					counters = nil
+					for p := 0; p < n.Cfg.Topo.Radix(); p++ {
+						if cc := n.Switches[0].AuditOutCredits(p); cc != nil {
+							counters = append(counters, cc)
+						}
+					}
+				}
+				for _, cc := range counters {
+					for vc := 0; vc < cc.NumVCs(); vc++ {
+						free = append(free, cc.Avail(vc))
+					}
+				}
+				return free
+			}
+			var after []int
+			got := mustMatchAwake(t, build, func(n *Network, run runner) *wakeObs {
+				o := observe(n, everyCycle(1, 120)...)
+				n.Endpoints[0].EnqueueMessage(farEndpoint(n), proto.MaxPacketFlits, proto.ClassDefault, 1)
+				run.Run(200)
+				after = avail(n)
+				return o.finish(n)
+			})
+			if n := len(got.deliveries[len(got.deliveries)-1]); n != 0 {
+				t.Fatalf("%d packets delivered through an outage", n)
+			}
+			// Equal runs could both have lost the credits; they must be back.
+			if before := avail(build()); fmt.Sprint(after) != fmt.Sprint(before) {
+				t.Fatalf("the %s's credits read %v after its flits were dropped, %v before: a synthesized credit was never folded", side, after, before)
+			}
+			var fs struct{ Fault fault.Stats }
+			if err := json.Unmarshal(got.summary, &fs); err != nil || fs.Fault.OutagePkts == 0 {
+				t.Fatalf("the outage dropped nothing (%v): the test exercised no synthesized credit", err)
+			}
 		})
-	}
-	got := mustMatchAwake(t, build, func(n *Network) *wakeObs {
-		o := observe(n, everyCycle(1, 120)...)
-		n.Endpoints[0].EnqueueMessage(farEndpoint(n), proto.MaxPacketFlits, proto.ClassDefault, 1)
-		n.Run(200)
-		return o.finish(n)
-	})
-	if n := len(got.deliveries[len(got.deliveries)-1]); n != 0 {
-		t.Fatalf("%d packets delivered through an outage", n)
-	}
-	var fs struct{ Fault fault.Stats }
-	if err := json.Unmarshal(got.summary, &fs); err != nil || fs.Fault.OutagePkts == 0 {
-		t.Fatalf("the outage dropped nothing (%v): the test exercised no synthesized credit", err)
 	}
 }
 
@@ -240,18 +326,22 @@ func TestWakeOnSynthCredit(t *testing.T) {
 func TestWakeOnEpochDrain(t *testing.T) {
 	for _, workers := range []int{2, 12} {
 		t.Run("w"+strconv.Itoa(workers), func(t *testing.T) {
-			build := func() *Network {
-				n := quietNet(t, nil)
-				n.SetWorkers(workers)
-				return n
-			}
 			for extra := 0; extra < 2*proto.MaxPacketFlits; extra += 1 + extra/8 {
-				got := mustMatchAwake(t, build, func(n *Network) *wakeObs {
+				drive := func(n *Network, run runner) *wakeObs {
 					o := observe(n)
 					n.Endpoints[0].EnqueueMessage(farEndpoint(n), proto.MaxPacketFlits+extra, proto.ClassDefault, 1)
-					n.Run(800)
+					run.Run(800)
 					return o.finish(n)
-				})
+				}
+				// The reference on one worker: it stages no link, and a
+				// barrier round per cycle on twelve would show nothing more.
+				ref := quietNet(t, nil)
+				want := drive(ref, reference{ref})
+				n := quietNet(t, nil)
+				n.SetWorkers(workers)
+				got := drive(n, n)
+				n.Close()
+				got.mustEqual(t, want)
 				if d := got.deliveries[len(got.deliveries)-1]; len(d) == 0 {
 					t.Fatalf("nothing delivered across partitions (message of %d flits)", proto.MaxPacketFlits+extra)
 				}
@@ -271,10 +361,10 @@ func TestWakeOnRetentionAndSideband(t *testing.T) {
 	for _, mode := range []core.StashMode{core.StashOff, core.StashE2E} {
 		t.Run(mode.String(), func(t *testing.T) {
 			build := func() *Network { return quietNet(t, func(cfg *core.Config) { cfg.Mode = mode }) }
-			mustMatchAwake(t, build, func(n *Network) *wakeObs {
+			mustMatchAwake(t, build, func(n *Network, run runner) *wakeObs {
 				o := observe(n, everyCycle(1, 500)...)
 				n.Endpoints[0].EnqueueMessage(farEndpoint(n), proto.MaxPacketFlits, proto.ClassDefault, 1)
-				n.Run(700)
+				run.Run(700)
 				return o.finish(n)
 			})
 		})
@@ -299,7 +389,7 @@ func TestWakeOnTimerScans(t *testing.T) {
 				{Link: fmt.Sprintf("ep%d->sw%d.%d", far, sw, port), Start: 2000, End: 4000}}}
 		})
 	}
-	got := mustMatchAwake(t, build, func(n *Network) *wakeObs {
+	got := mustMatchAwake(t, build, func(n *Network, run runner) *wakeObs {
 		at := append(everyCycle(1, 700), everyCycle(2000, 2400)...)
 		at = append(at, 3000, 4000, 5000, 6000, 7000, 9000)
 		o := observe(n, at...)
@@ -310,7 +400,7 @@ func TestWakeOnTimerScans(t *testing.T) {
 			return false
 		}
 		n.Endpoints[0].EnqueueMessage(farEndpoint(n), proto.MaxPacketFlits, proto.ClassDefault, 1)
-		n.RunUntil(12000, 1, done)
+		run.RunUntil(12000, 1, done)
 		return o.finish(n)
 	})
 	var s struct {
@@ -329,9 +419,9 @@ func TestWakeOnTimerScans(t *testing.T) {
 // next cycle. Nothing else is going on, so without EnqueueMessage's poke
 // the endpoint sleeps for ever.
 func TestWakeOnEnqueueMessage(t *testing.T) {
-	got := mustMatchAwake(t, func() *Network { return quietNet(t, nil) }, func(n *Network) *wakeObs {
+	got := mustMatchAwake(t, func() *Network { return quietNet(t, nil) }, func(n *Network, run runner) *wakeObs {
 		o := observe(n, everyCycle(90, 200)...)
-		n.RunUntil(800, 1, func() bool {
+		run.RunUntil(800, 1, func() bool {
 			if n.Now == 100 {
 				n.Endpoints[5].EnqueueMessage(farEndpoint(n), proto.MaxPacketFlits, proto.ClassDefault, 7)
 			}
@@ -360,7 +450,7 @@ func TestWakeOnBankFailure(t *testing.T) {
 			cfg.Fault = &fault.Plan{Seed: 3, StashFailures: []fault.StashFail{{Switch: 0, Port: 0, At: 150}}}
 		})
 	}
-	got := mustMatchAwake(t, build, func(n *Network) *wakeObs {
+	got := mustMatchAwake(t, build, func(n *Network, run runner) *wakeObs {
 		d := n.Cfg.Topo
 		direct := map[int]bool{0: true}
 		for k := 0; k < d.H; k++ {
@@ -376,7 +466,7 @@ func TestWakeOnBankFailure(t *testing.T) {
 		for i := 0; i < d.P; i++ {
 			n.Endpoints[i].EnqueueMessage(dst, proto.MaxPacketFlits, proto.ClassDefault, uint32(i))
 		}
-		n.Run(700)
+		run.Run(700)
 		return o.finish(n)
 	})
 	var s struct{ Counters core.Counters }
@@ -387,40 +477,71 @@ func TestWakeOnBankFailure(t *testing.T) {
 
 // TestWakeOnRunEntry: state assigned to components between runs — the
 // only way generators and delivery hooks are ever installed — is seen on
-// the first cycle of the next run although the endpoints went to sleep
+// the first cycle of the next run although every component went to sleep
 // during the previous one, because every public run entry starts all
-// awake.
+// awake. The reference run is built on exactly that, so it is pinned here
+// on its own terms and not against the reference: at each entry, a
+// generator installed on a sleeping endpoint is called on the entry's first
+// cycle, and that cycle steps every component of the network.
 func TestWakeOnRunEntry(t *testing.T) {
-	got := mustMatchAwake(t, func() *Network { return quietNet(t, nil) }, func(n *Network) *wakeObs {
-		n.Run(100) // everything goes to sleep
-		o := observe(n, 150, 400)
-		rng := sim.NewRNG(11)
-		for _, ep := range n.Endpoints[:8] {
-			gen := rng.Derive(uint64(ep.ID))
-			ep.Gen = traffic.Uniform(gen, len(n.Endpoints), nil, 0.3, n.ChannelRate(), proto.MaxPacketFlits, proto.ClassDefault, 0)
-			ep.GenRNG = gen
+	n := quietNet(t, nil)
+	prof := n.EnableExecProfile(0)
+	stepped := func() (total int64) {
+		for _, lane := range prof.Report().Lanes {
+			for _, ph := range lane.Phases {
+				total += ph.Stepped
+			}
 		}
-		n.Run(300)
+		return
+	}
+	eps, all := int64(len(n.Endpoints)), int64(len(n.Endpoints)+len(n.Switches))
+	n.Run(100) // the endpoints' serialization accumulators fill, once
+	never := func() bool { return false }
+	for _, entry := range []struct {
+		name   string
+		cycles int64
+		enter  func()
+	}{
+		{"Run", 3, func() { n.Run(3) }},
+		{"Step", 1, n.Step},
+		{"RunUntil", 3, func() { n.RunUntil(3, 2, never) }},
+		{"Warmup", 3, func() { n.Warmup(3) }},
+		{"Drain", 3, func() { n.Drain(3) }},
+	} {
+		before := stepped()
+		n.Run(100)
+		if got := stepped() - before; got != all {
+			t.Fatalf("%s: the idle network stepped %d component-cycles in 100 cycles, want %d (one cycle awake, then asleep)", entry.name, got, all)
+		}
+		first := make([]sim.Tick, len(n.Endpoints))
+		for i, ep := range n.Endpoints {
+			i := i
+			first[i] = sim.Never
+			ep.Gen = func(now sim.Tick, _ *endpoint.Endpoint) { first[i] = min(first[i], now) }
+		}
+		at, before := n.Now, stepped()
+		entry.enter()
 		for _, ep := range n.Endpoints {
 			ep.Gen = nil
 		}
-		n.Drain(100000)
-		return o.finish(n)
-	})
-	total := 0
-	for _, d := range got.deliveries {
-		total += len(d)
-	}
-	if total == 0 {
-		t.Fatal("generators assigned between runs never ran")
+		for i, c := range first {
+			if c != at {
+				t.Fatalf("%s entered at cycle %d: the generator installed on sleeping endpoint %d first ran at cycle %d", entry.name, at, i, c)
+			}
+		}
+		// Every component on the first cycle; after it only the endpoints,
+		// which a generator keeps awake.
+		if got, want := stepped()-before, all+(entry.cycles-1)*eps; got != want {
+			t.Fatalf("%s entered at cycle %d: %d component-cycles stepped in %d cycles, want %d", entry.name, at, got, entry.cycles, want)
+		}
 	}
 }
 
 // TestWakeAcrossRestoreAndRepartition: a checkpoint taken while most of
 // the network sleeps restores into a fresh network (whose wake table
-// starts all awake, like its arm masks), and a worker-count change in the
-// middle of the traffic rebuilds the table and rewires every link's slot
-// pointers into it; both continue exactly as the all-awake run does.
+// starts all awake), and a worker-count change in the middle of the
+// traffic rebuilds the table and rewires every link's slot pointers into
+// it; both continue exactly as the reference run does.
 func TestWakeAcrossRestoreAndRepartition(t *testing.T) {
 	send := func(n *Network) {
 		for i := 0; i < 4; i++ {
@@ -428,16 +549,16 @@ func TestWakeAcrossRestoreAndRepartition(t *testing.T) {
 		}
 	}
 	var snap []byte
-	mustMatchAwake(t, func() *Network { return quietNet(t, nil) }, func(n *Network) *wakeObs {
+	mustMatchAwake(t, func() *Network { return quietNet(t, nil) }, func(n *Network, run runner) *wakeObs {
 		o := observe(n, append([]int64{60}, everyCycle(61, 400)...)...)
 		send(n)
-		n.Run(47)
+		run.Run(47)
 		n.SetWorkers(3) // mid-flight: flits on rings, credits outstanding
-		n.Run(40)
+		run.Run(40)
 		n.SetWorkers(12)
-		n.Run(40)
+		run.Run(40)
 		n.SetWorkers(1)
-		n.Run(500)
+		run.Run(500)
 		snap = o.trail[0]
 		return o.finish(n)
 	})
@@ -448,9 +569,9 @@ func TestWakeAcrossRestoreAndRepartition(t *testing.T) {
 		}
 		return n
 	}
-	mustMatchAwake(t, straight, func(n *Network) *wakeObs {
+	mustMatchAwake(t, straight, func(n *Network, run runner) *wakeObs {
 		o := observe(n, everyCycle(61, 400)...)
-		n.Run(627 - int64(n.Now))
+		run.Run(627 - int64(n.Now))
 		return o.finish(n)
 	})
 }
@@ -517,7 +638,7 @@ var wakeGridKinds = []wakeGridKind{
 // which one endpoint in nine still generates, a silent phase with a few
 // scripted messages, and a drain — with the machine state captured in the
 // middle of each of the first three.
-func driveWakeGrid(n *Network, kind string) *wakeObs {
+func driveWakeGrid(n *Network, run runner, kind string) *wakeObs {
 	o := observe(n, 700, 2000, 2900)
 	rng := sim.NewRNG(n.Cfg.Seed + 77)
 	load := 0.25
@@ -533,32 +654,32 @@ func driveWakeGrid(n *Network, kind string) *wakeObs {
 		}
 		ep.Gen = traffic.Uniform(gen, len(n.Endpoints), nil, load, n.ChannelRate(), proto.MaxPacketFlits, proto.ClassDefault, 0)
 	}
-	n.Warmup(400)
-	n.Run(800)
+	run.Warmup(400)
+	run.Run(800)
 	for i, ep := range n.Endpoints {
 		if i%9 != 0 || kind == "ecn" && i%11 == 3 {
 			ep.Gen = nil
 		}
 	}
-	n.Run(1300)
+	run.Run(1300)
 	for _, ep := range n.Endpoints {
 		ep.Gen = nil
 	}
-	n.RunUntil(1000, 100, func() bool {
+	run.RunUntil(1000, 100, func() bool {
 		k := int(n.Now/100) % len(n.Endpoints)
 		n.Endpoints[k].EnqueueMessage(int32((k+len(n.Endpoints)/2)%len(n.Endpoints)), 2*proto.MaxPacketFlits, proto.ClassDefault, uint32(k))
 		return false
 	})
-	n.Drain(400000)
+	run.Drain(400000)
 	return o.finish(n)
 }
 
 // TestSpuriousWakeIsNoop is the invariant over the configurations the
 // goldens pin: presets x {e2e, congestion + ECN, faults + parity k=4} x
-// workers {1, 2, 12} x epochs {free-running, capped to one cycle}. Each
-// point's sleeping run must be indistinguishable from the regime's
-// all-awake reference (one partition, uncapped: results do not depend on
-// either, which TestEpochMatchesSerial pins separately and this grid
+// workers {1, 2, 12} x epochs {free-running, held to one cycle by an
+// observer}. Each point's sleeping run must be indistinguishable from the
+// regime's reference run (on one worker: results do not depend on the
+// count, which TestEpochMatchesSerial pins separately and this grid
 // re-checks for free).
 func TestSpuriousWakeIsNoop(t *testing.T) {
 	presets := []string{"tiny", "small"}
@@ -583,8 +704,7 @@ func TestSpuriousWakeIsNoop(t *testing.T) {
 					return n
 				}
 				ref := build()
-				setAllAwake(ref)
-				want := driveWakeGrid(ref, kind.name)
+				want := driveWakeGrid(ref, reference{ref}, kind.name)
 				for _, workers := range []int{1, 2, 12} {
 					for _, perCycle := range []bool{false, true} {
 						if testing.Short() && perCycle && workers != 2 {
@@ -593,9 +713,9 @@ func TestSpuriousWakeIsNoop(t *testing.T) {
 						n := build()
 						n.SetWorkers(workers)
 						if perCycle {
-							setEpochCap(n, 1)
+							n.Observe(every(1))
 						}
-						got := driveWakeGrid(n, kind.name)
+						got := driveWakeGrid(n, n, kind.name)
 						n.Close()
 						t.Logf("workers=%d perCycle=%v", workers, perCycle)
 						got.mustEqual(t, want)
@@ -611,8 +731,7 @@ func TestSpuriousWakeIsNoop(t *testing.T) {
 // fault plan x parity x worker count x the way the run is chunked into
 // public Run calls (each of which starts all awake and ends an epoch, so
 // chunking moves where components fall asleep and where blocks take
-// turns). The reference is both references at once: every component in
-// one block, stepped every cycle.
+// turns). The reference is the same network advanced one Run(1) per cycle.
 func FuzzWakeEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(1), uint8(0), false, uint16(0), uint8(0))
 	f.Add(uint64(2), uint8(1), uint8(0), uint8(7), true, uint16(37), uint8(1))
@@ -658,7 +777,7 @@ func FuzzWakeEquivalence(f *testing.F) {
 			}
 			return n
 		}
-		drive := func(n *Network, chunk int64) *wakeObs {
+		drive := func(n *Network, r runner, chunk int64) *wakeObs {
 			o := observe(n, 450, 1250, 1900)
 			rng := sim.NewRNG(seed + 77)
 			for _, ep := range n.Endpoints {
@@ -673,7 +792,7 @@ func FuzzWakeEquivalence(f *testing.F) {
 					if chunk > 0 && chunk < step {
 						step = chunk
 					}
-					n.Run(step)
+					r.Run(step)
 					cycles -= step
 				}
 			}
@@ -682,16 +801,14 @@ func FuzzWakeEquivalence(f *testing.F) {
 				ep.Gen = nil
 			}
 			run(1200)
-			n.Drain(200000)
+			r.Drain(200000)
 			return o.finish(n)
 		}
 		ref := build()
-		ref.oneBlock = true
-		setAllAwake(ref)
-		want := drive(ref, 0)
+		want := drive(ref, reference{ref}, 0)
 		n := build()
 		n.SetWorkers(1 + int(workers)%3)
 		defer n.Close()
-		drive(n, int64(chunk)).mustEqual(t, want)
+		drive(n, n, int64(chunk)).mustEqual(t, want)
 	})
 }

@@ -370,3 +370,43 @@ func TestExecutorSleepWake(t *testing.T) {
 		e.Close()
 	}
 }
+
+// TestWakeAllZeroesEverySlot: WakeAll leaves no slot of any block standing —
+// whatever each held, on any worker count — so the cycle that follows steps
+// every component. The network's public run entries are built on it, and
+// through them the reference run its equivalence tests compare with.
+func TestWakeAllZeroesEverySlot(t *testing.T) {
+	for _, workers := range []int{1, 2, 3} {
+		sizes := []int{3, 1, 4}
+		blocks := make([][]Stepper, len(sizes))
+		var all []*napStepper
+		for b, size := range sizes {
+			for i := 0; i < size; i++ {
+				c := &napStepper{nap: Tick(1 + 5*len(all))}
+				if i == 0 {
+					c.nap = Never - 1000
+				}
+				all = append(all, c)
+				blocks[b] = append(blocks[b], c)
+			}
+		}
+		e := NewPartitionedExecutor(blocks, []int{1, 0, 2}, workers, 4, nil)
+		e.Run(0, 9)
+		*e.WakeSlot(2, 3) = Never
+		e.WakeAll()
+		for b, size := range sizes {
+			for i := 0; i < size; i++ {
+				if w := *e.WakeSlot(b, i); w != 0 {
+					t.Fatalf("workers=%d: slot %d of block %d reads %d after WakeAll, want 0", workers, i, b, w)
+				}
+			}
+		}
+		e.Run(9, 10)
+		for i, c := range all {
+			if c.steps[len(c.steps)-1] != 9 {
+				t.Fatalf("workers=%d: component %d not stepped on the cycle after WakeAll: %v", workers, i, c.steps)
+			}
+		}
+		e.Close()
+	}
+}
