@@ -68,7 +68,11 @@ smoke:
 figures:
 	$(GO) run ./cmd/figures -exp all -preset small -out results/small
 
-# The paper's full 3080-endpoint configuration (slow: hours on one core).
+# The paper's full 3080-endpoint configuration. Estimated for one core of the
+# PR 22 host from short timed runs (EXPERIMENTS.md, "Paper-preset budget"):
+# fig5 ~3.4 h, fig9 ~2.9 h, ablations ~0.9 h, fig7/fig8 ~0.6 h, faults ~0.3 h,
+# fig6 unmeasured; half that with the sweep pool on two. Run one `-exp` per
+# session rather than `all`.
 figures-paper:
 	$(GO) run ./cmd/figures -exp all -preset paper -out results/paper
 

@@ -28,55 +28,79 @@ import (
 	"stashsim/internal/viz"
 )
 
-// tableSeries extracts numeric columns from a table as plottable series,
-// using column xCol as the x axis.
-func tableSeries(t *stats.Table, xCol int, yCols ...int) []viz.Series {
-	var out []viz.Series
-	for _, yc := range yCols {
-		s := viz.Series{Name: t.Header[yc]}
-		for _, row := range t.Rows {
-			x, errX := strconv.ParseFloat(row[xCol], 64)
-			y, errY := strconv.ParseFloat(row[yc], 64)
-			if errX != nil || errY != nil {
-				continue
-			}
-			s.X = append(s.X, x)
-			s.Y = append(s.Y, y)
-		}
-		out = append(out, s)
+// sketch renders a table's ASCII plot.
+func sketch(t *stats.Table, p *harness.Plot) string {
+	num := func(cell string) float64 {
+		v, _ := strconv.ParseFloat(cell, 64) // plotted columns hold numbers
+		return v
 	}
-	return out
+	var labels, names []string
+	var byRow [][]float64
+	for _, row := range t.Rows {
+		labels = append(labels, row[0])
+		var vals []float64
+		for _, y := range p.Y {
+			vals = append(vals, num(row[y]))
+		}
+		byRow = append(byRow, vals)
+	}
+	for _, y := range p.Y {
+		names = append(names, t.Header[y])
+	}
+	if p.Bars {
+		return viz.Bars(p.Title, labels, names, byRow, 40)
+	}
+	series := make([]viz.Series, len(names))
+	for i := range series {
+		s := &series[i]
+		s.Name = names[i]
+		for r, label := range labels {
+			s.X, s.Y = append(s.X, num(label)), append(s.Y, byRow[r][i])
+		}
+	}
+	c := &viz.Chart{Title: p.Title, XLabel: p.XLabel, YLabel: p.YLabel}
+	return c.Render(series...)
 }
 
-// experiments are the names -exp accepts besides "all".
-var experiments = []string{"table1", "table2", "fig5", "fig6", "fig7", "fig8", "fig9", "ablations", "faults"}
-
-// selectExperiments parses -exp into the set of experiments to run. A name
-// that is not an experiment is an error, not an experiment that never runs.
-func selectExperiments(list string) (map[string]bool, error) {
-	want := map[string]bool{}
-	for _, e := range strings.Split(list, ",") {
-		e = strings.TrimSpace(e)
-		switch {
-		case e == "all":
-			for _, each := range experiments {
-				want[each] = true
-			}
-		case slices.Contains(experiments, e):
-			want[e] = true
-		default:
-			return nil, fmt.Errorf("-exp: unknown experiment %q (valid: %s or all, comma separated)", e, strings.Join(experiments, ", "))
+// selectExperiments parses -exp into the experiments to run, in the table's
+// order; a name that is not one is an error, not a run of nothing.
+func selectExperiments(list string) (sel []*harness.Experiment, err error) {
+	names := strings.Split(list, ",")
+	for i := range names {
+		names[i] = strings.TrimSpace(names[i])
+		if names[i] != "all" && !slices.Contains(harness.Names(), names[i]) {
+			return nil, fmt.Errorf("-exp: unknown experiment %q (valid: %s or all, comma separated)", names[i], strings.Join(harness.Names(), ", "))
 		}
 	}
-	if want["fig8"] {
-		want["fig7"] = true // Fig 8 is produced by the Fig 7 runs
+	for _, e := range harness.Experiments {
+		if slices.ContainsFunc(names, func(n string) bool { return n == "all" || n == e.Name || n == e.Alias }) {
+			sel = append(sel, e)
+		}
 	}
-	return want, nil
+	return sel, nil
+}
+
+// checkSnapshots holds -checkpoint and -restore against every selected
+// plan before anything runs: each needs a window with the cycle inside it.
+func checkSnapshots(sel []*harness.Experiment, o *harness.Options) error {
+	var bad []string
+	for _, e := range sel {
+		switch end := e.Plan(o).End(); {
+		case end == 0:
+			bad = append(bad, e.Name+": not checkpointable")
+		case o.Base.CheckpointAt >= end: // 0 without -checkpoint
+			bad = append(bad, fmt.Sprintf("%s: cycles [0, %d)", e.Name, end))
+		}
+	}
+	if bad == nil || o.Base.CheckpointPath == "" && o.Base.RestorePath == "" {
+		return nil
+	}
+	return fmt.Errorf("-checkpoint/-restore do not fit every selected experiment (%s)", strings.Join(bad, "; "))
 }
 
 // cliOpts are the flags that are not part of the run description.
 type cliOpts struct {
-	exp                    string
+	exp, out               string
 	profileExec            bool
 	cpuprofile, memprofile string
 }
@@ -86,8 +110,8 @@ type cliOpts struct {
 // experiment network.
 func defineFlags(fs *flag.FlagSet, o *harness.Options, c *cliOpts) {
 	o.Base.BindFlags(fs)
-	fs.StringVar(&c.exp, "exp", "all", "experiment: "+strings.Join(experiments, ",")+" or all (comma separated)")
-	fs.StringVar(&o.OutDir, "out", "", "directory for CSV output")
+	fs.StringVar(&c.exp, "exp", "all", "experiment: "+strings.Join(harness.Names(), ",")+" or all (comma separated)")
+	fs.StringVar(&c.out, "out", "", "directory for CSV output")
 	fs.BoolVar(&o.Quick, "quick", false, "shortened runs (smoke test)")
 	fs.IntVar(&o.Workers, "workers", runtime.GOMAXPROCS(0), "sweep-level worker pool fanning out independent design points (tables are identical for any value)")
 	fs.BoolVar(&c.profileExec, "profile-exec", false, "profile per-phase executor time across every experiment network; report to stderr and, with -out, exec_profile.json")
@@ -100,15 +124,16 @@ func main() {
 	var c cliOpts
 	defineFlags(flag.CommandLine, o, &c)
 	flag.Parse()
-	want, err := selectExperiments(c.exp)
+	sel, err := selectExperiments(c.exp)
+	if err == nil {
+		err = checkSnapshots(sel, o)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		os.Exit(2)
 	}
 
-	// Every experiment network gets the shared flags (-checkpoint writes a
-	// warm snapshot per design point, <file>.<experiment>.<point>, and the
-	// cycle must fall inside the experiment's window); a preset or fault
+	// Every experiment network gets the shared flags; a preset or fault
 	// plan that cannot be built is refused here, before table1 runs.
 	probe := o.Base
 	probe.Mode = "baseline"
@@ -139,132 +164,47 @@ func main() {
 			}
 		}()
 	}
-	var prof *sim.ExecProfiler
 	if c.profileExec {
 		// One lane: experiment networks run serially (parallelism here is
 		// sweep-level), so a shared single-lane profiler aggregates phase
 		// time across every design point of every selected experiment.
-		prof = sim.NewExecProfiler(1, 0)
-		o.ExecProfiler = prof
+		o.ExecProfiler = sim.NewExecProfiler(1, 0)
+	}
+	if c.out != "" {
+		if err := os.MkdirAll(c.out, 0o755); err != nil {
+			log.Fatalf("-out: %v", err)
+		}
 	}
 	log.SetFlags(log.Ltime)
 
-	show := func(title string, t *stats.Table) {
-		fmt.Printf("\n== %s ==\n%s", title, t)
-	}
-	run := func(name string, f func() error) {
-		if !want[name] {
-			return
-		}
+	for _, e := range sel {
 		start := time.Now() //lint:allow determinism -- wall-clock progress logging only
-		if err := f(); err != nil {
-			log.Printf("%s FAILED: %v", name, err)
+		outs, err := e.Run(o)
+		if err != nil {
+			log.Printf("%s FAILED: %v", e.Name, err)
 			os.Exit(1)
 		}
-		//lint:allow determinism -- wall-clock progress logging only
-		log.Printf("%s done in %v", name, time.Since(start).Round(time.Second))
-	}
-
-	run("table1", func() error {
-		t, err := harness.Table1(o)
-		if err != nil {
-			return err
-		}
-		show("Table I: link asymmetry & buffer underutilization", t)
-		return nil
-	})
-	run("table2", func() error {
-		t, err := harness.Table2(o)
-		if err != nil {
-			return err
-		}
-		show("Table II: DesignForward application traces (synthesized)", t)
-		return nil
-	})
-	run("fig5", func() error {
-		lat, acc, err := harness.Fig5(o)
-		if err != nil {
-			return err
-		}
-		show("Figure 5a: latency vs offered load (us)", lat)
-		c := &viz.Chart{Title: "Fig 5a (shape)", XLabel: "offered load", YLabel: "latency us"}
-		fmt.Println(c.Render(tableSeries(lat, 0, 1, 2, 3, 4)...))
-		show("Figure 5b: offered vs accepted throughput", acc)
-		c = &viz.Chart{Title: "Fig 5b (shape)", XLabel: "offered load", YLabel: "accepted"}
-		fmt.Println(c.Render(tableSeries(acc, 0, 1, 2, 3, 4)...))
-		return nil
-	})
-	run("fig6", func() error {
-		t, err := harness.Fig6(o)
-		if err != nil {
-			return err
-		}
-		show("Figure 6: trace runtime normalized to baseline", t)
-		var labels []string
-		var values [][]float64
-		for _, row := range t.Rows {
-			labels = append(labels, row[0])
-			var vals []float64
-			for i := 2; i < len(row); i++ {
-				v, err := strconv.ParseFloat(row[i], 64)
-				if err == nil {
-					vals = append(vals, v)
+		for _, out := range outs {
+			if c.out != "" {
+				if err := os.WriteFile(filepath.Join(c.out, out.File+".csv"), []byte(out.Table.CSV()), 0o644); err != nil {
+					log.Fatalf("%s: %v", e.Name, err)
 				}
 			}
-			values = append(values, vals)
-		}
-		fmt.Println(viz.Bars("Fig 6 (shape)", labels, t.Header[2:], values, 40))
-		return nil
-	})
-	run("fig7", func() error {
-		r, err := harness.Fig7(o)
-		if err != nil {
-			return err
-		}
-		show("Figure 7a: victim latency over time (us)", r.Series)
-		c := &viz.Chart{Title: "Fig 7a (shape)", XLabel: "time us", YLabel: "victim latency us"}
-		fmt.Println(c.Render(tableSeries(r.Series, 0, 1, 2, 3)...))
-		show("Figure 7b: victim latency distribution percentiles (ns)", r.InvCDF)
-		show("Figure 8: hotspot switch stash utilization & aggressor load", r.Stash)
-		c = &viz.Chart{Title: "Fig 8 (shape)", XLabel: "time us", YLabel: "util / load"}
-		fmt.Println(c.Render(tableSeries(r.Stash, 0, 1, 2)...))
-		return nil
-	})
-	run("ablations", func() error {
-		t, err := harness.Ablations(o)
-		if err != nil {
-			return err
-		}
-		show("Ablations: design-choice sensitivity at full load (e2e stashing)", t)
-		return nil
-	})
-	run("fig9", func() error {
-		t, err := harness.Fig9(o)
-		if err != nil {
-			return err
-		}
-		show("Figure 9: victim p90 latency vs aggressor burst size", t)
-		c := &viz.Chart{Title: "Fig 9 (shape)", XLabel: "burst pkts", YLabel: "victim p90 us"}
-		fmt.Println(c.Render(tableSeries(t, 0, 1, 2, 3)...))
-		return nil
-	})
-	run("faults", func() error {
-		t, err := harness.Faults(o)
-		if err != nil {
-			return err
-		}
-		show("Faults: recovery latency, stash-local vs source-endpoint resend", t)
-		return nil
-	})
-
-	if prof != nil {
-		rep := prof.Report()
-		fmt.Fprint(os.Stderr, rep.Text())
-		if o.OutDir != "" {
-			if err := os.MkdirAll(o.OutDir, 0o755); err != nil {
-				log.Fatalf("exec profile: %v", err)
+			if out.Title != "" {
+				fmt.Printf("\n== %s ==\n%s", out.Title, out.Table)
 			}
-			path := filepath.Join(o.OutDir, "exec_profile.json")
+			if out.Plot != nil {
+				fmt.Println(sketch(out.Table, out.Plot))
+			}
+		}
+		log.Printf("%s done in %v", e.Name, time.Since(start).Round(time.Second)) //lint:allow determinism -- as above
+	}
+
+	if o.ExecProfiler != nil {
+		rep := o.ExecProfiler.Report()
+		fmt.Fprint(os.Stderr, rep.Text())
+		if c.out != "" {
+			path := filepath.Join(c.out, "exec_profile.json")
 			if err := os.WriteFile(path, rep.JSON(), 0o644); err != nil {
 				log.Fatalf("exec profile: %v", err)
 			}

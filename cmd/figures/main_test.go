@@ -96,36 +96,94 @@ func TestCheckpointFlag(t *testing.T) {
 // TestSelectExperiments: every name in -exp is an experiment or "all";
 // anything else is refused before the first experiment starts, with the
 // valid names in the message (`-exp fig55` used to exit 0 having run
-// nothing).
+// nothing). The selection comes back in the table's order, and fig8
+// selects the fig7 runs it is produced by.
 func TestSelectExperiments(t *testing.T) {
+	var all []string
+	for _, e := range harness.Experiments {
+		all = append(all, e.Name)
+	}
 	for _, c := range []struct {
 		exp  string
 		want []string // nil: refused
 	}{
-		{"all", experiments},
+		{"all", all},
 		{"table1", []string{"table1"}},
-		{"fig5, faults", []string{"fig5", "faults"}},
-		{"fig8", []string{"fig7", "fig8"}},
-		{"fig9,all", experiments},
+		{"faults, fig5", []string{"fig5", "faults"}},
+		{"fig8", []string{"fig7"}},
+		{"fig8,fig7", []string{"fig7"}},
+		{"fig9,all", all},
 		{"fig55", nil},
 		{"fig5,fig55", nil},
 		{"fig5,", nil},
 		{"", nil},
 		{"ALL", nil},
 	} {
-		got, err := selectExperiments(c.exp)
+		sel, err := selectExperiments(c.exp)
 		if c.want == nil {
-			if err == nil || !strings.Contains(err.Error(), strings.Join(experiments, ", ")) {
-				t.Errorf("-exp %q: got %v, err %v; want an error listing the valid names", c.exp, got, err)
+			if err == nil || !strings.Contains(err.Error(), strings.Join(harness.Names(), ", ")) {
+				t.Errorf("-exp %q: got %v, err %v; want an error listing the valid names", c.exp, sel, err)
 			}
 			continue
 		}
-		want := map[string]bool{}
-		for _, e := range c.want {
-			want[e] = true
+		var got []string
+		for _, e := range sel {
+			got = append(got, e.Name)
 		}
-		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Errorf("-exp %q selected %v (err %v), want %v", c.exp, got, err, want)
+		if err != nil || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("-exp %q selected %v (err %v), want %v", c.exp, got, err, c.want)
+		}
+	}
+}
+
+// TestCheckSnapshots: -checkpoint and -restore are held against every
+// selected experiment's plan before the first one runs. `-exp
+// table1,fig5,faults -checkpoint w@6500` used to run table1 and fail when
+// fig5 started; `-exp fig7 -checkpoint w@500` used to exit 0 having written
+// nothing. Under -quick fig5's window is 7000 cycles, fig9's 8580,
+// ablations' 4800 and faults' 5000.
+func TestCheckSnapshots(t *testing.T) {
+	for _, c := range []struct {
+		exp, checkpoint, restore string
+		want                     []string // nil: accepted
+	}{
+		{"all", "", "", nil},
+		{"fig5,fig9,ablations,faults", "w@3000", "", nil},
+		{"fig5,fig9,ablations,faults", "w@4799", "w0", nil},
+		{"fig5,fig9", "w@6999", "", nil},
+		{"fig5,faults", "", "w", nil},
+		{"table1,fig5,faults", "w@6500", "", []string{"table1: not checkpointable", "faults: cycles [0, 5000)"}},
+		{"fig5,fig9", "w@7000", "", []string{"fig5: cycles [0, 7000)"}},
+		{"fig7", "w@500", "", []string{"fig7: not checkpointable"}},
+		{"fig8,fig6", "", "w", []string{"fig6: not checkpointable", "fig7: not checkpointable"}},
+		{"all", "w@0", "", []string{"table1:", "table2:", "fig6:", "fig7:"}},
+	} {
+		o := new(harness.Options)
+		args := []string{"-preset", "tiny", "-quick"}
+		if c.checkpoint != "" {
+			args = append(args, "-checkpoint", c.checkpoint)
+		}
+		if c.restore != "" {
+			args = append(args, "-restore", c.restore)
+		}
+		if err := newFlags(o).Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		sel, err := selectExperiments(c.exp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = checkSnapshots(sel, o)
+		if (err == nil) != (c.want == nil) {
+			t.Errorf("-exp %s -checkpoint %q -restore %q: err = %v, want offenders %v", c.exp, c.checkpoint, c.restore, err, c.want)
+		}
+		for _, offender := range c.want {
+			if err != nil && !strings.Contains(err.Error(), offender) {
+				t.Errorf("-exp %s -checkpoint %q: %v does not name %q", c.exp, c.checkpoint, err, offender)
+			}
+		}
+		if err != nil && strings.Count(err.Error(), ";") != len(c.want)-1 {
+			t.Errorf("-exp %s -checkpoint %q: %v names more than %v", c.exp, c.checkpoint, err, c.want)
 		}
 	}
 }

@@ -210,7 +210,7 @@ func main() {
 	defer stop()
 	reg, tracer, prof := n.Metrics, n.Tracer, n.Profiler
 
-	if err := sp.Warm(n, sp.Warmup); err != nil {
+	if err := sp.Warm(n); err != nil {
 		fatalf("%v", err)
 	}
 	s, runErr := sp.Run(n)

@@ -34,7 +34,7 @@ func runJSON(t *testing.T, sp harness.Spec) []byte {
 // run warms and runs a built network the way main does.
 func run(t *testing.T, sp *harness.Spec, n *network.Network) *harness.Summary {
 	t.Helper()
-	if err := sp.Warm(n, sp.Warmup); err != nil {
+	if err := sp.Warm(n); err != nil {
 		t.Fatal(err)
 	}
 	s, err := sp.Run(n)
@@ -386,22 +386,31 @@ func TestBadModeRejected(t *testing.T) {
 
 // TestBadBurstRejected: `-burst 0` on the real flag set is an error from
 // Build, the call main makes before anything runs — not a panic in the
-// first endpoint that generates a message (harness.TestConfigRefuses has
-// the whole table).
+// first endpoint that generates a message — and so are the four spellings
+// that used to panic in a worker goroutine or run to a meaningless summary
+// (harness.TestConfigRefuses has the whole table).
 func TestBadBurstRejected(t *testing.T) {
-	var sp harness.Spec
-	fs := flag.NewFlagSet("stashsim", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	defineFlags(fs, &sp, new(cliOpts))
-	if err := fs.Parse([]string{"-preset", "tiny", "-mode", "e2e", "-burst", "0"}); err != nil {
-		t.Fatal(err)
-	}
-	n, err := sp.Build()
-	if err == nil {
-		n.Close()
-	}
-	if err == nil || !strings.Contains(err.Error(), "burst 0") {
-		t.Fatalf("-burst 0: Build err = %v, want a refusal naming the burst", err)
+	for _, c := range []struct{ args, want string }{
+		{"-mode e2e -burst 0", "burst 0"},
+		{"-p 1 -a 1 -h 1", "third group"},
+		{"-p 30 -a 30 -h 10", "radix 69"},
+		{"-mode e2e -cap NaN", "capacity fraction NaN"},
+		{"-mode e2e -errors 2", "error rate 2"},
+	} {
+		var sp harness.Spec
+		fs := flag.NewFlagSet("stashsim", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		defineFlags(fs, &sp, new(cliOpts))
+		if err := fs.Parse(strings.Fields("-preset tiny -cycles 300 -warmup 100 " + c.args)); err != nil {
+			t.Fatal(err)
+		}
+		n, err := sp.Build()
+		if err == nil {
+			n.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Build err = %v, want a refusal naming %q", c.args, err, c.want)
+		}
 	}
 }
 

@@ -251,6 +251,12 @@ func (c *Config) Validate() error {
 		return err
 	}
 	radix := c.Topo.Radix()
+	if radix > 64 || c.Rows*c.Cols > 64 {
+		return fmt.Errorf("core: radix %d on %d x %d tiles exceeds the switch's 64-port / 64-tile active-set masks", radix, c.Rows, c.Cols)
+	}
+	if groups := c.Topo.Groups(); c.Route.Adaptive && groups < 3 {
+		return fmt.Errorf("core: adaptive routing diverts through a third group, %+v has %d", c.Topo, groups)
+	}
 	if c.Rows*c.TileIn < radix {
 		return fmt.Errorf("core: %d tile rows x %d inputs cannot cover radix %d", c.Rows, c.TileIn, radix)
 	}
@@ -260,11 +266,14 @@ func (c *Config) Validate() error {
 	if c.RateNum <= 0 || c.RateDen <= 0 || c.RateNum > c.RateDen {
 		return fmt.Errorf("core: invalid channel rate %d/%d", c.RateNum, c.RateDen)
 	}
-	if c.Mode != StashOff && c.StashCapFrac <= 0 {
-		return fmt.Errorf("core: stashing enabled with non-positive capacity fraction")
+	if c.Mode != StashOff && !(c.StashCapFrac > 0 && c.StashCapFrac <= 1) {
+		return fmt.Errorf("core: stashing enabled with capacity fraction %v, want one in (0, 1]", c.StashCapFrac)
 	}
 	if c.Mode == StashE2E && !c.AcksEnabled {
 		return fmt.Errorf("core: end-to-end reliability requires ACKs")
+	}
+	if !(c.ErrorRate >= 0 && c.ErrorRate <= 1) {
+		return fmt.Errorf("core: error rate %v is not a probability", c.ErrorRate)
 	}
 	if c.ErrorRate > 0 && !c.RetainPayload {
 		return fmt.Errorf("core: error injection requires RetainPayload for retransmission")

@@ -2,14 +2,13 @@ package harness
 
 import (
 	"stashsim/internal/core"
+	"stashsim/internal/network"
 	"stashsim/internal/proto"
-	"stashsim/internal/sim"
-	"stashsim/internal/stats"
 )
 
-// Ablations quantifies the design choices DESIGN.md calls out, on the
-// end-to-end reliability configuration at full offered load (the regime
-// where internal bandwidth and placement quality matter most):
+// ablations declares the sweep over the design choices DESIGN.md calls
+// out, on the end-to-end reliability configuration at full offered load
+// (the regime where internal bandwidth and placement quality matter most):
 //
 //   - JSQ vs random stash placement (Section III-A's policy),
 //   - the 1.3x internal speedup vs none (Section III-A's bandwidth fix),
@@ -19,7 +18,7 @@ import (
 //
 // For each variant it reports saturation throughput, mean latency, and the
 // stash-full stall count.
-func Ablations(o *Options) (*stats.Table, error) {
+func ablations(o *Options) *grid {
 	type ablation struct {
 		name   string
 		mutate func(*core.Config)
@@ -41,47 +40,36 @@ func Ablations(o *Options) (*stats.Table, error) {
 			c.RandomStashPlacement = true
 		}},
 	}
-
-	warm := o.scaleDur(8000)
-	meas := o.scaleDur(16000)
-	t := &stats.Table{Header: []string{"Variant", "Accepted", "MeanLatUS", "StashFullStalls", "BankConflicts"}}
-	// Each ablation case is an independent design point.
-	rows := make([][]string, len(cases))
-	err := o.forEachPoint(len(cases), func(i int) error {
-		a := cases[i]
-		sp := o.point("ablations", i, core.StashE2E, 1.0, false)
-		sp.Load, sp.MsgPkts = 1.0, 1
-		n, err := o.network(&sp, a.mutate)
-		if err != nil {
-			return err
-		}
-		sp.Wire(n, sim.NewRNG(sp.Seed+4000))
-		if err := sp.Warm(n, warm); err != nil {
-			return err
-		}
-		n.Run(meas)
-		c := n.Counters()
-		var banks int64
-		for _, s := range n.Switches {
-			banks += s.BankConflicts()
-		}
-		// One internal cycle lasts RateNum/RateDen ns (the channel moves
-		// one 10-byte flit per ns): 1/1.3 ns at the paper's speedup,
-		// 1 ns at the 1.0x ablation.
-		nsPerCycle := float64(n.Cfg.RateNum) / float64(n.Cfg.RateDen)
-		rows[i] = []string{a.name,
-			fmtF(n.NormalizedAccepted(meas), 3),
-			fmtF(n.Collector().LatAcc[proto.ClassDefault].Mean()*nsPerCycle/1000, 3),
-			fmtF(float64(c.StashFullStalls), 0),
-			fmtF(float64(banks), 0)}
-		o.logf("ablation %q: accepted=%.3f", a.name, n.NormalizedAccepted(meas))
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	var rows []string
+	for _, a := range cases {
+		rows = append(rows, a.name)
 	}
-	for _, row := range rows {
-		t.AddRow(row...)
+	return &grid{
+		rows:     rows,
+		variants: []variant{{mode: core.StashE2E, capFrac: 1.0}},
+		warm:     o.scaleDur(8000),
+		meas:     o.scaleDur(16000),
+		tables: []gridTable{{Output{Title: "Ablations: design-choice sensitivity at full load (e2e stashing)", File: "ablations"},
+			"Variant", []string{"Accepted", "MeanLatUS", "StashFullStalls", "BankConflicts"}}},
+		point: func(sp *Spec, row, _ int) func(*core.Config) {
+			sp.Load, sp.MsgPkts = 1.0, 1
+			return cases[row].mutate
+		},
+		wire: uniformWire(4000),
+		cells: func(n *network.Network, s *Summary) []string {
+			var banks int64
+			for _, sw := range n.Switches {
+				banks += sw.BankConflicts()
+			}
+			// One internal cycle lasts RateNum/RateDen ns (the channel moves
+			// one 10-byte flit per ns): 1/1.3 ns at the paper's speedup,
+			// 1 ns at the 1.0x ablation.
+			nsPerCycle := float64(n.Cfg.RateNum) / float64(n.Cfg.RateDen)
+			return []string{
+				fmtF(s.Accepted, 3),
+				fmtF(n.Collector().LatAcc[proto.ClassDefault].Mean()*nsPerCycle/1000, 3),
+				fmtF(float64(s.Counters.StashFullStalls), 0),
+				fmtF(float64(banks), 0)}
+		},
 	}
-	return t, o.writeCSV("ablations", t)
 }

@@ -5,11 +5,10 @@ import (
 	"strings"
 
 	"stashsim/internal/core"
-	"stashsim/internal/sim"
-	"stashsim/internal/stats"
+	"stashsim/internal/network"
 )
 
-// Faults quantifies the recovery ladder of the fault-injection extension:
+// faults declares the sweep that quantifies the recovery ladder of the fault-injection extension:
 // under a sweep of per-link packet-drop rates, it compares stash-local
 // recovery (StashE2E, where the first-hop stash retransmits from its
 // retained copy on an ACK timeout) against source-endpoint recovery (the
@@ -28,14 +27,12 @@ import (
 //
 // Every run drains fully and asserts exactly-once delivery; a row is an
 // error if any variant loses or double-delivers a packet.
-func Faults(o *Options) (*stats.Table, error) {
+func faults(o *Options) *grid {
 	rates := []float64{1e-4, 5e-4, 1e-3, 5e-3, 1e-2}
 	if o.Quick {
 		rates = []float64{1e-3, 5e-3}
 	}
-	warm := o.scaleDur(5000)
-	meas := o.scaleDur(20000)
-	const drainBudget = 2_000_000
+	warm, meas := o.scaleDur(5000), o.scaleDur(20000)
 
 	// Four bank failures on distinct switches, staggered through the
 	// middle of the measured window (every preset has >= 4 switches).
@@ -45,71 +42,36 @@ func Faults(o *Options) (*stats.Table, error) {
 	}
 	stashFails := strings.Join(fails, ",")
 
-	type variant struct {
-		name   string
-		mode   core.StashMode
-		parity int
+	return &grid{
+		rows: labels("%.0e", rates),
+		variants: []variant{
+			{name: "StashLocal", mode: core.StashE2E, capFrac: 1.0},
+			{name: "StashParity", mode: core.StashE2E, capFrac: 1.0},
+			{name: "Endpoint", mode: core.StashOff, capFrac: 1.0},
+		},
+		warm: warm,
+		meas: meas,
+		tables: []gridTable{{Output{Title: "Faults: recovery latency, stash-local vs source-endpoint resend", File: "faults_recovery"},
+			"DropRate", []string{"_RecLat_us", "_Recovered", "_Resends", "_Dups", "_Recon"}}},
+		// The sweep's own plan and parity replace whatever the options carry.
+		point: func(sp *Spec, row, vi int) func(*core.Config) {
+			sp.FaultPlanPath, sp.Outages, sp.CorruptRate = "", "", 0
+			sp.FaultSeed, sp.DropRate, sp.StashFails = sp.Seed+101, rates[row], stashFails
+			sp.Retrans, sp.StashParity = true, []int{0, 4, 0}[vi]
+			sp.Load, sp.MsgPkts = 0.2, 1
+			sp.Drain, sp.AssertDelivery = 2_000_000, true
+			return nil
+		},
+		wire: uniformWire(2000),
+		cells: func(n *network.Network, _ *Summary) []string {
+			c := n.Collector()
+			nc := n.Counters()
+			return []string{
+				fmtF(c.RecoveryAcc.Mean()/1300, 2), // cycles -> us
+				fmt.Sprint(c.RecoveredPkts),
+				fmt.Sprint(nc.E2ERetransmits + c.EndpointRetransmits),
+				fmt.Sprint(c.DuplicatesSuppressed),
+				fmt.Sprint(nc.StashReconstructed)}
+		},
 	}
-	variants := []variant{
-		{"StashLocal", core.StashE2E, 0},
-		{"StashParity", core.StashE2E, 4},
-		{"Endpoint", core.StashOff, 0},
-	}
-
-	t := &stats.Table{Header: []string{"DropRate"}}
-	for _, v := range variants {
-		t.Header = append(t.Header,
-			v.name+"_RecLat_us", v.name+"_Recovered", v.name+"_Resends", v.name+"_Dups",
-			v.name+"_Recon")
-	}
-
-	// Every (rate, variant) pair is an independent design point producing
-	// five table cells.
-	cells := make([][5]string, len(rates)*len(variants))
-	err := o.forEachPoint(len(cells), func(i int) error {
-		rate := rates[i/len(variants)]
-		v := variants[i%len(variants)]
-		// The sweep's own plan replaces whatever the options carry.
-		sp := o.point("faults", i, v.mode, 1.0, false)
-		sp.FaultPlanPath, sp.Outages, sp.CorruptRate = "", "", 0
-		sp.FaultSeed, sp.DropRate, sp.StashFails = sp.Seed+101, rate, stashFails
-		sp.Retrans, sp.StashParity = true, v.parity
-		sp.Load, sp.MsgPkts = 0.2, 1
-		sp.Warmup, sp.Cycles, sp.Drain, sp.AssertDelivery = warm, meas, drainBudget, true
-		n, err := o.network(&sp, nil)
-		if err != nil {
-			return err
-		}
-		sp.Wire(n, sim.NewRNG(sp.Seed+2000))
-		if err := sp.Warm(n, warm); err != nil {
-			return err
-		}
-		if _, err := sp.Run(n); err != nil {
-			return fmt.Errorf("faults: %s at rate %.0e: %w", v.name, rate, err)
-		}
-		c := n.Collector()
-		nc := n.Counters()
-		recUS := c.RecoveryAcc.Mean() / 1300 // cycles -> us
-		resends := nc.E2ERetransmits + c.EndpointRetransmits
-		cells[i] = [5]string{
-			fmtF(recUS, 2),
-			fmt.Sprintf("%d", c.RecoveredPkts),
-			fmt.Sprintf("%d", resends),
-			fmt.Sprintf("%d", c.DuplicatesSuppressed),
-			fmt.Sprintf("%d", nc.StashReconstructed)}
-		o.logf("faults rate=%.0e %s: recovered=%d recLat=%.2fus resends=%d recon=%d",
-			rate, v.name, c.RecoveredPkts, recUS, resends, nc.StashReconstructed)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for ri, rate := range rates {
-		row := []string{fmt.Sprintf("%.0e", rate)}
-		for vi := range variants {
-			row = append(row, cells[ri*len(variants)+vi][:]...)
-		}
-		t.AddRow(row...)
-	}
-	return t, o.writeCSV("faults_recovery", t)
 }

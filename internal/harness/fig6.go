@@ -10,7 +10,7 @@ import (
 	"stashsim/internal/tracegen"
 )
 
-// Fig6 reproduces Figure 6: execution time of the six DesignForward MPI
+// fig6 reproduces Figure 6: execution time of the six DesignForward MPI
 // application traces, on the baseline and the three end-to-end-reliability
 // stash networks, normalized to the baseline. Ranks map contiguously onto
 // endpoints, one rank per endpoint, with no computation time.
@@ -20,7 +20,7 @@ import (
 // traces (BIGFFT, FillBoundary) degrade visibly only at 25% capacity; some
 // traces run slightly *faster* with stashing because the capacity limit
 // self-paces endpoints and softens congestion.
-func Fig6(o *Options) (*stats.Table, error) {
+func fig6(o *Options) ([]Output, error) {
 	t := &stats.Table{Header: []string{"Trace", "Ranks"}}
 	for _, v := range e2eVariants {
 		t.Header = append(t.Header, v.name)
@@ -59,7 +59,7 @@ func Fig6(o *Options) (*stats.Table, error) {
 	err = o.forEachPoint(len(cycles), func(i int) error {
 		app := apps[i/len(variants)]
 		v := variants[i%len(variants)]
-		sp := o.point("fig6", i, v.mode, v.capFrac, false)
+		sp := o.point("fig6", i, v)
 		n, err := o.network(&sp, nil)
 		if err != nil {
 			return err
@@ -90,5 +90,6 @@ func Fig6(o *Options) (*stats.Table, error) {
 		}
 		t.AddRow(row...)
 	}
-	return t, o.writeCSV("fig6_traces", t)
+	return []Output{{Title: "Figure 6: trace runtime normalized to baseline", File: "fig6_traces", Table: t,
+		Plot: &Plot{Title: "Fig 6 (shape)", Y: []int{2, 3, 4, 5}, Bars: true}}}, nil
 }

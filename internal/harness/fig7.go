@@ -1,7 +1,8 @@
 package harness
 
 import (
-	"stashsim/internal/core"
+	"slices"
+
 	"stashsim/internal/endpoint"
 	"stashsim/internal/network"
 	"stashsim/internal/proto"
@@ -89,14 +90,7 @@ func newHotspot(o *Options, sp *Spec, start sim.Tick) (*hotspotScenario, error) 
 	return sc, nil
 }
 
-// Fig7Result carries the three outputs of the Figure 7/8 runs.
-type Fig7Result struct {
-	Series *stats.Table // Fig 7a: victim mean latency per time bin
-	InvCDF *stats.Table // Fig 7b: inverse cumulative latency distribution
-	Stash  *stats.Table // Fig 8: hotspot-switch stash utilization + aggressor load
-}
-
-// Fig7 reproduces Figures 7a, 7b and 8: the transient response of an
+// fig7 reproduces Figures 7a, 7b and 8: the transient response of an
 // ECN-controlled network to the onset of a 4:1 hotspot aggressor, with and
 // without congestion stashing, plus a no-aggressor baseline reference for
 // the latency distribution.
@@ -107,7 +101,7 @@ type Fig7Result struct {
 // case, more with 100% than 50% capacity); the hotspot switch's stash
 // fills at onset and drains once ECN throttles the aggressor's offered
 // load from ~4 to ~1 flit/cycle.
-func Fig7(o *Options) (*Fig7Result, error) {
+func fig7(o *Options) ([]Output, error) {
 	start := o.scaleDur(usToCycles(20))
 	total := o.scaleDur(usToCycles(100))
 	bin := usToCycles(1)
@@ -123,28 +117,20 @@ func Fig7(o *Options) (*Fig7Result, error) {
 		agg    []float64 // per-bin aggressor offered load (flits/channel-cycle)
 	}
 
-	// The three ECN variants plus the no-aggressor reference are four
-	// independent design points; runs[i] holds variant i, the last point
-	// fills refHist.
-	variants := congVariants
-	runs := make([]runOut, len(variants))
-	var refHist *stats.Hist
-	err := o.forEachPoint(len(variants)+1, func(i int) error {
-		if i == len(variants) {
-			// No-aggressor reference for Fig 7b.
-			sp := o.point("fig7", i, core.StashOff, 1.0, true)
-			refSc, err := newHotspot(o, &sp, 1<<62) // aggressor never starts
-			if err != nil {
-				return err
-			}
-			refSc.n.Collectors.WithHist(proto.ClassVictim)
-			refSc.n.Run(total)
-			refHist = refSc.n.Collector().LatHist[proto.ClassVictim]
-			return nil
+	// The no-aggressor reference of Fig 7b, a baseline whose aggressor never
+	// starts, and the three ECN variants are four independent design points;
+	// runs[i] holds point i.
+	ref := congVariants[0]
+	ref.name = "Baseline w/o Aggressor"
+	points := append([]variant{ref}, congVariants...)
+	runs := make([]runOut, len(points))
+	err := o.forEachPoint(len(points), func(i int) error {
+		v, onset := points[i], start
+		if i == 0 {
+			onset = 1 << 62 // never: the reference
 		}
-		v := variants[i]
-		sp := o.point("fig7", i, v.mode, v.capFrac, true)
-		sc, err := newHotspot(o, &sp, start)
+		sp := o.point("fig7", i, v)
+		sc, err := newHotspot(o, &sp, onset)
 		if err != nil {
 			return err
 		}
@@ -187,7 +173,7 @@ func Fig7(o *Options) (*Fig7Result, error) {
 			c.LatHist[proto.ClassVictim], stashUtil, aggLoad}
 		o.logf("fig7 %s: victim mean=%.0fns p99=%.0fns stashPeak=%.2f",
 			v.name, c.LatAcc[proto.ClassVictim].Mean()/1.3,
-			float64(runs[i].hist.Percentile(99))/1.3, maxOf(stashUtil))
+			float64(runs[i].hist.Percentile(99))/1.3, slices.Max(stashUtil))
 		return nil
 	})
 	if err != nil {
@@ -196,18 +182,18 @@ func Fig7(o *Options) (*Fig7Result, error) {
 
 	// Fig 7a table.
 	series := &stats.Table{Header: []string{"TimeUS"}}
-	for _, r := range runs {
+	for _, r := range runs[1:] {
 		series.Header = append(series.Header, r.name)
 	}
 	bins := 0
-	for _, r := range runs {
+	for _, r := range runs[1:] {
 		if len(r.series.Bins()) > bins {
 			bins = len(r.series.Bins())
 		}
 	}
 	for b := 0; b < bins; b++ {
 		row := []string{fmtF(cyclesToUS(int64(b)*bin), 1)}
-		for _, r := range runs {
+		for _, r := range runs[1:] {
 			v := 0.0
 			if b < len(r.series.Bins()) && r.series.Bins()[b].N > 0 {
 				v = r.series.Bins()[b].Mean() / 1.3 / 1000 // us
@@ -217,42 +203,31 @@ func Fig7(o *Options) (*Fig7Result, error) {
 		series.AddRow(row...)
 	}
 
-	// Fig 7b table: inverse CDF at fixed fractions.
+	// Fig 7b tables: the inverse CDF at fixed fractions, and the full curves
+	// as CSV (one file, long format).
 	inv := &stats.Table{Header: []string{"Network", "p50ns", "p90ns", "p99ns", "p99.9ns", "p99.99ns", "maxns"}}
-	addDist := func(name string, h *stats.Hist) {
-		inv.AddRow(name,
-			fmtF(float64(h.Percentile(50))/1.3, 0),
-			fmtF(float64(h.Percentile(90))/1.3, 0),
-			fmtF(float64(h.Percentile(99))/1.3, 0),
-			fmtF(float64(h.Percentile(99.9))/1.3, 0),
-			fmtF(float64(h.Percentile(99.99))/1.3, 0),
-			fmtF(h.Max()/1.3, 0))
-	}
-	addDist("Baseline w/o Aggressor", refHist)
-	for _, r := range runs {
-		addDist(r.name, r.hist)
-	}
-
-	// Full inverse-CDF curves as CSV (one file, long format).
 	curves := &stats.Table{Header: []string{"Network", "LatencyNS", "FractionAbove"}}
-	emit := func(name string, h *stats.Hist) {
-		for _, p := range h.InverseCDF() {
-			curves.AddRow(name, fmtF(float64(p.Value)/1.3, 0), fmtF(p.Fraction, 8))
-		}
-	}
-	emit("Baseline w/o Aggressor", refHist)
 	for _, r := range runs {
-		emit(r.name, r.hist)
+		inv.AddRow(r.name,
+			fmtF(float64(r.hist.Percentile(50))/1.3, 0),
+			fmtF(float64(r.hist.Percentile(90))/1.3, 0),
+			fmtF(float64(r.hist.Percentile(99))/1.3, 0),
+			fmtF(float64(r.hist.Percentile(99.9))/1.3, 0),
+			fmtF(float64(r.hist.Percentile(99.99))/1.3, 0),
+			fmtF(r.hist.Max()/1.3, 0))
+		for _, p := range r.hist.InverseCDF() {
+			curves.AddRow(r.name, fmtF(float64(p.Value)/1.3, 0), fmtF(p.Fraction, 8))
+		}
 	}
 
 	// Fig 8 table.
 	stash := &stats.Table{Header: []string{"TimeUS"}}
-	for _, r := range runs[1:] { // stash networks only
+	for _, r := range runs[2:] { // stash networks only
 		stash.Header = append(stash.Header, r.name+" Util", r.name+" AggLoad")
 	}
 	for b := 0; b < bins; b++ {
 		row := []string{fmtF(cyclesToUS(int64(b)*bin), 1)}
-		for _, r := range runs[1:] {
+		for _, r := range runs[2:] {
 			u, a := 0.0, 0.0
 			if b < len(r.stash) {
 				u, a = r.stash[b], r.agg[b]
@@ -262,27 +237,12 @@ func Fig7(o *Options) (*Fig7Result, error) {
 		stash.AddRow(row...)
 	}
 
-	if err := o.writeCSV("fig7a_series", series); err != nil {
-		return nil, err
-	}
-	if err := o.writeCSV("fig7b_invcdf", curves); err != nil {
-		return nil, err
-	}
-	if err := o.writeCSV("fig7b_percentiles", inv); err != nil {
-		return nil, err
-	}
-	if err := o.writeCSV("fig8_stash", stash); err != nil {
-		return nil, err
-	}
-	return &Fig7Result{Series: series, InvCDF: inv, Stash: stash}, nil
-}
-
-func maxOf(xs []float64) float64 {
-	m := 0.0
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
+	return []Output{
+		{Title: "Figure 7a: victim latency over time (us)", File: "fig7a_series", Table: series,
+			Plot: &Plot{Title: "Fig 7a (shape)", XLabel: "time us", YLabel: "victim latency us", Y: []int{1, 2, 3}}},
+		{File: "fig7b_invcdf", Table: curves},
+		{Title: "Figure 7b: victim latency distribution percentiles (ns)", File: "fig7b_percentiles", Table: inv},
+		{Title: "Figure 8: hotspot switch stash utilization & aggressor load", File: "fig8_stash", Table: stash,
+			Plot: &Plot{Title: "Fig 8 (shape)", XLabel: "time us", YLabel: "util / load", Y: []int{1, 2}}},
+	}, nil
 }

@@ -96,7 +96,7 @@ func (sp *Spec) BindFlags(fs *flag.FlagSet) {
 	fs.StringVar(&sp.Outages, "link-outage", "", "outage windows, comma-separated link@start-end (e.g. sw0.3->sw1.2@1000-3000)")
 	fs.StringVar(&sp.StashFails, "stash-fail", "", "stash-bank failures, comma-separated switch.port@cycle (e.g. 0.1@5000)")
 	fs.IntVar(&sp.StashParity, "stash-parity", 0, "erasure-code stash copies into XOR parity groups of this width (0 = off; e2e mode only)")
-	fs.Func("checkpoint", "write a bit-exact checkpoint as file@cycle (absolute cycle; warmup counts; figures writes one per design point, file.<experiment>.<point>); resuming from it with -restore reproduces the straight-through run byte for byte", func(s string) error {
+	fs.Func("checkpoint", "write a bit-exact checkpoint as file@cycle (absolute cycle; warmup counts); resuming from it with -restore reproduces the straight-through run byte for byte. figures writes one per design point, file.<experiment>.<point>, at a cycle inside the warm-up plus measured window of every selected experiment: fig5, fig9, ablations and faults have one, fig6, fig7/fig8 and the tables are refused", func(s string) error {
 		i := strings.LastIndex(s, "@")
 		if i <= 0 {
 			return fmt.Errorf("want file@cycle")
@@ -191,7 +191,7 @@ func (sp *Spec) Config() (*core.Config, error) {
 	cfg.StashCapFrac = sp.CapFrac
 	cfg.BankModel = sp.Banks
 	cfg.Seed = sp.Seed
-	if sp.ErrRate > 0 {
+	if sp.ErrRate != 0 { // out of range is Validate's to refuse
 		cfg.ErrorRate = sp.ErrRate
 		cfg.RetainPayload = true
 	}
@@ -219,7 +219,7 @@ func (sp *Spec) Config() (*core.Config, error) {
 			return nil, fmt.Errorf("assert-delivery requires fault injection or the recovery timers")
 		}
 	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }
 
 // victimClass returns the measured traffic class: with hotspot aggressors
@@ -314,17 +314,16 @@ func (sp *Spec) Build() (*network.Network, error) {
 	return n, nil
 }
 
-// Warm brings a freshly built and wired network to the end of a warm-up
-// window of the given length: it loads RestorePath's snapshot, if any,
-// schedules the checkpoint, if any, and runs what remains of the window
-// with measurement off. The run it opens ends at cycle cycles + sp.Cycles;
-// a restored network already past the warm-up is left where it is, for Run
-// to finish. A snapshot from beyond that end is an error, and so is a
-// checkpoint cycle the run will never reach the barrier of — at or before
-// the restored cycle, at or past the end — instead of a file that holds
-// some other cycle under the requested name.
-func (sp *Spec) Warm(n *network.Network, cycles int64) error {
-	end := cycles + sp.Cycles
+// Warm brings a freshly built and wired network to the end of Warmup: it
+// loads RestorePath's snapshot, if any, schedules the checkpoint, if any,
+// and runs what remains of the warm-up with measurement off. The run it
+// opens ends at cycle Warmup + Cycles; a restored network already past the
+// warm-up is left where it is, for Run to finish. A snapshot from beyond
+// that end is an error, and so is a checkpoint cycle the run will never
+// reach the barrier of — at or before the restored cycle, at or past the
+// end — instead of a file holding some other cycle under the requested name.
+func (sp *Spec) Warm(n *network.Network) error {
+	end := sp.Warmup + sp.Cycles
 	if sp.RestorePath != "" {
 		// Restore rewinds nothing: the network is freshly built, so loading
 		// the snapshot leaves the clock at the checkpointed cycle.
@@ -337,14 +336,14 @@ func (sp *Spec) Warm(n *network.Network, cycles int64) error {
 		}
 		if int64(n.Now) > end {
 			return fmt.Errorf("restore: %s was taken at cycle %d, past the end of this run at cycle %d (warmup %d + %d measured)",
-				sp.RestorePath, n.Now, end, cycles, sp.Cycles)
+				sp.RestorePath, n.Now, end, sp.Warmup, sp.Cycles)
 		}
 	}
 	if sp.CheckpointPath != "" {
 		at, from := sp.CheckpointAt, int64(n.Now)
 		if at >= end || (sp.RestorePath != "" && at <= from) {
 			return fmt.Errorf("checkpoint: cycle %d is outside this run, which starts at cycle %d and ends at cycle %d (warmup %d + %d measured; a drain is not checkpointable)",
-				at, from, end, cycles, sp.Cycles)
+				at, from, end, sp.Warmup, sp.Cycles)
 		}
 		n.ScheduleCheckpoint(at, func(now sim.Tick) {
 			if err := os.WriteFile(sp.CheckpointPath, n.Checkpoint(now), 0o644); err != nil {
@@ -352,8 +351,8 @@ func (sp *Spec) Warm(n *network.Network, cycles int64) error {
 			}
 		})
 	}
-	if done := int64(n.Now); done < cycles {
-		n.Warmup(cycles - done)
+	if done := int64(n.Now); done < sp.Warmup {
+		n.Warmup(sp.Warmup - done)
 	}
 	return sp.ckptErr
 }

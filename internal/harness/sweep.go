@@ -7,15 +7,6 @@ import (
 	"stashsim/internal/sim"
 )
 
-// workers returns the sweep-level worker count: Options.Workers when
-// positive, otherwise GOMAXPROCS.
-func (o *Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // forEachPoint is the parallel sweep runner: it evaluates fn(i) for every
 // design point i in [0, n) over the bounded worker pool (sim.ParallelFor)
 // and returns the error of the lowest-indexed failed point, if any.
@@ -31,8 +22,12 @@ func (o *Options) workers() int {
 // A panicking point (an invariant violation, say) is reported as that
 // point's error instead of killing the process from a worker goroutine.
 func (o *Options) forEachPoint(n int, fn func(i int) error) error {
+	workers := o.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	errs := make([]error, n)
-	sim.ParallelFor(o.workers(), n, func(i int) {
+	sim.ParallelFor(workers, n, func(i int) {
 		defer func() {
 			if r := recover(); r != nil {
 				errs[i] = fmt.Errorf("harness: design point %d panicked: %v", i, r)

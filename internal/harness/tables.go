@@ -8,10 +8,10 @@ import (
 	"stashsim/internal/tracegen"
 )
 
-// Table1 reproduces Table I: the link asymmetry of a canonical dragonfly
+// table1 reproduces Table I: the link asymmetry of a canonical dragonfly
 // built from symmetric 100 m-provisioned switches, and the port-weighted
 // buffer underutilization (the paper's ~72%).
-func Table1(o *Options) (*stats.Table, error) {
+func table1(*Options) ([]Output, error) {
 	m := topo.PaperAsymmetry()
 	t := &stats.Table{Header: []string{"LinkType", "Length", "PctOfPorts", "BuffersUnderutilized"}}
 	names := map[topo.LinkClass]string{
@@ -26,12 +26,12 @@ func Table1(o *Options) (*stats.Table, error) {
 			fmtF(r.Underutilized*100, 0)+"%")
 	}
 	t.AddRow("TOTAL", "", "100", fmtF(m.TotalUnderutilized()*100, 1)+"%")
-	return t, o.writeCSV("table1", t)
+	return []Output{{Title: "Table I: link asymmetry & buffer underutilization", File: "table1", Table: t}}, nil
 }
 
-// Table2 reproduces Table II: the DesignForward application trace
+// table2 reproduces Table II: the DesignForward application trace
 // inventory, synthesized by internal/tracegen at the paper's rank counts.
-func Table2(o *Options) (*stats.Table, error) {
+func table2(*Options) ([]Output, error) {
 	t := &stats.Table{Header: []string{"Application", "Description", "Ranks", "Messages", "TotalMB"}}
 	for _, app := range tracegen.Apps() {
 		tr := app.Generate(tracegen.DefaultScale())
@@ -46,5 +46,5 @@ func Table2(o *Options) (*stats.Table, error) {
 			fmt.Sprint(tr.TotalMessages()),
 			fmtF(float64(tr.TotalBytes())/(1<<20), 1))
 	}
-	return t, o.writeCSV("table2", t)
+	return []Output{{Title: "Table II: DesignForward application traces (synthesized)", File: "table2", Table: t}}, nil
 }
