@@ -37,21 +37,16 @@ test:
 # protocol, the worker-crossing link slabs and the shared observability
 # sinks (tracer, telemetry server) are the paths it guards. -short skips
 # the multi-minute simulation sweeps (they run unshortened in `make test`
-# and add no concurrency coverage). Measured on a 2-CPU host after the
-# equivalence tests lost their hooks (PR 21: the reference is one public
-# Run(1) per cycle): 17m38s for the whole pass, of which internal/network —
-# one test binary — takes 1010 s and cmd/stashsim 861 s beside it on the
-# other CPU. The parent the same afternoon: 18m35s / 1068 s / 922 s, so the
-# test changes are a wash under the detector, as they are without it
-# (`go test ./internal/network`: 252 s against the parent's 240-313 s); the
-# host was about a fifth slower than when PR 18 measured 14m45s / 825 s /
-# 640 s. Time blocking does not shorten the pass: under the detector every
-# access also touches shadow memory, a group's working set no longer fits
-# the cache it was blocked for, and the instrumentation, not the misses,
-# is the cost. The long tests are still the loaded tiny scenario tests
-# (40-50 s each under the detector). internal/network alone is past go
-# test's 10-minute default per-package timeout, so the timeout stays
-# raised.
+# and add no concurrency coverage). Measured on a 2-CPU host once traffic
+# generators let their endpoints sleep between arrivals and switches probe
+# only the ports that are due: 14m56s for the whole pass, of which
+# internal/network — one test binary — takes 836 s and cmd/stashsim 719 s
+# beside it on the other CPU; the commit before, the same day, 15m32s /
+# 896 s / 736 s. Sleeping endpoints help little under the detector: the
+# long tests are the loaded tiny scenario tests, where every access also
+# touches shadow memory and the instrumentation, not the simulated work,
+# is the cost. internal/network alone is still past go test's 10-minute
+# default per-package timeout, so the timeout stays raised.
 race:
 	$(GO) test -race -short -timeout 30m ./...
 

@@ -14,11 +14,15 @@ import (
 // t+Latency; credits likewise.
 //
 // Each direction is a ring of in-flight entries in arrival order, owned by
-// its consumer. How a push reaches that ring is decided by the network's
-// cut into blocks and workers (Stage), never by a user:
+// its consumer. An entry landing on a ring lowers the consumer's slots to
+// its due cycle: the consumer's wake slot and, when the consumer is a
+// switch, that port's due slot (Switch.flitDue/credDue), which tells a
+// stepped switch which ports to probe. How a push reaches that ring is
+// decided by the network's cut into blocks and workers (Stage), never by a
+// user:
 //
 //   - Both ends on one worker: the producer pushes straight onto the
-//     consumer's ring and lowers the consumer's wake slot. One
+//     consumer's ring and lowers the consumer's slots. One
 //     goroutine steps both ends, and because Latency >= 1 the entry is not
 //     due before the next cycle, so the consumer sees the same ring
 //     whichever end steps first. When the ends are in different blocks of
@@ -31,7 +35,7 @@ import (
 //     slab of the current epoch's parity; the consumer's worker drains
 //     the other slab — everything staged last epoch — right after the
 //     epoch barrier (DrainEpochFlits/DrainEpochCredits), which is when
-//     the consumer's wake slot is lowered. The two
+//     the consumer's slots are lowered. The two
 //     sides never touch the same slab between barriers, and an epoch is
 //     never longer than Latency, so an entry staged during epoch e is not
 //     due before epoch e+1 drains it.
@@ -72,13 +76,18 @@ type Link struct {
 	faultDropped int64
 
 	// flitWake and credWake are the wake-table slots (sim.Executor.WakeSlot)
-	// of the flits' and the credits' consumer, nil on a bare link. Whatever
-	// lands an entry on a ring — a direct push, the epoch drain — lowers the
-	// slot to the ring's due cycle: the one signal a link gives its consumer.
+	// of the flits' and the credits' consumer, nil on a bare link; flitDue
+	// and credDue the consumer's due slot for this link's port when the
+	// consumer is a switch (wired by AttachInLink/AttachOutLink), nil
+	// otherwise. Whatever lands an entry on a ring — a direct push, a
+	// synthesized credit, the epoch drain — lowers both to the ring's due
+	// cycle: the one signal a link gives its consumer.
 	//
 	//stashsim:transient -- wiring; repartition re-slots every link
 	flitWake *int64
 	credWake *int64 //stashsim:transient -- wiring; repartition re-slots every link
+	flitDue  *int64 //stashsim:transient -- wiring; the consuming switch's port slot, set when the link is attached
+	credDue  *int64 //stashsim:transient -- wiring; the producing switch's port slot, set when the link is attached
 
 	// epoch, when non-nil, marks a worker-crossing link: pushes stage
 	// into slab epoch&1. The pointer is written only at a barrier (Stage);
@@ -112,7 +121,9 @@ func (l *Link) SendFlit(now int64, f proto.Flit) {
 	if l.Fault != nil && l.Fault.OnFlit(now, &f) {
 		l.faultDropped++
 		if l.Credited {
-			l.synth.add(now+2*l.Latency, proto.Credit{VC: f.VC, Shared: f.Flags&proto.FlagShared != 0})
+			at := now + 2*l.Latency
+			l.synth.add(at, proto.Credit{VC: f.VC, Shared: f.Flags&proto.FlagShared != 0})
+			l.creditsDue(at)
 		}
 		return
 	}
@@ -123,7 +134,7 @@ func (l *Link) SendFlit(now int64, f proto.Flit) {
 		return
 	}
 	l.flits.Push(at, f)
-	wakeBy(l.flitWake, at)
+	l.flitsDue(at)
 }
 
 // SendCredit returns a credit to the link's producer; it arrives after the
@@ -144,7 +155,22 @@ func (l *Link) SendCredit(now int64, c proto.Credit) {
 		return
 	}
 	l.credits.add(at, c)
+	l.creditsDue(at)
+}
+
+// flitsDue and creditsDue lower the slots of the flits' and of the credits'
+// consumer to at, the due cycle of an entry that just landed on the ring.
+//
+//stashsim:noalloc
+func (l *Link) flitsDue(at int64) {
+	wakeBy(l.flitWake, at)
+	wakeBy(l.flitDue, at)
+}
+
+//stashsim:noalloc
+func (l *Link) creditsDue(at int64) {
 	wakeBy(l.credWake, at)
+	wakeBy(l.credDue, at)
 }
 
 // WakeFlits and WakeCredits wire the wake slot of the flits' and of the
@@ -222,7 +248,7 @@ func (l *Link) DrainEpochFlits(slab int) {
 		l.flits.Push(in[i].At, in[i].V)
 	}
 	l.flitSlab[slab] = in[:0]
-	wakeBy(l.flitWake, l.NextFlitAt())
+	l.flitsDue(l.NextFlitAt())
 }
 
 // DrainEpochCredits is DrainEpochFlits for the reverse path, run by the
@@ -236,7 +262,7 @@ func (l *Link) DrainEpochCredits(slab int) {
 		l.credits.Push(in[i].At, in[i].V)
 	}
 	l.credSlab[slab] = in[:0]
-	wakeBy(l.credWake, l.NextCreditAt())
+	l.creditsDue(l.NextCreditAt())
 }
 
 // FaultDropped returns the number of flits destroyed on this link by

@@ -185,8 +185,8 @@ type retryRec struct {
 // Switch is one tiled (optionally stashing) switch instance. All of its
 // state is private to the worker that steps its block; cross-switch
 // traffic goes through Link rings, never through another Switch's fields
-// (but for the arm bits and the wake slot, which a direct Link push from a
-// switch of the same worker sets).
+// (but for the wake slot and the per-port due slots, which a direct Link
+// push from a switch of the same worker lowers).
 //
 //stashsim:owner partition
 type Switch struct {
@@ -241,6 +241,18 @@ type Switch struct {
 	//stashsim:transient -- wake-table slot; a restored run starts all awake
 	wake *sim.Tick
 
+	// flitDue and credDue are the per-port due slots: flitDue[p] is a lower
+	// bound on the due cycle of the oldest flit on input port p's link,
+	// credDue[p] on that of the oldest returned or synthesized credit on
+	// output port p's link. The link lowers them wherever it lowers the
+	// wake slot; Step probes only the ports whose slot has come due and
+	// resets each probed slot to its ring's due cycle, and NextWake is their
+	// minimum. Zero — probe — is always correct.
+	//
+	//stashsim:transient -- derived from the link rings; SetWakeSlot zeroes them, so a restored or repartitioned run probes every port once
+	flitDue []sim.Tick
+	credDue []sim.Tick //stashsim:transient -- derived from the link rings; SetWakeSlot zeroes them, so a restored or repartitioned run probes every port once
+
 	// entryFree recycles settled e2eEntry records (LIFO), so steady-state
 	// tracking churn allocates nothing once the high-water mark is reached.
 	//
@@ -268,17 +280,19 @@ func NewSwitch(id int, cfg *Config, rng *sim.RNG) *Switch {
 		panic("core: switch exceeds the 64-tile/64-port active-set masks")
 	}
 	s := &Switch{
-		ID:     id,
-		cfg:    cfg,
-		router: route.New(d, cfg.Route, rng.Derive(uint64(id)*2+1)),
-		rng:    rng.Derive(uint64(id) * 2),
-		radix:  radix,
-		in:     make([]inPort, radix),
-		out:    make([]outPort, radix),
-		tiles:  make([]tile, cfg.Rows*cfg.Cols),
-		stash:  make([]*buffer.StashPool, radix),
-		track:  make([]map[uint64]*e2eEntry, d.P),
-		tally:  tallies{jsqPick: make([]int64, cfg.Cols)},
+		ID:      id,
+		cfg:     cfg,
+		router:  route.New(d, cfg.Route, rng.Derive(uint64(id)*2+1)),
+		rng:     rng.Derive(uint64(id) * 2),
+		radix:   radix,
+		in:      make([]inPort, radix),
+		out:     make([]outPort, radix),
+		flitDue: make([]sim.Tick, radix),
+		credDue: make([]sim.Tick, radix),
+		tiles:   make([]tile, cfg.Rows*cfg.Cols),
+		stash:   make([]*buffer.StashPool, radix),
+		track:   make([]map[uint64]*e2eEntry, d.P),
+		tally:   tallies{jsqPick: make([]int64, cfg.Cols)},
 	}
 	for p := 0; p < radix; p++ {
 		class := d.PortClass(p)
@@ -340,14 +354,20 @@ func NewSwitch(id int, cfg *Config, rng *sim.RNG) *Switch {
 	return s
 }
 
-// AttachInLink wires the incoming link of input port p.
-func (s *Switch) AttachInLink(p int, l *Link) { s.in[p].link = l }
+// AttachInLink wires the incoming link of input port p, and the port's
+// due slot into it.
+func (s *Switch) AttachInLink(p int, l *Link) {
+	s.in[p].link = l
+	l.flitDue = &s.flitDue[p]
+}
 
-// AttachOutLink wires the outgoing link of output port p. The credit
-// counter mirrors the downstream input buffer; pass zero capacity for
-// endpoint-facing ports (endpoints sink flits without credits).
+// AttachOutLink wires the outgoing link of output port p, and the port's
+// credit due slot into it. The credit counter mirrors the downstream input
+// buffer; pass zero capacity for endpoint-facing ports (endpoints sink
+// flits without credits).
 func (s *Switch) AttachOutLink(p int, l *Link, downstreamCap int) {
 	s.out[p].link = l
+	l.credDue = &s.credDue[p]
 	if downstreamCap > 0 {
 		s.out[p].credits = buffer.NewCreditCounter(downstreamCap, proto.NumNetVCs)
 	}
@@ -356,11 +376,15 @@ func (s *Switch) AttachOutLink(p int, l *Link, downstreamCap int) {
 // SetWakeSlot hands the switch its wake-table slot and wires it into every
 // attached link: flits arriving on an input link and credits returning on
 // an output link are this switch's input. Called by the network's
-// repartition, at a barrier.
+// repartition, at a barrier — which may have flushed staged entries onto
+// the rings without a slot store, so every port's due slot is zeroed too,
+// like the fresh wake table.
 //
 //stashsim:phase serial
 func (s *Switch) SetWakeSlot(w *sim.Tick) {
 	s.wake = w
+	clear(s.flitDue)
+	clear(s.credDue)
 	for p := 0; p < s.radix; p++ {
 		s.in[p].link.WakeFlits(w)
 		s.out[p].link.WakeCredits(w)
@@ -603,15 +627,16 @@ var _ sim.Stepper = (*Switch)(nil)
 // an event is pending for it — queued or retention-held flits, a non-empty
 // retrieval queue — and costs nothing otherwise; the activity masks are
 // maintained by the owner at every site that queues work for a port. Links
-// are not masked: the credit and arrival walks read every port's ring
-// header, one due time each, because idleness is decided one level up — a
-// switch with nothing due on a link and nothing queued is not stepped at
-// all (NextWake). Any per-cycle state a skipped stage would have advanced
-// is reconstructed deterministically on wake — the output serialization
-// accumulator catches up in stepOutput (accTick), and an idle input port's
-// ECN congested flag is cleared when its activity bit clears, which is
-// exactly what stepRowBus would compute for an empty buffer. Skipped stages
-// are otherwise provably no-ops: every arbiter pointer advances only on
+// are probed through the dense per-port due slots (flitDue, credDue): the
+// credit and arrival walks read one slot per port and touch a link's ring
+// only when its slot has come due, and a switch with nothing due on a
+// link and nothing queued is not stepped at all (NextWake). Any per-cycle
+// state a skipped stage would have advanced is reconstructed
+// deterministically on wake — the output serialization accumulator catches
+// up in stepOutput (accTick), and an idle input port's ECN congested flag
+// is cleared when its activity bit clears, which is exactly what
+// stepRowBus would compute for an empty buffer. Skipped stages are
+// otherwise provably no-ops: every arbiter pointer advances only on
 // grants, and grants require a non-empty request set.
 //
 // Step is the switch's parallel-phase entry: it runs concurrently with
@@ -629,12 +654,16 @@ func (s *Switch) Step(now sim.Tick) {
 		s.stepSideband(now)
 	}
 	// Fold due credit returns, receiver-sent and fault-synthesized, straight
-	// into the counters.
-	for p := range s.out {
-		op := &s.out[p]
-		if l := op.link; op.credits != nil && (l.credits.FrontDue(now) || l.synth.FrontDue(now)) {
-			l.RecvCreditsInto(now, op.credits)
+	// into the counters, on the ports whose slot has come due.
+	for p, due := range s.credDue {
+		if due > now {
+			continue
 		}
+		op := &s.out[p]
+		if op.credits != nil {
+			op.link.RecvCreditsInto(now, op.credits)
+		}
+		s.credDue[p] = op.link.NextCreditAt()
 	}
 	// Mask walks visit active ports/tiles in ascending index order — the
 	// same order the full scans visited, so arbitration is unchanged. Bits
@@ -669,8 +698,11 @@ func (s *Switch) Step(now sim.Tick) {
 			ip.congested = false
 		}
 	}
-	// Arrivals: links whose front flit is due.
-	for p := range s.in {
+	// Arrivals: links whose slot, and then whose front flit, is due.
+	for p, due := range s.flitDue {
+		if due > now {
+			continue
+		}
 		ip := &s.in[p]
 		if ip.link.flits.FrontDue(now) {
 			s.stepArrivals(now, ip)
@@ -678,6 +710,7 @@ func (s *Switch) Step(now sim.Tick) {
 				s.inActive |= 1 << uint(p)
 			}
 		}
+		s.flitDue[p] = ip.link.NextFlitAt()
 	}
 }
 
@@ -685,8 +718,9 @@ func (s *Switch) Step(now sim.Tick) {
 // flit is queued in it (inputs, tiles, column or output buffers, stash
 // retrievals — those stages count stalls per cycle); otherwise Step is a
 // no-op until the earliest of the timed things it holds comes due: a
-// retention release, a credit batch or flit on a link, a side-band
-// message, a parity rebuild, or the next scan of armed retry timers.
+// retention release, a credit batch or flit on a link (its port's due
+// slot), a side-band message, a parity rebuild, or the next scan of armed
+// retry timers.
 //
 //stashsim:phase parallel
 //stashsim:noalloc
@@ -702,8 +736,8 @@ func (s *Switch) NextWake(now sim.Tick) sim.Tick {
 		}
 		w = min(w, b.NextRelease())
 	}
-	for p := range s.in {
-		w = min(w, s.in[p].link.NextFlitAt(), s.out[p].link.NextCreditAt())
+	for p, due := range s.flitDue {
+		w = min(w, due, s.credDue[p])
 	}
 	w = min(w, s.sideband.NextAt())
 	for i := range s.reconQ {

@@ -117,14 +117,34 @@ type Endpoint struct {
 	//stashsim:transient -- wake-table slot; a restored run starts all awake
 	wake *sim.Tick
 
-	// Gen, when non-nil, is invoked at the start of every cycle to
-	// generate traffic (assigned by the harness). An endpoint with a
-	// generator never sleeps: its random draws are per cycle. Assign it
-	// between runs only — every public run entry of the network starts
-	// with all components awake.
+	// Gen, when non-nil, generates traffic (assigned by the harness; see
+	// package traffic). Every Step calls it first, Gen(now, e), and it
+	// returns the next cycle it must run at, a > now; the endpoint sleeps
+	// no later than that. A generator is defined by its per-cycle form —
+	// called every cycle — and may announce a later cycle than now+1 only
+	// if it has already drawn, on its stream, exactly what the per-cycle
+	// form draws through cycle a-1: the cycles in between are known misses
+	// and cost one draw each. A call on one of them draws nothing and
+	// returns a again. So between calls the stream is (a - c) draws ahead
+	// of the per-cycle form's at any cycle c < a, and the checkpoint writes
+	// GenRNG that much rewound (the barrier rule; State), leaving the stream
+	// the generator goes on using alone.
+	//
+	// Assign it between runs only — every public run entry of the network
+	// starts with all components awake, so a new generator runs on the
+	// entry's first cycle. Clearing it hands its draws ahead back to GenRNG
+	// there. Installing another generator in its place does not: the new
+	// one continues the stream from where the old one left it.
 	//
 	//stashsim:transient -- closure rebuilt by the harness; its stream travels as GenRNG
-	Gen func(now sim.Tick, e *Endpoint)
+	Gen func(now sim.Tick, e *Endpoint) sim.Tick
+
+	// genNext is the cycle Gen last announced: a NextWake term, and the
+	// measure of how far Gen's stream is ahead (see Gen). Zero — a
+	// generator that has announced nothing — is always correct.
+	//
+	//stashsim:derived -- a fresh generator announces it again on its first call; a checkpoint writes GenRNG at the per-cycle position instead
+	genNext sim.Tick
 
 	// GenRNG, when non-nil, is the RNG stream driving Gen's random draws.
 	// The harness assigns it alongside Gen so checkpoint/restore can carry
@@ -256,7 +276,15 @@ var _ sim.Stepper = (*Endpoint)(nil)
 // accumulator and credits allow.
 func (e *Endpoint) Step(now sim.Tick) {
 	if e.Gen != nil {
-		e.Gen(now, e)
+		e.genNext = e.Gen(now, e)
+	} else if e.genNext != 0 {
+		// The generator was cleared since the last run: its draws ahead go
+		// back to the stream, which now stays where the per-cycle form
+		// stopped.
+		if e.GenRNG != nil {
+			e.GenRNG.Skip(-e.drawsAhead(now))
+		}
+		e.genNext = 0
 	}
 	e.stepRecv(now)
 	e.stepRetrans(now)
@@ -264,21 +292,29 @@ func (e *Endpoint) Step(now sim.Tick) {
 }
 
 // NextWake implements sim.Stepper. The endpoint is busy next cycle while
-// it has a generator, anything to inject (a packet in progress, queued
-// ACKs, resends or messages) or a serialization accumulator still filling;
-// otherwise Step is a no-op until a flit or credit on its links comes due
-// or the next scan of armed ACK timers.
+// it has anything to inject (a packet in progress, queued ACKs, resends or
+// messages) or a serialization accumulator still filling; otherwise Step
+// is a no-op until the cycle its generator announced, a flit or credit on
+// its links comes due, or the next scan of armed ACK timers.
 func (e *Endpoint) NextWake(now sim.Tick) sim.Tick {
-	if e.Gen != nil || e.cur.active || !e.ackQ.Empty() || !e.rtxQ.Empty() ||
+	if e.cur.active || !e.ackQ.Empty() || !e.rtxQ.Empty() ||
 		len(e.active) > 0 || e.acc < e.cfg.RateDen {
 		return now + 1
 	}
 	w := min(e.fromSw.NextFlitAt(), e.toSw.NextCreditAt())
+	if e.Gen != nil {
+		w = min(w, e.genNext)
+	}
 	if len(e.outTimers) > 0 {
 		w = min(w, e.cfg.Retrans.NextScan(now))
 	}
 	return max(w, now+1)
 }
+
+// drawsAhead returns how many draws Gen's stream stands ahead of the
+// per-cycle form's at cycle now: one for each cycle from now up to the
+// announced one (see Gen).
+func (e *Endpoint) drawsAhead(now sim.Tick) int64 { return max(e.genNext-now, 0) }
 
 func (e *Endpoint) stepRecv(now sim.Tick) {
 	verify := e.cfg.VerifyChecksums()

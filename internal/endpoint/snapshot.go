@@ -14,15 +14,29 @@ import (
 // generator closure itself is rebuilt by the harness; only its RNG stream
 // (GenRNG) is carried across a restart.
 
-// State walks the endpoint's full dynamic state; decoding expects a
-// freshly built endpoint of the identical configuration.
+// State walks the endpoint's full dynamic state at cycle now, the next
+// cycle to execute; decoding expects a freshly built endpoint of the
+// identical configuration.
+//
+// The generator's stream is written as its per-cycle form would have left
+// it at now — the barrier rule: a generator that announced a later cycle
+// has drawn one miss ahead for each cycle up to it (see Gen), and the
+// bytes hand those draws back while the live stream keeps them. A
+// restored endpoint's fresh generator has announced nothing and draws on
+// from there, so snapshot bytes do not depend on how far ahead it looked.
 //
 //stashsim:phase serial -- walks partition-owned queues and maps; runs only at a cycle barrier or before the restored run starts
-func (e *Endpoint) State(c *snapshot.Codec) {
+func (e *Endpoint) State(c *snapshot.Codec, now int64) {
 	c.Section("ENDP")
 	c.RNG(e.rng)
 	if c.Present("a traffic generator RNG on an endpoint", e.GenRNG != nil) {
-		c.RNG(e.GenRNG)
+		if c.Decoding() {
+			c.RNG(e.GenRNG)
+		} else {
+			perCycle := *e.GenRNG
+			perCycle.Skip(-e.drawsAhead(now))
+			c.RNG(&perCycle)
+		}
 	}
 	e.fromSw.State(c)
 	e.credits.State(c)

@@ -297,8 +297,33 @@ func TestAblationsShape(t *testing.T) {
 	s.holds()
 }
 
-// TestCommittedResultsShape holds the committed small-preset dataset to the
-// same criteria, the scaled ones included. The criteria it is known to fail
+// committed parses every CSV of a committed dataset, results/<dir>.
+func committed(t *testing.T, dir string) []Output {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("../../results", dir, "*.csv"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed dataset in results/%s: %v (err %v)", dir, files, err)
+	}
+	var outs []Output
+	for _, file := range files {
+		f, err := os.Open(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := csv.NewReader(f).ReadAll()
+		f.Close()
+		if err != nil || len(recs) < 2 {
+			t.Fatalf("%s: %d records, err %v", file, len(recs), err)
+		}
+		outs = append(outs, Output{File: strings.TrimSuffix(filepath.Base(file), ".csv"),
+			Table: &stats.Table{Header: recs[0], Rows: recs[1:]}})
+	}
+	return outs
+}
+
+// TestCommittedResultsShape holds the committed datasets — every CSV of
+// results/small and results/tiny must parse — to the same criteria, the
+// scaled ones included for results/small. The criteria it is known to fail
 // are findings EXPERIMENTS.md explains, listed here by name: a regenerated
 // dataset that fixes one, or breaks another, fails until this list says so.
 func TestCommittedResultsShape(t *testing.T) {
@@ -311,28 +336,14 @@ func TestCommittedResultsShape(t *testing.T) {
 		// Bursts 1-8: a stashed victim waits behind resident aggressor packets.
 		"fig9/stash-below-baseline": `EXPERIMENTS.md "Figure 9", Deviation: one pool-wide retrieval FIFO`,
 	}
-	files, err := filepath.Glob("../../results/small/fig*.csv")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no committed dataset: %v (err %v)", files, err)
-	}
-	s := &shape{t: t}
-	for _, file := range files {
-		f, err := os.Open(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs, err := csv.NewReader(f).ReadAll()
-		f.Close()
-		if err != nil || len(recs) < 2 {
-			t.Fatalf("%s: %d records, err %v", file, len(recs), err)
-		}
-		s.outs = append(s.outs, Output{File: strings.TrimSuffix(filepath.Base(file), ".csv"),
-			Table: &stats.Table{Header: recs[0], Rows: recs[1:]}})
-	}
+	s := &shape{t: t, outs: committed(t, "small")}
 	checkFig5(s, true)
 	checkFig6(s, true)
 	checkFig7(s, true)
 	checkFig9(s, true)
+	if tab := s.table("table2"); len(tab.Rows) != 6 || len(tab.Rows[0]) != len(tab.Header) {
+		t.Errorf("results/small/table2.csv: %d applications of %d cells, want 6 of %d", len(tab.Rows), len(tab.Rows[0]), len(tab.Header))
+	}
 	failed := map[string]bool{}
 	for _, name := range s.failed {
 		failed[name] = true
@@ -345,11 +356,14 @@ func TestCommittedResultsShape(t *testing.T) {
 			t.Errorf("%s now holds on results/small: drop it from the known findings (it was: %s)", name, why)
 		}
 	}
+	tiny := &shape{t: t, outs: committed(t, "tiny")}
+	checkAblations(tiny)
+	tiny.holds()
 }
 
 // TestCSVOutput: what cmd/figures writes for an output reads back as the
-// table — Table II's descriptions carry commas, and the committed
-// results/small/table2.csv, written before cells were quoted, does not.
+// table — Table II's descriptions and the ablations' variant names carry
+// commas (TestCommittedResultsShape reads the committed files back).
 func TestCSVOutput(t *testing.T) {
 	for _, name := range []string{"table1", "table2"} {
 		for _, out := range tinyRun(t, name) {

@@ -54,7 +54,7 @@ func (n *Network) state(c *snapshot.Codec, now *int64) {
 		}
 	}
 	for _, ep := range n.Endpoints {
-		if ep.State(c); c.Err() != nil {
+		if ep.State(c, *now); c.Err() != nil {
 			return
 		}
 	}

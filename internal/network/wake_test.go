@@ -241,50 +241,74 @@ func TestWakeOnFlitAndCredit(t *testing.T) {
 	}
 }
 
-// TestWakeOnSynthCredit: every flit a producer sends is dropped on its link
-// (an outage), so its credits come back only as synthesized entries on its
-// own synth ring, two link latencies later — when the producer has long
-// been idle. No retry timers are armed (baseline mode), so the synth ring's
-// due time in NextWake is the one thing that steps it then. The producer is
-// endpoint 0 in one case and its switch in the other: nothing announces a
-// producer-side credit to a switch but its own walk over every port.
+// synthNet builds a quiet baseline network in which every flit the
+// producer on side ("endpoint": endpoint 0; "switch": switch 0) sends on a
+// credited link is dropped (an outage), so its credits come back only as
+// synthesized entries on its own synth ring, two link latencies later.
+// No retry timers are armed.
+func synthNet(t *testing.T, side string) *Network {
+	return quietNet(t, func(cfg *core.Config) {
+		cfg.Mode = core.StashOff
+		links := []string{"ep0->sw0.0"}
+		if side == "switch" {
+			links = nil
+			for p, d := 0, cfg.Topo; p < d.Radix(); p++ {
+				if d.PortClass(p) != topo.Endpoint {
+					nsw, np := d.Neighbor(0, p)
+					links = append(links, fmt.Sprintf("sw0.%d->sw%d.%d", p, nsw, np))
+				}
+			}
+		}
+		cfg.Fault = &fault.Plan{Seed: 3}
+		for _, l := range links {
+			cfg.Fault.Outages = append(cfg.Fault.Outages, fault.Outage{Link: l, Start: 0, End: 10000})
+		}
+	})
+}
+
+// creditedLink is one of a producer's credited links and its view of the
+// downstream buffer: what it may still send there.
+type creditedLink struct {
+	link    *core.Link
+	credits *buffer.CreditCounter
+}
+
+func (c creditedLink) free() int {
+	n := c.credits.SharedFree()
+	for vc := 0; vc < c.credits.NumVCs(); vc++ {
+		n += c.credits.ResvFree(vc)
+	}
+	return n
+}
+
+// producerLinks returns synthNet's producer's credited links.
+func producerLinks(n *Network, side string) []creditedLink {
+	if side == "endpoint" {
+		toSw, _ := n.Endpoints[0].AuditLinks()
+		return []creditedLink{{toSw, n.Endpoints[0].AuditCredits()}}
+	}
+	var out []creditedLink
+	for p := 0; p < n.Cfg.Topo.Radix(); p++ {
+		if cc := n.Switches[0].AuditOutCredits(p); cc != nil {
+			out = append(out, creditedLink{n.Switches[0].AuditOutLink(p), cc})
+		}
+	}
+	return out
+}
+
+// TestWakeOnSynthCredit: in synthNet the producer has long been idle when
+// its synthesized credits come due, so the synth ring's due time is the one
+// thing that steps it then — for the switch, through the port's credit due
+// slot, which the synthesized credit lowers like any other. The producer is
+// endpoint 0 in one case and its switch in the other.
 func TestWakeOnSynthCredit(t *testing.T) {
 	for _, side := range []string{"endpoint", "switch"} {
 		t.Run(side, func(t *testing.T) {
-			build := func() *Network {
-				return quietNet(t, func(cfg *core.Config) {
-					cfg.Mode = core.StashOff
-					links := []string{"ep0->sw0.0"}
-					if side == "switch" {
-						links = nil
-						for p, d := 0, cfg.Topo; p < d.Radix(); p++ {
-							if d.PortClass(p) != topo.Endpoint {
-								nsw, np := d.Neighbor(0, p)
-								links = append(links, fmt.Sprintf("sw0.%d->sw%d.%d", p, nsw, np))
-							}
-						}
-					}
-					cfg.Fault = &fault.Plan{Seed: 3}
-					for _, l := range links {
-						cfg.Fault.Outages = append(cfg.Fault.Outages, fault.Outage{Link: l, Start: 0, End: 10000})
-					}
-				})
-			}
-			// avail is the producer's view of its downstream buffers: what
-			// it may still send on each VC of each credited link.
+			build := func() *Network { return synthNet(t, side) }
 			avail := func(n *Network) (free []int) {
-				counters := []*buffer.CreditCounter{n.Endpoints[0].AuditCredits()}
-				if side == "switch" {
-					counters = nil
-					for p := 0; p < n.Cfg.Topo.Radix(); p++ {
-						if cc := n.Switches[0].AuditOutCredits(p); cc != nil {
-							counters = append(counters, cc)
-						}
-					}
-				}
-				for _, cc := range counters {
-					for vc := 0; vc < cc.NumVCs(); vc++ {
-						free = append(free, cc.Avail(vc))
+				for _, c := range producerLinks(n, side) {
+					for vc := 0; vc < c.credits.NumVCs(); vc++ {
+						free = append(free, c.credits.Avail(vc))
 					}
 				}
 				return free
@@ -307,6 +331,53 @@ func TestWakeOnSynthCredit(t *testing.T) {
 			var fs struct{ Fault fault.Stats }
 			if err := json.Unmarshal(got.summary, &fs); err != nil || fs.Fault.OutagePkts == 0 {
 				t.Fatalf("the outage dropped nothing (%v): the test exercised no synthesized credit", err)
+			}
+		})
+	}
+}
+
+// atEveryCycle is an Observer that calls fn after every cycle.
+type atEveryCycle func(now int64)
+
+func (atEveryCycle) NextEventAt(from int64) int64 { return from }
+func (fn atEveryCycle) AtBarrier(now int64)       { fn(now) }
+
+// TestSynthCreditOnTime is TestWakeOnSynthCredit's absolute form, cycle by
+// cycle: a flit dropped at cycle t has its credit back in the producer's
+// counter after cycle t + 2·Latency, not before and not later. The
+// equivalence cannot see a credit folded late when the reference folds it
+// late too, and on a switch that is already awake at t + 2·Latency — the
+// dropped flit's retention window is released then — only a probe of the
+// right port's slot folds it.
+func TestSynthCreditOnTime(t *testing.T) {
+	for _, side := range []string{"endpoint", "switch"} {
+		t.Run(side, func(t *testing.T) {
+			n := synthNet(t, side)
+			links := producerLinks(n, side)
+			full := make([]int, len(links))
+			dropped := make([][]int64, len(links)) // dropped[i][c]: flits dropped on link i by the end of cycle c
+			for i, c := range links {
+				full[i] = c.free()
+			}
+			folds := 0
+			n.Observe(atEveryCycle(func(now int64) {
+				for i, c := range links {
+					dropped[i] = append(dropped[i], c.link.FaultDropped())
+					owed := dropped[i][now]
+					if due := now - 2*c.link.Latency; due >= 0 {
+						owed -= dropped[i][due] // dropped by cycle now-2L: folded by now
+						folds += int(dropped[i][due])
+					}
+					if got := c.free(); got != full[i]-int(owed) {
+						t.Fatalf("cycle %d, link %d (latency %d): %d credits free, want %d: %d flits dropped in the last %d cycles are owed",
+							now, i, c.link.Latency, got, full[i]-int(owed), owed, 2*c.link.Latency)
+					}
+				}
+			}))
+			n.Endpoints[0].EnqueueMessage(farEndpoint(n), 2*proto.MaxPacketFlits, proto.ClassDefault, 1)
+			n.Run(400)
+			if folds == 0 {
+				t.Fatal("no synthesized credit came due: the test exercised nothing")
 			}
 		})
 	}
@@ -517,7 +588,10 @@ func TestWakeOnRunEntry(t *testing.T) {
 		for i, ep := range n.Endpoints {
 			i := i
 			first[i] = sim.Never
-			ep.Gen = func(now sim.Tick, _ *endpoint.Endpoint) { first[i] = min(first[i], now) }
+			ep.Gen = func(now sim.Tick, _ *endpoint.Endpoint) sim.Tick {
+				first[i] = min(first[i], now)
+				return now + 1
+			}
 		}
 		at, before := n.Now, stepped()
 		entry.enter()
@@ -634,12 +708,75 @@ var wakeGridKinds = []wakeGridKind{
 	}},
 }
 
+// The generator dimension of the grids. A generator is defined by its
+// per-cycle form; the ones of package traffic look ahead to their next
+// arrival and let the endpoint sleep until then, and a checkpoint writes
+// their stream as the per-cycle form would have left it. So the reference
+// runs the per-cycle forms (perCycleGen), and the sleeping run is held to
+// what the generators drew before they looked ahead — in every checkpoint
+// too — not to itself. genKinds: "uniform" starts at once, "delayed" at
+// cycle genDelay (its endpoint is stepped every cycle until then),
+// "permutation" sends all its traffic to one partner, "mixed" deals the
+// three out round robin over the endpoints.
+var genKinds = []string{"uniform", "delayed", "permutation", "mixed"}
+
+const genDelay = 150
+
+// perCycleGen is traffic.Uniform's (partner < 0) and traffic.Permutation's
+// per-cycle form: the draw loop they ran before they looked ahead, one
+// Bernoulli draw a cycle from start on and the destination's draws after
+// each hit.
+func perCycleGen(rng *sim.RNG, numEndpoints int, partner int32, load, rate float64, start sim.Tick) func(sim.Tick, *endpoint.Endpoint) sim.Tick {
+	p := load * rate / float64(proto.MaxPacketFlits)
+	return func(now sim.Tick, e *endpoint.Endpoint) sim.Tick {
+		if now >= start && rng.Bernoulli(p) {
+			dst := partner
+			for dst < 0 || dst == e.ID {
+				dst = int32(rng.Intn(numEndpoints))
+			}
+			e.EnqueueMessage(dst, proto.MaxPacketFlits, proto.ClassDefault, 0)
+		}
+		return now + 1
+	}
+}
+
+// installGen gives endpoint i generator kind g at the given load, drawing
+// from gen (which it also hands the endpoint as GenRNG): the traffic
+// package's, or with perCycle its per-cycle form.
+func installGen(n *Network, i int, g string, gen *sim.RNG, load float64, perCycle bool) {
+	ep, rate, N := n.Endpoints[i], n.ChannelRate(), len(n.Endpoints)
+	if g == "mixed" {
+		g = genKinds[i%3]
+	}
+	var start sim.Tick
+	partner := int32(-1)
+	switch g {
+	case "delayed":
+		start = genDelay
+	case "permutation":
+		partner = int32((i + N/2) % N)
+	}
+	ep.GenRNG = gen
+	switch {
+	case perCycle:
+		ep.Gen = perCycleGen(gen, N, partner, load, rate, start)
+	case partner >= 0:
+		ep.Gen = traffic.Permutation(gen, partner, load, rate, proto.MaxPacketFlits, proto.ClassDefault)
+	default:
+		ep.Gen = traffic.Uniform(gen, N, nil, load, rate, proto.MaxPacketFlits, proto.ClassDefault, start)
+	}
+}
+
 // driveWakeGrid is the grid's script: a loaded phase, a sparse phase in
 // which one endpoint in nine still generates, a silent phase with a few
 // scripted messages, and a drain — with the machine state captured in the
-// middle of each of the first three.
+// middle of each of the first three and right at the start of the sparse
+// one, where the removed generators' draws ahead are still on their
+// streams. The endpoints run the mixed generators; the reference, their
+// per-cycle forms.
 func driveWakeGrid(n *Network, run runner, kind string) *wakeObs {
-	o := observe(n, 700, 2000, 2900)
+	o := observe(n, 700, 1200, 2000, 2900)
+	_, perCycle := run.(reference)
 	rng := sim.NewRNG(n.Cfg.Seed + 77)
 	load := 0.25
 	if kind == "ecn" {
@@ -647,12 +784,12 @@ func driveWakeGrid(n *Network, run runner, kind string) *wakeObs {
 	}
 	for i, ep := range n.Endpoints {
 		gen := rng.Derive(uint64(ep.ID))
-		ep.GenRNG = gen
 		if kind == "ecn" && i%11 == 3 {
+			ep.GenRNG = gen
 			ep.Gen = traffic.Hotspot(int32(i%2), proto.MaxPacketFlits, proto.ClassAggressor, 0)
 			continue
 		}
-		ep.Gen = traffic.Uniform(gen, len(n.Endpoints), nil, load, n.ChannelRate(), proto.MaxPacketFlits, proto.ClassDefault, 0)
+		installGen(n, i, "mixed", gen, load, perCycle)
 	}
 	run.Warmup(400)
 	run.Run(800)
@@ -677,10 +814,12 @@ func driveWakeGrid(n *Network, run runner, kind string) *wakeObs {
 // TestSpuriousWakeIsNoop is the invariant over the configurations the
 // goldens pin: presets x {e2e, congestion + ECN, faults + parity k=4} x
 // workers {1, 2, 12} x epochs {free-running, held to one cycle by an
-// observer}. Each point's sleeping run must be indistinguishable from the
-// regime's reference run (on one worker: results do not depend on the
-// count, which TestEpochMatchesSerial pins separately and this grid
-// re-checks for free).
+// observer}, every run with uniform, delayed-start and permutation
+// generators, most of them removed mid-run. Each point's sleeping run must
+// be indistinguishable from the regime's reference run (on one worker:
+// results do not depend on the count, which TestEpochMatchesSerial pins
+// separately and this grid re-checks for free), whose generators are the
+// per-cycle forms.
 func TestSpuriousWakeIsNoop(t *testing.T) {
 	presets := []string{"tiny", "small"}
 	if testing.Short() {
@@ -728,19 +867,21 @@ func TestSpuriousWakeIsNoop(t *testing.T) {
 
 // FuzzWakeEquivalence searches for a configuration in which sleeping or
 // block-by-block stepping shows: generated small dragonflies x load x
-// fault plan x parity x worker count x the way the run is chunked into
-// public Run calls (each of which starts all awake and ends an epoch, so
-// chunking moves where components fall asleep and where blocks take
-// turns). The reference is the same network advanced one Run(1) per cycle.
+// generator kind x fault plan x parity x worker count x the way the run is
+// chunked into public Run calls (each of which starts all awake and ends
+// an epoch, so chunking moves where components fall asleep and where
+// blocks take turns). The reference is the same network advanced one
+// Run(1) per cycle, running the generators' per-cycle forms; the
+// generators are removed mid-run, with a checkpoint right there.
 func FuzzWakeEquivalence(f *testing.F) {
-	f.Add(uint64(1), uint8(0), uint8(1), uint8(0), false, uint16(0), uint8(0))
-	f.Add(uint64(2), uint8(1), uint8(0), uint8(7), true, uint16(37), uint8(1))
-	f.Add(uint64(3), uint8(2), uint8(2), uint8(3), true, uint16(1), uint8(2))
-	f.Add(uint64(4), uint8(3), uint8(1), uint8(4), false, uint16(500), uint8(0))
-	f.Add(uint64(5), uint8(2), uint8(0), uint8(5), true, uint16(64), uint8(1))
+	f.Add(uint64(1), uint8(0), uint8(1), uint8(0), uint8(0), false, uint16(0), uint8(0))
+	f.Add(uint64(2), uint8(1), uint8(0), uint8(1), uint8(7), true, uint16(37), uint8(1))
+	f.Add(uint64(3), uint8(2), uint8(2), uint8(2), uint8(3), true, uint16(1), uint8(2))
+	f.Add(uint64(4), uint8(3), uint8(1), uint8(3), uint8(4), false, uint16(500), uint8(0))
+	f.Add(uint64(5), uint8(2), uint8(0), uint8(0), uint8(5), true, uint16(64), uint8(1))
 	topos := []topo.Dragonfly{{P: 1, A: 2, H: 1}, {P: 2, A: 2, H: 1}, {P: 2, A: 4, H: 2}, {P: 3, A: 3, H: 1}}
 	loads := []float64{0.03, 0.15, 0.45}
-	f.Fuzz(func(t *testing.T, seed uint64, topoSel, loadSel, faults uint8, parity bool, chunk uint16, workers uint8) {
+	f.Fuzz(func(t *testing.T, seed uint64, topoSel, loadSel, genSel, faults uint8, parity bool, chunk uint16, workers uint8) {
 		d := topos[int(topoSel)%len(topos)]
 		build := func() *Network {
 			cfg := core.TinyConfig()
@@ -778,13 +919,12 @@ func FuzzWakeEquivalence(f *testing.F) {
 			return n
 		}
 		drive := func(n *Network, r runner, chunk int64) *wakeObs {
-			o := observe(n, 450, 1250, 1900)
+			o := observe(n, 450, 1000, 1250, 1900)
+			_, perCycle := r.(reference)
 			rng := sim.NewRNG(seed + 77)
-			for _, ep := range n.Endpoints {
-				gen := rng.Derive(uint64(ep.ID))
-				ep.Gen = traffic.Uniform(gen, len(n.Endpoints), nil, loads[int(loadSel)%len(loads)],
-					n.ChannelRate(), proto.MaxPacketFlits, proto.ClassDefault, 0)
-				ep.GenRNG = gen
+			for i, ep := range n.Endpoints {
+				installGen(n, i, genKinds[int(genSel)%len(genKinds)], rng.Derive(uint64(ep.ID)),
+					loads[int(loadSel)%len(loads)], perCycle)
 			}
 			run := func(cycles int64) {
 				for cycles > 0 {

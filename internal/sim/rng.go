@@ -44,16 +44,27 @@ func (r *RNG) State() uint64 { return r.state }
 // stream exactly where it left off.
 func (r *RNG) SetState(s uint64) { r.state = s }
 
+// gamma is splitmix64's state increment: every draw adds it once.
+const gamma = 0x9E3779B97F4A7C15
+
 // Uint64 returns the next 64 uniformly random bits.
 //
 //stashsim:noalloc
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9E3779B97F4A7C15
+	r.state += gamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
 }
+
+// Skip moves the stream past k draws of Uint64 — or of Intn, Int63,
+// Float64 or Bernoulli, each of which is one draw — in O(1), since a
+// draw only adds gamma to the state. A negative k rewinds the stream by
+// -k draws.
+//
+//stashsim:noalloc
+func (r *RNG) Skip(k int64) { r.state += uint64(k) * gamma }
 
 // Intn returns a uniformly random int in [0, n). It panics if n <= 0.
 //

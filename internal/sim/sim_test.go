@@ -42,6 +42,34 @@ func TestRNGDeriveIndependence(t *testing.T) {
 	}
 }
 
+// TestRNGSkip: Skip(k) leaves the stream where k draws would, for every
+// kind of draw, and Skip(-k) undoes it.
+func TestRNGSkip(t *testing.T) {
+	for _, k := range []int64{0, 1, 2, 17, 1000} {
+		drawn, skipped := NewRNG(21), NewRNG(21)
+		for i := int64(0); i < k; i++ {
+			switch i % 4 {
+			case 0:
+				drawn.Uint64()
+			case 1:
+				drawn.Intn(7)
+			case 2:
+				drawn.Bernoulli(0.5)
+			default:
+				drawn.Float64()
+			}
+		}
+		skipped.Skip(k)
+		if drawn.State() != skipped.State() || drawn.Uint64() != skipped.Uint64() {
+			t.Fatalf("Skip(%d) left the stream elsewhere than %d draws", k, k)
+		}
+		skipped.Skip(-k - 1)
+		if fresh := NewRNG(21); skipped.State() != fresh.State() {
+			t.Fatalf("Skip(%d) did not rewind %d draws", -k-1, k+1)
+		}
+	}
+}
+
 func TestIntnBounds(t *testing.T) {
 	r := NewRNG(3)
 	if err := quick.Check(func(nRaw uint16) bool {
