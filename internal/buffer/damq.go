@@ -28,12 +28,12 @@ func Reserves(capacity, numVCs int) int {
 // deterministically so their views never diverge.
 type DAMQ struct {
 	queues   []Queue[proto.Flit]
-	capacity int //stashsim:derived -- structural; rebuilt from the configuration
-	reserve  int //stashsim:derived -- structural: the per-VC reserved quota, rebuilt from the configuration
-	resvUsed []int
-	shared   int // shared slots in use
-	used     int
-	occupied uint32 // bitmask of non-empty VCs
+	capacity int    //stashsim:derived -- structural; rebuilt from the configuration
+	reserve  int    //stashsim:derived -- structural: the per-VC reserved quota, rebuilt from the configuration
+	resvUsed []int  //stashsim:derived -- reserved slots in use per VC: the queued flits without FlagShared; decoding pushes them
+	shared   int    //stashsim:derived -- shared slots in use: the queued flits with FlagShared; decoding pushes them
+	used     int    //stashsim:derived -- total queued flits; decoding pushes them
+	occupied uint32 //stashsim:derived -- bitmask of non-empty VCs; decoding pushes their flits
 }
 
 // NewDAMQ builds a DAMQ with the given total capacity (flits) shared by

@@ -16,11 +16,11 @@ import "stashsim/internal/proto"
 type OutBuf struct {
 	queues   []Queue[proto.Flit] // per-VC FIFOs awaiting transmission
 	capacity int                 //stashsim:derived -- structural: the normal-partition capacity in flits, rebuilt from the configuration
-	queued   int                 // flits awaiting transmission
+	queued   int                 //stashsim:derived -- flits awaiting transmission; decoding pushes them
 	// inflight is the retention window. It holds no flits, only the cycle
 	// each sent flit's space comes back: 8 bytes an entry.
 	inflight Timed[struct{}]
-	occupied uint32
+	occupied uint32 //stashsim:derived -- bitmask of non-empty VCs; decoding pushes their flits
 }
 
 // NewOutBuf builds an output buffer with the given normal-partition

@@ -22,38 +22,30 @@ func (q timedEntries[T]) Push(e Entry[T]) { q.Timed.Push(e.At, e.V) }
 // travels first, then its value.
 func (q *Timed[T]) Entries() snapshot.FIFO[Entry[T]] { return timedEntries[T]{q} }
 
-// occupancy fails a decoding walk unless mask names exactly the non-empty
-// queues: the step path trusts the mask and dereferences the front of
-// every VC it names.
-func occupancy(c *snapshot.Codec, field string, mask uint32, qs []Queue[proto.Flit]) {
-	if !c.Decoding() {
-		return
-	}
-	for vc := range qs {
-		if (mask>>uint(vc)&1 != 0) == qs[vc].Empty() {
-			c.Failf("%s = %#b disagrees with queue %d holding %d flits", field, mask, vc, qs[vc].Len())
-		}
-	}
-	c.Bound(field, bits.Len32(mask), 0, len(qs)+1)
-}
-
-// State walks the DAMQ's dynamic state: per-VC queues, pool accounting,
-// and the occupancy mask.
+// State walks the DAMQ's per-VC queues; decoding expects a fresh DAMQ.
+// The pool accounting and the occupancy mask are a function of the queues
+// — each flit's FlagShared names the pool it holds a slot of — so decoding
+// rebuilds them by pushing every flit through Push, and refuses one Push
+// would not take: a flit of another VC, or one past its pool.
 func (d *DAMQ) State(c *snapshot.Codec) {
 	c.Section("DAMQ")
 	if !c.Len("buffer: DAMQ VCs", len(d.queues), 4) {
 		return
 	}
+	pool := d.capacity - len(d.queues)*d.reserve
 	for vc := range d.queues {
-		c.Flits(&d.queues[vc])
+		c.ReplayFlits(&d.queues[vc], func(f proto.Flit) {
+			c.Bound("DAMQ flit.VC", int(f.VC), vc, vc+1)
+			if f.Flags&proto.FlagShared != 0 {
+				c.Bound("DAMQ.shared", d.shared+1, 0, pool+1)
+			} else {
+				c.Bound("DAMQ.resvUsed", d.resvUsed[vc]+1, 0, d.reserve+1)
+			}
+			if c.Err() == nil {
+				d.Push(f)
+			}
+		})
 	}
-	for vc := range d.resvUsed {
-		snapshot.Wire64(c, &d.resvUsed[vc])
-	}
-	snapshot.Wire64(c, &d.shared)
-	snapshot.Wire64(c, &d.used)
-	c.U32(&d.occupied)
-	occupancy(c, "DAMQ.occupied", d.occupied, d.queues)
 }
 
 // State walks the credit counter's free-credit state.
@@ -67,20 +59,28 @@ func (cc *CreditCounter) State(c *snapshot.Codec) {
 	snapshot.Wire64(c, &cc.shared)
 }
 
-// State walks the output buffer's dynamic state; the retention window is
-// its release deadlines.
+// State walks the output buffer's retention window — its release
+// deadlines — and then its per-VC queues; decoding expects a fresh buffer.
+// The queued count and the occupancy mask are a function of the queues, so
+// decoding rebuilds them by pushing every flit through Push, after the
+// window so that Push sees the space the window holds, and refuses one
+// Push would not take: a flit of another VC, or one past the capacity.
 func (b *OutBuf) State(c *snapshot.Codec) {
 	c.Section("OUTB")
 	if !c.Len("buffer: output buffer VCs", len(b.queues), 4) {
 		return
 	}
-	for vc := range b.queues {
-		c.Flits(&b.queues[vc])
-	}
-	snapshot.Wire64(c, &b.queued)
-	c.U32(&b.occupied)
-	occupancy(c, "OutBuf.occupied", b.occupied, b.queues)
 	snapshot.Ring(c, b.inflight.Entries(), 8, func(e *Entry[struct{}]) { c.I64(&e.At) })
+	c.Bound("OutBuf used flits", b.Used(), 0, b.capacity+1)
+	for vc := range b.queues {
+		c.ReplayFlits(&b.queues[vc], func(f proto.Flit) {
+			c.Bound("OutBuf flit.VC", int(f.VC), vc, vc+1)
+			c.Bound("OutBuf used flits", b.Used()+1, 0, b.capacity+1)
+			if c.Err() == nil {
+				b.Push(f)
+			}
+		})
+	}
 }
 
 // Payload walks one retained payload — a flit count followed by canonical
@@ -134,7 +134,8 @@ func (t *ParityTracker) State(c *snapshot.Codec) {
 		c.Bound("parityGroup.n", int(g.n), 0, MaxParityWidth+1)
 		c.U8(&g.state)
 		c.Bound("parityGroup.state", int(g.state), 0, int(gSealed)+1)
-		c.Mask("parityGroup.bankSet", &g.bankSet, len(t.pools))
+		c.U64(&g.bankSet) // its set bits index the pools
+		c.Bound("parityGroup.bankSet", bits.Len64(g.bankSet), 0, len(t.pools)+1)
 		snapshot.Wire16(c, &g.parityBank)
 		c.Bound("parityGroup.parityBank", int(g.parityBank), -1, len(t.pools))
 		c.U8(&g.paritySize)

@@ -76,7 +76,9 @@ func (l *Link) State(c *snapshot.Codec) {
 // State walks the switch's full dynamic state, into (when decoding) a
 // freshly built switch of the identical configuration. Scratch that every
 // cycle recomputes is not state and is marked where it is declared: the
-// allocator request masks and the e2eEntry freelist.
+// allocator request masks and the e2eEntry freelist. Nor are the
+// counts and masks kept beside the queues: decoding pushes every queued
+// flit through the path a run pushes it through, which rebuilds them.
 //
 //stashsim:phase serial -- walks every partition-owned structure; runs only at a cycle barrier or before the restored run starts
 func (s *Switch) State(c *snapshot.Codec) {
@@ -86,12 +88,6 @@ func (s *Switch) State(c *snapshot.Codec) {
 	c.I64(&s.CreditStallCycles)
 	c.I64(&s.created)
 	s.Counters.state(c)
-	// Step walks the set bits of the active-set masks as tile and port
-	// indexes.
-	c.Mask("Switch.tileOcc", &s.tileOcc, len(s.tiles))
-	c.Mask("Switch.muxOcc", &s.muxOcc, s.radix)
-	c.Mask("Switch.inActive", &s.inActive, s.radix)
-	c.Mask("Switch.outActive", &s.outActive, s.radix)
 	if !c.Len("core: switch ports", s.radix, 1) {
 		return
 	}
@@ -99,6 +95,14 @@ func (s *Switch) State(c *snapshot.Codec) {
 		s.in[p].state(c, s)
 		s.out[p].state(c, s)
 		s.stash[p].State(c)
+	}
+	for p := 0; c.Decoding() && p < s.radix; p++ {
+		if s.inBusy(p) {
+			s.inActive |= 1 << uint(p)
+		}
+		if s.outBusy(p) {
+			s.outActive |= 1 << uint(p)
+		}
 	}
 	if !c.Len("core: switch tiles", len(s.tiles), 1) {
 		return
@@ -136,28 +140,22 @@ func (s *Switch) State(c *snapshot.Codec) {
 }
 
 func (c *Counters) state(w *snapshot.Codec) {
-	w.I64(&c.FlitsSwitched)
-	w.I64(&c.FlitsSent)
-	w.I64(&c.StashStores)
-	w.I64(&c.StashRetrieves)
-	w.I64(&c.ECNMarks)
-	w.I64(&c.CongestedCycles)
-	w.I64(&c.StashFullStalls)
-	w.I64(&c.E2ETracked)
-	w.I64(&c.E2EDeletes)
-	w.I64(&c.E2ERetransmits)
-	w.I64(&c.SidebandMsgs)
-	w.I64(&c.CongStashed)
-	w.I64(&c.CongStashedVict)
-	w.I64(&c.HoLAbsorbed)
-	w.I64(&c.RetryTimeouts)
-	w.I64(&c.RetryAbandoned)
-	w.I64(&c.StashCopiesLost)
-	w.I64(&c.StashBypassed)
-	w.I64(&c.StashReconstructed)
-	w.I64(&c.StashReconFailed)
-	w.I64(&c.ParityGroupsSealed)
-	w.I64(&c.StashDegradedReads)
+	for _, f := range c.fields() {
+		w.I64(f)
+	}
+}
+
+// fields lists every counter once, in walk order: the state walk and Add
+// both range over it.
+func (c *Counters) fields() [22]*int64 {
+	return [...]*int64{
+		&c.FlitsSwitched, &c.FlitsSent, &c.StashStores, &c.StashRetrieves,
+		&c.ECNMarks, &c.CongestedCycles, &c.StashFullStalls,
+		&c.E2ETracked, &c.E2EDeletes, &c.E2ERetransmits, &c.SidebandMsgs,
+		&c.CongStashed, &c.CongStashedVict, &c.HoLAbsorbed,
+		&c.RetryTimeouts, &c.RetryAbandoned, &c.StashCopiesLost, &c.StashBypassed,
+		&c.StashReconstructed, &c.StashReconFailed, &c.ParityGroupsSealed, &c.StashDegradedReads,
+	}
 }
 
 func (ip *inPort) state(c *snapshot.Codec, s *Switch) {
@@ -189,11 +187,15 @@ func (op *outPort) state(c *snapshot.Codec, s *Switch) {
 	op.buf.State(c)
 	for r := range op.colBufs {
 		for vc := range op.colBufs[r] {
-			c.Flits(&op.colBufs[r][vc])
+			// pushCol files a flit under its own VC.
+			c.ReplayFlits(&op.colBufs[r][vc], func(f proto.Flit) {
+				c.Bound("column-buffer flit.VC", int(f.VC), vc, vc+1)
+				if c.Err() == nil {
+					s.pushCol(op, r, f)
+				}
+			})
 		}
 	}
-	snapshot.Wire64(c, &op.colOcc)
-	c.U64(&op.colMask)
 	for vc := range op.muxLock {
 		ml := &op.muxLock[vc]
 		snapshot.Wire8(c, &ml.row)
@@ -212,15 +214,18 @@ func (op *outPort) state(c *snapshot.Codec, s *Switch) {
 }
 
 func (t *tile) state(c *snapshot.Codec, s *Switch) {
-	for i := range t.rowBufs {
-		for vc := range t.rowBufs[i] {
-			rb := &t.rowBufs[i][vc]
-			c.Flits(rb)
-			// Only the storage stream holds flits whose output is still
-			// pending; every other stream's Out indexes the tile outputs.
-			for k := 0; c.Decoding() && vc != proto.VCStore && k < rb.Len(); k++ {
-				c.Bound("row-buffer flit.Out", int(rb.At(k).Out), 0, s.radix)
-			}
+	for slot := range t.rowBufs {
+		for stream := range t.rowBufs[slot] {
+			c.ReplayFlits(&t.rowBufs[slot][stream], func(f proto.Flit) {
+				// Only the storage stream holds flits whose output is still
+				// pending; every other stream's Out indexes the tile outputs.
+				if stream != proto.VCStore {
+					c.Bound("row-buffer flit.Out", int(f.Out), 0, s.radix)
+				}
+				if c.Err() == nil {
+					s.pushTile(t, f, slot, stream)
+				}
+			})
 		}
 	}
 	t.alloc.State(c)
@@ -238,10 +243,6 @@ func (t *tile) state(c *snapshot.Codec, s *Switch) {
 		c.U8(&t.sLatch[i].port)
 		c.Bound("sLatch.port", int(t.sLatch[i].port), 0, s.radix)
 		c.Bool(&t.sLatch[i].active)
-	}
-	snapshot.Wire64(c, &t.occupied)
-	for i := range t.slotOcc {
-		c.U16(&t.slotOcc[i])
 	}
 }
 

@@ -45,6 +45,14 @@ type Counters struct {
 	StashDegradedReads int64 // stash read flits served via parity despite a busy bank
 }
 
+// Add adds every count of o into c.
+func (c *Counters) Add(o *Counters) {
+	src := o.fields()
+	for i, f := range c.fields() {
+		*f += *src[i]
+	}
+}
+
 // tallies are the per-switch counts only the metrics registry reports
 // (EnableMetrics names them; Counters and CreditStallCycles are the ones
 // goldens and checkpoints pin). They are bumped like any counter, attached
@@ -116,8 +124,8 @@ type tile struct {
 	vcNext   []int        // per-slot stream rotation pointer
 	outLock  [][]tileLock // [TileOut][NumVCs]
 	sLatch   []stashLatch // per slot
-	occupied int          // total queued flits (activity gate)
-	slotOcc  []uint16     // per-slot bitmask of non-empty streams
+	occupied int          //stashsim:derived -- total queued flits (activity gate); decoding pushes them through pushTile
+	slotOcc  []uint16     //stashsim:derived -- per-slot bitmask of non-empty streams; decoding pushes their flits through pushTile
 	reqScr   []uint64     //stashsim:transient -- scratch request masks; stepTile recomputes them
 	candScr  [][]uint8    //stashsim:transient -- scratch candidate stream per (slot, out); stepTile recomputes it
 	grants   int64        //stashsim:transient -- column-channel grants since EnableMetrics; the registry walks it
@@ -141,8 +149,8 @@ type outPort struct {
 	link    *Link          //stashsim:derived -- wiring; a link is walked by its consumer side
 	buf     *buffer.OutBuf
 	colBufs [][]buffer.Queue[proto.Flit] // [Rows][NumVCs]
-	colOcc  int                          // total flits in column buffers (activity gate)
-	colMask uint64                       // bitmask of non-empty (row*NumVCs+vc) buffers
+	colOcc  int                          //stashsim:derived -- total flits in column buffers (activity gate); decoding pushes them through pushCol
+	colMask uint64                       //stashsim:derived -- bitmask of non-empty (row*NumVCs+vc) buffers; decoding pushes their flits through pushCol
 	muxLock [proto.NumVCs]muxLock
 	muxArb  arb.RoundRobin // Rows*NumVCs candidates
 	sendArb arb.RoundRobin // network VCs
@@ -229,10 +237,10 @@ type Switch struct {
 	// a bit per output port with queued or retention-held flits. Step walks
 	// their set bits instead of touching every tile and port struct, so a
 	// quiet region of the switch costs no cache traffic at all.
-	tileOcc   uint64
-	muxOcc    uint64
-	inActive  uint64
-	outActive uint64
+	tileOcc   uint64 //stashsim:derived -- set by pushTile as decoding pushes the row buffers
+	muxOcc    uint64 //stashsim:derived -- set by pushCol as decoding pushes the column buffers
+	inActive  uint64 //stashsim:derived -- decoding sets it by inBusy from the rebuilt input buffers and retrieval queues
+	outActive uint64 //stashsim:derived -- decoding sets it by outBusy from the rebuilt output buffers
 
 	// wake is this switch's slot in its block's wake table (see
 	// sim.Stepper.NextWake and SetWakeSlot); input that reaches the switch
@@ -678,7 +686,7 @@ func (s *Switch) Step(now sim.Tick) {
 			continue
 		}
 		s.stepOutput(now, op)
-		if op.buf.Queued() == 0 && op.buf.Retained() == 0 {
+		if !s.outBusy(p) {
 			s.outActive &^= 1 << uint(p)
 		}
 	}
@@ -692,7 +700,7 @@ func (s *Switch) Step(now sim.Tick) {
 		p := bits.TrailingZeros64(m)
 		ip := &s.in[p]
 		s.stepRowBus(now, ip)
-		if ip.buf.Used() == 0 && s.stash[p].RetrLen() == 0 {
+		if !s.inBusy(p) {
 			s.inActive &^= 1 << uint(p)
 			// An empty buffer is never over the ECN threshold.
 			ip.congested = false
@@ -713,6 +721,15 @@ func (s *Switch) Step(now sim.Tick) {
 		s.flitDue[p] = ip.link.NextFlitAt()
 	}
 }
+
+// inBusy and outBusy are the rules of inActive and outActive: Step clears
+// a port's bit when its rule fails, and decoding sets the bits by them.
+//
+//stashsim:noalloc
+func (s *Switch) inBusy(p int) bool { return s.in[p].buf.Used() > 0 || s.stash[p].RetrLen() > 0 }
+
+//stashsim:noalloc
+func (s *Switch) outBusy(p int) bool { b := s.out[p].buf; return b.Queued() > 0 || b.Retained() > 0 }
 
 // NextWake implements sim.Stepper: the switch is busy next cycle while any
 // flit is queued in it (inputs, tiles, column or output buffers, stash

@@ -118,11 +118,7 @@ func (s *Switch) stepTile(now sim.Tick, t *tile) {
 		if f.Tail() {
 			lk.active = false
 		}
-		op := &s.out[port]
-		op.colBufs[t.row][vc].Push(f)
-		op.colOcc++
-		op.colMask |= 1 << uint(t.row*proto.NumVCs+vc)
-		s.muxOcc |= 1 << uint(port)
+		s.pushCol(&s.out[port], t.row, f)
 		t.vcNext[slot] = stream + 1
 		if t.vcNext[slot] == proto.NumVCs {
 			t.vcNext[slot] = 0
@@ -131,6 +127,19 @@ func (s *Switch) stepTile(now sim.Tick, t *tile) {
 	if t.occupied == 0 {
 		s.tileOcc &^= 1 << uint(t.row*s.cfg.Cols+t.col)
 	}
+}
+
+// pushCol enqueues a flit granted by a tile of the given row into the
+// output port's column buffer of its VC, marking the port in the switch's
+// mux mask.
+//
+//stashsim:noalloc
+func (s *Switch) pushCol(op *outPort, row int, f proto.Flit) {
+	vc := int(f.VC)
+	op.colBufs[row][vc].Push(f)
+	op.colOcc++
+	op.colMask |= 1 << uint(row*proto.NumVCs+vc)
+	s.muxOcc |= 1 << uint(op.id)
 }
 
 // jsqPort is the second join-shortest-queue stage: among this tile

@@ -93,59 +93,31 @@ func (c *Collector) Packet(now int64, class proto.Class, latency, flits int64) {
 }
 
 // Ack records one received end-to-end ACK.
-func (c *Collector) Ack() {
-	if !c.Enabled {
-		return
-	}
-	c.Acks++
-}
+func (c *Collector) Ack() { c.count(&c.Acks) }
 
 // Error records one injected delivery error (NACKed packet).
-func (c *Collector) Error() {
-	if !c.Enabled {
-		return
-	}
-	c.Errors++
-}
+func (c *Collector) Error() { c.count(&c.Errors) }
 
 // WindowShrink records one ECN-driven window decrease.
-func (c *Collector) WindowShrink() {
-	if !c.Enabled {
-		return
-	}
-	c.WindowShrinks++
-}
+func (c *Collector) WindowShrink() { c.count(&c.WindowShrinks) }
 
 // Duplicate records one suppressed duplicate delivery.
-func (c *Collector) Duplicate() {
-	if !c.Enabled {
-		return
-	}
-	c.DuplicatesSuppressed++
-}
+func (c *Collector) Duplicate() { c.count(&c.DuplicatesSuppressed) }
 
 // Corrupt records one checksum failure detected at a destination.
-func (c *Collector) Corrupt() {
-	if !c.Enabled {
-		return
-	}
-	c.CorruptPkts++
-}
+func (c *Collector) Corrupt() { c.count(&c.CorruptPkts) }
 
 // Retransmit records one source-timer retransmission.
-func (c *Collector) Retransmit() {
-	if !c.Enabled {
-		return
-	}
-	c.EndpointRetransmits++
-}
+func (c *Collector) Retransmit() { c.count(&c.EndpointRetransmits) }
 
 // RetransAbandon records one packet given up after retry exhaustion.
-func (c *Collector) RetransAbandon() {
-	if !c.Enabled {
-		return
+func (c *Collector) RetransAbandon() { c.count(&c.RetransAbandons) }
+
+// count adds one to a scalar count while recording is enabled.
+func (c *Collector) count(n *int64) {
+	if c.Enabled {
+		*n++
 	}
-	c.RetransAbandons++
 }
 
 // Recovered records the delivery of a retransmitted packet and its
@@ -161,32 +133,22 @@ func (c *Collector) Recovered(latency int64) {
 	}
 }
 
-// Reset clears all measurements (optional sinks keep their configuration).
+// Reset clears all measurements: c becomes a fresh collector with the same
+// gate and the same optional sinks, empty.
 func (c *Collector) Reset() {
-	for i := range c.LatAcc {
-		c.LatAcc[i] = stats.Acc{}
+	fresh := Collector{Enabled: c.Enabled}
+	for i := range c.LatHist {
 		if c.LatHist[i] != nil {
-			c.LatHist[i] = &stats.Hist{}
+			fresh.LatHist[i] = &stats.Hist{}
 		}
 		if c.Series[i] != nil {
-			c.Series[i] = stats.NewTimeSeries(c.Series[i].BinWidth)
+			fresh.Series[i] = stats.NewTimeSeries(c.Series[i].BinWidth)
 		}
-		c.OfferedFlits[i] = 0
-		c.DeliveredFlits[i] = 0
-		c.DeliveredPkts[i] = 0
 	}
-	c.Acks = 0
-	c.Errors = 0
-	c.WindowShrinks = 0
-	c.DuplicatesSuppressed = 0
-	c.CorruptPkts = 0
-	c.EndpointRetransmits = 0
-	c.RetransAbandons = 0
-	c.RecoveredPkts = 0
-	c.RecoveryAcc = stats.Acc{}
 	if c.RecoveryHist != nil {
-		c.RecoveryHist = &stats.Hist{}
+		fresh.RecoveryHist = &stats.Hist{}
 	}
+	*c = fresh
 }
 
 // Merge folds another collector into c: accumulators, histograms, time
@@ -212,14 +174,10 @@ func (c *Collector) Merge(o *Collector) {
 		c.DeliveredFlits[i] += o.DeliveredFlits[i]
 		c.DeliveredPkts[i] += o.DeliveredPkts[i]
 	}
-	c.Acks += o.Acks
-	c.Errors += o.Errors
-	c.WindowShrinks += o.WindowShrinks
-	c.DuplicatesSuppressed += o.DuplicatesSuppressed
-	c.CorruptPkts += o.CorruptPkts
-	c.EndpointRetransmits += o.EndpointRetransmits
-	c.RetransAbandons += o.RetransAbandons
-	c.RecoveredPkts += o.RecoveredPkts
+	src := o.counts()
+	for i, n := range c.counts() {
+		*n += *src[i]
+	}
 	c.RecoveryAcc.Merge(o.RecoveryAcc)
 	if o.RecoveryHist != nil {
 		if c.RecoveryHist == nil {

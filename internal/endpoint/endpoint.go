@@ -88,7 +88,7 @@ type Endpoint struct {
 	queues      map[int32]*buffer.Queue[pktDesc] // a send queue per destination (queue pair)
 	active      []int32
 	rrIdx       int
-	queuedFlits int64
+	queuedFlits int64 //stashsim:derived -- the backlog the queues hold; decoding recounts it from them (backlog)
 	cur         curPkt
 	ackQ        buffer.Queue[proto.Flit]
 	pktSeq      uint32

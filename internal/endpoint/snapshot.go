@@ -42,7 +42,6 @@ func (e *Endpoint) State(c *snapshot.Codec, now int64) {
 	e.credits.State(c)
 	snapshot.Wire64(c, &e.acc)
 	snapshot.Wire64(c, &e.rrIdx)
-	c.I64(&e.queuedFlits)
 	c.U32(&e.pktSeq)
 
 	// Active send queues, in active-list order (the list's order and the
@@ -107,6 +106,9 @@ func (e *Endpoint) State(c *snapshot.Codec, now int64) {
 		c.U64(&it.pktID)
 		c.U8(&it.size)
 	})
+	if c.Decoding() {
+		e.queuedFlits = e.backlog()
+	}
 
 	c.I64(&e.SentFlits)
 	c.I64(&e.RecvFlits)
@@ -115,6 +117,24 @@ func (e *Endpoint) State(c *snapshot.Codec, now int64) {
 	c.I64(&e.DupDelivered)
 	c.I64(&e.Retransmits)
 	c.I64(&e.Abandoned)
+}
+
+// backlog counts queuedFlits from the queues it counts: the send queues,
+// the queued resends (settled ones too, until injection drops them), and
+// the rest of the packet in progress.
+func (e *Endpoint) backlog() (n int64) {
+	for _, dst := range e.active {
+		for q, i := e.queues[dst], 0; i < q.Len(); i++ {
+			n += int64(q.At(i).size)
+		}
+	}
+	for i := 0; i < e.rtxQ.Len(); i++ {
+		n += int64(e.rtxQ.At(i).size)
+	}
+	if e.cur.active {
+		n += int64(e.cur.desc.size - e.cur.seq)
+	}
+	return n
 }
 
 // state walks one packet descriptor. Its destination becomes the flits'
@@ -167,18 +187,20 @@ func (cl *Collector) State(c *snapshot.Codec) {
 		c.I64(&cl.DeliveredFlits[i])
 		c.I64(&cl.DeliveredPkts[i])
 	}
-	c.I64(&cl.Acks)
-	c.I64(&cl.Errors)
-	c.I64(&cl.WindowShrinks)
-	c.I64(&cl.DuplicatesSuppressed)
-	c.I64(&cl.CorruptPkts)
-	c.I64(&cl.EndpointRetransmits)
-	c.I64(&cl.RetransAbandons)
-	c.I64(&cl.RecoveredPkts)
+	for _, n := range cl.counts() {
+		c.I64(n)
+	}
 	cl.RecoveryAcc.State(c)
 	if snapshot.Opt(c, &cl.RecoveryHist) {
 		cl.RecoveryHist.State(c)
 	}
+}
+
+// counts lists the collector's scalar counts once, in walk order: the
+// state walk and Merge both range over it.
+func (c *Collector) counts() [8]*int64 {
+	return [...]*int64{&c.Acks, &c.Errors, &c.WindowShrinks, &c.DuplicatesSuppressed,
+		&c.CorruptPkts, &c.EndpointRetransmits, &c.RetransAbandons, &c.RecoveredPkts}
 }
 
 // State walks every shard in fixed shard order; decoding expects a set

@@ -10,7 +10,8 @@ import (
 )
 
 // buildHotspot creates a tiny network with victim uniform traffic plus a
-// 4:1 hotspot aggressor starting at cycle `start`.
+// 4:1 hotspot aggressor starting at cycle `start`. The victims' streams
+// are restorable (GenRNG); the aggressors draw nothing.
 func buildHotspot(t *testing.T, mode core.StashMode, start int64) *Network {
 	t.Helper()
 	cfg := core.TinyConfig()
@@ -33,7 +34,8 @@ func buildHotspot(t *testing.T, mode core.StashMode, start int64) *Network {
 		if srcs[ep.ID] {
 			ep.Gen = traffic.Hotspot(hot, proto.MaxPacketFlits, proto.ClassAggressor, start)
 		} else if ep.ID != hot {
-			ep.Gen = traffic.Uniform(rng.Derive(uint64(ep.ID)), len(n.Endpoints), nil,
+			ep.GenRNG = rng.Derive(uint64(ep.ID))
+			ep.Gen = traffic.Uniform(ep.GenRNG, len(n.Endpoints), nil,
 				0.3, rate, proto.MaxPacketFlits, proto.ClassVictim, 0)
 		}
 	}

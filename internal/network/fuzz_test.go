@@ -34,17 +34,18 @@ func microSnapConfig() *core.Config {
 
 // microSnapNet builds the fuzz target network; every call produces an
 // identically configured fresh instance.
-func microSnapNet(t testing.TB) *Network { return microNet(t, microSnapConfig()) }
+func microSnapNet(t testing.TB) *Network { return microNet(t, microSnapConfig(), 0.4) }
 
 // microNet builds a micro network for the given configuration, wired like
-// the fuzz target.
-func microNet(t testing.TB, cfg *core.Config) *Network {
+// the fuzz target with uniform traffic at the given load. The load is not
+// state: a checkpoint restores into a micro network of any load.
+func microNet(t testing.TB, cfg *core.Config, load float64) *Network {
 	n, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	n.EnableInvariants(64)
-	wireSnapTraffic(n, n.Cfg, snapScenario{load: 0.4})
+	wireSnapTraffic(n, n.Cfg, snapScenario{load: load})
 	return n
 }
 

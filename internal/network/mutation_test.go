@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"sort"
 	"strconv"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"stashsim/internal/core"
+	"stashsim/internal/snapshot"
 )
 
 // TestSeedCorpusIsCurrent pins the snapshot format across commits: the
@@ -28,8 +30,10 @@ func TestSeedCorpusIsCurrent(t *testing.T) {
 		for at < len(got) && at < len(seed) && got[at] == seed[at] {
 			at++
 		}
-		t.Fatalf("micro snapshot (%d bytes) differs from the committed seed0 (%d bytes) at offset %d: the format changed",
-			len(got), len(seed), at)
+		t.Fatalf("micro snapshot (%d bytes) differs from the committed seed0 (%d bytes) at offset %d: the format changed. "+
+			"A format change bumps snapshot.Version (now %d) and regenerates the corpus: "+
+			"WRITE_SNAPSHOT_CORPUS=1 go test -run TestWriteSnapshotFuzzCorpus ./internal/network",
+			len(got), len(seed), at, snapshot.Version)
 	}
 }
 
@@ -90,18 +94,20 @@ func runAccepted(n *Network, cycles int64) (msg string, isRuntime bool) {
 
 // TestRestoreMutationSweep sets each byte of the micro snapshot to 0xFF in
 // turn and restores the result. Restore may reject the variant, and an
-// accepted one may stop on a deliberate diagnostic (invariant violation,
-// DAMQ quota, "front of empty ring": failing loudly is the contract), but
-// no variant may reach a Go runtime.Error — that is a decoded index,
-// shift or slice bound the walk failed to range-check.
+// accepted one may stop on a deliberate diagnostic (an invariant
+// violation: failing loudly is the contract), but no variant may reach a
+// Go runtime.Error — that is a decoded index, shift or slice bound the
+// walk failed to range-check — or the front of an empty queue, which is
+// bookkeeping that disagrees with the queues beside it: Restore rebuilds
+// every count and mask from the queues, so none can.
 func TestRestoreMutationSweep(t *testing.T) {
 	valid := microSnapshot(t)
 	stride := 1
 	if testing.Short() {
 		stride = 41
 	}
-	accepted, loud := 0, 0
-	crashes := map[string][]int{}
+	accepted := 0
+	loud, crashes := map[string][]int{}, map[string][]int{}
 	data := make([]byte, len(valid))
 	for off := 0; off < len(valid); off += stride {
 		if valid[off] == 0xFF {
@@ -120,69 +126,103 @@ func TestRestoreMutationSweep(t *testing.T) {
 		case isRuntime:
 			crashes[msg] = append(crashes[msg], off)
 		case msg != "":
-			loud++
+			// Cycles, switch and port numbers vary; the kind does not.
+			kind := digits.ReplaceAllString(msg, "N")
+			loud[kind] = append(loud[kind], off)
 		}
 	}
-	t.Logf("%d variants accepted by Restore, %d of them stopped on a deliberate diagnostic", accepted, loud)
-	if len(crashes) == 0 {
-		return
+	t.Logf("%d variants accepted by Restore, %d of them stopped on a deliberate diagnostic:", accepted, count(loud))
+	for _, m := range sortedKeys(loud) {
+		t.Logf("%6d  %s", len(loud[m]), m)
+		if strings.Contains(m, "front of empty queue") {
+			t.Errorf("%d variants (first at offset %d) reached the front of an empty queue: Restore let bookkeeping disagree with a queue", len(loud[m]), loud[m][0])
+		}
 	}
-	msgs := make([]string, 0, len(crashes))
-	total := 0
-	for m, offs := range crashes {
-		msgs = append(msgs, m)
-		total += len(offs)
+	for _, m := range sortedKeys(crashes) {
+		t.Errorf("%d variants (first at offset %d): %s", len(crashes[m]), crashes[m][0], m)
 	}
-	sort.Strings(msgs)
-	for _, m := range msgs {
-		offs := crashes[m]
-		t.Errorf("%d variants (first at offset %d): %s", len(offs), offs[0], m)
+	if n := count(crashes); n > 0 {
+		t.Errorf("%d accepted variants hit a runtime.Error within 300 cycles", n)
 	}
-	t.Errorf("%d accepted variants hit a runtime.Error within 300 cycles", total)
 }
 
-// TestRestoreNamesOutOfRangeField is the table behind the walk's bounds
-// checks: for every range-checked field, some single byte of a genuine
-// snapshot set to 0x7F (out of range for every index-like field of a
-// micro network: 127 as a byte, bit 6 of a mask, -1's complement of
-// nothing) must make Restore fail with an error that names the field.
-// Two snapshots cover the fields: the fuzz target's, and a parity
-// configuration caught with a reconstruction in flight. (The row-buffer
-// flit.Out check has no single-byte witness: it takes a pending Out and a
-// storage VC in a stream that is neither.)
+var digits = regexp.MustCompile(`[0-9]+`)
+
+// count is the number of variants filed under any message.
+func count(byMsg map[string][]int) int {
+	n := 0
+	for _, offs := range byMsg {
+		n += len(offs)
+	}
+	return n
+}
+
+func sortedKeys(byMsg map[string][]int) []string {
+	keys := make([]string, 0, len(byMsg))
+	for m := range byMsg {
+		keys = append(keys, m)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// TestRestoreNamesOutOfRangeField is the table behind the walk's range
+// checks and refusals: for every checked field, some single byte of a
+// genuine snapshot set to the case's value must make Restore fail with an
+// error that names the field. 0x7F is out of range for every index-like
+// field of a micro network (127 as a byte, bit 6 of a mask, -1's
+// complement of nothing); 0x01 turns a queued flit's VC into another
+// valid one, or its flags into a head without FlagShared. Four snapshots
+// cover the fields: the fuzz target's; a parity configuration caught with
+// a reconstruction in flight; the fuzz target's network at full load,
+// caught where a DAMQ VC queues shared flits behind a full reserved quota;
+// and one with input buffers so small that an endpoint port's DAMQ has no
+// shared pool at all. (The row-buffer flit.Out check has no single-byte
+// witness: it takes a pending Out and a storage VC in a stream that is
+// neither.)
 func TestRestoreNamesOutOfRangeField(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two full single-byte sweeps; adds no concurrency coverage to the race pass")
+		t.Skip("four single-byte sweeps; adds no concurrency coverage to the race pass")
 	}
 	parity := microSnapConfig()
 	parity.Topo.P = 3 // four stash-capable banks: a width-2 group, its parity, and a rebuild target
 	parity.Rows, parity.Cols = 3, 3
 	parity.StashParity = 2
+	noPool := microSnapConfig()
+	noPool.InputBufFlits = 48 // an endpoint port's DAMQ: 6 flits, one reserved per VC, no shared pool
 	cases := []struct {
 		name   string
 		cfg    *core.Config
+		load   float64
 		at     int64
+		flip   byte
 		fields []string
 	}{
-		{"faults", microSnapConfig(), 200, []string{
-			"Switch.tileOcc", "Switch.muxOcc", "Switch.inActive", "Switch.outActive",
+		{"faults", microSnapConfig(), 0.4, 200, 0x7F, []string{
 			"routeLatch.out", "routeLatch.vc", "routeLatch.stashCol", "inPort.sVC",
 			"muxLock.row", "tile.vcNext", "sLatch.port",
 			"sbMsg.kind", "sbMsg.dst", "sbMsg.aux", "e2eEntry.stashPort", "retryRec.port",
-			"DAMQ.occupied", "OutBuf.occupied", "RoundRobin.next", "PktBuf.Flits length",
+			"RoundRobin.next", "PktBuf.Flits length",
 			"Endpoint.rrIdx", "send queue length", "pktDesc.dst", "pktDesc.size", "pktDesc.class", "curPkt.seq",
 			"flit.Out", "flit.OrigOut", "flit.Src", "flit.Dst", "flit.MidGroup",
 			"fault: stash-failure cursor",
+			"OutBuf used flits", "column-buffer flit.VC",
 		}},
-		{"parity", parity, 152, []string{
+		{"parity", parity, 0.4, 152, 0x7F, []string{
 			"reconRec.origin", "reconRec.target",
 			"parityGroup.n", "parityGroup.state", "parityGroup.bankSet", "parityGroup.parityBank",
 			"parityMember.bank", "ParityTracker group index",
 		}},
+		{"congested", microSnapConfig(), 1, 431, 0x01, []string{
+			"DAMQ flit.VC", "DAMQ.resvUsed", "OutBuf flit.VC",
+		}},
+		{"no-pool", noPool, 1, 600, 0x7F, []string{
+			"DAMQ.shared",
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			valid := checkpointAt(t, microNet(t, tc.cfg), tc.at)
+			valid := checkpointAt(t, microNet(t, tc.cfg, tc.load), tc.at)
 			want := make(map[string]bool, len(tc.fields))
 			for _, f := range tc.fields {
 				want[f] = true
@@ -190,8 +230,8 @@ func TestRestoreNamesOutOfRangeField(t *testing.T) {
 			data := make([]byte, len(valid))
 			for off := 0; off < len(valid) && len(want) > 0; off++ {
 				copy(data, valid)
-				data[off] = 0x7F
-				err := microNet(t, tc.cfg).Restore(data)
+				data[off] = tc.flip
+				err := microNet(t, tc.cfg, tc.load).Restore(data)
 				if err == nil {
 					continue
 				}
@@ -203,7 +243,7 @@ func TestRestoreNamesOutOfRangeField(t *testing.T) {
 			}
 			for _, f := range tc.fields {
 				if want[f] {
-					t.Errorf("no single-byte flip made Restore fail naming %s", f)
+					t.Errorf("no single-byte flip to %#x made Restore fail naming %s", tc.flip, f)
 				}
 			}
 		})

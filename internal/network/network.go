@@ -573,29 +573,7 @@ func (n *Network) FaultStats() fault.Stats {
 func (n *Network) Counters() core.Counters {
 	var c core.Counters
 	for _, s := range n.Switches {
-		sc := s.Counters
-		c.FlitsSwitched += sc.FlitsSwitched
-		c.FlitsSent += sc.FlitsSent
-		c.StashStores += sc.StashStores
-		c.StashRetrieves += sc.StashRetrieves
-		c.ECNMarks += sc.ECNMarks
-		c.CongestedCycles += sc.CongestedCycles
-		c.StashFullStalls += sc.StashFullStalls
-		c.E2ETracked += sc.E2ETracked
-		c.E2EDeletes += sc.E2EDeletes
-		c.E2ERetransmits += sc.E2ERetransmits
-		c.SidebandMsgs += sc.SidebandMsgs
-		c.CongStashed += sc.CongStashed
-		c.CongStashedVict += sc.CongStashedVict
-		c.HoLAbsorbed += sc.HoLAbsorbed
-		c.RetryTimeouts += sc.RetryTimeouts
-		c.RetryAbandoned += sc.RetryAbandoned
-		c.StashCopiesLost += sc.StashCopiesLost
-		c.StashBypassed += sc.StashBypassed
-		c.StashReconstructed += sc.StashReconstructed
-		c.StashReconFailed += sc.StashReconFailed
-		c.ParityGroupsSealed += sc.ParityGroupsSealed
-		c.StashDegradedReads += sc.StashDegradedReads
+		c.Add(&s.Counters)
 	}
 	return c
 }

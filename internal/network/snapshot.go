@@ -118,11 +118,12 @@ func (n *Network) Restore(data []byte) error {
 		return err
 	}
 
-	// The walk put every in-flight entry into the rings, and the run that
-	// follows starts all awake like any other, so nothing is re-derived. The
-	// serial-singleton schedules need no rescheduling: they fire on
-	// absolute-cycle arithmetic (now%every, windowStart), which the
-	// restored clock and watchdog state satisfy.
+	// The walk pushed every queued entry back, rebuilding the counts and
+	// masks beside it, and the run that follows starts all awake like any
+	// other, so nothing else is re-derived. The serial-singleton schedules
+	// need no rescheduling: they fire on absolute-cycle arithmetic
+	// (now%every, windowStart), which the restored clock and watchdog state
+	// satisfy.
 	n.Now = sim.Tick(now)
 	n.cycleDone = now
 	return nil

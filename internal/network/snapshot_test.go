@@ -2,6 +2,7 @@ package network
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -381,4 +382,112 @@ func TestRestoreReschedulesSerialSingletons(t *testing.T) {
 	if g, r := golden.Counters(), rn.Counters(); g != r {
 		t.Errorf("counters diverged: %+v vs %+v", g, r)
 	}
+}
+
+// TestRestoreRebuildsBookkeeping holds Restore to the run whose queues it
+// replays. A checkpoint carries the queues alone, and decoding rebuilds
+// every count and mask kept beside them — DAMQ and output-buffer
+// accounting, tile and column occupancy, the four activity masks, the
+// endpoints' backlogs — by pushing each entry again. Each checkpoint here
+// is restored into a fresh network and compared with the live one through
+// the exported probes: right after restore, and again after both run one
+// more cycle, when NextWake is comparable too (a restored network's due
+// slots and announced arrivals are zero until its first step). A mask bit
+// the rebuild misses leaves a port unstepped, and one it sets too many
+// shows as an early wake once the network has drained.
+func TestRestoreRebuildsBookkeeping(t *testing.T) {
+	parity := snapScenarios(1337)[1] // drops, parity k=4, bank failures at 1334 and 1737
+	runs := []struct {
+		name    string
+		workers int
+		build   func() *Network
+	}{
+		{"e2e-parity-faults", 4, func() *Network { return buildSnapNet(t, snapConfig("tiny", parity), parity) }},
+		{"congestion-ecn-hotspots", 1, func() *Network { return buildHotspot(t, core.StashCongestion, 500) }},
+	}
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			live := r.build()
+			defer live.Close()
+			live.SetWorkers(r.workers)
+			for _, at := range []int64{1100, 1337, 2500} {
+				live.Run(at - int64(live.Now))
+				compareRestored(t, live, r.build(), r.workers)
+			}
+			for _, ep := range live.Endpoints {
+				ep.Gen = nil
+			}
+			if !live.Drain(500000) {
+				t.Fatal("the network did not drain")
+			}
+			compareRestored(t, live, r.build(), r.workers)
+		})
+	}
+}
+
+// compareRestored restores a checkpoint of live into fresh, built like it,
+// and requires the probes of the two to agree, then runs both one cycle
+// and requires it again, wake-ups included.
+func compareRestored(t *testing.T, live, fresh *Network, workers int) {
+	t.Helper()
+	defer fresh.Close()
+	for i, ep := range live.Endpoints {
+		if ep.Gen == nil {
+			fresh.Endpoints[i].Gen = nil
+		}
+	}
+	if err := fresh.Restore(live.Checkpoint(live.Now)); err != nil {
+		t.Fatalf("Restore at cycle %d: %v", live.Now, err)
+	}
+	if a, b := probes(live, false), probes(fresh, false); a != b {
+		t.Fatalf("restored at cycle %d, the probes disagree: %s", live.Now, firstDiff(a, b))
+	}
+	fresh.SetWorkers(workers)
+	live.Run(1)
+	fresh.Run(1)
+	if a, b := probes(live, true), probes(fresh, true); a != b {
+		t.Fatalf("one cycle after a restore at cycle %d, the probes disagree: %s", live.Now-1, firstDiff(a, b))
+	}
+}
+
+// probes renders what the exported probes read off a network: each
+// switch's activity, buffer fill, output queues and state dump, each
+// endpoint's backlog and, with wake, when each component next steps.
+func probes(n *Network, wake bool) string {
+	var b strings.Builder
+	for _, s := range n.Switches {
+		in, inCap, out, outCap := s.BufferFill()
+		fmt.Fprintf(&b, "sw%d busy=%v fill=%d/%d %d/%d queues=", s.ID, s.Busy(), in, inCap, out, outCap)
+		for p := 0; p < n.Cfg.Topo.Radix(); p++ {
+			fmt.Fprintf(&b, "%d,", s.OutputQueue(p))
+		}
+		if wake {
+			fmt.Fprintf(&b, " wake=%d", s.NextWake(n.Now))
+		}
+		fmt.Fprintf(&b, "\n%s", s.DumpState())
+	}
+	for _, ep := range n.Endpoints {
+		fmt.Fprintf(&b, "ep%d queued=%d", ep.ID, ep.QueuedFlits())
+		if wake {
+			fmt.Fprintf(&b, " wake=%d", ep.NextWake(n.Now))
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// firstDiff names the first line where the live probes (a) and the
+// restored ones (b) part.
+func firstDiff(a, b string) string {
+	la, lb := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := range la {
+		if i >= len(lb) || la[i] != lb[i] {
+			got := "(none)"
+			if i < len(lb) {
+				got = lb[i]
+			}
+			return fmt.Sprintf("line %d\n live:     %s\n restored: %s", i+1, la[i], got)
+		}
+	}
+	return fmt.Sprintf("the restored probes have %d more lines", len(lb)-len(la))
 }

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -347,18 +349,10 @@ func (p *ExecProfiler) Recent() []RingRec {
 			out = append(out, rec)
 		}
 	}
-	sortRingRecs(out)
+	slices.SortFunc(out, func(a, b RingRec) int {
+		return cmp.Or(cmp.Compare(a.Cycle, b.Cycle), cmp.Compare(a.Lane, b.Lane))
+	})
 	return out
-}
-
-func sortRingRecs(rs []RingRec) {
-	// Insertion sort by (cycle, lane); rings are small (≤ a few thousand).
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && (rs[j].Cycle < rs[j-1].Cycle ||
-			(rs[j].Cycle == rs[j-1].Cycle && rs[j].Lane < rs[j-1].Lane)); j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
 }
 
 // PhaseReport summarizes one lane's phase in the exported report.

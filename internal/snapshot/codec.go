@@ -33,8 +33,9 @@ const (
 	Magic uint32 = 0x53544153
 	// Version is the current snapshot format version. Readers reject any
 	// other version: the format describes unexported simulator state, so
-	// cross-version compatibility is out of scope by design.
-	Version uint16 = 1
+	// cross-version compatibility is out of scope by design. Version 2 walks
+	// the queues alone, not the counts and masks kept beside them.
+	Version uint16 = 2
 	// headerSize is magic + version + total length.
 	headerSize = 4 + 2 + 8
 )
@@ -115,9 +116,6 @@ func (w *Writer) Section(label string) {
 func (w *Writer) Flit(f *proto.Flit) {
 	w.buf = proto.AppendFlit(w.buf, f)
 }
-
-// Len returns the number of bytes written so far, header included.
-func (w *Writer) Len() int { return len(w.buf) }
 
 // Finish patches the total-length header and returns the snapshot bytes.
 // The Writer must not be used afterwards.

@@ -115,6 +115,14 @@ func TestReaderRejectsBadHeaders(t *testing.T) {
 			binary.LittleEndian.PutUint16(d[4:], Version+1)
 			return d
 		}(), "unsupported format version"},
+		// Version 2 stopped walking the counts and masks beside the queues,
+		// and no reader of version 1 was kept: a stream from before is
+		// refused, not migrated.
+		{"version-1", func() []byte {
+			d := append([]byte(nil), valid()...)
+			binary.LittleEndian.PutUint16(d[4:], 1)
+			return d
+		}(), "unsupported format version 1 (this build reads version 2)"},
 		{"truncated-body", func() []byte {
 			d := valid()
 			return d[:len(d)-3]

@@ -2,7 +2,6 @@ package snapshot
 
 import (
 	"cmp"
-	"math/bits"
 	"slices"
 
 	"stashsim/internal/proto"
@@ -142,22 +141,15 @@ func (c *Codec) RNG(r rng) {
 }
 
 // Bound is the walk's range check for every decoded value the simulator
-// later uses as an index, shift or slice bound: decoding fails, naming
-// the field, unless lo <= v < hi. Such values are written by a correct
-// run and so are always in range in a genuine snapshot; the check exists
-// because Restore must turn damaged input into an error, never into an
-// index panic cycles later. No-op while encoding.
+// later uses as an index, shift or slice bound, and for every count a
+// replayed push would take past its limit: decoding fails, naming the
+// field, unless lo <= v < hi. A correct run writes only values in range;
+// the check exists because Restore must turn damaged input into an error,
+// never into a panic cycles later. No-op while encoding.
 func (c *Codec) Bound(field string, v, lo, hi int) {
 	if c.r != nil && (v < lo || v >= hi) {
 		c.outOfRange(field, v, lo, hi)
 	}
-}
-
-// Mask walks a bitmask whose set bits the simulator uses as indexes below
-// n: no bit at or above n may be set.
-func (c *Codec) Mask(field string, m *uint64, n int) {
-	c.U64(m)
-	c.Bound(field, bits.Len64(*m), 0, n+1)
 }
 
 // outOfRange is Bound's failure path, kept out of line so that the check
@@ -306,6 +298,26 @@ func Ring[T any](c *Codec, q FIFO[T], elemMin int, elem func(*T)) {
 // Flits walks a FIFO of flits (see Ring): by far the most numerous queue
 // of a network, so it gets the one non-generic entry point.
 func (c *Codec) Flits(q FIFO[proto.Flit]) { Ring(c, q, proto.FlitWireSize, c.flit) }
+
+// ReplayFlits walks a FIFO of flits whose owner keeps counts or masks
+// beside it, a function of the flits and so not in the stream. Encoding is
+// Flits'; decoding empties q and hands each flit to push, the owner's push
+// path, which rebuilds them as the run did, or refuses the flit through
+// Bound or Failf and so stops the walk. It is not generic, so that the
+// caller's push closure stays on the stack.
+func (c *Codec) ReplayFlits(q FIFO[proto.Flit], push func(proto.Flit)) {
+	if c.r == nil {
+		c.Flits(q)
+		return
+	}
+	q.Reset()
+	for n := c.r.Count(proto.FlitWireSize); n > 0 && c.r.Err() == nil; n-- {
+		var f proto.Flit
+		if c.Flit(&f); c.r.Err() == nil {
+			push(f)
+		}
+	}
+}
 
 // Map walks a map in ascending key order, the one place checkpoint code
 // iterates a map: the bytes must be a function of the state, not of Go's
