@@ -35,3 +35,5 @@ type rec struct {
 	port  uint8
 	acked bool
 }
+
+func (r *ring[T]) Grow(int) {}

@@ -5,7 +5,7 @@ import "stashsim/internal/snapshot"
 // State walks. Arbiter pointers are part of the deterministic machine
 // state: a restored switch must grant in exactly the order the original
 // would have, so every round-robin pointer is walked. The Separable
-// allocator's prov/won scratch is recomputed from scratch on every
+// allocator's reqBy/prov/won scratch is recomputed from scratch on every
 // Allocate call and is not state.
 
 // State walks the arbiter's grant pointer, checked against the arbiter's

@@ -1,10 +1,13 @@
 package buffer
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"stashsim/internal/proto"
+	"stashsim/internal/snapshot"
 )
 
 func flit(seq int) proto.Flit {
@@ -124,8 +127,8 @@ func TestReserves(t *testing.T) {
 
 // senderReceiver pairs a CreditCounter with a DAMQ the way a link does.
 type senderReceiver struct {
-	cc *CreditCounter
-	dq *DAMQ
+	cc CreditCounter
+	dq DAMQ
 }
 
 func newSR(capacity, vcs int) *senderReceiver {
@@ -444,6 +447,90 @@ func TestStashPoolFailBankPartial(t *testing.T) {
 	}
 	if !done || !p.Live(21) {
 		t.Fatal("re-stash after bank failure broken")
+	}
+}
+
+// TestStashPoolInterleavedCopyPanics: the storage-VC lock admits one
+// packet at a time, so a copy flit of another packet while one is filling
+// is a flow-control bug.
+func TestStashPoolInterleavedCopyPanics(t *testing.T) {
+	p := NewStashPool(100, true)
+	p.Reserve(2)
+	p.Reserve(2)
+	p.PutCopy(proto.Flit{PktID: 1, Size: 2, Seq: 0})
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(r.(string), "interleaved") {
+			t.Fatalf("recovered %v, want the interleaving panic", r)
+		}
+	}()
+	p.PutCopy(proto.Flit{PktID: 2, Size: 2, Seq: 0})
+}
+
+func encodeWalk(walk func(*snapshot.Codec)) []byte {
+	c := snapshot.NewEncoder()
+	walk(c)
+	return c.Finish()
+}
+
+func decodePool(data []byte, p *StashPool) error {
+	c, err := snapshot.NewDecoder(data)
+	if err != nil {
+		return err
+	}
+	p.State(c)
+	return c.Close()
+}
+
+// TestStashPoolFillWalk: a pool caught mid-fill writes the fill record,
+// restores it into a fresh pool that writes the same bytes, and the
+// restored pool completes the copy as the original would.
+func TestStashPoolFillWalk(t *testing.T) {
+	for _, retain := range []bool{false, true} {
+		p := NewStashPool(100, retain)
+		storeCopy(p, 3, 2)
+		p.Reserve(4)
+		p.PutCopy(proto.Flit{PktID: 5, Size: 4, Seq: 0})
+		p.PutCopy(proto.Flit{PktID: 5, Size: 4, Seq: 1})
+		data := encodeWalk(p.State)
+		q := NewStashPool(100, retain)
+		if err := decodePool(data, q); err != nil {
+			t.Fatalf("retain=%v: restoring a pool mid-fill: %v", retain, err)
+		}
+		if !bytes.Equal(encodeWalk(q.State), data) {
+			t.Fatalf("retain=%v: the restored pool writes different bytes", retain)
+		}
+		done := false
+		for seq := 2; seq < 4; seq++ {
+			done = q.PutCopy(proto.Flit{PktID: 5, Size: 4, Seq: uint8(seq)})
+		}
+		if !done || !q.Live(5) {
+			t.Fatalf("retain=%v: the restored fill did not complete", retain)
+		}
+		if b, ok := q.TakeCopy(5); retain && (!ok || len(b.Flits) != 4) {
+			t.Fatalf("retain=%v: completed payload %v, %v", retain, b, ok)
+		}
+	}
+}
+
+// TestStashPoolRestoreRefusesTwoFills: the stream keeps the fill record as
+// a ledger keyed by packet ID, so a damaged one can name two copies
+// filling one pool; Restore refuses it by name instead of restoring one.
+func TestStashPoolRestoreRefusesTwoFills(t *testing.T) {
+	data := encodeWalk(func(c *snapshot.Codec) {
+		c.Section("STSH")
+		for i := 0; i < 6; i++ {
+			var zero int64
+			c.I64(&zero) // reserved, used, parity, retrCopies, freed, PeakUsed
+		}
+		two := map[uint64]uint8{5: 1, 6: 1}
+		snapshot.Map(c, &two, 9, c.U64, c.U8)
+		for i := 0; i < 5; i++ {
+			c.Count(0, 1) // copies, dead, store, the filling payload, retrQ
+		}
+	})
+	err := decodePool(data, NewStashPool(100, false))
+	if err == nil || !strings.Contains(err.Error(), "snapshot: StashPool filling copies = 2 ") {
+		t.Fatalf("restoring two filling copies: %v, want the filling-copies refusal", err)
 	}
 }
 

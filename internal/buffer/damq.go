@@ -27,23 +27,32 @@ func Reserves(capacity, numVCs int) int {
 // CreditCounter; both make the reserved-first allocation decision
 // deterministically so their views never diverge.
 type DAMQ struct {
-	queues   []Queue[proto.Flit]
-	capacity int    //stashsim:derived -- structural; rebuilt from the configuration
-	reserve  int    //stashsim:derived -- structural: the per-VC reserved quota, rebuilt from the configuration
-	resvUsed []int  //stashsim:derived -- reserved slots in use per VC: the queued flits without FlagShared; decoding pushes them
-	shared   int    //stashsim:derived -- shared slots in use: the queued flits with FlagShared; decoding pushes them
-	used     int    //stashsim:derived -- total queued flits; decoding pushes them
-	occupied uint32 //stashsim:derived -- bitmask of non-empty VCs; decoding pushes their flits
+	queues   [proto.NumNetVCs]Queue[proto.Flit]
+	nvc      int                  //stashsim:derived -- structural: the VCs in use, rebuilt from the configuration
+	capacity int                  //stashsim:derived -- structural; rebuilt from the configuration
+	reserve  int                  //stashsim:derived -- structural: the per-VC reserved quota, rebuilt from the configuration
+	resvUsed [proto.NumNetVCs]int //stashsim:derived -- reserved slots in use per VC: the queued flits without FlagShared; decoding pushes them
+	shared   int                  //stashsim:derived -- shared slots in use: the queued flits with FlagShared; decoding pushes them
+	used     int                  //stashsim:derived -- total queued flits; decoding pushes them
+	occupied uint32               //stashsim:derived -- bitmask of non-empty VCs; decoding pushes their flits
 }
 
 // NewDAMQ builds a DAMQ with the given total capacity (flits) shared by
-// numVCs virtual channels.
-func NewDAMQ(capacity, numVCs int) *DAMQ {
-	return &DAMQ{
-		queues:   make([]Queue[proto.Flit], numVCs),
+// numVCs virtual channels, at most proto.NumNetVCs: the per-VC state is
+// held in place, so a port holds its DAMQ by value.
+func NewDAMQ(capacity, numVCs int) DAMQ {
+	checkVCs(numVCs)
+	return DAMQ{
+		nvc:      numVCs,
 		capacity: capacity,
 		reserve:  Reserves(capacity, numVCs),
-		resvUsed: make([]int, numVCs),
+	}
+}
+
+// checkVCs refuses a VC count the per-VC arrays cannot hold.
+func checkVCs(numVCs int) {
+	if numVCs < 0 || numVCs > proto.NumNetVCs {
+		panic("buffer: VC count outside [0, proto.NumNetVCs]")
 	}
 }
 
@@ -62,7 +71,7 @@ func (d *DAMQ) Used() int { return d.used }
 //
 //stashsim:noalloc
 func (d *DAMQ) SharedFree() int {
-	return d.capacity - len(d.queues)*d.reserve - d.shared
+	return d.capacity - d.nvc*d.reserve - d.shared
 }
 
 // Avail returns the number of flits that could currently be enqueued on vc.
@@ -140,7 +149,7 @@ func (d *DAMQ) Len(vc int) int { return d.queues[vc].Len() }
 func (d *DAMQ) Occupied() uint32 { return d.occupied }
 
 // NumVCs returns the number of virtual channels sharing the pool.
-func (d *DAMQ) NumVCs() int { return len(d.queues) }
+func (d *DAMQ) NumVCs() int { return d.nvc }
 
 // ResvUsed returns the occupancy of vc's reserved quota, for the
 // invariant checker's credit-conservation audit.
@@ -155,18 +164,17 @@ func (d *DAMQ) SharedUsed() int { return d.shared }
 // reserved-first policy, carried in the flit's FlagShared bit, so the
 // counters track the receiver exactly.
 type CreditCounter struct {
+	nvc      int //stashsim:derived -- structural: the VCs mirrored, rebuilt from the configuration
 	reserve  int //stashsim:derived -- structural; rebuilt from the configuration
-	resvFree []int
+	resvFree [proto.NumNetVCs]int
 	shared   int
 }
 
 // NewCreditCounter mirrors a DAMQ with the given capacity and VC count.
-func NewCreditCounter(capacity, numVCs int) *CreditCounter {
-	c := &CreditCounter{
-		reserve:  Reserves(capacity, numVCs),
-		resvFree: make([]int, numVCs),
-	}
-	for i := range c.resvFree {
+func NewCreditCounter(capacity, numVCs int) CreditCounter {
+	checkVCs(numVCs)
+	c := CreditCounter{nvc: numVCs, reserve: Reserves(capacity, numVCs)}
+	for i := 0; i < numVCs; i++ {
 		c.resvFree[i] = c.reserve
 	}
 	c.shared = capacity - numVCs*c.reserve
@@ -179,7 +187,7 @@ func NewCreditCounter(capacity, numVCs int) *CreditCounter {
 func (c *CreditCounter) Avail(vc int) int { return c.resvFree[vc] + c.shared }
 
 // NumVCs returns the number of virtual channels mirrored.
-func (c *CreditCounter) NumVCs() int { return len(c.resvFree) }
+func (c *CreditCounter) NumVCs() int { return c.nvc }
 
 // Reserve returns the per-VC reserved quota being mirrored.
 func (c *CreditCounter) Reserve() int { return c.reserve }

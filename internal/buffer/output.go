@@ -14,9 +14,10 @@ import "stashsim/internal/proto"
 // Like the input buffer, the normal partition is a DAMQ shared by the
 // network VCs.
 type OutBuf struct {
-	queues   []Queue[proto.Flit] // per-VC FIFOs awaiting transmission
-	capacity int                 //stashsim:derived -- structural: the normal-partition capacity in flits, rebuilt from the configuration
-	queued   int                 //stashsim:derived -- flits awaiting transmission; decoding pushes them
+	queues   [proto.NumNetVCs]Queue[proto.Flit] // per-VC FIFOs awaiting transmission
+	nvc      int                                //stashsim:derived -- structural: the VCs in use, rebuilt from the configuration
+	capacity int                                //stashsim:derived -- structural: the normal-partition capacity in flits, rebuilt from the configuration
+	queued   int                                //stashsim:derived -- flits awaiting transmission; decoding pushes them
 	// inflight is the retention window. It holds no flits, only the cycle
 	// each sent flit's space comes back: 8 bytes an entry.
 	inflight Timed[struct{}]
@@ -24,12 +25,11 @@ type OutBuf struct {
 }
 
 // NewOutBuf builds an output buffer with the given normal-partition
-// capacity in flits, shared by numVCs virtual channels.
-func NewOutBuf(capacity, numVCs int) *OutBuf {
-	return &OutBuf{
-		queues:   make([]Queue[proto.Flit], numVCs),
-		capacity: capacity,
-	}
+// capacity in flits, shared by numVCs virtual channels (at most
+// proto.NumNetVCs, held in place like the DAMQ's).
+func NewOutBuf(capacity, numVCs int) OutBuf {
+	checkVCs(numVCs)
+	return OutBuf{nvc: numVCs, capacity: capacity}
 }
 
 // Capacity returns the normal-partition capacity in flits.

@@ -260,10 +260,10 @@ func TestParityTrackerBeginReconUnenrolledPanics(t *testing.T) {
 func TestStashPoolFailBankReservedAndParity(t *testing.T) {
 	p := NewStashPool(100, true)
 
-	p.Reserve(4) // pkt 30: granted, no flits arrived yet
-	p.Reserve(4) // pkt 31: header arrived, body pending
-	p.PutCopy(proto.Flit{PktID: 31, Size: 4, Seq: 0})
 	storeCopy(p, 32, 4) // completed
+	p.Reserve(4)        // pkt 30: granted, no flits arrived yet
+	p.Reserve(4)        // pkt 31: header arrived, body pending
+	p.PutCopy(proto.Flit{PktID: 31, Size: 4, Seq: 0})
 	p.AddParity(3)
 
 	lost := p.FailBank()

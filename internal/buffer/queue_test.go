@@ -35,9 +35,20 @@ func driveQueues(t *testing.T, ops []byte) {
 			push()
 			pushT()
 		case 1:
+			// An even burst reserves its room first: the pushes then
+			// must not reallocate.
+			reserved := arg%2 == 0
+			if reserved {
+				q.Grow(arg + 1)
+				tq.Grow(arg + 1)
+			}
+			qcap, tcap := len(q.buf), len(tq.buf)
 			for i := 0; i <= arg; i++ {
 				push()
 				pushT()
+			}
+			if reserved && (len(q.buf) != qcap || len(tq.buf) != tcap) {
+				t.Fatalf("step %d: a burst of %d reallocated after Grow", step, arg+1)
 			}
 		case 2:
 			for i := 0; i <= arg%8 && len(mq) > 0; i++ {
@@ -131,6 +142,26 @@ func FuzzQueue(f *testing.F) {
 	f.Add([]byte{0x47, 0x81, 0x47, 0x81, 0x47, 0x81, 0x7f, 0xc1}) // grow 8 -> 16 -> 32 -> 128 with the head moving
 	f.Add([]byte{0xc7, 0x00, 0xc4, 0xc1, 0x00, 0xc7})             // entries coming due one clock step at a time
 	f.Fuzz(driveQueues)
+}
+
+// TestGrowAllocatesOnce: a decoded count reserves its ring in one
+// allocation, whatever the count.
+func TestGrowAllocatesOnce(t *testing.T) {
+	for _, n := range []int{1, 9, 100} {
+		allocs := testing.AllocsPerRun(10, func() {
+			var q Queue[int]
+			var tq Timed[int]
+			q.Grow(n)
+			tq.Grow(n)
+			for i := 0; i < n; i++ {
+				q.Push(i)
+				tq.Push(int64(i), i)
+			}
+		})
+		if allocs != 2 {
+			t.Fatalf("Grow(%d) then %d pushes: %v allocations, want one per ring", n, n, allocs)
+		}
+	}
 }
 
 // TestQueuesAllocateOnlyWhileGrowing: once at their high-water capacity the

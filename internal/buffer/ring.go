@@ -6,7 +6,10 @@
 // per-port stash pool added by the stashing architecture.
 package buffer
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Queue and Timed are the simulator's only FIFOs: input VCs, row and column
 // buffers, retrieval and endpoint queues are Queues; link pipelines, the
@@ -41,10 +44,18 @@ func (q *Queue[T]) Reset() { *q = Queue[T]{} }
 //stashsim:noalloc
 func (q *Queue[T]) Push(v T) {
 	if q.n == len(q.buf) {
-		q.buf, q.head = growRing(q.buf, q.head, q.n), 0
+		q.buf, q.head = resizeRing(q.buf, q.head, q.n, 2*len(q.buf)), 0
 	}
 	q.buf[(q.head+q.n)&(len(q.buf)-1)] = v
 	q.n++
+}
+
+// Grow makes room for n more entries, so that the next n Pushes do not
+// reallocate: decoding sizes each ring once from its decoded count.
+func (q *Queue[T]) Grow(n int) {
+	if q.n+n > len(q.buf) {
+		q.buf, q.head = resizeRing(q.buf, q.head, q.n, q.n+n), 0
+	}
 }
 
 // Pop removes and returns the oldest entry. It panics when empty.
@@ -81,13 +92,14 @@ func (q *Queue[T]) At(i int) *T {
 	return &q.buf[(q.head+i)&(len(q.buf)-1)]
 }
 
-// growRing returns a power-of-two ring's backing array doubled (8 slots to
-// start with), its n entries moved to the front in order.
+// resizeRing returns a power-of-two ring's n entries moved, in order, to
+// the front of a new backing array of the smallest power of two that holds
+// size slots, and at least 8.
 //
 //stashsim:noalloc
-func growRing[T any](buf []T, head, n int) []T {
+func resizeRing[T any](buf []T, head, n, size int) []T {
 	//lint:allow allocfree -- amortized doubling; steady state stays within the high-water capacity
-	nb := make([]T, max(8, 2*len(buf)))
+	nb := make([]T, 1<<bits.Len(uint(max(8, size)-1)))
 	for i := 0; i < n; i++ {
 		nb[i] = buf[(head+i)&(len(buf)-1)]
 	}
@@ -129,7 +141,7 @@ func (q *Timed[T]) Reset() { *q = Timed[T]{} }
 //stashsim:noalloc
 func (q *Timed[T]) Push(at int64, v T) {
 	if q.n == len(q.buf) {
-		q.buf, q.head = growRing(q.buf, q.head, q.n), 0
+		q.buf, q.head = resizeRing(q.buf, q.head, q.n, 2*len(q.buf)), 0
 	}
 	if q.n == 0 {
 		q.nextAt = at
@@ -137,6 +149,13 @@ func (q *Timed[T]) Push(at int64, v T) {
 	e := &q.buf[(q.head+q.n)&(len(q.buf)-1)]
 	e.V, e.At = v, at
 	q.n++
+}
+
+// Grow makes room for n more entries, as Queue.Grow does.
+func (q *Timed[T]) Grow(n int) {
+	if q.n+n > len(q.buf) {
+		q.buf, q.head = resizeRing(q.buf, q.head, q.n, q.n+n), 0
+	}
 }
 
 // PopDue removes and returns the front value if its deadline is <= now.

@@ -29,11 +29,11 @@ func (q *Timed[T]) Entries() snapshot.FIFO[Entry[T]] { return timedEntries[T]{q}
 // would not take: a flit of another VC, or one past its pool.
 func (d *DAMQ) State(c *snapshot.Codec) {
 	c.Section("DAMQ")
-	if !c.Len("buffer: DAMQ VCs", len(d.queues), 4) {
+	if !c.Len("buffer: DAMQ VCs", d.nvc, 4) {
 		return
 	}
-	pool := d.capacity - len(d.queues)*d.reserve
-	for vc := range d.queues {
+	pool := d.capacity - d.nvc*d.reserve
+	for vc := 0; vc < d.nvc; vc++ {
 		c.ReplayFlits(&d.queues[vc], func(f proto.Flit) {
 			c.Bound("DAMQ flit.VC", int(f.VC), vc, vc+1)
 			if f.Flags&proto.FlagShared != 0 {
@@ -50,10 +50,10 @@ func (d *DAMQ) State(c *snapshot.Codec) {
 
 // State walks the credit counter's free-credit state.
 func (cc *CreditCounter) State(c *snapshot.Codec) {
-	if !c.Len("buffer: credit counter VCs", len(cc.resvFree), 8) {
+	if !c.Len("buffer: credit counter VCs", cc.nvc, 8) {
 		return
 	}
-	for vc := range cc.resvFree {
+	for vc := 0; vc < cc.nvc; vc++ {
 		snapshot.Wire64(c, &cc.resvFree[vc])
 	}
 	snapshot.Wire64(c, &cc.shared)
@@ -67,12 +67,12 @@ func (cc *CreditCounter) State(c *snapshot.Codec) {
 // Push would not take: a flit of another VC, or one past the capacity.
 func (b *OutBuf) State(c *snapshot.Codec) {
 	c.Section("OUTB")
-	if !c.Len("buffer: output buffer VCs", len(b.queues), 4) {
+	if !c.Len("buffer: output buffer VCs", b.nvc, 4) {
 		return
 	}
 	snapshot.Ring(c, b.inflight.Entries(), 8, func(e *Entry[struct{}]) { c.I64(&e.At) })
 	c.Bound("OutBuf used flits", b.Used(), 0, b.capacity+1)
-	for vc := range b.queues {
+	for vc := 0; vc < b.nvc; vc++ {
 		c.ReplayFlits(&b.queues[vc], func(f proto.Flit) {
 			c.Bound("OutBuf flit.VC", int(f.VC), vc, vc+1)
 			c.Bound("OutBuf used flits", b.Used()+1, 0, b.capacity+1)
@@ -97,9 +97,10 @@ func (p *StashPool) Payload(c *snapshot.Codec, b **proto.PktBuf) {
 
 // State walks the stash pool's dynamic state; decoding expects a fresh
 // pool built with the identical capacity and retention setting. The maps
-// travel in ascending packet-ID order. Each retained-payload entry owns
-// exactly one buffer reference at a cycle barrier — transient
-// retransmission references never span one.
+// travel in ascending packet-ID order, and the fill record as two of them
+// with one entry at most: the flits arrived and, when retained, their
+// payload. Each retained-payload entry owns exactly one buffer reference
+// at a cycle barrier — transient retransmission references never span one.
 func (p *StashPool) State(c *snapshot.Codec) {
 	c.Section("STSH")
 	snapshot.Wire64(c, &p.reserved)
@@ -108,13 +109,41 @@ func (p *StashPool) State(c *snapshot.Codec) {
 	snapshot.Wire64(c, &p.retrCopies)
 	c.I64(&p.freed)
 	snapshot.Wire64(c, &p.PeakUsed)
-	snapshot.Map(c, &p.arrived, 9, c.U64, c.U8)
+	fl := &p.fill
+	if filling(c, fl.n > 0, 9, &fl.id) {
+		c.U8(&fl.n)
+		c.Bound("StashPool fill flits", int(fl.n), 1, proto.MaxPacketFlits)
+	}
 	snapshot.Map(c, &p.copies, 9, c.U64, c.U8)
 	snapshot.Map(c, &p.dead, 9, c.U64, c.U8)
 	payload := func(b **proto.PktBuf) { p.Payload(c, b) }
 	snapshot.Map(c, &p.store, 12, c.U64, payload)
-	snapshot.Map(c, &p.partial, 12, c.U64, payload)
+	id := fl.id
+	switch has := filling(c, fl.buf != nil, 12, &id); {
+	case has != (p.retainPayload && fl.n > 0) || id != fl.id:
+		c.Failf("stash pool: the retained payload does not match the copy filling")
+	case has:
+		payload(&fl.buf)
+		c.Bound("StashPool fill payload flits", len(fl.buf.Flits), int(fl.n), int(fl.n)+1)
+	}
 	c.Flits(&p.retrQ)
+}
+
+// filling walks one half of the fill record in the stream's form, a
+// ledger keyed by packet ID that holds at most one entry: a count, then the
+// key, which is the filling packet's. It reports whether the entry's value
+// follows. Decoding refuses a second entry: a pool fills one copy at a time.
+func filling(c *snapshot.Codec, present bool, elemMin int, id *uint64) bool {
+	n := 0
+	if present {
+		n = 1
+	}
+	n = c.Count(n, elemMin)
+	if c.Bound("StashPool filling copies", n, 0, 2); n == 0 || c.Err() != nil {
+		return false
+	}
+	c.U64(id)
+	return c.Err() == nil
 }
 
 // State walks the parity tracker's dynamic state: the full group slab

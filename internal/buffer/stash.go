@@ -18,17 +18,16 @@ type StashPool struct {
 	reserved int // flits reserved by granted but not fully arrived packets
 	used     int // flits physically present or committed
 
-	// End-to-end reliability bookkeeping: arrived flit counts per stashed
-	// packet. Payload flits are discarded on arrival (the copy is never
-	// forwarded) unless retainPayload is set for the retransmission
-	// extension, in which case complete packets are kept in store. Retained
-	// payloads live in ref-counted buffers drawn from bufs, the pool's
-	// deterministic freelist: the store entry owns one reference, each
-	// retransmission takes a transient one, and the buffer recycles when
-	// the last drops — so steady-state retention churn allocates nothing.
-	arrived       map[uint64]uint8
+	// End-to-end reliability bookkeeping: the copy arriving in the pool.
+	// Payload flits are discarded on arrival (the copy is never forwarded)
+	// unless retainPayload is set for the retransmission extension, in which
+	// case complete packets are kept in store. Retained payloads live in
+	// ref-counted buffers drawn from bufs, the pool's deterministic
+	// freelist: the store entry owns one reference, each retransmission
+	// takes a transient one, and the buffer recycles when the last drops —
+	// so steady-state retention churn allocates nothing.
+	fill          copyFill
 	store         map[uint64]*proto.PktBuf
-	partial       map[uint64]*proto.PktBuf
 	retainPayload bool //stashsim:derived -- structural; rebuilt from the configuration
 	bufs          proto.BufPool
 
@@ -67,14 +66,21 @@ type StashPool struct {
 	PeakUsed int
 }
 
+// copyFill is the end-to-end copy a pool is filling. A pool fills one at a
+// time: its flits arrive through the port's output multiplexer on the
+// storage VC, whose lock admits one packet until its tail. n counts the
+// flits arrived so far, zero when no copy is filling; buf collects them
+// when payloads are retained.
+type copyFill struct {
+	id  uint64
+	n   uint8
+	buf *proto.PktBuf
+}
+
 // NewStashPool builds a pool with the given capacity in flits. capacity may
 // be zero (global ports contribute no stash storage).
 func NewStashPool(capacity int, retainPayload bool) *StashPool {
-	return &StashPool{
-		capacity:      capacity,
-		arrived:       make(map[uint64]uint8),
-		retainPayload: retainPayload,
-	}
+	return &StashPool{capacity: capacity, retainPayload: retainPayload}
 }
 
 // Capacity returns the pool capacity in flits.
@@ -115,7 +121,9 @@ func (p *StashPool) Reserve(size int) {
 // PutCopy stores one flit of an end-to-end reliability stash copy whose
 // space was previously reserved. It returns true when the flit completes
 // its packet, at which point the location message should be sent to the
-// originating end port.
+// originating end port. A flit of another packet while a copy is filling
+// is a flow-control bug (the storage-VC lock admits one packet at a time),
+// and PutCopy panics.
 //
 //stashsim:noalloc
 func (p *StashPool) PutCopy(f proto.Flit) bool {
@@ -132,38 +140,35 @@ func (p *StashPool) PutCopy(f proto.Flit) bool {
 		return false
 	}
 	p.used++
-	if p.retainPayload {
-		if p.partial == nil {
-			//lint:allow allocfree -- one-time lazy init of the retention map
-			p.partial = make(map[uint64]*proto.PktBuf)
-		}
-		b := p.partial[f.PktID]
-		if b == nil {
-			b = p.bufs.Get()
-			p.partial[f.PktID] = b
-		}
-		b.Flits = append(b.Flits, f)
-	}
-	n := p.arrived[f.PktID] + 1
-	if n == f.Size {
-		delete(p.arrived, f.PktID)
+	fl := &p.fill
+	if fl.n == 0 {
+		fl.id = f.PktID
 		if p.retainPayload {
-			if p.store == nil {
-				//lint:allow allocfree -- one-time lazy init of the retention map
-				p.store = make(map[uint64]*proto.PktBuf)
-			}
-			p.store[f.PktID] = p.partial[f.PktID]
-			delete(p.partial, f.PktID)
+			fl.buf = p.bufs.Get()
 		}
-		if p.copies == nil {
-			//lint:allow allocfree -- one-time lazy init of the live-copy map
-			p.copies = make(map[uint64]uint8)
-		}
-		p.copies[f.PktID] = f.Size
-		return true
+	} else if fl.id != f.PktID {
+		panic("buffer: stash copy flits of two packets interleaved in one pool")
 	}
-	p.arrived[f.PktID] = n
-	return false
+	if fl.buf != nil {
+		fl.buf.Flits = append(fl.buf.Flits, f)
+	}
+	if fl.n++; fl.n < f.Size {
+		return false
+	}
+	if fl.buf != nil {
+		if p.store == nil {
+			//lint:allow allocfree -- one-time lazy init of the retention map
+			p.store = make(map[uint64]*proto.PktBuf)
+		}
+		p.store[f.PktID] = fl.buf
+	}
+	*fl = copyFill{}
+	if p.copies == nil {
+		//lint:allow allocfree -- one-time lazy init of the live-copy map
+		p.copies = make(map[uint64]uint8)
+	}
+	p.copies[f.PktID] = f.Size
+	return true
 }
 
 // Delete frees the space of a completed stash copy (positive ACK seen at
@@ -320,17 +325,17 @@ func (p *StashPool) FailBank() []uint64 {
 		p.freed += int64(size)
 	}
 	clear(p.copies)
-	//lint:allow determinism -- map-key collection, sorted before use
-	for id, n := range p.arrived {
-		lost = append(lost, id)
-		p.used -= int(n)
-		p.freed += int64(n)
+	fl := p.fill
+	if fl.n > 0 {
+		lost = append(lost, fl.id)
+		p.used -= int(fl.n)
+		p.freed += int64(fl.n)
 		if p.dead == nil {
 			p.dead = make(map[uint64]uint8)
 		}
-		p.dead[id] = n
+		p.dead[fl.id] = fl.n
+		p.fill = copyFill{}
 	}
-	clear(p.arrived)
 	if p.used < 0 {
 		panic("buffer: stash pool bank-failure underflow")
 	}
@@ -343,9 +348,9 @@ func (p *StashPool) FailBank() []uint64 {
 				delete(p.store, id)
 				b.Release()
 			}
-			if b := p.partial[id]; b != nil {
-				delete(p.partial, id)
-				b.Release()
+			if id == fl.id && fl.buf != nil {
+				fl.buf.Release()
+				fl.buf = nil
 			}
 		}
 	}
@@ -370,7 +375,7 @@ func (p *StashPool) TakeCopy(pktID uint64) (*proto.PktBuf, bool) {
 }
 
 // AuditRetained calls fn for every retained payload buffer (completed store
-// entries and still-filling partials). Invariant-checker use only, under
+// entries and the still-filling copy). Invariant-checker use only, under
 // the same quiescence rule as the link audits; visit order is unspecified,
 // which is acceptable because the checker inspects every entry regardless.
 func (p *StashPool) AuditRetained(fn func(pktID uint64, b *proto.PktBuf)) {
@@ -378,14 +383,19 @@ func (p *StashPool) AuditRetained(fn func(pktID uint64, b *proto.PktBuf)) {
 	for id, b := range p.store {
 		fn(id, b)
 	}
-	//lint:allow determinism -- audit-only traversal, order-insensitive
-	for id, b := range p.partial {
-		fn(id, b)
+	if p.fill.buf != nil {
+		fn(p.fill.id, p.fill.buf)
 	}
 }
 
 // RetainedBufs returns how many payload buffers the pool currently holds.
-func (p *StashPool) RetainedBufs() int { return len(p.store) + len(p.partial) }
+func (p *StashPool) RetainedBufs() int {
+	n := len(p.store)
+	if p.fill.buf != nil {
+		n++
+	}
+	return n
+}
 
 // PutCongested stores one flit of a congestion-stashed packet. The packet
 // becomes retrievable in FIFO order.

@@ -54,7 +54,7 @@ func (s *Switch) DumpState() string {
 			continue
 		}
 		avail := -1
-		if op.credits != nil {
+		if op.credited {
 			avail = op.credits.SharedFree()
 		}
 		fmt.Fprintf(&b, " out%d(%s) colocc=%d queued=%d used=%d/%d sharedCred=%d acc=%d",
@@ -78,7 +78,7 @@ func (s *Switch) DumpState() string {
 			}
 			f := op.buf.Front(vc)
 			av := -1
-			if op.credits != nil {
+			if op.credited {
 				av = op.credits.Avail(vc)
 			}
 			fmt.Fprintf(&b, " {obuf vc%d pkt=%x seq=%d cred=%d}", vc, f.PktID, f.Seq, av)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"stashsim/internal/buffer"
 	"stashsim/internal/metrics"
 	"stashsim/internal/proto"
@@ -83,12 +85,9 @@ func (s *Switch) stepRowBus(now sim.Tick, p *inPort) {
 
 	row := cfg.RowOf(p.id)
 	slot := cfg.SlotOf(p.id)
-	var req [proto.NumNetVCs + 1]bool
-	any := false
-	for vc := 0; vc < proto.NumNetVCs; vc++ {
-		if occ&(1<<uint(vc)) == 0 {
-			continue
-		}
+	var req uint64 // bit vc: input VC vc; bit NumNetVCs: the retrieval queue
+	for m := occ; m != 0; m &= m - 1 {
+		vc := bits.TrailingZeros32(m)
 		f := p.buf.Front(vc)
 		lt := &p.latch[vc]
 		if !lt.active {
@@ -180,24 +179,19 @@ func (s *Switch) stepRowBus(now sim.Tick, p *inPort) {
 			}
 		}
 		if ok {
-			req[vc] = true
-			any = true
+			req |= 1 << uint(vc)
 		}
 	}
 	if hasRetr {
 		f := pool.RetrFront()
 		if s.rowBufSpace(row, cfg.ColOf(int(f.OrigOut)), slot, proto.VCRetrieve) {
-			req[proto.NumNetVCs] = true
-			any = true
+			req |= 1 << proto.NumNetVCs
 		}
 	}
-	if !any {
+	if req == 0 {
 		return
 	}
-	w := p.arbiter.Grant(req[:])
-	if w < 0 {
-		return
-	}
+	w := p.arbiter.GrantMask(req)
 	if w == proto.NumNetVCs {
 		// Stash retrieval shares the row bus with normal input traffic.
 		// The stored flits live in the port's output-side memory (they

@@ -168,37 +168,29 @@ func (s *Switch) stepOutput(now sim.Tick, op *outPort) {
 	if op.acc < cfg.RateDen {
 		return
 	}
-	occ := op.buf.Occupied()
-	if occ == 0 {
+	req := uint64(op.buf.Occupied())
+	if req == 0 {
 		return
 	}
-	var req [proto.NumNetVCs]bool
-	any := false
-	for vc := 0; vc < proto.NumNetVCs; vc++ {
-		if occ&(1<<uint(vc)) == 0 {
-			continue
+	if op.credited {
+		for m := req; m != 0; m &= m - 1 {
+			if vc := bits.TrailingZeros64(m); op.credits.Avail(vc) <= 0 {
+				req &^= 1 << uint(vc)
+			}
 		}
-		if op.credits != nil && op.credits.Avail(vc) <= 0 {
-			continue
-		}
-		req[vc] = true
-		any = true
 	}
-	if !any {
+	if req == 0 {
 		// Flits are queued but every occupied VC is blocked on downstream
 		// credits: a credit-stall cycle on this output.
 		s.CreditStallCycles++
 		return
 	}
-	vc := op.sendArb.Grant(req[:])
-	if vc < 0 {
-		return
-	}
+	vc := op.sendArb.GrantMask(req)
 	if !op.mem.Request(now, buffer.ReadNormal) {
 		return
 	}
 	f := op.buf.Send(vc, now+op.rtt)
-	if op.credits != nil {
+	if op.credited {
 		op.credits.Take(&f)
 	}
 	if op.isEnd && cfg.Mode == StashE2E && f.Kind == proto.ACK && f.Head() {

@@ -205,7 +205,7 @@ func (op *outPort) state(c *snapshot.Codec, s *Switch) {
 	}
 	op.muxArb.State(c)
 	op.sendArb.State(c)
-	if op.credits != nil {
+	if op.credited {
 		op.credits.State(c)
 	}
 	snapshot.Wire64(c, &op.acc)

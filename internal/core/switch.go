@@ -89,7 +89,7 @@ type inPort struct {
 	class     topo.LinkClass //stashsim:derived -- structural; rebuilt from the configuration
 	isEnd     bool           //stashsim:derived -- structural; rebuilt from the configuration
 	link      *Link
-	buf       *buffer.DAMQ
+	buf       buffer.DAMQ
 	latch     [proto.NumNetVCs]routeLatch
 	arbiter   arb.RoundRobin // NumNetVCs input VCs + 1 retrieval candidate
 	congested bool
@@ -116,19 +116,22 @@ type stashLatch struct {
 	active bool
 }
 
+// tile is one crossbar tile; its per-slot and per-output slices are carved
+// from backing arrays NewSwitch allocates once for all the switch's tiles.
+//
 //stashsim:owner partition
 type tile struct {
-	row, col int                          //stashsim:derived -- structural; rebuilt from the configuration
-	rowBufs  [][]buffer.Queue[proto.Flit] // [TileIn][NumVCs]
+	row, col int                                      //stashsim:derived -- structural; rebuilt from the configuration
+	rowBufs  [][proto.NumVCs]buffer.Queue[proto.Flit] // [TileIn]
 	alloc    *arb.Separable
-	vcNext   []int        // per-slot stream rotation pointer
-	outLock  [][]tileLock // [TileOut][NumVCs]
-	sLatch   []stashLatch // per slot
-	occupied int          //stashsim:derived -- total queued flits (activity gate); decoding pushes them through pushTile
-	slotOcc  []uint16     //stashsim:derived -- per-slot bitmask of non-empty streams; decoding pushes their flits through pushTile
-	reqScr   []uint64     //stashsim:transient -- scratch request masks; stepTile recomputes them
-	candScr  [][]uint8    //stashsim:transient -- scratch candidate stream per (slot, out); stepTile recomputes it
-	grants   int64        //stashsim:transient -- column-channel grants since EnableMetrics; the registry walks it
+	vcNext   []int                    // per-slot stream rotation pointer
+	outLock  [][proto.NumVCs]tileLock // [TileOut]
+	sLatch   []stashLatch             // per slot
+	occupied int                      //stashsim:derived -- total queued flits (activity gate); decoding pushes them through pushTile
+	slotOcc  []uint16                 //stashsim:derived -- per-slot bitmask of non-empty streams; decoding pushes their flits through pushTile
+	reqScr   []uint64                 //stashsim:transient -- scratch request masks; stepTile recomputes them
+	candScr  []uint8                  //stashsim:transient -- scratch candidate stream per (slot, out), at slot*TileOut+out; stepTile recomputes it
+	grants   int64                    //stashsim:transient -- column-channel grants since EnableMetrics; the registry walks it
 }
 
 // muxLock serializes packets per output-buffer VC across the R column
@@ -147,18 +150,21 @@ type outPort struct {
 	class   topo.LinkClass //stashsim:derived -- structural; rebuilt from the configuration
 	isEnd   bool           //stashsim:derived -- structural; rebuilt from the configuration
 	link    *Link          //stashsim:derived -- wiring; a link is walked by its consumer side
-	buf     *buffer.OutBuf
-	colBufs [][]buffer.Queue[proto.Flit] // [Rows][NumVCs]
-	colOcc  int                          //stashsim:derived -- total flits in column buffers (activity gate); decoding pushes them through pushCol
-	colMask uint64                       //stashsim:derived -- bitmask of non-empty (row*NumVCs+vc) buffers; decoding pushes their flits through pushCol
+	buf     buffer.OutBuf
+	colBufs [][proto.NumVCs]buffer.Queue[proto.Flit] // [Rows]
+	colOcc  int                                      //stashsim:derived -- total flits in column buffers (activity gate); decoding pushes them through pushCol
+	colMask uint64                                   //stashsim:derived -- bitmask of non-empty (row*NumVCs+vc) buffers; decoding pushes their flits through pushCol
 	muxLock [proto.NumVCs]muxLock
 	muxArb  arb.RoundRobin // Rows*NumVCs candidates
 	sendArb arb.RoundRobin // network VCs
-	credits *buffer.CreditCounter
-	acc     int
-	accTick int64 // last cycle the serialization accumulator advanced
-	mem     buffer.BankedMem
-	rtt     int64 //stashsim:derived -- structural; rebuilt from the configuration
+	// credits mirrors the downstream input buffer when credited is set;
+	// an endpoint sinks flits without credits.
+	credits  buffer.CreditCounter
+	credited bool //stashsim:derived -- wiring; set when the link is attached
+	acc      int
+	accTick  int64 // last cycle the serialization accumulator advanced
+	mem      buffer.BankedMem
+	rtt      int64 //stashsim:derived -- structural; rebuilt from the configuration
 }
 
 // e2eEntry tracks one outstanding packet at its originating end port.
@@ -287,6 +293,10 @@ func NewSwitch(id int, cfg *Config, rng *sim.RNG) *Switch {
 	if cfg.Rows*cfg.Cols > 64 || radix > 64 {
 		panic("core: switch exceeds the 64-tile/64-port active-set masks")
 	}
+	// Each slice kind of every port and tile is carved from one backing
+	// array, so a switch costs a few dozen allocations however wide it is.
+	nt := cfg.Rows * cfg.Cols
+	dues := make([]sim.Tick, 2*radix)
 	s := &Switch{
 		ID:      id,
 		cfg:     cfg,
@@ -295,13 +305,15 @@ func NewSwitch(id int, cfg *Config, rng *sim.RNG) *Switch {
 		radix:   radix,
 		in:      make([]inPort, radix),
 		out:     make([]outPort, radix),
-		flitDue: make([]sim.Tick, radix),
-		credDue: make([]sim.Tick, radix),
-		tiles:   make([]tile, cfg.Rows*cfg.Cols),
+		flitDue: dues[:radix:radix],
+		credDue: dues[radix:],
+		tiles:   make([]tile, nt),
 		stash:   make([]*buffer.StashPool, radix),
 		track:   make([]map[uint64]*e2eEntry, d.P),
 		tally:   tallies{jsqPick: make([]int64, cfg.Cols)},
 	}
+	colBufs := make([][proto.NumVCs]buffer.Queue[proto.Flit], radix*cfg.Rows)
+	pools := make([]buffer.StashPool, radix)
 	for p := 0; p < radix; p++ {
 		class := d.PortClass(p)
 		ip := &s.in[p]
@@ -319,10 +331,7 @@ func NewSwitch(id int, cfg *Config, rng *sim.RNG) *Switch {
 		op.class = class
 		op.isEnd = class == topo.Endpoint
 		op.buf = buffer.NewOutBuf(cfg.NormalOutCap(class), proto.NumNetVCs)
-		op.colBufs = make([][]buffer.Queue[proto.Flit], cfg.Rows)
-		for r := range op.colBufs {
-			op.colBufs[r] = make([]buffer.Queue[proto.Flit], proto.NumVCs)
-		}
+		op.colBufs = carve(&colBufs, cfg.Rows)
 		op.muxArb = arb.NewRoundRobin(cfg.Rows * proto.NumVCs)
 		op.sendArb = arb.NewRoundRobin(proto.NumNetVCs)
 		op.mem.Ideal = !cfg.BankModel
@@ -330,28 +339,30 @@ func NewSwitch(id int, cfg *Config, rng *sim.RNG) *Switch {
 		op.accTick = -1
 		s.tileOutOf[p] = uint8(cfg.TileOutOf(p))
 
-		s.stash[p] = buffer.NewStashPool(cfg.StashCap(class), cfg.RetainPayload)
+		pools[p] = *buffer.NewStashPool(cfg.StashCap(class), cfg.RetainPayload) // inlined: the copy allocates nothing
+		s.stash[p] = &pools[p]
 	}
-	for r := 0; r < cfg.Rows; r++ {
-		for c := 0; c < cfg.Cols; c++ {
-			t := &s.tiles[r*cfg.Cols+c]
-			t.row, t.col = r, c
-			t.rowBufs = make([][]buffer.Queue[proto.Flit], cfg.TileIn)
-			t.candScr = make([][]uint8, cfg.TileIn)
-			for i := range t.rowBufs {
-				t.rowBufs[i] = make([]buffer.Queue[proto.Flit], proto.NumVCs)
-				t.candScr[i] = make([]uint8, cfg.TileOut)
-			}
-			t.alloc = arb.NewSeparable(cfg.TileIn, cfg.TileOut)
-			t.vcNext = make([]int, cfg.TileIn)
-			t.outLock = make([][]tileLock, cfg.TileOut)
-			for o := range t.outLock {
-				t.outLock[o] = make([]tileLock, proto.NumVCs)
-			}
-			t.sLatch = make([]stashLatch, cfg.TileIn)
-			t.slotOcc = make([]uint16, cfg.TileIn)
-			t.reqScr = make([]uint64, cfg.TileIn)
-		}
+	var (
+		rowBufs = make([][proto.NumVCs]buffer.Queue[proto.Flit], nt*cfg.TileIn)
+		outLock = make([][proto.NumVCs]tileLock, nt*cfg.TileOut)
+		vcNext  = make([]int, nt*cfg.TileIn)
+		sLatch  = make([]stashLatch, nt*cfg.TileIn)
+		slotOcc = make([]uint16, nt*cfg.TileIn)
+		reqScr  = make([]uint64, nt*cfg.TileIn)
+		candScr = make([]uint8, nt*cfg.TileIn*cfg.TileOut)
+		allocs  = arb.NewSeparables(nt, cfg.TileIn, cfg.TileOut)
+	)
+	for i := range s.tiles {
+		t := &s.tiles[i]
+		t.row, t.col = i/cfg.Cols, i%cfg.Cols
+		t.rowBufs = carve(&rowBufs, cfg.TileIn)
+		t.outLock = carve(&outLock, cfg.TileOut)
+		t.vcNext = carve(&vcNext, cfg.TileIn)
+		t.sLatch = carve(&sLatch, cfg.TileIn)
+		t.slotOcc = carve(&slotOcc, cfg.TileIn)
+		t.reqScr = carve(&reqScr, cfg.TileIn)
+		t.candScr = carve(&candScr, cfg.TileIn*cfg.TileOut)
+		t.alloc = &allocs[i]
 	}
 	for p := 0; p < d.P; p++ {
 		s.track[p] = make(map[uint64]*e2eEntry)
@@ -359,6 +370,14 @@ func NewSwitch(id int, cfg *Config, rng *sim.RNG) *Switch {
 	if cfg.StashParity > 0 {
 		s.parity = buffer.NewParityTracker(cfg.StashParity, s.stash)
 	}
+	return s
+}
+
+// carve cuts the next n elements off *backing, capped so that an append
+// cannot reach its neighbour's.
+func carve[T any](backing *[]T, n int) []T {
+	s := (*backing)[:n:n]
+	*backing = (*backing)[n:]
 	return s
 }
 
@@ -374,10 +393,12 @@ func (s *Switch) AttachInLink(p int, l *Link) {
 // buffer; pass zero capacity for endpoint-facing ports (endpoints sink
 // flits without credits).
 func (s *Switch) AttachOutLink(p int, l *Link, downstreamCap int) {
-	s.out[p].link = l
+	op := &s.out[p]
+	op.link = l
 	l.credDue = &s.credDue[p]
 	if downstreamCap > 0 {
-		s.out[p].credits = buffer.NewCreditCounter(downstreamCap, proto.NumNetVCs)
+		op.credits = buffer.NewCreditCounter(downstreamCap, proto.NumNetVCs)
+		op.credited = true
 	}
 }
 
@@ -475,11 +496,16 @@ func (s *Switch) TrackedPackets() int {
 
 // AuditInBuf exposes an input port's normal buffer for the invariant
 // checker's credit-conservation audit.
-func (s *Switch) AuditInBuf(port int) *buffer.DAMQ { return s.in[port].buf }
+func (s *Switch) AuditInBuf(port int) *buffer.DAMQ { return &s.in[port].buf }
 
 // AuditOutCredits exposes an output port's credit counter (nil for
 // endpoint-facing ports, which sink flits without credits).
-func (s *Switch) AuditOutCredits(port int) *buffer.CreditCounter { return s.out[port].credits }
+func (s *Switch) AuditOutCredits(port int) *buffer.CreditCounter {
+	if op := &s.out[port]; op.credited {
+		return &op.credits
+	}
+	return nil
+}
 
 // AuditOutLink exposes an output port's link (nil when unwired).
 func (s *Switch) AuditOutLink(port int) *Link { return s.out[port].link }
@@ -668,8 +694,8 @@ func (s *Switch) Step(now sim.Tick) {
 			continue
 		}
 		op := &s.out[p]
-		if op.credits != nil {
-			op.link.RecvCreditsInto(now, op.credits)
+		if op.credited {
+			op.link.RecvCreditsInto(now, &op.credits)
 		}
 		s.credDue[p] = op.link.NextCreditAt()
 	}
@@ -729,7 +755,7 @@ func (s *Switch) Step(now sim.Tick) {
 func (s *Switch) inBusy(p int) bool { return s.in[p].buf.Used() > 0 || s.stash[p].RetrLen() > 0 }
 
 //stashsim:noalloc
-func (s *Switch) outBusy(p int) bool { b := s.out[p].buf; return b.Queued() > 0 || b.Retained() > 0 }
+func (s *Switch) outBusy(p int) bool { b := &s.out[p].buf; return b.Queued() > 0 || b.Retained() > 0 }
 
 // NextWake implements sim.Stepper: the switch is busy next cycle while any
 // flit is queued in it (inputs, tiles, column or output buffers, stash
@@ -747,7 +773,7 @@ func (s *Switch) NextWake(now sim.Tick) sim.Tick {
 	}
 	w := sim.Never
 	for m := s.outActive; m != 0; m &= m - 1 {
-		b := s.out[bits.TrailingZeros64(m)].buf
+		b := &s.out[bits.TrailingZeros64(m)].buf
 		if b.Queued() > 0 {
 			return now + 1
 		}

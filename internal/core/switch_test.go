@@ -17,7 +17,7 @@ type swHarness struct {
 	cfg      *Config
 	in       []*Link // we write flits here (toward the switch)
 	out      []*Link // the switch writes flits here
-	credits  []*buffer.CreditCounter
+	credits  []buffer.CreditCounter
 	returned []int // credits received back per port
 	pending  [][]proto.Flit
 	now      sim.Tick

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"stashsim/internal/proto"
 	"stashsim/internal/sim"
 )
@@ -24,19 +26,19 @@ func (s *Switch) stepTile(now sim.Tick, t *tile) {
 	cfg := s.cfg
 	for slot := 0; slot < cfg.TileIn; slot++ {
 		t.reqScr[slot] = 0
-		occ := t.slotOcc[slot]
+		occ := uint(t.slotOcc[slot])
 		if occ == 0 {
 			continue
 		}
-		cand := t.candScr[slot]
+		cand := t.candScr[slot*cfg.TileOut:]
+		// Walk the occupied streams in rotation from the slot's pointer:
+		// rotate the occupancy so bit k stands for stream (base+k) mod
+		// NumVCs, then peel set bits.
 		base := t.vcNext[slot]
-		for k := 0; k < proto.NumVCs; k++ {
-			stream := base + k
+		for rot := (occ>>uint(base) | occ<<uint(proto.NumVCs-base)) & (1<<proto.NumVCs - 1); rot != 0; rot &= rot - 1 {
+			stream := base + bits.TrailingZeros(rot)
 			if stream >= proto.NumVCs {
 				stream -= proto.NumVCs
-			}
-			if occ&(1<<uint(stream)) == 0 {
-				continue
 			}
 			rb := &t.rowBufs[slot][stream]
 			f := rb.Front()
@@ -85,7 +87,7 @@ func (s *Switch) stepTile(now sim.Tick, t *tile) {
 		}
 		t.grants++
 		s.tally.colFlits++
-		stream := int(t.candScr[slot][o])
+		stream := int(t.candScr[slot*cfg.TileOut+o])
 		switch stream {
 		case proto.VCStore:
 			s.tally.svcFlits++

@@ -82,7 +82,7 @@ type Endpoint struct {
 
 	toSw    *core.Link //stashsim:derived -- wiring; walked by the switch input port that consumes it
 	fromSw  *core.Link
-	credits *buffer.CreditCounter
+	credits buffer.CreditCounter
 	acc     int
 
 	queues      map[int32]*buffer.Queue[pktDesc] // a send queue per destination (queue pair)
@@ -235,7 +235,7 @@ func (e *Endpoint) QueuedFlits() int64 { return e.queuedFlits }
 
 // AuditCredits exposes the injection credit counter for the invariant
 // checker's credit-conservation audit.
-func (e *Endpoint) AuditCredits() *buffer.CreditCounter { return e.credits }
+func (e *Endpoint) AuditCredits() *buffer.CreditCounter { return &e.credits }
 
 // AuditLinks exposes the attached links (injection, ejection).
 func (e *Endpoint) AuditLinks() (toSw, fromSw *core.Link) { return e.toSw, e.fromSw }
@@ -509,7 +509,7 @@ func (e *Endpoint) pushAck(now sim.Tick, f *proto.Flit, nack bool) {
 }
 
 func (e *Endpoint) stepInject(now sim.Tick) {
-	e.toSw.RecvCreditsInto(now, e.credits)
+	e.toSw.RecvCreditsInto(now, &e.credits)
 	if e.acc < e.cfg.RateDen {
 		e.acc += e.cfg.RateNum
 	}

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"stashsim/internal/core"
+	"stashsim/internal/proto"
 	"stashsim/internal/snapshot"
 )
 
@@ -172,14 +173,15 @@ func sortedKeys(byMsg map[string][]int) []string {
 // error that names the field. 0x7F is out of range for every index-like
 // field of a micro network (127 as a byte, bit 6 of a mask, -1's
 // complement of nothing); 0x01 turns a queued flit's VC into another
-// valid one, or its flags into a head without FlagShared. Four snapshots
-// cover the fields: the fuzz target's; a parity configuration caught with
-// a reconstruction in flight; the fuzz target's network at full load,
-// caught where a DAMQ VC queues shared flits behind a full reserved quota;
-// and one with input buffers so small that an endpoint port's DAMQ has no
-// shared pool at all. (The row-buffer flit.Out check has no single-byte
-// witness: it takes a pending Out and a storage VC in a stream that is
-// neither.)
+// valid one, or its flags into a head without FlagShared; 0x00 empties a
+// retained payload or a histogram bucket. Five snapshots cover the fields:
+// the fuzz target's with latency histograms attached, twice (0x7F and
+// 0x00); a parity configuration caught with a reconstruction in flight;
+// the fuzz target's network at full load, caught where a DAMQ VC queues
+// shared flits behind a full reserved quota; and one with input buffers so
+// small that an endpoint port's DAMQ has no shared pool at all. (The
+// row-buffer flit.Out check has no single-byte witness: it takes a pending
+// Out and a storage VC in a stream that is neither.)
 func TestRestoreNamesOutOfRangeField(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four single-byte sweeps; adds no concurrency coverage to the race pass")
@@ -195,34 +197,43 @@ func TestRestoreNamesOutOfRangeField(t *testing.T) {
 		cfg    *core.Config
 		load   float64
 		at     int64
+		hist   bool // latency histograms on every endpoint shard
 		flip   byte
 		fields []string
 	}{
-		{"faults", microSnapConfig(), 0.4, 200, 0x7F, []string{
+		{"faults", microSnapConfig(), 0.4, 200, true, 0x7F, []string{
 			"routeLatch.out", "routeLatch.vc", "routeLatch.stashCol", "inPort.sVC",
 			"muxLock.row", "tile.vcNext", "sLatch.port",
 			"sbMsg.kind", "sbMsg.dst", "sbMsg.aux", "e2eEntry.stashPort", "retryRec.port",
-			"RoundRobin.next", "PktBuf.Flits length",
+			"RoundRobin.next", "StashPool filling copies", "StashPool fill flits",
 			"Endpoint.rrIdx", "send queue length", "pktDesc.dst", "pktDesc.size", "pktDesc.class", "curPkt.seq",
 			"flit.Out", "flit.OrigOut", "flit.Src", "flit.Dst", "flit.MidGroup",
 			"fault: stash-failure cursor",
 			"OutBuf used flits", "column-buffer flit.VC",
+			"Hist bucket index", "Hist bucket sum",
 		}},
-		{"parity", parity, 0.4, 152, 0x7F, []string{
+		{"zeros", microSnapConfig(), 0.4, 200, true, 0x00, []string{
+			"PktBuf.Flits length", "Hist bucket count",
+		}},
+		{"parity", parity, 0.4, 152, false, 0x7F, []string{
 			"reconRec.origin", "reconRec.target",
 			"parityGroup.n", "parityGroup.state", "parityGroup.bankSet", "parityGroup.parityBank",
 			"parityMember.bank", "ParityTracker group index",
 		}},
-		{"congested", microSnapConfig(), 1, 431, 0x01, []string{
+		{"congested", microSnapConfig(), 1, 431, false, 0x01, []string{
 			"DAMQ flit.VC", "DAMQ.resvUsed", "OutBuf flit.VC",
 		}},
-		{"no-pool", noPool, 1, 600, 0x7F, []string{
+		{"no-pool", noPool, 1, 600, false, 0x7F, []string{
 			"DAMQ.shared",
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			valid := checkpointAt(t, microNet(t, tc.cfg, tc.load), tc.at)
+			n := microNet(t, tc.cfg, tc.load)
+			if tc.hist {
+				n.Collectors.WithHist(proto.ClassDefault)
+			}
+			valid := checkpointAt(t, n, tc.at)
 			want := make(map[string]bool, len(tc.fields))
 			for _, f := range tc.fields {
 				want[f] = true

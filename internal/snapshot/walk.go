@@ -113,6 +113,11 @@ func (c *Codec) Flit(f *proto.Flit) {
 		return
 	}
 	*f = c.r.Flit()
+	c.checkFlit(f)
+}
+
+// checkFlit is Flit's range check against the restoring network's Bounds.
+func (c *Codec) checkFlit(f *proto.Flit) {
 	if b := c.Bounds; b.Ports > 0 {
 		if f.Out != proto.OutPending || f.VC != proto.VCStore {
 			c.Bound("flit.Out", int(f.Out), 0, b.Ports)
@@ -258,18 +263,20 @@ func Slice[T any](c *Codec, s *[]T, elemMin int, elem func(*T)) {
 
 // FIFO is the queue surface Ring walks; ring buffers keep their storage
 // layout to themselves, and only the queue order is state. At(i) is the
-// i-th oldest entry.
+// i-th oldest entry; Grow(n) makes room for n more, so that decoding sizes
+// a ring once from its count.
 type FIFO[T any] interface {
 	Len() int
 	At(i int) *T
 	Push(T)
 	Reset()
+	Grow(n int)
 }
 
 // Ring walks a FIFO, oldest entry first: encoding reads its entries in
-// place, decoding empties the queue and pushes each decoded entry. Most
-// queues of a network are empty, so an empty one costs no more than its
-// count.
+// place, decoding empties the queue, reserves the decoded count and pushes
+// each decoded entry. Most queues of a network are empty, so an empty one
+// costs no more than its count.
 func Ring[T any](c *Codec, q FIFO[T], elemMin int, elem func(*T)) {
 	if c.r != nil {
 		q.Reset()
@@ -284,6 +291,7 @@ func Ring[T any](c *Codec, q FIFO[T], elemMin int, elem func(*T)) {
 		}
 		return
 	}
+	q.Grow(n)
 	v := new(T) // one cell per walk: what elem does with its argument is opaque to escape analysis
 	for i := 0; i < n; i++ {
 		var zero T
@@ -297,23 +305,40 @@ func Ring[T any](c *Codec, q FIFO[T], elemMin int, elem func(*T)) {
 
 // Flits walks a FIFO of flits (see Ring): by far the most numerous queue
 // of a network, so it gets the one non-generic entry point.
-func (c *Codec) Flits(q FIFO[proto.Flit]) { Ring(c, q, proto.FlitWireSize, c.flit) }
+func (c *Codec) Flits(q FIFO[proto.Flit]) {
+	if c.r == nil {
+		Ring(c, q, proto.FlitWireSize, c.flit)
+		return
+	}
+	c.ReplayFlits(q, q.Push)
+}
 
 // ReplayFlits walks a FIFO of flits whose owner keeps counts or masks
 // beside it, a function of the flits and so not in the stream. Encoding is
-// Flits'; decoding empties q and hands each flit to push, the owner's push
-// path, which rebuilds them as the run did, or refuses the flit through
-// Bound or Failf and so stops the walk. It is not generic, so that the
-// caller's push closure stays on the stack.
+// Flits'; decoding empties q, reserves the decoded count, and hands each
+// flit to push, the owner's push path, which rebuilds them as the run did,
+// or refuses the flit through Bound or Failf and so stops the walk. It is
+// not generic, so that the caller's push closure stays on the stack.
 func (c *Codec) ReplayFlits(q FIFO[proto.Flit], push func(proto.Flit)) {
 	if c.r == nil {
-		c.Flits(q)
+		Ring(c, q, proto.FlitWireSize, c.flit)
 		return
 	}
 	q.Reset()
-	for n := c.r.Count(proto.FlitWireSize); n > 0 && c.r.Err() == nil; n-- {
-		var f proto.Flit
-		if c.Flit(&f); c.r.Err() == nil {
+	n := c.r.Count(proto.FlitWireSize)
+	q.Grow(n)
+	// The flits have a fixed size, so the count's check that they are all
+	// there covers the whole block: each is decoded in place, past the
+	// Reader's per-value checks, with the proto codec's and Flit's range
+	// checks.
+	for ; n > 0 && c.r.err == nil; n-- {
+		f, _, err := proto.DecodeFlit(c.r.buf[c.r.off:])
+		if err != nil {
+			c.r.Failf("flit at offset %d: %v", c.r.off, err)
+			return
+		}
+		c.r.off += proto.FlitWireSize
+		if c.checkFlit(&f); c.r.err == nil {
 			push(f)
 		}
 	}

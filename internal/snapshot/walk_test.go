@@ -24,6 +24,7 @@ func (f *fifo) Len() int        { return len(*f) }
 func (f *fifo) At(i int) *int64 { return &(*f)[i] }
 func (f *fifo) Push(v int64)    { *f = append(*f, v) }
 func (f *fifo) Reset()          { *f = nil }
+func (f *fifo) Grow(n int)      { *f = append(make(fifo, 0, len(*f)+n), *f...) }
 
 func (s *walkState) state(c *Codec) {
 	c.Section("TEST")

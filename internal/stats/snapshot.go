@@ -1,6 +1,10 @@
 package stats
 
-import "stashsim/internal/snapshot"
+import (
+	"math"
+
+	"stashsim/internal/snapshot"
+)
 
 // State walks. Accumulators and histograms are captured exactly
 // (histograms as sparse non-zero buckets over the fixed bucket array),
@@ -15,30 +19,44 @@ func (a *Acc) State(c *snapshot.Codec) {
 }
 
 // State walks the histogram: the accumulator plus every non-zero bucket
-// as (index, count) pairs in index order. Decoding zeroes the buckets the
-// snapshot does not mention.
+// as (index, count) pairs in index order; the pages a bucket lives in are
+// not state. Decoding drops the pages the snapshot does not fill, and
+// refuses what Add and Merge cannot build: an index that does not ascend
+// strictly (a repeat would fold two buckets into one), a count below one,
+// and counts that do not sum to the accumulator's N (Percentile would
+// fall through to Max).
 func (h *Hist) State(c *snapshot.Codec) {
 	h.acc.State(c)
 	live := 0
-	for _, n := range h.buckets {
-		if n != 0 {
-			live++
-		}
+	for i := h.nextLive(-1); i < numBuckets; i = h.nextLive(i) {
+		live++
 	}
 	if c.Decoding() {
-		h.buckets = [numBuckets]int64{}
+		h.pages = [numPages]*page{}
 	}
 	i := -1
+	rest := h.acc.N // observations the buckets still have to hold
 	for k := c.Count(live, 12); k > 0; k-- {
+		prev := i
 		if !c.Decoding() {
-			for i++; h.buckets[i] == 0; i++ { // the next non-zero bucket
-			}
+			i = h.nextLive(i)
 		}
 		snapshot.Wire32(c, &i)
-		if c.Bound("Hist bucket index", i, 0, numBuckets); c.Err() != nil {
+		if c.Bound("Hist bucket index", i, prev+1, numBuckets); c.Err() != nil {
 			return
 		}
-		c.I64(&h.buckets[i])
+		n := h.count(i)
+		c.I64(&n)
+		if c.Bound("Hist bucket count", int(n), 1, int(min(rest, math.MaxInt64-1))+1); c.Err() != nil {
+			return
+		}
+		rest -= n
+		if c.Decoding() {
+			*h.bucket(i) = n
+		}
+	}
+	if rest != 0 {
+		c.Failf("Hist bucket sum = %d, but the histogram's N = %d", h.acc.N-rest, h.acc.N)
 	}
 }
 

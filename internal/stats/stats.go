@@ -65,11 +65,59 @@ const subBucketBits = 5
 
 const numBuckets = 64 * (1 << subBucketBits)
 
+// The buckets live in pages of pageSize, allocated on the first
+// observation that lands in one. A page is one power-of-two range of
+// values (page 0 holds the exact values below 2^subBucketBits), so a
+// latency distribution spanning a few octaves holds a few pages, not the
+// whole 16 KB bucket array: a paper-scale network keeps one histogram per
+// endpoint shard.
+const (
+	pageSize = 1 << subBucketBits
+	numPages = numBuckets / pageSize
+)
+
+type page [pageSize]int64
+
 // Hist is an HDR-style histogram of non-negative integer observations
-// (latencies in cycles). Memory is fixed; relative error is ~3%.
+// (latencies in cycles). Its memory grows with the octaves observed, up
+// to a fixed bound; relative error is ~3%.
 type Hist struct {
-	buckets [numBuckets]int64
-	acc     Acc
+	pages [numPages]*page
+	acc   Acc
+}
+
+// count returns bucket i's count.
+func (h *Hist) count(i int) int64 {
+	if p := h.pages[i/pageSize]; p != nil {
+		return p[i%pageSize]
+	}
+	return 0
+}
+
+// bucket returns bucket i, allocating its page.
+func (h *Hist) bucket(i int) *int64 {
+	p := h.pages[i/pageSize]
+	if p == nil {
+		p = new(page)
+		h.pages[i/pageSize] = p
+	}
+	return &p[i%pageSize]
+}
+
+// nextLive returns the index of the first non-zero bucket after i, or
+// numBuckets when there is none; it skips absent pages whole.
+func (h *Hist) nextLive(i int) int {
+	for i++; i < numBuckets; i++ {
+		p := h.pages[i/pageSize]
+		if p == nil {
+			i += pageSize - 1 - i%pageSize
+			continue
+		}
+		if p[i%pageSize] != 0 {
+			return i
+		}
+	}
+	return numBuckets
 }
 
 func bucketOf(v int64) int {
@@ -96,7 +144,7 @@ func (h *Hist) Add(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.buckets[bucketOf(v)]++
+	*h.bucket(bucketOf(v))++
 	h.acc.Add(float64(v))
 }
 
@@ -123,8 +171,8 @@ func (h *Hist) Percentile(p float64) int64 {
 		target = 1
 	}
 	var seen int64
-	for i := 0; i < numBuckets; i++ {
-		seen += h.buckets[i]
+	for i := h.nextLive(-1); i < numBuckets; i = h.nextLive(i) {
+		seen += h.count(i)
 		if seen >= target {
 			return bucketLow(i)
 		}
@@ -134,8 +182,18 @@ func (h *Hist) Percentile(p float64) int64 {
 
 // Merge folds another histogram into h.
 func (h *Hist) Merge(o *Hist) {
-	for i, c := range o.buckets {
-		h.buckets[i] += c
+	for pi, op := range o.pages {
+		if op == nil {
+			continue
+		}
+		p := h.pages[pi]
+		if p == nil {
+			p = new(page)
+			h.pages[pi] = p
+		}
+		for j, c := range op {
+			p[j] += c
+		}
 	}
 	h.acc.Merge(o.acc)
 }
@@ -156,11 +214,8 @@ func (h *Hist) InverseCDF() []InverseCDFPoint {
 	}
 	var out []InverseCDFPoint
 	remaining := h.acc.N
-	for i := 0; i < numBuckets; i++ {
-		if h.buckets[i] == 0 {
-			continue
-		}
-		remaining -= h.buckets[i]
+	for i := h.nextLive(-1); i < numBuckets; i = h.nextLive(i) {
+		remaining -= h.count(i)
 		out = append(out, InverseCDFPoint{
 			Value:    bucketLow(i),
 			Fraction: float64(remaining) / float64(h.acc.N),
