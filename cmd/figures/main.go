@@ -133,34 +133,39 @@ func main() {
 		os.Exit(2)
 	}
 
+	if err := run(sel, o, &c); err != nil {
+		log.Print(err)
+		os.Exit(1)
+	}
+}
+
+// run runs the selected experiments. Every failure returns through it, so
+// what it deferred — the CPU profile's stop and the -memprofile write —
+// happens on a failing run too.
+func run(sel []*harness.Experiment, o *harness.Options, c *cliOpts) (err error) {
 	// Every experiment network gets the shared flags; a preset or fault
 	// plan that cannot be built is refused here, before table1 runs.
 	probe := o.Base
 	probe.Mode = "baseline"
 	if _, err := probe.Config(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if c.cpuprofile != "" {
 		f, err := os.Create(c.cpuprofile)
 		if err != nil {
-			log.Fatalf("cpuprofile: %v", err)
+			return fmt.Errorf("cpuprofile: %w", err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatalf("cpuprofile: %v", err)
+			return fmt.Errorf("cpuprofile: %w", err)
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if c.memprofile != "" {
 		defer func() {
-			f, err := os.Create(c.memprofile)
-			if err != nil {
-				log.Fatalf("memprofile: %v", err)
-			}
-			defer f.Close()
 			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Fatalf("memprofile: %v", err)
+			if werr := writeHeapProfile(c.memprofile); err == nil {
+				err = werr
 			}
 		}()
 	}
@@ -172,7 +177,7 @@ func main() {
 	}
 	if c.out != "" {
 		if err := os.MkdirAll(c.out, 0o755); err != nil {
-			log.Fatalf("-out: %v", err)
+			return fmt.Errorf("-out: %w", err)
 		}
 	}
 	log.SetFlags(log.Ltime)
@@ -181,13 +186,12 @@ func main() {
 		start := time.Now() //lint:allow determinism -- wall-clock progress logging only
 		outs, err := e.Run(o)
 		if err != nil {
-			log.Printf("%s FAILED: %v", e.Name, err)
-			os.Exit(1)
+			return fmt.Errorf("%s FAILED: %w", e.Name, err)
 		}
 		for _, out := range outs {
 			if c.out != "" {
 				if err := os.WriteFile(filepath.Join(c.out, out.File+".csv"), []byte(out.Table.CSV()), 0o644); err != nil {
-					log.Fatalf("%s: %v", e.Name, err)
+					return fmt.Errorf("%s: %w", e.Name, err)
 				}
 			}
 			if out.Title != "" {
@@ -206,9 +210,23 @@ func main() {
 		if c.out != "" {
 			path := filepath.Join(c.out, "exec_profile.json")
 			if err := os.WriteFile(path, rep.JSON(), 0o644); err != nil {
-				log.Fatalf("exec profile: %v", err)
+				return fmt.Errorf("exec profile: %w", err)
 			}
 			log.Printf("exec profile written to %s", path)
 		}
 	}
+	return nil
+}
+
+// writeHeapProfile writes a heap profile to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("memprofile: %w", err)
+	}
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return fmt.Errorf("memprofile: %w", err)
+	}
+	return f.Close()
 }

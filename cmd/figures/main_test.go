@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -184,6 +187,34 @@ func TestCheckSnapshots(t *testing.T) {
 		}
 		if err != nil && strings.Count(err.Error(), ";") != len(c.want)-1 {
 			t.Errorf("-exp %s -checkpoint %q: %v names more than %v", c.exp, c.checkpoint, err, c.want)
+		}
+	}
+}
+
+// TestFailingRunKeepsProfiles re-executes the test binary as figures with an
+// experiment that fails once the profiles are on (fig5 restoring from a
+// snapshot that does not exist): it must exit 1 and still leave a CPU and a
+// heap profile pprof can read, gzip streams both, where the exit used to
+// skip the deferred stop and the heap profile's write.
+func TestFailingRunKeepsProfiles(t *testing.T) {
+	if args := os.Getenv("FIGURES_ARGS"); args != "" {
+		os.Args = append([]string{"figures"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestFailingRunKeepsProfiles$")
+	cmd.Env = append(os.Environ(), "FIGURES_ARGS=-exp fig5 -preset tiny -quick -workers 1 -restore "+filepath.Join(dir, "missing")+
+		" -cpuprofile "+cpu+" -memprofile "+mem)
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "fig5 FAILED") {
+		t.Fatalf("want exit 1 naming the failed experiment, got %v:\n%s", err, out)
+	}
+	for _, prof := range []string{cpu, mem} {
+		if b, err := os.ReadFile(prof); err != nil || !bytes.HasPrefix(b, []byte{0x1f, 0x8b}) {
+			t.Errorf("%s of the failing run: %d bytes (err %v), want a gzip stream", filepath.Base(prof), len(b), err)
 		}
 	}
 }

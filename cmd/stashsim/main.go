@@ -6,16 +6,19 @@
 //	stashsim -preset small -mode e2e -load 0.5 -cycles 50000
 //	stashsim -preset paper -mode congestion -load 0.4 -hotspots 12 -cycles 130000
 //	stashsim -p 3 -a 7 -h 3 -mode baseline -load 0.8
-//	stashsim -preset tiny -mode e2e -metrics -trace trace.jsonl -sample-every 1000 -json
+//	stashsim -preset tiny -mode e2e -metrics -trace trace.jsonl -sample occupancy.csv -json
 //
 // Observability: -metrics prints the switch-level metric registry
-// (-metrics=full every scope of it), -trace/-trace-chrome export the
-// packet-lifecycle ring buffer as JSONL and Chrome trace_event JSON,
-// -sample-every writes fixed-interval occupancy samples as CSV, -watchdog
-// dumps non-idle switch state on zero-delivery windows (and, at the next
-// barrier, on SIGQUIT), -invariants audits the conservation laws during
-// the run, and -json emits a machine-readable run summary on stdout
-// (human-readable output moves to stderr).
+// (-metrics=full every scope of it), -trace exports the packet-lifecycle
+// ring buffer (as Chrome trace_event JSON to a name ending in .json, as
+// JSONL to any other), -sample writes occupancy samples every 64 cycles as
+// CSV, -watchdog dumps non-idle switch state on zero-delivery windows (and,
+// at the next barrier, on SIGQUIT), -invariants audits the conservation
+// laws during the run, and -json emits a machine-readable run summary on
+// stdout (human-readable output moves to stderr).
+//
+// Recovery: any fault flag, and -stash-bypass, arms the recovery timers;
+// -drain N -assert-delivery then requires exactly-once delivery.
 package main
 
 import (
@@ -26,6 +29,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"stashsim/internal/core"
 	"stashsim/internal/harness"
@@ -34,28 +38,27 @@ import (
 	"stashsim/internal/telemetry"
 )
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(1)
-}
-
 // cliOpts are the flags that do not determine the simulation's outcome:
 // what to observe and where to write it.
 type cliOpts struct {
 	metrics                string // "", "totals" or "full"
-	traceOut, traceChrome  string
-	sampleEvery            int64
-	sampleOut              string
-	watchdog               int64
+	trace, sample          string
+	stallWindow            int64
 	profileExec            bool
 	serve                  string
 	jsonOut                bool
 	cpuprofile, memprofile string
 
-	// dumps is the SIGQUIT dump slot observe attached next to the flight
-	// recorder, nil without -watchdog or -serve.
-	dumps *telemetry.DumpRequest
+	// What observe built and the report reads: the sampler (nil without
+	// -sample), the watchdog (nil without -watchdog), and the SIGQUIT dump
+	// slot next to the flight recorder (nil without -watchdog or -serve).
+	sampler  *metrics.Sampler
+	watchdog *metrics.Watchdog
+	dumps    *telemetry.DumpRequest
 }
+
+// chromeTrace reports whether -trace names a Chrome trace_event file.
+func chromeTrace(name string) bool { return strings.HasSuffix(name, ".json") }
 
 // defineFlags declares every flag, so that TestFlagCount can count them:
 // the ten shared with cmd/figures, the rest of the run description, then
@@ -77,11 +80,10 @@ func defineFlags(fs *flag.FlagSet, sp *harness.Spec, o *cliOpts) {
 	fs.Float64Var(&sp.ErrRate, "errors", 0, "per-packet NACK probability (e2e retransmission)")
 	fs.Uint64Var(&sp.FaultSeed, "fault-seed", 0, "fault RNG seed (overrides the plan's)")
 	fs.Float64Var(&sp.CorruptRate, "corrupt-rate", 0, "per-flit payload-corruption probability (caught by checksums)")
-	fs.BoolVar(&sp.Retrans, "retrans", false, "enable recovery timers (auto-enabled when a plan drops packets in e2e mode)")
-	fs.BoolVar(&sp.StashBypass, "stash-bypass", false, "forward packets uncovered when the stash is full instead of stalling (endpoint timers recover)")
+	fs.BoolVar(&sp.StashBypass, "stash-bypass", false, "forward packets uncovered when the stash is full instead of stalling; arms the recovery timers, as any fault flag does")
 	fs.Int64Var(&sp.Drain, "drain", 0, "after the measured window, run up to this many unloaded cycles until every packet settles")
 	fs.IntVar(&sp.Workers, "workers", runtime.GOMAXPROCS(0), "cycle-level worker goroutines stepping the network (1 = serial; results are identical either way)")
-	fs.BoolVar(&sp.AssertDelivery, "assert-delivery", false, "with -drain and faults or -retrans, exit nonzero unless every injected packet delivered exactly once")
+	fs.BoolVar(&sp.AssertDelivery, "assert-delivery", false, "with -drain and a fault plan or -stash-bypass, exit nonzero unless every injected packet delivered exactly once")
 
 	fs.BoolFunc("metrics", "print the switch metrics registry, totals across switches, or with -metrics=full every per-switch/per-tile scope; -json gains a metrics block", func(s string) error {
 		switch s {
@@ -96,11 +98,9 @@ func defineFlags(fs *flag.FlagSet, sp *harness.Spec, o *cliOpts) {
 		}
 		return nil
 	})
-	fs.StringVar(&o.traceOut, "trace", "", "write the packet-lifecycle trace (a ring of the last 65536 events recorded, exported in time order) as JSONL to this file")
-	fs.StringVar(&o.traceChrome, "trace-chrome", "", "write the packet-lifecycle trace as Chrome trace_event JSON to this file")
-	fs.Int64Var(&o.sampleEvery, "sample-every", 0, "occupancy sampling interval in cycles (0 = off)")
-	fs.StringVar(&o.sampleOut, "sample-out", "occupancy.csv", "occupancy sample CSV output file (with -sample-every)")
-	fs.Int64Var(&o.watchdog, "watchdog", 0, "zero-delivery stall window in cycles (0 = off); dumps the flight recorder (the last 4096 64-cycle intervals) and non-idle switch state, also on SIGQUIT, at the next barrier")
+	fs.StringVar(&o.trace, "trace", "", "write the packet-lifecycle trace (a ring of the last 65536 events recorded, exported in time order) to this file: Chrome trace_event JSON if the name ends in .json, JSONL otherwise")
+	fs.StringVar(&o.sample, "sample", "", "write network occupancy (stash and buffer fill, injection backlog) sampled every 64 cycles as CSV to this file")
+	fs.Int64Var(&o.stallWindow, "watchdog", 0, "zero-delivery stall window in cycles (0 = off); dumps the flight recorder (the last 4096 64-cycle intervals) and non-idle switch state, also on SIGQUIT, at the next barrier")
 	fs.BoolVar(&o.profileExec, "profile-exec", false, "profile the cycle executor (per-worker phase/barrier timing); prints a report and adds exec_profile to -json")
 	fs.StringVar(&o.serve, "serve", "", "serve live telemetry on this address (/metrics, /snapshot, /healthz, /debug/pprof), e.g. :9100, as of the last barrier snapshot; attaches the flight recorder and the SIGQUIT dump, served at the next barrier, like -watchdog")
 	fs.BoolVar(&o.jsonOut, "json", false, "emit a machine-readable run summary as JSON on stdout")
@@ -120,15 +120,16 @@ func (o *cliOpts) observe(n *network.Network, out io.Writer) (pub *telemetry.Pub
 	if o.metrics != "" {
 		n.EnableMetrics(metrics.NewRegistry())
 	}
-	if o.traceOut != "" || o.traceChrome != "" {
+	if o.trace != "" {
 		n.EnableTracing(metrics.NewTracer(1 << 16))
 	}
-	if o.sampleEvery > 0 {
-		n.AttachSampler(o.sampleEvery)
+	if o.sample != "" {
+		o.sampler = network.NewSampler(n, metrics.FlightInterval)
+		n.Observe(o.sampler)
 	}
 	if o.profileExec {
 		ring := 0
-		if o.traceChrome != "" {
+		if chromeTrace(o.trace) {
 			ring = 4096 // retain raw lane timings for the Chrome executor lanes
 		}
 		n.EnableExecProfile(ring)
@@ -140,22 +141,25 @@ func (o *cliOpts) observe(n *network.Network, out io.Writer) (pub *telemetry.Pub
 	// at the next barrier (and main, once the run is over, lets requests
 	// serve themselves).
 	stop = func() {}
-	if o.serve != "" || o.watchdog > 0 {
-		n.AttachFlight(4096)
+	if o.serve != "" || o.stallWindow > 0 {
+		flight := network.NewFlightRecorder(n, 4096)
+		n.Observe(flight)
 		w := os.Stderr
 		o.dumps = telemetry.NewDumpRequest(func() {
 			fmt.Fprintf(w, "--- SIGQUIT dump at cycle %d ---\n", n.CyclesDone())
-			n.Flight.Dump(w, 64)
+			flight.Dump(w, 64)
 			n.DumpNonIdle(w)
 		})
 		n.Observe(o.dumps)
 		stop = telemetry.NotifyDumps(o.dumps.Request)
-	}
-	if o.watchdog > 0 {
-		n.AttachWatchdog(o.watchdog, os.Stderr)
+		if o.stallWindow > 0 {
+			o.watchdog = network.NewWatchdog(n, o.stallWindow, os.Stderr, flight)
+			n.Observe(o.watchdog)
+		}
 	}
 	if o.serve != "" {
-		pub = n.AttachTelemetry(metrics.FlightInterval)
+		pub = telemetry.NewPublisher(n.TelemetrySnapshot, metrics.FlightInterval)
+		n.Observe(pub)
 		srv := &telemetry.Server{Publisher: pub}
 		addr, err := srv.Start(o.serve)
 		if err != nil {
@@ -174,7 +178,17 @@ func main() {
 	var o cliOpts
 	defineFlags(flag.CommandLine, &sp, &o)
 	flag.Parse()
+	if err := run(&sp, &o); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
 
+// run is the command after its flags are parsed. Every failure returns
+// through it, so what it deferred — the CPU profile's stop, the SIGQUIT
+// handler, the worker pool — runs on a failing run too, and a failing run
+// still leaves a profile pprof can read.
+func run(sp *harness.Spec, o *cliOpts) error {
 	// With -json, stdout carries exactly one JSON document; everything
 	// human-readable moves to stderr.
 	var out io.Writer = os.Stdout
@@ -185,11 +199,11 @@ func main() {
 	if o.cpuprofile != "" {
 		f, err := os.Create(o.cpuprofile)
 		if err != nil {
-			fatalf("cpuprofile: %v", err)
+			return fmt.Errorf("cpuprofile: %w", err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatalf("cpuprofile: %v", err)
+			return fmt.Errorf("cpuprofile: %w", err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -199,23 +213,23 @@ func main() {
 	// the profiler the snapshot reads with an empty one-lane one.
 	n, err := sp.Build()
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	defer n.Close()
 	fmt.Fprintln(out, n.Describe())
 	pub, stop, err := o.observe(n, out)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	defer stop()
 	reg, tracer, prof := n.Metrics, n.Tracer, n.Profiler
 
 	if err := sp.Warm(n); err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	s, runErr := sp.Run(n)
 	if s == nil { // a failed -assert-delivery comes with the summary that shows it
-		fatalf("%v", runErr)
+		return runErr
 	}
 	pub.Publish()    // final snapshot so late scrapes see the end-of-run state
 	o.dumps.Finish() // no more barriers: a SIGQUIT from here on dumps at once
@@ -245,8 +259,8 @@ func main() {
 		}
 		fmt.Fprintf(out, "bank conflicts: %d\n", bc)
 	}
-	if n.Invariants != nil {
-		fmt.Fprintf(out, "invariants: %d audits, all laws held\n", n.Invariants.Checks)
+	if iv := network.Observed[*core.Invariants](n); iv != nil {
+		fmt.Fprintf(out, "invariants: %d audits, all laws held\n", iv.Checks)
 	}
 	st := n.ExecStats()
 	fmt.Fprintf(out, "executor: %d blocks on %d workers, %d epochs, %.1f cycles/sync\n", st.Blocks, st.Workers, st.Epochs, st.CyclesPerSync)
@@ -281,57 +295,43 @@ func main() {
 		}
 	}
 	if tracer != nil {
-		if o.traceOut != "" {
-			if err := writeFileWith(o.traceOut, tracer.WriteJSONL); err != nil {
-				fatalf("trace: %v", err)
-			}
-			artifacts["trace_jsonl"] = o.traceOut
-			fmt.Fprintf(out, "trace: %d events (%d dropped) -> %s\n", tracer.Len(), tracer.Dropped(), o.traceOut)
-		}
-		if o.traceChrome != "" {
+		kind, write := "trace_jsonl", tracer.WriteJSONL
+		if chromeTrace(o.trace) {
 			// With -profile-exec, the executor's worker/phase lanes ride
 			// along in the same trace file (pid 2).
-			err := writeFileWith(o.traceChrome, func(w io.Writer) error {
-				if prof != nil {
-					return tracer.WriteChromeTraceWith(w, prof.ChromeEvents)
-				}
-				return tracer.WriteChromeTrace(w)
-			})
-			if err != nil {
-				fatalf("trace-chrome: %v", err)
+			kind, write = "trace_chrome", tracer.WriteChromeTrace
+			if prof != nil {
+				write = func(w io.Writer) error { return tracer.WriteChromeTraceWith(w, prof.ChromeEvents) }
 			}
-			artifacts["trace_chrome"] = o.traceChrome
-			fmt.Fprintf(out, "chrome trace: %d events -> %s (open in chrome://tracing or Perfetto)\n",
-				tracer.Len(), o.traceChrome)
 		}
-	}
-	if n.Sampler != nil {
-		if err := os.WriteFile(o.sampleOut, []byte(n.Sampler.CSV()), 0o644); err != nil {
-			fatalf("sample-out: %v", err)
+		if err := writeFileWith(o.trace, write); err != nil {
+			return fmt.Errorf("trace: %w", err)
 		}
-		artifacts["occupancy_csv"] = o.sampleOut
-		fmt.Fprintf(out, "occupancy samples (every %d cycles) -> %s\n", o.sampleEvery, o.sampleOut)
+		artifacts[kind] = o.trace
+		fmt.Fprintf(out, "trace: %d events (%d dropped) -> %s\n", tracer.Len(), tracer.Dropped(), o.trace)
 	}
-	if n.Watchdog != nil && n.Watchdog.Stalls > 0 {
-		fmt.Fprintf(out, "watchdog: %d zero-delivery window(s) detected\n", n.Watchdog.Stalls)
+	if o.sampler != nil {
+		if err := os.WriteFile(o.sample, []byte(o.sampler.CSV()), 0o644); err != nil {
+			return fmt.Errorf("sample: %w", err)
+		}
+		artifacts["occupancy_csv"] = o.sample
+		fmt.Fprintf(out, "occupancy samples (every %d cycles) -> %s\n", metrics.FlightInterval, o.sample)
 	}
-	if n.Watchdog != nil && n.Watchdog.Suppressed > 0 {
-		fmt.Fprintf(out, "watchdog: %d zero-delivery window(s) explained by fault outages\n", n.Watchdog.Suppressed)
+	if w := o.watchdog; w != nil && w.Stalls > 0 {
+		fmt.Fprintf(out, "watchdog: %d zero-delivery window(s) detected\n", w.Stalls)
+	}
+	if w := o.watchdog; w != nil && w.Suppressed > 0 {
+		fmt.Fprintf(out, "watchdog: %d zero-delivery window(s) explained by fault outages\n", w.Suppressed)
 	}
 	if prof != nil {
 		fmt.Fprintf(out, "\n%s", prof.Report().Text())
 	}
 
 	if o.memprofile != "" {
-		f, err := os.Create(o.memprofile)
-		if err != nil {
-			fatalf("memprofile: %v", err)
-		}
 		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatalf("memprofile: %v", err)
+		if err := writeFileWith(o.memprofile, pprof.WriteHeapProfile); err != nil {
+			return fmt.Errorf("memprofile: %w", err)
 		}
-		f.Close()
 		artifacts["memprofile"] = o.memprofile
 	}
 	if o.cpuprofile != "" {
@@ -350,8 +350,8 @@ func main() {
 			s.TraceEvents = tracer.Len()
 			s.TraceDropped = tracer.Dropped()
 		}
-		if n.Watchdog != nil {
-			s.WatchdogStall = n.Watchdog.Stalls
+		if o.watchdog != nil {
+			s.WatchdogStall = o.watchdog.Stalls
 		}
 		if prof != nil {
 			s.ExecProfile = prof.Report()
@@ -362,16 +362,17 @@ func main() {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(s); err != nil {
-			fatalf("json: %v", err)
+			return fmt.Errorf("json: %w", err)
 		}
 	}
 
 	if runErr != nil {
-		fatalf("%v", runErr)
+		return runErr
 	}
 	if sp.AssertDelivery {
 		fmt.Fprintf(out, "assert-delivery: all %d packets delivered exactly once\n", s.Fault.InjectedPkts)
 	}
+	return nil
 }
 
 // writeFileWith streams a writer-consuming export into a file.

@@ -3,12 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -28,11 +31,11 @@ func runJSON(t *testing.T, sp harness.Spec) []byte {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	return marshalSummary(t, run(t, &sp, n))
+	return marshalSummary(t, runSpec(t, &sp, n))
 }
 
-// run warms and runs a built network the way main does.
-func run(t *testing.T, sp *harness.Spec, n *network.Network) *harness.Summary {
+// runSpec warms and runs a built network the way main does.
+func runSpec(t *testing.T, sp *harness.Spec, n *network.Network) *harness.Summary {
 	t.Helper()
 	if err := sp.Warm(n); err != nil {
 		t.Fatal(err)
@@ -165,11 +168,11 @@ func TestWorkersDeterminism(t *testing.T) {
 				stop := func() {}
 				if pt.watched {
 					var err error
-					if _, stop, err = (&cliOpts{watchdog: 50000, serve: "127.0.0.1:0"}).observe(n, io.Discard); err != nil {
+					if _, stop, err = (&cliOpts{stallWindow: 50000, serve: "127.0.0.1:0"}).observe(n, io.Discard); err != nil {
 						t.Fatal(err)
 					}
 				}
-				got := marshalSummary(t, run(t, &parallel, n))
+				got := marshalSummary(t, runSpec(t, &parallel, n))
 				st := n.ExecStats()
 				stop()
 				n.Close()
@@ -204,7 +207,7 @@ func TestFinalSnapshotHasExecProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stop()
-	run(t, &sp, n)
+	runSpec(t, &sp, n)
 	pub.Publish()
 	rep := pub.Latest().ExecProfile
 	if rep == nil || rep.Workers != 2 || rep.Cycles != 2000 || rep.Attribution.Epochs == 0 || rep.WallNS == 0 {
@@ -237,7 +240,7 @@ func TestDumpRequestServedAtBarrier(t *testing.T) {
 	defer errFile.Close()
 	defer func(old *os.File) { os.Stderr = old }(os.Stderr)
 	os.Stderr = errFile
-	o := &cliOpts{watchdog: 50000}
+	o := &cliOpts{stallWindow: 50000}
 	_, stop, err := o.observe(n, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +277,7 @@ func TestDumpRequestServedAtBarrier(t *testing.T) {
 			}
 		}
 	}()
-	run(t, &sp, n)
+	runSpec(t, &sp, n)
 	close(stopAsking)
 	<-asked
 	served := dumps()
@@ -299,8 +302,28 @@ func TestFlagCount(t *testing.T) {
 	defineFlags(fs, &sp, new(cliOpts))
 	count := 0
 	fs.VisitAll(func(*flag.Flag) { count++ })
-	if count != 41 {
-		t.Fatalf("stashsim declares %d flags, want 41", count)
+	if count != 38 {
+		t.Fatalf("stashsim declares %d flags, want 38", count)
+	}
+	// -trace picks its format by the file name, and -sample is the whole
+	// sampler: a file, at the flight recorder's 64 cycles.
+	for _, c := range []struct {
+		args          []string
+		trace, sample string
+		chrome        bool
+	}{
+		{[]string{"-trace", "x.json"}, "x.json", "", true},
+		{[]string{"-trace", "x.jsonl"}, "x.jsonl", "", false},
+		{[]string{"-trace", "x.json.gz"}, "x.json.gz", "", false},
+		{[]string{"-sample", "occ.csv"}, "", "occ.csv", false},
+	} {
+		o := new(cliOpts)
+		fs := flag.NewFlagSet("stashsim", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		defineFlags(fs, &sp, o)
+		if err := fs.Parse(c.args); err != nil || o.trace != c.trace || o.sample != c.sample || chromeTrace(o.trace) != c.chrome {
+			t.Fatalf("%v: trace %q (chrome %v) sample %q, err %v", c.args, o.trace, chromeTrace(o.trace), o.sample, err)
+		}
 	}
 	// -invariants is one flag with three forms.
 	for _, c := range []struct {
@@ -452,8 +475,9 @@ func TestObservabilityNeutralDeterminism(t *testing.T) {
 	n.EnableMetrics(reg)
 	n.SetWorkers(wiredSpec.Workers)
 	n.EnableExecProfile(128)
-	n.AttachFlight(1024)
-	pub := n.AttachTelemetry(64)
+	n.Observe(network.NewFlightRecorder(n, 1024))
+	pub := telemetry.NewPublisher(n.TelemetrySnapshot, 64)
+	n.Observe(pub)
 	srv := &telemetry.Server{Publisher: pub}
 	if _, err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -461,8 +485,95 @@ func TestObservabilityNeutralDeterminism(t *testing.T) {
 	defer srv.Close()
 	// The summary's metrics map is populated by main only when -metrics is
 	// set, so the structs compare cleanly here.
-	wired := marshalSummary(t, run(t, &wiredSpec, n))
+	wired := marshalSummary(t, runSpec(t, &wiredSpec, n))
 	if !bytes.Equal(bare, wired) {
 		t.Fatalf("observability wiring changed the summary:\n--- bare ---\n%s\n--- wired ---\n%s", bare, wired)
+	}
+}
+
+// parseRun parses a command line with the real flag set and runs it the way
+// main does, its human output discarded.
+func parseRun(t *testing.T, args string) error {
+	t.Helper()
+	var sp harness.Spec
+	o := new(cliOpts)
+	fs := flag.NewFlagSet("stashsim", flag.ContinueOnError)
+	defineFlags(fs, &sp, o)
+	if err := fs.Parse(strings.Fields(args)); err != nil {
+		t.Fatal(err)
+	}
+	devNull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devNull.Close()
+	defer func(old *os.File) { os.Stdout = old }(os.Stdout)
+	os.Stdout = devNull
+	return run(&sp, o)
+}
+
+// TestTraceAndSampleFiles: -trace writes one Chrome trace_event document
+// to a name ending in .json and one JSON event per line to any other, and
+// -sample writes a CSV row every 64 cycles.
+func TestTraceAndSampleFiles(t *testing.T) {
+	dir := t.TempDir()
+	sample := filepath.Join(dir, "occ.csv")
+	for _, name := range []string{"t.json", "t.jsonl"} {
+		trace := filepath.Join(dir, name)
+		if err := parseRun(t, "-preset tiny -mode e2e -load 0.3 -cycles 600 -warmup 100 -workers 1 -trace "+trace+" -sample "+sample); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(b)), "\n")
+		if chromeTrace(name) != json.Valid(b) || len(lines) < 10 {
+			t.Fatalf("%s: one JSON document %v, %d lines", name, json.Valid(b), len(lines))
+		}
+		for i, line := range lines {
+			if !chromeTrace(name) && !json.Valid([]byte(line)) {
+				t.Fatalf("%s line %d is not one JSON event: %s", name, i, line)
+			}
+		}
+	}
+	b, err := os.ReadFile(sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := strings.Split(strings.TrimSpace(string(b)), "\n")
+	if len(rows) != 1+700/64+1 || !strings.HasPrefix(rows[0], "cycle,stash.fill,") {
+		t.Fatalf("occupancy CSV has %d lines, header %q; want a row per 64 of 700 cycles", len(rows), rows[0])
+	}
+	for i, row := range rows[1:] {
+		if cycle, _, _ := strings.Cut(row, ","); cycle != strconv.Itoa(64*i) {
+			t.Fatalf("row %d is cycle %s, want %d", i, cycle, 64*i)
+		}
+	}
+}
+
+// TestFailingRunKeepsProfile re-executes the test binary as stashsim with a
+// flag set that fails after the CPU profile has started (a -trace file in a
+// directory that does not exist, written once the run is over): it must
+// exit 1 and still leave a profile pprof can read, a gzip stream, where the
+// exit used to skip the deferred stop and leave an empty file.
+func TestFailingRunKeepsProfile(t *testing.T) {
+	if args := os.Getenv("STASHSIM_ARGS"); args != "" {
+		os.Args = append([]string{"stashsim"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	dir := t.TempDir()
+	prof := filepath.Join(dir, "cpu.prof")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestFailingRunKeepsProfile$")
+	cmd.Env = append(os.Environ(), "STASHSIM_ARGS=-preset tiny -mode e2e -cycles 300 -warmup 100 -workers 1 -cpuprofile "+prof+
+		" -trace "+filepath.Join(dir, "missing", "t.jsonl"))
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "trace: open") {
+		t.Fatalf("want exit 1 naming the trace file, got %v:\n%s", err, out)
+	}
+	if b, err := os.ReadFile(prof); err != nil || !bytes.HasPrefix(b, []byte{0x1f, 0x8b}) {
+		t.Fatalf("CPU profile of the failing run: %d bytes (err %v), want a gzip stream", len(b), err)
 	}
 }

@@ -78,7 +78,7 @@ func TestCLISmoke(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := marshalSummary(t, run(t, &sp, n))
+				got := marshalSummary(t, runSpec(t, &sp, n))
 				if i == 0 {
 					first = got
 				} else if !bytes.Equal(first, got) {

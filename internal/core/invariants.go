@@ -49,24 +49,34 @@ import (
 type Invariants struct {
 	// Every is the audit interval in cycles; values below one audit every
 	// cycle.
+	//
+	//stashsim:derived -- configuration, set by the wiring that builds the checker
 	Every int64
 
 	// Out receives the violation report and state dump (default stderr).
+	//
+	//stashsim:derived -- configuration, set by the wiring that builds the checker
 	Out io.Writer
 
 	// Switches and ExtLinks (the endpoint→switch injection links) cover
 	// every flit-holding structure exactly once: each switch enumerates
 	// its own out-links.
+	//
+	//stashsim:derived -- wiring, rebuilt from the network's link table
 	Switches []*Switch
-	ExtLinks []*Link
+	ExtLinks []*Link //stashsim:derived -- wiring, rebuilt from the network's link table
 
 	// Edges lists every credited (sender, link, receiver-buffer) triple.
+	//
+	//stashsim:derived -- wiring, rebuilt from the network's link table
 	Edges []CreditEdge
 
 	// ExtCreated and ExtDestroyed report the cumulative flits injected
 	// and ejected by the endpoints.
+	//
+	//stashsim:derived -- wiring, closures over the network's endpoints
 	ExtCreated   func() int64
-	ExtDestroyed func() int64
+	ExtDestroyed func() int64 //stashsim:derived -- wiring, closures over the network's endpoints
 
 	// Checks counts the audits performed (tests assert the checker ran).
 	Checks int64

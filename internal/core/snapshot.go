@@ -364,3 +364,10 @@ func (c *Config) fingerprintPairs() [][2]string {
 	}
 	return pairs
 }
+
+// State walks the invariant checker's audit count, so a restored run
+// reports as many audits as a straight one; the rest is wiring the network
+// rebuilds when it builds the checker.
+//
+//stashsim:phase serial -- runs only at a cycle barrier or before the restored run starts
+func (iv *Invariants) State(c *snapshot.Codec) { c.I64(&iv.Checks) }

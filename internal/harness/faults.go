@@ -57,7 +57,7 @@ func faults(o *Options) *grid {
 		point: func(sp *Spec, row, vi int) func(*core.Config) {
 			sp.FaultPlanPath, sp.Outages, sp.CorruptRate = "", "", 0
 			sp.FaultSeed, sp.DropRate, sp.StashFails = sp.Seed+101, rates[row], stashFails
-			sp.Retrans, sp.StashParity = true, []int{0, 4, 0}[vi]
+			sp.StashParity = []int{0, 4, 0}[vi]
 			sp.Load, sp.MsgPkts = 0.2, 1
 			sp.Drain, sp.AssertDelivery = 2_000_000, true
 			return nil

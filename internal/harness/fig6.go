@@ -5,6 +5,7 @@ import (
 	"os"
 
 	"stashsim/internal/core"
+	"stashsim/internal/network"
 	"stashsim/internal/stats"
 	"stashsim/internal/trace"
 	"stashsim/internal/tracegen"
@@ -66,7 +67,7 @@ func fig6(o *Options) ([]Output, error) {
 		}
 		// A deadlocked replay dumps its non-idle switches instead of
 		// spinning silently until the budget runs out.
-		n.AttachWatchdog(budget/4, os.Stderr)
+		n.Observe(network.NewWatchdog(n, budget/4, os.Stderr, nil))
 		rp, err := trace.NewReplay(traces[i/len(variants)], n, 0)
 		if err != nil {
 			return err

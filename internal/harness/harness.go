@@ -159,19 +159,15 @@ func (o *Options) scaleDur(cycles int64) int64 {
 
 // point derives design point i of experiment exp from the base spec: the
 // variant's mode, stash capacity and ECN; parity only on the e2e networks
-// it applies to; the recovery timers on under any fault plan, so that
-// dropped packets still deliver in every mode; and the point's own
-// snapshot files, <prefix>.<experiment>.<point> — points are independent
-// simulations, so the names depend on the experiment and the index, never
-// on sweep scheduling. Tables are byte-identical with or without snapshots.
+// it applies to; and the point's own snapshot files,
+// <prefix>.<experiment>.<point> — points are independent simulations, so
+// the names depend on the experiment and the index, never on sweep
+// scheduling. Tables are byte-identical with or without snapshots.
 func (o *Options) point(exp string, i int, v variant) Spec {
 	sp := o.Base
 	sp.Mode, sp.CapFrac, sp.ECN = v.mode.String(), v.capFrac, v.ecn
 	if v.mode != core.StashE2E {
 		sp.StashParity = 0
-	}
-	if plan, _ := sp.FaultPlan(); plan != nil { // a bad plan is Config's to report
-		sp.Retrans = true
 	}
 	if sp.CheckpointPath != "" {
 		sp.CheckpointPath = fmt.Sprintf("%s.%s.%03d", sp.CheckpointPath, exp, i)

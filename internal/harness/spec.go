@@ -48,18 +48,17 @@ type Spec struct {
 
 	// Fault injection and recovery (see internal/fault). FaultPlanPath
 	// loads a JSON plan; the individual fields layer on top of (or replace)
-	// it. Retrans forces the recovery timers on; they also auto-enable
-	// whenever the plan drops packets in e2e mode. Drain > 0 runs up to
-	// that many extra unloaded cycles after the measured window so every
-	// in-flight or timer-pending packet settles, and AssertDelivery makes
-	// anything but exactly-once delivery after it an error.
+	// it. The recovery timers are on whenever the plan is active or
+	// StashBypass is. Drain > 0 runs up to that many extra unloaded cycles
+	// after the measured window so every in-flight or timer-pending packet
+	// settles, and AssertDelivery makes anything but exactly-once delivery
+	// after it an error.
 	FaultPlanPath  string
 	FaultSeed      uint64
 	DropRate       float64
 	CorruptRate    float64
 	Outages        string
 	StashFails     string
-	Retrans        bool
 	StashBypass    bool
 	StashParity    int
 	Drain          int64
@@ -200,10 +199,10 @@ func (sp *Spec) Config() (*core.Config, error) {
 		return nil, err
 	}
 	cfg.Fault = plan
-	drops := plan != nil && (plan.LinkDropRate > 0 || len(plan.Outages) > 0)
-	if sp.Retrans || (drops && cfg.Mode == core.StashE2E) {
-		// Drops in e2e mode strand stash entries without the recovery
-		// ladder, so the timers switch on with the plan.
+	if plan != nil || sp.StashBypass {
+		// Every fault plan, and a bypass that forwards packets with no stash
+		// copy, brings the recovery ladder with it, in every mode and on
+		// both CLIs.
 		cfg.Retrans = core.DefaultRetrans()
 		if cfg.Mode == core.StashE2E {
 			cfg.RetainPayload = true
@@ -215,8 +214,8 @@ func (sp *Spec) Config() (*core.Config, error) {
 		if sp.Drain <= 0 {
 			return nil, fmt.Errorf("assert-delivery requires a drain window (in-flight packets would fail the check)")
 		}
-		if plan == nil && !cfg.Retrans.Enabled {
-			return nil, fmt.Errorf("assert-delivery requires fault injection or the recovery timers")
+		if !cfg.Retrans.Enabled {
+			return nil, fmt.Errorf("assert-delivery requires a fault plan or -stash-bypass (nothing else loses a packet to recover)")
 		}
 	}
 	return cfg, cfg.Validate()
@@ -240,7 +239,7 @@ func (sp *Spec) New(cfg *core.Config) (*network.Network, error) {
 		return nil, err
 	}
 	if sp.Invariants > 0 {
-		n.EnableInvariants(sp.Invariants)
+		n.Observe(network.NewInvariants(n, sp.Invariants))
 	}
 	n.SetWorkers(sp.Workers)
 	return n, nil

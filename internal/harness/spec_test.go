@@ -7,9 +7,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"stashsim/internal/sim"
 	"strings"
 	"testing"
+
+	"stashsim/internal/core"
+	"stashsim/internal/sim"
 )
 
 // summaryJSON runs a spec start to finish — Build, Warm, Run — and renders
@@ -150,9 +152,9 @@ func TestWarmResumes(t *testing.T) {
 }
 
 // TestAssertDeliveryIsCheckedUpFront: asking for the exactly-once check
-// without the drain that makes it meaningful, or without anything that
-// tracks deliveries, is refused by Config — before a network is built —
-// not after the whole run.
+// without the drain that makes it meaningful, or without anything that can
+// lose a packet, is refused by Config — before a network is built — not
+// after the whole run.
 func TestAssertDeliveryIsCheckedUpFront(t *testing.T) {
 	base := Spec{Preset: "tiny", Mode: "e2e", CapFrac: 1.0, Load: 0.3, MsgPkts: 1, Cycles: 100, AssertDelivery: true}
 	for _, c := range []struct {
@@ -161,15 +163,50 @@ func TestAssertDeliveryIsCheckedUpFront(t *testing.T) {
 		want string // "" = accepted
 	}{
 		{"no drain", func(sp *Spec) { sp.DropRate = 1e-3 }, "requires a drain window"},
-		{"no faults", func(sp *Spec) { sp.Drain = 1000 }, "requires fault injection or the recovery timers"},
+		{"neither plan nor bypass", func(sp *Spec) { sp.Drain = 1000 }, "requires a fault plan or -stash-bypass"},
+		{"NACKs alone", func(sp *Spec) { sp.Drain, sp.ErrRate = 1000, 0.01 }, "requires a fault plan or -stash-bypass"},
 		{"drops", func(sp *Spec) { sp.Drain, sp.DropRate = 1000, 1e-3 }, ""},
-		{"timers", func(sp *Spec) { sp.Drain, sp.Retrans = 1000, true }, ""},
+		{"bypass", func(sp *Spec) { sp.Drain, sp.StashBypass = 1000, true }, ""},
 	} {
 		sp := base
 		c.set(&sp)
 		_, err := sp.Config()
 		if (c.want == "") != (err == nil) || (err != nil && !strings.Contains(err.Error(), c.want)) {
 			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestTimersFollowThePlan pins the one rule for the recovery timers, which
+// stashsim and every figure share: any active fault plan, in any mode, or
+// -stash-bypass arms them, and nothing else does. It replaced two: stashsim
+// armed them only for drops in e2e mode or under -retrans, so a
+// corruption-only e2e plan ran without them and drops in baseline or
+// congestion mode were never recovered.
+func TestTimersFollowThePlan(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		set    func(*Spec)
+		timers bool
+	}{
+		{"no plan", func(*Spec) {}, false},
+		{"no plan, NACKs", func(sp *Spec) { sp.ErrRate = 0.01 }, false},
+		{"no plan, parity", func(sp *Spec) { sp.StashParity = 4 }, false},
+		{"corruption only, e2e", func(sp *Spec) { sp.CorruptRate = 1e-3 }, true},
+		{"drops, e2e", func(sp *Spec) { sp.DropRate = 1e-3 }, true},
+		{"drops, baseline", func(sp *Spec) { sp.Mode, sp.DropRate = "baseline", 1e-3 }, true},
+		{"drops, congestion", func(sp *Spec) { sp.Mode, sp.DropRate = "congestion", 1e-3 }, true},
+		{"bank failure, baseline", func(sp *Spec) { sp.Mode, sp.StashFails = "baseline", "0.0@50" }, true},
+		{"bypass alone", func(sp *Spec) { sp.StashBypass = true }, true},
+	} {
+		sp := Spec{Preset: "tiny", Mode: "e2e", CapFrac: 1.0, Load: 0.3, MsgPkts: 1, Cycles: 100}
+		c.set(&sp)
+		cfg, err := sp.Config()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if cfg.Retrans.Enabled != c.timers || c.timers && cfg.Mode == core.StashE2E && !cfg.RetainPayload {
+			t.Errorf("%s: timers %v (retain payload %v), want %v", c.name, cfg.Retrans.Enabled, cfg.RetainPayload, c.timers)
 		}
 	}
 }
@@ -227,9 +264,9 @@ func TestConfigRefuses(t *testing.T) {
 }
 
 // TestPointDerivation pins the rules a sweep's design point adds to the
-// base spec: any fault plan arms the recovery timers in every mode (a
-// stashsim run arms them only for drops in e2e mode), parity reaches only
-// e2e networks, and snapshot files are named by experiment and index.
+// base spec — parity reaches only e2e networks, and snapshot files are
+// named by experiment and index — and that its plan arms the recovery
+// timers in every mode, by Config's rule alone.
 func TestPointDerivation(t *testing.T) {
 	o := &Options{Base: Spec{Preset: "tiny", Seed: 3, StashFails: "0.0@100", StashParity: 4,
 		CheckpointPath: "w", CheckpointAt: 9, RestorePath: "r"}}
@@ -276,31 +313,31 @@ func FuzzSpecConfig(f *testing.F) {
 		parity          int
 		errs, drop      float64
 		outages, fails  string
-		retrans, bypass bool
+		bypass          bool
 		workers         int
 	}
 	for _, s := range []seed{
 		// One per mode, then the four that used to get through.
 		{mode: "baseline", capFrac: 1, load: 0.5, burst: 1, workers: 1},
 		{mode: "e2e", capFrac: 0.5, load: 0.3, burst: 2, parity: 4, errs: 0.02, drop: 1e-2, fails: "0.0@20", workers: 2},
-		{mode: "congestion", capFrac: 1, load: 0.4, burst: 1, hotspots: 2, outages: "sw0.3->sw1.2@10-40", retrans: true, workers: 3},
+		{mode: "congestion", capFrac: 1, load: 0.4, burst: 1, hotspots: 2, outages: "sw0.3->sw1.2@10-40", workers: 3},
 		{p: 1, a: 1, h: 1, mode: "baseline", capFrac: 1, load: 0.5, burst: 1},
 		{p: 255, mode: "baseline", capFrac: 1, load: 0.5, burst: 1}, // radix 69, see below
 		{mode: "e2e", capFrac: math.NaN(), load: 0.5, burst: 1},
 		{mode: "e2e", capFrac: 1, load: 0.5, burst: 1, errs: 2},
 		{p: 2, a: 1, h: 2, mode: "e2e", capFrac: math.Inf(1), load: math.Inf(1), burst: 0, parity: 2, bypass: true},
 	} {
-		f.Add(s.p, s.a, s.h, s.mode, s.capFrac, s.load, s.burst, s.hotspots, s.parity, s.errs, s.drop, s.outages, s.fails, s.retrans, s.bypass, s.workers)
+		f.Add(s.p, s.a, s.h, s.mode, s.capFrac, s.load, s.burst, s.hotspots, s.parity, s.errs, s.drop, s.outages, s.fails, s.bypass, s.workers)
 	}
 	f.Fuzz(func(t *testing.T, p, a, h uint8, mode string, capFrac, load float64, burst, hotspots, parity int,
-		errs, drop float64, outages, fails string, retrans, bypass bool, workers int) {
+		errs, drop float64, outages, fails string, bypass bool, workers int) {
 		sp := Spec{
 			Preset: "tiny", P: int(p % 5), A: int(a % 5), H: int(h % 5),
 			Mode: mode, CapFrac: capFrac, Load: load,
 			MsgPkts: max(-1, min(burst, 8)), Hotspots: max(-1, min(hotspots, 8)),
 			Seed: 1, Invariants: 16, Workers: max(0, min(workers, 4)),
 			ErrRate: errs, DropRate: drop, Outages: outages, StashFails: fails,
-			StashParity: max(-1, min(parity, 40)), Retrans: retrans, StashBypass: bypass,
+			StashParity: max(-1, min(parity, 40)), StashBypass: bypass,
 		}
 		if p == 255 { // the one topology that is too big: refused by its radix, so never built
 			sp.P, sp.A, sp.H = 30, 30, 10

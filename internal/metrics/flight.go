@@ -33,7 +33,7 @@ type FlightRecorder struct {
 	read   func(raw []int64)
 	rows   int
 	buf    []int64 // rows × (1 + len(fields)): cycle then one value per field
-	prev   []int64 // previous raw reading per counter field
+	prev   []int64 // previous raw reading per counter field; the first row takes its own
 	n      int64   // total records ever written
 }
 
@@ -76,6 +76,12 @@ func (f *FlightRecorder) AtBarrier(now int64) {
 	row := f.buf[int(f.n%int64(f.rows))*stride:][:stride]
 	row[0] = now
 	f.read(row[1:])
+	if f.n == 0 {
+		// The first reading is the baseline, so the first row's deltas are
+		// zero: a recorder that starts mid-run — a restored network's —
+		// would otherwise report every count so far as one interval's.
+		copy(f.prev, row[1:])
+	}
 	for i := range f.fields {
 		if !f.fields[i].Gauge {
 			row[1+i], f.prev[i] = row[1+i]-f.prev[i], row[1+i]

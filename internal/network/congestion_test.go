@@ -25,7 +25,7 @@ func buildHotspot(t *testing.T, mode core.StashMode, start int64) *Network {
 	}
 	// Sparse audit: these runs are long (60k cycles) and the laws are
 	// state-based, so corruption is still caught at the next interval.
-	n.EnableInvariants(64)
+	n.Observe(NewInvariants(n, 64))
 	rng := sim.NewRNG(99)
 	rate := n.ChannelRate()
 	hot := int32(7) // hotspot destination endpoint

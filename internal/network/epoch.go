@@ -205,9 +205,12 @@ type Observer interface {
 	AtBarrier(now int64)
 }
 
-// Observe registers an observer for the rest of the network's life.
-// Observers that name the same cycle run in registration order. Call
-// between runs.
+// Observe registers an observer for the rest of the network's life: the
+// one way onto the barrier schedule, for the network's own observers
+// (NewSampler, NewFlightRecorder, NewWatchdog, NewInvariants), a telemetry
+// publisher or a test's fake alike. Observers that name the same cycle run
+// in registration order, and the checkpoint walks the stateful ones in it.
+// Call between runs.
 func (n *Network) Observe(o Observer) { n.observers = append(n.observers, o) }
 
 // beforeEpoch is the executor's BeforeEpoch hook: run the actions due

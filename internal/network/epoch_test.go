@@ -193,19 +193,23 @@ func TestEpochMidEpochFaultExact(t *testing.T) {
 // quiescent barrier, not at epoch granularity.
 func TestEpochObserversExact(t *testing.T) {
 	serial := buildLoadedWith(t, 11, nil)
-	spS := serial.AttachSampler(97)
-	serial.EnableInvariants(129)
+	spS := NewSampler(serial, 97)
+	serial.Observe(spS)
+	serial.Observe(NewInvariants(serial, 129))
 	var outS bytes.Buffer
-	serial.AttachWatchdog(1000, &outS)
+	wdS := NewWatchdog(serial, 1000, &outS, nil)
+	serial.Observe(wdS)
 	serial.Run(3000)
 
 	par := buildLoadedWith(t, 11, nil)
 	par.SetWorkers(4)
 	defer par.Close()
-	spP := par.AttachSampler(97)
-	par.EnableInvariants(129)
+	spP := NewSampler(par, 97)
+	par.Observe(spP)
+	par.Observe(NewInvariants(par, 129))
 	var outP bytes.Buffer
-	par.AttachWatchdog(1000, &outP)
+	wdP := NewWatchdog(par, 1000, &outP, nil)
+	par.Observe(wdP)
 	par.Run(3000)
 
 	if la := par.EpochLookahead(); la != 65 {
@@ -214,8 +218,8 @@ func TestEpochObserversExact(t *testing.T) {
 	if s, p := spS.CSV(), spP.CSV(); s != p {
 		t.Fatalf("sampled series diverge:\nserial:\n%s\nepoch:\n%s", s, p)
 	}
-	if serial.Watchdog.Stalls != par.Watchdog.Stalls {
-		t.Fatalf("watchdog stalls diverge: %d vs %d", serial.Watchdog.Stalls, par.Watchdog.Stalls)
+	if wdS.Stalls != wdP.Stalls {
+		t.Fatalf("watchdog stalls diverge: %d vs %d", wdS.Stalls, wdP.Stalls)
 	}
 	if !bytes.Equal(outS.Bytes(), outP.Bytes()) {
 		t.Fatalf("watchdog dumps diverge:\nserial:\n%s\nepoch:\n%s", outS.String(), outP.String())
@@ -230,21 +234,23 @@ func TestEpochWatchdogStallExact(t *testing.T) {
 
 	serial := buildLoadedWith(t, 12, starve)
 	var outS bytes.Buffer
-	serial.AttachWatchdog(300, &outS)
+	wdS := NewWatchdog(serial, 300, &outS, nil)
+	serial.Observe(wdS)
 	serial.Run(2000)
 
 	par := buildLoadedWith(t, 12, starve)
 	par.SetWorkers(4)
 	defer par.Close()
 	var outP bytes.Buffer
-	par.AttachWatchdog(300, &outP)
+	wdP := NewWatchdog(par, 300, &outP, nil)
+	par.Observe(wdP)
 	par.Run(2000)
 
-	if serial.Watchdog.Stalls == 0 {
+	if wdS.Stalls == 0 {
 		t.Fatal("starved network never stalled; the test is vacuous")
 	}
-	if serial.Watchdog.Stalls != par.Watchdog.Stalls {
-		t.Fatalf("stall counts diverge: serial %d, epoch %d", serial.Watchdog.Stalls, par.Watchdog.Stalls)
+	if wdS.Stalls != wdP.Stalls {
+		t.Fatalf("stall counts diverge: serial %d, epoch %d", wdS.Stalls, wdP.Stalls)
 	}
 	if !bytes.Equal(outS.Bytes(), outP.Bytes()) {
 		t.Fatalf("stall dumps diverge:\nserial:\n%s\nepoch:\n%s", outS.String(), outP.String())

@@ -41,7 +41,7 @@ func buildFaulted(t *testing.T, plan *fault.Plan, load float64, mutate func(*cor
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.EnableInvariants(64)
+	n.Observe(NewInvariants(n, 64))
 	rng := sim.NewRNG(11)
 	rate := n.ChannelRate()
 	for _, ep := range n.Endpoints {

@@ -44,7 +44,7 @@ func microNet(t testing.TB, cfg *core.Config, load float64) *Network {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	n.EnableInvariants(64)
+	n.Observe(NewInvariants(n, 64))
 	wireSnapTraffic(n, n.Cfg, snapScenario{load: load})
 	return n
 }
@@ -100,7 +100,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if err := n2.Restore(ck); err != nil {
 			t.Fatalf("re-checkpoint of an accepted restore failed to decode: %v", err)
 		}
-		n.Invariants.Out = io.Discard
+		Observed[*core.Invariants](n).Out = io.Discard
 		if msg, isRuntime := runAccepted(n, 64); isRuntime {
 			t.Fatalf("accepted restore hit a runtime error within 64 cycles: %s", msg)
 		}

@@ -16,7 +16,7 @@ import (
 
 // buildChecked builds a tiny network in the given mode with traffic and
 // the invariant checker auditing every cycle.
-func buildChecked(t *testing.T, mode core.StashMode) *Network {
+func buildChecked(t *testing.T, mode core.StashMode) (*Network, *core.Invariants) {
 	t.Helper()
 	cfg := core.TinyConfig()
 	cfg.Mode = mode
@@ -27,14 +27,15 @@ func buildChecked(t *testing.T, mode core.StashMode) *Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.EnableInvariants(1)
+	iv := NewInvariants(n, 1)
+	n.Observe(iv)
 	rng := sim.NewRNG(7)
 	rate := n.ChannelRate()
 	for _, ep := range n.Endpoints {
 		ep.Gen = traffic.Uniform(rng.Derive(uint64(ep.ID)), len(n.Endpoints), nil,
 			0.3, rate, proto.MaxPacketFlits, proto.ClassDefault, 0)
 	}
-	return n
+	return n, iv
 }
 
 // TestInvariantsHoldInAllModes drives every stash mode under load with a
@@ -42,10 +43,10 @@ func buildChecked(t *testing.T, mode core.StashMode) *Network {
 func TestInvariantsHoldInAllModes(t *testing.T) {
 	for _, mode := range []core.StashMode{core.StashOff, core.StashE2E, core.StashCongestion} {
 		t.Run(fmt.Sprintf("%v", mode), func(t *testing.T) {
-			n := buildChecked(t, mode)
+			n, iv := buildChecked(t, mode)
 			n.Run(5000)
-			if n.Invariants.Checks != 5000 {
-				t.Fatalf("audited %d of 5000 cycles", n.Invariants.Checks)
+			if iv.Checks != 5000 {
+				t.Fatalf("audited %d of 5000 cycles", iv.Checks)
 			}
 		})
 	}
@@ -63,7 +64,8 @@ func TestInvariantsHoldUnderErrorInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.EnableInvariants(1)
+	iv := NewInvariants(n, 1)
+	n.Observe(iv)
 	rng := sim.NewRNG(3)
 	rate := n.ChannelRate()
 	for _, ep := range n.Endpoints {
@@ -71,7 +73,7 @@ func TestInvariantsHoldUnderErrorInjection(t *testing.T) {
 			0.15, rate, proto.MaxPacketFlits, proto.ClassDefault, 0)
 	}
 	n.Run(8000)
-	if n.Invariants.Checks == 0 {
+	if iv.Checks == 0 {
 		t.Fatal("checker never ran")
 	}
 }
@@ -94,27 +96,27 @@ func expectViolation(t *testing.T, want string, fn func()) {
 }
 
 func TestInvariantsCatchFlitLeak(t *testing.T) {
-	n := buildChecked(t, core.StashOff)
+	n, iv := buildChecked(t, core.StashOff)
 	n.Run(100)
-	n.Invariants.Out = io.Discard
-	orig := n.Invariants.ExtCreated
-	n.Invariants.ExtCreated = func() int64 { return orig() + 1 }
+	iv.Out = io.Discard
+	orig := iv.ExtCreated
+	iv.ExtCreated = func() int64 { return orig() + 1 }
 	expectViolation(t, "flit conservation", func() { n.Step() })
 }
 
 func TestInvariantsCatchSRVCOnLink(t *testing.T) {
-	n := buildChecked(t, core.StashOff)
+	n, iv := buildChecked(t, core.StashOff)
 	n.Run(100)
-	n.Invariants.Out = io.Discard
+	iv.Out = io.Discard
 	toSw, _ := n.Endpoints[0].AuditLinks()
 	toSw.SendFlit(int64(n.Now), proto.Flit{VC: proto.VCStore, Size: 1})
 	expectViolation(t, "S/R confinement", func() { n.Step() })
 }
 
 func TestInvariantsCatchCreditMismatch(t *testing.T) {
-	n := buildChecked(t, core.StashOff)
+	n, iv := buildChecked(t, core.StashOff)
 	n.Run(100)
-	n.Invariants.Out = io.Discard
+	iv.Out = io.Discard
 	// Steal one reserved credit on the first switch-to-switch edge: the
 	// sender now undercounts the downstream buffer's free space.
 	d := n.Cfg.Topo
@@ -128,23 +130,23 @@ func TestInvariantsCatchCreditMismatch(t *testing.T) {
 }
 
 func TestInvariantsCatchStashInStashlessSwitch(t *testing.T) {
-	n := buildChecked(t, core.StashOff)
+	n, iv := buildChecked(t, core.StashOff)
 	n.Run(100)
-	n.Invariants.Out = io.Discard
+	iv.Out = io.Discard
 	// Force a flit into a zero-capacity pool, compensating the global
 	// flit count so only the stash law trips. The audit runs directly —
 	// stepping would let the input stage retrieve the flit into a tile
 	// first (tripping the tile-side S/R law instead).
 	n.Switches[0].PortStash(0).PutCongested(proto.Flit{VC: 0, Size: 1})
-	orig := n.Invariants.ExtCreated
-	n.Invariants.ExtCreated = func() int64 { return orig() + 1 }
-	expectViolation(t, "zero capacity", func() { n.Invariants.AtBarrier(n.Now) })
+	orig := iv.ExtCreated
+	iv.ExtCreated = func() int64 { return orig() + 1 }
+	expectViolation(t, "zero capacity", func() { iv.AtBarrier(n.Now) })
 }
 
 func TestInvariantsCatchStashOverflow(t *testing.T) {
-	n := buildChecked(t, core.StashCongestion)
+	n, iv := buildChecked(t, core.StashCongestion)
 	n.Run(100)
-	n.Invariants.Out = io.Discard
+	iv.Out = io.Discard
 	// Find a pool with real capacity and stuff it past its limit.
 	var pool *buffer.StashPool
 	for p := 0; p < n.Cfg.Topo.Radix() && pool == nil; p++ {
@@ -161,10 +163,10 @@ func TestInvariantsCatchStashOverflow(t *testing.T) {
 	// ignores packets without a live copy, so fabricate one first and
 	// compensate its flit in the global count.
 	pool.PutCopy(proto.Flit{PktID: 0, Size: 1})
-	orig := n.Invariants.ExtCreated
-	n.Invariants.ExtCreated = func() int64 { return orig() + 1 }
+	orig := iv.ExtCreated
+	iv.ExtCreated = func() int64 { return orig() + 1 }
 	pool.Delete(0, -(pool.Capacity() - pool.Used() + 1))
-	expectViolation(t, "stash occupancy", func() { n.Invariants.AtBarrier(n.Now) })
+	expectViolation(t, "stash occupancy", func() { iv.AtBarrier(n.Now) })
 }
 
 func TestInvariantsCatchFreedBufInBank(t *testing.T) {
@@ -175,9 +177,10 @@ func TestInvariantsCatchFreedBufInBank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.EnableInvariants(1)
+	iv := NewInvariants(n, 1)
+	n.Observe(iv)
 	n.Run(100)
-	n.Invariants.Out = io.Discard
+	iv.Out = io.Discard
 	var pool *buffer.StashPool
 	for p := 0; p < n.Cfg.Topo.Radix() && pool == nil; p++ {
 		if cand := n.Switches[0].PortStash(p); cand.Capacity() > 0 {
@@ -190,9 +193,9 @@ func TestInvariantsCatchFreedBufInBank(t *testing.T) {
 	// Complete a one-flit stash copy so the bank retains its payload
 	// buffer, compensating the fabricated flit in the global count.
 	pool.PutCopy(proto.Flit{PktID: 7, Size: 1})
-	orig := n.Invariants.ExtCreated
-	n.Invariants.ExtCreated = func() int64 { return orig() + 1 }
-	n.Invariants.AtBarrier(n.Now) // healthy retained copy passes the audit
+	orig := iv.ExtCreated
+	iv.ExtCreated = func() int64 { return orig() + 1 }
+	iv.AtBarrier(n.Now) // healthy retained copy passes the audit
 	// Now corrupt it: drop the bank's reference behind the pool's back.
 	// TakeCopy hands us a second reference; releasing both frees the
 	// buffer to the freelist while the store entry still points at it —
@@ -203,16 +206,16 @@ func TestInvariantsCatchFreedBufInBank(t *testing.T) {
 	}
 	b.Release()
 	b.Release()
-	expectViolation(t, "stash liveness", func() { n.Invariants.AtBarrier(n.Now) })
+	expectViolation(t, "stash liveness", func() { iv.AtBarrier(n.Now) })
 }
 
 // TestInvariantsNilAndSparse covers the sparse-audit interval (a disabled
 // checker is simply not on the observer list).
 func TestInvariantsNilAndSparse(t *testing.T) {
-	n := buildChecked(t, core.StashOff)
-	n.Invariants.Every = 10
+	n, iv := buildChecked(t, core.StashOff)
+	iv.Every = 10
 	n.Run(100)
-	if got := n.Invariants.Checks; got != 10 {
+	if got := iv.Checks; got != 10 {
 		t.Fatalf("sparse audit ran %d times, want 10", got)
 	}
 }

@@ -117,7 +117,7 @@ func TestRestoreMutationSweep(t *testing.T) {
 		copy(data, valid)
 		data[off] = 0xFF
 		n := microSnapNet(t)
-		n.Invariants.Out = io.Discard // a violation dump per loud variant
+		Observed[*core.Invariants](n).Out = io.Discard // a violation dump per loud variant
 		if err := n.Restore(data); err != nil {
 			continue
 		}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 
-	"stashsim/internal/buffer"
 	"stashsim/internal/core"
 	"stashsim/internal/endpoint"
 	"stashsim/internal/fault"
@@ -30,15 +29,12 @@ type Network struct {
 	// therefore -json output, bit-identical across worker counts.
 	Collectors *endpoint.CollectorSet
 
-	// Observability sinks; all nil (disabled) by default. See the
-	// EnableMetrics/EnableTracing/AttachSampler/AttachWatchdog wiring
-	// helpers. Sampler, Watchdog, Flight and Invariants are handles for
-	// reporting and checkpointing; what schedules them is the observer
-	// list they were registered on (Observe).
-	Metrics  *metrics.Registry
-	Tracer   *metrics.Tracer //stashsim:transient -- debugging sink; its output stream cannot resume mid-run
-	Sampler  *metrics.Sampler
-	Watchdog *metrics.Watchdog
+	// The component sinks, nil (disabled) by default: EnableMetrics names
+	// every switch's counts in Metrics, EnableTracing hands every component
+	// the Tracer. What watches the network between cycles is not here but
+	// on the observer list.
+	Metrics *metrics.Registry
+	Tracer  *metrics.Tracer //stashsim:transient -- debugging sink; its output stream cannot resume mid-run
 
 	// Profiler, when non-nil (EnableExecProfile / SetExecProfiler),
 	// receives per-worker per-phase executor timings.
@@ -46,24 +42,15 @@ type Network struct {
 	//stashsim:transient -- debugging sink; its output stream cannot resume mid-run
 	Profiler *sim.ExecProfiler
 
-	// Flight, when non-nil (AttachFlight), records per-interval aggregate
-	// deltas into a ring dumped by the watchdog and SIGQUIT.
+	// observers is the barrier schedule, in registration order: everything
+	// beforeEpoch asks for its next cycle and afterEpoch calls on it (see
+	// Observer), and what state walks the stateful members of.
 	//
-	//stashsim:transient -- debugging sink; its output stream cannot resume mid-run
-	Flight *metrics.FlightRecorder
-
-	// Invariants, when non-nil (EnableInvariants), audits the
-	// conservation laws after the cycles its interval names.
-	Invariants *core.Invariants
-
-	// observers is the barrier schedule: everything beforeEpoch asks for
-	// its next cycle and afterEpoch calls on it (see Observer).
-	//
-	//stashsim:transient -- wiring, rebuilt by the Attach calls; the stateful observers are walked through their handles above
+	//stashsim:transient -- wiring, rebuilt by the caller's Observe calls
 	observers []Observer
 
 	// edges is every directed link, recorded once by New in wiring order;
-	// EnableInvariants and repartition iterate it instead of walking the
+	// NewInvariants and repartition iterate it instead of walking the
 	// topology again.
 	//
 	//stashsim:derived -- the topology's link table, rebuilt by New
@@ -241,81 +228,6 @@ func (n *Network) EnableTracing(tr *metrics.Tracer) {
 	}
 }
 
-// AttachSampler installs an occupancy sampler polled every `every` cycles
-// with the standard network probes: network-wide stash fill, normal
-// input/output buffer fill, and the endpoint injection backlog (flits).
-func (n *Network) AttachSampler(every int64) *metrics.Sampler {
-	sp := metrics.NewSampler(every)
-	// fill probes the network-wide used/capacity ratio of one buffer kind.
-	fill := func(of func(s *core.Switch) (used, cap int)) func() float64 {
-		return func() float64 {
-			used, cap := 0, 0
-			for _, s := range n.Switches {
-				u, c := of(s)
-				used, cap = used+u, cap+c
-			}
-			if cap == 0 {
-				return 0
-			}
-			return float64(used) / float64(cap)
-		}
-	}
-	sp.Probe("stash.fill", fill(func(s *core.Switch) (int, int) { return s.StashUsed(), s.StashCapTotal() }))
-	sp.Probe("in.buf.fill", fill(func(s *core.Switch) (int, int) { u, c, _, _ := s.BufferFill(); return u, c }))
-	sp.Probe("out.buf.fill", fill(func(s *core.Switch) (int, int) { _, _, u, c := s.BufferFill(); return u, c }))
-	sp.Probe("inject.backlog", func() float64 { return float64(n.TotalQueuedFlits()) })
-	n.Sampler = sp
-	n.Observe(sp)
-	return sp
-}
-
-// AttachWatchdog installs a stall watchdog: if window cycles pass with no
-// flit delivered at any endpoint while work is pending, it dumps the state
-// of every non-idle switch to out instead of spinning silently.
-func (n *Network) AttachWatchdog(window int64, out io.Writer) *metrics.Watchdog {
-	w := &metrics.Watchdog{
-		Window:    window,
-		Out:       out,
-		Delivered: n.TotalDeliveredFlits,
-		Pending: func() bool {
-			if n.TotalQueuedFlits() > 0 {
-				return true
-			}
-			for _, s := range n.Switches {
-				if s.Busy() {
-					return true
-				}
-			}
-			return false
-		},
-		// Compose the dump at call time so a flight recorder attached in
-		// either order (before or after the watchdog) contributes its
-		// recent-cycle table; Dump on a nil recorder is a no-op.
-		Dump: func(w io.Writer) {
-			n.Flight.Dump(w, 64)
-			n.DumpNonIdle(w)
-		},
-	}
-	if n.Injector != nil {
-		// Fault recovery masquerading as a stall: report active outage
-		// windows, in-flight parity reconstructions, and recent stash-bank
-		// failures (whose drains flow through retry/reconstruction timers)
-		// instead of dumping switch state.
-		w.Note = func(from, to int64) string {
-			if note := n.Injector.OutageNote(from, to); note != "" {
-				return note
-			}
-			if pending := n.PendingReconstructions(); pending > 0 {
-				return fmt.Sprintf("%d stash reconstruction(s) in flight", pending)
-			}
-			return n.Injector.StashFailNote(from, to)
-		}
-	}
-	n.Watchdog = w
-	n.Observe(w)
-	return w
-}
-
 // PendingReconstructions returns the network-wide count of in-flight
 // parity rebuilds (0 unless StashParity is enabled and a bank recently
 // failed).
@@ -325,51 +237,6 @@ func (n *Network) PendingReconstructions() int {
 		total += s.PendingReconstructions()
 	}
 	return total
-}
-
-// EnableInvariants installs the runtime invariant checker, auditing the
-// conservation laws every `every` cycles (values below one audit every
-// cycle). The credited edges come from the link table: switch→switch links
-// paired with the downstream input buffer, and endpoint→switch injection
-// links paired with the end-port buffer.
-func (n *Network) EnableInvariants(every int64) *core.Invariants {
-	iv := &core.Invariants{
-		Every:    every,
-		Switches: n.Switches,
-		ExtCreated: func() int64 {
-			var total int64
-			for _, ep := range n.Endpoints {
-				total += ep.SentFlits
-			}
-			return total
-		},
-		ExtDestroyed: n.TotalDeliveredFlits,
-	}
-	for _, ep := range n.Endpoints {
-		toSw, _ := ep.AuditLinks()
-		iv.ExtLinks = append(iv.ExtLinks, toSw)
-	}
-	for i := range n.edges {
-		e := &n.edges[i]
-		if e.to.sw < 0 {
-			continue // delivery links return no credits
-		}
-		var credits *buffer.CreditCounter
-		if e.from.sw < 0 {
-			credits = n.Endpoints[e.from.port].AuditCredits()
-		} else {
-			credits = n.Switches[e.from.sw].AuditOutCredits(int(e.from.port))
-		}
-		iv.Edges = append(iv.Edges, core.CreditEdge{
-			Name:    e.name(),
-			Credits: credits,
-			Link:    e.link,
-			Buf:     n.Switches[e.to.sw].AuditInBuf(int(e.to.port)),
-		})
-	}
-	n.Invariants = iv
-	n.Observe(iv)
-	return iv
 }
 
 // DumpNonIdle writes DumpState for every switch still holding flits.

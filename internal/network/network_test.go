@@ -22,7 +22,7 @@ func runUR(t *testing.T, mode core.StashMode, load float64, cycles int64) *Netwo
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	n.EnableInvariants(16)
+	n.Observe(NewInvariants(n, 16))
 	rng := sim.NewRNG(42)
 	rate := n.ChannelRate()
 	for _, ep := range n.Endpoints {

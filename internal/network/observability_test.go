@@ -9,6 +9,7 @@ import (
 	"stashsim/internal/metrics"
 	"stashsim/internal/proto"
 	"stashsim/internal/sim"
+	"stashsim/internal/telemetry"
 	"stashsim/internal/traffic"
 )
 
@@ -27,7 +28,8 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	n.EnableMetrics(reg)
 	tr := metrics.NewTracer(1 << 14)
 	n.EnableTracing(tr)
-	n.AttachSampler(500)
+	sp := NewSampler(n, 500)
+	n.Observe(sp)
 
 	rng := sim.NewRNG(42)
 	rate := n.ChannelRate()
@@ -94,7 +96,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 
 	// Sampler must have produced rows and a parseable CSV.
-	csv := n.Sampler.CSV()
+	csv := sp.CSV()
 	lines := strings.Split(strings.TrimSpace(csv), "\n")
 	if len(lines) < 2 {
 		t.Fatalf("sampler CSV has no data rows:\n%s", csv)
@@ -102,7 +104,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if !strings.HasPrefix(lines[0], "cycle,") {
 		t.Fatalf("sampler CSV header: %q", lines[0])
 	}
-	if n.Sampler.Series("stash.fill") == nil {
+	if sp.Series("stash.fill") == nil {
 		t.Fatal("sampler missing stash.fill probe")
 	}
 
@@ -139,7 +141,7 @@ func TestObservabilityDisabledIdentical(t *testing.T) {
 		if observe {
 			n.EnableMetrics(metrics.NewRegistry())
 			n.EnableTracing(metrics.NewTracer(1 << 12))
-			n.AttachSampler(1000)
+			n.Observe(NewSampler(n, 1000))
 		}
 		rng := sim.NewRNG(7)
 		rate := n.ChannelRate()
@@ -170,7 +172,8 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	n.AttachWatchdog(2000, &out)
+	w := NewWatchdog(n, 2000, &out, nil)
+	n.Observe(w)
 	rng := sim.NewRNG(3)
 	rate := n.ChannelRate()
 	for _, ep := range n.Endpoints {
@@ -178,8 +181,8 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 			0.2, rate, proto.MaxPacketFlits, proto.ClassDefault, 0)
 	}
 	n.Run(20000)
-	if n.Watchdog.Stalls != 0 {
-		t.Fatalf("healthy run raised %d watchdog stalls:\n%s", n.Watchdog.Stalls, out.String())
+	if w.Stalls != 0 {
+		t.Fatalf("healthy run raised %d watchdog stalls:\n%s", w.Stalls, out.String())
 	}
 }
 
@@ -216,8 +219,9 @@ func TestExecProfileAndFlightEndToEnd(t *testing.T) {
 	n.EnableMetrics(reg)
 	n.SetWorkers(2)
 	prof := n.EnableExecProfile(64)
-	flight := n.AttachFlight(64)
-	n.AttachTelemetry(128)
+	flight := NewFlightRecorder(n, 64)
+	n.Observe(flight)
+	n.Observe(telemetry.NewPublisher(n.TelemetrySnapshot, 128))
 	n.Run(cycles)
 
 	wantC, _ := json.Marshal(bare.Counters())

@@ -7,6 +7,7 @@ import (
 	"stashsim/internal/metrics"
 	"stashsim/internal/proto"
 	"stashsim/internal/sim"
+	"stashsim/internal/telemetry"
 	"stashsim/internal/traffic"
 )
 
@@ -60,7 +61,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 	benchObserved(b, "enabled", func(n *Network) {
 		n.EnableMetrics(metrics.NewRegistry())
 		n.EnableTracing(metrics.NewTracer(1 << 14))
-		n.AttachSampler(500)
+		n.Observe(NewSampler(n, 500))
 	})
 }
 
@@ -71,8 +72,8 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	benchObserved(b, "enabled", func(n *Network) {
 		n.EnableMetrics(metrics.NewRegistry())
 		n.EnableExecProfile(0)
-		n.AttachFlight(4096)
-		n.AttachTelemetry(metrics.FlightInterval)
+		n.Observe(NewFlightRecorder(n, 4096))
+		n.Observe(telemetry.NewPublisher(n.TelemetrySnapshot, metrics.FlightInterval))
 	})
 }
 
@@ -80,8 +81,8 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 // -invariants default and at every cycle.
 func BenchmarkInvariantOverhead(b *testing.B) {
 	benchObserved(b, "off", nil)
-	benchObserved(b, "every64", func(n *Network) { n.EnableInvariants(64) })
-	benchObserved(b, "every1", func(n *Network) { n.EnableInvariants(1) })
+	benchObserved(b, "every64", func(n *Network) { n.Observe(NewInvariants(n, 64)) })
+	benchObserved(b, "every1", func(n *Network) { n.Observe(NewInvariants(n, 1)) })
 }
 
 // TestMetricsDisabledAllocFree is the hard form of the benchmark guard: a

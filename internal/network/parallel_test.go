@@ -81,10 +81,10 @@ func TestParallelStepRace(t *testing.T) {
 	n := buildLoaded(t, 11)
 	n.EnableMetrics(metrics.NewRegistry())
 	n.EnableTracing(metrics.NewTracer(1 << 12))
-	n.AttachSampler(250)
+	n.Observe(NewSampler(n, 250))
 	var out bytes.Buffer
-	n.AttachWatchdog(50000, &out)
-	n.EnableInvariants(64)
+	n.Observe(NewWatchdog(n, 50000, &out, nil))
+	n.Observe(NewInvariants(n, 64))
 	n.SetWorkers(4)
 	defer n.Close()
 

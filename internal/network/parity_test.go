@@ -68,10 +68,11 @@ func TestParityInvariantsHoldEveryCycle(t *testing.T) {
 		},
 	}
 	n := buildFaulted(t, plan, 0.2, withParity(4))
-	n.Invariants.Every = 1
+	iv := Observed[*core.Invariants](n)
+	iv.Every = 1
 	n.Run(5000)
-	if n.Invariants.Checks != 5000 {
-		t.Fatalf("audited %d of 5000 cycles", n.Invariants.Checks)
+	if iv.Checks != 5000 {
+		t.Fatalf("audited %d of 5000 cycles", iv.Checks)
 	}
 	sealed := int64(0)
 	for _, s := range n.Switches {
@@ -112,9 +113,10 @@ func TestInvariantsCatchParityMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.EnableInvariants(1)
+	iv := NewInvariants(n, 1)
+	n.Observe(iv)
 	n.Run(500)
-	n.Invariants.Out = io.Discard
+	iv.Out = io.Discard
 	// A parity flit the groups do not account for. Compensate the global
 	// flit count so only the parity law trips.
 	var pool *buffer.StashPool
@@ -127,9 +129,9 @@ func TestInvariantsCatchParityMismatch(t *testing.T) {
 		t.Fatal("no stash-capable port on sw0")
 	}
 	pool.AddParity(1)
-	orig := n.Invariants.ExtCreated
-	n.Invariants.ExtCreated = func() int64 { return orig() + 1 }
-	expectViolation(t, "parity accounting", func() { n.Invariants.AtBarrier(n.Now) })
+	orig := iv.ExtCreated
+	iv.ExtCreated = func() int64 { return orig() + 1 }
+	expectViolation(t, "parity accounting", func() { iv.AtBarrier(n.Now) })
 }
 
 // TestWatchdogNotesReconstruction: during a bank-failure drain the stall
@@ -142,8 +144,9 @@ func TestWatchdogNotesReconstruction(t *testing.T) {
 		StashFailures: []fault.StashFail{{Switch: 0, Port: 0, At: 3000}},
 	}
 	n := buildFaulted(t, plan, 0.25, withParity(4))
-	n.AttachWatchdog(1_000_000, io.Discard) // huge window: never fires, we only probe Note
-	if n.Watchdog.Note == nil {
+	w := NewWatchdog(n, 1_000_000, io.Discard, nil) // huge window: never fires, we only probe Note
+	n.Observe(w)
+	if w.Note == nil {
 		t.Fatal("watchdog Note hook not wired")
 	}
 	n.Run(3000)
@@ -154,14 +157,14 @@ func TestWatchdogNotesReconstruction(t *testing.T) {
 		n.Step()
 		if n.PendingReconstructions() > 0 {
 			sawRecon = true
-			if note := n.Watchdog.Note(int64(n.Now)-100, int64(n.Now)); !strings.Contains(note, "reconstruction") {
+			if note := w.Note(int64(n.Now)-100, int64(n.Now)); !strings.Contains(note, "reconstruction") {
 				t.Fatalf("note during in-flight rebuild: %q", note)
 			}
 		}
 	}
 	// Whether or not a rebuild was in flight at the instant we probed,
 	// the recent bank failure itself must be reported for windows near it.
-	if note := n.Watchdog.Note(2900, 3400); !strings.Contains(note, "sw0.0@3000") {
+	if note := w.Note(2900, 3400); !strings.Contains(note, "sw0.0@3000") {
 		t.Fatalf("note near the failure: %q", note)
 	}
 	if sawRecon {

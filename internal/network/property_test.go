@@ -41,7 +41,7 @@ func TestTopologyShapeSweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shape %+v: %v", sh, err)
 		}
-		n.EnableInvariants(64)
+		n.Observe(NewInvariants(n, 64))
 		rng := sim.NewRNG(uint64(sh.p*100 + sh.a*10 + sh.h))
 		rate := n.ChannelRate()
 		for _, ep := range n.Endpoints {
@@ -80,7 +80,7 @@ func TestSeedSweepDeliveryAcrossSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.EnableInvariants(64)
+		n.Observe(NewInvariants(n, 64))
 		rng := sim.NewRNG(seed * 997)
 		rate := n.ChannelRate()
 		for _, ep := range n.Endpoints {

@@ -23,7 +23,7 @@ func TestRetransmissionRecoversFromErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.EnableInvariants(16)
+	n.Observe(NewInvariants(n, 16))
 	rng := sim.NewRNG(21)
 	rate := n.ChannelRate()
 	for _, ep := range n.Endpoints {

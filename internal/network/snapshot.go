@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"strings"
 
 	"stashsim/internal/sim"
 	"stashsim/internal/snapshot"
@@ -59,25 +60,35 @@ func (n *Network) state(c *snapshot.Codec, now *int64) {
 		}
 	}
 	n.Collectors.State(c)
-	if n.observer(c, "metrics registry", n.Metrics != nil) {
-		n.Metrics.State(c)
+	// The watching: the metrics registry, if attached, then every observer
+	// with a state walk, in registration order. Their type names go first,
+	// as one list, so a restore with other observability flags — one
+	// missing, one extra, two swapped — fails naming both lists instead of
+	// reading one observer's state into another.
+	var walked []interface{ State(*snapshot.Codec) }
+	if n.Metrics != nil {
+		walked = append(walked, n.Metrics)
 	}
-	if n.observer(c, "occupancy sampler", n.Sampler != nil) {
-		n.Sampler.State(c)
+	for _, o := range n.observers {
+		if s, ok := o.(interface{ State(*snapshot.Codec) }); ok {
+			walked = append(walked, s)
+		}
 	}
-	if n.observer(c, "stall watchdog", n.Watchdog != nil) {
-		n.Watchdog.State(c)
+	names := make([]string, len(walked))
+	for i, s := range walked {
+		names[i] = fmt.Sprintf("%T", s)
 	}
-	if n.observer(c, "invariant checker", n.Invariants != nil) {
-		c.I64(&n.Invariants.Checks)
+	have := strings.Join(names, " ")
+	got := have
+	if c.Str(&got); c.Err() == nil && got != have {
+		c.Failf("observers [%s] in the snapshot, this run has [%s] (pass identical observability flags)", got, have)
+	}
+	for _, s := range walked {
+		if s.State(c); c.Err() != nil {
+			return
+		}
 	}
 	c.Section("ENDS")
-}
-
-// observer walks one stateful observer's presence bit: a restore with
-// mismatched observability flags fails loudly instead of desynchronizing.
-func (n *Network) observer(c *snapshot.Codec, name string, attached bool) bool {
-	return c.Present("a "+name+" attached (pass identical observability flags)", attached)
 }
 
 // Checkpoint serializes the network's complete dynamic state as of cycle

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -89,12 +90,19 @@ func buildSnapNet(t *testing.T, cfg *core.Config, sc snapScenario) *Network {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	n.EnableInvariants(64)
-	n.EnableMetrics(metrics.NewRegistry())
-	n.AttachSampler(250)
-	n.AttachWatchdog(100000, io.Discard)
+	attachSnapObservers(n)
 	wireSnapTraffic(n, cfg, sc)
 	return n
+}
+
+// attachSnapObservers attaches the grid's observers, in the order a
+// restore must repeat: the invariant checker, the metrics registry, the
+// sampler and the watchdog.
+func attachSnapObservers(n *Network) {
+	n.Observe(NewInvariants(n, 64))
+	n.EnableMetrics(metrics.NewRegistry())
+	n.Observe(NewSampler(n, 250))
+	n.Observe(NewWatchdog(n, 100000, io.Discard, nil))
 }
 
 // wireSnapTraffic installs the grid's uniform workload with restorable
@@ -303,21 +311,45 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 		})
 	}
 
-	t.Run("observer-mismatch", func(t *testing.T) {
-		cfg := snapConfig("tiny", sc)
-		n, err := New(cfg)
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		defer n.Close()
-		// Same workload wiring, but the source had metrics/sampler/
-		// watchdog/invariants attached and this network has none.
-		wireSnapTraffic(n, cfg, sc)
-		err = n.Restore(snap)
-		if err == nil || !strings.Contains(err.Error(), "identical observability flags") {
-			t.Fatalf("observer mismatch not rejected loudly: %v", err)
-		}
-	})
+	// The observers are walked as one list, in registration order: a
+	// restore with other observability flags fails naming them, whichever
+	// way the lists differ.
+	for _, c := range []struct {
+		name   string
+		attach func(n *Network)
+	}{
+		{"observer-mismatch", func(*Network) {}}, // none attached
+		{"observer-missing", func(n *Network) {
+			n.Observe(NewInvariants(n, 64))
+			n.EnableMetrics(metrics.NewRegistry())
+			n.Observe(NewSampler(n, 250))
+		}},
+		{"observer-extra", func(n *Network) {
+			attachSnapObservers(n)
+			n.Observe(NewSampler(n, 500))
+		}},
+		{"observer-swapped", func(n *Network) {
+			n.Observe(NewInvariants(n, 64))
+			n.EnableMetrics(metrics.NewRegistry())
+			n.Observe(NewWatchdog(n, 100000, io.Discard, nil))
+			n.Observe(NewSampler(n, 250))
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := snapConfig("tiny", sc)
+			n, err := New(cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer n.Close()
+			c.attach(n)
+			wireSnapTraffic(n, cfg, sc)
+			err = n.Restore(snap)
+			if err == nil || !strings.Contains(err.Error(), "identical observability flags") {
+				t.Fatalf("observer mismatch not rejected loudly: %v", err)
+			}
+		})
+	}
 
 	t.Run("stepped-network", func(t *testing.T) {
 		n := buildSnapNet(t, snapConfig("tiny", sc), sc)
@@ -364,16 +396,16 @@ func TestRestoreReschedulesSerialSingletons(t *testing.T) {
 	}
 	runSnapNet(rn, 1, 1, total)
 
-	if g, r := golden.Sampler.CSV(), rn.Sampler.CSV(); g != r {
+	if g, r := Observed[*metrics.Sampler](golden).CSV(), Observed[*metrics.Sampler](rn).CSV(); g != r {
 		t.Errorf("sampler rows diverged after restore:\n--- straight-through ---\n%s--- restored ---\n%s", g, r)
 	}
-	if g, r := golden.Invariants.Checks, rn.Invariants.Checks; g != r {
+	if g, r := Observed[*core.Invariants](golden).Checks, Observed[*core.Invariants](rn).Checks; g != r {
 		t.Errorf("invariant audit count diverged: straight-through %d, restored %d", g, r)
 	}
-	if g, r := golden.Watchdog.NextEventAt(int64(total)), rn.Watchdog.NextEventAt(int64(total)); g != r {
+	if g, r := Observed[*metrics.Watchdog](golden).NextEventAt(int64(total)), Observed[*metrics.Watchdog](rn).NextEventAt(int64(total)); g != r {
 		t.Errorf("watchdog window clock diverged: next event at %d vs %d", g, r)
 	}
-	if g, r := golden.Watchdog.Stalls, rn.Watchdog.Stalls; g != r {
+	if g, r := Observed[*metrics.Watchdog](golden).Stalls, Observed[*metrics.Watchdog](rn).Stalls; g != r {
 		t.Errorf("watchdog stall count diverged: %d vs %d", g, r)
 	}
 	if g, r := golden.FaultStats(), rn.FaultStats(); g != r {
@@ -381,6 +413,52 @@ func TestRestoreReschedulesSerialSingletons(t *testing.T) {
 	}
 	if g, r := golden.Counters(), rn.Counters(); g != r {
 		t.Errorf("counters diverged: %+v vs %+v", g, r)
+	}
+}
+
+// TestFlightRowsAfterRestore: a flight recorder on a restored network
+// starts from that network's counts, not from zero. Its first row, at the
+// first multiple of the interval after the restored cycle, has all-zero
+// deltas — it used to report every delivery and stash store since cycle 0
+// as that one interval's — and every row after it equals the straight
+// run's row of the same cycle.
+func TestFlightRowsAfterRestore(t *testing.T) {
+	sc := snapScenario{name: "e2e", mode: core.StashE2E, load: 0.3}
+	const total, ckptAt = 4000, 3000
+
+	straight := buildSnapNet(t, snapConfig("tiny", sc), sc)
+	defer straight.Close()
+	want := NewFlightRecorder(straight, 64)
+	straight.Observe(want)
+	var snap []byte
+	straight.ScheduleCheckpoint(ckptAt, func(now sim.Tick) { snap = straight.Checkpoint(now) })
+	straight.Run(total)
+
+	rn := buildSnapNet(t, snapConfig("tiny", sc), sc)
+	defer rn.Close()
+	got := NewFlightRecorder(rn, 64)
+	rn.Observe(got)
+	if err := rn.Restore(snap); err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	rn.Run(total - ckptAt)
+
+	straightAt := map[int64][]int64{}
+	for _, row := range want.Snapshot(0) {
+		straightAt[row[0]] = row
+	}
+	rows := got.Snapshot(0)
+	if len(rows) != (total-3008)/metrics.FlightInterval+1 || rows[0][0] != 3008 {
+		t.Fatalf("restored recorder has %d rows from cycle %d, want one every 64 cycles from 3008", len(rows), rows[0][0])
+	}
+	first, w := rows[0], straightAt[3008]
+	if !slices.Equal(first[1:5], []int64{0, 0, 0, 0}) || !slices.Equal(first[5:], w[5:]) || w[1] == 0 || w[2] == 0 {
+		t.Fatalf("first row after the restore %v, want zero deltas and the straight run's gauges (straight row %v)", first, w)
+	}
+	for _, row := range rows[1:] {
+		if w := straightAt[row[0]]; !slices.Equal(row, w) {
+			t.Fatalf("restored row %v, straight run's %v", row, w)
+		}
 	}
 }
 

@@ -8,10 +8,9 @@ import (
 	"stashsim/internal/telemetry"
 )
 
-// This file wires the executor profiler, the flight recorder and the
-// telemetry publisher: all opt-in, all nil (disabled) by default, and none
-// of them mutate simulation state — so -json output is byte-identical with
-// or without them.
+// This file wires the executor profiler and builds the telemetry snapshot:
+// both opt-in, and neither mutates simulation state — so -json output is
+// byte-identical with or without them.
 
 // EnableExecProfile creates and attaches an executor stall profiler sized
 // for the network's current worker count; a later SetWorkers resizes it,
@@ -70,46 +69,12 @@ func (n *Network) TotalDeliveredFlits() int64 {
 	return total
 }
 
-// AttachFlight installs a flight recorder retaining the last `rows`
-// intervals (metrics.FlightInterval cycles each) of aggregate readings:
-// deliveries, stash stores/retrieves, credit stalls (per-interval deltas)
-// and stash occupancy plus injection backlog (absolute gauges). A row is
-// one pass over the endpoints and one over the switches. Dumped by the
-// watchdog on stalls and by SIGQUIT. Attach it before the watchdog and a
-// stall dump includes the interval that ends on the stall cycle.
-func (n *Network) AttachFlight(rows int) *metrics.FlightRecorder {
-	f := metrics.NewFlightRecorder(rows,
-		func(raw []int64) {
-			var delivered, stores, retrieves, stalls, used, backlog int64
-			for _, ep := range n.Endpoints {
-				delivered += ep.RecvFlits
-				backlog += ep.QueuedFlits()
-			}
-			for _, s := range n.Switches {
-				stores += s.Counters.StashStores
-				retrieves += s.Counters.StashRetrieves
-				stalls += s.CreditStallCycles
-				used += int64(s.StashUsed())
-			}
-			raw[0], raw[1], raw[2], raw[3], raw[4], raw[5] = delivered, stores, retrieves, stalls, used, backlog
-		},
-		metrics.FlightField{Name: "delivered"},
-		metrics.FlightField{Name: "stash.stores"},
-		metrics.FlightField{Name: "stash.retrieves"},
-		metrics.FlightField{Name: "credit.stalls"},
-		metrics.FlightField{Name: "stash.used", Gauge: true},
-		metrics.FlightField{Name: "inject.backlog", Gauge: true},
-	)
-	n.Flight = f
-	n.Observe(f)
-	return f
-}
-
 // TelemetrySnapshot captures the full quiescent view the live server
 // publishes: counters, delivery totals, fault and watchdog state, the
 // executor profile, every registered metric, and the flight recorder
-// tail. Call only while the network is quiescent (the publisher runs it
-// at a barrier; CLIs also call it after a run).
+// tail, the watchdog and the recorder being the first of each on the
+// observer list. Call only while the network is quiescent (a publisher
+// registered last runs it at a barrier; CLIs also call it after a run).
 func (n *Network) TelemetrySnapshot() *telemetry.Snapshot {
 	s := &telemetry.Snapshot{
 		Cycle:             n.CyclesDone(),
@@ -124,12 +89,8 @@ func (n *Network) TelemetrySnapshot() *telemetry.Snapshot {
 		fs := n.FaultStats()
 		s.Fault = &fs
 	}
-	if n.Watchdog != nil {
-		s.Watchdog = &telemetry.WatchdogState{
-			Stalled:    n.Watchdog.Stalled(),
-			Stalls:     n.Watchdog.Stalls,
-			Suppressed: n.Watchdog.Suppressed,
-		}
+	if w := Observed[*metrics.Watchdog](n); w != nil {
+		s.Watchdog = &telemetry.WatchdogState{Stalled: w.Stalled(), Stalls: w.Stalls, Suppressed: w.Suppressed}
 	}
 	if n.Profiler != nil {
 		s.ExecProfile = n.Profiler.Report()
@@ -140,21 +101,8 @@ func (n *Network) TelemetrySnapshot() *telemetry.Snapshot {
 			s.Gauges = append(s.Gauges, telemetry.GaugeSample{Scope: sr.Scope, Name: sr.Name, Value: s.Values[i]})
 		}
 	}
-	if n.Flight != nil {
-		s.Flight = &telemetry.FlightTail{
-			Fields: n.Flight.FieldNames(),
-			Rows:   n.Flight.Snapshot(64),
-		}
+	if f := Observed[*metrics.FlightRecorder](n); f != nil {
+		s.Flight = &telemetry.FlightTail{Fields: f.FieldNames(), Rows: f.Snapshot(64)}
 	}
 	return s
-}
-
-// AttachTelemetry creates and attaches a snapshot publisher over
-// TelemetrySnapshot, refreshed every `every` cycles. The returned
-// publisher feeds a telemetry.Server. Attach it last, so each snapshot
-// carries what the other observers recorded on the same cycle.
-func (n *Network) AttachTelemetry(every int64) *telemetry.Publisher {
-	p := telemetry.NewPublisher(n.TelemetrySnapshot, every)
-	n.Observe(p)
-	return p
 }

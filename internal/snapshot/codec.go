@@ -34,8 +34,9 @@ const (
 	// Version is the current snapshot format version. Readers reject any
 	// other version: the format describes unexported simulator state, so
 	// cross-version compatibility is out of scope by design. Version 2 walks
-	// the queues alone, not the counts and masks kept beside them.
-	Version uint16 = 2
+	// the queues alone, not the counts and masks kept beside them; version 3
+	// walks the observers as one named list, not a presence bit each.
+	Version uint16 = 3
 	// headerSize is magic + version + total length.
 	headerSize = 4 + 2 + 8
 )

@@ -148,13 +148,15 @@ func TestObsSmoke(t *testing.T) {
 	defer n.Close()
 	reg := metrics.NewRegistry()
 	n.EnableMetrics(reg)
-	n.AttachWatchdog(2000, io.Discard)
-	n.AttachFlight(256)
+	flight := network.NewFlightRecorder(n, 256)
+	n.Observe(flight)
+	n.Observe(network.NewWatchdog(n, 2000, io.Discard, flight))
 	// Two workers: the profiler's worker lanes record concurrently with
 	// the scrapers reading Report() through the snapshot path.
 	n.SetWorkers(2)
 	n.EnableExecProfile(0)
-	pub := n.AttachTelemetry(64)
+	pub := telemetry.NewPublisher(n.TelemetrySnapshot, 64)
+	n.Observe(pub)
 	srv := &telemetry.Server{Publisher: pub}
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
@@ -251,9 +253,10 @@ func TestServeDoesNotPerturbDeterminism(t *testing.T) {
 		if instrument {
 			reg := metrics.NewRegistry()
 			n.EnableMetrics(reg)
-			n.AttachFlight(128)
+			n.Observe(network.NewFlightRecorder(n, 128))
 			n.EnableExecProfile(32)
-			pub := n.AttachTelemetry(32)
+			pub := telemetry.NewPublisher(n.TelemetrySnapshot, 32)
+			n.Observe(pub)
 			srv = &telemetry.Server{Publisher: pub}
 			addr, err := srv.Start("127.0.0.1:0")
 			if err != nil {
