@@ -246,7 +246,7 @@ func TestDAMQPoolStampHonored(t *testing.T) {
 }
 
 func TestOutBufRetention(t *testing.T) {
-	b := NewOutBuf(10, 2)
+	b := NewOutBuf(new(FlitPool), 10, 2)
 	for i := 0; i < 10; i++ {
 		b.Push(proto.Flit{VC: 0})
 	}
@@ -271,7 +271,7 @@ func TestOutBufRetention(t *testing.T) {
 }
 
 func TestOutBufOccupiedMask(t *testing.T) {
-	b := NewOutBuf(10, 4)
+	b := NewOutBuf(new(FlitPool), 10, 4)
 	b.Push(proto.Flit{VC: 3})
 	if b.Occupied() != 1<<3 {
 		t.Fatalf("mask %b", b.Occupied())

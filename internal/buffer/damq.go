@@ -27,7 +27,8 @@ func Reserves(capacity, numVCs int) int {
 // CreditCounter; both make the reserved-first allocation decision
 // deterministically so their views never diverge.
 type DAMQ struct {
-	queues   [proto.NumNetVCs]Queue[proto.Flit]
+	queues   [proto.NumNetVCs]FlitList
+	flits    *FlitPool            //stashsim:derived -- wiring: the owner's flit pool, which the queues' slots live in
 	nvc      int                  //stashsim:derived -- structural: the VCs in use, rebuilt from the configuration
 	capacity int                  //stashsim:derived -- structural; rebuilt from the configuration
 	reserve  int                  //stashsim:derived -- structural: the per-VC reserved quota, rebuilt from the configuration
@@ -38,11 +39,17 @@ type DAMQ struct {
 }
 
 // NewDAMQ builds a DAMQ with the given total capacity (flits) shared by
-// numVCs virtual channels, at most proto.NumNetVCs: the per-VC state is
-// held in place, so a port holds its DAMQ by value.
-func NewDAMQ(capacity, numVCs int) DAMQ {
+// numVCs virtual channels, at most proto.NumNetVCs, over a flit pool of its
+// own: the per-VC state is held in place, so a port holds its DAMQ by
+// value.
+func NewDAMQ(capacity, numVCs int) DAMQ { return NewDAMQIn(new(FlitPool), capacity, numVCs) }
+
+// NewDAMQIn builds a DAMQ as NewDAMQ does, whose queues hold their flits in
+// flits, the owning switch's pool.
+func NewDAMQIn(flits *FlitPool, capacity, numVCs int) DAMQ {
 	checkVCs(numVCs)
 	return DAMQ{
+		flits:    flits,
 		nvc:      numVCs,
 		capacity: capacity,
 		reserve:  Reserves(capacity, numVCs),
@@ -103,7 +110,7 @@ func (d *DAMQ) Push(f proto.Flit) bool {
 		d.resvUsed[vc]++
 	}
 	d.used++
-	d.queues[vc].Push(f)
+	d.queues[vc].Push(d.flits, f)
 	d.occupied |= 1 << uint(vc)
 	return shared
 }
@@ -113,7 +120,18 @@ func (d *DAMQ) Push(f proto.Flit) bool {
 //
 //stashsim:noalloc
 func (d *DAMQ) Pop(vc int) (proto.Flit, proto.Credit) {
-	f := d.queues[vc].Pop()
+	i, cr := d.Unlink(vc)
+	return d.flits.Take(i), cr
+}
+
+// Unlink dequeues the front flit of vc as Pop does, but leaves it in its
+// slot of the pool, which it returns for the caller to link onto the next
+// stage's queue.
+//
+//stashsim:noalloc
+func (d *DAMQ) Unlink(vc int) (int32, proto.Credit) {
+	i := d.queues[vc].Unlink(d.flits)
+	f := d.flits.Flit(i)
 	shared := f.Flags&proto.FlagShared != 0
 	if shared {
 		d.shared--
@@ -125,7 +143,7 @@ func (d *DAMQ) Pop(vc int) (proto.Flit, proto.Credit) {
 		d.occupied &^= 1 << uint(vc)
 	}
 	f.Flags &^= proto.FlagShared
-	return f, proto.Credit{VC: uint8(vc), Shared: shared}
+	return i, proto.Credit{VC: uint8(vc), Shared: shared}
 }
 
 // Front returns the front flit of vc, or nil when the VC queue is empty.
@@ -135,7 +153,7 @@ func (d *DAMQ) Front(vc int) *proto.Flit {
 	if d.queues[vc].Empty() {
 		return nil
 	}
-	return d.queues[vc].Front()
+	return d.queues[vc].Front(d.flits)
 }
 
 // Len returns the occupancy of one VC queue in flits.
@@ -157,6 +175,13 @@ func (d *DAMQ) ResvUsed(vc int) int { return d.resvUsed[vc] }
 
 // SharedUsed returns the shared-pool occupancy in flits.
 func (d *DAMQ) SharedUsed() int { return d.shared }
+
+// AuditLists hands each per-VC queue to visit, for the flit-pool audit.
+func (d *DAMQ) AuditLists(visit func(*FlitList)) {
+	for vc := range d.queues {
+		visit(&d.queues[vc])
+	}
+}
 
 // CreditCounter is the sender-side mirror of a downstream DAMQ. The sender
 // decrements it when transmitting and the receiver's credits replenish it

@@ -14,10 +14,11 @@ import "stashsim/internal/proto"
 // Like the input buffer, the normal partition is a DAMQ shared by the
 // network VCs.
 type OutBuf struct {
-	queues   [proto.NumNetVCs]Queue[proto.Flit] // per-VC FIFOs awaiting transmission
-	nvc      int                                //stashsim:derived -- structural: the VCs in use, rebuilt from the configuration
-	capacity int                                //stashsim:derived -- structural: the normal-partition capacity in flits, rebuilt from the configuration
-	queued   int                                //stashsim:derived -- flits awaiting transmission; decoding pushes them
+	queues   [proto.NumNetVCs]FlitList // per-VC FIFOs awaiting transmission
+	flits    *FlitPool                 //stashsim:derived -- wiring: the owner's flit pool, which the queues' slots live in
+	nvc      int                       //stashsim:derived -- structural: the VCs in use, rebuilt from the configuration
+	capacity int                       //stashsim:derived -- structural: the normal-partition capacity in flits, rebuilt from the configuration
+	queued   int                       //stashsim:derived -- flits awaiting transmission; decoding pushes them
 	// inflight is the retention window. It holds no flits, only the cycle
 	// each sent flit's space comes back: 8 bytes an entry.
 	inflight Timed[struct{}]
@@ -26,10 +27,11 @@ type OutBuf struct {
 
 // NewOutBuf builds an output buffer with the given normal-partition
 // capacity in flits, shared by numVCs virtual channels (at most
-// proto.NumNetVCs, held in place like the DAMQ's).
-func NewOutBuf(capacity, numVCs int) OutBuf {
+// proto.NumNetVCs, held in place like the DAMQ's), whose queues hold their
+// flits in flits, the owning switch's pool.
+func NewOutBuf(flits *FlitPool, capacity, numVCs int) OutBuf {
 	checkVCs(numVCs)
-	return OutBuf{nvc: numVCs, capacity: capacity}
+	return OutBuf{flits: flits, nvc: numVCs, capacity: capacity}
 }
 
 // Capacity returns the normal-partition capacity in flits.
@@ -57,16 +59,23 @@ func (b *OutBuf) Retained() int { return b.inflight.Len() }
 //stashsim:noalloc
 func (b *OutBuf) Free() int { return b.capacity - b.Used() }
 
-// Push accepts a flit from a column buffer. Callers gate on Free.
+// Push accepts a copy of a flit. Callers gate on Free.
 //
 //stashsim:noalloc
-func (b *OutBuf) Push(f proto.Flit) {
+func (b *OutBuf) Push(f proto.Flit) { b.Link(b.flits.Put(f)) }
+
+// Link accepts the flit in slot i of the buffer's pool, unlinked from a
+// column buffer, onto the queue of its VC. Callers gate on Free.
+//
+//stashsim:noalloc
+func (b *OutBuf) Link(i int32) {
 	if b.Free() <= 0 {
 		panic("buffer: output buffer overflow")
 	}
-	b.queues[f.VC].Push(f)
+	vc := b.flits.Flit(i).VC
+	b.queues[vc].Link(b.flits, i)
 	b.queued++
-	b.occupied |= 1 << uint(f.VC)
+	b.occupied |= 1 << uint(vc)
 }
 
 // Front returns the front flit of vc, or nil when empty.
@@ -76,7 +85,7 @@ func (b *OutBuf) Front(vc int) *proto.Flit {
 	if b.queues[vc].Empty() {
 		return nil
 	}
-	return b.queues[vc].Front()
+	return b.queues[vc].Front(b.flits)
 }
 
 // Occupied returns a bitmask of VCs with flits awaiting transmission.
@@ -89,7 +98,7 @@ func (b *OutBuf) Occupied() uint32 { return b.occupied }
 //
 //stashsim:noalloc
 func (b *OutBuf) Send(vc int, releaseAt int64) proto.Flit {
-	f := b.queues[vc].Pop()
+	f := b.queues[vc].Pop(b.flits)
 	b.queued--
 	if b.queues[vc].Empty() {
 		b.occupied &^= 1 << uint(vc)
@@ -113,6 +122,13 @@ func (b *OutBuf) Release(now int64) {
 //
 //stashsim:noalloc
 func (b *OutBuf) ReleaseDue(now int64) bool { return b.inflight.FrontDue(now) }
+
+// AuditLists hands each per-VC queue to visit, for the flit-pool audit.
+func (b *OutBuf) AuditLists(visit func(*FlitList)) {
+	for vc := range b.queues {
+		visit(&b.queues[vc])
+	}
+}
 
 // NextRelease returns the earliest retention deadline, math.MaxInt64 when
 // nothing is retained: the cycle an otherwise idle port next has work.

@@ -34,7 +34,7 @@ func (d *DAMQ) State(c *snapshot.Codec) {
 	}
 	pool := d.capacity - d.nvc*d.reserve
 	for vc := 0; vc < d.nvc; vc++ {
-		c.ReplayFlits(&d.queues[vc], func(f proto.Flit) {
+		c.ReplayFlits(d.flits.FIFO(&d.queues[vc]), func(f proto.Flit) {
 			c.Bound("DAMQ flit.VC", int(f.VC), vc, vc+1)
 			if f.Flags&proto.FlagShared != 0 {
 				c.Bound("DAMQ.shared", d.shared+1, 0, pool+1)
@@ -73,7 +73,7 @@ func (b *OutBuf) State(c *snapshot.Codec) {
 	snapshot.Ring(c, b.inflight.Entries(), 8, func(e *Entry[struct{}]) { c.I64(&e.At) })
 	c.Bound("OutBuf used flits", b.Used(), 0, b.capacity+1)
 	for vc := 0; vc < b.nvc; vc++ {
-		c.ReplayFlits(&b.queues[vc], func(f proto.Flit) {
+		c.ReplayFlits(b.flits.FIFO(&b.queues[vc]), func(f proto.Flit) {
 			c.Bound("OutBuf flit.VC", int(f.VC), vc, vc+1)
 			c.Bound("OutBuf used flits", b.Used()+1, 0, b.capacity+1)
 			if c.Err() == nil {
@@ -126,7 +126,7 @@ func (p *StashPool) State(c *snapshot.Codec) {
 		payload(&fl.buf)
 		c.Bound("StashPool fill payload flits", len(fl.buf.Flits), int(fl.n), int(fl.n)+1)
 	}
-	c.Flits(&p.retrQ)
+	c.Flits(p.flits.FIFO(&p.retrQ))
 }
 
 // filling walks one half of the fill record in the stream's form, a

@@ -52,8 +52,9 @@ type StashPool struct {
 	parity int
 
 	// Congestion-mitigation bookkeeping: stashed packets queued for
-	// retrieval in FIFO order.
-	retrQ Queue[proto.Flit]
+	// retrieval in FIFO order, in the slots of flits.
+	retrQ FlitList
+	flits *FlitPool //stashsim:derived -- wiring: the owner's flit pool, which retrQ's slots live in
 
 	// Conservation bookkeeping for the invariant checker: retrCopies is
 	// the number of retransmission copies sitting in retrQ without owning
@@ -77,10 +78,17 @@ type copyFill struct {
 	buf *proto.PktBuf
 }
 
-// NewStashPool builds a pool with the given capacity in flits. capacity may
-// be zero (global ports contribute no stash storage).
+// NewStashPool builds a pool with the given capacity in flits, over a flit
+// pool of its own. capacity may be zero (global ports contribute no stash
+// storage).
 func NewStashPool(capacity int, retainPayload bool) *StashPool {
-	return &StashPool{capacity: capacity, retainPayload: retainPayload}
+	return NewStashPoolIn(new(FlitPool), capacity, retainPayload)
+}
+
+// NewStashPoolIn builds a pool as NewStashPool does, whose retrieval queue
+// holds its flits in flits, the owning switch's pool.
+func NewStashPoolIn(flits *FlitPool, capacity int, retainPayload bool) *StashPool {
+	return &StashPool{flits: flits, capacity: capacity, retainPayload: retainPayload}
 }
 
 // Capacity returns the pool capacity in flits.
@@ -401,10 +409,16 @@ func (p *StashPool) RetainedBufs() int {
 // becomes retrievable in FIFO order.
 //
 //stashsim:noalloc
-func (p *StashPool) PutCongested(f proto.Flit) {
+func (p *StashPool) PutCongested(f proto.Flit) { p.LinkCongested(p.flits.Put(f)) }
+
+// LinkCongested stores the congestion-stashed flit in slot i of the pool's
+// flit pool, unlinked from a column buffer, as PutCongested does.
+//
+//stashsim:noalloc
+func (p *StashPool) LinkCongested(i int32) {
 	p.reserved--
 	p.used++
-	p.retrQ.Push(f)
+	p.retrQ.Link(p.flits, i)
 }
 
 // RetrFront returns the front flit awaiting retrieval, or nil.
@@ -414,7 +428,7 @@ func (p *StashPool) RetrFront() *proto.Flit {
 	if p.retrQ.Empty() {
 		return nil
 	}
-	return p.retrQ.Front()
+	return p.retrQ.Front(p.flits)
 }
 
 // PushRetr queues a flit for retrieval without charging pool space. It is
@@ -427,7 +441,7 @@ func (p *StashPool) PushRetr(f proto.Flit) {
 	if f.Flags&proto.FlagStashCopy != 0 {
 		p.retrCopies++
 	}
-	p.retrQ.Push(f)
+	p.retrQ.Push(p.flits, f)
 }
 
 // RetrPop dequeues the front retrieval flit. Congestion-stashed flits free
@@ -436,24 +450,34 @@ func (p *StashPool) PushRetr(f proto.Flit) {
 // re-enters the network as ordinary data.
 //
 //stashsim:noalloc
-func (p *StashPool) RetrPop() proto.Flit {
-	f := p.retrQ.Pop()
-	if f.Flags&proto.FlagStashCopy != 0 {
+func (p *StashPool) RetrPop() proto.Flit { return p.flits.Take(p.UnlinkRetr()) }
+
+// UnlinkRetr dequeues the front retrieval flit as RetrPop does, but leaves
+// it in its slot of the flit pool, which it returns for the caller to link
+// onto a row buffer.
+//
+//stashsim:noalloc
+func (p *StashPool) UnlinkRetr() int32 {
+	i := p.retrQ.Unlink(p.flits)
+	if f := p.flits.Flit(i); f.Flags&proto.FlagStashCopy != 0 {
 		f.Flags &^= proto.FlagStashCopy
 		p.retrCopies--
-		return f
+		return i
 	}
 	p.used--
 	if p.used < 0 {
 		panic("buffer: stash pool retrieval underflow")
 	}
-	return f
+	return i
 }
 
 // RetrLen returns the number of flits queued for retrieval.
 //
 //stashsim:noalloc
 func (p *StashPool) RetrLen() int { return p.retrQ.Len() }
+
+// AuditLists hands the retrieval queue to visit, for the flit-pool audit.
+func (p *StashPool) AuditLists(visit func(*FlitList)) { visit(&p.retrQ) }
 
 // PresentFlits returns the number of flits physically resident in the
 // pool for the invariant checker's conservation audit: the committed

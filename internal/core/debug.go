@@ -40,7 +40,7 @@ func (s *Switch) DumpState() string {
 				if rb.Empty() {
 					continue
 				}
-				f := rb.Front()
+				f := rb.Front(&s.flits)
 				lk := &t.outLock[s.cfg.TileOutOf(int(f.Out))][vc]
 				fmt.Fprintf(&b, " [s%d vc%d len=%d out=%d pkt=%x seq=%d lock={%x %v}]",
 					slot, vc, rb.Len(), f.Out, f.PktID, f.Seq, lk.pkt, lk.active)
@@ -65,7 +65,7 @@ func (s *Switch) DumpState() string {
 				if rb.Empty() {
 					continue
 				}
-				f := rb.Front()
+				f := rb.Front(&s.flits)
 				lk := &op.muxLock[effVC(f)]
 				fmt.Fprintf(&b, " [r%d vc%d len=%d pkt=%x seq=%d lock={r%d %x %v}]",
 					r, vc, rb.Len(), f.PktID, f.Seq, lk.row, lk.pkt, lk.active)

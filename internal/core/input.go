@@ -16,8 +16,9 @@ func (s *Switch) tileAt(row, col int) *tile {
 	return &s.tiles[row*s.cfg.Cols+col]
 }
 
-// pushTile enqueues a flit into a tile's row buffer for the given input
-// slot and stream, marking the tile in the switch's active-set mask. Row
+// linkTile enqueues the flit in slot i of the switch's flit pool into a
+// tile's row buffer for the given input slot and stream, marking the tile
+// in the switch's active-set mask. Row
 // buffers are indexed by the *arrival* stream (the VC the packet occupied
 // in the input buffer, or the S/R internal streams), never by the outgoing
 // VC: two packets from one input port on different arrival VCs may share an
@@ -26,8 +27,8 @@ func (s *Switch) tileAt(row, col int) *tile {
 // one FIFO and corrupt the wormhole.
 //
 //stashsim:noalloc
-func (s *Switch) pushTile(t *tile, f proto.Flit, slot, stream int) {
-	t.rowBufs[slot][stream].Push(f)
+func (s *Switch) linkTile(t *tile, i int32, slot, stream int) {
+	t.rowBufs[slot][stream].Link(&s.flits, i)
 	t.slotOcc[slot] |= 1 << uint(stream)
 	t.occupied++
 	s.tileOcc |= 1 << uint(t.row*s.cfg.Cols+t.col)
@@ -55,9 +56,8 @@ func (s *Switch) stepArrivals(now sim.Tick, p *inPort) {
 		if !p.mem.Request(now, buffer.WriteNormal) {
 			return
 		}
-		ff := *f
+		p.buf.Push(*f)
 		p.link.DropFlit(now)
-		p.buf.Push(ff)
 	}
 }
 
@@ -211,14 +211,15 @@ func (s *Switch) stepRowBus(now sim.Tick, p *inPort) {
 			}
 			s.Counters.StashDegradedReads++
 		}
-		f := pool.RetrPop()
+		i := pool.UnlinkRetr()
+		f := s.flits.Flit(i)
 		s.Counters.StashRetrieves++
 		if f.Head() {
 			s.tracer.Record(now, metrics.EvStashRetrieve, f.PktID, int32(s.ID), int32(p.id), f.Src, f.Dst)
 		}
 		f.VC = proto.VCRetrieve
 		f.Out = f.OrigOut
-		s.pushTile(s.tileAt(row, cfg.ColOf(int(f.Out))), f, slot, proto.VCRetrieve)
+		s.linkTile(s.tileAt(row, cfg.ColOf(int(f.Out))), i, slot, proto.VCRetrieve)
 		return
 	}
 	if !p.mem.Request(now, buffer.ReadNormal) {
@@ -227,16 +228,18 @@ func (s *Switch) stepRowBus(now sim.Tick, p *inPort) {
 	s.moveFromInput(now, p, w, row, slot)
 }
 
-// moveFromInput transfers the winning VC's front flit across the row bus,
-// returning a credit upstream, applying ECN marking, and exploiting the
-// row bus's multi-drop broadcast to deposit the end-to-end stash duplicate
-// in the same cycle.
+// moveFromInput transfers the winning VC's front flit across the row bus
+// — its slot moves from the input buffer to a row buffer, and the flit is
+// restamped in place — returning a credit upstream, applying ECN marking,
+// and exploiting the row bus's multi-drop broadcast to deposit the
+// end-to-end stash duplicate in the same cycle.
 //
 //stashsim:noalloc
 func (s *Switch) moveFromInput(now sim.Tick, p *inPort, vc, row, slot int) {
 	cfg := s.cfg
 	lt := &p.latch[vc]
-	f, credit := p.buf.Pop(vc)
+	i, credit := p.buf.Unlink(vc)
+	f := s.flits.Flit(i)
 	p.link.SendCredit(now, credit)
 	s.Counters.FlitsSwitched++
 	if cfg.ECN.Enabled && p.congested && f.Kind == proto.Data && f.Head() {
@@ -255,21 +258,23 @@ func (s *Switch) moveFromInput(now sim.Tick, p *inPort, vc, row, slot int) {
 		f.RestoreVC = lt.vc
 		f.Out = proto.OutPending // decided by JSQ at the tile
 		f.VC = proto.VCStore
-		s.pushTile(s.tileAt(row, int(lt.stashCol)), f, slot, proto.VCStore)
+		s.linkTile(s.tileAt(row, int(lt.stashCol)), i, slot, proto.VCStore)
 	} else {
-		nf := f
-		nf.Out = lt.out
-		nf.VC = lt.vc
-		s.pushTile(s.tileAt(row, cfg.ColOf(int(lt.out))), nf, slot, vc)
+		var cp proto.Flit
+		if lt.stashCol >= 0 {
+			cp = *f
+		}
+		f.Out = lt.out
+		f.VC = lt.vc
+		s.linkTile(s.tileAt(row, cfg.ColOf(int(lt.out))), i, slot, vc)
 		if lt.stashCol >= 0 {
 			// Multi-drop broadcast: the stash copy rides the same bus
 			// cycle into a second tile's storage VC.
-			cp := f
 			cp.Flags |= proto.FlagStashCopy
 			cp.Out = proto.OutPending
 			cp.VC = proto.VCStore
 			s.created++
-			s.pushTile(s.tileAt(row, int(lt.stashCol)), cp, slot, proto.VCStore)
+			s.linkTile(s.tileAt(row, int(lt.stashCol)), s.flits.Put(cp), slot, proto.VCStore)
 			if f.Head() {
 				e := s.newEntry()
 				e.size = f.Size

@@ -41,6 +41,10 @@ import (
 //     carries a freed payload buffer. (Parity flits enter conservation
 //     through the pools' PresentFlits/FreedFlits and the switches'
 //     created counts, so law 1 already balances them.)
+//  6. Flit pool: in every switch, the pool's slots in use equal the flits
+//     its queues hold, in-use plus free slots make up its capacity, and
+//     every slot sits on exactly one list — a queue or the free stack. A
+//     leaked slot or one linked twice would let two queues share a flit.
 //
 // The laws are state-based, so sparse audits (Every > 1) still converge
 // on any corruption the next time they run. On the first violation the
@@ -128,6 +132,7 @@ func (iv *Invariants) AtBarrier(now int64) {
 	iv.checkStash(now)
 	iv.checkStashRefs(now)
 	iv.checkParity(now)
+	iv.checkFlitPools(now)
 }
 
 // checkConservation enforces laws 1 and the link half of law 4.
@@ -319,6 +324,15 @@ func (iv *Invariants) checkParity(now sim.Tick) {
 					"parity reconstruction: sw%d in-flight rebuild of pkt %#x references a freed buffer",
 					s.ID, s.reconQ[i].pktID))
 			}
+		}
+	}
+}
+
+// checkFlitPools enforces law 6.
+func (iv *Invariants) checkFlitPools(now sim.Tick) {
+	for _, s := range iv.Switches {
+		if err := s.flits.Audit(s.flitLists); err != nil {
+			iv.fail(now, s, fmt.Sprintf("flit pool: sw%d %v", s.ID, err))
 		}
 	}
 }

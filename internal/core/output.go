@@ -54,7 +54,7 @@ func (s *Switch) stepMux(now sim.Tick, op *outPort) {
 		row := idx / proto.NumVCs
 		vc := idx % proto.NumVCs
 		rb := &op.colBufs[row][vc]
-		f := rb.Front()
+		f := rb.Front(&s.flits)
 		ev := effVC(f)
 		lk := &op.muxLock[ev]
 		if f.Head() {
@@ -77,8 +77,9 @@ func (s *Switch) stepMux(now sim.Tick, op *outPort) {
 				continue
 			}
 		}
-		// Grant.
-		ff := rb.Pop()
+		// Grant: the flit's slot moves on to the output buffer or the
+		// stash pool.
+		i := rb.Unlink(&s.flits)
 		op.colOcc--
 		if op.colOcc == 0 {
 			s.muxOcc &^= 1 << uint(op.id)
@@ -86,50 +87,54 @@ func (s *Switch) stepMux(now sim.Tick, op *outPort) {
 		if rb.Empty() {
 			op.colMask &^= 1 << uint(idx)
 		}
-		if ff.Head() {
-			lk.row, lk.pkt, lk.active = int8(row), ff.PktID, true
+		if f.Head() {
+			lk.row, lk.pkt, lk.active = int8(row), f.PktID, true
 		}
-		if ff.Tail() {
+		if f.Tail() {
 			lk.active = false
 		}
 		a.Advance(idx)
 		if vc == proto.VCStore {
-			s.stashArrival(now, op, ff)
+			s.stashArrival(now, op, i)
 		} else {
-			if ff.VC == proto.VCRetrieve {
-				ff.VC = ff.RestoreVC
+			if f.VC == proto.VCRetrieve {
+				f.VC = f.RestoreVC
 			}
-			op.buf.Push(ff)
+			op.buf.Link(i)
 			s.outActive |= 1 << uint(op.id)
 		}
 		return
 	}
 }
 
-// stashArrival deposits one storage-VC flit into the port's stash pool.
-// Completed end-to-end copies trigger the side-band location message back
-// to the originating end port.
+// stashArrival deposits the storage-VC flit in slot i of the switch's flit
+// pool into the port's stash pool: an end-to-end copy leaves the flit pool
+// (the stash keeps at most its payload), a congestion-stashed flit's slot
+// moves onto the retrieval queue. Completed end-to-end copies trigger the
+// side-band location message back to the originating end port.
 //
 //stashsim:noalloc
-func (s *Switch) stashArrival(now sim.Tick, op *outPort, f proto.Flit) {
+func (s *Switch) stashArrival(now sim.Tick, op *outPort, i int32) {
 	pool := s.stash[op.id]
+	f := s.flits.Flit(i)
 	s.Counters.StashStores++
 	if f.Head() {
 		s.tracer.Record(now, metrics.EvStashStore, f.PktID, int32(s.ID), int32(op.id), f.Src, f.Dst)
 	}
 	if f.Flags&proto.FlagStashCopy != 0 {
-		if pool.PutCopy(f) {
+		cp := s.flits.Take(i)
+		if pool.PutCopy(cp) {
 			if s.parity != nil {
 				// The completed copy enrolls into a parity group; filling
 				// one mints its XOR parity flit run in another bank.
-				s.noteSealed(s.parity.OnStore(f.PktID, f.Size, op.id))
+				s.noteSealed(s.parity.OnStore(cp.PktID, cp.Size, op.id))
 			}
-			origin := int(f.Src) % s.cfg.Topo.P
-			s.sbSend(now, sbLocation, f.PktID, uint8(origin), uint8(op.id), f.Size)
+			origin := int(cp.Src) % s.cfg.Topo.P
+			s.sbSend(now, sbLocation, cp.PktID, uint8(origin), uint8(op.id), cp.Size)
 		}
 		return
 	}
-	pool.PutCongested(f)
+	pool.LinkCongested(i)
 	// The flit is now queued for retrieval over the port's row bus.
 	s.inActive |= 1 << uint(op.id)
 	if f.Head() {

@@ -187,11 +187,11 @@ func (op *outPort) state(c *snapshot.Codec, s *Switch) {
 	op.buf.State(c)
 	for r := range op.colBufs {
 		for vc := range op.colBufs[r] {
-			// pushCol files a flit under its own VC.
-			c.ReplayFlits(&op.colBufs[r][vc], func(f proto.Flit) {
+			// linkCol files a flit under its own VC.
+			c.ReplayFlits(s.flits.FIFO(&op.colBufs[r][vc]), func(f proto.Flit) {
 				c.Bound("column-buffer flit.VC", int(f.VC), vc, vc+1)
 				if c.Err() == nil {
-					s.pushCol(op, r, f)
+					s.linkCol(op, r, s.flits.Put(f))
 				}
 			})
 		}
@@ -216,14 +216,14 @@ func (op *outPort) state(c *snapshot.Codec, s *Switch) {
 func (t *tile) state(c *snapshot.Codec, s *Switch) {
 	for slot := range t.rowBufs {
 		for stream := range t.rowBufs[slot] {
-			c.ReplayFlits(&t.rowBufs[slot][stream], func(f proto.Flit) {
+			c.ReplayFlits(s.flits.FIFO(&t.rowBufs[slot][stream]), func(f proto.Flit) {
 				// Only the storage stream holds flits whose output is still
 				// pending; every other stream's Out indexes the tile outputs.
 				if stream != proto.VCStore {
 					c.Bound("row-buffer flit.Out", int(f.Out), 0, s.radix)
 				}
 				if c.Err() == nil {
-					s.pushTile(t, f, slot, stream)
+					s.linkTile(t, s.flits.Put(f), slot, stream)
 				}
 			})
 		}

@@ -121,14 +121,14 @@ type stashLatch struct {
 //
 //stashsim:owner partition
 type tile struct {
-	row, col int                                      //stashsim:derived -- structural; rebuilt from the configuration
-	rowBufs  [][proto.NumVCs]buffer.Queue[proto.Flit] // [TileIn]
+	row, col int                             //stashsim:derived -- structural; rebuilt from the configuration
+	rowBufs  [][proto.NumVCs]buffer.FlitList // [TileIn]
 	alloc    *arb.Separable
 	vcNext   []int                    // per-slot stream rotation pointer
 	outLock  [][proto.NumVCs]tileLock // [TileOut]
 	sLatch   []stashLatch             // per slot
-	occupied int                      //stashsim:derived -- total queued flits (activity gate); decoding pushes them through pushTile
-	slotOcc  []uint16                 //stashsim:derived -- per-slot bitmask of non-empty streams; decoding pushes their flits through pushTile
+	occupied int                      //stashsim:derived -- total queued flits (activity gate); decoding pushes them through linkTile
+	slotOcc  []uint16                 //stashsim:derived -- per-slot bitmask of non-empty streams; decoding pushes their flits through linkTile
 	reqScr   []uint64                 //stashsim:transient -- scratch request masks; stepTile recomputes them
 	candScr  []uint8                  //stashsim:transient -- scratch candidate stream per (slot, out), at slot*TileOut+out; stepTile recomputes it
 	grants   int64                    //stashsim:transient -- column-channel grants since EnableMetrics; the registry walks it
@@ -151,9 +151,9 @@ type outPort struct {
 	isEnd   bool           //stashsim:derived -- structural; rebuilt from the configuration
 	link    *Link          //stashsim:derived -- wiring; a link is walked by its consumer side
 	buf     buffer.OutBuf
-	colBufs [][proto.NumVCs]buffer.Queue[proto.Flit] // [Rows]
-	colOcc  int                                      //stashsim:derived -- total flits in column buffers (activity gate); decoding pushes them through pushCol
-	colMask uint64                                   //stashsim:derived -- bitmask of non-empty (row*NumVCs+vc) buffers; decoding pushes their flits through pushCol
+	colBufs [][proto.NumVCs]buffer.FlitList // [Rows]
+	colOcc  int                             //stashsim:derived -- total flits in column buffers (activity gate); decoding pushes them through linkCol
+	colMask uint64                          //stashsim:derived -- bitmask of non-empty (row*NumVCs+vc) buffers; decoding pushes their flits through linkCol
 	muxLock [proto.NumVCs]muxLock
 	muxArb  arb.RoundRobin // Rows*NumVCs candidates
 	sendArb arb.RoundRobin // network VCs
@@ -226,6 +226,16 @@ type Switch struct {
 	tiles     []tile              // Rows*Cols, row-major
 	stash     []*buffer.StashPool // per port; nil-capacity pools allowed
 
+	// flits holds every flit inside the switch: the input DAMQs, the row
+	// and column buffers, the output buffers and the stash retrieval
+	// queues are index lists into it, so a stage move relinks a slot and
+	// only a link arrival, a stash copy or a retransmission copies a flit
+	// in. Its capacity is the switch's resident high-water mark rounded up
+	// to a chunk.
+	//
+	//stashsim:derived -- storage, not state: decoding pushes every queued flit into a fresh pool, and slot numbers decide nothing
+	flits buffer.FlitPool
+
 	sideband buffer.Timed[sbMsg]
 	track    []map[uint64]*e2eEntry // per end port
 	retryQ   []retryRec             // armed switch-side ACK timers
@@ -243,8 +253,8 @@ type Switch struct {
 	// a bit per output port with queued or retention-held flits. Step walks
 	// their set bits instead of touching every tile and port struct, so a
 	// quiet region of the switch costs no cache traffic at all.
-	tileOcc   uint64 //stashsim:derived -- set by pushTile as decoding pushes the row buffers
-	muxOcc    uint64 //stashsim:derived -- set by pushCol as decoding pushes the column buffers
+	tileOcc   uint64 //stashsim:derived -- set by linkTile as decoding pushes the row buffers
+	muxOcc    uint64 //stashsim:derived -- set by linkCol as decoding pushes the column buffers
 	inActive  uint64 //stashsim:derived -- decoding sets it by inBusy from the rebuilt input buffers and retrieval queues
 	outActive uint64 //stashsim:derived -- decoding sets it by outBusy from the rebuilt output buffers
 
@@ -312,7 +322,7 @@ func NewSwitch(id int, cfg *Config, rng *sim.RNG) *Switch {
 		track:   make([]map[uint64]*e2eEntry, d.P),
 		tally:   tallies{jsqPick: make([]int64, cfg.Cols)},
 	}
-	colBufs := make([][proto.NumVCs]buffer.Queue[proto.Flit], radix*cfg.Rows)
+	colBufs := make([][proto.NumVCs]buffer.FlitList, radix*cfg.Rows)
 	pools := make([]buffer.StashPool, radix)
 	for p := 0; p < radix; p++ {
 		class := d.PortClass(p)
@@ -320,7 +330,7 @@ func NewSwitch(id int, cfg *Config, rng *sim.RNG) *Switch {
 		ip.id = p
 		ip.class = class
 		ip.isEnd = class == topo.Endpoint
-		ip.buf = buffer.NewDAMQ(cfg.NormalInCap(class), proto.NumNetVCs)
+		ip.buf = buffer.NewDAMQIn(&s.flits, cfg.NormalInCap(class), proto.NumNetVCs)
 		ip.arbiter = arb.NewRoundRobin(proto.NumNetVCs + 1)
 		ip.congestAt = int(cfg.ECN.CongestFrac * float64(ip.buf.Capacity()))
 		ip.sVC = -1
@@ -330,7 +340,7 @@ func NewSwitch(id int, cfg *Config, rng *sim.RNG) *Switch {
 		op.id = p
 		op.class = class
 		op.isEnd = class == topo.Endpoint
-		op.buf = buffer.NewOutBuf(cfg.NormalOutCap(class), proto.NumNetVCs)
+		op.buf = buffer.NewOutBuf(&s.flits, cfg.NormalOutCap(class), proto.NumNetVCs)
 		op.colBufs = carve(&colBufs, cfg.Rows)
 		op.muxArb = arb.NewRoundRobin(cfg.Rows * proto.NumVCs)
 		op.sendArb = arb.NewRoundRobin(proto.NumNetVCs)
@@ -339,11 +349,11 @@ func NewSwitch(id int, cfg *Config, rng *sim.RNG) *Switch {
 		op.accTick = -1
 		s.tileOutOf[p] = uint8(cfg.TileOutOf(p))
 
-		pools[p] = *buffer.NewStashPool(cfg.StashCap(class), cfg.RetainPayload) // inlined: the copy allocates nothing
+		pools[p] = *buffer.NewStashPoolIn(&s.flits, cfg.StashCap(class), cfg.RetainPayload) // inlined: the copy allocates nothing
 		s.stash[p] = &pools[p]
 	}
 	var (
-		rowBufs = make([][proto.NumVCs]buffer.Queue[proto.Flit], nt*cfg.TileIn)
+		rowBufs = make([][proto.NumVCs]buffer.FlitList, nt*cfg.TileIn)
 		outLock = make([][proto.NumVCs]tileLock, nt*cfg.TileOut)
 		vcNext  = make([]int, nt*cfg.TileIn)
 		sLatch  = make([]stashLatch, nt*cfg.TileIn)
@@ -471,6 +481,31 @@ func (s *Switch) StashCapTotal() int {
 		total += p.Capacity()
 	}
 	return total
+}
+
+// FlitPool exposes the switch's flit storage for tests and probes.
+func (s *Switch) FlitPool() *buffer.FlitPool { return &s.flits }
+
+// flitLists hands every list drawing from the switch's flit pool to visit,
+// for the pool audit.
+func (s *Switch) flitLists(visit func(*buffer.FlitList)) {
+	for p := range s.in {
+		s.in[p].buf.AuditLists(visit)
+		s.out[p].buf.AuditLists(visit)
+		s.stash[p].AuditLists(visit)
+		for r := range s.out[p].colBufs {
+			for vc := range s.out[p].colBufs[r] {
+				visit(&s.out[p].colBufs[r][vc])
+			}
+		}
+	}
+	for t := range s.tiles {
+		for slot := range s.tiles[t].rowBufs {
+			for stream := range s.tiles[t].rowBufs[slot] {
+				visit(&s.tiles[t].rowBufs[slot][stream])
+			}
+		}
+	}
 }
 
 // PortStash exposes a port's stash pool for tests and probes.

@@ -40,8 +40,7 @@ func (s *Switch) stepTile(now sim.Tick, t *tile) {
 			if stream >= proto.NumVCs {
 				stream -= proto.NumVCs
 			}
-			rb := &t.rowBufs[slot][stream]
-			f := rb.Front()
+			f := t.rowBufs[slot][stream].Front(&s.flits)
 			var port int
 			if stream == proto.VCStore {
 				sl := &t.sLatch[slot]
@@ -95,7 +94,8 @@ func (s *Switch) stepTile(now sim.Tick, t *tile) {
 			s.tally.rvcFlits++
 		}
 		rb := &t.rowBufs[slot][stream]
-		f := rb.Pop()
+		i := rb.Unlink(&s.flits)
+		f := s.flits.Flit(i)
 		if rb.Empty() {
 			t.slotOcc[slot] &^= 1 << uint(stream)
 		}
@@ -120,7 +120,7 @@ func (s *Switch) stepTile(now sim.Tick, t *tile) {
 		if f.Tail() {
 			lk.active = false
 		}
-		s.pushCol(&s.out[port], t.row, f)
+		s.linkCol(&s.out[port], t.row, i)
 		t.vcNext[slot] = stream + 1
 		if t.vcNext[slot] == proto.NumVCs {
 			t.vcNext[slot] = 0
@@ -131,14 +131,14 @@ func (s *Switch) stepTile(now sim.Tick, t *tile) {
 	}
 }
 
-// pushCol enqueues a flit granted by a tile of the given row into the
-// output port's column buffer of its VC, marking the port in the switch's
-// mux mask.
+// linkCol enqueues the flit in slot i of the switch's flit pool, granted
+// by a tile of the given row, into the output port's column buffer of its
+// VC, marking the port in the switch's mux mask.
 //
 //stashsim:noalloc
-func (s *Switch) pushCol(op *outPort, row int, f proto.Flit) {
-	vc := int(f.VC)
-	op.colBufs[row][vc].Push(f)
+func (s *Switch) linkCol(op *outPort, row int, i int32) {
+	vc := int(s.flits.Flit(i).VC)
+	op.colBufs[row][vc].Link(&s.flits, i)
 	op.colOcc++
 	op.colMask |= 1 << uint(row*proto.NumVCs+vc)
 	s.muxOcc |= 1 << uint(op.id)

@@ -209,6 +209,39 @@ func TestInvariantsCatchFreedBufInBank(t *testing.T) {
 	expectViolation(t, "stash liveness", func() { iv.AtBarrier(n.Now) })
 }
 
+// TestInvariantsCatchFlitPoolCorruption corrupts a switch's flit pool
+// behind its queues' backs, in the two ways a relink bug would: a slot
+// taken and linked nowhere, and a slot linked onto a second queue. Neither
+// moves a count the conservation law reads, so only the pool law trips.
+func TestInvariantsCatchFlitPoolCorruption(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func(pool *buffer.FlitPool, a, b *buffer.FlitList)
+	}{
+		{"leak", "is on no list", func(pool *buffer.FlitPool, _, _ *buffer.FlitList) {
+			pool.Put(proto.Flit{})
+		}},
+		{"double link", "sits on two lists", func(pool *buffer.FlitPool, a, b *buffer.FlitList) {
+			i := pool.Put(proto.Flit{})
+			a.Link(pool, i)
+			b.Link(pool, i)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, iv := buildChecked(t, core.StashE2E)
+			n.Run(100)
+			iv.Out = io.Discard
+			iv.AtBarrier(n.Now) // the healthy pool passes
+			sw := n.Switches[0]
+			var lists []*buffer.FlitList
+			sw.AuditInBuf(0).AuditLists(func(l *buffer.FlitList) { lists = append(lists, l) })
+			tc.corrupt(sw.FlitPool(), lists[0], lists[1])
+			expectViolation(t, "flit pool: sw0 slot", func() { iv.AtBarrier(n.Now) })
+			expectViolation(t, tc.want, func() { iv.AtBarrier(n.Now) })
+		})
+	}
+}
+
 // TestInvariantsNilAndSparse covers the sparse-audit interval (a disabled
 // checker is simply not on the observer list).
 func TestInvariantsNilAndSparse(t *testing.T) {

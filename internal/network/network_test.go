@@ -1,8 +1,10 @@
 package network
 
 import (
+	"runtime"
 	"testing"
 
+	"stashsim/internal/buffer"
 	"stashsim/internal/core"
 	"stashsim/internal/proto"
 	"stashsim/internal/sim"
@@ -129,19 +131,77 @@ func TestDeterminism(t *testing.T) {
 // TestNewAllocations pins what building a network costs the allocator. A
 // switch carves each per-port and per-tile slice kind, its tile
 // allocators' slices and its stash pools from one backing array apiece,
-// its buffers hold their per-VC state in place, and a stash pool keeps no
-// per-packet map; before that, New(SmallConfig()) made 61 026 allocations.
-// The pin is a quarter of that.
+// its buffers hold their per-VC state in place, a stash pool keeps no
+// per-packet map, and its queues take no storage until a flit arrives;
+// before the first of these, New(SmallConfig()) made 61 026 allocations.
 func TestNewAllocations(t *testing.T) {
-	const before = 61026
+	const pinned = 6538
 	n := testing.AllocsPerRun(3, func() {
 		if _, err := New(core.SmallConfig()); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if n > before/4 {
-		t.Fatalf("New(SmallConfig()) makes %.0f allocations, more than a quarter of the %d it made when each switch allocated its slices one by one",
-			n, before)
+	if n > pinned {
+		t.Fatalf("New(SmallConfig()) makes %.0f allocations, more than the %d pinned", n, pinned)
 	}
-	t.Logf("New(SmallConfig()): %.0f allocations (%d before)", n, before)
+	t.Logf("New(SmallConfig()): %.0f allocations (%d pinned, 61 026 before slices were carved)", n, pinned)
+}
+
+// TestNewBytes bounds what building the paper network allocates. Its
+// switches hold 948 640 queue headers; as 40-byte rings they made
+// New(PaperConfig()) allocate 75.8 MB, as 12-byte index lists into each
+// switch's flit pool 47.9 MB.
+func TestNewBytes(t *testing.T) {
+	const bound = 52e6
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := New(core.PaperConfig()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.TotalAlloc - before.TotalAlloc)
+	if got > bound {
+		t.Fatalf("New(PaperConfig()) allocates %.1f MB, more than the %.0f MB bound", got/1e6, bound/1e6)
+	}
+	t.Logf("New(PaperConfig()): %.1f MB allocated", got/1e6)
+}
+
+// TestSwitchStorageTracksResidency: a switch's flit storage follows the
+// flits it has held, not the time it has run. On a warm small network under
+// 30 % uniform load with end-to-end stashing, every switch's flit pool is at
+// most its resident high-water mark rounded up to one chunk, at the end of
+// the warm-up and again 6 500 cycles later.
+func TestSwitchStorageTracksResidency(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the small network for 9 100 cycles")
+	}
+	cfg := core.SmallConfig()
+	cfg.Mode = core.StashE2E
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := sim.NewRNG(7)
+	for _, ep := range n.Endpoints {
+		ep.Gen = traffic.Uniform(rng.Derive(uint64(ep.ID)), len(n.Endpoints), nil,
+			0.3, n.ChannelRate(), proto.MaxPacketFlits, proto.ClassDefault, 0)
+	}
+	for _, until := range []int64{2600, 9100} {
+		n.Run(until - int64(n.Now))
+		held := 0
+		for _, s := range n.Switches {
+			pool := s.FlitPool()
+			roundUp := (pool.Peak() + buffer.PoolChunk - 1) / buffer.PoolChunk * buffer.PoolChunk
+			if pool.Cap() > roundUp {
+				t.Errorf("cycle %d: sw%d holds %d flit slots for a high-water mark of %d flits",
+					until, s.ID, pool.Cap(), pool.Peak())
+			}
+			held += pool.Cap()
+		}
+		if held == 0 {
+			t.Fatalf("cycle %d: no switch holds a flit slot under load", until)
+		}
+		t.Logf("cycle %d: %d flit slots across %d switches", until, held, len(n.Switches))
+	}
 }

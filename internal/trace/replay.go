@@ -23,6 +23,7 @@ type Replay struct {
 	waiter      map[uint32]int32 // msgID -> rank blocked on it
 	outstanding int              // sends enqueued, not yet fully arrived
 	doneRanks   int
+	doneAt      int64 // the cycle after the latest message completion
 }
 
 // MsgFlits converts a message byte size to flits.
@@ -90,6 +91,10 @@ func (r *Replay) onDelivered(d endpoint.Delivery) {
 	delete(r.got, d.MsgID)
 	r.arrived[d.MsgID] = true
 	r.outstanding--
+	// Blocks of the network step one after another through an epoch, so the
+	// completion that makes the replay Done need not be the latest in
+	// simulated time: the replay ends with the latest.
+	r.doneAt = max(r.doneAt, d.Now+1)
 	if rank, ok := r.rankOfMsgDst(d.MsgID); ok {
 		delete(r.waiter, d.MsgID)
 		r.advance(rank)
@@ -127,20 +132,29 @@ func (r *Replay) Done() bool {
 	return r.doneRanks == r.tr.Ranks && r.outstanding == 0
 }
 
-// Run replays the trace, returning the simulated cycles it took. It
-// returns an error if the trace does not complete within maxCycles
-// (deadlock or insufficient budget).
+// Run replays the trace, returning the simulated cycles it took: up to
+// the end of the cycle in which the last message arrived. It returns an
+// error if the trace does not complete within maxCycles (deadlock or
+// insufficient budget).
+//
+// The network runs whole epochs between stop checks, so its clock may
+// stand up to one epoch (EpochLookahead cycles) past the returned count;
+// the count is the one a check after every cycle would return, read off
+// the latest message completion.
 func (r *Replay) Run(maxCycles int64) (int64, error) {
 	start := r.net.Now
 	for rank := 0; rank < r.tr.Ranks; rank++ {
 		r.advance(int32(rank))
 	}
-	// One run with a stop check after every cycle, not a Step per cycle:
+	if r.Done() {
+		return 0, nil
+	}
+	// One run with a stop check after every epoch, not a Step per cycle:
 	// each public run entry wakes every component, and most of a
 	// latency-bound replay is components with nothing due.
-	if !r.Done() && !r.net.RunUntil(maxCycles, 1, r.Done) {
+	if !r.net.RunUntil(maxCycles, r.net.EpochLookahead(), r.Done) {
 		return 0, fmt.Errorf("trace %s: incomplete after %d cycles (%d/%d ranks done, %d msgs outstanding)",
 			r.tr.Name, maxCycles, r.doneRanks, r.tr.Ranks, r.outstanding)
 	}
-	return r.net.Now - start, nil
+	return r.doneAt - start, nil
 }
