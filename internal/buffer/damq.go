@@ -95,7 +95,15 @@ func (d *DAMQ) Avail(vc int) int {
 // which indicates a flow-control bug.
 //
 //stashsim:noalloc
-func (d *DAMQ) Push(f proto.Flit) bool {
+func (d *DAMQ) Push(f proto.Flit) bool { return d.Link(d.flits.Put(f)) }
+
+// Link enqueues the flit in slot i of the DAMQ's pool, which must be on no
+// list, as Push enqueues a copy: an arrival relinks the slot it crossed the
+// link in.
+//
+//stashsim:noalloc
+func (d *DAMQ) Link(i int32) bool {
+	f := d.flits.Get(i)
 	vc := int(f.VC)
 	shared := f.Flags&proto.FlagShared != 0
 	if shared {
@@ -110,7 +118,7 @@ func (d *DAMQ) Push(f proto.Flit) bool {
 		d.resvUsed[vc]++
 	}
 	d.used++
-	d.queues[vc].Push(d.flits, f)
+	d.queues[vc].Link(d.flits, i)
 	d.occupied |= 1 << uint(vc)
 	return shared
 }
@@ -131,7 +139,7 @@ func (d *DAMQ) Pop(vc int) (proto.Flit, proto.Credit) {
 //stashsim:noalloc
 func (d *DAMQ) Unlink(vc int) (int32, proto.Credit) {
 	i := d.queues[vc].Unlink(d.flits)
-	f := d.flits.Flit(i)
+	f := d.flits.Get(i)
 	shared := f.Flags&proto.FlagShared != 0
 	if shared {
 		d.shared--

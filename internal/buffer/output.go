@@ -72,7 +72,7 @@ func (b *OutBuf) Link(i int32) {
 	if b.Free() <= 0 {
 		panic("buffer: output buffer overflow")
 	}
-	vc := b.flits.Flit(i).VC
+	vc := b.flits.Get(i).VC
 	b.queues[vc].Link(b.flits, i)
 	b.queued++
 	b.occupied |= 1 << uint(vc)

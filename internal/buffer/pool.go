@@ -2,68 +2,248 @@ package buffer
 
 import (
 	"fmt"
+	"math"
 
 	"stashsim/internal/proto"
 	"stashsim/internal/snapshot"
 )
 
-// FlitPool is one switch's flit storage, and FlitList a FIFO threaded
-// through it: the DAMQ's per-VC queues, the output buffer's VCs, the tiles'
-// row buffers, the ports' column buffers and the stash retrieval queue all
-// draw their slots from the pool of the switch that holds them. A slot is
-// {flit, next}; the slots live in fixed chunks that never move, so a
-// pointer to a queued flit stays valid until its slot is freed, and free
-// slots form a LIFO stack. An empty list is 12 bytes and holds no storage,
-// and moving a flit from one stage's queue to the next (Unlink, then Link)
-// relinks its slot instead of copying the flit. The pool grows by one chunk
-// when the stack runs dry and never shrinks, so its capacity is the most
-// flits its switch has held at once, rounded up to a chunk.
+// Pool is one switch's storage for the queued values of one type, and List
+// and TimedList are FIFOs threaded through it. A switch holds two: its
+// FlitPool, which every flit queue of the switch draws from — the DAMQ's
+// per-VC queues, the output buffer's VCs, the tiles' row buffers, the
+// ports' column buffers, the stash retrieval queue — and the flits on the
+// wire of the links it consumes, and a pool of credit batches for the
+// credit paths it consumes (core.Link says which paths those are). The
+// slots live in fixed chunks that never move, so a pointer to a queued
+// value stays valid until its slot is freed, and free slots form a LIFO
+// stack. An empty list holds no storage, and moving a value from one queue
+// to the next (Unlink, then Link) relinks its slot instead of copying it.
+// The pool grows by one chunk when the stack runs dry and never shrinks,
+// so its capacity is the most values its switch has held at once, rounded
+// up to a chunk.
 //
-// Slot numbers record the order flits happened to arrive in — a restored
+// Slot numbers record the order values happened to arrive in — a restored
 // run numbers the same queues differently — so nothing may decide anything
 // by them, and a checkpoint walks the lists, never the pool.
-type FlitPool struct {
-	chunks []*[PoolChunk]poolSlot
+type Pool[T any] struct {
+	chunks []*[PoolChunk]poolSlot[T]
 	free   int32 // top of the free stack; meaningless when nfree is zero
 	nfree  int32
 	used   int32
 	peak   int32
 
-	walk listCursor // the list FIFO presents; see FIFO
+	walk listCursor[T] // the list FIFO or Timed presents
 }
 
-// PoolChunk is the number of slots a FlitPool grows by.
+// FlitPool is the pool of a switch's flits, and FlitList a FIFO of flits in
+// it.
+type (
+	FlitPool = Pool[proto.Flit]
+	FlitList = List[proto.Flit]
+)
+
+// PoolChunk is the number of slots a Pool grows by.
 const PoolChunk = 1 << chunkBits
 
 const chunkBits = 6
 
-type poolSlot struct {
-	f    proto.Flit
-	next int32 // the next slot of the list or the free stack this slot is on
+// poolSlot is a value and the next slot of the list or the free stack it
+// is on. On a TimedList, succAt is the due cycle of that next value: a pop
+// reads the new front's due cycle from the slot it frees, so it touches
+// one slot, not two, and a value's own due cycle is its predecessor's
+// succAt (the list's nextAt for the front).
+type poolSlot[T any] struct {
+	v      T
+	succAt int64
+	next   int32
 }
 
-// FlitList is a FIFO of flits held in a FlitPool: the slot numbers of its
-// oldest and newest flit, linked through the slots, and its length. The
-// zero value is an empty list. Every method takes the pool the list draws
-// from.
-type FlitList struct {
+// List is a FIFO of values held in a Pool: the slot numbers of its oldest
+// and newest value, linked through the slots, and its length. The zero
+// value is an empty list. Every method takes the pool the list draws from.
+type List[T any] struct {
 	head, tail int32 // meaningless when n is zero
 	n          int32
 }
 
-//stashsim:noalloc
-func (p *FlitPool) slot(i int32) *poolSlot { return &p.chunks[i>>chunkBits][i&(PoolChunk-1)] }
+// TimedList is a List whose values each come due at a cycle, in
+// non-decreasing order: a fixed-latency pipeline held in a Pool. nextAt
+// and lastAt mirror the oldest and the newest value's due cycles, so the
+// per-cycle due probes and the coalescing check read only the list
+// header, never a slot.
+type TimedList[T any] struct {
+	l              List[T]
+	nextAt, lastAt int64 // meaningless when the list is empty
+}
 
-// Flit returns the flit in slot i.
+//stashsim:noalloc
+func (p *Pool[T]) slot(i int32) *poolSlot[T] { return &p.chunks[i>>chunkBits][i&(PoolChunk-1)] }
+
+// Get returns the value in slot i.
 //
 //stashsim:noalloc
-func (p *FlitPool) Flit(i int32) *proto.Flit { return &p.slot(i).f }
+func (p *Pool[T]) Get(i int32) *T { return &p.slot(i).v }
 
-// Put stores f in a free slot, growing the pool by a chunk when none is
+// Put stores v in a free slot, growing the pool by a chunk when none is
 // free, and returns the slot, which the caller links onto a list.
 //
 //stashsim:noalloc
-func (p *FlitPool) Put(f proto.Flit) int32 {
+func (p *Pool[T]) Put(v T) int32 {
+	i, s := p.alloc()
+	s.v = v
+	return i
+}
+
+// Take frees slot i, which must be on no list, and returns its value.
+//
+//stashsim:noalloc
+func (p *Pool[T]) Take(i int32) T {
+	s := p.slot(i)
+	p.release(i, s)
+	return s.v
+}
+
+// alloc takes slot i off the free stack, growing the pool by a chunk when
+// the stack is empty, and returns it with its address s; release puts it
+// back. Both leave the value alone. They are the one place the accounting
+// changes, and handing s on spares the callers a second address
+// computation.
+//
+//stashsim:noalloc
+func (p *Pool[T]) alloc() (i int32, s *poolSlot[T]) {
+	if p.nfree == 0 {
+		p.grow()
+	}
+	i = p.free
+	s = p.slot(i)
+	p.free = s.next
+	p.nfree--
+	if p.used++; p.used > p.peak {
+		p.peak = p.used
+	}
+	return i, s
+}
+
+//stashsim:noalloc
+func (p *Pool[T]) release(i int32, s *poolSlot[T]) {
+	s.next = p.free
+	p.free = i
+	p.nfree++
+	p.used--
+}
+
+// grow adds one chunk of free slots, the lowest on top. It is kept out of
+// line so that alloc's callers stay small.
+//
+//go:noinline
+//stashsim:noalloc
+func (p *Pool[T]) grow() {
+	base := int32(len(p.chunks)) << chunkBits
+	//lint:allow allocfree -- one chunk when the free stack runs dry: capacity follows the high-water mark, never the run's length
+	p.chunks = append(p.chunks, new([PoolChunk]poolSlot[T]))
+	for i := base + PoolChunk - 1; i >= base; i-- {
+		p.slot(i).next = p.free
+		p.free = i
+	}
+	p.nfree += PoolChunk
+}
+
+// Grow makes room for n more values, so that the next n Puts take no chunk.
+func (p *Pool[T]) Grow(n int) {
+	for int(p.nfree) < n {
+		p.grow()
+	}
+}
+
+// Cap returns the slots the pool holds, InUse those on a list, and Peak
+// the most that have been in use at once.
+func (p *Pool[T]) Cap() int   { return len(p.chunks) * PoolChunk }
+func (p *Pool[T]) InUse() int { return int(p.used) }
+func (p *Pool[T]) Peak() int  { return int(p.peak) }
+
+// Len returns the number of queued values.
+//
+//stashsim:noalloc
+func (l *List[T]) Len() int { return int(l.n) }
+
+// Empty reports whether the list holds no values.
+//
+//stashsim:noalloc
+func (l *List[T]) Empty() bool { return l.n == 0 }
+
+// Link appends slot i, which must be in use and on no list.
+//
+//stashsim:noalloc
+func (l *List[T]) Link(p *Pool[T], i int32) {
+	if l.n == 0 {
+		l.head = i
+	} else {
+		p.slot(l.tail).next = i
+	}
+	l.tail = i
+	l.n++
+}
+
+// Unlink removes the oldest slot and returns it, still holding its value:
+// the caller links it onto another list or Takes it. It panics when empty.
+//
+//stashsim:noalloc
+func (l *List[T]) Unlink(p *Pool[T]) int32 {
+	if l.n == 0 {
+		panic("buffer: unlink from empty list")
+	}
+	i := l.head
+	l.head = p.slot(i).next
+	l.n--
+	return i
+}
+
+// Push appends a copy of v.
+//
+//stashsim:noalloc
+func (l *List[T]) Push(p *Pool[T], v T) { l.Link(p, p.Put(v)) }
+
+// Pop removes and returns the oldest value, freeing its slot. It panics
+// when empty.
+//
+//stashsim:noalloc
+func (l *List[T]) Pop(p *Pool[T]) T { return p.Take(l.Unlink(p)) }
+
+// Front returns the oldest value in place; the pointer stays valid until
+// its slot is freed. It panics when empty.
+//
+//stashsim:noalloc
+func (l *List[T]) Front(p *Pool[T]) *T {
+	if l.n == 0 {
+		panic("buffer: front of empty list")
+	}
+	return p.Get(l.head)
+}
+
+// Reset frees every slot of the list.
+func (l *List[T]) Reset(p *Pool[T]) {
+	for l.n > 0 {
+		p.Take(l.Unlink(p))
+	}
+}
+
+// Len returns the number of queued values.
+//
+//stashsim:noalloc
+func (l *TimedList[T]) Len() int { return int(l.l.n) }
+
+// Empty reports whether the list holds no values.
+//
+//stashsim:noalloc
+func (l *TimedList[T]) Empty() bool { return l.l.n == 0 }
+
+// Push appends v, due at cycle at. Deadlines must be non-decreasing, which
+// holds for everything with a constant latency.
+//
+//stashsim:noalloc
+func (l *TimedList[T]) Push(p *Pool[T], at int64, v T) {
+	// alloc, written out: the one call a push onto the wire makes.
 	if p.nfree == 0 {
 		p.grow()
 	}
@@ -74,168 +254,205 @@ func (p *FlitPool) Put(f proto.Flit) int32 {
 	if p.used++; p.used > p.peak {
 		p.peak = p.used
 	}
-	s.f = f
-	return i
+	s.v = v
+	l.link(p, i, at)
 }
 
-// Take frees slot i, which must be on no list, and returns its flit.
+// BackAt returns the newest value if it comes due at at, and otherwise
+// appends a zero value due at at and returns that: how a path coalesces
+// what one cycle sends. The caller changes the value in place.
 //
 //stashsim:noalloc
-func (p *FlitPool) Take(i int32) proto.Flit {
-	s := p.slot(i)
-	s.next = p.free
-	p.free = i
-	p.nfree++
-	p.used--
-	return s.f
-}
-
-// grow adds one chunk of free slots, the lowest on top.
-//
-//stashsim:noalloc
-func (p *FlitPool) grow() {
-	base := int32(len(p.chunks)) << chunkBits
-	//lint:allow allocfree -- one chunk when the free stack runs dry: capacity follows the high-water mark, never the run's length
-	p.chunks = append(p.chunks, new([PoolChunk]poolSlot))
-	for i := base + PoolChunk - 1; i >= base; i-- {
-		p.slot(i).next = p.free
-		p.free = i
+func (l *TimedList[T]) BackAt(p *Pool[T], at int64) *T {
+	if l.l.n > 0 && l.lastAt == at {
+		return &p.slot(l.l.tail).v
 	}
-	p.nfree += PoolChunk
+	i, s := p.alloc()
+	var zero T
+	s.v = zero
+	l.link(p, i, at)
+	return &s.v
 }
 
-// Grow makes room for n more flits, so that the next n Puts take no chunk.
-func (p *FlitPool) Grow(n int) {
-	for int(p.nfree) < n {
-		p.grow()
-	}
-}
-
-// Cap returns the slots the pool holds, InUse those on a list, and Peak
-// the most that have been in use at once.
-func (p *FlitPool) Cap() int   { return len(p.chunks) * PoolChunk }
-func (p *FlitPool) InUse() int { return int(p.used) }
-func (p *FlitPool) Peak() int  { return int(p.peak) }
-
-// Len returns the number of queued flits.
+// link appends slot i, due at at: the old tail learns its successor's due
+// cycle along with its slot.
 //
 //stashsim:noalloc
-func (l *FlitList) Len() int { return int(l.n) }
-
-// Empty reports whether the list holds no flits.
-//
-//stashsim:noalloc
-func (l *FlitList) Empty() bool { return l.n == 0 }
-
-// Link appends slot i, which must be in use and on no list.
-//
-//stashsim:noalloc
-func (l *FlitList) Link(p *FlitPool, i int32) {
-	if l.n == 0 {
-		l.head = i
+func (l *TimedList[T]) link(p *Pool[T], i int32, at int64) {
+	if l.l.n == 0 {
+		l.l.head = i
+		l.nextAt = at
 	} else {
-		p.slot(l.tail).next = i
+		t := p.slot(l.l.tail)
+		t.next = i
+		t.succAt = at
 	}
-	l.tail = i
-	l.n++
+	l.l.tail = i
+	l.lastAt = at
+	l.l.n++
 }
 
-// Unlink removes the oldest slot and returns it, still holding its flit:
-// the caller links it onto another list or Takes it. It panics when empty.
+// FrontDue reports whether the oldest value is due by now; header-only.
 //
 //stashsim:noalloc
-func (l *FlitList) Unlink(p *FlitPool) int32 {
-	if l.n == 0 {
-		panic("buffer: unlink from empty flit list")
+func (l *TimedList[T]) FrontDue(now int64) bool { return l.l.n > 0 && l.nextAt <= now }
+
+// NextAt returns the oldest value's due cycle, math.MaxInt64 when empty:
+// the list's term in its owner's "when is something next due" minimum.
+//
+//stashsim:noalloc
+func (l *TimedList[T]) NextAt() int64 {
+	if l.l.n == 0 {
+		return math.MaxInt64
 	}
-	i := l.head
-	l.head = p.slot(i).next
-	l.n--
+	return l.nextAt
+}
+
+// Front returns the oldest value in place. It panics when empty.
+//
+//stashsim:noalloc
+func (l *TimedList[T]) Front(p *Pool[T]) *T {
+	if l.l.n == 0 {
+		panic("buffer: front of empty timed list")
+	}
+	return &p.slot(l.l.head).v
+}
+
+// Unlink removes the oldest slot, which the caller has found due, and
+// returns it still holding its value, for a List of the same pool to Link
+// or the pool to Take. It panics when empty.
+//
+//stashsim:noalloc
+func (l *TimedList[T]) Unlink(p *Pool[T]) int32 {
+	if l.l.n == 0 {
+		panic("buffer: unlink from empty timed list")
+	}
+	i := l.l.head
+	s := p.slot(i)
+	l.l.head = s.next
+	l.l.n--
+	l.nextAt = s.succAt
 	return i
 }
 
-// Push appends a copy of f.
+// PopDue removes and returns the oldest value if it is due by now.
 //
 //stashsim:noalloc
-func (l *FlitList) Push(p *FlitPool, f proto.Flit) { l.Link(p, p.Put(f)) }
-
-// Pop removes and returns the oldest flit, freeing its slot. It panics
-// when empty.
-//
-//stashsim:noalloc
-func (l *FlitList) Pop(p *FlitPool) proto.Flit { return p.Take(l.Unlink(p)) }
-
-// Front returns the oldest flit in place; the pointer stays valid until
-// its slot is freed. It panics when empty.
-//
-//stashsim:noalloc
-func (l *FlitList) Front(p *FlitPool) *proto.Flit {
-	if l.n == 0 {
-		panic("buffer: front of empty flit list")
+func (l *TimedList[T]) PopDue(p *Pool[T], now int64) (v T, ok bool) {
+	if !l.FrontDue(now) {
+		return v, false
 	}
-	return p.Flit(l.head)
+	// Unlink, written out: the one call a pop off the wire makes.
+	i := l.l.head
+	s := p.slot(i)
+	l.l.head = s.next
+	l.l.n--
+	l.nextAt = s.succAt
+	p.release(i, s)
+	return s.v, true
 }
 
 // Reset frees every slot of the list.
-func (l *FlitList) Reset(p *FlitPool) {
-	for l.n > 0 {
-		p.Take(l.Unlink(p))
-	}
-}
+func (l *TimedList[T]) Reset(p *Pool[T]) { l.l.Reset(p) }
+
+// Slots returns the list's slots as a plain List, for Pool.Audit. Linking
+// or unlinking through it would bypass the due-cycle mirrors.
+func (l *TimedList[T]) Slots() *List[T] { return &l.l }
 
 // listCursor is the list a pool presents as a FIFO, and the last position
-// At was asked for, so a walk in queue order follows each link once.
-type listCursor struct {
-	l   *FlitList
-	at  int // index of cur; -1 before the first At
-	cur int32
+// At was asked for, so a walk in queue order follows each link once. A
+// TimedList's walk (timed set) also tracks the due cycle of the value at
+// cur, and hands out entries through e.
+type listCursor[T any] struct {
+	l     *List[T]
+	timed *TimedList[T]
+	at    int // index of cur; -1 before the first At
+	cur   int32
+	curAt int64
+	e     Entry[T]
 }
 
-// poolFIFO is a FlitPool seen as the FIFO of its cursor's list: a pointer
-// conversion, so handing one to the codec allocates nothing.
-type poolFIFO FlitPool
-
-// FIFO presents list l as the queue snapshot.Ring and Codec.ReplayFlits
-// walk, oldest flit first. A pool presents one list at a time: the result
-// is good until the next FIFO call on the same pool.
-func (p *FlitPool) FIFO(l *FlitList) snapshot.FIFO[proto.Flit] {
-	p.walk = listCursor{l: l, at: -1}
-	return (*poolFIFO)(p)
+// present points the cursor at l, which timed holds when not nil.
+func (p *Pool[T]) present(l *List[T], timed *TimedList[T]) {
+	p.walk = listCursor[T]{l: l, timed: timed, at: -1}
 }
 
-func (q *poolFIFO) pool() *FlitPool { return (*FlitPool)(q) }
-
-func (q *poolFIFO) Len() int { return q.walk.l.Len() }
-
-func (q *poolFIFO) At(i int) *proto.Flit {
-	w := &q.walk
+// seek returns the slot of the i-th oldest value of the presented list.
+func (p *Pool[T]) seek(i int) *poolSlot[T] {
+	w := &p.walk
 	if i < 0 || i >= w.l.Len() {
-		panic("buffer: flit list index out of range")
+		panic("buffer: list index out of range")
 	}
 	if w.at < 0 || i < w.at {
 		w.at, w.cur = 0, w.l.head
+		if w.timed != nil {
+			w.curAt = w.timed.nextAt
+		}
 	}
 	for ; w.at < i; w.at++ {
-		w.cur = q.pool().slot(w.cur).next
+		s := p.slot(w.cur)
+		w.cur, w.curAt = s.next, s.succAt
 	}
-	return q.pool().Flit(w.cur)
+	return p.slot(w.cur)
 }
 
-func (q *poolFIFO) Push(f proto.Flit) { q.walk.l.Push(q.pool(), f) }
+// poolFIFO and timedFIFO are a Pool seen as the FIFO of its cursor's list:
+// pointer conversions, so handing one to the codec allocates nothing.
+type (
+	poolFIFO[T any]  Pool[T]
+	timedFIFO[T any] Pool[T]
+)
 
-func (q *poolFIFO) Reset() {
+// FIFO presents list l as the queue snapshot.Ring and Codec.ReplayFlits
+// walk, oldest value first. A pool presents one list at a time: the result
+// is good until the next FIFO or Timed call on the same pool.
+func (p *Pool[T]) FIFO(l *List[T]) snapshot.FIFO[T] {
+	p.present(l, nil)
+	return (*poolFIFO[T])(p)
+}
+
+// Timed presents timed list l as FIFO does, as its entries: each value
+// with its due cycle, which snapshot.Ring walks first. At hands out a copy,
+// good until the next At: the walk reads entries, it does not change them.
+func (p *Pool[T]) Timed(l *TimedList[T]) snapshot.FIFO[Entry[T]] {
+	p.present(&l.l, l)
+	return (*timedFIFO[T])(p)
+}
+
+func (q *poolFIFO[T]) pool() *Pool[T] { return (*Pool[T])(q) }
+func (q *poolFIFO[T]) Len() int       { return q.walk.l.Len() }
+func (q *poolFIFO[T]) At(i int) *T    { return &q.pool().seek(i).v }
+func (q *poolFIFO[T]) Push(v T)       { q.walk.l.Push(q.pool(), v) }
+func (q *poolFIFO[T]) Grow(n int)     { q.pool().Grow(n) }
+
+func (q *poolFIFO[T]) Reset() {
 	q.walk.l.Reset(q.pool())
 	q.walk.at = -1
 }
 
-func (q *poolFIFO) Grow(n int) { q.pool().Grow(n) }
+func (q *timedFIFO[T]) pool() *Pool[T]  { return (*Pool[T])(q) }
+func (q *timedFIFO[T]) Len() int        { return q.walk.l.Len() }
+func (q *timedFIFO[T]) Push(e Entry[T]) { q.walk.timed.Push(q.pool(), e.At, e.V) }
+func (q *timedFIFO[T]) Grow(n int)      { q.pool().Grow(n) }
+
+func (q *timedFIFO[T]) At(i int) *Entry[T] {
+	s := q.pool().seek(i)
+	w := &q.walk
+	w.e.V, w.e.At = s.v, w.curAt
+	return &w.e
+}
+
+func (q *timedFIFO[T]) Reset() {
+	q.walk.timed.Reset(q.pool())
+	q.walk.at = -1
+}
 
 // Audit checks the pool against the lists that draw from it, which lists
-// hands to visit one by one: in-use plus free slots make up the capacity,
-// and every slot sits on exactly one list, the free stack included — so
-// the slots in use are exactly the flits on the lists. It returns the
-// first rule broken, or nil.
-func (p *FlitPool) Audit(lists func(visit func(*FlitList))) error {
+// hands to visit one by one (a TimedList through Slots): in-use plus free
+// slots make up the capacity, and every slot sits on exactly one list, the
+// free stack included — so the slots in use are exactly the values on the
+// lists. It returns the first rule broken, or nil.
+func (p *Pool[T]) Audit(lists func(visit func(*List[T]))) error {
 	capacity := p.Cap()
 	if int(p.used)+int(p.nfree) != capacity {
 		return fmt.Errorf("%d slots in use + %d free != capacity %d", p.used, p.nfree, capacity)
@@ -267,7 +484,7 @@ func (p *FlitPool) Audit(lists func(visit func(*FlitList))) error {
 		return i
 	}
 	list := -1
-	lists(func(l *FlitList) {
+	lists(func(l *List[T]) {
 		if list++; err != nil || l.n == 0 {
 			return
 		}

@@ -104,9 +104,6 @@ func driveQueues(t *testing.T, ops []byte) {
 			}
 			continue
 		}
-		if tq.Front() != tq.At(0) || tq.Back() != tq.At(len(mt)-1) {
-			t.Fatalf("step %d: Timed Front/Back are not At(0)/At(n-1)", step)
-		}
 		if front := tq.buf[tq.head].At; tq.nextAt != front || tq.NextAt() != mt[0].At {
 			t.Fatalf("step %d: nextAt mirror %d, front entry %d, model front %d", step, tq.nextAt, front, mt[0].At)
 		}

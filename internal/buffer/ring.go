@@ -11,13 +11,16 @@ import (
 	"math/bits"
 )
 
-// Queue and Timed are the simulator's only FIFOs: input VCs, row and column
-// buffers, retrieval and endpoint queues are Queues; link pipelines, the
-// retention window, the credit paths and the side band are Timeds. Both are
-// power-of-two rings that double on demand and never shrink, so steady-state
-// operation performs no allocation. Each owns its backing array and calls no
-// method on T: Timed is deliberately not a Queue of pairs, because the extra
-// call layer costs a third on the per-flit path (DESIGN.md §11).
+// Queue and Timed are the simulator's rings: the endpoint queues are
+// Queues; a switch's side band and its output ports' retention windows are
+// Timeds. Every queue a switch holds flits in, and every link path — flits
+// and credit batches on the wire — is instead a List or TimedList in a
+// switch's Pool (pool.go), so that its storage follows its occupancy. Both
+// rings are powers of two that double on demand and never shrink, so
+// steady-state operation performs no allocation. Each owns its backing array
+// and calls no method on T: Timed is deliberately not a Queue of pairs,
+// because the extra call layer costs a third on the per-entry path
+// (DESIGN.md §11).
 
 // Queue is a growable FIFO.
 type Queue[T any] struct {
@@ -135,8 +138,8 @@ func (q *Timed[T]) Len() int { return q.n }
 func (q *Timed[T]) Reset() { *q = Timed[T]{} }
 
 // Push appends an entry due at cycle at. Deadlines must be non-decreasing;
-// this holds for everything with a constant latency (links, the side band,
-// RTT retention).
+// this holds for everything with a constant latency (the side band, RTT
+// retention).
 //
 //stashsim:noalloc
 func (q *Timed[T]) Push(at int64, v T) {
@@ -194,16 +197,8 @@ func (q *Timed[T]) NextAt() int64 {
 	return q.nextAt
 }
 
-// Front returns a pointer to the oldest entry, Back to the newest; both
-// panic when empty. Callers may change V in place but not At.
-//
-//stashsim:noalloc
-func (q *Timed[T]) Front() *Entry[T] { return q.At(0) }
-
-//stashsim:noalloc
-func (q *Timed[T]) Back() *Entry[T] { return q.At(q.n - 1) }
-
-// At returns a pointer to the i-th oldest entry (0 = front).
+// At returns a pointer to the i-th oldest entry (0 = front). Callers may
+// change V in place but not At.
 //
 //stashsim:noalloc
 func (q *Timed[T]) At(i int) *Entry[T] {

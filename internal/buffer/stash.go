@@ -459,7 +459,7 @@ func (p *StashPool) RetrPop() proto.Flit { return p.flits.Take(p.UnlinkRetr()) }
 //stashsim:noalloc
 func (p *StashPool) UnlinkRetr() int32 {
 	i := p.retrQ.Unlink(p.flits)
-	if f := p.flits.Flit(i); f.Flags&proto.FlagStashCopy != 0 {
+	if f := p.flits.Get(i); f.Flags&proto.FlagStashCopy != 0 {
 		f.Flags &^= proto.FlagStashCopy
 		p.retrCopies--
 		return i

@@ -1,0 +1,269 @@
+package buffer
+
+import (
+	"math/rand"
+	"testing"
+
+	"stashsim/internal/proto"
+)
+
+// batch stands in for a link's credit batch: per-VC and shared counts.
+type batch struct {
+	resv   [proto.NumNetVCs]uint16
+	shared uint16
+}
+
+// timedPaths is the number of flit paths and of credit paths
+// driveTimedList runs, each kind over one pool.
+const timedPaths = 3
+
+// driveTimedList replays one op stream against timedPaths flit paths and
+// timedPaths credit paths, each kind threaded through one pool, and a plain
+// FlitList in the flit pool that due flits are relinked onto, the way a
+// switch's input buffer takes its arrivals. Timed[T] is the reference for
+// every path, a slice for the plain list. After every op it checks each
+// path's Len, NextAt, FrontDue and Front and its entries through the
+// cursor a checkpoint walks, both pools' accounting through Audit, and
+// that neither pool's capacity passes its high-water mark rounded up to a
+// chunk.
+//
+// Each op byte is a kind (top three bits) and an argument (low five), whose
+// low bits name path a. The kinds: push a flit on a, due 0..3 cycles after
+// its newest entry; add a credit on a through BackAt, which coalesces into
+// the newest batch when its due cycle matches; advance the clock 0..31
+// cycles and pop every due flit of a; pop one due credit batch of a; relink
+// a's due front onto the plain list; push a burst of flits on a at one due
+// cycle, which crosses chunk boundaries; reset a flit or credit path and
+// grow its pool by its length, then push its entries back — the decode
+// path — without taking a chunk; pop the plain list.
+func driveTimedList(t *testing.T, ops []byte) {
+	t.Helper()
+	var (
+		fp     FlitPool
+		cp     Pool[batch]
+		flits  [timedPaths]TimedList[proto.Flit]
+		creds  [timedPaths]TimedList[batch]
+		fmodel [timedPaths]Timed[proto.Flit]
+		cmodel [timedPaths]Timed[batch]
+		plain  FlitList
+		pmodel []uint64
+		now    int64
+		next   uint64
+	)
+	// due returns a deadline d cycles after path a's newest, or now.
+	due := func(m interface{ Len() int }, back func() int64, d int64) int64 {
+		at := now + 1
+		if m.Len() > 0 {
+			at = max(at, back())
+		}
+		return at + d
+	}
+	pushFlit := func(a int, at int64) {
+		f := proto.Flit{PktID: next}
+		next++
+		flits[a].Push(&fp, at, f)
+		fmodel[a].Push(at, f)
+	}
+	for step, op := range ops {
+		kind, arg := op>>5, int(op&31)
+		a := arg % timedPaths
+		switch kind {
+		case 0:
+			pushFlit(a, due(&fmodel[a], func() int64 { return fmodel[a].At(fmodel[a].Len()-1).At }, int64(arg/timedPaths)%4))
+		case 1:
+			at := due(&cmodel[a], func() int64 { return cmodel[a].At(cmodel[a].Len()-1).At }, int64(arg/timedPaths)%2)
+			vc := arg % proto.NumNetVCs
+			// Coalesce through BackAt; the model appends or adds by hand.
+			creds[a].BackAt(&cp, at).resv[vc]++
+			if cmodel[a].Len() == 0 || cmodel[a].At(cmodel[a].Len()-1).At != at {
+				cmodel[a].Push(at, batch{})
+			}
+			cmodel[a].At(cmodel[a].Len()-1).V.resv[vc]++
+		case 2:
+			now += int64(arg)
+			for {
+				want, wok := fmodel[a].PopDue(now)
+				got, ok := flits[a].PopDue(&fp, now)
+				if ok != wok || got != want {
+					t.Fatalf("step %d: flit path %d PopDue = %v %v, model %v %v", step, a, got.PktID, ok, want.PktID, wok)
+				}
+				if !ok {
+					break
+				}
+			}
+		case 3:
+			want, wok := cmodel[a].PopDue(now)
+			got, ok := creds[a].PopDue(&cp, now)
+			if ok != wok || got != want {
+				t.Fatalf("step %d: credit path %d PopDue = %v %v, model %v %v", step, a, got, ok, want, wok)
+			}
+		case 4:
+			if flits[a].FrontDue(now) {
+				plain.Link(&fp, flits[a].Unlink(&fp))
+				f, _ := fmodel[a].PopDue(now)
+				pmodel = append(pmodel, f.PktID)
+			}
+		case 5:
+			at := due(&fmodel[a], func() int64 { return fmodel[a].At(fmodel[a].Len()-1).At }, 1)
+			for i := 0; i <= arg; i++ {
+				pushFlit(a, at)
+			}
+		case 6:
+			capacity := fp.Cap() + cp.Cap()
+			if arg&16 == 0 {
+				replayTimed(&fp, &flits[a], &fmodel[a])
+			} else {
+				replayTimed(&cp, &creds[a], &cmodel[a])
+			}
+			if fp.Cap()+cp.Cap() != capacity {
+				t.Fatalf("step %d: replaying path %d took a chunk after Grow", step, a)
+			}
+		case 7:
+			for k := 0; k <= arg/timedPaths && len(pmodel) > 0; k++ {
+				if got := plain.Pop(&fp); got.PktID != pmodel[0] {
+					t.Fatalf("step %d: plain list Pop = %d, want %d", step, got.PktID, pmodel[0])
+				}
+				pmodel = pmodel[1:]
+			}
+		}
+
+		for k := 0; k < timedPaths; k++ {
+			checkTimed(t, step, "flit", &fp, &flits[k], &fmodel[k], now)
+			checkTimed(t, step, "credit", &cp, &creds[k], &cmodel[k], now)
+		}
+		q := fp.FIFO(&plain)
+		if q.Len() != len(pmodel) {
+			t.Fatalf("step %d: plain list Len %d, model holds %d", step, q.Len(), len(pmodel))
+		}
+		for i, want := range pmodel {
+			if got := q.At(i).PktID; got != want {
+				t.Fatalf("step %d: plain list At(%d) = %d, want %d", step, i, got, want)
+			}
+		}
+		err := fp.Audit(func(visit func(*FlitList)) {
+			visit(&plain)
+			for k := range flits {
+				visit(flits[k].Slots())
+			}
+		})
+		if err == nil {
+			err = cp.Audit(func(visit func(*List[batch])) {
+				for k := range creds {
+					visit(creds[k].Slots())
+				}
+			})
+		}
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		checkPoolSize(t, step, fp.Cap(), fp.Peak())
+		checkPoolSize(t, step, cp.Cap(), cp.Peak())
+	}
+}
+
+// replayTimed empties path l and pushes its model's entries back through
+// the FIFO a checkpoint decodes into, after growing the pool by their
+// count.
+func replayTimed[T any](p *Pool[T], l *TimedList[T], m *Timed[T]) {
+	q := p.Timed(l)
+	q.Reset()
+	q.Grow(m.Len())
+	for i := 0; i < m.Len(); i++ {
+		q.Push(*m.At(i))
+	}
+}
+
+// checkTimed compares path l with its model at cycle now.
+func checkTimed[T comparable](t *testing.T, step int, kind string, p *Pool[T], l *TimedList[T], m *Timed[T], now int64) {
+	t.Helper()
+	if l.Len() != m.Len() || l.Empty() != (m.Len() == 0) || l.NextAt() != m.NextAt() || l.FrontDue(now) != m.FrontDue(now) {
+		t.Fatalf("step %d: %s path Len %d NextAt %d FrontDue %v, model %d %d %v",
+			step, kind, l.Len(), l.NextAt(), l.FrontDue(now), m.Len(), m.NextAt(), m.FrontDue(now))
+	}
+	q := p.Timed(l)
+	for i := 0; i < m.Len(); i++ {
+		if got, want := q.At(i), m.At(i); *got != *want {
+			t.Fatalf("step %d: %s path entry %d is due %d, model %d", step, kind, i, got.At, want.At)
+		}
+	}
+	if m.Len() > 0 && *l.Front(p) != m.At(0).V {
+		t.Fatalf("step %d: %s path Front differs from the model's", step, kind)
+	}
+}
+
+// checkPoolSize fails when a pool holds more than its high-water mark
+// rounded up to a chunk.
+func checkPoolSize(t *testing.T, step, capacity, peak int) {
+	t.Helper()
+	if roundUp := (peak + PoolChunk - 1) / PoolChunk * PoolChunk; capacity > roundUp {
+		t.Fatalf("step %d: capacity %d past the high-water mark %d rounded up", step, capacity, peak)
+	}
+}
+
+// TestTimedListModel drives the paths with seeded random op streams of
+// three shapes: balanced churn, bursts that cross chunk boundaries with
+// replays and relinks, and credit coalescing.
+func TestTimedListModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 200; round++ {
+		ops := make([]byte, 200)
+		for i := range ops {
+			kind := byte(rng.Intn(8))
+			switch round % 3 {
+			case 1: // bursts, replays, relinks and drains
+				kind = []byte{5, 6, 2, 4, 5, 7}[i%6]
+			case 2: // mostly credits
+				if rng.Intn(3) > 0 {
+					kind = []byte{1, 3}[rng.Intn(2)]
+				}
+			}
+			ops[i] = kind<<5 | byte(rng.Intn(32))
+		}
+		driveTimedList(t, ops)
+	}
+}
+
+// FuzzTimedList is driveTimedList over arbitrary op streams.
+func FuzzTimedList(f *testing.F) {
+	f.Add([]byte{0x00, 0x01, 0x02, 0x21, 0x21, 0x24, 0x5f, 0x80, 0x60, 0xe0}) // flits and coalesced credits, a clock jump, a relink, pops
+	f.Add([]byte{0xbf, 0xbf, 0xc0, 0xd0, 0x5f, 0x83, 0x86, 0xff})             // bursts past two chunks, replays of both kinds, drains
+	f.Add([]byte{0x20, 0x23, 0x26, 0x29, 0xd0, 0x7f, 0x60, 0x60, 0xd3})       // credits coalescing and not, replay, pops
+	f.Fuzz(driveTimedList)
+}
+
+// TestTimedListAllocatesOnlyChunks: traffic within the high-water mark —
+// pushes, relinks onto a plain list, credit coalescing and pops — takes no
+// allocation.
+func TestTimedListAllocatesOnlyChunks(t *testing.T) {
+	var (
+		fp    FlitPool
+		cp    Pool[batch]
+		wire  TimedList[proto.Flit]
+		creds TimedList[batch]
+		in    FlitList
+		now   int64
+	)
+	churn := func() {
+		for i := 0; i < 3*PoolChunk; i++ {
+			wire.Push(&fp, now+4, proto.Flit{Seq: uint8(i)})
+			creds.BackAt(&cp, now+4).shared++
+			now++
+		}
+		now += 4
+		for wire.FrontDue(now) {
+			in.Link(&fp, wire.Unlink(&fp))
+		}
+		for !in.Empty() {
+			in.Pop(&fp)
+		}
+		for _, ok := creds.PopDue(&cp, now); ok; _, ok = creds.PopDue(&cp, now) {
+		}
+	}
+	churn()
+	if n := testing.AllocsPerRun(20, churn); n != 0 {
+		t.Fatalf("%v allocations per churn at high water, want 0", n)
+	}
+	if fp.Cap() != 3*PoolChunk || cp.Cap() != 3*PoolChunk {
+		t.Fatalf("capacities %d, %d after holding %d entries at most, want %d", fp.Cap(), cp.Cap(), 3*PoolChunk, 3*PoolChunk)
+	}
+}

@@ -42,22 +42,16 @@ func (s *Switch) rowBufSpace(row, col, slot, stream int) bool {
 	return s.tileAt(row, col).rowBufs[slot][stream].Len() < s.cfg.RowBufFlits
 }
 
-// stepArrivals drains flits that have arrived on the input link into the
-// input buffer. Space is guaranteed by upstream credits; the only possible
-// stall is a bank conflict on the port memory write.
+// stepArrivals moves flits that have arrived on the input link into the
+// input buffer: the link's flits sit in the switch's own pool, so each
+// arrival relinks its slot. Space is guaranteed by upstream credits; the
+// only possible stall is a bank conflict on the port memory write.
 //
 //stashsim:noalloc
 func (s *Switch) stepArrivals(now sim.Tick, p *inPort) {
-	for {
-		f := p.link.PeekFlit(now)
-		if f == nil {
-			return
-		}
-		if !p.mem.Request(now, buffer.WriteNormal) {
-			return
-		}
-		p.buf.Push(*f)
-		p.link.DropFlit(now)
+	l := p.link
+	for l.flits.FrontDue(now) && p.mem.Request(now, buffer.WriteNormal) {
+		p.buf.Link(l.flits.Unlink(l.fp))
 	}
 }
 
@@ -212,7 +206,7 @@ func (s *Switch) stepRowBus(now sim.Tick, p *inPort) {
 			s.Counters.StashDegradedReads++
 		}
 		i := pool.UnlinkRetr()
-		f := s.flits.Flit(i)
+		f := s.flits.Get(i)
 		s.Counters.StashRetrieves++
 		if f.Head() {
 			s.tracer.Record(now, metrics.EvStashRetrieve, f.PktID, int32(s.ID), int32(p.id), f.Src, f.Dst)
@@ -239,7 +233,7 @@ func (s *Switch) moveFromInput(now sim.Tick, p *inPort, vc, row, slot int) {
 	cfg := s.cfg
 	lt := &p.latch[vc]
 	i, credit := p.buf.Unlink(vc)
-	f := s.flits.Flit(i)
+	f := s.flits.Get(i)
 	p.link.SendCredit(now, credit)
 	s.Counters.FlitsSwitched++
 	if cfg.ECN.Enabled && p.congested && f.Kind == proto.Data && f.Head() {

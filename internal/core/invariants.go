@@ -41,10 +41,12 @@ import (
 //     carries a freed payload buffer. (Parity flits enter conservation
 //     through the pools' PresentFlits/FreedFlits and the switches'
 //     created counts, so law 1 already balances them.)
-//  6. Flit pool: in every switch, the pool's slots in use equal the flits
-//     its queues hold, in-use plus free slots make up its capacity, and
-//     every slot sits on exactly one list — a queue or the free stack. A
-//     leaked slot or one linked twice would let two queues share a flit.
+//  6. Flit and credit pools: in every switch, each pool's slots in use
+//     equal what its lists hold — the switch's own queues and the link
+//     paths it owns (Link says which) — in-use plus free slots make up its
+//     capacity, and every slot sits on exactly one list: a queue, a link
+//     path or the free stack. A leaked slot or one linked twice would let
+//     two queues, or a queue and the wire, share a flit or a credit batch.
 //
 // The laws are state-based, so sparse audits (Every > 1) still converge
 // on any corruption the next time they run. On the first violation the
@@ -333,6 +335,9 @@ func (iv *Invariants) checkFlitPools(now sim.Tick) {
 	for _, s := range iv.Switches {
 		if err := s.flits.Audit(s.flitLists); err != nil {
 			iv.fail(now, s, fmt.Sprintf("flit pool: sw%d %v", s.ID, err))
+		}
+		if err := s.creds.Audit(s.creditLists); err != nil {
+			iv.fail(now, s, fmt.Sprintf("credit pool: sw%d %v", s.ID, err))
 		}
 	}
 }

@@ -13,18 +13,29 @@ import (
 // path. Flits written at cycle t become visible to the receiver at
 // t+Latency; credits likewise.
 //
-// Each direction is a ring of in-flight entries in arrival order, owned by
-// its consumer. An entry landing on a ring lowers the consumer's slots to
-// its due cycle: the consumer's wake slot and, when the consumer is a
-// switch, that port's due slot (Switch.flitDue/credDue), which tells a
-// stepped switch which ports to probe. How a push reaches that ring is
-// decided by the network's cut into blocks and workers (Stage), never by a
-// user:
+// A link holds no storage of its own. Each direction is a timed list of
+// in-flight entries in arrival order, threaded through the pool of the
+// switch that steps the direction's consumer:
+//
+//   - switch → switch: the flits live in the consuming switch's FlitPool,
+//     so an arrival relinks its slot onto the input buffer, and the
+//     credits in the producing switch's credit pool;
+//   - endpoint links, both directions: the pools of the endpoint's own
+//     switch, which one goroutine steps together with the endpoint.
+//
+// AttachInLink and AttachOutLink bind the paths to those pools. So a pool
+// is only ever touched by the goroutine that steps its switch, and the
+// wire's storage follows what is on it. An entry landing on a list lowers
+// the consumer's slots to its due cycle: the consumer's wake slot and, when
+// the consumer is a switch, that port's due slot (Switch.flitDue/credDue),
+// which tells a stepped switch which ports to probe. How a push reaches
+// that list is decided by the network's cut into blocks and workers
+// (Stage), never by a user:
 //
 //   - Both ends on one worker: the producer pushes straight onto the
-//     consumer's ring and lowers the consumer's slots. One
+//     consumer's list and lowers the consumer's slots. One
 //     goroutine steps both ends, and because Latency >= 1 the entry is not
-//     due before the next cycle, so the consumer sees the same ring
+//     due before the next cycle, so the consumer sees the same list
 //     whichever end steps first. When the ends are in different blocks of
 //     that worker they are a whole epoch apart at most, not a cycle — one
 //     block runs the epoch through before the other starts — and the same
@@ -33,9 +44,9 @@ import (
 //     next epoch, whichever block runs first.
 //   - Ends on different workers: the producer stages the push in the
 //     slab of the current epoch's parity; the consumer's worker drains
-//     the other slab — everything staged last epoch — right after the
-//     epoch barrier (DrainEpochFlits/DrainEpochCredits), which is when
-//     the consumer's slots are lowered. The two
+//     the other slab — everything staged last epoch — into its own pool
+//     right after the epoch barrier (DrainEpochFlits/DrainEpochCredits),
+//     which is when the consumer's slots are lowered. The two
 //     sides never touch the same slab between barriers, and an epoch is
 //     never longer than Latency, so an entry staged during epoch e is not
 //     due before epoch e+1 drains it.
@@ -45,67 +56,116 @@ import (
 //
 //stashsim:phase parallel
 type Link struct {
-	Latency int64 //stashsim:derived -- structural; rebuilt from the configuration
-
-	// Fault, when non-nil, screens every transmitted flit for injected
-	// drops, outages, and corruption. Credited marks links whose producer
-	// runs credit-based flow control (endpoint→switch and switch→switch);
-	// on those, a dropped flit's credit is synthesized onto the producer's
-	// private synth ring so the producer's credit count stays conserved.
-	//
-	//stashsim:derived -- wiring; the injector walks the fault state it handed out
-	Fault    *fault.LinkFault
-	Credited bool //stashsim:derived -- wiring
-
 	// Forward path: in-flight flits, popped by the consumer
-	// (RecvFlit/PeekFlit/DropFlit).
-	flits buffer.Timed[proto.Flit]
-
-	// Reverse path: credits returned by the forward-consumer, popped by
-	// the forward-producer (RecvCredit / RecvCreditsInto). Credits are
-	// carried as per-cycle batches — every credit returned during one
-	// cycle coalesces into one entry of per-VC and shared counts — so a
-	// cycle costs one ring slot however many credits it returns. synth
-	// carries the credits synthesized for faulted drops, pushed and popped
-	// by the forward-producer alone.
-	credits creditRing
-	synth   creditRing
-
-	// faultDropped counts flits destroyed on this link by injected
-	// faults, the per-edge destruction term of the conservation law.
-	faultDropped int64
+	// (RecvFlit/PeekFlit/DropFlit, or relinked by Switch.stepArrivals),
+	// held in fp: the pool named above once the link is attached, a pool
+	// of its own on a bare link (NewLink). What a flit's push and pop
+	// touch comes first, in one cache line.
+	flits buffer.TimedList[proto.Flit]
+	fp    *buffer.FlitPool //stashsim:derived -- wiring; the path's entries are walked, never the pool
 
 	// flitWake and credWake are the wake-table slots (sim.Executor.WakeSlot)
 	// of the flits' and the credits' consumer, nil on a bare link; flitDue
 	// and credDue the consumer's due slot for this link's port when the
 	// consumer is a switch (wired by AttachInLink/AttachOutLink), nil
-	// otherwise. Whatever lands an entry on a ring — a direct push, a
-	// synthesized credit, the epoch drain — lowers both to the ring's due
+	// otherwise. Whatever lands an entry on a path — a direct push, a
+	// synthesized credit, the epoch drain — lowers both to the path's due
 	// cycle: the one signal a link gives its consumer.
 	//
 	//stashsim:transient -- wiring; repartition re-slots every link
 	flitWake *int64
-	credWake *int64 //stashsim:transient -- wiring; repartition re-slots every link
 	flitDue  *int64 //stashsim:transient -- wiring; the consuming switch's port slot, set when the link is attached
-	credDue  *int64 //stashsim:transient -- wiring; the producing switch's port slot, set when the link is attached
 
 	// epoch, when non-nil, marks a worker-crossing link: pushes stage
 	// into slab epoch&1. The pointer is written only at a barrier (Stage);
 	// the pointee is the executor's atomic epoch counter.
 	//
 	//stashsim:transient -- the delivery form belongs to the partitioning, not the snapshot
-	epoch    *atomic.Int64
+	epoch *atomic.Int64
+
+	Latency int64 //stashsim:derived -- structural; rebuilt from the configuration
+
+	// Fault, when non-nil, screens every transmitted flit for injected
+	// drops, outages, and corruption. Credited marks links whose producer
+	// runs credit-based flow control (endpoint→switch and switch→switch);
+	// on those, a dropped flit's credit is synthesized onto the producer's
+	// private synth path so the producer's credit count stays conserved.
+	//
+	//stashsim:derived -- wiring; the injector walks the fault state it handed out
+	Fault    *fault.LinkFault
+	Credited bool //stashsim:derived -- wiring
+
+	// Reverse path: credits returned by the forward-consumer, popped by
+	// the forward-producer (RecvCredit / RecvCreditsInto). Credits are
+	// carried as per-cycle batches — every credit returned during one
+	// cycle coalesces into one entry of per-VC and shared counts — so a
+	// cycle costs one slot however many credits it returns. synth
+	// carries the credits synthesized for faulted drops, pushed and popped
+	// by the forward-producer alone. Both are held in cp, as the flits
+	// are in fp.
+	credits  creditPath
+	synth    creditPath
+	cp       *creditPool //stashsim:derived -- wiring; the paths' entries are walked, never the pool
+	credWake *int64      //stashsim:transient -- wiring; repartition re-slots every link
+	credDue  *int64      //stashsim:transient -- wiring; the producing switch's port slot, set when the link is attached
+
+	// faultDropped counts flits destroyed on this link by injected
+	// faults, the per-edge destruction term of the conservation law.
+	faultDropped int64
+
+	// The staging slabs of a worker-crossing link, by epoch parity; the
+	// checkpoint walks what they hold after the paths' entries.
 	flitSlab [2][]timedFlit
 	credSlab [2][]creditBatch
 }
 
-// NewLink builds a link with the given one-way latency in cycles, in the
-// direct (single-worker) form.
+// NewLink builds a bare link with the given one-way latency in cycles, in
+// the direct (single-worker) form, over pools of its own; attaching it to a
+// switch moves its paths into the switch's pools.
 func NewLink(latency int64) *Link {
+	own := new(struct {
+		Link
+		flits buffer.FlitPool
+		creds creditPool
+	})
+	own.init(latency)
+	own.fp, own.cp = &own.flits, &own.creds
+	return &own.Link
+}
+
+// NewLinks builds one link per latency in one allocation, for a network
+// that attaches every one of them to the switch at its switch end: they
+// have no pools until then.
+func NewLinks(latencies []int64) []Link {
+	ls := make([]Link, len(latencies))
+	for i := range ls {
+		ls[i].init(latencies[i])
+	}
+	return ls
+}
+
+func (l *Link) init(latency int64) {
 	if latency < 1 {
 		panic("core: link latency must be at least one cycle")
 	}
-	return &Link{Latency: latency}
+	l.Latency = latency
+}
+
+// bindFlits moves the forward path into pool p, bindCredits the credit
+// paths: what attaching the link to a switch does. Only a link with
+// nothing on the wire moves.
+func (l *Link) bindFlits(p *buffer.FlitPool) {
+	if l.InFlightFlits() > 0 {
+		panic("core: attaching a link with flits on the wire")
+	}
+	l.fp = p
+}
+
+func (l *Link) bindCredits(p *creditPool) {
+	if !l.credits.Empty() || !l.synth.Empty() || len(staged(&l.credSlab)) > 0 {
+		panic("core: attaching a link with credits on the wire")
+	}
+	l.cp = p
 }
 
 // SendFlit transmits a flit at cycle now; it arrives at now+Latency.
@@ -122,7 +182,7 @@ func (l *Link) SendFlit(now int64, f proto.Flit) {
 		l.faultDropped++
 		if l.Credited {
 			at := now + 2*l.Latency
-			l.synth.add(at, proto.Credit{VC: f.VC, Shared: f.Flags&proto.FlagShared != 0})
+			addCredit(&l.synth, l.cp, at, proto.Credit{VC: f.VC, Shared: f.Flags&proto.FlagShared != 0})
 			l.creditsDue(at)
 		}
 		return
@@ -133,7 +193,7 @@ func (l *Link) SendFlit(now int64, f proto.Flit) {
 		l.flitSlab[s] = append(l.flitSlab[s], timedFlit{At: at, V: f})
 		return
 	}
-	l.flits.Push(at, f)
+	l.flits.Push(l.fp, at, f)
 	l.flitsDue(at)
 }
 
@@ -154,12 +214,12 @@ func (l *Link) SendCredit(now int64, c proto.Credit) {
 		(*slab)[n-1].V.add(c)
 		return
 	}
-	l.credits.add(at, c)
+	addCredit(&l.credits, l.cp, at, c)
 	l.creditsDue(at)
 }
 
 // flitsDue and creditsDue lower the slots of the flits' and of the credits'
-// consumer to at, the due cycle of an entry that just landed on the ring.
+// consumer to at, the due cycle of an entry that just landed on the path.
 //
 //stashsim:noalloc
 func (l *Link) flitsDue(at int64) {
@@ -178,7 +238,7 @@ func (l *Link) creditsDue(at int64) {
 func (l *Link) WakeFlits(w *int64)   { l.flitWake = w }
 func (l *Link) WakeCredits(w *int64) { l.credWake = w }
 
-// NextFlitAt returns the due cycle of the oldest flit on the ring,
+// NextFlitAt returns the due cycle of the oldest flit on the wire,
 // NextCreditAt of the oldest returned or synthesized credit batch
 // (math.MaxInt64 when empty): the consumers' sim.Stepper.NextWake terms.
 //
@@ -191,16 +251,16 @@ func (l *Link) NextCreditAt() int64 { return min(l.credits.NextAt(), l.synth.Nex
 // Stage selects the link's delivery form: a non-nil clock (the executor's
 // epoch counter) marks the link as worker-crossing, nil as internal to
 // one worker. Entries still staged under the previous form are flushed
-// into the rings first, so nothing is stranded and the rings stay in
+// onto the paths first, so nothing is stranded and the paths stay in
 // arrival order. Call only at a barrier, when no component is stepping.
 //
 //stashsim:phase serial
 func (l *Link) Stage(clock *atomic.Int64) {
 	for _, t := range staged(&l.flitSlab) {
-		l.flits.Push(t.At, t.V)
+		l.flits.Push(l.fp, t.At, t.V)
 	}
 	for _, b := range staged(&l.credSlab) {
-		l.credits.Push(b.At, b.V)
+		l.credits.Push(l.cp, b.At, b.V)
 	}
 	l.dropStaged()
 	l.epoch = clock
@@ -213,7 +273,7 @@ func (l *Link) Staged() bool { return l.epoch != nil }
 // staged returns the entries still waiting in a direction's staging
 // slabs, in push (= arrival) order. Barrier-only: the consumer drained the
 // older slab when the last epoch began, so at most one slab is occupied
-// and its entries are all newer than the ring's.
+// and its entries are all newer than the path's.
 func staged[T any](slabs *[2][]T) []T {
 	if len(slabs[0]) > 0 && len(slabs[1]) > 0 {
 		panic("core: both link slabs staged at a barrier")
@@ -232,20 +292,20 @@ func (l *Link) dropStaged() {
 	}
 }
 
-// DrainEpochFlits moves one staging slab onto the consumer's ring at an
-// epoch boundary and wakes the consumer for the ring's first due cycle. The
-// caller (the consumer worker's drain, running after the epoch barrier
-// ordered the remote producer's slab writes before this read) passes the
-// slab the producer filled during the *previous* epoch; the producer is now
-// staging into the other one. Entries come out in push order, which is
-// arrival order because Latency is constant.
+// DrainEpochFlits moves one staging slab onto the forward path, in the
+// consumer's pool, at an epoch boundary and wakes the consumer for the
+// path's first due cycle. The caller (the consumer worker's drain, running
+// after the epoch barrier ordered the remote producer's slab writes before
+// this read) passes the slab the producer filled during the *previous*
+// epoch; the producer is now staging into the other one. Entries come out
+// in push order, which is arrival order because Latency is constant.
 //
 //stashsim:phase parallel
 //stashsim:noalloc
 func (l *Link) DrainEpochFlits(slab int) {
 	in := l.flitSlab[slab]
 	for i := range in {
-		l.flits.Push(in[i].At, in[i].V)
+		l.flits.Push(l.fp, in[i].At, in[i].V)
 	}
 	l.flitSlab[slab] = in[:0]
 	l.flitsDue(l.NextFlitAt())
@@ -259,7 +319,7 @@ func (l *Link) DrainEpochFlits(slab int) {
 func (l *Link) DrainEpochCredits(slab int) {
 	in := l.credSlab[slab]
 	for i := range in {
-		l.credits.Push(in[i].At, in[i].V)
+		l.credits.Push(l.cp, in[i].At, in[i].V)
 	}
 	l.credSlab[slab] = in[:0]
 	l.creditsDue(l.NextCreditAt())
@@ -272,25 +332,24 @@ func (l *Link) FaultDropped() int64 { return l.faultDropped }
 // RecvFlit returns the next flit whose arrival time has passed.
 //
 //stashsim:noalloc
-func (l *Link) RecvFlit(now int64) (proto.Flit, bool) { return l.flits.PopDue(now) }
+func (l *Link) RecvFlit(now int64) (proto.Flit, bool) { return l.flits.PopDue(l.fp, now) }
 
 // PeekFlit returns a pointer to the next arrived flit without consuming
-// it, or nil. Used when the receiver may have to stall the write (bank
-// conflicts).
+// it, or nil.
 //
 //stashsim:noalloc
 func (l *Link) PeekFlit(now int64) *proto.Flit {
 	if !l.flits.FrontDue(now) {
 		return nil
 	}
-	return &l.flits.Front().V
+	return l.flits.Front(l.fp)
 }
 
 // DropFlit consumes the flit previously returned by PeekFlit.
 //
 //stashsim:noalloc
 func (l *Link) DropFlit(now int64) {
-	if _, ok := l.flits.PopDue(now); !ok {
+	if _, ok := l.flits.PopDue(l.fp, now); !ok {
 		panic("core: DropFlit with no due flit")
 	}
 }
@@ -306,8 +365,9 @@ func (l *Link) InFlightFlits() int {
 // order. Used by the invariant checker only (fn must not mutate the
 // flit), under the same barrier rule as InFlightFlits.
 func (l *Link) auditFlits(fn func(*proto.Flit)) {
-	for i := 0; i < l.flits.Len(); i++ {
-		fn(&l.flits.At(i).V)
+	q := l.fp.Timed(&l.flits)
+	for i := 0; i < q.Len(); i++ {
+		fn(&q.At(i).V)
 	}
 	stagedFlits := staged(&l.flitSlab)
 	for i := range stagedFlits {
@@ -328,11 +388,11 @@ func (l *Link) auditCredits(fn func(proto.Credit)) {
 			fn(proto.Credit{Shared: true})
 		}
 	}
-	for i := 0; i < l.credits.Len(); i++ {
-		audit(&l.credits.At(i).V)
-	}
-	for i := 0; i < l.synth.Len(); i++ {
-		audit(&l.synth.At(i).V)
+	for _, path := range [...]*creditPath{&l.credits, &l.synth} {
+		q := l.cp.Timed(path)
+		for i := 0; i < q.Len(); i++ {
+			audit(&q.At(i).V)
+		}
 	}
 	stagedCred := staged(&l.credSlab)
 	for i := range stagedCred {
@@ -351,9 +411,9 @@ func (l *Link) auditCredits(fn func(proto.Credit)) {
 func (l *Link) RecvCredit(now int64) (proto.Credit, bool) {
 	switch c, s := l.credits.NextAt(), l.synth.NextAt(); {
 	case c <= now && c <= s:
-		return l.credits.takeDue(now), true
+		return takeCredit(&l.credits, l.cp, now), true
 	case s <= now:
-		return l.synth.takeDue(now), true
+		return takeCredit(&l.synth, l.cp, now), true
 	}
 	return proto.Credit{}, false
 }
@@ -361,17 +421,18 @@ func (l *Link) RecvCredit(now int64) (proto.Credit, bool) {
 // RecvCreditsInto folds every due credit — receiver-returned and
 // fault-synthesized — into cc and returns how many were applied. This is
 // the hot-path form of RecvCredit: a few integer adds per sending cycle
-// instead of one ring pop per credit. Equivalent to draining RecvCredit
+// instead of one pop per credit. Equivalent to draining RecvCredit
 // in a loop because CreditCounter.Return is commutative.
 //
 //stashsim:noalloc
 func (l *Link) RecvCreditsInto(now int64, cc *buffer.CreditCounter) int {
-	return l.credits.foldDue(now, cc) + l.synth.foldDue(now, cc)
+	return foldCredits(&l.credits, l.cp, now, cc) + foldCredits(&l.synth, l.cp, now, cc)
 }
 
 // creditCounts holds every credit that one cycle returned over a link: a
 // count per reserved VC plus a shared-pool count. A creditBatch is one such
-// cycle on the wire, due at its At.
+// cycle on the wire, due at its At; a creditPath is a link's credit
+// direction, the batches in due order, held in a creditPool.
 //
 //stashsim:phase parallel
 type creditCounts struct {
@@ -382,6 +443,8 @@ type creditCounts struct {
 type (
 	timedFlit   = buffer.Entry[proto.Flit]
 	creditBatch = buffer.Entry[creditCounts]
+	creditPath  = buffer.TimedList[creditCounts]
+	creditPool  = buffer.Pool[creditCounts]
 )
 
 //stashsim:noalloc
@@ -424,46 +487,35 @@ func (b *creditCounts) take() (proto.Credit, bool) {
 	return c, total == 0
 }
 
-// creditRing is one credit path: in-flight batches in due order. Only what
-// is specific to credits lives here — coalescing into the newest batch,
-// taking one credit from or folding the whole of the oldest; the queue is
-// the embedded Timed.
-//
-//stashsim:phase parallel
-type creditRing struct {
-	buffer.Timed[creditCounts]
-}
-
-// add coalesces a credit into the newest batch when the due times match,
-// otherwise appends a new batch.
+// addCredit coalesces a credit into the path's newest batch when the due
+// times match, otherwise appends a new batch. It counts in place, in the
+// slot: building the counts on the stack and copying them stalls on store
+// forwarding (DESIGN.md §11).
 //
 //stashsim:noalloc
-func (r *creditRing) add(at int64, c proto.Credit) {
-	if r.Len() == 0 || r.Back().At != at {
-		r.Push(at, creditCounts{})
-	}
-	r.Back().V.add(c)
+func addCredit(path *creditPath, p *creditPool, at int64, c proto.Credit) {
+	path.BackAt(p, at).add(c)
 }
 
-// takeDue removes a single credit from the front batch, which the caller
-// has found due.
+// takeCredit removes a single credit from the front batch, which the
+// caller has found due.
 //
 //stashsim:noalloc
-func (r *creditRing) takeDue(now int64) proto.Credit {
-	c, empty := r.Front().V.take()
+func takeCredit(path *creditPath, p *creditPool, now int64) proto.Credit {
+	c, empty := path.Front(p).take()
 	if empty {
-		r.PopDue(now)
+		path.PopDue(p, now)
 	}
 	return c
 }
 
-// foldDue folds every due batch into cc and returns the credit count.
+// foldCredits folds every due batch into cc and returns the credit count.
 //
 //stashsim:noalloc
-func (r *creditRing) foldDue(now int64, cc *buffer.CreditCounter) int {
+func foldCredits(path *creditPath, p *creditPool, now int64, cc *buffer.CreditCounter) int {
 	total := 0
-	for r.FrontDue(now) {
-		b := &r.Front().V
+	for path.FrontDue(now) {
+		b := path.Front(p)
 		for vc := range b.resv {
 			if n := int(b.resv[vc]); n > 0 {
 				cc.ReturnN(vc, n)
@@ -474,7 +526,7 @@ func (r *creditRing) foldDue(now int64, cc *buffer.CreditCounter) int {
 			cc.ReturnShared(n)
 			total += n
 		}
-		r.PopDue(now)
+		path.PopDue(p, now)
 	}
 	return total
 }

@@ -116,7 +116,7 @@ func (s *Switch) stepMux(now sim.Tick, op *outPort) {
 //stashsim:noalloc
 func (s *Switch) stashArrival(now sim.Tick, op *outPort, i int32) {
 	pool := s.stash[op.id]
-	f := s.flits.Flit(i)
+	f := s.flits.Get(i)
 	s.Counters.StashStores++
 	if f.Head() {
 		s.tracer.Record(now, metrics.EvStashStore, f.PktID, int32(s.ID), int32(op.id), f.Src, f.Dst)

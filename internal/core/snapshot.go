@@ -21,16 +21,18 @@ import (
 // (covering switch->endpoint edges).
 //
 // The link encoding is form-canonical: entries still staged in a
-// partition-crossing link's slab follow the ring's in the stream, which
+// partition-crossing link's slab follow the path's in the stream, which
 // is arrival order (at a barrier the staged entries are all newer than
-// the ring's — see staged in link.go) and therefore exactly the ring a
+// the path's — see staged in link.go) and therefore exactly the path a
 // same-partition link would hold. A checkpoint serializes to the same
 // bytes under any partitioning, and restore always lands in the
-// canonical state: rings hold all in-flight entries and slabs are empty.
+// canonical state: the paths hold all in-flight entries and slabs are
+// empty. Each path is walked through its pool's Timed cursor, as (At, V)
+// entries in FIFO order; the pools and slot numbers are not state.
 
-// arrivals is one link path as the walk sees it: the ring's entries, then
+// arrivals is one link path as the walk sees it: the path's entries, then
 // the ones still staged, which is arrival order. Decoding pushes onto the
-// ring alone.
+// path alone.
 type arrivals[T any] struct {
 	snapshot.FIFO[T]
 	staged []T
@@ -47,8 +49,8 @@ func (a arrivals[T]) At(i int) *T {
 
 // State walks the link's in-flight flits, credits, synthesized credits
 // and fault-destruction count. Encoding does not mutate: staged entries
-// go to the stream, not to the rings. Decoding lands every entry in its
-// ring with the slabs empty; the delivery form is left alone — it belongs
+// go to the stream, not to the paths. Decoding lands every entry on its
+// path with the slabs empty; the delivery form is left alone — it belongs
 // to the network's partitioning, not the snapshot.
 //
 //stashsim:phase serial -- reads the staging slabs and rewrites both paths; runs only at a cycle barrier or before the restored run starts
@@ -57,7 +59,7 @@ func (l *Link) State(c *snapshot.Codec) {
 	if c.Decoding() {
 		l.dropStaged()
 	}
-	snapshot.Ring(c, arrivals[timedFlit]{l.flits.Entries(), staged(&l.flitSlab)}, 8+proto.FlitWireSize,
+	snapshot.Ring(c, arrivals[timedFlit]{l.fp.Timed(&l.flits), staged(&l.flitSlab)}, 8+proto.FlitWireSize,
 		func(t *timedFlit) { c.I64(&t.At); c.Flit(&t.V) })
 	// One batch on the wire: due time, per-VC reserved counts, shared count.
 	const batchWireSize = 8 + 2*len(creditCounts{}.resv) + 2
@@ -68,8 +70,8 @@ func (l *Link) State(c *snapshot.Codec) {
 		}
 		c.U16(&b.V.shared)
 	}
-	snapshot.Ring(c, arrivals[creditBatch]{l.credits.Entries(), staged(&l.credSlab)}, batchWireSize, batch)
-	snapshot.Ring(c, l.synth.Entries(), batchWireSize, batch)
+	snapshot.Ring(c, arrivals[creditBatch]{l.cp.Timed(&l.credits), staged(&l.credSlab)}, batchWireSize, batch)
+	snapshot.Ring(c, l.cp.Timed(&l.synth), batchWireSize, batch)
 	c.I64(&l.faultDropped)
 }
 

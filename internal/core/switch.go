@@ -198,9 +198,10 @@ type retryRec struct {
 
 // Switch is one tiled (optionally stashing) switch instance. All of its
 // state is private to the worker that steps its block; cross-switch
-// traffic goes through Link rings, never through another Switch's fields
-// (but for the wake slot and the per-port due slots, which a direct Link
-// push from a switch of the same worker lowers).
+// traffic goes through Links, never through another Switch's fields (but
+// for the wake slot, the per-port due slots and the pools a link's paths
+// live in, which a direct Link push from a switch of the same worker
+// lowers or fills).
 //
 //stashsim:owner partition
 type Switch struct {
@@ -226,15 +227,18 @@ type Switch struct {
 	tiles     []tile              // Rows*Cols, row-major
 	stash     []*buffer.StashPool // per port; nil-capacity pools allowed
 
-	// flits holds every flit inside the switch: the input DAMQs, the row
+	// flits holds every flit inside the switch — the input DAMQs, the row
 	// and column buffers, the output buffers and the stash retrieval
-	// queues are index lists into it, so a stage move relinks a slot and
-	// only a link arrival, a stash copy or a retransmission copies a flit
-	// in. Its capacity is the switch's resident high-water mark rounded up
-	// to a chunk.
+	// queues are index lists into it — and every flit on the wire towards
+	// it or towards its endpoints, so a stage move and a link arrival
+	// relink a slot, and only a push onto a link, a stash copy or a
+	// retransmission copies a flit in. creds holds the credit batches on
+	// the wire towards it and towards its endpoints. Each pool's capacity
+	// is the high-water mark of what it held, rounded up to a chunk.
 	//
 	//stashsim:derived -- storage, not state: decoding pushes every queued flit into a fresh pool, and slot numbers decide nothing
 	flits buffer.FlitPool
+	creds creditPool //stashsim:derived -- storage, not state: decoding pushes every credit batch on the wire into a fresh pool
 
 	sideband buffer.Timed[sbMsg]
 	track    []map[uint64]*e2eEntry // per end port
@@ -270,12 +274,12 @@ type Switch struct {
 	// credDue[p] on that of the oldest returned or synthesized credit on
 	// output port p's link. The link lowers them wherever it lowers the
 	// wake slot; Step probes only the ports whose slot has come due and
-	// resets each probed slot to its ring's due cycle, and NextWake is their
+	// resets each probed slot to its path's due cycle, and NextWake is their
 	// minimum. Zero — probe — is always correct.
 	//
-	//stashsim:transient -- derived from the link rings; SetWakeSlot zeroes them, so a restored or repartitioned run probes every port once
+	//stashsim:transient -- derived from the link paths; SetWakeSlot zeroes them, so a restored or repartitioned run probes every port once
 	flitDue []sim.Tick
-	credDue []sim.Tick //stashsim:transient -- derived from the link rings; SetWakeSlot zeroes them, so a restored or repartitioned run probes every port once
+	credDue []sim.Tick //stashsim:transient -- derived from the link paths; SetWakeSlot zeroes them, so a restored or repartitioned run probes every port once
 
 	// entryFree recycles settled e2eEntry records (LIFO), so steady-state
 	// tracking churn allocates nothing once the high-water mark is reached.
@@ -392,20 +396,31 @@ func carve[T any](backing *[]T, n int) []T {
 }
 
 // AttachInLink wires the incoming link of input port p, and the port's
-// due slot into it.
+// due slot into it. The link's flits move into the switch's pool, and on
+// an endpoint port its credits too: the switch steps the endpoint that
+// consumes them.
 func (s *Switch) AttachInLink(p int, l *Link) {
 	s.in[p].link = l
 	l.flitDue = &s.flitDue[p]
+	l.bindFlits(&s.flits)
+	if s.in[p].isEnd {
+		l.bindCredits(&s.creds)
+	}
 }
 
 // AttachOutLink wires the outgoing link of output port p, and the port's
-// credit due slot into it. The credit counter mirrors the downstream input
-// buffer; pass zero capacity for endpoint-facing ports (endpoints sink
-// flits without credits).
+// credit due slot into it. The link's credits move into the switch's pool,
+// and on an endpoint port its flits too. The credit counter mirrors the
+// downstream input buffer; pass zero capacity for endpoint-facing ports
+// (endpoints sink flits without credits).
 func (s *Switch) AttachOutLink(p int, l *Link, downstreamCap int) {
 	op := &s.out[p]
 	op.link = l
 	l.credDue = &s.credDue[p]
+	l.bindCredits(&s.creds)
+	if op.isEnd {
+		l.bindFlits(&s.flits)
+	}
 	if downstreamCap > 0 {
 		op.credits = buffer.NewCreditCounter(downstreamCap, proto.NumNetVCs)
 		op.credited = true
@@ -416,7 +431,7 @@ func (s *Switch) AttachOutLink(p int, l *Link, downstreamCap int) {
 // attached link: flits arriving on an input link and credits returning on
 // an output link are this switch's input. Called by the network's
 // repartition, at a barrier — which may have flushed staged entries onto
-// the rings without a slot store, so every port's due slot is zeroed too,
+// the paths without a slot store, so every port's due slot is zeroed too,
 // like the fresh wake table.
 //
 //stashsim:phase serial
@@ -483,13 +498,22 @@ func (s *Switch) StashCapTotal() int {
 	return total
 }
 
-// FlitPool exposes the switch's flit storage for tests and probes.
+// FlitPool exposes the switch's flit storage, and CreditPool its storage
+// of credit batches on the wire, for tests and probes.
 func (s *Switch) FlitPool() *buffer.FlitPool { return &s.flits }
+func (s *Switch) CreditPool() *creditPool    { return &s.creds }
 
 // flitLists hands every list drawing from the switch's flit pool to visit,
-// for the pool audit.
+// for the pool audit: its own queues, and the forward path of every link
+// it consumes or feeds an endpoint over.
 func (s *Switch) flitLists(visit func(*buffer.FlitList)) {
 	for p := range s.in {
+		if l := s.in[p].link; l != nil {
+			visit(l.flits.Slots())
+		}
+		if l := s.out[p].link; l != nil && s.out[p].isEnd {
+			visit(l.flits.Slots())
+		}
 		s.in[p].buf.AuditLists(visit)
 		s.out[p].buf.AuditLists(visit)
 		s.stash[p].AuditLists(visit)
@@ -504,6 +528,24 @@ func (s *Switch) flitLists(visit func(*buffer.FlitList)) {
 			for stream := range s.tiles[t].rowBufs[slot] {
 				visit(&s.tiles[t].rowBufs[slot][stream])
 			}
+		}
+	}
+}
+
+// creditLists hands every credit path drawing from the switch's credit
+// pool to visit, for the pool audit: both paths of every link it sends on,
+// and of every link an endpoint sends to it over.
+func (s *Switch) creditLists(visit func(*buffer.List[creditCounts])) {
+	paths := func(l *Link) {
+		visit(l.credits.Slots())
+		visit(l.synth.Slots())
+	}
+	for p := range s.out {
+		if l := s.out[p].link; l != nil {
+			paths(l)
+		}
+		if l := s.in[p].link; l != nil && s.in[p].isEnd {
+			paths(l)
 		}
 	}
 }
@@ -697,7 +739,7 @@ var _ sim.Stepper = (*Switch)(nil)
 // retrieval queue — and costs nothing otherwise; the activity masks are
 // maintained by the owner at every site that queues work for a port. Links
 // are probed through the dense per-port due slots (flitDue, credDue): the
-// credit and arrival walks read one slot per port and touch a link's ring
+// credit and arrival walks read one slot per port and touch a link's path
 // only when its slot has come due, and a switch with nothing due on a
 // link and nothing queued is not stepped at all (NextWake). Any per-cycle
 // state a skipped stage would have advanced is reconstructed

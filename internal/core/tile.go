@@ -95,7 +95,7 @@ func (s *Switch) stepTile(now sim.Tick, t *tile) {
 		}
 		rb := &t.rowBufs[slot][stream]
 		i := rb.Unlink(&s.flits)
-		f := s.flits.Flit(i)
+		f := s.flits.Get(i)
 		if rb.Empty() {
 			t.slotOcc[slot] &^= 1 << uint(stream)
 		}
@@ -137,7 +137,7 @@ func (s *Switch) stepTile(now sim.Tick, t *tile) {
 //
 //stashsim:noalloc
 func (s *Switch) linkCol(op *outPort, row int, i int32) {
-	vc := int(s.flits.Flit(i).VC)
+	vc := int(s.flits.Get(i).VC)
 	op.colBufs[row][vc].Link(&s.flits, i)
 	op.colOcc++
 	op.colMask |= 1 << uint(row*proto.NumVCs+vc)

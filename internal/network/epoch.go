@@ -27,7 +27,7 @@ import (
 // partitionDrainer delivers one worker's share of the staged traffic: the
 // flit side of every worker-crossing link whose consumer the worker owns,
 // and the credit side of every one whose producer it owns. Both sides land
-// in rings, and lower wake slots, owned by this worker's switches, so the
+// in pools, and lower wake slots, owned by this worker's switches, so the
 // drain is single-writer by construction.
 //
 //stashsim:owner partition
@@ -88,7 +88,7 @@ func (n *Network) ExecStats() ExecStats {
 // workers and rebuilds the executor over them. It is the one routine behind
 // SetWorkers, Close, the profiler attach calls and New, and runs
 // only at a barrier: stop the old workers, flush every link's staged
-// traffic into its ring, mark each switch-to-switch link as crossing
+// traffic onto its paths, mark each switch-to-switch link as crossing
 // workers or not under the new cut, and hand every component a slot of the
 // new executor's wake table — so a run continues exactly where the previous
 // cut stopped.

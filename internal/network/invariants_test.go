@@ -3,6 +3,7 @@ package network
 import (
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -209,37 +210,81 @@ func TestInvariantsCatchFreedBufInBank(t *testing.T) {
 	expectViolation(t, "stash liveness", func() { iv.AtBarrier(n.Now) })
 }
 
-// TestInvariantsCatchFlitPoolCorruption corrupts a switch's flit pool
-// behind its queues' backs, in the two ways a relink bug would: a slot
-// taken and linked nowhere, and a slot linked onto a second queue. Neither
-// moves a count the conservation law reads, so only the pool law trips.
+// TestInvariantsCatchFlitPoolCorruption corrupts a switch's pools behind
+// its queues' backs, in the ways a relink bug would: a flit slot taken and
+// linked nowhere, a flit slot linked onto a second queue, a slot on the
+// wire linked onto an input queue as well, and a credit-batch slot taken
+// and linked nowhere. None moves a count the conservation laws read, so
+// only the pool law trips, naming the pool.
 func TestInvariantsCatchFlitPoolCorruption(t *testing.T) {
 	for _, tc := range []struct {
-		name, want string
-		corrupt    func(pool *buffer.FlitPool, a, b *buffer.FlitList)
+		name, pool, want string
+		corrupt          func(t *testing.T, n *Network, queues []*buffer.FlitList)
 	}{
-		{"leak", "is on no list", func(pool *buffer.FlitPool, _, _ *buffer.FlitList) {
-			pool.Put(proto.Flit{})
+		{"leak", "flit pool", "is on no list", func(_ *testing.T, n *Network, _ []*buffer.FlitList) {
+			n.Switches[0].FlitPool().Put(proto.Flit{})
 		}},
-		{"double link", "sits on two lists", func(pool *buffer.FlitPool, a, b *buffer.FlitList) {
+		{"double link", "flit pool", "sits on two lists", func(_ *testing.T, n *Network, queues []*buffer.FlitList) {
+			pool := n.Switches[0].FlitPool()
 			i := pool.Put(proto.Flit{})
-			a.Link(pool, i)
-			b.Link(pool, i)
+			queues[0].Link(pool, i)
+			queues[1].Link(pool, i)
+		}},
+		{"wire and queue", "flit pool", "sits on two lists", func(t *testing.T, n *Network, queues []*buffer.FlitList) {
+			pool := n.Switches[0].FlitPool()
+			f := wireFront(t, n)
+			for i := int32(0); int(i) < pool.Cap(); i++ {
+				if pool.Get(i) == f {
+					queues[0].Link(pool, i)
+					return
+				}
+			}
+			t.Fatal("the flit on the wire is in no slot of its consumer's pool")
+		}},
+		{"credit leak", "credit pool", "is on no list", func(_ *testing.T, n *Network, _ []*buffer.FlitList) {
+			leak(n.Switches[0].CreditPool())
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n, iv := buildChecked(t, core.StashE2E)
 			n.Run(100)
 			iv.Out = io.Discard
-			iv.AtBarrier(n.Now) // the healthy pool passes
-			sw := n.Switches[0]
-			var lists []*buffer.FlitList
-			sw.AuditInBuf(0).AuditLists(func(l *buffer.FlitList) { lists = append(lists, l) })
-			tc.corrupt(sw.FlitPool(), lists[0], lists[1])
-			expectViolation(t, "flit pool: sw0 slot", func() { iv.AtBarrier(n.Now) })
+			iv.AtBarrier(n.Now) // the healthy pools pass
+			var queues []*buffer.FlitList
+			n.Switches[0].AuditInBuf(0).AuditLists(func(l *buffer.FlitList) { queues = append(queues, l) })
+			tc.corrupt(t, n, queues)
+			expectViolation(t, tc.pool+": sw0 slot", func() { iv.AtBarrier(n.Now) })
 			expectViolation(t, tc.want, func() { iv.AtBarrier(n.Now) })
 		})
 	}
+}
+
+// wireFront runs n until a flit is on the wire of one of switch 0's
+// endpoint links, whose flits live in switch 0's pool, and returns it.
+func wireFront(t *testing.T, n *Network) *proto.Flit {
+	t.Helper()
+	for k := 0; k < 1000; k++ {
+		for p := 0; p < n.Cfg.Topo.Radix(); p++ {
+			if n.Cfg.Topo.PortClass(p) != topo.Endpoint {
+				continue
+			}
+			toSw, fromSw := n.Endpoints[n.Cfg.Topo.EndpointID(0, p)].AuditLinks()
+			for _, l := range []*core.Link{toSw, fromSw} {
+				if f := l.PeekFlit(math.MaxInt64); f != nil {
+					return f
+				}
+			}
+		}
+		n.Run(1)
+	}
+	t.Fatal("no flit on switch 0's endpoint links in 1000 cycles")
+	return nil
+}
+
+// leak takes a slot of p and links it nowhere.
+func leak[T any](p *buffer.Pool[T]) {
+	var v T
+	p.Put(v)
 }
 
 // TestInvariantsNilAndSparse covers the sparse-audit interval (a disabled

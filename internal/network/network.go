@@ -165,12 +165,28 @@ func New(cfg *core.Config) (*Network, error) {
 	// switch->switch links run credit flow control, so drops on them
 	// synthesize the lost credit.
 	n.edges = make([]edge, 0, d.NumSwitches()*d.Radix()+d.NumEndpoints())
-	wire := func(l *core.Link, class topo.LinkClass, from, to linkEnd) {
+	// The links are built in one allocation, in wiring order: per switch
+	// port, on an endpoint port the endpoint's link in and then the one
+	// out, on any other port the one out.
+	lat := make([]int64, 0, cap(n.edges))
+	for sw := 0; sw < d.NumSwitches(); sw++ {
+		for port := 0; port < d.Radix(); port++ {
+			if class := d.PortClass(port); class == topo.Endpoint {
+				lat = append(lat, cfg.Lat.Endpoint, cfg.Lat.Endpoint)
+			} else {
+				lat = append(lat, cfg.Lat.Of(class))
+			}
+		}
+	}
+	links := core.NewLinks(lat)
+	wire := func(class topo.LinkClass, from, to linkEnd) *core.Link {
+		l := &links[len(n.edges)]
 		e := edge{link: l, from: from, to: to, class: class}
 		if n.Injector != nil {
 			l.Fault = n.Injector.Link(e.name())
 		}
 		n.edges = append(n.edges, e)
+		return l
 	}
 	for sw := 0; sw < d.NumSwitches(); sw++ {
 		s := n.Switches[sw]
@@ -179,19 +195,16 @@ func New(cfg *core.Config) (*Network, error) {
 			here := linkEnd{int32(sw), int32(port)}
 			if class == topo.Endpoint {
 				ep := n.Endpoints[d.EndpointID(sw, port)]
-				up := core.NewLink(cfg.Lat.Endpoint)   // endpoint -> switch
-				down := core.NewLink(cfg.Lat.Endpoint) // switch -> endpoint
-				wire(up, class, linkEnd{-1, ep.ID}, here)
+				up := wire(class, linkEnd{-1, ep.ID}, here) // endpoint -> switch
 				up.Credited = true
-				wire(down, class, here, linkEnd{-1, ep.ID})
+				down := wire(class, here, linkEnd{-1, ep.ID}) // switch -> endpoint
 				s.AttachInLink(port, up)
 				s.AttachOutLink(port, down, 0)
 				ep.Attach(up, down, cfg.NormalInCap(topo.Endpoint))
 				continue
 			}
 			nsw, nport := d.Neighbor(sw, port)
-			l := core.NewLink(cfg.Lat.Of(class))
-			wire(l, class, here, linkEnd{int32(nsw), int32(nport)})
+			l := wire(class, here, linkEnd{int32(nsw), int32(nport)})
 			l.Credited = true
 			s.AttachOutLink(port, l, cfg.NormalInCap(d.PortClass(nport)))
 			n.Switches[nsw].AttachInLink(nport, l)
