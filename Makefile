@@ -37,16 +37,19 @@ test:
 # protocol, the worker-crossing link slabs and the shared observability
 # sinks (tracer, telemetry server) are the paths it guards. -short skips
 # the multi-minute simulation sweeps (they run unshortened in `make test`
-# and add no concurrency coverage). Measured on a 2-CPU host once traffic
-# generators let their endpoints sleep between arrivals and switches probe
-# only the ports that are due: 14m56s for the whole pass, of which
-# internal/network — one test binary — takes 836 s and cmd/stashsim 719 s
-# beside it on the other CPU; the commit before, the same day, 15m32s /
-# 896 s / 736 s. Sleeping endpoints help little under the detector: the
-# long tests are the loaded tiny scenario tests, where every access also
-# touches shadow memory and the instrumentation, not the simulated work,
-# is the cost. internal/network alone is still past go test's 10-minute
-# default per-package timeout, so the timeout stays raised.
+# and add no concurrency coverage). Last measured on a 2-CPU host shared
+# with other jobs, once checkpoints measured before writing: 30m41s, and
+# it failed — cmd/stashsim hit the 30-minute timeout inside
+# TestWorkersDeterminism/faulted-drain (running 25m51s), while
+# internal/network passed in 1433 s on the other CPU. That subtest alone,
+# this tree and its parent side by side on one CPU each, took 2036 s and
+# 2039 s, so the overrun predates the checkpoint change. The last pass
+# recorded as fitting, 15m15s (internal/network 865 s, cmd/stashsim
+# 742 s), came before the switch pools and link lists landed; whether
+# they or the host added the time is not measured. The long tests are
+# the loaded tiny scenario tests, where every access also touches shadow
+# memory and the instrumentation, not the simulated work, is the cost.
+# The timeout stays at 30 minutes, past go test's 10-minute default.
 race:
 	$(GO) test -race -short -timeout 30m ./...
 

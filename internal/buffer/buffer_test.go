@@ -466,12 +466,6 @@ func TestStashPoolInterleavedCopyPanics(t *testing.T) {
 	p.PutCopy(proto.Flit{PktID: 2, Size: 2, Seq: 0})
 }
 
-func encodeWalk(walk func(*snapshot.Codec)) []byte {
-	c := snapshot.NewEncoder()
-	walk(c)
-	return c.Finish()
-}
-
 func decodePool(data []byte, p *StashPool) error {
 	c, err := snapshot.NewDecoder(data)
 	if err != nil {
@@ -491,12 +485,12 @@ func TestStashPoolFillWalk(t *testing.T) {
 		p.Reserve(4)
 		p.PutCopy(proto.Flit{PktID: 5, Size: 4, Seq: 0})
 		p.PutCopy(proto.Flit{PktID: 5, Size: 4, Seq: 1})
-		data := encodeWalk(p.State)
+		data := snapshot.Encode(p.State)
 		q := NewStashPool(100, retain)
 		if err := decodePool(data, q); err != nil {
 			t.Fatalf("retain=%v: restoring a pool mid-fill: %v", retain, err)
 		}
-		if !bytes.Equal(encodeWalk(q.State), data) {
+		if !bytes.Equal(snapshot.Encode(q.State), data) {
 			t.Fatalf("retain=%v: the restored pool writes different bytes", retain)
 		}
 		done := false
@@ -516,7 +510,7 @@ func TestStashPoolFillWalk(t *testing.T) {
 // a ledger keyed by packet ID, so a damaged one can name two copies
 // filling one pool; Restore refuses it by name instead of restoring one.
 func TestStashPoolRestoreRefusesTwoFills(t *testing.T) {
-	data := encodeWalk(func(c *snapshot.Codec) {
+	data := snapshot.Encode(func(c *snapshot.Codec) {
 		c.Section("STSH")
 		for i := 0; i < 6; i++ {
 			var zero int64

@@ -30,23 +30,6 @@ import (
 // empty. Each path is walked through its pool's Timed cursor, as (At, V)
 // entries in FIFO order; the pools and slot numbers are not state.
 
-// arrivals is one link path as the walk sees it: the path's entries, then
-// the ones still staged, which is arrival order. Decoding pushes onto the
-// path alone.
-type arrivals[T any] struct {
-	snapshot.FIFO[T]
-	staged []T
-}
-
-func (a arrivals[T]) Len() int { return a.FIFO.Len() + len(a.staged) }
-
-func (a arrivals[T]) At(i int) *T {
-	if n := a.FIFO.Len(); i >= n {
-		return &a.staged[i-n]
-	}
-	return a.FIFO.At(i)
-}
-
 // State walks the link's in-flight flits, credits, synthesized credits
 // and fault-destruction count. Encoding does not mutate: staged entries
 // go to the stream, not to the paths. Decoding lands every entry on its
@@ -59,7 +42,7 @@ func (l *Link) State(c *snapshot.Codec) {
 	if c.Decoding() {
 		l.dropStaged()
 	}
-	snapshot.Ring(c, arrivals[timedFlit]{l.fp.Timed(&l.flits), staged(&l.flitSlab)}, 8+proto.FlitWireSize,
+	snapshot.Arrivals(c, l.fp.Timed(&l.flits), staged(&l.flitSlab), 8+proto.FlitWireSize,
 		func(t *timedFlit) { c.I64(&t.At); c.Flit(&t.V) })
 	// One batch on the wire: due time, per-VC reserved counts, shared count.
 	const batchWireSize = 8 + 2*len(creditCounts{}.resv) + 2
@@ -70,7 +53,7 @@ func (l *Link) State(c *snapshot.Codec) {
 		}
 		c.U16(&b.V.shared)
 	}
-	snapshot.Ring(c, arrivals[creditBatch]{l.cp.Timed(&l.credits), staged(&l.credSlab)}, batchWireSize, batch)
+	snapshot.Arrivals(c, l.cp.Timed(&l.credits), staged(&l.credSlab), batchWireSize, batch)
 	snapshot.Ring(c, l.cp.Timed(&l.synth), batchWireSize, batch)
 	c.I64(&l.faultDropped)
 }
@@ -294,13 +277,19 @@ func (r *reconRec) state(c *snapshot.Codec, s *Switch) {
 	}
 }
 
-// Fingerprint walks the configuration fingerprint: a self-describing
+// Fingerprint is a configuration's fingerprint: a self-describing
 // (name, value) pair list covering every parameter that shapes the
-// simulated machine. Decoding compares it positionally against this
-// configuration and fails on the first differing axis, naming it.
-func (c *Config) Fingerprint(w *snapshot.Codec) {
+// simulated machine. A network formats it once and walks the pairs it
+// kept, so that a state walk formats no configuration.
+type Fingerprint [][2]string
+
+// Fingerprint returns the configuration's fingerprint.
+func (c *Config) Fingerprint() Fingerprint { return c.fingerprintPairs() }
+
+// State walks the fingerprint. Decoding compares it positionally against
+// this one and fails on the first differing axis, naming it.
+func (pairs Fingerprint) State(w *snapshot.Codec) {
 	w.Section("CONF")
-	pairs := c.fingerprintPairs()
 	if !w.Len("core: snapshot from a different build: fingerprint fields", len(pairs), 2*4) {
 		return
 	}

@@ -33,9 +33,11 @@ func (e *Endpoint) State(c *snapshot.Codec, now int64) {
 		if c.Decoding() {
 			c.RNG(e.GenRNG)
 		} else {
+			// Codec.RNG's wire form, from a copy that stays on the stack.
 			perCycle := *e.GenRNG
 			perCycle.Skip(-e.drawsAhead(now))
-			c.RNG(&perCycle)
+			s := perCycle.State()
+			c.U64(&s)
 		}
 	}
 	e.fromSw.State(c)

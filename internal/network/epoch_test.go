@@ -57,7 +57,7 @@ func mustSyncWithin(t *testing.T, n *Network, k int64) {
 }
 
 // mustMatchSerial runs par and a serial twin for the same cycles and
-// fails on any observable divergence.
+// fails on any observable divergence, down to the machine state's digest.
 func mustMatchSerial(t *testing.T, par *Network, seed uint64, mutate func(cfg *core.Config), warm, run int64) {
 	t.Helper()
 	serial := buildLoadedWith(t, seed, mutate)
@@ -77,6 +77,9 @@ func mustMatchSerial(t *testing.T, par *Network, seed uint64, mutate func(cfg *c
 	}
 	if serial.Now != par.Now {
 		t.Fatalf("clock divergence: %d vs %d", serial.Now, par.Now)
+	}
+	if ds, dp := serial.StateDigest(), par.StateDigest(); ds != dp {
+		t.Fatalf("state digest divergence: serial %#x, par %#x", ds, dp)
 	}
 }
 
@@ -334,6 +337,9 @@ func TestStepAfterParallelRunExact(t *testing.T) {
 	}
 	if serial.Now != par.Now {
 		t.Fatalf("clock divergence: %d vs %d", serial.Now, par.Now)
+	}
+	if ds, dp := serial.StateDigest(), par.StateDigest(); ds != dp {
+		t.Fatalf("state digest divergence: serial %#x, par %#x", ds, dp)
 	}
 }
 

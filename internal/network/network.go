@@ -12,6 +12,7 @@ import (
 	"stashsim/internal/fault"
 	"stashsim/internal/metrics"
 	"stashsim/internal/sim"
+	"stashsim/internal/snapshot"
 	"stashsim/internal/topo"
 )
 
@@ -101,6 +102,15 @@ type Network struct {
 	// serial barrier under any partitioning.
 	ckptAt int64
 	ckptFn func(now sim.Tick)
+
+	// fingerprint is Cfg's, formatted by the first state walk and kept, so
+	// that later walks format no configuration.
+	fingerprint core.Fingerprint //stashsim:derived -- a function of the configuration, which the walk checks through it
+
+	// digest is StateDigest's hash sink and walk scratch, kept so that a
+	// digest taken every few cycles allocates the same few objects each
+	// time.
+	digest snapshot.Hasher //stashsim:transient -- scratch of the state walk; holds no state between walks
 }
 
 // linkEnd is one side of a directed link: port `port` of switch `sw`, or,

@@ -32,34 +32,15 @@ func (n *Network) ScheduleCheckpoint(at int64, fn func(now sim.Tick)) {
 }
 
 // state is the network's one state walk, shared by Checkpoint and
-// Restore: the configuration fingerprint, the clock, then every component
-// in wiring order. The restore walk visits switches and endpoints in the
-// order the checkpoint walk did, so the link streams line up by
-// construction.
+// Restore: the model, then the watching. The restore walk visits switches
+// and endpoints in the order the checkpoint walk did, so the link streams
+// line up by construction.
 //
 //stashsim:phase serial -- walks every component's private state; runs only at a cycle barrier or before any Run
 func (n *Network) state(c *snapshot.Codec, now *int64) {
-	if n.Cfg.Fingerprint(c); c.Err() != nil {
+	if n.model(c, now); c.Err() != nil {
 		return
 	}
-	c.Section("NETW")
-	if c.I64(now); *now < 0 {
-		c.Failf("negative checkpoint cycle %d", *now)
-	}
-	if n.Injector != nil {
-		n.Injector.State(c)
-	}
-	for _, s := range n.Switches {
-		if s.State(c); c.Err() != nil {
-			return
-		}
-	}
-	for _, ep := range n.Endpoints {
-		if ep.State(c, *now); c.Err() != nil {
-			return
-		}
-	}
-	n.Collectors.State(c)
 	// The watching: the metrics registry, if attached, then every observer
 	// with a state walk, in registration order. Their type names go first,
 	// as one list, so a restore with other observability flags — one
@@ -91,17 +72,61 @@ func (n *Network) state(c *snapshot.Codec, now *int64) {
 	c.Section("ENDS")
 }
 
+// model walks the simulated machine: the configuration fingerprint, the
+// clock, then every component in wiring order — everything a run's
+// outcome is a function of, and nothing that only watches it.
+//
+//stashsim:phase serial -- walks every component's private state; runs only at a cycle barrier or before any Run
+func (n *Network) model(c *snapshot.Codec, now *int64) {
+	if n.fingerprint == nil {
+		n.fingerprint = n.Cfg.Fingerprint()
+	}
+	if n.fingerprint.State(c); c.Err() != nil {
+		return
+	}
+	c.Section("NETW")
+	if c.I64(now); *now < 0 {
+		c.Failf("negative checkpoint cycle %d", *now)
+	}
+	if n.Injector != nil {
+		n.Injector.State(c)
+	}
+	for _, s := range n.Switches {
+		if s.State(c); c.Err() != nil {
+			return
+		}
+	}
+	for _, ep := range n.Endpoints {
+		if ep.State(c, *now); c.Err() != nil {
+			return
+		}
+	}
+	n.Collectors.State(c)
+}
+
 // Checkpoint serializes the network's complete dynamic state as of cycle
 // now — the next cycle to execute. Call it only from a ScheduleCheckpoint
 // hook or between runs (now == n.Now); the walk assumes every component
-// is quiescent.
+// is quiescent. The state is walked twice, to measure and then to write,
+// so the bytes are allocated once at their length.
 //
 //stashsim:phase serial -- walks every component's private state; runs only at a cycle barrier
 func (n *Network) Checkpoint(now sim.Tick) []byte {
-	c := snapshot.NewEncoder()
 	at := int64(now)
-	n.state(c, &at)
-	return c.Finish()
+	return snapshot.Encode(func(c *snapshot.Codec) { n.state(c, &at) })
+}
+
+// StateDigest returns the crc64-ECMA of the model's checkpoint walk — the
+// fingerprint, clock, fault injector, switches, endpoints and collectors,
+// not the observers — as of CyclesDone, the next cycle to execute. Two
+// networks with equal digests at a cycle hold the same machine state, so
+// a test can compare runs state for state without keeping the bytes. Call
+// it where Checkpoint may be called.
+//
+//stashsim:phase serial -- walks every component's private state; runs only at a cycle barrier
+func (n *Network) StateDigest() uint64 {
+	now := n.cycleDone
+	return n.digest.Sum(func(c *snapshot.Codec) { n.model(c, &now) })
 }
 
 // Restore loads a checkpoint into this network, which must be freshly

@@ -28,10 +28,10 @@ import (
 // cycle, the whole network through cycle c before any of it sees c+1. That
 // is the reference, and any other way of running must agree with it on
 // everything observable: the summary statistics -json prints, every
-// endpoint's delivery sequence, and the complete machine state —
-// checkpoint bytes — at chosen cycles. Waking early can never show; waking
-// late, or meeting input out of its time, shows as the first checkpoint
-// that differs.
+// endpoint's delivery sequence, and the complete machine state — its
+// StateDigest, the checkpoint walk of the model hashed — at chosen cycles.
+// Waking early can never show; waking late, or meeting input out of its
+// time, shows as the first digest that differs.
 
 // runner is how a drive script advances its network: through the network's
 // own run entries, or through the reference's.
@@ -77,14 +77,16 @@ func (r reference) Drain(budget int64) bool {
 // wakeObs is everything a run lets an observer see.
 type wakeObs struct {
 	cycles     []int64  // cycles at which trail was taken
-	trail      [][]byte // checkpoint bytes at those cycles
-	final      []byte   // checkpoint bytes when the drive returned
+	trail      []uint64 // StateDigest at those cycles
+	keep       bool     // also keep the checkpoint bytes of the first cycle
+	first      []byte   // those bytes, for a test that restores from them
+	final      uint64   // StateDigest when the drive returned
 	summary    []byte   // the statistics the CLI's -json is made of
 	deliveries [][]endpoint.Delivery
 	perEP      [][2]int64 // each endpoint's InjectedPkts, DeliveredUnique
 }
 
-// observe starts recording n's deliveries and schedules a checkpoint at
+// observe starts recording n's deliveries and schedules a state digest at
 // the serial barrier before each of the given cycles (ascending).
 func observe(n *Network, at ...int64) *wakeObs {
 	o := &wakeObs{deliveries: make([][]endpoint.Delivery, len(n.Endpoints))}
@@ -94,8 +96,11 @@ func observe(n *Network, at ...int64) *wakeObs {
 	}
 	var hook func(now sim.Tick)
 	hook = func(now sim.Tick) {
+		if o.keep && len(o.trail) == 0 {
+			o.first = n.Checkpoint(now)
+		}
 		o.cycles = append(o.cycles, int64(now))
-		o.trail = append(o.trail, n.Checkpoint(now))
+		o.trail = append(o.trail, n.StateDigest())
 		if at = at[1:]; len(at) > 0 {
 			n.ScheduleCheckpoint(at[0], hook)
 		}
@@ -106,7 +111,7 @@ func observe(n *Network, at ...int64) *wakeObs {
 	return o
 }
 
-// everyCycle returns the cycles from..to-1, for a checkpoint after every
+// everyCycle returns the cycles from..to-1, for a digest after every
 // cycle of a window: a component that wakes even one cycle late shows. In
 // -short mode (the race pass, which is after data races, not late wakes)
 // it thins the window to every seventh cycle.
@@ -124,7 +129,7 @@ func everyCycle(from, to int64) []int64 {
 
 // finish closes the observation with the final state and the summary.
 func (o *wakeObs) finish(n *Network) *wakeObs {
-	o.final = n.Checkpoint(n.Now)
+	o.final = n.StateDigest()
 	for _, ep := range n.Endpoints {
 		o.perEP = append(o.perEP, [2]int64{ep.InjectedPkts, ep.DeliveredUnique})
 	}
@@ -162,11 +167,11 @@ func (o *wakeObs) finish(n *Network) *wakeObs {
 func (o *wakeObs) mustEqual(t *testing.T, ref *wakeObs) {
 	t.Helper()
 	if fmt.Sprint(o.cycles) != fmt.Sprint(ref.cycles) {
-		t.Fatalf("checkpoints fired at cycles %v, reference at %v", o.cycles, ref.cycles)
+		t.Fatalf("digests taken at cycles %v, reference at %v", o.cycles, ref.cycles)
 	}
 	for i := range o.trail {
-		if !bytes.Equal(o.trail[i], ref.trail[i]) {
-			t.Fatalf("machine state differs from the reference at cycle %d (checkpoint %d of %d): a component woke late, or met input out of its time",
+		if o.trail[i] != ref.trail[i] {
+			t.Fatalf("machine state differs from the reference at cycle %d (digest %d of %d): a component woke late, or met input out of its time",
 				o.cycles[i], i+1, len(o.trail))
 		}
 	}
@@ -181,7 +186,7 @@ func (o *wakeObs) mustEqual(t *testing.T, ref *wakeObs) {
 			t.Fatalf("endpoint %d injected/delivered %v packets, reference %v", i, o.perEP[i], ref.perEP[i])
 		}
 	}
-	if !bytes.Equal(o.final, ref.final) {
+	if o.final != ref.final {
 		t.Fatalf("final machine state differs from the reference")
 	}
 }
@@ -228,7 +233,7 @@ func farEndpoint(n *Network) int32 { return int32(len(n.Endpoints) - 1) }
 // the sender sleeps once its queue is empty, so only the link pushes'
 // wake-slot stores step them: without the flit store the message is never
 // delivered, without the credit store the returned credits sit on their
-// rings (the per-cycle checkpoints differ) until something else comes by.
+// rings (the per-cycle digests differ) until something else comes by.
 func TestWakeOnFlitAndCredit(t *testing.T) {
 	got := mustMatchAwake(t, func() *Network { return quietNet(t, nil) }, func(n *Network, run runner) *wakeObs {
 		o := observe(n, everyCycle(1, 400)...)
@@ -388,7 +393,7 @@ func TestSynthCreditOnTime(t *testing.T) {
 // staged and never touch the consumer's wake slot: only the consumer's own
 // epoch drain wakes it, for flits going forward and for credits coming
 // back. 2 workers cut tiny by group (global links cross, 65-cycle
-// epochs), 12 by switch (local links too, 13-cycle epochs). No checkpoint
+// epochs), 12 by switch (local links too, 13-cycle epochs). No digest
 // trail here — it would cut every epoch to one cycle — and a sweep of
 // message lengths instead: a returned credit strands on a sleeping
 // producer only when the drain that delivers it comes after the producer's
@@ -625,6 +630,7 @@ func TestWakeAcrossRestoreAndRepartition(t *testing.T) {
 	var snap []byte
 	mustMatchAwake(t, func() *Network { return quietNet(t, nil) }, func(n *Network, run runner) *wakeObs {
 		o := observe(n, append([]int64{60}, everyCycle(61, 400)...)...)
+		o.keep = true
 		send(n)
 		run.Run(47)
 		n.SetWorkers(3) // mid-flight: flits on rings, credits outstanding
@@ -633,7 +639,7 @@ func TestWakeAcrossRestoreAndRepartition(t *testing.T) {
 		run.Run(40)
 		n.SetWorkers(1)
 		run.Run(500)
-		snap = o.trail[0]
+		snap = o.first
 		return o.finish(n)
 	})
 	straight := func() *Network {

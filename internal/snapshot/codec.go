@@ -23,6 +23,7 @@ package snapshot
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc64"
 	"math"
 
 	"stashsim/internal/proto"
@@ -41,38 +42,116 @@ const (
 	headerSize = 4 + 2 + 8
 )
 
-// Writer builds one snapshot. Use NewWriter, append with the typed
-// methods, and call Finish to patch the length header and obtain the
-// bytes. The zero value is not usable.
+// Writer encodes one snapshot into a sink. It appends into its buffer,
+// which never grows, and hands the buffer to the sink whenever the next
+// value would not fit. A walk that encodes runs over one of three sinks:
+//
+//   - measure: counts the bytes and keeps none;
+//   - bytes: a buffer of exactly the measured size, which is the snapshot
+//     and so never fills before the walk ends;
+//   - hash: feeds each full buffer to crc64-ECMA and keeps no bytes.
+//
+// Encode and Hasher (walk.go) pair a sink with a Codec; the zero value is
+// not usable.
 type Writer struct {
-	buf []byte
+	buf  []byte       // bytes not yet handed to sink; never grown past its capacity
+	done int          // bytes handed to sink before buf
+	sink func([]byte) // takes each full buffer
 }
 
-// NewWriter returns a Writer with the header fields pre-written (the
-// total length is patched by Finish).
-func NewWriter() *Writer {
-	w := &Writer{buf: make([]byte, 0, 1<<16)}
-	w.U32(Magic)
-	w.U16(Version)
-	w.U64(0) // total length, patched by Finish
+// scratchSize is the buffer of the measure and hash sinks: room for every
+// value the byte layer writes whole, a flit included.
+const scratchSize = 4 << 10
+
+// newWriter returns a Writer over buf and sink, begun.
+func newWriter(buf []byte, sink func([]byte)) *Writer {
+	w := &Writer{buf: buf, sink: sink}
+	w.begin()
 	return w
 }
 
+// begin starts a snapshot, dropping anything buffered: the header fields
+// are pre-written (the total length is patched by Finish).
+func (w *Writer) begin() {
+	w.buf, w.done = w.buf[:0], 0
+	w.U32(Magic)
+	w.U16(Version)
+	w.U64(0) // total length, patched by Finish
+}
+
+// newMeasure returns a measure sink: size is the length of what was written.
+func newMeasure() *Writer { return newWriter(make([]byte, 0, scratchSize), func([]byte) {}) }
+
+// newBytes returns a byte sink for a snapshot of exactly size bytes. It
+// refuses to write past them: a walk that writes more than it measured
+// changed the state it walks.
+func newBytes(size int) *Writer {
+	return newWriter(make([]byte, 0, size), func([]byte) {
+		panic(fmt.Sprintf("snapshot: the walk wrote past the %d bytes it measured: an encoding walk must not change the state it walks", size))
+	})
+}
+
+// ecma is the crc64 table of the hash sink.
+var ecma = crc64.MakeTable(crc64.ECMA)
+
+// newHash returns a hash sink that folds every byte handed to it into the
+// crc64-ECMA in *sum; flush hands over the last ones.
+func newHash(sum *uint64) *Writer {
+	return newWriter(make([]byte, 0, scratchSize), func(p []byte) { *sum = crc64.Update(*sum, ecma, p) })
+}
+
+// size returns the number of bytes written so far, the header included.
+func (w *Writer) size() int { return w.done + len(w.buf) }
+
+// flush hands the buffered bytes to the sink. It is kept out of line so
+// that room, and with it every typed append, inlines.
+//
+//go:noinline
+func (w *Writer) flush() {
+	w.sink(w.buf)
+	w.done += len(w.buf)
+	w.buf = w.buf[:0]
+}
+
+// room makes room in the buffer for n more bytes, n at most scratchSize.
+func (w *Writer) room(n int) {
+	if cap(w.buf)-len(w.buf) < n {
+		w.flush()
+	}
+}
+
+// raw appends s, flushing as often as the buffer fills.
+func (w *Writer) raw(s string) {
+	for len(s) > 0 {
+		if len(w.buf) == cap(w.buf) {
+			w.flush()
+		}
+		k := copy(w.buf[len(w.buf):cap(w.buf)], s)
+		w.buf, s = w.buf[:len(w.buf)+k], s[k:]
+	}
+}
+
 // U8 appends one byte.
-func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
+func (w *Writer) U8(v uint8) {
+	w.room(1)
+	w.buf = append(w.buf, v)
+}
 
 // U16 appends a little-endian uint16.
 func (w *Writer) U16(v uint16) {
+	w.room(2)
 	w.buf = binary.LittleEndian.AppendUint16(w.buf, v)
 }
 
 // U32 appends a little-endian uint32.
 func (w *Writer) U32(v uint32) {
+	w.room(4)
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
 }
 
 // U64 appends a little-endian uint64.
 func (w *Writer) U64(v uint64) {
+	w.room(8)
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
 }
 
@@ -97,7 +176,7 @@ func (w *Writer) Bool(v bool) {
 // Str appends a u32 length prefix followed by the string bytes.
 func (w *Writer) Str(s string) {
 	w.U32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
+	w.raw(s)
 }
 
 // Count appends a u32 element count for a repeated group.
@@ -110,17 +189,22 @@ func (w *Writer) Section(label string) {
 	if len(label) != 4 {
 		panic(fmt.Sprintf("snapshot: section label %q is not 4 bytes", label))
 	}
-	w.buf = append(w.buf, label...)
+	w.raw(label)
 }
 
 // Flit appends one flit in the canonical proto wire encoding.
 func (w *Writer) Flit(f *proto.Flit) {
+	w.room(proto.FlitWireSize)
 	w.buf = proto.AppendFlit(w.buf, f)
 }
 
-// Finish patches the total-length header and returns the snapshot bytes.
-// The Writer must not be used afterwards.
+// Finish ends a byte sink: it checks that the walk filled the buffer it
+// measured, patches the total-length header and returns the snapshot,
+// whose length is its capacity. The Writer must not be used afterwards.
 func (w *Writer) Finish() []byte {
+	if len(w.buf) != cap(w.buf) {
+		panic(fmt.Sprintf("snapshot: the walk wrote %d bytes, %d measured: an encoding walk must not change the state it walks", len(w.buf), cap(w.buf)))
+	}
 	binary.LittleEndian.PutUint64(w.buf[6:], uint64(len(w.buf)))
 	return w.buf
 }

@@ -9,6 +9,16 @@ import (
 	"stashsim/internal/proto"
 )
 
+// write returns the snapshot fill writes, through a measure sink and then
+// a byte sink of the measured size, as Encode does.
+func write(fill func(w *Writer)) []byte {
+	m := newMeasure()
+	fill(m)
+	w := newBytes(m.size())
+	fill(w)
+	return w.Finish()
+}
+
 // testFlit returns a representative valid flit for codec round trips.
 func testFlit() proto.Flit {
 	return proto.Flit{
@@ -20,24 +30,24 @@ func testFlit() proto.Flit {
 }
 
 func TestWriterReaderRoundTrip(t *testing.T) {
-	w := NewWriter()
-	w.Section("TEST")
-	w.U8(0xAB)
-	w.U16(0xCDEF)
-	w.U32(0xDEADBEEF)
-	w.U64(0x0102030405060708)
-	w.I32(-12345)
-	w.I64(-1 << 60)
-	w.F64(math.Pi)
-	w.F64(math.Inf(-1))
-	w.Bool(true)
-	w.Bool(false)
-	w.Str("hello, snapshot")
-	w.Str("")
-	w.Count(3)
 	f := testFlit()
-	w.Flit(&f)
-	data := w.Finish()
+	data := write(func(w *Writer) {
+		w.Section("TEST")
+		w.U8(0xAB)
+		w.U16(0xCDEF)
+		w.U32(0xDEADBEEF)
+		w.U64(0x0102030405060708)
+		w.I32(-12345)
+		w.I64(-1 << 60)
+		w.F64(math.Pi)
+		w.F64(math.Inf(-1))
+		w.Bool(true)
+		w.Bool(false)
+		w.Str("hello, snapshot")
+		w.Str("")
+		w.Count(3)
+		w.Flit(&f)
+	})
 
 	if got := binary.LittleEndian.Uint64(data[6:]); got != uint64(len(data)) {
 		t.Fatalf("Finish patched length %d, want %d", got, len(data))
@@ -94,9 +104,9 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 
 func TestReaderRejectsBadHeaders(t *testing.T) {
 	valid := func() []byte {
-		w := NewWriter()
-		w.U64(7)
-		return w.Finish()
+		return write(func(w *Writer) {
+			w.U64(7)
+		})
 	}
 	cases := []struct {
 		name string
@@ -155,9 +165,9 @@ func TestReaderRejectsBadHeaders(t *testing.T) {
 }
 
 func TestReaderErrorsAreSticky(t *testing.T) {
-	w := NewWriter()
-	w.U32(5)
-	data := w.Finish()
+	data := write(func(w *Writer) {
+		w.U32(5)
+	})
 	rd, err := NewReader(data)
 	if err != nil {
 		t.Fatalf("NewReader: %v", err)
@@ -193,9 +203,9 @@ func TestReaderErrorsAreSticky(t *testing.T) {
 func TestCountGuardsOverAllocation(t *testing.T) {
 	// A count claiming a billion 43-byte elements in a tiny input must be
 	// rejected before any allocation sized from it.
-	w := NewWriter()
-	w.Count(1 << 30)
-	data := w.Finish()
+	data := write(func(w *Writer) {
+		w.Count(1 << 30)
+	})
 	rd, err := NewReader(data)
 	if err != nil {
 		t.Fatalf("NewReader: %v", err)
@@ -208,9 +218,9 @@ func TestCountGuardsOverAllocation(t *testing.T) {
 	}
 
 	// Same for strings: the length prefix is validated against the input.
-	w = NewWriter()
-	w.U32(1 << 31)
-	data = w.Finish()
+	data = write(func(w *Writer) {
+		w.U32(1 << 31)
+	})
 	rd, _ = NewReader(data)
 	if s := rd.Str(); s != "" || rd.Err() == nil {
 		t.Fatalf("hostile string length accepted: %q, %v", s, rd.Err())
@@ -218,10 +228,10 @@ func TestCountGuardsOverAllocation(t *testing.T) {
 }
 
 func TestSectionMismatchAndBadBool(t *testing.T) {
-	w := NewWriter()
-	w.Section("AAAA")
-	w.U8(7) // non-canonical bool
-	data := w.Finish()
+	data := write(func(w *Writer) {
+		w.Section("AAAA")
+		w.U8(7) // non-canonical bool
+	})
 
 	rd, err := NewReader(data)
 	if err != nil {
@@ -241,10 +251,10 @@ func TestSectionMismatchAndBadBool(t *testing.T) {
 }
 
 func TestCloseRejectsTrailingBytes(t *testing.T) {
-	w := NewWriter()
-	w.U32(1)
-	w.U32(2)
-	data := w.Finish()
+	data := write(func(w *Writer) {
+		w.U32(1)
+		w.U32(2)
+	})
 	rd, err := NewReader(data)
 	if err != nil {
 		t.Fatalf("NewReader: %v", err)
@@ -258,11 +268,11 @@ func TestCloseRejectsTrailingBytes(t *testing.T) {
 func TestFlitDecodeValidates(t *testing.T) {
 	// A flit slot filled with 0xFF must fail the proto codec's range
 	// validation, not produce a garbage flit.
-	w := NewWriter()
-	for i := 0; i < proto.FlitWireSize; i++ {
-		w.U8(0xFF)
-	}
-	data := w.Finish()
+	data := write(func(w *Writer) {
+		for i := 0; i < proto.FlitWireSize; i++ {
+			w.U8(0xFF)
+		}
+	})
 	rd, err := NewReader(data)
 	if err != nil {
 		t.Fatalf("NewReader: %v", err)

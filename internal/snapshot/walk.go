@@ -21,6 +21,7 @@ type Codec struct {
 	r      *Reader
 	Bounds FlitBounds        // enforced by Flit while decoding
 	flit   func(*proto.Flit) // c.Flit, bound once: Flits runs once per queue of the network
+	cells  []any             // scratch cells not in use, at most one of each type (see take)
 }
 
 func newCodec(w *Writer, r *Reader) *Codec {
@@ -29,9 +30,41 @@ func newCodec(w *Writer, r *Reader) *Codec {
 	return c
 }
 
-// NewEncoder returns a Codec that writes a fresh snapshot; Finish yields
-// the bytes.
-func NewEncoder() *Codec { return newCodec(NewWriter(), nil) }
+// Encode returns the snapshot walk writes. It runs walk twice over one
+// Codec: first into a measure sink, then into a byte sink of exactly the
+// measured size, so the snapshot is allocated once, at its length, and
+// never copied. An encoding walk must not change what it walks; the byte
+// sink panics if the second pass writes more or fewer bytes than the first.
+func Encode(walk func(*Codec)) []byte {
+	c := newCodec(newMeasure(), nil)
+	walk(c)
+	c.w = newBytes(c.w.size())
+	walk(c)
+	return c.w.Finish()
+}
+
+// Hasher digests state walks: it runs a walk into a hash sink and returns
+// the crc64-ECMA of the snapshot bytes it writes, the header's unpatched
+// length included, keeping none of them. It keeps its sink's buffer and
+// the walkers' scratch cells from one walk to the next, so a caller that
+// digests every k cycles allocates nothing per walk that grows with the
+// state. The zero value is ready to use.
+type Hasher struct {
+	c   *Codec
+	sum uint64
+}
+
+// Sum returns the digest of the bytes walk writes.
+func (h *Hasher) Sum(walk func(*Codec)) uint64 {
+	if h.c == nil {
+		h.c = newCodec(newHash(&h.sum), nil)
+	}
+	h.sum = 0
+	h.c.w.begin()
+	walk(h.c)
+	h.c.w.flush()
+	return h.sum
+}
 
 // NewDecoder validates the header of data and returns a Codec reading it.
 func NewDecoder(data []byte) (*Codec, error) {
@@ -41,6 +74,26 @@ func NewDecoder(data []byte) (*Codec, error) {
 	}
 	return newCodec(nil, r), nil
 }
+
+// take returns a scratch cell of type T for one walker call to use and
+// give back: the cells a walker hands to its element walks, whose address
+// escapes through them, so that a walk allocates them once per type and not
+// once per map or ring. A walker nested in another of the same type takes a
+// fresh cell, since the outer one is out.
+func take[T any](c *Codec) *T {
+	for i, s := range c.cells {
+		if p, ok := s.(*T); ok {
+			last := len(c.cells) - 1
+			c.cells[i], c.cells[last] = c.cells[last], nil
+			c.cells = c.cells[:last]
+			return p
+		}
+	}
+	return new(T)
+}
+
+// give returns a cell taken from c.
+func give[T any](c *Codec, p *T) { c.cells = append(c.cells, p) }
 
 // Decoding reports whether the walk restores state (true) or captures it.
 func (c *Codec) Decoding() bool { return c.r != nil }
@@ -60,9 +113,6 @@ func (c *Codec) Failf(format string, args ...any) {
 		c.r.Failf(format, args...)
 	}
 }
-
-// Finish ends an encoding walk and returns the snapshot bytes.
-func (c *Codec) Finish() []byte { return c.w.Finish() }
 
 // Close ends a decoding walk: the whole input must have been consumed.
 func (c *Codec) Close() error { return c.r.Close() }
@@ -278,21 +328,33 @@ type FIFO[T any] interface {
 // each decoded entry. Most queues of a network are empty, so an empty one
 // costs no more than its count.
 func Ring[T any](c *Codec, q FIFO[T], elemMin int, elem func(*T)) {
+	Arrivals(c, q, nil, elemMin, elem)
+}
+
+// Arrivals walks q and then staged, entries on their way to q's back, as
+// one queue (see Ring): encoding writes one count and the entries of both,
+// in that order; decoding pushes every entry onto q, so a restored queue
+// holds them all and nothing is staged.
+func Arrivals[T any](c *Codec, q FIFO[T], staged []T, elemMin int, elem func(*T)) {
 	if c.r != nil {
 		q.Reset()
 	}
-	n := c.Count(q.Len(), elemMin)
+	n := c.Count(q.Len()+len(staged), elemMin)
 	if n == 0 {
 		return
 	}
 	if c.r == nil {
-		for i := 0; i < n; i++ {
+		for i := range q.Len() {
 			elem(q.At(i))
+		}
+		for i := range staged {
+			elem(&staged[i])
 		}
 		return
 	}
 	q.Grow(n)
-	v := new(T) // one cell per walk: what elem does with its argument is opaque to escape analysis
+	v := take[T](c) // what elem does with its argument is opaque to escape analysis
+	defer give(c, v)
 	for i := 0; i < n; i++ {
 		var zero T
 		*v = zero
@@ -351,8 +413,10 @@ func (c *Codec) ReplayFlits(q FIFO[proto.Flit], push func(proto.Flit)) {
 // ascend strictly, which rejects duplicates and keeps the encoding
 // canonical. val receives a zero V to fill when decoding.
 func Map[K cmp.Ordered, V any](c *Codec, m *map[K]V, elemMin int, key func(*K), val func(*V)) {
+	cell := take[mapCell[K, V]](c)
+	defer give(c, cell)
 	if c.r == nil {
-		keys := make([]K, 0, len(*m))
+		keys := cell.keys[:0]
 		//lint:allow determinism -- map-key collection, sorted before use
 		for k := range *m {
 			keys = append(keys, k)
@@ -360,10 +424,11 @@ func Map[K cmp.Ordered, V any](c *Codec, m *map[K]V, elemMin int, key func(*K), 
 		slices.Sort(keys)
 		c.w.Count(len(keys))
 		for _, k := range keys {
-			v := (*m)[k]
-			key(&k)
-			val(&v)
+			cell.k, cell.v = k, (*m)[k]
+			key(&cell.k)
+			val(&cell.v)
 		}
+		cell.keys = keys
 		return
 	}
 	n := c.r.Count(elemMin)
@@ -373,19 +438,26 @@ func Map[K cmp.Ordered, V any](c *Codec, m *map[K]V, elemMin int, key func(*K), 
 	if *m == nil {
 		*m = make(map[K]V, n)
 	}
-	k, v := new(K), new(V) // see Ring
 	var prev K
 	for i := 0; i < n; i++ {
 		var zero V
-		*v = zero
-		key(k)
-		if val(v); c.r.Err() != nil {
+		cell.v = zero
+		key(&cell.k)
+		if val(&cell.v); c.r.Err() != nil {
 			return
 		}
-		if i > 0 && *k <= prev {
-			c.r.Failf("map keys out of order: %v after %v", *k, prev)
+		if i > 0 && cell.k <= prev {
+			c.r.Failf("map keys out of order: %v after %v", cell.k, prev)
 			return
 		}
-		(*m)[*k], prev = *v, *k
+		(*m)[cell.k], prev = cell.v, cell.k
 	}
+}
+
+// mapCell is Map's scratch: the sorted keys while encoding, and the key
+// and value the element walks are handed.
+type mapCell[K, V any] struct {
+	keys []K
+	k    K
+	v    V
 }

@@ -1,6 +1,8 @@
 package snapshot
 
 import (
+	"fmt"
+	"hash/crc64"
 	"strings"
 	"testing"
 )
@@ -45,14 +47,10 @@ func (s *walkState) state(c *Codec) {
 func TestCodecWalkRoundTrip(t *testing.T) {
 	src := &walkState{created: -7, col: -1, next: 3, queue: []uint16{9, 8},
 		sizes: map[uint64]uint8{30: 3, 10: 1, 20: 2}, ring: fifo{5, 6, 7}, hist: &[2]int64{1, 2}}
-	enc := NewEncoder()
-	src.state(enc)
-	data := enc.Finish()
+	data := Encode(src.state)
 
 	// The map travels in ascending key order whatever the iteration order.
-	again := NewEncoder()
-	src.state(again)
-	if string(again.Finish()) != string(data) {
+	if string(Encode(src.state)) != string(data) {
 		t.Fatal("two encodings of one state differ")
 	}
 
@@ -80,9 +78,7 @@ func TestCodecWalkRoundTrip(t *testing.T) {
 	if dst.hist == nil || dst.hist[1] != 2 {
 		t.Errorf("optional sink: %v", dst.hist)
 	}
-	re := NewEncoder()
-	dst.state(re)
-	if string(re.Finish()) != string(data) {
+	if string(Encode(dst.state)) != string(data) {
 		t.Error("checkpoint -> restore -> checkpoint is not byte-identical")
 	}
 }
@@ -90,9 +86,7 @@ func TestCodecWalkRoundTrip(t *testing.T) {
 // decodeErr runs walk over the bytes build wrote and returns the error.
 func decodeErr(t *testing.T, build func(w *Writer), walk func(c *Codec)) string {
 	t.Helper()
-	w := NewWriter()
-	build(w)
-	c, err := NewDecoder(w.Finish())
+	c, err := NewDecoder(write(build))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,10 +127,59 @@ func TestCodecValidation(t *testing.T) {
 		})
 	}
 	// Validation is decode-only: an encoding walk never fails.
-	enc := NewEncoder()
-	enc.Bound("port", 9, 0, 4)
-	enc.Failf("ignored")
-	if enc.Err() != nil {
-		t.Fatalf("encoding walk failed: %v", enc.Err())
+	Encode(func(enc *Codec) {
+		enc.Bound("port", 9, 0, 4)
+		enc.Failf("ignored")
+		if enc.Err() != nil {
+			t.Fatalf("encoding walk failed: %v", enc.Err())
+		}
+	})
+}
+
+// TestEncodeRefusesAMutatingWalk: Encode sizes the snapshot by a first
+// pass, so a second pass that writes more or fewer bytes walked changed
+// state; the byte sink panics instead of returning a wrong snapshot.
+func TestEncodeRefusesAMutatingWalk(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		first, second int
+	}{{"more", 2, 3}, {"fewer", 3, 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); !strings.Contains(fmt.Sprint(r), "must not change the state it walks") {
+					t.Fatalf("passes of %d and %d values: recovered %v", tc.first, tc.second, r)
+				}
+			}()
+			n := tc.first
+			Encode(func(c *Codec) {
+				for i := range n {
+					v := uint64(i)
+					c.U64(&v)
+				}
+				n = tc.second
+			})
+		})
+	}
+}
+
+// TestHasherDigestsTheSnapshot: a Hasher's sum is the crc64-ECMA of the
+// bytes Encode returns for the same walk, with the length header left
+// unpatched, across many flushes of its buffer and from one walk to the
+// next.
+func TestHasherDigestsTheSnapshot(t *testing.T) {
+	src := &walkState{created: 5, queue: []uint16{1, 2, 3}, sizes: map[uint64]uint8{7: 1, 3: 2}, ring: fifo{9}}
+	long := strings.Repeat("stash", 3*scratchSize)
+	walk := func(c *Codec) {
+		src.state(c)
+		c.Str(&long)
+	}
+	data := Encode(walk)
+	clear(data[6:headerSize])
+	want := crc64.Checksum(data, crc64.MakeTable(crc64.ECMA))
+	var h Hasher
+	for i := range 2 {
+		if got := h.Sum(walk); got != want {
+			t.Fatalf("digest %d is %#x, the snapshot's crc64 %#x", i, got, want)
+		}
 	}
 }

@@ -86,12 +86,6 @@ func (h *refHist) state(c *snapshot.Codec) {
 	}
 }
 
-func encode(walk func(*snapshot.Codec)) []byte {
-	c := snapshot.NewEncoder()
-	walk(c)
-	return c.Finish()
-}
-
 func decodeHist(data []byte) (*Hist, error) {
 	c, err := snapshot.NewDecoder(data)
 	if err != nil {
@@ -153,7 +147,7 @@ func FuzzHist(f *testing.F) {
 			if got, want := h.paged.InverseCDF(), h.ref.InverseCDF(); !slices.Equal(got, want) {
 				t.Fatalf("InverseCDF %v, reference %v", got, want)
 			}
-			got, want := encode(h.paged.State), encode(h.ref.state)
+			got, want := snapshot.Encode(h.paged.State), snapshot.Encode(h.ref.state)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("State bytes differ from the reference's (%d vs %d bytes)", len(got), len(want))
 			}
@@ -161,7 +155,7 @@ func FuzzHist(f *testing.F) {
 			if err != nil {
 				t.Fatalf("decoding its own bytes: %v", err)
 			}
-			if again := encode(back.State); !bytes.Equal(again, got) {
+			if again := snapshot.Encode(back.State); !bytes.Equal(again, got) {
 				t.Fatal("a restored histogram writes different bytes")
 			}
 		}
@@ -201,7 +195,7 @@ func TestHistPagesOnlyWhatItHolds(t *testing.T) {
 // and whose buckets are the given (index, count) pairs, as a hostile
 // snapshot could.
 func malformedHist(n int64, pairs ...[2]int64) []byte {
-	return encode(func(c *snapshot.Codec) {
+	return snapshot.Encode(func(c *snapshot.Codec) {
 		acc := Acc{N: n, Sum: 1, Min: 1, Max: 1}
 		acc.State(c)
 		c.Count(len(pairs), 12)

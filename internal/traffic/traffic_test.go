@@ -229,9 +229,7 @@ func (r *genRig) stream(now sim.Tick) uint64 {
 // checkpoint is the endpoint's checkpoint bytes at cycle now, where the
 // endpoint applies the barrier rule to GenRNG itself.
 func (r *genRig) checkpoint(now sim.Tick) []byte {
-	c := snapshot.NewEncoder()
-	r.ep.State(c, now)
-	return c.Finish()
+	return snapshot.Encode(func(c *snapshot.Codec) { r.ep.State(c, now) })
 }
 
 // checkLookahead runs gc's lookahead generator beside its per-cycle form
