@@ -35,21 +35,22 @@ test:
 
 # Race-detector pass (tier-1 alongside vet); the executor's barrier
 # protocol, the worker-crossing link slabs and the shared observability
-# sinks (tracer, telemetry server) are the paths it guards. -short skips
-# the multi-minute simulation sweeps (they run unshortened in `make test`
-# and add no concurrency coverage). Last measured on a 2-CPU host shared
-# with other jobs, once checkpoints measured before writing: 30m41s, and
-# it failed — cmd/stashsim hit the 30-minute timeout inside
-# TestWorkersDeterminism/faulted-drain (running 25m51s), while
-# internal/network passed in 1433 s on the other CPU. That subtest alone,
-# this tree and its parent side by side on one CPU each, took 2036 s and
-# 2039 s, so the overrun predates the checkpoint change. The last pass
-# recorded as fitting, 15m15s (internal/network 865 s, cmd/stashsim
-# 742 s), came before the switch pools and link lists landed; whether
-# they or the host added the time is not measured. The long tests are
-# the loaded tiny scenario tests, where every access also touches shadow
-# memory and the instrumentation, not the simulated work, is the cost.
-# The timeout stays at 30 minutes, past go test's 10-minute default.
+# sinks (tracer, telemetry server, a profiler shared by sweep points) are
+# the paths it guards. -short skips the multi-minute simulation sweeps
+# (they run unshortened in `make test` and add no concurrency coverage).
+# Last measured on a 2-CPU host once internal/network's equivalence tests
+# became one differential table: 30m08s, failing as the parent's run did —
+# cmd/stashsim hit the 30-minute timeout inside
+# TestWorkersDeterminism/faulted-drain (running 20m40s), while
+# internal/network passed in 1403 s beside it (1433 s before the table;
+# its race test binaries side by side on one CPU each: 1111 s at the
+# table's parent and 1016 s with it); trace took 103 s, telemetry 22 s, buffer 21 s, analysis 16 s,
+# and every other package about a second. The long pole is faulted-drain's
+# -invariants=1 row: at -workers 4 its spec makes 201 120 audits and takes
+# 63 s through stashsim even without -race (1.5 s at -invariants=64, 0.8 s
+# with no audits), and Pool.Audit (invariant law 6, the pool audit) is
+# 88 % of the invariant checker's CPU. The timeout stays at 30 minutes,
+# past go test's 10-minute default.
 race:
 	$(GO) test -race -short -timeout 30m ./...
 

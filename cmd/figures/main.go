@@ -23,7 +23,7 @@ import (
 	"time"
 
 	"stashsim/internal/harness"
-	"stashsim/internal/sim"
+	"stashsim/internal/network"
 	"stashsim/internal/stats"
 	"stashsim/internal/viz"
 )
@@ -173,7 +173,7 @@ func run(sel []*harness.Experiment, o *harness.Options, c *cliOpts) (err error) 
 		// One lane: experiment networks run serially (parallelism here is
 		// sweep-level), so a shared single-lane profiler aggregates phase
 		// time across every design point of every selected experiment.
-		o.ExecProfiler = sim.NewExecProfiler(1, 0)
+		o.ExecProfiler = network.NewExecProfiler(1, 0)
 	}
 	if c.out != "" {
 		if err := os.MkdirAll(c.out, 0o755); err != nil {

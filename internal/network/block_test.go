@@ -7,132 +7,13 @@ import (
 	"sort"
 	"testing"
 
-	"stashsim/internal/core"
-	"stashsim/internal/fault"
 	"stashsim/internal/metrics"
 	"stashsim/internal/proto"
-	"stashsim/internal/sim"
-	"stashsim/internal/traffic"
 )
 
-// The block oracle. The executor runs one block of the network — a
-// dragonfly group — through a whole epoch before it touches the next; the
-// claim that makes that exact is "nothing a block is sent during an epoch
-// is due inside it". The reference is therefore a run that takes no such
-// liberty: the network advanced one Run(1) at a time (see reference in
-// wake_test.go), every component through cycle c before any steps c+1,
-// which is the order this executor walked before it blocked time. A
-// blocked run must agree with it on everything observable.
-
-// blockGridKinds are the behaviour regimes of the block grid.
-var blockGridKinds = []wakeGridKind{
-	{"faults-parity", func(cfg *core.Config) {
-		cfg.Mode = core.StashE2E
-		cfg.StashParity = 4
-		cfg.Retrans = core.DefaultRetrans()
-		cfg.RetainPayload = true
-		// Bank failures in the middle of epochs, on tiny and on small.
-		cfg.Fault = &fault.Plan{Seed: 9, LinkDropRate: 2e-3, CorruptRate: 1e-3,
-			StashFailures: []fault.StashFail{
-				{Switch: 0, Port: 0, At: 333}, {Switch: 1, Port: 1, At: 777},
-				{Switch: 2, Port: 0, At: 1210}, {Switch: 0, Port: 2, At: 1211}}}
-	}},
-	{"ecn-hotspots", func(cfg *core.Config) {
-		cfg.Mode = core.StashCongestion
-		cfg.ECN = core.DefaultECN()
-	}},
-	{"baseline", func(cfg *core.Config) { cfg.Mode = core.StashOff }},
-}
-
-// driveBlockGrid is the grid's script: 1400 loaded cycles advanced in
-// public Run calls of chunk cycles (0: one call) — each of which ends an
-// epoch, so the chunking moves where the blocks take turns — then a
-// drain, with the machine state captured at two cycles that fall inside
-// an epoch on either preset (lookahead 65 and 650).
-func driveBlockGrid(n *Network, run runner, kind string, chunk int64) *wakeObs {
-	o := observe(n, 417, 1101)
-	rng := sim.NewRNG(n.Cfg.Seed + 77)
-	load := 0.25
-	if kind == "ecn-hotspots" {
-		load = 0.4
-	}
-	for i, ep := range n.Endpoints {
-		gen := rng.Derive(uint64(ep.ID))
-		ep.GenRNG = gen
-		if kind == "ecn-hotspots" && i%11 == 3 {
-			ep.Gen = traffic.Hotspot(int32(i%2), proto.MaxPacketFlits, proto.ClassAggressor, 0)
-			continue
-		}
-		ep.Gen = traffic.Uniform(gen, len(n.Endpoints), nil, load, n.ChannelRate(), proto.MaxPacketFlits, proto.ClassDefault, 0)
-	}
-	for left := int64(1400); left > 0; {
-		step := left
-		if chunk > 0 && chunk < step {
-			step = chunk
-		}
-		run.Run(step)
-		left -= step
-	}
-	for _, ep := range n.Endpoints {
-		ep.Gen = nil
-	}
-	run.Drain(400000)
-	return o.finish(n)
-}
-
-// TestBlockedMatchesOneBlock is the block invariant over presets x {e2e +
-// drops + parity 4 + bank failures, congestion + ECN + hotspots, baseline}
-// x workers {1, 2, 4} x Run chunkings {1, 7, 64, 650, 1000}: summary
-// statistics, every endpoint's delivery sequence and packet counts, and the
-// checkpoint bytes taken mid-epoch and at the end all equal the reference
-// run's. One worker is the case only this test covers — with several,
-// blocks of different workers never shared a loop in the first place.
-func TestBlockedMatchesOneBlock(t *testing.T) {
-	presets := []string{"tiny", "small"}
-	workerCounts := []int{1, 2, 4}
-	chunks := []int64{1, 7, 64, 650, 1000}
-	if testing.Short() {
-		presets, workerCounts, chunks = presets[:1], workerCounts[:2], []int64{7, 1000}
-	}
-	for _, preset := range presets {
-		for _, kind := range blockGridKinds {
-			preset, kind := preset, kind
-			t.Run(preset+"/"+kind.name, func(t *testing.T) {
-				t.Parallel()
-				build := func() *Network {
-					cfg := core.TinyConfig()
-					if preset == "small" {
-						cfg = core.SmallConfig()
-					}
-					kind.setup(cfg)
-					n, err := New(cfg)
-					if err != nil {
-						t.Fatalf("New: %v", err)
-					}
-					return n
-				}
-				ref := build()
-				want := driveBlockGrid(ref, reference{ref}, kind.name, 0)
-				if st := ref.ExecStats(); st.CyclesPerSync != 1 {
-					t.Fatalf("the reference ran %.2f cycles per epoch, want 1", st.CyclesPerSync)
-				}
-				for _, workers := range workerCounts {
-					for _, chunk := range chunks {
-						n := build()
-						n.SetWorkers(workers)
-						if st := n.ExecStats(); st.Blocks != n.Cfg.Topo.Groups() {
-							t.Fatalf("workers=%d: %d blocks, want one per group (%d)", workers, st.Blocks, n.Cfg.Topo.Groups())
-						}
-						got := driveBlockGrid(n, n, kind.name, chunk)
-						n.Close()
-						t.Logf("workers=%d chunk=%d", workers, chunk)
-						got.mustEqual(t, want)
-					}
-				}
-			})
-		}
-	}
-}
+// The cut into blocks and what stepping block by block promises beyond
+// the machine state, which the differential table (equiv_test.go) holds to
+// the reference.
 
 // TestBlocksIndependentOfWorkers pins the cut: a block is a dragonfly
 // group at every worker count up to the group count, one worker included,
@@ -176,15 +57,9 @@ func TestBlocksIndependentOfWorkers(t *testing.T) {
 // in time order to begin with.
 func TestTraceExportInTimeOrder(t *testing.T) {
 	run := func(cycleMajor bool) *metrics.Tracer {
-		cfg := core.SmallConfig()
-		cfg.Mode = core.StashE2E
-		n, err := New(cfg)
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
+		n := loadedNet(t, "small", "e2e")
 		tr := metrics.NewTracer(1 << 20)
 		n.EnableTracing(tr)
-		wireSnapTraffic(n, cfg, snapScenario{load: 0.2})
 		if cycleMajor {
 			reference{n}.Run(1500)
 		} else {

@@ -4,43 +4,27 @@ import (
 	"runtime"
 	"testing"
 
-	"stashsim/internal/core"
 	"stashsim/internal/metrics"
 	"stashsim/internal/sim"
 )
-
-// loadedNet builds the scenario on the preset with restorable uniform
-// traffic and no observers, for the checkpoint and digest costs.
-func loadedNet(t testing.TB, preset string, sc snapScenario) *Network {
-	t.Helper()
-	cfg := snapConfig(preset, sc)
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	wireSnapTraffic(n, cfg, sc)
-	return n
-}
 
 // TestCheckpointWrittenOnce: Checkpoint measures the state before it writes
 // it, so the snapshot is allocated once, at exactly its length, and the
 // walk itself allocates next to nothing — on every kind of state the walk
 // covers, entries staged on partition-crossing links included.
 func TestCheckpointWrittenOnce(t *testing.T) {
-	scs := snapScenarios(900)
 	cases := []struct {
-		name    string
-		sc      snapScenario
-		metrics bool
+		name, regime string
+		metrics      bool
 	}{
-		{"e2e", snapScenario{mode: core.StashE2E, load: 0.3}, false},
-		{"congestion-ecn", scs[2], false},
-		{"parity-faults-retain", scs[1], false},
-		{"e2e-metrics", snapScenario{mode: core.StashE2E, load: 0.3}, true},
+		{"e2e", "e2e", false},
+		{"congestion-ecn", "ecn", false},
+		{"parity-faults-retain", "faults-parity", false},
+		{"e2e-metrics", "e2e", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			n := loadedNet(t, "tiny", tc.sc)
+			n := loadedNet(t, "tiny", tc.regime)
 			defer n.Close()
 			if tc.metrics {
 				n.EnableMetrics(metrics.NewRegistry())
@@ -66,8 +50,7 @@ func TestCheckpointWrittenOnce(t *testing.T) {
 // does 100 cycles on, a loaded cycle changes it, and its allocations do
 // not grow with the network.
 func TestStateDigest(t *testing.T) {
-	sc := snapScenarios(900)[0]
-	src := loadedNet(t, "tiny", sc)
+	src := loadedNet(t, "tiny", "faults-parity")
 	defer src.Close()
 	src.SetWorkers(3)
 	var ck []byte
@@ -80,7 +63,7 @@ func TestStateDigest(t *testing.T) {
 	})
 	src.Run(800)
 
-	dst := loadedNet(t, "tiny", sc)
+	dst := loadedNet(t, "tiny", "faults-parity")
 	if err := dst.Restore(ck); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
@@ -100,7 +83,7 @@ func TestStateDigest(t *testing.T) {
 
 	allocs := map[string]float64{}
 	for _, preset := range []string{"tiny", "small"} {
-		n := loadedNet(t, preset, sc)
+		n := loadedNet(t, preset, "faults-parity")
 		n.Run(300)
 		allocs[preset] = testing.AllocsPerRun(5, func() { n.StateDigest() })
 		n.Close()
@@ -113,7 +96,7 @@ func TestStateDigest(t *testing.T) {
 
 // BenchmarkCheckpoint is one checkpoint of a warm, loaded tiny network.
 func BenchmarkCheckpoint(b *testing.B) {
-	n := loadedNet(b, "tiny", snapScenarios(900)[0])
+	n := loadedNet(b, "tiny", "faults-parity")
 	defer n.Close()
 	n.Run(1000)
 	b.ReportAllocs()
@@ -129,7 +112,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 func BenchmarkStateDigest(b *testing.B) {
 	for _, preset := range []string{"tiny", "small"} {
 		b.Run(preset, func(b *testing.B) {
-			n := loadedNet(b, preset, snapScenarios(900)[0])
+			n := loadedNet(b, preset, "faults-parity")
 			defer n.Close()
 			n.Run(300)
 			b.ReportAllocs()

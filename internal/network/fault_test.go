@@ -184,25 +184,14 @@ func TestCorruptionDetectedAndRecovered(t *testing.T) {
 // twice and requires identical fault injections, recoveries, and
 // deliveries — the reproducibility contract extends to fault plans.
 func TestFaultScheduleIsDeterministic(t *testing.T) {
-	run := func() (fault.Stats, core.Counters, [4]int64) {
+	run := func() *wakeObs {
 		plan := &fault.Plan{Seed: 17, LinkDropRate: 3e-3, CorruptRate: 5e-4}
 		n := buildFaulted(t, plan, 0.2, nil)
+		o := observe(n)
 		n.Run(8000)
-		var d [4]int64
-		d[0], d[1], d[2], d[3] = n.DeliveryTotals()
-		return n.FaultStats(), n.Counters(), d
+		return o.finish(n)
 	}
-	s1, c1, d1 := run()
-	s2, c2, d2 := run()
-	if s1 != s2 {
-		t.Fatalf("fault stats diverged:\n%+v\n%+v", s1, s2)
-	}
-	if c1 != c2 {
-		t.Fatalf("switch counters diverged:\n%+v\n%+v", c1, c2)
-	}
-	if d1 != d2 {
-		t.Fatalf("delivery totals diverged: %v vs %v", d1, d2)
-	}
+	run().mustEqual(t, run())
 }
 
 // TestUnknownOutageLinkRejected catches plan typos at build time.

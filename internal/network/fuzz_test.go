@@ -10,9 +10,11 @@ import (
 
 	"stashsim/internal/core"
 	"stashsim/internal/fault"
+	"stashsim/internal/proto"
 	"stashsim/internal/sim"
 	"stashsim/internal/snapshot"
 	"stashsim/internal/topo"
+	"stashsim/internal/traffic"
 )
 
 // microSnapConfig is the smallest network worth fuzzing against: a
@@ -45,7 +47,11 @@ func microNet(t testing.TB, cfg *core.Config, load float64) *Network {
 		t.Fatalf("New: %v", err)
 	}
 	n.Observe(NewInvariants(n, 64))
-	wireSnapTraffic(n, n.Cfg, snapScenario{load: load})
+	rng := sim.NewRNG(n.Cfg.Seed + 77)
+	for _, ep := range n.Endpoints {
+		ep.GenRNG = rng.Derive(uint64(ep.ID))
+		ep.Gen = traffic.Uniform(ep.GenRNG, len(n.Endpoints), nil, load, n.ChannelRate(), proto.MaxPacketFlits, proto.ClassDefault, 0)
+	}
 	return n
 }
 

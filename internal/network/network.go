@@ -301,8 +301,7 @@ func (n *Network) SetWorkers(workers int) {
 	}
 	n.workers = workers
 	if n.profOwned && n.Profiler.Workers() != workers {
-		n.Profiler = sim.NewExecProfiler(workers, n.profRing)
-		n.Profiler.SetPhaseLabels("endpoints", "switches")
+		n.Profiler = NewExecProfiler(workers, n.profRing)
 	}
 	n.repartition()
 }

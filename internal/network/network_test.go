@@ -15,6 +15,17 @@ import (
 // returning it for inspection.
 func runUR(t *testing.T, mode core.StashMode, load float64, cycles int64) *Network {
 	t.Helper()
+	n := buildUR(t, mode, load)
+	n.Run(cycles)
+	if err := n.SanityCheck(); err != nil {
+		t.Fatalf("sanity: %v", err)
+	}
+	return n
+}
+
+// buildUR is runUR's network before it runs.
+func buildUR(t *testing.T, mode core.StashMode, load float64) *Network {
+	t.Helper()
 	cfg := core.TinyConfig()
 	cfg.Mode = mode
 	if mode == core.StashCongestion {
@@ -30,10 +41,6 @@ func runUR(t *testing.T, mode core.StashMode, load float64, cycles int64) *Netwo
 	for _, ep := range n.Endpoints {
 		ep.Gen = traffic.Uniform(rng.Derive(uint64(ep.ID)), len(n.Endpoints), nil,
 			load, rate, proto.MaxPacketFlits, proto.ClassDefault, 0)
-	}
-	n.Run(cycles)
-	if err := n.SanityCheck(); err != nil {
-		t.Fatalf("sanity: %v", err)
 	}
 	return n
 }
@@ -112,20 +119,15 @@ func TestE2EStashDrainsWhenTrafficStops(t *testing.T) {
 	}
 }
 
+// TestDeterminism: the same configuration run twice is the same run.
 func TestDeterminism(t *testing.T) {
-	a := runUR(t, core.StashE2E, 0.25, 8000)
-	b := runUR(t, core.StashE2E, 0.25, 8000)
-	ca, cb := a.Counters(), b.Counters()
-	if ca != cb {
-		t.Fatalf("counter divergence:\n%+v\n%+v", ca, cb)
+	run := func() *wakeObs {
+		n := buildUR(t, core.StashE2E, 0.25)
+		o := observe(n)
+		n.Run(8000)
+		return o.finish(n)
 	}
-	if a.Collectors.TotalDeliveredFlits() != b.Collectors.TotalDeliveredFlits() {
-		t.Fatal("delivered flit divergence")
-	}
-	la, lb := a.Collector().LatAcc[proto.ClassDefault], b.Collector().LatAcc[proto.ClassDefault]
-	if la != lb {
-		t.Fatalf("latency divergence: %+v vs %+v", la, lb)
-	}
+	run().mustEqual(t, run())
 }
 
 // TestNewAllocations pins what building a network costs the allocator. A

@@ -131,14 +131,14 @@ func TestObservabilityEndToEnd(t *testing.T) {
 // simulation results bit-identical to a run that never imported them — i.e.
 // the nil fast path cannot perturb outcomes.
 func TestObservabilityDisabledIdentical(t *testing.T) {
-	run := func(observe bool) *Network {
+	run := func(watched bool) *wakeObs {
 		cfg := core.TinyConfig()
 		cfg.Mode = core.StashE2E
 		n, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if observe {
+		if watched {
 			n.EnableMetrics(metrics.NewRegistry())
 			n.EnableTracing(metrics.NewTracer(1 << 12))
 			n.Observe(NewSampler(n, 1000))
@@ -149,17 +149,11 @@ func TestObservabilityDisabledIdentical(t *testing.T) {
 			ep.Gen = traffic.Uniform(rng.Derive(uint64(ep.ID)), len(n.Endpoints), nil,
 				0.25, rate, proto.MaxPacketFlits, proto.ClassDefault, 0)
 		}
+		o := observe(n)
 		n.Run(8000)
-		return n
+		return o.finish(n)
 	}
-	plain, observed := run(false), run(true)
-	if plain.Counters() != observed.Counters() {
-		t.Fatalf("observability changed simulation outcome:\n%+v\n%+v",
-			plain.Counters(), observed.Counters())
-	}
-	if plain.Collectors.TotalDeliveredFlits() != observed.Collectors.TotalDeliveredFlits() {
-		t.Fatal("delivered flits diverged with observability attached")
-	}
+	run(true).mustEqual(t, run(false))
 }
 
 // TestWatchdogQuietOnHealthyRun attaches the watchdog to a healthy run and
@@ -211,10 +205,13 @@ func TestExecProfileAndFlightEndToEnd(t *testing.T) {
 
 	const cycles = 8000
 	bare := build()
+	want := observe(bare)
 	bare.Run(cycles)
+	want.finish(bare)
 
 	n := build()
 	defer n.Close()
+	got := observe(n)
 	reg := metrics.NewRegistry()
 	n.EnableMetrics(reg)
 	n.SetWorkers(2)
@@ -223,12 +220,7 @@ func TestExecProfileAndFlightEndToEnd(t *testing.T) {
 	n.Observe(flight)
 	n.Observe(telemetry.NewPublisher(n.TelemetrySnapshot, 128))
 	n.Run(cycles)
-
-	wantC, _ := json.Marshal(bare.Counters())
-	gotC, _ := json.Marshal(n.Counters())
-	if string(wantC) != string(gotC) {
-		t.Fatalf("profiled parallel run diverged:\nbare:     %s\nprofiled: %s", wantC, gotC)
-	}
+	got.finish(n).mustEqual(t, want)
 
 	rep := prof.Report()
 	if rep.Cycles != cycles {

@@ -73,7 +73,7 @@ func TestObserverScheduleExact(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, ch := range chunkings {
 			t.Run(fmt.Sprintf("workers=%d/%s", workers, ch.name), func(t *testing.T) {
-				n := buildLoadedWith(t, 17, nil)
+				n := loadedNet(t, "tiny", "e2e")
 				n.SetWorkers(workers)
 				defer n.Close()
 				var fakes []*fakeObserver

@@ -7,67 +7,8 @@ import (
 	"testing"
 
 	"stashsim/internal/core"
-	"stashsim/internal/fault"
 	"stashsim/internal/metrics"
-	"stashsim/internal/proto"
-	"stashsim/internal/sim"
-	"stashsim/internal/traffic"
 )
-
-// buildLoaded constructs a tiny e2e-stashing network with a fault plan and
-// uniform traffic, identical for every call with the same seed.
-func buildLoaded(t *testing.T, seed uint64) *Network {
-	t.Helper()
-	cfg := core.TinyConfig()
-	cfg.Mode = core.StashE2E
-	cfg.Seed = seed
-	cfg.Fault = &fault.Plan{Seed: seed + 101, LinkDropRate: 1e-3, CorruptRate: 5e-4}
-	cfg.Retrans = core.DefaultRetrans()
-	cfg.RetainPayload = true
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	rng := sim.NewRNG(seed + 77)
-	rate := n.ChannelRate()
-	for _, ep := range n.Endpoints {
-		ep.Gen = traffic.Uniform(rng.Derive(uint64(ep.ID)), len(n.Endpoints), nil,
-			0.25, rate, proto.MaxPacketFlits, proto.ClassDefault, 0)
-	}
-	return n
-}
-
-// TestParallelMatchesSerial is the core determinism claim of the parallel
-// executor: the same configuration stepped by one goroutine and by four
-// produces bit-identical counters, fault statistics, and latency moments.
-func TestParallelMatchesSerial(t *testing.T) {
-	serial := buildLoaded(t, 3)
-	serial.Warmup(500)
-	serial.Run(6000)
-
-	par := buildLoaded(t, 3)
-	par.SetWorkers(4)
-	defer par.Close()
-	par.Warmup(500)
-	par.Run(6000)
-
-	if cs, cp := serial.Counters(), par.Counters(); cs != cp {
-		t.Fatalf("counter divergence:\nserial   %+v\nparallel %+v", cs, cp)
-	}
-	if fs, fp := serial.FaultStats(), par.FaultStats(); fs != fp {
-		t.Fatalf("fault stat divergence:\nserial   %+v\nparallel %+v", fs, fp)
-	}
-	ls, lp := serial.Collector().LatAcc[proto.ClassDefault], par.Collector().LatAcc[proto.ClassDefault]
-	if ls != lp {
-		t.Fatalf("latency divergence:\nserial   %+v\nparallel %+v", ls, lp)
-	}
-	if s, p := serial.NormalizedAccepted(6000), par.NormalizedAccepted(6000); s != p {
-		t.Fatalf("accepted divergence: %v vs %v", s, p)
-	}
-	if serial.Now != par.Now {
-		t.Fatalf("clock divergence: %d vs %d", serial.Now, par.Now)
-	}
-}
 
 // TestParallelStepRace steps a fully instrumented network — metrics, tracer,
 // sampler, watchdog, invariants, and fault injection all live — with four
@@ -78,7 +19,7 @@ func TestParallelStepRace(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 
-	n := buildLoaded(t, 11)
+	n := loadedNet(t, "tiny", "faults-parity")
 	n.EnableMetrics(metrics.NewRegistry())
 	n.EnableTracing(metrics.NewTracer(1 << 12))
 	n.Observe(NewSampler(n, 250))

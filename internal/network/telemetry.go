@@ -18,10 +18,17 @@ import (
 // the most recent ringCycles epochs of raw lane timings for the Chrome
 // trace export.
 func (n *Network) EnableExecProfile(ringCycles int) *sim.ExecProfiler {
-	p := sim.NewExecProfiler(n.workers, ringCycles)
-	p.SetPhaseLabels("endpoints", "switches")
+	p := NewExecProfiler(n.workers, ringCycles)
 	n.Profiler, n.profOwned, n.profRing = p, true, ringCycles
 	n.repartition()
+	return p
+}
+
+// NewExecProfiler builds an executor profiler whose two work phases are
+// named after the network's: "endpoints" and "switches".
+func NewExecProfiler(workers, ringCycles int) *sim.ExecProfiler {
+	p := sim.NewExecProfiler(workers, ringCycles)
+	p.SetPhaseLabels("endpoints", "switches")
 	return p
 }
 
@@ -31,13 +38,14 @@ func (n *Network) EnableExecProfile(ringCycles int) *sim.ExecProfiler {
 // must match the network's worker count; a mismatch returns an error
 // instead of being silently dropped at Run time, as it once was. Unlike
 // EnableExecProfile, the attached profiler is caller-owned: SetWorkers
-// will not resize it.
+// will not resize it, and attaching writes nothing to it, so networks
+// running at once may share it (build it with NewExecProfiler to have
+// the work phases named).
 func (n *Network) SetExecProfiler(p *sim.ExecProfiler) error {
 	if p != nil && p.Workers() != n.workers {
-		return fmt.Errorf("network: profiler sized for %d workers attached to a %d-worker network (size it with sim.NewExecProfiler(%d, ...) or use EnableExecProfile)",
+		return fmt.Errorf("network: profiler sized for %d workers attached to a %d-worker network (size it with NewExecProfiler(%d, ...) or use EnableExecProfile)",
 			p.Workers(), n.workers, n.workers)
 	}
-	p.SetPhaseLabels("endpoints", "switches")
 	n.Profiler, n.profOwned = p, false
 	n.repartition()
 	return nil

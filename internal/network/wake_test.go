@@ -1,7 +1,6 @@
 package network
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -15,197 +14,7 @@ import (
 	"stashsim/internal/proto"
 	"stashsim/internal/sim"
 	"stashsim/internal/topo"
-	"stashsim/internal/traffic"
 )
-
-// The reference run. The executor takes two liberties: it steps a component
-// only when its wake slot is due, which is safe because "a spurious wake is
-// a no-op", and it runs one block through a whole epoch before it touches
-// the next, which is safe because "nothing a block is sent during an epoch
-// is due inside it". The public API already contains a run that takes
-// neither: every run entry starts all awake and no epoch outlasts the run,
-// so a network advanced one Run(1) at a time steps every component, every
-// cycle, the whole network through cycle c before any of it sees c+1. That
-// is the reference, and any other way of running must agree with it on
-// everything observable: the summary statistics -json prints, every
-// endpoint's delivery sequence, and the complete machine state — its
-// StateDigest, the checkpoint walk of the model hashed — at chosen cycles.
-// Waking early can never show; waking late, or meeting input out of its
-// time, shows as the first digest that differs.
-
-// runner is how a drive script advances its network: through the network's
-// own run entries, or through the reference's.
-type runner interface {
-	Run(cycles int64)
-	RunUntil(budget, checkEvery int64, done func() bool) bool
-	Warmup(cycles int64)
-	Drain(budget int64) bool
-}
-
-// reference advances a network one public Run(1) per cycle. RunUntil,
-// Warmup and Drain are the network's own, word for word, over that Run, so
-// stop checks and the drain's check schedule fall on the same cycles.
-type reference struct{ n *Network }
-
-func (r reference) Run(cycles int64) {
-	for ; cycles > 0; cycles-- {
-		r.n.Run(1)
-	}
-}
-
-func (r reference) RunUntil(budget, checkEvery int64, done func() bool) bool {
-	for spent := int64(0); spent < budget; spent += checkEvery {
-		r.Run(min(checkEvery, budget-spent))
-		if done() {
-			return true
-		}
-	}
-	return done()
-}
-
-func (r reference) Warmup(cycles int64) {
-	r.n.Collectors.SetEnabled(false)
-	r.Run(cycles)
-	r.n.Collectors.Reset()
-	r.n.Collectors.SetEnabled(true)
-}
-
-func (r reference) Drain(budget int64) bool {
-	return r.RunUntil(budget, drainCheckEvery, r.n.drained)
-}
-
-// wakeObs is everything a run lets an observer see.
-type wakeObs struct {
-	cycles     []int64  // cycles at which trail was taken
-	trail      []uint64 // StateDigest at those cycles
-	keep       bool     // also keep the checkpoint bytes of the first cycle
-	first      []byte   // those bytes, for a test that restores from them
-	final      uint64   // StateDigest when the drive returned
-	summary    []byte   // the statistics the CLI's -json is made of
-	deliveries [][]endpoint.Delivery
-	perEP      [][2]int64 // each endpoint's InjectedPkts, DeliveredUnique
-}
-
-// observe starts recording n's deliveries and schedules a state digest at
-// the serial barrier before each of the given cycles (ascending).
-func observe(n *Network, at ...int64) *wakeObs {
-	o := &wakeObs{deliveries: make([][]endpoint.Delivery, len(n.Endpoints))}
-	for i, ep := range n.Endpoints {
-		i := i
-		ep.OnDelivered = func(d endpoint.Delivery) { o.deliveries[i] = append(o.deliveries[i], d) }
-	}
-	var hook func(now sim.Tick)
-	hook = func(now sim.Tick) {
-		if o.keep && len(o.trail) == 0 {
-			o.first = n.Checkpoint(now)
-		}
-		o.cycles = append(o.cycles, int64(now))
-		o.trail = append(o.trail, n.StateDigest())
-		if at = at[1:]; len(at) > 0 {
-			n.ScheduleCheckpoint(at[0], hook)
-		}
-	}
-	if len(at) > 0 {
-		n.ScheduleCheckpoint(at[0], hook)
-	}
-	return o
-}
-
-// everyCycle returns the cycles from..to-1, for a digest after every
-// cycle of a window: a component that wakes even one cycle late shows. In
-// -short mode (the race pass, which is after data races, not late wakes)
-// it thins the window to every seventh cycle.
-func everyCycle(from, to int64) []int64 {
-	step := int64(1)
-	if testing.Short() {
-		step = 7
-	}
-	var at []int64
-	for c := from; c < to; c += step {
-		at = append(at, c)
-	}
-	return at
-}
-
-// finish closes the observation with the final state and the summary.
-func (o *wakeObs) finish(n *Network) *wakeObs {
-	o.final = n.StateDigest()
-	for _, ep := range n.Endpoints {
-		o.perEP = append(o.perEP, [2]int64{ep.InjectedPkts, ep.DeliveredUnique})
-	}
-	col := n.Collector()
-	injected, delivered, dups, abandoned := n.DeliveryTotals()
-	sum := struct {
-		Now                                   int64
-		Counters                              core.Counters
-		Fault                                 fault.Stats
-		Injected, Delivered, Dups, Abandoned  int64
-		Offered, DeliveredFlits, DeliveredPkt [proto.NumClasses]int64
-		LatMean, LatMax                       [proto.NumClasses]float64
-		Acks, Retransmits, Recovered          int64
-		StashUsed                             int
-		Queued                                int64
-	}{
-		Now: int64(n.Now), Counters: n.Counters(), Fault: n.FaultStats(),
-		Injected: injected, Delivered: delivered, Dups: dups, Abandoned: abandoned,
-		Offered: col.OfferedFlits, DeliveredFlits: col.DeliveredFlits, DeliveredPkt: col.DeliveredPkts,
-		Acks: col.Acks, Retransmits: col.EndpointRetransmits, Recovered: col.RecoveredPkts,
-		StashUsed: n.TotalStashUsed(), Queued: n.TotalQueuedFlits(),
-	}
-	for c := range col.LatAcc {
-		sum.LatMean[c], sum.LatMax[c] = col.LatAcc[c].Mean(), col.LatAcc[c].Max
-	}
-	var err error
-	if o.summary, err = json.MarshalIndent(sum, "", "  "); err != nil {
-		panic(err)
-	}
-	return o
-}
-
-// mustEqual fails the test at the first observable difference from the
-// reference run.
-func (o *wakeObs) mustEqual(t *testing.T, ref *wakeObs) {
-	t.Helper()
-	if fmt.Sprint(o.cycles) != fmt.Sprint(ref.cycles) {
-		t.Fatalf("digests taken at cycles %v, reference at %v", o.cycles, ref.cycles)
-	}
-	for i := range o.trail {
-		if o.trail[i] != ref.trail[i] {
-			t.Fatalf("machine state differs from the reference at cycle %d (digest %d of %d): a component woke late, or met input out of its time",
-				o.cycles[i], i+1, len(o.trail))
-		}
-	}
-	if !bytes.Equal(o.summary, ref.summary) {
-		t.Fatalf("summary differs from the reference:\n--- run ---\n%s\n--- reference ---\n%s", o.summary, ref.summary)
-	}
-	for i := range o.deliveries {
-		if fmt.Sprint(o.deliveries[i]) != fmt.Sprint(ref.deliveries[i]) {
-			t.Fatalf("endpoint %d deliveries differ from the reference:\n%v\n%v", i, o.deliveries[i], ref.deliveries[i])
-		}
-		if o.perEP[i] != ref.perEP[i] {
-			t.Fatalf("endpoint %d injected/delivered %v packets, reference %v", i, o.perEP[i], ref.perEP[i])
-		}
-	}
-	if o.final != ref.final {
-		t.Fatalf("final machine state differs from the reference")
-	}
-}
-
-// mustMatchAwake drives a sleeping network and a twin advanced as the
-// reference through the same script and requires them to be
-// indistinguishable. drive must observe() and finish(), and advance n only
-// through run.
-func mustMatchAwake(t *testing.T, build func() *Network, drive func(n *Network, run runner) *wakeObs) *wakeObs {
-	t.Helper()
-	ref := build()
-	want := drive(ref, reference{ref})
-	ref.Close()
-	n := build()
-	got := drive(n, n)
-	n.Close()
-	got.mustEqual(t, want)
-	return got
-}
 
 // quietNet builds a tiny network with no generators: nothing happens in
 // it but what the test puts in, so every component sleeps unless one
@@ -235,12 +44,15 @@ func farEndpoint(n *Network) int32 { return int32(len(n.Endpoints) - 1) }
 // delivered, without the credit store the returned credits sit on their
 // rings (the per-cycle digests differ) until something else comes by.
 func TestWakeOnFlitAndCredit(t *testing.T) {
-	got := mustMatchAwake(t, func() *Network { return quietNet(t, nil) }, func(n *Network, run runner) *wakeObs {
-		o := observe(n, everyCycle(1, 400)...)
-		n.Endpoints[0].EnqueueMessage(farEndpoint(n), 3*proto.MaxPacketFlits, proto.ClassDefault, 1)
-		run.Run(600)
-		return o.finish(n)
-	})
+	build := func() *Network { return quietNet(t, nil) }
+	at := everyCycle(1, 400)
+	script := func(d *drive) {
+		d.n.Endpoints[0].EnqueueMessage(farEndpoint(d.n), 3*proto.MaxPacketFlits, proto.ClassDefault, 1)
+		d.Run(600)
+	}
+	want := play(t, build, row{ref: true}, at, script)
+	got := play(t, build, row{}, at, script)
+	got.mustEqual(t, want)
 	if d := got.deliveries[len(got.deliveries)-1]; len(d) != 3 {
 		t.Fatalf("%d packets delivered across the sleeping network, want 3", len(d))
 	}
@@ -319,13 +131,15 @@ func TestWakeOnSynthCredit(t *testing.T) {
 				return free
 			}
 			var after []int
-			got := mustMatchAwake(t, build, func(n *Network, run runner) *wakeObs {
-				o := observe(n, everyCycle(1, 120)...)
-				n.Endpoints[0].EnqueueMessage(farEndpoint(n), proto.MaxPacketFlits, proto.ClassDefault, 1)
-				run.Run(200)
-				after = avail(n)
-				return o.finish(n)
-			})
+			at := everyCycle(1, 120)
+			script := func(d *drive) {
+				d.n.Endpoints[0].EnqueueMessage(farEndpoint(d.n), proto.MaxPacketFlits, proto.ClassDefault, 1)
+				d.Run(200)
+				after = avail(d.n)
+			}
+			want := play(t, build, row{ref: true}, at, script)
+			got := play(t, build, row{}, at, script)
+			got.mustEqual(t, want)
 			if n := len(got.deliveries[len(got.deliveries)-1]); n != 0 {
 				t.Fatalf("%d packets delivered through an outage", n)
 			}
@@ -340,12 +154,6 @@ func TestWakeOnSynthCredit(t *testing.T) {
 		})
 	}
 }
-
-// atEveryCycle is an Observer that calls fn after every cycle.
-type atEveryCycle func(now int64)
-
-func (atEveryCycle) NextEventAt(from int64) int64 { return from }
-func (fn atEveryCycle) AtBarrier(now int64)       { fn(now) }
 
 // TestSynthCreditOnTime is TestWakeOnSynthCredit's absolute form, cycle by
 // cycle: a flit dropped at cycle t has its credit back in the producer's
@@ -365,7 +173,7 @@ func TestSynthCreditOnTime(t *testing.T) {
 				full[i] = c.free()
 			}
 			folds := 0
-			n.Observe(atEveryCycle(func(now int64) {
+			n.Observe(every{k: 1, at: func(now int64) {
 				for i, c := range links {
 					dropped[i] = append(dropped[i], c.link.FaultDropped())
 					owed := dropped[i][now]
@@ -378,7 +186,7 @@ func TestSynthCreditOnTime(t *testing.T) {
 							now, i, c.link.Latency, got, full[i]-int(owed), owed, 2*c.link.Latency)
 					}
 				}
-			}))
+			}})
 			n.Endpoints[0].EnqueueMessage(farEndpoint(n), 2*proto.MaxPacketFlits, proto.ClassDefault, 1)
 			n.Run(400)
 			if folds == 0 {
@@ -402,21 +210,16 @@ func TestSynthCreditOnTime(t *testing.T) {
 func TestWakeOnEpochDrain(t *testing.T) {
 	for _, workers := range []int{2, 12} {
 		t.Run("w"+strconv.Itoa(workers), func(t *testing.T) {
+			build := func() *Network { return quietNet(t, nil) }
 			for extra := 0; extra < 2*proto.MaxPacketFlits; extra += 1 + extra/8 {
-				drive := func(n *Network, run runner) *wakeObs {
-					o := observe(n)
-					n.Endpoints[0].EnqueueMessage(farEndpoint(n), proto.MaxPacketFlits+extra, proto.ClassDefault, 1)
-					run.Run(800)
-					return o.finish(n)
+				script := func(d *drive) {
+					d.n.Endpoints[0].EnqueueMessage(farEndpoint(d.n), proto.MaxPacketFlits+extra, proto.ClassDefault, 1)
+					d.Run(800)
 				}
 				// The reference on one worker: it stages no link, and a
 				// barrier round per cycle on twelve would show nothing more.
-				ref := quietNet(t, nil)
-				want := drive(ref, reference{ref})
-				n := quietNet(t, nil)
-				n.SetWorkers(workers)
-				got := drive(n, n)
-				n.Close()
+				want := play(t, build, row{ref: true}, nil, script)
+				got := play(t, build, row{workers: workers}, nil, script)
 				got.mustEqual(t, want)
 				if d := got.deliveries[len(got.deliveries)-1]; len(d) == 0 {
 					t.Fatalf("nothing delivered across partitions (message of %d flits)", proto.MaxPacketFlits+extra)
@@ -437,12 +240,13 @@ func TestWakeOnRetentionAndSideband(t *testing.T) {
 	for _, mode := range []core.StashMode{core.StashOff, core.StashE2E} {
 		t.Run(mode.String(), func(t *testing.T) {
 			build := func() *Network { return quietNet(t, func(cfg *core.Config) { cfg.Mode = mode }) }
-			mustMatchAwake(t, build, func(n *Network, run runner) *wakeObs {
-				o := observe(n, everyCycle(1, 500)...)
-				n.Endpoints[0].EnqueueMessage(farEndpoint(n), proto.MaxPacketFlits, proto.ClassDefault, 1)
-				run.Run(700)
-				return o.finish(n)
-			})
+			at := everyCycle(1, 500)
+			script := func(d *drive) {
+				d.n.Endpoints[0].EnqueueMessage(farEndpoint(d.n), proto.MaxPacketFlits, proto.ClassDefault, 1)
+				d.Run(700)
+			}
+			want := play(t, build, row{ref: true}, at, script)
+			play(t, build, row{}, at, script).mustEqual(t, want)
 		})
 	}
 }
@@ -465,10 +269,10 @@ func TestWakeOnTimerScans(t *testing.T) {
 				{Link: fmt.Sprintf("ep%d->sw%d.%d", far, sw, port), Start: 2000, End: 4000}}}
 		})
 	}
-	got := mustMatchAwake(t, build, func(n *Network, run runner) *wakeObs {
-		at := append(everyCycle(1, 700), everyCycle(2000, 2400)...)
-		at = append(at, 3000, 4000, 5000, 6000, 7000, 9000)
-		o := observe(n, at...)
+	at := append(everyCycle(1, 700), everyCycle(2000, 2400)...)
+	at = append(at, 3000, 4000, 5000, 6000, 7000, 9000)
+	script := func(d *drive) {
+		n := d.n
 		done := func() bool {
 			if n.Now == 2000 {
 				n.Endpoints[0].EnqueueMessage(farEndpoint(n), proto.MaxPacketFlits, proto.ClassDefault, 2)
@@ -476,9 +280,11 @@ func TestWakeOnTimerScans(t *testing.T) {
 			return false
 		}
 		n.Endpoints[0].EnqueueMessage(farEndpoint(n), proto.MaxPacketFlits, proto.ClassDefault, 1)
-		run.RunUntil(12000, 1, done)
-		return o.finish(n)
-	})
+		d.RunUntil(12000, 1, done)
+	}
+	want := play(t, build, row{ref: true}, at, script)
+	got := play(t, build, row{}, at, script)
+	got.mustEqual(t, want)
 	var s struct {
 		Counters    core.Counters
 		Retransmits int64
@@ -495,16 +301,20 @@ func TestWakeOnTimerScans(t *testing.T) {
 // next cycle. Nothing else is going on, so without EnqueueMessage's poke
 // the endpoint sleeps for ever.
 func TestWakeOnEnqueueMessage(t *testing.T) {
-	got := mustMatchAwake(t, func() *Network { return quietNet(t, nil) }, func(n *Network, run runner) *wakeObs {
-		o := observe(n, everyCycle(90, 200)...)
-		run.RunUntil(800, 1, func() bool {
+	build := func() *Network { return quietNet(t, nil) }
+	at := everyCycle(90, 200)
+	script := func(d *drive) {
+		n := d.n
+		d.RunUntil(800, 1, func() bool {
 			if n.Now == 100 {
 				n.Endpoints[5].EnqueueMessage(farEndpoint(n), proto.MaxPacketFlits, proto.ClassDefault, 7)
 			}
 			return false
 		})
-		return o.finish(n)
-	})
+	}
+	want := play(t, build, row{ref: true}, at, script)
+	got := play(t, build, row{}, at, script)
+	got.mustEqual(t, want)
 	if d := got.deliveries[len(got.deliveries)-1]; len(d) != 1 || d[0].MsgID != 7 {
 		t.Fatalf("deliveries %v, want the one message enqueued at cycle 100", d)
 	}
@@ -526,8 +336,9 @@ func TestWakeOnBankFailure(t *testing.T) {
 			cfg.Fault = &fault.Plan{Seed: 3, StashFailures: []fault.StashFail{{Switch: 0, Port: 0, At: 150}}}
 		})
 	}
-	got := mustMatchAwake(t, build, func(n *Network, run runner) *wakeObs {
-		d := n.Cfg.Topo
+	at := everyCycle(100, 400)
+	script := func(dr *drive) {
+		n, d := dr.n, dr.n.Cfg.Topo
 		direct := map[int]bool{0: true}
 		for k := 0; k < d.H; k++ {
 			nsw, _ := d.Neighbor(0, d.GlobalPort(k))
@@ -538,13 +349,14 @@ func TestWakeOnBankFailure(t *testing.T) {
 			g++
 		}
 		dst := int32(d.EndpointID(d.SwitchID(g, 0), 0))
-		o := observe(n, everyCycle(100, 400)...)
 		for i := 0; i < d.P; i++ {
 			n.Endpoints[i].EnqueueMessage(dst, proto.MaxPacketFlits, proto.ClassDefault, uint32(i))
 		}
-		run.Run(700)
-		return o.finish(n)
-	})
+		dr.Run(700)
+	}
+	want := play(t, build, row{ref: true}, at, script)
+	got := play(t, build, row{}, at, script)
+	got.mustEqual(t, want)
 	var s struct{ Counters core.Counters }
 	if err := json.Unmarshal(got.summary, &s); err != nil || s.Counters.StashReconstructed == 0 {
 		t.Fatalf("no copy was reconstructed (err %v, counters %+v): the test exercised no rebuild", err, s.Counters)
@@ -627,33 +439,34 @@ func TestWakeAcrossRestoreAndRepartition(t *testing.T) {
 			n.Endpoints[3*i].EnqueueMessage(farEndpoint(n)-int32(i), 2*proto.MaxPacketFlits, proto.ClassDefault, uint32(i))
 		}
 	}
-	var snap []byte
-	mustMatchAwake(t, func() *Network { return quietNet(t, nil) }, func(n *Network, run runner) *wakeObs {
-		o := observe(n, append([]int64{60}, everyCycle(61, 400)...)...)
-		o.keep = true
-		send(n)
-		run.Run(47)
-		n.SetWorkers(3) // mid-flight: flits on rings, credits outstanding
-		run.Run(40)
-		n.SetWorkers(12)
-		run.Run(40)
-		n.SetWorkers(1)
-		run.Run(500)
-		snap = o.first
-		return o.finish(n)
-	})
+	build := func() *Network { return quietNet(t, nil) }
+	at := append([]int64{60}, everyCycle(61, 400)...)
+	script := func(d *drive) {
+		d.o.keep = true
+		send(d.n)
+		d.Run(47)
+		d.n.SetWorkers(3) // mid-flight: flits on rings, credits outstanding
+		d.Run(40)
+		d.n.SetWorkers(12)
+		d.Run(40)
+		d.n.SetWorkers(1)
+		d.Run(500)
+	}
+	want := play(t, build, row{ref: true}, at, script)
+	got := play(t, build, row{}, at, script)
+	got.mustEqual(t, want)
+
 	straight := func() *Network {
 		n := quietNet(t, nil)
-		if err := n.Restore(snap); err != nil {
+		if err := n.Restore(got.first); err != nil {
 			t.Fatalf("Restore: %v", err)
 		}
 		return n
 	}
-	mustMatchAwake(t, straight, func(n *Network, run runner) *wakeObs {
-		o := observe(n, everyCycle(61, 400)...)
-		run.Run(627 - int64(n.Now))
-		return o.finish(n)
-	})
+	at = everyCycle(61, 400)
+	resume := func(d *drive) { d.Run(627 - int64(d.n.Now)) }
+	want = play(t, straight, row{ref: true}, at, resume)
+	play(t, straight, row{}, at, resume).mustEqual(t, want)
 }
 
 // TestCyclesMetricCountsSleptCycles: sw<id>.cycles is simulated cycles, not
@@ -687,274 +500,4 @@ func TestCyclesMetricCountsSleptCycles(t *testing.T) {
 	if all := int64(len(n.Switches) + len(n.Endpoints)); stepped != all || skipped != 99*all {
 		t.Fatalf("an idle network stepped %d and skipped %d component-cycles in 100 cycles, want %d and %d", stepped, skipped, all, 99*all)
 	}
-}
-
-// wakeGridKind is one behaviour regime of the grid.
-type wakeGridKind struct {
-	name  string
-	setup func(cfg *core.Config)
-}
-
-var wakeGridKinds = []wakeGridKind{
-	{"e2e", func(cfg *core.Config) { cfg.Mode = core.StashE2E }},
-	{"ecn", func(cfg *core.Config) {
-		cfg.Mode = core.StashCongestion
-		cfg.ECN = core.DefaultECN()
-	}},
-	{"faults-parity", func(cfg *core.Config) {
-		cfg.Mode = core.StashE2E
-		cfg.StashParity = 4
-		cfg.Retrans = core.DefaultRetrans()
-		cfg.RetainPayload = true
-		// Bank failures in the loaded, the sparse and the silent phase.
-		cfg.Fault = &fault.Plan{Seed: 9, LinkDropRate: 2e-3, CorruptRate: 1e-3,
-			StashFailures: []fault.StashFail{
-				{Switch: 0, Port: 0, At: 600}, {Switch: 1, Port: 1, At: 1900},
-				{Switch: 2, Port: 0, At: 2700}, {Switch: 0, Port: 2, At: 2750}}}
-	}},
-}
-
-// The generator dimension of the grids. A generator is defined by its
-// per-cycle form; the ones of package traffic look ahead to their next
-// arrival and let the endpoint sleep until then, and a checkpoint writes
-// their stream as the per-cycle form would have left it. So the reference
-// runs the per-cycle forms (perCycleGen), and the sleeping run is held to
-// what the generators drew before they looked ahead — in every checkpoint
-// too — not to itself. genKinds: "uniform" starts at once, "delayed" at
-// cycle genDelay (its endpoint is stepped every cycle until then),
-// "permutation" sends all its traffic to one partner, "mixed" deals the
-// three out round robin over the endpoints.
-var genKinds = []string{"uniform", "delayed", "permutation", "mixed"}
-
-const genDelay = 150
-
-// perCycleGen is traffic.Uniform's (partner < 0) and traffic.Permutation's
-// per-cycle form: the draw loop they ran before they looked ahead, one
-// Bernoulli draw a cycle from start on and the destination's draws after
-// each hit.
-func perCycleGen(rng *sim.RNG, numEndpoints int, partner int32, load, rate float64, start sim.Tick) func(sim.Tick, *endpoint.Endpoint) sim.Tick {
-	p := load * rate / float64(proto.MaxPacketFlits)
-	return func(now sim.Tick, e *endpoint.Endpoint) sim.Tick {
-		if now >= start && rng.Bernoulli(p) {
-			dst := partner
-			for dst < 0 || dst == e.ID {
-				dst = int32(rng.Intn(numEndpoints))
-			}
-			e.EnqueueMessage(dst, proto.MaxPacketFlits, proto.ClassDefault, 0)
-		}
-		return now + 1
-	}
-}
-
-// installGen gives endpoint i generator kind g at the given load, drawing
-// from gen (which it also hands the endpoint as GenRNG): the traffic
-// package's, or with perCycle its per-cycle form.
-func installGen(n *Network, i int, g string, gen *sim.RNG, load float64, perCycle bool) {
-	ep, rate, N := n.Endpoints[i], n.ChannelRate(), len(n.Endpoints)
-	if g == "mixed" {
-		g = genKinds[i%3]
-	}
-	var start sim.Tick
-	partner := int32(-1)
-	switch g {
-	case "delayed":
-		start = genDelay
-	case "permutation":
-		partner = int32((i + N/2) % N)
-	}
-	ep.GenRNG = gen
-	switch {
-	case perCycle:
-		ep.Gen = perCycleGen(gen, N, partner, load, rate, start)
-	case partner >= 0:
-		ep.Gen = traffic.Permutation(gen, partner, load, rate, proto.MaxPacketFlits, proto.ClassDefault)
-	default:
-		ep.Gen = traffic.Uniform(gen, N, nil, load, rate, proto.MaxPacketFlits, proto.ClassDefault, start)
-	}
-}
-
-// driveWakeGrid is the grid's script: a loaded phase, a sparse phase in
-// which one endpoint in nine still generates, a silent phase with a few
-// scripted messages, and a drain — with the machine state captured in the
-// middle of each of the first three and right at the start of the sparse
-// one, where the removed generators' draws ahead are still on their
-// streams. The endpoints run the mixed generators; the reference, their
-// per-cycle forms.
-func driveWakeGrid(n *Network, run runner, kind string) *wakeObs {
-	o := observe(n, 700, 1200, 2000, 2900)
-	_, perCycle := run.(reference)
-	rng := sim.NewRNG(n.Cfg.Seed + 77)
-	load := 0.25
-	if kind == "ecn" {
-		load = 0.4
-	}
-	for i, ep := range n.Endpoints {
-		gen := rng.Derive(uint64(ep.ID))
-		if kind == "ecn" && i%11 == 3 {
-			ep.GenRNG = gen
-			ep.Gen = traffic.Hotspot(int32(i%2), proto.MaxPacketFlits, proto.ClassAggressor, 0)
-			continue
-		}
-		installGen(n, i, "mixed", gen, load, perCycle)
-	}
-	run.Warmup(400)
-	run.Run(800)
-	for i, ep := range n.Endpoints {
-		if i%9 != 0 || kind == "ecn" && i%11 == 3 {
-			ep.Gen = nil
-		}
-	}
-	run.Run(1300)
-	for _, ep := range n.Endpoints {
-		ep.Gen = nil
-	}
-	run.RunUntil(1000, 100, func() bool {
-		k := int(n.Now/100) % len(n.Endpoints)
-		n.Endpoints[k].EnqueueMessage(int32((k+len(n.Endpoints)/2)%len(n.Endpoints)), 2*proto.MaxPacketFlits, proto.ClassDefault, uint32(k))
-		return false
-	})
-	run.Drain(400000)
-	return o.finish(n)
-}
-
-// TestSpuriousWakeIsNoop is the invariant over the configurations the
-// goldens pin: presets x {e2e, congestion + ECN, faults + parity k=4} x
-// workers {1, 2, 12} x epochs {free-running, held to one cycle by an
-// observer}, every run with uniform, delayed-start and permutation
-// generators, most of them removed mid-run. Each point's sleeping run must
-// be indistinguishable from the regime's reference run (on one worker:
-// results do not depend on the count, which TestEpochMatchesSerial pins
-// separately and this grid re-checks for free), whose generators are the
-// per-cycle forms.
-func TestSpuriousWakeIsNoop(t *testing.T) {
-	presets := []string{"tiny", "small"}
-	if testing.Short() {
-		presets = presets[:1]
-	}
-	for _, preset := range presets {
-		for _, kind := range wakeGridKinds {
-			preset, kind := preset, kind
-			t.Run(preset+"/"+kind.name, func(t *testing.T) {
-				t.Parallel()
-				build := func() *Network {
-					cfg := core.TinyConfig()
-					if preset == "small" {
-						cfg = core.SmallConfig()
-					}
-					kind.setup(cfg)
-					n, err := New(cfg)
-					if err != nil {
-						t.Fatalf("New: %v", err)
-					}
-					return n
-				}
-				ref := build()
-				want := driveWakeGrid(ref, reference{ref}, kind.name)
-				for _, workers := range []int{1, 2, 12} {
-					for _, perCycle := range []bool{false, true} {
-						if testing.Short() && perCycle && workers != 2 {
-							continue
-						}
-						n := build()
-						n.SetWorkers(workers)
-						if perCycle {
-							n.Observe(every(1))
-						}
-						got := driveWakeGrid(n, n, kind.name)
-						n.Close()
-						t.Logf("workers=%d perCycle=%v", workers, perCycle)
-						got.mustEqual(t, want)
-					}
-				}
-			})
-		}
-	}
-}
-
-// FuzzWakeEquivalence searches for a configuration in which sleeping or
-// block-by-block stepping shows: generated small dragonflies x load x
-// generator kind x fault plan x parity x worker count x the way the run is
-// chunked into public Run calls (each of which starts all awake and ends
-// an epoch, so chunking moves where components fall asleep and where
-// blocks take turns). The reference is the same network advanced one
-// Run(1) per cycle, running the generators' per-cycle forms; the
-// generators are removed mid-run, with a checkpoint right there.
-func FuzzWakeEquivalence(f *testing.F) {
-	f.Add(uint64(1), uint8(0), uint8(1), uint8(0), uint8(0), false, uint16(0), uint8(0))
-	f.Add(uint64(2), uint8(1), uint8(0), uint8(1), uint8(7), true, uint16(37), uint8(1))
-	f.Add(uint64(3), uint8(2), uint8(2), uint8(2), uint8(3), true, uint16(1), uint8(2))
-	f.Add(uint64(4), uint8(3), uint8(1), uint8(3), uint8(4), false, uint16(500), uint8(0))
-	f.Add(uint64(5), uint8(2), uint8(0), uint8(0), uint8(5), true, uint16(64), uint8(1))
-	topos := []topo.Dragonfly{{P: 1, A: 2, H: 1}, {P: 2, A: 2, H: 1}, {P: 2, A: 4, H: 2}, {P: 3, A: 3, H: 1}}
-	loads := []float64{0.03, 0.15, 0.45}
-	f.Fuzz(func(t *testing.T, seed uint64, topoSel, loadSel, genSel, faults uint8, parity bool, chunk uint16, workers uint8) {
-		d := topos[int(topoSel)%len(topos)]
-		build := func() *Network {
-			cfg := core.TinyConfig()
-			cfg.Topo = d
-			half := (d.Radix() + 1) / 2
-			cfg.Rows, cfg.Cols, cfg.TileIn, cfg.TileOut = 2, 2, half, half
-			cfg.Mode = core.StashE2E
-			cfg.Seed = seed
-			plan := &fault.Plan{Seed: seed + 5}
-			if faults&1 != 0 {
-				plan.LinkDropRate = 4e-3
-			}
-			if faults&2 != 0 {
-				plan.CorruptRate = 2e-3
-			}
-			if faults&4 != 0 {
-				for i := int64(0); i < 3; i++ {
-					plan.StashFailures = append(plan.StashFailures, fault.StashFail{
-						Switch: int(i) % d.NumSwitches(), Port: int(i) % d.P, At: 300 + 450*i + int64(seed%97)})
-				}
-			}
-			if plan.Active() {
-				cfg.Fault = plan
-				cfg.Retrans = core.DefaultRetrans()
-				cfg.Retrans.SwitchTimeout, cfg.Retrans.EndpointTimeout = 700, 6000
-				cfg.RetainPayload = true
-			}
-			if k := min(4, d.P+d.A-2); parity && k >= 2 {
-				cfg.StashParity = k
-			}
-			n, err := New(cfg)
-			if err != nil {
-				t.Skipf("config rejected: %v", err)
-			}
-			return n
-		}
-		drive := func(n *Network, r runner, chunk int64) *wakeObs {
-			o := observe(n, 450, 1000, 1250, 1900)
-			_, perCycle := r.(reference)
-			rng := sim.NewRNG(seed + 77)
-			for i, ep := range n.Endpoints {
-				installGen(n, i, genKinds[int(genSel)%len(genKinds)], rng.Derive(uint64(ep.ID)),
-					loads[int(loadSel)%len(loads)], perCycle)
-			}
-			run := func(cycles int64) {
-				for cycles > 0 {
-					step := cycles
-					if chunk > 0 && chunk < step {
-						step = chunk
-					}
-					r.Run(step)
-					cycles -= step
-				}
-			}
-			run(1000)
-			for _, ep := range n.Endpoints {
-				ep.Gen = nil
-			}
-			run(1200)
-			r.Drain(200000)
-			return o.finish(n)
-		}
-		ref := build()
-		want := drive(ref, reference{ref}, 0)
-		n := build()
-		n.SetWorkers(1 + int(workers)%3)
-		defer n.Close()
-		drive(n, n, int64(chunk)).mustEqual(t, want)
-	})
 }
