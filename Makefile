@@ -38,19 +38,18 @@ test:
 # sinks (tracer, telemetry server, a profiler shared by sweep points) are
 # the paths it guards. -short skips the multi-minute simulation sweeps
 # (they run unshortened in `make test` and add no concurrency coverage).
-# Last measured on a 2-CPU host once internal/network's equivalence tests
-# became one differential table: 30m08s, failing as the parent's run did —
-# cmd/stashsim hit the 30-minute timeout inside
-# TestWorkersDeterminism/faulted-drain (running 20m40s), while
-# internal/network passed in 1403 s beside it (1433 s before the table;
-# its race test binaries side by side on one CPU each: 1111 s at the
-# table's parent and 1016 s with it); trace took 103 s, telemetry 22 s, buffer 21 s, analysis 16 s,
-# and every other package about a second. The long pole is faulted-drain's
+# Last measured on a 2-CPU host once restore decoded the switches'
+# sections in parallel and Pool.Audit stopped allocating: 30m11s, failing
+# as the runs before it did — cmd/stashsim hit the 30-minute timeout
+# inside TestWorkersDeterminism/faulted-drain (running 22m45s), while
+# internal/network passed in 1574 s beside it (1403 s at the run before);
+# trace took 91 s, telemetry 25 s, buffer 20 s, analysis 16 s, and every
+# other package one or two seconds. The long pole is faulted-drain's
 # -invariants=1 row: at -workers 4 its spec makes 201 120 audits and takes
-# 63 s through stashsim even without -race (1.5 s at -invariants=64, 0.8 s
-# with no audits), and Pool.Audit (invariant law 6, the pool audit) is
-# 88 % of the invariant checker's CPU. The timeout stays at 30 minutes,
-# past go test's 10-minute default.
+# 55-57 s through stashsim even without -race (61-68 s before the audit
+# kept its marks; 1.5 s at -invariants=64, 0.8 s with no audits); what is
+# left is walking every list of every switch, most of them empty. The
+# timeout stays at 30 minutes, past go test's 10-minute default.
 race:
 	$(GO) test -race -short -timeout 30m ./...
 

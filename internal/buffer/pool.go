@@ -33,7 +33,21 @@ type Pool[T any] struct {
 	used   int32
 	peak   int32
 
-	walk listCursor[T] // the list FIFO or Timed presents
+	walk  listCursor[T] // the list FIFO or Timed presents
+	audit *poolAudit[T] // Audit's scratch, made by the first audit; not state
+}
+
+// poolAudit is Audit's scratch, kept from one audit to the next so that an
+// audit allocates nothing and clears nothing: it marks a slot by stamping
+// it with the audit's generation, so the last audit's marks are stale
+// without being cleared.
+type poolAudit[T any] struct {
+	stamp  []uint32 // per slot, the generation of the last audit that found it on a list
+	gen    uint32   // the running audit's generation, never zero
+	marked int      // slots the running audit has found
+	list   int      // the list being followed: -1 for the free stack
+	err    error
+	visit  func(*List[T]) // auditList, bound once
 }
 
 // FlitPool is the pool of a switch's flits, and FlitList a FIFO of flits in
@@ -372,7 +386,9 @@ type listCursor[T any] struct {
 	e     Entry[T]
 }
 
-// present points the cursor at l, which timed holds when not nil.
+// present points the cursor at l, which timed holds when not nil. The
+// rest of the cursor is set by the first At: a restore presents every
+// list of the network, most of them empty, so presenting clears nothing.
 func (p *Pool[T]) present(l *List[T], timed *TimedList[T]) {
 	p.walk = listCursor[T]{l: l, timed: timed, at: -1}
 }
@@ -451,55 +467,76 @@ func (q *timedFIFO[T]) Reset() {
 // hands to visit one by one (a TimedList through Slots): in-use plus free
 // slots make up the capacity, and every slot sits on exactly one list, the
 // free stack included — so the slots in use are exactly the values on the
-// lists. It returns the first rule broken, or nil.
+// lists. It returns the first rule broken, or nil. After the first audit at
+// a capacity it allocates nothing.
 func (p *Pool[T]) Audit(lists func(visit func(*List[T]))) error {
 	capacity := p.Cap()
 	if int(p.used)+int(p.nfree) != capacity {
 		return fmt.Errorf("%d slots in use + %d free != capacity %d", p.used, p.nfree, capacity)
 	}
-	mark := make([]bool, capacity)
-	var err error
-	name := func(list int) string {
-		if list < 0 {
-			return "the free stack"
-		}
-		return fmt.Sprintf("queue %d", list)
+	if p.audit == nil {
+		p.audit = &poolAudit[T]{visit: p.auditList}
 	}
-	// follow marks the n slots linked on from head, and returns the last.
-	follow := func(list int, head, n int32) int32 {
-		i := head
-		for k := int32(0); k < n && err == nil; k++ {
-			if k > 0 {
-				i = p.slot(i).next
-			}
-			switch {
-			case i < 0 || int(i) >= capacity:
-				err = fmt.Errorf("%s links slot %d, outside capacity %d", name(list), i, capacity)
-			case mark[i]:
-				err = fmt.Errorf("slot %d sits on two lists (again on %s)", i, name(list))
-			default:
-				mark[i] = true
-			}
-		}
-		return i
+	a := p.audit
+	if n := len(a.stamp); n < capacity {
+		a.stamp = append(a.stamp, make([]uint32, capacity-n)...)
 	}
-	list := -1
-	lists(func(l *List[T]) {
-		if list++; err != nil || l.n == 0 {
-			return
-		}
-		if last := follow(list, l.head, l.n); err == nil && last != l.tail {
-			err = fmt.Errorf("%s ends at slot %d, its tail names %d", name(list), last, l.tail)
-		}
-	})
-	follow(-1, p.free, p.nfree)
-	if err != nil {
-		return err
+	if a.gen++; a.gen == 0 {
+		clear(a.stamp)
+		a.gen = 1
 	}
-	for i, on := range mark {
-		if !on {
+	a.marked, a.list, a.err = 0, -1, nil
+	lists(a.visit)
+	p.follow(-1, p.free, p.nfree)
+	if a.err != nil || a.marked == capacity {
+		return a.err
+	}
+	for i := range capacity {
+		if a.stamp[i] != a.gen {
 			return fmt.Errorf("slot %d is on no list", i)
 		}
 	}
 	return nil
+}
+
+// auditList is Audit's visit: it follows the next list.
+func (p *Pool[T]) auditList(l *List[T]) {
+	a := p.audit
+	if a.list++; a.err != nil || l.n == 0 {
+		return
+	}
+	if last := p.follow(a.list, l.head, l.n); a.err == nil && last != l.tail {
+		a.err = fmt.Errorf("%s ends at slot %d, its tail names %d", listName(a.list), last, l.tail)
+	}
+}
+
+// follow marks the n slots linked on from head, the audit's list-th, and
+// returns the last.
+func (p *Pool[T]) follow(list int, head, n int32) int32 {
+	a := p.audit
+	i := head
+	for k := int32(0); k < n && a.err == nil; k++ {
+		if k > 0 {
+			i = p.slot(i).next
+		}
+		switch {
+		case i < 0 || int(i) >= len(a.stamp):
+			a.err = fmt.Errorf("%s links slot %d, outside capacity %d", listName(list), i, len(a.stamp))
+		case a.stamp[i] == a.gen:
+			a.err = fmt.Errorf("slot %d sits on two lists (again on %s)", i, listName(list))
+		default:
+			a.stamp[i] = a.gen
+			a.marked++
+		}
+	}
+	return i
+}
+
+// listName names an audited list: its place in the order lists visited
+// them, or the free stack.
+func listName(list int) string {
+	if list < 0 {
+		return "the free stack"
+	}
+	return fmt.Sprintf("queue %d", list)
 }

@@ -262,7 +262,8 @@ func (l *Link) Stage(clock *atomic.Int64) {
 	for _, b := range staged(&l.credSlab) {
 		l.credits.Push(l.cp, b.At, b.V)
 	}
-	l.dropStaged()
+	dropStaged(&l.flitSlab)
+	dropStaged(&l.credSlab)
 	l.epoch = clock
 }
 
@@ -284,11 +285,11 @@ func staged[T any](slabs *[2][]T) []T {
 	return slabs[1]
 }
 
-// dropStaged empties both staging slabs, keeping their capacity.
-func (l *Link) dropStaged() {
-	for s := range l.flitSlab {
-		l.flitSlab[s] = l.flitSlab[s][:0]
-		l.credSlab[s] = l.credSlab[s][:0]
+// dropStaged empties both staging slabs of a direction, keeping their
+// capacity.
+func dropStaged[T any](slabs *[2][]T) {
+	for s := range slabs {
+		slabs[s] = slabs[s][:0]
 	}
 }
 

@@ -15,10 +15,14 @@ import (
 // slab is quiescent and every switch field is safe to walk.
 //
 // Link ownership: a Link is shared by its producer and consumer, so each
-// link must be walked exactly once. The convention is consumer-side:
-// switch input ports walk their upstream links (covering endpoint->switch
-// and switch->switch edges) and endpoints walk their fromSw links
-// (covering switch->endpoint edges).
+// of its paths must be walked exactly once, and it is walked by the switch
+// whose pool holds it (core.Link says which that is): the flits by their
+// consumer, the credits by the flits' producer. A switch's input ports
+// walk the flits of their upstream links, its output ports the credits of
+// their downstream links; an endpoint walks the flits of its fromSw link
+// and the credits of its toSw link, and the network walks it beside its
+// switch. So a switch's walk, with its endpoints', touches its own pools
+// and no other switch's, and restore decodes the switches independently.
 //
 // The link encoding is form-canonical: entries still staged in a
 // partition-crossing link's slab follow the path's in the stream, which
@@ -30,20 +34,32 @@ import (
 // empty. Each path is walked through its pool's Timed cursor, as (At, V)
 // entries in FIFO order; the pools and slot numbers are not state.
 
-// State walks the link's in-flight flits, credits, synthesized credits
-// and fault-destruction count. Encoding does not mutate: staged entries
-// go to the stream, not to the paths. Decoding lands every entry on its
-// path with the slabs empty; the delivery form is left alone — it belongs
-// to the network's partitioning, not the snapshot.
+// FlitState walks the link's forward path — its in-flight flits — and its
+// fault-destruction count; CreditState walks its credits and synthesized
+// credits. Encoding does not mutate: staged entries go to the stream, not
+// to the paths. Decoding lands every entry on its path with that
+// direction's slabs empty; the delivery form is left alone — it belongs to
+// the network's partitioning, not the snapshot.
 //
-//stashsim:phase serial -- reads the staging slabs and rewrites both paths; runs only at a cycle barrier or before the restored run starts
-func (l *Link) State(c *snapshot.Codec) {
+//stashsim:phase serial -- reads the staging slabs and rewrites the forward path; runs only at a cycle barrier or before the restored run starts
+func (l *Link) FlitState(c *snapshot.Codec) {
 	c.Section("LINK")
 	if c.Decoding() {
-		l.dropStaged()
+		dropStaged(&l.flitSlab)
 	}
 	snapshot.Arrivals(c, l.fp.Timed(&l.flits), staged(&l.flitSlab), 8+proto.FlitWireSize,
 		func(t *timedFlit) { c.I64(&t.At); c.Flit(&t.V) })
+	c.I64(&l.faultDropped)
+}
+
+// CreditState walks the link's two credit paths (see FlitState).
+//
+//stashsim:phase serial -- reads the staging slabs and rewrites both credit paths; runs only at a cycle barrier or before the restored run starts
+func (l *Link) CreditState(c *snapshot.Codec) {
+	c.Section("CRED")
+	if c.Decoding() {
+		dropStaged(&l.credSlab)
+	}
 	// One batch on the wire: due time, per-VC reserved counts, shared count.
 	const batchWireSize = 8 + 2*len(creditCounts{}.resv) + 2
 	batch := func(b *creditBatch) {
@@ -55,7 +71,6 @@ func (l *Link) State(c *snapshot.Codec) {
 	}
 	snapshot.Arrivals(c, l.cp.Timed(&l.credits), staged(&l.credSlab), batchWireSize, batch)
 	snapshot.Ring(c, l.cp.Timed(&l.synth), batchWireSize, batch)
-	c.I64(&l.faultDropped)
 }
 
 // State walks the switch's full dynamic state, into (when decoding) a
@@ -144,7 +159,7 @@ func (c *Counters) fields() [22]*int64 {
 }
 
 func (ip *inPort) state(c *snapshot.Codec, s *Switch) {
-	ip.link.State(c)
+	ip.link.FlitState(c)
 	ip.buf.State(c)
 	for vc := range ip.latch {
 		// The row bus indexes tiles by the latched output's column and the
@@ -169,6 +184,7 @@ func (ip *inPort) state(c *snapshot.Codec, s *Switch) {
 }
 
 func (op *outPort) state(c *snapshot.Codec, s *Switch) {
+	op.link.CreditState(c)
 	op.buf.State(c)
 	for r := range op.colBufs {
 		for vc := range op.colBufs[r] {

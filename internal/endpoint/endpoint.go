@@ -80,7 +80,7 @@ type Endpoint struct {
 	cfg *core.Config
 	rng *sim.RNG
 
-	toSw    *core.Link //stashsim:derived -- wiring; walked by the switch input port that consumes it
+	toSw    *core.Link
 	fromSw  *core.Link
 	credits buffer.CreditCounter
 	acc     int

@@ -8,9 +8,11 @@ import (
 	"stashsim/internal/snapshot"
 )
 
-// State walks for the endpoints. Link ownership is consumer-side (see
-// the core package's walks): an endpoint walks its fromSw link; its toSw
-// link is walked by the switch input port that consumes it. The traffic
+// State walks for the endpoints. A link path is walked by the switch whose
+// pool holds it (see the core package's walks): both of an endpoint's
+// links live in its switch's pools, so the endpoint walks the paths its
+// switch's ports do not — the flits of fromSw and the credits of toSw — and
+// the network walks the endpoint beside its switch. The traffic
 // generator closure itself is rebuilt by the harness; only its RNG stream
 // (GenRNG) is carried across a restart.
 
@@ -40,7 +42,8 @@ func (e *Endpoint) State(c *snapshot.Codec, now int64) {
 			c.U64(&s)
 		}
 	}
-	e.fromSw.State(c)
+	e.fromSw.FlitState(c)
+	e.toSw.CreditState(c)
 	e.credits.State(c)
 	snapshot.Wire64(c, &e.acc)
 	snapshot.Wire64(c, &e.rrIdx)

@@ -107,7 +107,7 @@ func (sp *Spec) BindFlags(fs *flag.FlagSet) {
 		sp.CheckpointPath, sp.CheckpointAt = s[:i], at
 		return nil
 	})
-	fs.StringVar(&sp.RestorePath, "restore", "", "resume from a checkpoint (figures: from the per-point files a -checkpoint run wrote under this name); the other flags must rebuild the identical configuration and observers")
+	fs.StringVar(&sp.RestorePath, "restore", "", "resume from a checkpoint (figures: from the per-point files a -checkpoint run wrote under this name); the other flags must rebuild the identical configuration and observers. The switches' sections decode on GOMAXPROCS CPUs")
 }
 
 // FaultPlan materializes the spec's fault plan, nil when inactive.

@@ -169,19 +169,22 @@ func sortedKeys(byMsg map[string][]int) []string {
 
 // TestRestoreNamesOutOfRangeField is the table behind the walk's range
 // checks and refusals: for every checked field, some single byte of a
-// genuine snapshot set to the case's value must make Restore fail with an
-// error that names the field. 0x7F is out of range for every index-like
-// field of a micro network (127 as a byte, bit 6 of a mask, -1's
-// complement of nothing); 0x01 turns a queued flit's VC into another
-// valid one, or its flags into a head without FlagShared; 0x00 empties a
-// retained payload or a histogram bucket. Five snapshots cover the fields:
-// the fuzz target's with latency histograms attached, twice (0x7F and
-// 0x00); a parity configuration caught with a reconstruction in flight;
-// the fuzz target's network at full load, caught where a DAMQ VC queues
-// shared flits behind a full reserved quota; and one with input buffers so
-// small that an endpoint port's DAMQ has no shared pool at all. (The
-// row-buffer flit.Out check has no single-byte witness: it takes a pending
-// Out and a storage VC in a stream that is neither.)
+// genuine snapshot set to one of the case's values must make Restore fail
+// with an error that names the field. The values are tried in turn, each
+// over every byte, until every field is named. 0x7F is out of range for
+// every index-like field of a micro network (127 as a byte, bit 6 of a
+// mask, -1's complement of nothing); 0x01 turns a queued flit's VC into
+// another valid one, or its flags into a head without FlagShared; 0x00
+// empties a retained payload, a histogram bucket or a send queue. Five
+// snapshots cover the fields: the fuzz target's with latency histograms
+// attached, twice (0x7F then 0x01, and 0x00); a parity configuration
+// caught with a reconstruction in flight; the fuzz target's network at
+// full load (0x01 then 0x00), caught where a DAMQ VC queues shared flits
+// behind a full reserved quota and every endpoint has packets waiting to
+// be sent; and one with input buffers so small that an endpoint
+// port's DAMQ has no shared pool at all. (The row-buffer flit.Out check
+// has no single-byte witness: it takes a pending Out and a storage VC in a
+// stream that is neither.)
 func TestRestoreNamesOutOfRangeField(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four single-byte sweeps; adds no concurrency coverage to the race pass")
@@ -198,32 +201,32 @@ func TestRestoreNamesOutOfRangeField(t *testing.T) {
 		load   float64
 		at     int64
 		hist   bool // latency histograms on every endpoint shard
-		flip   byte
+		flips  []byte
 		fields []string
 	}{
-		{"faults", microSnapConfig(), 0.4, 200, true, 0x7F, []string{
+		{"faults", microSnapConfig(), 0.4, 200, true, []byte{0x7F, 0x01}, []string{
 			"routeLatch.out", "routeLatch.vc", "routeLatch.stashCol", "inPort.sVC",
 			"muxLock.row", "tile.vcNext", "sLatch.port",
 			"sbMsg.kind", "sbMsg.dst", "sbMsg.aux", "e2eEntry.stashPort", "retryRec.port",
 			"RoundRobin.next", "StashPool filling copies", "StashPool fill flits",
-			"Endpoint.rrIdx", "send queue length", "pktDesc.dst", "pktDesc.size", "pktDesc.class", "curPkt.seq",
+			"Endpoint.rrIdx", "pktDesc.dst", "pktDesc.size", "pktDesc.class", "curPkt.seq",
 			"flit.Out", "flit.OrigOut", "flit.Src", "flit.Dst", "flit.MidGroup",
 			"fault: stash-failure cursor",
 			"OutBuf used flits", "column-buffer flit.VC",
 			"Hist bucket index", "Hist bucket sum",
 		}},
-		{"zeros", microSnapConfig(), 0.4, 200, true, 0x00, []string{
+		{"zeros", microSnapConfig(), 0.4, 200, true, []byte{0x00}, []string{
 			"PktBuf.Flits length", "Hist bucket count",
 		}},
-		{"parity", parity, 0.4, 152, false, 0x7F, []string{
+		{"parity", parity, 0.4, 152, false, []byte{0x7F}, []string{
 			"reconRec.origin", "reconRec.target",
 			"parityGroup.n", "parityGroup.state", "parityGroup.bankSet", "parityGroup.parityBank",
 			"parityMember.bank", "ParityTracker group index",
 		}},
-		{"congested", microSnapConfig(), 1, 431, false, 0x01, []string{
-			"DAMQ flit.VC", "DAMQ.resvUsed", "OutBuf flit.VC",
+		{"congested", microSnapConfig(), 1, 431, false, []byte{0x01, 0x00}, []string{
+			"DAMQ flit.VC", "DAMQ.resvUsed", "OutBuf flit.VC", "send queue length",
 		}},
-		{"no-pool", noPool, 1, 600, false, 0x7F, []string{
+		{"no-pool", noPool, 1, 600, false, []byte{0x7F}, []string{
 			"DAMQ.shared",
 		}},
 	}
@@ -239,22 +242,24 @@ func TestRestoreNamesOutOfRangeField(t *testing.T) {
 				want[f] = true
 			}
 			data := make([]byte, len(valid))
-			for off := 0; off < len(valid) && len(want) > 0; off++ {
-				copy(data, valid)
-				data[off] = tc.flip
-				err := microNet(t, tc.cfg, tc.load).Restore(data)
-				if err == nil {
-					continue
-				}
-				for _, f := range tc.fields {
-					if want[f] && strings.Contains(err.Error(), "snapshot: "+f+" = ") {
-						delete(want, f)
+			for _, flip := range tc.flips {
+				for off := 0; off < len(valid) && len(want) > 0; off++ {
+					copy(data, valid)
+					data[off] = flip
+					err := microNet(t, tc.cfg, tc.load).Restore(data)
+					if err == nil {
+						continue
+					}
+					for _, f := range tc.fields {
+						if want[f] && strings.Contains(err.Error(), "snapshot: "+f+" = ") {
+							delete(want, f)
+						}
 					}
 				}
 			}
 			for _, f := range tc.fields {
 				if want[f] {
-					t.Errorf("no single-byte flip to %#x made Restore fail naming %s", tc.flip, f)
+					t.Errorf("no single-byte flip to any of % x made Restore fail naming %s", tc.flips, f)
 				}
 			}
 		})

@@ -111,6 +111,10 @@ type Network struct {
 	// digest taken every few cycles allocates the same few objects each
 	// time.
 	digest snapshot.Hasher //stashsim:transient -- scratch of the state walk; holds no state between walks
+
+	// walkAt is the cycle the state walk in progress is of, for the walks
+	// of the switch sections (sectionWalker).
+	walkAt int64 //stashsim:transient -- scratch of the state walk; holds no state between walks
 }
 
 // linkEnd is one side of a directed link: port `port` of switch `sw`, or,

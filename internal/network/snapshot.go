@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
 	"stashsim/internal/sim"
@@ -74,7 +75,10 @@ func (n *Network) state(c *snapshot.Codec, now *int64) {
 
 // model walks the simulated machine: the configuration fingerprint, the
 // clock, then every component in wiring order — everything a run's
-// outcome is a function of, and nothing that only watches it.
+// outcome is a function of, and nothing that only watches it. Each switch
+// goes in one sized section with the endpoints wired to it: a section
+// holds what the switch's own pools hold and nothing else (see the core
+// package's state walks), so restore decodes the sections on every CPU.
 //
 //stashsim:phase serial -- walks every component's private state; runs only at a cycle barrier or before any Run
 func (n *Network) model(c *snapshot.Codec, now *int64) {
@@ -91,17 +95,37 @@ func (n *Network) model(c *snapshot.Codec, now *int64) {
 	if n.Injector != nil {
 		n.Injector.State(c)
 	}
-	for _, s := range n.Switches {
-		if s.State(c); c.Err() != nil {
-			return
-		}
-	}
-	for _, ep := range n.Endpoints {
-		if ep.State(c, *now); c.Err() != nil {
-			return
-		}
+	n.walkAt = *now
+	if c.Sections("switch", len(n.Switches), everyCPU, (*sectionWalker)(n)); c.Err() != nil {
+		return
 	}
 	n.Collectors.State(c)
+}
+
+// sectionWalker is the network as the walker of its switch sections: a
+// conversion of the network's pointer, which the codec takes without
+// allocating.
+type sectionWalker Network
+
+// WalkSection walks switch sw and the endpoints wired to it, as of the
+// cycle of the walk in progress.
+func (w *sectionWalker) WalkSection(c *snapshot.Codec, sw int) {
+	n := (*Network)(w)
+	if n.Switches[sw].State(c); c.Err() != nil {
+		return
+	}
+	p := n.Cfg.Topo.P
+	for _, ep := range n.Endpoints[sw*p : (sw+1)*p] {
+		if ep.State(c, n.walkAt); c.Err() != nil {
+			return
+		}
+	}
+}
+
+// everyCPU runs body for every section on GOMAXPROCS workers: how Restore
+// decodes the switches.
+func everyCPU(sections int, body func(i int)) {
+	sim.ParallelFor(runtime.GOMAXPROCS(0), sections, body)
 }
 
 // Checkpoint serializes the network's complete dynamic state as of cycle

@@ -2,9 +2,12 @@ package network
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -313,4 +316,135 @@ func firstDiff(a, b string) string {
 		}
 	}
 	return fmt.Sprintf("the restored probes have %d more lines", len(lb)-len(la))
+}
+
+// TestRestoreSectionsOwnTheirPools: Restore decodes the switches' sections
+// on GOMAXPROCS workers, so a section's walk must touch only what its own
+// switch's pools hold. A small network with parity groups, caught while
+// two failed banks are being rebuilt, is restored with one worker and with
+// four: both must checkpoint back to the bytes and digest of the source,
+// and hold every invariant, the pool audit (law 6) included, right after
+// the restore. Under the race detector a section that pushed into another
+// switch's pool would show up as a race in the four-worker restore.
+func TestRestoreSectionsOwnTheirPools(t *testing.T) {
+	src := loadedNet(t, "small", "faults-parity")
+	defer src.Close()
+	var ck []byte
+	var digest uint64
+	src.ScheduleCheckpoint(handAt, func(now sim.Tick) { ck, digest = src.Checkpoint(now), src.StateDigest() })
+	src.SetWorkers(2)
+	src.Run(handAt + 1)
+	if ck == nil {
+		t.Fatal("checkpoint hook never fired")
+	}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+			n := loadedNet(t, "small", "faults-parity")
+			defer n.Close()
+			if err := n.Restore(ck); err != nil {
+				t.Fatalf("Restore: %v", err)
+			}
+			NewInvariants(n, 1).AtBarrier(int64(n.Now))
+			if got := n.StateDigest(); got != digest {
+				t.Fatalf("restored digest %#x, the source's %#x", got, digest)
+			}
+			if again := n.Checkpoint(n.Now); !bytes.Equal(again, ck) {
+				t.Fatalf("re-checkpoint differs from the restored bytes (%d vs %d)", len(again), len(ck))
+			}
+		})
+	}
+}
+
+// sectionPrefixes returns the offsets of the length prefixes of a
+// snapshot's switch sections, in switch order: they follow their count,
+// and the first section opens with its switch's tag.
+func sectionPrefixes(t testing.TB, data []byte) []int {
+	t.Helper()
+	first := bytes.Index(data, []byte("SWCH")) - 4
+	if first < 8 {
+		t.Fatal("no switch section in the snapshot")
+	}
+	n := int(binary.LittleEndian.Uint32(data[first-4:]))
+	at := make([]int, 0, n)
+	for off := first; len(at) < n; off += 4 + int(binary.LittleEndian.Uint32(data[off:])) {
+		at = append(at, off)
+	}
+	return at
+}
+
+// hostileSection is a snapshot damaged in one switch's section, and what
+// Restore's error must say: the switch and the absolute offset where the
+// decode stopped.
+type hostileSection struct {
+	name string
+	data []byte
+	want []string
+}
+
+// hostileSections damages switch sw's section of valid four ways: a length
+// that runs past the end of the input, a zero length, a section cut three
+// bytes short (its walk reads past it), and one three bytes too long (its
+// walk leaves them unread). The last two keep the chain of lengths and the
+// header's total length right, so only the walk can notice.
+func hostileSections(t testing.TB, valid []byte, sw int) []hostileSection {
+	at := sectionPrefixes(t, valid)[sw]
+	size := int(binary.LittleEndian.Uint32(valid[at:]))
+	end := at + 4 + size // the section's last byte is end-1
+	withLen := func(data []byte, n int) []byte {
+		binary.LittleEndian.PutUint32(data[at:], uint32(n))
+		binary.LittleEndian.PutUint64(data[6:], uint64(len(data)))
+		return data
+	}
+	cut := withLen(append(slices.Clip(valid[:end-3]), valid[end:]...), size-3)
+	long := withLen(append(append(slices.Clip(valid[:end]), 0, 0, 0), valid[end:]...), size+3)
+	sec := fmt.Sprintf("in switch %d's section, bytes %d to ", sw, at+4)
+	return []hostileSection{
+		{"past-end", withLen(slices.Clone(valid), len(valid)), []string{
+			fmt.Sprintf("switch %d: section length %d at offset %d runs past the end", sw, len(valid), at)}},
+		{"zero", withLen(slices.Clone(valid), 0), []string{
+			fmt.Sprintf("switch %d: section length 0 at offset %d", sw, at)}},
+		// The section ends on an endpoint's int64 count.
+		{"reads-past", cut, []string{fmt.Sprintf("need 8 bytes at offset %d, 5 remain", end-3-5), sec + strconv.Itoa(end-3)}},
+		{"leaves-unread", long, []string{fmt.Sprintf("3 trailing bytes at offset %d", end), sec + strconv.Itoa(end+3)}},
+	}
+}
+
+// TestRestoreRejectsHostileSections: a damaged section length, or a
+// section whose walk does not end at its last byte, fails Restore naming
+// the switch and the offset, without a panic and without allocating more
+// than a valid restore of the same network does, but for the error itself.
+func TestRestoreRejectsHostileSections(t *testing.T) {
+	valid := microSnapshot(t)
+	allocs := func(data []byte) (uint64, error) {
+		n := microSnapNet(t)
+		defer n.Close()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := n.Restore(data)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, err
+	}
+	bound, err := allocs(valid)
+	if err != nil {
+		t.Fatalf("Restore of the valid snapshot: %v", err)
+	}
+	for _, sw := range []int{0, 3} {
+		for _, tc := range hostileSections(t, valid, sw) {
+			t.Run(fmt.Sprintf("sw%d/%s", sw, tc.name), func(t *testing.T) {
+				alloc, err := allocs(tc.data)
+				if err == nil {
+					t.Fatal("Restore accepted the damaged section")
+				}
+				for _, w := range tc.want {
+					if !strings.Contains(err.Error(), w) {
+						t.Errorf("error %q does not say %q", err, w)
+					}
+				}
+				if alloc > bound+4<<10 {
+					t.Errorf("the damaged restore allocated %d bytes, a valid one %d", alloc, bound)
+				}
+			})
+		}
+	}
 }

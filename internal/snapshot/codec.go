@@ -13,6 +13,9 @@
 //
 // Format: a 14-byte header — magic "STAS" (u32), version (u16), total
 // byte length including the header (u64) — followed by tagged sections.
+// Sized sections (Codec.Sections) carry their byte length in front, so a
+// decoder can find each one without decoding those before it and decode
+// them independently.
 // Integers are fixed-width little-endian; floats are IEEE-754 bit
 // patterns; booleans are canonical 0/1 bytes; strings and repeated
 // groups are length-prefixed with u32 counts validated against the
@@ -36,8 +39,10 @@ const (
 	// other version: the format describes unexported simulator state, so
 	// cross-version compatibility is out of scope by design. Version 2 walks
 	// the queues alone, not the counts and masks kept beside them; version 3
-	// walks the observers as one named list, not a presence bit each.
-	Version uint16 = 3
+	// walks the observers as one named list, not a presence bit each;
+	// version 4 walks each switch, with its endpoints and the wire paths its
+	// pools hold, as one sized section.
+	Version uint16 = 4
 	// headerSize is magic + version + total length.
 	headerSize = 4 + 2 + 8
 )
@@ -54,9 +59,10 @@ const (
 // Encode and Hasher (walk.go) pair a sink with a Codec; the zero value is
 // not usable.
 type Writer struct {
-	buf  []byte       // bytes not yet handed to sink; never grown past its capacity
-	done int          // bytes handed to sink before buf
-	sink func([]byte) // takes each full buffer
+	buf   []byte       // bytes not yet handed to sink; never grown past its capacity
+	done  int          // bytes handed to sink before buf
+	sink  func([]byte) // takes each full buffer
+	patch bool         // the bytes sink: it holds every byte, so a section's length is patched in place
 }
 
 // scratchSize is the buffer of the measure and hash sinks: room for every
@@ -86,9 +92,11 @@ func newMeasure() *Writer { return newWriter(make([]byte, 0, scratchSize), func(
 // refuses to write past them: a walk that writes more than it measured
 // changed the state it walks.
 func newBytes(size int) *Writer {
-	return newWriter(make([]byte, 0, size), func([]byte) {
+	w := newWriter(make([]byte, 0, size), func([]byte) {
 		panic(fmt.Sprintf("snapshot: the walk wrote past the %d bytes it measured: an encoding walk must not change the state it walks", size))
 	})
+	w.patch = true
+	return w
 }
 
 // ecma is the crc64 table of the hash sink.
@@ -192,6 +200,24 @@ func (w *Writer) Section(label string) {
 	w.raw(label)
 }
 
+// openSection starts a sized section: a u32 length, written as zero and
+// patched by closeSection, and only on the bytes sink, to the number of
+// bytes between the prefix and closeSection. The measure and hash sinks
+// keep the zero, as they keep the header's total length, so a snapshot is
+// still measured and digested in one pass. It returns where the prefix is.
+func (w *Writer) openSection() int {
+	at := w.size()
+	w.U32(0)
+	return at
+}
+
+// closeSection ends the sized section whose prefix openSection put at at.
+func (w *Writer) closeSection(at int) {
+	if w.patch {
+		binary.LittleEndian.PutUint32(w.buf[at:], uint32(w.size()-at-4))
+	}
+}
+
 // Flit appends one flit in the canonical proto wire encoding.
 func (w *Writer) Flit(f *proto.Flit) {
 	w.room(proto.FlitWireSize)
@@ -213,10 +239,20 @@ func (w *Writer) Finish() []byte {
 // failure every getter returns a zero value and Err reports the cause,
 // so decode paths read straight through without per-call error checks
 // and validate once at the end (or at natural section boundaries).
+//
+// A failure cuts buf short at the read offset, so every later read comes
+// up short: the getters check one length and nothing else, which keeps
+// them small enough to inline into the walks. A short read records its
+// width and offset in miss and leaves building the error to Err, so no
+// getter calls out of line either.
 type Reader struct {
-	buf []byte
-	off int
-	err error
+	buf []byte // the input; cut to end at off by the first failure
+	off int    // absolute: a section's reader shares the whole input's offsets
+	err error  // the first failure, once built
+
+	// miss is the first failure when it was a short read, until Err
+	// builds it: the width read, its offset and the bytes that were left.
+	miss struct{ need, at, left int }
 }
 
 // NewReader validates the header (magic, version, and that the recorded
@@ -239,40 +275,56 @@ func NewReader(data []byte) (*Reader, error) {
 }
 
 // Err returns the first decode error, or nil.
-func (r *Reader) Err() error { return r.err }
+func (r *Reader) Err() error {
+	if r.miss.need > 0 && r.err == nil {
+		r.truncated()
+	}
+	return r.err
+}
+
+// truncated builds the error of the short read recorded in miss.
+//
+//go:noinline
+func (r *Reader) truncated() {
+	r.err = fmt.Errorf("snapshot: truncated: need %d bytes at offset %d, %d remain", r.miss.need, r.miss.at, r.miss.left)
+}
+
+// failed reports whether a read or a check has failed.
+func (r *Reader) failed() bool { return r.err != nil || r.miss.need > 0 }
 
 // Failf records a decode error (first one wins). State walks use it to
 // report semantic validation failures — out-of-range indexes, mismatched
 // structure — through the same sticky channel as codec-level failures.
 func (r *Reader) Failf(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("snapshot: "+format, args...)
+	if !r.failed() {
+		r.fail(fmt.Errorf("snapshot: "+format, args...))
+	}
+}
+
+// fail records err as the first failure and cuts the input short, so
+// that every later read fails. Every failure cuts it, so a reader that
+// has failed has nothing left to read.
+func (r *Reader) fail(err error) {
+	r.err = err
+	r.buf = r.buf[:r.off]
+}
+
+// short records a read of n bytes that found fewer, unless an earlier
+// failure cut the input short, and cuts it short.
+func (r *Reader) short(n int) {
+	if !r.failed() {
+		r.miss.need, r.miss.at, r.miss.left = n, r.off, len(r.buf)-r.off
+		r.buf = r.buf[:r.off]
 	}
 }
 
 // Remaining returns the number of unread bytes (0 after an error).
-func (r *Reader) Remaining() int {
-	if r.err != nil {
-		return 0
-	}
-	return len(r.buf) - r.off
-}
-
-// need reserves n bytes, recording an error when fewer remain.
-func (r *Reader) need(n int) bool {
-	if r.err != nil {
-		return false
-	}
-	if len(r.buf)-r.off < n {
-		r.Failf("truncated: need %d bytes at offset %d, %d remain", n, r.off, len(r.buf)-r.off)
-		return false
-	}
-	return true
-}
+func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
 // U8 reads one byte.
 func (r *Reader) U8() uint8 {
-	if !r.need(1) {
+	if len(r.buf)-r.off < 1 {
+		r.short(1)
 		return 0
 	}
 	v := r.buf[r.off]
@@ -282,7 +334,8 @@ func (r *Reader) U8() uint8 {
 
 // U16 reads a little-endian uint16.
 func (r *Reader) U16() uint16 {
-	if !r.need(2) {
+	if len(r.buf)-r.off < 2 {
+		r.short(2)
 		return 0
 	}
 	v := binary.LittleEndian.Uint16(r.buf[r.off:])
@@ -292,7 +345,8 @@ func (r *Reader) U16() uint16 {
 
 // U32 reads a little-endian uint32.
 func (r *Reader) U32() uint32 {
-	if !r.need(4) {
+	if len(r.buf)-r.off < 4 {
+		r.short(4)
 		return 0
 	}
 	v := binary.LittleEndian.Uint32(r.buf[r.off:])
@@ -302,7 +356,8 @@ func (r *Reader) U32() uint32 {
 
 // U64 reads a little-endian uint64.
 func (r *Reader) U64() uint64 {
-	if !r.need(8) {
+	if len(r.buf)-r.off < 8 {
+		r.short(8)
 		return 0
 	}
 	v := binary.LittleEndian.Uint64(r.buf[r.off:])
@@ -334,7 +389,7 @@ func (r *Reader) Bool() bool {
 // the remaining input before any allocation.
 func (r *Reader) Str() string {
 	n := r.Count(1)
-	if r.err != nil || !r.need(n) {
+	if r.failed() {
 		return ""
 	}
 	s := string(r.buf[r.off : r.off+n])
@@ -350,10 +405,7 @@ func (r *Reader) Count(elemMin int) int {
 	if elemMin < 1 {
 		elemMin = 1
 	}
-	n := r.U32()
-	if r.err != nil {
-		return 0
-	}
+	n := r.U32() // zero once the reader has failed
 	if int64(n)*int64(elemMin) > int64(len(r.buf)-r.off) {
 		r.Failf("count %d at offset %d exceeds remaining input (%d bytes, >=%d each)",
 			n, r.off-4, len(r.buf)-r.off, elemMin)
@@ -367,7 +419,8 @@ func (r *Reader) Section(label string) {
 	if len(label) != 4 {
 		panic(fmt.Sprintf("snapshot: section label %q is not 4 bytes", label))
 	}
-	if !r.need(4) {
+	if len(r.buf)-r.off < 4 {
+		r.short(4)
 		return
 	}
 	got := r.buf[r.off : r.off+4]
@@ -380,7 +433,7 @@ func (r *Reader) Section(label string) {
 // Flit reads one flit in the canonical proto wire encoding, with the
 // proto codec's full range validation.
 func (r *Reader) Flit() proto.Flit {
-	if r.err != nil {
+	if r.failed() {
 		return proto.Flit{}
 	}
 	f, n, err := proto.DecodeFlit(r.buf[r.off:])
@@ -395,10 +448,10 @@ func (r *Reader) Flit() proto.Flit {
 // Close verifies the whole input was consumed; trailing bytes mean the
 // decode path and the snapshot disagree about structure.
 func (r *Reader) Close() error {
-	if r.err == nil && r.off != len(r.buf) {
-		r.Failf("%d trailing bytes after decode", len(r.buf)-r.off)
+	if !r.failed() && r.off != len(r.buf) {
+		r.Failf("%d trailing bytes at offset %d after decode", len(r.buf)-r.off, r.off)
 	}
-	return r.err
+	return r.Err()
 }
 
 // printableTag renders a possibly-binary section tag for error messages.

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"stashsim/internal/proto"
@@ -117,26 +118,155 @@ func (c *Codec) Failf(format string, args ...any) {
 // Close ends a decoding walk: the whole input must have been consumed.
 func (c *Codec) Close() error { return c.r.Close() }
 
-// scalar walks one field through the byte layer's get/put pair for its
-// wire type: the direction branch of every scalar walker.
-func scalar[T any](c *Codec, p *T, get func(*Reader) T, put func(*Writer, T)) {
-	if c.r != nil {
-		*p = get(c.r)
-	} else {
-		put(c.w, *p)
+// SectionWalker walks the sections of a Sections walk, section i in
+// WalkSection(c, i).
+type SectionWalker interface {
+	WalkSection(c *Codec, i int)
+}
+
+// Sections walks n sized sections, section i through walk: each goes
+// to the stream behind its byte length (see Writer.openSection), so that a
+// decoder can split the input into the n sections before it decodes any,
+// and decode each on a Codec of its own. Encoding walks them in order on c
+// itself, so a Checkpoint is still one allocation and a digest one pass.
+//
+// Decoding hops the chain of lengths, checking each against the bytes
+// left, and then runs every section through each(n, body), which may run
+// body(i) for different i at once: so section i's walk must touch nothing
+// another section's walk touches. body walks section i on a Codec whose
+// input ends where the section does, and requires it to be read to its
+// last byte, so a walk that reads past its section or stops short of its
+// end fails at that offset. Offsets stay absolute. The error reported is
+// the first in section order, with the section named: what, its index and
+// its bytes.
+//
+// A walker that is a pointer already on the heap costs the walk no
+// allocation, so a digest of sized sections allocates nothing.
+func (c *Codec) Sections(what string, n int, each func(n int, body func(i int)), walk SectionWalker) {
+	if !c.Len("sized sections", n, 4+1) {
+		return
+	}
+	if c.r == nil {
+		for i := range n {
+			at := c.w.openSection()
+			walk.WalkSection(c, i)
+			c.w.closeSection(at)
+		}
+		return
+	}
+	r := c.r
+	type section struct {
+		c          *Codec
+		start, end int // the bytes after the length prefix
+	}
+	secs := make([]section, n)
+	for i := range secs {
+		at := r.off
+		if r.Remaining() < 4 {
+			r.Failf("%s %d: section length at offset %d runs past the end of the input (%d bytes left)", what, i, at, r.Remaining())
+			return
+		}
+		switch size := int(r.U32()); {
+		case size == 0:
+			r.Failf("%s %d: section length 0 at offset %d", what, i, at)
+			return
+		case size > r.Remaining():
+			r.Failf("%s %d: section length %d at offset %d runs past the end of the input (%d bytes left)", what, i, size, at, r.Remaining())
+			return
+		default:
+			s := &secs[i]
+			s.start, s.end = r.off, r.off+size
+			s.c = newCodec(nil, &Reader{buf: r.buf[:s.end], off: s.start})
+			s.c.Bounds = c.Bounds
+			r.off = s.end
+		}
+	}
+	each(n, func(i int) {
+		walk.WalkSection(secs[i].c, i)
+		secs[i].c.Close()
+	})
+	for i, s := range secs {
+		if err := s.c.Err(); err != nil {
+			r.fail(fmt.Errorf("%w (in %s %d's section, bytes %d to %d)", err, what, i, s.start, s.end))
+			return
+		}
 	}
 }
 
-// The scalar walkers, one per wire type of the byte layer.
-func (c *Codec) U8(p *uint8)    { scalar(c, p, (*Reader).U8, (*Writer).U8) }
-func (c *Codec) U16(p *uint16)  { scalar(c, p, (*Reader).U16, (*Writer).U16) }
-func (c *Codec) U32(p *uint32)  { scalar(c, p, (*Reader).U32, (*Writer).U32) }
-func (c *Codec) U64(p *uint64)  { scalar(c, p, (*Reader).U64, (*Writer).U64) }
-func (c *Codec) I32(p *int32)   { scalar(c, p, (*Reader).I32, (*Writer).I32) }
-func (c *Codec) I64(p *int64)   { scalar(c, p, (*Reader).I64, (*Writer).I64) }
-func (c *Codec) F64(p *float64) { scalar(c, p, (*Reader).F64, (*Writer).F64) }
-func (c *Codec) Bool(p *bool)   { scalar(c, p, (*Reader).Bool, (*Writer).Bool) }
-func (c *Codec) Str(p *string)  { scalar(c, p, (*Reader).Str, (*Writer).Str) }
+// The scalar walkers, one per wire type of the byte layer. Each is the
+// direction branch around a getter and a put that inline, so a walked
+// field costs one call.
+func (c *Codec) U8(p *uint8) {
+	if c.r != nil {
+		*p = c.r.U8()
+	} else {
+		c.w.U8(*p)
+	}
+}
+
+func (c *Codec) U16(p *uint16) {
+	if c.r != nil {
+		*p = c.r.U16()
+	} else {
+		c.w.U16(*p)
+	}
+}
+
+func (c *Codec) U32(p *uint32) {
+	if c.r != nil {
+		*p = c.r.U32()
+	} else {
+		c.w.U32(*p)
+	}
+}
+
+func (c *Codec) U64(p *uint64) {
+	if c.r != nil {
+		*p = c.r.U64()
+	} else {
+		c.w.U64(*p)
+	}
+}
+
+func (c *Codec) I32(p *int32) {
+	if c.r != nil {
+		*p = c.r.I32()
+	} else {
+		c.w.I32(*p)
+	}
+}
+
+func (c *Codec) I64(p *int64) {
+	if c.r != nil {
+		*p = c.r.I64()
+	} else {
+		c.w.I64(*p)
+	}
+}
+
+func (c *Codec) F64(p *float64) {
+	if c.r != nil {
+		*p = c.r.F64()
+	} else {
+		c.w.F64(*p)
+	}
+}
+
+func (c *Codec) Bool(p *bool) {
+	if c.r != nil {
+		*p = c.r.Bool()
+	} else {
+		c.w.Bool(*p)
+	}
+}
+
+func (c *Codec) Str(p *string) {
+	if c.r != nil {
+		*p = c.r.Str()
+	} else {
+		c.w.Str(*p)
+	}
+}
 
 // Section walks a 4-character section tag: written, or consumed and
 // verified.
@@ -393,14 +523,14 @@ func (c *Codec) ReplayFlits(q FIFO[proto.Flit], push func(proto.Flit)) {
 	// there covers the whole block: each is decoded in place, past the
 	// Reader's per-value checks, with the proto codec's and Flit's range
 	// checks.
-	for ; n > 0 && c.r.err == nil; n-- {
+	for ; n > 0 && !c.r.failed(); n-- {
 		f, _, err := proto.DecodeFlit(c.r.buf[c.r.off:])
 		if err != nil {
 			c.r.Failf("flit at offset %d: %v", c.r.off, err)
 			return
 		}
 		c.r.off += proto.FlitWireSize
-		if c.checkFlit(&f); c.r.err == nil {
+		if c.checkFlit(&f); !c.r.failed() {
 			push(f)
 		}
 	}

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc64"
 	"strings"
@@ -162,19 +163,100 @@ func TestEncodeRefusesAMutatingWalk(t *testing.T) {
 	}
 }
 
+// sectionFunc is a function as a SectionWalker.
+type sectionFunc func(c *Codec, i int)
+
+func (f sectionFunc) WalkSection(c *Codec, i int) { f(c, i) }
+
+// inOrder runs every section in order; backwards in reverse, as a
+// decoder that takes the sections in any order may.
+func inOrder(n int, body func(i int)) {
+	for i := range n {
+		body(i)
+	}
+}
+
+func backwards(n int, body func(i int)) {
+	for i := n - 1; i >= 0; i-- {
+		body(i)
+	}
+}
+
+// sectioned walks three sized sections of different sizes, each its own
+// walkState.
+func sectioned(parts *[3]walkState) func(*Codec) {
+	return func(c *Codec) {
+		c.Sections("part", len(parts), backwards, sectionFunc(func(c *Codec, i int) { parts[i].state(c) }))
+	}
+}
+
+// TestSectionsDecodeIndependently: each sized section decodes on a Codec
+// of its own, in whatever order the runner takes them, and a snapshot that
+// went through a restore checkpoints back to the same bytes.
+func TestSectionsDecodeIndependently(t *testing.T) {
+	src := [3]walkState{
+		{created: 1, queue: []uint16{1}},
+		{created: 2, sizes: map[uint64]uint8{4: 4, 2: 2}, ring: fifo{7, 8, 9}},
+		{created: 3, col: -1, hist: &[2]int64{5, 6}},
+	}
+	data := Encode(sectioned(&src))
+	var dst [3]walkState
+	dec, err := NewDecoder(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sectioned(&dst)(dec); dec.Close() != nil {
+		t.Fatalf("decode: %v", dec.Err())
+	}
+	if dst[0].created != 1 || dst[1].sizes[4] != 4 || dst[1].ring[2] != 9 || dst[2].hist[1] != 6 {
+		t.Fatalf("sections decoded to %+v", dst)
+	}
+	if again := Encode(sectioned(&dst)); string(again) != string(data) {
+		t.Fatal("checkpoint -> restore -> checkpoint is not byte-identical")
+	}
+
+	// The first failure in section order is the one reported, whichever
+	// section the runner decoded first.
+	bad := []byte(string(data))
+	at := headerSize + 4
+	for range 2 {
+		at += 4 + int(binary.LittleEndian.Uint32(bad[at:]))
+	}
+	bad[at+4] = 'X' // the third section's tag
+	first := headerSize + 4 + 4
+	bad[first] = 'X' // the first section's tag
+	dec, _ = NewDecoder(bad)
+	sectioned(&dst)(dec)
+	if err := dec.Close(); err == nil || !strings.Contains(err.Error(), "in part 0's section") {
+		t.Fatalf("want the first section's error, got %v", err)
+	}
+}
+
 // TestHasherDigestsTheSnapshot: a Hasher's sum is the crc64-ECMA of the
-// bytes Encode returns for the same walk, with the length header left
-// unpatched, across many flushes of its buffer and from one walk to the
-// next.
+// bytes Encode returns for the same walk, with the length header and the
+// section lengths left unpatched, across many flushes of its buffer and
+// from one walk to the next.
 func TestHasherDigestsTheSnapshot(t *testing.T) {
 	src := &walkState{created: 5, queue: []uint16{1, 2, 3}, sizes: map[uint64]uint8{7: 1, 3: 2}, ring: fifo{9}}
 	long := strings.Repeat("stash", 3*scratchSize)
+	const sections = 3
 	walk := func(c *Codec) {
+		c.Sections("part", sections, inOrder, sectionFunc(func(c *Codec, i int) {
+			if i == 1 {
+				c.Str(&long)
+			}
+			src.state(c)
+		}))
 		src.state(c)
 		c.Str(&long)
 	}
 	data := Encode(walk)
 	clear(data[6:headerSize])
+	for at, i := headerSize+4, 0; i < sections; i++ {
+		size := int(binary.LittleEndian.Uint32(data[at:]))
+		clear(data[at : at+4])
+		at += 4 + size
+	}
 	want := crc64.Checksum(data, crc64.MakeTable(crc64.ECMA))
 	var h Hasher
 	for i := range 2 {
