@@ -19,13 +19,13 @@ func (r *RoundRobin) State(c *snapshot.Codec) {
 // State walks every per-output and per-input arbiter pointer, checking
 // the structural shape against the rebuilt allocator.
 func (s *Separable) State(c *snapshot.Codec) {
-	if !c.Len("arb: separable allocator outputs", len(s.out), 4) {
+	if !c.Len("arb: separable allocator outputs", len(s.out), 1) {
 		return
 	}
 	for i := range s.out {
 		s.out[i].State(c)
 	}
-	if !c.Len("arb: separable allocator inputs", len(s.in), 4) {
+	if !c.Len("arb: separable allocator inputs", len(s.in), 1) {
 		return
 	}
 	for i := range s.in {

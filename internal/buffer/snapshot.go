@@ -10,8 +10,8 @@ import (
 // State walks for the storage structures. Structural parameters
 // (capacities, VC counts, reserve quotas, parity width) are rebuilt from
 // the configuration and verified, not serialized; only dynamic state is
-// walked. Flits travel in the canonical proto wire encoding, so every
-// decode inherits the proto codec's range validation.
+// walked. A decoded flit passes the proto wire codec's range validation
+// (see snapshot.Codec.Flit).
 
 // timedEntries presents a Timed queue as the FIFO of its entries.
 type timedEntries[T any] struct{ *Timed[T] }
@@ -29,7 +29,7 @@ func (q *Timed[T]) Entries() snapshot.FIFO[Entry[T]] { return timedEntries[T]{q}
 // would not take: a flit of another VC, or one past its pool.
 func (d *DAMQ) State(c *snapshot.Codec) {
 	c.Section("DAMQ")
-	if !c.Len("buffer: DAMQ VCs", d.nvc, 4) {
+	if !c.Len("buffer: DAMQ VCs", d.nvc, 1) {
 		return
 	}
 	pool := d.capacity - d.nvc*d.reserve
@@ -50,7 +50,7 @@ func (d *DAMQ) State(c *snapshot.Codec) {
 
 // State walks the credit counter's free-credit state.
 func (cc *CreditCounter) State(c *snapshot.Codec) {
-	if !c.Len("buffer: credit counter VCs", cc.nvc, 8) {
+	if !c.Len("buffer: credit counter VCs", cc.nvc, 1) {
 		return
 	}
 	for vc := 0; vc < cc.nvc; vc++ {
@@ -67,10 +67,10 @@ func (cc *CreditCounter) State(c *snapshot.Codec) {
 // Push would not take: a flit of another VC, or one past the capacity.
 func (b *OutBuf) State(c *snapshot.Codec) {
 	c.Section("OUTB")
-	if !c.Len("buffer: output buffer VCs", b.nvc, 4) {
+	if !c.Len("buffer: output buffer VCs", b.nvc, 1) {
 		return
 	}
-	snapshot.Ring(c, b.inflight.Entries(), 8, func(e *Entry[struct{}]) { c.I64(&e.At) })
+	snapshot.Ring(c, b.inflight.Entries(), 1, func(e *Entry[struct{}]) { c.Due(&e.At) })
 	c.Bound("OutBuf used flits", b.Used(), 0, b.capacity+1)
 	for vc := 0; vc < b.nvc; vc++ {
 		c.ReplayFlits(b.flits.FIFO(&b.queues[vc]), func(f proto.Flit) {
@@ -83,15 +83,15 @@ func (b *OutBuf) State(c *snapshot.Codec) {
 	}
 }
 
-// Payload walks one retained payload — a flit count followed by canonical
-// wire flits — drawing a fresh buffer from this pool's freelist when
+// Payload walks one retained payload — a flit count followed by the
+// flits — drawing a fresh buffer from this pool's freelist when
 // decoding. Every retained payload holds at least its head flit: the
 // retransmission path reads Flits[0] to route the copy.
 func (p *StashPool) Payload(c *snapshot.Codec, b **proto.PktBuf) {
 	if c.Decoding() {
 		*b = p.bufs.Get()
 	}
-	snapshot.Slice(c, &(*b).Flits, proto.FlitWireSize, c.Flit)
+	snapshot.Slice(c, &(*b).Flits, 1, c.Flit)
 	c.Bound("PktBuf.Flits length", len((*b).Flits), 1, proto.MaxPacketFlits+1)
 }
 
@@ -110,16 +110,16 @@ func (p *StashPool) State(c *snapshot.Codec) {
 	c.I64(&p.freed)
 	snapshot.Wire64(c, &p.PeakUsed)
 	fl := &p.fill
-	if filling(c, fl.n > 0, 9, &fl.id) {
+	if filling(c, fl.n > 0, 1+1, &fl.id) {
 		c.U8(&fl.n)
 		c.Bound("StashPool fill flits", int(fl.n), 1, proto.MaxPacketFlits)
 	}
-	snapshot.Map(c, &p.copies, 9, c.U64, c.U8)
-	snapshot.Map(c, &p.dead, 9, c.U64, c.U8)
+	snapshot.Map(c, &p.copies, 1+1, c.U64, c.U8)
+	snapshot.Map(c, &p.dead, 1+1, c.U64, c.U8)
 	payload := func(b **proto.PktBuf) { p.Payload(c, b) }
-	snapshot.Map(c, &p.store, 12, c.U64, payload)
+	snapshot.Map(c, &p.store, 1+1, c.U64, payload)
 	id := fl.id
-	switch has := filling(c, fl.buf != nil, 12, &id); {
+	switch has := filling(c, fl.buf != nil, 1+1, &id); {
 	case has != (p.retainPayload && fl.n > 0) || id != fl.id:
 		c.Failf("stash pool: the retained payload does not match the copy filling")
 	case has:
@@ -158,7 +158,7 @@ func (t *ParityTracker) State(c *snapshot.Codec) {
 		clear(t.byPkt)
 	}
 	gi := int32(0)
-	snapshot.Slice(c, &t.groups, 13, func(g *parityGroup) {
+	snapshot.Slice(c, &t.groups, 1+1+1+1+1, func(g *parityGroup) {
 		c.U8(&g.n)
 		c.Bound("parityGroup.n", int(g.n), 0, MaxParityWidth+1)
 		c.U8(&g.state)
@@ -185,9 +185,9 @@ func (t *ParityTracker) State(c *snapshot.Codec) {
 		snapshot.Wire32(c, gi)
 		c.Bound("ParityTracker group index", int(*gi), 0, len(t.groups))
 	}
-	snapshot.Slice(c, &t.freeG, 4, idx)
-	snapshot.Slice(c, &t.openG, 4, idx)
-	snapshot.Slice(c, &t.sealQ, 4, idx)
+	snapshot.Slice(c, &t.freeG, 1, idx)
+	snapshot.Slice(c, &t.openG, 1, idx)
+	snapshot.Slice(c, &t.sealQ, 1, idx)
 	c.I64(&t.SealedGroups)
 	c.I64(&t.SealsDeferred)
 	c.I64(&t.GroupsDissolved)

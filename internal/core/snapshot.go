@@ -47,8 +47,8 @@ func (l *Link) FlitState(c *snapshot.Codec) {
 	if c.Decoding() {
 		dropStaged(&l.flitSlab)
 	}
-	snapshot.Arrivals(c, l.fp.Timed(&l.flits), staged(&l.flitSlab), 8+proto.FlitWireSize,
-		func(t *timedFlit) { c.I64(&t.At); c.Flit(&t.V) })
+	snapshot.Arrivals(c, l.fp.Timed(&l.flits), staged(&l.flitSlab), 1+1,
+		func(t *timedFlit) { c.Due(&t.At); c.Flit(&t.V) })
 	c.I64(&l.faultDropped)
 }
 
@@ -60,17 +60,44 @@ func (l *Link) CreditState(c *snapshot.Codec) {
 	if c.Decoding() {
 		dropStaged(&l.credSlab)
 	}
-	// One batch on the wire: due time, per-VC reserved counts, shared count.
-	const batchWireSize = 8 + 2*len(creditCounts{}.resv) + 2
+	// One batch on the wire: its due cycle, then its counts (a due cycle
+	// and a mask at least).
 	batch := func(b *creditBatch) {
-		c.I64(&b.At)
-		for vc := range b.V.resv {
-			c.U16(&b.V.resv[vc])
-		}
-		c.U16(&b.V.shared)
+		c.Due(&b.At)
+		b.V.state(c)
 	}
-	snapshot.Arrivals(c, l.cp.Timed(&l.credits), staged(&l.credSlab), batchWireSize, batch)
-	snapshot.Ring(c, l.cp.Timed(&l.synth), batchWireSize, batch)
+	snapshot.Arrivals(c, l.cp.Timed(&l.credits), staged(&l.credSlab), 1+1, batch)
+	snapshot.Ring(c, l.cp.Timed(&l.synth), 1+1, batch)
+}
+
+// state walks one batch's counts: a mask of the counts that are not zero —
+// bit vc for VC vc's reserved count, the bit after them for the shared
+// count — and then those counts, in that order. Most batches carry one
+// credit. Decoding refuses a mask bit past the shared count's and a
+// count of zero under a set bit, which the mask would not have named.
+func (b *creditCounts) state(c *snapshot.Codec) {
+	const sharedBit = len(b.resv)
+	var mask uint8
+	for vc, n := range b.resv {
+		if n > 0 {
+			mask |= 1 << vc
+		}
+	}
+	if b.shared > 0 {
+		mask |= 1 << sharedBit
+	}
+	c.U8(&mask)
+	c.Bound("credit batch mask", int(mask), 0, 1<<(sharedBit+1))
+	for i := 0; i <= sharedBit; i++ {
+		n := &b.shared
+		if i < sharedBit {
+			n = &b.resv[i]
+		}
+		if mask&(1<<i) != 0 {
+			c.U16(n)
+			c.Bound("credit batch count", int(*n), 1, 1<<16)
+		}
+	}
 }
 
 // State walks the switch's full dynamic state, into (when decoding) a
@@ -110,8 +137,8 @@ func (s *Switch) State(c *snapshot.Codec) {
 	for ti := range s.tiles {
 		s.tiles[ti].state(c, s)
 	}
-	snapshot.Ring(c, s.sideband.Entries(), 8+1+8+1+1+1, func(m *buffer.Entry[sbMsg]) {
-		c.I64(&m.At)
+	snapshot.Ring(c, s.sideband.Entries(), 1+1+1+1+1+1, func(m *buffer.Entry[sbMsg]) {
+		c.Due(&m.At)
 		m.V.state(c, s)
 	})
 	if !c.Len("core: switch end ports", len(s.track), 1) {
@@ -120,14 +147,14 @@ func (s *Switch) State(c *snapshot.Codec) {
 	for port := range s.track {
 		// Tracking entries in ascending packet-ID order, drawn from the
 		// entry freelist when decoding.
-		snapshot.Map(c, &s.track[port], 8+1+2+1+1+8+1+1+1, c.U64, func(e **e2eEntry) {
+		snapshot.Map(c, &s.track[port], 1+1+1+1+1+1+1+1+1, c.U64, func(e **e2eEntry) {
 			if c.Decoding() {
 				*e = s.newEntry()
 			}
 			(*e).state(c, s)
 		})
 	}
-	snapshot.Slice(c, &s.retryQ, 8+8+1, func(r *retryRec) {
+	snapshot.Slice(c, &s.retryQ, 1+1+1, func(r *retryRec) {
 		c.I64(&r.deadline)
 		c.U64(&r.pktID)
 		c.U8(&r.port)
@@ -136,7 +163,7 @@ func (s *Switch) State(c *snapshot.Codec) {
 	if s.parity != nil {
 		s.parity.State(c)
 	}
-	snapshot.Slice(c, &s.reconQ, 8+8+1+1+1+1, func(r *reconRec) { r.state(c, s) })
+	snapshot.Slice(c, &s.reconQ, 1+1+1+1+1+1, func(r *reconRec) { r.state(c, s) })
 }
 
 func (c *Counters) state(w *snapshot.Codec) {
@@ -306,7 +333,7 @@ func (c *Config) Fingerprint() Fingerprint { return c.fingerprintPairs() }
 // this one and fails on the first differing axis, naming it.
 func (pairs Fingerprint) State(w *snapshot.Codec) {
 	w.Section("CONF")
-	if !w.Len("core: snapshot from a different build: fingerprint fields", len(pairs), 2*4) {
+	if !w.Len("core: snapshot from a different build: fingerprint fields", len(pairs), 2*1) {
 		return
 	}
 	for _, p := range pairs {

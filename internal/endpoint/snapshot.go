@@ -55,7 +55,7 @@ func (e *Endpoint) State(c *snapshot.Codec, now int64) {
 	if c.Decoding() {
 		clear(e.queues)
 	}
-	snapshot.Slice(c, &e.active, 4+4, func(dst *int32) {
+	snapshot.Slice(c, &e.active, 1+1, func(dst *int32) {
 		c.I32(dst)
 		q := e.queues[*dst]
 		if c.Decoding() {
@@ -65,7 +65,7 @@ func (e *Endpoint) State(c *snapshot.Codec, now int64) {
 			q = &buffer.Queue[pktDesc]{}
 			e.queues[*dst] = q
 		}
-		snapshot.Ring(c, q, 4+4+1+1, func(d *pktDesc) { d.state(c, e) })
+		snapshot.Ring(c, q, 1+1+1+1, func(d *pktDesc) { d.state(c, e) })
 		c.Bound("send queue length", q.Len(), 1, math.MaxInt)
 	})
 	c.Bound("Endpoint.rrIdx", e.rrIdx, 0, max(len(e.active), 1))
@@ -75,7 +75,7 @@ func (e *Endpoint) State(c *snapshot.Codec, now int64) {
 	c.Flits(&e.ackQ)
 
 	// ECN windows, ascending destination order.
-	snapshot.Map(c, &e.windows, 4+8+8+8, c.I32, func(w **window) {
+	snapshot.Map(c, &e.windows, 1+1+1+1, c.I32, func(w **window) {
 		if c.Decoding() {
 			*w = &window{}
 		}
@@ -90,10 +90,10 @@ func (e *Endpoint) State(c *snapshot.Codec, now int64) {
 	}
 
 	if c.Present("delivery-dedup state on an endpoint", e.seen != nil) {
-		snapshot.Map(c, &e.seen, 8, c.U64, func(*struct{}) {})
+		snapshot.Map(c, &e.seen, 1, c.U64, func(*struct{}) {})
 	}
 	if c.Present("retransmission state on an endpoint", e.outstanding != nil) {
-		snapshot.Map(c, &e.outstanding, 8+4+4+1+1+8+8+1, c.U64, func(o **outPkt) {
+		snapshot.Map(c, &e.outstanding, 1+4+1+1+1, c.U64, func(o **outPkt) {
 			if c.Decoding() {
 				*o = e.newOutPkt()
 			}
@@ -103,11 +103,11 @@ func (e *Endpoint) State(c *snapshot.Codec, now int64) {
 			c.U8(&(*o).retries)
 		})
 	}
-	snapshot.Slice(c, &e.outTimers, 8+8, func(t *epTimer) {
+	snapshot.Slice(c, &e.outTimers, 1+1, func(t *epTimer) {
 		c.I64(&t.deadline)
 		c.U64(&t.pktID)
 	})
-	snapshot.Ring(c, &e.rtxQ, 8+1, func(it *rtxItem) {
+	snapshot.Ring(c, &e.rtxQ, 1+1, func(it *rtxItem) {
 		c.U64(&it.pktID)
 		c.U8(&it.size)
 	})

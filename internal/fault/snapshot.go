@@ -27,7 +27,8 @@ func (in *Injector) State(c *snapshot.Codec) {
 	in.local.state(c)
 	snapshot.Wire32(c, &in.failNext)
 	c.Bound("fault: stash-failure cursor", in.failNext, 0, len(in.fails)+1)
-	if !c.Len("fault: faulted links", len(in.links), 57) {
+	// A link: six counts, an RNG state, and a packet ID and a flag per VC.
+	if !c.Len("fault: faulted links", len(in.links), 6+1+2*len(LinkFault{}.dropPkt)) {
 		return
 	}
 	for _, lf := range in.links {

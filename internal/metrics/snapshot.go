@@ -30,11 +30,11 @@ func (r *Registry) State(c *snapshot.Codec) {
 		return
 	}
 	c.Section("METR")
-	if !c.Len("metrics: registry scopes", len(r.scopes), 8) {
+	if !c.Len("metrics: registry scopes", len(r.scopes), 1+1) {
 		return
 	}
 	for _, s := range r.scopes {
-		if !name(c, "scope", s.name) || !c.Len("metrics: counters of a scope", len(s.counters), 12) {
+		if !name(c, "scope", s.name) || !c.Len("metrics: counters of a scope", len(s.counters), 1+1) {
 			return
 		}
 		for _, ctr := range s.counters {
@@ -57,7 +57,7 @@ func (s *Sampler) State(c *snapshot.Codec) {
 	if c.I64(&every); c.Err() == nil && every != s.every {
 		c.Failf("metrics: sampler interval %d in snapshot, this run samples every %d", every, s.every)
 	}
-	if !c.Len("metrics: sampler probes", len(s.names), 4) {
+	if !c.Len("metrics: sampler probes", len(s.names), 1+1+1) {
 		return
 	}
 	for i, pn := range s.names {

@@ -45,6 +45,32 @@ func TestCheckpointWrittenOnce(t *testing.T) {
 	}
 }
 
+// TestCheckpointCompact pins what a checkpoint of a loaded small network
+// costs. Most of what the walk visits is idle — empty queues, zero counts
+// and locks, the next flit of the same packet, deadlines a cycle apart —
+// and the format writes each of those in a byte or less. Version 4, all
+// fixed-width, wrote these two states in 5 047 565 bytes (e2e at load
+// 0.25) and 7 850 044 (congestion stashing with ECN under hotspots); a
+// checkpoint must stay within 0.3 of that, so a return to fixed-width
+// fields fails.
+func TestCheckpointCompact(t *testing.T) {
+	for _, tc := range []struct {
+		regime string
+		v4     int
+	}{{"e2e", 5047565}, {"ecn", 7850044}} {
+		t.Run(tc.regime, func(t *testing.T) {
+			n := loadedNet(t, "small", tc.regime)
+			defer n.Close()
+			n.Run(1000)
+			size := len(n.Checkpoint(n.Now))
+			if limit := tc.v4 * 3 / 10; size > limit {
+				t.Fatalf("a checkpoint of %d bytes, more than %d (0.3 of version 4's %d)", size, limit, tc.v4)
+			}
+			t.Logf("%d bytes, %.3f of version 4's", size, float64(size)/float64(tc.v4))
+		})
+	}
+}
+
 // TestStateDigest: the digest is a function of the model state alone. A
 // restored network digests as its source did at the checkpoint and still
 // does 100 cycles on, a loaded cycle changes it, and its allocations do

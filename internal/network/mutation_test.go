@@ -173,18 +173,26 @@ func sortedKeys(byMsg map[string][]int) []string {
 // with an error that names the field. The values are tried in turn, each
 // over every byte, until every field is named. 0x7F is out of range for
 // every index-like field of a micro network (127 as a byte, bit 6 of a
-// mask, -1's complement of nothing); 0x01 turns a queued flit's VC into
-// another valid one, or its flags into a head without FlagShared; 0x00
-// empties a retained payload, a histogram bucket or a send queue. Five
-// snapshots cover the fields: the fuzz target's with latency histograms
-// attached, twice (0x7F then 0x01, and 0x00); a parity configuration
-// caught with a reconstruction in flight; the fuzz target's network at
-// full load (0x01 then 0x00), caught where a DAMQ VC queues shared flits
-// behind a full reserved quota and every endpoint has packets waiting to
-// be sent; and one with input buffers so small that an endpoint
-// port's DAMQ has no shared pool at all. (The row-buffer flit.Out check
-// has no single-byte witness: it takes a pending Out and a storage VC in a
-// stream that is neither.)
+// mask, -1's complement of nothing), and as a flit's written flags it sets
+// FlagShared; 0x01 turns a queued flit's VC into another valid one; 0x00
+// empties a retained payload, a histogram bucket or a send queue; 0x21
+// makes an empty retention window 33 deadlines long, one more than its
+// output buffer's 32 flits, the empty queues after it reading as
+// deadlines due together; 0x04 turns a shared flit's written flags into
+// a reserved flit's marked ECN, so that the reserved flit after it, whose
+// flags are written too, no longer repeats its prediction and lands
+// third on a reserved quota of two. A flit's flags are in the stream only
+// where they differ from the flit before it. Five snapshots cover the
+// fields: the fuzz target's with latency histograms attached, twice (0x7F,
+// 0x01 then 0x21, and 0x00); a parity configuration caught with a
+// reconstruction in flight; the fuzz target's network at full load (0x01,
+// 0x00 then 0x04), caught where a DAMQ VC queues a shared flit between
+// reserved ones and every endpoint has packets waiting to be sent; and
+// one with input buffers so small that an endpoint port's DAMQ has no
+// shared pool at all, and endpoints that resend after 256 cycles, so that
+// a resent flit, whose Retransmit flag is written, waits in such a DAMQ.
+// (The row-buffer flit.Out check has no single-byte witness: it takes a
+// pending Out and a storage VC in a stream that is neither.)
 func TestRestoreNamesOutOfRangeField(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four single-byte sweeps; adds no concurrency coverage to the race pass")
@@ -195,6 +203,9 @@ func TestRestoreNamesOutOfRangeField(t *testing.T) {
 	parity.StashParity = 2
 	noPool := microSnapConfig()
 	noPool.InputBufFlits = 48 // an endpoint port's DAMQ: 6 flits, one reserved per VC, no shared pool
+	// Endpoints resend after 256 cycles, so a resent flit, whose Retransmit
+	// flag the stream writes, waits in such a DAMQ at cycle 600.
+	noPool.Retrans.EndpointTimeout = 256
 	cases := []struct {
 		name   string
 		cfg    *core.Config
@@ -204,7 +215,7 @@ func TestRestoreNamesOutOfRangeField(t *testing.T) {
 		flips  []byte
 		fields []string
 	}{
-		{"faults", microSnapConfig(), 0.4, 200, true, []byte{0x7F, 0x01}, []string{
+		{"faults", microSnapConfig(), 0.4, 200, true, []byte{0x7F, 0x01, 0x21}, []string{
 			"routeLatch.out", "routeLatch.vc", "routeLatch.stashCol", "inPort.sVC",
 			"muxLock.row", "tile.vcNext", "sLatch.port",
 			"sbMsg.kind", "sbMsg.dst", "sbMsg.aux", "e2eEntry.stashPort", "retryRec.port",
@@ -223,7 +234,7 @@ func TestRestoreNamesOutOfRangeField(t *testing.T) {
 			"parityGroup.n", "parityGroup.state", "parityGroup.bankSet", "parityGroup.parityBank",
 			"parityMember.bank", "ParityTracker group index",
 		}},
-		{"congested", microSnapConfig(), 1, 431, false, []byte{0x01, 0x00}, []string{
+		{"congested", microSnapConfig(), 1, 431, false, []byte{0x01, 0x00, 0x04}, []string{
 			"DAMQ flit.VC", "DAMQ.resvUsed", "OutBuf flit.VC", "send queue length",
 		}},
 		{"no-pool", noPool, 1, 600, false, []byte{0x7F}, []string{

@@ -2,6 +2,7 @@ package network
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"stashsim/internal/buffer"
@@ -137,8 +138,16 @@ func TestDeterminism(t *testing.T) {
 // per-packet map, and its queues take no storage until a flit arrives;
 // the links are built in one allocation. Before the first of these,
 // New(SmallConfig()) made 61 026 allocations; before the links were, 6 538.
+//
+// The count is taken with the collector off. The allocation count reads
+// every heap object the process allocates, the runtime's own too, and a
+// collection that ends while New runs can add one or two: the sudog a
+// goroutine's GC assist takes to wait for mark termination. The detector
+// makes such collections more frequent, so under -race the count read up
+// to 4 943; with the collector off it is 4 940 in both builds.
 func TestNewAllocations(t *testing.T) {
-	const pinned = 4942
+	const pinned = 4940
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	n := testing.AllocsPerRun(3, func() {
 		if _, err := New(core.SmallConfig()); err != nil {
 			t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"io"
 	"runtime"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -357,17 +356,21 @@ func TestRestoreSectionsOwnTheirPools(t *testing.T) {
 }
 
 // sectionPrefixes returns the offsets of the length prefixes of a
-// snapshot's switch sections, in switch order: they follow their count,
-// and the first section opens with its switch's tag.
+// snapshot's switch sections, in switch order: they follow their varint
+// count, and the first section opens with its switch's tag.
 func sectionPrefixes(t testing.TB, data []byte) []int {
 	t.Helper()
 	first := bytes.Index(data, []byte("SWCH")) - 4
 	if first < 8 {
 		t.Fatal("no switch section in the snapshot")
 	}
-	n := int(binary.LittleEndian.Uint32(data[first-4:]))
+	count := first - 1 // the count's last byte; the bytes before it in the count have the top bit set
+	for data[count-1]&0x80 != 0 {
+		count--
+	}
+	n, _ := binary.Uvarint(data[count:first])
 	at := make([]int, 0, n)
-	for off := first; len(at) < n; off += 4 + int(binary.LittleEndian.Uint32(data[off:])) {
+	for off := first; len(at) < int(n); off += 4 + int(binary.LittleEndian.Uint32(data[off:])) {
 		at = append(at, off)
 	}
 	return at
@@ -382,38 +385,108 @@ type hostileSection struct {
 	want []string
 }
 
-// hostileSections damages switch sw's section of valid four ways: a length
-// that runs past the end of the input, a zero length, a section cut three
-// bytes short (its walk reads past it), and one three bytes too long (its
-// walk leaves them unread). The last two keep the chain of lengths and the
+// hostileSections damages switch sw's section of valid:
+//   - past-end, zero: a length that runs past the end of the input, and a
+//     zero length;
+//   - reads-past: the section cut inside its last varint of more than one
+//     byte (an endpoint's count), so that its walk reads past its end;
+//   - leaves-unread: three bytes too many, which its walk leaves unread;
+//   - overlong-count: a link's flit count written with a redundant byte;
+//   - overflow-count: that count as a ten-byte varint past 64 bits;
+//   - inflated-count: that count raised to 127, which the bytes left can
+//     hold at one byte an element, so the walk reserves 127 entries and
+//     then reads flits from what follows;
+//   - follower-first: the first flit of a link made to continue a packet;
+//   - backwards-due: the second deadline of an output buffer's retention
+//     window made to come before the first.
+//
+// Every damage but the first two keeps the chain of lengths and the
 // header's total length right, so only the walk can notice.
 func hostileSections(t testing.TB, valid []byte, sw int) []hostileSection {
+	t.Helper()
 	at := sectionPrefixes(t, valid)[sw]
 	size := int(binary.LittleEndian.Uint32(valid[at:]))
 	end := at + 4 + size // the section's last byte is end-1
+	body := valid[:end]
 	withLen := func(data []byte, n int) []byte {
 		binary.LittleEndian.PutUint32(data[at:], uint32(n))
 		binary.LittleEndian.PutUint64(data[6:], uint64(len(data)))
 		return data
 	}
-	cut := withLen(append(slices.Clip(valid[:end-3]), valid[end:]...), size-3)
-	long := withLen(append(append(slices.Clip(valid[:end]), 0, 0, 0), valid[end:]...), size+3)
-	sec := fmt.Sprintf("in switch %d's section, bytes %d to ", sw, at+4)
+	// splice replaces the n bytes at off, inside the section, with b.
+	splice := func(off, n int, b ...byte) []byte {
+		d := append(append(slices.Clip(valid[:off]), b...), valid[off+n:]...)
+		return withLen(d, size+len(b)-n)
+	}
+	set := func(off int, b byte) []byte {
+		d := slices.Clone(valid)
+		d[off] = b
+		return d
+	}
+	sec := func(end int) string { return fmt.Sprintf("in switch %d's section, bytes %d to %d", sw, at+4, end) }
+	varintLen := func(off int) int {
+		n := 1
+		for body[off+n-1]&0x80 != 0 {
+			n++
+		}
+		return n
+	}
+	// tagAt returns the offset of the first tag in the section after off.
+	tagAt := func(tag string, off int) int {
+		i := bytes.Index(body[off:], []byte(tag))
+		if i < 0 {
+			t.Fatalf("switch %d's section has no %s tag after offset %d", sw, tag, off)
+		}
+		return off + i
+	}
+
+	cut := end - 1 // the last byte of a varint of more than one byte is followed by its end
+	for body[cut-1]&0x80 == 0 {
+		cut--
+	}
+	v := cut - 1 // where that varint starts
+	for body[v-1]&0x80 != 0 {
+		v--
+	}
+	link := tagAt("LINK", at+4) + 4 // the count of its flits
+	for body[link] == 0 {
+		link = tagAt("LINK", link) + 4
+	}
+	flit := link + 1 + varintLen(link+1)  // the first flit's tag, after its deadline
+	window := tagAt("OUTB", at+4) + 4 + 1 // the retention window's count, after the VC count
+	for body[window] < 2 {
+		window = tagAt("OUTB", window) + 4 + 1
+	}
+	second := window + 1 + varintLen(window+1)
 	return []hostileSection{
 		{"past-end", withLen(slices.Clone(valid), len(valid)), []string{
 			fmt.Sprintf("switch %d: section length %d at offset %d runs past the end", sw, len(valid), at)}},
 		{"zero", withLen(slices.Clone(valid), 0), []string{
 			fmt.Sprintf("switch %d: section length 0 at offset %d", sw, at)}},
-		// The section ends on an endpoint's int64 count.
-		{"reads-past", cut, []string{fmt.Sprintf("need 8 bytes at offset %d, 5 remain", end-3-5), sec + strconv.Itoa(end-3)}},
-		{"leaves-unread", long, []string{fmt.Sprintf("3 trailing bytes at offset %d", end), sec + strconv.Itoa(end+3)}},
+		{"reads-past", splice(cut, end-cut), []string{
+			fmt.Sprintf("truncated: varint at offset %d runs past the end", v), sec(cut)}},
+		{"leaves-unread", splice(end, 0, 0, 0, 0), []string{fmt.Sprintf("3 trailing bytes at offset %d", end), sec(end + 3)}},
+		{"overlong-count", splice(link, 1, body[link]|0x80, 0), []string{
+			fmt.Sprintf("non-minimal varint at offset %d", link), sec(end + 1)}},
+		{"overflow-count", splice(link, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02), []string{
+			fmt.Sprintf("varint at offset %d overflows 64 bits", link), sec(end + 9)}},
+		{"inflated-count", set(link, 0x7F), []string{sec(end)}},
+		{"follower-first", set(flit, body[flit]&^1), []string{
+			fmt.Sprintf("flit at offset %d continues a packet, but no flit comes before it", flit), sec(end)}},
+		{"backwards-due", set(second, body[second]|1), []string{
+			fmt.Sprintf("at offset %d puts its path out of order", second), sec(end)}},
 	}
 }
 
-// TestRestoreRejectsHostileSections: a damaged section length, or a
-// section whose walk does not end at its last byte, fails Restore naming
-// the switch and the offset, without a panic and without allocating more
-// than a valid restore of the same network does, but for the error itself.
+// TestRestoreRejectsHostileSections: a damaged section length, a section
+// whose walk does not end at its last byte, and a section holding a
+// malformed varint, flit or deadline fail Restore naming the switch and
+// the offset, without a panic and within an allocation bound stated from
+// the input. A count is checked against the bytes left at one byte an
+// element, the fewest any element takes, so a damaged count can make the
+// restore reserve one pool slot (64 bytes, a flit's) for every byte of its
+// section: a damaged restore allocates no more than a valid one does,
+// plus that, plus the error itself.
 func TestRestoreRejectsHostileSections(t *testing.T) {
 	valid := microSnapshot(t)
 	allocs := func(data []byte) (uint64, error) {
@@ -429,7 +502,10 @@ func TestRestoreRejectsHostileSections(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restore of the valid snapshot: %v", err)
 	}
+	const slotBytes = 64
+	prefixes := sectionPrefixes(t, valid)
 	for _, sw := range []int{0, 3} {
+		reserve := slotBytes * uint64(binary.LittleEndian.Uint32(valid[prefixes[sw]:]))
 		for _, tc := range hostileSections(t, valid, sw) {
 			t.Run(fmt.Sprintf("sw%d/%s", sw, tc.name), func(t *testing.T) {
 				alloc, err := allocs(tc.data)
@@ -441,8 +517,8 @@ func TestRestoreRejectsHostileSections(t *testing.T) {
 						t.Errorf("error %q does not say %q", err, w)
 					}
 				}
-				if alloc > bound+4<<10 {
-					t.Errorf("the damaged restore allocated %d bytes, a valid one %d", alloc, bound)
+				if alloc > bound+reserve+4<<10 {
+					t.Errorf("the damaged restore allocated %d bytes, a valid one %d, and the section could reserve %d", alloc, bound, reserve)
 				}
 			})
 		}

@@ -12,15 +12,22 @@
 // walk. Higher layers never touch raw bytes.
 //
 // Format: a 14-byte header — magic "STAS" (u32), version (u16), total
-// byte length including the header (u64) — followed by tagged sections.
-// Sized sections (Codec.Sections) carry their byte length in front, so a
-// decoder can find each one without decoding those before it and decode
-// them independently.
-// Integers are fixed-width little-endian; floats are IEEE-754 bit
-// patterns; booleans are canonical 0/1 bytes; strings and repeated
-// groups are length-prefixed with u32 counts validated against the
-// bytes remaining, so a hostile count can never force an allocation
-// larger than the input itself.
+// byte length including the header (u64), all fixed-width little-endian —
+// followed by tagged sections. Sized sections (Codec.Sections) carry
+// their byte length in front as a fixed-width u32, so a decoder can find
+// each one without decoding those before it and decode them
+// independently.
+// Integers are minimal unsigned LEB128 varints, the signed ones zigzag
+// coded, so the zeros and small counts most of a network's state holds
+// cost a byte each; floats are fixed-width IEEE-754 bit patterns;
+// booleans and bytes are single bytes, booleans canonical 0/1; strings
+// and repeated groups are prefixed with varint counts validated against
+// the bytes remaining, at one byte per element at least, so a hostile
+// count can never force an allocation larger than a fixed multiple of
+// the input. A flit in a queue is written as its difference from the
+// queue's previous flit (Writer.Flit). Every encoding is canonical: the
+// reader refuses a varint that is not minimal, and a flit field written
+// though it equals its prediction.
 package snapshot
 
 import (
@@ -28,8 +35,6 @@ import (
 	"fmt"
 	"hash/crc64"
 	"math"
-
-	"stashsim/internal/proto"
 )
 
 const (
@@ -41,8 +46,10 @@ const (
 	// the queues alone, not the counts and masks kept beside them; version 3
 	// walks the observers as one named list, not a presence bit each;
 	// version 4 walks each switch, with its endpoints and the wire paths its
-	// pools hold, as one sized section.
-	Version uint16 = 4
+	// pools hold, as one sized section; version 5 writes integers as
+	// varints, a flit in a queue as its difference from the one before, and
+	// a due cycle on a timed path as its distance from the one before.
+	Version uint16 = 5
 	// headerSize is magic + version + total length.
 	headerSize = 4 + 2 + 8
 )
@@ -52,8 +59,9 @@ const (
 // value would not fit. A walk that encodes runs over one of three sinks:
 //
 //   - measure: counts the bytes and keeps none;
-//   - bytes: a buffer of exactly the measured size, which is the snapshot
-//     and so never fills before the walk ends;
+//   - bytes: a buffer of the measured size (and room for the longest
+//     value past it, see newBytes), which is the snapshot and so never
+//     fills before the walk ends;
 //   - hash: feeds each full buffer to crc64-ECMA and keeps no bytes.
 //
 // Encode and Hasher (walk.go) pair a sink with a Codec; the zero value is
@@ -80,19 +88,25 @@ func newWriter(buf []byte, sink func([]byte)) *Writer {
 // are pre-written (the total length is patched by Finish).
 func (w *Writer) begin() {
 	w.buf, w.done = w.buf[:0], 0
-	w.U32(Magic)
-	w.U16(Version)
-	w.U64(0) // total length, patched by Finish
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, Magic)
+	w.buf = binary.LittleEndian.AppendUint16(w.buf, Version)
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, 0) // total length, patched by Finish
 }
 
 // newMeasure returns a measure sink: size is the length of what was written.
 func newMeasure() *Writer { return newWriter(make([]byte, 0, scratchSize), func([]byte) {}) }
 
-// newBytes returns a byte sink for a snapshot of exactly size bytes. It
+// maxRoom is the most room a value asks for before it is written: a
+// flit's longest encoding, which is longer than any varint.
+const maxRoom = maxFlitSize
+
+// newBytes returns a byte sink for a snapshot of exactly size bytes. Its
+// buffer has maxRoom bytes more, for the value written last to ask room
+// for its longest encoding in; Finish hands back the size bytes alone. It
 // refuses to write past them: a walk that writes more than it measured
 // changed the state it walks.
 func newBytes(size int) *Writer {
-	w := newWriter(make([]byte, 0, size), func([]byte) {
+	w := newWriter(make([]byte, 0, size+maxRoom), func([]byte) {
 		panic(fmt.Sprintf("snapshot: the walk wrote past the %d bytes it measured: an encoding walk must not change the state it walks", size))
 	})
 	w.patch = true
@@ -145,32 +159,52 @@ func (w *Writer) U8(v uint8) {
 	w.buf = append(w.buf, v)
 }
 
-// U16 appends a little-endian uint16.
-func (w *Writer) U16(v uint16) {
-	w.room(2)
-	w.buf = binary.LittleEndian.AppendUint16(w.buf, v)
-}
+// U16 appends a uint16 as a varint.
+func (w *Writer) U16(v uint16) { w.U64(uint64(v)) }
 
-// U32 appends a little-endian uint32.
-func (w *Writer) U32(v uint32) {
-	w.room(4)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
-}
+// U32 appends a uint32 as a varint.
+func (w *Writer) U32(v uint32) { w.U64(uint64(v)) }
 
-// U64 appends a little-endian uint64.
+// U64 appends a uint64 as a minimal unsigned LEB128 varint: seven bits a
+// byte, low bits first, the top bit set on every byte but the last.
 func (w *Writer) U64(v uint64) {
-	w.room(8)
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
+	w.room(binary.MaxVarintLen64)
+	w.buf = binary.AppendUvarint(w.buf, v)
 }
 
-// I32 appends an int32 as its two's-complement bits.
-func (w *Writer) I32(v int32) { w.U32(uint32(v)) }
+// oneByte appends v if it is a one-byte varint and the buffer has room,
+// and reports whether it did: the Codec's walkers write most of a
+// snapshot this way, in line.
+func (w *Writer) oneByte(v uint64) bool {
+	if n := len(w.buf); v < 0x80 && n < cap(w.buf) {
+		w.buf = w.buf[:n+1]
+		w.buf[n] = byte(v)
+		return true
+	}
+	return false
+}
 
-// I64 appends an int64 as its two's-complement bits.
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
+// I32 appends an int32 as a zigzag varint: 0, -1, 1, -2, ... travel as
+// 0, 1, 2, 3, ..., so a small value of either sign costs a byte.
+func (w *Writer) I32(v int32) { w.U64(zigzag(int64(v))) }
 
-// F64 appends a float64 as its IEEE-754 bit pattern.
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
+// I64 appends an int64 as a zigzag varint (see I32).
+func (w *Writer) I64(v int64) { w.U64(zigzag(v)) }
+
+// zigzag maps a signed value to an unsigned one with the sign in the low
+// bit, so that small values of either sign are small; an int32's image
+// fits 32 bits.
+func zigzag(v int64) uint64 { return uint64(v<<1 ^ v>>63) }
+
+// unzigzag inverts zigzag.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// F64 appends a float64 as its IEEE-754 bit pattern, fixed-width
+// little-endian.
+func (w *Writer) F64(v float64) {
+	w.room(8)
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
+}
 
 // Bool appends a canonical 0/1 byte.
 func (w *Writer) Bool(v bool) {
@@ -181,13 +215,13 @@ func (w *Writer) Bool(v bool) {
 	}
 }
 
-// Str appends a u32 length prefix followed by the string bytes.
+// Str appends a varint length prefix followed by the string bytes.
 func (w *Writer) Str(s string) {
 	w.U32(uint32(len(s)))
 	w.raw(s)
 }
 
-// Count appends a u32 element count for a repeated group.
+// Count appends a varint element count for a repeated group.
 func (w *Writer) Count(n int) { w.U32(uint32(n)) }
 
 // Section appends a 4-character ASCII section tag. Tags make snapshots
@@ -207,7 +241,8 @@ func (w *Writer) Section(label string) {
 // still measured and digested in one pass. It returns where the prefix is.
 func (w *Writer) openSection() int {
 	at := w.size()
-	w.U32(0)
+	w.room(4)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, 0)
 	return at
 }
 
@@ -218,21 +253,16 @@ func (w *Writer) closeSection(at int) {
 	}
 }
 
-// Flit appends one flit in the canonical proto wire encoding.
-func (w *Writer) Flit(f *proto.Flit) {
-	w.room(proto.FlitWireSize)
-	w.buf = proto.AppendFlit(w.buf, f)
-}
-
-// Finish ends a byte sink: it checks that the walk filled the buffer it
+// Finish ends a byte sink: it checks that the walk wrote the bytes it
 // measured, patches the total-length header and returns the snapshot,
 // whose length is its capacity. The Writer must not be used afterwards.
 func (w *Writer) Finish() []byte {
-	if len(w.buf) != cap(w.buf) {
-		panic(fmt.Sprintf("snapshot: the walk wrote %d bytes, %d measured: an encoding walk must not change the state it walks", len(w.buf), cap(w.buf)))
+	n := len(w.buf)
+	if size := cap(w.buf) - maxRoom; n != size {
+		panic(fmt.Sprintf("snapshot: the walk wrote %d bytes, %d measured: an encoding walk must not change the state it walks", n, size))
 	}
-	binary.LittleEndian.PutUint64(w.buf[6:], uint64(len(w.buf)))
-	return w.buf
+	binary.LittleEndian.PutUint64(w.buf[6:], uint64(n))
+	return w.buf[:n:n]
 }
 
 // Reader decodes one snapshot. Errors are sticky: after the first
@@ -241,10 +271,11 @@ func (w *Writer) Finish() []byte {
 // and validate once at the end (or at natural section boundaries).
 //
 // A failure cuts buf short at the read offset, so every later read comes
-// up short: the getters check one length and nothing else, which keeps
-// them small enough to inline into the walks. A short read records its
-// width and offset in miss and leaves building the error to Err, so no
-// getter calls out of line either.
+// up short: the fixed-width getters check one length and nothing else,
+// which keeps them small enough to inline into the walks. A short read
+// records its width and offset in miss and leaves building the error to
+// Err, so those getters call nothing out of line either. A varint is read
+// in line when it is one byte (oneByte), and by one call otherwise.
 type Reader struct {
 	buf []byte // the input; cut to end at off by the first failure
 	off int    // absolute: a section's reader shares the whole input's offsets
@@ -332,47 +363,86 @@ func (r *Reader) U8() uint8 {
 	return v
 }
 
-// U16 reads a little-endian uint16.
-func (r *Reader) U16() uint16 {
-	if len(r.buf)-r.off < 2 {
-		r.short(2)
+// U16 reads a varint that must fit a uint16.
+func (r *Reader) U16() uint16 { return uint16(r.varint(16)) }
+
+// U32 reads a varint that must fit a uint32.
+func (r *Reader) U32() uint32 { return uint32(r.varint(32)) }
+
+// U64 reads a varint.
+func (r *Reader) U64() uint64 { return r.varint(64) }
+
+// varint reads a varint that must fit in bits bits, or fails: on a varint
+// that runs past the end of the input, one with a redundant zero byte at
+// its end (not minimal, so not canonical), and one whose value does not
+// fit. Each error names the offset the varint starts at.
+func (r *Reader) varint(bits int) uint64 {
+	at := r.off
+	if at < len(r.buf) && r.buf[at] < 0x80 { // one byte, most of a snapshot
+		r.off++
+		return uint64(r.buf[at])
+	}
+	// Two bytes, the next most: a second byte of 1 to 0x7F ends the varint
+	// minimally, and 14 bits fit every type.
+	if at+1 < len(r.buf) && r.buf[at+1]-1 < 0x7F {
+		r.off += 2
+		return uint64(r.buf[at]&0x7f) | uint64(r.buf[at+1])<<7
+	}
+	var v uint64
+	for i, shift := at, 0; ; i, shift = i+1, shift+7 {
+		if i == len(r.buf) {
+			r.Failf("truncated: varint at offset %d runs past the end of the input (%d bytes left)", at, len(r.buf)-at)
+			return 0
+		}
+		b := r.buf[i]
+		if shift == 63 && b > 1 {
+			r.Failf("varint at offset %d overflows 64 bits", at)
+			return 0
+		}
+		v |= uint64(b&0x7f) << shift
+		if b >= 0x80 {
+			continue
+		}
+		switch {
+		case b == 0 && i > at:
+			r.Failf("non-minimal varint at offset %d: %d bytes for %d", at, i+1-at, v)
+		case bits < 64 && v >= 1<<bits:
+			r.Failf("varint %d at offset %d overflows %d bits", v, at, bits)
+		default:
+			r.off = i + 1
+			return v
+		}
 		return 0
 	}
-	v := binary.LittleEndian.Uint16(r.buf[r.off:])
-	r.off += 2
-	return v
 }
 
-// U32 reads a little-endian uint32.
-func (r *Reader) U32() uint32 {
-	if len(r.buf)-r.off < 4 {
-		r.short(4)
-		return 0
+// I32 reads a zigzag varint that must fit an int32 (see Writer.I32).
+func (r *Reader) I32() int32 { return int32(unzigzag(r.varint(32))) }
+
+// I64 reads a zigzag varint (see Writer.I32).
+func (r *Reader) I64() int64 { return unzigzag(r.varint(64)) }
+
+// oneByte reads a one-byte varint, if that is what comes next, and
+// reports whether it did: the Codec's walkers read most of a snapshot
+// this way, in line.
+func (r *Reader) oneByte() (uint64, bool) {
+	if i := r.off; i < len(r.buf) && r.buf[i] < 0x80 {
+		r.off = i + 1
+		return uint64(r.buf[i]), true
 	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
+	return 0, false
 }
 
-// U64 reads a little-endian uint64.
-func (r *Reader) U64() uint64 {
+// F64 reads a float64 from its fixed-width IEEE-754 bit pattern.
+func (r *Reader) F64() float64 {
 	if len(r.buf)-r.off < 8 {
 		r.short(8)
 		return 0
 	}
 	v := binary.LittleEndian.Uint64(r.buf[r.off:])
 	r.off += 8
-	return v
+	return math.Float64frombits(v)
 }
-
-// I32 reads an int32.
-func (r *Reader) I32() int32 { return int32(r.U32()) }
-
-// I64 reads an int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// F64 reads a float64 from its IEEE-754 bit pattern.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
 // Bool reads a canonical 0/1 byte; any other value is an error (the
 // encoding is canonical so round-trips are byte-identical).
@@ -397,18 +467,22 @@ func (r *Reader) Str() string {
 	return s
 }
 
-// Count reads a u32 element count and validates it against the bytes
-// remaining: each element occupies at least elemMin bytes (use 1 for
-// variable-size elements), so a hostile count can never drive an
-// allocation beyond the input size.
+// Count reads a varint element count and validates it against the bytes
+// remaining: each element occupies at least elemMin bytes (at least 1,
+// which every element of a varint stream does), so a hostile count can
+// never drive an allocation beyond one element per byte of the input.
 func (r *Reader) Count(elemMin int) int {
 	if elemMin < 1 {
 		elemMin = 1
 	}
-	n := r.U32() // zero once the reader has failed
+	at := r.off
+	n, ok := r.oneByte()
+	if !ok {
+		n = r.varint(32) // zero once the reader has failed
+	}
 	if int64(n)*int64(elemMin) > int64(len(r.buf)-r.off) {
 		r.Failf("count %d at offset %d exceeds remaining input (%d bytes, >=%d each)",
-			n, r.off-4, len(r.buf)-r.off, elemMin)
+			n, at, len(r.buf)-r.off, elemMin)
 		return 0
 	}
 	return int(n)
@@ -428,21 +502,6 @@ func (r *Reader) Section(label string) {
 	if string(got) != label {
 		r.Failf("section tag %q at offset %d, want %q", printableTag(got), r.off-4, label)
 	}
-}
-
-// Flit reads one flit in the canonical proto wire encoding, with the
-// proto codec's full range validation.
-func (r *Reader) Flit() proto.Flit {
-	if r.failed() {
-		return proto.Flit{}
-	}
-	f, n, err := proto.DecodeFlit(r.buf[r.off:])
-	if err != nil {
-		r.Failf("flit at offset %d: %v", r.off, err)
-		return proto.Flit{}
-	}
-	r.off += n
-	return f
 }
 
 // Close verifies the whole input was consumed; trailing bytes mean the

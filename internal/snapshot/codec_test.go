@@ -46,7 +46,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 		w.Str("hello, snapshot")
 		w.Str("")
 		w.Count(3)
-		w.Flit(&f)
+		w.Flit(&f, &FlitQueue{})
 	})
 
 	if got := binary.LittleEndian.Uint64(data[6:]); got != uint64(len(data)) {
@@ -94,7 +94,8 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	if n := rd.Count(1); n != 3 {
 		t.Errorf("Count = %d", n)
 	}
-	if got := rd.Flit(); got != f {
+	var got proto.Flit
+	if rd.Flit(&got, &FlitQueue{}); got != f {
 		t.Errorf("Flit round trip: %+v != %+v", got, f)
 	}
 	if err := rd.Close(); err != nil {
@@ -105,7 +106,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 func TestReaderRejectsBadHeaders(t *testing.T) {
 	valid := func() []byte {
 		return write(func(w *Writer) {
-			w.U64(7)
+			w.F64(7)
 		})
 	}
 	cases := []struct {
@@ -132,21 +133,28 @@ func TestReaderRejectsBadHeaders(t *testing.T) {
 			d := append([]byte(nil), valid()...)
 			binary.LittleEndian.PutUint16(d[4:], 1)
 			return d
-		}(), "unsupported format version 1 (this build reads version 4)"},
+		}(), "unsupported format version 1 (this build reads version 5)"},
 		// Version 3 walks the observers as one named list, and no reader of
 		// version 2 was kept: a stream from before is refused, not migrated.
 		{"version-2", func() []byte {
 			d := append([]byte(nil), valid()...)
 			binary.LittleEndian.PutUint16(d[4:], 2)
 			return d
-		}(), "unsupported format version 2 (this build reads version 4)"},
+		}(), "unsupported format version 2 (this build reads version 5)"},
 		// Version 4 walks each switch as one sized section, and no reader
 		// of version 3 was kept.
 		{"version-3", func() []byte {
 			d := append([]byte(nil), valid()...)
 			binary.LittleEndian.PutUint16(d[4:], 3)
 			return d
-		}(), "unsupported format version 3 (this build reads version 4)"},
+		}(), "unsupported format version 3 (this build reads version 5)"},
+		// Version 5 writes integers as varints and queues as differences,
+		// and no reader of version 4 was kept.
+		{"version-4", func() []byte {
+			d := append([]byte(nil), valid()...)
+			binary.LittleEndian.PutUint16(d[4:], 4)
+			return d
+		}(), "unsupported format version 4 (this build reads version 5)"},
 		{"truncated-body", func() []byte {
 			d := valid()
 			return d[:len(d)-3]
@@ -273,7 +281,7 @@ func TestCloseRejectsTrailingBytes(t *testing.T) {
 }
 
 func TestFlitDecodeValidates(t *testing.T) {
-	// A flit slot filled with 0xFF must fail the proto codec's range
+	// Bytes of 0xFF where a flit belongs must fail the flit's tag or range
 	// validation, not produce a garbage flit.
 	data := write(func(w *Writer) {
 		for i := 0; i < proto.FlitWireSize; i++ {
@@ -284,7 +292,8 @@ func TestFlitDecodeValidates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewReader: %v", err)
 	}
-	rd.Flit()
+	var f proto.Flit
+	rd.Flit(&f, &FlitQueue{})
 	if rd.Err() == nil {
 		t.Fatal("hostile flit bytes decoded without error")
 	}

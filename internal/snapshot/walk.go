@@ -2,7 +2,9 @@ package snapshot
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 
 	"stashsim/internal/proto"
@@ -17,12 +19,20 @@ import (
 // from a freelist — are gated on Decoding. Errors are the Reader's sticky
 // error: after the first failure every walker reads zeros, so a walk runs
 // straight through and its caller checks Err (or Close) once.
+//
+// A queue's flits and a timed path's due cycles are written relative to
+// the entry before them (Flit, Due). That context is the queue's: every
+// count walked resets it, so a queue is read without what came before
+// its count, and each sized section decodes on its own.
 type Codec struct {
 	w      *Writer
 	r      *Reader
 	Bounds FlitBounds        // enforced by Flit while decoding
 	flit   func(*proto.Flit) // c.Flit, bound once: Flits runs once per queue of the network
 	cells  []any             // scratch cells not in use, at most one of each type (see take)
+
+	flits FlitQueue // the flits walked since the last count
+	due   int64     // the last due cycle walked since the last count, else 0
 }
 
 func newCodec(w *Writer, r *Reader) *Codec {
@@ -166,7 +176,9 @@ func (c *Codec) Sections(what string, n int, each func(n int, body func(i int)),
 			r.Failf("%s %d: section length at offset %d runs past the end of the input (%d bytes left)", what, i, at, r.Remaining())
 			return
 		}
-		switch size := int(r.U32()); {
+		size := int(binary.LittleEndian.Uint32(r.buf[at:]))
+		r.off += 4
+		switch {
 		case size == 0:
 			r.Failf("%s %d: section length 0 at offset %d", what, i, at)
 			return
@@ -174,16 +186,20 @@ func (c *Codec) Sections(what string, n int, each func(n int, body func(i int)),
 			r.Failf("%s %d: section length %d at offset %d runs past the end of the input (%d bytes left)", what, i, size, at, r.Remaining())
 			return
 		default:
-			s := &secs[i]
-			s.start, s.end = r.off, r.off+size
-			s.c = newCodec(nil, &Reader{buf: r.buf[:s.end], off: s.start})
-			s.c.Bounds = c.Bounds
-			r.off = s.end
+			secs[i].start, secs[i].end = r.off, r.off+size
+			r.off = secs[i].end
 		}
 	}
 	each(n, func(i int) {
-		walk.WalkSection(secs[i].c, i)
-		secs[i].c.Close()
+		// A section's Codec is built on the worker that walks it: its
+		// reader and queue context are written at every value, and built
+		// here they share no cache line with a section another worker
+		// walks at the same time.
+		s := &secs[i]
+		s.c = newCodec(nil, &Reader{buf: r.buf[:s.end], off: s.start})
+		s.c.Bounds = c.Bounds
+		walk.WalkSection(s.c, i)
+		s.c.Close()
 	})
 	for i, s := range secs {
 		if err := s.c.Err(); err != nil {
@@ -195,7 +211,9 @@ func (c *Codec) Sections(what string, n int, each func(n int, body func(i int)),
 
 // The scalar walkers, one per wire type of the byte layer. Each is the
 // direction branch around a getter and a put that inline, so a walked
-// field costs one call.
+// field costs one call; the integer walkers inline into the caller and
+// make theirs to uvarint, which reads or writes a one-byte varint — most
+// of a snapshot — itself.
 func (c *Codec) U8(p *uint8) {
 	if c.r != nil {
 		*p = c.r.U8()
@@ -205,43 +223,46 @@ func (c *Codec) U8(p *uint8) {
 }
 
 func (c *Codec) U16(p *uint16) {
-	if c.r != nil {
-		*p = c.r.U16()
-	} else {
-		c.w.U16(*p)
+	if v := uint64(*p); c.uvarint(&v, 16) {
+		*p = uint16(v)
 	}
 }
 
 func (c *Codec) U32(p *uint32) {
-	if c.r != nil {
-		*p = c.r.U32()
-	} else {
-		c.w.U32(*p)
+	if v := uint64(*p); c.uvarint(&v, 32) {
+		*p = uint32(v)
 	}
 }
 
-func (c *Codec) U64(p *uint64) {
-	if c.r != nil {
-		*p = c.r.U64()
-	} else {
-		c.w.U64(*p)
-	}
-}
+func (c *Codec) U64(p *uint64) { c.uvarint(p, 64) }
 
 func (c *Codec) I32(p *int32) {
-	if c.r != nil {
-		*p = c.r.I32()
-	} else {
-		c.w.I32(*p)
+	if v := zigzag(int64(*p)); c.uvarint(&v, 32) {
+		*p = int32(unzigzag(v))
 	}
 }
 
 func (c *Codec) I64(p *int64) {
-	if c.r != nil {
-		*p = c.r.I64()
-	} else {
-		c.w.I64(*p)
+	if v := zigzag(*p); c.uvarint(&v, 64) {
+		*p = unzigzag(v)
 	}
+}
+
+// uvarint walks *v as a varint of at most bits bits, and reports whether
+// it decoded one into *v.
+func (c *Codec) uvarint(v *uint64, bits int) bool {
+	if r := c.r; r != nil {
+		if b, ok := r.oneByte(); ok {
+			*v = b
+		} else {
+			*v = r.varint(bits)
+		}
+		return true
+	}
+	if !c.w.oneByte(*v) {
+		c.w.U64(*v)
+	}
+	return false
 }
 
 func (c *Codec) F64(p *float64) {
@@ -286,14 +307,38 @@ func (c *Codec) Section(label string) {
 // zero value checks nothing.
 type FlitBounds struct{ Ports, Nodes, Groups int }
 
-// Flit walks one flit in the canonical proto wire encoding.
+// Flit walks one flit of a queue, as its difference from the flit walked
+// before it since the last count (see Writer.Flit). Decoding applies the
+// proto wire codec's range checks and the restoring network's Bounds.
 func (c *Codec) Flit(f *proto.Flit) {
 	if c.r == nil {
-		c.w.Flit(f)
+		c.w.Flit(f, &c.flits)
 		return
 	}
-	*f = c.r.Flit()
+	c.r.Flit(f, &c.flits)
 	c.checkFlit(f)
+}
+
+// Due walks the due cycle of an entry on a timed path — a link's flits or
+// credit batches, a retention window, the side band — whose entries come
+// due in non-decreasing order. It is written as its distance from the
+// due cycle walked before it since the last count (the first entry's from
+// cycle 0), so that entries a cycle or two apart cost a byte each.
+// Decoding refuses a distance that would put the path out of order.
+func (c *Codec) Due(at *int64) {
+	off := 0
+	if c.r != nil {
+		off = c.r.off
+	}
+	if u := zigzag(*at - c.due); c.uvarint(&u, 64) {
+		d := unzigzag(u)
+		if d < 0 || d > math.MaxInt64-c.due {
+			c.r.Failf("due delta %d at offset %d puts its path out of order (the entry before is due at %d)", d, off, c.due)
+			d = 0
+		}
+		*at = c.due + d
+	}
+	c.due = *at
 }
 
 // checkFlit is Flit's range check against the restoring network's Bounds.
@@ -348,7 +393,11 @@ func (c *Codec) outOfRange(field string, v, lo, hi int) {
 // caller walks itself: n is written when encoding, and the count read —
 // validated against the bytes remaining, elemMin bytes each at least — is
 // returned when decoding.
+//
+// A count starts a queue: it resets the context Flit and Due write
+// against.
 func (c *Codec) Count(n, elemMin int) int {
+	c.flits.follows, c.due = false, 0
 	if c.r != nil {
 		return c.r.Count(elemMin)
 	}
@@ -495,15 +544,12 @@ func Arrivals[T any](c *Codec, q FIFO[T], staged []T, elemMin int, elem func(*T)
 	}
 }
 
-// Flits walks a FIFO of flits (see Ring): by far the most numerous queue
-// of a network, so it gets the one non-generic entry point.
-func (c *Codec) Flits(q FIFO[proto.Flit]) {
-	if c.r == nil {
-		Ring(c, q, proto.FlitWireSize, c.flit)
-		return
-	}
-	c.ReplayFlits(q, q.Push)
-}
+// Flits walks a FIFO of flits (see Ring) whose owner keeps nothing beside
+// it: ReplayFlits with the queue's own Push.
+func (c *Codec) Flits(q FIFO[proto.Flit]) { c.ReplayFlits(q, q.Push) }
+
+// flitMin is the fewest bytes a flit takes: a tag that predicts it whole.
+const flitMin = 1
 
 // ReplayFlits walks a FIFO of flits whose owner keeps counts or masks
 // beside it, a function of the flits and so not in the stream. Encoding is
@@ -513,24 +559,15 @@ func (c *Codec) Flits(q FIFO[proto.Flit]) {
 // not generic, so that the caller's push closure stays on the stack.
 func (c *Codec) ReplayFlits(q FIFO[proto.Flit], push func(proto.Flit)) {
 	if c.r == nil {
-		Ring(c, q, proto.FlitWireSize, c.flit)
+		Ring(c, q, flitMin, c.flit)
 		return
 	}
 	q.Reset()
-	n := c.r.Count(proto.FlitWireSize)
+	n := c.Count(0, flitMin)
 	q.Grow(n)
-	// The flits have a fixed size, so the count's check that they are all
-	// there covers the whole block: each is decoded in place, past the
-	// Reader's per-value checks, with the proto codec's and Flit's range
-	// checks.
 	for ; n > 0 && !c.r.failed(); n-- {
-		f, _, err := proto.DecodeFlit(c.r.buf[c.r.off:])
-		if err != nil {
-			c.r.Failf("flit at offset %d: %v", c.r.off, err)
-			return
-		}
-		c.r.off += proto.FlitWireSize
-		if c.checkFlit(&f); !c.r.failed() {
+		var f proto.Flit
+		if c.Flit(&f); !c.r.failed() {
 			push(f)
 		}
 	}
@@ -552,7 +589,7 @@ func Map[K cmp.Ordered, V any](c *Codec, m *map[K]V, elemMin int, key func(*K), 
 			keys = append(keys, k)
 		}
 		slices.Sort(keys)
-		c.w.Count(len(keys))
+		c.Count(len(keys), elemMin)
 		for _, k := range keys {
 			cell.k, cell.v = k, (*m)[k]
 			key(&cell.k)
@@ -561,7 +598,7 @@ func Map[K cmp.Ordered, V any](c *Codec, m *map[K]V, elemMin int, key func(*K), 
 		cell.keys = keys
 		return
 	}
-	n := c.r.Count(elemMin)
+	n := c.Count(0, elemMin)
 	if clear(*m); n == 0 {
 		return
 	}

@@ -35,10 +35,10 @@ func (s *walkState) state(c *Codec) {
 	Wire8(c, &s.col)
 	c.Bound("walkState.col", int(s.col), -1, 4)
 	Wire32(c, &s.next)
-	Slice(c, &s.queue, 2, c.U16)
-	Map(c, &s.sizes, 9, c.U64, c.U8)
-	Map(c, &s.lazy, 9, c.U64, c.U8)
-	Ring(c, &s.ring, 8, c.I64)
+	Slice(c, &s.queue, 1, c.U16)
+	Map(c, &s.sizes, 1+1, c.U64, c.U8)
+	Map(c, &s.lazy, 1+1, c.U64, c.U8)
+	Ring(c, &s.ring, 1, c.I64)
 	if Opt(c, &s.hist) {
 		c.I64(&s.hist[0])
 		c.I64(&s.hist[1])
@@ -109,14 +109,14 @@ func TestCodecValidation(t *testing.T) {
 			func(c *Codec) { var v uint8; c.U8(&v); c.Bound("port", int(v), 0, 4) }, "port = 4 out of range [0,4)"},
 		{"bound-low", func(w *Writer) { w.U8(0xFE) },
 			func(c *Codec) { var v int8; Wire8(c, &v); c.Bound("col", int(v), -1, 4) }, "col = -2 out of range [-1,4)"},
-		{"len-mismatch", func(w *Writer) { w.Count(3); w.U32(0) },
+		{"len-mismatch", func(w *Writer) { w.Count(3); w.U32(1 << 28) },
 			func(c *Codec) { c.Len("ports", 4, 1); var pad uint32; c.U32(&pad) }, "ports: this run has 4, snapshot has 3"},
 		{"present-missing", func(w *Writer) { w.Bool(true) },
 			func(c *Codec) { c.Present("a sampler", false) }, "the checkpointed run had a sampler, this run does not"},
 		{"present-extra", func(w *Writer) { w.Bool(false) },
 			func(c *Codec) { c.Present("a sampler", true) }, "this run has a sampler, the checkpointed run did not"},
 		{"map-unsorted", func(w *Writer) { w.Count(2); w.U64(5); w.U8(1); w.U64(5); w.U8(2) },
-			func(c *Codec) { var m map[uint64]uint8; Map(c, &m, 9, c.U64, c.U8) }, "map keys out of order"},
+			func(c *Codec) { var m map[uint64]uint8; Map(c, &m, 1+1, c.U64, c.U8) }, "map keys out of order"},
 		{"slice-count", func(w *Writer) { w.Count(1 << 20) },
 			func(c *Codec) { var s []uint64; Slice(c, &s, 8, c.U64) }, "exceeds remaining input"},
 	}
@@ -218,12 +218,12 @@ func TestSectionsDecodeIndependently(t *testing.T) {
 	// The first failure in section order is the one reported, whichever
 	// section the runner decoded first.
 	bad := []byte(string(data))
-	at := headerSize + 4
+	at := headerSize + 1 // past the one-byte section count
 	for range 2 {
 		at += 4 + int(binary.LittleEndian.Uint32(bad[at:]))
 	}
 	bad[at+4] = 'X' // the third section's tag
-	first := headerSize + 4 + 4
+	first := headerSize + 1 + 4
 	bad[first] = 'X' // the first section's tag
 	dec, _ = NewDecoder(bad)
 	sectioned(&dst)(dec)
@@ -252,7 +252,7 @@ func TestHasherDigestsTheSnapshot(t *testing.T) {
 	}
 	data := Encode(walk)
 	clear(data[6:headerSize])
-	for at, i := headerSize+4, 0; i < sections; i++ {
+	for at, i := headerSize+1, 0; i < sections; i++ {
 		size := int(binary.LittleEndian.Uint32(data[at:]))
 		clear(data[at : at+4])
 		at += 4 + size

@@ -36,7 +36,7 @@ func (h *Hist) State(c *snapshot.Codec) {
 	}
 	i := -1
 	rest := h.acc.N // observations the buckets still have to hold
-	for k := c.Count(live, 12); k > 0; k-- {
+	for k := c.Count(live, 1+1); k > 0; k-- {
 		prev := i
 		if !c.Decoding() {
 			i = h.nextLive(i)
@@ -66,5 +66,5 @@ func (t *TimeSeries) State(c *snapshot.Codec) {
 	if c.Decoding() && c.Err() == nil && t.BinWidth <= 0 {
 		c.Failf("stats: non-positive time-series bin width %d", t.BinWidth)
 	}
-	snapshot.Slice(c, &t.bins, 32, func(a *Acc) { a.State(c) })
+	snapshot.Slice(c, &t.bins, 1+3*8, func(a *Acc) { a.State(c) })
 }
