@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -245,33 +246,72 @@ func TestDAMQPoolStampHonored(t *testing.T) {
 	}
 }
 
+// TestOutBufRetention: a port sends at most one flit a cycle, each due
+// one RTT later, and a sent flit's space comes back at its deadline, not
+// before. A deadline the window cannot hold — a repeated or earlier one,
+// or one a whole RTT after the oldest still held — panics.
 func TestOutBufRetention(t *testing.T) {
-	b := NewOutBuf(new(FlitPool), 10, 2)
+	const rtt = 20
+	b := NewOutBuf(new(FlitPool), 10, 2, newRetention(rtt))
 	for i := 0; i < 10; i++ {
 		b.Push(proto.Flit{VC: 0})
 	}
 	if b.Free() != 0 {
 		t.Fatal("should be full")
 	}
-	// Send 5 with release at t=100.
-	for i := 0; i < 5; i++ {
-		b.Send(0, 100)
+	// Send one flit on each of cycles 0..4: released at 20..24.
+	for now := int64(0); now < 5; now++ {
+		b.Release(now)
+		b.Send(0, now+rtt)
 	}
-	if b.Free() != 0 {
-		t.Fatal("retention must keep space occupied")
+	if b.Free() != 0 || b.Retained() != 5 {
+		t.Fatalf("free %d retained %d after five sends, want 0 and 5", b.Free(), b.Retained())
 	}
-	b.Release(99)
-	if b.Free() != 0 {
-		t.Fatal("released early")
+	for _, step := range []struct {
+		now    int64
+		free   int
+		nextAt int64
+	}{
+		{rtt - 1, 0, rtt},
+		{rtt, 1, rtt + 1},
+		{rtt + 3, 4, rtt + 4},
+		{1000, 5, math.MaxInt64},
+	} {
+		due := b.ReleaseDue(step.now)
+		b.Release(step.now)
+		if b.Free() != step.free || b.NextRelease() != step.nextAt || b.ReleaseDue(step.now) {
+			t.Fatalf("at %d: free %d, next release %d, want %d and %d", step.now, b.Free(), b.NextRelease(), step.free, step.nextAt)
+		}
+		if want := step.now >= rtt; due != want {
+			t.Fatalf("at %d: ReleaseDue %v before Release, want %v", step.now, due, want)
+		}
 	}
-	b.Release(100)
-	if b.Free() != 5 {
-		t.Fatalf("free %d after release, want 5", b.Free())
+	for _, tc := range []struct {
+		name  string
+		first int64
+		then  int64
+	}{
+		{"repeated", 100, 100},
+		{"earlier", 100, 99},
+		{"past-window", 100, 100 + rtt},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewOutBuf(new(FlitPool), 10, 2, newRetention(rtt))
+			b.Push(proto.Flit{VC: 0})
+			b.Push(proto.Flit{VC: 0})
+			b.Send(0, tc.first)
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Send due at %d after one due at %d did not panic", tc.then, tc.first)
+				}
+			}()
+			b.Send(0, tc.then)
+		})
 	}
 }
 
 func TestOutBufOccupiedMask(t *testing.T) {
-	b := NewOutBuf(new(FlitPool), 10, 4)
+	b := NewOutBuf(new(FlitPool), 10, 4, newRetention(100))
 	b.Push(proto.Flit{VC: 3})
 	if b.Occupied() != 1<<3 {
 		t.Fatalf("mask %b", b.Occupied())

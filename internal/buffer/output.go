@@ -20,18 +20,19 @@ type OutBuf struct {
 	capacity int                       //stashsim:derived -- structural: the normal-partition capacity in flits, rebuilt from the configuration
 	queued   int                       //stashsim:derived -- flits awaiting transmission; decoding pushes them
 	// inflight is the retention window. It holds no flits, only the cycle
-	// each sent flit's space comes back: 8 bytes an entry.
-	inflight Timed[struct{}]
+	// each sent flit's space comes back: one bit per cycle of the RTT.
+	inflight Retention
 	occupied uint32 //stashsim:derived -- bitmask of non-empty VCs; decoding pushes their flits
 }
 
 // NewOutBuf builds an output buffer with the given normal-partition
 // capacity in flits, shared by numVCs virtual channels (at most
 // proto.NumNetVCs, held in place like the DAMQ's), whose queues hold their
-// flits in flits, the owning switch's pool.
-func NewOutBuf(flits *FlitPool, capacity, numVCs int) OutBuf {
+// flits in flits, the owning switch's pool, and whose retention window is
+// window, built for the link's RTT.
+func NewOutBuf(flits *FlitPool, capacity, numVCs int, window Retention) OutBuf {
 	checkVCs(numVCs)
-	return OutBuf{flits: flits, nvc: numVCs, capacity: capacity}
+	return OutBuf{flits: flits, nvc: numVCs, capacity: capacity, inflight: window}
 }
 
 // Capacity returns the normal-partition capacity in flits.
@@ -94,7 +95,9 @@ func (b *OutBuf) Front(vc int) *proto.Flit {
 func (b *OutBuf) Occupied() uint32 { return b.occupied }
 
 // Send dequeues the front flit of vc for transmission and retains its space
-// until releaseAt (transmit time plus link RTT).
+// until releaseAt (transmit time plus link RTT). A port that releases what
+// is due before it sends and sends at most once a cycle always passes a
+// releaseAt the window fits; any other panics (see Retention).
 //
 //stashsim:noalloc
 func (b *OutBuf) Send(vc int, releaseAt int64) proto.Flit {
@@ -103,7 +106,7 @@ func (b *OutBuf) Send(vc int, releaseAt int64) proto.Flit {
 	if b.queues[vc].Empty() {
 		b.occupied &^= 1 << uint(vc)
 	}
-	b.inflight.Push(releaseAt, struct{}{})
+	b.inflight.Push(releaseAt)
 	return f
 }
 
@@ -111,8 +114,8 @@ func (b *OutBuf) Send(vc int, releaseAt int64) proto.Flit {
 //
 //stashsim:noalloc
 func (b *OutBuf) Release(now int64) {
-	for b.inflight.FrontDue(now) {
-		b.inflight.PopDue(now)
+	if b.inflight.FrontDue(now) { // the per-cycle probe, in line
+		b.inflight.Release(now)
 	}
 }
 

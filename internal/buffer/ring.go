@@ -11,16 +11,19 @@ import (
 	"math/bits"
 )
 
-// Queue and Timed are the simulator's rings: the endpoint queues are
-// Queues; a switch's side band and its output ports' retention windows are
-// Timeds. Every queue a switch holds flits in, and every link path — flits
-// and credit batches on the wire — is instead a List or TimedList in a
-// switch's Pool (pool.go), so that its storage follows its occupancy. Both
-// rings are powers of two that double on demand and never shrink, so
-// steady-state operation performs no allocation. Each owns its backing array
-// and calls no method on T: Timed is deliberately not a Queue of pairs,
-// because the extra call layer costs a third on the per-entry path
-// (DESIGN.md §11).
+// Queue and Timed are the simulator's rings: the endpoint queues — its
+// ACK and resend queues, and a send queue per destination while it holds
+// packets — are Queues; a switch's side band is a Timed. Every queue a
+// switch holds flits in, and every link path — flits and credit batches on
+// the wire — is instead a List or TimedList in a switch's Pool (pool.go),
+// so that its storage follows its occupancy, and an output port's
+// retention window, deadlines alone, is a Retention bitmap of fixed size
+// (retention.go). Both rings are powers of two that double on demand and
+// never shrink, so steady-state operation performs no allocation; an
+// endpoint keeps its drained send queues for reuse rather than dropping
+// their rings. Each ring owns its backing array and calls no method on T:
+// Timed is deliberately not a Queue of pairs, because the extra call layer
+// costs a third on the per-entry path (DESIGN.md §11).
 
 // Queue is a growable FIFO.
 type Queue[T any] struct {
@@ -110,9 +113,6 @@ func resizeRing[T any](buf []T, head, n, size int) []T {
 }
 
 // Entry is one element of a Timed queue: a value and the cycle it comes due.
-// V comes first so that a zero-size T costs nothing (Go pads a struct that
-// ends in a zero-size field): the retention window's Entry[struct{}] is 8
-// bytes.
 type Entry[T any] struct {
 	V  T
 	At int64
@@ -138,8 +138,7 @@ func (q *Timed[T]) Len() int { return q.n }
 func (q *Timed[T]) Reset() { *q = Timed[T]{} }
 
 // Push appends an entry due at cycle at. Deadlines must be non-decreasing;
-// this holds for everything with a constant latency (the side band, RTT
-// retention).
+// this holds for everything with a constant latency (the side band).
 //
 //stashsim:noalloc
 func (q *Timed[T]) Push(at int64, v T) {

@@ -60,17 +60,18 @@ func (cc *CreditCounter) State(c *snapshot.Codec) {
 }
 
 // State walks the output buffer's retention window — its release
-// deadlines — and then its per-VC queues; decoding expects a fresh buffer.
+// deadlines — and then its per-VC queues, as of cycle now, the next to
+// execute; decoding expects a fresh buffer.
 // The queued count and the occupancy mask are a function of the queues, so
 // decoding rebuilds them by pushing every flit through Push, after the
 // window so that Push sees the space the window holds, and refuses one
 // Push would not take: a flit of another VC, or one past the capacity.
-func (b *OutBuf) State(c *snapshot.Codec) {
+func (b *OutBuf) State(c *snapshot.Codec, now int64) {
 	c.Section("OUTB")
 	if !c.Len("buffer: output buffer VCs", b.nvc, 1) {
 		return
 	}
-	snapshot.Ring(c, b.inflight.Entries(), 1, func(e *Entry[struct{}]) { c.Due(&e.At) })
+	b.inflight.State(c, now)
 	c.Bound("OutBuf used flits", b.Used(), 0, b.capacity+1)
 	for vc := 0; vc < b.nvc; vc++ {
 		c.ReplayFlits(b.flits.FIFO(&b.queues[vc]), func(f proto.Flit) {
@@ -80,6 +81,40 @@ func (b *OutBuf) State(c *snapshot.Codec) {
 				b.Push(f)
 			}
 		})
+	}
+}
+
+// State walks the retention window, as of cycle now, as the FIFO of its
+// deadlines, each a due distance from the one before. Decoding refuses a
+// deadline the window cannot hold, naming its offset: one not later than
+// the one before, one a whole window or more after the oldest, or one a
+// whole window or more after now. The last is a deadline no send before
+// now made — the latest, sent at now-1, is due at now-1+span — and it
+// would make the port's next send, due at now+span or later, fail Push.
+func (r *Retention) State(c *snapshot.Codec, now int64) {
+	n := c.Count(r.Len(), 1)
+	if !c.Decoding() {
+		r.Each(func(at int64) { c.Due(&at) })
+		return
+	}
+	r.Reset()
+	for i := 0; i < n && c.Err() == nil; i++ {
+		off := c.Offset()
+		var at int64
+		if c.Due(&at); c.Err() != nil {
+			return
+		}
+		if !r.Fits(at) {
+			c.Failf("retention deadline %d at offset %d does not fit the retention window: it is due %d cycles after the oldest and %d after the one before, in a window of %d",
+				at, off, at-r.front, at-r.back, r.span)
+			return
+		}
+		if at-now >= r.span {
+			c.Failf("retention deadline %d at offset %d is due %d cycles after the checkpoint cycle %d, in a window of %d: no send before that cycle is due so late",
+				at, off, at-now, now, r.span)
+			return
+		}
+		r.Push(at)
 	}
 }
 

@@ -91,7 +91,7 @@ func (s *Switch) stepMux(now sim.Tick, op *outPort) {
 			lk.row, lk.pkt, lk.active = int8(row), f.PktID, true
 		}
 		if f.Tail() {
-			lk.active = false
+			*lk = muxLock{} // a released lock holds nothing: the walk writes only the active bit
 		}
 		a.Advance(idx)
 		if vc == proto.VCStore {

@@ -100,15 +100,16 @@ func (b *creditCounts) state(c *snapshot.Codec) {
 	}
 }
 
-// State walks the switch's full dynamic state, into (when decoding) a
-// freshly built switch of the identical configuration. Scratch that every
-// cycle recomputes is not state and is marked where it is declared: the
-// allocator request masks and the e2eEntry freelist. Nor are the
+// State walks the switch's full dynamic state as of cycle now, the next
+// to execute, into (when decoding) a freshly built switch of the identical
+// configuration. Scratch that every cycle recomputes is not state and is
+// marked where it is declared: the allocator request masks and the
+// e2eEntry freelist. Nor are the
 // counts and masks kept beside the queues: decoding pushes every queued
 // flit through the path a run pushes it through, which rebuilds them.
 //
 //stashsim:phase serial -- walks every partition-owned structure; runs only at a cycle barrier or before the restored run starts
-func (s *Switch) State(c *snapshot.Codec) {
+func (s *Switch) State(c *snapshot.Codec, now int64) {
 	c.Section("SWCH")
 	c.RNG(s.rng)
 	s.router.State(c)
@@ -120,7 +121,7 @@ func (s *Switch) State(c *snapshot.Codec) {
 	}
 	for p := 0; p < s.radix && c.Err() == nil; p++ {
 		s.in[p].state(c, s)
-		s.out[p].state(c, s)
+		s.out[p].state(c, s, now)
 		s.stash[p].State(c)
 	}
 	for p := 0; c.Decoding() && p < s.radix; p++ {
@@ -210,9 +211,9 @@ func (ip *inPort) state(c *snapshot.Codec, s *Switch) {
 	ip.mem.State(c)
 }
 
-func (op *outPort) state(c *snapshot.Codec, s *Switch) {
+func (op *outPort) state(c *snapshot.Codec, s *Switch, now int64) {
 	op.link.CreditState(c)
-	op.buf.State(c)
+	op.buf.State(c, now)
 	for r := range op.colBufs {
 		for vc := range op.colBufs[r] {
 			// linkCol files a flit under its own VC.
@@ -226,10 +227,11 @@ func (op *outPort) state(c *snapshot.Codec, s *Switch) {
 	}
 	for vc := range op.muxLock {
 		ml := &op.muxLock[vc]
-		snapshot.Wire8(c, &ml.row)
-		c.Bound("muxLock.row", int(ml.row), 0, s.cfg.Rows)
-		c.U64(&ml.pkt)
-		c.Bool(&ml.active)
+		if c.Bool(&ml.active); ml.active {
+			snapshot.Wire8(c, &ml.row)
+			c.Bound("muxLock.row", int(ml.row), 0, s.cfg.Rows)
+			c.U64(&ml.pkt)
+		}
 	}
 	op.muxArb.State(c)
 	op.sendArb.State(c)
@@ -263,8 +265,10 @@ func (t *tile) state(c *snapshot.Codec, s *Switch) {
 	}
 	for o := range t.outLock {
 		for vc := range t.outLock[o] {
-			c.U64(&t.outLock[o][vc].pkt)
-			c.Bool(&t.outLock[o][vc].active)
+			lk := &t.outLock[o][vc]
+			if c.Bool(&lk.active); lk.active {
+				c.U64(&lk.pkt)
+			}
 		}
 	}
 	for i := range t.sLatch {

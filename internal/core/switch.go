@@ -328,6 +328,13 @@ func NewSwitch(id int, cfg *Config, rng *sim.RNG) *Switch {
 	}
 	colBufs := make([][proto.NumVCs]buffer.FlitList, radix*cfg.Rows)
 	pools := make([]buffer.StashPool, radix)
+	// The ports' retention bitmaps and the tiles' request scratch are the
+	// switch's words, carved from one backing array.
+	nw := nt * cfg.TileIn
+	for p := 0; p < radix; p++ {
+		nw += buffer.RetentionWords(2 * cfg.Lat.Of(d.PortClass(p)))
+	}
+	words := make([]uint64, nw)
 	for p := 0; p < radix; p++ {
 		class := d.PortClass(p)
 		ip := &s.in[p]
@@ -344,12 +351,13 @@ func NewSwitch(id int, cfg *Config, rng *sim.RNG) *Switch {
 		op.id = p
 		op.class = class
 		op.isEnd = class == topo.Endpoint
-		op.buf = buffer.NewOutBuf(&s.flits, cfg.NormalOutCap(class), proto.NumNetVCs)
+		op.rtt = 2 * cfg.Lat.Of(class)
+		window := buffer.NewRetention(op.rtt, carve(&words, buffer.RetentionWords(op.rtt)))
+		op.buf = buffer.NewOutBuf(&s.flits, cfg.NormalOutCap(class), proto.NumNetVCs, window)
 		op.colBufs = carve(&colBufs, cfg.Rows)
 		op.muxArb = arb.NewRoundRobin(cfg.Rows * proto.NumVCs)
 		op.sendArb = arb.NewRoundRobin(proto.NumNetVCs)
 		op.mem.Ideal = !cfg.BankModel
-		op.rtt = 2 * cfg.Lat.Of(class)
 		op.accTick = -1
 		s.tileOutOf[p] = uint8(cfg.TileOutOf(p))
 
@@ -362,7 +370,7 @@ func NewSwitch(id int, cfg *Config, rng *sim.RNG) *Switch {
 		vcNext  = make([]int, nt*cfg.TileIn)
 		sLatch  = make([]stashLatch, nt*cfg.TileIn)
 		slotOcc = make([]uint16, nt*cfg.TileIn)
-		reqScr  = make([]uint64, nt*cfg.TileIn)
+		reqScr  = words
 		candScr = make([]uint8, nt*cfg.TileIn*cfg.TileOut)
 		allocs  = arb.NewSeparables(nt, cfg.TileIn, cfg.TileOut)
 	)

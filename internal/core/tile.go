@@ -118,7 +118,7 @@ func (s *Switch) stepTile(now sim.Tick, t *tile) {
 			lk.pkt, lk.active = f.PktID, true
 		}
 		if f.Tail() {
-			lk.active = false
+			*lk = tileLock{} // a released lock holds nothing: the walk writes only the active bit
 		}
 		s.linkCol(&s.out[port], t.row, i)
 		t.vcNext[slot] = stream + 1

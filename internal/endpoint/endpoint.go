@@ -26,7 +26,8 @@ type pktDesc struct {
 	class proto.Class
 }
 
-// window is one ECN transmission window (per destination).
+// window is one ECN transmission window (per destination). A destination
+// without one has a fresh one: size WindowMax, nothing in flight.
 type window struct {
 	size     int // current window in flits
 	inflight int // unacknowledged flits
@@ -85,7 +86,7 @@ type Endpoint struct {
 	credits buffer.CreditCounter
 	acc     int
 
-	queues      map[int32]*buffer.Queue[pktDesc] // a send queue per destination (queue pair)
+	queues      map[int32]*buffer.Queue[pktDesc] // a send queue per destination (queue pair) while it holds packets
 	active      []int32
 	rrIdx       int
 	queuedFlits int64 //stashsim:derived -- the backlog the queues hold; decoding recounts it from them (backlog)
@@ -93,7 +94,16 @@ type Endpoint struct {
 	ackQ        buffer.Queue[proto.Flit]
 	pktSeq      uint32
 
-	windows map[int32]*window
+	// qFree holds drained send queues, their rings kept, for the next
+	// destination to use: the queues cost what is queued, and the steady
+	// state allocates none.
+	//
+	//stashsim:transient -- freelist; decoding draws the listed queues from it
+	qFree []*buffer.Queue[pktDesc]
+
+	// windows holds the ECN windows that differ from a fresh one (see
+	// setWindow).
+	windows map[int32]window
 
 	rxECN [proto.NumNetVCs]bool
 	rxBad [proto.NumNetVCs]bool // checksum failure seen in the packet so far
@@ -201,7 +211,7 @@ func New(id int32, cfg *core.Config, rng *sim.RNG) *Endpoint {
 		cfg:     cfg,
 		rng:     rng.Derive(0x45505453 ^ uint64(id)),
 		queues:  make(map[int32]*buffer.Queue[pktDesc]),
-		windows: make(map[int32]*window),
+		windows: make(map[int32]window),
 	}
 	if cfg.DedupDelivery() {
 		e.seen = make(map[uint64]struct{})
@@ -246,25 +256,38 @@ func (e *Endpoint) EnqueueMessage(dst int32, flits int, class proto.Class, msgID
 	if dst == e.ID {
 		panic("endpoint: message to self")
 	}
+	n, last := proto.Segment(flits)
 	q := e.queues[dst]
 	if q == nil {
-		q = &buffer.Queue[pktDesc]{}
+		q = e.newQueue()
 		e.queues[dst] = q
+		e.active = append(e.active, dst)
 	}
-	wasEmpty := q.Empty()
-	for _, size := range proto.Segment(flits) {
+	for i := 1; i <= n; i++ {
+		size := proto.MaxPacketFlits
+		if i == n {
+			size = last
+		}
 		q.Push(pktDesc{dst: dst, msgID: msgID, size: uint8(size), class: class})
 	}
 	e.queuedFlits += int64(flits)
-	if wasEmpty {
-		e.active = append(e.active, dst)
-	}
 	if e.Collector != nil {
 		e.Collector.Offered(class, int64(flits))
 	}
 	if e.wake != nil {
 		*e.wake = 0 // new backlog: step at the next opportunity
 	}
+}
+
+// newQueue draws an empty send queue from the freelist, allocating only
+// when it is empty.
+func (e *Endpoint) newQueue() *buffer.Queue[pktDesc] {
+	if n := len(e.qFree); n > 0 {
+		q := e.qFree[n-1]
+		e.qFree = e.qFree[:n-1]
+		return q
+	}
+	return &buffer.Queue[pktDesc]{}
 }
 
 // The endpoint is a sim.Stepper so the network can drive it through the
@@ -471,10 +494,9 @@ func (e *Endpoint) abandon(pktID uint64, o *outPkt) {
 		e.Collector.RetransAbandon()
 	}
 	if e.cfg.ECN.Enabled {
-		w := e.window(o.desc.dst)
-		w.inflight -= int(o.desc.size)
-		if w.inflight < 0 {
-			w.inflight = 0
+		if w, ok := e.windows[o.desc.dst]; ok {
+			w.inflight = max(w.inflight-int(o.desc.size), 0)
+			e.setWindow(o.desc.dst, w)
 		}
 	}
 }
@@ -582,17 +604,23 @@ func (e *Endpoint) startPacket(now sim.Tick) bool {
 		dst := e.active[k]
 		q := e.queues[dst]
 		desc := *q.Front()
-		var w *window
 		if e.cfg.ECN.Enabled {
-			w = e.window(dst)
-			e.growWindow(w, now)
-			if w.inflight+int(desc.size) > w.size {
+			w := e.window(dst)
+			e.growWindow(&w, now)
+			fits := w.inflight+int(desc.size) <= w.size
+			if fits {
+				w.inflight += int(desc.size)
+			}
+			if e.setWindow(dst, w); !fits {
 				continue
 			}
 		}
 		q.Pop()
 		if q.Empty() {
-			// Swap-remove the drained queue from the active list.
+			// The drained queue leaves the map for the freelist, and is
+			// swap-removed from the active list.
+			delete(e.queues, dst)
+			e.qFree = append(e.qFree, q)
 			e.active[k] = e.active[n-1]
 			e.active = e.active[:n-1]
 			if e.rrIdx >= len(e.active) {
@@ -603,9 +631,6 @@ func (e *Endpoint) startPacket(now sim.Tick) bool {
 			if e.rrIdx >= n {
 				e.rrIdx = 0
 			}
-		}
-		if w != nil {
-			w.inflight += int(desc.size)
 		}
 		e.cur = curPkt{
 			active: true,
@@ -697,16 +722,18 @@ func (e *Endpoint) onAck(now sim.Tick, f *proto.Flit) {
 	if !e.cfg.ECN.Enabled {
 		return
 	}
-	w := e.window(f.Src)
-	origSize := int(f.MsgID)
-	if f.Flags&proto.FlagNack == 0 {
-		w.inflight -= origSize
-		if w.inflight < 0 {
-			w.inflight = 0
+	w, held := e.windows[f.Src]
+	if !held {
+		if f.Flags&proto.FlagECN == 0 {
+			return // a fresh window, which an unmarked ACK leaves fresh
 		}
+		w = window{size: e.cfg.ECN.WindowMax}
+	}
+	if f.Flags&proto.FlagNack == 0 {
+		w.inflight = max(w.inflight-int(f.MsgID), 0) // MsgID carries the packet's size
 	}
 	if f.Flags&proto.FlagECN != 0 {
-		e.growWindow(w, now)
+		e.growWindow(&w, now)
 		w.size = w.size * e.cfg.ECN.DecreaseNum / e.cfg.ECN.DecreaseDen
 		if w.size < e.cfg.ECN.WindowFloor {
 			w.size = e.cfg.ECN.WindowFloor
@@ -716,15 +743,26 @@ func (e *Endpoint) onAck(now sim.Tick, f *proto.Flit) {
 			e.Collector.WindowShrink()
 		}
 	}
+	e.setWindow(f.Src, w)
 }
 
-func (e *Endpoint) window(dst int32) *window {
-	w := e.windows[dst]
-	if w == nil {
-		w = &window{size: e.cfg.ECN.WindowMax, lastGrow: 0}
-		e.windows[dst] = w
+// window returns dst's ECN window: the one held, or a fresh one.
+func (e *Endpoint) window(dst int32) window {
+	if w, ok := e.windows[dst]; ok {
+		return w
 	}
-	return w
+	return window{size: e.cfg.ECN.WindowMax}
+}
+
+// setWindow stores dst's ECN window, or drops it when it equals a fresh
+// one. A window's lastGrow does not count: growWindow overwrites it before
+// any use while the window is at WindowMax, as it is in a fresh one.
+func (e *Endpoint) setWindow(dst int32, w window) {
+	if w.size == e.cfg.ECN.WindowMax && w.inflight == 0 {
+		delete(e.windows, dst)
+		return
+	}
+	e.windows[dst] = w
 }
 
 // growWindow applies the timer-based recovery: one flit per RecoverPeriod
@@ -746,9 +784,4 @@ func (e *Endpoint) growWindow(w *window, now sim.Tick) {
 }
 
 // WindowOf exposes a destination's current window size (tests, probes).
-func (e *Endpoint) WindowOf(dst int32) int {
-	if w := e.windows[dst]; w != nil {
-		return w.size
-	}
-	return e.cfg.ECN.WindowMax
-}
+func (e *Endpoint) WindowOf(dst int32) int { return e.window(dst).size }

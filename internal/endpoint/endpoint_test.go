@@ -253,11 +253,11 @@ func TestECNWindowRecovery(t *testing.T) {
 	w := ep.window(0)
 	w.size = 100
 	w.lastGrow = 0
-	ep.growWindow(w, 300) // 10 recovery periods
+	ep.growWindow(&w, 300) // 10 recovery periods
 	if w.size != 110 {
 		t.Fatalf("window recovered to %d, want 110", w.size)
 	}
-	ep.growWindow(w, 1<<40)
+	ep.growWindow(&w, 1<<40)
 	if w.size != h.cfg.ECN.WindowMax {
 		t.Fatalf("window recovery overshot: %d", w.size)
 	}
@@ -265,15 +265,14 @@ func TestECNWindowRecovery(t *testing.T) {
 
 func TestWindowFloor(t *testing.T) {
 	h := newHarness(t, func(c *core.Config) { c.ECN = core.DefaultECN() })
-	w := h.ep.window(0)
 	for i := 0; i < 100; i++ {
 		h.ep.onAck(int64(i), &proto.Flit{
 			Src: 0, MsgID: 0, Kind: proto.ACK,
 			Flags: proto.FlagHead | proto.FlagTail | proto.FlagECN,
 		})
 	}
-	if w.size != h.cfg.ECN.WindowFloor {
-		t.Fatalf("window %d, want floor %d", w.size, h.cfg.ECN.WindowFloor)
+	if w := h.ep.WindowOf(0); w != h.cfg.ECN.WindowFloor {
+		t.Fatalf("window %d, want floor %d", w, h.cfg.ECN.WindowFloor)
 	}
 }
 
@@ -394,4 +393,51 @@ func TestSelfMessagePanics(t *testing.T) {
 		}
 	}()
 	h.ep.EnqueueMessage(3, 10, proto.ClassDefault, 0)
+}
+
+// TestWarmStepsAllocateNothing: once warm, an endpoint's steps allocate
+// nothing as destinations come and go. Each round queues a one-packet
+// message for 16 of 48 destinations in turn and steps until they are
+// sent, every packet ACKed a cycle after it leaves and every fifth ACK
+// ECN-marked: send queues drain and are drawn again from the freelist,
+// and windows are made, shrunk and dropped.
+func TestWarmStepsAllocateNothing(t *testing.T) {
+	h := newHarness(t, func(c *core.Config) { c.ECN = core.DefaultECN() })
+	var now int64
+	round := 0
+	acks := 0
+	run := func() {
+		for i := 0; i < 16; i++ {
+			h.ep.EnqueueMessage(int32(10+(round*16+i)%48), proto.MaxPacketFlits, proto.ClassDefault, uint32(round))
+		}
+		round++
+		for end := now + 600; now < end; now++ {
+			h.ep.Step(now)
+			for {
+				f, ok := h.toSw.RecvFlit(now)
+				if !ok {
+					break
+				}
+				h.toSw.SendCredit(now, proto.Credit{VC: f.VC, Shared: f.Flags&proto.FlagShared != 0})
+				if !f.Tail() {
+					continue
+				}
+				flags := proto.FlagHead | proto.FlagTail
+				if acks++; acks%5 == 0 {
+					flags |= proto.FlagECN
+				}
+				h.fromSw.SendFlit(now, proto.Flit{Src: f.Dst, Dst: f.Src, PktID: f.PktID,
+					MsgID: uint32(f.Size), Size: 1, Kind: proto.ACK, Flags: flags})
+			}
+		}
+	}
+	for i := 0; i < 12; i++ {
+		run()
+	}
+	if q, _, w, _ := h.ep.HeldState(); q != 0 || w == 0 {
+		t.Fatalf("after a round: %d send queues and %d windows held; want none and some", q, w)
+	}
+	if n := testing.AllocsPerRun(10, run); n != 0 {
+		t.Fatalf("a warm round of endpoint steps makes %.1f allocations, want 0", n)
+	}
 }

@@ -3,7 +3,6 @@ package endpoint
 import (
 	"math"
 
-	"stashsim/internal/buffer"
 	"stashsim/internal/proto"
 	"stashsim/internal/snapshot"
 )
@@ -50,8 +49,9 @@ func (e *Endpoint) State(c *snapshot.Codec, now int64) {
 	c.U32(&e.pktSeq)
 
 	// Active send queues, in active-list order (the list's order and the
-	// rotation pointer are part of the arbitration state). Injection reads
-	// the front of every listed queue, so each is non-empty and listed once.
+	// rotation pointer are part of the arbitration state). A send queue
+	// exists only while it is listed, and injection reads the front of
+	// every listed queue, so each is non-empty and listed once.
 	if c.Decoding() {
 		clear(e.queues)
 	}
@@ -62,7 +62,7 @@ func (e *Endpoint) State(c *snapshot.Codec, now int64) {
 			if q != nil {
 				c.Failf("endpoint: destination %d listed twice among the active send queues", *dst)
 			}
-			q = &buffer.Queue[pktDesc]{}
+			q = e.newQueue()
 			e.queues[*dst] = q
 		}
 		snapshot.Ring(c, q, 1+1+1+1, func(d *pktDesc) { d.state(c, e) })
@@ -74,14 +74,15 @@ func (e *Endpoint) State(c *snapshot.Codec, now int64) {
 
 	c.Flits(&e.ackQ)
 
-	// ECN windows, ascending destination order.
-	snapshot.Map(c, &e.windows, 1+1+1+1, c.I32, func(w **window) {
-		if c.Decoding() {
-			*w = &window{}
+	// ECN windows, ascending destination order: only those that differ
+	// from a fresh one are held, and decoding refuses one that does not.
+	snapshot.Map(c, &e.windows, 1+1+1+1, c.I32, func(w *window) {
+		snapshot.Wire64(c, &w.size)
+		snapshot.Wire64(c, &w.inflight)
+		c.I64(&w.lastGrow)
+		if w.size == e.cfg.ECN.WindowMax && w.inflight == 0 {
+			c.Failf("endpoint: an ECN window equal to a fresh one (size %d, nothing in flight) is not held", w.size)
 		}
-		snapshot.Wire64(c, &(*w).size)
-		snapshot.Wire64(c, &(*w).inflight)
-		c.I64(&(*w).lastGrow)
 	})
 
 	for vc := range e.rxECN {

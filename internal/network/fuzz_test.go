@@ -55,9 +55,12 @@ func microNet(t testing.TB, cfg *core.Config, load float64) *Network {
 	return n
 }
 
+// microAt is the cycle of the micro snapshot.
+const microAt = 200
+
 // microSnapshot runs the micro network past its scheduled bank failure
-// and returns a mid-run checkpoint.
-func microSnapshot(t testing.TB) []byte { return checkpointAt(t, microSnapNet(t), 200) }
+// and returns a mid-run checkpoint, taken at cycle microAt.
+func microSnapshot(t testing.TB) []byte { return checkpointAt(t, microSnapNet(t), microAt) }
 
 // checkpointAt runs n past cycle at and returns the checkpoint taken there.
 func checkpointAt(t testing.TB, n *Network, at int64) []byte {

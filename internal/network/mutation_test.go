@@ -175,16 +175,19 @@ func sortedKeys(byMsg map[string][]int) []string {
 // every index-like field of a micro network (127 as a byte, bit 6 of a
 // mask, -1's complement of nothing), and as a flit's written flags it sets
 // FlagShared; 0x01 turns a queued flit's VC into another valid one; 0x00
-// empties a retained payload, a histogram bucket or a send queue; 0x21
-// makes an empty retention window 33 deadlines long, one more than its
-// output buffer's 32 flits, the empty queues after it reading as
-// deadlines due together; 0x04 turns a shared flit's written flags into
+// empties a retained payload, a histogram bucket or a send queue; 0x02
+// raises the flit count of an output VC queue on a port that its
+// retained and queued flits already fill, and the bytes after the queue
+// read as flits enough to pass its capacity; 0x04 turns a shared flit's
+// written flags into
 // a reserved flit's marked ECN, so that the reserved flit after it, whose
 // flags are written too, no longer repeats its prediction and lands
 // third on a reserved quota of two. A flit's flags are in the stream only
-// where they differ from the flit before it. Five snapshots cover the
-// fields: the fuzz target's with latency histograms attached, twice (0x7F,
-// 0x01 then 0x21, and 0x00); a parity configuration caught with a
+// where they differ from the flit before it. Six snapshots cover the
+// fields: the fuzz target's with latency histograms attached, twice (0x7F
+// then 0x01, and 0x00); one with 16-flit output buffers at full load
+// (0x02), where a port's retained and queued flits fill it; a parity
+// configuration caught with a
 // reconstruction in flight; the fuzz target's network at full load (0x01,
 // 0x00 then 0x04), caught where a DAMQ VC queues a shared flit between
 // reserved ones and every endpoint has packets waiting to be sent; and
@@ -195,7 +198,7 @@ func sortedKeys(byMsg map[string][]int) []string {
 // pending Out and a storage VC in a stream that is neither.)
 func TestRestoreNamesOutOfRangeField(t *testing.T) {
 	if testing.Short() {
-		t.Skip("four single-byte sweeps; adds no concurrency coverage to the race pass")
+		t.Skip("six single-byte sweeps; adds no concurrency coverage to the race pass")
 	}
 	parity := microSnapConfig()
 	parity.Topo.P = 3 // four stash-capable banks: a width-2 group, its parity, and a rebuild target
@@ -206,6 +209,11 @@ func TestRestoreNamesOutOfRangeField(t *testing.T) {
 	// Endpoints resend after 256 cycles, so a resent flit, whose Retransmit
 	// flag the stream writes, waits in such a DAMQ at cycle 600.
 	noPool.Retrans.EndpointTimeout = 256
+	// Output buffers of 16 flits, two on an endpoint port, fill under full
+	// load: a retention window holds at most a round trip of deadlines, so
+	// only queued flits can take a port past its capacity.
+	fullOut := microSnapConfig()
+	fullOut.OutputBufFlits = 16
 	cases := []struct {
 		name   string
 		cfg    *core.Config
@@ -215,7 +223,7 @@ func TestRestoreNamesOutOfRangeField(t *testing.T) {
 		flips  []byte
 		fields []string
 	}{
-		{"faults", microSnapConfig(), 0.4, 200, true, []byte{0x7F, 0x01, 0x21}, []string{
+		{"faults", microSnapConfig(), 0.4, 200, true, []byte{0x7F, 0x01}, []string{
 			"routeLatch.out", "routeLatch.vc", "routeLatch.stashCol", "inPort.sVC",
 			"muxLock.row", "tile.vcNext", "sLatch.port",
 			"sbMsg.kind", "sbMsg.dst", "sbMsg.aux", "e2eEntry.stashPort", "retryRec.port",
@@ -223,7 +231,7 @@ func TestRestoreNamesOutOfRangeField(t *testing.T) {
 			"Endpoint.rrIdx", "pktDesc.dst", "pktDesc.size", "pktDesc.class", "curPkt.seq",
 			"flit.Out", "flit.OrigOut", "flit.Src", "flit.Dst", "flit.MidGroup",
 			"fault: stash-failure cursor",
-			"OutBuf used flits", "column-buffer flit.VC",
+			"column-buffer flit.VC",
 			"Hist bucket index", "Hist bucket sum",
 		}},
 		{"zeros", microSnapConfig(), 0.4, 200, true, []byte{0x00}, []string{
@@ -239,6 +247,9 @@ func TestRestoreNamesOutOfRangeField(t *testing.T) {
 		}},
 		{"no-pool", noPool, 1, 600, false, []byte{0x7F}, []string{
 			"DAMQ.shared",
+		}},
+		{"full-output", fullOut, 1, 200, false, []byte{0x02}, []string{
+			"OutBuf used flits",
 		}},
 	}
 	for _, tc := range cases {

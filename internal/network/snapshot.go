@@ -111,7 +111,7 @@ type sectionWalker Network
 // cycle of the walk in progress.
 func (w *sectionWalker) WalkSection(c *snapshot.Codec, sw int) {
 	n := (*Network)(w)
-	if n.Switches[sw].State(c); c.Err() != nil {
+	if n.Switches[sw].State(c, n.walkAt); c.Err() != nil {
 		return
 	}
 	p := n.Cfg.Topo.P

@@ -398,7 +398,15 @@ type hostileSection struct {
 //     then reads flits from what follows;
 //   - follower-first: the first flit of a link made to continue a packet;
 //   - backwards-due: the second deadline of an output buffer's retention
-//     window made to come before the first.
+//     window made to come before the first;
+//   - repeated-due, over-span-due: that deadline made equal to the first,
+//     and made 2^20 cycles later than it, more than any port's round trip:
+//     a port sends at most once a cycle and holds a flit's space for one
+//     round trip, so its window can hold neither;
+//   - future-due: the first deadline of that window made 2^20 cycles
+//     later, so that it comes due more than a round trip after the
+//     checkpoint cycle, later than any send before it makes one due, and
+//     the port's next send could not follow it.
 //
 // Every damage but the first two keeps the chain of lengths and the
 // header's total length right, so only the walk can notice.
@@ -458,6 +466,9 @@ func hostileSections(t testing.TB, valid []byte, sw int) []hostileSection {
 		window = tagAt("OUTB", window) + 4 + 1
 	}
 	second := window + 1 + varintLen(window+1)
+	far := binary.AppendUvarint(nil, 1<<21) // a due distance of 2^20, zigzagged
+	first, _ := binary.Uvarint(body[window+1:])
+	future := binary.AppendUvarint(nil, first+1<<21) // the first deadline, from cycle 0, 2^20 later
 	return []hostileSection{
 		{"past-end", withLen(slices.Clone(valid), len(valid)), []string{
 			fmt.Sprintf("switch %d: section length %d at offset %d runs past the end", sw, len(valid), at)}},
@@ -475,6 +486,12 @@ func hostileSections(t testing.TB, valid []byte, sw int) []hostileSection {
 			fmt.Sprintf("flit at offset %d continues a packet, but no flit comes before it", flit), sec(end)}},
 		{"backwards-due", set(second, body[second]|1), []string{
 			fmt.Sprintf("at offset %d puts its path out of order", second), sec(end)}},
+		{"repeated-due", set(second, 0), []string{
+			fmt.Sprintf("at offset %d does not fit the retention window", second), sec(end)}},
+		{"over-span-due", splice(second, varintLen(second), far...), []string{
+			fmt.Sprintf("at offset %d does not fit the retention window", second), sec(end + len(far) - varintLen(second))}},
+		{"future-due", splice(window+1, varintLen(window+1), future...), []string{
+			fmt.Sprintf("at offset %d is due %d cycles after the checkpoint cycle", window+1, int64(first/2)+1<<20-microAt), sec(end + len(future) - varintLen(window+1))}},
 	}
 }
 

@@ -187,23 +187,15 @@ type Credit struct {
 	Shared bool
 }
 
-// Segment splits a message of the given size in flits into packet sizes of
-// at most MaxPacketFlits, returned as a slice of per-packet flit counts.
-// Messages are at least one flit; Segment panics on non-positive sizes to
-// catch generator bugs early.
-func Segment(flits int) []int {
+// Segment splits a message of the given size in flits into packets of at
+// most MaxPacketFlits: n packets, each full but the last, which holds last
+// flits. It returns counts rather than a list of sizes so that the
+// endpoint's enqueue path allocates nothing. Messages are at least one
+// flit; Segment panics on non-positive sizes to catch generator bugs early.
+func Segment(flits int) (n, last int) {
 	if flits <= 0 {
 		panic("proto: message with non-positive flit count")
 	}
-	n := (flits + MaxPacketFlits - 1) / MaxPacketFlits
-	out := make([]int, 0, n)
-	for flits > 0 {
-		s := flits
-		if s > MaxPacketFlits {
-			s = MaxPacketFlits
-		}
-		out = append(out, s)
-		flits -= s
-	}
-	return out
+	n = (flits + MaxPacketFlits - 1) / MaxPacketFlits
+	return n, flits - (n-1)*MaxPacketFlits
 }

@@ -5,25 +5,31 @@ import (
 	"testing/quick"
 )
 
+// sizes lists the packet sizes Segment describes, first to last.
+func sizes(flits int) []int {
+	n, last := Segment(flits)
+	out := make([]int, n)
+	for i := range out {
+		out[i] = MaxPacketFlits
+	}
+	out[n-1] = last
+	return out
+}
+
 func TestSegmentSinglePacket(t *testing.T) {
 	for flits := 1; flits <= MaxPacketFlits; flits++ {
-		got := Segment(flits)
-		if len(got) != 1 || got[0] != flits {
-			t.Fatalf("Segment(%d) = %v", flits, got)
+		if n, last := Segment(flits); n != 1 || last != flits {
+			t.Fatalf("Segment(%d) = %d, %d", flits, n, last)
 		}
 	}
 }
 
 func TestSegmentMultiPacket(t *testing.T) {
-	got := Segment(50)
-	want := []int{24, 24, 2}
-	if len(got) != len(want) {
-		t.Fatalf("Segment(50) = %v", got)
+	if n, last := Segment(50); n != 3 || last != 2 {
+		t.Fatalf("Segment(50) = %d, %d, want 3 packets, the last of 2 flits", n, last)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Segment(50) = %v, want %v", got, want)
-		}
+	if n, last := Segment(2 * MaxPacketFlits); n != 2 || last != MaxPacketFlits {
+		t.Fatalf("Segment(%d) = %d, %d, want 2 full packets", 2*MaxPacketFlits, n, last)
 	}
 }
 
@@ -31,7 +37,7 @@ func TestSegmentConservesFlits(t *testing.T) {
 	if err := quick.Check(func(raw uint16) bool {
 		flits := int(raw)%5000 + 1
 		total := 0
-		for _, s := range Segment(flits) {
+		for _, s := range sizes(flits) {
 			if s < 1 || s > MaxPacketFlits {
 				return false
 			}

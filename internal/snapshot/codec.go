@@ -48,8 +48,11 @@ const (
 	// version 4 walks each switch, with its endpoints and the wire paths its
 	// pools hold, as one sized section; version 5 writes integers as
 	// varints, a flit in a queue as its difference from the one before, and
-	// a due cycle on a timed path as its distance from the one before.
-	Version uint16 = 5
+	// a due cycle on a timed path as its distance from the one before;
+	// version 6 writes a lock's packet only while the lock is held, an
+	// accumulator's sum and extremes only once it has a count, and an ECN
+	// window only while it differs from a fresh one.
+	Version uint16 = 6
 	// headerSize is magic + version + total length.
 	headerSize = 4 + 2 + 8
 )

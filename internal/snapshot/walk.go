@@ -109,6 +109,15 @@ func give[T any](c *Codec, p *T) { c.cells = append(c.cells, p) }
 // Decoding reports whether the walk restores state (true) or captures it.
 func (c *Codec) Decoding() bool { return c.r != nil }
 
+// Offset returns the input offset the next decoded value starts at, for
+// an error that names it; 0 while encoding.
+func (c *Codec) Offset() int {
+	if c.r == nil {
+		return 0
+	}
+	return c.r.off
+}
+
 // Err returns the first decode error; an encoding walk cannot fail.
 func (c *Codec) Err() error {
 	if c.r == nil {
@@ -326,10 +335,7 @@ func (c *Codec) Flit(f *proto.Flit) {
 // cycle 0), so that entries a cycle or two apart cost a byte each.
 // Decoding refuses a distance that would put the path out of order.
 func (c *Codec) Due(at *int64) {
-	off := 0
-	if c.r != nil {
-		off = c.r.off
-	}
+	off := c.Offset()
 	if u := zigzag(*at - c.due); c.uvarint(&u, 64) {
 		d := unzigzag(u)
 		if d < 0 || d > math.MaxInt64-c.due {

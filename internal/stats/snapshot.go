@@ -10,9 +10,16 @@ import (
 // (histograms as sparse non-zero buckets over the fixed bucket array),
 // so restored statistics continue bit-identically.
 
-// State walks the accumulator.
+// State walks the accumulator: its count, and its sum and extremes only
+// when it has observed something. Decoding an empty one restores a fresh
+// accumulator's zeros, which are what an empty live one holds.
 func (a *Acc) State(c *snapshot.Codec) {
-	c.I64(&a.N)
+	if c.I64(&a.N); a.N == 0 {
+		if c.Decoding() {
+			*a = Acc{}
+		}
+		return
+	}
 	c.F64(&a.Sum)
 	c.F64(&a.Min)
 	c.F64(&a.Max)
