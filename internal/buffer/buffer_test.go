@@ -364,29 +364,33 @@ func TestStashPoolCongestionFIFO(t *testing.T) {
 	}
 }
 
+// TestStashPoolRetainAndRetransmit: a retained payload is a list of the
+// shared flit pool, read in place by a retransmission, and every slot it
+// and its retransmitted flits took is free again once the copy is deleted
+// or its bank fails.
 func TestStashPoolRetainAndRetransmit(t *testing.T) {
-	p := NewStashPool(100, true)
+	flits := new(FlitPool)
+	p := NewStashPoolIn(flits, 100, true)
+	q := NewStashPoolIn(flits, 100, true)
 	p.Reserve(2)
 	p.PutCopy(proto.Flit{PktID: 5, Size: 2, Seq: 0, Flags: proto.FlagStashCopy})
 	p.PutCopy(proto.Flit{PktID: 5, Size: 2, Seq: 1, Flags: proto.FlagStashCopy})
-	b, ok := p.TakeCopy(5)
-	if !ok || len(b.Flits) != 2 {
-		t.Fatalf("TakeCopy: %v %v", b, ok)
+	l, ok := p.Retained(5)
+	if !ok || l.Len() != 2 {
+		t.Fatalf("Retained: %d flits, %v", l.Len(), ok)
 	}
-	if b.Refs() != 2 {
-		t.Fatalf("refs %d after TakeCopy, want 2 (store + caller)", b.Refs())
+	if flits.InUse() != 2 {
+		t.Fatalf("%d slots in use for a 2-flit payload", flits.InUse())
 	}
 	// Space stays committed; re-queue for retransmission by value.
 	used := p.Used()
-	for _, f := range b.Flits {
-		p.PushRetr(f)
+	for k, i := 0, l.Head(); k < l.Len(); k, i = k+1, flits.Next(i) {
+		if f := flits.Get(i); int(f.Seq) != k {
+			t.Fatalf("payload flit %d has seq %d", k, f.Seq)
+		}
+		p.PushRetr(*flits.Get(i))
 	}
-	n := len(b.Flits)
-	b.Release()
-	if b.Refs() != 1 {
-		t.Fatalf("refs %d after Release, want 1 (store)", b.Refs())
-	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < l.Len(); i++ {
 		f := p.RetrPop()
 		if f.Flags&proto.FlagStashCopy != 0 {
 			t.Fatal("retransmit flit kept stash-copy flag")
@@ -395,9 +399,32 @@ func TestStashPoolRetainAndRetransmit(t *testing.T) {
 	if p.Used() != used {
 		t.Fatal("retransmission released store space")
 	}
+	if l2, ok := p.Retained(5); !ok || l2 != l || flits.InUse() != 2 {
+		t.Fatalf("retransmission moved the payload: %v, %d slots in use", ok, flits.InUse())
+	}
 	p.Delete(5, 2)
 	if p.Used() != 0 {
 		t.Fatal("delete after retransmit did not free")
+	}
+	if flits.InUse() != 0 {
+		t.Fatalf("%d slots in use after delete", flits.InUse())
+	}
+	// A bank failure frees the slots of stored and filling payloads; the
+	// other bank's payload keeps its own.
+	storeCopy(p, 8, 3)
+	storeCopy(q, 9, 2)
+	p.Reserve(4)
+	p.PutCopy(proto.Flit{PktID: 10, Size: 4, Seq: 0})
+	p.FailBank()
+	if flits.InUse() != 2 {
+		t.Fatalf("%d slots in use after the bank failed, want the other bank's 2", flits.InUse())
+	}
+	for seq := 1; seq < 4; seq++ {
+		p.PutCopy(proto.Flit{PktID: 10, Size: 4, Seq: uint8(seq)})
+	}
+	q.Delete(9, 2)
+	if flits.InUse() != 0 {
+		t.Fatalf("%d slots in use after the stragglers and the delete", flits.InUse())
 	}
 }
 
@@ -439,7 +466,7 @@ func TestStashPoolFailBankCompleted(t *testing.T) {
 			t.Fatalf("retain=%v: space not freed: used %d", retain, p.Used())
 		}
 		if retain {
-			if _, ok := p.TakeCopy(11); ok {
+			if _, ok := p.Retained(11); ok {
 				t.Fatal("failed bank still serves retained payload")
 			}
 		}
@@ -540,8 +567,8 @@ func TestStashPoolFillWalk(t *testing.T) {
 		if !done || !q.Live(5) {
 			t.Fatalf("retain=%v: the restored fill did not complete", retain)
 		}
-		if b, ok := q.TakeCopy(5); retain && (!ok || len(b.Flits) != 4) {
-			t.Fatalf("retain=%v: completed payload %v, %v", retain, b, ok)
+		if l, ok := q.Retained(5); retain && (!ok || l.Len() != 4) {
+			t.Fatalf("retain=%v: completed payload of %d flits, %v", retain, l.Len(), ok)
 		}
 	}
 }

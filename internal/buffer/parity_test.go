@@ -303,42 +303,56 @@ func TestStashPoolFailBankReservedAndParity(t *testing.T) {
 }
 
 // TestStashPoolExtractInstall walks a copy through the in-flight half of a
-// parity reconstruction: extracted from the failing bank (destroying its
-// flits), carried with its retained payload, and re-minted into the target
-// bank's reservation.
+// parity reconstruction between two banks over one flit pool: extracted
+// from the failing bank (destroying its flits), carried with its retained
+// payload, and re-minted into the target bank's reservation — or, when the
+// rebuild is aborted, its reservation and payload slots freed.
 func TestStashPoolExtractInstall(t *testing.T) {
-	src := NewStashPool(100, true)
-	dst := NewStashPool(100, true)
+	flits := new(FlitPool)
+	src := NewStashPoolIn(flits, 100, true)
+	dst := NewStashPoolIn(flits, 100, true)
 	storeCopy(src, 7, 4)
 
-	b, ok := src.ExtractCopy(7)
-	if !ok || b == nil || len(b.Flits) != 4 {
-		t.Fatalf("ExtractCopy: %v %v", b, ok)
+	l, ok := src.ExtractCopy(7)
+	if !ok || l.Len() != 4 {
+		t.Fatalf("ExtractCopy: %d flits, %v", l.Len(), ok)
 	}
 	if src.Live(7) || src.Used() != 0 || src.FreedFlits() != 4 {
 		t.Fatalf("extract left source dirty: used %d freed %d", src.Used(), src.FreedFlits())
 	}
-	if b.Freed() {
-		t.Fatal("extracted payload released")
+	if flits.InUse() != 4 {
+		t.Fatalf("extracted payload holds %d slots, want 4", flits.InUse())
 	}
 
 	dst.Reserve(4)
-	dst.InstallCopy(7, 4, b)
+	dst.InstallCopy(7, 4, l)
 	if !dst.Live(7) || dst.Used() != 4 || dst.Reserved() != 0 {
 		t.Fatalf("install: live %v used %d reserved %d", dst.Live(7), dst.Used(), dst.Reserved())
 	}
 	// The installed copy retransmits like any stored one.
-	if got, ok := dst.TakeCopy(7); !ok || len(got.Flits) != 4 {
+	if got, ok := dst.Retained(7); !ok || got.Len() != 4 {
 		t.Fatal("installed copy not retrievable")
-	} else {
-		got.Release()
 	}
 	if !dst.Delete(7, 4) || dst.Used() != 0 {
 		t.Fatal("installed copy did not delete cleanly")
 	}
+	if flits.InUse() != 0 {
+		t.Fatalf("%d slots in use after the installed copy was deleted", flits.InUse())
+	}
 	// Extracting a copy that is not live reports false.
 	if _, ok := src.ExtractCopy(7); ok {
 		t.Fatal("extracted a dead copy")
+	}
+
+	// An aborted rebuild releases the target's reservation and frees the
+	// payload it carried.
+	storeCopy(src, 8, 3)
+	l, _ = src.ExtractCopy(8)
+	dst.Reserve(3)
+	dst.Unreserve(3)
+	l.Reset(flits)
+	if flits.InUse() != 0 || dst.Used() != 0 {
+		t.Fatalf("aborted rebuild left %d slots in use, %d flits committed", flits.InUse(), dst.Used())
 	}
 }
 

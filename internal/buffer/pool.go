@@ -77,8 +77,8 @@ type poolSlot[T any] struct {
 // and newest value, linked through the slots, and its length. The zero
 // value is an empty list. Every method takes the pool the list draws from.
 type List[T any] struct {
-	head, tail int32 // meaningless when n is zero
-	n          int32
+	head, tail int32 //stashsim:derived -- slot numbers, which a restore's pushes assign anew; meaningless when n is zero
+	n          int32 //stashsim:derived -- rebuilt by pushing each walked value: a checkpoint walks a list as its values
 }
 
 // TimedList is a List whose values each come due at a cycle, in
@@ -235,7 +235,27 @@ func (l *List[T]) Front(p *Pool[T]) *T {
 	return p.Get(l.head)
 }
 
+// Head returns the slot of the oldest value, and Pool.Next the slot after
+// a given one: a walk in queue order reads Len values from Head, following
+// Next between them. It panics when empty.
+//
+//stashsim:noalloc
+func (l *List[T]) Head() int32 {
+	if l.n == 0 {
+		panic("buffer: head of empty list")
+	}
+	return l.head
+}
+
+// Next returns the slot after slot i on its list. After a list's tail it
+// returns nothing meaningful.
+//
+//stashsim:noalloc
+func (p *Pool[T]) Next(i int32) int32 { return p.slot(i).next }
+
 // Reset frees every slot of the list.
+//
+//stashsim:noalloc
 func (l *List[T]) Reset(p *Pool[T]) {
 	for l.n > 0 {
 		p.Take(l.Unlink(p))

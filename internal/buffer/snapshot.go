@@ -118,24 +118,20 @@ func (r *Retention) State(c *snapshot.Codec, now int64) {
 	}
 }
 
-// Payload walks one retained payload — a flit count followed by the
-// flits — drawing a fresh buffer from this pool's freelist when
-// decoding. Every retained payload holds at least its head flit: the
-// retransmission path reads Flits[0] to route the copy.
-func (p *StashPool) Payload(c *snapshot.Codec, b **proto.PktBuf) {
-	if c.Decoding() {
-		*b = p.bufs.Get()
-	}
-	snapshot.Slice(c, &(*b).Flits, 1, c.Flit)
-	c.Bound("PktBuf.Flits length", len((*b).Flits), 1, proto.MaxPacketFlits+1)
+// Payload walks one retained payload, list l of this pool's flit pool, as
+// a flit queue: a count followed by the flits. Decoding fills l, which
+// must be empty. Every retained payload holds at least its head flit: the
+// retransmission path reads it to route the copy.
+func (p *StashPool) Payload(c *snapshot.Codec, l *FlitList) {
+	c.Flits(p.flits.FIFO(l))
+	c.Bound("StashPool payload length", l.Len(), 1, proto.MaxPacketFlits+1)
 }
 
 // State walks the stash pool's dynamic state; decoding expects a fresh
 // pool built with the identical capacity and retention setting. The maps
 // travel in ascending packet-ID order, and the fill record as two of them
 // with one entry at most: the flits arrived and, when retained, their
-// payload. Each retained-payload entry owns exactly one buffer reference
-// at a cycle barrier — transient retransmission references never span one.
+// payload.
 func (p *StashPool) State(c *snapshot.Codec) {
 	c.Section("STSH")
 	snapshot.Wire64(c, &p.reserved)
@@ -151,15 +147,15 @@ func (p *StashPool) State(c *snapshot.Codec) {
 	}
 	snapshot.Map(c, &p.copies, 1+1, c.U64, c.U8)
 	snapshot.Map(c, &p.dead, 1+1, c.U64, c.U8)
-	payload := func(b **proto.PktBuf) { p.Payload(c, b) }
+	payload := func(l *FlitList) { p.Payload(c, l) }
 	snapshot.Map(c, &p.store, 1+1, c.U64, payload)
 	id := fl.id
-	switch has := filling(c, fl.buf != nil, 1+1, &id); {
+	switch has := filling(c, !fl.payload.Empty(), 1+1, &id); {
 	case has != (p.retainPayload && fl.n > 0) || id != fl.id:
 		c.Failf("stash pool: the retained payload does not match the copy filling")
 	case has:
-		payload(&fl.buf)
-		c.Bound("StashPool fill payload flits", len(fl.buf.Flits), int(fl.n), int(fl.n)+1)
+		payload(&fl.payload)
+		c.Bound("StashPool fill payload flits", fl.payload.Len(), int(fl.n), int(fl.n)+1)
 	}
 	c.Flits(p.flits.FIFO(&p.retrQ))
 }

@@ -21,15 +21,11 @@ type StashPool struct {
 	// End-to-end reliability bookkeeping: the copy arriving in the pool.
 	// Payload flits are discarded on arrival (the copy is never forwarded)
 	// unless retainPayload is set for the retransmission extension, in which
-	// case complete packets are kept in store. Retained payloads live in
-	// ref-counted buffers drawn from bufs, the pool's deterministic
-	// freelist: the store entry owns one reference, each retransmission
-	// takes a transient one, and the buffer recycles when the last drops —
-	// so steady-state retention churn allocates nothing.
+	// case complete packets are kept in store, each a list of its flits in
+	// flits, the switch's flit pool, like every other queue of the switch.
 	fill          copyFill
-	store         map[uint64]*proto.PktBuf
+	store         map[uint64]FlitList
 	retainPayload bool //stashsim:derived -- structural; rebuilt from the configuration
-	bufs          proto.BufPool
 
 	// copies records the size of every live completed end-to-end copy,
 	// maintained whether or not the payload is retained. It makes Delete
@@ -54,7 +50,7 @@ type StashPool struct {
 	// Congestion-mitigation bookkeeping: stashed packets queued for
 	// retrieval in FIFO order, in the slots of flits.
 	retrQ FlitList
-	flits *FlitPool //stashsim:derived -- wiring: the owner's flit pool, which retrQ's slots live in
+	flits *FlitPool //stashsim:derived -- wiring: the owner's flit pool, which every list of the pool draws from
 
 	// Conservation bookkeeping for the invariant checker: retrCopies is
 	// the number of retransmission copies sitting in retrQ without owning
@@ -65,17 +61,22 @@ type StashPool struct {
 
 	// PeakUsed tracks the high-water mark for statistics.
 	PeakUsed int
+
+	// auditEntry is the copy of a store entry AuditLists hands to visit:
+	// a map value has no address, and a local copy would escape to the
+	// heap once per entry and audit.
+	auditEntry FlitList //stashsim:transient -- AuditLists' scratch
 }
 
 // copyFill is the end-to-end copy a pool is filling. A pool fills one at a
 // time: its flits arrive through the port's output multiplexer on the
 // storage VC, whose lock admits one packet until its tail. n counts the
-// flits arrived so far, zero when no copy is filling; buf collects them
-// when payloads are retained.
+// flits arrived so far, zero when no copy is filling; payload collects
+// them when payloads are retained.
 type copyFill struct {
-	id  uint64
-	n   uint8
-	buf *proto.PktBuf
+	id      uint64
+	n       uint8
+	payload FlitList
 }
 
 // NewStashPool builds a pool with the given capacity in flits, over a flit
@@ -86,7 +87,8 @@ func NewStashPool(capacity int, retainPayload bool) *StashPool {
 }
 
 // NewStashPoolIn builds a pool as NewStashPool does, whose retrieval queue
-// holds its flits in flits, the owning switch's pool.
+// and retained payloads hold their flits in flits, the owning switch's
+// pool.
 func NewStashPoolIn(flits *FlitPool, capacity int, retainPayload bool) *StashPool {
 	return &StashPool{flits: flits, capacity: capacity, retainPayload: retainPayload}
 }
@@ -134,48 +136,57 @@ func (p *StashPool) Reserve(size int) {
 // and PutCopy panics.
 //
 //stashsim:noalloc
-func (p *StashPool) PutCopy(f proto.Flit) bool {
+func (p *StashPool) PutCopy(f proto.Flit) bool { return p.LinkCopy(p.flits.Put(f)) }
+
+// LinkCopy stores the end-to-end copy flit in slot i of the pool's flit
+// pool, unlinked from a column buffer, as PutCopy does: the slot moves onto
+// the filling payload when payloads are retained and is freed otherwise.
+//
+//stashsim:noalloc
+func (p *StashPool) LinkCopy(i int32) bool {
+	f := p.flits.Get(i)
+	id, size := f.PktID, f.Size
 	p.reserved--
-	if n, ok := p.dead[f.PktID]; ok {
+	if n, ok := p.dead[id]; ok {
 		// Straggler of a bank-failed partial copy: its reservation becomes
 		// freed space immediately and the copy never completes.
+		p.flits.Take(i)
 		p.freed++
-		if n+1 == f.Size {
-			delete(p.dead, f.PktID)
+		if n+1 == size {
+			delete(p.dead, id)
 		} else {
-			p.dead[f.PktID] = n + 1
+			p.dead[id] = n + 1
 		}
 		return false
 	}
 	p.used++
 	fl := &p.fill
 	if fl.n == 0 {
-		fl.id = f.PktID
-		if p.retainPayload {
-			fl.buf = p.bufs.Get()
-		}
-	} else if fl.id != f.PktID {
+		fl.id = id
+	} else if fl.id != id {
 		panic("buffer: stash copy flits of two packets interleaved in one pool")
 	}
-	if fl.buf != nil {
-		fl.buf.Flits = append(fl.buf.Flits, f)
+	if p.retainPayload {
+		fl.payload.Link(p.flits, i)
+	} else {
+		p.flits.Take(i)
 	}
-	if fl.n++; fl.n < f.Size {
+	if fl.n++; fl.n < size {
 		return false
 	}
-	if fl.buf != nil {
+	if p.retainPayload {
 		if p.store == nil {
 			//lint:allow allocfree -- one-time lazy init of the retention map
-			p.store = make(map[uint64]*proto.PktBuf)
+			p.store = make(map[uint64]FlitList)
 		}
-		p.store[f.PktID] = fl.buf
+		p.store[id] = fl.payload
 	}
 	*fl = copyFill{}
 	if p.copies == nil {
 		//lint:allow allocfree -- one-time lazy init of the live-copy map
 		p.copies = make(map[uint64]uint8)
 	}
-	p.copies[f.PktID] = f.Size
+	p.copies[id] = size
 	return true
 }
 
@@ -197,13 +208,19 @@ func (p *StashPool) Delete(pktID uint64, size int) bool {
 	if p.used < 0 {
 		panic("buffer: stash pool delete underflow")
 	}
-	if p.retainPayload {
-		if b := p.store[pktID]; b != nil {
-			delete(p.store, pktID)
-			b.Release()
-		}
-	}
+	p.freePayload(pktID)
 	return true
+}
+
+// freePayload frees the slots of a packet's retained payload, if the pool
+// holds one.
+//
+//stashsim:noalloc
+func (p *StashPool) freePayload(pktID uint64) {
+	if l, ok := p.store[pktID]; ok {
+		delete(p.store, pktID)
+		l.Reset(p.flits)
+	}
 }
 
 // CopySize returns the flit count of a live completed copy.
@@ -214,17 +231,17 @@ func (p *StashPool) CopySize(pktID uint64) (uint8, bool) {
 	return size, ok
 }
 
-// ExtractCopy removes a live completed copy from the pool without
-// releasing its retained payload: ownership of the buffer (when payloads
-// are retained) transfers to the caller, which carries it through an
-// in-flight parity reconstruction and either InstallCopy's it into the
-// target bank or Releases it. Conservation-wise the flits are destroyed
-// here (freed) and re-minted by the installer, so a copy in flight
-// between banks is accounted exactly like a reconstructed one.
-func (p *StashPool) ExtractCopy(pktID uint64) (*proto.PktBuf, bool) {
+// ExtractCopy removes a live completed copy from the pool without freeing
+// its retained payload: the list (empty when payloads are not retained)
+// passes to the caller, which carries it through an in-flight parity
+// reconstruction and either InstallCopy's it into the target bank or
+// frees its slots. Conservation-wise the flits are destroyed here (freed)
+// and re-minted by the installer, so a copy in flight between banks is
+// accounted exactly like a reconstructed one.
+func (p *StashPool) ExtractCopy(pktID uint64) (FlitList, bool) {
 	size, ok := p.copies[pktID]
 	if !ok {
-		return nil, false
+		return FlitList{}, false
 	}
 	delete(p.copies, pktID)
 	p.used -= int(size)
@@ -232,21 +249,18 @@ func (p *StashPool) ExtractCopy(pktID uint64) (*proto.PktBuf, bool) {
 	if p.used < 0 {
 		panic("buffer: stash pool extract underflow")
 	}
-	var b *proto.PktBuf
-	if p.retainPayload {
-		if b = p.store[pktID]; b != nil {
-			delete(p.store, pktID)
-		}
-	}
-	return b, true
+	l := p.store[pktID]
+	delete(p.store, pktID)
+	return l, true
 }
 
 // InstallCopy converts a prior Reserve into a live completed copy: the
-// landing point of a parity reconstruction. The buffer, when non-nil,
-// becomes the store entry (the pool takes over the caller's reference).
+// landing point of a parity reconstruction. A non-empty payload becomes
+// the store entry. It must come from a pool over the same flit pool — a
+// bank of the same switch — since the list names slots of that pool.
 //
 //stashsim:noalloc
-func (p *StashPool) InstallCopy(pktID uint64, size int, b *proto.PktBuf) {
+func (p *StashPool) InstallCopy(pktID uint64, size int, payload FlitList) {
 	p.reserved -= size
 	p.used += size
 	if p.reserved < 0 {
@@ -257,12 +271,12 @@ func (p *StashPool) InstallCopy(pktID uint64, size int, b *proto.PktBuf) {
 		p.copies = make(map[uint64]uint8)
 	}
 	p.copies[pktID] = uint8(size)
-	if b != nil && p.retainPayload {
+	if !payload.Empty() {
 		if p.store == nil {
 			//lint:allow allocfree -- one-time lazy init of the retention map
-			p.store = make(map[uint64]*proto.PktBuf)
+			p.store = make(map[uint64]FlitList)
 		}
-		p.store[pktID] = b
+		p.store[pktID] = payload
 	}
 }
 
@@ -348,61 +362,25 @@ func (p *StashPool) FailBank() []uint64 {
 		panic("buffer: stash pool bank-failure underflow")
 	}
 	sort.Slice(lost, func(i, j int) bool { return lost[i] < lost[j] })
-	if p.retainPayload {
-		// Release the retained buffers in sorted id order so the freelist
-		// reuses them in a deterministic sequence.
-		for _, id := range lost {
-			if b := p.store[id]; b != nil {
-				delete(p.store, id)
-				b.Release()
-			}
-			if id == fl.id && fl.buf != nil {
-				fl.buf.Release()
-				fl.buf = nil
-			}
-		}
+	// Free the retained payloads in sorted id order, so that the free
+	// stack of the flit pool takes their slots back in a deterministic
+	// sequence.
+	for _, id := range lost {
+		p.freePayload(id)
 	}
+	fl.payload.Reset(p.flits)
 	return lost
 }
 
-// TakeCopy returns the retained stash copy of a packet for retransmission
-// (error-injection extension), with one reference taken for the caller.
-// The store entry keeps its own reference (the space remains committed
-// until the retransmitted packet is acknowledged and deleted); the caller
-// reads the flits out by value and must Release the buffer when done —
-// no per-retransmission payload copy is ever allocated.
+// Retained returns the retained payload of a live copy, for retransmission
+// (error-injection extension): the list stays the store entry's, and the
+// caller reads its flits in place through the flit pool. The space remains
+// committed until the retransmitted packet is acknowledged and deleted.
 //
 //stashsim:noalloc
-func (p *StashPool) TakeCopy(pktID uint64) (*proto.PktBuf, bool) {
-	b, ok := p.store[pktID]
-	if !ok {
-		return nil, false
-	}
-	b.Retain()
-	return b, true
-}
-
-// AuditRetained calls fn for every retained payload buffer (completed store
-// entries and the still-filling copy). Invariant-checker use only, under
-// the same quiescence rule as the link audits; visit order is unspecified,
-// which is acceptable because the checker inspects every entry regardless.
-func (p *StashPool) AuditRetained(fn func(pktID uint64, b *proto.PktBuf)) {
-	//lint:allow determinism -- audit-only traversal, order-insensitive
-	for id, b := range p.store {
-		fn(id, b)
-	}
-	if p.fill.buf != nil {
-		fn(p.fill.id, p.fill.buf)
-	}
-}
-
-// RetainedBufs returns how many payload buffers the pool currently holds.
-func (p *StashPool) RetainedBufs() int {
-	n := len(p.store)
-	if p.fill.buf != nil {
-		n++
-	}
-	return n
+func (p *StashPool) Retained(pktID uint64) (FlitList, bool) {
+	l, ok := p.store[pktID]
+	return l, ok
 }
 
 // PutCongested stores one flit of a congestion-stashed packet. The packet
@@ -476,8 +454,18 @@ func (p *StashPool) UnlinkRetr() int32 {
 //stashsim:noalloc
 func (p *StashPool) RetrLen() int { return p.retrQ.Len() }
 
-// AuditLists hands the retrieval queue to visit, for the flit-pool audit.
-func (p *StashPool) AuditLists(visit func(*FlitList)) { visit(&p.retrQ) }
+// AuditLists hands every list of the pool to visit, for the flit-pool
+// audit: the retrieval queue, the filling payload and the retained ones.
+// A retained payload is handed as a copy of its store entry, good for
+// reading only.
+func (p *StashPool) AuditLists(visit func(*FlitList)) {
+	visit(&p.retrQ)
+	visit(&p.fill.payload)
+	//lint:allow determinism -- audit-only traversal; the audit's verdict does not depend on the order
+	for _, p.auditEntry = range p.store {
+		visit(&p.auditEntry)
+	}
+}
 
 // PresentFlits returns the number of flits physically resident in the
 // pool for the invariant checker's conservation audit: the committed

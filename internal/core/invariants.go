@@ -30,23 +30,22 @@ import (
 //  4. S/R confinement: the storage and retrieval VCs are switch-internal;
 //     no flit on any link carries one, and a switch without stash
 //     capacity has no occupied S/R column streams.
-//  5. Stash liveness: every payload buffer a stash bank references is
-//     still alive — a bank holding a buffer that has been returned to
-//     the freelist would serve recycled (corrupt) flits on retrieval.
-//     With parity groups enabled the law extends to erasure coding:
-//     every live parity flit's group is accounted — per-bank parity
-//     occupancy equals the sealed groups' parity placed there, every
-//     group member is a live completed copy in its recorded bank, the
-//     membership index is consistent, and no in-flight reconstruction
-//     carries a freed payload buffer. (Parity flits enter conservation
-//     through the pools' PresentFlits/FreedFlits and the switches'
-//     created counts, so law 1 already balances them.)
+//  5. Parity accounting: with parity groups enabled, every live parity
+//     flit's group is accounted — per-bank parity occupancy equals the
+//     sealed groups' parity placed there, every group member is a live
+//     completed copy in its recorded bank, and the membership index is
+//     consistent. (Parity flits enter conservation through the pools'
+//     PresentFlits/FreedFlits and the switches' created counts, so law 1
+//     already balances them.)
 //  6. Flit and credit pools: in every switch, each pool's slots in use
-//     equal what its lists hold — the switch's own queues and the link
-//     paths it owns (Link says which) — in-use plus free slots make up its
-//     capacity, and every slot sits on exactly one list: a queue, a link
-//     path or the free stack. A leaked slot or one linked twice would let
-//     two queues, or a queue and the wire, share a flit or a credit batch.
+//     equal what its lists hold — the switch's own queues, the retained
+//     stash payloads (stored, filling, or carried by an in-flight
+//     reconstruction) and the link paths it owns (Link says which) —
+//     in-use plus free slots make up its capacity, and every slot sits on
+//     exactly one list: a queue, a payload, a link path or the free stack.
+//     A leaked slot or one linked twice would let two queues, or a queue
+//     and the wire, share a flit or a credit batch, and a retained payload
+//     whose slot was freed would retransmit whatever flit took it next.
 //
 // The laws are state-based, so sparse audits (Every > 1) still converge
 // on any corruption the next time they run. On the first violation the
@@ -132,7 +131,6 @@ func (iv *Invariants) AtBarrier(now int64) {
 	iv.checkConservation(now)
 	iv.checkCredits(now)
 	iv.checkStash(now)
-	iv.checkStashRefs(now)
 	iv.checkParity(now)
 	iv.checkFlitPools(now)
 }
@@ -260,32 +258,7 @@ func (iv *Invariants) checkStash(now sim.Tick) {
 	}
 }
 
-// checkStashRefs enforces law 5: no stash bank references a freed payload
-// buffer. The reference-counted freelists make use-after-free silent — a
-// recycled buffer holds a different packet's flits, so a stale bank entry
-// would retransmit garbage with a valid-looking checksum. Catch it here,
-// while the dangling reference still names the guilty pool.
-func (iv *Invariants) checkStashRefs(now sim.Tick) {
-	for _, s := range iv.Switches {
-		for p, pool := range s.stash {
-			bad := uint64(0)
-			dead := false
-			pool.AuditRetained(func(pktID uint64, b *proto.PktBuf) {
-				if b != nil && b.Freed() && (!dead || pktID < bad) {
-					bad, dead = pktID, true
-				}
-			})
-			if dead {
-				iv.fail(now, s, fmt.Sprintf(
-					"stash liveness: sw%d port %d bank references freed buffer for pkt %#x",
-					s.ID, p, bad))
-			}
-		}
-	}
-}
-
-// checkParity enforces the erasure-coding half of law 5 on switches with
-// parity groups enabled.
+// checkParity enforces law 5 on switches with parity groups enabled.
 func (iv *Invariants) checkParity(now sim.Tick) {
 	for _, s := range iv.Switches {
 		t := s.parity
@@ -319,13 +292,6 @@ func (iv *Invariants) checkParity(now sim.Tick) {
 			iv.fail(now, s, fmt.Sprintf(
 				"parity membership: sw%d index tracks %d members, groups hold %d",
 				s.ID, t.Members(), members))
-		}
-		for i := range s.reconQ {
-			if b := s.reconQ[i].buf; b != nil && b.Freed() {
-				iv.fail(now, s, fmt.Sprintf(
-					"parity reconstruction: sw%d in-flight rebuild of pkt %#x references a freed buffer",
-					s.ID, s.reconQ[i].pktID))
-			}
 		}
 	}
 }

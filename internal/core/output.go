@@ -108,10 +108,11 @@ func (s *Switch) stepMux(now sim.Tick, op *outPort) {
 }
 
 // stashArrival deposits the storage-VC flit in slot i of the switch's flit
-// pool into the port's stash pool: an end-to-end copy leaves the flit pool
-// (the stash keeps at most its payload), a congestion-stashed flit's slot
-// moves onto the retrieval queue. Completed end-to-end copies trigger the
-// side-band location message back to the originating end port.
+// pool into the port's stash pool: an end-to-end copy's slot moves onto the
+// filling payload (or is freed when payloads are not retained), a
+// congestion-stashed flit's onto the retrieval queue. Completed end-to-end
+// copies trigger the side-band location message back to the originating
+// end port.
 //
 //stashsim:noalloc
 func (s *Switch) stashArrival(now sim.Tick, op *outPort, i int32) {
@@ -122,8 +123,8 @@ func (s *Switch) stashArrival(now sim.Tick, op *outPort, i int32) {
 		s.tracer.Record(now, metrics.EvStashStore, f.PktID, int32(s.ID), int32(op.id), f.Src, f.Dst)
 	}
 	if f.Flags&proto.FlagStashCopy != 0 {
-		cp := s.flits.Take(i)
-		if pool.PutCopy(cp) {
+		cp := *f // the slot may be freed
+		if pool.LinkCopy(i) {
 			if s.parity != nil {
 				// The completed copy enrolls into a parity group; filling
 				// one mints its XOR parity flit run in another bank.

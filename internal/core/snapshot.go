@@ -318,9 +318,9 @@ func (r *reconRec) state(c *snapshot.Codec, s *Switch) {
 	c.Bound("reconRec.origin", int(r.origin), 0, len(s.track))
 	c.U8(&r.target)
 	c.Bound("reconRec.target", int(r.target), 0, s.radix)
-	has := r.buf != nil
+	has := !r.payload.Empty()
 	if c.Bool(&has); has && c.Err() == nil {
-		s.stash[r.target].Payload(c, &r.buf)
+		s.stash[r.target].Payload(c, &r.payload)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"stashsim/internal/buffer"
 	"stashsim/internal/fault"
 	"stashsim/internal/metrics"
 	"stashsim/internal/proto"
@@ -249,19 +250,20 @@ func (s *Switch) findEntry(pktID uint64) (*e2eEntry, int) {
 }
 
 // reconRec is one in-flight parity reconstruction: at due, the rebuilt
-// copy (payload carried in buf when retention is on) lands in the target
-// bank and a fresh location report heads to the originating end port.
+// copy — with its retained payload, a list in the switch's flit pool, when
+// retention is on — lands in the target bank and a fresh location report
+// heads to the originating end port.
 // Records are appended only by the serial fault hook (FailStashBank) and
 // drained by Step, so the queue is partition-private like retryQ.
 //
 //stashsim:owner partition
 type reconRec struct {
-	due    int64
-	pktID  uint64
-	size   uint8
-	origin uint8         // end port owning the tracking entry at begin time
-	target uint8         // bank receiving the rebuilt copy (space reserved)
-	buf    *proto.PktBuf // retained payload extracted from the failed bank; may be nil
+	due     int64
+	pktID   uint64
+	size    uint8
+	origin  uint8           // end port owning the tracking entry at begin time
+	target  uint8           // bank receiving the rebuilt copy (space reserved)
+	payload buffer.FlitList // retained payload extracted from the failed bank; may be empty
 }
 
 // FailStashBank injects a stash-bank failure at the given port. With
@@ -293,7 +295,7 @@ func (s *Switch) FailStashBank(now sim.Tick, port int) (lost, reconstructed int)
 			if !ok {
 				continue // no bank can hold the rebuild: degrade to endpoint recovery
 			}
-			buf, _ := pool.ExtractCopy(pktID)
+			payload, _ := pool.ExtractCopy(pktID)
 			s.stash[target].Reserve(int(size))
 			s.parity.BeginRecon(pktID)
 			e.recon = true
@@ -304,7 +306,7 @@ func (s *Switch) FailStashBank(now sim.Tick, port int) (lost, reconstructed int)
 			due := now + s.cfg.SidebandLat + int64(s.cfg.StashParity-1)*int64(size)
 			s.reconQ = append(s.reconQ, reconRec{
 				due: due, pktID: pktID, size: size,
-				origin: uint8(ep), target: uint8(target), buf: buf,
+				origin: uint8(ep), target: uint8(target), payload: payload,
 			})
 			reconstructed++
 		}
@@ -375,13 +377,11 @@ func (s *Switch) finishRecon(now sim.Tick, rec reconRec) {
 	e, ep := s.findEntry(rec.pktID)
 	if e == nil || !e.recon || ep != int(rec.origin) {
 		s.stash[rec.target].Unreserve(int(rec.size))
-		if rec.buf != nil {
-			rec.buf.Release()
-		}
+		rec.payload.Reset(&s.flits)
 		return
 	}
 	e.recon = false
-	s.stash[rec.target].InstallCopy(rec.pktID, int(rec.size), rec.buf)
+	s.stash[rec.target].InstallCopy(rec.pktID, int(rec.size), rec.payload)
 	s.created += int64(rec.size)
 	s.noteSealed(s.parity.OnStore(rec.pktID, rec.size, int(rec.target)))
 	s.sbSend(now, sbLocation, rec.pktID, rec.origin, rec.target, rec.size)
@@ -396,16 +396,16 @@ func (s *Switch) finishRecon(now sim.Tick, rec reconRec) {
 //stashsim:noalloc
 func (s *Switch) retransmit(now sim.Tick, stashPort int, pktID uint64) {
 	pool := s.stash[stashPort]
-	buf, ok := pool.TakeCopy(pktID)
+	payload, ok := pool.Retained(pktID)
 	if !ok {
 		return // copy already deleted by a racing positive ACK
 	}
-	// The buffer stays owned by the store entry; this reference covers the
-	// re-injection read. Flits are copied by value into the retrieval queue
-	// with their routing state rebuilt, so the retained payload is never
-	// mutated and a later retry starts from the same bytes.
+	// The payload stays the store entry's and is read in place. Flits are
+	// copied by value into the retrieval queue with their routing state
+	// rebuilt, so the retained payload is never mutated and a later retry
+	// starts from the same bytes.
 	s.Counters.E2ERetransmits++
-	h := buf.Flits[0]
+	h := *s.flits.Get(payload.Head())
 	s.tracer.Record(now, metrics.EvRetransmit, pktID, int32(s.ID), int32(stashPort), h.Src, h.Dst)
 	h.Hops = 0
 	h.Phase = proto.PhaseInject
@@ -416,8 +416,8 @@ func (s *Switch) retransmit(now sim.Tick, stashPort int, pktID uint64) {
 	if dec.Eject {
 		nextVC = 0
 	}
-	for i := range buf.Flits {
-		fl := buf.Flits[i]
+	for k, i := 0, payload.Head(); k < payload.Len(); k, i = k+1, s.flits.Next(i) {
+		fl := *s.flits.Get(i)
 		fl.Hops = 0
 		fl.Phase = dec.Phase
 		fl.MidGroup = dec.MidGroup
@@ -432,6 +432,5 @@ func (s *Switch) retransmit(now sim.Tick, stashPort int, pktID uint64) {
 	}
 	// The copy is queued for retrieval over the stash port's row bus.
 	s.inActive |= 1 << uint(stashPort)
-	s.created += int64(len(buf.Flits))
-	buf.Release()
+	s.created += int64(payload.Len())
 }

@@ -512,8 +512,9 @@ func (s *Switch) FlitPool() *buffer.FlitPool { return &s.flits }
 func (s *Switch) CreditPool() *creditPool    { return &s.creds }
 
 // flitLists hands every list drawing from the switch's flit pool to visit,
-// for the pool audit: its own queues, and the forward path of every link
-// it consumes or feeds an endpoint over.
+// for the pool audit: its own queues, the retained payloads of its stash
+// banks and of its in-flight reconstructions, and the forward path of
+// every link it consumes or feeds an endpoint over.
 func (s *Switch) flitLists(visit func(*buffer.FlitList)) {
 	for p := range s.in {
 		if l := s.in[p].link; l != nil {
@@ -537,6 +538,9 @@ func (s *Switch) flitLists(visit func(*buffer.FlitList)) {
 				visit(&s.tiles[t].rowBufs[slot][stream])
 			}
 		}
+	}
+	for i := range s.reconQ {
+		visit(&s.reconQ[i].payload)
 	}
 }
 

@@ -170,44 +170,65 @@ func TestInvariantsCatchStashOverflow(t *testing.T) {
 	expectViolation(t, "stash occupancy", func() { iv.AtBarrier(n.Now) })
 }
 
+// TestInvariantsCatchFreedBufInBank corrupts a retained stash payload
+// behind its store entry's back: its slot freed while the entry still
+// names it, the use-after-free that would retransmit whatever flit takes
+// the slot next, or linked onto the bank's retrieval queue as well. Either
+// way the slot sits on two lists, and the flit-pool law names the pool.
 func TestInvariantsCatchFreedBufInBank(t *testing.T) {
-	cfg := core.TinyConfig()
-	cfg.Mode = core.StashE2E
-	cfg.RetainPayload = true
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		corrupt func(flits *buffer.FlitPool, pool *buffer.StashPool, slot int32)
+	}{
+		{"freed", func(flits *buffer.FlitPool, _ *buffer.StashPool, slot int32) {
+			flits.Take(slot)
+		}},
+		{"on the retrieval queue", func(flits *buffer.FlitPool, pool *buffer.StashPool, slot int32) {
+			var retrQ *buffer.FlitList // AuditLists hands the retrieval queue first
+			pool.AuditLists(func(l *buffer.FlitList) {
+				if retrQ == nil {
+					retrQ = l
+				}
+			})
+			retrQ.Link(flits, slot)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := core.TinyConfig()
+			cfg.Mode = core.StashE2E
+			cfg.RetainPayload = true
+			n, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			iv := NewInvariants(n, 1)
+			n.Observe(iv)
+			n.Run(100)
+			iv.Out = io.Discard
+			var pool *buffer.StashPool
+			for p := 0; p < n.Cfg.Topo.Radix() && pool == nil; p++ {
+				if cand := n.Switches[0].PortStash(p); cand.Capacity() > 0 {
+					pool = cand
+				}
+			}
+			if pool == nil {
+				t.Fatal("no stash-capable port on sw0")
+			}
+			// Complete a one-flit stash copy so the bank retains its
+			// payload, compensating the fabricated flit in the global count.
+			pool.PutCopy(proto.Flit{PktID: 7, Size: 1})
+			orig := iv.ExtCreated
+			iv.ExtCreated = func() int64 { return orig() + 1 }
+			iv.AtBarrier(n.Now) // healthy retained copy passes the audit
+			payload, ok := pool.Retained(7)
+			if !ok {
+				t.Fatal("stash copy not retained")
+			}
+			tc.corrupt(n.Switches[0].FlitPool(), pool, payload.Head())
+			expectViolation(t, "flit pool: sw0 slot", func() { iv.AtBarrier(n.Now) })
+			expectViolation(t, "sits on two lists", func() { iv.AtBarrier(n.Now) })
+		})
 	}
-	iv := NewInvariants(n, 1)
-	n.Observe(iv)
-	n.Run(100)
-	iv.Out = io.Discard
-	var pool *buffer.StashPool
-	for p := 0; p < n.Cfg.Topo.Radix() && pool == nil; p++ {
-		if cand := n.Switches[0].PortStash(p); cand.Capacity() > 0 {
-			pool = cand
-		}
-	}
-	if pool == nil {
-		t.Fatal("no stash-capable port on sw0")
-	}
-	// Complete a one-flit stash copy so the bank retains its payload
-	// buffer, compensating the fabricated flit in the global count.
-	pool.PutCopy(proto.Flit{PktID: 7, Size: 1})
-	orig := iv.ExtCreated
-	iv.ExtCreated = func() int64 { return orig() + 1 }
-	iv.AtBarrier(n.Now) // healthy retained copy passes the audit
-	// Now corrupt it: drop the bank's reference behind the pool's back.
-	// TakeCopy hands us a second reference; releasing both frees the
-	// buffer to the freelist while the store entry still points at it —
-	// the exact use-after-free the liveness law exists to catch.
-	b, ok := pool.TakeCopy(7)
-	if !ok {
-		t.Fatal("stash copy not retained")
-	}
-	b.Release()
-	b.Release()
-	expectViolation(t, "stash liveness", func() { iv.AtBarrier(n.Now) })
 }
 
 // TestInvariantsCatchFlitPoolCorruption corrupts a switch's pools behind

@@ -235,7 +235,7 @@ func TestRestoreNamesOutOfRangeField(t *testing.T) {
 			"Hist bucket index", "Hist bucket sum",
 		}},
 		{"zeros", microSnapConfig(), 0.4, 200, true, []byte{0x00}, []string{
-			"PktBuf.Flits length", "Hist bucket count",
+			"StashPool payload length", "Hist bucket count",
 		}},
 		{"parity", parity, 0.4, 152, false, []byte{0x7F}, []string{
 			"reconRec.origin", "reconRec.target",
