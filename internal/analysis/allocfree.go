@@ -31,15 +31,17 @@ import (
 
 // allocPkgs is the static closure the annotation may span: the executor
 // spine (internal/sim), the switch hot path (internal/core) and the
-// storage primitives it drives (internal/buffer, internal/proto). Calls
-// to module packages outside this set are exempt — the runtime benchmark
-// still covers them — so annotating the spine does not force annotations
-// across the whole repo.
+// storage primitives it drives (internal/buffer, internal/proto, and
+// internal/fault's link faults and resend ledger). Calls to module
+// packages outside this set are exempt — the runtime benchmark still
+// covers them — so annotating the spine does not force annotations across
+// the whole repo.
 var allocPkgs = []string{
 	"internal/sim",
 	"internal/core",
 	"internal/buffer",
 	"internal/proto",
+	"internal/fault",
 }
 
 // allocStdlibAllow lists the standard-library packages whose functions

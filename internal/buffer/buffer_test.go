@@ -585,13 +585,29 @@ func TestStashPoolRestoreRefusesTwoFills(t *testing.T) {
 		}
 		two := map[uint64]uint8{5: 1, 6: 1}
 		snapshot.Map(c, &two, 9, c.U64, c.U8)
-		for i := 0; i < 5; i++ {
-			c.Count(0, 1) // copies, dead, store, the filling payload, retrQ
+		for i := 0; i < 4; i++ {
+			c.Count(0, 1) // copies, dead, the filling payload, retrQ
 		}
 	})
 	err := decodePool(data, NewStashPool(100, false))
 	if err == nil || !strings.Contains(err.Error(), "snapshot: StashPool filling copies = 2 ") {
 		t.Fatalf("restoring two filling copies: %v, want the filling-copies refusal", err)
+	}
+}
+
+// TestStashPoolRestoreRefusesPayloadSize: a live copy travels as its size
+// and, when payloads are retained, its payload; Restore refuses a payload
+// whose length is not the copy's size, naming its offset.
+func TestStashPoolRestoreRefusesPayloadSize(t *testing.T) {
+	p := NewStashPool(100, true)
+	storeCopy(p, 5, 3)
+	c := p.copies[5]
+	c.size = 2
+	p.copies[5] = c
+	err := decodePool(snapshot.Encode(p.State), NewStashPool(100, true))
+	if err == nil || !strings.Contains(err.Error(), "snapshot: stash pool: the retained payload at offset ") ||
+		!strings.Contains(err.Error(), "holds 3 flits, its copy 2") {
+		t.Fatalf("restoring a 3-flit payload of a 2-flit copy: %v, want the payload-size refusal", err)
 	}
 }
 

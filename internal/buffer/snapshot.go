@@ -129,9 +129,10 @@ func (p *StashPool) Payload(c *snapshot.Codec, l *FlitList) {
 
 // State walks the stash pool's dynamic state; decoding expects a fresh
 // pool built with the identical capacity and retention setting. The maps
-// travel in ascending packet-ID order, and the fill record as two of them
-// with one entry at most: the flits arrived and, when retained, their
-// payload.
+// travel in ascending packet-ID order, a live copy as its size and, when
+// payloads are retained, its payload, whose length decoding requires to
+// be the size; the fill record travels as two maps with one entry at
+// most: the flits arrived and, when retained, their payload.
 func (p *StashPool) State(c *snapshot.Codec) {
 	c.Section("STSH")
 	snapshot.Wire64(c, &p.reserved)
@@ -145,10 +146,19 @@ func (p *StashPool) State(c *snapshot.Codec) {
 		c.U8(&fl.n)
 		c.Bound("StashPool fill flits", int(fl.n), 1, proto.MaxPacketFlits)
 	}
-	snapshot.Map(c, &p.copies, 1+1, c.U64, c.U8)
+	snapshot.Map(c, &p.copies, 1+1, c.U64, func(lc *liveCopy) {
+		c.U8(&lc.size)
+		if !p.retainPayload || c.Err() != nil {
+			return
+		}
+		off := c.Offset()
+		if p.Payload(c, &lc.payload); lc.payload.Len() != int(lc.size) && c.Err() == nil {
+			c.Failf("stash pool: the retained payload at offset %d holds %d flits, its copy %d",
+				off, lc.payload.Len(), lc.size)
+		}
+	})
 	snapshot.Map(c, &p.dead, 1+1, c.U64, c.U8)
 	payload := func(l *FlitList) { p.Payload(c, l) }
-	snapshot.Map(c, &p.store, 1+1, c.U64, payload)
 	id := fl.id
 	switch has := filling(c, !fl.payload.Empty(), 1+1, &id); {
 	case has != (p.retainPayload && fl.n > 0) || id != fl.id:

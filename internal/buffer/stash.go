@@ -21,17 +21,15 @@ type StashPool struct {
 	// End-to-end reliability bookkeeping: the copy arriving in the pool.
 	// Payload flits are discarded on arrival (the copy is never forwarded)
 	// unless retainPayload is set for the retransmission extension, in which
-	// case complete packets are kept in store, each a list of its flits in
-	// flits, the switch's flit pool, like every other queue of the switch.
+	// case a complete copy keeps its flits as a list in flits, the switch's
+	// flit pool, like every other queue of the switch.
 	fill          copyFill
-	store         map[uint64]FlitList
 	retainPayload bool //stashsim:derived -- structural; rebuilt from the configuration
 
-	// copies records the size of every live completed end-to-end copy,
-	// maintained whether or not the payload is retained. It makes Delete
-	// idempotent (a racing sideband delete after a bank failure is a
-	// no-op) and lets FailBank enumerate live copies without payload.
-	copies map[uint64]uint8
+	// copies holds every live completed end-to-end copy by packet ID. It
+	// makes Delete idempotent (a racing sideband delete after a bank
+	// failure is a no-op) and lets FailBank enumerate the live copies.
+	copies map[uint64]liveCopy
 
 	// dead tracks packets whose partially-arrived copy was invalidated by
 	// a bank failure: the value is the arrived-flit count so far. Their
@@ -54,18 +52,25 @@ type StashPool struct {
 
 	// Conservation bookkeeping for the invariant checker: retrCopies is
 	// the number of retransmission copies sitting in retrQ without owning
-	// pool space (their space belongs to the retained store entry), and
-	// freed is the cumulative count of flits released by Delete.
+	// pool space (their space belongs to the live copy they retransmit),
+	// and freed is the cumulative count of flits released by Delete.
 	retrCopies int
 	freed      int64
 
 	// PeakUsed tracks the high-water mark for statistics.
 	PeakUsed int
 
-	// auditEntry is the copy of a store entry AuditLists hands to visit:
-	// a map value has no address, and a local copy would escape to the
-	// heap once per entry and audit.
+	// auditEntry is the copy of a retained payload AuditLists hands to
+	// visit: a map value has no address, and a local copy would escape to
+	// the heap once per entry and audit.
 	auditEntry FlitList //stashsim:transient -- AuditLists' scratch
+}
+
+// liveCopy is one live completed end-to-end copy: its size in flits and,
+// when payloads are retained, its flits.
+type liveCopy struct {
+	size    uint8
+	payload FlitList
 }
 
 // copyFill is the end-to-end copy a pool is filling. A pool fills one at a
@@ -174,19 +179,12 @@ func (p *StashPool) LinkCopy(i int32) bool {
 	if fl.n++; fl.n < size {
 		return false
 	}
-	if p.retainPayload {
-		if p.store == nil {
-			//lint:allow allocfree -- one-time lazy init of the retention map
-			p.store = make(map[uint64]FlitList)
-		}
-		p.store[id] = fl.payload
-	}
-	*fl = copyFill{}
 	if p.copies == nil {
 		//lint:allow allocfree -- one-time lazy init of the live-copy map
-		p.copies = make(map[uint64]uint8)
+		p.copies = make(map[uint64]liveCopy)
 	}
-	p.copies[id] = size
+	p.copies[id] = liveCopy{size: size, payload: fl.payload}
+	*fl = copyFill{}
 	return true
 }
 
@@ -199,7 +197,8 @@ func (p *StashPool) LinkCopy(i int32) bool {
 //
 //stashsim:noalloc
 func (p *StashPool) Delete(pktID uint64, size int) bool {
-	if _, ok := p.copies[pktID]; !ok {
+	c, ok := p.copies[pktID]
+	if !ok {
 		return false
 	}
 	delete(p.copies, pktID)
@@ -208,27 +207,16 @@ func (p *StashPool) Delete(pktID uint64, size int) bool {
 	if p.used < 0 {
 		panic("buffer: stash pool delete underflow")
 	}
-	p.freePayload(pktID)
+	c.payload.Reset(p.flits)
 	return true
-}
-
-// freePayload frees the slots of a packet's retained payload, if the pool
-// holds one.
-//
-//stashsim:noalloc
-func (p *StashPool) freePayload(pktID uint64) {
-	if l, ok := p.store[pktID]; ok {
-		delete(p.store, pktID)
-		l.Reset(p.flits)
-	}
 }
 
 // CopySize returns the flit count of a live completed copy.
 //
 //stashsim:noalloc
 func (p *StashPool) CopySize(pktID uint64) (uint8, bool) {
-	size, ok := p.copies[pktID]
-	return size, ok
+	c, ok := p.copies[pktID]
+	return c.size, ok
 }
 
 // ExtractCopy removes a live completed copy from the pool without freeing
@@ -239,25 +227,24 @@ func (p *StashPool) CopySize(pktID uint64) (uint8, bool) {
 // and re-minted by the installer, so a copy in flight between banks is
 // accounted exactly like a reconstructed one.
 func (p *StashPool) ExtractCopy(pktID uint64) (FlitList, bool) {
-	size, ok := p.copies[pktID]
+	c, ok := p.copies[pktID]
 	if !ok {
 		return FlitList{}, false
 	}
 	delete(p.copies, pktID)
-	p.used -= int(size)
-	p.freed += int64(size)
+	p.used -= int(c.size)
+	p.freed += int64(c.size)
 	if p.used < 0 {
 		panic("buffer: stash pool extract underflow")
 	}
-	l := p.store[pktID]
-	delete(p.store, pktID)
-	return l, true
+	return c.payload, true
 }
 
 // InstallCopy converts a prior Reserve into a live completed copy: the
 // landing point of a parity reconstruction. A non-empty payload becomes
-// the store entry. It must come from a pool over the same flit pool — a
-// bank of the same switch — since the list names slots of that pool.
+// the copy's retained one. It must come from a pool over the same flit
+// pool — a bank of the same switch — since the list names slots of that
+// pool.
 //
 //stashsim:noalloc
 func (p *StashPool) InstallCopy(pktID uint64, size int, payload FlitList) {
@@ -268,16 +255,9 @@ func (p *StashPool) InstallCopy(pktID uint64, size int, payload FlitList) {
 	}
 	if p.copies == nil {
 		//lint:allow allocfree -- one-time lazy init of the live-copy map
-		p.copies = make(map[uint64]uint8)
+		p.copies = make(map[uint64]liveCopy)
 	}
-	p.copies[pktID] = uint8(size)
-	if !payload.Empty() {
-		if p.store == nil {
-			//lint:allow allocfree -- one-time lazy init of the retention map
-			p.store = make(map[uint64]FlitList)
-		}
-		p.store[pktID] = payload
-	}
+	p.copies[pktID] = liveCopy{size: uint8(size), payload: payload}
 }
 
 // Unreserve releases a reservation whose copy will never arrive (an
@@ -341,12 +321,9 @@ func (p *StashPool) Live(pktID uint64) bool {
 func (p *StashPool) FailBank() []uint64 {
 	var lost []uint64
 	//lint:allow determinism -- map-key collection, sorted before use
-	for id, size := range p.copies {
+	for id := range p.copies {
 		lost = append(lost, id)
-		p.used -= int(size)
-		p.freed += int64(size)
 	}
-	clear(p.copies)
 	fl := p.fill
 	if fl.n > 0 {
 		lost = append(lost, fl.id)
@@ -358,29 +335,34 @@ func (p *StashPool) FailBank() []uint64 {
 		p.dead[fl.id] = fl.n
 		p.fill = copyFill{}
 	}
+	sort.Slice(lost, func(i, j int) bool { return lost[i] < lost[j] })
+	// Free the copies in sorted id order, so that the free stack of the
+	// flit pool takes their retained payloads' slots back in a
+	// deterministic sequence.
+	for _, id := range lost {
+		if c, ok := p.copies[id]; ok {
+			delete(p.copies, id)
+			p.used -= int(c.size)
+			p.freed += int64(c.size)
+			c.payload.Reset(p.flits)
+		}
+	}
 	if p.used < 0 {
 		panic("buffer: stash pool bank-failure underflow")
-	}
-	sort.Slice(lost, func(i, j int) bool { return lost[i] < lost[j] })
-	// Free the retained payloads in sorted id order, so that the free
-	// stack of the flit pool takes their slots back in a deterministic
-	// sequence.
-	for _, id := range lost {
-		p.freePayload(id)
 	}
 	fl.payload.Reset(p.flits)
 	return lost
 }
 
 // Retained returns the retained payload of a live copy, for retransmission
-// (error-injection extension): the list stays the store entry's, and the
-// caller reads its flits in place through the flit pool. The space remains
+// (error-injection extension): the list stays the copy's, and the caller
+// reads its flits in place through the flit pool. The space remains
 // committed until the retransmitted packet is acknowledged and deleted.
 //
 //stashsim:noalloc
 func (p *StashPool) Retained(pktID uint64) (FlitList, bool) {
-	l, ok := p.store[pktID]
-	return l, ok
+	c, ok := p.copies[pktID]
+	return c.payload, ok && !c.payload.Empty()
 }
 
 // PutCongested stores one flit of a congestion-stashed packet. The packet
@@ -410,9 +392,9 @@ func (p *StashPool) RetrFront() *proto.Flit {
 }
 
 // PushRetr queues a flit for retrieval without charging pool space. It is
-// used by the retransmission extension: the retained store entry keeps
-// owning the space, and the flit's FlagStashCopy marks it so RetrPop knows
-// not to release anything.
+// used by the retransmission extension: the live copy keeps owning the
+// space, and the flit's FlagStashCopy marks it so RetrPop knows not to
+// release anything.
 //
 //stashsim:noalloc
 func (p *StashPool) PushRetr(f proto.Flit) {
@@ -424,8 +406,8 @@ func (p *StashPool) PushRetr(f proto.Flit) {
 
 // RetrPop dequeues the front retrieval flit. Congestion-stashed flits free
 // their space; retransmission flits (FlagStashCopy) do not — their space is
-// owned by the retained store entry — and the flag is cleared so the flit
-// re-enters the network as ordinary data.
+// owned by the live copy — and the flag is cleared so the flit re-enters
+// the network as ordinary data.
 //
 //stashsim:noalloc
 func (p *StashPool) RetrPop() proto.Flit { return p.flits.Take(p.UnlinkRetr()) }
@@ -456,13 +438,17 @@ func (p *StashPool) RetrLen() int { return p.retrQ.Len() }
 
 // AuditLists hands every list of the pool to visit, for the flit-pool
 // audit: the retrieval queue, the filling payload and the retained ones.
-// A retained payload is handed as a copy of its store entry, good for
+// A retained payload is handed as a copy of its map entry, good for
 // reading only.
 func (p *StashPool) AuditLists(visit func(*FlitList)) {
 	visit(&p.retrQ)
 	visit(&p.fill.payload)
+	if !p.retainPayload {
+		return
+	}
 	//lint:allow determinism -- audit-only traversal; the audit's verdict does not depend on the order
-	for _, p.auditEntry = range p.store {
+	for _, c := range p.copies {
+		p.auditEntry = c.payload
 		visit(&p.auditEntry)
 	}
 }

@@ -115,17 +115,6 @@ type RetransParams struct {
 	ScanEvery int64
 }
 
-// NextScan returns the first cycle after now on which the armed timers
-// are scanned (every cycle that is a multiple of ScanEvery).
-//
-//stashsim:noalloc
-func (rp *RetransParams) NextScan(now int64) int64 {
-	if rp.ScanEvery <= 1 {
-		return now + 1
-	}
-	return now + rp.ScanEvery - now%rp.ScanEvery
-}
-
 // DefaultRetrans returns enabled timers with defaults sized for the
 // simulated latencies: the switch timer covers several network RTTs, and
 // the endpoint timer exceeds the switch timer's full backoff ladder.

@@ -246,14 +246,14 @@ func TestSidebandDelivery(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		pool.PutCopy(proto.Flit{PktID: proto.MakePktID(0, 1), Size: 4, Seq: uint8(i)})
 	}
-	s.track[0][proto.MakePktID(0, 1)] = &e2eEntry{size: 4, stashPort: -1}
+	*s.track.Add(proto.MakePktID(0, 1)) = e2eEntry{size: 4, port: 0, stashPort: -1}
 	s.sbSend(100, sbLocation, proto.MakePktID(0, 1), 0, 7, 4)
 	s.stepSideband(109)
-	if e := s.track[0][proto.MakePktID(0, 1)]; e.stashPort != -1 {
+	if e := s.track.Get(proto.MakePktID(0, 1)); e.stashPort != -1 {
 		t.Fatal("location delivered early")
 	}
 	s.stepSideband(110)
-	if e := s.track[0][proto.MakePktID(0, 1)]; e.stashPort != 7 {
+	if e := s.track.Get(proto.MakePktID(0, 1)); e.stashPort != 7 {
 		t.Fatalf("location not applied: %+v", e)
 	}
 }
@@ -264,7 +264,7 @@ func TestE2EAckBeforeLocation(t *testing.T) {
 	cfg.Mode = StashE2E
 	s := NewSwitch(0, cfg, rngFor(cfg))
 	pkt := proto.MakePktID(0, 2)
-	s.track[0][pkt] = &e2eEntry{size: 8, stashPort: -1}
+	*s.track.Add(pkt) = e2eEntry{size: 8, port: 0, stashPort: -1}
 	pool := s.PortStash(9)
 	pool.Reserve(8)
 	for i := 0; i < 8; i++ {
@@ -272,13 +272,13 @@ func TestE2EAckBeforeLocation(t *testing.T) {
 	}
 	ack := &proto.Flit{PktID: pkt, Kind: proto.ACK, Flags: proto.FlagHead | proto.FlagTail}
 	s.e2eOnAck(50, 0, ack)
-	if e := s.track[0][pkt]; e == nil || !e.acked {
+	if e := s.track.Get(pkt); e == nil || !e.acked {
 		t.Fatal("early ACK not remembered")
 	}
 	// Location arrives later; the entry must resolve to a delete.
 	s.sbSend(60, sbLocation, pkt, 0, 9, 8)
 	s.stepSideband(60 + cfg.SidebandLat)
-	if s.track[0][pkt] != nil {
+	if s.track.Get(pkt) != nil {
 		t.Fatal("entry not cleaned up after late location")
 	}
 	// The delete must free the pool after its side-band latency.

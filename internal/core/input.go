@@ -133,7 +133,7 @@ func (s *Switch) stepRowBus(now sim.Tick, p *inPort) {
 			sFree := p.sVC == -1 || p.sVC == int8(vc)
 			switch {
 			case cfg.Mode == StashE2E && p.isEnd && f.Kind == proto.Data:
-				if s.track[p.id][f.PktID] != nil {
+				if s.track.Get(f.PktID) != nil {
 					// A source retransmission of a packet whose tracking
 					// entry is still live (its stash copy covers it, or
 					// the entry is marked lost awaiting abandonment):
@@ -270,20 +270,18 @@ func (s *Switch) moveFromInput(now sim.Tick, p *inPort, vc, row, slot int) {
 			s.created++
 			s.linkTile(s.tileAt(row, int(lt.stashCol)), s.flits.Put(cp), slot, proto.VCStore)
 			if f.Head() {
-				e := s.newEntry()
+				e := s.track.Add(f.PktID)
 				e.size = f.Size
+				e.port = uint8(p.id)
 				e.stashPort = -1
 				if cfg.Retrans.Enabled {
-					e.deadline = now + cfg.Retrans.SwitchTimeout
-					s.retryQ = append(s.retryQ, retryRec{
-						deadline: e.deadline, pktID: f.PktID, port: uint8(p.id)})
+					s.track.Arm(now, f.PktID, e)
 				}
-				s.track[p.id][f.PktID] = e
 				s.Counters.E2ETracked++
 				s.tally.jsqPick[lt.stashCol]++
 			}
 		} else if cfg.Mode == StashE2E && p.isEnd && f.Kind == proto.Data &&
-			f.Head() && s.track[p.id][f.PktID] == nil {
+			f.Head() && s.track.Get(f.PktID) == nil {
 			// Bypass: an untracked data packet advanced without a stash
 			// copy (StashBypass on a full stash).
 			s.Counters.StashBypassed++

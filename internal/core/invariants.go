@@ -19,8 +19,9 @@ import (
 //
 //  1. Flit conservation: flits injected by endpoints plus flits minted
 //     inside switches (stash duplicates, retransmission copies) equal
-//     flits ejected at endpoints plus flits freed by stash deletions
-//     plus the population resident in links, buffers, tiles, and pools.
+//     flits ejected at endpoints, freed by stash deletions or dropped by
+//     link faults (fault.LinkFault.FlitsDropped), plus the population
+//     resident in links, buffers, tiles, and pools.
 //  2. Credit conservation: on every credited edge, for each VC, the
 //     sender's free reserved credits plus in-flight flits and credits
 //     plus the receiver's reserved occupancy equal the reserved quota —
@@ -142,7 +143,7 @@ func (iv *Invariants) checkConservation(now sim.Tick) {
 	resident := int64(0)
 	for _, l := range iv.ExtLinks {
 		resident += int64(l.InFlightFlits())
-		destroyed += l.FaultDropped()
+		destroyed += l.Fault.FlitsDropped()
 		iv.checkLinkVCs(now, nil, l)
 	}
 	for _, s := range iv.Switches {
@@ -152,7 +153,7 @@ func (iv *Invariants) checkConservation(now sim.Tick) {
 		for p := 0; p < s.radix; p++ {
 			if l := s.out[p].link; l != nil {
 				resident += int64(l.InFlightFlits())
-				destroyed += l.FaultDropped()
+				destroyed += l.Fault.FlitsDropped()
 				iv.checkLinkVCs(now, s, l)
 			}
 		}

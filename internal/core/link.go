@@ -109,10 +109,6 @@ type Link struct {
 	credWake *int64      //stashsim:transient -- wiring; repartition re-slots every link
 	credDue  *int64      //stashsim:transient -- wiring; the producing switch's port slot, set when the link is attached
 
-	// faultDropped counts flits destroyed on this link by injected
-	// faults, the per-edge destruction term of the conservation law.
-	faultDropped int64
-
 	// The staging slabs of a worker-crossing link, by epoch parity; the
 	// checkpoint walks what they hold after the paths' entries.
 	flitSlab [2][]timedFlit
@@ -179,7 +175,6 @@ func (l *Link) bindCredits(p *creditPool) {
 //stashsim:noalloc
 func (l *Link) SendFlit(now int64, f proto.Flit) {
 	if l.Fault != nil && l.Fault.OnFlit(now, &f) {
-		l.faultDropped++
 		if l.Credited {
 			at := now + 2*l.Latency
 			addCredit(&l.synth, l.cp, at, proto.Credit{VC: f.VC, Shared: f.Flags&proto.FlagShared != 0})
@@ -325,10 +320,6 @@ func (l *Link) DrainEpochCredits(slab int) {
 	l.credSlab[slab] = in[:0]
 	l.creditsDue(l.NextCreditAt())
 }
-
-// FaultDropped returns the number of flits destroyed on this link by
-// injected faults.
-func (l *Link) FaultDropped() int64 { return l.faultDropped }
 
 // RecvFlit returns the next flit whose arrival time has passed.
 //

@@ -34,12 +34,13 @@ import (
 // empty. Each path is walked through its pool's Timed cursor, as (At, V)
 // entries in FIFO order; the pools and slot numbers are not state.
 
-// FlitState walks the link's forward path — its in-flight flits — and its
-// fault-destruction count; CreditState walks its credits and synthesized
-// credits. Encoding does not mutate: staged entries go to the stream, not
-// to the paths. Decoding lands every entry on its path with that
-// direction's slabs empty; the delivery form is left alone — it belongs to
-// the network's partitioning, not the snapshot.
+// FlitState walks the link's forward path, its in-flight flits;
+// CreditState walks its credits and synthesized credits. Encoding does
+// not mutate: staged entries go to the stream, not to the paths. Decoding
+// lands every entry on its path with that direction's slabs empty; the
+// delivery form is left alone — it belongs to the network's partitioning,
+// not the snapshot. The flits a fault dropped are counted by the link's
+// fault state, which the injector walks.
 //
 //stashsim:phase serial -- reads the staging slabs and rewrites the forward path; runs only at a cycle barrier or before the restored run starts
 func (l *Link) FlitState(c *snapshot.Codec) {
@@ -49,7 +50,6 @@ func (l *Link) FlitState(c *snapshot.Codec) {
 	}
 	snapshot.Arrivals(c, l.fp.Timed(&l.flits), staged(&l.flitSlab), 1+1,
 		func(t *timedFlit) { c.Due(&t.At); c.Flit(&t.V) })
-	c.I64(&l.faultDropped)
 }
 
 // CreditState walks the link's two credit paths (see FlitState).
@@ -104,9 +104,9 @@ func (b *creditCounts) state(c *snapshot.Codec) {
 // to execute, into (when decoding) a freshly built switch of the identical
 // configuration. Scratch that every cycle recomputes is not state and is
 // marked where it is declared: the allocator request masks and the
-// e2eEntry freelist. Nor are the
-// counts and masks kept beside the queues: decoding pushes every queued
-// flit through the path a run pushes it through, which rebuilds them.
+// tracking ledger's freelist. Nor are the counts and masks kept beside
+// the queues: decoding pushes every queued flit through the path a run
+// pushes it through, which rebuilds them.
 //
 //stashsim:phase serial -- walks every partition-owned structure; runs only at a cycle barrier or before the restored run starts
 func (s *Switch) State(c *snapshot.Codec, now int64) {
@@ -142,25 +142,7 @@ func (s *Switch) State(c *snapshot.Codec, now int64) {
 		c.Due(&m.At)
 		m.V.state(c, s)
 	})
-	if !c.Len("core: switch end ports", len(s.track), 1) {
-		return
-	}
-	for port := range s.track {
-		// Tracking entries in ascending packet-ID order, drawn from the
-		// entry freelist when decoding.
-		snapshot.Map(c, &s.track[port], 1+1+1+1+1+1+1+1+1, c.U64, func(e **e2eEntry) {
-			if c.Decoding() {
-				*e = s.newEntry()
-			}
-			(*e).state(c, s)
-		})
-	}
-	snapshot.Slice(c, &s.retryQ, 1+1+1, func(r *retryRec) {
-		c.I64(&r.deadline)
-		c.U64(&r.pktID)
-		c.U8(&r.port)
-		c.Bound("retryRec.port", int(r.port), 0, len(s.track))
-	})
+	s.track.State(c, 1+1+1+1+1+1+1+2, func(e *e2eEntry) { e.state(c, s) })
 	if s.parity != nil {
 		s.parity.State(c)
 	}
@@ -278,16 +260,16 @@ func (t *tile) state(c *snapshot.Codec, s *Switch) {
 	}
 }
 
-// state walks one side-band message. dst indexes the tracking maps for a
-// location report (it names the originating end port) and the stash pools
-// for a delete or retransmit request; aux is a stash or end port.
+// state walks one side-band message. dst names the originating end port
+// for a location report and indexes the stash pools for a delete or
+// retransmit request; aux is a stash or end port.
 func (m *sbMsg) state(c *snapshot.Codec, s *Switch) {
 	snapshot.Wire8(c, &m.kind)
 	c.Bound("sbMsg.kind", int(m.kind), 0, int(sbRetransmit)+1)
 	c.U64(&m.pktID)
 	c.U8(&m.dst)
 	if m.kind == sbLocation {
-		c.Bound("sbMsg.dst", int(m.dst), 0, len(s.track))
+		c.Bound("sbMsg.dst", int(m.dst), 0, s.cfg.Topo.P)
 	} else {
 		c.Bound("sbMsg.dst", int(m.dst), 0, s.radix)
 	}
@@ -298,14 +280,15 @@ func (m *sbMsg) state(c *snapshot.Codec, s *Switch) {
 
 func (e *e2eEntry) state(c *snapshot.Codec, s *Switch) {
 	c.U8(&e.size)
+	c.U8(&e.port)
+	c.Bound("e2eEntry.port", int(e.port), 0, s.cfg.Topo.P)
 	snapshot.Wire16(c, &e.stashPort)
 	c.Bound("e2eEntry.stashPort", int(e.stashPort), -1, s.radix)
 	c.Bool(&e.acked)
 	c.Bool(&e.nacked)
-	c.I64(&e.deadline)
-	c.U8(&e.retries)
 	c.Bool(&e.lost)
 	c.Bool(&e.recon)
+	e.Timer.State(c)
 }
 
 // state walks one in-flight reconstruction; a retained payload is rebuilt
@@ -315,7 +298,7 @@ func (r *reconRec) state(c *snapshot.Codec, s *Switch) {
 	c.U64(&r.pktID)
 	c.U8(&r.size)
 	c.U8(&r.origin)
-	c.Bound("reconRec.origin", int(r.origin), 0, len(s.track))
+	c.Bound("reconRec.origin", int(r.origin), 0, s.cfg.Topo.P)
 	c.U8(&r.target)
 	c.Bound("reconRec.target", int(r.target), 0, s.radix)
 	has := !r.payload.Empty()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"stashsim/internal/buffer"
-	"stashsim/internal/fault"
 	"stashsim/internal/metrics"
 	"stashsim/internal/proto"
 	"stashsim/internal/sim"
@@ -78,7 +77,7 @@ func (s *Switch) stepSideband(now sim.Tick) {
 //
 //stashsim:noalloc
 func (s *Switch) onLocation(now sim.Tick, m sbMsg) {
-	e := s.track[m.dst][m.pktID]
+	e := s.track.Get(m.pktID)
 	if e == nil {
 		if s.cfg.Retrans.Enabled || s.cfg.FaultActive() {
 			// The entry was abandoned (retry exhaustion) while the
@@ -97,7 +96,7 @@ func (s *Switch) onLocation(now sim.Tick, m sbMsg) {
 	switch {
 	case e.acked:
 		s.sbSend(now, sbDelete, m.pktID, m.aux, 0, e.size)
-		s.dropEntry(int(m.dst), m.pktID, e)
+		s.track.Drop(m.pktID, e)
 		s.Counters.E2EDeletes++
 	case e.nacked:
 		e.stashPort = int16(m.aux)
@@ -113,7 +112,7 @@ func (s *Switch) onLocation(now sim.Tick, m sbMsg) {
 //
 //stashsim:noalloc
 func (s *Switch) e2eOnAck(now sim.Tick, port int, f *proto.Flit) {
-	e := s.track[port][f.PktID]
+	e := s.track.Get(f.PktID)
 	if e == nil {
 		// Duplicate ACK after completion (possible with
 		// retransmissions); nothing left to do.
@@ -124,12 +123,13 @@ func (s *Switch) e2eOnAck(now sim.Tick, port int, f *proto.Flit) {
 		// nothing to free; a NACK leaves recovery to the source
 		// endpoint's timer.
 		if f.Flags&proto.FlagNack == 0 {
-			s.dropEntry(port, f.PktID, e)
+			s.track.Drop(f.PktID, e)
 		}
 		return
 	}
 	if f.Flags&proto.FlagNack != 0 {
-		if s.cfg.Retrans.Enabled && !s.armRetry(now, port, f.PktID, e) {
+		if s.cfg.Retrans.Enabled && !s.track.Retry(now, f.PktID, e) {
+			s.abandonEntry(now, f.PktID, e) // the retry budget is spent
 			return
 		}
 		if e.stashPort >= 0 {
@@ -141,29 +141,11 @@ func (s *Switch) e2eOnAck(now sim.Tick, port int, f *proto.Flit) {
 	}
 	if e.stashPort >= 0 {
 		s.sbSend(now, sbDelete, f.PktID, uint8(e.stashPort), 0, e.size)
-		s.dropEntry(port, f.PktID, e)
+		s.track.Drop(f.PktID, e)
 		s.Counters.E2EDeletes++
 	} else {
 		e.acked = true
 	}
-}
-
-// armRetry charges one retry attempt to a tracked entry and re-arms its
-// ACK timer with exponential backoff. It returns false when the retry
-// budget is exhausted, in which case the entry has been abandoned (stash
-// copy freed, recovery left to the source endpoint's timer).
-//
-//stashsim:noalloc
-func (s *Switch) armRetry(now sim.Tick, port int, pktID uint64, e *e2eEntry) bool {
-	rp := &s.cfg.Retrans
-	if int(e.retries) >= rp.SwitchRetries {
-		s.abandonEntry(now, port, pktID, e)
-		return false
-	}
-	e.retries++
-	e.deadline = now + fault.Backoff(rp.SwitchTimeout, int(e.retries))
-	s.retryQ = append(s.retryQ, retryRec{deadline: e.deadline, pktID: pktID, port: uint8(port)})
-	return true
 }
 
 // abandonEntry gives up on local (stash) recovery of a tracked packet:
@@ -171,60 +153,31 @@ func (s *Switch) armRetry(now sim.Tick, port int, pktID uint64, e *e2eEntry) boo
 // endpoint's retransmission timer is now the packet's only cover.
 //
 //stashsim:noalloc
-func (s *Switch) abandonEntry(now sim.Tick, port int, pktID uint64, e *e2eEntry) {
+func (s *Switch) abandonEntry(now sim.Tick, pktID uint64, e *e2eEntry) {
 	if e.stashPort >= 0 && !e.lost {
 		s.sbSend(now, sbDelete, pktID, uint8(e.stashPort), 0, e.size)
 	}
-	s.dropEntry(port, pktID, e)
+	s.track.Drop(pktID, e)
 	s.Counters.RetryAbandoned++
 }
 
-// stepRetry scans the armed ACK timers every Retrans.ScanEvery cycles.
-// Stale records (entry settled, or re-armed under a different deadline)
-// are dropped; due records trigger a stash resend and re-arm with
-// backoff, or abandon the entry once the retry budget is spent.
+// retryFired is what a due ACK timer does: a stash resend, re-armed with
+// backoff, or — once the copy is lost or the retry budget spent — the
+// entry's abandonment.
 //
 //stashsim:noalloc
-func (s *Switch) stepRetry(now sim.Tick) {
-	rp := &s.cfg.Retrans
-	if !rp.Enabled || len(s.retryQ) == 0 {
+func (s *Switch) retryFired(now sim.Tick, pktID uint64, e *e2eEntry) {
+	s.Counters.RetryTimeouts++
+	if e.lost || !s.track.Retry(now, pktID, e) {
+		s.abandonEntry(now, pktID, e)
 		return
 	}
-	if rp.ScanEvery > 1 && now%rp.ScanEvery != 0 {
-		return
+	if e.stashPort >= 0 {
+		s.sbSend(now, sbRetransmit, pktID, uint8(e.stashPort), e.port, e.size)
 	}
-	n := len(s.retryQ)
-	w := 0
-	for i := 0; i < n; i++ {
-		rec := s.retryQ[i]
-		e := s.track[rec.port][rec.pktID]
-		if e == nil || e.deadline != rec.deadline {
-			continue
-		}
-		if rec.deadline > now {
-			s.retryQ[w] = rec
-			w++
-			continue
-		}
-		s.Counters.RetryTimeouts++
-		if e.lost {
-			s.abandonEntry(now, int(rec.port), rec.pktID, e)
-			continue
-		}
-		if !s.armRetry(now, int(rec.port), rec.pktID, e) {
-			continue
-		}
-		if e.stashPort >= 0 {
-			s.sbSend(now, sbRetransmit, rec.pktID, uint8(e.stashPort), rec.port, e.size)
-		}
-		// stashPort < 0: the location report is still in flight (it
-		// cannot be lost — the side band is fault-free); the re-armed
-		// timer covers the wait.
-	}
-	// Keep the records armed during this scan, then drop the consumed
-	// prefix.
-	//lint:allow allocfree -- in-place compaction: appends a suffix of the same backing array, cap always suffices
-	s.retryQ = append(s.retryQ[:w], s.retryQ[n:]...)
+	// stashPort < 0: the location report is still in flight (it cannot be
+	// lost — the side band is fault-free); the re-armed timer covers the
+	// wait.
 }
 
 // noteSealed books what a parity-tracker call reports: minted parity flits
@@ -236,25 +189,13 @@ func (s *Switch) noteSealed(minted, sealed int) {
 	s.Counters.ParityGroupsSealed += int64(sealed)
 }
 
-// findEntry locates the tracking entry of a packet across the end ports,
-// returning the entry and its port (-1 when untracked).
-//
-//stashsim:noalloc
-func (s *Switch) findEntry(pktID uint64) (*e2eEntry, int) {
-	for p := range s.track {
-		if e := s.track[p][pktID]; e != nil {
-			return e, p
-		}
-	}
-	return nil, -1
-}
-
 // reconRec is one in-flight parity reconstruction: at due, the rebuilt
 // copy — with its retained payload, a list in the switch's flit pool, when
 // retention is on — lands in the target bank and a fresh location report
 // heads to the originating end port.
 // Records are appended only by the serial fault hook (FailStashBank) and
-// drained by Step, so the queue is partition-private like retryQ.
+// drained by Step, so the queue is partition-private like the tracking
+// ledger.
 //
 //stashsim:owner partition
 type reconRec struct {
@@ -283,7 +224,7 @@ func (s *Switch) FailStashBank(now sim.Tick, port int) (lost, reconstructed int)
 	pool := s.stash[port]
 	if s.parity != nil {
 		for _, pktID := range s.parity.FailCandidates(port) {
-			e, ep := s.findEntry(pktID)
+			e := s.track.Get(pktID)
 			if e == nil || e.acked || e.lost || e.recon {
 				continue // settled, already degraded, or rebuilding: nothing to protect
 			}
@@ -306,7 +247,7 @@ func (s *Switch) FailStashBank(now sim.Tick, port int) (lost, reconstructed int)
 			due := now + s.cfg.SidebandLat + int64(s.cfg.StashParity-1)*int64(size)
 			s.reconQ = append(s.reconQ, reconRec{
 				due: due, pktID: pktID, size: size,
-				origin: uint8(ep), target: uint8(target), payload: payload,
+				origin: e.port, target: uint8(target), payload: payload,
 			})
 			reconstructed++
 		}
@@ -320,7 +261,7 @@ func (s *Switch) FailStashBank(now sim.Tick, port int) (lost, reconstructed int)
 				s.Counters.StashReconFailed++
 			}
 		}
-		e, p := s.findEntry(pktID)
+		e := s.track.Get(pktID)
 		if e == nil {
 			continue
 		}
@@ -328,7 +269,7 @@ func (s *Switch) FailStashBank(now sim.Tick, port int) (lost, reconstructed int)
 			// The ACK already settled delivery and was waiting for the
 			// location report to free the copy; the failure freed it, so
 			// the entry is complete.
-			s.dropEntry(p, pktID, e)
+			s.track.Drop(pktID, e)
 		} else {
 			e.lost = true
 			e.stashPort = -1
@@ -374,8 +315,8 @@ func (s *Switch) stepRecon(now sim.Tick) {
 //
 //stashsim:noalloc
 func (s *Switch) finishRecon(now sim.Tick, rec reconRec) {
-	e, ep := s.findEntry(rec.pktID)
-	if e == nil || !e.recon || ep != int(rec.origin) {
+	e := s.track.Get(rec.pktID)
+	if e == nil || !e.recon {
 		s.stash[rec.target].Unreserve(int(rec.size))
 		rec.payload.Reset(&s.flits)
 		return

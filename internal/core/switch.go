@@ -6,6 +6,7 @@ import (
 
 	"stashsim/internal/arb"
 	"stashsim/internal/buffer"
+	"stashsim/internal/fault"
 	"stashsim/internal/metrics"
 	"stashsim/internal/proto"
 	"stashsim/internal/route"
@@ -167,33 +168,20 @@ type outPort struct {
 	rtt      int64 //stashsim:derived -- structural; rebuilt from the configuration
 }
 
-// e2eEntry tracks one outstanding packet at its originating end port.
+// e2eEntry tracks one outstanding packet at its originating end port, a
+// record of the switch's ledger (fault.Ledger), which holds its ACK timer
+// when Retrans is enabled.
 //
 //stashsim:owner partition
 type e2eEntry struct {
+	fault.Timer
 	size      uint8
+	port      uint8 // the originating end port, the source endpoint's
 	stashPort int16 // -1 until the location message arrives
 	acked     bool
 	nacked    bool
-
-	// Retransmission-timer state (Retrans.Enabled only).
-	deadline int64 // cycle the armed ACK timer fires; doubles per retry
-	retries  uint8 // stash resends attempted so far
-	lost     bool  // the stash copy was invalidated by a bank failure
-	recon    bool  // a parity reconstruction of the copy is in flight
-}
-
-// retryRec is one armed switch-side ACK timer. Records live in an
-// append-ordered slice scanned lazily: a record whose entry has settled,
-// or whose deadline no longer matches the entry (re-armed with backoff),
-// is stale and dropped on the next scan. This keeps the timer wheel free
-// of map iteration, preserving the determinism contract.
-//
-//stashsim:owner partition
-type retryRec struct {
-	deadline int64
-	pktID    uint64
-	port     uint8
+	lost      bool // the stash copy was invalidated by a bank failure
+	recon     bool // a parity reconstruction of the copy is in flight
 }
 
 // Switch is one tiled (optionally stashing) switch instance. All of its
@@ -241,8 +229,10 @@ type Switch struct {
 	creds creditPool //stashsim:derived -- storage, not state: decoding pushes every credit batch on the wire into a fresh pool
 
 	sideband buffer.Timed[sbMsg]
-	track    []map[uint64]*e2eEntry // per end port
-	retryQ   []retryRec             // armed switch-side ACK timers
+	// track holds the packets this switch's end ports injected that are
+	// not yet acknowledged, keyed by packet ID (which names the source and
+	// so the end port), with their stash-resend timers.
+	track fault.Ledger[e2eEntry, *e2eEntry]
 
 	// Erasure-coded stash banks (cfg.StashParity > 0): parity tracks the
 	// groups striped across this switch's banks; reconQ holds in-flight
@@ -281,12 +271,6 @@ type Switch struct {
 	flitDue []sim.Tick
 	credDue []sim.Tick //stashsim:transient -- derived from the link paths; SetWakeSlot zeroes them, so a restored or repartitioned run probes every port once
 
-	// entryFree recycles settled e2eEntry records (LIFO), so steady-state
-	// tracking churn allocates nothing once the high-water mark is reached.
-	//
-	//stashsim:transient -- freelist; decoding draws the tracked entries from it
-	entryFree []*e2eEntry
-
 	// created counts flits minted inside this switch: end-to-end stash
 	// duplicates dropped off the row bus and retransmission copies taken
 	// from retained store entries. The invariant checker balances it
@@ -323,7 +307,7 @@ func NewSwitch(id int, cfg *Config, rng *sim.RNG) *Switch {
 		credDue: dues[radix:],
 		tiles:   make([]tile, nt),
 		stash:   make([]*buffer.StashPool, radix),
-		track:   make([]map[uint64]*e2eEntry, d.P),
+		track:   fault.NewLedger[e2eEntry](cfg.Retrans.SwitchTimeout, cfg.Retrans.SwitchRetries, cfg.Retrans.ScanEvery),
 		tally:   tallies{jsqPick: make([]int64, cfg.Cols)},
 	}
 	colBufs := make([][proto.NumVCs]buffer.FlitList, radix*cfg.Rows)
@@ -385,9 +369,6 @@ func NewSwitch(id int, cfg *Config, rng *sim.RNG) *Switch {
 		t.reqScr = carve(&reqScr, cfg.TileIn)
 		t.candScr = carve(&candScr, cfg.TileIn*cfg.TileOut)
 		t.alloc = &allocs[i]
-	}
-	for p := 0; p < d.P; p++ {
-		s.track[p] = make(map[uint64]*e2eEntry)
 	}
 	if cfg.StashParity > 0 {
 		s.parity = buffer.NewParityTracker(cfg.StashParity, s.stash)
@@ -575,13 +556,7 @@ func (s *Switch) PendingReconstructions() int { return len(s.reconQ) }
 
 // TrackedPackets returns the number of outstanding end-to-end tracking
 // entries across all end ports.
-func (s *Switch) TrackedPackets() int {
-	n := 0
-	for _, m := range s.track {
-		n += len(m)
-	}
-	return n
-}
+func (s *Switch) TrackedPackets() int { return s.track.Len() }
 
 // AuditInBuf exposes an input port's normal buffer for the invariant
 // checker's credit-conservation audit.
@@ -769,7 +744,7 @@ var _ sim.Stepper = (*Switch)(nil)
 //stashsim:phase parallel
 //stashsim:noalloc
 func (s *Switch) Step(now sim.Tick) {
-	s.stepRetry(now)
+	s.track.Scan(now, s.retryFired)
 	if len(s.reconQ) > 0 {
 		s.stepRecon(now)
 	}
@@ -875,32 +850,6 @@ func (s *Switch) NextWake(now sim.Tick) sim.Tick {
 	for i := range s.reconQ {
 		w = min(w, s.reconQ[i].due)
 	}
-	if len(s.retryQ) > 0 {
-		w = min(w, s.cfg.Retrans.NextScan(now))
-	}
+	w = min(w, s.track.NextScan(now))
 	return max(w, now+1)
-}
-
-// newEntry takes a tracking entry from the freelist, or allocates one on a
-// cold list. The entry comes back zeroed.
-//
-//stashsim:noalloc
-func (s *Switch) newEntry() *e2eEntry {
-	if n := len(s.entryFree); n > 0 {
-		e := s.entryFree[n-1]
-		s.entryFree = s.entryFree[:n-1]
-		*e = e2eEntry{}
-		return e
-	}
-	//lint:allow allocfree -- amortized: recycled via entryFree once the high-water mark is reached
-	return &e2eEntry{}
-}
-
-// dropEntry removes a settled tracking entry from its end-port map and
-// recycles it. The caller must not touch e afterwards.
-//
-//stashsim:noalloc
-func (s *Switch) dropEntry(port int, pktID uint64, e *e2eEntry) {
-	delete(s.track[port], pktID)
-	s.entryFree = append(s.entryFree, e)
 }

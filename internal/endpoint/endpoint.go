@@ -46,19 +46,12 @@ type curPkt struct {
 }
 
 // outPkt is the source-side record of an unacknowledged data packet
-// (Retrans.Enabled only): everything needed to rebuild and resend it.
+// (Retrans.Enabled only): everything needed to rebuild and resend it, and
+// its ACK timer.
 type outPkt struct {
-	desc     pktDesc
-	birth    int64
-	deadline int64 // armed ACK timer; doubles per retry
-	retries  uint8
-}
-
-// epTimer is one armed source ACK timer; like the switch's retryRec,
-// records are append-ordered and lazily discarded when stale.
-type epTimer struct {
-	deadline int64
-	pktID    uint64
+	fault.Timer
+	desc  pktDesc
+	birth int64
 }
 
 // rtxItem is one packet queued for source retransmission.
@@ -113,12 +106,8 @@ type Endpoint struct {
 	seen map[uint64]struct{}
 
 	// Source retransmission state (Retrans.Enabled): unacknowledged data
-	// packets, their armed timers, and the resend queue. outFree recycles
-	// settled outPkt records so the steady-state inject/ack cycle stops
-	// allocating one record per packet.
-	outstanding map[uint64]*outPkt
-	outFree     []*outPkt //stashsim:transient -- freelist; decoding draws the outstanding records from it
-	outTimers   []epTimer
+	// packets with their armed timers, and the resend queue.
+	outstanding fault.Ledger[outPkt, *outPkt]
 	rtxQ        buffer.Queue[rtxItem]
 
 	// wake is this endpoint's slot in its block's wake table (see
@@ -212,12 +201,11 @@ func New(id int32, cfg *core.Config, rng *sim.RNG) *Endpoint {
 		rng:     rng.Derive(0x45505453 ^ uint64(id)),
 		queues:  make(map[int32]*buffer.Queue[pktDesc]),
 		windows: make(map[int32]window),
+		outstanding: fault.NewLedger[outPkt](
+			cfg.Retrans.EndpointTimeout, cfg.Retrans.EndpointRetries, cfg.Retrans.ScanEvery),
 	}
 	if cfg.DedupDelivery() {
 		e.seen = make(map[uint64]struct{})
-	}
-	if cfg.Retrans.Enabled {
-		e.outstanding = make(map[uint64]*outPkt)
 	}
 	return e
 }
@@ -310,7 +298,7 @@ func (e *Endpoint) Step(now sim.Tick) {
 		e.genNext = 0
 	}
 	e.stepRecv(now)
-	e.stepRetrans(now)
+	e.outstanding.Scan(now, e.resendFired)
 	e.stepInject(now)
 }
 
@@ -328,9 +316,7 @@ func (e *Endpoint) NextWake(now sim.Tick) sim.Tick {
 	if e.Gen != nil {
 		w = min(w, e.genNext)
 	}
-	if len(e.outTimers) > 0 {
-		w = min(w, e.cfg.Retrans.NextScan(now))
-	}
+	w = min(w, e.outstanding.NextScan(now))
 	return max(w, now+1)
 }
 
@@ -418,45 +404,14 @@ func (e *Endpoint) stepRecv(now sim.Tick) {
 	}
 }
 
-// stepRetrans scans the armed source ACK timers every Retrans.ScanEvery
-// cycles, queueing due packets for retransmission with exponential
-// backoff and abandoning them once the retry budget is spent.
-func (e *Endpoint) stepRetrans(now sim.Tick) {
-	rp := &e.cfg.Retrans
-	if !rp.Enabled || len(e.outTimers) == 0 {
+// resendFired is what a due source ACK timer, or a NACK, does: queue the
+// packet for retransmission with backoff, or abandon it once the retry
+// budget is spent.
+func (e *Endpoint) resendFired(now sim.Tick, pktID uint64, o *outPkt) {
+	if !e.outstanding.Retry(now, pktID, o) {
+		e.abandon(pktID, o)
 		return
 	}
-	if rp.ScanEvery > 1 && now%rp.ScanEvery != 0 {
-		return
-	}
-	n := len(e.outTimers)
-	w := 0
-	for i := 0; i < n; i++ {
-		rec := e.outTimers[i]
-		o := e.outstanding[rec.pktID]
-		if o == nil || o.deadline != rec.deadline {
-			continue // acknowledged or re-armed; stale record
-		}
-		if rec.deadline > now {
-			e.outTimers[w] = rec
-			w++
-			continue
-		}
-		if int(o.retries) >= rp.EndpointRetries {
-			e.abandon(rec.pktID, o)
-			continue
-		}
-		e.resend(now, rec.pktID, o)
-	}
-	e.outTimers = append(e.outTimers[:w], e.outTimers[n:]...)
-}
-
-// resend charges one retry, re-arms the packet's timer with backoff, and
-// queues it for injection.
-func (e *Endpoint) resend(now sim.Tick, pktID uint64, o *outPkt) {
-	o.retries++
-	o.deadline = now + fault.Backoff(e.cfg.Retrans.EndpointTimeout, int(o.retries))
-	e.outTimers = append(e.outTimers, epTimer{deadline: o.deadline, pktID: pktID})
 	e.rtxQ.Push(rtxItem{pktID: pktID, size: o.desc.size})
 	e.queuedFlits += int64(o.desc.size)
 	e.Retransmits++
@@ -465,30 +420,11 @@ func (e *Endpoint) resend(now sim.Tick, pktID uint64, o *outPkt) {
 	}
 }
 
-// newOutPkt draws a zeroed outstanding-packet record from the freelist,
-// allocating only when it is empty. Like the switch's e2eEntry freelist it
-// is deterministic LIFO reuse — record identity never reaches the wire.
-func (e *Endpoint) newOutPkt() *outPkt {
-	if n := len(e.outFree); n > 0 {
-		o := e.outFree[n-1]
-		e.outFree = e.outFree[:n-1]
-		*o = outPkt{}
-		return o
-	}
-	return &outPkt{}
-}
-
-// dropOut retires an outstanding record and recycles it.
-func (e *Endpoint) dropOut(pktID uint64, o *outPkt) {
-	delete(e.outstanding, pktID)
-	e.outFree = append(e.outFree, o)
-}
-
 // abandon gives up on an unacknowledged packet after retry exhaustion,
 // releasing its transmission-window share so the destination is not
 // permanently penalized.
 func (e *Endpoint) abandon(pktID uint64, o *outPkt) {
-	e.dropOut(pktID, o)
+	e.outstanding.Drop(pktID, o)
 	e.Abandoned++
 	if e.Collector != nil {
 		e.Collector.RetransAbandon()
@@ -564,7 +500,7 @@ func (e *Endpoint) nextFlit(now sim.Tick) (proto.Flit, bool) {
 	}
 	for !e.rtxQ.Empty() {
 		item := e.rtxQ.Pop()
-		o := e.outstanding[item.pktID]
+		o := e.outstanding.Get(item.pktID)
 		if o == nil {
 			// Acknowledged or abandoned while queued; drop its backlog share.
 			e.queuedFlits -= int64(item.size)
@@ -641,12 +577,10 @@ func (e *Endpoint) startPacket(now sim.Tick) bool {
 		e.pktSeq++
 		e.InjectedPkts++
 		if e.cfg.Retrans.Enabled {
-			o := e.newOutPkt()
+			o := e.outstanding.Add(e.cur.pktID)
 			o.desc = desc
 			o.birth = now
-			o.deadline = now + e.cfg.Retrans.EndpointTimeout
-			e.outstanding[e.cur.pktID] = o
-			e.outTimers = append(e.outTimers, epTimer{deadline: o.deadline, pktID: e.cur.pktID})
+			e.outstanding.Arm(now, e.cur.pktID, o)
 		}
 		return true
 	}
@@ -704,19 +638,15 @@ func (e *Endpoint) onAck(now sim.Tick, f *proto.Flit) {
 		e.Collector.Ack()
 	}
 	if f.Flags&proto.FlagNack == 0 {
-		if o := e.outstanding[f.PktID]; o != nil {
-			e.dropOut(f.PktID, o)
+		if o := e.outstanding.Get(f.PktID); o != nil {
+			e.outstanding.Drop(f.PktID, o)
 		}
 	} else if e.cfg.Retrans.Enabled && e.cfg.Mode != core.StashE2E {
 		// NACK without a stash-resident copy: the source is the only
 		// recovery path, so respond immediately rather than waiting for
 		// the timer. In StashE2E the first-hop stash resends instead.
-		if o := e.outstanding[f.PktID]; o != nil {
-			if int(o.retries) >= e.cfg.Retrans.EndpointRetries {
-				e.abandon(f.PktID, o)
-			} else {
-				e.resend(now, f.PktID, o)
-			}
+		if o := e.outstanding.Get(f.PktID); o != nil {
+			e.resendFired(now, f.PktID, o)
 		}
 	}
 	if !e.cfg.ECN.Enabled {

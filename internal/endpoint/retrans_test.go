@@ -94,12 +94,12 @@ func TestRetransAckCancelsTimer(t *testing.T) {
 	if h.ep.Retransmits != 0 {
 		t.Fatalf("acked packet resent %d times", h.ep.Retransmits)
 	}
-	if _, live := h.ep.outstanding[pktID]; live {
+	if h.ep.outstanding.Get(pktID) != nil {
 		t.Fatal("outstanding record survives its ACK")
 	}
-	if len(h.ep.outTimers) != 0 {
+	if h.ep.outstanding.Armed() != 0 {
 		// Timers self-clean on the scan after the ACK.
-		t.Fatalf("%d stale timers never discarded", len(h.ep.outTimers))
+		t.Fatalf("%d stale timers never discarded", h.ep.outstanding.Armed())
 	}
 }
 
@@ -147,7 +147,7 @@ func TestRetransBackoffAndExhaustion(t *testing.T) {
 	if h.ep.Collector.RetransAbandons != 1 {
 		t.Fatalf("collector RetransAbandons = %d, want 1", h.ep.Collector.RetransAbandons)
 	}
-	if len(h.ep.outstanding) != 0 {
+	if h.ep.outstanding.Len() != 0 {
 		t.Fatal("abandoned packet still outstanding")
 	}
 	if got := h.ep.QueuedFlits(); got != 0 {

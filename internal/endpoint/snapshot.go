@@ -93,20 +93,10 @@ func (e *Endpoint) State(c *snapshot.Codec, now int64) {
 	if c.Present("delivery-dedup state on an endpoint", e.seen != nil) {
 		snapshot.Map(c, &e.seen, 1, c.U64, func(*struct{}) {})
 	}
-	if c.Present("retransmission state on an endpoint", e.outstanding != nil) {
-		snapshot.Map(c, &e.outstanding, 1+4+1+1+1, c.U64, func(o **outPkt) {
-			if c.Decoding() {
-				*o = e.newOutPkt()
-			}
-			(*o).desc.state(c, e)
-			c.I64(&(*o).birth)
-			c.I64(&(*o).deadline)
-			c.U8(&(*o).retries)
-		})
-	}
-	snapshot.Slice(c, &e.outTimers, 1+1, func(t *epTimer) {
-		c.I64(&t.deadline)
-		c.U64(&t.pktID)
+	e.outstanding.State(c, 4+1+2, func(o *outPkt) {
+		o.desc.state(c, e)
+		c.I64(&o.birth)
+		o.Timer.State(c)
 	})
 	snapshot.Ring(c, &e.rtxQ, 1+1, func(it *rtxItem) {
 		c.U64(&it.pktID)

@@ -64,6 +64,8 @@ type Plan struct {
 }
 
 // Active reports whether the plan injects any fault at all.
+//
+//stashsim:noalloc
 func (p *Plan) Active() bool {
 	if p == nil {
 		return false
@@ -342,6 +344,8 @@ type LinkFault struct {
 }
 
 // inOutage reports whether now falls inside one of the link's windows.
+//
+//stashsim:noalloc
 func (lf *LinkFault) inOutage(now int64) bool {
 	for _, o := range lf.outages {
 		if now >= o.Start && now < o.End {
@@ -354,6 +358,8 @@ func (lf *LinkFault) inOutage(now int64) bool {
 // OnFlit screens one flit about to be transmitted at cycle now. It
 // returns true when the flit must be dropped; corruption is applied to
 // the flit in place. A nil receiver delivers everything.
+//
+//stashsim:noalloc
 func (lf *LinkFault) OnFlit(now int64, f *proto.Flit) (drop bool) {
 	if lf == nil {
 		return false
@@ -398,6 +404,16 @@ func (lf *LinkFault) OnFlit(now int64, f *proto.Flit) (drop bool) {
 	return false
 }
 
+// FlitsDropped returns the flits the link's drops destroyed, the link's
+// term of the invariant checker's flit-conservation law; a nil receiver
+// destroyed none.
+func (lf *LinkFault) FlitsDropped() int64 {
+	if lf == nil {
+		return 0
+	}
+	return lf.stats.FlitsDropped
+}
+
 // hashName is FNV-1a over the link name, used to derive per-link RNG
 // streams from the plan seed.
 func hashName(name string) uint64 {
@@ -412,6 +428,8 @@ func hashName(name string) uint64 {
 // Backoff returns the exponential-backoff timeout for the given retry
 // attempt: base << retry, saturating at 1<<20 times the base so repeated
 // exhaustion cannot overflow.
+//
+//stashsim:noalloc
 func Backoff(base int64, retry int) int64 {
 	if retry < 0 {
 		retry = 0

@@ -40,3 +40,26 @@ func (in *Injector) State(c *snapshot.Codec) {
 		}
 	}
 }
+
+// State walks the ledger: its records in ascending packet-ID order, each
+// walked by rec (elemMin bytes at least), which walks its Timer with the
+// owner's fields, then the timer list in arming order, stale entries
+// included. Decoding draws the records from the freelist.
+func (l *Ledger[T, P]) State(c *snapshot.Codec, elemMin int, rec func(P)) {
+	snapshot.Map(c, &l.recs, 1+elemMin, c.U64, func(r *P) {
+		if c.Decoding() {
+			*r = l.take()
+		}
+		rec(*r)
+	})
+	snapshot.Slice(c, &l.timers, 1+1, func(t *armed) {
+		c.I64(&t.deadline)
+		c.U64(&t.id)
+	})
+}
+
+// State walks a ledger record's timer: two bytes at least.
+func (t *Timer) State(c *snapshot.Codec) {
+	c.I64(&t.deadline)
+	c.U8(&t.retries)
+}

@@ -226,7 +226,7 @@ func TestRestoreNamesOutOfRangeField(t *testing.T) {
 		{"faults", microSnapConfig(), 0.4, 200, true, []byte{0x7F, 0x01}, []string{
 			"routeLatch.out", "routeLatch.vc", "routeLatch.stashCol", "inPort.sVC",
 			"muxLock.row", "tile.vcNext", "sLatch.port",
-			"sbMsg.kind", "sbMsg.dst", "sbMsg.aux", "e2eEntry.stashPort", "retryRec.port",
+			"sbMsg.kind", "sbMsg.dst", "sbMsg.aux", "e2eEntry.stashPort", "e2eEntry.port",
 			"RoundRobin.next", "StashPool filling copies", "StashPool fill flits",
 			"Endpoint.rrIdx", "pktDesc.dst", "pktDesc.size", "pktDesc.class", "curPkt.seq",
 			"flit.Out", "flit.OrigOut", "flit.Src", "flit.Dst", "flit.MidGroup",

@@ -175,7 +175,7 @@ func TestSynthCreditOnTime(t *testing.T) {
 			folds := 0
 			n.Observe(every{k: 1, at: func(now int64) {
 				for i, c := range links {
-					dropped[i] = append(dropped[i], c.link.FaultDropped())
+					dropped[i] = append(dropped[i], c.link.Fault.FlitsDropped())
 					owed := dropped[i][now]
 					if due := now - 2*c.link.Latency; due >= 0 {
 						owed -= dropped[i][due] // dropped by cycle now-2L: folded by now

@@ -51,8 +51,12 @@ const (
 	// a due cycle on a timed path as its distance from the one before;
 	// version 6 writes a lock's packet only while the lock is held, an
 	// accumulator's sum and extremes only once it has a count, and an ECN
-	// window only while it differs from a fresh one.
-	Version uint16 = 6
+	// window only while it differs from a fresh one; version 7 writes each
+	// resend ledger once (a switch's tracked packets in one map, each with
+	// its end port, and an endpoint's outstanding packets, each followed by
+	// its timer, then the ledger's timer list), a stash pool's live copies
+	// in one map with their retained payloads, and no drop count on a link.
+	Version uint16 = 7
 	// headerSize is magic + version + total length.
 	headerSize = 4 + 2 + 8
 )
