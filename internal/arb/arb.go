@@ -10,23 +10,30 @@ import "math/bits"
 // requesters, given as a bitmask. The grant pointer advances past the
 // winner so every requester is served within n arbitration rounds (strong
 // fairness under persistent requests).
+// A switch holds a few hundred, so both counts are a byte.
 type RoundRobin struct {
-	n    int
-	next int
+	n    uint8
+	next uint8
 }
 
 // NewRoundRobin returns an arbiter over n requesters.
-func NewRoundRobin(n int) RoundRobin { return RoundRobin{n: n} }
+func NewRoundRobin(n int) RoundRobin {
+	if n < 0 || n > 64 {
+		panic("arb: round-robin arbiter limited to 64 requesters")
+	}
+	return RoundRobin{n: uint8(n)}
+}
 
 // Next returns the current scan-start position, for callers that fold the
 // eligibility test into their own scan loop.
-func (r *RoundRobin) Next() int { return r.next }
+func (r *RoundRobin) Next() int { return int(r.next) }
 
 // Advance moves the pointer past an externally-chosen winner.
 func (r *RoundRobin) Advance(winner int) {
-	r.next = winner + 1
-	if r.next >= r.n {
+	if winner+1 >= int(r.n) {
 		r.next = 0
+	} else {
+		r.next = uint8(winner + 1)
 	}
 }
 
@@ -40,8 +47,8 @@ func (r *RoundRobin) first(req uint64) int {
 	if req == 0 {
 		return -1
 	}
-	if up := req >> uint(r.next); up != 0 {
-		return r.next + bits.TrailingZeros64(up)
+	if up := req >> r.next; up != 0 {
+		return int(r.next) + bits.TrailingZeros64(up)
 	}
 	return bits.TrailingZeros64(req)
 }

@@ -9,14 +9,15 @@ import (
 // refGrant is the scan loop RoundRobin granted by before it picked from
 // the mask: try each requester from the pointer in turn.
 func refGrant(r *RoundRobin, req uint64) int {
-	for i := 0; i < r.n; i++ {
-		k := r.next + i
-		if k >= r.n {
-			k -= r.n
+	n := int(r.n)
+	for i := 0; i < n; i++ {
+		k := int(r.next) + i
+		if k >= n {
+			k -= n
 		}
 		if req&(1<<uint(k)) != 0 {
-			r.next = k + 1
-			if r.next == r.n {
+			r.next = uint8(k + 1)
+			if int(r.next) == n {
 				r.next = 0
 			}
 			return k
@@ -35,7 +36,7 @@ func refAllocate(s *Separable, req []uint64) []int {
 		prov[o] = -1
 		a := &s.out[o]
 		for k := 0; k < len(req); k++ {
-			idx := a.next + k
+			idx := int(a.next) + k
 			if idx >= len(req) {
 				idx -= len(req)
 			}
@@ -57,8 +58,8 @@ func refAllocate(s *Separable, req []uint64) []int {
 			}
 		}
 		a := &s.out[o]
-		a.next = i + 1
-		if a.next == len(req) {
+		a.next = uint8(i + 1)
+		if int(a.next) == len(req) {
 			a.next = 0
 		}
 	}
@@ -69,7 +70,7 @@ func refAllocate(s *Separable, req []uint64) []int {
 func pointers(s *Separable) []int {
 	var p []int
 	for _, a := range append(slices.Clone(s.out), s.in...) {
-		p = append(p, a.next)
+		p = append(p, int(a.next))
 	}
 	return p
 }
@@ -91,10 +92,10 @@ func FuzzSeparable(f *testing.F) {
 		for _, s := range []*Separable{got, want} {
 			r := rand.New(rand.NewPCG(seed, 0))
 			for i := range s.out {
-				s.out[i].next = r.IntN(nIn)
+				s.out[i].next = uint8(r.IntN(nIn))
 			}
 			for i := range s.in {
-				s.in[i].next = r.IntN(nOut)
+				s.in[i].next = uint8(r.IntN(nOut))
 			}
 		}
 		req := make([]uint64, nIn)

@@ -12,8 +12,10 @@ import "stashsim/internal/snapshot"
 // structural size (the requester count comes from the rebuilt
 // configuration; a zero-requester arbiter keeps its pointer at 0).
 func (r *RoundRobin) State(c *snapshot.Codec) {
-	snapshot.Wire32(c, &r.next)
-	c.Bound("RoundRobin.next", r.next, 0, max(r.n, 1))
+	next := uint32(r.next) // bounded before it is narrowed to the field
+	c.U32(&next)
+	c.Bound("RoundRobin.next", int(next), 0, max(int(r.n), 1))
+	r.next = uint8(next)
 }
 
 // State walks every per-output and per-input arbiter pointer, checking

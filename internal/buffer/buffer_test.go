@@ -180,7 +180,7 @@ func TestDAMQCreditConservation(t *testing.T) {
 		}
 	}
 	for vc := 0; vc < 4; vc++ {
-		if sr.cc.Avail(vc) != sr.cc.resvFree[vc]+sr.cc.shared {
+		if sr.cc.Avail(vc) != int(sr.cc.resvFree[vc]+sr.cc.shared) {
 			t.Fatal("inconsistent counter")
 		}
 		if got := sr.cc.Avail(vc); got != Reserves(100, 4)+100-4*Reserves(100, 4) {

@@ -25,17 +25,18 @@ func Reserves(capacity, numVCs int) int {
 // drawing from one storage pool, with a small per-VC reserved quota and the
 // remainder shared (Tamir & Frazier). The matching sender-side state is
 // CreditCounter; both make the reserved-first allocation decision
-// deterministically so their views never diverge.
+// deterministically so their views never diverge. Every switch port holds
+// one, so its counts are 32 bits wide, like its pool's slot numbers.
 type DAMQ struct {
 	queues   [proto.NumNetVCs]FlitList
-	flits    *FlitPool            //stashsim:derived -- wiring: the owner's flit pool, which the queues' slots live in
-	nvc      int                  //stashsim:derived -- structural: the VCs in use, rebuilt from the configuration
-	capacity int                  //stashsim:derived -- structural; rebuilt from the configuration
-	reserve  int                  //stashsim:derived -- structural: the per-VC reserved quota, rebuilt from the configuration
-	resvUsed [proto.NumNetVCs]int //stashsim:derived -- reserved slots in use per VC: the queued flits without FlagShared; decoding pushes them
-	shared   int                  //stashsim:derived -- shared slots in use: the queued flits with FlagShared; decoding pushes them
-	used     int                  //stashsim:derived -- total queued flits; decoding pushes them
-	occupied uint32               //stashsim:derived -- bitmask of non-empty VCs; decoding pushes their flits
+	flits    *FlitPool              //stashsim:derived -- wiring: the owner's flit pool, which the queues' slots live in
+	nvc      int32                  //stashsim:derived -- structural: the VCs in use, rebuilt from the configuration
+	capacity int32                  //stashsim:derived -- structural; rebuilt from the configuration
+	reserve  int32                  //stashsim:derived -- structural: the per-VC reserved quota, rebuilt from the configuration
+	resvUsed [proto.NumNetVCs]int32 //stashsim:derived -- reserved slots in use per VC: the queued flits without FlagShared; decoding pushes them
+	shared   int32                  //stashsim:derived -- shared slots in use: the queued flits with FlagShared; decoding pushes them
+	used     int32                  //stashsim:derived -- total queued flits; decoding pushes them
+	occupied uint32                 //stashsim:derived -- bitmask of non-empty VCs; decoding pushes their flits
 }
 
 // NewDAMQ builds a DAMQ with the given total capacity (flits) shared by
@@ -50,9 +51,9 @@ func NewDAMQIn(flits *FlitPool, capacity, numVCs int) DAMQ {
 	checkVCs(numVCs)
 	return DAMQ{
 		flits:    flits,
-		nvc:      numVCs,
-		capacity: capacity,
-		reserve:  Reserves(capacity, numVCs),
+		nvc:      int32(numVCs),
+		capacity: int32(capacity),
+		reserve:  int32(Reserves(capacity, numVCs)),
 	}
 }
 
@@ -64,28 +65,28 @@ func checkVCs(numVCs int) {
 }
 
 // Capacity returns the total pool capacity in flits.
-func (d *DAMQ) Capacity() int { return d.capacity }
+func (d *DAMQ) Capacity() int { return int(d.capacity) }
 
 // Reserve returns the per-VC reserved quota in flits.
-func (d *DAMQ) Reserve() int { return d.reserve }
+func (d *DAMQ) Reserve() int { return int(d.reserve) }
 
 // Used returns the total occupancy in flits.
 //
 //stashsim:noalloc
-func (d *DAMQ) Used() int { return d.used }
+func (d *DAMQ) Used() int { return int(d.used) }
 
 // SharedFree returns the number of free shared-pool slots.
 //
 //stashsim:noalloc
 func (d *DAMQ) SharedFree() int {
-	return d.capacity - d.nvc*d.reserve - d.shared
+	return int(d.capacity - d.nvc*d.reserve - d.shared)
 }
 
 // Avail returns the number of flits that could currently be enqueued on vc.
 //
 //stashsim:noalloc
 func (d *DAMQ) Avail(vc int) int {
-	return d.reserve - d.resvUsed[vc] + d.SharedFree()
+	return int(d.reserve-d.resvUsed[vc]) + d.SharedFree()
 }
 
 // Push enqueues a flit on its VC. The pool (reserved vs shared) was chosen
@@ -175,14 +176,14 @@ func (d *DAMQ) Len(vc int) int { return d.queues[vc].Len() }
 func (d *DAMQ) Occupied() uint32 { return d.occupied }
 
 // NumVCs returns the number of virtual channels sharing the pool.
-func (d *DAMQ) NumVCs() int { return d.nvc }
+func (d *DAMQ) NumVCs() int { return int(d.nvc) }
 
 // ResvUsed returns the occupancy of vc's reserved quota, for the
 // invariant checker's credit-conservation audit.
-func (d *DAMQ) ResvUsed(vc int) int { return d.resvUsed[vc] }
+func (d *DAMQ) ResvUsed(vc int) int { return int(d.resvUsed[vc]) }
 
 // SharedUsed returns the shared-pool occupancy in flits.
-func (d *DAMQ) SharedUsed() int { return d.shared }
+func (d *DAMQ) SharedUsed() int { return int(d.shared) }
 
 // AuditLists hands each per-VC queue to visit, for the flit-pool audit.
 func (d *DAMQ) AuditLists(visit func(*FlitList)) {
@@ -197,39 +198,39 @@ func (d *DAMQ) AuditLists(visit func(*FlitList)) {
 // reserved-first policy, carried in the flit's FlagShared bit, so the
 // counters track the receiver exactly.
 type CreditCounter struct {
-	nvc      int //stashsim:derived -- structural: the VCs mirrored, rebuilt from the configuration
-	reserve  int //stashsim:derived -- structural; rebuilt from the configuration
-	resvFree [proto.NumNetVCs]int
-	shared   int
+	nvc      int32 //stashsim:derived -- structural: the VCs mirrored, rebuilt from the configuration
+	reserve  int32 //stashsim:derived -- structural; rebuilt from the configuration
+	resvFree [proto.NumNetVCs]int32
+	shared   int32
 }
 
 // NewCreditCounter mirrors a DAMQ with the given capacity and VC count.
 func NewCreditCounter(capacity, numVCs int) CreditCounter {
 	checkVCs(numVCs)
-	c := CreditCounter{nvc: numVCs, reserve: Reserves(capacity, numVCs)}
+	c := CreditCounter{nvc: int32(numVCs), reserve: int32(Reserves(capacity, numVCs))}
 	for i := 0; i < numVCs; i++ {
 		c.resvFree[i] = c.reserve
 	}
-	c.shared = capacity - numVCs*c.reserve
+	c.shared = int32(capacity) - c.nvc*c.reserve
 	return c
 }
 
 // Avail returns how many flits may currently be sent on vc.
 //
 //stashsim:noalloc
-func (c *CreditCounter) Avail(vc int) int { return c.resvFree[vc] + c.shared }
+func (c *CreditCounter) Avail(vc int) int { return int(c.resvFree[vc] + c.shared) }
 
 // NumVCs returns the number of virtual channels mirrored.
-func (c *CreditCounter) NumVCs() int { return c.nvc }
+func (c *CreditCounter) NumVCs() int { return int(c.nvc) }
 
 // Reserve returns the per-VC reserved quota being mirrored.
-func (c *CreditCounter) Reserve() int { return c.reserve }
+func (c *CreditCounter) Reserve() int { return int(c.reserve) }
 
 // ResvFree returns the free reserved-quota credits for vc.
-func (c *CreditCounter) ResvFree(vc int) int { return c.resvFree[vc] }
+func (c *CreditCounter) ResvFree(vc int) int { return int(c.resvFree[vc]) }
 
 // SharedFree returns the free shared-pool credit count.
-func (c *CreditCounter) SharedFree() int { return c.shared }
+func (c *CreditCounter) SharedFree() int { return int(c.shared) }
 
 // Take consumes one credit for vc, reserved-first, and stamps the flit's
 // FlagShared to match. It panics when no credit is available.
@@ -258,15 +259,3 @@ func (c *CreditCounter) Return(cr proto.Credit) {
 		c.resvFree[cr.VC]++
 	}
 }
-
-// ReturnN replenishes n reserved credits for vc at once — the bulk form
-// behind per-cycle credit batching. Equivalent to n Return calls because
-// replenishment is a plain commutative increment.
-//
-//stashsim:noalloc
-func (c *CreditCounter) ReturnN(vc, n int) { c.resvFree[vc] += n }
-
-// ReturnShared replenishes n shared-pool credits at once.
-//
-//stashsim:noalloc
-func (c *CreditCounter) ReturnShared(n int) { c.shared += n }

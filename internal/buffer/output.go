@@ -16,9 +16,9 @@ import "stashsim/internal/proto"
 type OutBuf struct {
 	queues   [proto.NumNetVCs]FlitList // per-VC FIFOs awaiting transmission
 	flits    *FlitPool                 //stashsim:derived -- wiring: the owner's flit pool, which the queues' slots live in
-	nvc      int                       //stashsim:derived -- structural: the VCs in use, rebuilt from the configuration
-	capacity int                       //stashsim:derived -- structural: the normal-partition capacity in flits, rebuilt from the configuration
-	queued   int                       //stashsim:derived -- flits awaiting transmission; decoding pushes them
+	nvc      int32                     //stashsim:derived -- structural: the VCs in use, rebuilt from the configuration
+	capacity int32                     //stashsim:derived -- structural: the normal-partition capacity in flits, rebuilt from the configuration
+	queued   int32                     //stashsim:derived -- flits awaiting transmission; decoding pushes them
 	// inflight is the retention window. It holds no flits, only the cycle
 	// each sent flit's space comes back: one bit per cycle of the RTT.
 	inflight Retention
@@ -32,21 +32,21 @@ type OutBuf struct {
 // window, built for the link's RTT.
 func NewOutBuf(flits *FlitPool, capacity, numVCs int, window Retention) OutBuf {
 	checkVCs(numVCs)
-	return OutBuf{flits: flits, nvc: numVCs, capacity: capacity, inflight: window}
+	return OutBuf{flits: flits, nvc: int32(numVCs), capacity: int32(capacity), inflight: window}
 }
 
 // Capacity returns the normal-partition capacity in flits.
-func (b *OutBuf) Capacity() int { return b.capacity }
+func (b *OutBuf) Capacity() int { return int(b.capacity) }
 
 // Used returns the total occupancy: queued plus retained flits.
 //
 //stashsim:noalloc
-func (b *OutBuf) Used() int { return b.queued + b.inflight.Len() }
+func (b *OutBuf) Used() int { return int(b.queued) + b.inflight.Len() }
 
 // Queued returns the number of flits awaiting transmission.
 //
 //stashsim:noalloc
-func (b *OutBuf) Queued() int { return b.queued }
+func (b *OutBuf) Queued() int { return int(b.queued) }
 
 // Retained returns the number of sent flits still inside the link-level
 // retention window. An output port with no queued and no retained flits
@@ -58,7 +58,7 @@ func (b *OutBuf) Retained() int { return b.inflight.Len() }
 // Free returns the number of flits that can currently be accepted.
 //
 //stashsim:noalloc
-func (b *OutBuf) Free() int { return b.capacity - b.Used() }
+func (b *OutBuf) Free() int { return int(b.capacity) - b.Used() }
 
 // Push accepts a copy of a flit. Callers gate on Free.
 //

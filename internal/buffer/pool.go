@@ -8,19 +8,20 @@ import (
 	"stashsim/internal/snapshot"
 )
 
-// Pool is one switch's storage for the queued values of one type, and List
-// and TimedList are FIFOs threaded through it. A switch holds two: its
-// FlitPool, which every flit queue of the switch draws from — the DAMQ's
-// per-VC queues, the output buffer's VCs, the tiles' row buffers, the
-// ports' column buffers, the stash retrieval queue — and the flits on the
-// wire of the links it consumes, and a pool of credit batches for the
-// credit paths it consumes (core.Link says which paths those are). The
+// Pool is one dragonfly group's storage for the queued values of one type,
+// and List and TimedList are FIFOs threaded through it. A group holds two
+// (core.Pools): its FlitPool, which every flit queue of its switches draws
+// from — the DAMQ's per-VC queues, the output buffer's VCs, the tiles' row
+// buffers, the ports' column buffers, the stash retrieval queues and
+// retained payloads — and the flits on the wire of the links they consume,
+// and a pool of credits for the credit paths they consume (core.Link says
+// which paths those are). The
 // slots live in fixed chunks that never move, so a pointer to a queued
 // value stays valid until its slot is freed, and free slots form a LIFO
 // stack. An empty list holds no storage, and moving a value from one queue
 // to the next (Unlink, then Link) relinks its slot instead of copying it.
 // The pool grows by one chunk when the stack runs dry and never shrinks,
-// so its capacity is the most values its switch has held at once, rounded
+// so its capacity is the most values its group has held at once, rounded
 // up to a chunk.
 //
 // Slot numbers record the order values happened to arrive in — a restored
@@ -66,11 +67,13 @@ const chunkBits = 6
 // is on. On a TimedList, succAt is the due cycle of that next value: a pop
 // reads the new front's due cycle from the slot it frees, so it touches
 // one slot, not two, and a value's own due cycle is its predecessor's
-// succAt (the list's nextAt for the front).
+// succAt (the list's nextAt for the front). The value comes last, so that
+// a small one packs into the padding after next: a credit's slot is 16
+// bytes, not 24.
 type poolSlot[T any] struct {
-	v      T
 	succAt int64
 	next   int32
+	v      T
 }
 
 // List is a FIFO of values held in a Pool: the slot numbers of its oldest
@@ -83,12 +86,11 @@ type List[T any] struct {
 
 // TimedList is a List whose values each come due at a cycle, in
 // non-decreasing order: a fixed-latency pipeline held in a Pool. nextAt
-// and lastAt mirror the oldest and the newest value's due cycles, so the
-// per-cycle due probes and the coalescing check read only the list
-// header, never a slot.
+// mirrors the oldest value's due cycle, so the per-cycle due probes read
+// only the list header, never a slot.
 type TimedList[T any] struct {
-	l              List[T]
-	nextAt, lastAt int64 // meaningless when the list is empty
+	l      List[T]
+	nextAt int64 // meaningless when the list is empty
 }
 
 //stashsim:noalloc
@@ -292,22 +294,6 @@ func (l *TimedList[T]) Push(p *Pool[T], at int64, v T) {
 	l.link(p, i, at)
 }
 
-// BackAt returns the newest value if it comes due at at, and otherwise
-// appends a zero value due at at and returns that: how a path coalesces
-// what one cycle sends. The caller changes the value in place.
-//
-//stashsim:noalloc
-func (l *TimedList[T]) BackAt(p *Pool[T], at int64) *T {
-	if l.l.n > 0 && l.lastAt == at {
-		return &p.slot(l.l.tail).v
-	}
-	i, s := p.alloc()
-	var zero T
-	s.v = zero
-	l.link(p, i, at)
-	return &s.v
-}
-
 // link appends slot i, due at at: the old tail learns its successor's due
 // cycle along with its slot.
 //
@@ -322,7 +308,6 @@ func (l *TimedList[T]) link(p *Pool[T], i int32, at int64) {
 		t.succAt = at
 	}
 	l.l.tail = i
-	l.lastAt = at
 	l.l.n++
 }
 
@@ -453,6 +438,21 @@ func (p *Pool[T]) FIFO(l *List[T]) snapshot.FIFO[T] {
 func (p *Pool[T]) Timed(l *TimedList[T]) snapshot.FIFO[Entry[T]] {
 	p.present(&l.l, l)
 	return (*timedFIFO[T])(p)
+}
+
+// ReplayList walks flit list l of pool p as Codec.ReplayFlits walks a
+// FIFO, push being the owner's push path (nil: the list's own). An empty
+// list costs its zero count and nothing else (Codec.Empty): most lists of a
+// network are empty.
+func ReplayList(c *snapshot.Codec, p *FlitPool, l *FlitList, push func(proto.Flit)) {
+	if c.Empty(l.Len()) {
+		return
+	}
+	if push == nil {
+		c.Flits(p.FIFO(l))
+		return
+	}
+	c.ReplayFlits(p.FIFO(l), push)
 }
 
 func (q *poolFIFO[T]) pool() *Pool[T] { return (*Pool[T])(q) }

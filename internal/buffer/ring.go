@@ -14,8 +14,8 @@ import (
 // Queue and Timed are the simulator's rings: the endpoint queues — its
 // ACK and resend queues, and a send queue per destination while it holds
 // packets — are Queues; a switch's side band is a Timed. Every queue a
-// switch holds flits in, and every link path — flits and credit batches on
-// the wire — is instead a List or TimedList in a switch's Pool (pool.go),
+// switch holds flits in, and every link path — flits and credits on the
+// wire — is instead a List or TimedList in a group's Pool (pool.go),
 // so that its storage follows its occupancy, and an output port's
 // retention window, deadlines alone, is a Retention bitmap of fixed size
 // (retention.go). Both rings are powers of two that double on demand and

@@ -29,17 +29,17 @@ func (q *Timed[T]) Entries() snapshot.FIFO[Entry[T]] { return timedEntries[T]{q}
 // would not take: a flit of another VC, or one past its pool.
 func (d *DAMQ) State(c *snapshot.Codec) {
 	c.Section("DAMQ")
-	if !c.Len("buffer: DAMQ VCs", d.nvc, 1) {
+	if !c.Len("buffer: DAMQ VCs", d.NumVCs(), 1) {
 		return
 	}
-	pool := d.capacity - d.nvc*d.reserve
-	for vc := 0; vc < d.nvc; vc++ {
-		c.ReplayFlits(d.flits.FIFO(&d.queues[vc]), func(f proto.Flit) {
+	pool := d.Capacity() - d.NumVCs()*d.Reserve()
+	for vc := range d.NumVCs() {
+		ReplayList(c, d.flits, &d.queues[vc], func(f proto.Flit) {
 			c.Bound("DAMQ flit.VC", int(f.VC), vc, vc+1)
 			if f.Flags&proto.FlagShared != 0 {
-				c.Bound("DAMQ.shared", d.shared+1, 0, pool+1)
+				c.Bound("DAMQ.shared", d.SharedUsed()+1, 0, pool+1)
 			} else {
-				c.Bound("DAMQ.resvUsed", d.resvUsed[vc]+1, 0, d.reserve+1)
+				c.Bound("DAMQ.resvUsed", d.ResvUsed(vc)+1, 0, d.Reserve()+1)
 			}
 			if c.Err() == nil {
 				d.Push(f)
@@ -50,10 +50,10 @@ func (d *DAMQ) State(c *snapshot.Codec) {
 
 // State walks the credit counter's free-credit state.
 func (cc *CreditCounter) State(c *snapshot.Codec) {
-	if !c.Len("buffer: credit counter VCs", cc.nvc, 1) {
+	if !c.Len("buffer: credit counter VCs", cc.NumVCs(), 1) {
 		return
 	}
-	for vc := 0; vc < cc.nvc; vc++ {
+	for vc := range cc.NumVCs() {
 		snapshot.Wire64(c, &cc.resvFree[vc])
 	}
 	snapshot.Wire64(c, &cc.shared)
@@ -68,15 +68,15 @@ func (cc *CreditCounter) State(c *snapshot.Codec) {
 // Push would not take: a flit of another VC, or one past the capacity.
 func (b *OutBuf) State(c *snapshot.Codec, now int64) {
 	c.Section("OUTB")
-	if !c.Len("buffer: output buffer VCs", b.nvc, 1) {
+	if !c.Len("buffer: output buffer VCs", int(b.nvc), 1) {
 		return
 	}
 	b.inflight.State(c, now)
-	c.Bound("OutBuf used flits", b.Used(), 0, b.capacity+1)
-	for vc := 0; vc < b.nvc; vc++ {
-		c.ReplayFlits(b.flits.FIFO(&b.queues[vc]), func(f proto.Flit) {
+	c.Bound("OutBuf used flits", b.Used(), 0, b.Capacity()+1)
+	for vc := range int(b.nvc) {
+		ReplayList(c, b.flits, &b.queues[vc], func(f proto.Flit) {
 			c.Bound("OutBuf flit.VC", int(f.VC), vc, vc+1)
-			c.Bound("OutBuf used flits", b.Used()+1, 0, b.capacity+1)
+			c.Bound("OutBuf used flits", b.Used()+1, 0, b.Capacity()+1)
 			if c.Err() == nil {
 				b.Push(f)
 			}
@@ -123,7 +123,7 @@ func (r *Retention) State(c *snapshot.Codec, now int64) {
 // must be empty. Every retained payload holds at least its head flit: the
 // retransmission path reads it to route the copy.
 func (p *StashPool) Payload(c *snapshot.Codec, l *FlitList) {
-	c.Flits(p.flits.FIFO(l))
+	ReplayList(c, p.flits, l, nil)
 	c.Bound("StashPool payload length", l.Len(), 1, proto.MaxPacketFlits+1)
 }
 
@@ -167,7 +167,7 @@ func (p *StashPool) State(c *snapshot.Codec) {
 		payload(&fl.payload)
 		c.Bound("StashPool fill payload flits", fl.payload.Len(), int(fl.n), int(fl.n)+1)
 	}
-	c.Flits(p.flits.FIFO(&p.retrQ))
+	ReplayList(c, p.flits, &p.retrQ, nil)
 }
 
 // filling walks one half of the fill record in the stream's form, a

@@ -7,12 +7,6 @@ import (
 	"stashsim/internal/proto"
 )
 
-// batch stands in for a link's credit batch: per-VC and shared counts.
-type batch struct {
-	resv   [proto.NumNetVCs]uint16
-	shared uint16
-}
-
 // timedPaths is the number of flit paths and of credit paths
 // driveTimedList runs, each kind over one pool.
 const timedPaths = 3
@@ -29,9 +23,9 @@ const timedPaths = 3
 //
 // Each op byte is a kind (top three bits) and an argument (low five), whose
 // low bits name path a. The kinds: push a flit on a, due 0..3 cycles after
-// its newest entry; add a credit on a through BackAt, which coalesces into
-// the newest batch when its due cycle matches; advance the clock 0..31
-// cycles and pop every due flit of a; pop one due credit batch of a; relink
+// its newest entry; push a credit on a, due 0..1 cycles after its newest
+// entry; advance the clock 0..31 cycles and pop every due flit of a; pop
+// one due credit of a; relink
 // a's due front onto the plain list; push a burst of flits on a at one due
 // cycle, which crosses chunk boundaries; reset a flit or credit path and
 // grow its pool by its length, then push its entries back — the decode
@@ -40,11 +34,11 @@ func driveTimedList(t *testing.T, ops []byte) {
 	t.Helper()
 	var (
 		fp     FlitPool
-		cp     Pool[batch]
+		cp     Pool[proto.Credit]
 		flits  [timedPaths]TimedList[proto.Flit]
-		creds  [timedPaths]TimedList[batch]
+		creds  [timedPaths]TimedList[proto.Credit]
 		fmodel [timedPaths]Timed[proto.Flit]
-		cmodel [timedPaths]Timed[batch]
+		cmodel [timedPaths]Timed[proto.Credit]
 		plain  FlitList
 		pmodel []uint64
 		now    int64
@@ -69,16 +63,12 @@ func driveTimedList(t *testing.T, ops []byte) {
 		a := arg % timedPaths
 		switch kind {
 		case 0:
-			pushFlit(a, due(&fmodel[a], func() int64 { return fmodel[a].At(fmodel[a].Len()-1).At }, int64(arg/timedPaths)%4))
+			pushFlit(a, due(&fmodel[a], func() int64 { return fmodel[a].At(fmodel[a].Len() - 1).At }, int64(arg/timedPaths)%4))
 		case 1:
-			at := due(&cmodel[a], func() int64 { return cmodel[a].At(cmodel[a].Len()-1).At }, int64(arg/timedPaths)%2)
-			vc := arg % proto.NumNetVCs
-			// Coalesce through BackAt; the model appends or adds by hand.
-			creds[a].BackAt(&cp, at).resv[vc]++
-			if cmodel[a].Len() == 0 || cmodel[a].At(cmodel[a].Len()-1).At != at {
-				cmodel[a].Push(at, batch{})
-			}
-			cmodel[a].At(cmodel[a].Len()-1).V.resv[vc]++
+			at := due(&cmodel[a], func() int64 { return cmodel[a].At(cmodel[a].Len() - 1).At }, int64(arg/timedPaths)%2)
+			c := proto.Credit{VC: uint8(arg % proto.NumNetVCs)}
+			creds[a].Push(&cp, at, c)
+			cmodel[a].Push(at, c)
 		case 2:
 			now += int64(arg)
 			for {
@@ -104,7 +94,7 @@ func driveTimedList(t *testing.T, ops []byte) {
 				pmodel = append(pmodel, f.PktID)
 			}
 		case 5:
-			at := due(&fmodel[a], func() int64 { return fmodel[a].At(fmodel[a].Len()-1).At }, 1)
+			at := due(&fmodel[a], func() int64 { return fmodel[a].At(fmodel[a].Len() - 1).At }, 1)
 			for i := 0; i <= arg; i++ {
 				pushFlit(a, at)
 			}
@@ -147,7 +137,7 @@ func driveTimedList(t *testing.T, ops []byte) {
 			}
 		})
 		if err == nil {
-			err = cp.Audit(func(visit func(*List[batch])) {
+			err = cp.Audit(func(visit func(*List[proto.Credit])) {
 				for k := range creds {
 					visit(creds[k].Slots())
 				}
@@ -232,21 +222,20 @@ func FuzzTimedList(f *testing.F) {
 }
 
 // TestTimedListAllocatesOnlyChunks: traffic within the high-water mark —
-// pushes, relinks onto a plain list, credit coalescing and pops — takes no
-// allocation.
+// pushes, relinks onto a plain list and pops — takes no allocation.
 func TestTimedListAllocatesOnlyChunks(t *testing.T) {
 	var (
 		fp    FlitPool
-		cp    Pool[batch]
+		cp    Pool[proto.Credit]
 		wire  TimedList[proto.Flit]
-		creds TimedList[batch]
+		creds TimedList[proto.Credit]
 		in    FlitList
 		now   int64
 	)
 	churn := func() {
 		for i := 0; i < 3*PoolChunk; i++ {
 			wire.Push(&fp, now+4, proto.Flit{Seq: uint8(i)})
-			creds.BackAt(&cp, now+4).shared++
+			creds.Push(&cp, now+4, proto.Credit{Shared: true})
 			now++
 		}
 		now += 4

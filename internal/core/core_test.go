@@ -160,7 +160,7 @@ func TestLinkFIFOOrder(t *testing.T) {
 func TestSwitchConstruction(t *testing.T) {
 	cfg := PaperConfig()
 	cfg.Mode = StashE2E
-	s := NewSwitch(0, cfg, rngFor(cfg))
+	s := NewSwitch(0, cfg, rngFor(cfg), nil)
 	if s.StashCapTotal() != 23750 {
 		t.Fatalf("stash capacity %d", s.StashCapTotal())
 	}
@@ -178,7 +178,7 @@ func TestSwitchConstruction(t *testing.T) {
 func TestJSQPicksEmptiestColumn(t *testing.T) {
 	cfg := PaperConfig()
 	cfg.Mode = StashE2E
-	s := NewSwitch(0, cfg, rngFor(cfg))
+	s := NewSwitch(0, cfg, rngFor(cfg), nil)
 	// Consume most of the stash on the ports of columns 0-2, leaving
 	// column 3 (ports 15-19, but those are global=0...) — use column 0
 	// vs column 1: drain column 1's best pool lower than column 0's.
@@ -203,7 +203,7 @@ func TestJSQPicksEmptiestColumn(t *testing.T) {
 func TestJSQRespectsSizeRequirement(t *testing.T) {
 	cfg := PaperConfig()
 	cfg.Mode = StashE2E
-	s := NewSwitch(0, cfg, rngFor(cfg))
+	s := NewSwitch(0, cfg, rngFor(cfg), nil)
 	for q := 0; q < cfg.Topo.Radix(); q++ {
 		pool := s.PortStash(q)
 		if pool.Capacity() > 0 {
@@ -221,7 +221,7 @@ func TestJSQRespectsSizeRequirement(t *testing.T) {
 func TestJSQOmitsGlobalPorts(t *testing.T) {
 	cfg := PaperConfig()
 	cfg.Mode = StashE2E
-	s := NewSwitch(0, cfg, rngFor(cfg))
+	s := NewSwitch(0, cfg, rngFor(cfg), nil)
 	// Exhaust everything except global ports (cap 0 anyway): no column
 	// may be selected via global ports.
 	for q := 0; q < cfg.Topo.Radix(); q++ {
@@ -239,7 +239,7 @@ func TestSidebandDelivery(t *testing.T) {
 	cfg := PaperConfig()
 	cfg.Mode = StashE2E
 	cfg.SidebandLat = 10
-	s := NewSwitch(0, cfg, rngFor(cfg))
+	s := NewSwitch(0, cfg, rngFor(cfg), nil)
 	// Simulate a stash copy completion then a location message.
 	pool := s.PortStash(7)
 	pool.Reserve(4)
@@ -262,7 +262,7 @@ func TestE2EAckBeforeLocation(t *testing.T) {
 	// Section IV-A's race: the ACK returns before the location message.
 	cfg := PaperConfig()
 	cfg.Mode = StashE2E
-	s := NewSwitch(0, cfg, rngFor(cfg))
+	s := NewSwitch(0, cfg, rngFor(cfg), nil)
 	pkt := proto.MakePktID(0, 2)
 	*s.track.Add(pkt) = e2eEntry{size: 8, port: 0, stashPort: -1}
 	pool := s.PortStash(9)

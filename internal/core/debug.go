@@ -33,17 +33,16 @@ func (s *Switch) DumpState() string {
 		if t.occupied == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, " tile(%d,%d) occ=%d", t.row, t.col, t.occupied)
+		fmt.Fprintf(&b, " tile(%d,%d) occ=%d locks=%x", t.row, t.col, t.occupied, t.outLock)
 		for slot := 0; slot < s.cfg.TileIn; slot++ {
 			for vc := 0; vc < proto.NumVCs; vc++ {
 				rb := &t.rowBufs[slot][vc]
 				if rb.Empty() {
 					continue
 				}
-				f := rb.Front(&s.flits)
-				lk := &t.outLock[s.cfg.TileOutOf(int(f.Out))][vc]
-				fmt.Fprintf(&b, " [s%d vc%d len=%d out=%d pkt=%x seq=%d lock={%x %v}]",
-					slot, vc, rb.Len(), f.Out, f.PktID, f.Seq, lk.pkt, lk.active)
+				f := rb.Front(s.flits)
+				fmt.Fprintf(&b, " [s%d vc%d len=%d out=%d pkt=%x seq=%d]",
+					slot, vc, rb.Len(), f.Out, f.PktID, f.Seq)
 			}
 		}
 		b.WriteByte('\n')
@@ -57,18 +56,17 @@ func (s *Switch) DumpState() string {
 		if op.credited {
 			avail = op.credits.SharedFree()
 		}
-		fmt.Fprintf(&b, " out%d(%s) colocc=%d queued=%d used=%d/%d sharedCred=%d acc=%d",
-			p, op.class, op.colOcc, op.buf.Queued(), op.buf.Used(), op.buf.Capacity(), avail, op.acc)
+		fmt.Fprintf(&b, " out%d(%s) colocc=%d locks=%08b queued=%d used=%d/%d sharedCred=%d acc=%d",
+			p, op.class, op.colOcc, op.muxLock, op.buf.Queued(), op.buf.Used(), op.buf.Capacity(), avail, op.acc)
 		for r := 0; r < s.cfg.Rows; r++ {
 			for vc := 0; vc < proto.NumVCs; vc++ {
 				rb := &op.colBufs[r][vc]
 				if rb.Empty() {
 					continue
 				}
-				f := rb.Front(&s.flits)
-				lk := &op.muxLock[effVC(f)]
-				fmt.Fprintf(&b, " [r%d vc%d len=%d pkt=%x seq=%d lock={r%d %x %v}]",
-					r, vc, rb.Len(), f.PktID, f.Seq, lk.row, lk.pkt, lk.active)
+				f := rb.Front(s.flits)
+				fmt.Fprintf(&b, " [r%d vc%d len=%d pkt=%x seq=%d]",
+					r, vc, rb.Len(), f.PktID, f.Seq)
 			}
 		}
 		occ := op.buf.Occupied()

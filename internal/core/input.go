@@ -28,7 +28,7 @@ func (s *Switch) tileAt(row, col int) *tile {
 //
 //stashsim:noalloc
 func (s *Switch) linkTile(t *tile, i int32, slot, stream int) {
-	t.rowBufs[slot][stream].Link(&s.flits, i)
+	t.rowBufs[slot][stream].Link(s.flits, i)
 	t.slotOcc[slot] |= 1 << uint(stream)
 	t.occupied++
 	s.tileOcc |= 1 << uint(t.row*s.cfg.Cols+t.col)

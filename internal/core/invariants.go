@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"strconv"
 
@@ -38,15 +39,21 @@ import (
 //     consistent. (Parity flits enter conservation through the pools'
 //     PresentFlits/FreedFlits and the switches' created counts, so law 1
 //     already balances them.)
-//  6. Flit and credit pools: in every switch, each pool's slots in use
-//     equal what its lists hold — the switch's own queues, the retained
+//  6. Flit and credit pools: in every group, each pool's slots in use
+//     equal what its lists hold — its switches' own queues, the retained
 //     stash payloads (stored, filling, or carried by an in-flight
-//     reconstruction) and the link paths it owns (Link says which) —
+//     reconstruction) and the link paths they own (Link says which) —
 //     in-use plus free slots make up its capacity, and every slot sits on
 //     exactly one list: a queue, a payload, a link path or the free stack.
 //     A leaked slot or one linked twice would let two queues, or a queue
-//     and the wire, share a flit or a credit batch, and a retained payload
+//     and the wire, share a flit or a credit, and a retained payload
 //     whose slot was freed would retransmit whatever flit took it next.
+//  7. Wormhole locks: a body flit at the front of a tile's row-buffer
+//     stream holds its (tile output, VC) lock bit, and one at the front of
+//     an output port's column buffer holds the port's multiplexer lock bit
+//     for its output-buffer VC, and no two such fronts share a lock. A lock
+//     records no packet, so this is what says that the packet holding it
+//     is the one whose body flits wait behind it.
 //
 // The laws are state-based, so sparse audits (Every > 1) still converge
 // on any corruption the next time they run. On the first violation the
@@ -134,6 +141,7 @@ func (iv *Invariants) AtBarrier(now int64) {
 	iv.checkStash(now)
 	iv.checkParity(now)
 	iv.checkFlitPools(now)
+	iv.checkLocks(now)
 }
 
 // checkConservation enforces laws 1 and the link half of law 4.
@@ -297,16 +305,117 @@ func (iv *Invariants) checkParity(now sim.Tick) {
 	}
 }
 
-// checkFlitPools enforces law 6.
+// checkFlitPools enforces law 6 on every group's pools, which the
+// group's switches share. New numbers switches group by group, so a group
+// is a run of neighbours on the list.
 func (iv *Invariants) checkFlitPools(now sim.Tick) {
-	for _, s := range iv.Switches {
-		if err := s.flits.Audit(s.flitLists); err != nil {
-			iv.fail(now, s, fmt.Sprintf("flit pool: sw%d %v", s.ID, err))
+	for lo := 0; lo < len(iv.Switches); {
+		s := iv.Switches[lo]
+		hi := lo + 1
+		for hi < len(iv.Switches) && iv.Switches[hi].flits == s.flits {
+			hi++
 		}
-		if err := s.creds.Audit(s.creditLists); err != nil {
-			iv.fail(now, s, fmt.Sprintf("credit pool: sw%d %v", s.ID, err))
+		g := group(iv.Switches[lo:hi])
+		name := fmt.Sprintf("group of sw%d-sw%d", s.ID, g[len(g)-1].ID)
+		if err := s.flits.Audit(g.flitLists); err != nil {
+			iv.fail(now, s, fmt.Sprintf("flit pool: %s: %v", name, err))
+		}
+		if err := s.creds.Audit(g.creditLists); err != nil {
+			iv.fail(now, s, fmt.Sprintf("credit pool: %s: %v", name, err))
+		}
+		lo = hi
+	}
+}
+
+// group is the switches sharing one pair of pools, seen as the lists that
+// draw from them.
+type group []*Switch
+
+func (g group) flitLists(visit func(*buffer.FlitList)) {
+	for _, s := range g {
+		s.flitLists(visit)
+	}
+}
+
+func (g group) creditLists(visit func(*buffer.List[proto.Credit])) {
+	for _, s := range g {
+		s.creditLists(visit)
+	}
+}
+
+// checkLocks enforces law 7.
+func (iv *Invariants) checkLocks(now sim.Tick) {
+	for _, s := range iv.Switches {
+		if msg := s.auditLocks(); msg != "" {
+			iv.fail(now, s, fmt.Sprintf("wormhole locks: sw%d %s", s.ID, msg))
 		}
 	}
+}
+
+// auditLocks checks law 7 on the switch and describes the first breach,
+// or returns "".
+func (s *Switch) auditLocks() string {
+	var taken [64]uint8 // per tile output, the locks a front already holds
+	for ti := range s.tiles {
+		t := &s.tiles[ti]
+		if t.occupied == 0 {
+			continue
+		}
+		clear(taken[:])
+		for slot := range t.rowBufs {
+			for stream := range t.rowBufs[slot] {
+				rb := &t.rowBufs[slot][stream]
+				if rb.Empty() {
+					continue
+				}
+				f := rb.Front(s.flits)
+				if f.Head() {
+					continue
+				}
+				port := int(f.Out)
+				if stream == proto.VCStore {
+					if !t.sLatch[slot].active {
+						return fmt.Sprintf("tile(%d,%d) slot %d: storage body flit of pkt %#x without a latched port", t.row, t.col, slot, f.PktID)
+					}
+					port = int(t.sLatch[slot].port)
+				}
+				o, bit := s.tileOutOf[port], uint8(1)<<f.VC
+				switch {
+				case t.outLock[o]&bit == 0:
+					return fmt.Sprintf("tile(%d,%d) slot %d stream %d: body flit of pkt %#x at the front, lock (output %d, vc %d) not held",
+						t.row, t.col, slot, stream, f.PktID, o, f.VC)
+				case taken[o]&bit != 0:
+					return fmt.Sprintf("tile(%d,%d) slot %d stream %d: body flit of pkt %#x at the front shares lock (output %d, vc %d) with another front",
+						t.row, t.col, slot, stream, f.PktID, o, f.VC)
+				}
+				taken[o] |= bit
+			}
+		}
+	}
+	for p := range s.out {
+		op := &s.out[p]
+		var taken uint8
+		for m := op.colMask; m != 0; m &= m - 1 {
+			idx := bits.TrailingZeros64(m)
+			row, vc := idx/proto.NumVCs, idx%proto.NumVCs
+			f := op.colBufs[row][vc].Front(s.flits)
+			if f.Head() {
+				continue
+			}
+			ev := effVC(f)
+			bit := uint8(1) << ev
+			switch {
+			case op.muxLock&bit == 0:
+				return fmt.Sprintf("out%d row %d vc %d: body flit of pkt %#x at the front, multiplexer lock of vc %d not held",
+					p, row, vc, f.PktID, ev)
+			case taken&bit != 0:
+				return fmt.Sprintf("out%d row %d vc %d: body flit of pkt %#x at the front shares the multiplexer lock of vc %d with another front",
+					p, row, vc, f.PktID, ev)
+			}
+			taken |= bit
+		}
+	}
+	return ""
 }
 
 // fail reports a violation, dumps the offending switch (when known), and

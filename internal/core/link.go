@@ -14,17 +14,17 @@ import (
 // t+Latency; credits likewise.
 //
 // A link holds no storage of its own. Each direction is a timed list of
-// in-flight entries in arrival order, threaded through the pool of the
-// switch that steps the direction's consumer:
+// in-flight entries in arrival order, threaded through the pools (Pools)
+// of the group whose switch steps the direction's consumer:
 //
-//   - switch → switch: the flits live in the consuming switch's FlitPool,
-//     so an arrival relinks its slot onto the input buffer, and the
-//     credits in the producing switch's credit pool;
-//   - endpoint links, both directions: the pools of the endpoint's own
-//     switch, which one goroutine steps together with the endpoint.
+//   - switch → switch: the flits live in the consuming switch's group's
+//     flit pool, so an arrival relinks its slot onto the input buffer, and
+//     the credits in the producing switch's group's credit pool;
+//   - endpoint links, both directions: the pools of the group of the
+//     endpoint's own switch, whose worker steps the endpoint too.
 //
 // AttachInLink and AttachOutLink bind the paths to those pools. So a pool
-// is only ever touched by the goroutine that steps its switch, and the
+// is only ever touched by the goroutine that steps its group, and the
 // wire's storage follows what is on it. An entry landing on a list lowers
 // the consumer's slots to its due cycle: the consumer's wake slot and, when
 // the consumer is a switch, that port's due slot (Switch.flitDue/credDue),
@@ -96,33 +96,31 @@ type Link struct {
 	Credited bool //stashsim:derived -- wiring
 
 	// Reverse path: credits returned by the forward-consumer, popped by
-	// the forward-producer (RecvCredit / RecvCreditsInto). Credits are
-	// carried as per-cycle batches — every credit returned during one
-	// cycle coalesces into one entry of per-VC and shared counts — so a
-	// cycle costs one slot however many credits it returns. synth
-	// carries the credits synthesized for faulted drops, pushed and popped
-	// by the forward-producer alone. Both are held in cp, as the flits
-	// are in fp.
+	// the forward-producer (RecvCredit / RecvCreditsInto), one entry per
+	// credit: a consumer returns at most one per cycle, for the one flit
+	// its row bus moved off the port. synth carries the credits
+	// synthesized for faulted drops, pushed and popped by the
+	// forward-producer alone. Both are held in cp, as the flits are in fp.
 	credits  creditPath
 	synth    creditPath
-	cp       *creditPool //stashsim:derived -- wiring; the paths' entries are walked, never the pool
+	cp       *CreditPool //stashsim:derived -- wiring; the paths' entries are walked, never the pool
 	credWake *int64      //stashsim:transient -- wiring; repartition re-slots every link
 	credDue  *int64      //stashsim:transient -- wiring; the producing switch's port slot, set when the link is attached
 
 	// The staging slabs of a worker-crossing link, by epoch parity; the
 	// checkpoint walks what they hold after the paths' entries.
 	flitSlab [2][]timedFlit
-	credSlab [2][]creditBatch
+	credSlab [2][]timedCredit
 }
 
 // NewLink builds a bare link with the given one-way latency in cycles, in
 // the direct (single-worker) form, over pools of its own; attaching it to a
-// switch moves its paths into the switch's pools.
+// switch moves its paths into the pools of the switch's group.
 func NewLink(latency int64) *Link {
 	own := new(struct {
 		Link
 		flits buffer.FlitPool
-		creds creditPool
+		creds CreditPool
 	})
 	own.init(latency)
 	own.fp, own.cp = &own.flits, &own.creds
@@ -157,7 +155,7 @@ func (l *Link) bindFlits(p *buffer.FlitPool) {
 	l.fp = p
 }
 
-func (l *Link) bindCredits(p *creditPool) {
+func (l *Link) bindCredits(p *CreditPool) {
 	if !l.credits.Empty() || !l.synth.Empty() || len(staged(&l.credSlab)) > 0 {
 		panic("core: attaching a link with credits on the wire")
 	}
@@ -177,7 +175,7 @@ func (l *Link) SendFlit(now int64, f proto.Flit) {
 	if l.Fault != nil && l.Fault.OnFlit(now, &f) {
 		if l.Credited {
 			at := now + 2*l.Latency
-			addCredit(&l.synth, l.cp, at, proto.Credit{VC: f.VC, Shared: f.Flags&proto.FlagShared != 0})
+			l.synth.Push(l.cp, at, proto.Credit{VC: f.VC, Shared: f.Flags&proto.FlagShared != 0})
 			l.creditsDue(at)
 		}
 		return
@@ -193,23 +191,17 @@ func (l *Link) SendFlit(now int64, f proto.Flit) {
 }
 
 // SendCredit returns a credit to the link's producer; it arrives after the
-// same latency as the forward path. Credits sent during the same cycle
-// coalesce into one batch entry.
+// same latency as the forward path.
 //
 //stashsim:noalloc
 func (l *Link) SendCredit(now int64, c proto.Credit) {
 	at := now + l.Latency
 	if e := l.epoch; e != nil {
-		slab := &l.credSlab[e.Load()&1]
-		n := len(*slab)
-		if n == 0 || (*slab)[n-1].At != at {
-			*slab = append(*slab, creditBatch{At: at})
-			n++
-		}
-		(*slab)[n-1].V.add(c)
+		s := e.Load() & 1
+		l.credSlab[s] = append(l.credSlab[s], timedCredit{At: at, V: c})
 		return
 	}
-	addCredit(&l.credits, l.cp, at, c)
+	l.credits.Push(l.cp, at, c)
 	l.creditsDue(at)
 }
 
@@ -234,7 +226,7 @@ func (l *Link) WakeFlits(w *int64)   { l.flitWake = w }
 func (l *Link) WakeCredits(w *int64) { l.credWake = w }
 
 // NextFlitAt returns the due cycle of the oldest flit on the wire,
-// NextCreditAt of the oldest returned or synthesized credit batch
+// NextCreditAt of the oldest returned or synthesized credit
 // (math.MaxInt64 when empty): the consumers' sim.Stepper.NextWake terms.
 //
 //stashsim:noalloc
@@ -367,158 +359,61 @@ func (l *Link) auditFlits(fn func(*proto.Flit)) {
 	}
 }
 
-// auditCredits calls fn once per credit currently on the wire, expanding
-// the per-cycle batches.
+// auditCredits calls fn for every credit currently on the wire.
 func (l *Link) auditCredits(fn func(proto.Credit)) {
-	audit := func(b *creditCounts) {
-		for vc := range b.resv {
-			for k := uint16(0); k < b.resv[vc]; k++ {
-				fn(proto.Credit{VC: uint8(vc)})
-			}
-		}
-		for k := uint16(0); k < b.shared; k++ {
-			fn(proto.Credit{Shared: true})
-		}
-	}
 	for _, path := range [...]*creditPath{&l.credits, &l.synth} {
 		q := l.cp.Timed(path)
 		for i := 0; i < q.Len(); i++ {
-			audit(&q.At(i).V)
+			fn(q.At(i).V)
 		}
 	}
-	stagedCred := staged(&l.credSlab)
-	for i := range stagedCred {
-		audit(&stagedCred[i].V)
+	for _, t := range staged(&l.credSlab) {
+		fn(t.V)
 	}
 }
 
 // RecvCredit returns the next credit whose arrival time has passed: the
 // earlier-due of the receiver's returned credits and the synthesized
-// fault-drop credits, ties going to the receiver's. Within one batch
-// (one sending cycle) credits come out reserved-VC-ascending, then shared;
-// every consumer folds them into a commutative counter, so the intra-cycle
-// order carries no information.
+// fault-drop credits, ties going to the receiver's. Every consumer folds
+// credits into a commutative counter, so the order of one cycle's credits
+// carries no information.
 //
 //stashsim:noalloc
 func (l *Link) RecvCredit(now int64) (proto.Credit, bool) {
-	switch c, s := l.credits.NextAt(), l.synth.NextAt(); {
-	case c <= now && c <= s:
-		return takeCredit(&l.credits, l.cp, now), true
-	case s <= now:
-		return takeCredit(&l.synth, l.cp, now), true
+	if l.synth.NextAt() < l.credits.NextAt() {
+		return l.synth.PopDue(l.cp, now)
 	}
-	return proto.Credit{}, false
+	return l.credits.PopDue(l.cp, now)
 }
 
 // RecvCreditsInto folds every due credit — receiver-returned and
-// fault-synthesized — into cc and returns how many were applied. This is
-// the hot-path form of RecvCredit: a few integer adds per sending cycle
-// instead of one pop per credit. Equivalent to draining RecvCredit
-// in a loop because CreditCounter.Return is commutative.
+// fault-synthesized — into cc and returns how many were applied: what
+// draining RecvCredit into cc does, a path at a time.
 //
 //stashsim:noalloc
 func (l *Link) RecvCreditsInto(now int64, cc *buffer.CreditCounter) int {
 	return foldCredits(&l.credits, l.cp, now, cc) + foldCredits(&l.synth, l.cp, now, cc)
 }
 
-// creditCounts holds every credit that one cycle returned over a link: a
-// count per reserved VC plus a shared-pool count. A creditBatch is one such
-// cycle on the wire, due at its At; a creditPath is a link's credit
-// direction, the batches in due order, held in a creditPool.
-//
-//stashsim:phase parallel
-type creditCounts struct {
-	resv   [proto.NumNetVCs]uint16
-	shared uint16
-}
-
+// timedCredit is one credit on the wire, due at its At, and a creditPath a
+// link's credit direction, the credits in due order. A CreditPool is a
+// group's storage of the credits on the wire, one slot each.
 type (
 	timedFlit   = buffer.Entry[proto.Flit]
-	creditBatch = buffer.Entry[creditCounts]
-	creditPath  = buffer.TimedList[creditCounts]
-	creditPool  = buffer.Pool[creditCounts]
+	timedCredit = buffer.Entry[proto.Credit]
+	creditPath  = buffer.TimedList[proto.Credit]
+	CreditPool  = buffer.Pool[proto.Credit]
 )
 
-//stashsim:noalloc
-func (b *creditCounts) add(c proto.Credit) {
-	if c.Shared {
-		b.shared++
-		return
-	}
-	if c.VC >= proto.NumNetVCs {
-		panic("core: reserved credit for an internal VC")
-	}
-	b.resv[c.VC]++
-}
-
-// take removes one credit in the canonical order (reserved VCs ascending,
-// then shared) and reports whether the batch is now empty.
+// foldCredits folds every due credit of path into cc and returns their
+// count.
 //
 //stashsim:noalloc
-func (b *creditCounts) take() (proto.Credit, bool) {
-	total := b.shared
-	var c proto.Credit
-	taken := false
-	for vc := range b.resv {
-		total += b.resv[vc]
-		if !taken && b.resv[vc] > 0 {
-			b.resv[vc]--
-			c = proto.Credit{VC: uint8(vc)}
-			taken = true
-			total--
-		}
+func foldCredits(path *creditPath, p *CreditPool, now int64, cc *buffer.CreditCounter) int {
+	n := 0
+	for ; path.FrontDue(now); n++ {
+		c, _ := path.PopDue(p, now)
+		cc.Return(c)
 	}
-	if !taken {
-		if b.shared == 0 {
-			panic("core: take from empty credit batch")
-		}
-		b.shared--
-		c = proto.Credit{Shared: true}
-		total--
-	}
-	return c, total == 0
-}
-
-// addCredit coalesces a credit into the path's newest batch when the due
-// times match, otherwise appends a new batch. It counts in place, in the
-// slot: building the counts on the stack and copying them stalls on store
-// forwarding (DESIGN.md §11).
-//
-//stashsim:noalloc
-func addCredit(path *creditPath, p *creditPool, at int64, c proto.Credit) {
-	path.BackAt(p, at).add(c)
-}
-
-// takeCredit removes a single credit from the front batch, which the
-// caller has found due.
-//
-//stashsim:noalloc
-func takeCredit(path *creditPath, p *creditPool, now int64) proto.Credit {
-	c, empty := path.Front(p).take()
-	if empty {
-		path.PopDue(p, now)
-	}
-	return c
-}
-
-// foldCredits folds every due batch into cc and returns the credit count.
-//
-//stashsim:noalloc
-func foldCredits(path *creditPath, p *creditPool, now int64, cc *buffer.CreditCounter) int {
-	total := 0
-	for path.FrontDue(now) {
-		b := path.Front(p)
-		for vc := range b.resv {
-			if n := int(b.resv[vc]); n > 0 {
-				cc.ReturnN(vc, n)
-				total += n
-			}
-		}
-		if n := int(b.shared); n > 0 {
-			cc.ReturnShared(n)
-			total += n
-		}
-		path.PopDue(p, now)
-	}
-	return total
+	return n
 }

@@ -54,15 +54,10 @@ func (s *Switch) stepMux(now sim.Tick, op *outPort) {
 		row := idx / proto.NumVCs
 		vc := idx % proto.NumVCs
 		rb := &op.colBufs[row][vc]
-		f := rb.Front(&s.flits)
-		ev := effVC(f)
-		lk := &op.muxLock[ev]
-		if f.Head() {
-			if lk.active {
-				continue
-			}
-		} else if !lk.active || lk.pkt != f.PktID || lk.row != int8(row) {
-			continue
+		f := rb.Front(s.flits)
+		lock := uint8(1) << effVC(f)
+		if held := op.muxLock&lock != 0; held == f.Head() {
+			continue // a head waits for the lock; a body flit's packet holds it
 		}
 		if vc == proto.VCStore {
 			// Stash arrival: pool space was reserved at the tile.
@@ -79,7 +74,7 @@ func (s *Switch) stepMux(now sim.Tick, op *outPort) {
 		}
 		// Grant: the flit's slot moves on to the output buffer or the
 		// stash pool.
-		i := rb.Unlink(&s.flits)
+		i := rb.Unlink(s.flits)
 		op.colOcc--
 		if op.colOcc == 0 {
 			s.muxOcc &^= 1 << uint(op.id)
@@ -88,10 +83,10 @@ func (s *Switch) stepMux(now sim.Tick, op *outPort) {
 			op.colMask &^= 1 << uint(idx)
 		}
 		if f.Head() {
-			lk.row, lk.pkt, lk.active = int8(row), f.PktID, true
+			op.muxLock |= lock
 		}
 		if f.Tail() {
-			*lk = muxLock{} // a released lock holds nothing: the walk writes only the active bit
+			op.muxLock &^= lock
 		}
 		a.Advance(idx)
 		if vc == proto.VCStore {

@@ -16,7 +16,7 @@ func TestCorePanicPaths(t *testing.T) {
 	newSwitch := func() *Switch {
 		cfg := TinyConfig()
 		cfg.Mode = StashE2E
-		return NewSwitch(0, cfg, sim.NewRNG(1))
+		return NewSwitch(0, cfg, sim.NewRNG(1), nil)
 	}
 	cases := []struct {
 		name string

@@ -16,13 +16,14 @@ import (
 //
 // Link ownership: a Link is shared by its producer and consumer, so each
 // of its paths must be walked exactly once, and it is walked by the switch
-// whose pool holds it (core.Link says which that is): the flits by their
-// consumer, the credits by the flits' producer. A switch's input ports
-// walk the flits of their upstream links, its output ports the credits of
-// their downstream links; an endpoint walks the flits of its fromSw link
-// and the credits of its toSw link, and the network walks it beside its
-// switch. So a switch's walk, with its endpoints', touches its own pools
-// and no other switch's, and restore decodes the switches independently.
+// whose group's pool holds it (core.Link says which that is): the flits by
+// their consumer, the credits by the flits' producer. A switch's input
+// ports walk the flits of their upstream links, its output ports the
+// credits of their downstream links; an endpoint walks the flits of its
+// fromSw link and the credits of its toSw link, and the network walks it
+// beside its switch. So the walks of a group's switches, with their
+// endpoints', touch the group's pools and no other group's, and restore
+// decodes the groups independently.
 //
 // The link encoding is form-canonical: entries still staged in a
 // partition-crossing link's slab follow the path's in the stream, which
@@ -48,8 +49,10 @@ func (l *Link) FlitState(c *snapshot.Codec) {
 	if c.Decoding() {
 		dropStaged(&l.flitSlab)
 	}
-	snapshot.Arrivals(c, l.fp.Timed(&l.flits), staged(&l.flitSlab), 1+1,
-		func(t *timedFlit) { c.Due(&t.At); c.Flit(&t.V) })
+	if slab := staged(&l.flitSlab); !c.Empty(l.flits.Len() + len(slab)) {
+		snapshot.Arrivals(c, l.fp.Timed(&l.flits), slab, 1+1,
+			func(t *timedFlit) { c.Due(&t.At); c.Flit(&t.V) })
+	}
 }
 
 // CreditState walks the link's two credit paths (see FlitState).
@@ -60,44 +63,29 @@ func (l *Link) CreditState(c *snapshot.Codec) {
 	if c.Decoding() {
 		dropStaged(&l.credSlab)
 	}
-	// One batch on the wire: its due cycle, then its counts (a due cycle
-	// and a mask at least).
-	batch := func(b *creditBatch) {
-		c.Due(&b.At)
-		b.V.state(c)
+	// One credit on the wire: its due cycle, then the credit.
+	credit := func(t *timedCredit) {
+		c.Due(&t.At)
+		creditState(c, &t.V)
 	}
-	snapshot.Arrivals(c, l.cp.Timed(&l.credits), staged(&l.credSlab), 1+1, batch)
-	snapshot.Ring(c, l.cp.Timed(&l.synth), 1+1, batch)
+	if slab := staged(&l.credSlab); !c.Empty(l.credits.Len() + len(slab)) {
+		snapshot.Arrivals(c, l.cp.Timed(&l.credits), slab, 1+1, credit)
+	}
+	if !c.Empty(l.synth.Len()) {
+		snapshot.Ring(c, l.cp.Timed(&l.synth), 1+1, credit)
+	}
 }
 
-// state walks one batch's counts: a mask of the counts that are not zero —
-// bit vc for VC vc's reserved count, the bit after them for the shared
-// count — and then those counts, in that order. Most batches carry one
-// credit. Decoding refuses a mask bit past the shared count's and a
-// count of zero under a set bit, which the mask would not have named.
-func (b *creditCounts) state(c *snapshot.Codec) {
-	const sharedBit = len(b.resv)
-	var mask uint8
-	for vc, n := range b.resv {
-		if n > 0 {
-			mask |= 1 << vc
-		}
+// creditState walks one credit as one byte: twice its VC, plus one for a
+// shared-pool credit.
+func creditState(c *snapshot.Codec, cr *proto.Credit) {
+	b := cr.VC << 1
+	if cr.Shared {
+		b |= 1
 	}
-	if b.shared > 0 {
-		mask |= 1 << sharedBit
-	}
-	c.U8(&mask)
-	c.Bound("credit batch mask", int(mask), 0, 1<<(sharedBit+1))
-	for i := 0; i <= sharedBit; i++ {
-		n := &b.shared
-		if i < sharedBit {
-			n = &b.resv[i]
-		}
-		if mask&(1<<i) != 0 {
-			c.U16(n)
-			c.Bound("credit batch count", int(*n), 1, 1<<16)
-		}
-	}
+	c.U8(&b)
+	c.Bound("credit.VC", int(b>>1), 0, proto.NumNetVCs)
+	cr.VC, cr.Shared = b>>1, b&1 != 0
 }
 
 // State walks the switch's full dynamic state as of cycle now, the next
@@ -146,7 +134,7 @@ func (s *Switch) State(c *snapshot.Codec, now int64) {
 	if s.parity != nil {
 		s.parity.State(c)
 	}
-	snapshot.Slice(c, &s.reconQ, 1+1+1+1+1+1, func(r *reconRec) { r.state(c, s) })
+	snapshot.Slice(c, &s.reconQ, 1+1+1+1+1, func(r *reconRec) { r.state(c, s) })
 }
 
 func (c *Counters) state(w *snapshot.Codec) {
@@ -199,7 +187,7 @@ func (op *outPort) state(c *snapshot.Codec, s *Switch, now int64) {
 	for r := range op.colBufs {
 		for vc := range op.colBufs[r] {
 			// linkCol files a flit under its own VC.
-			c.ReplayFlits(s.flits.FIFO(&op.colBufs[r][vc]), func(f proto.Flit) {
+			buffer.ReplayList(c, s.flits, &op.colBufs[r][vc], func(f proto.Flit) {
 				c.Bound("column-buffer flit.VC", int(f.VC), vc, vc+1)
 				if c.Err() == nil {
 					s.linkCol(op, r, s.flits.Put(f))
@@ -207,14 +195,7 @@ func (op *outPort) state(c *snapshot.Codec, s *Switch, now int64) {
 			})
 		}
 	}
-	for vc := range op.muxLock {
-		ml := &op.muxLock[vc]
-		if c.Bool(&ml.active); ml.active {
-			snapshot.Wire8(c, &ml.row)
-			c.Bound("muxLock.row", int(ml.row), 0, s.cfg.Rows)
-			c.U64(&ml.pkt)
-		}
-	}
+	c.U8(&op.muxLock)
 	op.muxArb.State(c)
 	op.sendArb.State(c)
 	if op.credited {
@@ -228,7 +209,7 @@ func (op *outPort) state(c *snapshot.Codec, s *Switch, now int64) {
 func (t *tile) state(c *snapshot.Codec, s *Switch) {
 	for slot := range t.rowBufs {
 		for stream := range t.rowBufs[slot] {
-			c.ReplayFlits(s.flits.FIFO(&t.rowBufs[slot][stream]), func(f proto.Flit) {
+			buffer.ReplayList(c, s.flits, &t.rowBufs[slot][stream], func(f proto.Flit) {
 				// Only the storage stream holds flits whose output is still
 				// pending; every other stream's Out indexes the tile outputs.
 				if stream != proto.VCStore {
@@ -242,16 +223,13 @@ func (t *tile) state(c *snapshot.Codec, s *Switch) {
 	}
 	t.alloc.State(c)
 	for i := range t.vcNext {
-		snapshot.Wire64(c, &t.vcNext[i])
-		c.Bound("tile.vcNext", t.vcNext[i], 0, proto.NumVCs)
+		next := int(t.vcNext[i]) // bounded before it is narrowed to the field
+		snapshot.Wire64(c, &next)
+		c.Bound("tile.vcNext", next, 0, proto.NumVCs)
+		t.vcNext[i] = uint8(next)
 	}
 	for o := range t.outLock {
-		for vc := range t.outLock[o] {
-			lk := &t.outLock[o][vc]
-			if c.Bool(&lk.active); lk.active {
-				c.U64(&lk.pkt)
-			}
-		}
+		c.U8(&t.outLock[o])
 	}
 	for i := range t.sLatch {
 		c.U8(&t.sLatch[i].port)
@@ -297,8 +275,6 @@ func (r *reconRec) state(c *snapshot.Codec, s *Switch) {
 	c.I64(&r.due)
 	c.U64(&r.pktID)
 	c.U8(&r.size)
-	c.U8(&r.origin)
-	c.Bound("reconRec.origin", int(r.origin), 0, s.cfg.Topo.P)
 	c.U8(&r.target)
 	c.Bound("reconRec.target", int(r.target), 0, s.radix)
 	has := !r.payload.Empty()

@@ -192,7 +192,8 @@ func (s *Switch) noteSealed(minted, sealed int) {
 // reconRec is one in-flight parity reconstruction: at due, the rebuilt
 // copy — with its retained payload, a list in the switch's flit pool, when
 // retention is on — lands in the target bank and a fresh location report
-// heads to the originating end port.
+// heads to the originating end port, which the packet's tracking record
+// names.
 // Records are appended only by the serial fault hook (FailStashBank) and
 // drained by Step, so the queue is partition-private like the tracking
 // ledger.
@@ -202,7 +203,6 @@ type reconRec struct {
 	due     int64
 	pktID   uint64
 	size    uint8
-	origin  uint8           // end port owning the tracking entry at begin time
 	target  uint8           // bank receiving the rebuilt copy (space reserved)
 	payload buffer.FlitList // retained payload extracted from the failed bank; may be empty
 }
@@ -247,7 +247,7 @@ func (s *Switch) FailStashBank(now sim.Tick, port int) (lost, reconstructed int)
 			due := now + s.cfg.SidebandLat + int64(s.cfg.StashParity-1)*int64(size)
 			s.reconQ = append(s.reconQ, reconRec{
 				due: due, pktID: pktID, size: size,
-				origin: e.port, target: uint8(target), payload: payload,
+				target: uint8(target), payload: payload,
 			})
 			reconstructed++
 		}
@@ -318,14 +318,14 @@ func (s *Switch) finishRecon(now sim.Tick, rec reconRec) {
 	e := s.track.Get(rec.pktID)
 	if e == nil || !e.recon {
 		s.stash[rec.target].Unreserve(int(rec.size))
-		rec.payload.Reset(&s.flits)
+		rec.payload.Reset(s.flits)
 		return
 	}
 	e.recon = false
 	s.stash[rec.target].InstallCopy(rec.pktID, int(rec.size), rec.payload)
 	s.created += int64(rec.size)
 	s.noteSealed(s.parity.OnStore(rec.pktID, rec.size, int(rec.target)))
-	s.sbSend(now, sbLocation, rec.pktID, rec.origin, rec.target, rec.size)
+	s.sbSend(now, sbLocation, rec.pktID, e.port, rec.target, rec.size)
 }
 
 // retransmit re-injects a retained stash copy into the network from the

@@ -99,14 +99,15 @@ type inPort struct {
 	mem       buffer.BankedMem
 }
 
-// tileLock serializes packets per (tile output, VC) so flits of different
-// packets never interleave on one column channel VC.
-//
-//stashsim:owner partition
-type tileLock struct {
-	pkt    uint64
-	active bool
-}
+// A wormhole lock is one bit of a VC mask: bit vc of a tile's outLock[o]
+// is held by the packet crossing tile output o on VC vc, so flits of
+// different packets never interleave on one column channel VC; bit vc of
+// an output port's muxLock by the packet whose flits the output
+// multiplexer is moving onto output-buffer VC vc, from one column buffer.
+// A lock holds no packet: a row or column buffer is a FIFO that holds
+// every flit of a packet in order, so a body flit at its front belongs to
+// the packet that took the lock with its head (invariant law 7).
+const _ uint8 = 1 << (proto.NumVCs - 1) // a VC mask fits a byte
 
 // stashLatch pins the JSQ-chosen stash port for the S-VC packet currently
 // crossing a tile from one input slot.
@@ -125,24 +126,14 @@ type tile struct {
 	row, col int                             //stashsim:derived -- structural; rebuilt from the configuration
 	rowBufs  [][proto.NumVCs]buffer.FlitList // [TileIn]
 	alloc    *arb.Separable
-	vcNext   []int                    // per-slot stream rotation pointer
-	outLock  [][proto.NumVCs]tileLock // [TileOut]
-	sLatch   []stashLatch             // per slot
-	occupied int                      //stashsim:derived -- total queued flits (activity gate); decoding pushes them through linkTile
-	slotOcc  []uint16                 //stashsim:derived -- per-slot bitmask of non-empty streams; decoding pushes their flits through linkTile
-	reqScr   []uint64                 //stashsim:transient -- scratch request masks; stepTile recomputes them
-	candScr  []uint8                  //stashsim:transient -- scratch candidate stream per (slot, out), at slot*TileOut+out; stepTile recomputes it
-	grants   int64                    //stashsim:transient -- column-channel grants since EnableMetrics; the registry walks it
-}
-
-// muxLock serializes packets per output-buffer VC across the R column
-// channels feeding one output multiplexer.
-//
-//stashsim:owner partition
-type muxLock struct {
-	row    int8
-	pkt    uint64
-	active bool
+	vcNext   []uint8      // per-slot stream rotation pointer
+	outLock  []uint8      // [TileOut] VC mask of held wormhole locks
+	sLatch   []stashLatch // per slot
+	occupied int          //stashsim:derived -- total queued flits (activity gate); decoding pushes them through linkTile
+	slotOcc  []uint16     //stashsim:derived -- per-slot bitmask of non-empty streams; decoding pushes their flits through linkTile
+	reqScr   []uint64     //stashsim:transient -- scratch request masks; stepTile recomputes them
+	candScr  []uint8      //stashsim:transient -- scratch candidate stream per (slot, out), at slot*TileOut+out; stepTile recomputes it
+	grants   int64        //stashsim:transient -- column-channel grants since EnableMetrics; the registry walks it
 }
 
 //stashsim:owner partition
@@ -155,9 +146,9 @@ type outPort struct {
 	colBufs [][proto.NumVCs]buffer.FlitList // [Rows]
 	colOcc  int                             //stashsim:derived -- total flits in column buffers (activity gate); decoding pushes them through linkCol
 	colMask uint64                          //stashsim:derived -- bitmask of non-empty (row*NumVCs+vc) buffers; decoding pushes their flits through linkCol
-	muxLock [proto.NumVCs]muxLock
-	muxArb  arb.RoundRobin // Rows*NumVCs candidates
-	sendArb arb.RoundRobin // network VCs
+	muxLock uint8                           // VC mask of held output-buffer VC locks
+	muxArb  arb.RoundRobin                  // Rows*NumVCs candidates
+	sendArb arb.RoundRobin                  // network VCs
 	// credits mirrors the downstream input buffer when credited is set;
 	// an endpoint sinks flits without credits.
 	credits  buffer.CreditCounter
@@ -215,18 +206,13 @@ type Switch struct {
 	tiles     []tile              // Rows*Cols, row-major
 	stash     []*buffer.StashPool // per port; nil-capacity pools allowed
 
-	// flits holds every flit inside the switch — the input DAMQs, the row
-	// and column buffers, the output buffers and the stash retrieval
-	// queues are index lists into it — and every flit on the wire towards
-	// it or towards its endpoints, so a stage move and a link arrival
-	// relink a slot, and only a push onto a link, a stash copy or a
-	// retransmission copies a flit in. creds holds the credit batches on
-	// the wire towards it and towards its endpoints. Each pool's capacity
-	// is the high-water mark of what it held, rounded up to a chunk.
+	// flits and creds are the pools of the switch's group (Pools), which
+	// every queue of the switch draws from and every path of the links it
+	// owns (Link says which).
 	//
 	//stashsim:derived -- storage, not state: decoding pushes every queued flit into a fresh pool, and slot numbers decide nothing
-	flits buffer.FlitPool
-	creds creditPool //stashsim:derived -- storage, not state: decoding pushes every credit batch on the wire into a fresh pool
+	flits *buffer.FlitPool
+	creds *CreditPool //stashsim:derived -- storage, not state: decoding pushes every credit on the wire into a fresh pool
 
 	sideband buffer.Timed[sbMsg]
 	// track holds the packets this switch's end ports injected that are
@@ -283,9 +269,29 @@ type Switch struct {
 	tracer *metrics.Tracer //stashsim:transient -- debugging sink; its output stream cannot resume mid-run
 }
 
-// NewSwitch builds switch id under the shared configuration. Links are
-// attached afterwards by the network wiring (AttachInLink/AttachOutLink).
-func NewSwitch(id int, cfg *Config, rng *sim.RNG) *Switch {
+// Pools is the storage of one dragonfly group, the executor's block: the
+// flit pool every flit queue of the group's switches draws from — the
+// input DAMQs, the row and column buffers, the output buffers, the stash
+// retrieval queues and retained payloads — together with every flit on the
+// wire towards the group's switches or endpoints, and the credit pool of
+// every credit on the wire towards them. So a stage move and a link arrival
+// relink a slot, and only a push onto a link, a stash copy or a
+// retransmission copies a flit in. One worker steps a whole group, so a
+// group's pools are touched by one goroutine. A pool grows to the most its
+// group held at once, rounded up to a chunk: the switches of a group do not
+// all peak together, so the group holds less than their own pools would.
+type Pools struct {
+	flits buffer.FlitPool
+	creds CreditPool
+}
+
+// NewSwitch builds switch id under the shared configuration, drawing on
+// pools, its group's storage (nil: pools of its own). Links are attached
+// afterwards by the network wiring (AttachInLink/AttachOutLink).
+func NewSwitch(id int, cfg *Config, rng *sim.RNG, pools *Pools) *Switch {
+	if pools == nil {
+		pools = new(Pools)
+	}
 	d := cfg.Topo
 	radix := d.Radix()
 	if cfg.Rows*cfg.Cols > 64 || radix > 64 {
@@ -309,9 +315,11 @@ func NewSwitch(id int, cfg *Config, rng *sim.RNG) *Switch {
 		stash:   make([]*buffer.StashPool, radix),
 		track:   fault.NewLedger[e2eEntry](cfg.Retrans.SwitchTimeout, cfg.Retrans.SwitchRetries, cfg.Retrans.ScanEvery),
 		tally:   tallies{jsqPick: make([]int64, cfg.Cols)},
+		flits:   &pools.flits,
+		creds:   &pools.creds,
 	}
 	colBufs := make([][proto.NumVCs]buffer.FlitList, radix*cfg.Rows)
-	pools := make([]buffer.StashPool, radix)
+	banks := make([]buffer.StashPool, radix)
 	// The ports' retention bitmaps and the tiles' request scratch are the
 	// switch's words, carved from one backing array.
 	nw := nt * cfg.TileIn
@@ -325,7 +333,7 @@ func NewSwitch(id int, cfg *Config, rng *sim.RNG) *Switch {
 		ip.id = p
 		ip.class = class
 		ip.isEnd = class == topo.Endpoint
-		ip.buf = buffer.NewDAMQIn(&s.flits, cfg.NormalInCap(class), proto.NumNetVCs)
+		ip.buf = buffer.NewDAMQIn(s.flits, cfg.NormalInCap(class), proto.NumNetVCs)
 		ip.arbiter = arb.NewRoundRobin(proto.NumNetVCs + 1)
 		ip.congestAt = int(cfg.ECN.CongestFrac * float64(ip.buf.Capacity()))
 		ip.sVC = -1
@@ -337,7 +345,7 @@ func NewSwitch(id int, cfg *Config, rng *sim.RNG) *Switch {
 		op.isEnd = class == topo.Endpoint
 		op.rtt = 2 * cfg.Lat.Of(class)
 		window := buffer.NewRetention(op.rtt, carve(&words, buffer.RetentionWords(op.rtt)))
-		op.buf = buffer.NewOutBuf(&s.flits, cfg.NormalOutCap(class), proto.NumNetVCs, window)
+		op.buf = buffer.NewOutBuf(s.flits, cfg.NormalOutCap(class), proto.NumNetVCs, window)
 		op.colBufs = carve(&colBufs, cfg.Rows)
 		op.muxArb = arb.NewRoundRobin(cfg.Rows * proto.NumVCs)
 		op.sendArb = arb.NewRoundRobin(proto.NumNetVCs)
@@ -345,13 +353,13 @@ func NewSwitch(id int, cfg *Config, rng *sim.RNG) *Switch {
 		op.accTick = -1
 		s.tileOutOf[p] = uint8(cfg.TileOutOf(p))
 
-		pools[p] = *buffer.NewStashPoolIn(&s.flits, cfg.StashCap(class), cfg.RetainPayload) // inlined: the copy allocates nothing
-		s.stash[p] = &pools[p]
+		banks[p] = *buffer.NewStashPoolIn(s.flits, cfg.StashCap(class), cfg.RetainPayload) // inlined: the copy allocates nothing
+		s.stash[p] = &banks[p]
 	}
 	var (
 		rowBufs = make([][proto.NumVCs]buffer.FlitList, nt*cfg.TileIn)
-		outLock = make([][proto.NumVCs]tileLock, nt*cfg.TileOut)
-		vcNext  = make([]int, nt*cfg.TileIn)
+		outLock = make([]uint8, nt*cfg.TileOut)
+		vcNext  = make([]uint8, nt*cfg.TileIn)
 		sLatch  = make([]stashLatch, nt*cfg.TileIn)
 		slotOcc = make([]uint16, nt*cfg.TileIn)
 		reqScr  = words
@@ -385,30 +393,30 @@ func carve[T any](backing *[]T, n int) []T {
 }
 
 // AttachInLink wires the incoming link of input port p, and the port's
-// due slot into it. The link's flits move into the switch's pool, and on
-// an endpoint port its credits too: the switch steps the endpoint that
-// consumes them.
+// due slot into it. The link's flits move into the switch's group's pool,
+// and on an endpoint port its credits too: the group's worker steps the
+// endpoint that consumes them.
 func (s *Switch) AttachInLink(p int, l *Link) {
 	s.in[p].link = l
 	l.flitDue = &s.flitDue[p]
-	l.bindFlits(&s.flits)
+	l.bindFlits(s.flits)
 	if s.in[p].isEnd {
-		l.bindCredits(&s.creds)
+		l.bindCredits(s.creds)
 	}
 }
 
 // AttachOutLink wires the outgoing link of output port p, and the port's
-// credit due slot into it. The link's credits move into the switch's pool,
-// and on an endpoint port its flits too. The credit counter mirrors the
+// credit due slot into it. The link's credits move into the switch's
+// group's pool, and on an endpoint port its flits too. The credit counter mirrors the
 // downstream input buffer; pass zero capacity for endpoint-facing ports
 // (endpoints sink flits without credits).
 func (s *Switch) AttachOutLink(p int, l *Link, downstreamCap int) {
 	op := &s.out[p]
 	op.link = l
 	l.credDue = &s.credDue[p]
-	l.bindCredits(&s.creds)
+	l.bindCredits(s.creds)
 	if op.isEnd {
-		l.bindFlits(&s.flits)
+		l.bindFlits(s.flits)
 	}
 	if downstreamCap > 0 {
 		op.credits = buffer.NewCreditCounter(downstreamCap, proto.NumNetVCs)
@@ -487,13 +495,13 @@ func (s *Switch) StashCapTotal() int {
 	return total
 }
 
-// FlitPool exposes the switch's flit storage, and CreditPool its storage
-// of credit batches on the wire, for tests and probes.
-func (s *Switch) FlitPool() *buffer.FlitPool { return &s.flits }
-func (s *Switch) CreditPool() *creditPool    { return &s.creds }
+// FlitPool exposes the flit storage of the switch's group, and CreditPool
+// its storage of credits on the wire, for tests and probes.
+func (s *Switch) FlitPool() *buffer.FlitPool { return s.flits }
+func (s *Switch) CreditPool() *CreditPool    { return s.creds }
 
-// flitLists hands every list drawing from the switch's flit pool to visit,
-// for the pool audit: its own queues, the retained payloads of its stash
+// flitLists hands every list of the switch's own that draws from its
+// group's flit pool to visit, for the pool audit: its queues, the retained payloads of its stash
 // banks and of its in-flight reconstructions, and the forward path of
 // every link it consumes or feeds an endpoint over.
 func (s *Switch) flitLists(visit func(*buffer.FlitList)) {
@@ -525,10 +533,10 @@ func (s *Switch) flitLists(visit func(*buffer.FlitList)) {
 	}
 }
 
-// creditLists hands every credit path drawing from the switch's credit
-// pool to visit, for the pool audit: both paths of every link it sends on,
+// creditLists hands every credit path of the switch's own that draws from
+// its group's credit pool to visit, for the pool audit: both paths of every link it sends on,
 // and of every link an endpoint sends to it over.
-func (s *Switch) creditLists(visit func(*buffer.List[creditCounts])) {
+func (s *Switch) creditLists(visit func(*buffer.List[proto.Credit])) {
 	paths := func(l *Link) {
 		visit(l.credits.Slots())
 		visit(l.synth.Slots())
@@ -825,7 +833,7 @@ func (s *Switch) outBusy(p int) bool { b := &s.out[p].buf; return b.Queued() > 0
 // flit is queued in it (inputs, tiles, column or output buffers, stash
 // retrievals — those stages count stalls per cycle); otherwise Step is a
 // no-op until the earliest of the timed things it holds comes due: a
-// retention release, a credit batch or flit on a link (its port's due
+// retention release, a credit or flit on a link (its port's due
 // slot), a side-band message, a parity rebuild, or the next scan of armed
 // retry timers.
 //

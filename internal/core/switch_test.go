@@ -32,7 +32,7 @@ func newSwHarness(t *testing.T, mutate func(*Config)) *swHarness {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	s := NewSwitch(0, cfg, sim.NewRNG(cfg.Seed))
+	s := NewSwitch(0, cfg, sim.NewRNG(cfg.Seed), nil)
 	h := &swHarness{s: s, cfg: cfg}
 	radix := cfg.Topo.Radix()
 	for p := 0; p < radix; p++ {

@@ -34,13 +34,13 @@ func (s *Switch) stepTile(now sim.Tick, t *tile) {
 		// Walk the occupied streams in rotation from the slot's pointer:
 		// rotate the occupancy so bit k stands for stream (base+k) mod
 		// NumVCs, then peel set bits.
-		base := t.vcNext[slot]
+		base := int(t.vcNext[slot])
 		for rot := (occ>>uint(base) | occ<<uint(proto.NumVCs-base)) & (1<<proto.NumVCs - 1); rot != 0; rot &= rot - 1 {
 			stream := base + bits.TrailingZeros(rot)
 			if stream >= proto.NumVCs {
 				stream -= proto.NumVCs
 			}
-			f := t.rowBufs[slot][stream].Front(&s.flits)
+			f := t.rowBufs[slot][stream].Front(s.flits)
 			var port int
 			if stream == proto.VCStore {
 				sl := &t.sLatch[slot]
@@ -64,13 +64,8 @@ func (s *Switch) stepTile(now sim.Tick, t *tile) {
 				continue // an earlier stream in rotation already requests o
 			}
 			vc := int(f.VC)
-			lk := &t.outLock[o][vc]
-			if f.Head() {
-				if lk.active {
-					continue
-				}
-			} else if !lk.active || lk.pkt != f.PktID {
-				continue
+			if held := t.outLock[o]&(1<<vc) != 0; held == f.Head() {
+				continue // a head waits for the lock; a body flit's packet holds it
 			}
 			if s.out[port].colBufs[t.row][vc].Len() >= cfg.ColBufFlits {
 				continue
@@ -94,7 +89,7 @@ func (s *Switch) stepTile(now sim.Tick, t *tile) {
 			s.tally.rvcFlits++
 		}
 		rb := &t.rowBufs[slot][stream]
-		i := rb.Unlink(&s.flits)
+		i := rb.Unlink(s.flits)
 		f := s.flits.Get(i)
 		if rb.Empty() {
 			t.slotOcc[slot] &^= 1 << uint(stream)
@@ -112,18 +107,17 @@ func (s *Switch) stepTile(now sim.Tick, t *tile) {
 				sl.active = false
 			}
 		}
-		vc := int(f.VC)
-		lk := &t.outLock[o][vc]
 		if f.Head() {
-			lk.pkt, lk.active = f.PktID, true
+			t.outLock[o] |= 1 << f.VC
 		}
 		if f.Tail() {
-			*lk = tileLock{} // a released lock holds nothing: the walk writes only the active bit
+			t.outLock[o] &^= 1 << f.VC
 		}
 		s.linkCol(&s.out[port], t.row, i)
-		t.vcNext[slot] = stream + 1
-		if t.vcNext[slot] == proto.NumVCs {
+		if stream+1 == proto.NumVCs {
 			t.vcNext[slot] = 0
+		} else {
+			t.vcNext[slot] = uint8(stream + 1)
 		}
 	}
 	if t.occupied == 0 {
@@ -138,7 +132,7 @@ func (s *Switch) stepTile(now sim.Tick, t *tile) {
 //stashsim:noalloc
 func (s *Switch) linkCol(op *outPort, row int, i int32) {
 	vc := int(s.flits.Get(i).VC)
-	op.colBufs[row][vc].Link(&s.flits, i)
+	op.colBufs[row][vc].Link(s.flits, i)
 	op.colOcc++
 	op.colMask |= 1 << uint(row*proto.NumVCs+vc)
 	s.muxOcc |= 1 << uint(op.id)
@@ -163,7 +157,7 @@ func (s *Switch) jsqPort(t *tile, size int) (int, bool) {
 		if s.stash[q].Capacity() == 0 {
 			continue
 		}
-		if t.outLock[s.tileOutOf[q]][proto.VCStore].active {
+		if t.outLock[s.tileOutOf[q]]&(1<<proto.VCStore) != 0 {
 			continue
 		}
 		if s.out[q].colBufs[t.row][proto.VCStore].Len() >= cfg.ColBufFlits {

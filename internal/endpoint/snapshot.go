@@ -8,8 +8,9 @@ import (
 )
 
 // State walks for the endpoints. A link path is walked by the switch whose
-// pool holds it (see the core package's walks): both of an endpoint's
-// links live in its switch's pools, so the endpoint walks the paths its
+// group's pool holds it (see the core package's walks): both of an
+// endpoint's links live in its switch's group's pools, so the endpoint
+// walks the paths its
 // switch's ports do not — the flits of fromSw and the credits of toSw — and
 // the network walks the endpoint beside its switch. The traffic
 // generator closure itself is rebuilt by the harness; only its RNG stream

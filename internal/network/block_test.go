@@ -16,10 +16,10 @@ import (
 // the reference.
 
 // TestBlocksIndependentOfWorkers pins the cut: a block is a dragonfly
-// group at every worker count up to the group count, one worker included,
-// and the epoch cap is the global latency at all of them; past the group
-// count a block is a run of switches, one per worker. A single worker
-// stages no link — its epochs have nothing to drain.
+// group at every worker count, one worker included, and the epoch cap is
+// the global latency at all of them; past the group count the workers are
+// clamped to it. A single worker stages no link — its epochs have nothing
+// to drain.
 func TestBlocksIndependentOfWorkers(t *testing.T) {
 	n := quietNet(t, nil)
 	defer n.Close()
@@ -27,9 +27,9 @@ func TestBlocksIndependentOfWorkers(t *testing.T) {
 	for _, pt := range []struct {
 		workers, blocks int
 		lookahead       int64
-	}{{1, groups, 65}, {2, groups, 65}, {groups, groups, 65}, {12, 12, 13}} {
+	}{{1, groups, 65}, {2, groups, 65}, {groups, groups, 65}, {groups + 3, groups, 65}} {
 		n.SetWorkers(pt.workers)
-		if st := n.ExecStats(); st.Blocks != pt.blocks || st.Workers != pt.workers || n.EpochLookahead() != pt.lookahead {
+		if st := n.ExecStats(); st.Blocks != pt.blocks || st.Workers != min(pt.workers, groups) || n.EpochLookahead() != pt.lookahead {
 			t.Fatalf("workers=%d: %d blocks on %d workers at lookahead %d, want %d blocks at %d",
 				pt.workers, st.Blocks, st.Workers, n.EpochLookahead(), pt.blocks, pt.lookahead)
 		}

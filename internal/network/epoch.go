@@ -93,22 +93,18 @@ func (n *Network) ExecStats() ExecStats {
 // new executor's wake table — so a run continues exactly where the previous
 // cut stopped.
 //
-// A block is one dragonfly group, whatever the worker count, and worker w
-// steps a contiguous run of them (sim.WorkerOf), so only global links cross
-// blocks and only some of those cross workers. With more workers than
-// groups a block is instead a contiguous run of switches, one per worker,
-// and local links cross too (a shorter lookahead, the same algorithm).
-// Endpoints stay with their switch, so endpoint links never cross.
+// A block is one dragonfly group, whatever the worker count (SetWorkers
+// allows no more workers than groups), and worker w steps a contiguous run
+// of them (sim.WorkerOf), so only global links cross blocks and only some
+// of those cross workers. Endpoints stay with their switch, so endpoint
+// links never cross, and a group's pools (core.Pools) are touched by its
+// worker alone.
 func (n *Network) repartition() {
 	if n.exec != nil {
 		n.exec.Close()
 	}
 	d := n.Cfg.Topo
 	W, B, blockOf := n.workers, d.Groups(), d.Group
-	if W > B {
-		S := d.NumSwitches()
-		B, blockOf = W, func(sw int) int { return sim.WorkerOf(sw, S, W) }
-	}
 	workerOf := func(sw int) int { return sim.WorkerOf(blockOf(sw), B, W) }
 
 	// Classify every switch-to-switch link of the table. A link between

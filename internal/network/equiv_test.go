@@ -630,11 +630,8 @@ func (d *drive) start(workers int, cap int64, snap []byte) *Network {
 // count, a block per worker and the local latency past it.
 func mustCut(t testing.TB, n *Network, workers int) {
 	t.Helper()
-	workers = max(1, min(workers, len(n.Switches)))
 	blocks, la := n.Cfg.Topo.Groups(), n.Cfg.Lat.Global
-	if workers > blocks {
-		blocks, la = workers, min(la, n.Cfg.Lat.Local)
-	}
+	workers = max(1, min(workers, blocks))
 	if st := n.ExecStats(); st.Blocks != blocks || st.Workers != workers || n.EpochLookahead() != la {
 		t.Fatalf("%d workers: %d blocks on %d workers at lookahead %d, want %d blocks at %d",
 			workers, st.Blocks, st.Workers, n.EpochLookahead(), blocks, la)
@@ -954,14 +951,15 @@ func TestStepAfterParallelRunExact(t *testing.T) {
 	check(t, "tiny", "faults-parity", row{workers: 4, hand: steps, at: handAt})
 }
 
-// TestEpochWorkersExceedGroups: a worker count past the switch count is
-// clamped to one switch per worker.
+// TestEpochWorkersExceedGroups: a worker count past the group count is
+// clamped to one group per worker, so that no group's pools are shared
+// between workers.
 func TestEpochWorkersExceedGroups(t *testing.T) {
 	n := quietNet(t, nil)
 	defer n.Close()
 	n.SetWorkers(1000)
-	if got, want := n.workers, len(n.Switches); got != want {
-		t.Fatalf("SetWorkers(1000) kept %d workers, want the switch count %d", got, want)
+	if got, want := n.workers, n.Cfg.Topo.Groups(); got != want {
+		t.Fatalf("SetWorkers(1000) kept %d workers, want the group count %d", got, want)
 	}
 	mustCut(t, n, 1000)
 }

@@ -225,18 +225,18 @@ func TestInvariantsCatchFreedBufInBank(t *testing.T) {
 				t.Fatal("stash copy not retained")
 			}
 			tc.corrupt(n.Switches[0].FlitPool(), pool, payload.Head())
-			expectViolation(t, "flit pool: sw0 slot", func() { iv.AtBarrier(n.Now) })
+			expectViolation(t, "flit pool: group of sw0-sw3: slot", func() { iv.AtBarrier(n.Now) })
 			expectViolation(t, "sits on two lists", func() { iv.AtBarrier(n.Now) })
 		})
 	}
 }
 
-// TestInvariantsCatchFlitPoolCorruption corrupts a switch's pools behind
+// TestInvariantsCatchFlitPoolCorruption corrupts a group's pools behind
 // its queues' backs, in the ways a relink bug would: a flit slot taken and
 // linked nowhere, a flit slot linked onto a second queue, a slot on the
-// wire linked onto an input queue as well, and a credit-batch slot taken
-// and linked nowhere. None moves a count the conservation laws read, so
-// only the pool law trips, naming the pool.
+// wire linked onto an input queue as well, and a credit slot taken and
+// linked nowhere. None moves a count the conservation laws read, so only
+// the pool law trips, naming the pool and its group.
 func TestInvariantsCatchFlitPoolCorruption(t *testing.T) {
 	for _, tc := range []struct {
 		name, pool, want string
@@ -274,14 +274,14 @@ func TestInvariantsCatchFlitPoolCorruption(t *testing.T) {
 			var queues []*buffer.FlitList
 			n.Switches[0].AuditInBuf(0).AuditLists(func(l *buffer.FlitList) { queues = append(queues, l) })
 			tc.corrupt(t, n, queues)
-			expectViolation(t, tc.pool+": sw0 slot", func() { iv.AtBarrier(n.Now) })
+			expectViolation(t, tc.pool+": group of sw0-sw3: slot", func() { iv.AtBarrier(n.Now) })
 			expectViolation(t, tc.want, func() { iv.AtBarrier(n.Now) })
 		})
 	}
 }
 
 // wireFront runs n until a flit is on the wire of one of switch 0's
-// endpoint links, whose flits live in switch 0's pool, and returns it.
+// endpoint links, whose flits live in its group's pool, and returns it.
 func wireFront(t *testing.T, n *Network) *proto.Flit {
 	t.Helper()
 	for k := 0; k < 1000; k++ {

@@ -225,7 +225,7 @@ func TestRestoreNamesOutOfRangeField(t *testing.T) {
 	}{
 		{"faults", microSnapConfig(), 0.4, 200, true, []byte{0x7F, 0x01}, []string{
 			"routeLatch.out", "routeLatch.vc", "routeLatch.stashCol", "inPort.sVC",
-			"muxLock.row", "tile.vcNext", "sLatch.port",
+			"tile.vcNext", "sLatch.port", "credit.VC",
 			"sbMsg.kind", "sbMsg.dst", "sbMsg.aux", "e2eEntry.stashPort", "e2eEntry.port",
 			"RoundRobin.next", "StashPool filling copies", "StashPool fill flits",
 			"Endpoint.rrIdx", "pktDesc.dst", "pktDesc.size", "pktDesc.class", "curPkt.seq",
@@ -238,7 +238,7 @@ func TestRestoreNamesOutOfRangeField(t *testing.T) {
 			"StashPool payload length", "Hist bucket count",
 		}},
 		{"parity", parity, 0.4, 152, false, []byte{0x7F}, []string{
-			"reconRec.origin", "reconRec.target",
+			"reconRec.target",
 			"parityGroup.n", "parityGroup.state", "parityGroup.bankSet", "parityGroup.parityBank",
 			"parityMember.bank", "ParityTracker group index",
 		}},

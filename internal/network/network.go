@@ -157,8 +157,11 @@ func New(cfg *core.Config) (*Network, error) {
 	}
 	swRNG := rng.Derive(1)
 	epRNG := rng.Derive(2)
+	// One pair of pools per group, the executor's block: a group's
+	// switches, endpoints and the link paths they own draw from it.
+	pools := make([]core.Pools, d.Groups())
 	for i := range n.Switches {
-		n.Switches[i] = core.NewSwitch(i, cfg, swRNG)
+		n.Switches[i] = core.NewSwitch(i, cfg, swRNG, &pools[d.Group(i)])
 	}
 	for i := range n.Endpoints {
 		ep := endpoint.New(int32(i), cfg, epRNG)
@@ -287,7 +290,8 @@ func (n *Network) Step() { n.Run(1) }
 // (the default) steps every block inline on the calling goroutine;
 // workers > 1 deals the blocks out in contiguous runs, each run on a
 // long-lived goroutine, synchronized once per epoch (see repartition and
-// sim.Executor). Values outside [1, switches] are clamped. Components
+// sim.Executor). Values outside [1, groups] are clamped: a block is a
+// dragonfly group, whose pools one worker alone may touch. Components
 // communicate only over latency>=1 links and an epoch is never longer than
 // the shortest link between two blocks, so results are bit-identical for
 // any worker count. It may be called between runs at any
@@ -299,7 +303,7 @@ func (n *Network) Step() { n.Run(1) }
 // either order; an externally attached profiler (SetExecProfiler) is
 // left alone and must already match.
 func (n *Network) SetWorkers(workers int) {
-	workers = max(1, min(workers, len(n.Switches)))
+	workers = max(1, min(workers, n.Cfg.Topo.Groups()))
 	if workers == n.workers {
 		return
 	}

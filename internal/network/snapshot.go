@@ -75,10 +75,11 @@ func (n *Network) state(c *snapshot.Codec, now *int64) {
 
 // model walks the simulated machine: the configuration fingerprint, the
 // clock, then every component in wiring order — everything a run's
-// outcome is a function of, and nothing that only watches it. Each switch
-// goes in one sized section with the endpoints wired to it: a section
-// holds what the switch's own pools hold and nothing else (see the core
-// package's state walks), so restore decodes the sections on every CPU.
+// outcome is a function of, and nothing that only watches it. Each
+// dragonfly group goes in one sized section, its switches each followed by
+// the endpoints wired to it: a section holds what the group's pools hold
+// and nothing else (see the core package's state walks), so restore
+// decodes the sections on every CPU.
 //
 //stashsim:phase serial -- walks every component's private state; runs only at a cycle barrier or before any Run
 func (n *Network) model(c *snapshot.Codec, now *int64) {
@@ -96,34 +97,36 @@ func (n *Network) model(c *snapshot.Codec, now *int64) {
 		n.Injector.State(c)
 	}
 	n.walkAt = *now
-	if c.Sections("switch", len(n.Switches), everyCPU, (*sectionWalker)(n)); c.Err() != nil {
+	if c.Sections("group", n.Cfg.Topo.Groups(), everyCPU, (*sectionWalker)(n)); c.Err() != nil {
 		return
 	}
 	n.Collectors.State(c)
 }
 
-// sectionWalker is the network as the walker of its switch sections: a
+// sectionWalker is the network as the walker of its group sections: a
 // conversion of the network's pointer, which the codec takes without
 // allocating.
 type sectionWalker Network
 
-// WalkSection walks switch sw and the endpoints wired to it, as of the
-// cycle of the walk in progress.
-func (w *sectionWalker) WalkSection(c *snapshot.Codec, sw int) {
+// WalkSection walks group g's switches, each followed by the endpoints
+// wired to it, as of the cycle of the walk in progress.
+func (w *sectionWalker) WalkSection(c *snapshot.Codec, g int) {
 	n := (*Network)(w)
-	if n.Switches[sw].State(c, n.walkAt); c.Err() != nil {
-		return
-	}
-	p := n.Cfg.Topo.P
-	for _, ep := range n.Endpoints[sw*p : (sw+1)*p] {
-		if ep.State(c, n.walkAt); c.Err() != nil {
+	a, p := n.Cfg.Topo.A, n.Cfg.Topo.P
+	for sw := g * a; sw < (g+1)*a; sw++ {
+		if n.Switches[sw].State(c, n.walkAt); c.Err() != nil {
 			return
+		}
+		for _, ep := range n.Endpoints[sw*p : (sw+1)*p] {
+			if ep.State(c, n.walkAt); c.Err() != nil {
+				return
+			}
 		}
 	}
 }
 
 // everyCPU runs body for every section on GOMAXPROCS workers: how Restore
-// decodes the switches.
+// decodes the groups.
 func everyCPU(sections int, body func(i int)) {
 	sim.ParallelFor(runtime.GOMAXPROCS(0), sections, body)
 }

@@ -317,14 +317,14 @@ func firstDiff(a, b string) string {
 	return fmt.Sprintf("the restored probes have %d more lines", len(lb)-len(la))
 }
 
-// TestRestoreSectionsOwnTheirPools: Restore decodes the switches' sections
+// TestRestoreSectionsOwnTheirPools: Restore decodes the groups' sections
 // on GOMAXPROCS workers, so a section's walk must touch only what its own
-// switch's pools hold. A small network with parity groups, caught while
+// group's pools hold. A small network with parity groups, caught while
 // two failed banks are being rebuilt, is restored with one worker and with
 // four: both must checkpoint back to the bytes and digest of the source,
 // and hold every invariant, the pool audit (law 6) included, right after
 // the restore. Under the race detector a section that pushed into another
-// switch's pool would show up as a race in the four-worker restore.
+// group's pool would show up as a race in the four-worker restore.
 func TestRestoreSectionsOwnTheirPools(t *testing.T) {
 	src := loadedNet(t, "small", "faults-parity")
 	defer src.Close()
@@ -356,8 +356,8 @@ func TestRestoreSectionsOwnTheirPools(t *testing.T) {
 }
 
 // sectionPrefixes returns the offsets of the length prefixes of a
-// snapshot's switch sections, in switch order: they follow their varint
-// count, and the first section opens with its switch's tag.
+// snapshot's group sections, in group order: they follow their varint
+// count, and the first section opens with its first switch's tag.
 func sectionPrefixes(t testing.TB, data []byte) []int {
 	t.Helper()
 	first := bytes.Index(data, []byte("SWCH")) - 4
@@ -376,8 +376,8 @@ func sectionPrefixes(t testing.TB, data []byte) []int {
 	return at
 }
 
-// hostileSection is a snapshot damaged in one switch's section, and what
-// Restore's error must say: the switch and the absolute offset where the
+// hostileSection is a snapshot damaged in one group's section, and what
+// Restore's error must say: the group and the absolute offset where the
 // decode stopped.
 type hostileSection struct {
 	name string
@@ -385,7 +385,7 @@ type hostileSection struct {
 	want []string
 }
 
-// hostileSections damages switch sw's section of valid:
+// hostileSections damages group g's section of valid:
 //   - past-end, zero: a length that runs past the end of the input, and a
 //     zero length;
 //   - reads-past: the section cut inside its last varint of more than one
@@ -410,9 +410,9 @@ type hostileSection struct {
 //
 // Every damage but the first two keeps the chain of lengths and the
 // header's total length right, so only the walk can notice.
-func hostileSections(t testing.TB, valid []byte, sw int) []hostileSection {
+func hostileSections(t testing.TB, valid []byte, g int) []hostileSection {
 	t.Helper()
-	at := sectionPrefixes(t, valid)[sw]
+	at := sectionPrefixes(t, valid)[g]
 	size := int(binary.LittleEndian.Uint32(valid[at:]))
 	end := at + 4 + size // the section's last byte is end-1
 	body := valid[:end]
@@ -431,7 +431,7 @@ func hostileSections(t testing.TB, valid []byte, sw int) []hostileSection {
 		d[off] = b
 		return d
 	}
-	sec := func(end int) string { return fmt.Sprintf("in switch %d's section, bytes %d to %d", sw, at+4, end) }
+	sec := func(end int) string { return fmt.Sprintf("in group %d's section, bytes %d to %d", g, at+4, end) }
 	varintLen := func(off int) int {
 		n := 1
 		for body[off+n-1]&0x80 != 0 {
@@ -443,7 +443,7 @@ func hostileSections(t testing.TB, valid []byte, sw int) []hostileSection {
 	tagAt := func(tag string, off int) int {
 		i := bytes.Index(body[off:], []byte(tag))
 		if i < 0 {
-			t.Fatalf("switch %d's section has no %s tag after offset %d", sw, tag, off)
+			t.Fatalf("group %d's section has no %s tag after offset %d", g, tag, off)
 		}
 		return off + i
 	}
@@ -471,9 +471,9 @@ func hostileSections(t testing.TB, valid []byte, sw int) []hostileSection {
 	future := binary.AppendUvarint(nil, first+1<<21) // the first deadline, from cycle 0, 2^20 later
 	return []hostileSection{
 		{"past-end", withLen(slices.Clone(valid), len(valid)), []string{
-			fmt.Sprintf("switch %d: section length %d at offset %d runs past the end", sw, len(valid), at)}},
+			fmt.Sprintf("group %d: section length %d at offset %d runs past the end", g, len(valid), at)}},
 		{"zero", withLen(slices.Clone(valid), 0), []string{
-			fmt.Sprintf("switch %d: section length 0 at offset %d", sw, at)}},
+			fmt.Sprintf("group %d: section length 0 at offset %d", g, at)}},
 		{"reads-past", splice(cut, end-cut), []string{
 			fmt.Sprintf("truncated: varint at offset %d runs past the end", v), sec(cut)}},
 		{"leaves-unread", splice(end, 0, 0, 0, 0), []string{fmt.Sprintf("3 trailing bytes at offset %d", end), sec(end + 3)}},
@@ -497,7 +497,7 @@ func hostileSections(t testing.TB, valid []byte, sw int) []hostileSection {
 
 // TestRestoreRejectsHostileSections: a damaged section length, a section
 // whose walk does not end at its last byte, and a section holding a
-// malformed varint, flit or deadline fail Restore naming the switch and
+// malformed varint, flit or deadline fail Restore naming the group and
 // the offset, without a panic and within an allocation bound stated from
 // the input. A count is checked against the bytes left at one byte an
 // element, the fewest any element takes, so a damaged count can make the
@@ -521,9 +521,12 @@ func TestRestoreRejectsHostileSections(t *testing.T) {
 	}
 	const slotBytes = 64
 	prefixes := sectionPrefixes(t, valid)
+	// The sections holding switches 0 and 3: the first group's and a
+	// middle one's.
 	for _, sw := range []int{0, 3} {
-		reserve := slotBytes * uint64(binary.LittleEndian.Uint32(valid[prefixes[sw]:]))
-		for _, tc := range hostileSections(t, valid, sw) {
+		g := microSnapConfig().Topo.Group(sw)
+		reserve := slotBytes * uint64(binary.LittleEndian.Uint32(valid[prefixes[g]:]))
+		for _, tc := range hostileSections(t, valid, g) {
 			t.Run(fmt.Sprintf("sw%d/%s", sw, tc.name), func(t *testing.T) {
 				alloc, err := allocs(tc.data)
 				if err == nil {

@@ -447,7 +447,7 @@ func TestWakeAcrossRestoreAndRepartition(t *testing.T) {
 		d.Run(47)
 		d.n.SetWorkers(3) // mid-flight: flits on rings, credits outstanding
 		d.Run(40)
-		d.n.SetWorkers(12)
+		d.n.SetWorkers(d.n.Cfg.Topo.Groups()) // a worker per group, the most there are
 		d.Run(40)
 		d.n.SetWorkers(1)
 		d.Run(500)

@@ -55,8 +55,12 @@ const (
 	// resend ledger once (a switch's tracked packets in one map, each with
 	// its end port, and an endpoint's outstanding packets, each followed by
 	// its timer, then the ledger's timer list), a stash pool's live copies
-	// in one map with their retained payloads, and no drop count on a link.
-	Version uint16 = 7
+	// in one map with their retained payloads, and no drop count on a link;
+	// version 8 walks each dragonfly group, whose switches share their
+	// pools, as one sized section, a wormhole lock as a bit of a VC mask,
+	// a credit on the wire as one entry of its own (not a cycle's batch),
+	// and no end port on an in-flight parity rebuild.
+	Version uint16 = 8
 	// headerSize is magic + version + total length.
 	headerSize = 4 + 2 + 8
 )

@@ -133,42 +133,49 @@ func TestReaderRejectsBadHeaders(t *testing.T) {
 			d := append([]byte(nil), valid()...)
 			binary.LittleEndian.PutUint16(d[4:], 1)
 			return d
-		}(), "unsupported format version 1 (this build reads version 7)"},
+		}(), "unsupported format version 1 (this build reads version 8)"},
 		// Version 3 walks the observers as one named list, and no reader of
 		// version 2 was kept: a stream from before is refused, not migrated.
 		{"version-2", func() []byte {
 			d := append([]byte(nil), valid()...)
 			binary.LittleEndian.PutUint16(d[4:], 2)
 			return d
-		}(), "unsupported format version 2 (this build reads version 7)"},
+		}(), "unsupported format version 2 (this build reads version 8)"},
 		// Version 4 walks each switch as one sized section, and no reader
 		// of version 3 was kept.
 		{"version-3", func() []byte {
 			d := append([]byte(nil), valid()...)
 			binary.LittleEndian.PutUint16(d[4:], 3)
 			return d
-		}(), "unsupported format version 3 (this build reads version 7)"},
+		}(), "unsupported format version 3 (this build reads version 8)"},
 		// Version 5 writes integers as varints and queues as differences,
 		// and no reader of version 4 was kept.
 		{"version-4", func() []byte {
 			d := append([]byte(nil), valid()...)
 			binary.LittleEndian.PutUint16(d[4:], 4)
 			return d
-		}(), "unsupported format version 4 (this build reads version 7)"},
+		}(), "unsupported format version 4 (this build reads version 8)"},
 		// Version 6 writes locks, accumulators and ECN windows only while
 		// they hold something, and no reader of version 5 was kept.
 		{"version-5", func() []byte {
 			d := append([]byte(nil), valid()...)
 			binary.LittleEndian.PutUint16(d[4:], 5)
 			return d
-		}(), "unsupported format version 5 (this build reads version 7)"},
+		}(), "unsupported format version 5 (this build reads version 8)"},
 		// Version 7 writes each resend ledger and each pool's live copies
 		// once, and no reader of version 6 was kept.
 		{"version-6", func() []byte {
 			d := append([]byte(nil), valid()...)
 			binary.LittleEndian.PutUint16(d[4:], 6)
 			return d
-		}(), "unsupported format version 6 (this build reads version 7)"},
+		}(), "unsupported format version 6 (this build reads version 8)"},
+		// Version 8 walks a group as one section, locks as bits and a
+		// credit as one entry, and no reader of version 7 was kept.
+		{"version-7", func() []byte {
+			d := append([]byte(nil), valid()...)
+			binary.LittleEndian.PutUint16(d[4:], 7)
+			return d
+		}(), "unsupported format version 7 (this build reads version 8)"},
 		{"truncated-body", func() []byte {
 			d := valid()
 			return d[:len(d)-3]

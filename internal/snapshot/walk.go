@@ -329,7 +329,7 @@ func (c *Codec) Flit(f *proto.Flit) {
 }
 
 // Due walks the due cycle of an entry on a timed path — a link's flits or
-// credit batches, a retention window, the side band — whose entries come
+// credits, a retention window, the side band — whose entries come
 // due in non-decreasing order. It is written as its distance from the
 // due cycle walked before it since the last count (the first entry's from
 // cycle 0), so that entries a cycle or two apart cost a byte each.
@@ -409,6 +409,29 @@ func (c *Codec) Count(n, elemMin int) int {
 	}
 	c.w.Count(n)
 	return n
+}
+
+// Empty walks the count of a queue that holds have entries when that count
+// is zero on both sides, and reports whether it was: encoding writes an
+// empty queue's zero count; decoding consumes a zero count when the queue
+// it would refill is already empty. A queue found empty costs its one byte
+// and nothing else, its presentation as a FIFO included; otherwise the
+// caller walks the queue in full, count and all, so the bytes are the same
+// either way. Most queues of a network are empty.
+func (c *Codec) Empty(have int) bool {
+	if have != 0 {
+		return false
+	}
+	if c.r != nil {
+		if r := c.r; r.off >= len(r.buf) || r.buf[r.off] != 0 {
+			return false
+		}
+		c.r.off++
+	} else {
+		c.w.Count(0)
+	}
+	c.flits.follows, c.due = false, 0
+	return true
 }
 
 // Len walks the length of a structure the restoring side has already
