@@ -183,7 +183,7 @@ func checkParallelWrite(pass *Pass, facts *Facts, fd *ast.FuncDecl, lhs ast.Expr
 
 // calleeFunc resolves a call expression to the called function or method
 // as declared, or nil for dynamic calls, conversions and builtins. A method
-// of an instantiated generic type (buffer.Queue[proto.Flit].Push) is its own
+// of an instantiated generic type (buffer.List[proto.Flit].Push) is its own
 // object; directives and bodies hang off the declaration, hence Origin.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	fun := call.Fun

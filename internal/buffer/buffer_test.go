@@ -5,109 +5,10 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"stashsim/internal/proto"
 	"stashsim/internal/snapshot"
 )
-
-func flit(seq int) proto.Flit {
-	return proto.Flit{PktID: 1, Seq: uint8(seq), Size: 24}
-}
-
-func TestRingFIFO(t *testing.T) {
-	var r Queue[proto.Flit]
-	for i := 0; i < 100; i++ {
-		r.Push(flit(i % 250))
-	}
-	if r.Len() != 100 {
-		t.Fatalf("len %d", r.Len())
-	}
-	for i := 0; i < 100; i++ {
-		f := r.Pop()
-		if int(f.Seq) != i%250 {
-			t.Fatalf("pop %d got seq %d", i, f.Seq)
-		}
-	}
-	if !r.Empty() {
-		t.Fatal("not empty after draining")
-	}
-}
-
-func TestRingInterleavedPushPop(t *testing.T) {
-	var r Queue[proto.Flit]
-	next, expect := 0, 0
-	for round := 0; round < 50; round++ {
-		for i := 0; i < 7; i++ {
-			r.Push(flit(next % 200))
-			next++
-		}
-		for i := 0; i < 5; i++ {
-			f := r.Pop()
-			if int(f.Seq) != expect%200 {
-				t.Fatalf("expected %d got %d", expect%200, f.Seq)
-			}
-			expect++
-		}
-	}
-	for expect < next {
-		if int(r.Pop().Seq) != expect%200 {
-			t.Fatal("drain order wrong")
-		}
-		expect++
-	}
-}
-
-func TestRingFrontAndAt(t *testing.T) {
-	var r Queue[proto.Flit]
-	for i := 0; i < 10; i++ {
-		r.Push(flit(i))
-	}
-	if r.Front().Seq != 0 {
-		t.Fatal("front wrong")
-	}
-	for i := 0; i < 10; i++ {
-		if int(r.At(i).Seq) != i {
-			t.Fatalf("At(%d) wrong", i)
-		}
-	}
-}
-
-func TestRingPanics(t *testing.T) {
-	var r Queue[proto.Flit]
-	for _, f := range []func(){
-		func() { r.Pop() },
-		func() { r.Front() },
-		func() { r.At(0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic on empty ring")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestTimedRingDelivery(t *testing.T) {
-	var r Timed[proto.Flit]
-	r.Push(10, flit(0))
-	r.Push(12, flit(1))
-	if _, ok := r.PopDue(9); ok {
-		t.Fatal("delivered early")
-	}
-	if f, ok := r.PopDue(10); !ok || f.Seq != 0 {
-		t.Fatal("first not delivered at deadline")
-	}
-	if _, ok := r.PopDue(11); ok {
-		t.Fatal("second delivered early")
-	}
-	if f, ok := r.PopDue(20); !ok || f.Seq != 1 {
-		t.Fatal("second not delivered late")
-	}
-}
 
 func TestReserves(t *testing.T) {
 	cases := []struct {
@@ -681,26 +582,5 @@ func TestBankedMemWriteAvoidance(t *testing.T) {
 	}
 	if !m.Request(7, WriteNormal) {
 		t.Fatal("write should divert to the free bank")
-	}
-}
-
-func TestRingQuickConservation(t *testing.T) {
-	if err := quick.Check(func(ops []uint8) bool {
-		var r Queue[proto.Flit]
-		pushed, popped := 0, 0
-		for _, op := range ops {
-			if op%3 != 0 {
-				r.Push(flit(pushed % 250))
-				pushed++
-			} else if !r.Empty() {
-				if int(r.Pop().Seq) != popped%250 {
-					return false
-				}
-				popped++
-			}
-		}
-		return r.Len() == pushed-popped
-	}, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,3 +1,10 @@
+// Package buffer implements the storage structures of the tiled switch:
+// the pools every queue of a dragonfly group draws from and the FIFO lists
+// threaded through them, DAMQ-style shared-pool buffers with per-VC
+// reserved quotas, matching sender-side credit counters, the two-bank
+// interleaved port memory of the paper's Section III-B, the output
+// (link-level retransmission) buffer with its retention bitmap, and the
+// per-port stash pool added by the stashing architecture.
 package buffer
 
 import (
@@ -9,20 +16,22 @@ import (
 )
 
 // Pool is one dragonfly group's storage for the queued values of one type,
-// and List and TimedList are FIFOs threaded through it. A group holds two
-// (core.Pools): its FlitPool, which every flit queue of its switches draws
-// from — the DAMQ's per-VC queues, the output buffer's VCs, the tiles' row
-// buffers, the ports' column buffers, the stash retrieval queues and
-// retained payloads — and the flits on the wire of the links they consume,
-// and a pool of credits for the credit paths they consume (core.Link says
-// which paths those are). The
-// slots live in fixed chunks that never move, so a pointer to a queued
-// value stays valid until its slot is freed, and free slots form a LIFO
-// stack. An empty list holds no storage, and moving a value from one queue
-// to the next (Unlink, then Link) relinks its slot instead of copying it.
-// The pool grows by one chunk when the stack runs dry and never shrinks,
-// so its capacity is the most values its group has held at once, rounded
-// up to a chunk.
+// and List and TimedList are FIFOs threaded through it: they are the
+// simulator's one FIFO mechanism. A group holds one pool per type
+// (core.Pools): its FlitPool, which every flit queue of its switches and
+// endpoints draws from — the DAMQ's per-VC queues, the output buffer's
+// VCs, the tiles' row buffers, the ports' column buffers, the stash
+// retrieval queues and retained payloads, the endpoints' ACK queues — and
+// the flits on the wire of the links they consume; a pool of credits for
+// the credit paths they consume (core.Link says which paths those are);
+// and pools of the switches' side-band messages and of the endpoints'
+// send-queue packets and resend items. The slots live in fixed chunks
+// that never move, so a pointer to a queued value stays valid until its
+// slot is freed, and free slots form a LIFO stack. An empty list holds no
+// storage, and moving a value from one queue to the next (Unlink, then
+// Link) relinks its slot instead of copying it. The pool grows by one
+// chunk when the stack runs dry and never shrinks, so its capacity is the
+// most values its group has held at once, rounded up to a chunk.
 //
 // Slot numbers record the order values happened to arrive in — a restored
 // run numbers the same queues differently — so nothing may decide anything
@@ -377,6 +386,13 @@ func (l *TimedList[T]) Reset(p *Pool[T]) { l.l.Reset(p) }
 // Slots returns the list's slots as a plain List, for Pool.Audit. Linking
 // or unlinking through it would bypass the due-cycle mirrors.
 func (l *TimedList[T]) Slots() *List[T] { return &l.l }
+
+// Entry is one value of a TimedList as a checkpoint walks it (Pool.Timed)
+// and a link's staging slab holds it: the value and the cycle it comes due.
+type Entry[T any] struct {
+	V  T
+	At int64
+}
 
 // listCursor is the list a pool presents as a FIFO, and the last position
 // At was asked for, so a walk in queue order follows each link once. A

@@ -13,15 +13,6 @@ import (
 // walked. A decoded flit passes the proto wire codec's range validation
 // (see snapshot.Codec.Flit).
 
-// timedEntries presents a Timed queue as the FIFO of its entries.
-type timedEntries[T any] struct{ *Timed[T] }
-
-func (q timedEntries[T]) Push(e Entry[T]) { q.Timed.Push(e.At, e.V) }
-
-// Entries is the queue as snapshot.Ring walks it: each entry's deadline
-// travels first, then its value.
-func (q *Timed[T]) Entries() snapshot.FIFO[Entry[T]] { return timedEntries[T]{q} }
-
 // State walks the DAMQ's per-VC queues; decoding expects a fresh DAMQ.
 // The pool accounting and the occupancy mask are a function of the queues
 // — each flit's FlagShared names the pool it holds a slot of — so decoding

@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -14,12 +15,12 @@ const timedPaths = 3
 // driveTimedList replays one op stream against timedPaths flit paths and
 // timedPaths credit paths, each kind threaded through one pool, and a plain
 // FlitList in the flit pool that due flits are relinked onto, the way a
-// switch's input buffer takes its arrivals. Timed[T] is the reference for
-// every path, a slice for the plain list. After every op it checks each
-// path's Len, NextAt, FrontDue and Front and its entries through the
-// cursor a checkpoint walks, both pools' accounting through Audit, and
-// that neither pool's capacity passes its high-water mark rounded up to a
-// chunk.
+// switch's input buffer takes its arrivals. A timedModel, a slice of
+// entries, is the reference for every path, a slice for the plain list.
+// After every op it checks each path's Len, NextAt, FrontDue and Front and
+// its entries through the cursor a checkpoint walks, both pools'
+// accounting through Audit, and that neither pool's capacity passes its
+// high-water mark rounded up to a chunk.
 //
 // Each op byte is a kind (top three bits) and an argument (low five), whose
 // low bits name path a. The kinds: push a flit on a, due 0..3 cycles after
@@ -37,42 +38,37 @@ func driveTimedList(t *testing.T, ops []byte) {
 		cp     Pool[proto.Credit]
 		flits  [timedPaths]TimedList[proto.Flit]
 		creds  [timedPaths]TimedList[proto.Credit]
-		fmodel [timedPaths]Timed[proto.Flit]
-		cmodel [timedPaths]Timed[proto.Credit]
+		fmodel [timedPaths]timedModel[proto.Flit]
+		cmodel [timedPaths]timedModel[proto.Credit]
 		plain  FlitList
 		pmodel []uint64
 		now    int64
 		next   uint64
 	)
-	// due returns a deadline d cycles after path a's newest, or now.
-	due := func(m interface{ Len() int }, back func() int64, d int64) int64 {
-		at := now + 1
-		if m.Len() > 0 {
-			at = max(at, back())
-		}
-		return at + d
-	}
+	// due returns a deadline d cycles after the newest of back, or after
+	// now when back is empty.
+	due := func(back int64, d int64) int64 { return max(now+1, back) + d }
 	pushFlit := func(a int, at int64) {
 		f := proto.Flit{PktID: next}
 		next++
 		flits[a].Push(&fp, at, f)
-		fmodel[a].Push(at, f)
+		fmodel[a].push(at, f)
 	}
 	for step, op := range ops {
 		kind, arg := op>>5, int(op&31)
 		a := arg % timedPaths
 		switch kind {
 		case 0:
-			pushFlit(a, due(&fmodel[a], func() int64 { return fmodel[a].At(fmodel[a].Len() - 1).At }, int64(arg/timedPaths)%4))
+			pushFlit(a, due(fmodel[a].back(), int64(arg/timedPaths)%4))
 		case 1:
-			at := due(&cmodel[a], func() int64 { return cmodel[a].At(cmodel[a].Len() - 1).At }, int64(arg/timedPaths)%2)
+			at := due(cmodel[a].back(), int64(arg/timedPaths)%2)
 			c := proto.Credit{VC: uint8(arg % proto.NumNetVCs)}
 			creds[a].Push(&cp, at, c)
-			cmodel[a].Push(at, c)
+			cmodel[a].push(at, c)
 		case 2:
 			now += int64(arg)
 			for {
-				want, wok := fmodel[a].PopDue(now)
+				want, wok := fmodel[a].popDue(now)
 				got, ok := flits[a].PopDue(&fp, now)
 				if ok != wok || got != want {
 					t.Fatalf("step %d: flit path %d PopDue = %v %v, model %v %v", step, a, got.PktID, ok, want.PktID, wok)
@@ -82,7 +78,7 @@ func driveTimedList(t *testing.T, ops []byte) {
 				}
 			}
 		case 3:
-			want, wok := cmodel[a].PopDue(now)
+			want, wok := cmodel[a].popDue(now)
 			got, ok := creds[a].PopDue(&cp, now)
 			if ok != wok || got != want {
 				t.Fatalf("step %d: credit path %d PopDue = %v %v, model %v %v", step, a, got, ok, want, wok)
@@ -90,20 +86,20 @@ func driveTimedList(t *testing.T, ops []byte) {
 		case 4:
 			if flits[a].FrontDue(now) {
 				plain.Link(&fp, flits[a].Unlink(&fp))
-				f, _ := fmodel[a].PopDue(now)
+				f, _ := fmodel[a].popDue(now)
 				pmodel = append(pmodel, f.PktID)
 			}
 		case 5:
-			at := due(&fmodel[a], func() int64 { return fmodel[a].At(fmodel[a].Len() - 1).At }, 1)
+			at := due(fmodel[a].back(), 1)
 			for i := 0; i <= arg; i++ {
 				pushFlit(a, at)
 			}
 		case 6:
 			capacity := fp.Cap() + cp.Cap()
 			if arg&16 == 0 {
-				replayTimed(&fp, &flits[a], &fmodel[a])
+				replayPath(&fp, &flits[a], fmodel[a])
 			} else {
-				replayTimed(&cp, &creds[a], &cmodel[a])
+				replayPath(&cp, &creds[a], cmodel[a])
 			}
 			if fp.Cap()+cp.Cap() != capacity {
 				t.Fatalf("step %d: replaying path %d took a chunk after Grow", step, a)
@@ -118,8 +114,8 @@ func driveTimedList(t *testing.T, ops []byte) {
 		}
 
 		for k := 0; k < timedPaths; k++ {
-			checkTimed(t, step, "flit", &fp, &flits[k], &fmodel[k], now)
-			checkTimed(t, step, "credit", &cp, &creds[k], &cmodel[k], now)
+			checkPath(t, step, "flit", &fp, &flits[k], fmodel[k], now)
+			checkPath(t, step, "credit", &cp, &creds[k], cmodel[k], now)
 		}
 		q := fp.FIFO(&plain)
 		if q.Len() != len(pmodel) {
@@ -151,32 +147,64 @@ func driveTimedList(t *testing.T, ops []byte) {
 	}
 }
 
-// replayTimed empties path l and pushes its model's entries back through
+// timedModel is the reference for a path: its entries, oldest first.
+type timedModel[T any] []Entry[T]
+
+func (m *timedModel[T]) push(at int64, v T) { *m = append(*m, Entry[T]{V: v, At: at}) }
+
+// popDue removes and returns the oldest value if it is due by now.
+func (m *timedModel[T]) popDue(now int64) (v T, ok bool) {
+	if !m.frontDue(now) {
+		return v, false
+	}
+	v, *m = (*m)[0].V, (*m)[1:]
+	return v, true
+}
+
+func (m timedModel[T]) frontDue(now int64) bool { return len(m) > 0 && m[0].At <= now }
+
+// nextAt is the oldest entry's due cycle, math.MaxInt64 when empty; back
+// the newest's, math.MinInt64 when empty.
+func (m timedModel[T]) nextAt() int64 {
+	if len(m) == 0 {
+		return math.MaxInt64
+	}
+	return m[0].At
+}
+
+func (m timedModel[T]) back() int64 {
+	if len(m) == 0 {
+		return math.MinInt64
+	}
+	return m[len(m)-1].At
+}
+
+// replayPath empties path l and pushes its model's entries back through
 // the FIFO a checkpoint decodes into, after growing the pool by their
 // count.
-func replayTimed[T any](p *Pool[T], l *TimedList[T], m *Timed[T]) {
+func replayPath[T any](p *Pool[T], l *TimedList[T], m timedModel[T]) {
 	q := p.Timed(l)
 	q.Reset()
-	q.Grow(m.Len())
-	for i := 0; i < m.Len(); i++ {
-		q.Push(*m.At(i))
+	q.Grow(len(m))
+	for _, e := range m {
+		q.Push(e)
 	}
 }
 
-// checkTimed compares path l with its model at cycle now.
-func checkTimed[T comparable](t *testing.T, step int, kind string, p *Pool[T], l *TimedList[T], m *Timed[T], now int64) {
+// checkPath compares path l with its model at cycle now.
+func checkPath[T comparable](t *testing.T, step int, kind string, p *Pool[T], l *TimedList[T], m timedModel[T], now int64) {
 	t.Helper()
-	if l.Len() != m.Len() || l.Empty() != (m.Len() == 0) || l.NextAt() != m.NextAt() || l.FrontDue(now) != m.FrontDue(now) {
+	if l.Len() != len(m) || l.Empty() != (len(m) == 0) || l.NextAt() != m.nextAt() || l.FrontDue(now) != m.frontDue(now) {
 		t.Fatalf("step %d: %s path Len %d NextAt %d FrontDue %v, model %d %d %v",
-			step, kind, l.Len(), l.NextAt(), l.FrontDue(now), m.Len(), m.NextAt(), m.FrontDue(now))
+			step, kind, l.Len(), l.NextAt(), l.FrontDue(now), len(m), m.nextAt(), m.frontDue(now))
 	}
 	q := p.Timed(l)
-	for i := 0; i < m.Len(); i++ {
-		if got, want := q.At(i), m.At(i); *got != *want {
-			t.Fatalf("step %d: %s path entry %d is due %d, model %d", step, kind, i, got.At, want.At)
+	for i := range m {
+		if got := q.At(i); *got != m[i] {
+			t.Fatalf("step %d: %s path entry %d is due %d, model %d", step, kind, i, got.At, m[i].At)
 		}
 	}
-	if m.Len() > 0 && *l.Front(p) != m.At(0).V {
+	if len(m) > 0 && *l.Front(p) != m[0].V {
 		t.Fatalf("step %d: %s path Front differs from the model's", step, kind)
 	}
 }

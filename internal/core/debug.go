@@ -40,7 +40,7 @@ func (s *Switch) DumpState() string {
 				if rb.Empty() {
 					continue
 				}
-				f := rb.Front(s.flits)
+				f := rb.Front(&s.pools.flits)
 				fmt.Fprintf(&b, " [s%d vc%d len=%d out=%d pkt=%x seq=%d]",
 					slot, vc, rb.Len(), f.Out, f.PktID, f.Seq)
 			}
@@ -64,7 +64,7 @@ func (s *Switch) DumpState() string {
 				if rb.Empty() {
 					continue
 				}
-				f := rb.Front(s.flits)
+				f := rb.Front(&s.pools.flits)
 				fmt.Fprintf(&b, " [r%d vc%d len=%d pkt=%x seq=%d]",
 					r, vc, rb.Len(), f.PktID, f.Seq)
 			}

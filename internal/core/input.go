@@ -28,7 +28,7 @@ func (s *Switch) tileAt(row, col int) *tile {
 //
 //stashsim:noalloc
 func (s *Switch) linkTile(t *tile, i int32, slot, stream int) {
-	t.rowBufs[slot][stream].Link(s.flits, i)
+	t.rowBufs[slot][stream].Link(&s.pools.flits, i)
 	t.slotOcc[slot] |= 1 << uint(stream)
 	t.occupied++
 	s.tileOcc |= 1 << uint(t.row*s.cfg.Cols+t.col)
@@ -206,7 +206,7 @@ func (s *Switch) stepRowBus(now sim.Tick, p *inPort) {
 			s.Counters.StashDegradedReads++
 		}
 		i := pool.UnlinkRetr()
-		f := s.flits.Get(i)
+		f := s.pools.flits.Get(i)
 		s.Counters.StashRetrieves++
 		if f.Head() {
 			s.tracer.Record(now, metrics.EvStashRetrieve, f.PktID, int32(s.ID), int32(p.id), f.Src, f.Dst)
@@ -233,7 +233,7 @@ func (s *Switch) moveFromInput(now sim.Tick, p *inPort, vc, row, slot int) {
 	cfg := s.cfg
 	lt := &p.latch[vc]
 	i, credit := p.buf.Unlink(vc)
-	f := s.flits.Get(i)
+	f := s.pools.flits.Get(i)
 	p.link.SendCredit(now, credit)
 	s.Counters.FlitsSwitched++
 	if cfg.ECN.Enabled && p.congested && f.Kind == proto.Data && f.Head() {
@@ -268,7 +268,7 @@ func (s *Switch) moveFromInput(now sim.Tick, p *inPort, vc, row, slot int) {
 			cp.Out = proto.OutPending
 			cp.VC = proto.VCStore
 			s.created++
-			s.linkTile(s.tileAt(row, int(lt.stashCol)), s.flits.Put(cp), slot, proto.VCStore)
+			s.linkTile(s.tileAt(row, int(lt.stashCol)), s.pools.flits.Put(cp), slot, proto.VCStore)
 			if f.Head() {
 				e := s.track.Add(f.PktID)
 				e.size = f.Size

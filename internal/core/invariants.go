@@ -39,10 +39,11 @@ import (
 //     consistent. (Parity flits enter conservation through the pools'
 //     PresentFlits/FreedFlits and the switches' created counts, so law 1
 //     already balances them.)
-//  6. Flit and credit pools: in every group, each pool's slots in use
-//     equal what its lists hold — its switches' own queues, the retained
+//  6. Pools: in every group, each pool of its Pools has its slots in use
+//     equal to what its lists hold — its switches' own queues, the retained
 //     stash payloads (stored, filling, or carried by an in-flight
-//     reconstruction) and the link paths they own (Link says which) —
+//     reconstruction), the link paths they own (Link says which), their
+//     side bands, and their endpoints' ACK, send and resend queues —
 //     in-use plus free slots make up its capacity, and every slot sits on
 //     exactly one list: a queue, a payload, a link path or the free stack.
 //     A leaked slot or one linked twice would let two queues, or a queue
@@ -78,6 +79,13 @@ type Invariants struct {
 	//stashsim:derived -- wiring, rebuilt from the network's link table
 	Switches []*Switch
 	ExtLinks []*Link //stashsim:derived -- wiring, rebuilt from the network's link table
+
+	// ExtLists are the endpoints, whose queues draw from their switch's
+	// group's pools, in the order of Switches: the endpoints of a group
+	// are a run, as its switches are.
+	//
+	//stashsim:derived -- wiring, rebuilt from the network's endpoints
+	ExtLists []PoolUser
 
 	// Edges lists every credited (sender, link, receiver-buffer) triple.
 	//
@@ -305,41 +313,93 @@ func (iv *Invariants) checkParity(now sim.Tick) {
 	}
 }
 
-// checkFlitPools enforces law 6 on every group's pools, which the
-// group's switches share. New numbers switches group by group, so a group
-// is a run of neighbours on the list.
+// PoolUser is a component outside the switches whose lists draw from a
+// group's pools (an endpoint), as law 6 sees it: the pools, and each of its
+// lists handed to the visit of the pool it draws from.
+type PoolUser interface {
+	Pools() *Pools
+	FlitLists(visit func(*buffer.FlitList))
+	SendLists(visit func(*buffer.List[proto.PktDesc]))
+	ResendLists(visit func(*buffer.List[proto.Resend]))
+}
+
+// checkFlitPools enforces law 6 on every group's pools, which the group's
+// switches and endpoints share. New numbers switches and endpoints group
+// by group, so a group is a run of neighbours on each list.
 func (iv *Invariants) checkFlitPools(now sim.Tick) {
+	ext := iv.ExtLists
 	for lo := 0; lo < len(iv.Switches); {
 		s := iv.Switches[lo]
 		hi := lo + 1
-		for hi < len(iv.Switches) && iv.Switches[hi].flits == s.flits {
+		for hi < len(iv.Switches) && iv.Switches[hi].pools == s.pools {
 			hi++
 		}
-		g := group(iv.Switches[lo:hi])
-		name := fmt.Sprintf("group of sw%d-sw%d", s.ID, g[len(g)-1].ID)
-		if err := s.flits.Audit(g.flitLists); err != nil {
-			iv.fail(now, s, fmt.Sprintf("flit pool: %s: %v", name, err))
+		n := 0
+		for n < len(ext) && ext[n].Pools() == s.pools {
+			n++
 		}
-		if err := s.creds.Audit(g.creditLists); err != nil {
-			iv.fail(now, s, fmt.Sprintf("credit pool: %s: %v", name, err))
+		g := group{iv.Switches[lo:hi], ext[:n]}
+		ext = ext[n:]
+		name := fmt.Sprintf("group of sw%d-sw%d", s.ID, g.sw[len(g.sw)-1].ID)
+		p := s.pools
+		for _, a := range [...]struct {
+			pool string
+			err  error
+		}{
+			{"flit pool", p.flits.Audit(g.flitLists)},
+			{"credit pool", p.creds.Audit(g.creditLists)},
+			{"side-band pool", p.sideband.Audit(g.sidebandLists)},
+			{"send-queue pool", p.sends.Audit(g.sendLists)},
+			{"resend pool", p.resends.Audit(g.resendLists)},
+		} {
+			if a.err != nil {
+				iv.fail(now, s, fmt.Sprintf("%s: %s: %v", a.pool, name, a.err))
+			}
 		}
 		lo = hi
 	}
+	if len(ext) > 0 {
+		iv.fail(now, nil, fmt.Sprintf("pools: %d endpoints draw from no group's pools in switch order", len(ext)))
+	}
 }
 
-// group is the switches sharing one pair of pools, seen as the lists that
-// draw from them.
-type group []*Switch
+// group is the switches and endpoints sharing one Pools, seen as the lists
+// that draw from its pools.
+type group struct {
+	sw  []*Switch
+	ext []PoolUser
+}
 
 func (g group) flitLists(visit func(*buffer.FlitList)) {
-	for _, s := range g {
+	for _, s := range g.sw {
 		s.flitLists(visit)
+	}
+	for _, e := range g.ext {
+		e.FlitLists(visit)
 	}
 }
 
 func (g group) creditLists(visit func(*buffer.List[proto.Credit])) {
-	for _, s := range g {
+	for _, s := range g.sw {
 		s.creditLists(visit)
+	}
+}
+
+func (g group) sidebandLists(visit func(*buffer.List[sbMsg])) {
+	for _, s := range g.sw {
+		visit(s.sideband.Slots())
+	}
+}
+
+func (g group) sendLists(visit func(*buffer.List[proto.PktDesc])) {
+	for _, e := range g.ext {
+		e.SendLists(visit)
+	}
+}
+
+func (g group) resendLists(visit func(*buffer.List[proto.Resend])) {
+	for _, e := range g.ext {
+		e.ResendLists(visit)
 	}
 }
 
@@ -368,7 +428,7 @@ func (s *Switch) auditLocks() string {
 				if rb.Empty() {
 					continue
 				}
-				f := rb.Front(s.flits)
+				f := rb.Front(&s.pools.flits)
 				if f.Head() {
 					continue
 				}
@@ -398,7 +458,7 @@ func (s *Switch) auditLocks() string {
 		for m := op.colMask; m != 0; m &= m - 1 {
 			idx := bits.TrailingZeros64(m)
 			row, vc := idx/proto.NumVCs, idx%proto.NumVCs
-			f := op.colBufs[row][vc].Front(s.flits)
+			f := op.colBufs[row][vc].Front(&s.pools.flits)
 			if f.Head() {
 				continue
 			}

@@ -28,7 +28,7 @@ func TestInvariantsCatchClearedLock(t *testing.T) {
 						if rb.Empty() || stream == proto.VCStore {
 							continue
 						}
-						if f := rb.Front(s.flits); !f.Head() {
+						if f := rb.Front(&s.pools.flits); !f.Head() {
 							tl.outLock[s.tileOutOf[f.Out]] &^= 1 << f.VC
 							return true
 						}
@@ -42,7 +42,7 @@ func TestInvariantsCatchClearedLock(t *testing.T) {
 				op := &s.out[p]
 				for m := op.colMask; m != 0; m &= m - 1 {
 					idx := bits.TrailingZeros64(m)
-					if f := op.colBufs[idx/proto.NumVCs][idx%proto.NumVCs].Front(s.flits); !f.Head() {
+					if f := op.colBufs[idx/proto.NumVCs][idx%proto.NumVCs].Front(&s.pools.flits); !f.Head() {
 						op.muxLock &^= 1 << effVC(f)
 						return true
 					}

@@ -54,7 +54,7 @@ func (s *Switch) stepMux(now sim.Tick, op *outPort) {
 		row := idx / proto.NumVCs
 		vc := idx % proto.NumVCs
 		rb := &op.colBufs[row][vc]
-		f := rb.Front(s.flits)
+		f := rb.Front(&s.pools.flits)
 		lock := uint8(1) << effVC(f)
 		if held := op.muxLock&lock != 0; held == f.Head() {
 			continue // a head waits for the lock; a body flit's packet holds it
@@ -74,7 +74,7 @@ func (s *Switch) stepMux(now sim.Tick, op *outPort) {
 		}
 		// Grant: the flit's slot moves on to the output buffer or the
 		// stash pool.
-		i := rb.Unlink(s.flits)
+		i := rb.Unlink(&s.pools.flits)
 		op.colOcc--
 		if op.colOcc == 0 {
 			s.muxOcc &^= 1 << uint(op.id)
@@ -112,7 +112,7 @@ func (s *Switch) stepMux(now sim.Tick, op *outPort) {
 //stashsim:noalloc
 func (s *Switch) stashArrival(now sim.Tick, op *outPort, i int32) {
 	pool := s.stash[op.id]
-	f := s.flits.Get(i)
+	f := s.pools.flits.Get(i)
 	s.Counters.StashStores++
 	if f.Head() {
 		s.tracer.Record(now, metrics.EvStashStore, f.PktID, int32(s.ID), int32(op.id), f.Src, f.Dst)

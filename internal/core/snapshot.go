@@ -126,7 +126,7 @@ func (s *Switch) State(c *snapshot.Codec, now int64) {
 	for ti := range s.tiles {
 		s.tiles[ti].state(c, s)
 	}
-	snapshot.Ring(c, s.sideband.Entries(), 1+1+1+1+1+1, func(m *buffer.Entry[sbMsg]) {
+	snapshot.Ring(c, s.pools.sideband.Timed(&s.sideband), 1+1+1+1+1+1, func(m *buffer.Entry[sbMsg]) {
 		c.Due(&m.At)
 		m.V.state(c, s)
 	})
@@ -187,10 +187,10 @@ func (op *outPort) state(c *snapshot.Codec, s *Switch, now int64) {
 	for r := range op.colBufs {
 		for vc := range op.colBufs[r] {
 			// linkCol files a flit under its own VC.
-			buffer.ReplayList(c, s.flits, &op.colBufs[r][vc], func(f proto.Flit) {
+			buffer.ReplayList(c, &s.pools.flits, &op.colBufs[r][vc], func(f proto.Flit) {
 				c.Bound("column-buffer flit.VC", int(f.VC), vc, vc+1)
 				if c.Err() == nil {
-					s.linkCol(op, r, s.flits.Put(f))
+					s.linkCol(op, r, s.pools.flits.Put(f))
 				}
 			})
 		}
@@ -209,14 +209,14 @@ func (op *outPort) state(c *snapshot.Codec, s *Switch, now int64) {
 func (t *tile) state(c *snapshot.Codec, s *Switch) {
 	for slot := range t.rowBufs {
 		for stream := range t.rowBufs[slot] {
-			buffer.ReplayList(c, s.flits, &t.rowBufs[slot][stream], func(f proto.Flit) {
+			buffer.ReplayList(c, &s.pools.flits, &t.rowBufs[slot][stream], func(f proto.Flit) {
 				// Only the storage stream holds flits whose output is still
 				// pending; every other stream's Out indexes the tile outputs.
 				if stream != proto.VCStore {
 					c.Bound("row-buffer flit.Out", int(f.Out), 0, s.radix)
 				}
 				if c.Err() == nil {
-					s.linkTile(t, s.flits.Put(f), slot, stream)
+					s.linkTile(t, s.pools.flits.Put(f), slot, stream)
 				}
 			})
 		}

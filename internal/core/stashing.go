@@ -26,8 +26,9 @@ const (
 	sbRetransmit
 )
 
-// sbMsg is one message in flight on the side band, which is a buffer.Timed:
-// the entry's deadline is the delivery cycle.
+// sbMsg is one message in flight on the side band, a TimedList in the
+// group's side-band pool (Pools): its due cycle is the delivery cycle, and
+// the side band's constant latency keeps those non-decreasing.
 //
 //stashsim:owner partition
 type sbMsg struct {
@@ -43,7 +44,7 @@ type sbMsg struct {
 //
 //stashsim:noalloc
 func (s *Switch) sbSend(now sim.Tick, kind sbKind, pktID uint64, dst, aux, size uint8) {
-	s.sideband.Push(now+s.cfg.SidebandLat, sbMsg{kind: kind, pktID: pktID, dst: dst, aux: aux, size: size})
+	s.sideband.Push(&s.pools.sideband, now+s.cfg.SidebandLat, sbMsg{kind: kind, pktID: pktID, dst: dst, aux: aux, size: size})
 	s.Counters.SidebandMsgs++
 }
 
@@ -52,7 +53,7 @@ func (s *Switch) sbSend(now sim.Tick, kind sbKind, pktID uint64, dst, aux, size 
 //stashsim:noalloc
 func (s *Switch) stepSideband(now sim.Tick) {
 	for {
-		m, ok := s.sideband.PopDue(now)
+		m, ok := s.sideband.PopDue(&s.pools.sideband, now)
 		if !ok {
 			return
 		}
@@ -318,7 +319,7 @@ func (s *Switch) finishRecon(now sim.Tick, rec reconRec) {
 	e := s.track.Get(rec.pktID)
 	if e == nil || !e.recon {
 		s.stash[rec.target].Unreserve(int(rec.size))
-		rec.payload.Reset(s.flits)
+		rec.payload.Reset(&s.pools.flits)
 		return
 	}
 	e.recon = false
@@ -346,7 +347,7 @@ func (s *Switch) retransmit(now sim.Tick, stashPort int, pktID uint64) {
 	// rebuilt, so the retained payload is never mutated and a later retry
 	// starts from the same bytes.
 	s.Counters.E2ERetransmits++
-	h := *s.flits.Get(payload.Head())
+	h := *s.pools.flits.Get(payload.Head())
 	s.tracer.Record(now, metrics.EvRetransmit, pktID, int32(s.ID), int32(stashPort), h.Src, h.Dst)
 	h.Hops = 0
 	h.Phase = proto.PhaseInject
@@ -357,8 +358,8 @@ func (s *Switch) retransmit(now sim.Tick, stashPort int, pktID uint64) {
 	if dec.Eject {
 		nextVC = 0
 	}
-	for k, i := 0, payload.Head(); k < payload.Len(); k, i = k+1, s.flits.Next(i) {
-		fl := *s.flits.Get(i)
+	for k, i := 0, payload.Head(); k < payload.Len(); k, i = k+1, s.pools.flits.Next(i) {
+		fl := *s.pools.flits.Get(i)
 		fl.Hops = 0
 		fl.Phase = dec.Phase
 		fl.MidGroup = dec.MidGroup

@@ -206,15 +206,13 @@ type Switch struct {
 	tiles     []tile              // Rows*Cols, row-major
 	stash     []*buffer.StashPool // per port; nil-capacity pools allowed
 
-	// flits and creds are the pools of the switch's group (Pools), which
-	// every queue of the switch draws from and every path of the links it
-	// owns (Link says which).
+	// pools is the storage of the switch's group, which every queue of the
+	// switch draws from, its side band included, and every path of the
+	// links it owns (Link says which).
 	//
-	//stashsim:derived -- storage, not state: decoding pushes every queued flit into a fresh pool, and slot numbers decide nothing
-	flits *buffer.FlitPool
-	creds *CreditPool //stashsim:derived -- storage, not state: decoding pushes every credit on the wire into a fresh pool
-
-	sideband buffer.Timed[sbMsg]
+	//stashsim:derived -- storage, not state: decoding pushes every queued value into a fresh pool, and slot numbers decide nothing
+	pools    *Pools
+	sideband buffer.TimedList[sbMsg]
 	// track holds the packets this switch's end ports injected that are
 	// not yet acknowledged, keyed by packet ID (which names the source and
 	// so the end port), with their stash-resend timers.
@@ -270,20 +268,32 @@ type Switch struct {
 }
 
 // Pools is the storage of one dragonfly group, the executor's block: the
-// flit pool every flit queue of the group's switches draws from — the
-// input DAMQs, the row and column buffers, the output buffers, the stash
-// retrieval queues and retained payloads — together with every flit on the
-// wire towards the group's switches or endpoints, and the credit pool of
-// every credit on the wire towards them. So a stage move and a link arrival
-// relink a slot, and only a push onto a link, a stash copy or a
-// retransmission copies a flit in. One worker steps a whole group, so a
-// group's pools are touched by one goroutine. A pool grows to the most its
-// group held at once, rounded up to a chunk: the switches of a group do not
-// all peak together, so the group holds less than their own pools would.
+// flit pool every flit queue of the group's switches and endpoints draws
+// from — the input DAMQs, the row and column buffers, the output buffers,
+// the stash retrieval queues and retained payloads, the endpoints' ACK
+// queues — together with every flit on the wire towards the group's
+// switches or endpoints; the credit pool of every credit on the wire
+// towards them; the pool of the switches' side-band messages; and the
+// pools of the endpoints' send-queue packets and resend items. So a stage
+// move and a link arrival relink a slot, and only a push onto a link, a
+// stash copy or a retransmission copies a flit in. One worker steps a whole
+// group, so a group's pools are touched by one goroutine. A pool grows to
+// the most its group held at once, rounded up to a chunk: the parts of a
+// group do not all peak together, so the group holds less than their own
+// pools would, and a part with nothing queued holds nothing.
 type Pools struct {
-	flits buffer.FlitPool
-	creds CreditPool
+	flits    buffer.FlitPool
+	creds    CreditPool
+	sideband buffer.Pool[sbMsg]
+	sends    buffer.Pool[proto.PktDesc]
+	resends  buffer.Pool[proto.Resend]
 }
+
+// Flits, Sends and Resends are the pools an endpoint's queues draw from:
+// its ACK queue, its send queues and its resend queue.
+func (p *Pools) Flits() *buffer.FlitPool             { return &p.flits }
+func (p *Pools) Sends() *buffer.Pool[proto.PktDesc]  { return &p.sends }
+func (p *Pools) Resends() *buffer.Pool[proto.Resend] { return &p.resends }
 
 // NewSwitch builds switch id under the shared configuration, drawing on
 // pools, its group's storage (nil: pools of its own). Links are attached
@@ -315,8 +325,7 @@ func NewSwitch(id int, cfg *Config, rng *sim.RNG, pools *Pools) *Switch {
 		stash:   make([]*buffer.StashPool, radix),
 		track:   fault.NewLedger[e2eEntry](cfg.Retrans.SwitchTimeout, cfg.Retrans.SwitchRetries, cfg.Retrans.ScanEvery),
 		tally:   tallies{jsqPick: make([]int64, cfg.Cols)},
-		flits:   &pools.flits,
-		creds:   &pools.creds,
+		pools:   pools,
 	}
 	colBufs := make([][proto.NumVCs]buffer.FlitList, radix*cfg.Rows)
 	banks := make([]buffer.StashPool, radix)
@@ -333,7 +342,7 @@ func NewSwitch(id int, cfg *Config, rng *sim.RNG, pools *Pools) *Switch {
 		ip.id = p
 		ip.class = class
 		ip.isEnd = class == topo.Endpoint
-		ip.buf = buffer.NewDAMQIn(s.flits, cfg.NormalInCap(class), proto.NumNetVCs)
+		ip.buf = buffer.NewDAMQIn(&s.pools.flits, cfg.NormalInCap(class), proto.NumNetVCs)
 		ip.arbiter = arb.NewRoundRobin(proto.NumNetVCs + 1)
 		ip.congestAt = int(cfg.ECN.CongestFrac * float64(ip.buf.Capacity()))
 		ip.sVC = -1
@@ -345,7 +354,7 @@ func NewSwitch(id int, cfg *Config, rng *sim.RNG, pools *Pools) *Switch {
 		op.isEnd = class == topo.Endpoint
 		op.rtt = 2 * cfg.Lat.Of(class)
 		window := buffer.NewRetention(op.rtt, carve(&words, buffer.RetentionWords(op.rtt)))
-		op.buf = buffer.NewOutBuf(s.flits, cfg.NormalOutCap(class), proto.NumNetVCs, window)
+		op.buf = buffer.NewOutBuf(&s.pools.flits, cfg.NormalOutCap(class), proto.NumNetVCs, window)
 		op.colBufs = carve(&colBufs, cfg.Rows)
 		op.muxArb = arb.NewRoundRobin(cfg.Rows * proto.NumVCs)
 		op.sendArb = arb.NewRoundRobin(proto.NumNetVCs)
@@ -353,7 +362,7 @@ func NewSwitch(id int, cfg *Config, rng *sim.RNG, pools *Pools) *Switch {
 		op.accTick = -1
 		s.tileOutOf[p] = uint8(cfg.TileOutOf(p))
 
-		banks[p] = *buffer.NewStashPoolIn(s.flits, cfg.StashCap(class), cfg.RetainPayload) // inlined: the copy allocates nothing
+		banks[p] = *buffer.NewStashPoolIn(&s.pools.flits, cfg.StashCap(class), cfg.RetainPayload) // inlined: the copy allocates nothing
 		s.stash[p] = &banks[p]
 	}
 	var (
@@ -399,9 +408,9 @@ func carve[T any](backing *[]T, n int) []T {
 func (s *Switch) AttachInLink(p int, l *Link) {
 	s.in[p].link = l
 	l.flitDue = &s.flitDue[p]
-	l.bindFlits(s.flits)
+	l.bindFlits(&s.pools.flits)
 	if s.in[p].isEnd {
-		l.bindCredits(s.creds)
+		l.bindCredits(&s.pools.creds)
 	}
 }
 
@@ -414,9 +423,9 @@ func (s *Switch) AttachOutLink(p int, l *Link, downstreamCap int) {
 	op := &s.out[p]
 	op.link = l
 	l.credDue = &s.credDue[p]
-	l.bindCredits(s.creds)
+	l.bindCredits(&s.pools.creds)
 	if op.isEnd {
-		l.bindFlits(s.flits)
+		l.bindFlits(&s.pools.flits)
 	}
 	if downstreamCap > 0 {
 		op.credits = buffer.NewCreditCounter(downstreamCap, proto.NumNetVCs)
@@ -497,8 +506,8 @@ func (s *Switch) StashCapTotal() int {
 
 // FlitPool exposes the flit storage of the switch's group, and CreditPool
 // its storage of credits on the wire, for tests and probes.
-func (s *Switch) FlitPool() *buffer.FlitPool { return s.flits }
-func (s *Switch) CreditPool() *CreditPool    { return s.creds }
+func (s *Switch) FlitPool() *buffer.FlitPool { return &s.pools.flits }
+func (s *Switch) CreditPool() *CreditPool    { return &s.pools.creds }
 
 // flitLists hands every list of the switch's own that draws from its
 // group's flit pool to visit, for the pool audit: its queues, the retained payloads of its stash
@@ -549,6 +558,12 @@ func (s *Switch) creditLists(visit func(*buffer.List[proto.Credit])) {
 			paths(l)
 		}
 	}
+}
+
+// AuditSideband exposes the side band and the pool of the switch's group
+// it draws from, for the pool audit's tests.
+func (s *Switch) AuditSideband() (*buffer.Pool[sbMsg], *buffer.TimedList[sbMsg]) {
+	return &s.pools.sideband, &s.sideband
 }
 
 // PortStash exposes a port's stash pool for tests and probes.

@@ -40,7 +40,7 @@ func (s *Switch) stepTile(now sim.Tick, t *tile) {
 			if stream >= proto.NumVCs {
 				stream -= proto.NumVCs
 			}
-			f := t.rowBufs[slot][stream].Front(s.flits)
+			f := t.rowBufs[slot][stream].Front(&s.pools.flits)
 			var port int
 			if stream == proto.VCStore {
 				sl := &t.sLatch[slot]
@@ -89,8 +89,8 @@ func (s *Switch) stepTile(now sim.Tick, t *tile) {
 			s.tally.rvcFlits++
 		}
 		rb := &t.rowBufs[slot][stream]
-		i := rb.Unlink(s.flits)
-		f := s.flits.Get(i)
+		i := rb.Unlink(&s.pools.flits)
+		f := s.pools.flits.Get(i)
 		if rb.Empty() {
 			t.slotOcc[slot] &^= 1 << uint(stream)
 		}
@@ -131,8 +131,8 @@ func (s *Switch) stepTile(now sim.Tick, t *tile) {
 //
 //stashsim:noalloc
 func (s *Switch) linkCol(op *outPort, row int, i int32) {
-	vc := int(s.flits.Get(i).VC)
-	op.colBufs[row][vc].Link(s.flits, i)
+	vc := int(s.pools.flits.Get(i).VC)
+	op.colBufs[row][vc].Link(&s.pools.flits, i)
 	op.colOcc++
 	op.colMask |= 1 << uint(row*proto.NumVCs+vc)
 	s.muxOcc |= 1 << uint(op.id)

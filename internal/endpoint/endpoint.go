@@ -18,12 +18,11 @@ import (
 // endpoint cycle stays O(1) even with thousands of blocked destinations.
 const maxQueueScan = 64
 
-// pktDesc describes one queued packet awaiting injection.
-type pktDesc struct {
-	dst   int32
-	msgID uint32
-	size  uint8
-	class proto.Class
+// sendQueue is the send queue of one destination (queue pair), listed
+// while it holds packets: a list in the group's send-queue pool.
+type sendQueue struct {
+	dst int32
+	q   buffer.List[proto.PktDesc]
 }
 
 // window is one ECN transmission window (per destination). A destination
@@ -39,7 +38,7 @@ type window struct {
 type curPkt struct {
 	active  bool
 	retrans bool // source retransmission: reuses the original PktID/Birth
-	desc    pktDesc
+	desc    proto.PktDesc
 	pktID   uint64
 	birth   int64
 	seq     uint8
@@ -50,14 +49,8 @@ type curPkt struct {
 // its ACK timer.
 type outPkt struct {
 	fault.Timer
-	desc  pktDesc
+	desc  proto.PktDesc
 	birth int64
-}
-
-// rtxItem is one packet queued for source retransmission.
-type rtxItem struct {
-	pktID uint64
-	size  uint8
 }
 
 // Delivery is passed to the trace engine's completion hook.
@@ -79,20 +72,26 @@ type Endpoint struct {
 	credits buffer.CreditCounter
 	acc     int
 
-	queues      map[int32]*buffer.Queue[pktDesc] // a send queue per destination (queue pair) while it holds packets
-	active      []int32
+	// pools is the storage the endpoint's queues draw from: its switch's
+	// group's once attached to one, else pools of its own, made when it
+	// first queues something (see Pools).
+	//
+	//stashsim:derived -- storage, not state: decoding pushes every queued entry into a fresh pool
+	pools *core.Pools
+
+	// active lists the send queues that hold packets, in round-robin
+	// order: a send queue per destination (queue pair) while it holds
+	// packets, and none otherwise.
+	active []sendQueue
+	// queues is active's index of each listed destination's send queue.
+	//
+	//stashsim:derived -- an index of active; decoding rebuilds it from the walked list
+	queues      map[int32]int32
 	rrIdx       int
 	queuedFlits int64 //stashsim:derived -- the backlog the queues hold; decoding recounts it from them (backlog)
 	cur         curPkt
-	ackQ        buffer.Queue[proto.Flit]
+	ackQ        buffer.FlitList
 	pktSeq      uint32
-
-	// qFree holds drained send queues, their rings kept, for the next
-	// destination to use: the queues cost what is queued, and the steady
-	// state allocates none.
-	//
-	//stashsim:transient -- freelist; decoding draws the listed queues from it
-	qFree []*buffer.Queue[pktDesc]
 
 	// windows holds the ECN windows that differ from a fresh one (see
 	// setWindow).
@@ -108,7 +107,7 @@ type Endpoint struct {
 	// Source retransmission state (Retrans.Enabled): unacknowledged data
 	// packets with their armed timers, and the resend queue.
 	outstanding fault.Ledger[outPkt, *outPkt]
-	rtxQ        buffer.Queue[rtxItem]
+	rtxQ        buffer.List[proto.Resend]
 
 	// wake is this endpoint's slot in its block's wake table (see
 	// sim.Stepper.NextWake and SetWakeSlot).
@@ -199,7 +198,7 @@ func New(id int32, cfg *core.Config, rng *sim.RNG) *Endpoint {
 		ID:      id,
 		cfg:     cfg,
 		rng:     rng.Derive(0x45505453 ^ uint64(id)),
-		queues:  make(map[int32]*buffer.Queue[pktDesc]),
+		queues:  make(map[int32]int32),
 		windows: make(map[int32]window),
 		outstanding: fault.NewLedger[outPkt](
 			cfg.Retrans.EndpointTimeout, cfg.Retrans.EndpointRetries, cfg.Retrans.ScanEvery),
@@ -212,12 +211,42 @@ func New(id int32, cfg *core.Config, rng *sim.RNG) *Endpoint {
 
 // Attach wires the endpoint's links: toSw carries injected flits (credits
 // return on it), fromSw carries ejected flits. inBufCap is the capacity of
-// the switch end-port input buffer the credits mirror.
-func (e *Endpoint) Attach(toSw, fromSw *core.Link, inBufCap int) {
+// the switch end-port input buffer the credits mirror. The endpoint's
+// queues move into pools, its switch's group's storage (nil: they stay in
+// pools of its own). Only an endpoint with nothing queued moves.
+func (e *Endpoint) Attach(toSw, fromSw *core.Link, inBufCap int, pools *core.Pools) {
 	e.toSw = toSw
 	e.fromSw = fromSw
 	e.credits = buffer.NewCreditCounter(inBufCap, proto.NumNetVCs)
+	if pools != nil {
+		if e.queuedFlits != 0 || !e.ackQ.Empty() {
+			panic("endpoint: attaching an endpoint with something queued")
+		}
+		e.pools = pools
+	}
 }
+
+// Pools returns the pools the endpoint's queues draw from, making pools of
+// its own for an endpoint attached to none.
+func (e *Endpoint) Pools() *core.Pools {
+	if e.pools == nil {
+		e.pools = new(core.Pools)
+	}
+	return e.pools
+}
+
+// FlitLists, SendLists and ResendLists hand the endpoint's lists to the
+// visit of the pool each draws from, for the pool audit: its ACK queue, its
+// send queues and its resend queue.
+func (e *Endpoint) FlitLists(visit func(*buffer.FlitList)) { visit(&e.ackQ) }
+
+func (e *Endpoint) SendLists(visit func(*buffer.List[proto.PktDesc])) {
+	for k := range e.active {
+		visit(&e.active[k].q)
+	}
+}
+
+func (e *Endpoint) ResendLists(visit func(*buffer.List[proto.Resend])) { visit(&e.rtxQ) }
 
 // SetWakeSlot hands the endpoint its wake-table slot and wires it into its
 // links: ejected flits and returning injection credits are its input.
@@ -245,18 +274,19 @@ func (e *Endpoint) EnqueueMessage(dst int32, flits int, class proto.Class, msgID
 		panic("endpoint: message to self")
 	}
 	n, last := proto.Segment(flits)
-	q := e.queues[dst]
-	if q == nil {
-		q = e.newQueue()
-		e.queues[dst] = q
-		e.active = append(e.active, dst)
+	k, ok := e.queues[dst]
+	if !ok {
+		k = int32(len(e.active))
+		e.queues[dst] = k
+		e.active = append(e.active, sendQueue{dst: dst})
 	}
+	q, p := &e.active[k].q, e.Pools().Sends()
 	for i := 1; i <= n; i++ {
 		size := proto.MaxPacketFlits
 		if i == n {
 			size = last
 		}
-		q.Push(pktDesc{dst: dst, msgID: msgID, size: uint8(size), class: class})
+		q.Push(p, proto.PktDesc{Dst: dst, MsgID: msgID, Size: uint8(size), Class: class})
 	}
 	e.queuedFlits += int64(flits)
 	if e.Collector != nil {
@@ -265,17 +295,6 @@ func (e *Endpoint) EnqueueMessage(dst int32, flits int, class proto.Class, msgID
 	if e.wake != nil {
 		*e.wake = 0 // new backlog: step at the next opportunity
 	}
-}
-
-// newQueue draws an empty send queue from the freelist, allocating only
-// when it is empty.
-func (e *Endpoint) newQueue() *buffer.Queue[pktDesc] {
-	if n := len(e.qFree); n > 0 {
-		q := e.qFree[n-1]
-		e.qFree = e.qFree[:n-1]
-		return q
-	}
-	return &buffer.Queue[pktDesc]{}
 }
 
 // The endpoint is a sim.Stepper so the network can drive it through the
@@ -412,8 +431,8 @@ func (e *Endpoint) resendFired(now sim.Tick, pktID uint64, o *outPkt) {
 		e.abandon(pktID, o)
 		return
 	}
-	e.rtxQ.Push(rtxItem{pktID: pktID, size: o.desc.size})
-	e.queuedFlits += int64(o.desc.size)
+	e.rtxQ.Push(e.Pools().Resends(), proto.Resend{PktID: pktID, Size: o.desc.Size})
+	e.queuedFlits += int64(o.desc.Size)
 	e.Retransmits++
 	if e.Collector != nil {
 		e.Collector.Retransmit()
@@ -430,9 +449,9 @@ func (e *Endpoint) abandon(pktID uint64, o *outPkt) {
 		e.Collector.RetransAbandon()
 	}
 	if e.cfg.ECN.Enabled {
-		if w, ok := e.windows[o.desc.dst]; ok {
-			w.inflight = max(w.inflight-int(o.desc.size), 0)
-			e.setWindow(o.desc.dst, w)
+		if w, ok := e.windows[o.desc.Dst]; ok {
+			w.inflight = max(w.inflight-int(o.desc.Size), 0)
+			e.setWindow(o.desc.Dst, w)
 		}
 	}
 }
@@ -463,7 +482,7 @@ func (e *Endpoint) pushAck(now sim.Tick, f *proto.Flit, nack bool) {
 	if e.cfg.VerifyChecksums() {
 		ack.Csum = proto.FlitSum(&ack)
 	}
-	e.ackQ.Push(ack)
+	e.ackQ.Push(e.Pools().Flits(), ack)
 }
 
 func (e *Endpoint) stepInject(now sim.Tick) {
@@ -496,21 +515,21 @@ func (e *Endpoint) nextFlit(now sim.Tick) (proto.Flit, bool) {
 		return e.emit(), true
 	}
 	if !e.ackQ.Empty() {
-		return e.ackQ.Pop(), true
+		return e.ackQ.Pop(e.pools.Flits()), true
 	}
 	for !e.rtxQ.Empty() {
-		item := e.rtxQ.Pop()
-		o := e.outstanding.Get(item.pktID)
+		item := e.rtxQ.Pop(e.pools.Resends())
+		o := e.outstanding.Get(item.PktID)
 		if o == nil {
 			// Acknowledged or abandoned while queued; drop its backlog share.
-			e.queuedFlits -= int64(item.size)
+			e.queuedFlits -= int64(item.Size)
 			continue
 		}
 		e.cur = curPkt{
 			active:  true,
 			retrans: true,
 			desc:    o.desc,
-			pktID:   item.pktID,
+			pktID:   item.PktID,
 			birth:   o.birth,
 		}
 		return e.emit(), true
@@ -532,32 +551,33 @@ func (e *Endpoint) startPacket(now sim.Tick) bool {
 	if scan > maxQueueScan {
 		scan = maxQueueScan
 	}
+	sends := e.pools.Sends()
 	for i := 0; i < scan; i++ {
 		k := e.rrIdx + i
 		if k >= n {
 			k -= n
 		}
-		dst := e.active[k]
-		q := e.queues[dst]
-		desc := *q.Front()
+		sq := &e.active[k]
+		desc := *sq.q.Front(sends)
 		if e.cfg.ECN.Enabled {
-			w := e.window(dst)
+			w := e.window(sq.dst)
 			e.growWindow(&w, now)
-			fits := w.inflight+int(desc.size) <= w.size
+			fits := w.inflight+int(desc.Size) <= w.size
 			if fits {
-				w.inflight += int(desc.size)
+				w.inflight += int(desc.Size)
 			}
-			if e.setWindow(dst, w); !fits {
+			if e.setWindow(sq.dst, w); !fits {
 				continue
 			}
 		}
-		q.Pop()
-		if q.Empty() {
-			// The drained queue leaves the map for the freelist, and is
-			// swap-removed from the active list.
-			delete(e.queues, dst)
-			e.qFree = append(e.qFree, q)
-			e.active[k] = e.active[n-1]
+		sq.q.Pop(sends)
+		if sq.q.Empty() {
+			// The drained queue is swap-removed from the active list.
+			delete(e.queues, sq.dst)
+			if last := n - 1; k != last {
+				*sq = e.active[last]
+				e.queues[sq.dst] = int32(k)
+			}
 			e.active = e.active[:n-1]
 			if e.rrIdx >= len(e.active) {
 				e.rrIdx = 0
@@ -599,14 +619,14 @@ func (e *Endpoint) emit() proto.Flit {
 	c := &e.cur
 	f := proto.Flit{
 		Src:      e.ID,
-		Dst:      c.desc.dst,
-		MsgID:    c.desc.msgID,
+		Dst:      c.desc.Dst,
+		MsgID:    c.desc.MsgID,
 		PktID:    c.pktID,
 		Birth:    c.birth,
 		Seq:      c.seq,
-		Size:     c.desc.size,
+		Size:     c.desc.Size,
 		Kind:     proto.Data,
-		Class:    c.desc.class,
+		Class:    c.desc.Class,
 		MidGroup: -1,
 		Phase:    proto.PhaseInject,
 	}
@@ -614,7 +634,7 @@ func (e *Endpoint) emit() proto.Flit {
 		f.Flags |= proto.FlagHead
 		e.Tracer.Record(c.birth, metrics.EvInject, f.PktID, e.ID, -1, f.Src, f.Dst)
 	}
-	if c.seq == c.desc.size-1 {
+	if c.seq == c.desc.Size-1 {
 		f.Flags |= proto.FlagTail
 		c.active = false
 	}

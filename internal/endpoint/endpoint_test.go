@@ -30,7 +30,7 @@ func newHarness(t *testing.T, mutate func(*core.Config)) *harness {
 	ep.Collector = NewCollector()
 	toSw := core.NewLink(1)
 	fromSw := core.NewLink(1)
-	ep.Attach(toSw, fromSw, cfg.InputBufFlits)
+	ep.Attach(toSw, fromSw, cfg.InputBufFlits, nil)
 	return &harness{ep: ep, toSw: toSw, fromSw: fromSw, cfg: cfg}
 }
 
@@ -385,22 +385,47 @@ func TestCollectorWarmupGating(t *testing.T) {
 	}
 }
 
+// TestSelfMessagePanics: an endpoint panics on misuse — a message to
+// itself, and an Attach that would move queues holding something into a
+// group's pools. A bare endpoint queues into pools of its own, before it is
+// attached too, and an Attach without pools keeps them.
 func TestSelfMessagePanics(t *testing.T) {
-	h := newHarness(t, nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	h.ep.EnqueueMessage(3, 10, proto.ClassDefault, 0)
+	for _, tc := range []struct {
+		name, want string
+		misuse     func(t *testing.T, h *harness)
+	}{
+		{"message to self", "endpoint: message to self", func(_ *testing.T, h *harness) {
+			h.ep.EnqueueMessage(3, 10, proto.ClassDefault, 0)
+		}},
+		{"attach with something queued", "endpoint: attaching an endpoint with something queued", func(t *testing.T, h *harness) {
+			ep := New(4, h.cfg, sim.NewRNG(5))
+			ep.EnqueueMessage(0, 30, proto.ClassDefault, 0)
+			ep.Attach(core.NewLink(1), core.NewLink(1), h.cfg.InputBufFlits, nil)
+			if got := ep.Pools().Sends().InUse(); got != 2 || ep.QueuedFlits() != 30 {
+				t.Fatalf("a bare endpoint holds %d packets, %d flits after queueing 30 flits; want 2, 30", got, ep.QueuedFlits())
+			}
+			ep.Attach(core.NewLink(1), core.NewLink(1), h.cfg.InputBufFlits, new(core.Pools))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, nil)
+			defer func() {
+				if r := recover(); r != tc.want {
+					t.Fatalf("panic %v, want %q", r, tc.want)
+				}
+			}()
+			tc.misuse(t, h)
+		})
+	}
 }
 
 // TestWarmStepsAllocateNothing: once warm, an endpoint's steps allocate
 // nothing as destinations come and go. Each round queues a one-packet
 // message for 16 of 48 destinations in turn and steps until they are
 // sent, every packet ACKed a cycle after it leaves and every fifth ACK
-// ECN-marked: send queues drain and are drawn again from the freelist,
-// and windows are made, shrunk and dropped.
+// ECN-marked: send queues are listed, drain and are dropped, their
+// packets' slots reused from the pool, and windows are made, shrunk and
+// dropped.
 func TestWarmStepsAllocateNothing(t *testing.T) {
 	h := newHarness(t, func(c *core.Config) { c.ECN = core.DefaultECN() })
 	var now int64

@@ -246,7 +246,7 @@ func TestCorruptDataIsNacked(t *testing.T) {
 	if got := h.ep.ackQ.Len(); got != 1 {
 		t.Fatalf("%d ACKs queued, want 1 NACK", got)
 	}
-	if h.ep.ackQ.Front().Flags&proto.FlagNack == 0 {
+	if h.ep.ackQ.Front(h.ep.pools.Flits()).Flags&proto.FlagNack == 0 {
 		t.Fatal("corrupt arrival acknowledged positively")
 	}
 	// The clean copy then delivers normally.
@@ -266,10 +266,10 @@ func TestRetransTimerArmingTable(t *testing.T) {
 		base    int64
 		want    int64
 	}{
-		{"initial", 0, 100, 100},         // startPacket arms base timeout
-		{"first retry", 1, 100, 200},     // Backoff(100,1)
-		{"second retry", 2, 100, 400},    // Backoff(100,2)
-		{"third retry", 3, 100, 800},     // Backoff(100,3)
+		{"initial", 0, 100, 100},      // startPacket arms base timeout
+		{"first retry", 1, 100, 200},  // Backoff(100,1)
+		{"second retry", 2, 100, 400}, // Backoff(100,2)
+		{"third retry", 3, 100, 800},  // Backoff(100,3)
 		{"deep saturates", 64, 100, 100 << 20},
 	}
 	for _, tc := range cases {

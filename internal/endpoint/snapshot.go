@@ -53,27 +53,29 @@ func (e *Endpoint) State(c *snapshot.Codec, now int64) {
 	// rotation pointer are part of the arbitration state). A send queue
 	// exists only while it is listed, and injection reads the front of
 	// every listed queue, so each is non-empty and listed once.
+	p := e.Pools()
 	if c.Decoding() {
 		clear(e.queues)
-	}
-	snapshot.Slice(c, &e.active, 1+1, func(dst *int32) {
-		c.I32(dst)
-		q := e.queues[*dst]
-		if c.Decoding() {
-			if q != nil {
-				c.Failf("endpoint: destination %d listed twice among the active send queues", *dst)
-			}
-			q = e.newQueue()
-			e.queues[*dst] = q
+		for k := range e.active {
+			e.active[k].q.Reset(p.Sends())
 		}
-		snapshot.Ring(c, q, 1+1+1+1, func(d *pktDesc) { d.state(c, e) })
-		c.Bound("send queue length", q.Len(), 1, math.MaxInt)
+	}
+	snapshot.Slice(c, &e.active, 1+1, func(sq *sendQueue) {
+		c.I32(&sq.dst)
+		if c.Decoding() {
+			if _, held := e.queues[sq.dst]; held {
+				c.Failf("endpoint: destination %d listed twice among the active send queues", sq.dst)
+			}
+			e.queues[sq.dst] = int32(len(e.queues))
+		}
+		snapshot.Ring(c, p.Sends().FIFO(&sq.q), 1+1+1+1, func(d *proto.PktDesc) { descState(c, e, d) })
+		c.Bound("send queue length", sq.q.Len(), 1, math.MaxInt)
 	})
 	c.Bound("Endpoint.rrIdx", e.rrIdx, 0, max(len(e.active), 1))
 
 	e.cur.state(c, e)
 
-	c.Flits(&e.ackQ)
+	c.Flits(p.Flits().FIFO(&e.ackQ))
 
 	// ECN windows, ascending destination order: only those that differ
 	// from a fresh one are held, and decoding refuses one that does not.
@@ -95,13 +97,13 @@ func (e *Endpoint) State(c *snapshot.Codec, now int64) {
 		snapshot.Map(c, &e.seen, 1, c.U64, func(*struct{}) {})
 	}
 	e.outstanding.State(c, 4+1+2, func(o *outPkt) {
-		o.desc.state(c, e)
+		descState(c, e, &o.desc)
 		c.I64(&o.birth)
 		o.Timer.State(c)
 	})
-	snapshot.Ring(c, &e.rtxQ, 1+1, func(it *rtxItem) {
-		c.U64(&it.pktID)
-		c.U8(&it.size)
+	snapshot.Ring(c, p.Resends().FIFO(&e.rtxQ), 1+1, func(it *proto.Resend) {
+		c.U64(&it.PktID)
+		c.U8(&it.Size)
 	})
 	if c.Decoding() {
 		e.queuedFlits = e.backlog()
@@ -120,31 +122,34 @@ func (e *Endpoint) State(c *snapshot.Codec, now int64) {
 // the queued resends (settled ones too, until injection drops them), and
 // the rest of the packet in progress.
 func (e *Endpoint) backlog() (n int64) {
-	for _, dst := range e.active {
-		for q, i := e.queues[dst], 0; i < q.Len(); i++ {
-			n += int64(q.At(i).size)
+	p := e.Pools()
+	for k := range e.active {
+		q := p.Sends().FIFO(&e.active[k].q)
+		for i := range q.Len() {
+			n += int64(q.At(i).Size)
 		}
 	}
-	for i := 0; i < e.rtxQ.Len(); i++ {
-		n += int64(e.rtxQ.At(i).size)
+	q := p.Resends().FIFO(&e.rtxQ)
+	for i := range q.Len() {
+		n += int64(q.At(i).Size)
 	}
 	if e.cur.active {
-		n += int64(e.cur.desc.size - e.cur.seq)
+		n += int64(e.cur.desc.Size - e.cur.seq)
 	}
 	return n
 }
 
-// state walks one packet descriptor. Its destination becomes the flits'
-// Dst, which the routers index the topology by; its class indexes the
-// collectors.
-func (d *pktDesc) state(c *snapshot.Codec, e *Endpoint) {
-	c.I32(&d.dst)
-	c.Bound("pktDesc.dst", int(d.dst), 0, e.cfg.Topo.NumEndpoints())
-	c.U32(&d.msgID)
-	c.U8(&d.size)
-	c.Bound("pktDesc.size", int(d.size), 1, proto.MaxPacketFlits+1)
-	snapshot.Wire8(c, &d.class)
-	c.Bound("pktDesc.class", int(d.class), 0, int(proto.NumClasses))
+// descState walks one packet descriptor. Its destination becomes the
+// flits' Dst, which the routers index the topology by; its class indexes
+// the collectors.
+func descState(c *snapshot.Codec, e *Endpoint, d *proto.PktDesc) {
+	c.I32(&d.Dst)
+	c.Bound("pktDesc.dst", int(d.Dst), 0, e.cfg.Topo.NumEndpoints())
+	c.U32(&d.MsgID)
+	c.U8(&d.Size)
+	c.Bound("pktDesc.size", int(d.Size), 1, proto.MaxPacketFlits+1)
+	snapshot.Wire8(c, &d.Class)
+	c.Bound("pktDesc.class", int(d.Class), 0, int(proto.NumClasses))
 }
 
 // state walks the packet being injected. An inactive record is
@@ -160,11 +165,11 @@ func (p *curPkt) state(c *snapshot.Codec, e *Endpoint) {
 		return
 	}
 	c.Bool(&p.retrans)
-	p.desc.state(c, e)
+	descState(c, e, &p.desc)
 	c.U64(&p.pktID)
 	c.I64(&p.birth)
 	c.U8(&p.seq)
-	c.Bound("curPkt.seq", int(p.seq), 0, int(p.desc.size))
+	c.Bound("curPkt.seq", int(p.seq), 0, int(p.desc.Size))
 }
 
 // State walks the collector's measurements and gate. The optional sinks

@@ -234,9 +234,11 @@ func TestInvariantsCatchFreedBufInBank(t *testing.T) {
 // TestInvariantsCatchFlitPoolCorruption corrupts a group's pools behind
 // its queues' backs, in the ways a relink bug would: a flit slot taken and
 // linked nowhere, a flit slot linked onto a second queue, a slot on the
-// wire linked onto an input queue as well, and a credit slot taken and
-// linked nowhere. None moves a count the conservation laws read, so only
-// the pool law trips, naming the pool and its group.
+// wire linked onto an input queue as well, a credit slot taken and linked
+// nowhere, a slot on an endpoint's ACK queue linked onto an input queue as
+// well, a send-queue packet slot taken and linked nowhere, and a side-band
+// slot on two switches' side bands. None moves a count the conservation
+// laws read, so only the pool law trips, naming the pool and its group.
 func TestInvariantsCatchFlitPoolCorruption(t *testing.T) {
 	for _, tc := range []struct {
 		name, pool, want string
@@ -264,6 +266,25 @@ func TestInvariantsCatchFlitPoolCorruption(t *testing.T) {
 		}},
 		{"credit leak", "credit pool", "is on no list", func(_ *testing.T, n *Network, _ []*buffer.FlitList) {
 			leak(n.Switches[0].CreditPool())
+		}},
+		{"ack queue double link", "flit pool", "sits on two lists", func(_ *testing.T, n *Network, queues []*buffer.FlitList) {
+			ep := n.Endpoints[0]
+			var ackQ *buffer.FlitList
+			ep.FlitLists(func(l *buffer.FlitList) { ackQ = l })
+			pool := ep.Pools().Flits()
+			i := pool.Put(proto.Flit{})
+			ackQ.Link(pool, i)
+			queues[0].Link(pool, i)
+		}},
+		{"send-queue leak", "send-queue pool", "is on no list", func(_ *testing.T, n *Network, _ []*buffer.FlitList) {
+			leak(n.Endpoints[0].Pools().Sends())
+		}},
+		{"side band double link", "side-band pool", "sits on two lists", func(_ *testing.T, n *Network, _ []*buffer.FlitList) {
+			pool, sb0 := n.Switches[0].AuditSideband()
+			_, sb1 := n.Switches[1].AuditSideband()
+			i := put(pool)
+			sb0.Slots().Link(pool, i)
+			sb1.Slots().Link(pool, i)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -303,9 +324,12 @@ func wireFront(t *testing.T, n *Network) *proto.Flit {
 }
 
 // leak takes a slot of p and links it nowhere.
-func leak[T any](p *buffer.Pool[T]) {
+func leak[T any](p *buffer.Pool[T]) { put(p) }
+
+// put stores a zero value in a free slot of p and returns the slot.
+func put[T any](p *buffer.Pool[T]) int32 {
 	var v T
-	p.Put(v)
+	return p.Put(v)
 }
 
 // TestInvariantsNilAndSparse covers the sparse-audit interval (a disabled

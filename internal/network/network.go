@@ -157,8 +157,8 @@ func New(cfg *core.Config) (*Network, error) {
 	}
 	swRNG := rng.Derive(1)
 	epRNG := rng.Derive(2)
-	// One pair of pools per group, the executor's block: a group's
-	// switches, endpoints and the link paths they own draw from it.
+	// One Pools per group, the executor's block: a group's switches,
+	// endpoints and the link paths they own draw from it.
 	pools := make([]core.Pools, d.Groups())
 	for i := range n.Switches {
 		n.Switches[i] = core.NewSwitch(i, cfg, swRNG, &pools[d.Group(i)])
@@ -217,7 +217,7 @@ func New(cfg *core.Config) (*Network, error) {
 				down := wire(class, here, linkEnd{-1, ep.ID}) // switch -> endpoint
 				s.AttachInLink(port, up)
 				s.AttachOutLink(port, down, 0)
-				ep.Attach(up, down, cfg.NormalInCap(topo.Endpoint))
+				ep.Attach(up, down, cfg.NormalInCap(topo.Endpoint), &pools[d.Group(sw)])
 				continue
 			}
 			nsw, nport := d.Neighbor(sw, port)

@@ -135,6 +135,7 @@ func NewInvariants(n *Network, every int64) *core.Invariants {
 	for _, ep := range n.Endpoints {
 		toSw, _ := ep.AuditLinks()
 		iv.ExtLinks = append(iv.ExtLinks, toSw)
+		iv.ExtLists = append(iv.ExtLists, ep)
 	}
 	for i := range n.edges {
 		e := &n.edges[i]

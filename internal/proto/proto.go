@@ -187,6 +187,24 @@ type Credit struct {
 	Shared bool
 }
 
+// PktDesc describes one packet of a segmented message that waits in an
+// endpoint's send queue for injection: its destination, message, size in
+// flits and traffic class.
+type PktDesc struct {
+	Dst   int32
+	MsgID uint32
+	Size  uint8
+	Class Class
+}
+
+// Resend is one packet waiting in an endpoint's resend queue for source
+// retransmission: its packet ID, which keys the source's record of it, and
+// its size in flits.
+type Resend struct {
+	PktID uint64
+	Size  uint8
+}
+
 // Segment splits a message of the given size in flits into packets of at
 // most MaxPacketFlits: n packets, each full but the last, which holds last
 // flits. It returns counts rather than a list of sizes so that the

@@ -17,7 +17,7 @@ func testEndpoint(t *testing.T) *endpoint.Endpoint {
 	cfg := core.TinyConfig()
 	ep := endpoint.New(0, cfg, sim.NewRNG(1))
 	ep.Collector = endpoint.NewCollector()
-	ep.Attach(core.NewLink(1), core.NewLink(1), cfg.InputBufFlits)
+	ep.Attach(core.NewLink(1), core.NewLink(1), cfg.InputBufFlits, nil)
 	return ep
 }
 
@@ -70,7 +70,7 @@ func TestUniformDestinationsValid(t *testing.T) {
 	cfg := core.TinyConfig()
 	ep5 := endpoint.New(5, cfg, sim.NewRNG(8))
 	ep5.Collector = endpoint.NewCollector()
-	ep5.Attach(core.NewLink(1), core.NewLink(1), cfg.InputBufFlits)
+	ep5.Attach(core.NewLink(1), core.NewLink(1), cfg.InputBufFlits, nil)
 	gen5 := Uniform(sim.NewRNG(6), 72, dests, 1.0, 1.0, 24, proto.ClassDefault, 0)
 	for now := sim.Tick(0); now < 5000; now++ {
 		gen5(now, ep5) // panics on self-message if exclusion fails
@@ -193,7 +193,7 @@ func newGenRig(gc genCase, gen func(*sim.RNG) Gen) *genRig {
 	r := &genRig{rng: sim.NewRNG(gc.seed), toSw: core.NewLink(1)}
 	r.ep = endpoint.New(gc.id, cfg, sim.NewRNG(1))
 	r.ep.Collector = endpoint.NewCollector()
-	r.ep.Attach(r.toSw, core.NewLink(1), cfg.InputBufFlits)
+	r.ep.Attach(r.toSw, core.NewLink(1), cfg.InputBufFlits, nil)
 	r.ep.SetWakeSlot(&r.wake)
 	g := gen(r.rng)
 	r.ep.Gen = func(now sim.Tick, e *endpoint.Endpoint) sim.Tick {
