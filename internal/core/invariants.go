@@ -99,6 +99,12 @@ type Invariants struct {
 	ExtCreated   func() int64
 	ExtDestroyed func() int64 //stashsim:derived -- wiring, closures over the network's endpoints
 
+	// FlushWire lands every link entry the epoch executor staged on its
+	// path before an audit: the laws read the links' paths only.
+	//
+	//stashsim:derived -- wiring, the network's flush
+	FlushWire func()
+
 	// Checks counts the audits performed (tests assert the checker ran).
 	Checks int64
 }
@@ -143,6 +149,7 @@ func (iv *Invariants) NextEventAt(from int64) int64 {
 //
 //stashsim:phase serial -- walks every switch, link and buffer
 func (iv *Invariants) AtBarrier(now int64) {
+	iv.FlushWire()
 	iv.Checks++
 	iv.checkConservation(now)
 	iv.checkCredits(now)

@@ -42,14 +42,19 @@ import (
 //     holds with "epoch" for "cycle": an epoch is never longer than the
 //     Latency of a link between blocks, so the entry is not due before the
 //     next epoch, whichever block runs first.
-//   - Ends on different workers: the producer stages the push in the
-//     slab of the current epoch's parity; the consumer's worker drains
-//     the other slab — everything staged last epoch — into its own pool
-//     right after the epoch barrier (DrainEpochFlits/DrainEpochCredits),
-//     which is when the consumer's slots are lowered. The two
-//     sides never touch the same slab between barriers, and an epoch is
-//     never longer than Latency, so an entry staged during epoch e is not
-//     due before epoch e+1 drains it.
+//   - Ends on different workers: the link carries a stage (linkStage), and
+//     the producer appends the push to the stage's slab of the current
+//     epoch's parity; the consumer's worker drains the other slab —
+//     everything staged last epoch — into its own pool right after the
+//     epoch barrier (DrainEpochFlits/DrainEpochCredits), which is when the
+//     consumer's slots are lowered. The two sides never touch the same
+//     slab between barriers, and an epoch is never longer than Latency, so
+//     an entry staged during epoch e is not due before epoch e+1 drains it.
+//
+// Serial code reads the paths only. Whatever reads the wire at a barrier —
+// a checkpoint or digest walk, the invariant audit, a repartition — is
+// preceded by the network draining both slabs of every staged link onto
+// the paths, so the stage is the epoch executor's business alone.
 //
 // Link fields are parallel-phase state by design: race-free by the rules
 // above rather than by single ownership.
@@ -76,12 +81,13 @@ type Link struct {
 	flitWake *int64
 	flitDue  *int64 //stashsim:transient -- wiring; the consuming switch's port slot, set when the link is attached
 
-	// epoch, when non-nil, marks a worker-crossing link: pushes stage
-	// into slab epoch&1. The pointer is written only at a barrier (Stage);
-	// the pointee is the executor's atomic epoch counter.
+	// stage, when non-nil, marks a worker-crossing link: pushes append to
+	// its slab of the current epoch's parity. It is set only at a barrier
+	// (Stage), on the links between two workers' groups, and nil on every
+	// other link.
 	//
-	//stashsim:transient -- the delivery form belongs to the partitioning, not the snapshot
-	epoch *atomic.Int64
+	//stashsim:transient -- no walk ever sees a staged entry: the network flushes the wire first
+	stage *linkStage
 
 	Latency int64 //stashsim:derived -- structural; rebuilt from the configuration
 
@@ -106,11 +112,20 @@ type Link struct {
 	cp       *CreditPool //stashsim:derived -- wiring; the paths' entries are walked, never the pool
 	credWake *int64      //stashsim:transient -- wiring; repartition re-slots every link
 	credDue  *int64      //stashsim:transient -- wiring; the producing switch's port slot, set when the link is attached
+}
 
-	// The staging slabs of a worker-crossing link, by epoch parity; the
-	// checkpoint walks what they hold after the paths' entries.
-	flitSlab [2][]timedFlit
-	credSlab [2][]timedCredit
+// linkStage is the staging of a worker-crossing link: each direction's
+// slabs by epoch parity, and clock, the executor's epoch counter (a typed
+// atomic, read with Load), whose parity picks the slab a push appends to.
+// The producer's worker appends to one slab while the consumer's drains
+// the other; like Link, it is race-free by that rule rather than by single
+// ownership.
+//
+//stashsim:phase parallel
+type linkStage struct {
+	clock *atomic.Int64
+	flits [2][]timedFlit
+	creds [2][]timedCredit
 }
 
 // NewLink builds a bare link with the given one-way latency in cycles, in
@@ -156,7 +171,7 @@ func (l *Link) bindFlits(p *buffer.FlitPool) {
 }
 
 func (l *Link) bindCredits(p *CreditPool) {
-	if !l.credits.Empty() || !l.synth.Empty() || len(staged(&l.credSlab)) > 0 {
+	if !l.credits.Empty() || !l.synth.Empty() {
 		panic("core: attaching a link with credits on the wire")
 	}
 	l.cp = p
@@ -181,9 +196,9 @@ func (l *Link) SendFlit(now int64, f proto.Flit) {
 		return
 	}
 	at := now + l.Latency
-	if e := l.epoch; e != nil {
-		s := e.Load() & 1
-		l.flitSlab[s] = append(l.flitSlab[s], timedFlit{At: at, V: f})
+	if st := l.stage; st != nil {
+		s := st.clock.Load() & 1
+		st.flits[s] = append(st.flits[s], timedFlit{At: at, V: f})
 		return
 	}
 	l.flits.Push(l.fp, at, f)
@@ -196,9 +211,9 @@ func (l *Link) SendFlit(now int64, f proto.Flit) {
 //stashsim:noalloc
 func (l *Link) SendCredit(now int64, c proto.Credit) {
 	at := now + l.Latency
-	if e := l.epoch; e != nil {
-		s := e.Load() & 1
-		l.credSlab[s] = append(l.credSlab[s], timedCredit{At: at, V: c})
+	if st := l.stage; st != nil {
+		s := st.clock.Load() & 1
+		st.creds[s] = append(st.creds[s], timedCredit{At: at, V: c})
 		return
 	}
 	l.credits.Push(l.cp, at, c)
@@ -236,66 +251,44 @@ func (l *Link) NextFlitAt() int64 { return l.flits.NextAt() }
 func (l *Link) NextCreditAt() int64 { return min(l.credits.NextAt(), l.synth.NextAt()) }
 
 // Stage selects the link's delivery form: a non-nil clock (the executor's
-// epoch counter) marks the link as worker-crossing, nil as internal to
-// one worker. Entries still staged under the previous form are flushed
-// onto the paths first, so nothing is stranded and the paths stay in
-// arrival order. Call only at a barrier, when no component is stepping.
+// epoch counter) gives the link a stage and marks it worker-crossing, nil
+// drops the stage, for a link internal to one worker. Call only at a
+// barrier, when no component is stepping, and only after the network has
+// drained the stage onto the paths: an entry still staged would be lost.
 //
 //stashsim:phase serial
 func (l *Link) Stage(clock *atomic.Int64) {
-	for _, t := range staged(&l.flitSlab) {
-		l.flits.Push(l.fp, t.At, t.V)
+	if st := l.stage; st != nil && len(st.flits[0])+len(st.flits[1])+len(st.creds[0])+len(st.creds[1]) > 0 {
+		panic("core: restaging a link with entries staged")
 	}
-	for _, b := range staged(&l.credSlab) {
-		l.credits.Push(l.cp, b.At, b.V)
+	if clock == nil {
+		l.stage = nil
+		return
 	}
-	dropStaged(&l.flitSlab)
-	dropStaged(&l.credSlab)
-	l.epoch = clock
+	l.stage = &linkStage{clock: clock}
 }
 
 // Staged reports whether the link is in the worker-crossing form.
 // Audit-only, like InFlightFlits.
-func (l *Link) Staged() bool { return l.epoch != nil }
-
-// staged returns the entries still waiting in a direction's staging
-// slabs, in push (= arrival) order. Barrier-only: the consumer drained the
-// older slab when the last epoch began, so at most one slab is occupied
-// and its entries are all newer than the path's.
-func staged[T any](slabs *[2][]T) []T {
-	if len(slabs[0]) > 0 && len(slabs[1]) > 0 {
-		panic("core: both link slabs staged at a barrier")
-	}
-	if len(slabs[0]) > 0 {
-		return slabs[0]
-	}
-	return slabs[1]
-}
-
-// dropStaged empties both staging slabs of a direction, keeping their
-// capacity.
-func dropStaged[T any](slabs *[2][]T) {
-	for s := range slabs {
-		slabs[s] = slabs[s][:0]
-	}
-}
+func (l *Link) Staged() bool { return l.stage != nil }
 
 // DrainEpochFlits moves one staging slab onto the forward path, in the
 // consumer's pool, at an epoch boundary and wakes the consumer for the
 // path's first due cycle. The caller (the consumer worker's drain, running
 // after the epoch barrier ordered the remote producer's slab writes before
 // this read) passes the slab the producer filled during the *previous*
-// epoch; the producer is now staging into the other one. Entries come out
-// in push order, which is arrival order because Latency is constant.
+// epoch; the producer is now staging into the other one. The network's
+// flush at a barrier drains both, the older first. Entries come out in
+// push order, which is arrival order because Latency is constant.
 //
 //stashsim:phase parallel
 //stashsim:noalloc
 func (l *Link) DrainEpochFlits(slab int) {
-	in := l.flitSlab[slab]
+	in := l.stage.flits[slab]
 	for i := range in {
 		l.flits.Push(l.fp, in[i].At, in[i].V)
 	}
-	l.flitSlab[slab] = in[:0]
+	l.stage.flits[slab] = in[:0]
 	l.flitsDue(l.NextFlitAt())
 }
 
@@ -305,11 +298,11 @@ func (l *Link) DrainEpochFlits(slab int) {
 //stashsim:phase parallel
 //stashsim:noalloc
 func (l *Link) DrainEpochCredits(slab int) {
-	in := l.credSlab[slab]
+	in := l.stage.creds[slab]
 	for i := range in {
 		l.credits.Push(l.cp, in[i].At, in[i].V)
 	}
-	l.credSlab[slab] = in[:0]
+	l.stage.creds[slab] = in[:0]
 	l.creditsDue(l.NextCreditAt())
 }
 
@@ -338,12 +331,10 @@ func (l *Link) DropFlit(now int64) {
 	}
 }
 
-// InFlightFlits returns the number of flits on the wire, staged or not.
-// Audit-only: call it only at a barrier (between runs, or from the
-// executor's serial BeforeEpoch/AfterEpoch hooks).
-func (l *Link) InFlightFlits() int {
-	return l.flits.Len() + len(staged(&l.flitSlab))
-}
+// InFlightFlits returns the number of flits on the wire's path.
+// Audit-only: call it only at a barrier, after the network has flushed the
+// wire (see Link).
+func (l *Link) InFlightFlits() int { return l.flits.Len() }
 
 // auditFlits calls fn for every flit currently on the wire, in arrival
 // order. Used by the invariant checker only (fn must not mutate the
@@ -352,10 +343,6 @@ func (l *Link) auditFlits(fn func(*proto.Flit)) {
 	q := l.fp.Timed(&l.flits)
 	for i := 0; i < q.Len(); i++ {
 		fn(&q.At(i).V)
-	}
-	stagedFlits := staged(&l.flitSlab)
-	for i := range stagedFlits {
-		fn(&stagedFlits[i].V)
 	}
 }
 
@@ -366,9 +353,6 @@ func (l *Link) auditCredits(fn func(proto.Credit)) {
 		for i := 0; i < q.Len(); i++ {
 			fn(q.At(i).V)
 		}
-	}
-	for _, t := range staged(&l.credSlab) {
-		fn(t.V)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 // State walks for the switch core: each type's dynamic state is declared
 // once, over a bidirectional snapshot.Codec. Everything here runs only at
 // a serial cycle barrier (the network clamps an epoch to end on the
-// checkpoint cycle) or before a restored run starts, so every link staging
-// slab is quiescent and every switch field is safe to walk.
+// checkpoint cycle) or before a restored run starts, so every switch field
+// is safe to walk.
 //
 // Link ownership: a Link is shared by its producer and consumer, so each
 // of its paths must be walked exactly once, and it is walked by the switch
@@ -25,54 +25,39 @@ import (
 // endpoints', touch the group's pools and no other group's, and restore
 // decodes the groups independently.
 //
-// The link encoding is form-canonical: entries still staged in a
-// partition-crossing link's slab follow the path's in the stream, which
-// is arrival order (at a barrier the staged entries are all newer than
-// the path's — see staged in link.go) and therefore exactly the path a
-// same-partition link would hold. A checkpoint serializes to the same
-// bytes under any partitioning, and restore always lands in the
-// canonical state: the paths hold all in-flight entries and slabs are
-// empty. Each path is walked through its pool's Timed cursor, as (At, V)
-// entries in FIFO order; the pools and slot numbers are not state.
+// The network flushes the wire before any walk: every entry a
+// worker-crossing link staged is on its path by then, so a link is its
+// paths, and a checkpoint is the same bytes under any partitioning. Each
+// path is walked through its pool's Timed cursor, as (At, V) entries in
+// FIFO order; the pools and slot numbers are not state.
 
 // FlitState walks the link's forward path, its in-flight flits;
-// CreditState walks its credits and synthesized credits. Encoding does
-// not mutate: staged entries go to the stream, not to the paths. Decoding
-// lands every entry on its path with that direction's slabs empty; the
-// delivery form is left alone — it belongs to the network's partitioning,
-// not the snapshot. The flits a fault dropped are counted by the link's
-// fault state, which the injector walks.
+// CreditState walks its credits and synthesized credits. The flits a fault
+// dropped are counted by the link's fault state, which the injector walks.
 //
-//stashsim:phase serial -- reads the staging slabs and rewrites the forward path; runs only at a cycle barrier or before the restored run starts
+//stashsim:phase serial -- rewrites the forward path; runs only at a cycle barrier or before the restored run starts
 func (l *Link) FlitState(c *snapshot.Codec) {
 	c.Section("LINK")
-	if c.Decoding() {
-		dropStaged(&l.flitSlab)
-	}
-	if slab := staged(&l.flitSlab); !c.Empty(l.flits.Len() + len(slab)) {
-		snapshot.Arrivals(c, l.fp.Timed(&l.flits), slab, 1+1,
+	if !c.Empty(l.flits.Len()) {
+		snapshot.Ring(c, l.fp.Timed(&l.flits), 1+1,
 			func(t *timedFlit) { c.Due(&t.At); c.Flit(&t.V) })
 	}
 }
 
 // CreditState walks the link's two credit paths (see FlitState).
 //
-//stashsim:phase serial -- reads the staging slabs and rewrites both credit paths; runs only at a cycle barrier or before the restored run starts
+//stashsim:phase serial -- rewrites both credit paths; runs only at a cycle barrier or before the restored run starts
 func (l *Link) CreditState(c *snapshot.Codec) {
 	c.Section("CRED")
-	if c.Decoding() {
-		dropStaged(&l.credSlab)
-	}
 	// One credit on the wire: its due cycle, then the credit.
 	credit := func(t *timedCredit) {
 		c.Due(&t.At)
 		creditState(c, &t.V)
 	}
-	if slab := staged(&l.credSlab); !c.Empty(l.credits.Len() + len(slab)) {
-		snapshot.Arrivals(c, l.cp.Timed(&l.credits), slab, 1+1, credit)
-	}
-	if !c.Empty(l.synth.Len()) {
-		snapshot.Ring(c, l.cp.Timed(&l.synth), 1+1, credit)
+	for _, path := range [...]*creditPath{&l.credits, &l.synth} {
+		if !c.Empty(path.Len()) {
+			snapshot.Ring(c, l.cp.Timed(path), 1+1, credit)
+		}
 	}
 }
 

@@ -472,9 +472,6 @@ func (s *Switch) OutputQueue(port int) int {
 	return s.out[port].buf.Queued() + s.out[port].colOcc
 }
 
-// Congested reports whether an input port is in the ECN congested state.
-func (s *Switch) Congested(port int) bool { return s.in[port].congested }
-
 // StashUsed returns the committed stash occupancy in flits across the
 // switch (including packet reservations in flight).
 func (s *Switch) StashUsed() int {

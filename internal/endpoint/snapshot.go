@@ -144,12 +144,12 @@ func (e *Endpoint) backlog() (n int64) {
 // the collectors.
 func descState(c *snapshot.Codec, e *Endpoint, d *proto.PktDesc) {
 	c.I32(&d.Dst)
-	c.Bound("pktDesc.dst", int(d.Dst), 0, e.cfg.Topo.NumEndpoints())
+	c.Bound("PktDesc.dst", int(d.Dst), 0, e.cfg.Topo.NumEndpoints())
 	c.U32(&d.MsgID)
 	c.U8(&d.Size)
-	c.Bound("pktDesc.size", int(d.Size), 1, proto.MaxPacketFlits+1)
+	c.Bound("PktDesc.size", int(d.Size), 1, proto.MaxPacketFlits+1)
 	snapshot.Wire8(c, &d.Class)
-	c.Bound("pktDesc.class", int(d.Class), 0, int(proto.NumClasses))
+	c.Bound("PktDesc.class", int(d.Class), 0, int(proto.NumClasses))
 }
 
 // state walks the packet being injected. An inactive record is

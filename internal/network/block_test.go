@@ -9,6 +9,7 @@ import (
 
 	"stashsim/internal/metrics"
 	"stashsim/internal/proto"
+	"stashsim/internal/sim"
 )
 
 // The cut into blocks and what stepping block by block promises beyond
@@ -48,6 +49,59 @@ func TestBlocksIndependentOfWorkers(t *testing.T) {
 			}
 		}
 	}
+
+	// Serial code reads the links' paths only, so each serial reader
+	// flushes the wire first. On four workers, a run ends at a barrier with
+	// the last epoch's crossing traffic still staged, and the paths fall
+	// short of a one-worker twin's; after a checkpoint, a digest or an
+	// audit they hold exactly the twin's, so no crossing link kept a staged
+	// entry. Only links between two workers' groups have a stage.
+	par, twin := loadedNet(t, "tiny", "e2e"), loadedNet(t, "tiny", "e2e")
+	defer par.Close()
+	par.SetWorkers(4)
+	audit := NewInvariants(par, 1)
+	for _, read := range []struct {
+		name string
+		fn   func()
+	}{
+		{"checkpoint", func() { par.Checkpoint(par.Now) }},
+		{"digest", func() { par.StateDigest() }},
+		{"audit", func() { audit.AtBarrier(par.cycleDone - 1) }},
+	} {
+		par.Run(100)
+		twin.Run(100)
+		if pathsDiffer(par, twin) == "" {
+			t.Fatalf("before the %s at cycle %d no crossing link held a staged entry: the check proves nothing", read.name, par.Now)
+		}
+		read.fn()
+		if at := pathsDiffer(par, twin); at != "" {
+			t.Fatalf("after the %s at cycle %d %s still differs from the one-worker twin's: an entry stayed staged", read.name, par.Now, at)
+		}
+	}
+	groups = par.Cfg.Topo.Groups()
+	for i := range par.edges {
+		e := &par.edges[i]
+		crossing := e.from.sw >= 0 && e.to.sw >= 0 &&
+			sim.WorkerOf(par.Cfg.Topo.Group(int(e.from.sw)), groups, 4) != sim.WorkerOf(par.Cfg.Topo.Group(int(e.to.sw)), groups, 4)
+		if e.link.Staged() != crossing {
+			t.Fatalf("%s: staged %v on four workers, crossing workers %v", e.name(), e.link.Staged(), crossing)
+		}
+	}
+}
+
+// pathsDiffer names the first switch out-link whose paths differ between
+// two networks — in flits on the wire or in the due cycle of the first flit
+// or credit — or returns "".
+func pathsDiffer(a, b *Network) string {
+	for sw, s := range a.Switches {
+		for p := 0; p < a.Cfg.Topo.Radix(); p++ {
+			l, m := s.AuditOutLink(p), b.Switches[sw].AuditOutLink(p)
+			if l.InFlightFlits() != m.InFlightFlits() || l.NextFlitAt() != m.NextFlitAt() || l.NextCreditAt() != m.NextCreditAt() {
+				return fmt.Sprintf("sw%d.%d's paths", sw, p)
+			}
+		}
+	}
+	return ""
 }
 
 // TestTraceExportInTimeOrder: the tracer's ring fills in record order,

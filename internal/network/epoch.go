@@ -52,6 +52,24 @@ func (d *partitionDrainer) DrainEpoch(epoch int64) {
 	}
 }
 
+// flushWire lands every staged flit and credit of every worker-crossing
+// link on its path, as the epoch drain would: both parities, the older
+// first, so each path stays in arrival order, and each landing lowers the
+// consumer's slots. Serial code reads only the paths, so it runs first
+// wherever serial code reads the wire at a barrier: a checkpoint or digest
+// walk, the invariant audit and repartition. Nothing else calls it — a
+// barrier that reads nothing leaves the staged entries to the next epoch's
+// parallel drain.
+//
+//stashsim:phase serial -- writes the pools of every worker's groups; runs only at a barrier
+func (n *Network) flushWire() {
+	e := n.exec.EpochClock().Load()
+	for i := range n.drainers {
+		n.drainers[i].DrainEpoch(e)
+		n.drainers[i].DrainEpoch(e + 1)
+	}
+}
+
 // EpochLookahead reports the epoch-length cap in force, in cycles: the
 // smallest latency among the links that cross between blocks. It applies
 // at every worker count, one included — a single worker also runs each
@@ -86,12 +104,11 @@ func (n *Network) ExecStats() ExecStats {
 
 // repartition cuts the network into blocks, deals them to n.workers
 // workers and rebuilds the executor over them. It is the one routine behind
-// SetWorkers, Close, the profiler attach calls and New, and runs
-// only at a barrier: stop the old workers, flush every link's staged
-// traffic onto its paths, mark each switch-to-switch link as crossing
-// workers or not under the new cut, and hand every component a slot of the
-// new executor's wake table — so a run continues exactly where the previous
-// cut stopped.
+// SetWorkers, Close, the profiler attach calls and New, and runs only at a
+// barrier: flush the wire, stop the old workers, give each switch-to-switch
+// link a stage or none under the new cut, and hand every component a slot
+// of the new executor's wake table — so a run continues exactly where the
+// previous cut stopped.
 //
 // A block is one dragonfly group, whatever the worker count (SetWorkers
 // allows no more workers than groups), and worker w steps a contiguous run
@@ -101,6 +118,7 @@ func (n *Network) ExecStats() ExecStats {
 // worker alone.
 func (n *Network) repartition() {
 	if n.exec != nil {
+		n.flushWire()
 		n.exec.Close()
 	}
 	d := n.Cfg.Topo
@@ -111,8 +129,7 @@ func (n *Network) repartition() {
 	// blocks caps the epoch; only one between workers is staged (below, when
 	// the new executor's epoch clock exists), the rest return to direct
 	// pushes at once.
-	var crossing []*core.Link
-	var drainers []partitionDrainer
+	n.drainers = nil
 	n.lookahead = 0
 	for i := range n.edges {
 		e := &n.edges[i]
@@ -128,16 +145,15 @@ func (n *Network) repartition() {
 			l.Stage(nil)
 			continue
 		}
-		if drainers == nil {
-			drainers = make([]partitionDrainer, W)
+		if n.drainers == nil {
+			n.drainers = make([]partitionDrainer, W)
 		}
-		crossing = append(crossing, l)
-		drainers[cw].flits = append(drainers[cw].flits, l)
-		drainers[pw].creds = append(drainers[pw].creds, l)
+		n.drainers[cw].flits = append(n.drainers[cw].flits, l)
+		n.drainers[pw].creds = append(n.drainers[pw].creds, l)
 	}
 	var drains []sim.EpochDrainer
-	for w := range drainers {
-		drains = append(drains, &drainers[w])
+	for w := range n.drainers {
+		drains = append(drains, &n.drainers[w])
 	}
 
 	// Per-block component lists, endpoints first (the profiled
@@ -160,8 +176,10 @@ func (n *Network) repartition() {
 	n.exec.BeforeEpoch = n.beforeEpoch
 	n.exec.AfterEpoch = n.afterEpoch
 	n.exec.Profiler = n.Profiler
-	for _, l := range crossing {
-		l.Stage(n.exec.EpochClock())
+	for _, d := range n.drainers {
+		for _, l := range d.flits {
+			l.Stage(n.exec.EpochClock())
+		}
 	}
 	// The wake table is derived state: a fresh one is all awake, and each
 	// component wires its slot into the links that feed it.

@@ -228,7 +228,7 @@ func TestRestoreNamesOutOfRangeField(t *testing.T) {
 			"tile.vcNext", "sLatch.port", "credit.VC",
 			"sbMsg.kind", "sbMsg.dst", "sbMsg.aux", "e2eEntry.stashPort", "e2eEntry.port",
 			"RoundRobin.next", "StashPool filling copies", "StashPool fill flits",
-			"Endpoint.rrIdx", "pktDesc.dst", "pktDesc.size", "pktDesc.class", "curPkt.seq",
+			"Endpoint.rrIdx", "PktDesc.dst", "PktDesc.size", "PktDesc.class", "curPkt.seq",
 			"flit.Out", "flit.OrigOut", "flit.Src", "flit.Dst", "flit.MidGroup",
 			"fault: stash-failure cursor",
 			"column-buffer flit.VC",

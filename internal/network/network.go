@@ -76,6 +76,13 @@ type Network struct {
 	exec      *sim.Executor //stashsim:transient -- executor wiring; snapshots are partition-canonical
 	lookahead int64         //stashsim:transient -- executor wiring; snapshots are partition-canonical
 
+	// drainers are the workers' shares of the worker-crossing links, one
+	// per worker, nil on one worker: the executor drains them each epoch,
+	// flushWire at a barrier.
+	//
+	//stashsim:transient -- executor wiring; snapshots are partition-canonical
+	drainers []partitionDrainer
+
 	// profOwned marks Profiler as built by EnableExecProfile (ring size
 	// profRing), which SetWorkers then resizes to follow the worker count.
 	//

@@ -131,6 +131,7 @@ func NewInvariants(n *Network, every int64) *core.Invariants {
 			return total
 		},
 		ExtDestroyed: n.TotalDeliveredFlits,
+		FlushWire:    n.flushWire,
 	}
 	for _, ep := range n.Endpoints {
 		toSw, _ := ep.AuditLinks()

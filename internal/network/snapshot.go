@@ -10,12 +10,11 @@ import (
 )
 
 // Bit-exact checkpoint/restore. A checkpoint captures the complete
-// dynamic state of the simulated machine — switches, endpoints, links
-// (including traffic still staged in partition-crossing slabs), fault
-// injector, collectors, and the stateful observers — at a serial cycle
-// barrier, so a run restored from it continues byte-identically to one
-// that never stopped, under any partitioning (the link walk is
-// form-canonical; see the core package's state walks).
+// dynamic state of the simulated machine — switches, endpoints, links,
+// fault injector, collectors, and the stateful observers — at a serial
+// cycle barrier, so a run restored from it continues byte-identically to
+// one that never stopped, under any partitioning: the walk starts by
+// flushing the wire (flushWire), so a link is its paths under any cut.
 //
 // Not captured: the tracer, flight recorder, telemetry publisher, and
 // executor profiler. They are debugging sinks whose output streams cannot
@@ -139,6 +138,7 @@ func everyCPU(sections int, body func(i int)) {
 //
 //stashsim:phase serial -- walks every component's private state; runs only at a cycle barrier
 func (n *Network) Checkpoint(now sim.Tick) []byte {
+	n.flushWire()
 	at := int64(now)
 	return snapshot.Encode(func(c *snapshot.Codec) { n.state(c, &at) })
 }
@@ -152,6 +152,7 @@ func (n *Network) Checkpoint(now sim.Tick) []byte {
 //
 //stashsim:phase serial -- walks every component's private state; runs only at a cycle barrier
 func (n *Network) StateDigest() uint64 {
+	n.flushWire()
 	now := n.cycleDone
 	return n.digest.Sum(func(c *snapshot.Codec) { n.model(c, &now) })
 }

@@ -536,27 +536,16 @@ type FIFO[T any] interface {
 // each decoded entry. Most queues of a network are empty, so an empty one
 // costs no more than its count.
 func Ring[T any](c *Codec, q FIFO[T], elemMin int, elem func(*T)) {
-	Arrivals(c, q, nil, elemMin, elem)
-}
-
-// Arrivals walks q and then staged, entries on their way to q's back, as
-// one queue (see Ring): encoding writes one count and the entries of both,
-// in that order; decoding pushes every entry onto q, so a restored queue
-// holds them all and nothing is staged.
-func Arrivals[T any](c *Codec, q FIFO[T], staged []T, elemMin int, elem func(*T)) {
 	if c.r != nil {
 		q.Reset()
 	}
-	n := c.Count(q.Len()+len(staged), elemMin)
+	n := c.Count(q.Len(), elemMin)
 	if n == 0 {
 		return
 	}
 	if c.r == nil {
 		for i := range q.Len() {
 			elem(q.At(i))
-		}
-		for i := range staged {
-			elem(&staged[i])
 		}
 		return
 	}
