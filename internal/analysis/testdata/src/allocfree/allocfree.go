@@ -35,16 +35,16 @@ func constructs(r *ring, n int, s string, b []byte) {
 	_ = e
 	f := func() {} // want "contains a func literal"
 	_ = f
-	go hotHelper()  // want "starts a goroutine"
-	_ = s + "x"     // want "concatenates strings"
-	_ = []byte(s)   // want "converts a string to a slice"
-	_ = string(b)   // want "converts to string"
-	_ = any(n)      // want "converts a value to an interface"
-	sink(n)         // want "boxes a int into interface parameter 0 of sink"
-	helper()        // want "calls helper, which is not annotated //stashsim:noalloc"
-	_ = fmt.Sprint() // want "calls fmt.Sprint; package fmt is not on the allocation-free allowlist"
-	r.fn()          // want "makes a dynamic call through a function value"
-	hotHelper()     // annotated callee: fine
+	go hotHelper()     // want "starts a goroutine"
+	_ = s + "x"        // want "concatenates strings"
+	_ = []byte(s)      // want "converts a string to a slice"
+	_ = string(b)      // want "converts to string"
+	_ = any(n)         // want "converts a value to an interface"
+	sink(n)            // want "boxes a int into interface parameter 0 of sink"
+	helper()           // want "calls helper, which is not annotated //stashsim:noalloc"
+	_ = fmt.Sprint()   // want "calls fmt.Sprint; package fmt is not on the allocation-free allowlist"
+	r.fn()             // want "makes a dynamic call through a function value"
+	hotHelper()        // annotated callee: fine
 	v := entry{due: n} // struct value literal: no heap allocation
 	_ = v
 }

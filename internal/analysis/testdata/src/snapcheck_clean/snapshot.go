@@ -3,7 +3,19 @@ package snapcleanfix
 import "stashsim/internal/snapshot"
 
 func (r *ring[T]) state(c *snapshot.Codec, elem func(*T)) {
-	snapshot.Ring(c, r, 8, elem)
+	n := c.Count(r.Len(), 8)
+	if !c.Decoding() {
+		for i := range n {
+			elem(r.At(i))
+		}
+		return
+	}
+	r.Reset()
+	for i := 0; i < n && c.Err() == nil; i++ {
+		var v T
+		elem(&v)
+		r.Push(v)
+	}
 }
 
 func (t *tracker) state(c *snapshot.Codec) {

@@ -8,7 +8,7 @@ package snapcleanfix
 type ring[T any] struct {
 	buf  []T //stashsim:derived -- storage layout; the walk goes through Len/At/Push
 	head int //stashsim:derived -- storage layout; the walk goes through Len/At/Push
-	n    int //stashsim:derived -- the walk reads it through Len
+	n    int //stashsim:derived -- the walk writes it as the count, through Len
 }
 
 func (r *ring[T]) Len() int { return r.n }
@@ -35,5 +35,3 @@ type rec struct {
 	port  uint8
 	acked bool
 }
-
-func (r *ring[T]) Grow(int) {}

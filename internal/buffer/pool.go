@@ -43,7 +43,7 @@ type Pool[T any] struct {
 	used   int32
 	peak   int32
 
-	walk  listCursor[T] // the list FIFO or Timed presents
+	cell  T             // the value a decoding walk fills (fill); not state
 	audit *poolAudit[T] // Audit's scratch, made by the first audit; not state
 }
 
@@ -248,15 +248,14 @@ func (l *List[T]) Front(p *Pool[T]) *T {
 
 // Head returns the slot of the oldest value, and Pool.Next the slot after
 // a given one: a walk in queue order reads Len values from Head, following
-// Next between them. It panics when empty.
+// Next between them:
+//
+//	for k, i := 0, l.Head(); k < l.Len(); k, i = k+1, p.Next(i) { ... p.Get(i) ... }
+//
+// When the list is empty, Head returns nothing meaningful.
 //
 //stashsim:noalloc
-func (l *List[T]) Head() int32 {
-	if l.n == 0 {
-		panic("buffer: head of empty list")
-	}
-	return l.head
-}
+func (l *List[T]) Head() int32 { return l.head }
 
 // Next returns the slot after slot i on its list. After a list's tail it
 // returns nothing meaningful.
@@ -383,120 +382,104 @@ func (l *TimedList[T]) PopDue(p *Pool[T], now int64) (v T, ok bool) {
 // Reset frees every slot of the list.
 func (l *TimedList[T]) Reset(p *Pool[T]) { l.l.Reset(p) }
 
-// Slots returns the list's slots as a plain List, for Pool.Audit. Linking
-// or unlinking through it would bypass the due-cycle mirrors.
+// Slots returns the list's slots as a plain List, for Pool.Audit and for a
+// walk in queue order (List.Head, Pool.Next). Linking or unlinking through
+// it would bypass the due-cycle mirrors.
 func (l *TimedList[T]) Slots() *List[T] { return &l.l }
 
-// Entry is one value of a TimedList as a checkpoint walks it (Pool.Timed)
-// and a link's staging slab holds it: the value and the cycle it comes due.
+// Entry is one value of a TimedList as a link's staging slab holds it: the
+// value and the cycle it comes due.
 type Entry[T any] struct {
 	V  T
 	At int64
 }
 
-// listCursor is the list a pool presents as a FIFO, and the last position
-// At was asked for, so a walk in queue order follows each link once. A
-// TimedList's walk (timed set) also tracks the due cycle of the value at
-// cur, and hands out entries through e.
-type listCursor[T any] struct {
-	l     *List[T]
-	timed *TimedList[T]
-	at    int // index of cur; -1 before the first At
-	cur   int32
-	curAt int64
-	e     Entry[T]
-}
+// flitMin is the fewest bytes a walked flit takes: a tag that predicts it
+// whole.
+const flitMin = 1
 
-// present points the cursor at l, which timed holds when not nil. The
-// rest of the cursor is set by the first At: a restore presents every
-// list of the network, most of them empty, so presenting clears nothing.
-func (p *Pool[T]) present(l *List[T], timed *TimedList[T]) {
-	p.walk = listCursor[T]{l: l, timed: timed, at: -1}
-}
-
-// seek returns the slot of the i-th oldest value of the presented list.
-func (p *Pool[T]) seek(i int) *poolSlot[T] {
-	w := &p.walk
-	if i < 0 || i >= w.l.Len() {
-		panic("buffer: list index out of range")
+// Walk walks list l of pool p as a checkpoint holds it: its count, then
+// each value through elem, oldest first, following the links. Decoding
+// empties l, makes room for the decoded count, and pushes each value elem
+// decodes into the pool's cell, unless elem failed the walk.
+func (l *List[T]) Walk(c *snapshot.Codec, p *Pool[T], elemMin int, elem func(*T)) {
+	if !c.Decoding() {
+		c.Count(l.Len(), elemMin)
+		for k, i := int32(0), l.head; k < l.n; k++ {
+			s := p.slot(i)
+			elem(&s.v)
+			i = s.next
+		}
+		return
 	}
-	if w.at < 0 || i < w.at {
-		w.at, w.cur = 0, w.l.head
-		if w.timed != nil {
-			w.curAt = w.timed.nextAt
+	for n := l.decodeCount(c, p, elemMin); n > 0 && c.Err() == nil; n-- {
+		v := p.fill()
+		if elem(v); c.Err() == nil {
+			l.Push(p, *v)
 		}
 	}
-	for ; w.at < i; w.at++ {
-		s := p.slot(w.cur)
-		w.cur, w.curAt = s.next, s.succAt
+}
+
+// Walk walks timed list l as List.Walk does, each value after its due
+// cycle (snapshot.Codec.Due).
+func (l *TimedList[T]) Walk(c *snapshot.Codec, p *Pool[T], elemMin int, elem func(*T)) {
+	if !c.Decoding() {
+		c.Count(l.Len(), elemMin)
+		at := l.nextAt
+		for k, i := int32(0), l.l.head; k < l.l.n; k++ {
+			s := p.slot(i)
+			c.Due(&at)
+			elem(&s.v)
+			i, at = s.next, s.succAt
+		}
+		return
 	}
-	return p.slot(w.cur)
+	for n := l.l.decodeCount(c, p, elemMin); n > 0 && c.Err() == nil; n-- {
+		var at int64
+		c.Due(&at)
+		v := p.fill()
+		if elem(v); c.Err() == nil {
+			l.Push(p, at, *v)
+		}
+	}
 }
 
-// poolFIFO and timedFIFO are a Pool seen as the FIFO of its cursor's list:
-// pointer conversions, so handing one to the codec allocates nothing.
-type (
-	poolFIFO[T any]  Pool[T]
-	timedFIFO[T any] Pool[T]
-)
-
-// FIFO presents list l as the queue snapshot.Ring and Codec.ReplayFlits
-// walk, oldest value first. A pool presents one list at a time: the result
-// is good until the next FIFO or Timed call on the same pool.
-func (p *Pool[T]) FIFO(l *List[T]) snapshot.FIFO[T] {
-	p.present(l, nil)
-	return (*poolFIFO[T])(p)
+// decodeCount starts a decoding walk of list l: it empties l, reads the
+// count, and grows the pool once for that many values.
+func (l *List[T]) decodeCount(c *snapshot.Codec, p *Pool[T], elemMin int) int {
+	l.Reset(p)
+	n := c.Count(0, elemMin)
+	p.Grow(n)
+	return n
 }
 
-// Timed presents timed list l as FIFO does, as its entries: each value
-// with its due cycle, which snapshot.Ring walks first. At hands out a copy,
-// good until the next At: the walk reads entries, it does not change them.
-func (p *Pool[T]) Timed(l *TimedList[T]) snapshot.FIFO[Entry[T]] {
-	p.present(&l.l, l)
-	return (*timedFIFO[T])(p)
+// fill returns the pool's cell, zeroed, for a decoding walk's elem to fill:
+// what elem does with its argument is opaque to escape analysis, so a
+// local would move to the heap once per value. A pool has one cell, so an
+// elem must not walk another list of the same pool.
+func (p *Pool[T]) fill() *T {
+	var zero T
+	p.cell = zero
+	return &p.cell
 }
 
-// ReplayList walks flit list l of pool p as Codec.ReplayFlits walks a
-// FIFO, push being the owner's push path (nil: the list's own). An empty
-// list costs its zero count and nothing else (Codec.Empty): most lists of a
-// network are empty.
+// ReplayList walks flit list l of pool p as List.Walk does, push being the
+// owner's push path (nil: the list's own). Its owner keeps counts or masks
+// beside the list, a function of the flits and so not in the stream:
+// decoding empties l and hands each flit to push, which rebuilds them as
+// the run did, or refuses the flit through Bound or Failf and so stops the
+// walk.
 func ReplayList(c *snapshot.Codec, p *FlitPool, l *FlitList, push func(proto.Flit)) {
-	if c.Empty(l.Len()) {
+	if !c.Decoding() || push == nil {
+		l.Walk(c, p, flitMin, c.Flit)
 		return
 	}
-	if push == nil {
-		c.Flits(p.FIFO(l))
-		return
+	for n := l.decodeCount(c, p, flitMin); n > 0 && c.Err() == nil; n-- {
+		var f proto.Flit
+		if c.Flit(&f); c.Err() == nil {
+			push(f)
+		}
 	}
-	c.ReplayFlits(p.FIFO(l), push)
-}
-
-func (q *poolFIFO[T]) pool() *Pool[T] { return (*Pool[T])(q) }
-func (q *poolFIFO[T]) Len() int       { return q.walk.l.Len() }
-func (q *poolFIFO[T]) At(i int) *T    { return &q.pool().seek(i).v }
-func (q *poolFIFO[T]) Push(v T)       { q.walk.l.Push(q.pool(), v) }
-func (q *poolFIFO[T]) Grow(n int)     { q.pool().Grow(n) }
-
-func (q *poolFIFO[T]) Reset() {
-	q.walk.l.Reset(q.pool())
-	q.walk.at = -1
-}
-
-func (q *timedFIFO[T]) pool() *Pool[T]  { return (*Pool[T])(q) }
-func (q *timedFIFO[T]) Len() int        { return q.walk.l.Len() }
-func (q *timedFIFO[T]) Push(e Entry[T]) { q.walk.timed.Push(q.pool(), e.At, e.V) }
-func (q *timedFIFO[T]) Grow(n int)      { q.pool().Grow(n) }
-
-func (q *timedFIFO[T]) At(i int) *Entry[T] {
-	s := q.pool().seek(i)
-	w := &q.walk
-	w.e.V, w.e.At = s.v, w.curAt
-	return &w.e
-}
-
-func (q *timedFIFO[T]) Reset() {
-	q.walk.timed.Reset(q.pool())
-	q.walk.at = -1
 }
 
 // Audit checks the pool against the lists that draw from it, which lists

@@ -1,23 +1,24 @@
 package buffer
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
 	"stashsim/internal/proto"
+	"stashsim/internal/snapshot"
 )
 
 // driveFlitPool replays one op stream against poolLists index lists over
 // one FlitPool and checks them, after every op, against plain slices: each
-// list's order through the FIFO a checkpoint walks, Len and Front, the
-// pool's accounting through Audit, and that its capacity never passes its
-// high-water mark rounded up to a chunk. Each op byte is a kind (top three
-// bits) and an argument (low five), whose low bits name list a and the
-// next two list b: push one on a; pop a; relink a's front onto b; read a's
-// front, then push a chunk's worth on b and read the same pointer again
-// (chunks must not move); push a burst on a; reset a and grow the pool by
-// its length, then push its flits back — the ReplayFlits path — without
-// taking a chunk.
+// list's order along its links, Len and Front, the pool's accounting
+// through Audit, and that its capacity never passes its high-water mark
+// rounded up to a chunk. Each op byte is a kind (top three bits) and an
+// argument (low five), whose low bits name list a and the next two list b:
+// push one on a; pop a; relink a's front onto b; read a's front, then push
+// a chunk's worth on b and read the same pointer again (chunks must not
+// move); push a burst on a; a checkpoint round trip of a (see
+// checkpointList); pop up to the argument's worth of a.
 func driveFlitPool(t *testing.T, ops []byte) {
 	t.Helper()
 	const poolLists = 4
@@ -27,7 +28,7 @@ func driveFlitPool(t *testing.T, ops []byte) {
 		model [poolLists][]uint64
 		next  uint64
 		push  = func(a int) {
-			lists[a].Push(&pool, proto.Flit{PktID: next})
+			lists[a].Push(&pool, proto.Flit{PktID: next, Size: 1})
 			model[a] = append(model[a], next)
 			next++
 		}
@@ -71,16 +72,7 @@ func driveFlitPool(t *testing.T, ops []byte) {
 				push(a)
 			}
 		case 6:
-			q := pool.FIFO(&lists[a])
-			q.Reset()
-			q.Grow(len(model[a]))
-			capacity := pool.Cap()
-			for _, id := range model[a] {
-				q.Push(proto.Flit{PktID: id})
-			}
-			if pool.Cap() != capacity {
-				t.Fatalf("step %d: %d pushes took a chunk after Grow(%d)", step, len(model[a]), len(model[a]))
-			}
+			checkpointList(t, step, &pool, &lists[a], arg)
 		case 7:
 			for len(model[a]) > 0 && arg > 0 {
 				lists[a].Pop(&pool)
@@ -95,14 +87,14 @@ func driveFlitPool(t *testing.T, ops []byte) {
 			if lists[k].Len() != len(model[k]) || lists[k].Empty() != (len(model[k]) == 0) {
 				t.Fatalf("step %d: list %d Len %d, model holds %d", step, k, lists[k].Len(), len(model[k]))
 			}
-			q := pool.FIFO(&lists[k])
-			for i, want := range model[k] {
-				if got := q.At(i).PktID; got != want {
-					t.Fatalf("step %d: list %d At(%d) = %d, want %d", step, k, i, got, want)
+			l := &lists[k]
+			for j, i := 0, l.Head(); j < l.Len(); j, i = j+1, pool.Next(i) {
+				if got := pool.Get(i).PktID; got != model[k][j] {
+					t.Fatalf("step %d: list %d holds %d at %d, want %d", step, k, got, j, model[k][j])
 				}
 			}
-			if len(model[k]) > 0 && lists[k].Front(&pool) != q.At(0) {
-				t.Fatalf("step %d: list %d Front is not At(0)", step, k)
+			if len(model[k]) > 0 && l.Front(&pool) != pool.Get(l.Head()) {
+				t.Fatalf("step %d: list %d Front is not its Head", step, k)
 			}
 		}
 		if err := pool.Audit(all); err != nil {
@@ -114,6 +106,50 @@ func driveFlitPool(t *testing.T, ops []byte) {
 				step, pool.InUse(), queued, pool.Cap(), pool.Peak())
 		}
 	}
+}
+
+// checkpointList takes list l of pool p through a checkpoint round trip:
+// it encodes the list and decodes the bytes over it while it still holds
+// its flits, so the walk must empty it first, and then must take no chunk
+// after its Grow and leave as many slots in use. The same bytes cut at a
+// length arg and step pick must fail the decode, not panic; the whole
+// bytes then put the list back. An odd arg decodes through the owner's
+// push path of ReplayList, an even one through the list's own.
+func checkpointList(t *testing.T, step int, p *FlitPool, l *FlitList, arg int) {
+	t.Helper()
+	var push func(proto.Flit)
+	if arg&1 != 0 {
+		push = func(f proto.Flit) { l.Push(p, f) }
+	}
+	walk := func(c *snapshot.Codec) { ReplayList(c, p, l, push) }
+	data := snapshot.Encode(walk)
+	capacity, inUse := p.Cap(), p.InUse()
+	if err := decodeWalk(data, walk); err != nil {
+		t.Fatalf("step %d: decoding a checkpointed list: %v", step, err)
+	}
+	if p.Cap() != capacity || p.InUse() != inUse {
+		t.Fatalf("step %d: decoding a %d-flit list took capacity %d to %d and slots in use %d to %d",
+			step, l.Len(), capacity, p.Cap(), inUse, p.InUse())
+	}
+	const header = 4 + 2 + 8 // magic, version, total length
+	cut := append([]byte(nil), data[:header+(arg+step)%(len(data)-header)]...)
+	binary.LittleEndian.PutUint64(cut[6:], uint64(len(cut)))
+	if err := decodeWalk(cut, walk); err == nil {
+		t.Fatalf("step %d: a checkpointed list cut to %d of its %d bytes decoded", step, len(cut), len(data))
+	}
+	if err := decodeWalk(data, walk); err != nil {
+		t.Fatalf("step %d: decoding a checkpointed list again: %v", step, err)
+	}
+}
+
+// decodeWalk runs walk over data as a decoding walk and returns its error.
+func decodeWalk(data []byte, walk func(*snapshot.Codec)) error {
+	c, err := snapshot.NewDecoder(data)
+	if err != nil {
+		return err
+	}
+	walk(c)
+	return c.Close()
 }
 
 // TestFlitPoolModel drives the pool with seeded random op streams of three

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"stashsim/internal/proto"
+	"stashsim/internal/snapshot"
 )
 
 // timedPaths is the number of flit paths and of credit paths
@@ -18,9 +19,9 @@ const timedPaths = 3
 // switch's input buffer takes its arrivals. A timedModel, a slice of
 // entries, is the reference for every path, a slice for the plain list.
 // After every op it checks each path's Len, NextAt, FrontDue and Front and
-// its entries through the cursor a checkpoint walks, both pools'
-// accounting through Audit, and that neither pool's capacity passes its
-// high-water mark rounded up to a chunk.
+// its entries along its links, both pools' accounting through Audit, and
+// that neither pool's capacity passes its high-water mark rounded up to a
+// chunk.
 //
 // Each op byte is a kind (top three bits) and an argument (low five), whose
 // low bits name path a. The kinds: push a flit on a, due 0..3 cycles after
@@ -28,9 +29,9 @@ const timedPaths = 3
 // entry; advance the clock 0..31 cycles and pop every due flit of a; pop
 // one due credit of a; relink
 // a's due front onto the plain list; push a burst of flits on a at one due
-// cycle, which crosses chunk boundaries; reset a flit or credit path and
-// grow its pool by its length, then push its entries back — the decode
-// path — without taking a chunk; pop the plain list.
+// cycle, which crosses chunk boundaries; take a flit or credit path
+// through a checkpoint round trip, which must take no chunk; pop the plain
+// list.
 func driveTimedList(t *testing.T, ops []byte) {
 	t.Helper()
 	var (
@@ -49,7 +50,7 @@ func driveTimedList(t *testing.T, ops []byte) {
 	// now when back is empty.
 	due := func(back int64, d int64) int64 { return max(now+1, back) + d }
 	pushFlit := func(a int, at int64) {
-		f := proto.Flit{PktID: next}
+		f := proto.Flit{PktID: next, Size: 1}
 		next++
 		flits[a].Push(&fp, at, f)
 		fmodel[a].push(at, f)
@@ -97,9 +98,12 @@ func driveTimedList(t *testing.T, ops []byte) {
 		case 6:
 			capacity := fp.Cap() + cp.Cap()
 			if arg&16 == 0 {
-				replayPath(&fp, &flits[a], fmodel[a])
+				replayPath(t, step, &fp, &flits[a], (*snapshot.Codec).Flit)
 			} else {
-				replayPath(&cp, &creds[a], cmodel[a])
+				replayPath(t, step, &cp, &creds[a], func(c *snapshot.Codec, cr *proto.Credit) {
+					c.U8(&cr.VC)
+					c.Bool(&cr.Shared)
+				})
 			}
 			if fp.Cap()+cp.Cap() != capacity {
 				t.Fatalf("step %d: replaying path %d took a chunk after Grow", step, a)
@@ -117,13 +121,12 @@ func driveTimedList(t *testing.T, ops []byte) {
 			checkPath(t, step, "flit", &fp, &flits[k], fmodel[k], now)
 			checkPath(t, step, "credit", &cp, &creds[k], cmodel[k], now)
 		}
-		q := fp.FIFO(&plain)
-		if q.Len() != len(pmodel) {
-			t.Fatalf("step %d: plain list Len %d, model holds %d", step, q.Len(), len(pmodel))
+		if plain.Len() != len(pmodel) {
+			t.Fatalf("step %d: plain list Len %d, model holds %d", step, plain.Len(), len(pmodel))
 		}
-		for i, want := range pmodel {
-			if got := q.At(i).PktID; got != want {
-				t.Fatalf("step %d: plain list At(%d) = %d, want %d", step, i, got, want)
+		for j, i := 0, plain.Head(); j < plain.Len(); j, i = j+1, fp.Next(i) {
+			if got := fp.Get(i).PktID; got != pmodel[j] {
+				t.Fatalf("step %d: plain list holds %d at %d, want %d", step, got, j, pmodel[j])
 			}
 		}
 		err := fp.Audit(func(visit func(*FlitList)) {
@@ -179,15 +182,13 @@ func (m timedModel[T]) back() int64 {
 	return m[len(m)-1].At
 }
 
-// replayPath empties path l and pushes its model's entries back through
-// the FIFO a checkpoint decodes into, after growing the pool by their
-// count.
-func replayPath[T any](p *Pool[T], l *TimedList[T], m timedModel[T]) {
-	q := p.Timed(l)
-	q.Reset()
-	q.Grow(len(m))
-	for _, e := range m {
-		q.Push(e)
+// replayPath encodes path l through its checkpoint walk, elem walking
+// each value, and decodes the bytes over it.
+func replayPath[T any](t *testing.T, step int, p *Pool[T], l *TimedList[T], elem func(*snapshot.Codec, *T)) {
+	t.Helper()
+	walk := func(c *snapshot.Codec) { l.Walk(c, p, 1+1, func(v *T) { elem(c, v) }) }
+	if err := decodeWalk(snapshot.Encode(walk), walk); err != nil {
+		t.Fatalf("step %d: decoding a checkpointed path: %v", step, err)
 	}
 }
 
@@ -198,11 +199,12 @@ func checkPath[T comparable](t *testing.T, step int, kind string, p *Pool[T], l 
 		t.Fatalf("step %d: %s path Len %d NextAt %d FrontDue %v, model %d %d %v",
 			step, kind, l.Len(), l.NextAt(), l.FrontDue(now), len(m), m.nextAt(), m.frontDue(now))
 	}
-	q := p.Timed(l)
-	for i := range m {
-		if got := q.At(i); *got != m[i] {
-			t.Fatalf("step %d: %s path entry %d is due %d, model %d", step, kind, i, got.At, m[i].At)
+	at := l.nextAt
+	for j, i := 0, l.Slots().Head(); j < l.Len(); j, i = j+1, p.Next(i) {
+		if got := (Entry[T]{V: *p.Get(i), At: at}); got != m[j] {
+			t.Fatalf("step %d: %s path entry %d is due %d, model %d", step, kind, j, got.At, m[j].At)
 		}
+		at = p.slot(i).succAt
 	}
 	if len(m) > 0 && *l.Front(p) != m[0].V {
 		t.Fatalf("step %d: %s path Front differs from the model's", step, kind)

@@ -340,18 +340,18 @@ func (l *Link) InFlightFlits() int { return l.flits.Len() }
 // order. Used by the invariant checker only (fn must not mutate the
 // flit), under the same barrier rule as InFlightFlits.
 func (l *Link) auditFlits(fn func(*proto.Flit)) {
-	q := l.fp.Timed(&l.flits)
-	for i := 0; i < q.Len(); i++ {
-		fn(&q.At(i).V)
+	q := l.flits.Slots()
+	for k, i := 0, q.Head(); k < q.Len(); k, i = k+1, l.fp.Next(i) {
+		fn(l.fp.Get(i))
 	}
 }
 
 // auditCredits calls fn for every credit currently on the wire.
 func (l *Link) auditCredits(fn func(proto.Credit)) {
 	for _, path := range [...]*creditPath{&l.credits, &l.synth} {
-		q := l.cp.Timed(path)
-		for i := 0; i < q.Len(); i++ {
-			fn(q.At(i).V)
+		q := path.Slots()
+		for k, i := 0, q.Head(); k < q.Len(); k, i = k+1, l.cp.Next(i) {
+			fn(*l.cp.Get(i))
 		}
 	}
 }

@@ -28,8 +28,9 @@ import (
 // The network flushes the wire before any walk: every entry a
 // worker-crossing link staged is on its path by then, so a link is its
 // paths, and a checkpoint is the same bytes under any partitioning. Each
-// path is walked through its pool's Timed cursor, as (At, V) entries in
-// FIFO order; the pools and slot numbers are not state.
+// path is walked by following its links (buffer.TimedList.Walk), each
+// entry its due cycle and its value, oldest first; the pools and slot
+// numbers are not state.
 
 // FlitState walks the link's forward path, its in-flight flits;
 // CreditState walks its credits and synthesized credits. The flits a fault
@@ -38,10 +39,7 @@ import (
 //stashsim:phase serial -- rewrites the forward path; runs only at a cycle barrier or before the restored run starts
 func (l *Link) FlitState(c *snapshot.Codec) {
 	c.Section("LINK")
-	if !c.Empty(l.flits.Len()) {
-		snapshot.Ring(c, l.fp.Timed(&l.flits), 1+1,
-			func(t *timedFlit) { c.Due(&t.At); c.Flit(&t.V) })
-	}
+	l.flits.Walk(c, l.fp, 1+1, c.Flit)
 }
 
 // CreditState walks the link's two credit paths (see FlitState).
@@ -49,15 +47,9 @@ func (l *Link) FlitState(c *snapshot.Codec) {
 //stashsim:phase serial -- rewrites both credit paths; runs only at a cycle barrier or before the restored run starts
 func (l *Link) CreditState(c *snapshot.Codec) {
 	c.Section("CRED")
-	// One credit on the wire: its due cycle, then the credit.
-	credit := func(t *timedCredit) {
-		c.Due(&t.At)
-		creditState(c, &t.V)
-	}
+	credit := func(cr *proto.Credit) { creditState(c, cr) }
 	for _, path := range [...]*creditPath{&l.credits, &l.synth} {
-		if !c.Empty(path.Len()) {
-			snapshot.Ring(c, l.cp.Timed(path), 1+1, credit)
-		}
+		path.Walk(c, l.cp, 1+1, credit)
 	}
 }
 
@@ -111,10 +103,7 @@ func (s *Switch) State(c *snapshot.Codec, now int64) {
 	for ti := range s.tiles {
 		s.tiles[ti].state(c, s)
 	}
-	snapshot.Ring(c, s.pools.sideband.Timed(&s.sideband), 1+1+1+1+1+1, func(m *buffer.Entry[sbMsg]) {
-		c.Due(&m.At)
-		m.V.state(c, s)
-	})
+	s.sideband.Walk(c, &s.pools.sideband, 1+1+1+1+1+1, func(m *sbMsg) { m.state(c, s) })
 	s.track.State(c, 1+1+1+1+1+1+1+2, func(e *e2eEntry) { e.state(c, s) })
 	if s.parity != nil {
 		s.parity.State(c)

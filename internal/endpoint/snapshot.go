@@ -3,6 +3,7 @@ package endpoint
 import (
 	"math"
 
+	"stashsim/internal/buffer"
 	"stashsim/internal/proto"
 	"stashsim/internal/snapshot"
 )
@@ -68,14 +69,14 @@ func (e *Endpoint) State(c *snapshot.Codec, now int64) {
 			}
 			e.queues[sq.dst] = int32(len(e.queues))
 		}
-		snapshot.Ring(c, p.Sends().FIFO(&sq.q), 1+1+1+1, func(d *proto.PktDesc) { descState(c, e, d) })
+		sq.q.Walk(c, p.Sends(), 1+1+1+1, func(d *proto.PktDesc) { descState(c, e, d) })
 		c.Bound("send queue length", sq.q.Len(), 1, math.MaxInt)
 	})
 	c.Bound("Endpoint.rrIdx", e.rrIdx, 0, max(len(e.active), 1))
 
 	e.cur.state(c, e)
 
-	c.Flits(p.Flits().FIFO(&e.ackQ))
+	buffer.ReplayList(c, p.Flits(), &e.ackQ, nil)
 
 	// ECN windows, ascending destination order: only those that differ
 	// from a fresh one are held, and decoding refuses one that does not.
@@ -101,7 +102,7 @@ func (e *Endpoint) State(c *snapshot.Codec, now int64) {
 		c.I64(&o.birth)
 		o.Timer.State(c)
 	})
-	snapshot.Ring(c, p.Resends().FIFO(&e.rtxQ), 1+1, func(it *proto.Resend) {
+	e.rtxQ.Walk(c, p.Resends(), 1+1, func(it *proto.Resend) {
 		c.U64(&it.PktID)
 		c.U8(&it.Size)
 	})
@@ -122,16 +123,16 @@ func (e *Endpoint) State(c *snapshot.Codec, now int64) {
 // the queued resends (settled ones too, until injection drops them), and
 // the rest of the packet in progress.
 func (e *Endpoint) backlog() (n int64) {
-	p := e.Pools()
+	sends, resends := e.Pools().Sends(), e.Pools().Resends()
 	for k := range e.active {
-		q := p.Sends().FIFO(&e.active[k].q)
-		for i := range q.Len() {
-			n += int64(q.At(i).Size)
+		q := &e.active[k].q
+		for j, i := 0, q.Head(); j < q.Len(); j, i = j+1, sends.Next(i) {
+			n += int64(sends.Get(i).Size)
 		}
 	}
-	q := p.Resends().FIFO(&e.rtxQ)
-	for i := range q.Len() {
-		n += int64(q.At(i).Size)
+	q := &e.rtxQ
+	for j, i := 0, q.Head(); j < q.Len(); j, i = j+1, resends.Next(i) {
+		n += int64(resends.Get(i).Size)
 	}
 	if e.cur.active {
 		n += int64(e.cur.desc.Size - e.cur.seq)

@@ -3,10 +3,10 @@
 //
 // Flits are plain value structs. Every flit of a packet carries the full
 // packet metadata, so the simulator never allocates per-packet state on the
-// hot path; buffers are rings of Flit values. Routing state (adaptive-path
-// phase, Valiant intermediate group) lives in the head flit and is copied to
-// body flits when the packet is segmented; only the head flit's copy is ever
-// consulted.
+// hot path; buffers are lists of Flit values in a pool. Routing state
+// (adaptive-path phase, Valiant intermediate group) lives in the head flit
+// and is copied to body flits when the packet is segmented; only the head
+// flit's copy is ever consulted.
 package proto
 
 // Architectural constants from the paper's Section V configuration.

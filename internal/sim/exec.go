@@ -55,7 +55,7 @@ func NextMultiple(from, every Tick) Tick {
 // the slab the producers filled during the previous epoch.
 type EpochDrainer interface {
 	// DrainEpoch moves the previous epoch's staged entries onto the
-	// worker's rings.
+	// worker's link paths.
 	//
 	//stashsim:phase parallel
 	//stashsim:noalloc
@@ -321,9 +321,9 @@ func (e *Executor) worker(lane int, prof *ExecProfiler) {
 // longer than the smallest latency between two blocks, so whatever a block
 // sends another at cycle t of the epoch is due at t+latency >= end: the
 // receiver needs it in no cycle of this epoch, whether it has already run
-// them (the entry waits on its ring for the next epoch) or has yet to (the
-// entry sits on the ring, not due, and Step ignores it). Channels have one
-// producer, so each ring still fills in due order. Across workers the same
+// them (the entry waits on its path for the next epoch) or has yet to (the
+// entry sits on the path, not due, and Step ignores it). Channels have one
+// producer, so each path still fills in due order. Across workers the same
 // argument runs through the epoch slabs: nothing staged by a concurrent
 // worker this epoch is due before the next one drains it.
 // For the profiler it takes the clock reading at entry and returns the

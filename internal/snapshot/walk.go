@@ -27,19 +27,14 @@ import (
 type Codec struct {
 	w      *Writer
 	r      *Reader
-	Bounds FlitBounds        // enforced by Flit while decoding
-	flit   func(*proto.Flit) // c.Flit, bound once: Flits runs once per queue of the network
-	cells  []any             // scratch cells not in use, at most one of each type (see take)
+	Bounds FlitBounds // enforced by Flit while decoding
+	cells  []any      // scratch cells not in use, at most one of each type (see take)
 
 	flits FlitQueue // the flits walked since the last count
 	due   int64     // the last due cycle walked since the last count, else 0
 }
 
-func newCodec(w *Writer, r *Reader) *Codec {
-	c := &Codec{w: w, r: r}
-	c.flit = c.Flit
-	return c
-}
+func newCodec(w *Writer, r *Reader) *Codec { return &Codec{w: w, r: r} }
 
 // Encode returns the snapshot walk writes. It runs walk twice over one
 // Codec: first into a measure sink, then into a byte sink of exactly the
@@ -89,7 +84,7 @@ func NewDecoder(data []byte) (*Codec, error) {
 // take returns a scratch cell of type T for one walker call to use and
 // give back: the cells a walker hands to its element walks, whose address
 // escapes through them, so that a walk allocates them once per type and not
-// once per map or ring. A walker nested in another of the same type takes a
+// once per map. A walker nested in another of the same type takes a
 // fresh cell, since the outer one is out.
 func take[T any](c *Codec) *T {
 	for i, s := range c.cells {
@@ -411,29 +406,6 @@ func (c *Codec) Count(n, elemMin int) int {
 	return n
 }
 
-// Empty walks the count of a queue that holds have entries when that count
-// is zero on both sides, and reports whether it was: encoding writes an
-// empty queue's zero count; decoding consumes a zero count when the queue
-// it would refill is already empty. A queue found empty costs its one byte
-// and nothing else, its presentation as a FIFO included; otherwise the
-// caller walks the queue in full, count and all, so the bytes are the same
-// either way. Most queues of a network are empty.
-func (c *Codec) Empty(have int) bool {
-	if have != 0 {
-		return false
-	}
-	if c.r != nil {
-		if r := c.r; r.off >= len(r.buf) || r.buf[r.off] != 0 {
-			return false
-		}
-		c.r.off++
-	} else {
-		c.w.Count(0)
-	}
-	c.flits.follows, c.due = false, 0
-	return true
-}
-
 // Len walks the length of a structure the restoring side has already
 // rebuilt from its configuration (ports, VCs, tiles, shards): written on
 // encode, compared on decode. It reports whether the walk may go on into
@@ -515,78 +487,6 @@ func Slice[T any](c *Codec, s *[]T, elemMin int, elem func(*T)) {
 		if elem(&(*s)[i]); c.Err() != nil {
 			*s = (*s)[:i]
 			return
-		}
-	}
-}
-
-// FIFO is the queue surface Ring walks; ring buffers keep their storage
-// layout to themselves, and only the queue order is state. At(i) is the
-// i-th oldest entry; Grow(n) makes room for n more, so that decoding sizes
-// a ring once from its count.
-type FIFO[T any] interface {
-	Len() int
-	At(i int) *T
-	Push(T)
-	Reset()
-	Grow(n int)
-}
-
-// Ring walks a FIFO, oldest entry first: encoding reads its entries in
-// place, decoding empties the queue, reserves the decoded count and pushes
-// each decoded entry. Most queues of a network are empty, so an empty one
-// costs no more than its count.
-func Ring[T any](c *Codec, q FIFO[T], elemMin int, elem func(*T)) {
-	if c.r != nil {
-		q.Reset()
-	}
-	n := c.Count(q.Len(), elemMin)
-	if n == 0 {
-		return
-	}
-	if c.r == nil {
-		for i := range q.Len() {
-			elem(q.At(i))
-		}
-		return
-	}
-	q.Grow(n)
-	v := take[T](c) // what elem does with its argument is opaque to escape analysis
-	defer give(c, v)
-	for i := 0; i < n; i++ {
-		var zero T
-		*v = zero
-		if elem(v); c.r.Err() != nil {
-			return
-		}
-		q.Push(*v)
-	}
-}
-
-// Flits walks a FIFO of flits (see Ring) whose owner keeps nothing beside
-// it: ReplayFlits with the queue's own Push.
-func (c *Codec) Flits(q FIFO[proto.Flit]) { c.ReplayFlits(q, q.Push) }
-
-// flitMin is the fewest bytes a flit takes: a tag that predicts it whole.
-const flitMin = 1
-
-// ReplayFlits walks a FIFO of flits whose owner keeps counts or masks
-// beside it, a function of the flits and so not in the stream. Encoding is
-// Flits'; decoding empties q, reserves the decoded count, and hands each
-// flit to push, the owner's push path, which rebuilds them as the run did,
-// or refuses the flit through Bound or Failf and so stops the walk. It is
-// not generic, so that the caller's push closure stays on the stack.
-func (c *Codec) ReplayFlits(q FIFO[proto.Flit], push func(proto.Flit)) {
-	if c.r == nil {
-		Ring(c, q, flitMin, c.flit)
-		return
-	}
-	q.Reset()
-	n := c.Count(0, flitMin)
-	q.Grow(n)
-	for ; n > 0 && !c.r.failed(); n-- {
-		var f proto.Flit
-		if c.Flit(&f); !c.r.failed() {
-			push(f)
 		}
 	}
 }

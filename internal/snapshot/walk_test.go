@@ -16,18 +16,8 @@ type walkState struct {
 	queue   []uint16
 	sizes   map[uint64]uint8
 	lazy    map[uint64]uint8
-	ring    fifo
 	hist    *[2]int64
 }
-
-// fifo is the smallest FIFO: a slice.
-type fifo []int64
-
-func (f *fifo) Len() int        { return len(*f) }
-func (f *fifo) At(i int) *int64 { return &(*f)[i] }
-func (f *fifo) Push(v int64)    { *f = append(*f, v) }
-func (f *fifo) Reset()          { *f = nil }
-func (f *fifo) Grow(n int)      { *f = append(make(fifo, 0, len(*f)+n), *f...) }
 
 func (s *walkState) state(c *Codec) {
 	c.Section("TEST")
@@ -38,7 +28,6 @@ func (s *walkState) state(c *Codec) {
 	Slice(c, &s.queue, 1, c.U16)
 	Map(c, &s.sizes, 1+1, c.U64, c.U8)
 	Map(c, &s.lazy, 1+1, c.U64, c.U8)
-	Ring(c, &s.ring, 1, c.I64)
 	if Opt(c, &s.hist) {
 		c.I64(&s.hist[0])
 		c.I64(&s.hist[1])
@@ -47,7 +36,7 @@ func (s *walkState) state(c *Codec) {
 
 func TestCodecWalkRoundTrip(t *testing.T) {
 	src := &walkState{created: -7, col: -1, next: 3, queue: []uint16{9, 8},
-		sizes: map[uint64]uint8{30: 3, 10: 1, 20: 2}, ring: fifo{5, 6, 7}, hist: &[2]int64{1, 2}}
+		sizes: map[uint64]uint8{30: 3, 10: 1, 20: 2}, hist: &[2]int64{1, 2}}
 	data := Encode(src.state)
 
 	// The map travels in ascending key order whatever the iteration order.
@@ -55,7 +44,7 @@ func TestCodecWalkRoundTrip(t *testing.T) {
 		t.Fatal("two encodings of one state differ")
 	}
 
-	dst := &walkState{queue: []uint16{1, 2, 3}, sizes: map[uint64]uint8{99: 9}, ring: fifo{4}}
+	dst := &walkState{queue: []uint16{1, 2, 3}, sizes: map[uint64]uint8{99: 9}}
 	dec, err := NewDecoder(data)
 	if err != nil {
 		t.Fatal(err)
@@ -67,8 +56,8 @@ func TestCodecWalkRoundTrip(t *testing.T) {
 	if dst.created != -7 || dst.col != -1 || dst.next != 3 {
 		t.Errorf("scalars: %+v", dst)
 	}
-	if len(dst.queue) != 2 || dst.queue[1] != 8 || len(dst.ring) != 3 || dst.ring[2] != 7 {
-		t.Errorf("sequences: queue %v ring %v", dst.queue, dst.ring)
+	if len(dst.queue) != 2 || dst.queue[1] != 8 {
+		t.Errorf("sequence: queue %v", dst.queue)
 	}
 	if len(dst.sizes) != 3 || dst.sizes[20] != 2 || dst.sizes[99] != 0 {
 		t.Errorf("map: %v", dst.sizes)
@@ -196,7 +185,7 @@ func sectioned(parts *[3]walkState) func(*Codec) {
 func TestSectionsDecodeIndependently(t *testing.T) {
 	src := [3]walkState{
 		{created: 1, queue: []uint16{1}},
-		{created: 2, sizes: map[uint64]uint8{4: 4, 2: 2}, ring: fifo{7, 8, 9}},
+		{created: 2, sizes: map[uint64]uint8{4: 4, 2: 2}, queue: []uint16{7, 8, 9}},
 		{created: 3, col: -1, hist: &[2]int64{5, 6}},
 	}
 	data := Encode(sectioned(&src))
@@ -208,7 +197,7 @@ func TestSectionsDecodeIndependently(t *testing.T) {
 	if sectioned(&dst)(dec); dec.Close() != nil {
 		t.Fatalf("decode: %v", dec.Err())
 	}
-	if dst[0].created != 1 || dst[1].sizes[4] != 4 || dst[1].ring[2] != 9 || dst[2].hist[1] != 6 {
+	if dst[0].created != 1 || dst[1].sizes[4] != 4 || dst[1].queue[2] != 9 || dst[2].hist[1] != 6 {
 		t.Fatalf("sections decoded to %+v", dst)
 	}
 	if again := Encode(sectioned(&dst)); string(again) != string(data) {
@@ -237,7 +226,7 @@ func TestSectionsDecodeIndependently(t *testing.T) {
 // section lengths left unpatched, across many flushes of its buffer and
 // from one walk to the next.
 func TestHasherDigestsTheSnapshot(t *testing.T) {
-	src := &walkState{created: 5, queue: []uint16{1, 2, 3}, sizes: map[uint64]uint8{7: 1, 3: 2}, ring: fifo{9}}
+	src := &walkState{created: 5, queue: []uint16{1, 2, 3}, sizes: map[uint64]uint8{7: 1, 3: 2}}
 	long := strings.Repeat("stash", 3*scratchSize)
 	const sections = 3
 	walk := func(c *Codec) {
