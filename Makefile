@@ -34,9 +34,11 @@ test:
 	$(GO) test -C bench ./...
 
 # Race-detector pass (tier-1 alongside vet); the executor's barrier
-# protocol, the worker-crossing link slabs and the shared observability
+# protocol, the worker-crossing link stages and the shared observability
 # sinks (tracer, telemetry server, a profiler shared by sweep points) are
-# the paths it guards. -short skips the multi-minute simulation sweeps
+# the paths it guards. The first line races the crossing path alone, in
+# seconds, so a race there cannot hide behind the second's timeout.
+# -short skips the multi-minute simulation sweeps
 # (they run unshortened in `make test` and add no concurrency coverage).
 # Last measured on a 2-CPU host once restore decoded the switches'
 # sections in parallel and Pool.Audit stopped allocating: 30m11s, failing
@@ -51,6 +53,7 @@ test:
 # left is walking every list of every switch, most of them empty. The
 # timeout stays at 30 minutes, past go test's 10-minute default.
 race:
+	$(GO) test -race -count=1 -run 'TestParallelStepRace|TestBlocksIndependentOfWorkers' ./internal/network
 	$(GO) test -race -short -timeout 30m ./...
 
 # CLI-scale end-to-end smoke: TestCLISmoke runs the real flag sets in

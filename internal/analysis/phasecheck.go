@@ -21,7 +21,7 @@ import (
 //     phase;
 //   - every field the parallel phase writes is accounted for: annotated
 //     owner-private (`owner worker|partition`), annotated parallel-safe
-//     (`phase parallel`: atomics, mutex-protected, link staging slabs), of a
+//     (`phase parallel`: atomics, mutex-protected, link stages), of a
 //     sync/atomic type, or a local value;
 //   - a type implementing an interface whose method is annotated with a
 //     phase carries the same annotation on its own method, so the

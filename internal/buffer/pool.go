@@ -45,6 +45,11 @@ type Pool[T any] struct {
 
 	cell  T             // the value a decoding walk fills (fill); not state
 	audit *poolAudit[T] // Audit's scratch, made by the first audit; not state
+
+	// view is the chunk directory as of the last Publish, through which
+	// CopyTo reads from another goroutine while the pool's own goroutine
+	// may be growing chunks; not state.
+	view []*[PoolChunk]poolSlot[T]
 }
 
 // poolAudit is Audit's scratch, kept from one audit to the next so that an
@@ -263,13 +268,20 @@ func (l *List[T]) Head() int32 { return l.head }
 //stashsim:noalloc
 func (p *Pool[T]) Next(i int32) int32 { return p.slot(i).next }
 
-// Reset frees every slot of the list.
+// Reset frees every slot of the list at once, splicing the list onto the
+// pool's free stack, so the next pushes take its slots, oldest first,
+// before the pool takes a chunk.
 //
 //stashsim:noalloc
 func (l *List[T]) Reset(p *Pool[T]) {
-	for l.n > 0 {
-		p.Take(l.Unlink(p))
+	if l.n == 0 {
+		return
 	}
+	p.slot(l.tail).next = p.free
+	p.free = l.head
+	p.nfree += l.n
+	p.used -= l.n
+	l.n = 0
 }
 
 // Len returns the number of queued values.
@@ -379,20 +391,36 @@ func (l *TimedList[T]) PopDue(p *Pool[T], now int64) (v T, ok bool) {
 	return s.v, true
 }
 
-// Reset frees every slot of the list.
+// Reset frees every slot of the list at once, as List.Reset does.
+//
+//stashsim:noalloc
 func (l *TimedList[T]) Reset(p *Pool[T]) { l.l.Reset(p) }
+
+// CopyTo appends a copy of every entry of l, a list of pool p, to dst in
+// pool dp, oldest first, each with its due cycle, and leaves l as it is.
+// It reads p through the chunk directory of p's last Publish, so it may run
+// on another goroutine than the one pushing into p, provided every slot of
+// l was taken before that Publish and stays on l until the copy is done:
+// the chunks never move, and grow only rewrites the directory.
+//
+//stashsim:noalloc
+func (l *TimedList[T]) CopyTo(p *Pool[T], dst *TimedList[T], dp *Pool[T]) {
+	at := l.nextAt
+	for k, i := int32(0), l.l.head; k < l.l.n; k++ {
+		s := &p.view[i>>chunkBits][i&(PoolChunk-1)]
+		dst.Push(dp, at, s.v)
+		i, at = s.next, s.succAt
+	}
+}
+
+// Publish records the pool's chunk directory for CopyTo. Call it while no
+// goroutine is taking slots of the pool: at a barrier.
+func (p *Pool[T]) Publish() { p.view = p.chunks }
 
 // Slots returns the list's slots as a plain List, for Pool.Audit and for a
 // walk in queue order (List.Head, Pool.Next). Linking or unlinking through
 // it would bypass the due-cycle mirrors.
 func (l *TimedList[T]) Slots() *List[T] { return &l.l }
-
-// Entry is one value of a TimedList as a link's staging slab holds it: the
-// value and the cycle it comes due.
-type Entry[T any] struct {
-	V  T
-	At int64
-}
 
 // flitMin is the fewest bytes a walked flit takes: a tag that predicts it
 // whole.

@@ -13,51 +13,85 @@ import (
 // driveTimedList runs, each kind over one pool.
 const timedPaths = 3
 
+// timedKinds is the number of op kinds driveTimedList knows.
+const timedKinds = 10
+
+// timedArgMax is the largest argument an op byte of kind carries: 25 for
+// kinds 0..5, 24 for kinds 6..9.
+func timedArgMax(kind int) int { return (math.MaxUint8 - kind) / timedKinds }
+
+// timedOp is the op byte of a kind and an argument of at most
+// timedArgMax(kind).
+func timedOp(kind, arg int) byte {
+	if arg < 0 || arg > timedArgMax(kind) {
+		panic("timedOp: argument out of range")
+	}
+	return byte(arg*timedKinds + kind)
+}
+
 // driveTimedList replays one op stream against timedPaths flit paths and
-// timedPaths credit paths, each kind threaded through one pool, and a plain
+// timedPaths credit paths, each kind threaded through one pool, a plain
 // FlitList in the flit pool that due flits are relinked onto, the way a
-// switch's input buffer takes its arrivals. A timedModel, a slice of
-// entries, is the reference for every path, a slice for the plain list.
-// After every op it checks each path's Len, NextAt, FrontDue and Front and
-// its entries along its links, both pools' accounting through Audit, and
-// that neither pool's capacity passes its high-water mark rounded up to a
-// chunk.
+// switch's input buffer takes its arrivals, and a landing flit path and
+// landing credit path in a second pool of each kind that paths are copied
+// onto, the way a worker-crossing link's receiver takes a staged epoch. A
+// timedModel, a slice of entries, is the reference for every path, a slice
+// for the plain list. After every op it checks each path's Len, NextAt,
+// FrontDue and Front and its entries along its links, all four pools'
+// accounting through Audit, and that no pool's capacity passes its
+// high-water mark rounded up to a chunk.
 //
-// Each op byte is a kind (top three bits) and an argument (low five), whose
-// low bits name path a. The kinds: push a flit on a, due 0..3 cycles after
-// its newest entry; push a credit on a, due 0..1 cycles after its newest
-// entry; advance the clock 0..31 cycles and pop every due flit of a; pop
-// one due credit of a; relink
-// a's due front onto the plain list; push a burst of flits on a at one due
-// cycle, which crosses chunk boundaries; take a flit or credit path
+// Each op byte is a kind (the byte modulo timedKinds) and an argument (the
+// quotient, 0..25), whose remainder by timedPaths names path a, and whose
+// bit 16 picks the credit path over the flit path for the kinds that take
+// either. The kinds: push a flit on a, due 0..3 cycles after its newest
+// entry; push a credit on a, due 0..1 cycles after its newest entry;
+// advance the clock 0..25 cycles and pop every due flit of a; pop one due
+// credit of a; relink a's due front onto the plain list; push a burst of
+// flits on a at one due cycle, which crosses chunk boundaries; take path a
 // through a checkpoint round trip, which must take no chunk; pop the plain
-// list.
+// list; publish a's pool, push onto the next path (which may take a chunk
+// the published directory lacks) and copy a onto its landing path, leaving
+// a as it was; free a whole and refill it with as many entries, which must
+// take exactly the freed slots.
 func driveTimedList(t *testing.T, ops []byte) {
 	t.Helper()
 	var (
-		fp     FlitPool
-		cp     Pool[proto.Credit]
-		flits  [timedPaths]TimedList[proto.Flit]
-		creds  [timedPaths]TimedList[proto.Credit]
-		fmodel [timedPaths]timedModel[proto.Flit]
-		cmodel [timedPaths]timedModel[proto.Credit]
-		plain  FlitList
-		pmodel []uint64
-		now    int64
-		next   uint64
+		fp, fp2 FlitPool
+		cp, cp2 Pool[proto.Credit]
+		flits   [timedPaths]TimedList[proto.Flit]
+		creds   [timedPaths]TimedList[proto.Credit]
+		fmodel  [timedPaths]timedModel[proto.Flit]
+		cmodel  [timedPaths]timedModel[proto.Credit]
+		fland   TimedList[proto.Flit]
+		cland   TimedList[proto.Credit]
+		flmodel timedModel[proto.Flit]
+		clmodel timedModel[proto.Credit]
+		plain   FlitList
+		pmodel  []uint64
+		now     int64
+		next    uint64
 	)
 	// due returns a deadline d cycles after the newest of back, or after
 	// now when back is empty.
 	due := func(back int64, d int64) int64 { return max(now+1, back) + d }
-	pushFlit := func(a int, at int64) {
-		f := proto.Flit{PktID: next, Size: 1}
+	newFlit := func() proto.Flit {
 		next++
+		return proto.Flit{PktID: next - 1, Size: 1}
+	}
+	newCredit := func() proto.Credit {
+		next++
+		return proto.Credit{VC: uint8(next % proto.NumNetVCs), Shared: next%2 == 0}
+	}
+	pushFlit := func(a int, at int64) {
+		f := newFlit()
 		flits[a].Push(&fp, at, f)
 		fmodel[a].push(at, f)
 	}
 	for step, op := range ops {
-		kind, arg := op>>5, int(op&31)
-		a := arg % timedPaths
+		kind, arg := int(op)%timedKinds, int(op)/timedKinds
+		a, b := arg%timedPaths, (arg+1)%timedPaths
+		credit := arg&16 != 0
 		switch kind {
 		case 0:
 			pushFlit(a, due(fmodel[a].back(), int64(arg/timedPaths)%4))
@@ -97,7 +131,7 @@ func driveTimedList(t *testing.T, ops []byte) {
 			}
 		case 6:
 			capacity := fp.Cap() + cp.Cap()
-			if arg&16 == 0 {
+			if !credit {
 				replayPath(t, step, &fp, &flits[a], (*snapshot.Codec).Flit)
 			} else {
 				replayPath(t, step, &cp, &creds[a], func(c *snapshot.Codec, cr *proto.Credit) {
@@ -115,12 +149,26 @@ func driveTimedList(t *testing.T, ops []byte) {
 				}
 				pmodel = pmodel[1:]
 			}
+		case 8:
+			if !credit {
+				copyPath(&fp, &flits[a], fmodel[a], &flits[b], &fmodel[b], newFlit(), &fp2, &fland, &flmodel)
+			} else {
+				copyPath(&cp, &creds[a], cmodel[a], &creds[b], &cmodel[b], newCredit(), &cp2, &cland, &clmodel)
+			}
+		case 9:
+			if !credit {
+				resetPath(t, step, &fp, &flits[a], &fmodel[a], now+1, newFlit)
+			} else {
+				resetPath(t, step, &cp, &creds[a], &cmodel[a], now+1, newCredit)
+			}
 		}
 
 		for k := 0; k < timedPaths; k++ {
 			checkPath(t, step, "flit", &fp, &flits[k], fmodel[k], now)
 			checkPath(t, step, "credit", &cp, &creds[k], cmodel[k], now)
 		}
+		checkPath(t, step, "landing flit", &fp2, &fland, flmodel, now)
+		checkPath(t, step, "landing credit", &cp2, &cland, clmodel, now)
 		if plain.Len() != len(pmodel) {
 			t.Fatalf("step %d: plain list Len %d, model holds %d", step, plain.Len(), len(pmodel))
 		}
@@ -142,18 +190,75 @@ func driveTimedList(t *testing.T, ops []byte) {
 				}
 			})
 		}
+		if err == nil {
+			err = fp2.Audit(func(visit func(*FlitList)) { visit(fland.Slots()) })
+		}
+		if err == nil {
+			err = cp2.Audit(func(visit func(*List[proto.Credit])) { visit(cland.Slots()) })
+		}
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		checkPoolSize(t, step, fp.Cap(), fp.Peak())
 		checkPoolSize(t, step, cp.Cap(), cp.Peak())
+		checkPoolSize(t, step, fp2.Cap(), fp2.Peak())
+		checkPoolSize(t, step, cp2.Cap(), cp2.Peak())
 	}
 }
 
-// timedModel is the reference for a path: its entries, oldest first.
-type timedModel[T any] []Entry[T]
+// copyPath publishes pool p, pushes v onto path o (model om) — which may
+// take a chunk past the published directory, as a sender pushes on while
+// its receiver copies — and copies path l, whose model is m, onto the
+// landing path dst of pool dp, whose model dm gains m's entries.
+func copyPath[T any](p *Pool[T], l *TimedList[T], m timedModel[T], o *TimedList[T], om *timedModel[T], v T, dp *Pool[T], dst *TimedList[T], dm *timedModel[T]) {
+	p.Publish()
+	at := max(om.back(), 0) + 1
+	o.Push(p, at, v)
+	om.push(at, v)
+	l.CopyTo(p, dst, dp)
+	*dm = append(*dm, m...)
+}
 
-func (m *timedModel[T]) push(at int64, v T) { *m = append(*m, Entry[T]{V: v, At: at}) }
+// resetPath frees path l of pool p whole and refills it with as many
+// values from mk, due at at: the pool's count in use must drop by the
+// path's length, and the refill must take exactly the freed slots.
+func resetPath[T any](t *testing.T, step int, p *Pool[T], l *TimedList[T], m *timedModel[T], at int64, mk func() T) {
+	t.Helper()
+	n, inUse, capacity := l.Len(), p.InUse(), p.Cap()
+	freed := make(map[int32]bool, n)
+	for k, i := 0, l.Slots().Head(); k < n; k, i = k+1, p.Next(i) {
+		freed[i] = true
+	}
+	l.Reset(p)
+	if !l.Empty() || p.InUse() != inUse-n {
+		t.Fatalf("step %d: freeing a path of %d: Len %d, in use %d -> %d", step, n, l.Len(), inUse, p.InUse())
+	}
+	*m = (*m)[:0]
+	for range n {
+		v := mk()
+		l.Push(p, at, v)
+		m.push(at, v)
+	}
+	for k, i := 0, l.Slots().Head(); k < n; k, i = k+1, p.Next(i) {
+		if !freed[i] {
+			t.Fatalf("step %d: refilling a freed path of %d took slot %d, not a freed one", step, n, i)
+		}
+	}
+	if p.Cap() != capacity {
+		t.Fatalf("step %d: refilling a freed path of %d grew the pool from %d to %d slots", step, n, capacity, p.Cap())
+	}
+}
+
+// timedEntry is one entry of a timedModel: a value and its due cycle.
+type timedEntry[T any] struct {
+	V  T
+	At int64
+}
+
+// timedModel is the reference for a path: its entries, oldest first.
+type timedModel[T any] []timedEntry[T]
+
+func (m *timedModel[T]) push(at int64, v T) { *m = append(*m, timedEntry[T]{V: v, At: at}) }
 
 // popDue removes and returns the oldest value if it is due by now.
 func (m *timedModel[T]) popDue(now int64) (v T, ok bool) {
@@ -201,7 +306,7 @@ func checkPath[T comparable](t *testing.T, step int, kind string, p *Pool[T], l 
 	}
 	at := l.nextAt
 	for j, i := 0, l.Slots().Head(); j < l.Len(); j, i = j+1, p.Next(i) {
-		if got := (Entry[T]{V: *p.Get(i), At: at}); got != m[j] {
+		if got := (timedEntry[T]{V: *p.Get(i), At: at}); got != m[j] {
 			t.Fatalf("step %d: %s path entry %d is due %d, model %d", step, kind, j, got.At, m[j].At)
 		}
 		at = p.slot(i).succAt
@@ -221,23 +326,26 @@ func checkPoolSize(t *testing.T, step, capacity, peak int) {
 }
 
 // TestTimedListModel drives the paths with seeded random op streams of
-// three shapes: balanced churn, bursts that cross chunk boundaries with
-// replays and relinks, and credit coalescing.
+// four shapes: balanced churn, bursts that cross chunk boundaries with
+// replays and relinks, credit coalescing, and a stage's life — bursts
+// copied to a second pool and freed whole.
 func TestTimedListModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 200; round++ {
 		ops := make([]byte, 200)
 		for i := range ops {
-			kind := byte(rng.Intn(8))
-			switch round % 3 {
+			kind := rng.Intn(timedKinds)
+			switch round % 4 {
 			case 1: // bursts, replays, relinks and drains
-				kind = []byte{5, 6, 2, 4, 5, 7}[i%6]
+				kind = []int{5, 6, 2, 4, 5, 7}[i%6]
 			case 2: // mostly credits
 				if rng.Intn(3) > 0 {
-					kind = []byte{1, 3}[rng.Intn(2)]
+					kind = []int{1, 3}[rng.Intn(2)]
 				}
+			case 3: // staged epochs: bursts and credits, copied, then freed
+				kind = []int{5, 1, 8, 1, 8, 9, 0, 9}[i%8]
 			}
-			ops[i] = kind<<5 | byte(rng.Intn(32))
+			ops[i] = timedOp(kind, rng.Intn(timedArgMax(kind)+1))
 		}
 		driveTimedList(t, ops)
 	}
@@ -245,9 +353,11 @@ func TestTimedListModel(t *testing.T) {
 
 // FuzzTimedList is driveTimedList over arbitrary op streams.
 func FuzzTimedList(f *testing.F) {
-	f.Add([]byte{0x00, 0x01, 0x02, 0x21, 0x21, 0x24, 0x5f, 0x80, 0x60, 0xe0}) // flits and coalesced credits, a clock jump, a relink, pops
-	f.Add([]byte{0xbf, 0xbf, 0xc0, 0xd0, 0x5f, 0x83, 0x86, 0xff})             // bursts past two chunks, replays of both kinds, drains
-	f.Add([]byte{0x20, 0x23, 0x26, 0x29, 0xd0, 0x7f, 0x60, 0x60, 0xd3})       // credits coalescing and not, replay, pops
+	op := timedOp
+	f.Add([]byte{op(0, 0), op(0, 1), op(0, 2), op(1, 1), op(1, 1), op(1, 4), op(2, 25), op(4, 0), op(3, 0), op(7, 0)}) // flits and coalesced credits, a clock jump, a relink, pops
+	f.Add([]byte{op(5, 25), op(5, 25), op(5, 13), op(6, 0), op(6, 16), op(2, 25), op(4, 3), op(4, 6), op(7, 24)})      // bursts that fill a chunk and cross into the next, replays of both kinds, drains
+	f.Add([]byte{op(1, 0), op(1, 3), op(1, 6), op(1, 9), op(6, 16), op(3, 25), op(3, 0), op(3, 0), op(6, 19)})         // credits coalescing and not, replay, pops
+	f.Add([]byte{op(5, 24), op(5, 24), op(8, 0), op(1, 16), op(8, 16), op(9, 0), op(5, 3), op(9, 16), op(8, 3)})       // a staged burst copied and freed, credits too, refills
 	f.Fuzz(driveTimedList)
 }
 

@@ -42,19 +42,26 @@ import (
 //     holds with "epoch" for "cycle": an epoch is never longer than the
 //     Latency of a link between blocks, so the entry is not due before the
 //     next epoch, whichever block runs first.
-//   - Ends on different workers: the link carries a stage (linkStage), and
-//     the producer appends the push to the stage's slab of the current
-//     epoch's parity; the consumer's worker drains the other slab —
-//     everything staged last epoch — into its own pool right after the
-//     epoch barrier (DrainEpochFlits/DrainEpochCredits), which is when the
-//     consumer's slots are lowered. The two sides never touch the same
-//     slab between barriers, and an epoch is never longer than Latency, so
-//     an entry staged during epoch e is not due before epoch e+1 drains it.
+//   - Ends on different workers: the link carries a stage (linkStage), two
+//     timed lists per direction, one per epoch parity, held by the side
+//     that pushes — the flits in the producing switch's group's flit pool,
+//     the credits in the consuming switch's group's credit pool — and a
+//     push goes onto the list of the current epoch's parity. Right after
+//     the barrier that ends epoch e, the receiving worker copies the list
+//     staged during e onto its path in its own pool (LandFlits/
+//     LandCredits), which is when its slots are lowered; the staged slots
+//     stay the sender's. Right after the next barrier, the sending worker
+//     frees that list whole (FreeFlits/FreeCredits) before it pushes onto
+//     that parity again. So a staged entry holds a slot of its sender's
+//     group for two epochs at most, drawn from the supply every other
+//     queue of that group shares. The two sides never touch the same list
+//     between barriers, and an epoch is never longer than Latency, so an
+//     entry staged during epoch e is not due before epoch e+1 lands it.
 //
 // Serial code reads the paths only. Whatever reads the wire at a barrier —
 // a checkpoint or digest walk, the invariant audit, a repartition — is
-// preceded by the network draining both slabs of every staged link onto
-// the paths, so the stage is the epoch executor's business alone.
+// preceded by the network landing and freeing both lists of every staged
+// link, so the stage is the epoch executor's business alone.
 //
 // Link fields are parallel-phase state by design: race-free by the rules
 // above rather than by single ownership.
@@ -81,8 +88,8 @@ type Link struct {
 	flitWake *int64
 	flitDue  *int64 //stashsim:transient -- wiring; the consuming switch's port slot, set when the link is attached
 
-	// stage, when non-nil, marks a worker-crossing link: pushes append to
-	// its slab of the current epoch's parity. It is set only at a barrier
+	// stage, when non-nil, marks a worker-crossing link: pushes go onto
+	// its list of the current epoch's parity. It is set only at a barrier
 	// (Stage), on the links between two workers' groups, and nil on every
 	// other link.
 	//
@@ -115,17 +122,23 @@ type Link struct {
 }
 
 // linkStage is the staging of a worker-crossing link: each direction's
-// slabs by epoch parity, and clock, the executor's epoch counter (a typed
-// atomic, read with Load), whose parity picks the slab a push appends to.
-// The producer's worker appends to one slab while the consumer's drains
-// the other; like Link, it is race-free by that rule rather than by single
+// lists by epoch parity, in the pool of the side that pushes them (fp, the
+// producing switch's group's; cp, the consuming switch's group's), and
+// clock, the executor's epoch counter (a typed atomic, read with Load),
+// whose parity picks the list a push goes onto. A list's sender pushes
+// onto it and frees it, its receiver copies it; the barriers keep the two
+// apart, and a receiver reads the sender's pool only through the chunk
+// directory the network publishes at every barrier (buffer.Pool.Publish).
+// Like Link, it is race-free by those rules rather than by single
 // ownership.
 //
 //stashsim:phase parallel
 type linkStage struct {
 	clock *atomic.Int64
-	flits [2][]timedFlit
-	creds [2][]timedCredit
+	flits [2]buffer.TimedList[proto.Flit]
+	creds [2]creditPath
+	fp    *buffer.FlitPool
+	cp    *CreditPool
 }
 
 // NewLink builds a bare link with the given one-way latency in cycles, in
@@ -197,8 +210,7 @@ func (l *Link) SendFlit(now int64, f proto.Flit) {
 	}
 	at := now + l.Latency
 	if st := l.stage; st != nil {
-		s := st.clock.Load() & 1
-		st.flits[s] = append(st.flits[s], timedFlit{At: at, V: f})
+		st.flits[st.clock.Load()&1].Push(st.fp, at, f)
 		return
 	}
 	l.flits.Push(l.fp, at, f)
@@ -212,8 +224,7 @@ func (l *Link) SendFlit(now int64, f proto.Flit) {
 func (l *Link) SendCredit(now int64, c proto.Credit) {
 	at := now + l.Latency
 	if st := l.stage; st != nil {
-		s := st.clock.Load() & 1
-		st.creds[s] = append(st.creds[s], timedCredit{At: at, V: c})
+		st.creds[st.clock.Load()&1].Push(st.cp, at, c)
 		return
 	}
 	l.credits.Push(l.cp, at, c)
@@ -251,60 +262,69 @@ func (l *Link) NextFlitAt() int64 { return l.flits.NextAt() }
 func (l *Link) NextCreditAt() int64 { return min(l.credits.NextAt(), l.synth.NextAt()) }
 
 // Stage selects the link's delivery form: a non-nil clock (the executor's
-// epoch counter) gives the link a stage and marks it worker-crossing, nil
-// drops the stage, for a link internal to one worker. Call only at a
-// barrier, when no component is stepping, and only after the network has
-// drained the stage onto the paths: an entry still staged would be lost.
+// epoch counter) gives the link a stage in the pools of its producing
+// switch's group, from, and its consuming switch's, to, and marks it
+// worker-crossing; nil drops the stage, for a link internal to one worker.
+// Call only at a barrier, when no component is stepping, and only after
+// the network has landed and freed the stage: an entry still staged would
+// be lost.
 //
 //stashsim:phase serial
-func (l *Link) Stage(clock *atomic.Int64) {
-	if st := l.stage; st != nil && len(st.flits[0])+len(st.flits[1])+len(st.creds[0])+len(st.creds[1]) > 0 {
+func (l *Link) Stage(clock *atomic.Int64, from, to *Pools) {
+	if st := l.stage; st != nil && st.flits[0].Len()+st.flits[1].Len()+st.creds[0].Len()+st.creds[1].Len() > 0 {
 		panic("core: restaging a link with entries staged")
 	}
 	if clock == nil {
 		l.stage = nil
 		return
 	}
-	l.stage = &linkStage{clock: clock}
+	l.stage = &linkStage{clock: clock, fp: &from.flits, cp: &to.creds}
 }
 
 // Staged reports whether the link is in the worker-crossing form.
 // Audit-only, like InFlightFlits.
 func (l *Link) Staged() bool { return l.stage != nil }
 
-// DrainEpochFlits moves one staging slab onto the forward path, in the
-// consumer's pool, at an epoch boundary and wakes the consumer for the
-// path's first due cycle. The caller (the consumer worker's drain, running
-// after the epoch barrier ordered the remote producer's slab writes before
-// this read) passes the slab the producer filled during the *previous*
-// epoch; the producer is now staging into the other one. The network's
-// flush at a barrier drains both, the older first. Entries come out in
-// push order, which is arrival order because Latency is constant.
+// LandFlits copies the flits staged under parity p onto the forward path,
+// in the consumer's pool, and wakes the consumer for the path's first due
+// cycle. The caller (the consumer worker's drain, running after the epoch
+// barrier ordered the remote producer's pushes before this read) passes
+// the parity the producer staged during the *previous* epoch; the producer
+// is now staging onto the other one. Entries come out in push order, which
+// is arrival order because Latency is constant. The staged slots stay in
+// the producer's pool until FreeFlits.
 //
 //stashsim:phase parallel
 //stashsim:noalloc
-func (l *Link) DrainEpochFlits(slab int) {
-	in := l.stage.flits[slab]
-	for i := range in {
-		l.flits.Push(l.fp, in[i].At, in[i].V)
-	}
-	l.stage.flits[slab] = in[:0]
+func (l *Link) LandFlits(p int) {
+	st := l.stage
+	st.flits[p].CopyTo(st.fp, &l.flits, l.fp)
 	l.flitsDue(l.NextFlitAt())
 }
 
-// DrainEpochCredits is DrainEpochFlits for the reverse path, run by the
-// worker of the link's producer — the credits' consumer.
+// LandCredits is LandFlits for the reverse path, run by the worker of the
+// link's producer — the credits' consumer.
 //
 //stashsim:phase parallel
 //stashsim:noalloc
-func (l *Link) DrainEpochCredits(slab int) {
-	in := l.stage.creds[slab]
-	for i := range in {
-		l.credits.Push(l.cp, in[i].At, in[i].V)
-	}
-	l.stage.creds[slab] = in[:0]
+func (l *Link) LandCredits(p int) {
+	st := l.stage
+	st.creds[p].CopyTo(st.cp, &l.credits, l.cp)
 	l.creditsDue(l.NextCreditAt())
 }
+
+// FreeFlits frees the flits staged under parity p, landed an epoch ago,
+// in one splice onto the producer's pool's free stack: the producer's
+// worker runs it before staging onto p again. FreeCredits is the same for
+// the credits, run by the consumer's worker.
+//
+//stashsim:phase parallel
+//stashsim:noalloc
+func (l *Link) FreeFlits(p int) { l.stage.flits[p].Reset(l.stage.fp) }
+
+//stashsim:phase parallel
+//stashsim:noalloc
+func (l *Link) FreeCredits(p int) { l.stage.creds[p].Reset(l.stage.cp) }
 
 // RecvFlit returns the next flit whose arrival time has passed.
 //
@@ -379,14 +399,12 @@ func (l *Link) RecvCreditsInto(now int64, cc *buffer.CreditCounter) int {
 	return foldCredits(&l.credits, l.cp, now, cc) + foldCredits(&l.synth, l.cp, now, cc)
 }
 
-// timedCredit is one credit on the wire, due at its At, and a creditPath a
-// link's credit direction, the credits in due order. A CreditPool is a
-// group's storage of the credits on the wire, one slot each.
+// A creditPath is a link's credit direction, the credits in due order. A
+// CreditPool is a group's storage of the credits on the wire, one slot
+// each.
 type (
-	timedFlit   = buffer.Entry[proto.Flit]
-	timedCredit = buffer.Entry[proto.Credit]
-	creditPath  = buffer.TimedList[proto.Credit]
-	CreditPool  = buffer.Pool[proto.Credit]
+	creditPath = buffer.TimedList[proto.Credit]
+	CreditPool = buffer.Pool[proto.Credit]
 )
 
 // foldCredits folds every due credit of path into cc and returns their

@@ -272,8 +272,9 @@ type Switch struct {
 // from — the input DAMQs, the row and column buffers, the output buffers,
 // the stash retrieval queues and retained payloads, the endpoints' ACK
 // queues — together with every flit on the wire towards the group's
-// switches or endpoints; the credit pool of every credit on the wire
-// towards them; the pool of the switches' side-band messages; and the
+// switches or endpoints and every flit they stage towards another worker's
+// (Link); the credit pool of every credit on the wire towards them and
+// every credit they stage; the pool of the switches' side-band messages; and the
 // pools of the endpoints' send-queue packets and resend items. So a stage
 // move and a link arrival relink a slot, and only a push onto a link, a
 // stash copy or a retransmission copies a flit in. One worker steps a whole
@@ -294,6 +295,16 @@ type Pools struct {
 func (p *Pools) Flits() *buffer.FlitPool             { return &p.flits }
 func (p *Pools) Sends() *buffer.Pool[proto.PktDesc]  { return &p.sends }
 func (p *Pools) Resends() *buffer.Pool[proto.Resend] { return &p.resends }
+
+// Publish records the chunk directories of the flit and credit pools, the
+// ones other workers copy staged entries out of (Link.LandFlits). Call it
+// at a barrier.
+//
+//stashsim:phase serial
+func (p *Pools) Publish() {
+	p.flits.Publish()
+	p.creds.Publish()
+}
 
 // NewSwitch builds switch id under the shared configuration, drawing on
 // pools, its group's storage (nil: pools of its own). Links are attached

@@ -14,21 +14,25 @@ import (
 // anything another sends, and the blocks may be stepped one after another,
 // each through the whole epoch, or on several workers at once (see
 // sim.Executor). The W workers each own a contiguous run of blocks. Links
-// that cross between workers stage an epoch's flits and credits in per-link
-// parity slabs that the receiving worker drains right after the barrier
-// (core.Link.Stage); every other link — inside a block or between two
-// blocks of one worker — has both ends on one goroutine and pushes
-// directly. One worker has no staged links and no barrier: that is serial
+// that cross between workers stage an epoch's flits and credits on lists in
+// the sending group's pools, one per epoch parity, which the receiving
+// worker copies onto its paths right after the barrier and the sending
+// worker frees after the next (core.Link.Stage); every other link —
+// inside a block or between two blocks of one worker — has both ends on
+// one goroutine and pushes directly. One worker has no staged links and no barrier: that is serial
 // execution, and it steps block by block like any other. Serial singletons
 // keep their cycle-exact semantics because epochs are additionally cut on
 // one schedule (beforeEpoch): after a cycle an Observer named, before a
 // cycle an action is due.
 
-// partitionDrainer delivers one worker's share of the staged traffic: the
-// flit side of every worker-crossing link whose consumer the worker owns,
-// and the credit side of every one whose producer it owns. Both sides land
-// in pools, and lower wake slots, owned by this worker's switches, so the
-// drain is single-writer by construction.
+// partitionDrainer is one worker's share of the staged traffic: flits
+// holds every worker-crossing link whose consumer the worker owns (it
+// lands their flits and frees the credits it staged), creds every one
+// whose producer it owns (it lands their credits and frees the flits it
+// staged). So it frees only lists in its own groups' pools and lands only
+// on its own groups' paths and wake slots; the lists it copies from, in
+// another worker's pools, that worker leaves alone until the next
+// barrier.
 //
 //stashsim:owner partition
 type partitionDrainer struct {
@@ -36,37 +40,64 @@ type partitionDrainer struct {
 	creds []*core.Link
 }
 
-// DrainEpoch implements sim.EpochDrainer: deliver the slab the remote
-// sides filled during the previous epoch ((epoch-1)&1 — producers now
-// stage into the other slab), waking the owning switches.
+// DrainEpoch implements sim.EpochDrainer at the start of epoch epoch: free
+// the lists this worker staged two epochs ago (epoch&1), which the other
+// side landed at the last epoch's start, before anything is staged on
+// them again, then land the lists the other side staged during the last
+// epoch ((epoch-1)&1), waking the owning switches. Freeing first lets the
+// landing reuse the slots.
 //
 //stashsim:phase parallel
 //stashsim:noalloc
 func (d *partitionDrainer) DrainEpoch(epoch int64) {
-	slab := int((epoch - 1) & 1)
+	mine, theirs := int(epoch&1), int((epoch-1)&1)
 	for _, l := range d.flits {
-		l.DrainEpochFlits(slab)
+		l.FreeCredits(mine)
 	}
 	for _, l := range d.creds {
-		l.DrainEpochCredits(slab)
+		l.FreeFlits(mine)
+	}
+	for _, l := range d.flits {
+		l.LandFlits(theirs)
+	}
+	for _, l := range d.creds {
+		l.LandCredits(theirs)
 	}
 }
 
 // flushWire lands every staged flit and credit of every worker-crossing
-// link on its path, as the epoch drain would: both parities, the older
-// first, so each path stays in arrival order, and each landing lowers the
-// consumer's slots. Serial code reads only the paths, so it runs first
-// wherever serial code reads the wire at a barrier: a checkpoint or digest
-// walk, the invariant audit and repartition. Nothing else calls it — a
-// barrier that reads nothing leaves the staged entries to the next epoch's
-// parallel drain.
+// link on its path and frees every stage list, as the next two epochs'
+// drains would: the first frees the parity landed at this epoch's start
+// and lands the one staged during it, the second frees that one. Each
+// runs over every worker's share before the next begins, since one
+// worker's drain frees what another's lands. Each landing lowers the
+// consumer's slots, and the pools are published first, for the copies.
+// Serial code reads only the paths, so it runs first wherever serial code
+// reads the wire at a barrier: a checkpoint or digest walk, the invariant
+// audit and repartition. Nothing else calls it — a barrier that reads
+// nothing leaves the staged entries to the next epoch's parallel drain.
 //
 //stashsim:phase serial -- writes the pools of every worker's groups; runs only at a barrier
 func (n *Network) flushWire() {
+	n.publishPools()
 	e := n.exec.EpochClock().Load()
-	for i := range n.drainers {
-		n.drainers[i].DrainEpoch(e)
-		n.drainers[i].DrainEpoch(e + 1)
+	for _, epoch := range [...]int64{e + 1, e + 2} {
+		for i := range n.drainers {
+			n.drainers[i].DrainEpoch(epoch)
+		}
+	}
+}
+
+// publishPools publishes every group's pools (core.Pools.Publish) when some
+// link is staged, so that the next drains reach every slot staged so far.
+//
+//stashsim:phase serial
+func (n *Network) publishPools() {
+	if n.drainers == nil {
+		return
+	}
+	for i := range n.pools {
+		n.pools[i].Publish()
 	}
 }
 
@@ -131,6 +162,7 @@ func (n *Network) repartition() {
 	// pushes at once.
 	n.drainers = nil
 	n.lookahead = 0
+	var crossing []*edge
 	for i := range n.edges {
 		e := &n.edges[i]
 		if e.class == topo.Endpoint {
@@ -142,7 +174,7 @@ func (n *Network) repartition() {
 		}
 		pw, cw := workerOf(sw), workerOf(nsw)
 		if pw == cw {
-			l.Stage(nil)
+			l.Stage(nil, nil, nil)
 			continue
 		}
 		if n.drainers == nil {
@@ -150,6 +182,7 @@ func (n *Network) repartition() {
 		}
 		n.drainers[cw].flits = append(n.drainers[cw].flits, l)
 		n.drainers[pw].creds = append(n.drainers[pw].creds, l)
+		crossing = append(crossing, e)
 	}
 	var drains []sim.EpochDrainer
 	for w := range n.drainers {
@@ -176,10 +209,8 @@ func (n *Network) repartition() {
 	n.exec.BeforeEpoch = n.beforeEpoch
 	n.exec.AfterEpoch = n.afterEpoch
 	n.exec.Profiler = n.Profiler
-	for _, d := range n.drainers {
-		for _, l := range d.flits {
-			l.Stage(n.exec.EpochClock())
-		}
+	for _, e := range crossing {
+		e.link.Stage(n.exec.EpochClock(), &n.pools[blockOf(int(e.from.sw))], &n.pools[blockOf(int(e.to.sw))])
 	}
 	// The wake table is derived state: a fresh one is all awake, and each
 	// component wires its slot into the links that feed it.
@@ -261,14 +292,17 @@ func (n *Network) beforeEpoch(now sim.Tick) (cut sim.Tick) {
 	return last + 1
 }
 
-// afterEpoch is the executor's AfterEpoch hook: advance the barrier
-// clock, credit the epoch's cycles to the switches' "cycles" tally (an
-// epoch starts where the last one, or Restore, left cycleDone), and run
-// the observers that named the epoch's last cycle. The components are
-// quiescent, so observers may walk live state.
+// afterEpoch is the executor's AfterEpoch hook: publish the pools the next
+// epoch's drains copy the staged entries out of (only Step stages, so the
+// directories reach every slot staged), advance the barrier clock, credit
+// the epoch's cycles to the switches' "cycles" tally (an epoch starts
+// where the last one, or Restore, left cycleDone), and run the observers
+// that named the epoch's last cycle. The components are quiescent, so
+// observers may walk live state.
 //
 //stashsim:phase serial -- the observers walk live state; only the coordinator may run it
 func (n *Network) afterEpoch(next sim.Tick) {
+	n.publishPools()
 	ran := int64(next) - n.cycleDone
 	n.cycleDone = int64(next)
 	n.epochs++

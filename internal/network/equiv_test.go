@@ -945,7 +945,7 @@ func TestSetWorkersMidRunExact(t *testing.T) {
 
 // TestStepAfterParallelRunExact: Step on a network whose workers are live
 // used to walk every component while crossing links were still in epoch
-// delivery, so nothing drained their slabs. Step is Run(1), the pattern
+// delivery, so nothing landed their stages. Step is Run(1), the pattern
 // trace.Replay drives.
 func TestStepAfterParallelRunExact(t *testing.T) {
 	check(t, "tiny", "faults-parity", row{workers: 4, hand: steps, at: handAt})

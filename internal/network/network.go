@@ -83,6 +83,13 @@ type Network struct {
 	//stashsim:transient -- executor wiring; snapshots are partition-canonical
 	drainers []partitionDrainer
 
+	// pools are the groups' storage, one core.Pools per group: repartition
+	// stages a crossing link in its ends' pools, and afterEpoch publishes
+	// them for the drains.
+	//
+	//stashsim:derived -- wiring; every queue in the pools is walked as its list
+	pools []core.Pools
+
 	// profOwned marks Profiler as built by EnableExecProfile (ring size
 	// profRing), which SetWorkers then resizes to follow the worker count.
 	//
@@ -166,9 +173,9 @@ func New(cfg *core.Config) (*Network, error) {
 	epRNG := rng.Derive(2)
 	// One Pools per group, the executor's block: a group's switches,
 	// endpoints and the link paths they own draw from it.
-	pools := make([]core.Pools, d.Groups())
+	n.pools = make([]core.Pools, d.Groups())
 	for i := range n.Switches {
-		n.Switches[i] = core.NewSwitch(i, cfg, swRNG, &pools[d.Group(i)])
+		n.Switches[i] = core.NewSwitch(i, cfg, swRNG, &n.pools[d.Group(i)])
 	}
 	for i := range n.Endpoints {
 		ep := endpoint.New(int32(i), cfg, epRNG)
@@ -224,7 +231,7 @@ func New(cfg *core.Config) (*Network, error) {
 				down := wire(class, here, linkEnd{-1, ep.ID}) // switch -> endpoint
 				s.AttachInLink(port, up)
 				s.AttachOutLink(port, down, 0)
-				ep.Attach(up, down, cfg.NormalInCap(topo.Endpoint), &pools[d.Group(sw)])
+				ep.Attach(up, down, cfg.NormalInCap(topo.Endpoint), &n.pools[d.Group(sw)])
 				continue
 			}
 			nsw, nport := d.Neighbor(sw, port)

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -187,24 +188,50 @@ func TestNewBytes(t *testing.T) {
 }
 
 // TestSwitchStorageTracksResidency: a group's storage follows what it has
-// held, not the time it has run. On a warm small network under 30 %
-// uniform load with end-to-end stashing, every group's flit pool and
-// credit pool — shared by its switches, its endpoints and the link paths
-// they own — is at most its high-water mark rounded up to one chunk, at
-// the end of the warm-up and again 6 500 cycles later; and between the two
-// the network's summed storage grows by no more than its pools' summed
-// high-water marks do, rounding aside: the wire's storage no longer grows
-// with simulated time.
+// held, not the time it has run, on one worker and on two. On a warm small
+// network under 30 % uniform load with end-to-end stashing, every group's
+// flit pool and credit pool — shared by its switches, its endpoints, the
+// link paths they own and, on two workers, the entries they stage towards
+// the other worker's groups — is at most its high-water mark rounded up to
+// one chunk, at the end of the warm-up and again 6 500 cycles later; and
+// between the two the network's summed storage grows by no more than its
+// pools' summed high-water marks do, rounding aside: the wire's storage no
+// longer grows with simulated time.
+//
+// And staging costs a worker-crossing link only pool slots: after the run,
+// the two-worker network's live heap exceeds the one-worker network's by
+// at most stagedHeapBound. Measured: 7.1 MB more while each crossing link
+// staged in slabs of its own, 1.1 MB with the stages in the pools.
 func TestSwitchStorageTracksResidency(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the small network for 9 100 cycles")
+		t.Skip("runs the small network for 9 100 cycles on one worker and on two")
 	}
+	const stagedHeapBound = 3_000_000
+	var live [2]uint64
+	for k, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) { live[k] = storageTracksResidency(t, workers) })
+	}
+	if live[0] == 0 || live[1] == 0 {
+		return
+	}
+	grew := int64(live[1]) - int64(live[0])
+	if grew > stagedHeapBound {
+		t.Errorf("two workers hold %.1f MB more live heap than one, more than the %.1f MB bound", float64(grew)/1e6, float64(stagedHeapBound)/1e6)
+	}
+	t.Logf("live heap: %.1f MB on one worker, %.1f MB on two (%+.1f MB)", float64(live[0])/1e6, float64(live[1])/1e6, float64(grew)/1e6)
+}
+
+// storageTracksResidency is one row of TestSwitchStorageTracksResidency.
+// It returns the live heap after the run, the network still held.
+func storageTracksResidency(t *testing.T, workers int) uint64 {
 	cfg := core.SmallConfig()
 	cfg.Mode = core.StashE2E
 	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.SetWorkers(workers)
+	defer n.Close()
 	rng := sim.NewRNG(7)
 	for _, ep := range n.Endpoints {
 		ep.Gen = traffic.Uniform(rng.Derive(uint64(ep.ID)), len(n.Endpoints), nil,
@@ -244,4 +271,9 @@ func TestSwitchStorageTracksResidency(t *testing.T) {
 	if grew, slack := held[1]-held[0], peak[1]-peak[0]+2*groups*(buffer.PoolChunk-1); grew > slack {
 		t.Errorf("storage grew by %d slots from cycle 2 600 to 9 100, its high-water marks by %d", grew, peak[1]-peak[0])
 	}
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(n)
+	return ms.HeapAlloc
 }

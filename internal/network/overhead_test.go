@@ -127,7 +127,7 @@ func TestParallelSteadyStateAllocFree(t *testing.T) {
 		t.Fatalf("in-flight parallel Run(1) with 4 workers allocates %.2f/op, want 0", allocs)
 	}
 	// Run(1) forces 1-cycle epochs; a multi-epoch run additionally covers
-	// the free-running epoch loop and the cross-partition slab drains
+	// the free-running epoch loop and the cross-partition stage drains
 	// (tiny lookahead is 65, so 130 cycles is two full epochs per run).
 	if la := n.EpochLookahead(); la != 65 {
 		t.Fatalf("alloc guard expected group partitions (lookahead 65), got %d", la)

@@ -47,14 +47,14 @@ func NextMultiple(from, every Tick) Tick {
 	return (from + every - 1) / every * every
 }
 
-// EpochDrainer delivers one worker's buffered cross-worker traffic at an
-// epoch boundary (the network implements it over the staged links whose
-// consumer side the worker owns). DrainEpoch runs on the worker's
-// goroutine immediately after the epoch-entry barrier, before any
-// component steps, with the epoch counter already advanced — so it drains
-// the slab the producers filled during the previous epoch.
+// EpochDrainer delivers one worker's staged cross-worker traffic at an
+// epoch boundary (the network implements it over the staged links with an
+// end on the worker). DrainEpoch runs on the worker's goroutine
+// immediately after the epoch-entry barrier, before any component steps,
+// with the epoch counter already advanced — so it lands what the other
+// workers staged during the previous epoch, under that epoch's parity.
 type EpochDrainer interface {
-	// DrainEpoch moves the previous epoch's staged entries onto the
+	// DrainEpoch lands the previous epoch's staged entries on the
 	// worker's link paths.
 	//
 	//stashsim:phase parallel
@@ -121,7 +121,7 @@ type Executor struct {
 
 	cur    atomic.Int64 // first cycle of the released span
 	curLen atomic.Int64 // cycles in the released span
-	epoch  atomic.Int64 // barrier-round counter; parity picks link slabs
+	epoch  atomic.Int64 // barrier-round counter; parity picks a link's stage list
 	quit   atomic.Bool  // set by Close; workers observe it at the entry barrier
 	// The coordinator's profiling clock, published for the workers: epPub
 	// is its reading as the last epoch's exit barrier opened, epRel the
@@ -193,7 +193,7 @@ func NewPartitionedExecutor(blocks [][]Stepper, aCounts []int, workers int, look
 }
 
 // EpochClock exposes the executor's barrier-round counter; staged links
-// index their slabs by its parity.
+// index their stage lists by its parity.
 func (e *Executor) EpochClock() *atomic.Int64 { return &e.epoch }
 
 // WakeSlot returns the wake-table slot of block b's component i, for
@@ -324,8 +324,8 @@ func (e *Executor) worker(lane int, prof *ExecProfiler) {
 // them (the entry waits on its path for the next epoch) or has yet to (the
 // entry sits on the path, not due, and Step ignores it). Channels have one
 // producer, so each path still fills in due order. Across workers the same
-// argument runs through the epoch slabs: nothing staged by a concurrent
-// worker this epoch is due before the next one drains it.
+// argument runs through the links' stages: nothing staged by a concurrent
+// worker this epoch is due before the next one lands it.
 // For the profiler it takes the clock reading at entry and returns the
 // drain time, the two work sub-phase totals and the reading at exit; the
 // readings chain, so no time between phases goes unattributed.

@@ -66,8 +66,8 @@ const (
 	// workers and the last one finishing: the stepping section of the
 	// epoch as the coordinator sees it.
 	PhaseCycleSpan
-	// PhaseEpochDrain is a worker's time delivering cross-worker
-	// link slabs at an epoch boundary.
+	// PhaseEpochDrain is a worker's time landing and freeing
+	// cross-worker links' stage lists at an epoch boundary.
 	PhaseEpochDrain
 	// NumPhases is the number of timed phases.
 	NumPhases
