@@ -40,18 +40,19 @@ test:
 # seconds, so a race there cannot hide behind the second's timeout.
 # -short skips the multi-minute simulation sweeps
 # (they run unshortened in `make test` and add no concurrency coverage).
-# Last measured on a 2-CPU host once restore decoded the switches'
-# sections in parallel and Pool.Audit stopped allocating: 30m11s, failing
-# as the runs before it did — cmd/stashsim hit the 30-minute timeout
-# inside TestWorkersDeterminism/faulted-drain (running 22m45s), while
-# internal/network passed in 1574 s beside it (1403 s at the run before);
-# trace took 91 s, telemetry 25 s, buffer 20 s, analysis 16 s, and every
-# other package one or two seconds. The long pole is faulted-drain's
-# -invariants=1 row: at -workers 4 its spec makes 201 120 audits and takes
-# 55-57 s through stashsim even without -race (61-68 s before the audit
-# kept its marks; 1.5 s at -invariants=64, 0.8 s with no audits); what is
-# left is walking every list of every switch, most of them empty. The
-# timeout stays at 30 minutes, past go test's 10-minute default.
+# Last measured on a 2-CPU host once crossing links staged in pools and
+# the fault flags had become one plan: 30m34s, failing as the runs
+# before it did. The first line passed in 3 s. Then
+# cmd/stashsim hit the 30-minute timeout inside
+# TestWorkersDeterminism/faulted-drain, still running after 21m04s, after
+# TestGoldenResults (245 s) and TestRunIsDeterministic (78 s) had passed;
+# internal/network passed in 1083 s beside it (1574 s at the run before);
+# trace took 73 s, buffer 38 s, telemetry 17 s, analysis and endpoint
+# 12 s each, and every other package one or two seconds. The long pole is
+# faulted-drain's -invariants=1 row: at -workers 4 it audits every list of
+# every switch, most of them empty, each cycle, in one-cycle epochs
+# (ROADMAP item 5); without -race the row took 75 s on the same host.
+# The timeout stays at 30 minutes, past go test's 10-minute default.
 race:
 	$(GO) test -race -count=1 -run 'TestParallelStepRace|TestBlocksIndependentOfWorkers' ./internal/network
 	$(GO) test -race -short -timeout 30m ./...

@@ -106,7 +106,7 @@ type cliOpts struct {
 }
 
 // defineFlags declares every flag, so that TestFlagCount can count them:
-// the ten shared with cmd/stashsim land in o.Base, here applied to every
+// the seven shared with cmd/stashsim land in o.Base, here applied to every
 // experiment network.
 func defineFlags(fs *flag.FlagSet, o *harness.Options, c *cliOpts) {
 	o.Base.BindFlags(fs)

@@ -12,21 +12,27 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unicode"
 
+	"stashsim/internal/fault"
 	"stashsim/internal/harness"
 )
 
-// TestDocsNameRealFlags holds the examples in the docs to the CLIs: every
-// -flag given to stashsim or figures on a command line inside a fenced
-// block of README.md, DESIGN.md or the verify skill must be one that CLI's
-// defineFlags declares, so that renaming or deleting a flag fails here
-// until the docs follow.
+// TestDocsNameRealFlags holds the docs to the CLIs: every -flag given to
+// stashsim or figures on a command line inside a fenced block of README.md,
+// DESIGN.md or the verify skill must be one that CLI's defineFlags
+// declares, and every -fault-plan file such a command names must load. In
+// the prose of README.md and DESIGN.md, every backquoted -flag must be one
+// of the two CLIs' or the go tool's. Renaming or deleting a flag, or
+// breaking a documented plan, fails here until the docs follow.
 func TestDocsNameRealFlags(t *testing.T) {
 	defined := map[string]map[string]bool{
 		"stashsim": flagNames(func(fs *flag.FlagSet) { defineFlags(fs, new(harness.Spec), new(cliOpts)) }),
 		"figures":  figuresFlags(t),
 	}
-	checked := 0
+	// goToolFlags are the go tool's flags that the prose names on their own.
+	goToolFlags := map[string]bool{"race": true}
+	checked, plans := 0, 0
 	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
 		b, err := os.ReadFile(filepath.Join("..", "..", doc))
 		if err != nil {
@@ -39,10 +45,25 @@ func TestDocsNameRealFlags(t *testing.T) {
 					t.Errorf("%s:%d: %s has no flag -%s", doc, c.line, c.cli, f)
 				}
 			}
+			for _, plan := range c.plans {
+				plans++
+				if _, err := fault.LoadPlan(filepath.Join("..", "..", plan)); err != nil {
+					t.Errorf("%s:%d: %v", doc, c.line, err)
+				}
+			}
+		}
+		if strings.HasPrefix(doc, ".") {
+			continue
+		}
+		for _, f := range proseFlags(string(b)) {
+			checked++
+			if !defined["stashsim"][f.name] && !defined["figures"][f.name] && !goToolFlags[f.name] {
+				t.Errorf("%s:%d: no CLI has the flag -%s", doc, f.line, f.name)
+			}
 		}
 	}
-	if checked < 50 {
-		t.Fatalf("found only %d flags on command lines in the docs; is the scan broken?", checked)
+	if checked < 150 || plans < 3 {
+		t.Fatalf("found only %d flags and %d plan files in the docs; is the scan broken?", checked, plans)
 	}
 }
 
@@ -102,11 +123,12 @@ func isIdent(e ast.Expr, name string) bool {
 }
 
 // docCommand is one invocation of a CLI in a doc: which, the line it
-// starts on, and the flags it gives.
+// starts on, the flags it gives and the fault plans it names.
 type docCommand struct {
 	cli   string
 	line  int
 	flags []string
+	plans []string
 }
 
 // commandLines finds the stashsim and figures invocations in the fenced
@@ -144,17 +166,76 @@ func commandLines(doc string) (cmds []docCommand) {
 				continue
 			}
 			c := docCommand{cli: path.Base(words[0]), line: start}
-			for _, w := range words[1:] {
+			for i, w := range words[1:] {
 				if strings.ContainsAny(w[:1], "<>") || strings.HasPrefix(w, "2>") {
 					break
 				}
 				if name, ok := strings.CutPrefix(w, "-"); ok && name != "" && (name[0] < '0' || name[0] > '9') {
-					name, _, _ = strings.Cut(name, "=")
+					name, val, hasVal := strings.Cut(name, "=")
 					c.flags = append(c.flags, name)
+					if name == "fault-plan" && !hasVal && i+2 < len(words) {
+						val, hasVal = words[i+2], true
+					}
+					if name == "fault-plan" && hasVal {
+						c.plans = append(c.plans, val)
+					}
 				}
 			}
 			cmds = append(cmds, c)
 		}
 	}
 	return cmds
+}
+
+// docFlag is a flag named in a doc's prose, and the line it is on.
+type docFlag struct {
+	name string
+	line int
+}
+
+// proseFlags finds the flags a Markdown document names in backquotes
+// outside its fenced blocks: each word of a code span that is "-" and a
+// letter, up to its first character that cannot be in a flag name, where
+// a word also ends at "/" (`-p/-a/-h`). A span that starts with a program
+// other than stashsim or figures (`go test -fuzz …`, `grep -l …`) gives
+// that program's flags, and is skipped.
+func proseFlags(doc string) (flags []docFlag) {
+	lines := strings.Split(doc, "\n")
+	fenced := false
+	for i, line := range lines {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+			lines[i] = ""
+		} else if fenced {
+			lines[i] = ""
+		}
+	}
+	prose := strings.Join(lines, "\n")
+	for off := 0; ; {
+		open := strings.IndexByte(prose[off:], '`')
+		if open < 0 {
+			return flags
+		}
+		open += off + 1
+		n := strings.IndexByte(prose[open:], '`')
+		if n < 0 {
+			return flags
+		}
+		span, line := prose[open:open+n], 1+strings.Count(prose[:open], "\n")
+		off = open + n + 1
+		words := strings.FieldsFunc(span, func(r rune) bool { return unicode.IsSpace(r) || r == '/' || r == '(' || r == ',' })
+		if len(words) == 0 || !strings.HasPrefix(words[0], "-") && path.Base(words[0]) != "stashsim" && path.Base(words[0]) != "figures" {
+			continue
+		}
+		for _, w := range words {
+			name, ok := strings.CutPrefix(w, "-")
+			if !ok || name == "" || !unicode.IsLetter(rune(name[0])) {
+				continue
+			}
+			if end := strings.IndexFunc(name, func(r rune) bool { return r != '-' && !unicode.IsLetter(r) && !unicode.IsDigit(r) }); end >= 0 {
+				name = name[:end]
+			}
+			flags = append(flags, docFlag{name, line})
+		}
+	}
 }

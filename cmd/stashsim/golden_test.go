@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"stashsim/internal/fault"
 	"stashsim/internal/harness"
 )
 
@@ -28,7 +29,7 @@ var goldenSpecs = []struct {
 		Preset: "tiny", Mode: "e2e", CapFrac: 1.0,
 		Load: 0.25, MsgPkts: 1,
 		Cycles: 4000, Warmup: 500, Seed: 13,
-		DropRate: 2e-3, CorruptRate: 1e-3, FaultSeed: 5,
+		Fault:      &fault.Plan{Seed: 5, LinkDropRate: 2e-3, CorruptRate: 1e-3},
 		Drain:      400000,
 		Invariants: 64,
 	}},
@@ -36,8 +37,9 @@ var goldenSpecs = []struct {
 		Preset: "tiny", Mode: "e2e", CapFrac: 1.0,
 		Load: 0.25, MsgPkts: 1,
 		Cycles: 4000, Warmup: 500, Seed: 9,
-		DropRate: 6e-3, FaultSeed: 3,
-		StashFails:  "0.0@3000,0.1@3200,1.0@3400,1.1@3600,2.0@3800,2.1@4000",
+		Fault: &fault.Plan{Seed: 3, LinkDropRate: 6e-3, StashFailures: []fault.StashFail{
+			{Switch: 0, Port: 0, At: 3000}, {Switch: 0, Port: 1, At: 3200}, {Switch: 1, Port: 0, At: 3400},
+			{Switch: 1, Port: 1, At: 3600}, {Switch: 2, Port: 0, At: 3800}, {Switch: 2, Port: 1, At: 4000}}},
 		StashParity: 4,
 		Drain:       400000,
 		Invariants:  64,
@@ -56,15 +58,16 @@ var goldenSpecs = []struct {
 		Preset: "small", Mode: "e2e", CapFrac: 1.0,
 		Load: 0.2, MsgPkts: 1,
 		Cycles: 1500, Warmup: 300, Seed: 13,
-		DropRate: 2e-3, FaultSeed: 5,
+		Fault: &fault.Plan{Seed: 5, LinkDropRate: 2e-3},
 		Drain: 400000,
 	}},
 	{"small-parity", harness.Spec{
 		Preset: "small", Mode: "e2e", CapFrac: 1.0,
 		Load: 0.2, MsgPkts: 1,
 		Cycles: 1500, Warmup: 300, Seed: 13,
-		DropRate: 8e-3, FaultSeed: 5,
-		StashFails:  "0.0@1200,0.1@1300,1.0@1400,1.1@1500,2.0@1600,2.1@1700",
+		Fault: &fault.Plan{Seed: 5, LinkDropRate: 8e-3, StashFailures: []fault.StashFail{
+			{Switch: 0, Port: 0, At: 1200}, {Switch: 0, Port: 1, At: 1300}, {Switch: 1, Port: 0, At: 1400},
+			{Switch: 1, Port: 1, At: 1500}, {Switch: 2, Port: 0, At: 1600}, {Switch: 2, Port: 1, At: 1700}}},
 		StashParity: 4,
 		Drain:       400000,
 		Invariants:  64,

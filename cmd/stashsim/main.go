@@ -17,8 +17,8 @@
 // laws during the run, and -json emits a machine-readable run summary on
 // stdout (human-readable output moves to stderr).
 //
-// Recovery: any fault flag, and -stash-bypass, arms the recovery timers;
-// -drain N -assert-delivery then requires exactly-once delivery.
+// Recovery: an active -fault-plan, and -stash-bypass, arms the recovery
+// timers; -drain N -assert-delivery then requires exactly-once delivery.
 package main
 
 import (
@@ -61,7 +61,7 @@ type cliOpts struct {
 func chromeTrace(name string) bool { return strings.HasSuffix(name, ".json") }
 
 // defineFlags declares every flag, so that TestFlagCount can count them:
-// the ten shared with cmd/figures, the rest of the run description, then
+// the seven shared with cmd/figures, the rest of the run description, then
 // what to observe.
 func defineFlags(fs *flag.FlagSet, sp *harness.Spec, o *cliOpts) {
 	sp.BindFlags(fs)
@@ -78,9 +78,7 @@ func defineFlags(fs *flag.FlagSet, sp *harness.Spec, o *cliOpts) {
 	fs.BoolVar(&sp.ECN, "ecn", false, "enable ECN (implied by -mode congestion)")
 	fs.BoolVar(&sp.Banks, "banks", false, "model two-bank port memory conflicts")
 	fs.Float64Var(&sp.ErrRate, "errors", 0, "per-packet NACK probability (e2e retransmission)")
-	fs.Uint64Var(&sp.FaultSeed, "fault-seed", 0, "fault RNG seed (overrides the plan's)")
-	fs.Float64Var(&sp.CorruptRate, "corrupt-rate", 0, "per-flit payload-corruption probability (caught by checksums)")
-	fs.BoolVar(&sp.StashBypass, "stash-bypass", false, "forward packets uncovered when the stash is full instead of stalling; arms the recovery timers, as any fault flag does")
+	fs.BoolVar(&sp.StashBypass, "stash-bypass", false, "forward packets uncovered when the stash is full instead of stalling; arms the recovery timers, as an active -fault-plan does")
 	fs.Int64Var(&sp.Drain, "drain", 0, "after the measured window, run up to this many unloaded cycles until every packet settles")
 	fs.IntVar(&sp.Workers, "workers", runtime.GOMAXPROCS(0), "cycle-level worker goroutines stepping the network (1 = serial; results are identical either way)")
 	fs.BoolVar(&sp.AssertDelivery, "assert-delivery", false, "with -drain and a fault plan or -stash-bypass, exit nonzero unless every injected packet delivered exactly once")

@@ -83,7 +83,7 @@ func TestRunIsDeterministic(t *testing.T) {
 			Preset: "tiny", Mode: "e2e", CapFrac: 1.0,
 			Load: 0.3, MsgPkts: 1,
 			Cycles: 3000, Warmup: 500, Seed: 9,
-			DropRate: 2e-3, CorruptRate: 1e-3, FaultSeed: 5,
+			Fault:      &fault.Plan{Seed: 5, LinkDropRate: 2e-3, CorruptRate: 1e-3},
 			Drain:      400000,
 			Invariants: 64,
 		},
@@ -124,16 +124,17 @@ func TestWorkersDeterminism(t *testing.T) {
 			Preset: "tiny", Mode: "e2e", CapFrac: 1.0,
 			Load: 0.2, MsgPkts: 1,
 			Cycles: 4000, Warmup: 0, Seed: 13,
-			DropRate: 2e-3, CorruptRate: 1e-3, FaultSeed: 5,
+			Fault: &fault.Plan{Seed: 5, LinkDropRate: 2e-3, CorruptRate: 1e-3},
 			Drain: 400000,
 		},
 		"parity-recon": {
 			Preset: "tiny", Mode: "e2e", CapFrac: 1.0,
 			Load: 0.25, MsgPkts: 1,
 			Cycles: 4000, Warmup: 0, Seed: 9,
-			DropRate: 4e-3, FaultSeed: 3,
-			StashFails: "0.0@1500,0.1@2000,1.0@2500", StashParity: 4,
-			Drain: 400000,
+			Fault: &fault.Plan{Seed: 3, LinkDropRate: 4e-3, StashFailures: []fault.StashFail{
+				{Switch: 0, Port: 0, At: 1500}, {Switch: 0, Port: 1, At: 2000}, {Switch: 1, Port: 0, At: 2500}}},
+			StashParity: 4,
+			Drain:       400000,
 		},
 		"ecn-congestion": {
 			Preset: "tiny", Mode: "congestion", CapFrac: 1.0,
@@ -302,8 +303,8 @@ func TestFlagCount(t *testing.T) {
 	defineFlags(fs, &sp, new(cliOpts))
 	count := 0
 	fs.VisitAll(func(*flag.Flag) { count++ })
-	if count != 38 {
-		t.Fatalf("stashsim declares %d flags, want 38", count)
+	if count != 33 {
+		t.Fatalf("stashsim declares %d flags, want 33", count)
 	}
 	// -trace picks its format by the file name, and -sample is the whole
 	// sampler: a file, at the flight recorder's 64 cycles.
@@ -356,35 +357,37 @@ func TestFlagCount(t *testing.T) {
 	}
 }
 
-// TestFaultFlagsPlan: the fault flags shared with cmd/figures yield the
-// plans its test of the same name expects from the same spellings, and the
-// two only this CLI has layer on top: -fault-seed overrides the plan's
-// seed, -corrupt-rate its rate.
+// TestFaultFlagsPlan: -fault-plan is the one fault input, and it means
+// here what it means on cmd/figures, whose test of the same name expects
+// the same plans from the same spellings. Without it a spec has no plan and
+// -seed does not reach one; with it the file loads whole; a file that holds
+// no valid plan, and the per-field fault flags the plan replaced, are usage
+// errors.
 func TestFaultFlagsPlan(t *testing.T) {
-	file := filepath.Join(t.TempDir(), "plan.json")
-	if err := os.WriteFile(file, []byte(`{"seed": 9, "link_drop_rate": 0.5,
-		"outages": [{"link": "ep5->sw1.0", "start": 500, "end": 900}]}`), 0o644); err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	file := func(body string) string {
+		f, err := os.CreateTemp(dir, "plan*.json")
+		if err == nil {
+			_, err = f.WriteString(body)
+			f.Close()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f.Name()
 	}
-	outage := fault.Outage{Link: "sw0.3->sw1.2", Start: 1000, End: 3000}
+	good := file(`{"seed": 9, "link_drop_rate": 0.5, "corrupt_rate": 1e-4,
+		"outages": [{"link": "ep5->sw1.0", "start": 500, "end": 900}],
+		"stash_failures": [{"switch": 1, "port": 1, "at": 10}]}`)
 	for _, c := range []struct {
 		args []string
 		want *fault.Plan
 	}{
 		{nil, nil},
 		{[]string{"-seed", "7", "-stash-parity", "4"}, nil},
-		{[]string{"-seed", "7", "-link-drop-rate", "1e-3"}, &fault.Plan{LinkDropRate: 1e-3}},
-		{[]string{"-link-outage", "sw0.3->sw1.2@1000-3000"}, &fault.Plan{Outages: []fault.Outage{outage}}},
-		{[]string{"-stash-fail", "0.1@5000,2.0@7"}, &fault.Plan{StashFailures: []fault.StashFail{{Switch: 0, Port: 1, At: 5000}, {Switch: 2, Port: 0, At: 7}}}},
-		{[]string{"-fault-plan", file}, &fault.Plan{Seed: 9, LinkDropRate: 0.5,
-			Outages: []fault.Outage{{Link: "ep5->sw1.0", Start: 500, End: 900}}}},
-		{[]string{"-fault-plan", file, "-link-drop-rate", "0.25", "-link-outage", "sw0.3->sw1.2@1000-3000", "-stash-fail", "1.1@10"},
-			&fault.Plan{Seed: 9, LinkDropRate: 0.25,
-				Outages:       []fault.Outage{{Link: "ep5->sw1.0", Start: 500, End: 900}, outage},
-				StashFailures: []fault.StashFail{{Switch: 1, Port: 1, At: 10}}}},
-		{[]string{"-fault-plan", file, "-fault-seed", "3", "-corrupt-rate", "1e-4"}, &fault.Plan{Seed: 3, LinkDropRate: 0.5, CorruptRate: 1e-4,
-			Outages: []fault.Outage{{Link: "ep5->sw1.0", Start: 500, End: 900}}}},
-		{[]string{"-fault-seed", "3", "-link-drop-rate", "1e-3"}, &fault.Plan{Seed: 3, LinkDropRate: 1e-3}},
+		{[]string{"-seed", "7", "-fault-plan", good}, &fault.Plan{Seed: 9, LinkDropRate: 0.5, CorruptRate: 1e-4,
+			Outages:       []fault.Outage{{Link: "ep5->sw1.0", Start: 500, End: 900}},
+			StashFailures: []fault.StashFail{{Switch: 1, Port: 1, At: 10}}}},
 	} {
 		var sp harness.Spec
 		fs := flag.NewFlagSet("stashsim", flag.ContinueOnError)
@@ -393,9 +396,32 @@ func TestFaultFlagsPlan(t *testing.T) {
 		if err := fs.Parse(c.args); err != nil {
 			t.Fatalf("%v: %v", c.args, err)
 		}
-		if got, err := sp.FaultPlan(); err != nil || !reflect.DeepEqual(got, c.want) {
-			t.Errorf("%v: plan %+v (err %v), want %+v", c.args, got, err, c.want)
+		if !reflect.DeepEqual(sp.Fault, c.want) {
+			t.Errorf("%v: plan %+v, want %+v", c.args, sp.Fault, c.want)
 		}
+	}
+	for _, args := range [][]string{
+		{"-fault-plan", filepath.Join(dir, "missing.json")},
+		{"-fault-plan", file(`{"seed": 1}{"link_drop_rate": 1}`)},
+		{"-fault-plan", file(`{"link_drop_rate": 2}`)},
+		{"-fault-seed", "3"},
+		{"-corrupt-rate", "1e-4"},
+		{"-link-drop-rate", "1e-3"},
+		{"-link-outage", "sw0.3->sw1.2@1000-3000"},
+		{"-stash-fail", "0.1@5000"},
+	} {
+		fs := flag.NewFlagSet("stashsim", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		defineFlags(fs, new(harness.Spec), new(cliOpts))
+		if err := fs.Parse(args); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
+	// A plan that injects nothing leaves the network fault-free and the
+	// recovery timers off.
+	sp := harness.Spec{Preset: "tiny", Mode: "e2e", CapFrac: 1, Fault: &fault.Plan{Seed: 4}}
+	if cfg, err := sp.Config(); err != nil || cfg.Fault != nil || cfg.Retrans.Enabled {
+		t.Errorf("inactive plan: fault %+v, timers %v, err %v", cfg.Fault, cfg.Retrans.Enabled, err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"stashsim/internal/fault"
 	"stashsim/internal/harness"
 )
 
@@ -27,8 +28,9 @@ func TestCLISmoke(t *testing.T) {
 	// free-run between barriers.
 	faulted := harness.Spec{
 		Preset: "small", Mode: "e2e", CapFrac: 1.0, Load: 0.2, MsgPkts: 1,
-		Cycles: 8000, Seed: 13, DropRate: 1e-3,
-		StashFails: "0.0@4000,1.1@5500,2.0@6001", Drain: 400000,
+		Cycles: 8000, Seed: 13, Drain: 400000,
+		Fault: &fault.Plan{LinkDropRate: 1e-3, StashFailures: []fault.StashFail{
+			{Switch: 0, Port: 0, At: 4000}, {Switch: 1, Port: 1, At: 5500}, {Switch: 2, Port: 0, At: 6001}}},
 	}
 	rows := []struct {
 		name     string
@@ -39,15 +41,18 @@ func TestCLISmoke(t *testing.T) {
 		// under per-link drops.
 		{name: "fault", spec: harness.Spec{
 			Preset: "tiny", Mode: "e2e", CapFrac: 1.0, Load: 0.2, MsgPkts: 1,
-			Cycles: 25000, Seed: 1, DropRate: 1e-3, Drain: 150000,
+			Cycles: 25000, Seed: 1, Drain: 150000,
+			Fault: &fault.Plan{LinkDropRate: 1e-3},
 		}},
 		// XOR parity groups over the stash banks, drops keeping retained
 		// copies alive, staggered bank failures: the reconstruction tier.
 		{name: "ec", spec: harness.Spec{
 			Preset: "small", Mode: "e2e", CapFrac: 1.0, Load: 0.2, MsgPkts: 1,
-			Cycles: 8000, Seed: 13, DropRate: 5e-3, StashParity: 4,
-			StashFails: "0.0@4000,0.1@4500,1.0@5000,1.1@5500,2.0@6000,2.1@6500",
-			Drain:      400000,
+			Cycles: 8000, Seed: 13, StashParity: 4,
+			Fault: &fault.Plan{LinkDropRate: 5e-3, StashFailures: []fault.StashFail{
+				{Switch: 0, Port: 0, At: 4000}, {Switch: 0, Port: 1, At: 4500}, {Switch: 1, Port: 0, At: 5000},
+				{Switch: 1, Port: 1, At: 5500}, {Switch: 2, Port: 0, At: 6000}, {Switch: 2, Port: 1, At: 6500}}},
+			Drain: 400000,
 		}},
 		// Four group partitions against one.
 		{name: "pdes", spec: faulted, variants: []func(*harness.Spec){

@@ -145,9 +145,6 @@ type Config struct {
 	// and OutputBufFlits of output buffer (1000 + 1000 = 2×10 KB at
 	// 10 B/flit in the paper).
 	InputBufFlits, OutputBufFlits int
-	// RowBufFlits / ColBufFlits are per-VC row and column buffer sizes
-	// (4 packets = 96 flits).
-	RowBufFlits, ColBufFlits int
 
 	// RateNum/RateDen is the channel (and endpoint injection) rate in
 	// flits per internal cycle: 10/13 models the paper's 1.3× internal
@@ -158,17 +155,9 @@ type Config struct {
 	// StashCapFrac artificially restricts the usable stash capacity
 	// (1.0, 0.5, 0.25 in the paper's sensitivity study).
 	StashCapFrac float64
-	// StashFracEndpoint/StashFracLocal are the fractions of port memory
-	// partitioned for stashing on endpoint and local ports (7/8, 3/4).
-	// Global ports never stash.
-	StashFracEndpoint, StashFracLocal float64
 
 	ECN   ECNParams
 	Route route.Params
-
-	// SidebandLat is the latency in cycles of the dedicated side-band
-	// bookkeeping network between ports of one switch.
-	SidebandLat int64
 
 	// BankModel enables the two-bank interleaved port memory admission
 	// gate; false models ideal multiported memory.
@@ -322,9 +311,9 @@ func (c *Config) stashFrac(class topo.LinkClass) float64 {
 	}
 	switch class {
 	case topo.Endpoint:
-		return c.StashFracEndpoint
+		return stashFracEndpoint
 	case topo.Local:
-		return c.StashFracLocal
+		return stashFracLocal
 	default:
 		return 0
 	}
@@ -375,6 +364,25 @@ func (c *Config) ColOf(out int) int { return out / c.TileOut }
 //stashsim:noalloc
 func (c *Config) TileOutOf(out int) int { return out % c.TileOut }
 
+// The switch parameters that Section V fixes for every configuration it
+// evaluates. No preset or experiment varies them, so they are constants,
+// not Config fields; the snapshot fingerprint still records them
+// (fingerprintPairs).
+const (
+	// rowBufFlits and colBufFlits are the per-VC row and column buffer
+	// sizes: 4 packets = 96 flits (Section V).
+	rowBufFlits = 4 * proto.MaxPacketFlits
+	colBufFlits = 4 * proto.MaxPacketFlits
+	// stashFracEndpoint and stashFracLocal are the fractions of port
+	// memory partitioned for stashing on endpoint and local ports (7/8
+	// and 3/4, Section V). Global ports never stash.
+	stashFracEndpoint = 7.0 / 8.0
+	stashFracLocal    = 3.0 / 4.0
+	// sidebandLat is the latency in cycles of the dedicated side-band
+	// bookkeeping network between ports of one switch (Section V).
+	sidebandLat = 13
+)
+
 // PresetConfig returns the base configuration a CLI's -preset names:
 // "tiny", "small" (also the empty name) or "paper".
 func PresetConfig(name string) (*Config, error) {
@@ -393,27 +401,22 @@ func PresetConfig(name string) (*Config, error) {
 // 3080-node dragonfly of 20-port switches with 4×4 tiles of 5×5 crossbars.
 func PaperConfig() *Config {
 	return &Config{
-		Topo:              topo.Dragonfly{P: 5, A: 11, H: 5},
-		Lat:               topo.PaperLatencies(),
-		Rows:              4,
-		Cols:              4,
-		TileIn:            5,
-		TileOut:           5,
-		InputBufFlits:     1000,
-		OutputBufFlits:    1000,
-		RowBufFlits:       4 * proto.MaxPacketFlits,
-		ColBufFlits:       4 * proto.MaxPacketFlits,
-		RateNum:           10,
-		RateDen:           13,
-		Mode:              StashOff,
-		StashCapFrac:      1.0,
-		StashFracEndpoint: 7.0 / 8.0,
-		StashFracLocal:    3.0 / 4.0,
-		ECN:               ECNParams{Enabled: false},
-		Route:             route.DefaultParams(),
-		SidebandLat:       13,
-		AcksEnabled:       true,
-		Seed:              1,
+		Topo:           topo.Dragonfly{P: 5, A: 11, H: 5},
+		Lat:            topo.PaperLatencies(),
+		Rows:           4,
+		Cols:           4,
+		TileIn:         5,
+		TileOut:        5,
+		InputBufFlits:  1000,
+		OutputBufFlits: 1000,
+		RateNum:        10,
+		RateDen:        13,
+		Mode:           StashOff,
+		StashCapFrac:   1.0,
+		ECN:            ECNParams{Enabled: false},
+		Route:          route.DefaultParams(),
+		AcksEnabled:    true,
+		Seed:           1,
 	}
 }
 

@@ -238,7 +238,6 @@ func TestJSQOmitsGlobalPorts(t *testing.T) {
 func TestSidebandDelivery(t *testing.T) {
 	cfg := PaperConfig()
 	cfg.Mode = StashE2E
-	cfg.SidebandLat = 10
 	s := NewSwitch(0, cfg, rngFor(cfg), nil)
 	// Simulate a stash copy completion then a location message.
 	pool := s.PortStash(7)
@@ -248,11 +247,11 @@ func TestSidebandDelivery(t *testing.T) {
 	}
 	*s.track.Add(proto.MakePktID(0, 1)) = e2eEntry{size: 4, port: 0, stashPort: -1}
 	s.sbSend(100, sbLocation, proto.MakePktID(0, 1), 0, 7, 4)
-	s.stepSideband(109)
+	s.stepSideband(100 + sidebandLat - 1)
 	if e := s.track.Get(proto.MakePktID(0, 1)); e.stashPort != -1 {
 		t.Fatal("location delivered early")
 	}
-	s.stepSideband(110)
+	s.stepSideband(100 + sidebandLat)
 	if e := s.track.Get(proto.MakePktID(0, 1)); e.stashPort != 7 {
 		t.Fatalf("location not applied: %+v", e)
 	}
@@ -277,12 +276,12 @@ func TestE2EAckBeforeLocation(t *testing.T) {
 	}
 	// Location arrives later; the entry must resolve to a delete.
 	s.sbSend(60, sbLocation, pkt, 0, 9, 8)
-	s.stepSideband(60 + cfg.SidebandLat)
+	s.stepSideband(60 + sidebandLat)
 	if s.track.Get(pkt) != nil {
 		t.Fatal("entry not cleaned up after late location")
 	}
 	// The delete must free the pool after its side-band latency.
-	s.stepSideband(60 + 2*cfg.SidebandLat)
+	s.stepSideband(60 + 2*sidebandLat)
 	if pool.Used() != 0 {
 		t.Fatalf("stash not freed: %d flits", pool.Used())
 	}

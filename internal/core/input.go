@@ -39,7 +39,7 @@ func (s *Switch) linkTile(t *tile, i int32, slot, stream int) {
 //
 //stashsim:noalloc
 func (s *Switch) rowBufSpace(row, col, slot, stream int) bool {
-	return s.tileAt(row, col).rowBufs[slot][stream].Len() < s.cfg.RowBufFlits
+	return s.tileAt(row, col).rowBufs[slot][stream].Len() < rowBufFlits
 }
 
 // stepArrivals moves flits that have arrived on the input link into the

@@ -287,6 +287,11 @@ func (pairs Fingerprint) State(w *snapshot.Codec) {
 	}
 }
 
+// fingerprintPairs lists the fingerprint. The buf.row, buf.col,
+// stash.frac.* and sideband.lat pairs record Section V's fixed constants,
+// which no Config can change; they stay so that the checkpoint bytes are
+// those of version 8 builds in which the five were Config fields, and a
+// checkpoint from either restores on the other.
 func (c *Config) fingerprintPairs() [][2]string {
 	f := fmt.Sprintf
 	pairs := [][2]string{
@@ -299,18 +304,18 @@ func (c *Config) fingerprintPairs() [][2]string {
 		{"tiles", f("%dx%d/%dx%d", c.Rows, c.Cols, c.TileIn, c.TileOut)},
 		{"buf.in", f("%d", c.InputBufFlits)},
 		{"buf.out", f("%d", c.OutputBufFlits)},
-		{"buf.row", f("%d", c.RowBufFlits)},
-		{"buf.col", f("%d", c.ColBufFlits)},
+		{"buf.row", f("%d", rowBufFlits)},
+		{"buf.col", f("%d", colBufFlits)},
 		{"rate", f("%d/%d", c.RateNum, c.RateDen)},
 		{"mode", c.Mode.String()},
 		{"stash.capfrac", f("%g", c.StashCapFrac)},
-		{"stash.frac.endpoint", f("%g", c.StashFracEndpoint)},
-		{"stash.frac.local", f("%g", c.StashFracLocal)},
+		{"stash.frac.endpoint", f("%g", stashFracEndpoint)},
+		{"stash.frac.local", f("%g", stashFracLocal)},
 		{"stash.banks", f("%d", c.Topo.P+c.Topo.A-1)},
 		{"ecn", f("%v/%g/%d/%d/%d:%d/%d", c.ECN.Enabled, c.ECN.CongestFrac, c.ECN.WindowMax,
 			c.ECN.WindowFloor, c.ECN.DecreaseNum, c.ECN.DecreaseDen, c.ECN.RecoverPeriod)},
 		{"route", f("%d/%d/%v", c.Route.Bias, c.Route.Threshold, c.Route.Adaptive)},
-		{"sideband.lat", f("%d", c.SidebandLat)},
+		{"sideband.lat", f("%d", sidebandLat)},
 		{"bankmodel", f("%v", c.BankModel)},
 		{"random.stash", f("%v", c.RandomStashPlacement)},
 		{"retain.payload", f("%v", c.RetainPayload)},

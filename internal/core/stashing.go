@@ -44,7 +44,7 @@ type sbMsg struct {
 //
 //stashsim:noalloc
 func (s *Switch) sbSend(now sim.Tick, kind sbKind, pktID uint64, dst, aux, size uint8) {
-	s.sideband.Push(&s.pools.sideband, now+s.cfg.SidebandLat, sbMsg{kind: kind, pktID: pktID, dst: dst, aux: aux, size: size})
+	s.sideband.Push(&s.pools.sideband, now+sidebandLat, sbMsg{kind: kind, pktID: pktID, dst: dst, aux: aux, size: size})
 	s.Counters.SidebandMsgs++
 }
 
@@ -245,7 +245,7 @@ func (s *Switch) FailStashBank(now sim.Tick, port int) (lost, reconstructed int)
 			// The rebuild reads the k-1 surviving members plus parity over
 			// the side band: one side-band traversal plus a flit-serial XOR
 			// pass over the survivors.
-			due := now + s.cfg.SidebandLat + int64(s.cfg.StashParity-1)*int64(size)
+			due := now + sidebandLat + int64(s.cfg.StashParity-1)*int64(size)
 			s.reconQ = append(s.reconQ, reconRec{
 				due: due, pktID: pktID, size: size,
 				target: uint8(target), payload: payload,

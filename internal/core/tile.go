@@ -67,7 +67,7 @@ func (s *Switch) stepTile(now sim.Tick, t *tile) {
 			if held := t.outLock[o]&(1<<vc) != 0; held == f.Head() {
 				continue // a head waits for the lock; a body flit's packet holds it
 			}
-			if s.out[port].colBufs[t.row][vc].Len() >= cfg.ColBufFlits {
+			if s.out[port].colBufs[t.row][vc].Len() >= colBufFlits {
 				continue
 			}
 			cand[o] = uint8(stream)
@@ -160,7 +160,7 @@ func (s *Switch) jsqPort(t *tile, size int) (int, bool) {
 		if t.outLock[s.tileOutOf[q]]&(1<<proto.VCStore) != 0 {
 			continue
 		}
-		if s.out[q].colBufs[t.row][proto.VCStore].Len() >= cfg.ColBufFlits {
+		if s.out[q].colBufs[t.row][proto.VCStore].Len() >= colBufFlits {
 			continue
 		}
 		free := s.stash[q].Free()

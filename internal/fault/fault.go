@@ -79,10 +79,10 @@ func (p *Plan) Validate() error {
 	if p == nil {
 		return nil
 	}
-	if p.LinkDropRate < 0 || p.LinkDropRate > 1 {
+	if !(p.LinkDropRate >= 0 && p.LinkDropRate <= 1) {
 		return fmt.Errorf("fault: link drop rate %v outside [0,1]", p.LinkDropRate)
 	}
-	if p.CorruptRate < 0 || p.CorruptRate > 1 {
+	if !(p.CorruptRate >= 0 && p.CorruptRate <= 1) {
 		return fmt.Errorf("fault: corrupt rate %v outside [0,1]", p.CorruptRate)
 	}
 	for _, o := range p.Outages {

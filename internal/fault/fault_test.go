@@ -1,6 +1,9 @@
 package fault
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -217,9 +220,16 @@ func TestValidate(t *testing.T) {
 		{LinkDropRate: -0.1},
 		{LinkDropRate: 1.5},
 		{CorruptRate: 2},
+		{LinkDropRate: math.NaN(), Outages: []Outage{{Link: "l", Start: 0, End: 1}}},
+		{CorruptRate: math.NaN()},
 		{Outages: []Outage{{Link: "", Start: 0, End: 1}}},
 		{Outages: []Outage{{Link: "l", Start: 5, End: 5}}},
+		{Outages: []Outage{{Link: "l", Start: 9, End: 3}}},
+		{Outages: []Outage{{Link: "l", Start: -1, End: 5}}},
 		{StashFailures: []StashFail{{Switch: -1}}},
+		{StashFailures: []StashFail{{Port: -2}}},
+		{StashFailures: []StashFail{{At: -3}}},
+		{StashFailures: []StashFail{{Switch: 0, Port: 1, At: 5000}, {Switch: 3, At: 9000}, {Switch: 0, Port: 1, At: 5000}}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -263,45 +273,77 @@ func TestLoadPlan(t *testing.T) {
 	if _, err := LoadPlan(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("missing file accepted")
 	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	os.WriteFile(bad, []byte(`{"drop": 1}`), 0o644)
-	if _, err := LoadPlan(bad); err == nil {
-		t.Error("unknown field accepted")
+	for _, body := range []string{
+		`{"drop": 1}`,
+		// json.Decoder stops after one value: without the check for what
+		// follows, this loads as seed 1 and drops the second object.
+		`{"seed": 1}{"link_drop_rate": 1}`,
+		`{"seed": 1} x`,
+		`{"seed": 1`,
+		``,
+	} {
+		bad := filepath.Join(t.TempDir(), "bad.json")
+		if err := os.WriteFile(bad, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if p, err := LoadPlan(bad); err == nil {
+			t.Errorf("%q loaded as %+v", body, p)
+		}
+	}
+	if _, err := ParsePlan([]byte("{\"seed\": 1}\n\t ")); err != nil {
+		t.Errorf("trailing white space refused: %v", err)
 	}
 }
 
-// TestParseOutages and TestParseStashFails cover the flag-spec parsers.
-func TestParseOutages(t *testing.T) {
-	out, err := ParseOutages("sw0.3->sw1.2@1000-3000, ep5->sw1.0@500-900")
-	if err != nil {
-		t.Fatal(err)
+// FuzzParsePlan: the one front door for fault plans either refuses its
+// input or returns a plan that Validate accepts and that survives a
+// json.Marshal round trip unchanged.
+func FuzzParsePlan(f *testing.F) {
+	for _, seed := range []string{
+		// Bank failures: two, one twice, no port, a port that is not a
+		// number, negative coordinates; then no input at all.
+		`{"stash_failures": [{"switch": 0, "port": 1, "at": 5000}, {"switch": 3, "port": 0, "at": 9000}]}`,
+		`{"stash_failures": [{"switch": 0, "port": 1, "at": 5000}, {"switch": 0, "port": 1, "at": 5000}]}`,
+		`{"stash_failures": [{"switch": 1, "port": 2, "at": 3}, {"switch": 4, "port": 5, "at": 6}]}`,
+		`{"stash_failures": [{"switch": 1, "at": 5}]}`,
+		`{"stash_failures": [{"switch": 1, "port": "x", "at": 5}]}`,
+		`{"stash_failures": [{"switch": -1, "port": -2, "at": -3}]}`,
+		``,
+		// Outages: two, no window, a start that is not a number, no end.
+		// Then a cycle that is not a number, a bank failing twice at one
+		// cycle, and one bank failing at two.
+		`{"outages": [{"link": "sw0.3->sw1.2", "start": 1000, "end": 3000}, {"link": "ep5->sw1.0", "start": 500, "end": 900}]}`,
+		`{"outages": [{"link": "nolink"}]}`,
+		`{"outages": [{"link": "l", "start": "x", "end": 5}]}`,
+		`{"outages": [{"link": "l", "start": 5}]}`,
+		`{"stash_failures": [{"switch": 1, "port": 2, "at": "z"}]}`,
+		`{"stash_failures": [{"switch": 0, "port": 1, "at": 5000}, {"switch": 3, "port": 0, "at": 9000}, {"switch": 0, "port": 1, "at": 5000}]}`,
+		`{"stash_failures": [{"switch": 0, "port": 1, "at": 5000}, {"switch": 0, "port": 1, "at": 9000}]}`,
+		// Rates, an unknown field, and a second value after the plan.
+		`{"seed": 7, "link_drop_rate": 0.001, "corrupt_rate": 1e-4}`,
+		`{"drop": 1}`,
+		`{"seed": 1}{"link_drop_rate": 1}`,
+	} {
+		f.Add([]byte(seed))
 	}
-	if len(out) != 2 || out[0].Link != "sw0.3->sw1.2" || out[0].Start != 1000 ||
-		out[1].Link != "ep5->sw1.0" || out[1].End != 900 {
-		t.Fatalf("parsed %+v", out)
-	}
-	if got, err := ParseOutages(""); err != nil || got != nil {
-		t.Errorf("empty spec: %v, %v", got, err)
-	}
-	for _, bad := range []string{"nolink", "l@x-5", "l@5"} {
-		if _, err := ParseOutages(bad); err == nil {
-			t.Errorf("bad spec %q accepted", bad)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, err := ParsePlan(b)
+		if err != nil {
+			return
 		}
-	}
-}
-
-func TestParseStashFails(t *testing.T) {
-	out, err := ParseStashFails("0.1@5000,3.0@9000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 || out[0] != (StashFail{Switch: 0, Port: 1, At: 5000}) ||
-		out[1] != (StashFail{Switch: 3, Port: 0, At: 9000}) {
-		t.Fatalf("parsed %+v", out)
-	}
-	for _, bad := range []string{"1@5", "1.x@5", "1.2@z"} {
-		if _, err := ParseStashFails(bad); err == nil {
-			t.Errorf("bad spec %q accepted", bad)
+		if err := p.Validate(); err != nil {
+			t.Fatalf("ParsePlan returned a plan Validate refuses: %v", err)
 		}
-	}
+		out, err := json.Marshal(p)
+		if err != nil {
+			t.Fatalf("marshal %+v: %v", p, err)
+		}
+		re, err := ParsePlan(out)
+		if err != nil {
+			t.Fatalf("%s does not parse back: %v", out, err)
+		}
+		if again, _ := json.Marshal(re); !bytes.Equal(out, again) || re.Active() != p.Active() {
+			t.Fatalf("round trip changed the plan: %s -> %s", out, again)
+		}
+	})
 }

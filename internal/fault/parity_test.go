@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -27,16 +26,6 @@ func TestValidateDuplicateStashFail(t *testing.T) {
 	}
 }
 
-func TestParseStashFailsDuplicate(t *testing.T) {
-	if _, err := ParseStashFails("0.1@5000,3.0@9000,0.1@5000"); err == nil {
-		t.Fatal("duplicate coordinates accepted")
-	}
-	out, err := ParseStashFails("0.1@5000,0.1@9000")
-	if err != nil || len(out) != 2 {
-		t.Fatalf("distinct-cycle repeat rejected: %v %v", out, err)
-	}
-}
-
 func TestStashFailNote(t *testing.T) {
 	in := NewInjector(Plan{StashFailures: []StashFail{{Switch: 2, Port: 1, At: 5000}}})
 	// The failure sits inside the stall window, or in the equally long
@@ -54,38 +43,4 @@ func TestStashFailNote(t *testing.T) {
 	if nilIn.StashFailNote(0, 1) != "" {
 		t.Error("nil injector produced a note")
 	}
-}
-
-// FuzzParseStashFails: the parser either errors or returns a spec that
-// round-trips — every entry has in-range coordinates, re-encodes to a
-// parseable item, and no two entries collide (the duplicate rule).
-func FuzzParseStashFails(f *testing.F) {
-	f.Add("0.1@5000,3.0@9000")
-	f.Add("0.1@5000,0.1@5000")
-	f.Add(" 1.2@3 ,, 4.5@6 ")
-	f.Add("1@5")
-	f.Add("1.x@5")
-	f.Add("-1.-2@-3")
-	f.Add("")
-	f.Fuzz(func(t *testing.T, spec string) {
-		out, err := ParseStashFails(spec)
-		if err != nil {
-			if out != nil {
-				t.Fatalf("error %v returned alongside output %v", err, out)
-			}
-			return
-		}
-		for i, sf := range out {
-			for _, prev := range out[:i] {
-				if prev == sf {
-					t.Fatalf("duplicate %+v survived parsing %q", sf, spec)
-				}
-			}
-			item := fmt.Sprintf("%d.%d@%d", sf.Switch, sf.Port, sf.At)
-			re, err := ParseStashFails(item)
-			if err != nil || len(re) != 1 || re[0] != sf {
-				t.Fatalf("entry %+v does not round-trip (%v, %v)", sf, re, err)
-			}
-		}
-	})
 }

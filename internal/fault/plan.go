@@ -1,14 +1,27 @@
 package fault
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
-	"strings"
 )
 
-// LoadPlan reads a JSON fault plan from path and validates it. The format
+// LoadPlan reads a JSON fault plan from path; see ParsePlan for the format.
+func LoadPlan(path string) (Plan, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return Plan{}, fmt.Errorf("fault plan: %w", err)
+	}
+	p, err := ParsePlan(b)
+	if err != nil {
+		return Plan{}, fmt.Errorf("fault plan %s: %w", path, err)
+	}
+	return p, nil
+}
+
+// ParsePlan decodes one JSON fault plan and validates it. The format
 // mirrors the Plan struct:
 //
 //	{
@@ -18,100 +31,21 @@ import (
 //	  "outages": [{"link": "sw0.3->sw1.2", "start": 1000, "end": 3000}],
 //	  "stash_failures": [{"switch": 0, "port": 1, "at": 5000}]
 //	}
-func LoadPlan(path string) (Plan, error) {
+//
+// An unknown field, or anything but white space after the plan object, is
+// an error.
+func ParsePlan(b []byte) (Plan, error) {
 	var p Plan
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return p, fmt.Errorf("fault plan: %w", err)
-	}
-	dec := json.NewDecoder(strings.NewReader(string(b)))
+	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&p); err != nil {
-		return p, fmt.Errorf("fault plan %s: %w", path, err)
+		return Plan{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Plan{}, fmt.Errorf("data after the plan object")
 	}
 	if err := p.Validate(); err != nil {
-		return p, fmt.Errorf("fault plan %s: %w", path, err)
+		return Plan{}, err
 	}
 	return p, nil
-}
-
-// ParseOutages parses a comma-separated flag spec of outage windows, each
-// "link@start-end", e.g. "sw0.3->sw1.2@1000-3000,ep5->sw1.0@500-900".
-func ParseOutages(spec string) ([]Outage, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var out []Outage
-	for _, item := range strings.Split(spec, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		at := strings.LastIndex(item, "@")
-		if at < 0 {
-			return nil, fmt.Errorf("outage %q: want link@start-end", item)
-		}
-		link, window := item[:at], item[at+1:]
-		dash := strings.Index(window, "-")
-		if dash < 0 {
-			return nil, fmt.Errorf("outage %q: want link@start-end", item)
-		}
-		start, err := strconv.ParseInt(window[:dash], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("outage %q: bad start: %w", item, err)
-		}
-		end, err := strconv.ParseInt(window[dash+1:], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("outage %q: bad end: %w", item, err)
-		}
-		out = append(out, Outage{Link: link, Start: start, End: end})
-	}
-	return out, nil
-}
-
-// ParseStashFails parses a comma-separated flag spec of stash-bank
-// failures, each "switch.port@cycle", e.g. "0.1@5000,3.0@9000". Listing
-// the same switch.port@cycle twice is rejected: the duplicate would
-// double-fire the bank-failure event (Plan.Validate enforces the same
-// rule on JSON plans).
-func ParseStashFails(spec string) ([]StashFail, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var out []StashFail
-	for _, item := range strings.Split(spec, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		at := strings.Index(item, "@")
-		if at < 0 {
-			return nil, fmt.Errorf("stash-fail %q: want switch.port@cycle", item)
-		}
-		loc, cyc := item[:at], item[at+1:]
-		dot := strings.Index(loc, ".")
-		if dot < 0 {
-			return nil, fmt.Errorf("stash-fail %q: want switch.port@cycle", item)
-		}
-		sw, err := strconv.Atoi(loc[:dot])
-		if err != nil {
-			return nil, fmt.Errorf("stash-fail %q: bad switch: %w", item, err)
-		}
-		port, err := strconv.Atoi(loc[dot+1:])
-		if err != nil {
-			return nil, fmt.Errorf("stash-fail %q: bad port: %w", item, err)
-		}
-		cycle, err := strconv.ParseInt(cyc, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("stash-fail %q: bad cycle: %w", item, err)
-		}
-		sf := StashFail{Switch: sw, Port: port, At: cycle}
-		for _, prev := range out {
-			if prev == sf {
-				return nil, fmt.Errorf("stash-fail %q: duplicate failure coordinates", item)
-			}
-		}
-		out = append(out, sf)
-	}
-	return out, nil
 }

@@ -2,9 +2,9 @@ package harness
 
 import (
 	"fmt"
-	"strings"
 
 	"stashsim/internal/core"
+	"stashsim/internal/fault"
 	"stashsim/internal/network"
 )
 
@@ -36,11 +36,10 @@ func faults(o *Options) *grid {
 
 	// Four bank failures on distinct switches, staggered through the
 	// middle of the measured window (every preset has >= 4 switches).
-	var fails []string
+	var fails []fault.StashFail
 	for i := 0; i < 4; i++ {
-		fails = append(fails, fmt.Sprintf("%d.0@%d", i, warm+meas/4+int64(i)*meas/8))
+		fails = append(fails, fault.StashFail{Switch: i, Port: 0, At: warm + meas/4 + int64(i)*meas/8})
 	}
-	stashFails := strings.Join(fails, ",")
 
 	return &grid{
 		rows: labels("%.0e", rates),
@@ -55,8 +54,7 @@ func faults(o *Options) *grid {
 			"DropRate", []string{"_RecLat_us", "_Recovered", "_Resends", "_Dups", "_Recon"}}},
 		// The sweep's own plan and parity replace whatever the options carry.
 		point: func(sp *Spec, row, vi int) func(*core.Config) {
-			sp.FaultPlanPath, sp.Outages, sp.CorruptRate = "", "", 0
-			sp.FaultSeed, sp.DropRate, sp.StashFails = sp.Seed+101, rates[row], stashFails
+			sp.Fault = &fault.Plan{Seed: sp.Seed + 101, LinkDropRate: rates[row], StashFailures: fails}
 			sp.StashParity = []int{0, 4, 0}[vi]
 			sp.Load, sp.MsgPkts = 0.2, 1
 			sp.Drain, sp.AssertDelivery = 2_000_000, true

@@ -46,19 +46,14 @@ type Spec struct {
 	// outcome-determining contract above.
 	Workers int
 
-	// Fault injection and recovery (see internal/fault). FaultPlanPath
-	// loads a JSON plan; the individual fields layer on top of (or replace)
-	// it. The recovery timers are on whenever the plan is active or
-	// StashBypass is. Drain > 0 runs up to that many extra unloaded cycles
-	// after the measured window so every in-flight or timer-pending packet
-	// settles, and AssertDelivery makes anything but exactly-once delivery
-	// after it an error.
-	FaultPlanPath  string
-	FaultSeed      uint64
-	DropRate       float64
-	CorruptRate    float64
-	Outages        string
-	StashFails     string
+	// Fault injection and recovery (see internal/fault). Fault is the
+	// fault plan, nil for none; Config hands it to the network when it
+	// injects anything. The recovery timers are on whenever the plan is
+	// active or StashBypass is. Drain > 0 runs up to that many extra
+	// unloaded cycles after the measured window so every in-flight or
+	// timer-pending packet settles, and AssertDelivery makes anything but
+	// exactly-once delivery after it an error.
+	Fault          *fault.Plan
 	StashBypass    bool
 	StashParity    int
 	Drain          int64
@@ -81,8 +76,8 @@ type Spec struct {
 	ckptErr error
 }
 
-// BindFlags declares the ten flags cmd/stashsim and cmd/figures share, so
-// that one spelling means one thing on both.
+// BindFlags declares the seven flags cmd/stashsim and cmd/figures share,
+// so that one spelling means one thing on both.
 func (sp *Spec) BindFlags(fs *flag.FlagSet) {
 	fs.StringVar(&sp.Preset, "preset", "small", "network scale: tiny, small, paper")
 	fs.Uint64Var(&sp.Seed, "seed", 1, "master random seed")
@@ -90,10 +85,14 @@ func (sp *Spec) BindFlags(fs *flag.FlagSet) {
 		sp.Invariants, err = core.ParseAuditEvery(s)
 		return err
 	})
-	fs.StringVar(&sp.FaultPlanPath, "fault-plan", "", "JSON fault plan file (see internal/fault); the fault flags layer on top")
-	fs.Float64Var(&sp.DropRate, "link-drop-rate", 0, "per-packet Bernoulli drop probability on every link")
-	fs.StringVar(&sp.Outages, "link-outage", "", "outage windows, comma-separated link@start-end (e.g. sw0.3->sw1.2@1000-3000)")
-	fs.StringVar(&sp.StashFails, "stash-fail", "", "stash-bank failures, comma-separated switch.port@cycle (e.g. 0.1@5000)")
+	fs.Func("fault-plan", "JSON fault plan file: seed, link_drop_rate, corrupt_rate, outages, stash_failures (see internal/fault); an active plan arms the recovery timers", func(path string) error {
+		p, err := fault.LoadPlan(path)
+		if err != nil {
+			return err
+		}
+		sp.Fault = &p
+		return nil
+	})
 	fs.IntVar(&sp.StashParity, "stash-parity", 0, "erasure-code stash copies into XOR parity groups of this width (0 = off; e2e mode only)")
 	fs.Func("checkpoint", "write a bit-exact checkpoint as file@cycle (absolute cycle; warmup counts); resuming from it with -restore reproduces the straight-through run byte for byte. figures writes one per design point, file.<experiment>.<point>, at a cycle inside the warm-up plus measured window of every selected experiment: fig5, fig9, ablations and faults have one, fig6, fig7/fig8 and the tables are refused", func(s string) error {
 		i := strings.LastIndex(s, "@")
@@ -108,41 +107,6 @@ func (sp *Spec) BindFlags(fs *flag.FlagSet) {
 		return nil
 	})
 	fs.StringVar(&sp.RestorePath, "restore", "", "resume from a checkpoint (figures: from the per-point files a -checkpoint run wrote under this name); the other flags must rebuild the identical configuration and observers. The switches' sections decode on GOMAXPROCS CPUs")
-}
-
-// FaultPlan materializes the spec's fault plan, nil when inactive.
-func (sp *Spec) FaultPlan() (*fault.Plan, error) {
-	plan := &fault.Plan{Seed: sp.FaultSeed}
-	if sp.FaultPlanPath != "" {
-		p, err := fault.LoadPlan(sp.FaultPlanPath)
-		if err != nil {
-			return nil, err
-		}
-		plan = &p
-		if sp.FaultSeed != 0 {
-			plan.Seed = sp.FaultSeed
-		}
-	}
-	if sp.DropRate > 0 {
-		plan.LinkDropRate = sp.DropRate
-	}
-	if sp.CorruptRate > 0 {
-		plan.CorruptRate = sp.CorruptRate
-	}
-	outages, err := fault.ParseOutages(sp.Outages)
-	if err != nil {
-		return nil, err
-	}
-	plan.Outages = append(plan.Outages, outages...)
-	fails, err := fault.ParseStashFails(sp.StashFails)
-	if err != nil {
-		return nil, err
-	}
-	plan.StashFailures = append(plan.StashFailures, fails...)
-	if !plan.Active() {
-		return nil, nil
-	}
-	return plan, nil
 }
 
 // Config materializes the spec's network configuration, and is where a
@@ -194,12 +158,13 @@ func (sp *Spec) Config() (*core.Config, error) {
 		cfg.ErrorRate = sp.ErrRate
 		cfg.RetainPayload = true
 	}
-	plan, err := sp.FaultPlan()
-	if err != nil {
+	if err := sp.Fault.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.Fault = plan
-	if plan != nil || sp.StashBypass {
+	if sp.Fault.Active() {
+		cfg.Fault = sp.Fault
+	}
+	if cfg.Fault != nil || sp.StashBypass {
 		// Every fault plan, and a bypass that forwards packets with no stash
 		// copy, brings the recovery ladder with it, in every mode and on
 		// both CLIs.

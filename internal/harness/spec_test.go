@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"stashsim/internal/core"
+	"stashsim/internal/fault"
 	"stashsim/internal/sim"
 )
 
@@ -59,7 +60,7 @@ func TestWarmResumes(t *testing.T) {
 		base := Spec{
 			Preset: "tiny", Mode: "e2e", CapFrac: 1.0, Load: 0.3, MsgPkts: 1,
 			Warmup: 400, Cycles: 600, Seed: 5, Invariants: 64,
-			DropRate: 4e-3, FaultSeed: 3, StashFails: "0.0@700", StashParity: 4,
+			Fault: &fault.Plan{Seed: 3, LinkDropRate: 4e-3, StashFailures: []fault.StashFail{{Switch: 0, Port: 0, At: 700}}}, StashParity: 4,
 			Drain: 400000, AssertDelivery: true,
 		}
 		want, err := summaryJSON(t, base)
@@ -157,15 +158,16 @@ func TestWarmResumes(t *testing.T) {
 // after the whole run.
 func TestAssertDeliveryIsCheckedUpFront(t *testing.T) {
 	base := Spec{Preset: "tiny", Mode: "e2e", CapFrac: 1.0, Load: 0.3, MsgPkts: 1, Cycles: 100, AssertDelivery: true}
+	drops := &fault.Plan{LinkDropRate: 1e-3}
 	for _, c := range []struct {
 		name string
 		set  func(*Spec)
 		want string // "" = accepted
 	}{
-		{"no drain", func(sp *Spec) { sp.DropRate = 1e-3 }, "requires a drain window"},
+		{"no drain", func(sp *Spec) { sp.Fault = drops }, "requires a drain window"},
 		{"neither plan nor bypass", func(sp *Spec) { sp.Drain = 1000 }, "requires a fault plan or -stash-bypass"},
 		{"NACKs alone", func(sp *Spec) { sp.Drain, sp.ErrRate = 1000, 0.01 }, "requires a fault plan or -stash-bypass"},
-		{"drops", func(sp *Spec) { sp.Drain, sp.DropRate = 1000, 1e-3 }, ""},
+		{"drops", func(sp *Spec) { sp.Drain, sp.Fault = 1000, drops }, ""},
 		{"bypass", func(sp *Spec) { sp.Drain, sp.StashBypass = 1000, true }, ""},
 	} {
 		sp := base
@@ -184,6 +186,7 @@ func TestAssertDeliveryIsCheckedUpFront(t *testing.T) {
 // corruption-only e2e plan ran without them and drops in baseline or
 // congestion mode were never recovered.
 func TestTimersFollowThePlan(t *testing.T) {
+	drops := &fault.Plan{LinkDropRate: 1e-3}
 	for _, c := range []struct {
 		name   string
 		set    func(*Spec)
@@ -192,11 +195,13 @@ func TestTimersFollowThePlan(t *testing.T) {
 		{"no plan", func(*Spec) {}, false},
 		{"no plan, NACKs", func(sp *Spec) { sp.ErrRate = 0.01 }, false},
 		{"no plan, parity", func(sp *Spec) { sp.StashParity = 4 }, false},
-		{"corruption only, e2e", func(sp *Spec) { sp.CorruptRate = 1e-3 }, true},
-		{"drops, e2e", func(sp *Spec) { sp.DropRate = 1e-3 }, true},
-		{"drops, baseline", func(sp *Spec) { sp.Mode, sp.DropRate = "baseline", 1e-3 }, true},
-		{"drops, congestion", func(sp *Spec) { sp.Mode, sp.DropRate = "congestion", 1e-3 }, true},
-		{"bank failure, baseline", func(sp *Spec) { sp.Mode, sp.StashFails = "baseline", "0.0@50" }, true},
+		{"corruption only, e2e", func(sp *Spec) { sp.Fault = &fault.Plan{CorruptRate: 1e-3} }, true},
+		{"drops, e2e", func(sp *Spec) { sp.Fault = drops }, true},
+		{"drops, baseline", func(sp *Spec) { sp.Mode, sp.Fault = "baseline", drops }, true},
+		{"drops, congestion", func(sp *Spec) { sp.Mode, sp.Fault = "congestion", drops }, true},
+		{"bank failure, baseline", func(sp *Spec) {
+			sp.Mode, sp.Fault = "baseline", &fault.Plan{StashFailures: []fault.StashFail{{At: 50}}}
+		}, true},
 		{"bypass alone", func(sp *Spec) { sp.StashBypass = true }, true},
 	} {
 		sp := Spec{Preset: "tiny", Mode: "e2e", CapFrac: 1.0, Load: 0.3, MsgPkts: 1, Cycles: 100}
@@ -268,7 +273,7 @@ func TestConfigRefuses(t *testing.T) {
 // named by experiment and index — and that its plan arms the recovery
 // timers in every mode, by Config's rule alone.
 func TestPointDerivation(t *testing.T) {
-	o := &Options{Base: Spec{Preset: "tiny", Seed: 3, StashFails: "0.0@100", StashParity: 4,
+	o := &Options{Base: Spec{Preset: "tiny", Seed: 3, Fault: &fault.Plan{StashFailures: []fault.StashFail{{At: 100}}}, StashParity: 4,
 		CheckpointPath: "w", CheckpointAt: 9, RestorePath: "r"}}
 	for _, v := range congVariants {
 		sp := o.point("fig9", 7, v)
@@ -306,37 +311,50 @@ func TestPointDerivation(t *testing.T) {
 // or a stash bank this network does not have.
 func FuzzSpecConfig(f *testing.F) {
 	type seed struct {
-		p, a, h         uint8
-		mode            string
-		capFrac, load   float64
-		burst, hotspots int
-		parity          int
-		errs, drop      float64
-		outages, fails  string
-		bypass          bool
-		workers         int
+		p, a, h          uint8
+		mode             string
+		capFrac, load    float64
+		burst, hotspots  int
+		parity           int
+		errs, drop       float64
+		corrupt          float64
+		outage           string // the one outage's link; "" = none
+		outStart, outEnd int64
+		failSw, failPort int
+		failAt           int64 // the one bank failure's cycle; 0 = none
+		bypass           bool
+		workers          int
 	}
 	for _, s := range []seed{
 		// One per mode, then the four that used to get through.
 		{mode: "baseline", capFrac: 1, load: 0.5, burst: 1, workers: 1},
-		{mode: "e2e", capFrac: 0.5, load: 0.3, burst: 2, parity: 4, errs: 0.02, drop: 1e-2, fails: "0.0@20", workers: 2},
-		{mode: "congestion", capFrac: 1, load: 0.4, burst: 1, hotspots: 2, outages: "sw0.3->sw1.2@10-40", workers: 3},
+		{mode: "e2e", capFrac: 0.5, load: 0.3, burst: 2, parity: 4, errs: 0.02, drop: 1e-2, failAt: 20, workers: 2},
+		{mode: "congestion", capFrac: 1, load: 0.4, burst: 1, hotspots: 2, outage: "sw0.3->sw1.2", outStart: 10, outEnd: 40, workers: 3},
 		{p: 1, a: 1, h: 1, mode: "baseline", capFrac: 1, load: 0.5, burst: 1},
 		{p: 255, mode: "baseline", capFrac: 1, load: 0.5, burst: 1}, // radix 69, see below
 		{mode: "e2e", capFrac: math.NaN(), load: 0.5, burst: 1},
 		{mode: "e2e", capFrac: 1, load: 0.5, burst: 1, errs: 2},
 		{p: 2, a: 1, h: 2, mode: "e2e", capFrac: math.Inf(1), load: math.Inf(1), burst: 0, parity: 2, bypass: true},
 	} {
-		f.Add(s.p, s.a, s.h, s.mode, s.capFrac, s.load, s.burst, s.hotspots, s.parity, s.errs, s.drop, s.outages, s.fails, s.bypass, s.workers)
+		f.Add(s.p, s.a, s.h, s.mode, s.capFrac, s.load, s.burst, s.hotspots, s.parity, s.errs, s.drop, s.corrupt,
+			s.outage, s.outStart, s.outEnd, s.failSw, s.failPort, s.failAt, s.bypass, s.workers)
 	}
 	f.Fuzz(func(t *testing.T, p, a, h uint8, mode string, capFrac, load float64, burst, hotspots, parity int,
-		errs, drop float64, outages, fails string, bypass bool, workers int) {
+		errs, drop, corrupt float64, outage string, outStart, outEnd int64, failSw, failPort int, failAt int64,
+		bypass bool, workers int) {
+		plan := &fault.Plan{Seed: 3, LinkDropRate: drop, CorruptRate: corrupt}
+		if outage != "" {
+			plan.Outages = []fault.Outage{{Link: outage, Start: outStart, End: outEnd}}
+		}
+		if failAt != 0 {
+			plan.StashFailures = []fault.StashFail{{Switch: failSw, Port: failPort, At: failAt}}
+		}
 		sp := Spec{
 			Preset: "tiny", P: int(p % 5), A: int(a % 5), H: int(h % 5),
 			Mode: mode, CapFrac: capFrac, Load: load,
 			MsgPkts: max(-1, min(burst, 8)), Hotspots: max(-1, min(hotspots, 8)),
 			Seed: 1, Invariants: 16, Workers: max(0, min(workers, 4)),
-			ErrRate: errs, DropRate: drop, Outages: outages, StashFails: fails,
+			ErrRate: errs, Fault: plan,
 			StashParity: max(-1, min(parity, 40)), StashBypass: bypass,
 		}
 		if p == 255 { // the one topology that is too big: refused by its radix, so never built

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc64"
 	"io"
 	"runtime"
 	"slices"
@@ -11,9 +12,13 @@ import (
 	"testing"
 
 	"stashsim/internal/core"
+	"stashsim/internal/fault"
 	"stashsim/internal/metrics"
+	"stashsim/internal/proto"
 	"stashsim/internal/sim"
+	"stashsim/internal/snapshot"
 	"stashsim/internal/topo"
+	"stashsim/internal/traffic"
 )
 
 // watchedNet is loadedNet on tiny with the table's observer set attached,
@@ -542,5 +547,56 @@ func TestRestoreRejectsHostileSections(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestCheckpointBytesPinned pins the bytes of one checkpoint: a tiny e2e
+// network with parity groups of four, link drops and one bank failure,
+// stepped by four workers and checkpointed 20 cycles after the failure,
+// while the failed bank's copy is being rebuilt and the stash holds
+// retained payloads. A change to any walk, to the codec or to the config
+// fingerprint moves these bytes: it must bump snapshot.Version and re-pin
+// both numbers, or explain why the bytes moved at the same version.
+func TestCheckpointBytesPinned(t *testing.T) {
+	const (
+		version = 8
+		length  = 140704
+		sum     = 0x2b8b0bc426a488f
+	)
+	cfg := core.TinyConfig()
+	cfg.Mode = core.StashE2E
+	cfg.Retrans = core.DefaultRetrans()
+	cfg.RetainPayload = true
+	cfg.StashParity = 4
+	cfg.Fault = &fault.Plan{Seed: 11, LinkDropRate: 2e-3,
+		StashFailures: []fault.StashFail{{Switch: 1, Port: 0, At: 1500}}}
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	rng := sim.NewRNG(cfg.Seed + 77)
+	for _, ep := range n.Endpoints {
+		gen := rng.Derive(uint64(ep.ID))
+		ep.GenRNG = gen
+		ep.Gen = traffic.Uniform(gen, len(n.Endpoints), nil, 0.3, n.ChannelRate(), proto.MaxPacketFlits, proto.ClassDefault, 0)
+	}
+	n.SetWorkers(4)
+	var snap []byte
+	n.ScheduleCheckpoint(1520, func(now sim.Tick) {
+		if n.Switches[1].PendingReconstructions() == 0 || n.TotalStashUsed() == 0 {
+			t.Errorf("cycle %d: %d rebuilds pending, %d stash flits resident; the pin wants both",
+				now, n.Switches[1].PendingReconstructions(), n.TotalStashUsed())
+		}
+		snap = n.Checkpoint(now)
+	})
+	n.Run(1521)
+	if snap == nil {
+		t.Fatal("checkpoint hook never fired")
+	}
+	got := crc64.Checksum(snap, crc64.MakeTable(crc64.ECMA))
+	if snapshot.Version != version || len(snap) != length || got != sum {
+		t.Fatalf("checkpoint is %d bytes, crc64 %#x, at snapshot.Version %d; pinned %d bytes, %#x, at version %d",
+			len(snap), got, snapshot.Version, length, uint64(sum), version)
 	}
 }
